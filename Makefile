@@ -42,10 +42,11 @@ bench:
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
-# Short fuzzing passes over the six fuzz targets.
+# Short fuzzing passes over the seven fuzz targets.
 fuzz:
 	$(GO) test ./internal/poly -fuzz FuzzQuartic -fuzztime 30s
 	$(GO) test ./internal/dominance -fuzz FuzzHyperbolaVsExact2D -fuzztime 30s
+	$(GO) test ./internal/dominance -fuzz FuzzPreparedPairAgree -fuzztime 30s
 	$(GO) test ./internal/sstree -fuzz FuzzTreeOps -fuzztime 30s
 	$(GO) test ./internal/packed -fuzz FuzzPackedMinDist -fuzztime 30s
 	$(GO) test ./internal/packed -fuzz FuzzQuantizedLowerBound -fuzztime 30s

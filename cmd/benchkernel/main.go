@@ -97,6 +97,11 @@ type metricsBlock struct {
 	PreparedReuseRate  float64           `json:"prepared_reuse_rate"`
 	SearchLatencyP50Ns float64           `json:"search_latency_p50_ns"`
 	SearchLatencyP99Ns float64           `json:"search_latency_p99_ns"`
+	// ChecksPerCandidate is criterion calls per candidate the traversal
+	// kept (Search's DomChecks over SearchCandidates' stream, summed over
+	// the fixture's queries): a count, exact for the fixture seed. The
+	// criterion runs at most once per candidate, so the gate fails above 1.
+	ChecksPerCandidate float64 `json:"checks_per_candidate"`
 	// CoarsePruneRate is the fraction of packed candidates (child entries
 	// plus leaf items) the quantized pass settled without touching the
 	// exact float64 block, under the -quant tier of the metrics pass.
@@ -671,6 +676,13 @@ func maxShards(sb shardScalingBlock) int {
 // report carries. The registry is zeroed first (obs.ResetForTest) so every
 // reading — counters and histograms alike — is absolute for this window.
 func captureMetrics(idx knn.Index, queries []geom.Sphere, k int, sa, sb geom.Sphere, points []geom.Sphere) metricsBlock {
+	// Before the registry window opens, so these searches stay out of it.
+	var checks, cands int
+	for _, q := range queries {
+		cands += len(knn.SearchCandidates(idx, q, k, dominance.Hyperbola{}, knn.HS, nil).Candidates)
+		checks += knn.Search(idx, q, k, dominance.Hyperbola{}, knn.HS).Stats.DomChecks
+	}
+
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 	obs.ResetForTest()
@@ -711,11 +723,13 @@ func captureMetrics(idx knn.Index, queries []geom.Sphere, k int, sa, sb geom.Sph
 	m := metricsBlock{Searches: searches, Counters: diff.Diff(obs.Snap{})}
 	n := float64(searches)
 	m.DomChecksPerQuery = float64(diff.Get("knn.dom_checks")) / n
+	if cands > 0 {
+		m.ChecksPerCandidate = float64(checks) / float64(cands)
+	}
 	m.NodesPerQuery = float64(diff.Get("knn.nodes_visited")) / n
 	m.ItemsPerQuery = float64(diff.Get("knn.items_scanned")) / n
 	m.HeapPushesPerQuery = float64(diff.Get("knn.heap_pushes")) / n
-	// Prune events per scanned item. Slightly above 1 is possible: a
-	// deferred candidate counts again when the final filter re-prunes it.
+	// Prune events per scanned item: each item is pruned at most once.
 	if scanned := diff.Get("knn.items_scanned"); scanned > 0 {
 		m.PruneRate = float64(diff.Get("knn.pruned")) / float64(scanned)
 	}
@@ -764,6 +778,11 @@ func gateReport(current, committed report, cfg *config) []string {
 		if current.SpeedupSphereQ < cfg.MinSphereSpeedup {
 			failures = append(failures, fmt.Sprintf(
 				"prepared sphere-query speedup %.2fx below floor %.2fx", current.SpeedupSphereQ, cfg.MinSphereSpeedup))
+		}
+		if current.Metrics.ChecksPerCandidate > 1 {
+			failures = append(failures, fmt.Sprintf(
+				"%.3f criterion calls per candidate: some candidate was decided more than once",
+				current.Metrics.ChecksPerCandidate))
 		}
 		if cfg.MinSnapSpeedup > 0 && current.SnapshotLoad.Speedup < cfg.MinSnapSpeedup {
 			failures = append(failures, fmt.Sprintf(

@@ -105,6 +105,7 @@ func TestReportRoundTrip(t *testing.T) {
 				"knn.dom_checks":    20000,
 			},
 			DomChecksPerQuery:  312.5,
+			ChecksPerCandidate: 0.75,
 			NodesPerQuery:      64,
 			ItemsPerQuery:      500,
 			PruneRate:          0.93,
@@ -162,17 +163,19 @@ func TestGateReport(t *testing.T) {
 	}
 	// Eight cores: the full -min-scaling bar applies, and every ratio and
 	// alloc count here regresses — one failure per gate (point-query,
-	// packed, quantized, sphere-query, scaling, four alloc rows).
+	// packed, quantized, sphere-query, checks per candidate, scaling, four
+	// alloc rows).
 	bad := report{
 		SpeedupPointQ: 1.1, SpeedupSphereQ: 1.0, SpeedupPacked: 1.0,
 		SpeedupQuantized: quantBlock{Best: 1.1, BestTier: "i8"},
 		KnnAllocsDF:      3, KnnAllocsHS: 5,
 		KnnAllocsPackedDF: 3, KnnAllocsPackedHS: 4,
 		Throughput: throughputBlock{GoMaxProcs: 8, ScalingAtMax: 1.2},
+		Metrics:    metricsBlock{ChecksPerCandidate: 5.1},
 	}
 	failures := gateReport(bad, committed, cfg)
-	if len(failures) != 9 {
-		t.Errorf("regressed report produced %d failures, want 9: %v", len(failures), failures)
+	if len(failures) != 10 {
+		t.Errorf("regressed report produced %d failures, want 10: %v", len(failures), failures)
 	}
 	// Even one core must not make queries slower through the pool: scaling
 	// under 0.8 fails regardless of GOMAXPROCS.
@@ -245,10 +248,13 @@ func TestCaptureMetrics(t *testing.T) {
 	if m.NodesPerQuery <= 0 || m.DomChecksPerQuery <= 0 || m.HeapPushesPerQuery <= 0 {
 		t.Errorf("derived ratios missing: %+v", m)
 	}
-	// Prune events per scanned item; re-prunes of deferred candidates can
-	// push it marginally above 1, but 2 would mean double counting.
-	if m.PruneRate <= 0 || m.PruneRate >= 2 {
-		t.Errorf("PruneRate = %v outside (0,2)", m.PruneRate)
+	// Each scanned item is pruned at most once, each candidate decided at
+	// most once.
+	if m.PruneRate <= 0 || m.PruneRate > 1 {
+		t.Errorf("PruneRate = %v outside (0,1]", m.PruneRate)
+	}
+	if m.ChecksPerCandidate <= 0 || m.ChecksPerCandidate > 1 {
+		t.Errorf("ChecksPerCandidate = %v outside (0,1]", m.ChecksPerCandidate)
 	}
 	if m.PreparedReuseRate <= 0 || m.PreparedReuseRate > 1 {
 		t.Errorf("PreparedReuseRate = %v outside (0,1]", m.PreparedReuseRate)

@@ -100,18 +100,18 @@ func (p *PreparedPair) flushObs() {
 // events per live pair.
 func (p *PreparedPair) FlushObs() { p.flushObs() }
 
-// tallyQuery records one Dominates call on the pair: the query count, the
-// reuse accounting (a query on a pair that already served one since its
-// last Reset is a "reuse hit" — the amortization PreparePair exists for),
-// and the periodic drain into the registry.
-func (p *PreparedPair) tallyQuery() {
+// tallyQuery records one Dominates call on the pair — the query count and
+// the reuse accounting (a query on a pair that already served one since its
+// last Reset is a "reuse hit", the amortization PreparePair exists for) —
+// and reports whether the tally is due its periodic drain into the
+// registry. The caller drains: without that call in its body tallyQuery
+// inlines, which keeps the enabled kernel inside TestObsOverhead's budget.
+func (p *PreparedPair) tallyQuery() (flush bool) {
 	p.tally.queries++
 	if p.fresh {
 		p.fresh = false
 	} else {
 		p.tally.reuse++
 	}
-	if p.tally.queries >= obsFlushEvery {
-		p.flushObs()
-	}
+	return p.tally.queries >= obsFlushEvery
 }

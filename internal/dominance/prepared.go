@@ -84,15 +84,19 @@ func (p *PreparedPair) Reset(sa, sb geom.Sphere) {
 		e := cb[i] - ca[i]
 		dcc2 += e * e
 	}
-	rab := sa.Radius + sb.Radius
+	p.ca, p.cb = ca, cb
+	p.frame(d, dcc2, sa.Radius+sb.Radius)
+}
+
+// frame is the scalar part of Reset: everything the pair contributes once
+// dcc² = Dist²(ca,cb) and rab are known. Anchored.Dominates shares it.
+func (p *PreparedPair) frame(d int, dcc2, rab float64) {
 	// Field-by-field reinitialisation: a `*p = PreparedPair{...}` literal
 	// zero-fills and copies the whole struct (runtime.duffcopy) on every
-	// Reset, which the kNN search's per-offer eviction checks turned into
-	// a top-ten profile entry. Every field below is either assigned on
-	// this path or only read on branches that assigned it first (the
-	// quartic block is read only when Reset's tail ran for this pair), so
-	// skipping the zero-fill changes nothing.
-	p.ca, p.cb = ca, cb
+	// Reset, once per candidate of the kNN final filter. Every field below
+	// is either assigned on this path or only read on branches that
+	// assigned it first (the quartic block is read only when frame's tail
+	// ran for this pair), so skipping the zero-fill changes nothing.
 	p.dim = d
 	p.rab = rab
 	p.obsOn = obs.On()
@@ -167,24 +171,34 @@ func (p *PreparedPair) Dominates(sq geom.Sphere) bool {
 	if sq.Dim() != p.dim {
 		panic("dominance: spheres with mixed dimensionality")
 	}
-	on := p.obsOn
-	if on {
-		p.tallyQuery()
+	if p.obsOn && p.tallyQuery() {
+		p.flushObs()
 	}
+	var da2, db2 float64
+	if !p.overlap {
+		ca, cb, cq := p.ca, p.cb, sq.Center
+		for i := 0; i < p.dim; i++ {
+			ea := cq[i] - ca[i]
+			da2 += ea * ea
+			eb := cq[i] - cb[i]
+			db2 += eb * eb
+		}
+	}
+	return p.verdict(da2, db2, sq.Radius)
+}
+
+// verdict is the scalar tail of Dominates: the decision for a query of
+// radius r at squared distances da², db² from the centers of Sa and Sb
+// (ignored when the pair overlaps). Anchored.Dominates shares it; the
+// caller has tallied the query.
+func (p *PreparedPair) verdict(da2, db2, r float64) bool {
+	on := p.obsOn
 	if p.overlap {
 		if on {
 			p.tally.overlaps++
 			p.tally.falses++
 		}
 		return false
-	}
-	ca, cb, cq := p.ca, p.cb, sq.Center
-	var da2, db2 float64
-	for i := 0; i < p.dim; i++ {
-		ea := cq[i] - ca[i]
-		da2 += ea * ea
-		eb := cq[i] - cb[i]
-		db2 += eb * eb
 	}
 	da := math.Sqrt(da2)
 	db := math.Sqrt(db2)
@@ -194,7 +208,7 @@ func (p *PreparedPair) Dominates(sq geom.Sphere) bool {
 		}
 		return false
 	}
-	if sq.Radius == 0 { // cq strictly inside Ra and Sq = {cq}
+	if r == 0 { // cq strictly inside Ra and Sq = {cq}
 		if on {
 			p.tally.trues++
 		}
@@ -211,7 +225,7 @@ func (p *PreparedPair) Dominates(sq geom.Sphere) bool {
 	// whenever this test passes the full path's computed dmin clears the
 	// radius too, for every dmin branch (line, planar, hyperbola). A NaN or
 	// Inf−Inf operand settles the comparison false and falls through.
-	if (db-da-p.rab)*0.5-1e-12*(db+da) > sq.Radius {
+	if (db-da-p.rab)*0.5-1e-12*(db+da) > r {
 		if on {
 			p.tally.coarseAccepts++
 			p.tally.trues++
@@ -227,7 +241,7 @@ func (p *PreparedPair) Dominates(sq geom.Sphere) bool {
 	p2 := math.Sqrt(p22)
 	var v bool
 	if p.line || p.rab == 0 {
-		v = p.dmin(p1, p2) > sq.Radius
+		v = p.dmin(p1, p2) > r
 	} else {
 		// Coarse filter (ISSUE 6): bracket dmin before paying for the
 		// quartic. d0 is dmin's first candidate distToY(0), inlined
@@ -245,18 +259,18 @@ func (p *PreparedPair) Dominates(sq geom.Sphere) bool {
 		x0 := -p.hA * math.Sqrt(1+0/p.b2)
 		d0 := math.Hypot(p1-x0, p2)
 		switch {
-		case !(d0 > sq.Radius):
+		case !(d0 > r):
 			if on {
 				p.tally.coarseRejects++
 			}
 			v = false
-		case (p1+p.hA)*(1-1e-9) > sq.Radius:
+		case (p1+p.hA)*(1-1e-9) > r:
 			if on {
 				p.tally.coarseAccepts++
 			}
 			v = true
 		default:
-			v = p.dminBeats(d0, p1, p2, sq.Radius)
+			v = p.dminBeats(d0, p1, p2, r)
 		}
 	}
 	if on {

@@ -129,10 +129,13 @@ func TestPreparedPairDominatesAllocFree(t *testing.T) {
 }
 
 // FuzzPreparedPairAgree is the adversarial form of the differential test:
-// arbitrary 3-D coordinates, including the degenerate rab=0 / p1=0 / p2=0
-// seeds, must produce exactly equal verdicts from the prepared and
-// per-triple paths. No boundary tolerance is allowed — the two paths share
-// their arithmetic, so any disagreement is a real bug in the factoring.
+// the prepared pair, the anchored kernel and the per-triple Hyperbola must
+// return exactly equal verdicts on arbitrary 3-D triples and on their 1-D
+// projections. No boundary tolerance is allowed — the three share their
+// arithmetic, so any disagreement is a real bug in the factoring. Seeds
+// cover the branches of the closed form (overlap, tangency, rab = 0, cq on
+// the bisector and on the focal axis, point query) and coordinates at
+// 1e±150, where squares sit next to the float64 range limits.
 func FuzzPreparedPairAgree(f *testing.F) {
 	f.Add(0.0, 0.0, 0.0, 1.0, 9.0, 0.0, 0.0, 1.0, -4.0, 0.0, 0.0, 2.0)
 	f.Add(0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -3.0, 0.0, 0.0, 3.0)   // rab = 0
@@ -140,23 +143,31 @@ func FuzzPreparedPairAgree(f *testing.F) {
 	f.Add(-5.0, 0.0, 0.0, 1.0, 5.0, 0.0, 0.0, 2.0, -20.0, 0.0, 0.0, 0.0) // p2 = 0 (on-axis)
 	f.Add(0.0, 0.0, 0.0, 2.0, 3.0, 0.0, 0.0, 2.0, 10.0, 10.0, 0.0, 1.0)  // overlap
 	f.Add(1e6, 1e6, 0.0, 1.0, 1e6+9, 1e6, 0.0, 1.0, 1e6-4, 1e6, 0.0, 2.0)
+	f.Add(-5.0, 0.0, 0.0, 1.0, 5.0, 0.0, 0.0, 2.0, -20.0, 0.0, 0.0, 3.0) // p2 = 0, fat query
+	f.Add(0.0, 0.0, 0.0, 2.0, 4.0, 0.0, 0.0, 2.0, -9.0, 0.0, 0.0, 1.0)   // tangent
+	f.Add(0.0, 0.0, 0.0, 1e150, 9e150, 0.0, 0.0, 1e150, -4e150, 1e150, 0.0, 2e150)
+	f.Add(0.0, 0.0, 0.0, 1e-150, 9e-150, 0.0, 0.0, 1e-150, -4e-150, 1e-150, 0.0, 2e-150)
+	f.Add(1e150, 0.0, 0.0, 1e-150, -1e150, 1e-150, 0.0, 0.0, 3e150, 0.0, 1e-150, 1.0)
 	f.Fuzz(func(t *testing.T, ax, ay, az, ar, bx, by, bz, br, qx, qy, qz, qr float64) {
 		for _, v := range []float64{ax, ay, az, ar, bx, by, bz, br, qx, qy, qz, qr} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e12 {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Skip()
 			}
 		}
 		if ar < 0 || br < 0 || qr < 0 {
 			t.Skip()
 		}
-		sa := geom.Sphere{Center: []float64{ax, ay, az}, Radius: ar}
-		sb := geom.Sphere{Center: []float64{bx, by, bz}, Radius: br}
-		sq := geom.Sphere{Center: []float64{qx, qy, qz}, Radius: qr}
-		pp := PreparePair(sa, sb)
-		got := pp.Dominates(sq)
-		want := Hyperbola{}.Dominates(sa, sb, sq)
-		if got != want {
-			t.Fatalf("PreparedPair=%v Hyperbola=%v\nsa=%v\nsb=%v\nsq=%v", got, want, sa, sb, sq)
+		var an Anchored
+		for _, d := range []int{3, 1} {
+			sa := geom.Sphere{Center: []float64{ax, ay, az}[:d], Radius: ar}
+			sb := geom.Sphere{Center: []float64{bx, by, bz}[:d], Radius: br}
+			sq := geom.Sphere{Center: []float64{qx, qy, qz}[:d], Radius: qr}
+			pp := PreparePair(sa, sb)
+			an.Reset(Hyperbola{}, sa, sq)
+			prep, anch, want := pp.Dominates(sq), an.Dominates(sb), Hyperbola{}.Dominates(sa, sb, sq)
+			if prep != want || anch != want {
+				t.Fatalf("d=%d: PreparedPair=%v Anchored=%v Hyperbola=%v\nsa=%v\nsb=%v\nsq=%v", d, prep, anch, want, sa, sb, sq)
+			}
 		}
 	})
 }

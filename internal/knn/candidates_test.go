@@ -81,10 +81,10 @@ func TestSearchCandidatesRecoversAnswer(t *testing.T) {
 				t.Fatalf("trial %d %v: filtered candidates %v != answer %v",
 					trial, algo, idsOf(got), idsOf(want.Items))
 			}
-			// Candidates must arrive in ascending (MaxDist, ID) order.
+			// The k smallest must lead in ascending (MaxDist, ID) order;
+			// the remainder is unordered but all beyond the local Sk.
 			for i := 1; i < len(cs.Candidates); i++ {
-				a, b := cs.Candidates[i-1], cs.Candidates[i]
-				if a.MaxDist > b.MaxDist || (a.MaxDist == b.MaxDist && a.Item.ID > b.Item.ID) {
+				if CompareCandidates(cs.Candidates[min(i, k)-1], cs.Candidates[i]) >= 0 {
 					t.Fatalf("trial %d %v: candidate order violated at %d", trial, algo, i)
 				}
 			}

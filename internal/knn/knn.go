@@ -15,16 +15,18 @@
 //   - DF: the depth-first tree traversal of Roussopoulos et al. (ref [26]).
 //   - HS: the best-first traversal of Hjaltason and Samet (ref [15]).
 //
-// DF and HS run over an index (package sstree or mtree) and maintain the
-// best-known list L exactly as Section 6 prescribes: Case 1 inserts and
-// evicts newly-dominated members, Case 2 consults the pluggable dominance
-// criterion, Case 3 prunes by Lemma 9. With a correct criterion the result
-// is a superset of the truth (recall 100%); with Hyperbola it is exact.
+// DF and HS run over an index (package sstree, mtree or rtree) and prune
+// with Lemma 9 alone (Case 3 of Section 6) while tracking the k smallest
+// MaxDist; the pluggable dominance criterion runs once per surviving
+// candidate, against the final Sk — Definition 2 exactly (see bestList).
+// With a correct criterion the result is a superset of the truth (recall
+// 100%); with Hyperbola it is exact.
 package knn
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -41,13 +43,8 @@ type Item = geom.Item
 type Stats struct {
 	NodesVisited int // internal + leaf index nodes touched
 	Items        int // data items reached through the index (or scanned)
-	DomChecks    int // dominance-criterion invocations
-	Pruned       int // items discarded by Case 2 or Case 3
-	// Resurrected counts items that an interim Sk had dominated (Case 2
-	// prune or Case 1 eviction) but that the FINAL Sk does not dominate,
-	// so the Definition 2 filter readmitted them. Non-zero values are the
-	// reason the deferred list exists; see the bestList comment.
-	Resurrected int
+	DomChecks    int // dominance-criterion invocations: one per candidate the final filter saw
+	Pruned       int // items discarded: Case 3 during the traversal plus final-filter verdicts
 }
 
 // Result is the answer of a kNN query.
@@ -139,30 +136,32 @@ func BruteForce(items []Item, sq geom.Sphere, k int, crit dominance.Criterion) R
 	return res
 }
 
-// bestList is the best-known list L of Section 6: candidates ordered by
-// ascending MaxDist to the query.
+// bestList is the best-known list L of Section 6, reduced to what
+// Definition 2 needs: top holds the k smallest (MaxDist, ID) seen — its k-th
+// is the running Sk and alone defines distK — and buf every other candidate
+// Case 3 did not discard, unordered.
 //
-// One refinement over the paper's literal Cases 1–3: an item dominated by
-// the k-th candidate *at encounter time* (Case 2) or evicted after a Case 1
-// insertion is not discarded outright but parked in a deferred list,
-// because Definition 2 defines the answer against the FINAL Sk and
-// dominance by an interim Sk does not imply dominance by the final one
-// (distk shrinks as the search progresses, and dominance is not monotone in
-// MaxDist). Case 3 prunes need no deferral: distk never increases, so
-// MinDist(S,Sq) > distk at any time implies MaxDist(Sk_final,Sq) ≤ distk <
-// MinDist(S,Sq), which is DCMinMax — dominance by the final Sk is already
-// proven. The deferred items are re-filtered against the final Sk in
-// finish(), making the search return exactly the Definition 2 answer when
-// the criterion is correct and sound.
+// The traversal never consults the criterion. Section 6's literal Case 2
+// check and post-Case-1 eviction sweep decide against the k-th candidate *at
+// encounter time*, but Definition 2 defines the answer against the FINAL
+// Sk, and dominance by an interim Sk does not imply dominance by the final
+// one (distK shrinks as the search progresses and dominance is not monotone
+// in MaxDist — TestInterimVerdictIsNotFinal), so every interim verdict
+// would have to be decided again. Nor can an interim verdict steer the
+// traversal: Dom(Sa,Sb,Sq) implies MaxDist(Sa,Sq) < MaxDist(Sb,Sq), so
+// nothing Sk dominates is among the k smallest, and distK — with it every
+// Case 3 and node prune — is the same with or without them. Case 3 prunes
+// are final as they stand: distK never increases, so MinDist(S,Sq) > distK
+// at any time implies MaxDist(Sk_final,Sq) ≤ distK < MinDist(S,Sq), which is
+// DCMinMax. finish() then runs the criterion once per surviving candidate
+// against the final Sk and sorts the survivors.
 type bestList struct {
-	sq       geom.Sphere
-	k        int
-	crit     dominance.Criterion
-	hyp      bool                   // crit is the Hyperbola criterion
-	pp       dominance.PreparedPair // kernel scratch for the hyp fast path
-	entries  []entry
-	deferred []entry
-	stats    *Stats
+	sq    geom.Sphere
+	crit  dominance.Criterion
+	anch  dominance.Anchored // crit anchored on (final Sk, sq) by finish
+	top   TopK
+	buf   []Candidate
+	stats *Stats
 
 	// Execution tracing and shadow evaluation (ISSUE 4). tb is non-nil only
 	// while the owning search is sampled for tracing; critLabel is the
@@ -172,12 +171,6 @@ type bestList struct {
 	tb        *obs.TraceBuf
 	critLabel obs.LabelID
 	shadow    bool
-
-	// Scratch-local observability tallies: finish() merge passes that had
-	// deferred candidates to fold back in, and how many. Drained per
-	// search by scratch.flushObs.
-	deferMerges uint64
-	deferItems  uint64
 
 	// ext is the scatter-gather distK pushdown bound (DESIGN.md §13), nil
 	// for single-index searches. When set, node-prune decisions read
@@ -189,22 +182,14 @@ type bestList struct {
 	lastPub float64
 }
 
-type entry struct {
-	item    Item
-	maxDist float64
-	minDist float64
-}
-
-// reset reinitialises the list for a new search, reusing the entry storage
-// retained from previous searches on the same scratch.
+// reset reinitialises the list for a new search, reusing the candidate
+// storage retained from previous searches on the same scratch.
 func (l *bestList) reset(sq geom.Sphere, k int, crit dominance.Criterion, stats *Stats) {
 	l.sq = sq
-	l.k = k
 	l.crit = crit
-	_, l.hyp = crit.(dominance.Hyperbola)
 	l.stats = stats
-	l.entries = l.entries[:0]
-	l.deferred = l.deferred[:0]
+	l.top.Reset(k)
+	l.buf = l.buf[:0]
 	l.tb = nil
 	l.critLabel = 0
 	l.shadow = dominance.ShadowOn()
@@ -212,82 +197,62 @@ func (l *bestList) reset(sq geom.Sphere, k int, crit dominance.Criterion, stats 
 	l.lastPub = math.Inf(1)
 }
 
-// dominates runs one criterion check of the search. With the Hyperbola
-// criterion it goes through the dominance kernel's prepared-pair path —
-// identical verdicts, no interface dispatch, and the degenerate/overlap
-// exits factored up front.
-func (l *bestList) dominates(sa, sb geom.Sphere) bool {
-	if l.hyp {
-		l.pp.Reset(sa, sb)
-		return l.pp.Dominates(l.sq)
-	}
-	return l.crit.Dominates(sa, sb, l.sq)
-}
-
-// check is the audited form of dominates: it owns the DomChecks count for
-// its call site, routes through shadow evaluation when enabled (the
-// returned verdict is always the primary criterion's), and emits a DomCheck
-// span — with the check's quartic-solve cost on the Hyperbola path — when
-// the search is traced.
-func (l *bestList) check(phase uint8, sa, sb geom.Sphere, itemID int) bool {
+// dominated is the final filter's one criterion call for candidate c
+// against sk, the final Sk l.anch is anchored on. It owns the DomChecks
+// count, routes through shadow evaluation when enabled (the returned
+// verdict is always the primary criterion's), and emits a DomCheck span —
+// with the check's quartic-solve cost on the Hyperbola path — when the
+// search is traced.
+func (l *bestList) dominated(sk geom.Sphere, c *Candidate) bool {
 	l.stats.DomChecks++
 	if l.shadow {
-		v := dominance.ShadowAudit(l.crit, sa, sb, l.sq, l.tb)
+		v := dominance.ShadowAudit(l.crit, sk, c.Item.Sphere, l.sq, l.tb)
 		if l.tb != nil {
-			l.tb.DomCheck(phase, l.critLabel, int64(itemID), v, 0)
+			l.tb.DomCheck(obs.PhaseFinal, l.critLabel, int64(c.Item.ID), v, 0)
 		}
 		return v
 	}
 	if l.tb == nil {
-		return l.dominates(sa, sb)
+		return l.anch.Dominates(c.Item.Sphere)
 	}
-	var q0 uint64
-	if l.hyp {
-		q0 = l.pp.QuarticSolves()
-	}
-	v := l.dominates(sa, sb)
+	q0 := l.anch.QuarticSolves()
+	v := l.anch.Dominates(c.Item.Sphere)
 	var dq uint64
-	if l.hyp {
-		// The tally auto-flushes every obsFlushEvery queries; a wrapped
-		// window reads as zero rather than garbage.
-		if q := l.pp.QuarticSolves(); q > q0 {
-			dq = q - q0
-		}
+	// The tally auto-flushes every obsFlushEvery queries; a wrapped window
+	// reads as zero rather than garbage.
+	if q := l.anch.QuarticSolves(); q > q0 {
+		dq = q - q0
 	}
-	l.tb.DomCheck(phase, l.critLabel, int64(itemID), v, dq)
+	l.tb.DomCheck(obs.PhaseFinal, l.critLabel, int64(c.Item.ID), v, dq)
 	return v
 }
 
 // notePrune owns the Pruned count for its call site and emits the matching
 // ItemPrune span when the search is traced — span counts and the knn.pruned
 // counter stay exactly equal by construction.
-func (l *bestList) notePrune(phase uint8, e entry) {
+func (l *bestList) notePrune(phase uint8, c *Candidate) {
 	l.stats.Pruned++
 	if l.tb != nil {
-		l.tb.ItemPrune(phase, int64(e.item.ID), e.minDist)
+		l.tb.ItemPrune(phase, int64(c.Item.ID), c.MinDist)
 	}
 }
 
-// distK returns the k-th smallest MaxDist in L, or +Inf while L holds fewer
-// than k entries.
+// distK returns the k-th smallest MaxDist seen, or +Inf before k items.
 func (l *bestList) distK() float64 {
-	if len(l.entries) < l.k {
+	if !l.top.Full() {
 		return math.Inf(1)
 	}
-	return l.entries[l.k-1].maxDist
+	return l.top.Kth().MaxDist
 }
-
-// sk returns the entry whose MaxDist is the k-th smallest.
-func (l *bestList) sk() Item { return l.entries[l.k-1].item }
 
 // pruneBound returns the tightest node-prune bound available: the local
 // distK, sharpened by the external scatter-gather bound when one is wired
-// in. Only NODE prune decisions consult it — item-level Case 2/3 logic
-// stays on the local distK, because those cases feed the candidate stream
-// the merge layer filters (and the local Sk semantics they encode must not
-// shift under a racing external value). Pruning a node by ext is safe for
-// the same Lemma 9 argument as Case 3: ext ≥ the final global distK at all
-// times, so MinDist > ext proves dominance by the final global Sk.
+// in. Only NODE prune decisions consult it — the item-level Case 3 stays on
+// the local distK, because it feeds the candidate stream the merge layer
+// filters (and the local Sk semantics it encodes must not shift under a
+// racing external value). Pruning a node by ext is safe for the same
+// Lemma 9 argument as Case 3: ext ≥ the final global distK at all times, so
+// MinDist > ext proves dominance by the final global Sk.
 func (l *bestList) pruneBound() float64 {
 	dk := l.distK()
 	if l.ext != nil {
@@ -299,33 +264,19 @@ func (l *bestList) pruneBound() float64 {
 }
 
 // publish pushes the running local distK into the external bound when it
-// shrank since the last publication. Called after every list mutation that
-// can lower distK; the lastPub guard makes the common no-change case one
-// float compare.
+// shrank since the last publication. Called after every top-k change; the
+// lastPub guard makes the common no-change case one float compare.
 func (l *bestList) publish() {
-	if l.ext == nil || len(l.entries) < l.k {
+	if l.ext == nil || !l.top.Full() {
 		return
 	}
-	if dk := l.entries[l.k-1].maxDist; dk < l.lastPub {
+	if dk := l.top.Kth().MaxDist; dk < l.lastPub {
 		l.lastPub = dk
 		l.ext.Tighten(dk)
 	}
 }
 
-// add inserts e keeping the order by MaxDist (ties by ID for determinism).
-func (l *bestList) add(e entry) {
-	i := sort.Search(len(l.entries), func(i int) bool {
-		if l.entries[i].maxDist != e.maxDist {
-			return l.entries[i].maxDist > e.maxDist
-		}
-		return l.entries[i].item.ID > e.item.ID
-	})
-	l.entries = append(l.entries, entry{})
-	copy(l.entries[i+1:], l.entries[i:])
-	l.entries[i] = e
-}
-
-// offer processes one data item through the Case 1–3 logic of Section 6.
+// offer processes one data item reached by the traversal.
 func (l *bestList) offer(it Item) {
 	l.offerDist(it, vec.Dist(it.Sphere.Center, l.sq.Center))
 }
@@ -341,169 +292,48 @@ func (l *bestList) offerDist(it Item, dist float64) {
 	if !(minDist > 0) {
 		minDist = 0
 	}
-	e := entry{
-		item:    it,
-		maxDist: dist + it.Sphere.Radius + l.sq.Radius,
-		minDist: minDist,
-	}
-	if len(l.entries) < l.k {
-		l.add(e)
-		l.publish()
+	c := Candidate{Item: it, MaxDist: dist + it.Sphere.Radius + l.sq.Radius, MinDist: minDist}
+	if l.top.Full() && c.MinDist > l.top.Kth().MaxDist {
+		// Case 3: Lemma 9 — MinMax-provably dominated by the final Sk.
+		l.notePrune(obs.PhaseCase3, &c)
 		return
 	}
-	dk := l.distK()
-	switch {
-	case e.maxDist <= dk:
-		// Case 1: insert, then evict members the new Sk dominates.
-		l.add(e)
-		l.evictDominated()
-		l.publish()
-	case e.minDist <= dk:
-		// Case 2: the k-th candidate may or may not dominate it (Lemma 10).
-		if l.check(obs.PhaseCase2, l.sk().Sphere, it.Sphere, it.ID) {
-			l.notePrune(obs.PhaseCase2, e)
-			l.deferred = append(l.deferred, e)
-			return
-		}
-		l.add(e)
-	default:
-		// Case 3: Lemma 9 — MinMax-provably dominated.
-		l.notePrune(obs.PhaseCase3, e)
+	// Cases 1 and 2 differ only in who stays among the k smallest: whichever
+	// of c and the old k-th does not waits in buf for the final filter.
+	if out, spilled := l.top.Offer(c); spilled {
+		l.buf = append(l.buf, out)
 	}
+	l.publish()
 }
 
-// evictDominated removes every member dominated by the current Sk wrt Sq.
-// Sk itself is safe: a sphere overlaps itself, so no criterion can report
-// it dominated.
-func (l *bestList) evictDominated() {
-	sk := l.sk()
-	dk := l.entries[l.k-1].maxDist
-	kept := l.entries[:0]
-	for _, e := range l.entries {
-		// DCMinMax fast path: MinDist(e,Sq) > MaxDist(Sk,Sq) proves Sk
-		// dominates e from the cached entry bounds alone — the same Lemma 9
-		// argument Case 3 relies on — so the prepared-pair machinery never
-		// runs and no DomCheck is recorded (it is a bound comparison, not a
-		// criterion invocation; spans, shadow audits and the DomChecks stat
-		// all track criterion invocations and stay equal by construction).
-		// Entries can hold MinDist > distk only because distk shrank after
-		// they were admitted, which is exactly the population this evicts.
-		// Evicted members land in deferred either way and finish()
-		// re-filters every entry against the final Sk, so which proof
-		// evicts is invisible in the answer.
-		if e.minDist > dk {
-			l.notePrune(obs.PhaseEvict, e)
-			l.deferred = append(l.deferred, e)
-			continue
-		}
-		if l.check(obs.PhaseEvict, sk.Sphere, e.item.Sphere, e.item.ID) {
-			l.notePrune(obs.PhaseEvict, e)
-			l.deferred = append(l.deferred, e)
-			continue
-		}
-		kept = append(kept, e)
-	}
-	l.entries = kept
-}
-
-// finish applies the final Definition 2 filter — against the final Sk — to
-// the live list and the deferred candidates, and returns the answer in
-// MaxDist order.
+// finish selects the final Sk, applies the Definition 2 filter — the
+// criterion's one call per candidate — and returns the survivors in
+// (MaxDist, ID) order. Fewer than k items seen means the whole database
+// qualifies (buf is empty then).
 func (l *bestList) finish() []Item {
-	if len(l.entries) == 0 {
+	es := l.top.es
+	if l.top.Full() {
+		sk := l.top.Kth().Item.Sphere
+		l.anch.Reset(l.crit, sk, l.sq)
+		es = l.buf[:0] // compact buf in place, then take top's survivors
+		for _, part := range [2][]Candidate{l.buf, l.top.es} {
+			for i := range part {
+				if c := &part[i]; l.dominated(sk, c) {
+					l.notePrune(obs.PhaseFinal, c)
+				} else {
+					es = append(es, *c)
+				}
+			}
+		}
+		l.buf = es
+	}
+	if len(es) == 0 {
 		return nil
 	}
-	if len(l.entries) < l.k {
-		// Fewer than k objects in the database: everything qualifies.
-		// (Deferral and eviction require |L| ≥ k, so deferred is empty.)
-		out := make([]Item, len(l.entries))
-		for i, e := range l.entries {
-			out[i] = e.item
-		}
-		return out
-	}
-	sk := l.sk()
-	if len(l.deferred) > 0 {
-		l.deferMerges++
-		l.deferItems += uint64(len(l.deferred))
-	}
-	// The live list is already ordered by (MaxDist, ID) — add() maintains
-	// that invariant — so sorting the deferred candidates in place and
-	// merging the two runs replaces the old gather-into-one-slice +
-	// sort.Slice pass, which allocated a combined buffer, a closure and a
-	// reflect swapper on every search.
-	sortEntries(l.deferred)
-	out := make([]Item, 0, len(l.entries)+len(l.deferred))
-	i, j := 0, 0
-	for i < len(l.entries) || j < len(l.deferred) {
-		var e entry
-		var wasDeferred bool
-		if j >= len(l.deferred) || (i < len(l.entries) && entryLess(l.entries[i], l.deferred[j])) {
-			e = l.entries[i]
-			i++
-		} else {
-			e = l.deferred[j]
-			wasDeferred = true
-			j++
-		}
-		if l.check(obs.PhaseFinal, sk.Sphere, e.item.Sphere, e.item.ID) {
-			l.notePrune(obs.PhaseFinal, e)
-			continue
-		}
-		if wasDeferred {
-			l.stats.Resurrected++
-		}
-		out = append(out, e.item)
+	slices.SortFunc(es, CompareCandidates)
+	out := make([]Item, len(es))
+	for i := range es {
+		out[i] = es[i].Item
 	}
 	return out
-}
-
-// entryLess orders entries by ascending MaxDist, ties by ID — the result
-// order of Definition 2 answers.
-func entryLess(a, b entry) bool {
-	if a.maxDist != b.maxDist {
-		return a.maxDist < b.maxDist
-	}
-	return a.item.ID < b.item.ID
-}
-
-// sortEntries sorts es by entryLess without allocating: insertion sort for
-// the short deferred lists of typical searches, in-place heapsort beyond
-// that so adversarial workloads cannot go quadratic.
-func sortEntries(es []entry) {
-	if len(es) <= 32 {
-		for i := 1; i < len(es); i++ {
-			e := es[i]
-			j := i - 1
-			for j >= 0 && entryLess(e, es[j]) {
-				es[j+1] = es[j]
-				j--
-			}
-			es[j+1] = e
-		}
-		return
-	}
-	siftEntries := func(root, end int) {
-		for {
-			c := 2*root + 1
-			if c >= end {
-				return
-			}
-			if c+1 < end && entryLess(es[c], es[c+1]) {
-				c++
-			}
-			if !entryLess(es[root], es[c]) {
-				return
-			}
-			es[root], es[c] = es[c], es[root]
-			root = c
-		}
-	}
-	for i := len(es)/2 - 1; i >= 0; i-- {
-		siftEntries(i, len(es))
-	}
-	for end := len(es) - 1; end > 0; end-- {
-		es[0], es[end] = es[end], es[0]
-		siftEntries(0, end)
-	}
 }

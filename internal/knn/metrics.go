@@ -12,10 +12,10 @@ import (
 // (node visits, criterion checks, prunes) keep accumulating in the
 // per-search Stats struct exactly as before; on top of that, every search
 // drains its Stats — plus the traversal internals Stats never carried:
-// heap pushes/pops, heap backing-array growth, depth-first child
-// expansions and deferred-list merge work — into these process-wide
-// counters, one batch of atomic adds per search. The hot per-node
-// increments are plain field adds on scratch-owned structs.
+// heap pushes/pops, heap backing-array growth and depth-first child
+// expansions — into these process-wide counters, one batch of atomic adds
+// per search. The hot per-node increments are plain field adds on
+// scratch-owned structs.
 var (
 	obsSearches      = obs.New("knn.searches")
 	obsSearchSSTree  = obs.New("knn.searches.sstree")
@@ -26,13 +26,10 @@ var (
 	obsItemsScanned  = obs.New("knn.items_scanned")
 	obsDomChecks     = obs.New("knn.dom_checks")
 	obsPruned        = obs.New("knn.pruned")
-	obsResurrected   = obs.New("knn.resurrected")
 	obsHeapPushes    = obs.New("knn.heap_pushes")
 	obsHeapPops      = obs.New("knn.heap_pops")
 	obsHeapGrowth    = obs.New("knn.heap_growth")
 	obsDFExpansions  = obs.New("knn.df_child_expansions")
-	obsDeferMerges   = obs.New("knn.deferred_merges")
-	obsDeferItems    = obs.New("knn.deferred_items")
 	obsBatches       = obs.New("knn.batches")
 	obsBatchQueries  = obs.New("knn.batch_queries")
 	obsBruteSearches = obs.New("knn.brute_force_searches")
@@ -95,7 +92,6 @@ func flushStats(st *Stats) {
 	obsItemsScanned.Add(uint64(st.Items))
 	obsDomChecks.Add(uint64(st.DomChecks))
 	obsPruned.Add(uint64(st.Pruned))
-	obsResurrected.Add(uint64(st.Resurrected))
 }
 
 // flushObs drains one finished search into the global counters, records
@@ -167,10 +163,6 @@ func (sc *scratch) flushObs(idx Index, algo Algorithm, k int, start time.Time, s
 	if sc.qItemExact != 0 {
 		obsQuantItemExact.Add(sc.qItemExact)
 	}
-	if sc.list.deferMerges != 0 {
-		obsDeferMerges.Add(sc.list.deferMerges)
-		obsDeferItems.Add(sc.list.deferItems)
-	}
 
 	if !start.IsZero() {
 		lat := time.Since(start).Nanoseconds()
@@ -201,10 +193,10 @@ func (sc *scratch) flushObs(idx Index, algo Algorithm, k int, start time.Time, s
 	}
 	sc.clearObsTallies()
 
-	// The criterion-level events the search's PreparedPair tallied
+	// The criterion-level events the search's final filter tallied
 	// (quartic solves, overlap short-circuits) become visible with the
 	// same per-search cadence.
-	sc.list.pp.FlushObs()
+	sc.list.anch.FlushObs()
 	return traceID
 }
 
@@ -217,5 +209,4 @@ func (sc *scratch) clearObsTallies() {
 	sc.dfExpansions = 0
 	sc.qNodePrunes, sc.qNodeExact = 0, 0
 	sc.qItemPrunes, sc.qItemExact = 0, 0
-	sc.list.deferMerges, sc.list.deferItems = 0, 0
 }

@@ -10,9 +10,9 @@ import (
 
 // scratch is the per-search reusable arena: every buffer a traversal needs —
 // child frames, distance keys, the best-first heap, and the best-known
-// list's entry storage — lives here and is recycled through a sync.Pool, so
-// a steady-state Search performs no heap allocation beyond the answer slice
-// it hands to the caller.
+// list's candidate storage — lives here and is recycled through a
+// sync.Pool, so a steady-state Search performs no heap allocation beyond
+// the answer slice it hands to the caller.
 //
 // The child frames (stack/dists, ssStack/ssDists) are flat arenas shared by
 // all levels of a depth-first recursion: each visit records the current
@@ -104,11 +104,11 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 // an entire index (or its data spheres) that the caller has dropped.
 func putScratch(sc *scratch) {
 	// A search flushes its own tallies when the obs gate is on; this
-	// catches tallies accumulated while it was off (and the prepared-pair
-	// remainder) so a pooled scratch never carries stale work counts into
-	// a later measurement window.
+	// catches tallies accumulated while it was off (and the final-filter
+	// kernel's remainder) so a pooled scratch never carries stale work
+	// counts into a later measurement window.
 	sc.clearObsTallies()
-	sc.list.pp.FlushObs()
+	sc.list.anch.FlushObs()
 	sc.stack = clearCap(sc.stack)
 	sc.dists = sc.dists[:0]
 	sc.heap.nodes = clearCap(sc.heap.nodes)
@@ -120,8 +120,8 @@ func putScratch(sc *scratch) {
 	sc.pStack = sc.pStack[:0]
 	sc.pDists = sc.pDists[:0]
 	sc.pHeap.es = sc.pHeap.es[:0]
-	sc.list.entries = clearCap(sc.list.entries)
-	sc.list.deferred = clearCap(sc.list.deferred)
+	sc.list.top.es = clearCap(sc.list.top.es)
+	sc.list.buf = clearCap(sc.list.buf)
 	sc.list.stats = nil
 	sc.list.tb = nil
 	sc.list.ext = nil

@@ -52,15 +52,18 @@ const (
 )
 
 // Phases of the Section 6 candidate filter, recorded on SpanDomCheck and
-// SpanItemPrune events.
+// SpanItemPrune events. The kNN search emits PhaseCase3 and PhaseFinal
+// only: it takes no verdict against an interim Sk. PhaseCase2 and
+// PhaseEvict keep their values so traces recorded before that still decode.
 const (
-	// PhaseCase2 is the encounter-time check against the interim Sk.
+	// PhaseCase2 was the encounter-time check against the interim Sk.
 	PhaseCase2 uint8 = iota + 1
 	// PhaseCase3 is the MinDist > distk discard (Lemma 9).
 	PhaseCase3
-	// PhaseEvict is the post-insertion sweep after a Case 1 insert.
+	// PhaseEvict was the post-insertion sweep after a Case 1 insert.
 	PhaseEvict
-	// PhaseFinal is the Definition 2 re-filter against the final Sk.
+	// PhaseFinal is the Definition 2 filter against the final Sk: the
+	// criterion's one call per candidate.
 	PhaseFinal
 )
 

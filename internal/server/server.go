@@ -348,8 +348,17 @@ type knnResponse struct {
 	K       int            `json:"k"`
 	IDs     []int          `json:"ids"`
 	Items   []itemJSON     `json:"items"`
-	Stats   knn.Stats      `json:"stats"`
+	Stats   statsJSON      `json:"stats"`
 	Explain *shard.Explain `json:"explain,omitempty"`
+}
+
+// statsJSON is knn.Stats on the wire. Resurrected counted interim
+// dominance verdicts the final filter overturned; no interim verdict is
+// taken any more, so it is always 0 — the key stays so that clients
+// written against the earlier response shape keep decoding.
+type statsJSON struct {
+	knn.Stats
+	Resurrected int
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -407,10 +416,12 @@ func (s *Server) handleKNN(c *reqCtx, r *http.Request) {
 	// Always search in explain mode: the trace tree feeds /debug/requests
 	// whether or not the client asked to see it, and its cost is a couple
 	// of slice allocations per request — zero per shard. Results are
-	// bit-identical to the plain path (test-locked).
-	res, ex := x.SearchExplain(sq, req.K)
+	// bit-identical to the plain path (test-locked). k is clamped to the
+	// collection size — any k ≥ n already answers with the whole collection
+	// — so no layer below sizes anything by a client-chosen number.
+	res, ex := x.SearchExplain(sq, min(req.K, max(x.Len(), 1)))
 	c.explain, c.k = ex, req.K
-	resp := knnResponse{K: res.K, IDs: make([]int, 0, len(res.Items)), Stats: res.Stats}
+	resp := knnResponse{K: req.K, IDs: make([]int, 0, len(res.Items)), Stats: statsJSON{Stats: res.Stats}}
 	for _, it := range res.Items {
 		resp.IDs = append(resp.IDs, it.ID)
 		resp.Items = append(resp.Items, itemJSON{ID: it.ID, Center: it.Sphere.Center, Radius: it.Sphere.Radius})

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -229,5 +230,46 @@ func TestDuplicateCollectionRejected(t *testing.T) {
 	}
 	if got := s.Collections(); len(got) != 1 || got[0] != "c" {
 		t.Fatalf("collections %v", got)
+	}
+}
+
+// TestHostileK: k is client-chosen, and nothing below the handler may size
+// anything by it. k = 2⁴⁰ answers 200 with the whole collection — what any
+// k ≥ n answers — echoes the k that was asked, and allocates what the answer
+// needs, not what k names (a heap sized by k would ask for 16 TiB here).
+// The stats object keeps its shape, Resurrected included.
+func TestHostileK(t *testing.T) {
+	const d, n = 2, 300
+	_, ts := testServer(t, testCorpus(t, d, n), d)
+	url := ts.URL + "/v1/collections/default/knn"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp := postJSON(t, url, map[string]any{"center": []float64{100, 100}, "radius": 0.5, "k": 1 << 40})
+	runtime.ReadMemStats(&after)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("k = 1<<40: status %d, want 200", resp.StatusCode)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("k = 1<<40 allocated %d bytes for a %d-item collection", grew, n)
+	}
+	var got struct {
+		K     int            `json:"k"`
+		IDs   []int          `json:"ids"`
+		Stats map[string]int `json:"stats"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.K != 1<<40 || len(got.IDs) != n {
+		t.Fatalf("k = %d with %d ids, want k = %d with all %d", got.K, len(got.IDs), 1<<40, n)
+	}
+	for _, key := range []string{"NodesVisited", "Items", "DomChecks", "Pruned", "Resurrected"} {
+		if _, ok := got.Stats[key]; !ok {
+			t.Fatalf("stats object lost key %q: %v", key, got.Stats)
+		}
+	}
+	if got.Stats["Resurrected"] != 0 {
+		t.Fatalf("Resurrected = %d, want 0", got.Stats["Resurrected"])
 	}
 }

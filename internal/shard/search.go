@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hyperdom/internal/dominance"
@@ -105,32 +106,31 @@ func (x *Index) search(sq geom.Sphere, k int, ex *Explain) knn.Result {
 		}(i)
 	}
 
-	// Gather: as each stream lands, fold its candidates into a running
-	// global k-heap on (MaxDist, ID) and publish the heap's k-th smallest
-	// — the running global distK over everything merged so far — back to
-	// the laggard shards. The heap's top is a k-th smallest MaxDist over a
-	// subset of the data, so it can never undershoot the final global
-	// distK (the pushdown safety invariant of knn.Bound).
+	// Gather: as each stream lands, fold its sorted prefix — its k smallest
+	// — into the global top-k and publish the running global distK back to
+	// the laggard shards. That is a k-th smallest MaxDist over a subset of
+	// the data, so it can never undershoot the final global distK (the
+	// pushdown safety invariant of knn.Bound). After the last arrival the
+	// top-k's k-th is the global Sk.
 	sets := make([]knn.CandidateSet, len(x.shards))
 	var res knn.Result
 	res.K = k
-	h := newKHeap(k)
+	top := knn.NewTopK(k, x.n)
 	for range x.shards {
 		a := <-ch
 		sets[a.i] = a.cs
 		x.scatterCands[a.i].Add(uint64(len(a.cs.Candidates)))
 		addStats(&res.Stats, &a.cs.Stats)
-		if ext != nil {
-			for _, c := range a.cs.Candidates {
-				// The stream is sorted: the first candidate the full heap
-				// rejects ends the fold.
-				if !h.offer(c.MaxDist, c.Item.ID) {
-					break
-				}
+		for _, c := range a.cs.Candidates[:min(k, len(a.cs.Candidates))] {
+			// The prefix is ascending: the first candidate the full top-k
+			// turns away ends the fold.
+			if top.Full() && knn.CompareCandidates(c, top.Kth()) >= 0 {
+				break
 			}
-			if h.full() {
-				ext.Tighten(h.top())
-			}
+			top.Offer(c)
+		}
+		if ext != nil && top.Full() {
+			ext.Tighten(top.Kth().MaxDist)
 		}
 	}
 
@@ -146,7 +146,7 @@ func (x *Index) search(sq geom.Sphere, k int, ex *Explain) knn.Result {
 	if ex != nil {
 		ms = &ex.Merge
 	}
-	res.Items = x.merge(sets, sq, k, &res.Stats, ms)
+	res.Items = x.merge(sets, top, sq, &res.Stats, ms)
 	if ex != nil {
 		ex.Merge.LatencyNs = time.Since(mt).Nanoseconds()
 	}
@@ -157,13 +157,13 @@ func (x *Index) search(sq geom.Sphere, k int, ex *Explain) knn.Result {
 	return res
 }
 
-// merge N sorted candidate streams into the final Definition 2 answer:
-// k-th smallest (MaxDist, ID) of the union is Sk, and every candidate Sk
-// does not provably dominate survives, in merged order. Fewer than k
+// merge turns the shards' candidate sets into the final Definition 2
+// answer: top's k-th is the global Sk, every candidate Sk does not provably
+// dominate survives, and only the survivors are sorted. Fewer than k
 // candidates in total means the whole database qualified. ms, when
 // non-nil, receives the merge's explain scalars (candidates folded, final
 // filter prunes, results kept).
-func (x *Index) merge(sets []knn.CandidateSet, sq geom.Sphere, k int, stats *knn.Stats, ms *obs.MergeSpan) []geom.Item {
+func (x *Index) merge(sets []knn.CandidateSet, top *knn.TopK, sq geom.Sphere, stats *knn.Stats, ms *obs.MergeSpan) []geom.Item {
 	total := 0
 	for i := range sets {
 		total += len(sets[i].Candidates)
@@ -174,76 +174,47 @@ func (x *Index) merge(sets []knn.CandidateSet, sq geom.Sphere, k int, stats *knn
 	if total == 0 {
 		return nil
 	}
-	merged := make([]knn.Candidate, 0, total)
-	cursors := make([]int, len(sets))
-	for {
-		best := -1
-		var bc knn.Candidate
-		for i := range sets {
-			if cursors[i] >= len(sets[i].Candidates) {
-				continue
-			}
-			c := sets[i].Candidates[cursors[i]]
-			if best < 0 || candLess(c, bc) {
-				best, bc = i, c
-			}
-		}
-		if best < 0 {
-			break
-		}
-		merged = append(merged, bc)
-		cursors[best]++
-	}
-	if obs.On() {
+	on := obs.On()
+	if on {
 		obsMergeCandidates.Add(uint64(total))
 	}
-	if total < k {
-		out := make([]geom.Item, len(merged))
-		for i, c := range merged {
-			out[i] = c.Item
+	// Survivors compact into the first set's storage: each set is a fresh
+	// slice this request owns, and the write index never passes the read.
+	kept := sets[0].Candidates[:0]
+	if !top.Full() {
+		for i := range sets {
+			kept = append(kept, sets[i].Candidates...)
 		}
+	} else {
+		var anch dominance.Anchored
+		anch.Reset(x.opts.Criterion, top.Kth().Item.Sphere, sq)
+		for i := range sets {
+			for _, c := range sets[i].Candidates {
+				if !anch.Dominates(c.Item.Sphere) {
+					kept = append(kept, c)
+				}
+			}
+		}
+		pruned := total - len(kept)
+		stats.DomChecks += total
+		stats.Pruned += pruned
 		if ms != nil {
-			ms.Results = len(out)
+			ms.Pruned = pruned
 		}
-		return out
+		if on {
+			obsMergePruned.Add(uint64(pruned))
+			anch.FlushObs()
+		}
 	}
-	sk := merged[k-1].Item
-	_, hyp := x.opts.Criterion.(dominance.Hyperbola)
-	var pp dominance.PreparedPair
-	out := make([]geom.Item, 0, k)
-	pruned := 0
-	for _, c := range merged {
-		stats.DomChecks++
-		var dominated bool
-		if hyp {
-			pp.Reset(sk.Sphere, c.Item.Sphere)
-			dominated = pp.Dominates(sq)
-		} else {
-			dominated = x.opts.Criterion.Dominates(sk.Sphere, c.Item.Sphere, sq)
-		}
-		if dominated {
-			pruned++
-			continue
-		}
-		out = append(out, c.Item)
+	slices.SortFunc(kept, knn.CompareCandidates)
+	out := make([]geom.Item, len(kept))
+	for i := range kept {
+		out[i] = kept[i].Item
 	}
-	stats.Pruned += pruned
 	if ms != nil {
-		ms.Pruned = pruned
 		ms.Results = len(out)
 	}
-	if obs.On() {
-		obsMergePruned.Add(uint64(pruned))
-		pp.FlushObs()
-	}
 	return out
-}
-
-func candLess(a, b knn.Candidate) bool {
-	if a.MaxDist != b.MaxDist {
-		return a.MaxDist < b.MaxDist
-	}
-	return a.Item.ID < b.Item.ID
 }
 
 func addStats(dst, src *knn.Stats) {
@@ -251,84 +222,4 @@ func addStats(dst, src *knn.Stats) {
 	dst.Items += src.Items
 	dst.DomChecks += src.DomChecks
 	dst.Pruned += src.Pruned
-	dst.Resurrected += src.Resurrected
-}
-
-// kHeap keeps the k smallest (maxDist, ID) pairs seen so far as a max-heap:
-// the root is the running global distK once the heap is full.
-type kHeap struct {
-	k  int
-	ds []float64
-	id []int
-}
-
-func newKHeap(k int) *kHeap {
-	return &kHeap{k: k, ds: make([]float64, 0, k), id: make([]int, 0, k)}
-}
-
-func (h *kHeap) full() bool   { return len(h.ds) == h.k }
-func (h *kHeap) top() float64 { return h.ds[0] }
-
-// above reports whether (d, id) orders after the root — i.e. would not
-// displace anything in a full heap.
-func (h *kHeap) above(d float64, id int) bool {
-	return d > h.ds[0] || (d == h.ds[0] && id > h.id[0])
-}
-
-// offer inserts (d, id) if it belongs among the k smallest and reports
-// whether it did (a full heap rejecting means every later element of an
-// ascending stream would be rejected too).
-func (h *kHeap) offer(d float64, id int) bool {
-	if len(h.ds) < h.k {
-		h.ds = append(h.ds, d)
-		h.id = append(h.id, id)
-		h.siftUp(len(h.ds) - 1)
-		return true
-	}
-	if h.above(d, id) {
-		return false
-	}
-	h.ds[0], h.id[0] = d, id
-	h.siftDown(0)
-	return true
-}
-
-func (h *kHeap) less(a, b int) bool {
-	if h.ds[a] != h.ds[b] {
-		return h.ds[a] < h.ds[b]
-	}
-	return h.id[a] < h.id[b]
-}
-
-func (h *kHeap) swap(a, b int) {
-	h.ds[a], h.ds[b] = h.ds[b], h.ds[a]
-	h.id[a], h.id[b] = h.id[b], h.id[a]
-}
-
-func (h *kHeap) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(p, i) {
-			break
-		}
-		h.swap(p, i)
-		i = p
-	}
-}
-
-func (h *kHeap) siftDown(i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h.ds) {
-			return
-		}
-		if c+1 < len(h.ds) && h.less(c, c+1) {
-			c++
-		}
-		if !h.less(i, c) {
-			return
-		}
-		h.swap(i, c)
-		i = c
-	}
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -250,5 +251,108 @@ func TestBuildRejectsBadOptions(t *testing.T) {
 	}
 	if _, err := Build(nil, 2, Options{Substrate: "btree"}); err == nil {
 		t.Fatal("unknown substrate accepted")
+	}
+}
+
+// orMinMax is crit strengthened by Lemma 9, the proof traversals discard
+// by before any criterion call.
+type orMinMax struct{ dominance.Criterion }
+
+func (c orMinMax) Dominates(sa, sb, sq geom.Sphere) bool {
+	return dominance.MinMax{}.Dominates(sa, sb, sq) || c.Criterion.Dominates(sa, sb, sq)
+}
+
+// subsequence reports whether sub's IDs occur in seq in order.
+func subsequence(sub, seq []geom.Item) bool {
+	for _, it := range seq {
+		if len(sub) > 0 && sub[0].ID == it.ID {
+			sub = sub[1:]
+		}
+	}
+	return len(sub) == 0
+}
+
+// TestShardedDifferentialMatrix is the sharded half of the answer lock (see
+// knn.TestDifferentialMatrix): every criterion × shard count × pushdown
+// on/off × k against BruteForce — ids AND order — on a random fixture and
+// on one whose lattice centers and equal radii make MaxDist ties, broken by
+// ID, common across shard boundaries too. A criterion that subsumes MinMax
+// must return BruteForce's answer exactly at every shard count; one that
+// does not (MBR, GP) an ordered answer between BruteForce with and without
+// Lemma 9's help, since what Case 3 drops unasked depends on the layout.
+func TestShardedDifferentialMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(96))
+	const d, n = 3, 600
+	ties := make([]geom.Item, n)
+	for i := range ties {
+		c := []float64{float64(rng.Intn(7)), float64(rng.Intn(7)), float64(rng.Intn(7))}
+		ties[i] = geom.Item{Sphere: geom.NewSphere(c, 0.25), ID: i}
+	}
+	fixtures := []struct {
+		name  string
+		items []geom.Item
+		q     []geom.Sphere
+	}{
+		{"random", randItems(rng, d, n, 4), []geom.Sphere{randQuery(rng, d, 4), randQuery(rng, d, 0)}},
+		{"ties", ties, []geom.Sphere{geom.NewSphere([]float64{3, 3, 3}, 0.5), geom.NewSphere([]float64{0, 6, 2}, 0)}},
+	}
+	crits := []dominance.Criterion{dominance.Hyperbola{}, dominance.Exact{}, dominance.MinMax{}, dominance.MBR{}, dominance.GP{}}
+	for _, fx := range fixtures {
+		for _, crit := range crits {
+			for _, shards := range []int{1, 2, 4, 7} {
+				for _, noPush := range []bool{false, true} {
+					x, err := Build(fx.items, d, Options{
+						Shards: shards, WorkersPerShard: 1, MaxFill: 16, Algorithm: knn.HS,
+						Criterion: crit, DisablePushdown: noPush,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for qi, sq := range fx.q {
+						for _, k := range []int{1, 10, 100, n + 5} {
+							hi := knn.BruteForce(fx.items, sq, k, crit).Items
+							lo := knn.BruteForce(fx.items, sq, k, orMinMax{crit}).Items
+							got := x.Search(sq, k).Items
+							ctx := fmt.Sprintf("%s/%s/shards=%d/nopush=%v q%d k=%d", fx.name, crit.Name(), shards, noPush, qi, k)
+							if crit.Sound() || crit.Name() == "MinMax" {
+								sameItems(t, ctx, got, hi)
+							} else if !subsequence(lo, got) || !subsequence(got, hi) {
+								t.Fatalf("%s: %d items, not an ordered set between BruteForce's %d and %d", ctx, len(got), len(lo), len(hi))
+							}
+						}
+					}
+					x.Close()
+				}
+			}
+		}
+	}
+}
+
+// TestSearchAllocs gates the gather/merge allocation budget: allocs/query
+// at 1/2/4 shards must not exceed what the cursor-merge implementation this
+// one replaced spent (18/24/36; the selection heap, survivor compaction
+// and answer slice now measure 14/20/32).
+func TestSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs without -race")
+	}
+	rng := rand.New(rand.NewSource(84))
+	const d, n = 3, 2000
+	items := randItems(rng, d, n, 2)
+	for _, g := range []struct {
+		shards int
+		budget float64
+	}{{1, 18}, {2, 24}, {4, 36}} {
+		x, err := Build(items, d, Options{Shards: g.shards, WorkersPerShard: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{5, 100} {
+			sq := randQuery(rng, d, 1)
+			if got := testing.AllocsPerRun(100, func() { x.Search(sq, k) }); got > g.budget {
+				t.Errorf("%d shards, k=%d: %v allocs/query, budget %v", g.shards, k, got, g.budget)
+			}
+		}
+		x.Close()
 	}
 }
