@@ -197,8 +197,9 @@ func (b *Builder) newNode(leaf bool) int32 {
 }
 
 // Leaf adds a leaf node holding the given items (in order) and returns its
-// id. Item structs are copied; their sphere geometry is additionally
-// mirrored into the packed blocks.
+// id. Item structs are copied and their sphere geometry goes into the
+// packed blocks; the sealed tree's items point into those blocks, not at
+// the caller's coordinates.
 func (b *Builder) Leaf(items []geom.Item) int32 {
 	id := b.newNode(true)
 	for _, it := range items {
@@ -280,6 +281,13 @@ func (b *Builder) finish(root int32) *Tree {
 		panic(fmt.Sprintf("packed: Finish with root %d of %d nodes", root, len(t.leaf)))
 	}
 	t.root = root
+	// Point every item's Center into iCenters, as the snapshot reader does:
+	// the tree then holds one copy of each centre, keeps neither the
+	// substrate it was frozen from nor the caller's coordinate slices alive,
+	// and gives every item an address of its own.
+	for i, dim := 0, t.dim; i < len(t.items); i++ {
+		t.items[i].Sphere.Center = t.iCenters[i*dim : (i+1)*dim : (i+1)*dim]
+	}
 	t.buildQuant()
 	if obs.On() {
 		obsFreezes.Inc()

@@ -37,7 +37,6 @@ import (
 
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
-	"hyperdom/internal/knn"
 	"hyperdom/internal/obs"
 	"hyperdom/internal/shard"
 )
@@ -73,12 +72,19 @@ const maxRequestIDLen = 128
 // use; Close stops every collection's shard pools.
 type Server struct {
 	mu          sync.RWMutex
-	collections map[string]*shard.Index
+	collections map[string]*collection
 
-	log    *slog.Logger
-	ready  atomic.Bool
-	reqSeq atomic.Uint64
-	bootNs int64
+	log      *slog.Logger
+	ready    atomic.Bool
+	reqSeq   atomic.Uint64
+	idPrefix string // "%08x-" of the boot time: generated request IDs are process-unique
+}
+
+// collection is one mounted index and the rendered-item cache that lives
+// and dies with it (nil when the collection is over fragBudgetBytes).
+type collection struct {
+	x     *shard.Index
+	frags *fragCache
 }
 
 // Option configures a Server.
@@ -97,9 +103,9 @@ func WithLogger(l *slog.Logger) Option {
 // New returns a server with no collections, not yet ready.
 func New(opts ...Option) *Server {
 	s := &Server{
-		collections: make(map[string]*shard.Index),
+		collections: make(map[string]*collection),
 		log:         slog.New(slog.NewJSONHandler(discard{}, nil)),
-		bootNs:      time.Now().UnixNano(),
+		idPrefix:    fmt.Sprintf("%08x-", uint32(time.Now().UnixNano())),
 	}
 	for _, o := range opts {
 		o(s)
@@ -130,7 +136,7 @@ func (s *Server) AddCollection(name string, x *shard.Index) error {
 	if _, dup := s.collections[name]; dup {
 		return fmt.Errorf("server: duplicate collection %q", name)
 	}
-	s.collections[name] = x
+	s.collections[name] = &collection{x: x, frags: newFragCache(x.Len(), x.Dim())}
 	return nil
 }
 
@@ -150,10 +156,10 @@ func (s *Server) Collections() []string {
 func (s *Server) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, x := range s.collections {
-		x.Close()
+	for _, col := range s.collections {
+		col.x.Close()
 	}
-	s.collections = make(map[string]*shard.Index)
+	s.collections = make(map[string]*collection)
 	s.ready.Store(false)
 }
 
@@ -239,7 +245,14 @@ func (s *Server) requestID(r *http.Request) string {
 			return id
 		}
 	}
-	return fmt.Sprintf("%08x-%06d", uint32(s.bootNs), s.reqSeq.Add(1))
+	// "%08x-%06d" of (boot time, sequence number).
+	var buf [32]byte
+	b := append(buf[:0], s.idPrefix...)
+	seq := s.reqSeq.Add(1)
+	for pad := uint64(100000); pad > seq; pad /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendUint(b, seq, 10))
 }
 
 // wrap is the /v1 middleware described in the package comment.
@@ -308,11 +321,11 @@ func (c *reqCtx) explainShards() []obs.ShardSpan {
 	return c.explain.Shards
 }
 
-func (s *Server) lookup(name string) (*shard.Index, bool) {
+func (s *Server) lookup(name string) (*collection, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	x, ok := s.collections[name]
-	return x, ok
+	col, ok := s.collections[name]
+	return col, ok
 }
 
 type sphereJSON struct {
@@ -321,13 +334,8 @@ type sphereJSON struct {
 }
 
 func (sj sphereJSON) sphere() (geom.Sphere, error) {
-	if len(sj.Center) == 0 {
-		return geom.Sphere{}, fmt.Errorf("empty center")
-	}
-	if sj.Radius < 0 || sj.Radius != sj.Radius {
-		return geom.Sphere{}, fmt.Errorf("invalid radius %v", sj.Radius)
-	}
-	return geom.Sphere{Center: sj.Center, Radius: sj.Radius}, nil
+	s := geom.Sphere{Center: sj.Center, Radius: sj.Radius}
+	return s, s.Validate()
 }
 
 type knnRequest struct {
@@ -336,31 +344,9 @@ type knnRequest struct {
 	K      int       `json:"k"`
 }
 
-type itemJSON struct {
-	ID     int       `json:"id"`
-	Center []float64 `json:"center"`
-	Radius float64   `json:"radius"`
-}
-
-// knnResponse is the kNN answer. Explain is present only under
-// ?explain=true — the answer fields are byte-identical either way.
-type knnResponse struct {
-	K       int            `json:"k"`
-	IDs     []int          `json:"ids"`
-	Items   []itemJSON     `json:"items"`
-	Stats   statsJSON      `json:"stats"`
-	Explain *shard.Explain `json:"explain,omitempty"`
-}
-
-// statsJSON is knn.Stats on the wire. Resurrected counted interim
-// dominance verdicts the final filter overturned; no interim verdict is
-// taken any more, so it is always 0 — the key stays so that clients
-// written against the earlier response shape keep decoding.
-type statsJSON struct {
-	knn.Stats
-	Resurrected int
-}
-
+// writeJSON marshals one of the small fixed-shape documents (errors,
+// verdicts, the inventory): none holds a value encoding/json can refuse,
+// and a failed write means the client has gone, so the error has no reader.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -391,12 +377,14 @@ func decodeBody(c *reqCtx, r *http.Request, v any) bool {
 }
 
 func (s *Server) handleKNN(c *reqCtx, r *http.Request) {
-	x, ok := s.lookup(c.collection)
+	col, ok := s.lookup(c.collection)
 	if !ok {
 		writeError(c, http.StatusNotFound, "unknown collection %q", c.collection)
 		return
 	}
-	var req knnRequest
+	x := col.x
+	// Sized for a well-formed query, so decoding does not grow it by doubling.
+	req := knnRequest{Center: make([]float64, 0, x.Dim())}
 	if !decodeBody(c, r, &req) {
 		return
 	}
@@ -421,15 +409,22 @@ func (s *Server) handleKNN(c *reqCtx, r *http.Request) {
 	// — so no layer below sizes anything by a client-chosen number.
 	res, ex := x.SearchExplain(sq, min(req.K, max(x.Len(), 1)))
 	c.explain, c.k = ex, req.K
-	resp := knnResponse{K: req.K, IDs: make([]int, 0, len(res.Items)), Stats: statsJSON{Stats: res.Stats}}
-	for _, it := range res.Items {
-		resp.IDs = append(resp.IDs, it.ID)
-		resp.Items = append(resp.Items, itemJSON{ID: it.ID, Center: it.Sphere.Center, Radius: it.Sphere.Radius})
+	// The trace tree is in the response only under ?explain=true — the
+	// answer fields are byte-identical either way.
+	if r.URL.RawQuery == "" || r.URL.Query().Get("explain") != "true" {
+		ex = nil
 	}
-	if r.URL.Query().Get("explain") == "true" {
-		resp.Explain = ex
+	buf := respBufs.Get().(*[]byte)
+	body, err := appendKNNResponse((*buf)[:0], req.K, res, col.frags, ex)
+	if err != nil {
+		writeError(c, http.StatusInternalServerError, "encode answer: %v", err)
+	} else {
+		c.Header().Set("Content-Type", "application/json")
+		c.WriteHeader(http.StatusOK)
+		_, _ = c.Write(body) // a failed write means the client has gone
 	}
-	writeJSON(c, http.StatusOK, resp)
+	*buf = body
+	respBufs.Put(buf)
 }
 
 type dominatesRequest struct {
@@ -449,11 +444,12 @@ type dominatesResponse struct {
 // collection only anchors the dimensionality check; the verdict is pure
 // geometry.
 func (s *Server) handleDominates(c *reqCtx, r *http.Request) {
-	x, ok := s.lookup(c.collection)
+	col, ok := s.lookup(c.collection)
 	if !ok {
 		writeError(c, http.StatusNotFound, "unknown collection %q", c.collection)
 		return
 	}
+	x := col.x
 	var req dominatesRequest
 	if !decodeBody(c, r, &req) {
 		return
@@ -495,8 +491,8 @@ type collectionJSON struct {
 func (s *Server) handleList(c *reqCtx, r *http.Request) {
 	s.mu.RLock()
 	out := make([]collectionJSON, 0, len(s.collections))
-	for name, x := range s.collections {
-		out = append(out, collectionJSON{Name: name, Items: x.Len(), Dim: x.Dim(), Shards: x.Shards()})
+	for name, col := range s.collections {
+		out = append(out, collectionJSON{Name: name, Items: col.x.Len(), Dim: col.x.Dim(), Shards: col.x.Shards()})
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })

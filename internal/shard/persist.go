@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"hyperdom/internal/dominance"
-	"hyperdom/internal/engine"
 	"hyperdom/internal/knn"
 	"hyperdom/internal/obs"
 	"hyperdom/internal/packed"
@@ -66,14 +65,11 @@ func (x *Index) SaveDir(dir string) error {
 	}
 	for i := range x.shards {
 		snap := x.shards[i].snap
-		if snap == nil {
-			return fmt.Errorf("shard: save: shard %d has no snapshot (index not built in this process?)", i)
-		}
 		name := shardFileName(i)
 		if err := snap.Save(filepath.Join(dir, name)); err != nil {
 			return fmt.Errorf("shard: save shard %d: %w", i, err)
 		}
-		m.Shards[i] = manifestShard{File: name, Items: x.shards[i].n}
+		m.Shards[i] = manifestShard{File: name, Items: snap.Len()}
 	}
 	return writeManifest(dir, &m)
 }
@@ -231,16 +227,7 @@ func OpenDir(dir string, opts OpenOptions) (*Index, error) {
 		if t.Len() != ms.Items {
 			return fail(fmt.Errorf("shard: open %s shard %d: %d items, manifest says %d", dir, i, t.Len(), ms.Items))
 		}
-		idx := knn.WrapPacked(t)
-		x.shards[i] = shardState{
-			idx:  idx,
-			n:    t.Len(),
-			snap: t,
-			eng: engine.New(idx,
-				engine.WithWorkers(bopts.WorkersPerShard),
-				engine.WithCriterion(bopts.Criterion),
-				engine.WithAlgorithm(bopts.Algorithm)),
-		}
+		x.shards[i] = newShardState(t, bopts)
 		x.n += t.Len()
 	}
 	if m.Items != x.n {

@@ -91,7 +91,7 @@ func (x *Index) search(sq geom.Sphere, k int, ex *Explain) knn.Result {
 			cs := x.shards[i].eng.SearchCandidates(sq, k, ext, &tts[i])
 			ex.Shards[i] = obs.ShardSpan{
 				Shard:          i,
-				Items:          x.shards[i].n,
+				Items:          x.shards[i].snap.Len(),
 				LatencyNs:      time.Since(t0).Nanoseconds(),
 				QueueWaitNs:    tts[i].QueueWaitNs,
 				Candidates:     len(cs.Candidates),

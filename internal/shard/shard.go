@@ -103,14 +103,23 @@ func (o *Options) fill() {
 	}
 }
 
-// shardState is one shard: its index (frozen when non-empty), the engine
-// pool that searches it, and — when the shard was built in this process —
-// the packed snapshot backing the frozen index, which SaveDir persists.
+// shardState is one shard: the packed snapshot it serves from — the only
+// copy of the shard's data, whether it was frozen in this process or opened
+// from a file, and what SaveDir persists — and the engine pool that
+// searches it.
 type shardState struct {
-	idx  knn.Index
-	eng  *engine.Engine
-	n    int
 	snap *packed.Tree
+	eng  *engine.Engine
+}
+
+func newShardState(snap *packed.Tree, opts Options) shardState {
+	return shardState{
+		snap: snap,
+		eng: engine.New(knn.WrapPacked(snap),
+			engine.WithWorkers(opts.WorkersPerShard),
+			engine.WithCriterion(opts.Criterion),
+			engine.WithAlgorithm(opts.Algorithm)),
+	}
 }
 
 // Index is a sharded scatter-gather kNN index. Build with Build; Close
@@ -169,22 +178,14 @@ func Build(items []geom.Item, dim int, opts Options) (*Index, error) {
 	x.plan = plan
 	x.shards = make([]shardState, len(parts))
 	for i, part := range parts {
-		idx, snap, err := buildTree(opts.Substrate, part, dim, opts.MaxFill)
+		snap, err := buildTree(opts.Substrate, part, dim, opts.MaxFill)
 		if err != nil {
 			for j := 0; j < i; j++ {
 				x.shards[j].eng.Close()
 			}
 			return nil, err
 		}
-		x.shards[i] = shardState{
-			idx:  idx,
-			n:    len(part),
-			snap: snap,
-			eng: engine.New(idx,
-				engine.WithWorkers(opts.WorkersPerShard),
-				engine.WithCriterion(opts.Criterion),
-				engine.WithAlgorithm(opts.Algorithm)),
-		}
+		x.shards[i] = newShardState(snap, opts)
 	}
 	x.scatterCands = make([]atomic.Uint64, len(x.shards))
 	x.unregisterImbl = obs.RegisterGaugeFunc("shard.candidate_imbalance",
@@ -219,11 +220,11 @@ func (x *Index) candidateImbalance() float64 {
 	return float64(max) / mean
 }
 
-// buildTree constructs, fills and freezes one shard's substrate, returning
-// the adapter plus the frozen snapshot SaveDir persists (an empty shard
-// freezes to an explicit empty snapshot, so a saved directory always has
-// one file per shard).
-func buildTree(substrate string, items []geom.Item, dim, maxFill int) (knn.Index, *packed.Tree, error) {
+// buildTree constructs, fills and freezes one shard's substrate and returns
+// the frozen snapshot alone: the shard serves from it, so the pointer tree
+// is garbage once this returns (an empty shard freezes to an explicit empty
+// snapshot, so a saved directory always has one file per shard).
+func buildTree(substrate string, items []geom.Item, dim, maxFill int) (*packed.Tree, error) {
 	switch substrate {
 	case "sstree":
 		var t *sstree.Tree
@@ -235,7 +236,7 @@ func buildTree(substrate string, items []geom.Item, dim, maxFill int) (knn.Index
 		for _, it := range items {
 			t.Insert(it)
 		}
-		return knn.WrapSSTree(t), t.Freeze(), nil
+		return t.Freeze(), nil
 	case "mtree":
 		var t *mtree.Tree
 		if maxFill > 0 {
@@ -246,7 +247,7 @@ func buildTree(substrate string, items []geom.Item, dim, maxFill int) (knn.Index
 		for _, it := range items {
 			t.Insert(it)
 		}
-		return knn.WrapMTree(t), t.Freeze(), nil
+		return t.Freeze(), nil
 	case "rtree":
 		var t *rtree.Tree
 		if maxFill > 0 {
@@ -257,9 +258,9 @@ func buildTree(substrate string, items []geom.Item, dim, maxFill int) (knn.Index
 		for _, it := range items {
 			t.Insert(it)
 		}
-		return knn.WrapRTree(t), t.Freeze(), nil
+		return t.Freeze(), nil
 	}
-	return nil, nil, fmt.Errorf("shard: unknown substrate %q", substrate)
+	return nil, fmt.Errorf("shard: unknown substrate %q", substrate)
 }
 
 // Shards returns the shard count.
@@ -278,7 +279,7 @@ func (x *Index) Label() string { return x.opts.Label }
 func (x *Index) ShardSizes() []int {
 	out := make([]int, len(x.shards))
 	for i := range x.shards {
-		out[i] = x.shards[i].n
+		out[i] = x.shards[i].snap.Len()
 	}
 	return out
 }
