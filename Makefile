@@ -42,7 +42,7 @@ bench:
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
-# Short fuzzing passes over the eight fuzz targets.
+# Short fuzzing passes over the nine fuzz targets.
 fuzz:
 	$(GO) test ./internal/poly -fuzz FuzzQuartic -fuzztime 30s
 	$(GO) test ./internal/dominance -fuzz FuzzHyperbolaVsExact2D -fuzztime 30s
@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test ./internal/packed -fuzz FuzzQuantizedLowerBound -fuzztime 30s
 	$(GO) test ./internal/packed -fuzz FuzzSnapshotOpen -fuzztime 30s
 	$(GO) test ./internal/server -fuzz FuzzKNNResponseEncode -fuzztime 30s
+	$(GO) test ./internal/shard -fuzz FuzzForestVsBruteForce -fuzztime 30s
 
 # Batch-engine worker scaling over a frozen SS-tree: queries/s at pool
 # widths 1/2/4/8 (scaling tops out at GOMAXPROCS).
@@ -77,7 +78,7 @@ experiments:
 serve:
 	$(GO) run ./cmd/knnbench -serve :6060 -metrics
 
-# Start the sharded scatter-gather kNN server on a synthetic corpus —
+# Start the sharded kNN server on a synthetic corpus —
 # the HTTP layer of DESIGN.md §13. See README "Running the server".
 serve-sharded:
 	$(GO) run $(LDFLAGS) ./cmd/hyperdomd -shards 4 -addr :8080

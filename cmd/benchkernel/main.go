@@ -166,16 +166,15 @@ type throughputBlock struct {
 	ScalingAtMax  float64        `json:"scaling_at_8_workers"`
 }
 
-// shardScalingPoint is one shard count of the scatter-gather scaling table.
+// shardScalingPoint is one shard count of the shard-scaling table.
 type shardScalingPoint struct {
 	Shards    int     `json:"shards"`
 	OpsPerSec float64 `json:"ops_per_sec"`
 	Scaling   float64 `json:"scaling_vs_1_shard"`
 }
 
-// shardScalingBlock is the scatter-gather shard-scaling table (DESIGN.md
-// §13): the same query stream answered through sharded indexes of growing
-// shard counts, every count returning bit-identical result sets. Carries
+// shardScalingBlock is the shard-scaling table (DESIGN.md §13): the same
+// query stream answered through sharded indexes of growing shard counts, every count returning bit-identical result sets. Carries
 // the same cores_detected / gated runner context as throughputBlock.
 type shardScalingBlock struct {
 	GoMaxProcs    int                 `json:"gomaxprocs"`
@@ -599,12 +598,11 @@ func measureScaling(rep *report, idx knn.Index, queries []geom.Sphere, k int) th
 	return tb
 }
 
-// measureShardScaling answers the same query batch through scatter-gather
-// sharded indexes of 1/2/4 shards — a sequential query loop, each query
-// internally scattered across the shard engine pools and merged under the
-// global Sk with distK pushdown. Every shard count returns bit-identical
-// result sets (DESIGN.md §13), so the rows isolate the scatter-gather
-// overhead against its pushdown payoff.
+// measureShardScaling answers the same query batch through sharded indexes
+// of 1/2/4 shards — a sequential query loop, each query walking its shards
+// nearest first with one best-known list. Every shard count returns
+// bit-identical result sets (DESIGN.md §13), so the rows read what walking S
+// small trees in order costs or saves against one tree.
 func measureShardScaling(rep *report, items []geom.Item, dim int, queries []geom.Sphere, k int) shardScalingBlock {
 	const batch = 64
 	sb := shardScalingBlock{
@@ -811,11 +809,9 @@ func gateReport(current, committed report, cfg *config) []string {
 				current.Throughput.ScalingAtMax, floor, current.Throughput.GoMaxProcs))
 		}
 		// The shard table is recorded for trend review but held only to a
-		// "not pathological" bar: scatter-gather at the max shard count must
-		// not halve throughput versus one shard. Only gated (multi-core)
-		// measurements count — on one core the scatter goroutines have
-		// nowhere to run in parallel and the slowdown is an expected
-		// runner artifact, which gated:false already flags.
+		// "not pathological" bar: walking the max shard count must not halve
+		// throughput versus one shard. Only gated (multi-core) measurements
+		// count, as for the engine table.
 		if n := len(current.ShardScaling.Points); n > 0 && current.ShardScaling.Gated &&
 			current.ShardScaling.ScalingAtMax < 0.5 {
 			failures = append(failures, fmt.Sprintf(

@@ -206,7 +206,7 @@ func TestGateReport(t *testing.T) {
 	if failures := gateReport(ok, committed, &cores); len(failures) != 1 {
 		t.Errorf("-require-cores 2 on a 1-core report produced %d failures, want 1: %v", len(failures), failures)
 	}
-	// A pathological scatter-gather table (max-shard throughput under half
+	// A pathological shard table (max-shard throughput under half
 	// of single-shard) fails even when worker scaling is fine — but only
 	// for gated (multi-core) measurements.
 	shardBad := ok
@@ -219,9 +219,8 @@ func TestGateReport(t *testing.T) {
 	if failures := gateReport(shardBad, committed, cfg); len(failures) != 1 {
 		t.Errorf("pathological shard scaling produced %d failures, want 1: %v", len(failures), failures)
 	}
-	// The same table from a 1-core runner is an expected artifact: the
-	// scatter goroutines had nowhere to run in parallel, gated:false says
-	// so, and the gate lets it pass.
+	// The same table from a 1-core runner is not gated, like the engine
+	// table: gated:false says so, and the gate lets it pass.
 	shardBad.Throughput = throughputBlock{GoMaxProcs: 1, ScalingAtMax: 1.0}
 	shardBad.ShardScaling.GoMaxProcs, shardBad.ShardScaling.Gated = 1, false
 	if failures := gateReport(shardBad, committed, cfg); len(failures) != 0 {

@@ -1,6 +1,6 @@
-// Command hyperdomd serves the sharded scatter-gather kNN layer over HTTP
-// (DESIGN.md §13): it loads one or more hypersphere collections, carves
-// each into space-partitioned shards with their own engine pools, and
+// Command hyperdomd serves the sharded kNN index over HTTP (DESIGN.md §13):
+// it loads one or more hypersphere collections, carves each into
+// space-partitioned shards that every request walks nearest-first, and
 // exposes the paper's Definition 2 kNN query plus single dominance checks
 // as JSON endpoints, with the full obs stack (Prometheus /metrics, /debug
 // handlers) mounted beside them.
@@ -46,6 +46,15 @@ import (
 	"hyperdom/internal/sstree"
 )
 
+// Connection limits of the listener: a client gets readHeaderTimeout to
+// send its request line and headers (a slowloris otherwise holds a
+// goroutine and a descriptor for ever), and a keep-alive connection with no
+// request on it is closed after idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 type config struct {
 	addr        string
 	data        string
@@ -53,12 +62,10 @@ type config struct {
 	n, d        int
 	seed        int64
 	shards      int
-	workers     int
 	substrate   string
 	maxFill     int
 	algo        string
 	quant       string
-	noPushdown  bool
 
 	snapshotDir    string
 	snapshotVerify bool
@@ -67,7 +74,6 @@ type config struct {
 	timelineSlots  int
 	healthP99      time.Duration
 	healthErrRate  float64
-	healthQueueSat float64
 
 	oracle  bool
 	k       int
@@ -85,19 +91,16 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&c.d, "d", 4, "synthetic corpus dimensionality")
 	fs.Int64Var(&c.seed, "seed", 1, "synthetic corpus seed")
 	fs.IntVar(&c.shards, "shards", 2, "shards per collection")
-	fs.IntVar(&c.workers, "workers-per-shard", 0, "engine workers per shard (0 = auto)")
 	fs.StringVar(&c.substrate, "substrate", "sstree", "index substrate: sstree|mtree|rtree")
 	fs.IntVar(&c.maxFill, "maxfill", 0, "substrate node capacity (0 = default)")
 	fs.StringVar(&c.algo, "algo", "hs", "per-shard traversal: hs|df")
 	fs.StringVar(&c.quant, "quant", "f32", "coarse-filter tier: none|f32|i8")
-	fs.BoolVar(&c.noPushdown, "no-pushdown", false, "disable cross-shard distK pushdown")
 	fs.StringVar(&c.snapshotDir, "snapshot-dir", "", "snapshot root: each collection loads zero-copy from DIR/<name> when present and compatible, else builds and saves there for the next start")
 	fs.BoolVar(&c.snapshotVerify, "snapshot-verify", false, "checksum every snapshot section at load (trades the lazy mmap cold-start for eager corruption detection)")
 	fs.DurationVar(&c.timelinePeriod, "timeline-period", obs.DefaultTimelinePeriod, "telemetry timeline tick (window rotation) period")
 	fs.IntVar(&c.timelineSlots, "timeline-slots", obs.DefaultTimelineSlots, "telemetry timeline ring capacity (snapshots retained)")
 	fs.DurationVar(&c.healthP99, "health-p99", 250*time.Millisecond, "degraded when windowed request p99 exceeds this (0 disables)")
 	fs.Float64Var(&c.healthErrRate, "health-error-rate", 0.05, "degraded when windowed 5xx fraction exceeds this (0 disables)")
-	fs.Float64Var(&c.healthQueueSat, "health-queue-sat", 0.8, "degraded when engine queue depth/capacity exceeds this (0 disables)")
 	fs.BoolVar(&c.oracle, "oracle", false, "answer one query in process (single-index oracle) and exit")
 	fs.IntVar(&c.k, "k", 5, "oracle: k")
 	fs.StringVar(&c.query, "query", "", "oracle: query center as c1,c2,...")
@@ -236,13 +239,11 @@ func runOracle(c config, stdout *os.File) error {
 
 func buildCollection(c config, items []geom.Item, dim int, label string) (*shard.Index, error) {
 	return shard.Build(items, dim, shard.Options{
-		Shards:          c.shards,
-		WorkersPerShard: c.workers,
-		Substrate:       c.substrate,
-		MaxFill:         c.maxFill,
-		Algorithm:       c.algorithm(),
-		DisablePushdown: c.noPushdown,
-		Label:           label,
+		Shards:    c.shards,
+		Substrate: c.substrate,
+		MaxFill:   c.maxFill,
+		Algorithm: c.algorithm(),
+		Label:     label,
 	})
 }
 
@@ -258,11 +259,9 @@ func mountCollection(c config, name string, corpus func() ([]geom.Item, int, err
 		dir := filepath.Join(c.snapshotDir, name)
 		start := time.Now()
 		x, err := shard.OpenDir(dir, shard.OpenOptions{
-			WorkersPerShard: c.workers,
-			Algorithm:       c.algorithm(),
-			DisablePushdown: c.noPushdown,
-			Label:           name,
-			Verify:          c.snapshotVerify,
+			Algorithm: c.algorithm(),
+			Label:     name,
+			Verify:    c.snapshotVerify,
 		})
 		if err == nil {
 			log.Printf("collection %s: loaded snapshot %s in %v (%d items, dim %d, %d shards)",
@@ -304,10 +303,9 @@ func run(c config) error {
 	// health thresholds turn those windows into the /debug/health verdict
 	// (and the degraded notes on /readyz).
 	obs.SetHealthConfig(obs.HealthConfig{
-		LatencyFamily:      "server.request_latency",
-		LatencyP99Max:      c.healthP99,
-		ErrorRateMax:       c.healthErrRate,
-		QueueSaturationMax: c.healthQueueSat,
+		LatencyFamily: "server.request_latency",
+		LatencyP99Max: c.healthP99,
+		ErrorRateMax:  c.healthErrRate,
 	})
 	obs.StartTimeline(c.timelinePeriod, c.timelineSlots)
 	defer obs.StopTimeline()
@@ -323,7 +321,11 @@ func run(c config) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -370,7 +372,8 @@ func run(c config) error {
 	case <-ctx.Done():
 	}
 	// Graceful drain: stop accepting, let in-flight requests finish, then
-	// stop the shard pools (srv.Close via defer).
+	// release the collections (srv.Close via defer, which waits for any
+	// search still running when Shutdown timed out).
 	log.Printf("shutting down")
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -17,7 +17,7 @@ func TestParseFlagsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.addr != ":8080" || c.shards != 2 || c.substrate != "sstree" ||
-		c.algo != "hs" || c.quant != "f32" || c.oracle || c.noPushdown {
+		c.algo != "hs" || c.quant != "f32" || c.oracle {
 		t.Fatalf("defaults %+v", c)
 	}
 	if c.algorithm() != knn.HS || c.quantMode() != knn.QuantF32 {

@@ -19,7 +19,7 @@
 //	-parallel comma-separated worker-pool widths; runs the batch-engine
 //	          scaling experiment over a frozen SS-tree instead of the
 //	          figures and prints a queries/s table per width
-//	-shards   comma-separated shard counts; runs the scatter-gather
+//	-shards   comma-separated shard counts; runs the
 //	          shard-scaling experiment (DESIGN.md §13) instead of the
 //	          figures and prints a queries/s table per count
 //	-load     open a snapshot directory written by datagen -freeze or
@@ -61,7 +61,7 @@ func main() {
 	parallel := flag.String("parallel", "",
 		"comma-separated engine pool widths (e.g. 1,2,4,8); runs the batch-engine scaling experiment instead of the figures")
 	shards := flag.String("shards", "",
-		"comma-separated shard counts (e.g. 1,2,4); runs the scatter-gather shard-scaling experiment instead of the figures")
+		"comma-separated shard counts (e.g. 1,2,4); runs the shard-scaling experiment instead of the figures")
 	load := flag.String("load", "",
 		"snapshot directory to open and benchmark (skips the figures and any index build)")
 	quant := flag.String("quant", "f32",

@@ -38,25 +38,7 @@ type task struct {
 	k     int
 	out   *knn.Result
 	wg    *sync.WaitGroup
-	enqNs int64 // submit time (UnixNano), 0 when nobody wants the wait
-	obsOn bool  // record the wait into the engine.queue_wait histogram
-
-	// Candidate-mode fields (scatter-gather, DESIGN.md §13). When cands is
-	// non-nil the worker runs SearchCandidates into it instead of Search
-	// into out, under the external pushdown bound ext (may be nil). tt, when
-	// non-nil, receives per-task telemetry for the request EXPLAIN layer
-	// independent of the process-wide obs gate.
-	cands *knn.CandidateSet
-	ext   *knn.Bound
-	tt    *TaskTelemetry
-}
-
-// TaskTelemetry carries per-task measurements the worker writes back for
-// the caller — today the submit-to-dequeue queue wait, the one number only
-// the engine can observe. The caller owns the struct and must not read it
-// before the task's WaitGroup is done.
-type TaskTelemetry struct {
-	QueueWaitNs int64
+	enqNs int64 // submit time (UnixNano) when obs is on, else 0
 }
 
 // Engine is the worker pool. Construct with New; Close releases it.
@@ -134,19 +116,9 @@ func (e *Engine) worker() {
 	shard := obs.NextShard()
 	for t := range e.queue {
 		if t.enqNs != 0 {
-			wait := time.Now().UnixNano() - t.enqNs
-			if t.obsOn {
-				histQueueWait.RecordShard(shard, wait)
-			}
-			if t.tt != nil {
-				t.tt.QueueWaitNs = wait
-			}
+			histQueueWait.RecordShard(shard, time.Now().UnixNano()-t.enqNs)
 		}
-		if t.cands != nil {
-			*t.cands = s.SearchCandidates(e.idx, t.sq, t.k, e.crit, e.algo, t.ext)
-		} else {
-			*t.out = s.Search(e.idx, t.sq, t.k, e.crit, e.algo)
-		}
+		*t.out = s.Search(e.idx, t.sq, t.k, e.crit, e.algo)
 		if obs.On() {
 			obsCompleted.Inc()
 		}
@@ -179,7 +151,7 @@ func (e *Engine) SearchBatch(queries []geom.Sphere, k int) []knn.Result {
 		if on {
 			enq = time.Now().UnixNano()
 		}
-		e.queue <- task{sq: queries[i], k: k, out: &results[i], wg: &wg, enqNs: enq, obsOn: on}
+		e.queue <- task{sq: queries[i], k: k, out: &results[i], wg: &wg, enqNs: enq}
 	}
 	wg.Wait()
 	return results
@@ -203,37 +175,9 @@ func (e *Engine) Search(sq geom.Sphere, k int) knn.Result {
 	if on {
 		enq = time.Now().UnixNano()
 	}
-	e.queue <- task{sq: sq, k: k, out: &res, wg: &wg, enqNs: enq, obsOn: on}
+	e.queue <- task{sq: sq, k: k, out: &res, wg: &wg, enqNs: enq}
 	wg.Wait()
 	return res
-}
-
-// SearchCandidates answers a single candidate-stream query through the pool
-// (knn.SearchCandidates semantics), blocking until a worker finishes it.
-// ext is the optional scatter-gather distK pushdown bound; nil disables
-// pushdown. tt, when non-nil, receives the task's queue-wait measurement
-// for the request EXPLAIN layer — independent of the process-wide obs gate,
-// and costing exactly one extra clock read when obs is off. The scatter
-// layer of internal/shard calls this once per shard per query, so each
-// shard's traversal runs on that shard's warm arenas.
-func (e *Engine) SearchCandidates(sq geom.Sphere, k int, ext *knn.Bound, tt *TaskTelemetry) knn.CandidateSet {
-	if k <= 0 {
-		panic(fmt.Sprintf("engine: k = %d", k))
-	}
-	on := obs.On()
-	if on {
-		obsSubmitted.Inc()
-	}
-	var cs knn.CandidateSet
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var enq int64
-	if on || tt != nil {
-		enq = time.Now().UnixNano()
-	}
-	e.queue <- task{sq: sq, k: k, cands: &cs, ext: ext, wg: &wg, enqNs: enq, obsOn: on, tt: tt}
-	wg.Wait()
-	return cs
 }
 
 // Criterion returns the dominance criterion the engine answers with.

@@ -258,39 +258,3 @@ func TestEngineEmptyBatchAndPanics(t *testing.T) {
 	}()
 	e.SearchBatch(randQueries(rand.New(rand.NewSource(1)), 2, 1), 0)
 }
-
-// TestTaskTelemetry pins the per-task queue-wait plumbing (ISSUE 8): a
-// caller-supplied TaskTelemetry is filled with a positive queue wait even
-// when the process-wide obs gate is off, and passing nil stays valid.
-func TestTaskTelemetry(t *testing.T) {
-	// Force the gate off: the telemetry contract is specifically that it
-	// works without process-wide obs.
-	was := obs.On()
-	obs.SetEnabled(false)
-	defer obs.SetEnabled(was)
-	rng := rand.New(rand.NewSource(604))
-	d := 3
-	items := randItems(rng, d, 800)
-	ss := sstree.New(d)
-	for _, it := range items {
-		ss.Insert(it)
-	}
-	ss.Freeze()
-	e := New(knn.WrapSSTree(ss), WithWorkers(1))
-	defer e.Close()
-
-	q := randQueries(rng, d, 1)[0]
-	var tt TaskTelemetry
-	cs := e.SearchCandidates(q, 5, nil, &tt)
-	if tt.QueueWaitNs <= 0 {
-		t.Fatalf("queue wait %d, want > 0 (obs off)", tt.QueueWaitNs)
-	}
-	if len(cs.Candidates) == 0 {
-		t.Fatal("no candidates")
-	}
-	// nil telemetry must keep working and return the same stream.
-	cs2 := e.SearchCandidates(q, 5, nil, nil)
-	if !reflect.DeepEqual(cs.Candidates, cs2.Candidates) {
-		t.Fatal("telemetry changed the candidate stream")
-	}
-}

@@ -12,14 +12,14 @@ import (
 	"hyperdom/internal/workload"
 )
 
-// ShardedRow is one shard count of the scatter-gather scaling experiment.
+// ShardedRow is one shard count of the shard-scaling experiment.
 type ShardedRow struct {
 	Shards    int
 	OpsPerSec float64
 	Scaling   float64 // versus the first shard count
 }
 
-// ShardedResult is the scatter-gather scaling experiment: the same query
+// ShardedResult is the shard-scaling experiment: the same query
 // stream answered through sharded indexes of growing shard counts.
 type ShardedResult struct {
 	Items      int
@@ -29,15 +29,15 @@ type ShardedResult struct {
 	Rows       []ShardedRow
 }
 
-// RunSharded measures scatter-gather kNN throughput at each requested
+// RunSharded measures sharded kNN throughput at each requested
 // shard count (e.g. 1, 2, 4). The dataset follows the paper's default
 // synthetic setting and the queries are drawn from it (the Section 7.2
 // query model); every shard count answers with HS(Hyper) over frozen
-// packed shards, and — by the merge layer's bit-identity guarantee — every
-// row computes the identical result sets, so the table isolates the
-// scatter-gather overhead and its distK-pushdown payoff. Scaling is
-// reported against the first count and cannot exceed GOMAXPROCS, which the
-// result records.
+// packed shards, and — by the sharded index's bit-identity guarantee —
+// every row computes the identical result sets, so the table isolates what
+// walking more, smaller trees costs or saves. Scaling is reported against
+// the first count; the query loop is sequential, and the result records
+// GOMAXPROCS for context.
 func RunSharded(cfg Config, shardCounts []int) ShardedResult {
 	cfg = cfg.normalized()
 	if len(shardCounts) == 0 {
@@ -62,8 +62,8 @@ func RunSharded(cfg Config, shardCounts []int) ShardedResult {
 		if err != nil {
 			panic(err) // impossible: options are well-formed by construction
 		}
-		// Two timed passes, keeping the faster: the first also warms every
-		// shard pool's scratch arenas.
+		// Two timed passes, keeping the faster: the first also warms the
+		// scratch arena.
 		var best time.Duration
 		for rep := 0; rep < 2; rep++ {
 			start := time.Now()

@@ -2,22 +2,12 @@ package knn
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
 	"hyperdom/internal/obs"
 )
-
-// The candidate-search entry points of the scatter-gather layer (DESIGN.md
-// §13). A shard cannot apply Definition 2's final filter itself: the filter
-// runs against the GLOBAL Sk, which no single shard knows, and dominance is
-// not monotone in MaxDist — an item dominated by a shard-local Sk need not
-// be dominated by the (closer) global one. So per-shard searches return the
-// raw candidate stream — everything the traversal did not prove dominated
-// by the final global Sk via Lemma 9 — and the merge layer computes Sk over
-// the union and applies the one final filter.
 
 // Candidate is one surviving entry of a kNN traversal: the item plus its
 // cached MaxDist/MinDist to the query, in exactly the arithmetic every
@@ -47,12 +37,6 @@ func CompareCandidates(a, b Candidate) int {
 type TopK struct {
 	k  int
 	es []Candidate
-}
-
-// NewTopK returns a TopK for the k smallest of at most n candidates, with
-// its storage allocated up front.
-func NewTopK(k, n int) *TopK {
-	return &TopK{k: k, es: make([]Candidate, 0, min(k, n))}
 }
 
 // Reset empties h for a new selection of size k, keeping its storage.
@@ -104,92 +88,59 @@ func (h *TopK) Offer(c Candidate) (out Candidate, spilled bool) {
 	return out, true
 }
 
-// CandidateSet is the answer of one per-shard candidate search, plus the
-// traversal's work Stats. The first min(K, len) Candidates are the k
-// smallest in ascending (MaxDist, ID) order — Candidates[K-1] is the local
-// Sk — and the remainder is unordered: the merge layer selects the global
-// Sk from the sorted prefixes, filters, and sorts only the survivors.
-//
-// Invariants the merge layer relies on:
-//   - every indexed item is either present or was pruned under a bound that
-//     is ≥ the final global distK (so it is provably dominated by the final
-//     global Sk and provably outside the global top-k);
-//   - in particular every item whose MaxDist is among the k smallest
-//     globally is in some set's sorted prefix, so the global Sk is
-//     computable from the prefixes alone.
+// CandidateSet is what one traversal kept, plus its work Stats. The first
+// min(K, len) Candidates are the k smallest in ascending (MaxDist, ID) order
+// — Candidates[K-1] is Sk — and the remainder is unordered. Every indexed
+// item is either present or was discarded by Case 3, i.e. is provably
+// dominated by Sk.
 type CandidateSet struct {
 	K          int
 	Stats      Stats
 	Candidates []Candidate
 
-	// Per-shard request telemetry (ISSUE 8). Scalar by-products of the
-	// traversal the scatter-gather layer surfaces in EXPLAIN output; they
-	// ride in the (stack-allocated) CandidateSet so recording them costs the
-	// search path nothing. Deliberately NOT part of Stats — Stats equality
-	// between the packed and pointer paths is test-locked, and these fields
-	// depend on quant mode and cross-shard timing.
-
 	// CoarsePrunes counts quantized narrow-tier settlements (node + leaf)
 	// this traversal made; 0 when quant mode is off or the index is not
-	// frozen.
+	// frozen. Deliberately NOT part of Stats — Stats equality between the
+	// packed and pointer paths is test-locked, and this depends on the
+	// quant mode.
 	CoarsePrunes uint64
-	// BoundObserved is the external distK pushdown bound as of this
-	// traversal's completion — what its node prunes could cut against.
-	// +Inf when ext was nil or never tightened.
-	BoundObserved float64
-	// BoundPublished is this traversal's own final local distK as last
-	// published into ext (Lemma 9: a k-th-smallest over a subset, hence
-	// ≥ the final global distK). +Inf when fewer than k items were seen.
-	BoundPublished float64
 	// TraceID links to this traversal's retained execution trace in
 	// /debug/trace when it was sampled, 0 otherwise.
 	TraceID uint64
 }
 
-// SearchCandidates runs the kNN traversal and returns the surviving
-// candidate stream instead of the final Definition 2 answer. ext, when
-// non-nil, is the scatter-gather distK pushdown bound: the traversal reads
-// it at every node-prune decision (pop/visit time) and publishes its own
-// running local distK into it. Pass nil for a standalone candidate search.
-func SearchCandidates(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm, ext *Bound) CandidateSet {
+// SearchCandidates runs the kNN traversal and returns what it kept instead
+// of the final Definition 2 answer: everything Lemma 9 did not discard,
+// before the criterion has run. The benchmark harness and cmd/benchkernel
+// use it to count and replay the final filter's input; the searches
+// themselves filter in place (finish). The last parameter took the
+// cross-shard pushdown bound of a scatter-gather that no longer exists; it
+// is ignored, and stays only because the frozen harness (bench/) calls this
+// function with a nil there.
+func SearchCandidates(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm, _ *struct{}) CandidateSet {
 	sc := getScratch()
 	defer putScratch(sc)
-	return sc.searchCandidates(idx, sq, k, crit, algo, ext)
+	return sc.searchCandidates(idx, sq, k, crit, algo)
 }
 
-// SearchCandidates is the Searcher form of the package-level function; see
-// Searcher.Search for the ownership contract.
-func (s *Searcher) SearchCandidates(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm, ext *Bound) CandidateSet {
-	return s.sc.searchCandidates(idx, sq, k, crit, algo, ext)
-}
-
-func (sc *scratch) searchCandidates(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm, ext *Bound) CandidateSet {
+func (sc *scratch) searchCandidates(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm) CandidateSet {
 	cs := CandidateSet{K: k}
-	cs.BoundObserved = math.Inf(1)
-	cs.BoundPublished = math.Inf(1)
-	l, start, ok := sc.traverse(idx, sq, k, crit, algo, ext, &cs.Stats)
+	l, start, ok := sc.traverse(idx, sq, k, crit, algo, &cs.Stats)
 	if !ok {
 		return cs
 	}
-	// Request-telemetry scalars for the EXPLAIN layer: read the coarse-prune
-	// tallies before flushObs zeroes them, and snapshot both sides of the
-	// distK pushdown — the shard's own final local distK versus the shared
-	// bound it could prune with.
+	// Read the coarse-prune tallies before flushObs zeroes them.
 	cs.CoarsePrunes = sc.qNodePrunes + sc.qItemPrunes
-	cs.BoundPublished = l.distK()
 	cs.Candidates = l.collect()
-	if ext != nil {
-		cs.BoundObserved = ext.Load()
-	}
 	if obs.On() {
-		cs.TraceID = sc.flushObs(idx, algo, k, start, &cs.Stats)
+		cs.TraceID = sc.flushObs(substrateOf(idx), algo, k, start, &cs.Stats)
 	}
 	return cs
 }
 
 // collect returns everything the traversal kept — the criterion has not
 // run — in the CandidateSet layout: the k smallest sorted, the rest as
-// buffered. The mirror of finish() for the scatter-gather path.
+// buffered. The mirror of finish() for SearchCandidates.
 func (l *bestList) collect() []Candidate {
 	top := l.top.es
 	if len(top) == 0 {

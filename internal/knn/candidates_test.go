@@ -1,7 +1,6 @@
 package knn
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -10,34 +9,8 @@ import (
 	"hyperdom/internal/geom"
 )
 
-func TestBoundTighten(t *testing.T) {
-	b := NewBound()
-	if got := b.Load(); !math.IsInf(got, 1) {
-		t.Fatalf("fresh bound = %v, want +Inf", got)
-	}
-	if !b.Tighten(5) {
-		t.Fatal("Tighten(5) from +Inf reported no change")
-	}
-	if b.Tighten(7) {
-		t.Fatal("Tighten(7) loosened a bound of 5")
-	}
-	if b.Tighten(math.NaN()) {
-		t.Fatal("Tighten(NaN) reported a change")
-	}
-	if !b.Tighten(2) {
-		t.Fatal("Tighten(2) from 5 reported no change")
-	}
-	if got := b.Load(); got != 2 {
-		t.Fatalf("bound = %v, want 2", got)
-	}
-	b.Reset()
-	if got := b.Load(); !math.IsInf(got, 1) {
-		t.Fatalf("reset bound = %v, want +Inf", got)
-	}
-}
-
-// finalFilter applies Definition 2's final filter to a candidate stream the
-// way the merge layer does: Sk = k-th smallest (MaxDist, ID), keep every
+// finalFilter applies Definition 2's final filter to a candidate set from
+// the outside: Sk = k-th smallest (MaxDist, ID), keep every
 // candidate Sk does not provably dominate.
 func finalFilter(cs CandidateSet, sq geom.Sphere, crit dominance.Criterion) []Item {
 	cands := cs.Candidates
@@ -59,10 +32,9 @@ func finalFilter(cs CandidateSet, sq geom.Sphere, crit dominance.Criterion) []It
 	return out
 }
 
-// TestSearchCandidatesRecoversAnswer locks the contract the scatter-gather
-// merge layer depends on: applying the final Definition 2 filter to the raw
-// candidate stream reproduces the Search answer exactly, for both
-// traversals, with and without an external bound in play.
+// TestSearchCandidatesRecoversAnswer locks the CandidateSet contract:
+// applying the final Definition 2 filter to the raw candidates reproduces
+// the Search answer exactly, for both traversals.
 func TestSearchCandidatesRecoversAnswer(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	crit := dominance.Hyperbola{}
@@ -88,23 +60,11 @@ func TestSearchCandidatesRecoversAnswer(t *testing.T) {
 					t.Fatalf("trial %d %v: candidate order violated at %d", trial, algo, i)
 				}
 			}
-			// A finite external bound seeded at the true final distK must
-			// not change the recovered answer (it can only prune items the
-			// final Sk provably dominates).
-			if len(cs.Candidates) >= k {
-				ext := NewBound()
-				ext.Tighten(cs.Candidates[k-1].MaxDist)
-				cs2 := SearchCandidates(idx, sq, k, crit, algo, ext)
-				got2 := finalFilter(cs2, sq, crit)
-				if !equalIDs(idsOf(want.Items), idsOf(got2)) {
-					t.Fatalf("trial %d %v: ext-bounded candidates broke the answer", trial, algo)
-				}
-			}
 		}
 	}
 }
 
-// TestSearchCandidatesStats pins that a nil-bound candidate search performs
+// TestSearchCandidatesStats pins that a candidate search performs
 // exactly the traversal work of a plain Search (same Stats), since the two
 // share one traversal and differ only in the answer pass.
 func TestSearchCandidatesStats(t *testing.T) {

@@ -171,15 +171,6 @@ type bestList struct {
 	tb        *obs.TraceBuf
 	critLabel obs.LabelID
 	shadow    bool
-
-	// ext is the scatter-gather distK pushdown bound (DESIGN.md §13), nil
-	// for single-index searches. When set, node-prune decisions read
-	// pruneBound() — min(local distK, ext) — and offerDist publishes the
-	// running local distK back into ext whenever it shrinks. lastPub
-	// remembers the last value published so unchanged distKs skip the
-	// atomic.
-	ext     *Bound
-	lastPub float64
 }
 
 // reset reinitialises the list for a new search, reusing the candidate
@@ -193,8 +184,6 @@ func (l *bestList) reset(sq geom.Sphere, k int, crit dominance.Criterion, stats 
 	l.tb = nil
 	l.critLabel = 0
 	l.shadow = dominance.ShadowOn()
-	l.ext = nil
-	l.lastPub = math.Inf(1)
 }
 
 // dominated is the final filter's one criterion call for candidate c
@@ -245,37 +234,6 @@ func (l *bestList) distK() float64 {
 	return l.top.Kth().MaxDist
 }
 
-// pruneBound returns the tightest node-prune bound available: the local
-// distK, sharpened by the external scatter-gather bound when one is wired
-// in. Only NODE prune decisions consult it — the item-level Case 3 stays on
-// the local distK, because it feeds the candidate stream the merge layer
-// filters (and the local Sk semantics it encodes must not shift under a
-// racing external value). Pruning a node by ext is safe for the same
-// Lemma 9 argument as Case 3: ext ≥ the final global distK at all times, so
-// MinDist > ext proves dominance by the final global Sk.
-func (l *bestList) pruneBound() float64 {
-	dk := l.distK()
-	if l.ext != nil {
-		if e := l.ext.Load(); e < dk {
-			dk = e
-		}
-	}
-	return dk
-}
-
-// publish pushes the running local distK into the external bound when it
-// shrank since the last publication. Called after every top-k change; the
-// lastPub guard makes the common no-change case one float compare.
-func (l *bestList) publish() {
-	if l.ext == nil || !l.top.Full() {
-		return
-	}
-	if dk := l.top.Kth().MaxDist; dk < l.lastPub {
-		l.lastPub = dk
-		l.ext.Tighten(dk)
-	}
-}
-
 // offer processes one data item reached by the traversal.
 func (l *bestList) offer(it Item) {
 	l.offerDist(it, vec.Dist(it.Sphere.Center, l.sq.Center))
@@ -303,7 +261,6 @@ func (l *bestList) offerDist(it Item, dist float64) {
 	if out, spilled := l.top.Offer(c); spilled {
 		l.buf = append(l.buf, out)
 	}
-	l.publish()
 }
 
 // finish selects the final Sk, applies the Definition 2 filter — the

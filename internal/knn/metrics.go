@@ -18,10 +18,6 @@ import (
 // scratch-owned structs.
 var (
 	obsSearches      = obs.New("knn.searches")
-	obsSearchSSTree  = obs.New("knn.searches.sstree")
-	obsSearchMTree   = obs.New("knn.searches.mtree")
-	obsSearchRTree   = obs.New("knn.searches.rtree")
-	obsSearchOther   = obs.New("knn.searches.other")
 	obsNodesVisited  = obs.New("knn.nodes_visited")
 	obsItemsScanned  = obs.New("knn.items_scanned")
 	obsDomChecks     = obs.New("knn.dom_checks")
@@ -46,8 +42,8 @@ var (
 	obsQuantItemExact  = obs.New("packed.quant.item_exact_fallbacks")
 )
 
-// substrate indexes the per-substrate latency histograms and flight-record
-// labels. It mirrors the adapter type switch in flushObs.
+// substrate indexes the per-substrate search counters, latency histograms
+// and flight-record labels.
 type substrate uint8
 
 const (
@@ -60,11 +56,42 @@ const (
 
 var substrateNames = [numSubstrates]string{"sstree", "mtree", "rtree", "other"}
 
+// substrateOf attributes an index to its substrate.
+func substrateOf(idx Index) substrate {
+	switch a := idx.(type) {
+	case ssAdapter:
+		return subSSTree
+	case mAdapter:
+		return subMTree
+	case rAdapter:
+		return subRTree
+	case packedAdapter:
+		return packedSubstrate(a.t)
+	}
+	return subOther
+}
+
+// packedSubstrate attributes a snapshot to the substrate that froze it, so
+// restart-from-snapshot keeps the same metric shape as serve-after-build
+// (SubstrateUnknown — pre-stamping files — lands in other).
+func packedSubstrate(t *packed.Tree) substrate {
+	switch t.Substrate() {
+	case packed.SubstrateSSTree:
+		return subSSTree
+	case packed.SubstrateMTree:
+		return subMTree
+	case packed.SubstrateRTree:
+		return subRTree
+	}
+	return subOther
+}
+
 // Per-search latency histograms (ISSUE 3), one instance per (substrate,
 // strategy) pair of the "knn.search_latency" family, plus a brute-force
 // instance. Each search records exactly one sample, into the shard its
 // pooled scratch arena owns, at the same flush point as the counters.
 var (
+	obsSearchSub  [numSubstrates]*obs.Counter // knn.searches.<substrate>
 	searchLatency [numSubstrates][2]*obs.Histogram
 	bruteLatency  = obs.NewHistogram("knn.search_latency", `substrate="brute",algo="scan"`)
 
@@ -76,6 +103,7 @@ var (
 
 func init() {
 	for s := substrate(0); s < numSubstrates; s++ {
+		obsSearchSub[s] = obs.New("knn.searches." + substrateNames[s])
 		flightSub[s] = obs.FlightLabel(substrateNames[s])
 		for _, a := range []Algorithm{DF, HS} {
 			searchLatency[s][a] = obs.NewHistogram("knn.search_latency",
@@ -101,41 +129,11 @@ func flushStats(st *Stats) {
 // (cheaply) when it is off, so they are also zeroed here to keep a later
 // snapshot from attributing old work to a new window. The return value is
 // the ID of the span trace this search recorded, 0 when it was not sampled
-// — candidate-mode callers surface it so request-level traces can link to
-// the retained execution trace in /debug/trace.
-func (sc *scratch) flushObs(idx Index, algo Algorithm, k int, start time.Time, st *Stats) (traceID uint64) {
+// — SearchCandidates and SearchForest surface it so request-level traces can
+// link to the retained execution trace in /debug/trace.
+func (sc *scratch) flushObs(sub substrate, algo Algorithm, k int, start time.Time, st *Stats) (traceID uint64) {
 	obsSearches.Inc()
-	sub := subOther
-	switch a := idx.(type) {
-	case ssAdapter:
-		obsSearchSSTree.Inc()
-		sub = subSSTree
-	case mAdapter:
-		obsSearchMTree.Inc()
-		sub = subMTree
-	case rAdapter:
-		obsSearchRTree.Inc()
-		sub = subRTree
-	case packedAdapter:
-		// A loaded snapshot attributes to the substrate that froze it, so
-		// restart-from-snapshot keeps the same metric shape as serve-after-
-		// build (SubstrateUnknown — pre-stamping files — lands in other).
-		switch a.t.Substrate() {
-		case packed.SubstrateSSTree:
-			obsSearchSSTree.Inc()
-			sub = subSSTree
-		case packed.SubstrateMTree:
-			obsSearchMTree.Inc()
-			sub = subMTree
-		case packed.SubstrateRTree:
-			obsSearchRTree.Inc()
-			sub = subRTree
-		default:
-			obsSearchOther.Inc()
-		}
-	default:
-		obsSearchOther.Inc()
-	}
+	obsSearchSub[sub].Inc()
 	flushStats(st)
 
 	heapPushes := sc.heap.pushes + sc.ssHeap.pushes + sc.pHeap.pushes

@@ -57,8 +57,10 @@ func frozenOf(idx Index) *packed.Tree {
 }
 
 // packedNodeID is the trace identity of a packed node: its dense id shifted
-// by one, because 0 means "no identity" in the span schema.
-func packedNodeID(n int32) uint64 { return uint64(n) + 1 }
+// by one, because 0 means "no identity" in the span schema, under the tag of
+// the tree being searched — node ids are dense per tree, and a forest search
+// records every tree it visits into one trace.
+func (sc *scratch) packedNodeID(n int32) uint64 { return sc.treeTag | (uint64(n) + 1) }
 
 // offerLeafPacked streams one DistBlock pass over leaf n's packed item
 // centers and offers every item off it.
@@ -138,7 +140,7 @@ func (sc *scratch) searchDFPacked(t *packed.Tree, n int32, nd float64, sq geom.S
 	l.stats.NodesVisited++
 	sp := int32(-1)
 	if tb := sc.tb; tb != nil {
-		sp = tb.StartNode(packedNodeID(n), nd)
+		sp = tb.StartNode(sc.packedNodeID(n), nd)
 	}
 	if t.IsLeaf(n) {
 		scanned := sc.offerLeafPacked(t, n, sq, l)
@@ -179,10 +181,10 @@ func (sc *scratch) searchDFPacked(t *packed.Tree, n int32, nd float64, sq geom.S
 	}
 	sortByDist(sc.pStack[base:base+nc], sc.pDists[base:base+nc])
 	for i := 0; i < nc; i++ {
-		if sc.pDists[base+i] > l.pruneBound() {
+		if sc.pDists[base+i] > l.distK() {
 			if tb := sc.tb; tb != nil {
 				for j := i; j < nc; j++ {
-					tb.NodePrune(packedNodeID(sc.pStack[base+j]), sc.pDists[base+j])
+					tb.NodePrune(sc.packedNodeID(sc.pStack[base+j]), sc.pDists[base+j])
 				}
 			}
 			break
@@ -264,22 +266,23 @@ func (h *pHeap) siftDown(i int) {
 // searchHSPacked is searchHS over a frozen snapshot. Children are scored by
 // one kernel pass per expanded node and pushed under the hoisted distk
 // bound; the pop order is identical to the pointer path because the keys
-// are bit-identical and the heap is the same shape.
-func (sc *scratch) searchHSPacked(t *packed.Tree, sq geom.Sphere, l *bestList) {
+// are bit-identical and the heap is the same shape. rootDist is the root's
+// MinDist to the query, as for searchDFPacked.
+func (sc *scratch) searchHSPacked(t *packed.Tree, rootDist float64, sq geom.Sphere, l *bestList) {
 	h := &sc.pHeap
-	h.push(t.Root(), t.RootMinDist(sq))
+	h.push(t.Root(), rootDist)
 	for h.len() > 0 {
 		n, dist := h.pop()
-		if dist > l.pruneBound() {
+		if dist > l.distK() {
 			if tb := sc.tb; tb != nil {
-				tb.NodePrune(packedNodeID(n), dist)
+				tb.NodePrune(sc.packedNodeID(n), dist)
 			}
 			return
 		}
 		l.stats.NodesVisited++
 		sp := int32(-1)
 		if tb := sc.tb; tb != nil {
-			sp = tb.StartNode(packedNodeID(n), dist)
+			sp = tb.StartNode(sc.packedNodeID(n), dist)
 		}
 		if t.IsLeaf(n) {
 			scanned := sc.offerLeafPacked(t, n, sq, l)
@@ -290,8 +293,7 @@ func (sc *scratch) searchHSPacked(t *packed.Tree, sq geom.Sphere, l *bestList) {
 		}
 		// Invariant: distk cannot change inside this loop — it only shrinks
 		// when an item is offered, and this loop only pushes child nodes.
-		// A hoisted external-bound read is safe: the bound only tightens.
-		dk := l.pruneBound()
+		dk := l.distK()
 		kids := t.Children(n)
 		if quantNodePhase && sc.quantOn(dk) {
 			// Two-phase (ISSUE 6): a narrow bound beyond distk certifies
@@ -317,7 +319,7 @@ func (sc *scratch) searchHSPacked(t *packed.Tree, sq geom.Sphere, l *bestList) {
 			if d := sc.pBuf[i]; d <= dk {
 				h.push(c, d)
 			} else if tb := sc.tb; tb != nil {
-				tb.NodePrune(packedNodeID(c), d)
+				tb.NodePrune(sc.packedNodeID(c), d)
 			}
 		}
 		if sc.tb != nil {

@@ -44,6 +44,11 @@ type scratch struct {
 	pBuf   []float64
 	pHeap  pHeap
 
+	// treeTag qualifies packed node ids in a trace by the tree they belong
+	// to: 0 for a single-index search, (tree index + 1) << 32 while a forest
+	// search is inside that tree.
+	treeTag uint64
+
 	// Quantized coarse-filter state (ISSUE 6): the tier this search
 	// consults (stashed once at packed dispatch from the process-wide
 	// QuantMode), the survivor-index buffer the select kernels fill, and
@@ -124,7 +129,6 @@ func putScratch(sc *scratch) {
 	sc.list.buf = clearCap(sc.list.buf)
 	sc.list.stats = nil
 	sc.list.tb = nil
-	sc.list.ext = nil
 	// A trace begun by a search that never reached its flush (obs gate
 	// turned off mid-search) must not leak into the next search.
 	sc.cancelTrace()

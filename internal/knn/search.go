@@ -93,26 +93,21 @@ func (s *Searcher) Close() {
 
 func (sc *scratch) search(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm) Result {
 	res := Result{K: k}
-	l, start, ok := sc.traverse(idx, sq, k, crit, algo, nil, &res.Stats)
+	l, start, ok := sc.traverse(idx, sq, k, crit, algo, &res.Stats)
 	if !ok {
 		return res
 	}
 	res.Items = l.finish()
 	if obs.On() {
-		sc.flushObs(idx, algo, k, start, &res.Stats)
+		sc.flushObs(substrateOf(idx), algo, k, start, &res.Stats)
 	}
 	return res
 }
 
-// traverse runs the index traversal shared by Search (finish() filter) and
-// SearchCandidates (raw candidate stream): dispatch to the packed,
-// concrete-SS-tree or generic path, with the best-known list filled in and
-// the per-search instrumentation armed. ext is the optional scatter-gather
-// pushdown bound (nil for single-index searches — the nil check is the
-// only cost the hot path pays for it). ok=false means the index was empty:
-// the list holds nothing and any sampled trace was cancelled; callers skip
-// both the answer pass and the obs flush, exactly as before the split.
-func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm, ext *Bound, stats *Stats) (l *bestList, start time.Time, ok bool) {
+// begin arms the scratch for one search: the best-known list reset for
+// (sq, k, crit) and, when instrumentation is on, the clock read and the
+// trace-sampling decision flushObs later settles.
+func (sc *scratch) begin(sq geom.Sphere, k int, crit dominance.Criterion, stats *Stats) (l *bestList, start time.Time) {
 	if k <= 0 {
 		panic(fmt.Sprintf("knn: k = %d", k))
 	}
@@ -129,13 +124,50 @@ func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Cri
 		}
 	}
 	sc.resetTraversal()
+	sc.treeTag = 0
 	l = &sc.list
 	l.reset(sq, k, crit, stats)
-	l.ext = ext
 	if sc.tb != nil {
 		l.tb = sc.tb
 		l.critLabel = obs.FlightLabel(crit.Name())
 	}
+	return l, start
+}
+
+// searchPacked runs one traversal of a non-empty frozen snapshot into l.
+// rootDist is the root's MinDist to the query.
+func (sc *scratch) searchPacked(t *packed.Tree, rootDist float64, sq geom.Sphere, algo Algorithm, l *bestList) {
+	switch algo {
+	case DF:
+		sc.searchDFPacked(t, t.Root(), rootDist, sq, l)
+	case HS:
+		sc.searchHSPacked(t, rootDist, sq, l)
+	default:
+		panic(fmt.Sprintf("knn: unknown algorithm %d", int(algo)))
+	}
+}
+
+// stashQuant fixes the quantized tier the packed traversals of this search
+// consult: the process-wide mode, read once so a concurrent SetQuantMode
+// cannot split one traversal across tiers. A degenerate query radius
+// (negative or NaN) takes the exact path outright — the coarse kernels'
+// threshold arithmetic assumes all-non-negative terms (see vec/quant.go),
+// and such a query is never hot.
+func (sc *scratch) stashQuant(sq geom.Sphere) {
+	sc.quant = QuantModeNow().tier()
+	if !(sq.Radius >= 0) {
+		sc.quant = packed.TierNone
+	}
+}
+
+// traverse runs the index traversal shared by Search (finish() filter) and
+// SearchCandidates (raw candidate stream): dispatch to the packed,
+// concrete-SS-tree or generic path, with the best-known list filled in and
+// the per-search instrumentation armed. ok=false means the index was empty:
+// the list holds nothing and any sampled trace was cancelled; callers skip
+// both the answer pass and the obs flush.
+func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm, stats *Stats) (l *bestList, start time.Time, ok bool) {
+	l, start = sc.begin(sq, k, crit, stats)
 	// A frozen substrate routes to the packed traversal: same verdicts,
 	// result sets and stats (the kernels and traversal order are
 	// bit-identical to the pointer path), off contiguous SoA blocks.
@@ -144,24 +176,8 @@ func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Cri
 			sc.cancelTrace()
 			return nil, start, false
 		}
-		// Stash the process-wide quantization mode for this search: the
-		// two-phase loops consult sc.quant so a concurrent SetQuantMode
-		// cannot split one traversal across tiers. A degenerate query
-		// radius (negative or NaN) takes the exact path outright — the
-		// coarse kernels' threshold arithmetic assumes all-non-negative
-		// terms (see vec/quant.go), and such a query is never hot.
-		sc.quant = QuantModeNow().tier()
-		if !(sq.Radius >= 0) {
-			sc.quant = packed.TierNone
-		}
-		switch algo {
-		case DF:
-			sc.searchDFPacked(pt, pt.Root(), pt.RootMinDist(sq), sq, l)
-		case HS:
-			sc.searchHSPacked(pt, sq, l)
-		default:
-			panic(fmt.Sprintf("knn: unknown algorithm %d", int(algo)))
-		}
+		sc.stashQuant(sq)
+		sc.searchPacked(pt, pt.RootMinDist(sq), sq, algo, l)
 		if obs.On() {
 			obsSearchPacked.Inc()
 		}
@@ -229,7 +245,7 @@ func (sc *scratch) searchDF(n IndexNode, sq geom.Sphere, l *bestList) {
 	}
 	sortByDist(sc.stack[base:base+nc], sc.dists[base:base+nc])
 	for i := 0; i < nc; i++ {
-		if sc.dists[base+i] > l.pruneBound() {
+		if sc.dists[base+i] > l.distK() {
 			// Every deeper item has MinDist ≥ this bound: Case 3 territory.
 			if tb := sc.tb; tb != nil {
 				for j := i; j < nc; j++ {
@@ -346,7 +362,7 @@ func (sc *scratch) searchHS(root IndexNode, sq geom.Sphere, l *bestList) {
 	h.push(root, root.MinDistTo(sq))
 	for h.len() > 0 {
 		n, dist := h.pop()
-		if dist > l.pruneBound() {
+		if dist > l.distK() {
 			if tb := sc.tb; tb != nil {
 				tb.NodePrune(nodeID(n), dist)
 			}
@@ -372,10 +388,8 @@ func (sc *scratch) searchHS(root IndexNode, sq geom.Sphere, l *bestList) {
 		// Invariant: distk cannot change inside this loop — it only shrinks
 		// when an item is offered to the list, and expanding an internal
 		// node only pushes child nodes. Hoisting the bound out of the loop
-		// saves a distK() call per child. The external bound may tighten
-		// concurrently, but it is monotone non-increasing, so a hoisted
-		// read is merely conservative.
-		dk := l.pruneBound()
+		// saves a distK() call per child.
+		dk := l.distK()
 		for _, c := range sc.stack[base:] {
 			if d := c.MinDistTo(sq); d <= dk {
 				h.push(c, d)
@@ -448,7 +462,7 @@ func (sc *scratch) searchDFSS(n sstree.Node, sq geom.Sphere, l *bestList) {
 	}
 	sortByDist(sc.ssStack[base:base+nc], sc.ssDists[base:base+nc])
 	for i := 0; i < nc; i++ {
-		if sc.ssDists[base+i] > l.pruneBound() {
+		if sc.ssDists[base+i] > l.distK() {
 			if tb := sc.tb; tb != nil {
 				for j := i; j < nc; j++ {
 					tb.NodePrune(sc.ssStack[base+j].DebugID(), sc.ssDists[base+j])
@@ -534,7 +548,7 @@ func (sc *scratch) searchHSSS(root sstree.Node, sq geom.Sphere, l *bestList) {
 	h.push(root, geom.MinDist(root.Sphere(), sq))
 	for h.len() > 0 {
 		n, dist := h.pop()
-		if dist > l.pruneBound() {
+		if dist > l.distK() {
 			if tb := sc.tb; tb != nil {
 				tb.NodePrune(n.DebugID(), dist)
 			}
@@ -557,8 +571,7 @@ func (sc *scratch) searchHSSS(root sstree.Node, sq geom.Sphere, l *bestList) {
 		}
 		// Invariant: distk cannot change inside this loop — it only shrinks
 		// when an item is offered, and this loop only pushes child nodes.
-		// A hoisted external-bound read is safe: the bound only tightens.
-		dk := l.pruneBound()
+		dk := l.distK()
 		m := n.NumChildren()
 		for i := 0; i < m; i++ {
 			c := n.Child(i)

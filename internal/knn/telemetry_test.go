@@ -1,7 +1,6 @@
 package knn
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -10,39 +9,25 @@ import (
 	"hyperdom/internal/sstree"
 )
 
-// TestCandidateSetTelemetry pins the per-shard request-telemetry scalars
-// (ISSUE 8) a candidate search returns alongside its stream: both sides of
-// the distK pushdown, coarse-prune counts under a quantized tier, and the
-// trace linkage ID when the traversal was sampled.
+// TestCandidateSetTelemetry pins the telemetry scalars a candidate search
+// returns beside its candidates when there is nothing to report: no coarse
+// prunes off an unfrozen index, no trace ID without sampling — and the local
+// Sk where the sorted prefix says it is.
 func TestCandidateSetTelemetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	items := randItems(rng, 3, 600, 3)
-	idx := index(items, 3)
 	sq := randQuery(rng, 3, 2)
 	const k = 6
 	crit := dominance.Hyperbola{}
-
-	// No external bound: nothing to observe (Inf → JSON null downstream),
-	// but the local distK is still published for the explain tree.
-	cs := SearchCandidates(idx, sq, k, crit, HS, nil)
-	if !math.IsInf(cs.BoundObserved, 1) {
-		t.Fatalf("nil ext: observed bound %v, want +Inf", cs.BoundObserved)
-	}
-	if math.IsInf(cs.BoundPublished, 0) || cs.BoundPublished <= 0 {
-		t.Fatalf("nil ext: published bound %v, want finite positive", cs.BoundPublished)
-	}
+	cs := SearchCandidates(index(items, 3), sq, k, crit, HS, nil)
 	if cs.CoarsePrunes != 0 {
 		t.Fatalf("unfrozen index reported %d coarse prunes", cs.CoarsePrunes)
 	}
-
-	// A seeded external bound must surface as observed ≤ seed (the CAS-min
-	// can only tighten further).
-	seed := cs.Candidates[k-1].MaxDist
-	ext := NewBound()
-	ext.Tighten(seed)
-	cs2 := SearchCandidates(idx, sq, k, crit, HS, ext)
-	if cs2.BoundObserved > seed {
-		t.Fatalf("seeded ext: observed %v > seed %v", cs2.BoundObserved, seed)
+	if cs.TraceID != 0 {
+		t.Fatalf("unsampled search returned trace ID %d", cs.TraceID)
+	}
+	if want := BruteForce(items, sq, k, crit); cs.Candidates[k-1].Item.ID != want.Items[k-1].ID {
+		t.Fatalf("Candidates[k-1] is item %d, Sk is %d", cs.Candidates[k-1].Item.ID, want.Items[k-1].ID)
 	}
 }
 

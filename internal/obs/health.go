@@ -7,13 +7,12 @@ import (
 )
 
 // The /debug/health verdict (ISSUE 9): a structured ok/degraded/unhealthy
-// reading computed from the windowed telemetry — windowed p99 latency,
-// windowed error rate, and queue saturation — against operator-set
-// thresholds. Each enabled check compares its current value to its
-// threshold: under it the check is ok, over it degraded, over twice it
-// unhealthy; the verdict is the worst check, with one reason string per
-// non-ok check. A check with no data (no traffic in the window, no gauge
-// registered) is ok — an idle server is a healthy server.
+// reading computed from the windowed telemetry — windowed p99 latency and
+// windowed error rate — against operator-set thresholds. Each enabled check
+// compares its current value to its threshold: under it the check is ok,
+// over it degraded, over twice it unhealthy; the verdict is the worst check,
+// with one reason string per non-ok check. A check with no data (no traffic
+// in the window) is ok — an idle server is a healthy server.
 
 // HealthConfig sets the thresholds the verdict is computed from. The zero
 // value disables every check, so Health() reports ok until a server opts
@@ -32,10 +31,6 @@ type HealthConfig struct {
 	// over, matching instances by a code="5xx" label. Empty selects
 	// "server.requests_total".
 	ErrorFamily string
-	// QueueSaturationMax is the degraded threshold for engine queue
-	// saturation (queue depth ÷ queue capacity, summed over live engine
-	// pools); ≤ 0 disables.
-	QueueSaturationMax float64
 }
 
 var healthCfg struct {
@@ -166,20 +161,6 @@ func Health() HealthVerdict {
 			c.Detail = "5xx fraction of " + cfg.ErrorFamily + " over window"
 		} else {
 			c.Detail = cfg.ErrorFamily + ": no requests in window"
-		}
-		addCheck(c, c.Detail)
-	}
-
-	if cfg.QueueSaturationMax > 0 {
-		depth, okD := GaugeValue("engine.queue_depth", "")
-		capacity, okC := GaugeValue("engine.queue_capacity", "")
-		c := HealthCheck{Name: "engine_queue_saturation", Status: HealthOK, Threshold: cfg.QueueSaturationMax}
-		if okD && okC && capacity > 0 {
-			c.Value = depth / capacity
-			c.Status = grade(c.Value, c.Threshold)
-			c.Detail = "engine queue depth over capacity"
-		} else {
-			c.Detail = "no engine pools registered"
 		}
 		addCheck(c, c.Detail)
 	}

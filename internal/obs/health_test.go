@@ -118,54 +118,25 @@ func TestHealthErrorRateCheck(t *testing.T) {
 	}
 }
 
-// TestHealthQueueSaturationCheck drives the saturation check off stored
-// gauges (the engine publishes callback gauges with the same keys).
-func TestHealthQueueSaturationCheck(t *testing.T) {
-	ResetForTest()
-	resetHealth(t)
-	SetHealthConfig(HealthConfig{QueueSaturationMax: 0.8})
-	t.Cleanup(func() {
-		SetGauge("engine.queue_depth", "", 0)
-		SetGauge("engine.queue_capacity", "", 0)
-	})
-
-	SetGauge("engine.queue_capacity", "", 100)
-	SetGauge("engine.queue_depth", "", 50)
-	if v := Health(); v.Status != HealthOK {
-		t.Errorf("50%% saturation verdict = %s, want ok", v.Status)
-	}
-	SetGauge("engine.queue_depth", "", 90)
-	if v := Health(); v.Status != HealthDegraded {
-		t.Errorf("90%% saturation verdict = %s, want degraded", v.Status)
-	}
-	// Over twice the threshold is impossible for a bounded queue with a 0.8
-	// threshold (max saturation 1.0), so unhealthy needs a lower bar.
-	SetHealthConfig(HealthConfig{QueueSaturationMax: 0.4})
-	if v := Health(); v.Status != HealthUnhealthy {
-		t.Errorf("90%% saturation vs 40%% threshold: verdict = %s, want unhealthy", v.Status)
-	}
-}
-
 // TestHealthWorstCheckWins combines a degraded latency check with an
-// unhealthy saturation check and expects the worst to set the verdict.
+// unhealthy error-rate check and expects the worst to set the verdict.
 func TestHealthWorstCheckWins(t *testing.T) {
 	ResetForTest()
 	resetHealth(t)
 	SetHealthConfig(HealthConfig{
-		LatencyFamily:      "test.health.combo",
-		LatencyP99Max:      time.Millisecond,
-		QueueSaturationMax: 0.2,
+		LatencyFamily: "test.health.combo",
+		LatencyP99Max: time.Millisecond,
+		ErrorRateMax:  0.05,
 	})
-	t.Cleanup(func() {
-		SetGauge("engine.queue_depth", "", 0)
-		SetGauge("engine.queue_capacity", "", 0)
-	})
+	t.Cleanup(Rates.Reset)
 	h := GetOrNewHistogram("test.health.combo", "")
 	for i := 0; i < 100; i++ {
 		h.Record((1500 * time.Microsecond).Nanoseconds()) // degraded
 	}
-	SetGauge("engine.queue_capacity", "", 100)
-	SetGauge("engine.queue_depth", "", 90) // 0.9 > 2*0.2 → unhealthy
+	okKey := "server.requests_total" + labelSep + `code="200",endpoint="knn"`
+	errKey := "server.requests_total" + labelSep + `code="500",endpoint="knn"`
+	Rates.Tick(Snap{okKey: 0, errKey: 0}, 0)
+	Rates.Tick(Snap{okKey: 80, errKey: 20}, 10*time.Second) // 0.2 > 2*0.05 → unhealthy
 	v := Health()
 	if v.Status != HealthUnhealthy {
 		t.Errorf("combined verdict = %s, want unhealthy", v.Status)

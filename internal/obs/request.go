@@ -10,13 +10,13 @@ import (
 	"sync"
 )
 
-// Request-scoped tracing (ISSUE 8). A served kNN request fans out to N
-// shards and merges under the global Sk; the per-process TraceBuf spans
-// (ISSUE 4) explain one traversal, but not the request: which shard was
-// slow, how long its task sat in the engine queue, how many candidates it
-// streamed, and whether the cross-shard distK pushdown actually tightened
-// its bound. RequestTrace is that missing layer — a root span per HTTP
-// request, one ShardSpan child per shard, and the final merge/filter span —
+// Request-scoped tracing (ISSUE 8). A served kNN request walks the shards of
+// its collection nearest first and filters under the global Sk; the TraceBuf
+// spans (ISSUE 4) explain the traversal node by node, but not the request:
+// which shards it opened and in what order, which was slow, how many
+// candidates each added, and how far each tightened distK for the next.
+// RequestTrace is that layer — a root span per HTTP request, one ShardSpan
+// child per shard, and the final filter span —
 // recorded by the serving layer and retained for the slowest requests in
 // the Requests ring (served at /debug/requests, Chrome trace_event export
 // included, linked to the per-traversal traces by trace_id).
@@ -35,16 +35,21 @@ func (v BoundValue) MarshalJSON() ([]byte, error) {
 	return strconv.AppendFloat(nil, f, 'g', -1, 64), nil
 }
 
-// ShardSpan is one shard's slice of a scatter-gather request: the latency
-// and queue wait of its candidate search, the work its traversal performed,
-// and the distK pushdown traffic it saw. BoundObserved is the shared global
-// bound as of the shard's completion (what the traversal could prune with);
-// BoundPublished is the shard's own final local distK as pushed into the
-// bound. BoundObserved < BoundPublished means another shard's publication
-// tightened this shard's pruning — the pushdown was effective here.
+// ShardSpan is one shard's slice of a request. The shards of a collection
+// are searched one after another, nearest first, into one best-known list:
+// Order is the shard's position in that walk, and Skipped marks a shard that
+// was never opened — empty, or its root bound already beyond the running
+// distK (Order is -1 then, and the work fields are zero). BoundObserved and
+// BoundPublished are the list's distK on entering and on leaving the shard
+// (+Inf, rendered null, while fewer than k items have been seen);
+// Candidates is how many entries the shard added to the list. QueueWaitNs is
+// always 0 — a shard search no longer waits in a queue — and stays in the
+// payload so that clients written against the earlier shape keep decoding.
 type ShardSpan struct {
 	Shard          int        `json:"shard"`
 	Items          int        `json:"items"` // items resident in the shard
+	Order          int        `json:"order"`
+	Skipped        bool       `json:"skipped"`
 	LatencyNs      int64      `json:"latency_ns"`
 	QueueWaitNs    int64      `json:"queue_wait_ns"`
 	Candidates     int        `json:"candidates"`
@@ -53,13 +58,16 @@ type ShardSpan struct {
 	CoarsePrunes   uint64     `json:"coarse_prunes"`
 	BoundObserved  BoundValue `json:"distk_observed"`
 	BoundPublished BoundValue `json:"distk_published"`
-	// TraceID links to this traversal's retained execution trace in
-	// /debug/trace when it was sampled (SetTraceEvery), 0 otherwise.
+	// TraceID links to the request's retained execution trace in
+	// /debug/trace when it was sampled (SetTraceEvery), 0 otherwise; every
+	// visited shard of one request carries the same ID, and the trace's node
+	// ids carry the shard in their upper half.
 	TraceID uint64 `json:"trace_id,omitempty"`
 }
 
-// MergeSpan is the gather side of a request: merging the per-shard
-// candidate streams and applying the one final global-Sk filter.
+// MergeSpan is the end of a request's search: the one final filter of
+// everything the shards left in the list against the global Sk, and the
+// sort of what survives.
 type MergeSpan struct {
 	LatencyNs  int64 `json:"latency_ns"`
 	Candidates int   `json:"candidates"`
@@ -79,10 +87,13 @@ type RequestTrace struct {
 	// When is WhenUnixNs as RFC3339Nano wall-clock text, so a
 	// /debug/requests entry lines up with access-log lines and timeline
 	// snapshots without epoch arithmetic (ISSUE 9).
-	When      string      `json:"when"`
-	LatencyNs int64       `json:"latency_ns"`
-	Shards    []ShardSpan `json:"shards"`
-	Merge     MergeSpan   `json:"merge"`
+	When      string `json:"when"`
+	LatencyNs int64  `json:"latency_ns"`
+	// ShardsVisited is how many of Shards the request actually opened; the
+	// rest were skipped off their root bound.
+	ShardsVisited int         `json:"shards_visited"`
+	Shards        []ShardSpan `json:"shards"`
+	Merge         MergeSpan   `json:"merge"`
 }
 
 // RequestSlots is the request ring capacity.
@@ -155,11 +166,11 @@ func (rr *RequestRecorder) Reset() {
 
 // WriteRequestChromeTrace writes the request traces as one Chrome
 // trace_event JSON document: each request becomes its own process, with the
-// root request span and the merge span on thread 0 and one thread per shard
-// span. Shard and merge timestamps are offsets within the scatter-gather
-// (all shards scatter at once), not wall-aligned sub-microsecond truth; the
-// root span carries the request's true wall latency. An empty set produces
-// a valid document with "traceEvents": [].
+// root request span and the merge span on thread 0 and one thread per
+// visited shard. Shard spans are laid end to end in visit order and the
+// merge span after the last — offsets within the search, not wall-aligned
+// sub-microsecond truth; the root span carries the request's true wall
+// latency. An empty set produces a valid document with "traceEvents": [].
 func WriteRequestChromeTrace(w io.Writer, traces []*RequestTrace) error {
 	var minWhen int64
 	for i, t := range traces {
@@ -185,12 +196,23 @@ func WriteRequestChromeTrace(w io.Writer, traces []*RequestTrace) error {
 				"status":     t.Status,
 				"k":          t.K,
 				"shards":     len(t.Shards),
+				"visited":    t.ShardsVisited,
 			},
 		})
-		var maxShard int64
+		// startNs[o] is when the o-th visited shard began: the sum of the
+		// latencies of the shards visited before it.
+		startNs := make([]int64, len(t.Shards)+1)
 		for _, sp := range t.Shards {
-			if sp.LatencyNs > maxShard {
-				maxShard = sp.LatencyNs
+			if !sp.Skipped {
+				startNs[sp.Order+1] = sp.LatencyNs
+			}
+		}
+		for o := 1; o < len(startNs); o++ {
+			startNs[o] += startNs[o-1]
+		}
+		for _, sp := range t.Shards {
+			if sp.Skipped {
+				continue
 			}
 			events = append(events, map[string]any{
 				"name": "thread_name", "ph": "M", "pid": pid, "tid": sp.Shard + 1,
@@ -198,7 +220,7 @@ func WriteRequestChromeTrace(w io.Writer, traces []*RequestTrace) error {
 			})
 			args := map[string]any{
 				"request_id":      t.RequestID,
-				"queue_wait_ns":   sp.QueueWaitNs,
+				"order":           sp.Order,
 				"candidates":      sp.Candidates,
 				"nodes_visited":   sp.NodesVisited,
 				"items_scanned":   sp.ItemsScanned,
@@ -212,13 +234,13 @@ func WriteRequestChromeTrace(w io.Writer, traces []*RequestTrace) error {
 			events = append(events, map[string]any{
 				"name": "shard-search", "cat": "request", "ph": "X",
 				"pid": pid, "tid": sp.Shard + 1,
-				"ts": base, "dur": float64(sp.LatencyNs) / 1e3,
+				"ts": base + float64(startNs[sp.Order])/1e3, "dur": float64(sp.LatencyNs) / 1e3,
 				"args": args,
 			})
 		}
 		events = append(events, map[string]any{
 			"name": "merge", "cat": "request", "ph": "X", "pid": pid, "tid": 0,
-			"ts": base + float64(maxShard)/1e3, "dur": float64(t.Merge.LatencyNs) / 1e3,
+			"ts": base + float64(startNs[len(t.Shards)])/1e3, "dur": float64(t.Merge.LatencyNs) / 1e3,
 			"args": map[string]any{
 				"request_id": t.RequestID,
 				"candidates": t.Merge.Candidates,

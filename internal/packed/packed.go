@@ -139,6 +139,29 @@ func (t *Tree) RootMinDist(q geom.Sphere) float64 {
 	return geom.MinDist(geom.Sphere{Center: t.rootCenter, Radius: t.rootRadius}, q)
 }
 
+// RootOrder keys a nearest-first walk over several trees. It is RootMinDist
+// while the root's bound is clear of the query sphere; when the bound
+// touches it — MinDist 0, which is where the trees of one partitioned
+// dataset tie — it is a negative number that grows with the distance from
+// the query's center to the center of the bound. Sorted ascending, trees
+// therefore come in root-MinDist order, the ones already touching the query
+// first and nearest-centred first among themselves.
+func (t *Tree) RootOrder(q geom.Sphere) float64 {
+	if md := t.RootMinDist(q); md > 0 {
+		return md
+	}
+	var d2 float64
+	if t.kind == KindRect {
+		for i, c := range q.Center {
+			m := (t.rootLo[i]+t.rootHi[i])/2 - c
+			d2 += m * m
+		}
+	} else {
+		d2 = vec.Dist2(t.rootCenter, q.Center)
+	}
+	return -1 / (1 + d2)
+}
+
 // ChildMinDists streams one pass over internal node n's packed child
 // bounds and writes the per-child minimum distance to the query sphere
 // into dst, which must have length len(Children(n)). Values are

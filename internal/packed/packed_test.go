@@ -107,6 +107,29 @@ func TestRectBuilder(t *testing.T) {
 	}
 }
 
+// TestRootOrder pins the forest walk's sort key for both bound kinds: the
+// root's MinDist while the bound is clear of the query, and below zero —
+// growing with the distance to the bound's center — once it touches.
+func TestRootOrder(t *testing.T) {
+	sphere := buildTwoLevel(t) // root bound: center (2,2), radius 4
+	b := NewBuilder(KindRect, 2)
+	l0 := b.Leaf([]geom.Item{sph(7, []float64{1, 1}, 0.5)})
+	rect := b.FinishRect(b.InternalRect([]int32{l0}, [][]float64{{0.5, 0.5}}, [][]float64{{1.5, 1.5}}),
+		[]float64{0, 0}, []float64{4, 4}) // root bound: center (2,2)
+	for _, pt := range []*Tree{sphere, rect} {
+		far := geom.Sphere{Center: []float64{20, 2}, Radius: 1}
+		if got, want := pt.RootOrder(far), pt.RootMinDist(far); got != want || got <= 0 {
+			t.Errorf("%v: clear of the bound, RootOrder = %v, RootMinDist = %v", pt.Kind(), got, want)
+		}
+		centred := pt.RootOrder(geom.Sphere{Center: []float64{2, 2}, Radius: 0.5})
+		off := pt.RootOrder(geom.Sphere{Center: []float64{3, 3}, Radius: 0.5})
+		edge := pt.RootOrder(geom.Sphere{Center: []float64{4.25, 2}, Radius: 0.5})
+		if !(centred < off && off < edge && edge < 0) {
+			t.Errorf("%v: touching keys %v, %v, %v: want ascending with center distance, all below zero", pt.Kind(), centred, off, edge)
+		}
+	}
+}
+
 func TestFinishEmpty(t *testing.T) {
 	pt := NewBuilder(KindSphere, 3).FinishEmpty()
 	if !pt.Empty() || pt.NumNodes() != 0 || pt.Len() != 0 {

@@ -1,5 +1,5 @@
-// Package server is the HTTP+JSON front of the sharded scatter-gather
-// layer (DESIGN.md §13): multi-collection routing over shard.Index values,
+// Package server is the HTTP+JSON front of the sharded index (DESIGN.md
+// §13): multi-collection routing over shard.Index values,
 // the paper's kNN and dominance queries as POST endpoints, and the obs
 // stack (Prometheus /metrics, /debug handlers) mounted beside them.
 //
@@ -69,10 +69,16 @@ const maxRequestIDLen = 128
 
 // Server routes requests to named collections. Construct with New, attach
 // collections with AddCollection, serve Handler(). Safe for concurrent
-// use; Close stops every collection's shard pools.
+// use; Close closes every collection.
 type Server struct {
 	mu          sync.RWMutex
 	collections map[string]*collection
+
+	// Where requests that reach no collection are metered: the inventory
+	// endpoint (collection="", as it always was) and requests naming a
+	// collection that is not mounted. The latter share one label — a label
+	// per name a client can invent would register histograms without bound.
+	noCollection, unknown meters
 
 	log      *slog.Logger
 	ready    atomic.Bool
@@ -83,8 +89,64 @@ type Server struct {
 // collection is one mounted index and the rendered-item cache that lives
 // and dies with it (nil when the collection is over fragBudgetBytes).
 type collection struct {
-	x     *shard.Index
-	frags *fragCache
+	x      *shard.Index
+	frags  *fragCache
+	meters meters
+}
+
+// endpoint indexes the /v1 routes in the meters table.
+type endpoint uint8
+
+const (
+	epKNN endpoint = iota
+	epDominates
+	epList
+	numEndpoints
+)
+
+var endpointNames = [numEndpoints]string{"knn", "dominates", "list"}
+
+// meterCodes are the statuses the /v1 handlers answer with.
+var meterCodes = [...]int{http.StatusOK, http.StatusBadRequest, http.StatusNotFound,
+	http.StatusRequestEntityTooLarge, http.StatusInternalServerError}
+
+// meter is where one (collection, endpoint, status) combination is counted
+// and timed: hyperdom_server_requests_total{code,endpoint} and the
+// hyperdom_server_request_latency_seconds instance.
+type meter struct {
+	count *obs.Counter
+	lat   *obs.Histogram
+}
+
+func newMeter(collection string, ep endpoint, status int) *meter {
+	code, name := strconv.Itoa(status), endpointNames[ep]
+	return &meter{
+		count: obs.GetOrNewLabeled("server.requests_total", `code="`+code+`",endpoint="`+name+`"`),
+		lat: obs.GetOrNewHistogram("server.request_latency",
+			`collection="`+collection+`",endpoint="`+name+`",code="`+code+`"`),
+	}
+}
+
+// meters holds one collection label's meters, each resolved from the obs
+// registry the first time its combination occurs and read lock-free after.
+type meters struct {
+	label string
+	m     [numEndpoints][len(meterCodes)]atomic.Pointer[meter]
+}
+
+func (ms *meters) get(ep endpoint, status int) *meter {
+	for i, code := range meterCodes {
+		if code != status {
+			continue
+		}
+		mt := ms.m[ep][i].Load()
+		if mt == nil {
+			mt = newMeter(ms.label, ep, status)
+			ms.m[ep][i].Store(mt) // a racing resolve stores the same handles
+		}
+		return mt
+	}
+	return newMeter(ms.label, ep, status)
 }
 
 // Option configures a Server.
@@ -104,6 +166,7 @@ func WithLogger(l *slog.Logger) Option {
 func New(opts ...Option) *Server {
 	s := &Server{
 		collections: make(map[string]*collection),
+		unknown:     meters{label: "_unknown"},
 		log:         slog.New(slog.NewJSONHandler(discard{}, nil)),
 		idPrefix:    fmt.Sprintf("%08x-", uint32(time.Now().UnixNano())),
 	}
@@ -136,7 +199,7 @@ func (s *Server) AddCollection(name string, x *shard.Index) error {
 	if _, dup := s.collections[name]; dup {
 		return fmt.Errorf("server: duplicate collection %q", name)
 	}
-	s.collections[name] = &collection{x: x, frags: newFragCache(x.Len(), x.Dim())}
+	s.collections[name] = &collection{x: x, frags: newFragCache(x.Len(), x.Dim()), meters: meters{label: name}}
 	return nil
 }
 
@@ -152,7 +215,7 @@ func (s *Server) Collections() []string {
 	return names
 }
 
-// Close stops every collection's shard pools.
+// Close closes every collection, waiting for the searches still running.
 func (s *Server) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -166,9 +229,9 @@ func (s *Server) Close() {
 // Handler returns the full route table, obs exposition included.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/collections/{name}/knn", s.wrap("knn", s.handleKNN))
-	mux.HandleFunc("POST /v1/collections/{name}/dominates", s.wrap("dominates", s.handleDominates))
-	mux.HandleFunc("GET /v1/collections", s.wrap("list", s.handleList))
+	mux.HandleFunc("POST /v1/collections/{name}/knn", s.wrap(epKNN, s.handleKNN))
+	mux.HandleFunc("POST /v1/collections/{name}/dominates", s.wrap(epDominates, s.handleDominates))
+	mux.HandleFunc("GET /v1/collections", s.wrap(epList, s.handleList))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -199,18 +262,20 @@ func (s *Server) Handler() http.Handler {
 
 // reqCtx is the per-request trace context the middleware threads through a
 // handler: the response writer (capturing the status code on first write),
-// the request identity, and the slots a kNN handler fills so the
-// middleware — which alone knows the request's full wall latency — can
-// finish the RequestTrace.
+// the request identity, the collection the path names (col is nil when it
+// is not mounted), and the slots a kNN handler fills so the middleware —
+// which alone knows the request's full wall latency — can finish the
+// RequestTrace.
 type reqCtx struct {
 	http.ResponseWriter
 	id         string
 	collection string
+	col        *collection
 	status     int
 
-	// Filled by handleKNN for successful searches: the scatter-gather
-	// trace tree and the query's k, wrapped into an obs.RequestTrace by
-	// the middleware after the response is written.
+	// Filled by handleKNN for successful searches: the search's trace tree
+	// and the query's k, wrapped into an obs.RequestTrace by the middleware
+	// after the response is written.
 	explain *shard.Explain
 	k       int
 }
@@ -256,11 +321,20 @@ func (s *Server) requestID(r *http.Request) string {
 }
 
 // wrap is the /v1 middleware described in the package comment.
-func (s *Server) wrap(endpoint string, h func(*reqCtx, *http.Request)) http.HandlerFunc {
+func (s *Server) wrap(ep endpoint, h func(*reqCtx, *http.Request)) http.HandlerFunc {
+	name := endpointNames[ep]
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := s.requestID(r)
 		w.Header().Set("X-Request-ID", id)
 		c := &reqCtx{ResponseWriter: w, id: id, collection: r.PathValue("name")}
+		ms := &s.noCollection
+		if ep != epList {
+			if c.col = s.lookup(c.collection); c.col != nil {
+				ms = &c.col.meters
+			} else {
+				ms = &s.unknown
+			}
+		}
 		inflight.Add(1)
 		start := time.Now()
 		h(c, r)
@@ -271,27 +345,27 @@ func (s *Server) wrap(endpoint string, h func(*reqCtx, *http.Request)) http.Hand
 		lat := time.Since(start)
 
 		if obs.On() {
-			code := strconv.Itoa(c.status)
 			obsRequests.Inc()
-			obs.GetOrNewLabeled("server.requests_total",
-				`code="`+code+`",endpoint="`+endpoint+`"`).Inc()
-			obs.GetOrNewHistogram("server.request_latency",
-				`collection="`+c.collection+`",endpoint="`+endpoint+`",code="`+code+`"`).
-				Record(lat.Nanoseconds())
+			mt := ms.get(ep, c.status)
+			mt.count.Inc()
+			mt.lat.Record(lat.Nanoseconds())
 		}
 
+		var shards, visited int
 		if c.explain != nil {
+			shards, visited = len(c.explain.Shards), c.explain.Visited()
 			t := &obs.RequestTrace{
-				RequestID:  id,
-				Collection: c.collection,
-				Endpoint:   endpoint,
-				Status:     c.status,
-				K:          c.k,
-				WhenUnixNs: start.UnixNano(),
-				When:       start.Format(time.RFC3339Nano),
-				LatencyNs:  lat.Nanoseconds(),
-				Shards:     c.explain.Shards,
-				Merge:      c.explain.Merge,
+				RequestID:     id,
+				Collection:    c.collection,
+				Endpoint:      name,
+				Status:        c.status,
+				K:             c.k,
+				WhenUnixNs:    start.UnixNano(),
+				When:          start.Format(time.RFC3339Nano),
+				LatencyNs:     lat.Nanoseconds(),
+				ShardsVisited: visited,
+				Shards:        c.explain.Shards,
+				Merge:         c.explain.Merge,
 			}
 			obs.Requests.Record(t)
 		}
@@ -306,26 +380,20 @@ func (s *Server) wrap(endpoint string, h func(*reqCtx, *http.Request)) http.Hand
 		s.log.LogAttrs(r.Context(), level, "request",
 			slog.String("request_id", id),
 			slog.String("collection", c.collection),
-			slog.String("endpoint", endpoint),
+			slog.String("endpoint", name),
 			slog.Int("status", c.status),
-			slog.Int("shards", len(c.explainShards())),
+			slog.Int("shards", shards),
+			slog.Int("shards_visited", visited),
 			slog.Int64("latency_ns", lat.Nanoseconds()),
 		)
 	}
 }
 
-func (c *reqCtx) explainShards() []obs.ShardSpan {
-	if c.explain == nil {
-		return nil
-	}
-	return c.explain.Shards
-}
-
-func (s *Server) lookup(name string) (*collection, bool) {
+// lookup returns the mounted collection of that name, or nil.
+func (s *Server) lookup(name string) *collection {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	col, ok := s.collections[name]
-	return col, ok
+	return s.collections[name]
 }
 
 type sphereJSON struct {
@@ -377,8 +445,8 @@ func decodeBody(c *reqCtx, r *http.Request, v any) bool {
 }
 
 func (s *Server) handleKNN(c *reqCtx, r *http.Request) {
-	col, ok := s.lookup(c.collection)
-	if !ok {
+	col := c.col
+	if col == nil {
 		writeError(c, http.StatusNotFound, "unknown collection %q", c.collection)
 		return
 	}
@@ -402,8 +470,8 @@ func (s *Server) handleKNN(c *reqCtx, r *http.Request) {
 		return
 	}
 	// Always search in explain mode: the trace tree feeds /debug/requests
-	// whether or not the client asked to see it, and its cost is a couple
-	// of slice allocations per request — zero per shard. Results are
+	// whether or not the client asked to see it, and its cost is two
+	// allocations per request — zero per shard. Results are
 	// bit-identical to the plain path (test-locked). k is clamped to the
 	// collection size — any k ≥ n already answers with the whole collection
 	// — so no layer below sizes anything by a client-chosen number.
@@ -444,12 +512,11 @@ type dominatesResponse struct {
 // collection only anchors the dimensionality check; the verdict is pure
 // geometry.
 func (s *Server) handleDominates(c *reqCtx, r *http.Request) {
-	col, ok := s.lookup(c.collection)
-	if !ok {
+	if c.col == nil {
 		writeError(c, http.StatusNotFound, "unknown collection %q", c.collection)
 		return
 	}
-	x := col.x
+	x := c.col.x
 	var req dominatesRequest
 	if !decodeBody(c, r, &req) {
 		return

@@ -34,7 +34,7 @@ func testCorpus(t *testing.T, d, n int) []geom.Item {
 
 func testServer(t *testing.T, items []geom.Item, d int) (*Server, *httptest.Server) {
 	t.Helper()
-	x, err := shard.Build(items, d, shard.Options{Shards: 2, WorkersPerShard: 1, Algorithm: knn.HS, Label: "default"})
+	x, err := shard.Build(items, d, shard.Options{Shards: 2, Algorithm: knn.HS, Label: "default"})
 	if err != nil {
 		t.Fatal(err)
 	}

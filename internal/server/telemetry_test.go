@@ -39,7 +39,7 @@ func (s *syncBuffer) String() string {
 func loggedServer(t *testing.T, d, n int) (*Server, *httptest.Server, *syncBuffer) {
 	t.Helper()
 	items := testCorpus(t, d, n)
-	x, err := shard.Build(items, d, shard.Options{Shards: 2, WorkersPerShard: 1, Label: "default"})
+	x, err := shard.Build(items, d, shard.Options{Shards: 2, Label: "default"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,9 @@ func TestExplainAnswerUnchanged(t *testing.T) {
 	if !has {
 		t.Fatal("explain-on response missing explain field")
 	}
-	// The answer (k, ids, items) must be byte-identical with explain on.
-	// Stats are deliberately excluded: distK pushdown racing makes the
-	// per-run traversal work nondeterministic (DESIGN.md §13), so only the
-	// result set carries the bit-identity contract.
-	for _, field := range []string{"k", "ids", "items"} {
+	// The answer must be byte-identical with explain on — stats included:
+	// the same walk runs either way.
+	for _, field := range []string{"k", "ids", "items", "stats"} {
 		if !bytes.Equal(plain[field], explained[field]) {
 			t.Fatalf("answer field %q differs under explain:\n off: %s\n on:  %s",
 				field, plain[field], explained[field])
@@ -120,10 +118,15 @@ func TestExplainAnswerUnchanged(t *testing.T) {
 	}
 	sum := 0
 	for i, sp := range tree.Shards {
-		if sp.LatencyNs <= 0 || sp.QueueWaitNs <= 0 {
-			t.Fatalf("span %d: latency %d, queue wait %d", i, sp.LatencyNs, sp.QueueWaitNs)
+		if sp.Skipped != (sp.LatencyNs == 0) || sp.QueueWaitNs != 0 {
+			t.Fatalf("span %d: skipped %v, latency %d, queue wait %d", i, sp.Skipped, sp.LatencyNs, sp.QueueWaitNs)
 		}
 		sum += sp.Candidates
+	}
+	for _, key := range []string{`"order":`, `"skipped":`, `"queue_wait_ns":0`} {
+		if !bytes.Contains(ex, []byte(key)) {
+			t.Fatalf("explain payload lacks %s: %s", key, ex)
+		}
 	}
 	if sum < 7 {
 		t.Fatalf("per-shard candidates sum %d < k", sum)
@@ -157,6 +160,9 @@ func TestRequestIDHonoredAndGenerated(t *testing.T) {
 		rec["collection"] != "default" || rec["status"] != float64(200) ||
 		rec["shards"] != float64(2) {
 		t.Fatalf("access log %+v", rec)
+	}
+	if v, ok := rec["shards_visited"].(float64); !ok || v < 1 || v > 2 {
+		t.Fatalf("access log shards_visited %v, want 1 or 2", rec["shards_visited"])
 	}
 	if _, ok := rec["latency_ns"]; !ok {
 		t.Fatalf("access log missing latency_ns: %+v", rec)
@@ -295,6 +301,42 @@ func TestServerErrorPaths(t *testing.T) {
 	}
 }
 
+// TestUnknownCollectionsShareOneLabel pins that names a client invents do
+// not reach the metrics registry: 10,000 requests to 10,000 collections that
+// do not exist register no histogram beyond the one "_unknown" instance.
+func TestUnknownCollectionsShareOneLabel(t *testing.T) {
+	obs.ResetForTest()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	defer obs.ResetForTest()
+	s, _, _ := loggedServer(t, 2, 50)
+	h := s.Handler()
+	hit := func(name string) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/collections/"+name+"/knn", strings.NewReader(`{"center":[1,2],"k":1}`)))
+		if w.Code != http.StatusNotFound {
+			t.Fatalf("collection %q: status %d", name, w.Code)
+		}
+	}
+	hit("nope")
+	before := len(obs.Histograms())
+	for i := 0; i < 10000; i++ {
+		hit("nope-" + strconv.Itoa(i))
+	}
+	if after := len(obs.Histograms()); after != before {
+		t.Fatalf("%d histograms registered by requests to unknown collections", after-before)
+	}
+	found := false
+	for _, hist := range obs.Histograms() {
+		if hist.Name() == "server.request_latency" && strings.Contains(hist.Labels(), `collection="_unknown"`) {
+			found = hist.Snap().Count == 10001
+		}
+	}
+	if !found {
+		t.Fatal(`no server.request_latency{collection="_unknown"} instance holding the 10,001 requests`)
+	}
+}
+
 // TestDebugRequestsServed pins the request flight recorder end to end: a
 // served kNN query appears at /debug/requests with its shard tree, linked
 // by the request ID the response carried.
@@ -324,7 +366,8 @@ func TestDebugRequestsServed(t *testing.T) {
 		if r.RequestID == id {
 			found = true
 			if r.Collection != "default" || r.Endpoint != "knn" || r.Status != 200 ||
-				r.K != 4 || len(r.Shards) != 2 || r.LatencyNs <= 0 {
+				r.K != 4 || len(r.Shards) != 2 || r.LatencyNs <= 0 ||
+				r.ShardsVisited < 1 || r.ShardsVisited > 2 {
 				t.Fatalf("request trace %+v", r)
 			}
 		}

@@ -33,10 +33,9 @@ func TestHealthAndTimelineEndpoints(t *testing.T) {
 	obs.ResetForTest()
 	obs.ResetTimelineForTest()
 	obs.SetHealthConfig(obs.HealthConfig{
-		LatencyFamily:      "server.request_latency",
-		LatencyP99Max:      5 * time.Second, // generous: CI machines are slow, not degraded
-		ErrorRateMax:       0.5,
-		QueueSaturationMax: 0.9,
+		LatencyFamily: "server.request_latency",
+		LatencyP99Max: 5 * time.Second, // generous: CI machines are slow, not degraded
+		ErrorRateMax:  0.5,
 	})
 	t.Cleanup(func() { obs.SetHealthConfig(obs.HealthConfig{}) })
 
@@ -96,8 +95,8 @@ func TestHealthAndTimelineEndpoints(t *testing.T) {
 	if hresp.StatusCode != http.StatusOK || verdict.Status != obs.HealthOK {
 		t.Errorf("health = %d %q (%v), want 200 ok", hresp.StatusCode, verdict.Status, verdict.Reasons)
 	}
-	if len(verdict.Checks) != 3 {
-		t.Errorf("health ran %d checks, want 3 (latency, error rate, queue)", len(verdict.Checks))
+	if len(verdict.Checks) != 2 {
+		t.Errorf("health ran %d checks, want 2 (latency, error rate)", len(verdict.Checks))
 	}
 }
 

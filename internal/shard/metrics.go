@@ -2,20 +2,23 @@ package shard
 
 import "hyperdom/internal/obs"
 
-// Package counters of the scatter-gather layer: exposed as
-// hyperdom_shard_* in the /metrics exposition. The per-collection latency
-// families (shard.search_latency, shard.merge_latency, labeled
-// collection="...") are resolved per Index in Build.
+// Package counters of the sharded index: exposed as hyperdom_shard_* in the
+// /metrics exposition. The per-collection latency families
+// (shard.search_latency, shard.merge_latency, labeled collection="...") are
+// resolved per Index in Build.
 var (
-	// obsIndexes counts Build calls; obsShards the shards they started.
+	// obsIndexes counts Build and OpenDir calls; obsShards the shards they
+	// brought up.
 	obsIndexes = obs.New("shard.indexes_built")
 	obsShards  = obs.New("shard.shards_started")
-	// obsQueries counts scatter-gather searches; obsScatter the per-shard
-	// candidate searches they fanned out to.
+	// obsQueries counts searches; obsVisited the shards they opened and
+	// obsSkipped the shards they did not have to (visited + skipped =
+	// queries × shards).
 	obsQueries = obs.New("shard.queries")
-	obsScatter = obs.New("shard.scatter_searches")
-	// obsMergeCandidates counts candidates reaching the merge layer;
-	// obsMergePruned the ones the final global-Sk filter discarded.
+	obsVisited = obs.New("shard.visited")
+	obsSkipped = obs.New("shard.skipped")
+	// obsMergeCandidates counts candidates reaching the final filter;
+	// obsMergePruned the ones the global Sk was proved to dominate.
 	obsMergeCandidates = obs.New("shard.merge_candidates")
 	obsMergePruned     = obs.New("shard.merge_pruned")
 )

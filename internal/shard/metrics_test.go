@@ -7,57 +7,37 @@ import (
 	"hyperdom/internal/obs"
 )
 
-// TestCandidateImbalanceGauge pins the per-collection scatter gauge
-// (ISSUE 9): registered at Build under the collection label, fed by the
-// gather loop, unregistered at Close — and last-writer-wins when an index
-// is rebuilt under the same label.
-func TestCandidateImbalanceGauge(t *testing.T) {
+// TestVisitedSkippedCounters pins the walk's counters: every search adds
+// its shard count to shard.visited + shard.skipped, split the way its
+// Explain says.
+func TestVisitedSkippedCounters(t *testing.T) {
+	was := obs.On()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(was)
 	rng := rand.New(rand.NewSource(907))
-	const d, n = 3, 600
-	items := randItems(rng, d, n, 2)
-	x, err := Build(items, d, Options{Shards: 3, Label: "imbalance-test"})
+	const shards, queries = 4, 20
+	x, err := Build(twoClusters(rng, 150, 1000), 2, Options{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	label := `collection="imbalance-test"`
-	v, ok := obs.GaugeValue("shard.candidate_imbalance", label)
-	if !ok {
-		t.Fatal("gauge not registered after Build")
+	defer x.Close()
+	before := obs.Snapshot()
+	visited := 0
+	for i := 0; i < queries; i++ {
+		_, ex := x.SearchExplain(randQuery(rng, 2, 1), 5)
+		visited += ex.Visited()
 	}
-	if v != 0 {
-		t.Errorf("imbalance = %v before any query, want 0", v)
+	diff := obs.Snapshot().Diff(before)
+	if got := diff.Get("shard.queries"); got != queries {
+		t.Errorf("shard.queries += %d, want %d", got, queries)
 	}
-
-	for i := 0; i < 20; i++ {
-		x.Search(randQuery(rng, d, 2), 5)
+	if got := diff.Get("shard.visited"); got != uint64(visited) {
+		t.Errorf("shard.visited += %d, Explain says %d", got, visited)
 	}
-	v, ok = obs.GaugeValue("shard.candidate_imbalance", label)
-	if !ok {
-		t.Fatal("gauge lost after queries")
+	if got := diff.Get("shard.skipped"); got != uint64(shards*queries-visited) {
+		t.Errorf("shard.skipped += %d, want %d", got, shards*queries-visited)
 	}
-	// max/mean of per-shard cumulative candidate counts: ≥ 1 whenever any
-	// shard produced candidates (max ≥ mean by construction).
-	if v < 1 {
-		t.Errorf("imbalance = %v after queries, want ≥ 1", v)
-	}
-
-	// Rebuilding under the same label replaces the registration; closing
-	// the OLD index afterwards must not remove the new one (token-guarded
-	// unregister).
-	y, err := Build(items, d, Options{Shards: 2, Label: "imbalance-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x.Close()
-	if v, ok := obs.GaugeValue("shard.candidate_imbalance", label); !ok {
-		t.Error("gauge vanished when the replaced index closed")
-	} else if v != 0 {
-		t.Errorf("fresh index imbalance = %v, want 0", v)
-	}
-
-	y.Close()
-	if _, ok := obs.GaugeValue("shard.candidate_imbalance", label); ok {
-		t.Error("gauge still registered after the live index closed")
+	if visited == shards*queries {
+		t.Error("no query skipped a shard of two far-apart clusters")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/knn"
@@ -60,11 +59,10 @@ func (x *Index) SaveDir(dir string) error {
 		Dim:       x.dim,
 		Items:     x.n,
 		MaxFill:   x.opts.MaxFill,
-		Shards:    make([]manifestShard, len(x.shards)),
+		Shards:    make([]manifestShard, len(x.trees)),
 		Plan:      x.plan,
 	}
-	for i := range x.shards {
-		snap := x.shards[i].snap
+	for i, snap := range x.trees {
 		name := shardFileName(i)
 		if err := snap.Save(filepath.Join(dir, name)); err != nil {
 			return fmt.Errorf("shard: save shard %d: %w", i, err)
@@ -119,13 +117,11 @@ func writeManifest(dir string, m *manifest) (err error) {
 // (substrate, dimensionality, shard count, max fill) come from the
 // manifest, not from here — a loaded index must match what was saved.
 type OpenOptions struct {
-	// WorkersPerShard, Criterion, Algorithm, DisablePushdown and Label act
-	// exactly as in Options; zero values select the same defaults.
-	WorkersPerShard int
-	Criterion       dominance.Criterion
-	Algorithm       knn.Algorithm
-	DisablePushdown bool
-	Label           string
+	// Criterion, Algorithm and Label act exactly as in Options; zero values
+	// select the same defaults.
+	Criterion dominance.Criterion
+	Algorithm knn.Algorithm
+	Label     string
 	// Verify forces a full checksum pass over every section of every shard
 	// file at open (packed.VerifyChecksums). Off by default on the mmap
 	// path, where eager verification would fault in every page and forfeit
@@ -138,9 +134,8 @@ type OpenOptions struct {
 
 // OpenDir loads a SaveDir directory into a serving index: the manifest is
 // read and validated, every shard snapshot is opened zero-copy (mmap where
-// the platform supports it, with an automatic copying fallback), and an
-// engine pool is started per shard. No tree is rebuilt and no item is
-// copied on the mmap path — restart-to-ready is bounded by open+validate,
+// the platform supports it, with an automatic copying fallback). No tree is
+// rebuilt and no item is copied on the mmap path — restart-to-ready is bounded by open+validate,
 // not by BulkLoad+Freeze. The returned index answers Search bit-identically
 // to the index that was saved. Close unmaps the snapshots; callers must
 // keep the index (not just its results) alive while results' Center slices
@@ -169,14 +164,12 @@ func OpenDir(dir string, opts OpenOptions) (*Index, error) {
 	wantSub := packed.SubstrateFromString(m.Substrate)
 
 	bopts := Options{
-		Shards:          len(m.Shards),
-		WorkersPerShard: opts.WorkersPerShard,
-		Substrate:       m.Substrate,
-		MaxFill:         m.MaxFill,
-		Criterion:       opts.Criterion,
-		Algorithm:       opts.Algorithm,
-		DisablePushdown: opts.DisablePushdown,
-		Label:           opts.Label,
+		Shards:    len(m.Shards),
+		Substrate: m.Substrate,
+		MaxFill:   m.MaxFill,
+		Criterion: opts.Criterion,
+		Algorithm: opts.Algorithm,
+		Label:     opts.Label,
 	}
 	bopts.fill()
 
@@ -189,18 +182,11 @@ func OpenDir(dir string, opts OpenOptions) (*Index, error) {
 		plan:       m.Plan,
 	}
 	fail := func(err error) (*Index, error) {
-		for i := range x.shards {
-			if x.shards[i].eng != nil {
-				x.shards[i].eng.Close()
-			}
-		}
-		for _, s := range x.snaps {
-			s.Close()
-		}
+		x.Close()
 		return nil, err
 	}
 
-	x.shards = make([]shardState, len(m.Shards))
+	x.trees = make([]*packed.Tree, 0, len(m.Shards))
 	var popts []packed.OpenOption
 	if opts.Verify {
 		popts = append(popts, packed.VerifyChecksums())
@@ -227,19 +213,16 @@ func OpenDir(dir string, opts OpenOptions) (*Index, error) {
 		if t.Len() != ms.Items {
 			return fail(fmt.Errorf("shard: open %s shard %d: %d items, manifest says %d", dir, i, t.Len(), ms.Items))
 		}
-		x.shards[i] = newShardState(t, bopts)
+		x.trees = append(x.trees, t)
 		x.n += t.Len()
 	}
 	if m.Items != x.n {
 		return fail(fmt.Errorf("shard: open %s: shards hold %d items, manifest says %d", dir, x.n, m.Items))
 	}
 
-	x.scatterCands = make([]atomic.Uint64, len(x.shards))
-	x.unregisterImbl = obs.RegisterGaugeFunc("shard.candidate_imbalance",
-		`collection="`+bopts.Label+`"`, x.candidateImbalance)
 	if obs.On() {
 		obsIndexes.Inc()
-		obsShards.Add(uint64(len(x.shards)))
+		obsShards.Add(uint64(len(x.trees)))
 		// v1 snapshots always carry both narrow tiers; the info gauge makes
 		// the running format/substrate visible per collection.
 		obs.SetGauge("snapshot.info",

@@ -6,15 +6,19 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hyperdom/internal/knn"
 	"hyperdom/internal/packed"
 )
 
-// TestSaveDirOpenDirBitIdentity is the persistence half of the
-// scatter-gather acceptance gate: an index reloaded from disk — shard
+// TestSaveDirOpenDirBitIdentity is the persistence half of the sharded
+// index's acceptance gate: an index reloaded from disk — shard
 // snapshots mmapped straight into serving — answers every query with the
 // same result set and the same aggregate Stats as the index that was
 // saved, across substrates, traversals and quantization tiers.
@@ -26,12 +30,10 @@ func TestSaveDirOpenDirBitIdentity(t *testing.T) {
 		t.Run(substrate, func(t *testing.T) {
 			items := randItems(rng, d, n, 3)
 			built, err := Build(items, d, Options{
-				Shards:          3,
-				WorkersPerShard: 2,
-				Substrate:       substrate,
-				MaxFill:         16,
-				Algorithm:       knn.HS,
-				DisablePushdown: true, // deterministic Stats on both sides
+				Shards:    3,
+				Substrate: substrate,
+				MaxFill:   16,
+				Algorithm: knn.HS,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -45,9 +47,9 @@ func TestSaveDirOpenDirBitIdentity(t *testing.T) {
 				name string
 				o    OpenOptions
 			}{
-				{"mmap", OpenOptions{WorkersPerShard: 2, Algorithm: knn.HS, DisablePushdown: true}},
-				{"verify", OpenOptions{WorkersPerShard: 2, Algorithm: knn.HS, DisablePushdown: true, Verify: true}},
-				{"copy", OpenOptions{WorkersPerShard: 2, Algorithm: knn.HS, DisablePushdown: true, NoMmap: true}},
+				{"mmap", OpenOptions{Algorithm: knn.HS}},
+				{"verify", OpenOptions{Algorithm: knn.HS, Verify: true}},
+				{"copy", OpenOptions{Algorithm: knn.HS, NoMmap: true}},
 			} {
 				loaded, err := OpenDir(dir, mode.o)
 				if err != nil {
@@ -343,4 +345,57 @@ func TestSaveDirOverwrite(t *testing.T) {
 			t.Fatalf("stray temp file %s", e.Name())
 		}
 	}
+}
+
+// TestCloseWaitsForSearches races eight searching goroutines against one
+// Close of an mmap-backed index. A search that got in before Close reads
+// mapped pages to its end and answers correctly; one that comes after
+// panics with the lifecycle message instead of touching unmapped memory —
+// a fault there would kill the test binary, and -race watches the hand-off.
+func TestCloseWaitsForSearches(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	const d, n, k = 3, 2000, 8
+	items := randItems(rng, d, n, 2)
+	built, err := Build(items, d, Options{Shards: 4, Algorithm: knn.HS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := built.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	sq := randQuery(rng, d, 1)
+	want := built.Search(sq, k).IDs()
+	built.Close()
+
+	x, err := OpenDir(dir, OpenOptions{Algorithm: knn.HS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var started atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != "shard: search on a closed Index" {
+					t.Errorf("searcher stopped by %v, want the closed-Index panic", r)
+				}
+			}()
+			for {
+				started.Add(1)
+				if got := x.Search(sq, k).IDs(); !slices.Equal(got, want) {
+					t.Errorf("answer %v while closing, want %v", got, want)
+					return
+				}
+			}
+		}()
+	}
+	for started.Load() < 64 {
+		runtime.Gosched()
+	}
+	x.Close()
+	wg.Wait()
+	x.Close() // and again: harmless
 }

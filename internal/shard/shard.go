@@ -1,40 +1,26 @@
-// Package shard is the sharded scatter-gather serving layer (DESIGN.md
-// §13): it carves one hypersphere dataset into N space-partitioned shards,
-// each owning a frozen packed snapshot searched by its own internal/engine
-// worker pool, and answers the paper's Definition 2 kNN query by
-// broadcasting it to every shard and merging the per-shard candidate
-// streams under the global Sk.
+// Package shard is the partitioned serving index (DESIGN.md §13): it carves
+// one hypersphere dataset into N space-partitioned shards, each a frozen
+// packed snapshot, and answers the paper's Definition 2 kNN query by walking
+// that forest on the calling goroutine with one best-known list
+// (knn.SearchForest) — nearest shard first, every shard whose root bound
+// exceeds the running distK skipped. What the package owns is the partition
+// plan, its persistence (SaveDir/OpenDir) and the lifetime of the snapshot
+// mappings; concurrency comes from concurrent callers, one goroutine each.
 //
-// Two properties make the distribution invisible to callers:
-//
-//   - Shards return RAW candidate streams (knn.SearchCandidates), not
-//     filtered answers. Definition 2 filters against the GLOBAL Sk, which
-//     no single shard knows, and dominance is not monotone in MaxDist — an
-//     item dominated by a shard-local Sk need not be dominated by the
-//     closer global one. The merge layer computes Sk over the union and
-//     applies the one final filter, so the result set is bit-identical to
-//     a single-index search over the same data (test-locked for every
-//     substrate × traversal × quantization tier).
-//
-//   - distK pushdown: all shards of a query share one knn.Bound. Each
-//     shard publishes its running local distK into it, the merge layer
-//     publishes the running global distK as candidate streams arrive, and
-//     laggard shards read the bound at node-prune decisions — a shard that
-//     has already found k close candidates prunes the others' traversals.
-//     Every value in the bound is a k-th smallest MaxDist over a subset of
-//     the data, hence ≥ the final global distK, so pushdown prunes only
-//     items the final global Sk provably dominates (Lemma 9).
+// The distribution is invisible to callers: Definition 2 filters against
+// the GLOBAL Sk, and because the list is shared across shards the final
+// filter runs once, against that Sk, so the result set is bit-identical to
+// a single-index search over the same data (test-locked for every substrate
+// × traversal × quantization tier).
 package shard
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync/atomic"
+	"sync"
 
 	"hyperdom/internal/dominance"
-	"hyperdom/internal/engine"
 	"hyperdom/internal/geom"
 	"hyperdom/internal/knn"
 	"hyperdom/internal/mtree"
@@ -47,12 +33,8 @@ import (
 // Options configures BuildSharded.
 type Options struct {
 	// Shards is the shard count; ≤ 0 selects 1 (a single shard, which
-	// degenerates to a pooled single-index search).
+	// degenerates to a single-index search).
 	Shards int
-	// WorkersPerShard sizes each shard's engine pool; ≤ 0 selects
-	// ceil(GOMAXPROCS / Shards), at least 1, so the fleet's total worker
-	// count roughly matches the machine.
-	WorkersPerShard int
 	// Substrate selects the per-shard index: "sstree" (default), "mtree"
 	// or "rtree".
 	Substrate string
@@ -66,10 +48,6 @@ type Options struct {
 	// Algorithm is the per-shard traversal strategy. The zero value is DF;
 	// servers typically select knn.HS.
 	Algorithm knn.Algorithm
-	// DisablePushdown turns off cross-shard distK pushdown. Results are
-	// identical either way; with pushdown off the per-shard traversals —
-	// and therefore the aggregate Stats — are deterministic.
-	DisablePushdown bool
 	// SampleSize bounds how many item centers the planner inspects per
 	// split when picking the cut dimension; ≤ 0 selects 1024.
 	SampleSize int
@@ -82,12 +60,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.Shards <= 0 {
 		o.Shards = 1
-	}
-	if o.WorkersPerShard <= 0 {
-		o.WorkersPerShard = (runtime.GOMAXPROCS(0) + o.Shards - 1) / o.Shards
-		if o.WorkersPerShard < 1 {
-			o.WorkersPerShard = 1
-		}
 	}
 	if o.Substrate == "" {
 		o.Substrate = "sstree"
@@ -103,60 +75,38 @@ func (o *Options) fill() {
 	}
 }
 
-// shardState is one shard: the packed snapshot it serves from — the only
-// copy of the shard's data, whether it was frozen in this process or opened
-// from a file, and what SaveDir persists — and the engine pool that
-// searches it.
-type shardState struct {
-	snap *packed.Tree
-	eng  *engine.Engine
-}
-
-func newShardState(snap *packed.Tree, opts Options) shardState {
-	return shardState{
-		snap: snap,
-		eng: engine.New(knn.WrapPacked(snap),
-			engine.WithWorkers(opts.WorkersPerShard),
-			engine.WithCriterion(opts.Criterion),
-			engine.WithAlgorithm(opts.Algorithm)),
-	}
-}
-
-// Index is a sharded scatter-gather kNN index. Build with Build; Close
-// releases the worker pools. Search is safe for concurrent use; Close must
-// happen-after every search.
+// Index is a partitioned kNN index. Build with Build or OpenDir. Search is
+// safe for concurrent use; Close waits for the searches in flight.
 type Index struct {
-	opts   Options
-	dim    int
-	n      int
-	shards []shardState
+	opts Options
+	dim  int
+	n    int
+
+	// trees are the shards, in shard order: the packed snapshot each serves
+	// from is the only copy of its data, whether it was frozen in this
+	// process or opened from a file, and what SaveDir persists.
+	trees []*packed.Tree
 
 	// plan is the partition planner's split tree: how space was cut into
 	// shards. SaveDir persists it in the manifest so routing context
 	// survives reload; OpenDir restores it.
 	plan *PlanNode
 
-	// snaps holds the mmap-backed snapshots of an OpenDir index; Close
-	// unmaps them after stopping the engines that search them.
-	snaps []*packed.Snapshot
+	// snaps holds the mmap-backed snapshots of an OpenDir index. A search
+	// reads the mapped pages, so it holds life for reading and Close takes
+	// it for writing before unmapping.
+	snaps  []*packed.Snapshot
+	life   sync.RWMutex
+	closed bool
 
 	// Per-collection latency families, resolved once at build.
 	histSearch *obs.Histogram
 	histMerge  *obs.Histogram
-
-	// scatterCands tallies, per shard, the candidates its streams have
-	// contributed since build (one atomic add per shard per query, in the
-	// gather loop). The shard.candidate_imbalance{collection=...} callback
-	// gauge reads them: max over mean of the per-shard totals, 1.0 when the
-	// partitioning spreads query load evenly, growing as one shard turns
-	// hot. 0 before any query.
-	scatterCands   []atomic.Uint64
-	unregisterImbl func()
 }
 
 // Build partitions items into opts.Shards space-partitioned shards and
-// starts an engine pool per shard. The items slice is not retained; dim is
-// the dimensionality every item (and every query) must have.
+// freezes each. The items slice is not retained; dim is the dimensionality
+// every item (and every query) must have.
 func Build(items []geom.Item, dim int, opts Options) (*Index, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("shard: dim = %d", dim)
@@ -176,48 +126,19 @@ func Build(items []geom.Item, dim int, opts Options) (*Index, error) {
 	}
 	parts, plan := partition(items, dim, opts.Shards, opts.SampleSize)
 	x.plan = plan
-	x.shards = make([]shardState, len(parts))
+	x.trees = make([]*packed.Tree, len(parts))
 	for i, part := range parts {
 		snap, err := buildTree(opts.Substrate, part, dim, opts.MaxFill)
 		if err != nil {
-			for j := 0; j < i; j++ {
-				x.shards[j].eng.Close()
-			}
 			return nil, err
 		}
-		x.shards[i] = newShardState(snap, opts)
+		x.trees[i] = snap
 	}
-	x.scatterCands = make([]atomic.Uint64, len(x.shards))
-	x.unregisterImbl = obs.RegisterGaugeFunc("shard.candidate_imbalance",
-		`collection="`+opts.Label+`"`, x.candidateImbalance)
 	if obs.On() {
 		obsIndexes.Inc()
 		obsShards.Add(uint64(len(parts)))
 	}
 	return x, nil
-}
-
-// candidateImbalance is the shard.candidate_imbalance callback: the
-// busiest shard's cumulative candidate contribution over the per-shard
-// mean. 1.0 means perfectly balanced scatter traffic; k·N/total shards
-// pathological. 0 before the first query.
-func (x *Index) candidateImbalance() float64 {
-	if len(x.scatterCands) == 0 {
-		return 0
-	}
-	var max, total uint64
-	for i := range x.scatterCands {
-		c := x.scatterCands[i].Load()
-		total += c
-		if c > max {
-			max = c
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	mean := float64(total) / float64(len(x.scatterCands))
-	return float64(max) / mean
 }
 
 // buildTree constructs, fills and freezes one shard's substrate and returns
@@ -264,7 +185,7 @@ func buildTree(substrate string, items []geom.Item, dim, maxFill int) (*packed.T
 }
 
 // Shards returns the shard count.
-func (x *Index) Shards() int { return len(x.shards) }
+func (x *Index) Shards() int { return len(x.trees) }
 
 // Len returns the total item count.
 func (x *Index) Len() int { return x.n }
@@ -277,25 +198,21 @@ func (x *Index) Label() string { return x.opts.Label }
 
 // ShardSizes returns the per-shard item counts, in shard order.
 func (x *Index) ShardSizes() []int {
-	out := make([]int, len(x.shards))
-	for i := range x.shards {
-		out[i] = x.shards[i].snap.Len()
+	out := make([]int, len(x.trees))
+	for i, t := range x.trees {
+		out[i] = t.Len()
 	}
 	return out
 }
 
-// Close stops every shard's worker pool, then releases any snapshot
+// Close waits for the searches in flight, then releases any snapshot
 // mappings behind an OpenDir index — strictly in that order, because a
-// worker still draining a search must not touch an unmapped page. Safe to
-// call more than once.
+// search must not touch an unmapped page. A search after Close panics.
+// Safe to call more than once.
 func (x *Index) Close() {
-	if x.unregisterImbl != nil {
-		x.unregisterImbl()
-		x.unregisterImbl = nil
-	}
-	for i := range x.shards {
-		x.shards[i].eng.Close()
-	}
+	x.life.Lock()
+	defer x.life.Unlock()
+	x.closed = true
 	for _, s := range x.snaps {
 		s.Close()
 	}
@@ -326,7 +243,7 @@ func (x *Index) Plan() *PlanNode { return x.plan }
 // sort by (center[dim], ID) and cut proportionally to the shard counts on
 // each side. Deterministic for a given input order, and every group is a
 // contiguous region of space, so a query's candidates concentrate in few
-// shards and the others prune fast off the pushdown bound. The returned
+// shards and the far ones are skipped off their root bound. The returned
 // plan tree records every cut, leaves numbered in shard order.
 func partition(items []geom.Item, dim, n, sampleSize int) ([][]geom.Item, *PlanNode) {
 	work := make([]geom.Item, len(items))

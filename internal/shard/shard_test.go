@@ -3,12 +3,14 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
 	"hyperdom/internal/knn"
+	"hyperdom/internal/obs"
 	"hyperdom/internal/sstree"
 )
 
@@ -57,8 +59,8 @@ func sameItems(t *testing.T, ctx string, got, want []geom.Item) {
 	}
 }
 
-// TestShardedMatchesSingle locks the acceptance criterion of the
-// scatter-gather layer: for every substrate, traversal strategy and
+// TestShardedMatchesSingle locks the acceptance criterion of the sharded
+// index: for every substrate, traversal strategy and
 // quantization tier, the sharded result set is bit-identical (same IDs,
 // same order) to a single-index search over the same data.
 func TestShardedMatchesSingle(t *testing.T) {
@@ -71,11 +73,10 @@ func TestShardedMatchesSingle(t *testing.T) {
 		for _, algo := range []knn.Algorithm{knn.DF, knn.HS} {
 			for _, shards := range []int{2, 3, 5} {
 				x, err := Build(items, d, Options{
-					Shards:          shards,
-					WorkersPerShard: 2,
-					Substrate:       substrate,
-					MaxFill:         16,
-					Algorithm:       algo,
+					Shards:    shards,
+					Substrate: substrate,
+					MaxFill:   16,
+					Algorithm: algo,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -100,18 +101,18 @@ func TestShardedMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestShardedStatsDeterministic pins that with pushdown disabled the
-// aggregate Stats — per-shard traversal sums plus the merge layer's final
-// filter — are identical across repeated runs of the same query.
+// TestShardedStatsDeterministic pins that Stats — the traversal work over
+// the visited shards plus the final filter — is a function of the query:
+// one goroutine walks the shards in an order the query fixes, so asking
+// again gives the same counts.
 func TestShardedStatsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	const d = 3
 	items := randItems(rng, d, 600, 3)
 	x, err := Build(items, d, Options{
-		Shards:          4,
-		Substrate:       "sstree",
-		Algorithm:       knn.HS,
-		DisablePushdown: true,
+		Shards:    4,
+		Substrate: "sstree",
+		Algorithm: knn.HS,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +129,7 @@ func TestShardedStatsDeterministic(t *testing.T) {
 			sameItems(t, "rerun", again.Items, first.Items)
 		}
 		if first.Stats.DomChecks == 0 && len(items) > 7 {
-			t.Fatalf("query %d: merge filter ran no dominance checks", q)
+			t.Fatalf("query %d: the final filter ran no dominance checks", q)
 		}
 	}
 }
@@ -198,15 +199,15 @@ func TestPartitionBalance(t *testing.T) {
 }
 
 // TestShardedConcurrentQueries hammers one sharded index from many
-// goroutines with pushdown enabled — under -race this is the detector run
-// for the shared knn.Bound traffic — and checks every answer against the
-// single-index oracle.
+// goroutines — under -race this is the detector run for whatever concurrent
+// searches share (the trees, the scratch pool) — and checks every answer
+// against the single-index oracle.
 func TestShardedConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	const d, n = 3, 800
 	items := randItems(rng, d, n, 3)
 	oracle := singleIndex(items, d)
-	x, err := Build(items, d, Options{Shards: 4, WorkersPerShard: 2, Algorithm: knn.HS})
+	x, err := Build(items, d, Options{Shards: 4, Algorithm: knn.HS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,13 +274,13 @@ func subsequence(sub, seq []geom.Item) bool {
 }
 
 // TestShardedDifferentialMatrix is the sharded half of the answer lock (see
-// knn.TestDifferentialMatrix): every criterion × shard count × pushdown
-// on/off × k against BruteForce — ids AND order — on a random fixture and
-// on one whose lattice centers and equal radii make MaxDist ties, broken by
-// ID, common across shard boundaries too. A criterion that subsumes MinMax
-// must return BruteForce's answer exactly at every shard count; one that
-// does not (MBR, GP) an ordered answer between BruteForce with and without
-// Lemma 9's help, since what Case 3 drops unasked depends on the layout.
+// knn.TestDifferentialMatrix): every criterion × shard count × traversal ×
+// k against BruteForce — ids AND order — on a random fixture and on one
+// whose lattice centers and equal radii make MaxDist ties, broken by ID,
+// common across shard boundaries too. A criterion that subsumes MinMax must
+// return BruteForce's answer exactly at every shard count; one that does not
+// (MBR, GP) an ordered answer between BruteForce with and without Lemma 9's
+// help, since what Case 3 drops unasked depends on the layout.
 func TestShardedDifferentialMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(96))
 	const d, n = 3, 600
@@ -300,11 +301,8 @@ func TestShardedDifferentialMatrix(t *testing.T) {
 	for _, fx := range fixtures {
 		for _, crit := range crits {
 			for _, shards := range []int{1, 2, 4, 7} {
-				for _, noPush := range []bool{false, true} {
-					x, err := Build(fx.items, d, Options{
-						Shards: shards, WorkersPerShard: 1, MaxFill: 16, Algorithm: knn.HS,
-						Criterion: crit, DisablePushdown: noPush,
-					})
+				for _, algo := range []knn.Algorithm{knn.DF, knn.HS} {
+					x, err := Build(fx.items, d, Options{Shards: shards, MaxFill: 16, Algorithm: algo, Criterion: crit})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -313,7 +311,7 @@ func TestShardedDifferentialMatrix(t *testing.T) {
 							hi := knn.BruteForce(fx.items, sq, k, crit).Items
 							lo := knn.BruteForce(fx.items, sq, k, orMinMax{crit}).Items
 							got := x.Search(sq, k).Items
-							ctx := fmt.Sprintf("%s/%s/shards=%d/nopush=%v q%d k=%d", fx.name, crit.Name(), shards, noPush, qi, k)
+							ctx := fmt.Sprintf("%s/%s/shards=%d/%v q%d k=%d", fx.name, crit.Name(), shards, algo, qi, k)
 							if crit.Sound() || crit.Name() == "MinMax" {
 								sameItems(t, ctx, got, hi)
 							} else if !subsequence(lo, got) || !subsequence(got, hi) {
@@ -328,10 +326,135 @@ func TestShardedDifferentialMatrix(t *testing.T) {
 	}
 }
 
-// TestSearchAllocs gates the gather/merge allocation budget: allocs/query
-// at 1/2/4 shards must not exceed what the cursor-merge implementation this
-// one replaced spent (18/24/36; the selection heap, survivor compaction
-// and answer slice now measure 14/20/32).
+// twoClusters is n items around the origin and n around (far, 0): a
+// 2-shard partition cuts between them.
+func twoClusters(rng *rand.Rand, n int, far float64) []geom.Item {
+	items := make([]geom.Item, 0, 2*n)
+	for _, cx := range []float64{0, far} {
+		for i := 0; i < n; i++ {
+			c := []float64{cx + rng.NormFloat64(), rng.NormFloat64()}
+			items = append(items, geom.Item{Sphere: geom.NewSphere(c, rng.Float64()*0.1), ID: len(items)})
+		}
+	}
+	return items
+}
+
+// TestForestSkipsFarShards pins the region skip and its limit. A query
+// inside one of two well-separated clusters opens only the shards of that
+// cluster — the others' root bounds exceed distK once k near items are
+// held — and still answers what BruteForce answers. The adversarial twin
+// puts one sphere in the far cluster whose radius reaches the query: its
+// shard's root bound is then within distK, so the shard must be opened, and
+// the sphere — not dominated by Sk, which it overlaps — must be in the
+// answer.
+func TestForestSkipsFarShards(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	const n, far, k = 200, 1000.0, 5
+	plain := twoClusters(rng, n, far)
+	huge := append([]geom.Item(nil), plain...)
+	hugeID := 2*n - 1
+	huge[hugeID].Sphere = geom.NewSphere(huge[hugeID].Sphere.Center, far)
+	sq := geom.NewSphere([]float64{0.1, -0.2}, 0.05)
+	for _, algo := range []knn.Algorithm{knn.DF, knn.HS} {
+		for _, shards := range []int{2, 4} {
+			x, err := Build(plain, 2, Options{Shards: shards, Algorithm: algo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, ex := x.SearchExplain(sq, k)
+			sameItems(t, "separated clusters", res.Items, knn.BruteForce(plain, sq, k, dominance.Hyperbola{}).Items)
+			if got := ex.Visited(); got < 1 || got > shards/2 {
+				t.Errorf("%v, %d shards: visited %d, want only the near cluster's (≤ %d)", algo, shards, got, shards/2)
+			}
+			for i, sp := range ex.Shards {
+				if i >= shards/2 && !sp.Skipped {
+					t.Errorf("%v, %d shards: far shard %d was opened", algo, shards, i)
+				}
+				if sp.Skipped && (sp.Order != -1 || sp.LatencyNs != 0 || sp.NodesVisited != 0 || sp.Candidates != 0) {
+					t.Errorf("%v, %d shards: skipped shard %d reports work: %+v", algo, shards, i, sp)
+				}
+			}
+			x.Close()
+
+			x, err = Build(huge, 2, Options{Shards: shards, Algorithm: algo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, ex = x.SearchExplain(sq, k)
+			sameItems(t, "huge far sphere", res.Items, knn.BruteForce(huge, sq, k, dominance.Hyperbola{}).Items)
+			if !slices.Contains(res.IDs(), hugeID) {
+				t.Errorf("%v, %d shards: the far sphere that reaches the query is missing from the answer", algo, shards)
+			}
+			if !slices.ContainsFunc(ex.Shards[shards/2:], func(sp obs.ShardSpan) bool { return !sp.Skipped }) {
+				t.Errorf("%v, %d shards: the shard holding the far sphere was skipped", algo, shards)
+			}
+			x.Close()
+		}
+	}
+}
+
+// TestForestOpensHomeShardFirst pins what orders shards whose bounds all
+// touch the query, the usual case inside one cloud of data: the shard the
+// query's center was partitioned into should nearly always be opened first,
+// so that the other shards are searched under a distK that is already tight.
+// Shard order, which a plain MinDist tie would fall back to, gets one query
+// in four right here.
+func TestForestOpensHomeShardFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(100))
+	const d, n, shards = 3, 4000, 4
+	items := randItems(rng, d, n, 1)
+	x, err := Build(items, d, Options{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	const queries = 200
+	homeFirst := 0
+	for _, it := range items[:queries] {
+		home := x.plan
+		for home.Left != nil {
+			if it.Sphere.Center[home.Dim] < home.Cut {
+				home = home.Left
+			} else {
+				home = home.Right
+			}
+		}
+		_, ex := x.SearchExplain(it.Sphere, 5)
+		if ex.Shards[home.Shard].Order == 0 {
+			homeFirst++
+		}
+	}
+	if homeFirst < queries*9/10 {
+		t.Errorf("the home shard was opened first for %d of %d queries, want ≥ 90%%", homeFirst, queries)
+	}
+}
+
+// TestEmptyShardSkipped pins the degenerate forest: with fewer items than
+// shards some trees are empty; they are reported skipped, and the answer is
+// the whole database in order.
+func TestEmptyShardSkipped(t *testing.T) {
+	rng := rand.New(rand.NewSource(98))
+	items := randItems(rng, 2, 3, 1)
+	for _, algo := range []knn.Algorithm{knn.DF, knn.HS} {
+		x, err := Build(items, 2, Options{Shards: 5, Algorithm: algo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sq := randQuery(rng, 2, 1)
+		res, ex := x.SearchExplain(sq, 10)
+		sameItems(t, "k ≥ n", res.Items, knn.BruteForce(items, sq, 10, dominance.Hyperbola{}).Items)
+		for i, sp := range ex.Shards {
+			if sp.Skipped != (sp.Items == 0) {
+				t.Errorf("%v: shard %d holds %d items, skipped=%v", algo, i, sp.Items, sp.Skipped)
+			}
+		}
+		x.Close()
+	}
+}
+
+// TestSearchAllocs gates the allocation budget and its shape: a search
+// costs the scratch-pool round trip and the answer slice — plus the Explain
+// and its span slice when asked for — whatever the shard count.
 func TestSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs without -race")
@@ -339,18 +462,18 @@ func TestSearchAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	const d, n = 3, 2000
 	items := randItems(rng, d, n, 2)
-	for _, g := range []struct {
-		shards int
-		budget float64
-	}{{1, 18}, {2, 24}, {4, 36}} {
-		x, err := Build(items, d, Options{Shards: g.shards, WorkersPerShard: 1})
+	for _, shards := range []int{1, 2, 4, 7} {
+		x, err := Build(items, d, Options{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range []int{5, 100} {
 			sq := randQuery(rng, d, 1)
-			if got := testing.AllocsPerRun(100, func() { x.Search(sq, k) }); got > g.budget {
-				t.Errorf("%d shards, k=%d: %v allocs/query, budget %v", g.shards, k, got, g.budget)
+			if got := testing.AllocsPerRun(100, func() { x.Search(sq, k) }); got > 3 {
+				t.Errorf("%d shards, k=%d: Search %v allocs/query, budget 3", shards, k, got)
+			}
+			if got := testing.AllocsPerRun(100, func() { x.SearchExplain(sq, k) }); got > 4 {
+				t.Errorf("%d shards, k=%d: SearchExplain %v allocs/query, budget 4", shards, k, got)
 			}
 		}
 		x.Close()

@@ -5,20 +5,19 @@ import (
 	"hyperdom/internal/shard"
 )
 
-// ShardedIndex is a space-partitioned scatter-gather kNN index: the
-// dataset is carved into shards, each searched by its own worker pool, and
-// queries merge the per-shard candidate streams under the global Sk with
-// cross-shard distK pushdown. Result sets are bit-identical to a
-// single-index search when the criterion is sound (Hyperbola, Exact). See
-// DESIGN.md §13.
+// ShardedIndex is a space-partitioned kNN index: the dataset is carved into
+// shards, and a query walks them nearest first with one best-known list on
+// the calling goroutine, skipping every shard whose bounding region lies
+// beyond the running distK. Result sets are bit-identical to a single-index
+// search when the criterion is sound (Hyperbola, Exact). See DESIGN.md §13.
 type ShardedIndex = shard.Index
 
 // ShardOptions configures BuildSharded.
 type ShardOptions = shard.Options
 
 // BuildSharded partitions items into opts.Shards space-partitioned shards
-// (sample-based balanced splits over item centers) and starts an engine
-// pool per shard. Close the returned index to stop the pools.
+// (sample-based balanced splits over item centers) and freezes each. Close
+// the returned index when done with it.
 func BuildSharded(items []Item, dim int, opts ShardOptions) (*ShardedIndex, error) {
 	return shard.Build(items, dim, opts)
 }
@@ -32,9 +31,9 @@ type OpenShardOptions = shard.OpenOptions
 // (or datagen -freeze) into a serving index without rebuilding any tree:
 // every shard file is mmapped where the platform supports it and answers
 // are bit-identical to the index that was saved. Close the returned index
-// to stop the pools and unmap the snapshots; result Center slices alias
-// the mapping, so close only after results are no longer in use. See
-// DESIGN.md §16.
+// to unmap the snapshots (it waits for running searches); result Center
+// slices alias the mapping, so close only after results are no longer in
+// use. See DESIGN.md §16.
 func OpenSharded(dir string, opts OpenShardOptions) (*ShardedIndex, error) {
 	return shard.OpenDir(dir, opts)
 }
