@@ -8,7 +8,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS  = -ldflags "-X hyperdom/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: all build check test test-short bench bench-all bench-parallel bench-quant fuzz experiments examples serve serve-sharded hyperdomd trace cover clean
+.PHONY: all build check orphans test test-short bench bench-all bench-parallel bench-quant fuzz experiments examples serve serve-sharded hyperdomd trace cover clean
 
 all: build check
 
@@ -25,6 +25,14 @@ check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) test -race ./...
+
+# Fails when an internal package is imported by nothing the module ships:
+# the root package, the commands and the benchmark harness.
+orphans:
+	@deps=$$($(GO) list -deps . ./cmd/... ./bench/...); \
+	for p in $$($(GO) list ./internal/...); do \
+		echo "$$deps" | grep -qxF "$$p" || { echo "orphan package: $$p"; bad=1; }; \
+	done; [ -z "$$bad" ]
 
 test:
 	$(GO) test ./...

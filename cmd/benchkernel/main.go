@@ -36,7 +36,10 @@
 // speedup_packed_layout gate), and the frozen snapshot through the float32
 // and int8 coarse-filter tiers (ISSUE 6). The speedup_quantized block
 // records each tier's gain over the pointer path; its best geomean is what
-// -min-quant-speedup gates. -quant picks the tier the counter-enabled
+// -min-quant-speedup gates. The pointer path is the IndexNode-interface
+// traversal (the only one an unfrozen tree has), so both ratios read
+// "serving kernel over reference": a higher one can mean a slower
+// denominator as well as a faster kernel. -quant picks the tier the counter-enabled
 // metrics pass runs under (default f32), which is where the
 // coarse_prune_rate figure comes from.
 //
@@ -102,9 +105,9 @@ type metricsBlock struct {
 	// the fixture's queries): a count, exact for the fixture seed. The
 	// criterion runs at most once per candidate, so the gate fails above 1.
 	ChecksPerCandidate float64 `json:"checks_per_candidate"`
-	// CoarsePruneRate is the fraction of packed candidates (child entries
-	// plus leaf items) the quantized pass settled without touching the
-	// exact float64 block, under the -quant tier of the metrics pass.
+	// CoarsePruneRate is the fraction of packed leaf items the quantized
+	// pass settled without touching the exact float64 block, under the
+	// -quant tier of the metrics pass.
 	CoarsePruneRate float64 `json:"coarse_prune_rate"`
 }
 
@@ -734,11 +737,11 @@ func captureMetrics(idx knn.Index, queries []geom.Sphere, k int, sa, sb geom.Sph
 	if q := sweep.Get("dominance.prepared.queries"); q > 0 {
 		m.PreparedReuseRate = float64(sweep.Get("dominance.prepared.reuse_hits")) / float64(q)
 	}
-	// Coarse-filter effectiveness: candidates settled by the narrow bounds
-	// over all candidates the quantized pass looked at. Zero when the
-	// metrics pass ran with -quant none.
-	coarse := diff.Get("packed.quant.node_coarse_prunes") + diff.Get("packed.quant.item_coarse_prunes")
-	if total := coarse + diff.Get("packed.quant.node_exact_fallbacks") + diff.Get("packed.quant.item_exact_fallbacks"); total > 0 {
+	// Coarse-filter effectiveness: leaf items settled by the narrow bounds
+	// over all items the quantized pass looked at. Zero when the metrics
+	// pass ran with -quant none.
+	coarse := diff.Get("packed.quant.item_coarse_prunes")
+	if total := coarse + diff.Get("packed.quant.item_exact_fallbacks"); total > 0 {
 		m.CoarsePruneRate = float64(coarse) / float64(total)
 	}
 	lat := obs.MergedHist("knn.search_latency")

@@ -221,7 +221,7 @@ func runOracle(c config, stdout *os.File) error {
 	if len(center) != dim {
 		return fmt.Errorf("-query dim %d, corpus dim %d", len(center), dim)
 	}
-	if c.qradius < 0 {
+	if !(c.qradius >= 0) { // also rejects NaN, which geom.NewSphere panics on
 		return fmt.Errorf("bad -qradius %v", c.qradius)
 	}
 	t := sstree.New(dim)

@@ -2,13 +2,19 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"hyperdom/internal/dataset"
+	"hyperdom/internal/geom"
 	"hyperdom/internal/knn"
+	"hyperdom/internal/packed"
 )
 
 func TestParseFlagsDefaults(t *testing.T) {
@@ -103,5 +109,103 @@ func TestOracleRoundTrip(t *testing.T) {
 	}
 	if len(got.IDs) < 5 {
 		t.Fatalf("oracle returned %d ids: %v", len(got.IDs), got.IDs)
+	}
+
+	// A radius that is not a non-negative number is an error, not a panic
+	// in geom.NewSphere.
+	for _, r := range []float64{-1, math.NaN()} {
+		c.qradius = r
+		if err := runOracle(c, of); err == nil || !strings.Contains(err.Error(), "bad -qradius") {
+			t.Errorf("-qradius %v: error %v, want bad -qradius", r, err)
+		}
+	}
+}
+
+// TestMountRebuildsUnusableSnapshot exercises the path that makes a
+// snapshot format bump safe in production: a snapshot directory this build
+// cannot use (files of the previous format version; a corrupted payload
+// under -snapshot-verify) is rebuilt from the corpus and saved over, the
+// rebuilt collection answers like the original, and the next start loads
+// the rewritten files without touching the corpus.
+func TestMountRebuildsUnusableSnapshot(t *testing.T) {
+	le := binary.LittleEndian
+	for _, tc := range []struct {
+		name   string
+		verify bool
+		damage func(b []byte)
+	}{
+		// [8,12) is the format version; the first section entry's offset
+		// lives 8 bytes into the table at byte 72 (packed/snapshot.go).
+		{"previous format version", false, func(b []byte) { le.PutUint32(b[8:], packed.FormatVersion-1) }},
+		{"payload byte flip", true, func(b []byte) { b[le.Uint64(b[72+8:])] ^= 0x01 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := config{snapshotDir: t.TempDir(), snapshotVerify: tc.verify, shards: 2, substrate: "sstree", algo: "hs"}
+			builds := 0
+			corpus := func() ([]geom.Item, int, error) {
+				builds++
+				return syntheticCorpus(600, 3, 11), 3, nil
+			}
+			queries := syntheticCorpus(8, 3, 12)
+			answers := func() [][]int {
+				t.Helper()
+				x, err := mountCollection(c, "default", corpus)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer x.Close()
+				out := make([][]int, len(queries))
+				for i, q := range queries {
+					for _, it := range x.Search(q.Sphere, 5).Items {
+						out[i] = append(out[i], it.ID)
+					}
+				}
+				return out
+			}
+			files := func() []string {
+				t.Helper()
+				fs, err := filepath.Glob(filepath.Join(c.snapshotDir, "default", "*.hds"))
+				if err != nil || len(fs) != c.shards {
+					t.Fatalf("shard files %v, err %v", fs, err)
+				}
+				return fs
+			}
+
+			fresh := answers()
+			if builds != 1 {
+				t.Fatalf("first mount built %d times", builds)
+			}
+			for _, f := range files() {
+				b, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.damage(b)
+				if err := os.WriteFile(f, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			if got := answers(); !reflect.DeepEqual(got, fresh) {
+				t.Fatalf("answers after the rebuild %v, fresh build %v", got, fresh)
+			}
+			if builds != 2 {
+				t.Fatalf("mount over an unusable snapshot built %d times in all, want 2", builds)
+			}
+			for _, f := range files() {
+				snap, err := packed.Open(f, packed.VerifyChecksums())
+				if err != nil {
+					t.Fatalf("rewritten %s: %v", f, err)
+				}
+				snap.Close()
+			}
+
+			if got := answers(); !reflect.DeepEqual(got, fresh) {
+				t.Fatalf("answers off the rewritten snapshot %v, fresh build %v", got, fresh)
+			}
+			if builds != 2 {
+				t.Fatalf("mount over the rewritten snapshot rebuilt (builds=%d)", builds)
+			}
+		})
 	}
 }

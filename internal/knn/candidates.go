@@ -98,8 +98,8 @@ type CandidateSet struct {
 	Stats      Stats
 	Candidates []Candidate
 
-	// CoarsePrunes counts quantized narrow-tier settlements (node + leaf)
-	// this traversal made; 0 when quant mode is off or the index is not
+	// CoarsePrunes counts the leaf items the quantized narrow tier settled
+	// in this traversal; 0 when quant mode is off or the index is not
 	// frozen. Deliberately NOT part of Stats — Stats equality between the
 	// packed and pointer paths is test-locked, and this depends on the
 	// quant mode.
@@ -129,8 +129,8 @@ func (sc *scratch) searchCandidates(idx Index, sq geom.Sphere, k int, crit domin
 	if !ok {
 		return cs
 	}
-	// Read the coarse-prune tallies before flushObs zeroes them.
-	cs.CoarsePrunes = sc.qNodePrunes + sc.qItemPrunes
+	// Read the coarse-prune tally before flushObs zeroes it.
+	cs.CoarsePrunes = sc.qItemPrunes
 	cs.Candidates = l.collect()
 	if obs.On() {
 		cs.TraceID = sc.flushObs(substrateOf(idx), algo, k, start, &cs.Stats)

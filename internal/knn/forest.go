@@ -81,10 +81,10 @@ func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, crit dominance.Cr
 			break // and every later tree: the order is ascending, distK only shrinks
 		}
 		sc.treeTag = uint64(i+1) << 32
-		sc.pHeap.es = sc.pHeap.es[:0] // a best-first search that ended early leaves its frontier behind
+		sc.packedHeap.es = sc.packedHeap.es[:0] // a best-first search that ended early leaves its frontier behind
 		var sp *obs.ShardSpan
 		var t0 time.Time
-		held, coarse, before := l.held(), sc.qNodePrunes+sc.qItemPrunes, res.Stats
+		held, coarse, before := l.held(), sc.qItemPrunes, res.Stats
 		if ex != nil {
 			sp = &ex.Shards[i]
 			sp.Order, sp.Skipped = visited, false
@@ -98,7 +98,7 @@ func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, crit dominance.Cr
 			sp.Candidates = l.held() - held
 			sp.NodesVisited = res.Stats.NodesVisited - before.NodesVisited
 			sp.ItemsScanned = res.Stats.Items - before.Items
-			sp.CoarsePrunes = sc.qNodePrunes + sc.qItemPrunes - coarse
+			sp.CoarsePrunes = sc.qItemPrunes - coarse
 			sp.BoundPublished = obs.BoundValue(l.distK())
 		}
 	}

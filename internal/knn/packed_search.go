@@ -12,23 +12,17 @@ import (
 // (ISSUE 5) rather than the pointer-chasing node path.
 var obsSearchPacked = obs.New("knn.searches.packed")
 
-// quantNodePhase gates the node-level (child bounds) coarse pass. Measured
-// on the 10k-item bench fixture, only ~20% of children prune at node level
-// (vs ~99% of leaf items): the narrow select pass plus per-survivor exact
-// re-scoring costs more than the streaming exact kernel it replaces, so the
-// traversals run the coarse filter at leaf granularity only. The node
-// kernels and accessors stay built and tested should a workload with
-// heavier node-level pruning want them back.
-const quantNodePhase = false
-
 // quantOn reports whether this search should run the two-phase
-// coarse-filter loops (ISSUE 6): a quantized tier is selected, the search
-// is not being traced (the trace schema records exact per-entry distances,
-// which the coarse pass deliberately never computes), and the best-list is
-// full with a usable threshold (0 <= dk < +Inf: an unbounded dk can prune
-// nothing, and a negative one — possible only with degenerate data spheres
-// — would reintroduce the mixed-sign cancellation the select kernels'
-// threshold arithmetic excludes; see vec/quant.go).
+// coarse-filter loop over a leaf's items (ISSUE 6): a quantized tier is
+// selected, the search is not being traced (the trace schema records exact
+// per-entry distances, which the coarse pass deliberately never computes),
+// and the best-list is full with a usable threshold (0 <= dk < +Inf: an
+// unbounded dk can prune nothing, and a negative one — possible only with
+// degenerate data spheres — would reintroduce the mixed-sign cancellation
+// the select kernels' threshold arithmetic excludes; see vec/quant.go).
+// Child bounds always take the exact streaming kernel: a node-level coarse
+// pass pruned ~20% of children where the leaf pass prunes ~99% of items, and
+// cost more than the exact kernel it replaced.
 func (sc *scratch) quantOn(dk float64) bool {
 	return sc.quant != packed.TierNone && sc.tb == nil && dk >= 0 && !math.IsInf(dk, 1)
 }
@@ -153,32 +147,9 @@ func (sc *scratch) searchDFPacked(t *packed.Tree, n int32, nd float64, sq geom.S
 	kids := t.Children(n)
 	nc := len(kids)
 	sc.dfExpansions += uint64(nc)
-	// Two-phase expansion (ISSUE 6): score every child off the narrow tier
-	// first and compute the exact mindist only for children whose bound
-	// does not already exceed distk. Dropped children are exactly the ones
-	// the exact path would never recurse into: their exact mindist is >= the
-	// bound > distk-at-expansion >= distk at any later point of this visit
-	// loop (distk only shrinks), so the sorted visit sequence, the break
-	// point and every Stats field are unchanged. Restricted to fan-outs the
-	// stable insertion sort handles (<= 48): subsetting survivors under the
-	// heapsort fallback could reorder equal-distance children relative to
-	// the pointer path's full-array sort.
-	if quantNodePhase && sc.quantOn(l.distK()) && nc <= 48 {
-		dk := l.distK()
-		sc.qSel = growToI32(sc.qSel, nc)
-		nsel := t.ChildQuantSelect(sc.quant, n, sq, dk, sc.qSel)
-		sc.qNodePrunes += uint64(nc - nsel)
-		sc.qNodeExact += uint64(nsel)
-		for _, i := range sc.qSel[:nsel] {
-			sc.pStack = append(sc.pStack, kids[i])
-			sc.pDists = append(sc.pDists, t.ChildMinDistAt(n, i, sq))
-		}
-		nc = len(sc.pStack) - base
-	} else {
-		sc.pStack = append(sc.pStack, kids...)
-		sc.pDists = growTo(sc.pDists, base+nc)
-		t.ChildMinDists(n, sq, sc.pDists[base:base+nc])
-	}
+	sc.pStack = append(sc.pStack, kids...)
+	sc.pDists = growTo(sc.pDists, base+nc)
+	t.ChildMinDists(n, sq, sc.pDists[base:base+nc])
 	sortByDist(sc.pStack[base:base+nc], sc.pDists[base:base+nc])
 	for i := 0; i < nc; i++ {
 		if sc.pDists[base+i] > l.distK() {
@@ -198,78 +169,13 @@ func (sc *scratch) searchDFPacked(t *packed.Tree, n int32, nd float64, sq geom.S
 	}
 }
 
-// pHeap is the best-first frontier over packed node ids, mirroring ssHeap.
-// Unlike its cursor-based siblings it stores each (dist, id) pair in one
-// struct: a sift step then touches one cache line per level instead of two
-// (the parallel-slice layout showed up as pure memory stalls in profiles),
-// and since the comparisons and swap structure are unchanged the pop order
-// — and with it the packed/pointer bit-identity — is too.
-type pHeap struct {
-	es []pHeapEntry
-
-	// Scratch-local observability tallies, as in nodeHeap.
-	pushes, pops, grown uint64
-}
-
-type pHeapEntry struct {
-	dist float64
-	id   int32
-}
-
-func (h *pHeap) len() int { return len(h.es) }
-
-func (h *pHeap) push(n int32, d float64) {
-	h.pushes++
-	if len(h.es) == cap(h.es) {
-		h.grown++
-	}
-	h.es = append(h.es, pHeapEntry{d, n})
-	i := len(h.es) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.es[p].dist <= h.es[i].dist {
-			break
-		}
-		h.es[p], h.es[i] = h.es[i], h.es[p]
-		i = p
-	}
-}
-
-func (h *pHeap) pop() (int32, float64) {
-	h.pops++
-	e := h.es[0]
-	last := len(h.es) - 1
-	h.es[0] = h.es[last]
-	h.es = h.es[:last]
-	h.siftDown(0)
-	return e.id, e.dist
-}
-
-func (h *pHeap) siftDown(i int) {
-	es := h.es
-	for {
-		c := 2*i + 1
-		if c >= len(es) {
-			return
-		}
-		if c+1 < len(es) && es[c+1].dist < es[c].dist {
-			c++
-		}
-		if es[i].dist <= es[c].dist {
-			return
-		}
-		es[i], es[c] = es[c], es[i]
-		i = c
-	}
-}
-
 // searchHSPacked is searchHS over a frozen snapshot. Children are scored by
 // one kernel pass per expanded node and pushed under the hoisted distk
 // bound; the pop order is identical to the pointer path because the keys
 // are bit-identical and the heap is the same shape. rootDist is the root's
 // MinDist to the query, as for searchDFPacked.
 func (sc *scratch) searchHSPacked(t *packed.Tree, rootDist float64, sq geom.Sphere, l *bestList) {
-	h := &sc.pHeap
+	h := &sc.packedHeap
 	h.push(t.Root(), rootDist)
 	for h.len() > 0 {
 		n, dist := h.pop()
@@ -295,24 +201,6 @@ func (sc *scratch) searchHSPacked(t *packed.Tree, rootDist float64, sq geom.Sphe
 		// when an item is offered, and this loop only pushes child nodes.
 		dk := l.distK()
 		kids := t.Children(n)
-		if quantNodePhase && sc.quantOn(dk) {
-			// Two-phase (ISSUE 6): a narrow bound beyond distk certifies
-			// the exact mindist is too, so the child is skipped without
-			// touching the exact block — the pointer path would not have
-			// pushed it either. Survivors are scored exactly and pushed in
-			// the same index order as the exact pass, so the heap stays
-			// bit-identical.
-			sc.qSel = growToI32(sc.qSel, len(kids))
-			nsel := t.ChildQuantSelect(sc.quant, n, sq, dk, sc.qSel)
-			sc.qNodePrunes += uint64(len(kids) - nsel)
-			sc.qNodeExact += uint64(nsel)
-			for _, i := range sc.qSel[:nsel] {
-				if d := t.ChildMinDistAt(n, i, sq); d <= dk {
-					h.push(kids[i], d)
-				}
-			}
-			continue
-		}
 		sc.pBuf = growTo(sc.pBuf, len(kids))
 		t.ChildMinDists(n, sq, sc.pBuf)
 		for i, c := range kids {

@@ -5,7 +5,6 @@ import (
 
 	"hyperdom/internal/obs"
 	"hyperdom/internal/packed"
-	"hyperdom/internal/sstree"
 )
 
 // scratch is the per-search reusable arena: every buffer a traversal needs —
@@ -14,7 +13,7 @@ import (
 // sync.Pool, so a steady-state Search performs no heap allocation beyond
 // the answer slice it hands to the caller.
 //
-// The child frames (stack/dists, ssStack/ssDists) are flat arenas shared by
+// The child frames (stack/dists, pStack/pDists) are flat arenas shared by
 // all levels of a depth-first recursion: each visit records the current
 // length as its frame base, appends its children, and truncates back to the
 // base on exit. Appends reuse the retained capacity, so after the first few
@@ -25,24 +24,19 @@ import (
 type scratch struct {
 	list bestList
 
-	// Generic (interface-based) traversal state.
-	stack []IndexNode // DF child frames / HS expansion buffer
-	dists []float64   // MinDist keys parallel to stack
-	heap  nodeHeap    // HS frontier
+	// Reference (interface-based) traversal state.
+	stack []IndexNode         // DF child frames / HS expansion buffer
+	dists []float64           // MinDist keys parallel to stack
+	heap  distHeap[IndexNode] // HS frontier
 
-	// Concrete SS-tree fast-path state (no IndexNode boxing).
-	ssStack []sstree.Node
-	ssDists []float64
-	ssHeap  ssHeap
-
-	// Packed (frozen snapshot) fast-path state: dense node ids instead of
+	// Packed (frozen snapshot) traversal state: dense node ids instead of
 	// cursors, plus a staging buffer for the streaming kernel outputs
 	// (leaf item distances, HS child mindists). None of these hold
 	// references, so pooling them needs no clearing.
-	pStack []int32
-	pDists []float64
-	pBuf   []float64
-	pHeap  pHeap
+	pStack     []int32
+	pDists     []float64
+	pBuf       []float64
+	packedHeap distHeap[int32]
 
 	// treeTag qualifies packed node ids in a trace by the tree they belong
 	// to: 0 for a single-index search, (tree index + 1) << 32 while a forest
@@ -51,14 +45,12 @@ type scratch struct {
 
 	// Quantized coarse-filter state (ISSUE 6): the tier this search
 	// consults (stashed once at packed dispatch from the process-wide
-	// QuantMode), the survivor-index buffer the select kernels fill, and
-	// the coarse-prune / exact-fallback tallies flushObs drains. Plain
+	// QuantMode), the survivor-index buffer the leaf select kernels fill,
+	// and the coarse-prune / exact-fallback tallies flushObs drains. Plain
 	// values, nothing to clear on pool put-back.
 	quant packed.Tier
 	qSel  []int32
 
-	qNodePrunes uint64
-	qNodeExact  uint64
 	qItemPrunes uint64
 	qItemExact  uint64
 
@@ -88,15 +80,10 @@ type scratch struct {
 func (sc *scratch) resetTraversal() {
 	sc.stack = clearLen(sc.stack)
 	sc.dists = sc.dists[:0]
-	sc.heap.nodes = clearLen(sc.heap.nodes)
-	sc.heap.dists = sc.heap.dists[:0]
-	sc.ssStack = clearLen(sc.ssStack)
-	sc.ssDists = sc.ssDists[:0]
-	sc.ssHeap.nodes = clearLen(sc.ssHeap.nodes)
-	sc.ssHeap.dists = sc.ssHeap.dists[:0]
+	sc.heap.es = clearLen(sc.heap.es)
 	sc.pStack = sc.pStack[:0]
 	sc.pDists = sc.pDists[:0]
-	sc.pHeap.es = sc.pHeap.es[:0]
+	sc.packedHeap.es = sc.packedHeap.es[:0]
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{shard: obs.NextShard()} }}
@@ -105,8 +92,8 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
 // putScratch returns sc to the pool with every reference cleared over the
 // buffers' full capacity: a pooled scratch may live arbitrarily long, and a
-// single stale IndexNode, tree-node cursor, or Item would otherwise retain
-// an entire index (or its data spheres) that the caller has dropped.
+// single stale IndexNode or Item would otherwise retain an entire index (or
+// its data spheres) that the caller has dropped.
 func putScratch(sc *scratch) {
 	// A search flushes its own tallies when the obs gate is on; this
 	// catches tallies accumulated while it was off (and the final-filter
@@ -116,15 +103,10 @@ func putScratch(sc *scratch) {
 	sc.list.anch.FlushObs()
 	sc.stack = clearCap(sc.stack)
 	sc.dists = sc.dists[:0]
-	sc.heap.nodes = clearCap(sc.heap.nodes)
-	sc.heap.dists = sc.heap.dists[:0]
-	sc.ssStack = clearCap(sc.ssStack)
-	sc.ssDists = sc.ssDists[:0]
-	sc.ssHeap.nodes = clearCap(sc.ssHeap.nodes)
-	sc.ssHeap.dists = sc.ssHeap.dists[:0]
+	sc.heap.es = clearCap(sc.heap.es)
 	sc.pStack = sc.pStack[:0]
 	sc.pDists = sc.pDists[:0]
-	sc.pHeap.es = sc.pHeap.es[:0]
+	sc.packedHeap.es = sc.packedHeap.es[:0]
 	sc.list.top.es = clearCap(sc.list.top.es)
 	sc.list.buf = clearCap(sc.list.buf)
 	sc.list.stats = nil

@@ -98,11 +98,6 @@ func FuzzSnapshotOpen(f *testing.F) {
 			kids := tr.Children(n)
 			dst = append(dst[:0], make([]float64, len(kids))...)
 			tr.ChildMinDists(n, q, dst)
-			if len(kids) > 0 {
-				sel = append(sel[:0], make([]int32, len(kids))...)
-				tr.ChildQuantSelect(TierF32, n, q, 1, sel)
-				tr.ChildQuantSelect(TierI8, n, q, 1, sel)
-			}
 			stack = append(stack, kids...)
 		}
 	})

@@ -91,8 +91,8 @@ type Tree struct {
 	rootRadius     float64
 	rootLo, rootHi []float64 // KindRect root bound
 
-	// quant holds the narrow (float32 / int8) copies of every child and
-	// item bound used by the coarse-filter pass (ISSUE 6); see quant.go.
+	// quant holds the narrow (float32 / int8) copies of every leaf item
+	// sphere used by the coarse-filter pass (ISSUE 6); see quant.go.
 	quant quantTiers
 }
 

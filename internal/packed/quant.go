@@ -8,12 +8,14 @@ import (
 )
 
 // Quantized coarse-filter tiers (ISSUE 6). Freeze builds, next to the exact
-// float64 blocks, two narrow parallel copies of every child bound and leaf
-// item sphere: a float32 tier and an int8 tier with per-node scale/offset.
-// A traversal streams the narrow copy first (vec.MinDistSphereBlockF32 and
-// friends) to obtain a conservative lower bound on each entry's mindist,
-// prunes on that, and touches the exact float64 block only for the
-// survivors — same answers, a fraction of the bytes.
+// float64 blocks, two narrow parallel copies of every leaf item sphere: a
+// float32 tier and an int8 tier with per-leaf scale/offset. A traversal
+// streams the narrow copy of a leaf first (vec.SelectLeafSphereF32/I8) to
+// drop every item whose conservative mindist lower bound already exceeds
+// distk, and touches the exact float64 block only for the survivors — same
+// answers, a fraction of the bytes. Child bounds have no narrow copy: the
+// exact kernel over a node's few children is cheaper than a coarse pass
+// that prunes a fifth of them.
 //
 // The conservatism is bought at build time, not proven per query: every
 // quantized entry carries a float32 slack that upper-bounds how far its
@@ -22,11 +24,10 @@ import (
 // (center displacement ‖ĉ−c‖ plus any radius shortfall r−r̂, inflated by
 // a 1e-9 relative margin and rounded up). Radii quantize upward (f32Up /
 // ceil codes) so the quantized ball contains the exact one wherever the
-// narrow type can represent it; rectangle bounds quantize outward (lo
-// down, hi up). Degenerate inputs — NaN coordinates, magnitudes beyond
-// the narrow type's range, int8 clamping — simply inflate the entry's
-// slack to +Inf (or leave NaN in it), which the kernels collapse to the
-// never-prunes bound 0, keeping the exact path authoritative.
+// narrow type can represent it. Degenerate inputs — NaN coordinates,
+// magnitudes beyond the narrow type's range, int8 clamping — simply inflate
+// the entry's slack to +Inf (or leave NaN in it), so no drop comparison
+// succeeds and the exact path stays authoritative.
 // FuzzQuantizedLowerBound exercises exactly these edges. See DESIGN.md §12.
 
 // Tier selects which quantized copy a traversal consults.
@@ -35,43 +36,22 @@ type Tier uint8
 const (
 	// TierNone: no coarse pass — stream the exact float64 blocks directly.
 	TierNone Tier = iota
-	// TierF32: float32 centers/radii/bounds, per-entry slack.
+	// TierF32: float32 item centers.
 	TierF32
-	// TierI8: int8 codes with per-node scale/offset, per-entry slack.
+	// TierI8: int8 item-center codes with per-leaf scale/offset.
 	TierI8
 )
 
-// quantTiers holds both narrow copies. Child arrays parallel t.child /
-// t.cCenters; item arrays parallel t.items / t.iCenters; the int8 tier's
-// scale/offset/rScale arrays are indexed by node id.
+// quantTiers holds both narrow copies of the leaf item spheres (items are
+// spheres in every kind). Item arrays parallel t.items / t.iCenters; the
+// int8 tier's scale/offset arrays are indexed by node id. The quantized
+// radii and per-entry slacks exist only inside the quantizers, which fold
+// them into iSR32/iSR8.
 type quantTiers struct {
-	// Child bounds, float32 tier.
-	cCen32   []float32 // KindSphere: len(child)*dim
-	cRad32   []float32 // KindSphere: len(child), rounded up
-	cSlack32 []float32 // KindSphere: len(child)
-	cLo32    []float32 // KindRect: len(child)*dim, rounded down
-	cHi32    []float32 // KindRect: len(child)*dim, rounded up
-
-	// Child bounds, int8 tier.
-	cCen8       []int8    // KindSphere: len(child)*dim
-	cRad8       []uint8   // KindSphere: len(child), ceil codes
-	cSlack8     []float32 // KindSphere: len(child)
-	cLo8, cHi8  []int8    // KindRect: len(child)*dim each
-	cRectSlack8 []float32 // KindRect: len(child)
-	cScale      []float64 // per node
-	cOffset     []float64 // per node
-	cRScale     []float64 // KindSphere: per node
-
-	// Leaf item spheres, both tiers (items are spheres in every kind).
-	iCen32   []float32
-	iRad32   []float32
-	iSlack32 []float32
-	iCen8    []int8
-	iRad8    []uint8
-	iSlack8  []float32
-	iScale   []float64 // per node
-	iOffset  []float64 // per node
-	iRScale  []float64 // per node
+	iCen32  []float32
+	iCen8   []int8
+	iScale  []float64 // per node
+	iOffset []float64 // per node
 
 	// Pivot pre-filter (the cheap first test of the fused leaf select):
 	// per leaf the mean of its item centers in float64, and per item the
@@ -105,24 +85,16 @@ func f32Up(x float64) float32 {
 	return f
 }
 
-// f32Down returns the largest float32 whose value is <= x.
-func f32Down(x float64) float32 {
-	f := float32(x)
-	if float64(f) > x {
-		f = math.Nextafter32(f, float32(math.Inf(-1)))
-	}
-	return f
-}
-
 // slackMargin inflates a float64-measured slack so that the float32 value
 // stored is a guaranteed upper bound despite the measurement's own
 // rounding (relative error ~1e-15, margin 1e-9).
 func slackMargin(s float64) float32 { return f32Up(s * (1 + 1e-9)) }
 
-// quantSphereF32 appends the float32 tier of one sphere block (n entries,
-// centers[e*dim:], radii[e]) to the destination slices: round-to-nearest
-// centers, round-up radii, and the per-entry slack ‖ĉ−c‖.
-func quantSphereF32(cen32, rad32, slack []float32, centers, radii []float64, dim int) ([]float32, []float32, []float32) {
+// quantSphereF32 appends the float32 tier of one leaf's item block (n
+// entries, centers[e*dim:], radii[e]): round-to-nearest centers into cen32
+// and, per item, the refine threshold sum into sr — the round-up of the
+// slack ‖ĉ−c‖ plus the round-up radius.
+func quantSphereF32(cen32, sr []float32, centers, radii []float64, dim int) ([]float32, []float32) {
 	for e := 0; e < len(radii); e++ {
 		c := centers[e*dim : (e+1)*dim]
 		var disp2 float64
@@ -132,7 +104,6 @@ func quantSphereF32(cen32, rad32, slack []float32, centers, radii []float64, dim
 			d := float64(w) - cj
 			disp2 += d * d
 		}
-		rad32 = append(rad32, f32Up(radii[e]))
 		s := math.Sqrt(disp2)
 		if radii[e] < 0 {
 			// A negative radius would put a mixed-sign term into the select
@@ -141,9 +112,9 @@ func quantSphereF32(cen32, rad32, slack []float32, centers, radii []float64, dim
 			// (never prunes) and leaves the exact path authoritative.
 			s = math.Inf(1)
 		}
-		slack = append(slack, slackMargin(s))
+		sr = append(sr, f32Up(float64(slackMargin(s))+float64(f32Up(radii[e]))))
 	}
-	return cen32, rad32, slack
+	return cen32, sr
 }
 
 // rangeOf returns the min and max of the finite values in xs (0, 0 when
@@ -202,36 +173,6 @@ func i8Code(x, scale, offset float64) int8 {
 	return int8(t)
 }
 
-// i8CodeFloor / i8CodeCeil are the directed-rounding variants for
-// rectangle faces.
-func i8CodeFloor(x, scale, offset float64) int8 {
-	if scale == 0 {
-		return 0
-	}
-	t := math.Floor((x - offset) / scale)
-	if !(t >= -127) {
-		t = -127
-	}
-	if t > 127 {
-		t = 127
-	}
-	return int8(t)
-}
-
-func i8CodeCeil(x, scale, offset float64) int8 {
-	if scale == 0 {
-		return 0
-	}
-	t := math.Ceil((x - offset) / scale)
-	if !(t >= -127) {
-		t = -127
-	}
-	if t > 127 {
-		t = 127
-	}
-	return int8(t)
-}
-
 // radCode quantizes a radius into a ceil uint8 code against rScale and
 // returns the code plus the shortfall r − rScale·code the caller must fold
 // into the entry's slack when positive (a quantized radius smaller than
@@ -251,11 +192,12 @@ func radCode(r, rScale float64) (uint8, float64) {
 	return code, r - rScale*float64(code)
 }
 
-// quantSphereI8 appends the int8 tier of one sphere block and returns the
-// node's scale/offset/rScale. The slack is measured against the exact
-// dequantization expression the kernel evaluates (offset + scale·code),
-// plus any radius shortfall.
-func quantSphereI8(cen8 []int8, rad8 []uint8, slack []float32, centers, radii []float64, dim int) ([]int8, []uint8, []float32, float64, float64, float64) {
+// quantSphereI8 appends the int8 tier of one leaf's item block — center
+// codes into cen8, per-item threshold sums (slack + rScale·radCode) into sr —
+// and returns the leaf's scale/offset. The slack is measured against the
+// exact dequantization expression the kernel evaluates (offset +
+// scale·code), plus any radius shortfall.
+func quantSphereI8(cen8 []int8, sr []float32, centers, radii []float64, dim int) ([]int8, []float32, float64, float64) {
 	lo, hi, _ := rangeOf(centers)
 	scale, offset := i8Params(lo, hi)
 	var maxR float64
@@ -275,7 +217,6 @@ func quantSphereI8(cen8 []int8, rad8 []uint8, slack []float32, centers, radii []
 			disp2 += d * d
 		}
 		code, deficit := radCode(radii[e], rScale)
-		rad8 = append(rad8, code)
 		s := math.Sqrt(disp2)
 		if deficit > 0 {
 			s += deficit
@@ -288,202 +229,66 @@ func quantSphereI8(cen8 []int8, rad8 []uint8, slack []float32, centers, radii []
 			// mixed-sign threshold sum.
 			s = math.Inf(1)
 		}
-		slack = append(slack, slackMargin(s))
+		sr = append(sr, f32Up(float64(slackMargin(s))+rScale*float64(code)))
 	}
-	return cen8, rad8, slack, scale, offset, rScale
+	return cen8, sr, scale, offset
 }
 
-// quantRectI8 appends the int8 tier of one rect block and returns the
-// node's scale/offset. Directed code rounding keeps the quantized rect
-// containing the exact one except where int8 clamping pushed a face
-// inward; the per-coordinate inward shifts δ are folded into the entry
-// slack as ‖δ‖ (per-coordinate distances grow by at most δ_j, so the
-// mindist grows by at most the norm — Minkowski).
-func quantRectI8(lo8, hi8 []int8, slack []float32, cLo, cHi []float64, nEntries, dim int) ([]int8, []int8, []float32, float64, float64) {
-	l1, h1, any1 := rangeOf(cLo)
-	l2, h2, any2 := rangeOf(cHi)
-	switch {
-	case any1 && any2:
-		l1, h1 = math.Min(l1, l2), math.Max(h1, h2)
-	case any2:
-		l1, h1 = l2, h2
-	}
-	scale, offset := i8Params(l1, h1)
-	for e := 0; e < nEntries; e++ {
-		var shift2 float64
-		for j := 0; j < dim; j++ {
-			loJ, hiJ := cLo[e*dim+j], cHi[e*dim+j]
-			lc := i8CodeFloor(loJ, scale, offset)
-			hc := i8CodeCeil(hiJ, scale, offset)
-			lo8 = append(lo8, lc)
-			hi8 = append(hi8, hc)
-			var shift float64
-			if d := offset + scale*float64(lc) - loJ; d > 0 || math.IsNaN(d) {
-				shift = d
-			}
-			if d := hiJ - (offset + scale*float64(hc)); d > shift || math.IsNaN(d) {
-				shift = d
-			}
-			shift2 += shift * shift
-		}
-		slack = append(slack, slackMargin(math.Sqrt(shift2)))
-	}
-	return lo8, hi8, slack, scale, offset
-}
-
-// buildQuant fills both narrow tiers for every node's child block and leaf
-// item block. Called once by finish(); one pass per tier over data the
-// builder just wrote, so freezing stays O(data).
+// buildQuant fills both narrow tiers for every leaf's item block. Called
+// once by finish(); one pass per tier over data the builder just wrote, so
+// freezing stays O(data).
 func (t *Tree) buildQuant() {
 	q := &t.quant
 	nodes := len(t.leaf)
-	q.cScale = make([]float64, nodes)
-	q.cOffset = make([]float64, nodes)
 	q.iScale = make([]float64, nodes)
 	q.iOffset = make([]float64, nodes)
-	q.iRScale = make([]float64, nodes)
 	q.leafPivot = make([]float64, nodes*t.dim)
-	if t.kind == KindSphere {
-		q.cRScale = make([]float64, nodes)
-	}
 	dim := t.dim
 	for n := 0; n < nodes; n++ {
-		cs, ce := t.childStart[n], t.childStart[n+1]
-		if ce > cs {
-			if t.kind == KindSphere {
-				centers := t.cCenters[cs*int32(dim) : ce*int32(dim)]
-				radii := t.cRadii[cs:ce]
-				q.cCen32, q.cRad32, q.cSlack32 = quantSphereF32(q.cCen32, q.cRad32, q.cSlack32, centers, radii, dim)
-				q.cCen8, q.cRad8, q.cSlack8, q.cScale[n], q.cOffset[n], q.cRScale[n] =
-					quantSphereI8(q.cCen8, q.cRad8, q.cSlack8, centers, radii, dim)
-			} else {
-				lo := t.cLo[cs*int32(dim) : ce*int32(dim)]
-				hi := t.cHi[cs*int32(dim) : ce*int32(dim)]
-				for _, x := range lo {
-					q.cLo32 = append(q.cLo32, f32Down(x))
-				}
-				for _, x := range hi {
-					q.cHi32 = append(q.cHi32, f32Up(x))
-				}
-				q.cLo8, q.cHi8, q.cRectSlack8, q.cScale[n], q.cOffset[n] =
-					quantRectI8(q.cLo8, q.cHi8, q.cRectSlack8, lo, hi, int(ce-cs), dim)
-			}
-		}
 		is, ie := t.itemStart[n], t.itemStart[n+1]
-		if ie > is {
-			centers := t.iCenters[is*int32(dim) : ie*int32(dim)]
-			radii := t.iRadii[is:ie]
-			q.iCen32, q.iRad32, q.iSlack32 = quantSphereF32(q.iCen32, q.iRad32, q.iSlack32, centers, radii, dim)
-			q.iCen8, q.iRad8, q.iSlack8, q.iScale[n], q.iOffset[n], q.iRScale[n] =
-				quantSphereI8(q.iCen8, q.iRad8, q.iSlack8, centers, radii, dim)
-			// Pivot = centroid of the leaf's item centers (any point works
-			// for correctness; the centroid keeps the per-item distances —
-			// and with them the bound's looseness — small).
-			pv := q.leafPivot[n*dim : n*dim+dim]
-			for e := 0; e < int(ie-is); e++ {
-				for j := 0; j < dim; j++ {
-					pv[j] += centers[e*dim+j]
-				}
+		if ie == is {
+			continue
+		}
+		centers := t.iCenters[is*int32(dim) : ie*int32(dim)]
+		radii := t.iRadii[is:ie]
+		q.iCen32, q.iSR32 = quantSphereF32(q.iCen32, q.iSR32, centers, radii, dim)
+		q.iCen8, q.iSR8, q.iScale[n], q.iOffset[n] = quantSphereI8(q.iCen8, q.iSR8, centers, radii, dim)
+		// Pivot = centroid of the leaf's item centers (any point works
+		// for correctness; the centroid keeps the per-item distances —
+		// and with them the bound's looseness — small).
+		pv := q.leafPivot[n*dim : n*dim+dim]
+		for e := range radii {
+			for j := 0; j < dim; j++ {
+				pv[j] += centers[e*dim+j]
 			}
-			for j := range pv {
-				pv[j] /= float64(ie - is)
+		}
+		for j := range pv {
+			pv[j] /= float64(len(radii))
+		}
+		for e, r := range radii {
+			d := vec.DistEntry(pv, centers[e*dim:(e+1)*dim])
+			// Clamp at 0: a negative value would flip the direction
+			// the relative rounding margin must point, and raising
+			// the bound only loosens it, so the clamp stays
+			// conservative. A NaN passes through slackMargin and
+			// fails every drop comparison at query time.
+			hi := d + r
+			if hi < 0 {
+				hi = 0
 			}
-			for e := 0; e < int(ie-is); e++ {
-				d := vec.DistEntry(pv, centers[e*dim:(e+1)*dim])
-				// Clamp at 0: a negative value would flip the direction
-				// the relative rounding margin must point, and raising
-				// the bound only loosens it, so the clamp stays
-				// conservative. A NaN passes through slackMargin and
-				// fails every drop comparison at query time.
-				hi := d + radii[e]
-				if hi < 0 {
-					hi = 0
-				}
-				q.iPivotHi32 = append(q.iPivotHi32, slackMargin(hi))
-			}
-			for e := int(is); e < int(ie); e++ {
-				q.iSR32 = append(q.iSR32, f32Up(float64(q.iSlack32[e])+float64(q.iRad32[e])))
-				q.iSR8 = append(q.iSR8, f32Up(float64(q.iSlack8[e])+q.iRScale[n]*float64(q.iRad8[e])))
-			}
+			q.iPivotHi32 = append(q.iPivotHi32, slackMargin(hi))
 		}
 	}
 }
 
-// ChildQuantBounds streams one pass over internal node n's quantized child
-// bounds in the given tier and writes a conservative lower bound on each
-// child's mindist to the query into dst (length len(Children(n))): every
-// value is finite, >= 0, and <= the exact value ChildMinDists writes for
-// the same entry. Panics if tier is TierNone.
-func (t *Tree) ChildQuantBounds(tier Tier, n int32, q geom.Sphere, dst []float64) {
-	cs, ce := t.childStart[n], t.childStart[n+1]
-	lo, hi := cs*int32(t.dim), ce*int32(t.dim)
-	qt := &t.quant
-	switch {
-	case t.kind == KindSphere && tier == TierF32:
-		vec.MinDistSphereBlockF32(dst, qt.cCen32[lo:hi], qt.cRad32[cs:ce], qt.cSlack32[cs:ce], q.Center, q.Radius)
-	case t.kind == KindSphere && tier == TierI8:
-		vec.MinDistSphereBlockI8(dst, qt.cCen8[lo:hi], qt.cScale[n], qt.cOffset[n],
-			qt.cRad8[cs:ce], qt.cRScale[n], qt.cSlack8[cs:ce], q.Center, q.Radius)
-	case tier == TierF32:
-		vec.MinDistRectBlockF32(dst, qt.cLo32[lo:hi], qt.cHi32[lo:hi], q.Center, q.Radius)
-	case tier == TierI8:
-		vec.MinDistRectBlockI8(dst, qt.cLo8[lo:hi], qt.cHi8[lo:hi], qt.cScale[n], qt.cOffset[n],
-			qt.cRectSlack8[cs:ce], q.Center, q.Radius)
-	default:
-		panic("packed: ChildQuantBounds with TierNone")
-	}
-}
-
-// LeafQuantBounds is ChildQuantBounds for leaf n's item spheres: dst gets a
-// conservative lower bound on each item's mindist (dist − radius − query
-// radius, clamped at 0) in the given tier.
-func (t *Tree) LeafQuantBounds(tier Tier, n int32, q geom.Sphere, dst []float64) {
-	is, ie := t.itemStart[n], t.itemStart[n+1]
-	lo, hi := is*int32(t.dim), ie*int32(t.dim)
-	qt := &t.quant
-	switch tier {
-	case TierF32:
-		vec.MinDistSphereBlockF32(dst, qt.iCen32[lo:hi], qt.iRad32[is:ie], qt.iSlack32[is:ie], q.Center, q.Radius)
-	case TierI8:
-		vec.MinDistSphereBlockI8(dst, qt.iCen8[lo:hi], qt.iScale[n], qt.iOffset[n],
-			qt.iRad8[is:ie], qt.iRScale[n], qt.iSlack8[is:ie], q.Center, q.Radius)
-	default:
-		panic("packed: LeafQuantBounds with TierNone")
-	}
-}
-
-// ChildQuantSelect is the traversal-facing form of ChildQuantBounds: it
-// writes into sel the indices (within node n's child block) of the entries
-// whose narrow bound cannot certainly exceed dk, and returns their count.
-// Every dropped entry has exact mindist > dk; survivors must take the exact
-// per-entry fallback (ChildMinDistAt). sel needs room for the node's full
-// child count.
-func (t *Tree) ChildQuantSelect(tier Tier, n int32, q geom.Sphere, dk float64, sel []int32) int {
-	cs, ce := t.childStart[n], t.childStart[n+1]
-	lo, hi := cs*int32(t.dim), ce*int32(t.dim)
-	qt := &t.quant
-	switch {
-	case t.kind == KindSphere && tier == TierF32:
-		return vec.SelectSphereBlockF32(sel, qt.cCen32[lo:hi], qt.cRad32[cs:ce], qt.cSlack32[cs:ce], q.Center, q.Radius, dk)
-	case t.kind == KindSphere && tier == TierI8:
-		return vec.SelectSphereBlockI8(sel, qt.cCen8[lo:hi], qt.cScale[n], qt.cOffset[n],
-			qt.cRad8[cs:ce], qt.cRScale[n], qt.cSlack8[cs:ce], q.Center, q.Radius, dk)
-	case tier == TierF32:
-		return vec.SelectRectBlockF32(sel, qt.cLo32[lo:hi], qt.cHi32[lo:hi], q.Center, q.Radius, dk)
-	case tier == TierI8:
-		return vec.SelectRectBlockI8(sel, qt.cLo8[lo:hi], qt.cHi8[lo:hi], qt.cScale[n], qt.cOffset[n],
-			qt.cRectSlack8[cs:ce], q.Center, q.Radius, dk)
-	default:
-		panic("packed: ChildQuantSelect with TierNone")
-	}
-}
-
-// LeafQuantSelect is ChildQuantSelect for leaf n's item spheres, fused with
-// the pivot pre-filter: one exact distance to the leaf's pivot, then a
+// LeafQuantSelect writes into sel the indices (within leaf n's item block)
+// of the items whose narrow bound cannot certainly exceed dk, and returns
+// their count; sel needs room for the leaf's full item count. It is fused
+// with the pivot pre-filter: one exact distance to the leaf's pivot, then a
 // single pass in which most items settle on one float32 compare (triangle
 // inequality) and only the unsettled ones pay the per-dimension narrow
-// bound. Both tests are conservative, so the contract is unchanged: every
-// dropped entry has exact mindist > dk.
+// bound. Both tests are conservative: every dropped entry has exact mindist
+// > dk, and survivors must take the exact per-entry fallback (LeafDistAt).
 func (t *Tree) LeafQuantSelect(tier Tier, n int32, q geom.Sphere, dk float64, sel []int32) int {
 	is, ie := t.itemStart[n], t.itemStart[n+1]
 	lo, hi := is*int32(t.dim), ie*int32(t.dim)
@@ -500,18 +305,6 @@ func (t *Tree) LeafQuantSelect(tier Tier, n int32, q geom.Sphere, dk float64, se
 	default:
 		panic("packed: LeafQuantSelect with TierNone")
 	}
-}
-
-// ChildMinDistAt computes the exact mindist of internal node n's i-th
-// child entry — bit-identical to entry i of a ChildMinDists pass. The
-// two-phase traversal calls it for the survivors of the coarse pass.
-func (t *Tree) ChildMinDistAt(n int32, i int32, q geom.Sphere) float64 {
-	e := t.childStart[n] + i
-	lo, hi := e*int32(t.dim), (e+1)*int32(t.dim)
-	if t.kind == KindRect {
-		return vec.MinDistRectEntry(t.cLo[lo:hi], t.cHi[lo:hi], q.Center, q.Radius)
-	}
-	return vec.MinDistSphereEntry(t.cCenters[lo:hi], t.cRadii[e], q.Center, q.Radius)
 }
 
 // LeafDistAt computes the exact center distance of leaf n's i-th item —

@@ -8,80 +8,71 @@ import (
 	"hyperdom/internal/geom"
 )
 
-// buildQuantFixture assembles one sphere node + leaf and one rect node over
-// the same n random entries and returns both trees plus the raw geometry.
-type quantFixture struct {
-	st, rt       *Tree
-	sNode, sLeaf int32
-	rNode        int32
-	centers      [][]float64
-	radii        []float64
-	lo, hi       [][]float64
-}
-
-func buildQuantFixture(rng *rand.Rand, dim, n int, spread float64) *quantFixture {
-	fx := &quantFixture{}
+// buildQuantLeaf freezes one leaf of n random item spheres and returns the
+// tree and the leaf's id.
+func buildQuantLeaf(rng *rand.Rand, dim, n int, spread float64) (*Tree, int32) {
 	items := make([]geom.Item, n)
-	for i := 0; i < n; i++ {
+	for i := range items {
 		c := make([]float64, dim)
-		l := make([]float64, dim)
-		h := make([]float64, dim)
-		for j := 0; j < dim; j++ {
+		for j := range c {
 			c[j] = rng.NormFloat64() * spread
-			l[j] = rng.NormFloat64() * spread
-			h[j] = l[j] + math.Abs(rng.NormFloat64()*spread/4)
 		}
-		fx.centers = append(fx.centers, c)
-		fx.radii = append(fx.radii, math.Abs(rng.NormFloat64()*spread/10))
-		fx.lo = append(fx.lo, l)
-		fx.hi = append(fx.hi, h)
-		items[i] = geom.Item{ID: i, Sphere: geom.Sphere{Center: c, Radius: fx.radii[i]}}
+		items[i] = geom.Item{ID: i, Sphere: geom.Sphere{Center: c, Radius: math.Abs(rng.NormFloat64() * spread / 10)}}
 	}
-	sb := NewBuilder(KindSphere, dim)
-	fx.sLeaf = sb.Leaf(items)
-	fx.sNode = sb.InternalSphere(kidsOf(fx.sLeaf, n), fx.centers, fx.radii)
-	fx.st = sb.FinishSphere(fx.sNode, fx.centers[0], fx.radii[0])
-
-	rb := NewBuilder(KindRect, dim)
-	rleaf := rb.Leaf(items)
-	fx.rNode = rb.InternalRect(kidsOf(rleaf, n), fx.lo, fx.hi)
-	fx.rt = rb.FinishRect(fx.rNode, fx.lo[0], fx.hi[0])
-	return fx
+	b := NewBuilder(KindSphere, dim)
+	leaf := b.Leaf(items)
+	return b.FinishSphere(leaf, items[0].Sphere.Center, spread*10), leaf
 }
 
-// TestQuantBoundsConservative checks bound <= exact per entry over both
-// tiers, kinds and the leaf items, on well-behaved random geometry across
-// several scales (the fuzz target covers the hostile inputs).
+// leafMinDists returns the exact per-item mindist expression the traversal
+// evaluates for leaf n: dist − radius − qr, clamped at 0.
+func leafMinDists(t *Tree, n int32, q geom.Sphere) []float64 {
+	exact := make([]float64, len(t.LeafItems(n)))
+	t.LeafDists(n, q.Center, exact)
+	for i, r := range t.ItemRadii(n) {
+		if m := exact[i] - r - q.Radius; m > 0 {
+			exact[i] = m
+		} else {
+			exact[i] = 0
+		}
+	}
+	return exact
+}
+
+// selectKept runs LeafQuantSelect and returns which item indices survived.
+func selectKept(t *Tree, tier Tier, n int32, q geom.Sphere, dk float64) []bool {
+	sel := make([]int32, len(t.LeafItems(n)))
+	kept := make([]bool, len(sel))
+	for _, i := range sel[:t.LeafQuantSelect(tier, n, q, dk, sel)] {
+		kept[i] = true
+	}
+	return kept
+}
+
+// TestQuantBoundsConservative checks, over both tiers, that every item the
+// leaf select drops has exact mindist > dk, on well-behaved random geometry
+// across several scales and with dk cutting through the middle of the
+// leaf's mindist range (the fuzz target covers the hostile inputs).
 func TestQuantBoundsConservative(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, spread := range []float64{1e-6, 1, 1e3, 1e12} {
 		for trial := 0; trial < 30; trial++ {
 			dim := 2 + rng.Intn(9)
 			n := 1 + rng.Intn(8)
-			fx := buildQuantFixture(rng, dim, n, spread)
+			pt, leaf := buildQuantLeaf(rng, dim, n, spread)
 			qc := make([]float64, dim)
 			for j := range qc {
 				qc[j] = rng.NormFloat64() * spread
 			}
 			q := geom.Sphere{Center: qc, Radius: math.Abs(rng.NormFloat64() * spread / 8)}
-
-			exact := make([]float64, n)
-			bound := make([]float64, n)
+			exact := leafMinDists(pt, leaf, q)
 			for _, tier := range []Tier{TierF32, TierI8} {
-				fx.st.ChildMinDists(fx.sNode, q, exact)
-				fx.st.ChildQuantBounds(tier, fx.sNode, q, bound)
-				for i := range bound {
-					if !(bound[i] >= 0) || bound[i] > exact[i] {
-						t.Fatalf("spread=%g tier=%d sphere child %d: bound %v vs exact %v",
-							spread, tier, i, bound[i], exact[i])
-					}
-				}
-				fx.rt.ChildMinDists(fx.rNode, q, exact)
-				fx.rt.ChildQuantBounds(tier, fx.rNode, q, bound)
-				for i := range bound {
-					if !(bound[i] >= 0) || bound[i] > exact[i] {
-						t.Fatalf("spread=%g tier=%d rect child %d: bound %v vs exact %v",
-							spread, tier, i, bound[i], exact[i])
+				for _, dk := range []float64{0, exact[n/2], exact[rng.Intn(n)] / 2} {
+					for i, kept := range selectKept(pt, tier, leaf, q, dk) {
+						if !kept && !(exact[i] > dk) {
+							t.Fatalf("spread=%g tier=%d item %d: dropped but exact mindist %v <= dk %v",
+								spread, tier, i, exact[i], dk)
+						}
 					}
 				}
 			}
@@ -89,86 +80,57 @@ func TestQuantBoundsConservative(t *testing.T) {
 	}
 }
 
-// TestQuantBoundsTight guards the other half of the design: on
-// well-scaled data the narrow bounds must track the exact mindist closely
-// enough to prune with — all-zero (or grossly slack) bounds would satisfy
-// conservatism while silently disabling the coarse filter. f32 carries
-// ~1e-7 relative center error; int8 resolves the node's extent in 254
-// steps, so its bound may undershoot by a few node-diameter LSBs but no
-// more.
+// TestQuantBoundsTight guards the other half of the design: on well-scaled
+// data the narrow bounds must track the exact mindist closely enough to
+// prune with — a select that keeps everything would satisfy conservatism
+// while silently disabling the coarse filter. f32 carries ~1e-7 relative
+// center error; int8 resolves the leaf's extent in 254 steps, so its bound
+// may undershoot by a few leaf-diameter LSBs but no more.
 func TestQuantBoundsTight(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	dim, n := 6, 8
-	fx := buildQuantFixture(rng, dim, n, 100)
+	pt, leaf := buildQuantLeaf(rng, dim, n, 100)
 	qc := make([]float64, dim)
 	for j := range qc {
 		qc[j] = rng.NormFloat64()*100 + 500 // far query: mindists well above 0
 	}
 	q := geom.Sphere{Center: qc, Radius: 1}
+	exact := leafMinDists(pt, leaf, q)
 
-	exact := make([]float64, n)
-	bound := make([]float64, n)
-	fx.st.ChildMinDists(fx.sNode, q, exact)
-
-	fx.st.ChildQuantBounds(TierF32, fx.sNode, q, bound)
-	for i := range bound {
-		if bound[i] < exact[i]*(1-1e-5) {
-			t.Fatalf("f32 sphere bound %d too loose: %v vs exact %v", i, bound[i], exact[i])
-		}
-	}
-	// int8: node extent is a few hundred units, 254 steps → LSB ~ a few
-	// units; center displacement across dim coords stays within ~3 LSB
-	// plus the radius LSB.
-	fx.st.ChildQuantBounds(TierI8, fx.sNode, q, bound)
-	for i := range bound {
-		if bound[i] < exact[i]-40 {
-			t.Fatalf("i8 sphere bound %d too loose: %v vs exact %v", i, bound[i], exact[i])
-		}
-	}
-
-	fx.rt.ChildMinDists(fx.rNode, q, exact)
-	fx.rt.ChildQuantBounds(TierF32, fx.rNode, q, bound)
-	for i := range bound {
-		if bound[i] < exact[i]*(1-1e-5) {
-			t.Fatalf("f32 rect bound %d too loose: %v vs exact %v", i, bound[i], exact[i])
-		}
-	}
-	fx.rt.ChildQuantBounds(TierI8, fx.rNode, q, bound)
-	for i := range bound {
-		if bound[i] < exact[i]-40 {
-			t.Fatalf("i8 rect bound %d too loose: %v vs exact %v", i, bound[i], exact[i])
+	// Leaf extent is a few hundred units, 254 steps → LSB ~ a few units;
+	// center displacement across dim coords stays within ~3 LSB plus the
+	// radius LSB.
+	for _, tc := range []struct {
+		tier   Tier
+		margin func(e float64) float64
+	}{
+		{TierF32, func(e float64) float64 { return e * 1e-5 }},
+		{TierI8, func(float64) float64 { return 40 }},
+	} {
+		for _, dk := range exact {
+			for i, kept := range selectKept(pt, tc.tier, leaf, q, dk) {
+				if kept && exact[i]-tc.margin(exact[i]) > dk {
+					t.Fatalf("tier=%d item %d kept at dk %v though exact mindist is %v", tc.tier, i, dk, exact[i])
+				}
+			}
 		}
 	}
 }
 
-// TestQuantEntryAccessors: the per-survivor exact fallbacks must equal the
-// streaming kernels bit for bit.
+// TestQuantEntryAccessors: the per-survivor exact fallback must equal the
+// streaming kernel bit for bit.
 func TestQuantEntryAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	dim, n := 5, 7
-	fx := buildQuantFixture(rng, dim, n, 10)
+	pt, leaf := buildQuantLeaf(rng, dim, n, 10)
 	qc := make([]float64, dim)
 	for j := range qc {
 		qc[j] = rng.NormFloat64() * 10
 	}
-	q := geom.Sphere{Center: qc, Radius: 0.5}
-
 	dst := make([]float64, n)
-	fx.st.ChildMinDists(fx.sNode, q, dst)
+	pt.LeafDists(leaf, qc, dst)
 	for i := 0; i < n; i++ {
-		if got := fx.st.ChildMinDistAt(fx.sNode, int32(i), q); math.Float64bits(got) != math.Float64bits(dst[i]) {
-			t.Fatalf("sphere ChildMinDistAt(%d) = %v, block %v", i, got, dst[i])
-		}
-	}
-	fx.rt.ChildMinDists(fx.rNode, q, dst)
-	for i := 0; i < n; i++ {
-		if got := fx.rt.ChildMinDistAt(fx.rNode, int32(i), q); math.Float64bits(got) != math.Float64bits(dst[i]) {
-			t.Fatalf("rect ChildMinDistAt(%d) = %v, block %v", i, got, dst[i])
-		}
-	}
-	fx.st.LeafDists(fx.sLeaf, qc, dst)
-	for i := 0; i < n; i++ {
-		if got := fx.st.LeafDistAt(fx.sLeaf, int32(i), qc); math.Float64bits(got) != math.Float64bits(dst[i]) {
+		if got := pt.LeafDistAt(leaf, int32(i), qc); math.Float64bits(got) != math.Float64bits(dst[i]) {
 			t.Fatalf("LeafDistAt(%d) = %v, block %v", i, got, dst[i])
 		}
 	}

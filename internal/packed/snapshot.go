@@ -6,7 +6,7 @@
 // in little-endian order:
 //
 //	[0,  8)  magic "HDSNAPLE" (the trailing LE doubles as the byte-order mark)
-//	[8, 12)  format version (u32, currently 1)
+//	[8, 12)  format version (u32, currently 2)
 //	[12,16)  header CRC-32C over [0, hdrLen) with this field zeroed
 //	[16,20)  hdrLen: fixed fields + section table, the CRC-covered prefix
 //	[20,40)  dim, nodes, children, items (u32 each), root (i32)
@@ -53,8 +53,11 @@ import (
 	"hyperdom/internal/obs"
 )
 
-// FormatVersion is the snapshot format this build writes and reads.
-const FormatVersion = 1
+// FormatVersion is the snapshot format this build writes and reads. v2
+// dropped the sections no traversal read (the child-bound coarse tier and
+// the per-item quantized radii/slacks already folded into iSR32/iSR8); a v1
+// file is refused with ErrBadVersion and rebuilt by its owner.
+const FormatVersion = 2
 
 const (
 	magicLE = "HDSNAPLE"
@@ -64,7 +67,7 @@ const (
 	secEntryLen = 24
 	secAlign    = 64
 
-	// tiersBoth: both narrow tiers (f32 | i8) are present. v1 snapshots
+	// tiersBoth: both narrow leaf tiers (f32 | i8) are present. Snapshots
 	// always carry both — buildQuant constructs them unconditionally.
 	tiersF32  = 1
 	tiersI8   = 2
@@ -174,29 +177,10 @@ const (
 	secRootCenter
 	secRootLo
 	secRootHi
-	secQCCen32
-	secQCRad32
-	secQCSlack32
-	secQCLo32
-	secQCHi32
-	secQCCen8
-	secQCRad8
-	secQCSlack8
-	secQCLo8
-	secQCHi8
-	secQCRectSlack8
-	secQCScale
-	secQCOffset
-	secQCRScale
 	secQICen32
-	secQIRad32
-	secQISlack32
 	secQICen8
-	secQIRad8
-	secQISlack8
 	secQIScale
 	secQIOffset
-	secQIRScale
 	secLeafPivot
 	secIPivotHi32
 	secISR32
@@ -240,29 +224,10 @@ func secSpecs(kind Kind, dim, nodes, children, items int64, root int32) []secSpe
 		{secRootCenter, 8, sel(sphere, rootN)},
 		{secRootLo, 8, sel(rect, rootN)},
 		{secRootHi, 8, sel(rect, rootN)},
-		{secQCCen32, 4, sel(sphere, children*dim)},
-		{secQCRad32, 4, sel(sphere, children)},
-		{secQCSlack32, 4, sel(sphere, children)},
-		{secQCLo32, 4, sel(rect, children*dim)},
-		{secQCHi32, 4, sel(rect, children*dim)},
-		{secQCCen8, 1, sel(sphere, children*dim)},
-		{secQCRad8, 1, sel(sphere, children)},
-		{secQCSlack8, 4, sel(sphere, children)},
-		{secQCLo8, 1, sel(rect, children*dim)},
-		{secQCHi8, 1, sel(rect, children*dim)},
-		{secQCRectSlack8, 4, sel(rect, children)},
-		{secQCScale, 8, nodes},
-		{secQCOffset, 8, nodes},
-		{secQCRScale, 8, sel(sphere, nodes)},
 		{secQICen32, 4, items * dim},
-		{secQIRad32, 4, items},
-		{secQISlack32, 4, items},
 		{secQICen8, 1, items * dim},
-		{secQIRad8, 1, items},
-		{secQISlack8, 4, items},
 		{secQIScale, 8, nodes},
 		{secQIOffset, 8, nodes},
-		{secQIRScale, 8, nodes},
 		{secLeafPivot, 8, nodes * dim},
 		{secIPivotHi32, 4, items},
 		{secISR32, 4, items},
@@ -378,52 +343,14 @@ func (t *Tree) secData(id uint32) []byte {
 		return leBytes(t.rootLo)
 	case secRootHi:
 		return leBytes(t.rootHi)
-	case secQCCen32:
-		return leBytes(q.cCen32)
-	case secQCRad32:
-		return leBytes(q.cRad32)
-	case secQCSlack32:
-		return leBytes(q.cSlack32)
-	case secQCLo32:
-		return leBytes(q.cLo32)
-	case secQCHi32:
-		return leBytes(q.cHi32)
-	case secQCCen8:
-		return rawBytes(q.cCen8)
-	case secQCRad8:
-		return rawBytes(q.cRad8)
-	case secQCSlack8:
-		return leBytes(q.cSlack8)
-	case secQCLo8:
-		return rawBytes(q.cLo8)
-	case secQCHi8:
-		return rawBytes(q.cHi8)
-	case secQCRectSlack8:
-		return leBytes(q.cRectSlack8)
-	case secQCScale:
-		return leBytes(q.cScale)
-	case secQCOffset:
-		return leBytes(q.cOffset)
-	case secQCRScale:
-		return leBytes(q.cRScale)
 	case secQICen32:
 		return leBytes(q.iCen32)
-	case secQIRad32:
-		return leBytes(q.iRad32)
-	case secQISlack32:
-		return leBytes(q.iSlack32)
 	case secQICen8:
 		return rawBytes(q.iCen8)
-	case secQIRad8:
-		return rawBytes(q.iRad8)
-	case secQISlack8:
-		return leBytes(q.iSlack8)
 	case secQIScale:
 		return leBytes(q.iScale)
 	case secQIOffset:
 		return leBytes(q.iOffset)
-	case secQIRScale:
-		return leBytes(q.iRScale)
 	case secLeafPivot:
 		return leBytes(q.leafPivot)
 	case secIPivotHi32:
@@ -436,7 +363,7 @@ func (t *Tree) secData(id uint32) []byte {
 	panic(fmt.Sprintf("packed: unknown section id %d", id))
 }
 
-// WriteTo serializes the snapshot in format v1 and reports the bytes
+// WriteTo serializes the snapshot in format v2 and reports the bytes
 // written. It implements io.WriterTo; durability (atomic replace, fsync)
 // is Save's job — WriteTo only streams bytes.
 func (t *Tree) WriteTo(w io.Writer) (int64, error) {

@@ -140,29 +140,10 @@ func eqTree(t *testing.T, want, got *Tree) {
 		}
 	}
 	wq, gq := &want.quant, &got.quant
-	eq("cCen32", wq.cCen32, gq.cCen32)
-	eq("cRad32", wq.cRad32, gq.cRad32)
-	eq("cSlack32", wq.cSlack32, gq.cSlack32)
-	eq("cLo32", wq.cLo32, gq.cLo32)
-	eq("cHi32", wq.cHi32, gq.cHi32)
-	eq("cCen8", wq.cCen8, gq.cCen8)
-	eq("cRad8", wq.cRad8, gq.cRad8)
-	eq("cSlack8", wq.cSlack8, gq.cSlack8)
-	eq("cLo8", wq.cLo8, gq.cLo8)
-	eq("cHi8", wq.cHi8, gq.cHi8)
-	eq("cRectSlack8", wq.cRectSlack8, gq.cRectSlack8)
-	eq("cScale", wq.cScale, gq.cScale)
-	eq("cOffset", wq.cOffset, gq.cOffset)
-	eq("cRScale", wq.cRScale, gq.cRScale)
 	eq("iCen32", wq.iCen32, gq.iCen32)
-	eq("iRad32", wq.iRad32, gq.iRad32)
-	eq("iSlack32", wq.iSlack32, gq.iSlack32)
 	eq("iCen8", wq.iCen8, gq.iCen8)
-	eq("iRad8", wq.iRad8, gq.iRad8)
-	eq("iSlack8", wq.iSlack8, gq.iSlack8)
 	eq("iScale", wq.iScale, gq.iScale)
 	eq("iOffset", wq.iOffset, gq.iOffset)
-	eq("iRScale", wq.iRScale, gq.iRScale)
 	eq("leafPivot", wq.leafPivot, gq.leafPivot)
 	eq("iPivotHi32", wq.iPivotHi32, gq.iPivotHi32)
 	eq("iSR32", wq.iSR32, gq.iSR32)
@@ -196,6 +177,24 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			}
 			eqTree(t, pt, got)
 		})
+	}
+}
+
+// TestSnapshotFormatLayout pins the v2 table of contents (DESIGN.md §12):
+// 22 section kinds, of which a sphere-bounded file carries 18 and a
+// rect-bounded one 19.
+func TestSnapshotFormatLayout(t *testing.T) {
+	if FormatVersion != 2 {
+		t.Fatalf("FormatVersion = %d, want 2", FormatVersion)
+	}
+	if n := len(secSpecs(KindSphere, 2, 1, 0, 1, 0)); n != 22 {
+		t.Fatalf("secSpecs lists %d sections, want 22", n)
+	}
+	for kind, want := range map[Kind]uint32{KindSphere: 18, KindRect: 19} {
+		data := snapshotBytes(t, randTree(42, kind, 4, 8, 16))
+		if got := binary.LittleEndian.Uint32(data[44:]); got != want {
+			t.Errorf("kind %d file carries %d sections, want %d", kind, got, want)
+		}
 	}
 }
 
@@ -347,6 +346,11 @@ func TestSnapshotCorruptInputs(t *testing.T) {
 		{"big-endian magic", func(b []byte) []byte { copy(b, magicBE); return b }, ErrIncompatible},
 		{"future version", func(b []byte) []byte {
 			le.PutUint32(b[8:], FormatVersion+1)
+			rewriteCRCs(b)
+			return b
+		}, ErrBadVersion},
+		{"previous version", func(b []byte) []byte {
+			le.PutUint32(b[8:], FormatVersion-1)
 			rewriteCRCs(b)
 			return b
 		}, ErrBadVersion},

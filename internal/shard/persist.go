@@ -223,8 +223,9 @@ func OpenDir(dir string, opts OpenOptions) (*Index, error) {
 	if obs.On() {
 		obsIndexes.Inc()
 		obsShards.Add(uint64(len(x.trees)))
-		// v1 snapshots always carry both narrow tiers; the info gauge makes
-		// the running format/substrate visible per collection.
+		// Every snapshot carries both narrow leaf tiers (the header's tier
+		// mask is checked at open); the info gauge makes the running
+		// format/substrate visible per collection.
 		obs.SetGauge("snapshot.info",
 			fmt.Sprintf(`collection=%q,version="%d",substrate=%q,quant="f32+i8"`,
 				bopts.Label, packed.FormatVersion, m.Substrate), 1)

@@ -4,24 +4,22 @@ import "math"
 
 // Quantized coarse-filter kernels (ISSUE 6). These are the narrow-type
 // companions of the exact block kernels in block.go: the packed snapshot
-// (package packed) stores an additional float32 copy and an int8 copy (with
-// per-node scale/offset) of every child/item bound, and the kernels below
-// stream one pass over such a narrow block and write a *conservative
-// lower bound* on the per-entry minimum distance into dst.
+// (package packed) stores a float32 copy and an int8 copy (with per-leaf
+// scale/offset) of every leaf item center, and the kernels below stream one
+// pass over such a narrow block to settle, conservatively, which entries'
+// minimum distance to the query certainly exceeds a bound.
 //
-// Contract — the reason these are sufficient prune criteria: for every
-// entry i,
+// Contract — the reason these are sufficient prune criteria: the lower
+// bound lb[i] a kernel derives for entry i satisfies
 //
-//	dst[i] is finite, dst[i] >= 0, and
-//	dst[i] <= exact[i] whenever exact[i] is not NaN,
+//	lb[i] <= exact[i] whenever exact[i] is not NaN,
 //
-// where exact[i] is the value the float64 kernel (MinDistSphereBlock,
-// MinDistRectBlock) computes for the same entry. A traversal may therefore
-// prune on dst[i] > bound exactly when it could have pruned on the exact
-// value, and must fall back to the exact block only when the narrow bound
-// fails to prune. When the inputs are degenerate (NaN anywhere, overflow
-// to ±Inf in the narrow type), the kernels write 0 — the bound that never
-// prunes — so the exact path keeps full authority over every edge case.
+// where exact[i] is the value the float64 path computes for the same entry.
+// A traversal may therefore prune on lb[i] > bound exactly when it could
+// have pruned on the exact value, and must fall back to the exact block
+// only when the narrow bound fails to prune. When the inputs are degenerate
+// (NaN anywhere, overflow to ±Inf in the narrow type) no prune comparison
+// succeeds, so the exact path keeps full authority over every edge case.
 // FuzzQuantizedLowerBound (package packed) locks this contract.
 //
 // The slack accounting: quantization replaces an exact geometry g by a
@@ -33,10 +31,7 @@ import "math"
 // the distance term to absorb the float64 arithmetic rounding of both the
 // narrow and the exact evaluation (true relative error is below 1e-13 for
 // any practical dimensionality; 1e-9 leaves three orders of margin and
-// costs nothing in pruning power). Rectangles quantize with directed
-// rounding — lo down, hi up — so the narrow rect contains the exact one
-// and only the arithmetic shave (plus the int8 clamping deficit) is
-// needed.
+// costs nothing in pruning power).
 const lbEps = 1e-9
 
 // qclamp maps a raw lower bound to its final form: non-positive, +Inf and
@@ -72,25 +67,15 @@ func dist2SeqF32(c []float32, q []float64) float64 {
 	return s
 }
 
-// dist2SeqI8 is dist2SeqF32 for the int8 tier: each stored code
-// dequantizes to offset + scale·code — the exact float64 expression the
-// builder used when it measured the per-entry slack, so the reconstructed
-// center matches the builder's bit for bit.
-func dist2SeqI8(codes []int8, scale, offset float64, q []float64) float64 {
-	var s float64
-	for i, qi := range q {
-		d := offset + scale*float64(codes[i]) - qi
-		s += d * d
-	}
-	return s
-}
-
 // MinDistSphereBlockF32 writes into dst[i] a conservative lower bound on
 // the minimum distance between the query sphere (center q, radius qr) and
 // the i-th exact sphere, computed from its float32 copy: centers holds the
 // round-to-nearest float32 centers, radii the round-up float32 radii, and
-// slack the per-entry quantization slack (see package comment). len(centers)
-// must be len(dst)*len(q); radii and slack must have length len(dst).
+// slack the per-entry quantization slack (see package comment). Every
+// dst[i] is finite and >= 0. len(centers) must be len(dst)*len(q); radii
+// and slack must have length len(dst). The bound form of the leaf select
+// below: no traversal calls it, the benchmark harness times it as the cost
+// of one narrow streaming pass.
 func MinDistSphereBlockF32(dst []float64, centers, radii, slack []float32, q []float64, qr float64) {
 	n := blockLen("MinDistSphereBlockF32", dst, len(centers), len(q))
 	if len(radii) != n || len(slack) != n {
@@ -103,78 +88,9 @@ func MinDistSphereBlockF32(dst []float64, centers, radii, slack []float32, q []f
 	}
 }
 
-// MinDistSphereBlockI8 is the int8 tier of MinDistSphereBlockF32: codes
-// dequantize through the node's scale/offset, radCodes through rScale
-// (radius codes are rounded up, any clamping deficit is folded into
-// slack).
-func MinDistSphereBlockI8(dst []float64, codes []int8, scale, offset float64, radCodes []uint8, rScale float64, slack []float32, q []float64, qr float64) {
-	n := blockLen("MinDistSphereBlockI8", dst, len(codes), len(q))
-	if len(radCodes) != n || len(slack) != n {
-		panic(dimMismatch("MinDistSphereBlockI8", len(radCodes), n))
-	}
-	d := len(q)
-	for i := 0; i < n; i++ {
-		dist := math.Sqrt(dist2SeqI8(codes[i*d:(i+1)*d], scale, offset, q))
-		dst[i] = qclamp(dist*(1-lbEps) - float64(slack[i]) - rScale*float64(radCodes[i]) - qr)
-	}
-}
-
-// MinDistRectBlockF32 writes into dst[i] a conservative lower bound on the
-// minimum distance between the query sphere and the i-th exact rectangle,
-// computed from its directed-rounded float32 copy (lo rounded down, hi
-// rounded up, so the narrow rect contains the exact one).
-func MinDistRectBlockF32(dst []float64, lo, hi []float32, q []float64, qr float64) {
-	n := blockLen("MinDistRectBlockF32", dst, len(lo), len(q))
-	if len(hi) != len(lo) {
-		panic(dimMismatch("MinDistRectBlockF32", len(hi), len(lo)))
-	}
-	d := len(q)
-	for i := 0; i < n; i++ {
-		l := lo[i*d : (i+1)*d]
-		h := hi[i*d : (i+1)*d]
-		var sum float64
-		for j, c := range q {
-			var dd float64
-			if lj := float64(l[j]); c < lj {
-				dd = lj - c
-			} else if hj := float64(h[j]); c > hj {
-				dd = c - hj
-			}
-			sum += dd * dd
-		}
-		dst[i] = qclamp(math.Sqrt(sum)*(1-lbEps) - qr)
-	}
-}
-
-// MinDistRectBlockI8 is the int8 tier of MinDistRectBlockF32. Directed
-// rounding of the codes keeps containment except where int8 clamping
-// forced a face inward; that deficit is stored per entry in slack.
-func MinDistRectBlockI8(dst []float64, loCodes, hiCodes []int8, scale, offset float64, slack []float32, q []float64, qr float64) {
-	n := blockLen("MinDistRectBlockI8", dst, len(loCodes), len(q))
-	if len(hiCodes) != len(loCodes) || len(slack) != n {
-		panic(dimMismatch("MinDistRectBlockI8", len(hiCodes), len(loCodes)))
-	}
-	d := len(q)
-	for i := 0; i < n; i++ {
-		l := loCodes[i*d : (i+1)*d]
-		h := hiCodes[i*d : (i+1)*d]
-		var sum float64
-		for j, c := range q {
-			var dd float64
-			if lj := offset + scale*float64(l[j]); c < lj {
-				dd = lj - c
-			} else if hj := offset + scale*float64(h[j]); c > hj {
-				dd = c - hj
-			}
-			sum += dd * dd
-		}
-		dst[i] = qclamp(math.Sqrt(sum)*(1-lbEps) - float64(slack[i]) - qr)
-	}
-}
-
-// Select kernels — the traversal-facing form of the bound kernels above.
-// Writing a bound and comparing it against the current kth distance costs a
-// square root per entry; the traversal only needs the comparison, and
+// Select kernels — the traversal-facing form of the bound. Writing a bound
+// and comparing it against the current kth distance costs a square root per
+// entry; the traversal only needs the comparison, and
 //
 //	dist̂·(1−lbEps) > thr,  thr = dk + slack + radius + qr
 //
@@ -183,13 +99,10 @@ func MinDistRectBlockI8(dst []float64, loCodes, hiCodes []int8, scale, offset fl
 // below decide in squared space — no square root — and write the indices of
 // the *survivors* into sel, returning their count. A dropped entry
 // certainly has exact[i] > dk: the margin the comparison clears is relative
-// to the (larger) distance side, just as in the bound kernels, so the whole
-// conservatism chain of the package comment carries over. Entries are
-// additionally dropped mid-accumulation once a partial squared sum already
-// clears the threshold — a partial sum only underestimates the full one, so
-// the early exit can only keep extra survivors' work, never drop a keeper.
-// NaN anywhere settles every comparison false: the entry survives and the
-// exact fallback keeps authority. sel must have length >= the entry count.
+// to the (larger) distance side, so the whole conservatism chain of the
+// package comment carries over. NaN anywhere settles every comparison
+// false: the entry survives and the exact fallback keeps authority. sel
+// must have length >= the entry count.
 //
 // Domain: the squared-space comparison is sound only when every term of thr
 // is non-negative — a mixed-sign sum can cancel catastrophically, leaving
@@ -215,200 +128,6 @@ func selLen(name string, sel []int32, blockVals, d int) int {
 		panic(dimMismatch(name, len(sel), n))
 	}
 	return n
-}
-
-// SelectSphereBlockF32 streams the float32 sphere tier against the query
-// and keeps the entries whose narrow bound cannot certainly exceed dk.
-func SelectSphereBlockF32(sel []int32, centers, radii, slack []float32, q []float64, qr, dk float64) int {
-	n := selLen("SelectSphereBlockF32", sel, len(centers), len(q))
-	if len(radii) != n || len(slack) != n {
-		panic(dimMismatch("SelectSphereBlockF32", len(slack), n))
-	}
-	d := len(q)
-	cnt := 0
-	for i := 0; i < n; i++ {
-		thr := dk + float64(slack[i]) + float64(radii[i]) + qr
-		thr2 := thr * thr
-		c := centers[i*d : (i+1)*d]
-		var s float64
-		j := 0
-		drop := false
-		// Low dimensionalities run branchless to the end: the mid-chunk
-		// exit saves at most one chunk of arithmetic there, and its
-		// data-dependent branch mispredicts often enough to cost more than
-		// it saves (measured on the d=8 bench fixture).
-		for ; j+4 <= d; j += 4 {
-			d0 := float64(c[j]) - q[j]
-			d1 := float64(c[j+1]) - q[j+1]
-			d2 := float64(c[j+2]) - q[j+2]
-			d3 := float64(c[j+3]) - q[j+3]
-			s += d0*d0 + d1*d1 + d2*d2 + d3*d3
-			if d > 8 && selDrop(s, thr2) {
-				drop = true
-				break
-			}
-		}
-		if !drop {
-			for ; j < d; j++ {
-				dd := float64(c[j]) - q[j]
-				s += dd * dd
-			}
-			drop = selDrop(s, thr2)
-		}
-		if !drop {
-			sel[cnt] = int32(i)
-			cnt++
-		}
-	}
-	return cnt
-}
-
-// SelectSphereBlockI8 is the int8 tier of SelectSphereBlockF32.
-func SelectSphereBlockI8(sel []int32, codes []int8, scale, offset float64, radCodes []uint8, rScale float64, slack []float32, q []float64, qr, dk float64) int {
-	n := selLen("SelectSphereBlockI8", sel, len(codes), len(q))
-	if len(radCodes) != n || len(slack) != n {
-		panic(dimMismatch("SelectSphereBlockI8", len(slack), n))
-	}
-	d := len(q)
-	cnt := 0
-	for i := 0; i < n; i++ {
-		thr := dk + float64(slack[i]) + rScale*float64(radCodes[i]) + qr
-		thr2 := thr * thr
-		c := codes[i*d : (i+1)*d]
-		var s float64
-		j := 0
-		drop := false
-		for ; j+4 <= d; j += 4 {
-			d0 := offset + scale*float64(c[j]) - q[j]
-			d1 := offset + scale*float64(c[j+1]) - q[j+1]
-			d2 := offset + scale*float64(c[j+2]) - q[j+2]
-			d3 := offset + scale*float64(c[j+3]) - q[j+3]
-			s += d0*d0 + d1*d1 + d2*d2 + d3*d3
-			if d > 8 && selDrop(s, thr2) {
-				drop = true
-				break
-			}
-		}
-		if !drop {
-			for ; j < d; j++ {
-				dd := offset + scale*float64(c[j]) - q[j]
-				s += dd * dd
-			}
-			drop = selDrop(s, thr2)
-		}
-		if !drop {
-			sel[cnt] = int32(i)
-			cnt++
-		}
-	}
-	return cnt
-}
-
-// SelectRectBlockF32 is the rectangle form: clamped squared distance to the
-// directed-rounded float32 rect, decided in squared space against
-// thr = dk + qr (containment needs no slack).
-func SelectRectBlockF32(sel []int32, lo, hi []float32, q []float64, qr, dk float64) int {
-	n := selLen("SelectRectBlockF32", sel, len(lo), len(q))
-	if len(hi) != len(lo) {
-		panic(dimMismatch("SelectRectBlockF32", len(hi), len(lo)))
-	}
-	d := len(q)
-	thr := dk + qr
-	thr2 := thr * thr
-	cnt := 0
-	for i := 0; i < n; i++ {
-		l := lo[i*d : (i+1)*d]
-		h := hi[i*d : (i+1)*d]
-		var s float64
-		drop := false
-		for j, c := range q {
-			var dd float64
-			if lj := float64(l[j]); c < lj {
-				dd = lj - c
-			} else if hj := float64(h[j]); c > hj {
-				dd = c - hj
-			}
-			s += dd * dd
-			if j&3 == 3 && selDrop(s, thr2) {
-				drop = true
-				break
-			}
-		}
-		if !drop && !selDrop(s, thr2) {
-			sel[cnt] = int32(i)
-			cnt++
-		}
-	}
-	return cnt
-}
-
-// SelectRectBlockI8 is the int8 tier of SelectRectBlockF32; the per-entry
-// clamping deficit rejoins the threshold.
-func SelectRectBlockI8(sel []int32, loCodes, hiCodes []int8, scale, offset float64, slack []float32, q []float64, qr, dk float64) int {
-	n := selLen("SelectRectBlockI8", sel, len(loCodes), len(q))
-	if len(hiCodes) != len(loCodes) || len(slack) != n {
-		panic(dimMismatch("SelectRectBlockI8", len(hiCodes), len(loCodes)))
-	}
-	d := len(q)
-	cnt := 0
-	for i := 0; i < n; i++ {
-		thr := dk + float64(slack[i]) + qr
-		thr2 := thr * thr
-		l := loCodes[i*d : (i+1)*d]
-		h := hiCodes[i*d : (i+1)*d]
-		var s float64
-		drop := false
-		for j, c := range q {
-			var dd float64
-			if lj := offset + scale*float64(l[j]); c < lj {
-				dd = lj - c
-			} else if hj := offset + scale*float64(h[j]); c > hj {
-				dd = c - hj
-			}
-			s += dd * dd
-			if j&3 == 3 && selDrop(s, thr2) {
-				drop = true
-				break
-			}
-		}
-		if !drop && !selDrop(s, thr2) {
-			sel[cnt] = int32(i)
-			cnt++
-		}
-	}
-	return cnt
-}
-
-// MinDistSphereEntry computes one entry of MinDistSphereBlock —
-// bit-identical, the per-survivor exact fallback of the two-phase
-// traversal.
-func MinDistSphereEntry(center []float64, radius float64, q []float64, qr float64) float64 {
-	m := math.Sqrt(dist2Seq(center, q)) - radius - qr
-	if m > 0 {
-		return m
-	}
-	return 0
-}
-
-// MinDistRectEntry computes one entry of MinDistRectBlock — bit-identical,
-// the per-survivor exact fallback of the two-phase traversal.
-func MinDistRectEntry(lo, hi []float64, q []float64, qr float64) float64 {
-	var sum float64
-	for j, c := range q {
-		var dd float64
-		switch {
-		case c < lo[j]:
-			dd = lo[j] - c
-		case c > hi[j]:
-			dd = c - hi[j]
-		}
-		sum += dd * dd
-	}
-	m := math.Sqrt(sum) - qr
-	if m > 0 {
-		return m
-	}
-	return 0
 }
 
 // DistEntry computes one entry of DistBlock — bit-identical to the block
@@ -446,7 +165,7 @@ func DistEntry(center, q []float64) float64 {
 // store is unconditional and the count advances by the comparison result,
 // so the ~50/50 drop/refine outcome costs no branch mispredictions. Pass 2
 // walks the gathered indices and applies the narrow per-dimension bound
-// (exactly SelectSphereBlock*'s decision), compacting survivors into the
+// (selDrop in squared space), compacting survivors into the
 // front of sel in ascending index order — the order the exact fallback
 // must replay in. The refine threshold uses sr, the freeze-time float32
 // round-up of slack_i + rad_i (int8 tier: slack_i + rScale·radCode_i),
