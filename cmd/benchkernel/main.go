@@ -12,6 +12,10 @@
 //   - snapshot cold-start: packed.Open over a saved 100k-item snapshot
 //     (open + validate, zero-copy) versus a BulkLoad+Freeze rebuild, the
 //     ratio -min-snapshot-speedup gates;
+//   - the kNN final filter alone at the paper's Table 2 defaults (d = 10,
+//     radius μ = 10): SearchCandidates' output replayed through
+//     dominance.Anchored, as nanoseconds per candidate and the share of
+//     criterion calls that reach the quartic (gated at 0.2);
 //   - batch-query throughput through the engine worker pool at 1/2/4/8
 //     workers, with the scaling ratio relative to one worker;
 //   - a metrics block captured from the obs registry: prune rates,
@@ -39,9 +43,10 @@
 // -min-quant-speedup gates. The pointer path is the IndexNode-interface
 // traversal (the only one an unfrozen tree has), so both ratios read
 // "serving kernel over reference": a higher one can mean a slower
-// denominator as well as a faster kernel. -quant picks the tier the counter-enabled
-// metrics pass runs under (default f32), which is where the
-// coarse_prune_rate figure comes from.
+// denominator as well as a faster kernel, and a lower one a faster
+// reference. -quant picks the tier the counter-enabled metrics pass runs
+// under (default f32), which is where the coarse_prune_rate figure comes
+// from.
 //
 // The -min-scaling floor is adaptive: a runner with P schedulable cores
 // cannot scale past P, so the effective floor is
@@ -66,6 +71,7 @@ import (
 	"strings"
 	"testing"
 
+	"hyperdom/internal/dataset"
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/engine"
 	"hyperdom/internal/geom"
@@ -143,6 +149,23 @@ type snapshotLoadBlock struct {
 	Speedup            float64 `json:"speedup_vs_rebuild"`
 }
 
+// finalFilterBlock is the kNN final filter in isolation (ISSUE 17): the
+// candidate sets the traversal keeps on the d = 10, μ = 10 corpus — the
+// shape where finish() is half of a request — replayed through the anchored
+// kernel against their Sk. QuarticShare is quartic solves per criterion
+// call, an exact count for the fixture seed: the accept bounds in
+// PreparedPair.verdict exist to keep it low, and the gate fails above
+// maxQuarticShare.
+type finalFilterBlock struct {
+	Queries        int     `json:"queries"`
+	Candidates     int     `json:"candidates"`
+	NsPerCandidate float64 `json:"ns_per_candidate"`
+	QuarticShare   float64 `json:"quartic_share"`
+}
+
+// maxQuarticShare is the final_filter gate's ceiling.
+const maxQuarticShare = 0.2
+
 // scalingPoint is one engine throughput measurement: a fixed query batch
 // answered through a pool of Workers workers, as queries per second and as
 // a ratio over the 1-worker pool.
@@ -210,6 +233,7 @@ type report struct {
 	BuildBulkNs       float64           `json:"build_bulkload_ns_per_item"`
 	BuildBulkSpeedup  float64           `json:"build_bulkload_speedup"`
 	SnapshotLoad      snapshotLoadBlock `json:"snapshot_load"`
+	FinalFilter       finalFilterBlock  `json:"final_filter"`
 	Throughput        throughputBlock   `json:"throughput_scaling"`
 	ShardScaling      shardScalingBlock `json:"shard_scaling"`
 	SpeedupTargetMet  bool              `json:"speedup_target_met"` // point-query ratio >= 1.5
@@ -288,11 +312,12 @@ func main() {
 			maxShards(rep.ShardScaling), rep.Throughput.GoMaxProcs,
 			rep.Throughput.CoresDetected, rep.Throughput.Gated)
 	} else {
-		fmt.Printf("wrote %s (prepared point-query speedup %.2fx, sphere-query %.2fx; packed-layout speedup DF=%.2fx HS=%.2fx; quantized f32=%.2fx i8=%.2fx best=%s; coarse-prune rate %.2f; snapshot open %.2fx over rebuild (%.1f vs %.1f ns/item, mapped=%v); 8-worker scaling %.2fx on %d core(s); shard scaling %.2fx; knn allocs/search DF=%d HS=%d; prune rate %.2f; search p50=%.0fns p99=%.0fns)\n",
+		fmt.Printf("wrote %s (prepared point-query speedup %.2fx, sphere-query %.2fx; packed-layout speedup DF=%.2fx HS=%.2fx; quantized f32=%.2fx i8=%.2fx best=%s; coarse-prune rate %.2f; snapshot open %.2fx over rebuild (%.1f vs %.1f ns/item, mapped=%v); final filter %.0f ns/candidate, quartic share %.3f; 8-worker scaling %.2fx on %d core(s); shard scaling %.2fx; knn allocs/search DF=%d HS=%d; prune rate %.2f; search p50=%.0fns p99=%.0fns)\n",
 			cfg.Out, rep.SpeedupPointQ, rep.SpeedupSphereQ, rep.SpeedupPackedDF, rep.SpeedupPackedHS,
 			rep.SpeedupQuantized.GeomeanF32, rep.SpeedupQuantized.GeomeanI8, rep.SpeedupQuantized.BestTier,
 			rep.Metrics.CoarsePruneRate,
 			rep.SnapshotLoad.Speedup, rep.SnapshotLoad.OpenNsPerItem, rep.SnapshotLoad.RebuildNsPerItem, rep.SnapshotLoad.Mapped,
+			rep.FinalFilter.NsPerCandidate, rep.FinalFilter.QuarticShare,
 			rep.Throughput.ScalingAtMax, rep.Throughput.GoMaxProcs, rep.ShardScaling.ScalingAtMax,
 			rep.KnnAllocsDF, rep.KnnAllocsHS,
 			rep.Metrics.PruneRate, rep.Metrics.SearchLatencyP50Ns, rep.Metrics.SearchLatencyP99Ns)
@@ -452,6 +477,7 @@ func buildReport(cfg *config) report {
 
 	rep.BuildInsertNs, rep.BuildBulkNs, rep.BuildBulkSpeedup = buildCost(&rep)
 	rep.SnapshotLoad = measureSnapshotLoad(&rep)
+	rep.FinalFilter = measureFinalFilter(&rep)
 	rep.Throughput = measureScaling(&rep, idx, queries, rep.KnnK)
 	rep.ShardScaling = measureShardScaling(&rep, items, 8, queries, rep.KnnK)
 
@@ -562,6 +588,75 @@ func measureSnapshotLoad(rep *report) snapshotLoadBlock {
 	}
 	s.Close()
 	return blk
+}
+
+// filterInput is one query's final-filter input: the traversal's Sk, the
+// query, and the spheres of every candidate it kept.
+type filterInput struct {
+	sk, sq geom.Sphere
+	cands  []geom.Sphere
+}
+
+// finalFilterInputs builds the Table 2 default corpus (n Gaussian
+// N(100, 25) centres at d = 10, N(10, 2.5) radii) and returns what the
+// traversal keeps for nq queries drawn from the data.
+func finalFilterInputs(n, nq, k int) (inputs []filterInput, candidates int) {
+	const d = 10
+	items := dataset.Spheres(dataset.SyntheticCenters(n, d, dataset.Gaussian, 1), dataset.GaussianRadii(10), 2)
+	t := sstree.New(d)
+	t.BulkLoad(items)
+	t.Freeze()
+	idx := knn.WrapSSTree(t)
+	for _, sq := range workload.KNNQueries(items, nq, 3) {
+		cs := knn.SearchCandidates(idx, sq, k, dominance.Hyperbola{}, knn.HS, nil)
+		in := filterInput{sk: cs.Candidates[k-1].Item.Sphere, sq: sq}
+		for _, c := range cs.Candidates {
+			in.cands = append(in.cands, c.Item.Sphere)
+		}
+		inputs = append(inputs, in)
+		candidates += len(in.cands)
+	}
+	return inputs, candidates
+}
+
+// replayFinalFilter is finish()'s criterion loop over the recorded inputs.
+func replayFinalFilter(an *dominance.Anchored, inputs []filterInput) {
+	for _, in := range inputs {
+		an.Reset(dominance.Hyperbola{}, in.sk, in.sq)
+		for _, s := range in.cands {
+			sink(an.Dominates(s))
+		}
+	}
+}
+
+// quarticShare replays the inputs once with the counters on and returns
+// quartic solves per criterion call.
+func quarticShare(inputs []filterInput) float64 {
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	obs.ResetForTest()
+	var an dominance.Anchored
+	replayFinalFilter(&an, inputs)
+	an.FlushObs()
+	snap := obs.Snapshot()
+	return float64(snap.Get("dominance.quartic_solves")) / float64(snap.Get("dominance.prepared.queries"))
+}
+
+// measureFinalFilter times the replay with the counters off, then counts.
+func measureFinalFilter(rep *report) finalFilterBlock {
+	inputs, candidates := finalFilterInputs(10000, 16, rep.KnnK)
+	var an dominance.Anchored
+	row := run("FinalFilter/G10k-d10-mu10/Anchored", rep, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			replayFinalFilter(&an, inputs)
+		}
+	})
+	return finalFilterBlock{
+		Queries:        len(inputs),
+		Candidates:     candidates,
+		NsPerCandidate: row.NsPerOp / float64(candidates),
+		QuarticShare:   quarticShare(inputs),
+	}
 }
 
 // measureScaling drives the same query batch through engine pools of
@@ -784,6 +879,11 @@ func gateReport(current, committed report, cfg *config) []string {
 			failures = append(failures, fmt.Sprintf(
 				"%.3f criterion calls per candidate: some candidate was decided more than once",
 				current.Metrics.ChecksPerCandidate))
+		}
+		if current.FinalFilter.QuarticShare > maxQuarticShare {
+			failures = append(failures, fmt.Sprintf(
+				"final filter reaches the quartic on %.3f of its criterion calls, ceiling %.2f",
+				current.FinalFilter.QuarticShare, maxQuarticShare))
 		}
 		if cfg.MinSnapSpeedup > 0 && current.SnapshotLoad.Speedup < cfg.MinSnapSpeedup {
 			failures = append(failures, fmt.Sprintf(

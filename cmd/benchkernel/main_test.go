@@ -163,19 +163,20 @@ func TestGateReport(t *testing.T) {
 	}
 	// Eight cores: the full -min-scaling bar applies, and every ratio and
 	// alloc count here regresses — one failure per gate (point-query,
-	// packed, quantized, sphere-query, checks per candidate, scaling, four
-	// alloc rows).
+	// packed, quantized, sphere-query, checks per candidate, quartic share,
+	// scaling, four alloc rows).
 	bad := report{
 		SpeedupPointQ: 1.1, SpeedupSphereQ: 1.0, SpeedupPacked: 1.0,
 		SpeedupQuantized: quantBlock{Best: 1.1, BestTier: "i8"},
 		KnnAllocsDF:      3, KnnAllocsHS: 5,
 		KnnAllocsPackedDF: 3, KnnAllocsPackedHS: 4,
-		Throughput: throughputBlock{GoMaxProcs: 8, ScalingAtMax: 1.2},
-		Metrics:    metricsBlock{ChecksPerCandidate: 5.1},
+		Throughput:  throughputBlock{GoMaxProcs: 8, ScalingAtMax: 1.2},
+		Metrics:     metricsBlock{ChecksPerCandidate: 5.1},
+		FinalFilter: finalFilterBlock{QuarticShare: 0.44},
 	}
 	failures := gateReport(bad, committed, cfg)
-	if len(failures) != 10 {
-		t.Errorf("regressed report produced %d failures, want 10: %v", len(failures), failures)
+	if len(failures) != 11 {
+		t.Errorf("regressed report produced %d failures, want 11: %v", len(failures), failures)
 	}
 	// Even one core must not make queries slower through the pool: scaling
 	// under 0.8 fails regardless of GOMAXPROCS.
@@ -225,6 +226,24 @@ func TestGateReport(t *testing.T) {
 	shardBad.ShardScaling.GoMaxProcs, shardBad.ShardScaling.Gated = 1, false
 	if failures := gateReport(shardBad, committed, cfg); len(failures) != 0 {
 		t.Errorf("ungated 1-core shard table failed the gate: %v", failures)
+	}
+}
+
+// TestQuarticShare replays a scaled-down final-filter fixture: the share is
+// a proper fraction, under the gate's ceiling, and the counter gate is left
+// off for the timing sections that follow.
+func TestQuarticShare(t *testing.T) {
+	defer obs.SetEnabled(true)
+	obs.SetEnabled(false)
+	inputs, candidates := finalFilterInputs(2000, 4, 10)
+	if len(inputs) != 4 || candidates < 4*10 {
+		t.Fatalf("%d inputs holding %d candidates", len(inputs), candidates)
+	}
+	if share := quarticShare(inputs); !(share > 0 && share <= maxQuarticShare) {
+		t.Errorf("quartic share %v outside (0, %v]", share, maxQuarticShare)
+	}
+	if obs.On() {
+		t.Error("quarticShare left the counter gate enabled")
 	}
 }
 

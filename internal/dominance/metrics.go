@@ -22,10 +22,11 @@ var (
 	obsPrepOverlap = obs.New("dominance.prepared.overlap_shortcircuit")
 	obsPrepReuse   = obs.New("dominance.prepared.reuse_hits")
 
-	// Coarse-filter outcomes (ISSUE 6): fat-sphere queries the dmin
-	// bracket settled without the curve search + quartic solve. The
-	// verdicts are identical either way; these counters say how often the
-	// expensive tail was skipped.
+	// Coarse-filter outcomes: fat-sphere queries settled without the curve
+	// search + quartic solve — accepts by the two lower bounds on dmin (the
+	// focal one and the local-Lipschitz one), rejects by dmin's first
+	// on-curve candidate. The verdicts are identical either way; these
+	// counters say how often the expensive tail was skipped.
 	obsPrepCoarseAccept = obs.New("dominance.prepared.coarse_accepts")
 	obsPrepCoarseReject = obs.New("dominance.prepared.coarse_rejects")
 )

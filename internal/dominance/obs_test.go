@@ -137,10 +137,31 @@ func TestObsPairCounters(t *testing.T) {
 	if trues+falses != len(queries) {
 		t.Fatalf("verdict partition broken: %d+%d != %d", trues, falses, len(queries))
 	}
-	// Sphere queries with cq inside Ra hit the quartic; the fixture is
-	// built to exercise that path.
-	if got.Get("dominance.quartic_solves") == 0 {
-		t.Error("quartic_solves did not move on a workload with fat queries inside Ra")
+
+	// Where a dominated fat query is settled. Both fixtures have the foci at
+	// distance 20, rab = 2 and the query behind ca on the focal axis's side,
+	// too fat for the focal accept ((db−da−rab)/2 ≈ 9 < r). With ca well
+	// outside Sq the local-Lipschitz bound certifies the verdict and the
+	// quartic is never reached; with ca inside Sq (da ≤ r) the bound does not
+	// apply and only the quartic can prove dmin ≈ 14 > r.
+	pair := PreparePair(geom.NewSphere([]float64{0, 0, 0}, 1), geom.NewSphere([]float64{20, 0, 0}, 1))
+	for _, fx := range []struct {
+		name            string
+		sq              geom.Sphere
+		coarse, quartic uint64
+	}{
+		{"bound settles", geom.NewSphere([]float64{-30, 2, 0}, 10), 1, 0},
+		{"bound cannot apply", geom.NewSphere([]float64{-5, 0.25, 0}, 10), 0, 1},
+	} {
+		obs.ResetForTest()
+		if !pair.Dominates(fx.sq) {
+			t.Errorf("%s: fixture is not dominated", fx.name)
+		}
+		pair.FlushObs()
+		got := obs.Snapshot()
+		if c, q := got.Get("dominance.prepared.coarse_accepts"), got.Get("dominance.quartic_solves"); c != fx.coarse || q != fx.quartic {
+			t.Errorf("%s: coarse_accepts = %d, quartic_solves = %d, want %d and %d", fx.name, c, q, fx.coarse, fx.quartic)
+		}
 	}
 
 	// With the gate off, nothing may move.

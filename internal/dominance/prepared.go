@@ -232,6 +232,38 @@ func (p *PreparedPair) verdict(da2, db2, r float64) bool {
 		}
 		return true
 	}
+	// Local-Lipschitz accept (ISSUE 17; derivation in DESIGN.md §7). The
+	// focal accept pays the global Lipschitz constant 2 of
+	// f(X) = |X−cb| − |X−ca|; at cq the constant is L = |v̂b − v̂a|, the unit
+	// vectors from ca and cb to cq, with L² = (dcc² − (db−da)²)/(da·db) by the
+	// law of cosines. Projecting X−cb on v̂b, and bounding |X−ca| by
+	// √(a²+b²) ≤ a + b²/2a for da > r,
+	//
+	//	min over Sq of f ≥ (db−da) − r·L − r²/(2(da−r)),
+	//
+	// and when that exceeds rab every point of Sq is strictly inside Ra
+	// (Lemma 7). The full path decides the same question for a planar point
+	// whose focal distances are da, db, dcc to a few ulp, and its dmin, a
+	// minimum over on-curve points, can only sit above the true one. Every
+	// 1e-12 below (three orders over that rounding, as in the focal accept)
+	// leans towards "undecided": g is capped at dcc (the triangle inequality,
+	// which rounding can break by an ulp), L² is padded where dcc² − g²
+	// cancels, da is shaved where da − r does, and f being 2-Lipschitz the
+	// last margin leaves dmin ≥ r + 1e-12·(db+da). Dimension-free, so valid
+	// on the line and for rab = 0; NaN or Inf operands compare false.
+	if h := da - r - 1e-12*da; h > 0 {
+		dcc := 0.5 * p.twoDcc
+		g := min(db-da, dcc)
+		sum := db + da
+		l2 := ((dcc-g)*(dcc+g) + 1e-12*dcc*sum) / (da * db)
+		if g-p.rab-r*math.Sqrt(l2)-r*r/(2*h) > 2e-12*sum {
+			if on {
+				p.tally.coarseAccepts++
+				p.tally.trues++
+			}
+			return true
+		}
+	}
 	// Canonical coordinates of cq, exactly as reduce computes them.
 	p1 := (da2 - db2) / p.twoDcc
 	p22 := da2 - (p1+p.alpha)*(p1+p.alpha)
@@ -243,33 +275,20 @@ func (p *PreparedPair) verdict(da2, db2, r float64) bool {
 	if p.line || p.rab == 0 {
 		v = p.dmin(p1, p2) > r
 	} else {
-		// Coarse filter (ISSUE 6): bracket dmin before paying for the
-		// quartic. d0 is dmin's first candidate distToY(0), inlined
-		// verbatim so it stays bit-identical even on degenerate frames
-		// (b2 = 0 makes the 0/b2 term NaN — so d0, and then dmin, is NaN
-		// too, and the reject arm settles the same false verdict the full
+		// Coarse reject (ISSUE 6): d0 is dmin's first candidate distToY(0),
+		// inlined verbatim so it stays bit-identical even on degenerate
+		// frames (b2 = 0 makes the 0/b2 term NaN — so d0, and then dmin, is
+		// NaN too, and the reject settles the same false verdict the full
 		// path would). Since dmin only ever shrinks from d0, !(d0 > radius)
-		// settles the verdict false with zero slack. For the accept side,
-		// every candidate the search takes a distance to lies on the branch
-		// x ≤ −A, hence dist ≥ p1 − x ≥ p1 + A; the 1e-9 shave absorbs the
-		// few-ulp rounding of Hypot and the branch evaluation (error
-		// ~1e-15), so clearing it guarantees the computed dmin clears the
-		// radius too. Both short-circuits reproduce the full computation's
-		// verdict exactly — FuzzPreparedPairAgree leans on that.
+		// settles the verdict false with zero slack.
 		x0 := -p.hA * math.Sqrt(1+0/p.b2)
 		d0 := math.Hypot(p1-x0, p2)
-		switch {
-		case !(d0 > r):
+		if !(d0 > r) {
 			if on {
 				p.tally.coarseRejects++
 			}
 			v = false
-		case (p1+p.hA)*(1-1e-9) > r:
-			if on {
-				p.tally.coarseAccepts++
-			}
-			v = true
-		default:
+		} else {
 			v = p.dminBeats(d0, p1, p2, r)
 		}
 	}

@@ -134,8 +134,9 @@ func TestPreparedPairDominatesAllocFree(t *testing.T) {
 // projections. No boundary tolerance is allowed — the three share their
 // arithmetic, so any disagreement is a real bug in the factoring. Seeds
 // cover the branches of the closed form (overlap, tangency, rab = 0, cq on
-// the bisector and on the focal axis, point query) and coordinates at
-// 1e±150, where squares sit next to the float64 range limits.
+// the bisector and on the focal axis, point query), coordinates at 1e±150,
+// where squares sit next to the float64 range limits, and the edges of the
+// kernel's accept bound (boundEdgeTriples).
 func FuzzPreparedPairAgree(f *testing.F) {
 	f.Add(0.0, 0.0, 0.0, 1.0, 9.0, 0.0, 0.0, 1.0, -4.0, 0.0, 0.0, 2.0)
 	f.Add(0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -3.0, 0.0, 0.0, 3.0)   // rab = 0
@@ -148,6 +149,9 @@ func FuzzPreparedPairAgree(f *testing.F) {
 	f.Add(0.0, 0.0, 0.0, 1e150, 9e150, 0.0, 0.0, 1e150, -4e150, 1e150, 0.0, 2e150)
 	f.Add(0.0, 0.0, 0.0, 1e-150, 9e-150, 0.0, 0.0, 1e-150, -4e-150, 1e-150, 0.0, 2e-150)
 	f.Add(1e150, 0.0, 0.0, 1e-150, -1e150, 1e-150, 0.0, 0.0, 3e150, 0.0, 1e-150, 1.0)
+	for _, e := range boundEdgeTriples() {
+		f.Add(e[0], e[1], e[2], e[3], e[4], e[5], e[6], e[7], e[8], e[9], e[10], e[11])
+	}
 	f.Fuzz(func(t *testing.T, ax, ay, az, ar, bx, by, bz, br, qx, qy, qz, qr float64) {
 		for _, v := range []float64{ax, ay, az, ar, bx, by, bz, br, qx, qy, qz, qr} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {

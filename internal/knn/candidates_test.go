@@ -17,7 +17,7 @@ func finalFilter(cs CandidateSet, sq geom.Sphere, crit dominance.Criterion) []It
 	if len(cands) <= cs.K {
 		out := make([]Item, len(cands))
 		for i, c := range cands {
-			out[i] = c.Item
+			out[i] = *c.Item
 		}
 		return out
 	}
@@ -27,7 +27,7 @@ func finalFilter(cs CandidateSet, sq geom.Sphere, crit dominance.Criterion) []It
 		if crit.Dominates(sk.Sphere, c.Item.Sphere, sq) {
 			continue
 		}
-		out = append(out, c.Item)
+		out = append(out, *c.Item)
 	}
 	return out
 }

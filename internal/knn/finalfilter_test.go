@@ -4,23 +4,26 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
+	"hyperdom/internal/dataset"
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
 	"hyperdom/internal/packed"
+	"hyperdom/internal/sstree"
 )
 
 // kthOf returns the item of items with the k-th smallest (MaxDist, ID) to
 // sq — Definition 2's Sk over that set.
 func kthOf(items []Item, sq geom.Sphere, k int) Item {
 	cs := make([]Candidate, len(items))
-	for i, it := range items {
-		cs[i] = Candidate{Item: it, MaxDist: geom.MaxDist(it.Sphere, sq)}
+	for i := range items {
+		cs[i] = Candidate{Item: &items[i], MaxDist: geom.MaxDist(items[i].Sphere, sq)}
 	}
 	slices.SortFunc(cs, CompareCandidates)
-	return cs[k-1].Item
+	return *cs[k-1].Item
 }
 
 // TestInterimVerdictIsNotFinal documents why the traversal consults no
@@ -217,5 +220,157 @@ func TestDifferentialMatrix(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAnchoredMatchesHyperbolaOnFatCandidates replays the final filter's
+// real input at the paper's Table 2 defaults (d = 10, N(100, 25) centres,
+// N(10, 2.5) radii, queries drawn from the data, k = 10 — the benchmark's
+// fat_d10 shape) through the anchored kernel and the scalar criterion: every
+// (Sk, S, Sq) triple the traversal hands to finish() must get one verdict
+// from both. This is where the kernel's accept bound does most of its work.
+func TestAnchoredMatchesHyperbolaOnFatCandidates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10k-item fixture")
+	}
+	const n, d, k, wantTriples = 10000, 10, 10, 100000
+	items := dataset.Spheres(dataset.SyntheticCenters(n, d, dataset.Gaussian, 17), dataset.GaussianRadii(10), 18)
+	tree := sstree.New(d)
+	tree.BulkLoad(items)
+	tree.Freeze()
+	idx := WrapSSTree(tree)
+	rng := rand.New(rand.NewSource(19))
+	var an dominance.Anchored
+	triples, dominated := 0, 0
+	for triples < wantTriples {
+		sq := items[rng.Intn(n)].Sphere
+		cs := SearchCandidates(idx, sq, k, dominance.Hyperbola{}, HS, nil)
+		sk := cs.Candidates[k-1].Item.Sphere
+		an.Reset(dominance.Hyperbola{}, sk, sq)
+		for _, c := range cs.Candidates {
+			got, want := an.Dominates(c.Item.Sphere), dominance.Hyperbola{}.Dominates(sk, c.Item.Sphere, sq)
+			if got != want {
+				t.Fatalf("Anchored=%v Hyperbola=%v\nsk=%v\ns=%v\nsq=%v", got, want, sk, c.Item.Sphere, sq)
+			}
+			if got {
+				dominated++
+			}
+		}
+		triples += len(cs.Candidates)
+	}
+	if dominated == 0 || dominated == triples {
+		t.Fatalf("%d of %d triples dominated: the fixture does not straddle the filter", dominated, triples)
+	}
+}
+
+// neverDominates keeps every candidate, so finish() returns all of them.
+type neverDominates struct{ dominance.Criterion }
+
+func (neverDominates) Dominates(sa, sb, sq geom.Sphere) bool { return false }
+
+// TestFinishOrder: the answer order is CompareCandidates' — ascending
+// MaxDist, ties broken by ID — on inputs with repeated MaxDist and repeated
+// IDs, through both finish() shapes (the list not full, and the compaction of
+// buf then top), and for the in-place sort on the shapes that push a
+// quicksort to its fallback.
+func TestFinishOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	key := func(c Candidate) [2]float64 { return [2]float64{c.MaxDist, float64(c.Item.ID)} }
+	sq := geom.NewSphere([]float64{3, 3, 3}, 20) // reaches every item: no Case 3 prune thins the input
+	for _, n := range []int{0, 1, 2, 13, 100, 2500} {
+		items := tiedItems(rng, 3, n)
+		for i := range items {
+			items[i].ID = rng.Intn(n/2 + 1) // repeated IDs on top of the repeated MaxDist
+		}
+		want := make([]Candidate, n)
+		for i := range items {
+			want[i] = Candidate{Item: &items[i], MaxDist: geom.MaxDist(items[i].Sphere, sq)}
+		}
+		slices.SortFunc(want, CompareCandidates)
+		for _, k := range []int{7, n + 1} {
+			var l bestList
+			var stats Stats
+			l.reset(sq, k, neverDominates{dominance.Hyperbola{}}, &stats)
+			for i := range items {
+				l.offer(&items[i])
+			}
+			got := l.finish()
+			if len(got) != n {
+				t.Fatalf("n=%d k=%d: %d items back", n, k, len(got))
+			}
+			for i, it := range got {
+				if g := [2]float64{geom.MaxDist(it.Sphere, sq), float64(it.ID)}; g != key(want[i]) {
+					t.Fatalf("n=%d k=%d: position %d holds (MaxDist, ID) = %v, want %v", n, k, i, g, key(want[i]))
+				}
+			}
+		}
+	}
+	shapes := map[string]func(i, n int) float64{
+		"random":     func(i, n int) float64 { return rng.Float64() },
+		"all equal":  func(i, n int) float64 { return 1 },
+		"ascending":  func(i, n int) float64 { return float64(i) },
+		"descending": func(i, n int) float64 { return float64(n - i) },
+		"organ pipe": func(i, n int) float64 { return float64(min(i, n-i)) },
+		"two values": func(i, n int) float64 { return float64(i % 2) },
+	}
+	ids := make([]Item, 64)
+	for i := range ids {
+		ids[i].ID = i
+	}
+	for name, maxDist := range shapes {
+		for _, n := range []int{3, 12, 13, 200, 5000} {
+			got := make([]Candidate, n)
+			for i := range got {
+				got[i] = Candidate{Item: &ids[rng.Intn(len(ids))], MaxDist: maxDist(i, n)}
+			}
+			want := slices.Clone(got)
+			slices.SortFunc(want, CompareCandidates)
+			sortCandidates(got)
+			for i := range got {
+				if key(got[i]) != key(want[i]) {
+					t.Fatalf("%s n=%d: position %d holds %v, want %v", name, n, i, key(got[i]), key(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestPutScratchHoldsNoCandidate: a scratch back in the pool holds no
+// candidate anywhere in its list storage — over the full capacity, not just
+// the last search's length — and nothing of the request that used it. A
+// candidate is a pointer into an index the caller may have closed since.
+func TestPutScratchHoldsNoCandidate(t *testing.T) {
+	rng := rand.New(rand.NewSource(4244))
+	const d = 4
+	big, small := index(randItems(rng, d, 3000, 30), d), index(randItems(rng, d, 40, 1), d)
+	check := func(name string, sc *scratch) {
+		t.Helper()
+		l := &sc.list
+		for _, part := range [][]Candidate{l.top.es[:cap(l.top.es)], l.buf[:cap(l.buf)]} {
+			for i, c := range part {
+				if c != (Candidate{}) {
+					t.Fatalf("%s: pooled scratch still holds candidate %+v in slot %d of %d", name, c, i, len(part))
+				}
+			}
+		}
+		if len(l.top.es) != 0 || len(l.buf) != 0 {
+			t.Errorf("%s: list not empty: %d + %d", name, len(l.top.es), len(l.buf))
+		}
+		if l.sq.Center != nil || l.crit != nil || l.stats != nil || !reflect.DeepEqual(l.anch, dominance.Anchored{}) {
+			t.Errorf("%s: pooled list retains request state: sq=%v crit=%v anch=%+v", name, l.sq, l.crit, l.anch)
+		}
+	}
+	// The fat search fills buf far beyond what survives the filter; the thin
+	// one after it leaves most of that capacity unused.
+	for _, algo := range []Algorithm{DF, HS} {
+		sc := getScratch()
+		fat := sc.search(big, randQuery(rng, d, 30), 10, dominance.Hyperbola{}, algo)
+		if held := cap(sc.list.buf); held <= len(fat.Items) {
+			t.Fatalf("fixture: buf capacity %d never exceeded the %d survivors", held, len(fat.Items))
+		}
+		sc.search(small, randQuery(rng, d, 1), 3, dominance.Hyperbola{}, algo)
+		sc.searchCandidates(big, randQuery(rng, d, 30), 10, dominance.Hyperbola{}, algo)
+		putScratch(sc)
+		check(algo.String(), sc)
 	}
 }

@@ -26,7 +26,6 @@ package knn
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -180,7 +179,7 @@ func (l *bestList) reset(sq geom.Sphere, k int, crit dominance.Criterion, stats 
 	l.crit = crit
 	l.stats = stats
 	l.top.Reset(k)
-	l.buf = l.buf[:0]
+	l.buf = clearLen(l.buf)
 	l.tb = nil
 	l.critLabel = 0
 	l.shadow = dominance.ShadowOn()
@@ -235,7 +234,7 @@ func (l *bestList) distK() float64 {
 }
 
 // offer processes one data item reached by the traversal.
-func (l *bestList) offer(it Item) {
+func (l *bestList) offer(it *Item) {
 	l.offerDist(it, vec.Dist(it.Sphere.Center, l.sq.Center))
 }
 
@@ -244,7 +243,7 @@ func (l *bestList) offer(it Item) {
 // kernel call, and both MaxDist and MinDist derive from it — in exactly the
 // operation order of geom.MaxDist/geom.MinDist, which keeps the pointer and
 // packed paths bit-identical — for the price of a single sqrt.
-func (l *bestList) offerDist(it Item, dist float64) {
+func (l *bestList) offerDist(it *Item, dist float64) {
 	l.stats.Items++
 	minDist := dist - it.Sphere.Radius - l.sq.Radius
 	if !(minDist > 0) {
@@ -265,13 +264,14 @@ func (l *bestList) offerDist(it Item, dist float64) {
 
 // finish selects the final Sk, applies the Definition 2 filter — the
 // criterion's one call per candidate — and returns the survivors in
-// (MaxDist, ID) order. Fewer than k items seen means the whole database
-// qualifies (buf is empty then).
+// (MaxDist, ID) order, copied out of the index once. Fewer than k items seen
+// means the whole database qualifies (buf is empty then).
 func (l *bestList) finish() []Item {
 	es := l.top.es
 	if l.top.Full() {
 		sk := l.top.Kth().Item.Sphere
 		l.anch.Reset(l.crit, sk, l.sq)
+		held := len(l.buf)
 		es = l.buf[:0] // compact buf in place, then take top's survivors
 		for _, part := range [2][]Candidate{l.buf, l.top.es} {
 			for i := range part {
@@ -282,15 +282,30 @@ func (l *bestList) finish() []Item {
 				}
 			}
 		}
+		if len(es) < held {
+			clear(l.buf[len(es):held]) // what the compaction vacated; see release
+		}
 		l.buf = es
 	}
 	if len(es) == 0 {
 		return nil
 	}
-	slices.SortFunc(es, CompareCandidates)
+	sortCandidates(es)
 	out := make([]Item, len(es))
 	for i := range es {
-		out[i] = es[i].Item
+		out[i] = *es[i].Item
 	}
 	return out
+}
+
+// release drops every reference the list holds before its scratch goes back
+// to the pool: the candidates point into an index the caller may close (a
+// snapshot's unmapped pages) or drop, and sq, crit and the anchored kernel
+// hold the request's query centre and the last Sk's. Clearing by length is
+// enough, and costs what the search wrote rather than the pooled capacity:
+// slots past len(top.es) and len(buf) are zero at all times — offers only
+// append, finish zeroes what its compaction vacates, reset clears by length.
+func (l *bestList) release() {
+	l.anch.FlushObs()
+	*l = bestList{top: TopK{es: clearLen(l.top.es)}, buf: clearLen(l.buf)}
 }

@@ -74,8 +74,8 @@ func (sc *scratch) offerLeafPacked(t *packed.Tree, n int32, sq geom.Sphere, l *b
 	if l.tb != nil {
 		sc.pBuf = growTo(sc.pBuf, len(items))
 		t.LeafDists(n, sq.Center, sc.pBuf)
-		for i, it := range items {
-			l.offerDist(it, sc.pBuf[i])
+		for i := range items {
+			l.offerDist(&items[i], sc.pBuf[i])
 		}
 		return int32(len(items))
 	}
@@ -106,7 +106,7 @@ func (sc *scratch) offerLeafPacked(t *packed.Tree, n int32, sq geom.Sphere, l *b
 				l.stats.Pruned++
 				continue
 			}
-			l.offerDist(items[i], dist)
+			l.offerDist(&items[i], dist)
 			dk = l.distK()
 		}
 		return int32(len(items))
@@ -120,7 +120,7 @@ func (sc *scratch) offerLeafPacked(t *packed.Tree, n int32, sq geom.Sphere, l *b
 			l.stats.Pruned++
 			continue
 		}
-		l.offerDist(items[i], dist)
+		l.offerDist(&items[i], dist)
 		dk = l.distK()
 	}
 	return int32(len(items))

@@ -90,27 +90,25 @@ var scratchPool = sync.Pool{New: func() any { return &scratch{shard: obs.NextSha
 
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
-// putScratch returns sc to the pool with every reference cleared over the
-// buffers' full capacity: a pooled scratch may live arbitrarily long, and a
-// single stale IndexNode or Item would otherwise retain an entire index (or
-// its data spheres) that the caller has dropped.
+// putScratch returns sc to the pool with every reference cleared: a pooled
+// scratch may live arbitrarily long, and a single stale IndexNode or
+// Candidate would otherwise retain an entire index (or its data spheres)
+// that the caller has dropped. The node buffers are cleared over their full
+// capacity; the best-known list keeps its tail zero and clears by length
+// (bestList.release).
 func putScratch(sc *scratch) {
 	// A search flushes its own tallies when the obs gate is on; this
 	// catches tallies accumulated while it was off (and the final-filter
 	// kernel's remainder) so a pooled scratch never carries stale work
 	// counts into a later measurement window.
 	sc.clearObsTallies()
-	sc.list.anch.FlushObs()
 	sc.stack = clearCap(sc.stack)
 	sc.dists = sc.dists[:0]
 	sc.heap.es = clearCap(sc.heap.es)
 	sc.pStack = sc.pStack[:0]
 	sc.pDists = sc.pDists[:0]
 	sc.packedHeap.es = sc.packedHeap.es[:0]
-	sc.list.top.es = clearCap(sc.list.top.es)
-	sc.list.buf = clearCap(sc.list.buf)
-	sc.list.stats = nil
-	sc.list.tb = nil
+	sc.list.release()
 	// A trace begun by a search that never reached its flush (obs gate
 	// turned off mid-search) must not leak into the next search.
 	sc.cancelTrace()

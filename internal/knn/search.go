@@ -213,8 +213,8 @@ func (sc *scratch) searchDF(n IndexNode, sq geom.Sphere, l *bestList) {
 	}
 	if n.IsLeaf() {
 		items := n.NodeItems()
-		for _, it := range items {
-			l.offer(it)
+		for i := range items {
+			l.offer(&items[i])
 		}
 		if sc.tb != nil {
 			sc.tb.EndNode(sp, 0, int32(len(items)))
@@ -293,8 +293,8 @@ func (sc *scratch) searchHS(root IndexNode, sq geom.Sphere, l *bestList) {
 		}
 		if n.IsLeaf() {
 			items := n.NodeItems()
-			for _, it := range items {
-				l.offer(it)
+			for i := range items {
+				l.offer(&items[i])
 			}
 			if sc.tb != nil {
 				sc.tb.EndNode(sp, 0, int32(len(items)))
