@@ -121,25 +121,24 @@ func run(r io.Reader, w io.Writer, tb *obs.TraceBuf) error {
 		v := c.Dominates(sa, sb, sq)
 		res.Verdicts[c.Name()] = v
 		if tb != nil {
-			tb.DomCheck(0, obs.FlightLabel(c.Name()), -1, v, 0)
+			tb.DomCheck(0, c.Name(), -1, v, 0)
 		}
 	}
 	res.Dominates = res.Verdicts["Hyperbola"]
 	if tb != nil {
 		for name, v := range res.Verdicts {
 			if name != "Hyperbola" && v != res.Dominates {
-				tb.Shadow(obs.FlightLabel(name), v, res.Dominates)
+				tb.Shadow(name, v, res.Dominates)
 			}
 		}
 		lat := time.Since(start).Nanoseconds()
-		qt := tb.Finish(obs.FlightLabel("domquery"), obs.FlightLabel("criteria"), 0, start.UnixNano(), lat)
-		obs.Flight.Record(obs.FlightSample{
+		obs.Slow.Record(&obs.Op{
 			WhenUnixNs: start.UnixNano(),
 			LatencyNs:  lat,
-			Substrate:  qt.Substrate,
-			Algo:       qt.Algo,
+			Substrate:  "domquery",
+			Algo:       "criteria",
 			DomChecks:  uint64(len(res.Verdicts)),
-			Trace:      qt,
+			Trace:      tb.Finish(lat),
 		})
 	}
 	if !res.Dominates {

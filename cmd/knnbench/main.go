@@ -31,8 +31,7 @@
 // `-trace out.json` samples every `-trace-every`-th search (default 16,
 // matching README "Tracing a slow query") for execution tracing and
 // exports the retained traces — tagged with the trace_id that /debug/slow
-// flight records carry — as Chrome trace_event JSON on exit (DESIGN.md
-// §10).
+// entries carry — as Chrome trace_event JSON on exit (DESIGN.md §9).
 package main
 
 import (

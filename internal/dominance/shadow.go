@@ -50,14 +50,12 @@ var (
 	// false; false_positive = competitor true, Hyperbola false.
 	obsShadowMissed   [4]*obs.Counter
 	obsShadowFalsePos [4]*obs.Counter
-	shadowLabels      [4]obs.LabelID
 )
 
 func init() {
 	for i, c := range shadowCompetitors {
 		obsShadowMissed[i] = obs.New("dominance.shadow.missed_prune." + c.Name())
 		obsShadowFalsePos[i] = obs.New("dominance.shadow.false_positive." + c.Name())
-		shadowLabels[i] = obs.FlightLabel(c.Name())
 	}
 }
 
@@ -87,7 +85,7 @@ func ShadowCompare(sa, sb, sq geom.Sphere, tb *obs.TraceBuf) (bool, uint8) {
 			}
 		}
 		if tb != nil && tb.Active() {
-			tb.Shadow(shadowLabels[i], v, hyp)
+			tb.Shadow(c.Name(), v, hyp)
 		}
 	}
 	return hyp, mask

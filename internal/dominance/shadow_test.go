@@ -155,7 +155,7 @@ func TestShadowTraceEvents(t *testing.T) {
 	if recorded == 0 {
 		t.Fatal("workload produced no disagreements to record")
 	}
-	qt := tb.Finish(obs.FlightLabel("test"), obs.FlightLabel("shadow"), 0, 1, 1)
+	qt := tb.Finish(1)
 	if got := qt.CountKind(obs.SpanShadow); got != recorded {
 		t.Errorf("trace has %d shadow spans, want %d", got, recorded)
 	}

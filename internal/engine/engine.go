@@ -113,10 +113,9 @@ func (e *Engine) worker() {
 	defer e.done.Done()
 	s := knn.NewSearcher()
 	defer s.Close()
-	shard := obs.NextShard()
 	for t := range e.queue {
 		if t.enqNs != 0 {
-			histQueueWait.RecordShard(shard, time.Now().UnixNano()-t.enqNs)
+			histQueueWait.Record(time.Now().UnixNano() - t.enqNs)
 		}
 		*t.out = s.Search(e.idx, t.sq, t.k, e.crit, e.algo)
 		if obs.On() {

@@ -9,26 +9,6 @@ import (
 	"hyperdom/internal/packed"
 )
 
-// Explain is the request-scoped account of one forest search: one span per
-// tree, in tree order, and the span of the final Definition 2 filter. The
-// serving layer wraps it in an obs.RequestTrace; semantics are spelled out
-// in DESIGN.md §14.
-type Explain struct {
-	Shards []obs.ShardSpan `json:"shards"`
-	Merge  obs.MergeSpan   `json:"merge"`
-}
-
-// Visited returns how many of the trees the search opened.
-func (e *Explain) Visited() int {
-	n := 0
-	for i := range e.Shards {
-		if !e.Shards[i].Skipped {
-			n++
-		}
-	}
-	return n
-}
-
 // SearchForest answers the Definition 2 kNN query over the union of the
 // trees — the shards of one partitioned dataset — with ONE best-known list,
 // on the calling goroutine. The trees are ordered by their root's MinDist to
@@ -43,10 +23,13 @@ func (e *Explain) Visited() int {
 // ascending (MaxDist, ID) — is the one a single-index Search over the same
 // items gives, and Stats is a function of the query alone.
 //
-// visited is the number of trees opened. ex, when non-nil, receives the
-// per-tree spans and the filter span; that costs two clock reads per opened
-// tree and one slice.
-func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm, ex *Explain) (res Result, visited int) {
+// visited is the number of trees opened. ex, when non-nil, asks for the
+// search's explain: it receives the per-tree spans and the filter span —
+// two clock reads per opened tree and one slice, whatever the obs gate says
+// — and, with the gate on, the search's whole telemetry record, which the
+// caller then owns: a search that is explained does not offer itself to the
+// Slow ring, the layer that wraps it does (DESIGN.md §9).
+func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm, ex *obs.Op) (res Result, visited int) {
 	sc := getScratch()
 	defer putScratch(sc)
 	res.K = k
@@ -120,7 +103,7 @@ func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, crit dominance.Cr
 	}
 	if obs.On() {
 		obsSearchPacked.Inc()
-		id := sc.flushObs(packedSubstrate(trees[order[0]]), algo, k, start, &res.Stats)
+		id := sc.flushObs(packedSubstrate(trees[order[0]]), algo, k, start, &res.Stats, ex)
 		if ex != nil && id != 0 {
 			for i := range ex.Shards {
 				if !ex.Shards[i].Skipped {

@@ -86,17 +86,9 @@ func BruteForce(items []Item, sq geom.Sphere, k int, crit dominance.Criterion) R
 			if !start.IsZero() {
 				lat := time.Since(start).Nanoseconds()
 				bruteLatency.Record(lat)
-				obs.Flight.Record(obs.FlightSample{
-					WhenUnixNs: start.UnixNano(),
-					LatencyNs:  lat,
-					Substrate:  flightBrute,
-					Algo:       flightScan,
-					K:          k,
-					Nodes:      uint64(res.Stats.NodesVisited),
-					Items:      uint64(res.Stats.Items),
-					DomChecks:  uint64(res.Stats.DomChecks),
-					Pruned:     uint64(res.Stats.Pruned),
-				})
+				var op obs.Op
+				fillOp(&op, "brute", "scan", k, start, lat, &res.Stats, 0)
+				obs.Slow.Record(&op)
 			}
 		}
 	}()
@@ -163,13 +155,11 @@ type bestList struct {
 	stats *Stats
 
 	// Execution tracing and shadow evaluation (ISSUE 4). tb is non-nil only
-	// while the owning search is sampled for tracing; critLabel is the
-	// criterion's interned name for DomCheck spans. shadow mirrors
+	// while the owning search is sampled for tracing. shadow mirrors
 	// dominance.ShadowOn at reset time so the per-check branch is a plain
 	// bool load.
-	tb        *obs.TraceBuf
-	critLabel obs.LabelID
-	shadow    bool
+	tb     *obs.TraceBuf
+	shadow bool
 }
 
 // reset reinitialises the list for a new search, reusing the candidate
@@ -181,7 +171,6 @@ func (l *bestList) reset(sq geom.Sphere, k int, crit dominance.Criterion, stats 
 	l.top.Reset(k)
 	l.buf = clearLen(l.buf)
 	l.tb = nil
-	l.critLabel = 0
 	l.shadow = dominance.ShadowOn()
 }
 
@@ -196,7 +185,7 @@ func (l *bestList) dominated(sk geom.Sphere, c *Candidate) bool {
 	if l.shadow {
 		v := dominance.ShadowAudit(l.crit, sk, c.Item.Sphere, l.sq, l.tb)
 		if l.tb != nil {
-			l.tb.DomCheck(obs.PhaseFinal, l.critLabel, int64(c.Item.ID), v, 0)
+			l.tb.DomCheck(obs.PhaseFinal, l.crit.Name(), int64(c.Item.ID), v, 0)
 		}
 		return v
 	}
@@ -211,7 +200,7 @@ func (l *bestList) dominated(sk geom.Sphere, c *Candidate) bool {
 	if q := l.anch.QuarticSolves(); q > q0 {
 		dq = q - q0
 	}
-	l.tb.DomCheck(obs.PhaseFinal, l.critLabel, int64(c.Item.ID), v, dq)
+	l.tb.DomCheck(obs.PhaseFinal, l.crit.Name(), int64(c.Item.ID), v, dq)
 	return v
 }
 

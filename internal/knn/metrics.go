@@ -40,8 +40,8 @@ var (
 	obsQuantItemExact  = obs.New("packed.quant.item_exact_fallbacks")
 )
 
-// substrate indexes the per-substrate search counters, latency histograms
-// and flight-record labels.
+// substrate indexes the per-substrate search counters and latency
+// histograms; substrateNames is also what an obs.Op calls it.
 type substrate uint8
 
 const (
@@ -86,30 +86,22 @@ func packedSubstrate(t *packed.Tree) substrate {
 
 // Per-search latency histograms (ISSUE 3), one instance per (substrate,
 // strategy) pair of the "knn.search_latency" family, plus a brute-force
-// instance. Each search records exactly one sample, into the shard its
-// pooled scratch arena owns, at the same flush point as the counters.
+// instance. Each search records exactly one sample, at the same flush point
+// as the counters.
 var (
 	obsSearchSub  [numSubstrates]*obs.Counter // knn.searches.<substrate>
 	searchLatency [numSubstrates][2]*obs.Histogram
 	bruteLatency  = obs.NewHistogram("knn.search_latency", `substrate="brute",algo="scan"`)
-
-	flightSub   [numSubstrates]obs.LabelID
-	flightAlgo  [2]obs.LabelID
-	flightBrute = obs.FlightLabel("brute")
-	flightScan  = obs.FlightLabel("scan")
 )
 
 func init() {
 	for s := substrate(0); s < numSubstrates; s++ {
 		obsSearchSub[s] = obs.New("knn.searches." + substrateNames[s])
-		flightSub[s] = obs.FlightLabel(substrateNames[s])
 		for _, a := range []Algorithm{DF, HS} {
 			searchLatency[s][a] = obs.NewHistogram("knn.search_latency",
 				fmt.Sprintf("substrate=%q,algo=%q", substrateNames[s], a.String()))
 		}
 	}
-	flightAlgo[DF] = obs.FlightLabel(DF.String())
-	flightAlgo[HS] = obs.FlightLabel(HS.String())
 }
 
 // flushStats adds one query's Stats to the global counters.
@@ -120,16 +112,26 @@ func flushStats(st *Stats) {
 	obsPruned.Add(uint64(st.Pruned))
 }
 
+// fillOp writes the search part of a telemetry record — the one place a
+// finished search's header and work counts become an obs.Op.
+func fillOp(op *obs.Op, substrate, algo string, k int, start time.Time, latNs int64, st *Stats, heapPushes uint64) {
+	op.WhenUnixNs, op.LatencyNs = start.UnixNano(), latNs
+	op.Substrate, op.Algo, op.K = substrate, algo, k
+	op.Nodes, op.Items = uint64(st.NodesVisited), uint64(st.Items)
+	op.DomChecks, op.Pruned, op.HeapPushes = uint64(st.DomChecks), uint64(st.Pruned), heapPushes
+}
+
 // flushObs drains one finished search into the global counters, records
-// its latency into the (substrate, strategy) histogram, offers it to the
-// flight recorder, and zeroes the scratch-local tallies. Called once per
-// search when the obs gate is on; the scratch tallies still accumulate
-// (cheaply) when it is off, so they are also zeroed here to keep a later
-// snapshot from attributing old work to a new window. The return value is
-// the ID of the span trace this search recorded, 0 when it was not sampled
-// — SearchCandidates and SearchForest surface it so request-level traces can
-// link to the retained execution trace in /debug/trace.
-func (sc *scratch) flushObs(sub substrate, algo Algorithm, k int, start time.Time, st *Stats) (traceID uint64) {
+// its latency into the (substrate, strategy) histogram, writes its
+// telemetry record, and zeroes the scratch-local tallies. The record goes
+// into ex when the caller asked for the search's explain — that caller owns
+// the outermost clock and records the op — and is offered to the Slow ring
+// here otherwise. Called once per search when the obs gate is on; the
+// scratch tallies still accumulate (cheaply) when it is off, so they are
+// also zeroed here to keep a later snapshot from attributing old work to a
+// new window. The return value is the ID of the span trace this search
+// recorded, 0 when it was not sampled.
+func (sc *scratch) flushObs(sub substrate, algo Algorithm, k int, start time.Time, st *Stats, ex *obs.Op) (traceID uint64) {
 	obsSearches.Inc()
 	obsSearchSub[sub].Inc()
 	flushStats(st)
@@ -156,30 +158,24 @@ func (sc *scratch) flushObs(sub substrate, algo Algorithm, k int, start time.Tim
 
 	if !start.IsZero() {
 		lat := time.Since(start).Nanoseconds()
-		searchLatency[sub][algo].RecordShard(sc.shard, lat)
-		sample := obs.FlightSample{
-			WhenUnixNs: start.UnixNano(),
-			LatencyNs:  lat,
-			Substrate:  flightSub[sub],
-			Algo:       flightAlgo[algo],
-			K:          k,
-			Nodes:      uint64(st.NodesVisited),
-			Items:      uint64(st.Items),
-			DomChecks:  uint64(st.DomChecks),
-			Pruned:     uint64(st.Pruned),
-			HeapPushes: heapPushes,
+		searchLatency[sub][algo].Record(lat)
+		var own obs.Op
+		op := ex
+		if op == nil {
+			op = &own
 		}
+		fillOp(op, substrateNames[sub], algo.String(), k, start, lat, st, heapPushes)
 		if sc.tb != nil {
-			// Freeze the sampled span tree and hand it to the ring with the
-			// counters: a trace is retained exactly as long as its query
-			// stays among the FlightSlots slowest (tail sampling).
-			sample.Trace = sc.trace.Finish(flightSub[sub], flightAlgo[algo], k, start.UnixNano(), lat)
+			// Freeze the sampled span tree into the record: a trace is
+			// retained exactly as long as its op stays among the SlowSlots
+			// slowest (tail sampling).
+			op.Trace = sc.trace.Finish(lat)
 			sc.tb = nil
-			if sample.Trace != nil {
-				traceID = sample.Trace.ID
-			}
+			traceID = op.Trace.ID
 		}
-		obs.Flight.Record(sample)
+		if ex == nil {
+			obs.Slow.Record(op)
+		}
 	}
 	sc.clearObsTallies()
 

@@ -96,7 +96,7 @@ func TestObsSearchLatency(t *testing.T) {
 		t.Errorf(`sstree/DF instance holds %d samples, want 1`, df.Count)
 	}
 
-	dump := obs.Flight.Dump()
+	dump := obs.Slow.Dump()
 	if len(dump) != searches+1 {
 		t.Fatalf("flight recorder retains %d queries, want %d", len(dump), searches+1)
 	}
@@ -135,7 +135,7 @@ func TestObsSearchLatency(t *testing.T) {
 	if n := obs.MergedHist("knn.search_latency").Count; n != 0 {
 		t.Errorf("search_latency recorded %d samples with the gate off", n)
 	}
-	if dump := obs.Flight.Dump(); len(dump) != 0 {
+	if dump := obs.Slow.Dump(); len(dump) != 0 {
 		t.Errorf("flight recorder admitted %d queries with the gate off", len(dump))
 	}
 }
@@ -163,7 +163,7 @@ func TestObsBruteForceCounters(t *testing.T) {
 	if n := obs.GetOrNewHistogram("knn.search_latency", `substrate="brute",algo="scan"`).Snap().Count; n != 1 {
 		t.Errorf("brute-force latency instance holds %d samples, want 1", n)
 	}
-	dump := obs.Flight.Dump()
+	dump := obs.Slow.Dump()
 	if len(dump) != 1 || dump[0].Substrate != "brute" || dump[0].Algo != "scan" || dump[0].K != 5 {
 		t.Errorf("brute-force flight record wrong: %+v", dump)
 	}

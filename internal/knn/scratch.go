@@ -65,12 +65,6 @@ type scratch struct {
 	// scratch; Span holds no references, so pooling it is leak-safe.
 	trace obs.TraceBuf
 	tb    *obs.TraceBuf
-
-	// shard is this scratch's stable latency-histogram shard, assigned
-	// round-robin at allocation. A scratch is owned by one goroutine per
-	// search, so recording through it stripes concurrent workers across
-	// the histogram's cache lines.
-	shard int
 }
 
 // resetTraversal empties the traversal buffers before a search. The DF
@@ -86,7 +80,7 @@ func (sc *scratch) resetTraversal() {
 	sc.packedHeap.es = sc.packedHeap.es[:0]
 }
 
-var scratchPool = sync.Pool{New: func() any { return &scratch{shard: obs.NextShard()} }}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 

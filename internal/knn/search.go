@@ -101,7 +101,7 @@ func (sc *scratch) search(idx Index, sq geom.Sphere, k int, crit dominance.Crite
 	}
 	res.Items = l.finish()
 	if obs.On() {
-		sc.flushObs(substrateOf(idx), algo, k, start, &res.Stats)
+		sc.flushObs(substrateOf(idx), algo, k, start, &res.Stats, nil)
 	}
 	return res
 }
@@ -114,13 +114,13 @@ func (sc *scratch) begin(sq geom.Sphere, k int, crit dominance.Criterion, stats 
 		panic(fmt.Sprintf("knn: k = %d", k))
 	}
 	// One clock read per search when instrumentation is on: the delta feeds
-	// the per-(substrate, strategy) latency histogram and the flight
-	// recorder at the same flush point as the work counters.
+	// the per-(substrate, strategy) latency histogram and the search's
+	// obs.Op at the same flush point as the work counters.
 	if obs.On() {
 		start = time.Now()
 		if obs.SampleTrace() {
 			// This search records its full span tree; flushObs freezes it
-			// and offers it to the flight recorder with the counters.
+			// into the search's obs.Op.
 			sc.trace.Begin(start)
 			sc.tb = &sc.trace
 		}
@@ -129,10 +129,7 @@ func (sc *scratch) begin(sq geom.Sphere, k int, crit dominance.Criterion, stats 
 	sc.treeTag = 0
 	l = &sc.list
 	l.reset(sq, k, crit, stats)
-	if sc.tb != nil {
-		l.tb = sc.tb
-		l.critLabel = obs.FlightLabel(crit.Name())
-	}
+	l.tb = sc.tb
 	return l, start
 }
 

@@ -76,8 +76,8 @@ func TestCandidateSetTraceID(t *testing.T) {
 	}
 	// The linked trace must be retrievable from the flight recorder.
 	found := false
-	for _, qt := range obs.Flight.Traces() {
-		if qt.ID == cs.TraceID {
+	for _, op := range obs.Slow.Traced() {
+		if op.Trace.ID == cs.TraceID {
 			found = true
 			break
 		}

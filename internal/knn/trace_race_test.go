@@ -91,7 +91,8 @@ func TestTraceScrapeConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			for _, qt := range obs.Flight.Traces() {
+			for _, op := range obs.Slow.Traced() {
+				qt := &op.Trace
 				if len(qt.Spans) == 0 || qt.Spans[0].Kind != obs.SpanSearch {
 					t.Errorf("trace %d has no root span", qt.ID)
 					return
@@ -113,7 +114,7 @@ func TestTraceScrapeConcurrent(t *testing.T) {
 	if got := obs.Lookup("knn.searches").Load(); got != searchers*rounds {
 		t.Errorf("knn.searches = %d, want %d", got, searchers*rounds)
 	}
-	if len(obs.Flight.Traces()) == 0 {
+	if len(obs.Slow.Traced()) == 0 {
 		t.Error("no traces retained after concurrent run")
 	}
 }

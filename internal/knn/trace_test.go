@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -61,11 +62,11 @@ func TestTraceSpanCountsMatchStats(t *testing.T) {
 				obs.ResetForTest()
 				res := Search(idx, q, 10, dominance.Hyperbola{}, algo)
 
-				traces := obs.Flight.Traces()
+				traces := obs.Slow.Traced()
 				if len(traces) != 1 {
 					t.Fatalf("retained %d traces, want 1", len(traces))
 				}
-				qt := traces[0]
+				qt := &traces[0].Trace
 
 				if got := qt.CountKind(obs.SpanSearch); got != 1 {
 					t.Errorf("search spans = %d, want 1", got)
@@ -104,13 +105,13 @@ func TestTraceSpanCountsMatchStats(t *testing.T) {
 
 				// Flight linkage: the query's record carries the trace ID and
 				// the same counters the spans reproduce.
-				dump := obs.Flight.Dump()
+				dump := obs.Slow.Dump()
 				if len(dump) != 1 {
 					t.Fatalf("flight dump has %d records, want 1", len(dump))
 				}
 				rec := dump[0]
-				if rec.TraceID != qt.ID {
-					t.Errorf("flight TraceID = %d, trace ID = %d", rec.TraceID, qt.ID)
+				if rec.Trace.ID != qt.ID {
+					t.Errorf("flight TraceID = %d, trace ID = %d", rec.Trace.ID, qt.ID)
 				}
 				if rec.Nodes != uint64(res.Stats.NodesVisited) || rec.Pruned != uint64(res.Stats.Pruned) {
 					t.Errorf("flight record counters diverge from Stats: %+v vs %+v", rec, res.Stats)
@@ -218,10 +219,17 @@ func TestTraceDisabledAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
 	obs.SetTraceEvery(0)
+	// The Slow ring's steady state is "full of slower ops": saturate it, so
+	// no search measured here is admitted (an admitted op costs its one
+	// heap copy).
+	for i := 0; i < obs.SlowSlots; i++ {
+		obs.Slow.Record(&obs.Op{LatencyNs: math.MaxInt64})
+	}
+	defer obs.Slow.Reset()
 	idx, queries := allocFixture(10000)
 	for _, algo := range []Algorithm{DF, HS} {
 		q := 0
-		// Warm the scratch pool and histogram shards.
+		// Warm the scratch pool.
 		for i := 0; i < 8; i++ {
 			Search(idx, queries[q%len(queries)], 10, dominance.Hyperbola{}, algo)
 			q++

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,13 +17,14 @@ import (
 //	/metrics        counters and histogram buckets in Prometheus text
 //	                format, plus the windowed *_1m quantile and rate
 //	                families when the timeline is ticking
-//	/debug/slow     the flight recorder's slowest-queries dump as JSON
-//	/debug/trace    the retained execution traces as Chrome trace_event JSON
+//	/debug/slow     the Slow ring's slowest operations as JSON
+//	/debug/requests the ring's served requests with their shard trees
+//	                (?format=chrome: as Chrome trace_event JSON)
+//	/debug/trace    the ring's sampled operations as Chrome trace_event JSON
 //	/debug/timeline the timeline ring: periodic windowed-quantile /
 //	                rate / runtime snapshots, oldest first, as JSON
 //	/debug/health   the structured ok/degraded/unhealthy verdict (503
 //	                when unhealthy)
-//	/debug/vars     the expvar export (including the "hyperdom" snapshot)
 //	/debug/pprof    the runtime profiler endpoints
 //
 // Metric names follow the hyperdom_* convention: the registry name with
@@ -48,72 +48,64 @@ func promName(name string) string {
 	return b.String()
 }
 
+// sortLabeled orders registry keys by (name, labels), not by raw key: '|'
+// sorts after '_', so raw order could split a labeled family around an
+// unrelated longer name and emit its # TYPE line twice.
+func sortLabeled(keys []string) {
+	sort.Slice(keys, func(i, j int) bool {
+		ni, li := splitLabeled(keys[i])
+		nj, lj := splitLabeled(keys[j])
+		if ni != nj {
+			return ni < nj
+		}
+		return li < lj
+	})
+}
+
+// writeSamples writes one sample line per registry key ("name|pairs", see
+// GetOrNewLabeled) in the order given — `name value`, or `name{pairs} value`
+// — under one # TYPE line per family. suffix extends the sanitized name.
+func writeSamples(w io.Writer, typ, suffix string, keys []string, value func(i int) any) error {
+	family := ""
+	for i, key := range keys {
+		name, labels := splitLabeled(key)
+		pn := promName(name) + suffix
+		if pn != family {
+			family = pn
+			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", pn, typ); err != nil {
+				return err
+			}
+		}
+		if labels != "" {
+			pn += "{" + labels + "}"
+		}
+		if _, err := fmt.Fprintf(w, "%s %v\n", pn, value(i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // WriteMetrics writes the whole registry — counters (flat and labeled),
-// then gauges, then histogram families — in Prometheus text exposition
-// format. Labeled counters carry their label pairs in the registry key
-// ("name|pairs", see GetOrNewLabeled) and are split back out here, with one
-// # TYPE line per family.
+// then gauges, then histogram families, then the windowed families — in
+// Prometheus text exposition format.
 func WriteMetrics(w io.Writer) error {
 	snap := Snapshot()
 	names := make([]string, 0, len(snap))
 	for name := range snap {
 		names = append(names, name)
 	}
-	// Order by (name, labels), not by raw key: '|' sorts after '_', so raw
-	// order could split a labeled family around an unrelated longer name and
-	// emit its # TYPE line twice.
-	sort.Slice(names, func(i, j int) bool {
-		ni, li := splitLabeled(names[i])
-		nj, lj := splitLabeled(names[j])
-		if ni != nj {
-			return ni < nj
-		}
-		return li < lj
-	})
-	var family string
-	for _, key := range names {
-		name, labels := splitLabeled(key)
-		pn := promName(name)
-		if pn != family {
-			family = pn
-			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", pn); err != nil {
-				return err
-			}
-		}
-		var err error
-		if labels == "" {
-			_, err = fmt.Fprintf(w, "%s %d\n", pn, snap[key])
-		} else {
-			_, err = fmt.Fprintf(w, "%s{%s} %d\n", pn, labels, snap[key])
-		}
-		if err != nil {
-			return err
-		}
+	sortLabeled(names)
+	if err := writeSamples(w, "counter", "", names, func(i int) any { return snap[names[i]] }); err != nil {
+		return err
 	}
 
 	gk, gv := gaugeSnapshot()
-	family = ""
-	for i, key := range gk {
-		name, labels := splitLabeled(key)
-		pn := promName(name)
-		if pn != family {
-			family = pn
-			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", pn); err != nil {
-				return err
-			}
-		}
-		var err error
-		if labels == "" {
-			_, err = fmt.Fprintf(w, "%s %g\n", pn, gv[i])
-		} else {
-			_, err = fmt.Fprintf(w, "%s{%s} %g\n", pn, labels, gv[i])
-		}
-		if err != nil {
-			return err
-		}
+	if err := writeSamples(w, "gauge", "", gk, func(i int) any { return gv[i] }); err != nil {
+		return err
 	}
 
-	family = ""
+	family := ""
 	for _, h := range Histograms() {
 		pn := promName(h.Name()) + "_seconds"
 		if pn != family {
@@ -163,35 +155,8 @@ func writeWindowedMetrics(w io.Writer) error {
 	for key := range rates {
 		keys = append(keys, key)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		ni, li := splitLabeled(keys[i])
-		nj, lj := splitLabeled(keys[j])
-		if ni != nj {
-			return ni < nj
-		}
-		return li < lj
-	})
-	family := ""
-	for _, key := range keys {
-		name, labels := splitLabeled(key)
-		pn := promName(name) + "_rate_1m"
-		if pn != family {
-			family = pn
-			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", pn); err != nil {
-				return err
-			}
-		}
-		var err error
-		if labels == "" {
-			_, err = fmt.Fprintf(w, "%s %g\n", pn, rates[key])
-		} else {
-			_, err = fmt.Fprintf(w, "%s{%s} %g\n", pn, labels, rates[key])
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	sortLabeled(keys)
+	return writeSamples(w, "gauge", "_rate_1m", keys, func(i int) any { return rates[keys[i]] })
 }
 
 // writeHistogram writes one labeled histogram instance: cumulative
@@ -227,6 +192,28 @@ func joinLabels(labels string) string {
 	return labels + ","
 }
 
+// serveJSON answers with v as an indented JSON document, or with a 500 when
+// it does not encode.
+func serveJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	if status != http.StatusOK {
+		w.WriteHeader(status)
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
+// serveChrome answers with the ops as one Chrome trace_event document.
+func serveChrome(w http.ResponseWriter, ops []*Op) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	if err := WriteChromeTrace(w, ops); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
 // Handler returns the observability mux described above. Mount it on any
 // server, or let Serve run it on a dedicated listener.
 func Handler() http.Handler {
@@ -237,67 +224,32 @@ func Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
+	// The JSON views serve [] for an empty ring, never null: scrapers index
+	// into the array unconditionally.
 	mux.HandleFunc("/debug/slow", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		recs := Flight.Dump()
-		if recs == nil {
-			// Dump never returns nil today, but an empty recorder must
-			// serve [] — scrapers index into the array unconditionally.
-			recs = []FlightRecord{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(recs); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		serveJSON(w, http.StatusOK, SlowRecords(Slow.Dump()))
 	})
 	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
-		recs := Requests.Dump()
 		if r.URL.Query().Get("format") == "chrome" {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			if err := WriteRequestChromeTrace(w, recs); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
+			serveChrome(w, Slow.Served())
 			return
 		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if recs == nil {
-			recs = []*RequestTrace{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(recs); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		serveJSON(w, http.StatusOK, RequestRecords(Slow.Served()))
+	})
+	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
+		serveChrome(w, Slow.Traced())
 	})
 	mux.HandleFunc("/debug/timeline", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		snaps := TimelineSnapshots() // never nil: an empty ring serves []
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(snaps); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		serveJSON(w, http.StatusOK, TimelineSnapshots())
 	})
 	mux.HandleFunc("/debug/health", func(w http.ResponseWriter, r *http.Request) {
 		v := Health()
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		status := http.StatusOK
 		if v.Status == HealthUnhealthy {
-			w.WriteHeader(http.StatusServiceUnavailable)
+			status = http.StatusServiceUnavailable
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(v); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		serveJSON(w, status, v)
 	})
-	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if err := WriteChromeTrace(w, Flight.Traces()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

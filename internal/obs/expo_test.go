@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -24,10 +23,25 @@ func TestPromName(t *testing.T) {
 	}
 }
 
+// familyLines returns, in order, the exposition lines of the metric families
+// whose names start with prefix — the part of a /metrics document a test can
+// pin byte for byte while sharing the process-wide registry with its
+// neighbours.
+func familyLines(body, prefix string) string {
+	var sb strings.Builder
+	for _, line := range strings.SplitAfter(body, "\n") {
+		if strings.HasPrefix(strings.TrimPrefix(line, "# TYPE "), prefix) {
+			sb.WriteString(line)
+		}
+	}
+	return sb.String()
+}
+
 // TestMetricsEndpoint drives /metrics through the real handler and checks
-// the Prometheus text contract: 200, the versioned content type, a # TYPE
-// line per family, cumulative _bucket series ending in +Inf, and _sum/_count
-// lines for a histogram we populated.
+// the Prometheus text contract: 200, the versioned content type, and — byte
+// for byte — the families this test populates: a # TYPE line per family,
+// cumulative _bucket series in seconds ending in +Inf, _sum/_count lines,
+// and the windowed _1m quantile gauges of the same histogram.
 func TestMetricsEndpoint(t *testing.T) {
 	c := New("test.expo.counter")
 	c.Add(7)
@@ -55,39 +69,25 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	body := string(raw)
 
-	for _, want := range []string{
-		"# TYPE hyperdom_test_expo_counter counter\n",
-		"hyperdom_test_expo_counter 7\n",
-		"# TYPE hyperdom_test_expo_hist_seconds histogram\n",
-		`hyperdom_test_expo_hist_seconds_bucket{kind="a",le="+Inf"} 3`,
-		`hyperdom_test_expo_hist_seconds_count{kind="a"} 3`,
-		`hyperdom_test_expo_hist_seconds_sum{kind="a"} `,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics output missing %q", want)
-		}
-	}
-
-	// Cumulative bucket counts must be non-decreasing within the family and
-	// the finite bounds must be in seconds (well below 1 for our ns samples).
-	var prevCum int64 = -1
-	var bucketLines int
-	for _, line := range strings.Split(body, "\n") {
-		if !strings.HasPrefix(line, `hyperdom_test_expo_hist_seconds_bucket{kind="a",le=`) {
-			continue
-		}
-		bucketLines++
-		cum, err := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
-		if err != nil {
-			t.Fatalf("unparsable bucket line %q: %v", line, err)
-		}
-		if cum < prevCum {
-			t.Errorf("bucket series not cumulative at %q", line)
-		}
-		prevCum = cum
-	}
-	if bucketLines < 4 { // 3 sample buckets + +Inf
-		t.Errorf("expected ≥4 bucket lines for the populated histogram, got %d", bucketLines)
+	const want = `# TYPE hyperdom_test_expo_counter counter
+hyperdom_test_expo_counter 7
+# TYPE hyperdom_test_expo_hist_seconds histogram
+hyperdom_test_expo_hist_seconds_bucket{kind="a",le="1.04e-07"} 1
+hyperdom_test_expo_hist_seconds_bucket{kind="a",le="2.08e-07"} 2
+hyperdom_test_expo_hist_seconds_bucket{kind="a",le="0.001114112"} 3
+hyperdom_test_expo_hist_seconds_bucket{kind="a",le="+Inf"} 3
+hyperdom_test_expo_hist_seconds_sum{kind="a"} 0.001048876
+hyperdom_test_expo_hist_seconds_count{kind="a"} 3
+# TYPE hyperdom_test_expo_hist_seconds_1m gauge
+hyperdom_test_expo_hist_seconds_1m{quantile="0.5"} 2e-07
+hyperdom_test_expo_hist_seconds_1m{quantile="0.9"} 0.001048576
+hyperdom_test_expo_hist_seconds_1m{quantile="0.99"} 0.001048576
+hyperdom_test_expo_hist_seconds_1m{quantile="0.999"} 0.001048576
+# TYPE hyperdom_test_expo_hist_seconds_1m_count gauge
+hyperdom_test_expo_hist_seconds_1m_count 3
+`
+	if got := familyLines(body, "hyperdom_test_expo_"); got != want {
+		t.Errorf("/metrics families of this test:\n%s\nwant:\n%s", got, want)
 	}
 
 	// One # TYPE line per family, even with multiple labeled instances.
@@ -101,19 +101,71 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(string(raw2), "# TYPE hyperdom_test_expo_hist_seconds histogram"); n != 1 {
-		t.Errorf("family has %d # TYPE lines, want exactly 1", n)
+	const wantB = `# TYPE hyperdom_test_expo_hist_seconds histogram
+hyperdom_test_expo_hist_seconds_bucket{kind="a",le="1.04e-07"} 1
+hyperdom_test_expo_hist_seconds_bucket{kind="a",le="2.08e-07"} 2
+hyperdom_test_expo_hist_seconds_bucket{kind="a",le="0.001114112"} 3
+hyperdom_test_expo_hist_seconds_bucket{kind="a",le="+Inf"} 3
+hyperdom_test_expo_hist_seconds_sum{kind="a"} 0.001048876
+hyperdom_test_expo_hist_seconds_count{kind="a"} 3
+hyperdom_test_expo_hist_seconds_bucket{kind="b",le="5.2e-08"} 1
+hyperdom_test_expo_hist_seconds_bucket{kind="b",le="+Inf"} 1
+hyperdom_test_expo_hist_seconds_sum{kind="b"} 5e-08
+hyperdom_test_expo_hist_seconds_count{kind="b"} 1
+`
+	if got := familyLines(string(raw2), "hyperdom_test_expo_hist_seconds"); !strings.HasPrefix(got, wantB) {
+		t.Errorf("two-instance family:\n%s\nwant it to start:\n%s", got, wantB)
 	}
 }
 
-// TestSlowEndpoint checks /debug/slow serves the flight recorder dump as
-// valid JSON in descending latency order.
+// TestLabeledCountersAndGaugesExposition pins the labeled-family text: label
+// pairs split back out of the registry key, one # TYPE line per family
+// however many label sets it has, flat and labeled gauges.
+func TestLabeledCountersAndGaugesExposition(t *testing.T) {
+	ResetForTest()
+	SetEnabled(true)
+	defer SetEnabled(false)
+	defer ResetForTest()
+
+	GetOrNewLabeled("test.lab.requests_total", `code="200",endpoint="knn"`).Add(3)
+	GetOrNewLabeled("test.lab.requests_total", `code="404",endpoint="knn"`).Inc()
+	New("test.lab.requests_total_seen").Add(2) // sorts between the two by raw key
+	SetGauge("test.lab.build_info", `version="test",go_version="go0",quant_mode="f32"`, 1)
+	SetGauge("test.lab.plain_gauge", "", 2.5)
+
+	var sb strings.Builder
+	if err := WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# TYPE hyperdom_test_lab_requests_total counter
+hyperdom_test_lab_requests_total{code="200",endpoint="knn"} 3
+hyperdom_test_lab_requests_total{code="404",endpoint="knn"} 1
+# TYPE hyperdom_test_lab_requests_total_seen counter
+hyperdom_test_lab_requests_total_seen 2
+# TYPE hyperdom_test_lab_build_info gauge
+hyperdom_test_lab_build_info{version="test",go_version="go0",quant_mode="f32"} 1
+# TYPE hyperdom_test_lab_plain_gauge gauge
+hyperdom_test_lab_plain_gauge 2.5
+`
+	if got := familyLines(sb.String(), "hyperdom_test_lab_"); got != want {
+		t.Fatalf("labeled families:\n%s\nwant:\n%s", got, want)
+	}
+
+	if v, ok := GaugeValue("test.lab.plain_gauge", ""); !ok || v != 2.5 {
+		t.Fatalf("GaugeValue = %v, %v", v, ok)
+	}
+	if _, ok := GaugeValue("missing", ""); ok {
+		t.Fatal("missing gauge reported present")
+	}
+}
+
+// TestSlowEndpoint checks /debug/slow serves the ring's dump as valid JSON
+// in descending latency order.
 func TestSlowEndpoint(t *testing.T) {
-	Flight.Reset()
-	defer Flight.Reset()
-	sub := FlightLabel("expo-substrate")
-	Flight.Record(FlightSample{LatencyNs: 300, Substrate: sub, K: 10, Nodes: 42})
-	Flight.Record(FlightSample{LatencyNs: 700, Substrate: sub, K: 5, Nodes: 99})
+	Slow.Reset()
+	defer Slow.Reset()
+	Slow.Record(&Op{LatencyNs: 300, Substrate: "expo-substrate", K: 10, Nodes: 42})
+	Slow.Record(&Op{LatencyNs: 700, Substrate: "expo-substrate", K: 5, Nodes: 99})
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -128,7 +180,7 @@ func TestSlowEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
 		t.Errorf("/debug/slow Content-Type = %q", ct)
 	}
-	var recs []FlightRecord
+	var recs []SlowRecord
 	if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
 		t.Fatalf("/debug/slow is not valid JSON: %v", err)
 	}
@@ -146,7 +198,7 @@ func TestSlowEndpoint(t *testing.T) {
 // TestSlowEndpointEmpty checks the empty-recorder case: /debug/slow must
 // serve [] (never null), with the JSON content type.
 func TestSlowEndpointEmpty(t *testing.T) {
-	Flight.Reset()
+	Slow.Reset()
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/debug/slow")
@@ -171,8 +223,8 @@ func TestSlowEndpointEmpty(t *testing.T) {
 // traces as trace_event JSON — and a valid empty document (traceEvents: [],
 // not null) when nothing is retained.
 func TestTraceEndpoint(t *testing.T) {
-	Flight.Reset()
-	defer Flight.Reset()
+	Slow.Reset()
+	defer Slow.Reset()
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
 
@@ -210,8 +262,7 @@ func TestTraceEndpoint(t *testing.T) {
 	b.Begin(time.Now())
 	sp := b.StartNode(1, 0)
 	b.EndNode(sp, 0, 3)
-	qt := b.Finish(FlightLabel("sstree"), FlightLabel("DF"), 4, time.Now().UnixNano(), 900)
-	Flight.Record(FlightSample{LatencyNs: 900, K: 4, Trace: qt})
+	Slow.Record(&Op{LatencyNs: 900, K: 4, Trace: b.Finish(900)})
 
 	body, doc := get()
 	var evs []map[string]any
@@ -226,26 +277,19 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestDebugEndpoints checks /debug/vars and the pprof index respond.
+// TestDebugEndpoints checks the pprof index responds and unknown paths —
+// the retired /debug/vars among them — do not.
 func TestDebugEndpoints(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
-	for _, path := range []string{"/debug/vars", "/debug/pprof/"} {
+	for path, want := range map[string]bool{"/debug/pprof/": true, "/debug/vars": false, "/metrics/nope": false} {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
-		if resp.StatusCode != 200 {
-			t.Errorf("%s status = %d", path, resp.StatusCode)
+		if got := resp.StatusCode == 200; got != want {
+			t.Errorf("%s status = %d, want 200: %v", path, resp.StatusCode, want)
 		}
 		resp.Body.Close()
-	}
-	resp, err := srv.Client().Get(srv.URL + "/metrics/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode == 200 {
-		t.Errorf("unknown path served 200")
 	}
 }

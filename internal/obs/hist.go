@@ -18,23 +18,15 @@ import (
 // slower samples clamp into the last bucket.
 //
 // The record path is lock-free and allocation-free: one atomic add into a
-// bucket and one into the shard's running sum. To keep concurrent
-// recorders from serialising on the same cache lines, each histogram is
-// split into histShards independent shards that are merged only at
-// snapshot time. Go offers no goroutine-local storage, so "per-goroutine"
-// sharding is approximated two ways: long-lived owners (the kNN scratch
-// arena, pooled per worker goroutine) hold a shard index from NextShard
-// and record through RecordShard, while ownerless call sites use Record,
-// which spreads samples across shards by hashing the value.
+// bucket and one into the running sum, for the cumulative side and again for
+// the current window slot. Recorders of different latencies touch different
+// cache lines (a bucket is 8 bytes of a 5 KB array); recorders of the same
+// latency share one, as they do in the window slot.
 const (
 	histSubBits    = 4
 	histSubBuckets = 1 << histSubBits // linear sub-buckets per power of two
 	histMaxTop     = 41               // highest bucketed power of two (2^42ns ≈ 73min)
 	histBuckets    = histSubBuckets + (histMaxTop-histSubBits+1)*histSubBuckets
-
-	histShardBits = 2
-	histShards    = 1 << histShardBits
-	histShardMask = histShards - 1
 )
 
 // histIndex maps a sample to its bucket.
@@ -63,25 +55,15 @@ func histLower(i int) int64 {
 	return int64(i-(shift<<histSubBits)) << shift
 }
 
-// histShard is one independently written slice of a histogram. The trailing
-// pad keeps the next shard's first buckets off this shard's last cache
-// line; the bucket array itself is written by at most a few goroutines per
-// shard, which is the contention the sharding exists to bound.
-type histShard struct {
-	counts [histBuckets]atomic.Uint64
-	sum    atomic.Uint64
-	_      [cacheLine - 8]byte
-}
-
-// Histogram is a registered, sharded log-linear latency histogram. All
-// methods are safe for concurrent use; Record and RecordShard never
-// allocate and take no locks. Construct with NewHistogram (or
-// GetOrNewHistogram for runtime-derived names) so snapshots and the
-// /metrics exposition can find it.
+// Histogram is a registered log-linear latency histogram. All methods are
+// safe for concurrent use; Record never allocates and takes no locks.
+// Construct with NewHistogram (or GetOrNewHistogram for runtime-derived
+// names) so snapshots and the /metrics exposition can find it.
 type Histogram struct {
 	name   string
 	labels string // Prometheus label pairs, e.g. `substrate="sstree",algo="DF"`; may be empty
-	shards [histShards]histShard
+	counts [histBuckets]atomic.Uint64
+	sum    atomic.Uint64
 	// win is the sliding-window side (ISSUE 9): WinSlots rotating time
 	// shards over the same bucket layout, fed by the same record call.
 	win histWindow
@@ -93,24 +75,14 @@ func (h *Histogram) Name() string { return h.name }
 // Labels returns the constant Prometheus label pairs, without braces.
 func (h *Histogram) Labels() string { return h.labels }
 
-// Record adds one sample (nanoseconds), spreading concurrent recorders
-// across shards by hashing the value. Callers on gated hot paths check
+// Record adds one sample (nanoseconds). Callers on gated hot paths check
 // On() themselves — Record does not, so batch-level instrumentation that
 // already paid for the gate is not charged twice.
 func (h *Histogram) Record(v int64) {
-	shard := int((uint64(v) * 0x9E3779B97F4A7C15) >> (64 - histShardBits))
-	h.RecordShard(shard, v)
-}
-
-// RecordShard adds one sample into the given shard. Owners that live on
-// one goroutine (a pooled scratch arena, a worker) obtain a stable shard
-// from NextShard once and pass it here, giving true per-goroutine striping.
-func (h *Histogram) RecordShard(shard int, v int64) {
-	s := &h.shards[shard&histShardMask]
 	i := histIndex(v)
-	s.counts[i].Add(1)
+	h.counts[i].Add(1)
 	if v > 0 {
-		s.sum.Add(uint64(v))
+		h.sum.Add(uint64(v))
 	}
 	h.win.record(i, v)
 }
@@ -118,29 +90,19 @@ func (h *Histogram) RecordShard(shard int, v int64) {
 // RecordDuration records d in nanoseconds.
 func (h *Histogram) RecordDuration(d time.Duration) { h.Record(d.Nanoseconds()) }
 
-// shardSeq hands out round-robin shard indexes to long-lived recorders.
-var shardSeq atomic.Uint32
-
-// NextShard returns a shard index for RecordShard, assigned round-robin so
-// a pool of recorders spreads evenly across the histogram shards.
-func NextShard() int { return int(shardSeq.Add(1)) & histShardMask }
-
-// reset zeroes every shard. Not linearizable against concurrent recorders
+// reset zeroes the histogram. Not linearizable against concurrent recorders
 // (a racing sample may survive or vanish); meant for ResetForTest.
 func (h *Histogram) reset() {
-	for s := range h.shards {
-		sh := &h.shards[s]
-		for i := range sh.counts {
-			sh.counts[i].Store(0)
-		}
-		sh.sum.Store(0)
+	for i := range h.counts {
+		h.counts[i].Store(0)
 	}
+	h.sum.Store(0)
 	h.win.reset()
 }
 
-// HistSnap is a merged point-in-time reading of a histogram: the summed
-// shard buckets, total sample count and nanosecond sum. The zero value
-// behaves as an empty histogram.
+// HistSnap is a point-in-time reading of a histogram: the buckets, total
+// sample count and nanosecond sum. The zero value behaves as an empty
+// histogram.
 type HistSnap struct {
 	Name   string
 	Labels string
@@ -149,19 +111,13 @@ type HistSnap struct {
 	Sum    uint64 // nanoseconds
 }
 
-// Snap merges the shards into one consistent-enough reading: each bucket
-// load is atomic, but buckets may advance between loads, exactly like
-// Snapshot over counters.
+// Snap takes a consistent-enough reading: each bucket load is atomic, but
+// buckets may advance between loads, exactly like Snapshot over counters.
 func (h *Histogram) Snap() HistSnap {
-	s := HistSnap{Name: h.name, Labels: h.labels, Counts: make([]uint64, histBuckets)}
-	for sh := range h.shards {
-		shard := &h.shards[sh]
-		for i := range s.Counts {
-			c := shard.counts[i].Load()
-			s.Counts[i] += c
-			s.Count += c
-		}
-		s.Sum += shard.sum.Load()
+	s := HistSnap{Name: h.name, Labels: h.labels, Counts: make([]uint64, histBuckets), Sum: h.sum.Load()}
+	for i := range s.Counts {
+		s.Counts[i] = h.counts[i].Load()
+		s.Count += s.Counts[i]
 	}
 	return s
 }
@@ -331,7 +287,7 @@ func (sw Stopwatch) Stop(h *Histogram) time.Duration {
 }
 
 // ResetForTest zeroes every registered counter and histogram and clears
-// the flight recorder, preserving all registrations — so tests (and
+// the Slow ring, preserving all registrations — so tests (and
 // measurement harnesses like benchkernel) can assert absolute readings
 // instead of diffing snapshots of monotonically growing globals. It is not
 // linearizable against concurrent recorders; quiesce the workload first.
@@ -346,8 +302,7 @@ func ResetForTest() {
 		h.reset()
 	}
 	histRegistry.mu.RUnlock()
-	Flight.Reset()
-	Requests.Reset()
+	Slow.Reset()
 	Rates.Reset()
 	gauges.mu.RLock()
 	for _, g := range gauges.m {

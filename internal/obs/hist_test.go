@@ -106,11 +106,10 @@ func TestHistEmptyQuantiles(t *testing.T) {
 	}
 }
 
-// TestHistConcurrentShardMerge hammers one histogram from concurrent
-// recorders — through both the value-hashed and the owner-shard paths —
+// TestHistConcurrentRecord hammers one histogram from concurrent recorders
 // while snapshots run, and checks no sample is lost. Run under -race this
-// also proves the record/merge paths are data-race free.
-func TestHistConcurrentShardMerge(t *testing.T) {
+// also proves the record/snapshot paths are data-race free.
+func TestHistConcurrentRecord(t *testing.T) {
 	h := NewHistogram("test.hist.concurrent", "")
 	const workers, per = 8, 5000
 	var wg sync.WaitGroup
@@ -129,14 +128,8 @@ func TestHistConcurrentShardMerge(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			shard := NextShard()
 			for i := 0; i < per; i++ {
-				v := int64(w*per + i)
-				if w%2 == 0 {
-					h.RecordShard(shard, v)
-				} else {
-					h.Record(v)
-				}
+				h.Record(int64(w*per + i))
 			}
 		}(w)
 	}
@@ -152,6 +145,11 @@ func TestHistConcurrentShardMerge(t *testing.T) {
 	}
 	if bucketSum != s.Count {
 		t.Errorf("bucket sum %d disagrees with Count %d", bucketSum, s.Count)
+	}
+	// Every worker's samples are w*per .. w*per+per-1: the sum is exact.
+	const n = workers * per
+	if want := uint64(n * (n - 1) / 2); s.Sum != want {
+		t.Errorf("concurrent recording lost value: Sum = %d, want %d", s.Sum, want)
 	}
 }
 
@@ -232,19 +230,16 @@ func TestHistRecordAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { h.Record(12345) }); allocs != 0 {
 		t.Errorf("Record allocates %.1f times per call, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { h.RecordShard(1, 12345) }); allocs != 0 {
-		t.Errorf("RecordShard allocates %.1f times per call, want 0", allocs)
-	}
 }
 
 // TestResetForTest verifies registry-preserving zeroing across counters,
-// histograms and the flight recorder.
+// histograms and the Slow ring.
 func TestResetForTest(t *testing.T) {
 	c := New("test.reset.counter")
 	h := NewHistogram("test.reset.hist", "")
 	c.Add(5)
 	h.Record(100)
-	Flight.Record(FlightSample{LatencyNs: 999, K: 1})
+	Slow.Record(&Op{LatencyNs: 999, K: 1})
 	ResetForTest()
 	if got := c.Load(); got != 0 {
 		t.Errorf("counter = %d after ResetForTest, want 0", got)
@@ -258,8 +253,8 @@ func TestResetForTest(t *testing.T) {
 	if GetOrNewHistogram("test.reset.hist", "") != h {
 		t.Error("ResetForTest dropped the histogram registration")
 	}
-	if dump := Flight.Dump(); len(dump) != 0 {
-		t.Errorf("flight recorder holds %d records after ResetForTest, want 0", len(dump))
+	if dump := Slow.Dump(); len(dump) != 0 {
+		t.Errorf("Slow ring holds %d ops after ResetForTest, want 0", len(dump))
 	}
 	c.Inc()
 	h.Record(7)

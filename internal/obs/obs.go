@@ -1,9 +1,9 @@
 // Package obs is the process-wide observability substrate: a registry of
 // named, allocation-free counters that every layer of the system —
 // dominance criteria, kNN traversals, the tree substrates, the workload
-// runners — increments on its hot paths, plus snapshot/diff machinery and
-// an expvar export so operators (and the benchmark harness) can read the
-// work counts the paper's evaluation is stated in.
+// runners — increments on its hot paths, plus snapshot/diff machinery so
+// operators (and the benchmark harness) can read the work counts the
+// paper's evaluation is stated in.
 //
 // Design constraints, in order:
 //
@@ -23,7 +23,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
@@ -59,10 +58,7 @@ func (c *Counter) Load() uint64 { return c.v.Load() }
 // relaxed-ish load on all architectures; 1 = on. On by default.
 var enabled atomic.Int32
 
-func init() {
-	enabled.Store(1)
-	expvar.Publish("hyperdom", expvar.Func(func() any { return Snapshot() }))
-}
+func init() { enabled.Store(1) }
 
 // On reports whether instrumentation is enabled. Hot paths check it once
 // per operation (or cache it across a batch) and skip their tallies when

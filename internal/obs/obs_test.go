@@ -155,21 +155,21 @@ func TestProfileFiles(t *testing.T) {
 	}
 }
 
-func TestServeExportsVars(t *testing.T) {
+func TestServeExportsMetrics(t *testing.T) {
 	addr, err := Serve("localhost:0")
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
 	New("test.serve.visible").Add(41)
-	resp, err := http.Get("http://" + addr + "/debug/vars")
+	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
-		t.Fatalf("GET /debug/vars: %v", err)
+		t.Fatalf("GET /metrics: %v", err)
 	}
 	defer resp.Body.Close()
 	var body bytes.Buffer
 	body.ReadFrom(resp.Body) //nolint:errcheck
-	if !strings.Contains(body.String(), "test.serve.visible") {
-		t.Error("expvar export does not include the hyperdom counter snapshot")
+	if !strings.Contains(body.String(), "hyperdom_test_serve_visible 41\n") {
+		t.Error("served /metrics does not include the counter")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof/* on the default mux too
 	"os"
 	"os/signal"
 	"runtime"
@@ -47,9 +46,8 @@ func WriteHeapProfile(path string) error {
 }
 
 // Serve starts an HTTP server on addr exposing the full observability mux
-// of Handler: /metrics (Prometheus text), /debug/slow (flight recorder),
-// /debug/vars (expvar, including the "hyperdom" snapshot) and
-// /debug/pprof. It returns the bound address — pass "localhost:0" for an
+// of Handler: /metrics (Prometheus text), the /debug views of the Slow ring
+// and /debug/pprof. It returns the bound address — pass "localhost:0" for an
 // ephemeral port. The server runs until the process exits.
 func Serve(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
@@ -81,9 +79,9 @@ func RegisterFlags(fs *flag.FlagSet) *ProfileFlags {
 	pf := &ProfileFlags{}
 	fs.StringVar(&pf.CPUProfile, "cpuprofile", "", "write a CPU profile to `file`")
 	fs.StringVar(&pf.MemProfile, "memprofile", "", "write a heap profile to `file` on exit")
-	fs.StringVar(&pf.PprofAddr, "pprof", "", "serve /debug/pprof and /debug/vars on `addr` (e.g. localhost:6060)")
+	fs.StringVar(&pf.PprofAddr, "pprof", "", "serve /debug/pprof (and the rest of the obs mux) on `addr` (e.g. localhost:6060)")
 	fs.StringVar(&pf.ServeAddr, "serve", "",
-		"serve /metrics, /debug/slow, /debug/vars and /debug/pprof on `addr`; keeps serving after the run until interrupted")
+		"serve /metrics, /debug/slow, /debug/trace and /debug/pprof on `addr`; keeps serving after the run until interrupted")
 	fs.BoolVar(&pf.Metrics, "metrics", false,
 		"print the obs counter snapshot on exit; in the figure runners this also re-enables counters for each figure and prints a per-figure diff")
 	fs.StringVar(&pf.TracePath, "trace", "",
@@ -130,7 +128,7 @@ func (pf *ProfileFlags) Start() (stop func(), err error) {
 			}
 			return nil, err
 		}
-		fmt.Fprintf(os.Stderr, "obs: serving pprof + expvar on http://%s/debug/pprof/\n", addr)
+		fmt.Fprintf(os.Stderr, "obs: serving pprof on http://%s/debug/pprof/\n", addr)
 	}
 	if pf.ServeAddr != "" {
 		addr, err := Serve(pf.ServeAddr)

@@ -49,7 +49,7 @@ func familyWindowOf(s HistSnap) FamilyWindow {
 // TimelineSnapshot is one periodic reading of the whole process: windowed
 // quantiles per histogram family, windowed per-second counter rates, the
 // runtime sample and the gauges, stamped with the wall clock so entries
-// correlate with access logs and the flight recorders.
+// correlate with access logs and the Slow ring's views.
 type TimelineSnapshot struct {
 	WhenUnixNs int64  `json:"when_unix_ns"`
 	When       string `json:"when"` // RFC3339Nano, for humans and log grep

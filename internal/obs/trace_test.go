@@ -11,23 +11,22 @@ import (
 // buildTrace records a tiny two-node traversal into a TraceBuf and
 // finishes it: root → internal node (one child pruned) → leaf with two
 // items, one dominance check, one item prune, one shadow disagreement.
-func buildTrace(t *testing.T) *QueryTrace {
+func buildTrace(t *testing.T) QueryTrace {
 	t.Helper()
 	var b TraceBuf
 	b.Begin(time.Now())
 	if !b.Active() {
 		t.Fatal("Begin did not activate the buffer")
 	}
-	crit := FlightLabel("Hyperbola")
 	inner := b.StartNode(0x10, 0.5)
 	b.NodePrune(0x11, 9.5)
 	leaf := b.StartNode(0x12, 0.75)
-	b.DomCheck(PhaseCase2, crit, 7, true, 2)
-	b.ItemPrune(PhaseCase2, 7, 1.25)
-	b.Shadow(FlightLabel("MinMax"), false, true)
+	b.DomCheck(PhaseFinal, "Hyperbola", 7, true, 2)
+	b.ItemPrune(PhaseCase3, 7, 1.25)
+	b.Shadow("MinMax", false, true)
 	b.EndNode(leaf, 0, 2)
 	b.EndNode(inner, 2, 0)
-	qt := b.Finish(FlightLabel("sstree"), FlightLabel("HS"), 10, time.Now().UnixNano(), 1500)
+	qt := b.Finish(1500)
 	if b.Active() {
 		t.Fatal("Finish left the buffer active")
 	}
@@ -56,8 +55,8 @@ func TestTraceBufSpans(t *testing.T) {
 	if root.Kind != SpanSearch || root.Parent != -1 {
 		t.Errorf("root span = kind %d parent %d, want SpanSearch/-1", root.Kind, root.Parent)
 	}
-	if root.EndNs != qt.LatencyNs {
-		t.Errorf("root EndNs = %d, want latency %d", root.EndNs, qt.LatencyNs)
+	if root.EndNs != 1500 {
+		t.Errorf("root EndNs = %d, want the latency Finish was given (1500)", root.EndNs)
 	}
 
 	// Nesting: inner node under root, prune event and leaf under inner,
@@ -77,8 +76,11 @@ func TestTraceBufSpans(t *testing.T) {
 			t.Errorf("span %d parent = %d, want leaf (3)", i, qt.Spans[i].Parent)
 		}
 	}
-	if dc := qt.Spans[4]; !dc.Verdict || dc.ItemID != 7 || dc.Arg != 2 || dc.Phase != PhaseCase2 {
-		t.Errorf("dom-check span = %+v, want verdict/item 7/2 quartics/case2", dc)
+	if dc := qt.Spans[4]; !dc.Verdict || dc.ItemID != 7 || dc.Arg != 2 || dc.Phase != PhaseFinal || dc.Label != "Hyperbola" {
+		t.Errorf("dom-check span = %+v, want Hyperbola verdict/item 7/2 quartics/final", dc)
+	}
+	if ip := qt.Spans[5]; ip.Phase != PhaseCase3 || PhaseName(ip.Phase) != "case3" || PhaseName(PhaseFinal) != "final" {
+		t.Errorf("item-prune span = %+v, want case3", ip)
 	}
 }
 
@@ -128,18 +130,18 @@ type chromeDoc struct {
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	qt := buildTrace(t)
+	op := &Op{WhenUnixNs: 1, LatencyNs: 1500, Substrate: "sstree", Algo: "HS", K: 10, Nodes: 2, Trace: buildTrace(t)}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, []*QueryTrace{qt}); err != nil {
+	if err := WriteChromeTrace(&buf, []*Op{op}); err != nil {
 		t.Fatal(err)
 	}
 	var doc chromeDoc
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("export is not valid JSON: %v", err)
 	}
-	// 2 metadata + 7 spans.
-	if got := len(doc.TraceEvents); got != 9 {
-		t.Fatalf("got %d trace events, want 9", got)
+	// The process name + 7 spans, all on thread 0: no forest, no shards.
+	if got := len(doc.TraceEvents); got != 8 {
+		t.Fatalf("got %d trace events, want 8", got)
 	}
 	var phX, phI, phM int
 	for _, ev := range doc.TraceEvents {
@@ -157,8 +159,16 @@ func TestWriteChromeTrace(t *testing.T) {
 			t.Errorf("unexpected ph %q", ev.Ph)
 		}
 	}
-	if phX != 3 || phI != 4 || phM != 2 {
-		t.Errorf("event phases X/i/M = %d/%d/%d, want 3/4/2", phX, phI, phM)
+	if phX != 3 || phI != 4 || phM != 1 {
+		t.Errorf("event phases X/i/M = %d/%d/%d, want 3/4/1", phX, phI, phM)
+	}
+	for _, ev := range doc.TraceEvents {
+		if ev.Tid != 0 || ev.Pid != 1 {
+			t.Errorf("event %q on pid/tid %d/%d, want 1/0", ev.Name, ev.Pid, ev.Tid)
+		}
+		if ev.Name == "search" && (ev.Args["substrate"] != "sstree" || ev.Args["subtree_prunes"] != 1.0 || *ev.Dur != 1.5) {
+			t.Errorf("search span = %+v dur %v", ev.Args, *ev.Dur)
+		}
 	}
 	if !strings.Contains(buf.String(), `"shadow-disagree"`) {
 		t.Error("export lost the shadow-disagreement event")
@@ -184,42 +194,38 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 }
 
 func TestFlightTraceLinkage(t *testing.T) {
-	f := &FlightRecorder{}
+	var r SlowRing
 	qt := buildTrace(t)
-	f.Record(FlightSample{
-		WhenUnixNs: qt.WhenUnixNs, LatencyNs: qt.LatencyNs,
-		Substrate: qt.Substrate, Algo: qt.Algo, K: qt.K,
-		Nodes: 2, Trace: qt,
-	})
-	f.Record(FlightSample{WhenUnixNs: qt.WhenUnixNs, LatencyNs: qt.LatencyNs + 10, K: 3})
+	r.Record(&Op{WhenUnixNs: 5, LatencyNs: 1500, K: 10, Nodes: 2, Trace: qt})
+	r.Record(&Op{WhenUnixNs: 5, LatencyNs: 1510, K: 3})
 
-	traces := f.Traces()
-	if len(traces) != 1 || traces[0] != qt {
-		t.Fatalf("Traces() = %v, want exactly the recorded trace", traces)
+	traced := r.Traced()
+	if len(traced) != 1 || traced[0].Trace.ID != qt.ID || len(traced[0].Trace.Spans) != len(qt.Spans) {
+		t.Fatalf("Traced() = %v, want exactly the sampled op", traced)
 	}
 
-	dump := f.Dump()
-	if len(dump) != 2 {
-		t.Fatalf("Dump len = %d, want 2", len(dump))
+	recs := SlowRecords(r.Dump())
+	if len(recs) != 2 {
+		t.Fatalf("Dump len = %d, want 2", len(recs))
 	}
-	// Dump is latency-descending: the traced record is second.
-	if dump[0].TraceID != 0 {
-		t.Errorf("untraced record has TraceID %d", dump[0].TraceID)
+	// Dump is latency-descending: the traced op is second.
+	if recs[0].TraceID != 0 {
+		t.Errorf("untraced op has TraceID %d", recs[0].TraceID)
 	}
-	if dump[1].TraceID != qt.ID {
-		t.Errorf("traced record TraceID = %d, want %d", dump[1].TraceID, qt.ID)
+	if recs[1].TraceID != qt.ID {
+		t.Errorf("traced op TraceID = %d, want %d", recs[1].TraceID, qt.ID)
 	}
 
-	// Traces sort by descending latency.
+	// Traced sorts by descending latency.
 	qt2 := buildTrace(t)
-	f.Record(FlightSample{LatencyNs: qt.LatencyNs + 20, Trace: qt2, WhenUnixNs: qt.WhenUnixNs})
-	traces = f.Traces()
-	if len(traces) != 2 || traces[0] != qt2 {
-		t.Fatalf("Traces() order wrong: got %d traces", len(traces))
+	r.Record(&Op{WhenUnixNs: 5, LatencyNs: 1520, Trace: qt2})
+	traced = r.Traced()
+	if len(traced) != 2 || traced[0].Trace.ID != qt2.ID {
+		t.Fatalf("Traced() order wrong: got %d ops", len(traced))
 	}
 
-	f.Reset()
-	if got := f.Traces(); len(got) != 0 {
+	r.Reset()
+	if got := r.Traced(); len(got) != 0 {
 		t.Errorf("Reset left %d traces behind", len(got))
 	}
 }

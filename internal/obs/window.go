@@ -54,7 +54,7 @@ type histWindow struct {
 }
 
 // recordWindow lands one already-bucketed sample in the current slot.
-// Called from RecordShard with the bucket index it just computed, so the
+// Called from Record with the bucket index it just computed, so the
 // windowed path shares the histIndex work.
 func (w *histWindow) record(bucket int, v int64) {
 	s := &w.slots[int(w.cur.Load())%WinSlots]

@@ -142,9 +142,8 @@ func TestWindowConcurrentRecordRotate(t *testing.T) {
 		writersWG.Add(1)
 		go func(g int) {
 			defer writersWG.Done()
-			shard := g & histShardMask
 			for i := 0; i < perG; i++ {
-				h.RecordShard(shard, int64(i%4096))
+				h.Record(int64(i % 4096))
 			}
 		}(g)
 	}

@@ -10,7 +10,7 @@ import (
 
 	"hyperdom/internal/geom"
 	"hyperdom/internal/knn"
-	"hyperdom/internal/shard"
+	"hyperdom/internal/obs"
 	"hyperdom/internal/vec"
 )
 
@@ -137,7 +137,7 @@ func appendFloat(b []byte, f float64) []byte {
 // "items":null, as the marshalled structs did. explain, when non-nil, is
 // the one subtree still marshalled: it is rare, small and not made of
 // stored floats.
-func appendKNNResponse(b []byte, k int, res knn.Result, frags *fragCache, explain *shard.Explain) ([]byte, error) {
+func appendKNNResponse(b []byte, k int, res knn.Result, frags *fragCache, explain *obs.Forest) ([]byte, error) {
 	b = append(b, `{"k":`...)
 	b = strconv.AppendInt(b, int64(k), 10)
 	b = append(b, `,"ids":[`...)

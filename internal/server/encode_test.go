@@ -10,7 +10,6 @@ import (
 	"hyperdom/internal/geom"
 	"hyperdom/internal/knn"
 	"hyperdom/internal/obs"
-	"hyperdom/internal/shard"
 )
 
 // The encoding/json structs the assembled response replaced. They live on
@@ -24,11 +23,11 @@ type itemJSON struct {
 }
 
 type knnResponse struct {
-	K       int            `json:"k"`
-	IDs     []int          `json:"ids"`
-	Items   []itemJSON     `json:"items"`
-	Stats   statsJSON      `json:"stats"`
-	Explain *shard.Explain `json:"explain,omitempty"`
+	K       int         `json:"k"`
+	IDs     []int       `json:"ids"`
+	Items   []itemJSON  `json:"items"`
+	Stats   statsJSON   `json:"stats"`
+	Explain *obs.Forest `json:"explain,omitempty"`
 }
 
 type statsJSON struct {
@@ -38,7 +37,7 @@ type statsJSON struct {
 
 // referenceEncode is the response path as it was: fill the structs, hand
 // them to json.Encoder.
-func referenceEncode(k int, res knn.Result, explain *shard.Explain) ([]byte, error) {
+func referenceEncode(k int, res knn.Result, explain *obs.Forest) ([]byte, error) {
 	resp := knnResponse{K: k, IDs: make([]int, 0, len(res.Items)), Stats: statsJSON{Stats: res.Stats}, Explain: explain}
 	for _, it := range res.Items {
 		resp.IDs = append(resp.IDs, it.ID)
@@ -49,8 +48,8 @@ func referenceEncode(k int, res knn.Result, explain *shard.Explain) ([]byte, err
 	return buf.Bytes(), err
 }
 
-func testExplain() *shard.Explain {
-	return &shard.Explain{
+func testExplain() *obs.Forest {
+	return &obs.Forest{
 		Shards: []obs.ShardSpan{
 			{Shard: 0, Items: 12, LatencyNs: 1234, QueueWaitNs: 5, Candidates: 7, NodesVisited: 3, ItemsScanned: 12,
 				CoarsePrunes: 2, BoundObserved: obs.BoundValue(math.Inf(1)), BoundPublished: 1.5e21},
@@ -63,7 +62,7 @@ func testExplain() *shard.Explain {
 // checkEncode holds appendKNNResponse to referenceEncode for one answer,
 // with no cache, through a cold cache and through the same cache warm,
 // appending to a buffer that already holds bytes.
-func checkEncode(t *testing.T, k int, res knn.Result, explain *shard.Explain) {
+func checkEncode(t *testing.T, k int, res knn.Result, explain *obs.Forest) {
 	t.Helper()
 	want, wantErr := referenceEncode(k, res, explain)
 	dim := 1
@@ -102,7 +101,7 @@ func TestKNNResponseEncodeIdentity(t *testing.T) {
 		items = append(items, knn.Item{ID: i - 5, Sphere: geom.Sphere{Center: []float64{f}, Radius: floats[len(floats)-1-i]}})
 	}
 	stats := knn.Stats{NodesVisited: 17, Items: 4000, DomChecks: 91, Pruned: 3966}
-	for _, explain := range []*shard.Explain{nil, testExplain()} {
+	for _, explain := range []*obs.Forest{nil, testExplain()} {
 		checkEncode(t, 10, knn.Result{Items: items, K: 10, Stats: stats}, explain)
 		checkEncode(t, 1<<40, knn.Result{Items: items[:1], Stats: stats}, explain)
 		checkEncode(t, 3, knn.Result{}, explain)                    // "ids":[] but "items":null
@@ -155,7 +154,7 @@ func FuzzKNNResponseEncode(f *testing.F) {
 			id := int(int64(math.Float64bits(floats[dim])) >> 40)
 			items = append(items, knn.Item{ID: id, Sphere: geom.Sphere{Center: floats[:dim:dim], Radius: floats[dim]}})
 		}
-		var ex *shard.Explain
+		var ex *obs.Forest
 		if explain {
 			ex = testExplain()
 		}

@@ -19,8 +19,9 @@
 // status code, measures latency into the per-(collection, endpoint, code)
 // hyperdom_server_request_latency_seconds family, counts it in
 // hyperdom_server_requests_total{code,endpoint}, emits one structured JSON
-// access-log line, and offers kNN requests — with their per-shard trace
-// trees — to the request flight recorder behind /debug/requests.
+// access-log line, and completes the telemetry record of a kNN request's
+// search with the request's identity and wall latency before offering it —
+// once — to the obs.Slow ring behind /debug/slow and /debug/requests.
 package server
 
 import (
@@ -255,17 +256,18 @@ func (s *Server) Handler() http.Handler {
 			}
 		}
 	})
-	mux.Handle("/metrics", obs.Handler())
-	mux.Handle("/debug/", obs.Handler())
+	exposition := obs.Handler()
+	mux.Handle("/metrics", exposition)
+	mux.Handle("/debug/", exposition)
 	return mux
 }
 
 // reqCtx is the per-request trace context the middleware threads through a
 // handler: the response writer (capturing the status code on first write),
 // the request identity, the collection the path names (col is nil when it
-// is not mounted), and the slots a kNN handler fills so the middleware —
+// is not mounted), and the slot a kNN handler fills so the middleware —
 // which alone knows the request's full wall latency — can finish the
-// RequestTrace.
+// search's telemetry record.
 type reqCtx struct {
 	http.ResponseWriter
 	id         string
@@ -273,11 +275,10 @@ type reqCtx struct {
 	col        *collection
 	status     int
 
-	// Filled by handleKNN for successful searches: the search's trace tree
-	// and the query's k, wrapped into an obs.RequestTrace by the middleware
-	// after the response is written.
-	explain *shard.Explain
-	k       int
+	// Filled by handleKNN once it has searched: the search's record, which
+	// the middleware completes and offers to obs.Slow after the response is
+	// written.
+	op *shard.Explain
 }
 
 func (c *reqCtx) WriteHeader(code int) {
@@ -336,15 +337,18 @@ func (s *Server) wrap(ep endpoint, h func(*reqCtx, *http.Request)) http.HandlerF
 			}
 		}
 		inflight.Add(1)
+		// Deferred: a handler that panics (net/http recovers per connection)
+		// must not leave the gauge raised for the life of the process.
+		defer inflight.Add(-1)
 		start := time.Now()
 		h(c, r)
-		inflight.Add(-1)
 		if c.status == 0 {
 			c.status = http.StatusOK
 		}
 		lat := time.Since(start)
 
-		if obs.On() {
+		on := obs.On()
+		if on {
 			obsRequests.Inc()
 			mt := ms.get(ep, c.status)
 			mt.count.Inc()
@@ -352,22 +356,15 @@ func (s *Server) wrap(ep endpoint, h func(*reqCtx, *http.Request)) http.HandlerF
 		}
 
 		var shards, visited int
-		if c.explain != nil {
-			shards, visited = len(c.explain.Shards), c.explain.Visited()
-			t := &obs.RequestTrace{
-				RequestID:     id,
-				Collection:    c.collection,
-				Endpoint:      name,
-				Status:        c.status,
-				K:             c.k,
-				WhenUnixNs:    start.UnixNano(),
-				When:          start.Format(time.RFC3339Nano),
-				LatencyNs:     lat.Nanoseconds(),
-				ShardsVisited: visited,
-				Shards:        c.explain.Shards,
-				Merge:         c.explain.Merge,
+		if op := c.op; op != nil {
+			shards, visited = len(op.Shards), op.Visited()
+			if on {
+				// This middleware started the outermost clock, so it is the
+				// one layer that records the operation.
+				op.WhenUnixNs, op.RequestNs = start.UnixNano(), lat.Nanoseconds()
+				op.RequestID, op.Collection, op.Endpoint, op.Status = id, c.collection, name, c.status
+				obs.Slow.Record(op)
 			}
-			obs.Requests.Record(t)
 		}
 
 		level := slog.LevelInfo
@@ -469,18 +466,19 @@ func (s *Server) handleKNN(c *reqCtx, r *http.Request) {
 		writeError(c, http.StatusBadRequest, "k must be >= 1, got %d", req.K)
 		return
 	}
-	// Always search in explain mode: the trace tree feeds /debug/requests
+	// Always search in explain mode: the shard tree feeds /debug/requests
 	// whether or not the client asked to see it, and its cost is two
 	// allocations per request — zero per shard. Results are
 	// bit-identical to the plain path (test-locked). k is clamped to the
 	// collection size — any k ≥ n already answers with the whole collection
 	// — so no layer below sizes anything by a client-chosen number.
-	res, ex := x.SearchExplain(sq, min(req.K, max(x.Len(), 1)))
-	c.explain, c.k = ex, req.K
-	// The trace tree is in the response only under ?explain=true — the
+	res, op := x.SearchExplain(sq, min(req.K, max(x.Len(), 1)))
+	c.op = op
+	// The shard tree is in the response only under ?explain=true — the
 	// answer fields are byte-identical either way.
-	if r.URL.RawQuery == "" || r.URL.Query().Get("explain") != "true" {
-		ex = nil
+	var ex *obs.Forest
+	if r.URL.RawQuery != "" && r.URL.Query().Get("explain") == "true" {
+		ex = &op.Forest
 	}
 	buf := respBufs.Get().(*[]byte)
 	body, err := appendKNNResponse((*buf)[:0], req.K, res, col.frags, ex)

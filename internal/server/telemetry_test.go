@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"hyperdom/internal/geom"
 	"hyperdom/internal/obs"
 	"hyperdom/internal/shard"
 )
@@ -337,14 +338,22 @@ func TestUnknownCollectionsShareOneLabel(t *testing.T) {
 	}
 }
 
-// TestDebugRequestsServed pins the request flight recorder end to end: a
-// served kNN query appears at /debug/requests with its shard tree, linked
-// by the request ID the response carried.
+// TestDebugRequestsServed pins "one request, one record" end to end: a
+// served kNN query leaves exactly one op in the Slow ring, visible in
+// /debug/slow and /debug/requests under the request ID the response carried
+// and the same when_unix_ns; sampled, its node spans appear in /debug/trace
+// under the shards that visited them; and a library search on the same
+// index leaves one op with no request.
 func TestDebugRequestsServed(t *testing.T) {
+	obs.SetEnabled(true)
+	obs.SetTraceEvery(1)
 	obs.ResetForTest()
-	defer obs.ResetForTest()
+	defer func() {
+		obs.SetTraceEvery(0)
+		obs.ResetForTest()
+	}()
 	const d = 2
-	_, ts, _ := loggedServer(t, d, 200)
+	s, ts, _ := loggedServer(t, d, 200)
 
 	resp := postJSON(t, ts.URL+"/v1/collections/default/knn",
 		map[string]any{"center": []float64{100, 100}, "radius": 0.5, "k": 4})
@@ -352,27 +361,111 @@ func TestDebugRequestsServed(t *testing.T) {
 	resp.Body.Close()
 	id := resp.Header.Get("X-Request-ID")
 
-	dresp, err := http.Get(ts.URL + "/debug/requests")
-	if err != nil {
-		t.Fatal(err)
+	getJSON := func(path string, v any) {
+		t.Helper()
+		dresp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dresp.Body.Close()
+		if err := json.NewDecoder(dresp.Body).Decode(v); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
 	}
-	var recs []obs.RequestTrace
-	if err := json.NewDecoder(dresp.Body).Decode(&recs); err != nil {
-		t.Fatal(err)
+	var reqs []obs.RequestRecord
+	getJSON("/debug/requests", &reqs)
+	var slow []obs.SlowRecord
+	getJSON("/debug/slow", &slow)
+	if len(reqs) != 1 || len(slow) != 1 {
+		t.Fatalf("one request left %d /debug/requests and %d /debug/slow entries, want 1 and 1", len(reqs), len(slow))
 	}
-	dresp.Body.Close()
-	found := false
-	for _, r := range recs {
-		if r.RequestID == id {
-			found = true
-			if r.Collection != "default" || r.Endpoint != "knn" || r.Status != 200 ||
-				r.K != 4 || len(r.Shards) != 2 || r.LatencyNs <= 0 ||
-				r.ShardsVisited < 1 || r.ShardsVisited > 2 {
-				t.Fatalf("request trace %+v", r)
+	r, sl := reqs[0], slow[0]
+	if r.RequestID != id || r.Collection != "default" || r.Endpoint != "knn" || r.Status != 200 ||
+		r.K != 4 || len(r.Shards) != 2 || r.LatencyNs <= 0 ||
+		r.ShardsVisited < 1 || r.ShardsVisited > 2 {
+		t.Fatalf("request view %+v", r)
+	}
+	if sl.RequestID != id || sl.WhenUnixNs != r.WhenUnixNs || sl.When != r.When {
+		t.Errorf("views do not join: slow (%q, %d) vs requests (%q, %d)", sl.RequestID, sl.WhenUnixNs, r.RequestID, r.WhenUnixNs)
+	}
+	if sl.Substrate != "sstree" || sl.K != 4 || sl.Nodes == 0 || sl.LatencyNs <= 0 || sl.LatencyNs > r.LatencyNs {
+		t.Errorf("slow view %+v: want the search's own fields, its latency within the request's %d", sl, r.LatencyNs)
+	}
+	if sl.TraceID == 0 {
+		t.Error("sampled request has no trace_id in /debug/slow")
+	}
+	for _, sp := range r.Shards {
+		if want := map[bool]uint64{false: sl.TraceID}[sp.Skipped]; sp.TraceID != want {
+			t.Errorf("shard %d (skipped %v) trace_id %d, want %d", sp.Shard, sp.Skipped, sp.TraceID, want)
+		}
+	}
+
+	// The same op in /debug/trace: one process, the request root on thread
+	// 0, and every node span on the thread of a shard the request visited.
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Pid  int    `json:"pid"`
+			Tid  int    `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	getJSON("/debug/trace", &doc)
+	visited := map[int]bool{}
+	for _, sp := range r.Shards {
+		visited[sp.Shard+1] = !sp.Skipped
+	}
+	nodes := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Pid != 1 {
+			t.Fatalf("event %q in process %d: one op, one process", ev.Name, ev.Pid)
+		}
+		switch ev.Name {
+		case "knn", "search", "merge":
+			if ev.Tid != 0 {
+				t.Errorf("%s span on thread %d, want 0", ev.Name, ev.Tid)
+			}
+		case "node", "leaf":
+			nodes++
+			if !visited[ev.Tid] {
+				t.Errorf("%s span on thread %d, not a visited shard's (%v)", ev.Name, ev.Tid, visited)
 			}
 		}
 	}
-	if !found {
-		t.Fatalf("request %q not in /debug/requests (%d records)", id, len(recs))
+	if uint64(nodes) != sl.Nodes {
+		t.Errorf("/debug/trace draws %d node spans, the op counted %d nodes", nodes, sl.Nodes)
+	}
+
+	// A library search nobody explains records itself, with no request.
+	obs.Slow.Reset()
+	s.lookup("default").x.Search(geom.Sphere{Center: []float64{100, 100}, Radius: 0.5}, 4)
+	ops := obs.Slow.Dump()
+	if len(ops) != 1 || ops[0].RequestID != "" || ops[0].RequestNs != 0 || len(ops[0].Shards) != 0 || ops[0].K != 4 {
+		t.Fatalf("library search left %d ops (first %+v), want one without a request", len(ops), ops)
+	}
+	reqs = nil
+	getJSON("/debug/requests", &reqs)
+	if len(reqs) != 0 {
+		t.Errorf("/debug/requests lists %d entries for a library search, want 0", len(reqs))
+	}
+}
+
+// TestInflightSurvivesHandlerPanic drives a panicking handler through the
+// middleware — what a search on an Index closed under it does — and reads
+// the inflight gauge back at rest: net/http recovers the panic per
+// connection, and the gauge must not stay raised for the life of the process.
+func TestInflightSurvivesHandlerPanic(t *testing.T) {
+	s := New()
+	h := s.wrap(epList, func(*reqCtx, *http.Request) { panic("shard: search on a closed Index") })
+	before := inflight.Load()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the handler's panic did not reach net/http")
+			}
+		}()
+		h(httptest.NewRecorder(), httptest.NewRequest("GET", "/v1/collections", nil))
+	}()
+	if got := inflight.Load(); got != before {
+		t.Errorf("inflight = %d after a panicking handler, want %d", got, before)
 	}
 }

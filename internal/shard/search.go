@@ -8,13 +8,15 @@ import (
 	"hyperdom/internal/obs"
 )
 
-// Explain is the request-scoped trace tree of one search (ISSUE 8): one
-// ShardSpan per shard, in shard order — whether it was visited and in which
-// position, latency, the candidates it added, traversal work, coarse-prune
-// hits, and the list's distK on entering and leaving it — plus the span of
-// the final Definition 2 filter. The serving layer wraps it in an
-// obs.RequestTrace; semantics are spelled out in DESIGN.md §14.
-type Explain = knn.Explain
+// Explain is what SearchExplain hands back beside the answer: the search's
+// telemetry record. Its Forest part — one ShardSpan per shard, in shard
+// order: whether it was visited and in which position, latency, the
+// candidates it added, traversal work, coarse-prune hits, and the list's
+// distK on entering and leaving it, plus the span of the final Definition 2
+// filter — is always filled; the search header and work counts (and the
+// node-level trace, when sampled) are filled when the obs gate is on.
+// Semantics are spelled out in DESIGN.md §9.
+type Explain = obs.Op
 
 // Search answers the Definition 2 kNN query over all shards: one best-known
 // list walks them nearest first on the calling goroutine, skipping every
@@ -28,11 +30,13 @@ func (x *Index) Search(sq geom.Sphere, k int) knn.Result {
 	return x.search(sq, k, nil)
 }
 
-// SearchExplain is Search plus the per-request trace tree. The result is
-// bit-identical to Search over the same data (the trace records scalar
+// SearchExplain is Search plus the search's telemetry record. The result is
+// bit-identical to Search over the same data (the record holds scalar
 // by-products the traversals produce anyway); the extra cost is two
 // allocations per request and two clock reads per visited shard,
-// independent of the process-wide obs gate.
+// independent of the process-wide obs gate. An explained search does not
+// offer itself to obs.Slow: the caller holds the record and, if it wraps the
+// search in something larger (the HTTP middleware), completes and records it.
 func (x *Index) SearchExplain(sq geom.Sphere, k int) (knn.Result, *Explain) {
 	ex := &Explain{}
 	res := x.search(sq, k, ex)
