@@ -8,7 +8,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS  = -ldflags "-X hyperdom/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: all build check orphans test test-short bench bench-all bench-parallel bench-quant fuzz experiments examples serve serve-sharded hyperdomd trace cover clean
+.PHONY: all build check orphans loc test test-short bench bench-all bench-parallel bench-quant fuzz experiments examples serve serve-sharded hyperdomd trace cover clean
 
 all: build check
 
@@ -34,6 +34,14 @@ orphans:
 		echo "$$deps" | grep -qxF "$$p" || { echo "orphan package: $$p"; bad=1; }; \
 	done; [ -z "$$bad" ]
 
+# Non-test Go lines per package — the table simplicity PRs and ROADMAP
+# re-anchors quote (comments and blank lines included: it is `wc -l`).
+loc:
+	@for d in . internal/* cmd/* bench; do \
+		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		[ $$n -gt 0 ] && printf '%6d  %s\n' $$n $$d; total=$$((total+n)); \
+	done; printf '%6d  total\n' $$total
+
 test:
 	$(GO) test ./...
 
@@ -55,7 +63,7 @@ fuzz:
 	$(GO) test ./internal/poly -fuzz FuzzQuartic -fuzztime 30s
 	$(GO) test ./internal/dominance -fuzz FuzzHyperbolaVsExact2D -fuzztime 30s
 	$(GO) test ./internal/dominance -fuzz FuzzPreparedPairAgree -fuzztime 30s
-	$(GO) test ./internal/sstree -fuzz FuzzTreeOps -fuzztime 30s
+	$(GO) test ./internal/tree -fuzz FuzzTreeOps -fuzztime 30s
 	$(GO) test ./internal/packed -fuzz FuzzPackedMinDist -fuzztime 30s
 	$(GO) test ./internal/packed -fuzz FuzzQuantizedLowerBound -fuzztime 30s
 	$(GO) test ./internal/packed -fuzz FuzzSnapshotOpen -fuzztime 30s

@@ -30,6 +30,7 @@ import (
 	"os"
 
 	"hyperdom/internal/dataset"
+	"hyperdom/internal/packed"
 	"hyperdom/internal/shard"
 )
 
@@ -46,6 +47,9 @@ func main() {
 	substrate := flag.String("substrate", "sstree", "freeze: index substrate (sstree|mtree|rtree)")
 	maxFill := flag.Int("maxfill", 0, "freeze: substrate node capacity (0 = default)")
 	flag.Parse()
+	if packed.SubstrateFromString(*substrate) == packed.SubstrateUnknown {
+		fatal("unknown -substrate %q", *substrate)
+	}
 
 	ps, err := buildPointSet(*name, *n, *d, *dist, *seed)
 	if err != nil {

@@ -41,6 +41,7 @@ import (
 	"hyperdom/internal/geom"
 	"hyperdom/internal/knn"
 	"hyperdom/internal/obs"
+	"hyperdom/internal/packed"
 	"hyperdom/internal/server"
 	"hyperdom/internal/shard"
 	"hyperdom/internal/sstree"
@@ -108,15 +109,25 @@ func parseFlags(args []string) (config, error) {
 	if err := fs.Parse(args); err != nil {
 		return c, err
 	}
+	// The flag package has already reported its own parse errors; report the
+	// enum ones the same way, so a typo does not exit 2 in silence.
+	bad := func(name, value string) (config, error) {
+		err := fmt.Errorf("unknown -%s %q", name, value)
+		fmt.Fprintln(fs.Output(), "hyperdomd:", err)
+		return c, err
+	}
 	switch c.algo {
 	case "hs", "df":
 	default:
-		return c, fmt.Errorf("unknown -algo %q", c.algo)
+		return bad("algo", c.algo)
 	}
 	switch c.quant {
 	case "none", "f32", "i8":
 	default:
-		return c, fmt.Errorf("unknown -quant %q", c.quant)
+		return bad("quant", c.quant)
+	}
+	if packed.SubstrateFromString(c.substrate) == packed.SubstrateUnknown {
+		return bad("substrate", c.substrate)
 	}
 	return c, nil
 }

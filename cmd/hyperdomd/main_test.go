@@ -38,6 +38,16 @@ func TestParseFlagsRejectsBadEnums(t *testing.T) {
 	if _, err := parseFlags([]string{"-quant", "f16"}); err == nil {
 		t.Fatal("bad -quant accepted")
 	}
+	for _, name := range []string{"sstre", "unknown", ""} {
+		if _, err := parseFlags([]string{"-substrate", name}); err == nil {
+			t.Fatalf("bad -substrate %q accepted", name)
+		}
+	}
+	for _, name := range []string{"sstree", "mtree", "rtree"} {
+		if _, err := parseFlags([]string{"-substrate", name}); err != nil {
+			t.Fatalf("-substrate %s: %v", name, err)
+		}
+	}
 }
 
 func TestParseCollections(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"hyperdom/internal/rtree"
 	"hyperdom/internal/sstree"
 	"hyperdom/internal/topk"
+	"hyperdom/internal/tree"
 )
 
 // SSTree is an SS-tree index over hyperspheres (White & Jain, ICDE 1996),
@@ -20,10 +21,7 @@ type SSTree = sstree.Tree
 // NewSSTree returns an empty SS-tree for dim-dimensional spheres. maxFill
 // ≤ 0 selects the default node capacity.
 func NewSSTree(dim, maxFill int) *SSTree {
-	if maxFill <= 0 {
-		return sstree.New(dim)
-	}
-	return sstree.New(dim, sstree.WithMaxFill(maxFill))
+	return sstree.New(dim, tree.WithMaxFill(maxFill))
 }
 
 // MTree is an M-tree index over hyperspheres (Ciaccia, Patella & Zezula,
@@ -33,10 +31,7 @@ type MTree = mtree.Tree
 // NewMTree returns an empty M-tree for dim-dimensional spheres. maxFill
 // ≤ 0 selects the default node capacity.
 func NewMTree(dim, maxFill int) *MTree {
-	if maxFill <= 0 {
-		return mtree.New(dim)
-	}
-	return mtree.New(dim, mtree.WithMaxFill(maxFill))
+	return mtree.New(dim, tree.WithMaxFill(maxFill))
 }
 
 // RTree is a Guttman R-tree over hypersphere items: the rectangle-bounded
@@ -47,10 +42,7 @@ type RTree = rtree.Tree
 // NewRTree returns an empty R-tree for dim-dimensional sphere items.
 // maxFill ≤ 0 selects the default node capacity.
 func NewRTree(dim, maxFill int) *RTree {
-	if maxFill <= 0 {
-		return rtree.New(dim)
-	}
-	return rtree.New(dim, rtree.WithMaxFill(maxFill))
+	return rtree.New(dim, tree.WithMaxFill(maxFill))
 }
 
 // SearchStrategy selects the index traversal for KNN: depth-first

@@ -7,11 +7,13 @@ import (
 
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
+	"hyperdom/internal/mtree"
+	"hyperdom/internal/rtree"
 	"hyperdom/internal/sstree"
 )
 
 // searchAllocBudget is the steady-state allocations-per-search ceiling for
-// the tree traversals on an SS-tree. The only mandatory allocation is the
+// the tree traversals on any substrate. The only mandatory allocation is the
 // answer slice handed to the caller; the budget leaves room for incidental
 // growth (a pool miss after GC, a first-time buffer resize) without letting
 // per-node allocation creep back in — the old traversal allocated child
@@ -19,33 +21,46 @@ import (
 // every node visit, hundreds per search.
 const searchAllocBudget = 8
 
-// allocFixture builds the 10k-item SS-tree the allocation and benchmark
-// tests share.
-func allocFixture(n int) (Index, []geom.Sphere) {
+// allocCorpus draws the n items and 16 queries the allocation and
+// benchmark tests share.
+func allocCorpus(n int) ([]Item, []geom.Sphere) {
 	rng := rand.New(rand.NewSource(7001))
 	d := 8
-	t := sstree.New(d)
-	for i := 0; i < n; i++ {
+	sphere := func() geom.Sphere {
 		c := make([]float64, d)
 		for j := range c {
 			c[j] = 100 + rng.NormFloat64()*25
 		}
-		t.Insert(Item{Sphere: geom.NewSphere(c, rng.Float64()*2), ID: i})
+		return geom.NewSphere(c, rng.Float64()*2)
+	}
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = Item{Sphere: sphere(), ID: i}
 	}
 	queries := make([]geom.Sphere, 16)
 	for i := range queries {
-		c := make([]float64, d)
-		for j := range c {
-			c[j] = 100 + rng.NormFloat64()*25
-		}
-		queries[i] = geom.NewSphere(c, rng.Float64()*2)
+		queries[i] = sphere()
+	}
+	return items, queries
+}
+
+// allocFixture builds the 10k-item SS-tree the allocation and benchmark
+// tests share.
+func allocFixture(n int) (Index, []geom.Sphere) {
+	items, queries := allocCorpus(n)
+	t := sstree.New(8)
+	for _, it := range items {
+		t.Insert(it)
 	}
 	return WrapSSTree(t), queries
 }
 
 // TestSearchAllocs is the allocation regression gate of the zero-allocation
-// kernel: a steady-state Search over a 10k-item SS-tree must stay within
-// searchAllocBudget for both traversal strategies.
+// kernel: a steady-state pointer Search over a 10k-item tree must stay
+// within searchAllocBudget for every substrate and both traversal
+// strategies. The M-tree and R-tree adapters used to copy each expanded
+// node's children into a fresh slice (40 and 32–33 allocs per search on
+// this corpus); the one cursor reads children by index.
 func TestSearchAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-item fixture")
@@ -53,24 +68,39 @@ func TestSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
-	idx, queries := allocFixture(10000)
-	for _, algo := range []Algorithm{DF, HS} {
-		algo := algo
-		t.Run(algo.String(), func(t *testing.T) {
-			q := 0
-			// Warm the scratch pool and the arena capacities first so the
-			// measurement sees the steady state, not the first-use growth.
-			for i := 0; i < 4; i++ {
-				Search(idx, queries[i], 10, dominance.Hyperbola{}, algo)
+	items, queries := allocCorpus(10000)
+	ss, mt, rt := sstree.New(8), mtree.New(8), rtree.New(8)
+	for _, it := range items {
+		ss.Insert(it)
+		mt.Insert(it)
+		rt.Insert(it)
+	}
+	for _, sub := range []struct {
+		name string
+		idx  Index
+	}{{"sstree", WrapSSTree(ss)}, {"mtree", WrapMTree(mt)}, {"rtree", WrapRTree(rt)}} {
+		for _, algo := range []Algorithm{DF, HS} {
+			idx, algo := sub.idx, algo
+			name := algo.String()
+			if sub.name != "sstree" { // the SS rows keep the names they have always had
+				name = sub.name + "/" + name
 			}
-			allocs := testing.AllocsPerRun(64, func() {
-				Search(idx, queries[q%len(queries)], 10, dominance.Hyperbola{}, algo)
-				q++
+			t.Run(name, func(t *testing.T) {
+				q := 0
+				// Warm the scratch pool and the arena capacities first so the
+				// measurement sees the steady state, not the first-use growth.
+				for i := 0; i < 4; i++ {
+					Search(idx, queries[i], 10, dominance.Hyperbola{}, algo)
+				}
+				allocs := testing.AllocsPerRun(64, func() {
+					Search(idx, queries[q%len(queries)], 10, dominance.Hyperbola{}, algo)
+					q++
+				})
+				if allocs > searchAllocBudget {
+					t.Errorf("%.1f allocs per search, budget %d", allocs, searchAllocBudget)
+				}
 			})
-			if allocs > searchAllocBudget {
-				t.Errorf("%v: %.1f allocs per search, budget %d", algo, allocs, searchAllocBudget)
-			}
-		})
+		}
 	}
 }
 
@@ -86,7 +116,7 @@ func TestSearchAllocsPacked(t *testing.T) {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
 	idx, queries := allocFixture(10000)
-	idx.(ssAdapter).t.Freeze()
+	idx.(treeAdapter).t.Freeze()
 	for _, algo := range []Algorithm{DF, HS} {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
@@ -147,7 +177,7 @@ func BenchmarkSearch(b *testing.B) {
 // speedup_packed_layout.
 func BenchmarkSearchPacked(b *testing.B) {
 	idx, queries := allocFixture(10000)
-	idx.(ssAdapter).t.Freeze()
+	idx.(treeAdapter).t.Freeze()
 	for _, algo := range []Algorithm{DF, HS} {
 		algo := algo
 		b.Run(fmt.Sprintf("SS10k/%v", algo), func(b *testing.B) {

@@ -221,7 +221,7 @@ func (sc *scratch) searchCandidates(idx Index, sq geom.Sphere, k int, crit domin
 	cs.CoarsePrunes = sc.qItemPrunes
 	cs.Candidates = l.collect()
 	if obs.On() {
-		cs.TraceID = sc.flushObs(substrateOf(idx), algo, k, start, &cs.Stats, nil)
+		cs.TraceID = sc.flushObs(idx.substrate(), algo, k, start, &cs.Stats, nil)
 	}
 	return cs
 }

@@ -103,7 +103,7 @@ func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, crit dominance.Cr
 	}
 	if obs.On() {
 		obsSearchPacked.Inc()
-		id := sc.flushObs(packedSubstrate(trees[order[0]]), algo, k, start, &res.Stats, ex)
+		id := sc.flushObs(trees[order[0]].Substrate(), algo, k, start, &res.Stats, ex)
 		if ex != nil && id != 0 {
 			for i := range ex.Shards {
 				if !ex.Shards[i].Skipped {

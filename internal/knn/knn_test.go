@@ -8,6 +8,7 @@ import (
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
 	"hyperdom/internal/sstree"
+	"hyperdom/internal/tree"
 )
 
 func randItems(rng *rand.Rand, d, n int, maxR float64) []Item {
@@ -31,7 +32,7 @@ func randQuery(rng *rand.Rand, d int, maxR float64) geom.Sphere {
 }
 
 func index(items []Item, d int) Index {
-	t := sstree.New(d, sstree.WithMaxFill(16))
+	t := sstree.New(d, tree.WithMaxFill(16))
 	for _, it := range items {
 		t.Insert(it)
 	}

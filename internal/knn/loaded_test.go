@@ -11,6 +11,7 @@ import (
 	"hyperdom/internal/packed"
 	"hyperdom/internal/rtree"
 	"hyperdom/internal/sstree"
+	"hyperdom/internal/tree"
 )
 
 // buildFrozen builds, fills and freezes one substrate index and returns
@@ -19,19 +20,19 @@ func buildFrozen(t *testing.T, substrate string, items []Item, d int) (Index, *p
 	t.Helper()
 	switch substrate {
 	case "sstree":
-		tr := sstree.New(d, sstree.WithMaxFill(16))
+		tr := sstree.New(d, tree.WithMaxFill(16))
 		for _, it := range items {
 			tr.Insert(it)
 		}
 		return WrapSSTree(tr), tr.Freeze()
 	case "mtree":
-		tr := mtree.New(d, mtree.WithMaxFill(16))
+		tr := mtree.New(d, tree.WithMaxFill(16))
 		for _, it := range items {
 			tr.Insert(it)
 		}
 		return WrapMTree(tr), tr.Freeze()
 	case "rtree":
-		tr := rtree.New(d, rtree.WithMaxFill(16))
+		tr := rtree.New(d, tree.WithMaxFill(16))
 		for _, it := range items {
 			tr.Insert(it)
 		}
@@ -154,7 +155,7 @@ func TestSearchAllocsLoaded(t *testing.T) {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
 	idx, queries := allocFixture(10000)
-	pt := idx.(ssAdapter).t.Freeze()
+	pt := idx.(treeAdapter).t.Freeze()
 	path := filepath.Join(t.TempDir(), "alloc.hds")
 	if err := pt.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)

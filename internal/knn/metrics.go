@@ -40,66 +40,31 @@ var (
 	obsQuantItemExact  = obs.New("packed.quant.item_exact_fallbacks")
 )
 
-// substrate indexes the per-substrate search counters and latency
-// histograms; substrateNames is also what an obs.Op calls it.
-type substrate uint8
-
-const (
-	subSSTree substrate = iota
-	subMTree
-	subRTree
-	subOther
-	numSubstrates
-)
-
-var substrateNames = [numSubstrates]string{"sstree", "mtree", "rtree", "other"}
-
-// substrateOf attributes an index to its substrate.
-func substrateOf(idx Index) substrate {
-	switch a := idx.(type) {
-	case ssAdapter:
-		return subSSTree
-	case mAdapter:
-		return subMTree
-	case rAdapter:
-		return subRTree
-	case packedAdapter:
-		return packedSubstrate(a.t)
-	}
-	return subOther
-}
-
-// packedSubstrate attributes a snapshot to the substrate that froze it, so
-// restart-from-snapshot keeps the same metric shape as serve-after-build
-// (SubstrateUnknown — pre-stamping files — lands in other).
-func packedSubstrate(t *packed.Tree) substrate {
-	switch t.Substrate() {
-	case packed.SubstrateSSTree:
-		return subSSTree
-	case packed.SubstrateMTree:
-		return subMTree
-	case packed.SubstrateRTree:
-		return subRTree
-	}
-	return subOther
-}
-
-// Per-search latency histograms (ISSUE 3), one instance per (substrate,
-// strategy) pair of the "knn.search_latency" family, plus a brute-force
-// instance. Each search records exactly one sample, at the same flush point
-// as the counters.
+// Per-substrate search counters and per-search latency histograms (ISSUE
+// 3), indexed by the packed.Substrate an index reports: one counter per
+// substrate and one histogram per (substrate, strategy) pair of the
+// "knn.search_latency" family, plus a brute-force instance. Each search
+// records exactly one sample, at the same flush point as the counters.
+// substrateLabels is also what an obs.Op calls the substrate; snapshots
+// stamped SubstrateUnknown land in "other".
 var (
-	obsSearchSub  [numSubstrates]*obs.Counter // knn.searches.<substrate>
-	searchLatency [numSubstrates][2]*obs.Histogram
-	bruteLatency  = obs.NewHistogram("knn.search_latency", `substrate="brute",algo="scan"`)
+	substrateLabels [packed.NumSubstrates]string
+	obsSearchSub    [packed.NumSubstrates]*obs.Counter // knn.searches.<substrate>
+	searchLatency   [packed.NumSubstrates][2]*obs.Histogram
+	bruteLatency    = obs.NewHistogram("knn.search_latency", `substrate="brute",algo="scan"`)
 )
 
 func init() {
-	for s := substrate(0); s < numSubstrates; s++ {
-		obsSearchSub[s] = obs.New("knn.searches." + substrateNames[s])
+	for s := range substrateLabels {
+		label := "other"
+		if s != int(packed.SubstrateUnknown) {
+			label = packed.Substrate(s).String()
+		}
+		substrateLabels[s] = label
+		obsSearchSub[s] = obs.New("knn.searches." + label)
 		for _, a := range []Algorithm{DF, HS} {
 			searchLatency[s][a] = obs.NewHistogram("knn.search_latency",
-				fmt.Sprintf("substrate=%q,algo=%q", substrateNames[s], a.String()))
+				fmt.Sprintf("substrate=%q,algo=%q", label, a.String()))
 		}
 	}
 }
@@ -131,7 +96,7 @@ func fillOp(op *obs.Op, substrate, algo string, k int, start time.Time, latNs in
 // also zeroed here to keep a later snapshot from attributing old work to a
 // new window. The return value is the ID of the span trace this search
 // recorded, 0 when it was not sampled.
-func (sc *scratch) flushObs(sub substrate, algo Algorithm, k int, start time.Time, st *Stats, ex *obs.Op) (traceID uint64) {
+func (sc *scratch) flushObs(sub packed.Substrate, algo Algorithm, k int, start time.Time, st *Stats, ex *obs.Op) (traceID uint64) {
 	obsSearches.Inc()
 	obsSearchSub[sub].Inc()
 	flushStats(st)
@@ -164,7 +129,7 @@ func (sc *scratch) flushObs(sub substrate, algo Algorithm, k int, start time.Tim
 		if op == nil {
 			op = &own
 		}
-		fillOp(op, substrateNames[sub], algo.String(), k, start, lat, st, heapPushes)
+		fillOp(op, substrateLabels[sub], algo.String(), k, start, lat, st, heapPushes)
 		if sc.tb != nil {
 			// Freeze the sampled span tree into the record: a trace is
 			// retained exactly as long as its op stays among the SlowSlots

@@ -27,29 +27,6 @@ func (sc *scratch) quantOn(dk float64) bool {
 	return sc.quant != packed.TierNone && sc.tb == nil && dk >= 0 && !math.IsInf(dk, 1)
 }
 
-// frozenOf returns the substrate's cached packed snapshot, or nil when the
-// index is not one of the three tree adapters or has not been frozen (or
-// was mutated since — the substrates auto-thaw).
-func frozenOf(idx Index) *packed.Tree {
-	switch a := idx.(type) {
-	case ssAdapter:
-		if pt, ok := a.t.Frozen(); ok {
-			return pt
-		}
-	case mAdapter:
-		if pt, ok := a.t.Frozen(); ok {
-			return pt
-		}
-	case rAdapter:
-		if pt, ok := a.t.Frozen(); ok {
-			return pt
-		}
-	case packedAdapter:
-		return a.t
-	}
-	return nil
-}
-
 // packedNodeID is the trace identity of a packed node: its dense id shifted
 // by one, because 0 means "no identity" in the span schema, under the tag of
 // the tree being searched — node ids are dense per tree, and a forest search

@@ -6,9 +6,12 @@ import (
 
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
+	"hyperdom/internal/mtree"
 	"hyperdom/internal/obs"
 	"hyperdom/internal/packed"
+	"hyperdom/internal/rtree"
 	"hyperdom/internal/sstree"
+	"hyperdom/internal/tree"
 )
 
 // Algorithm selects the index traversal strategy.
@@ -34,11 +37,20 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// Index abstracts the tree the searches traverse, implemented by the
-// SS-tree and M-tree adapters below and in package mtree.
+// Index abstracts what the searches traverse. It has two implementations,
+// both at the end of this file: a pointer tree of any substrate
+// (WrapSSTree, WrapMTree, WrapRTree) and a bare packed snapshot
+// (WrapPacked).
 type Index interface {
-	// RootNode returns the root cursor, or ok=false for an empty index.
+	// RootNode returns the root cursor of the pointer tree, or ok=false
+	// for an empty index and for one that has no pointer tree.
 	RootNode() (IndexNode, bool)
+	// frozen returns the packed snapshot to search instead: the tree's
+	// cached Freeze (nil when it was never frozen, or was mutated since —
+	// the trees auto-thaw), or the bare snapshot itself.
+	frozen() *packed.Tree
+	// substrate attributes the index's searches in the telemetry.
+	substrate() packed.Substrate
 }
 
 // IndexNode is a read-only cursor over one index node.
@@ -101,7 +113,7 @@ func (sc *scratch) search(idx Index, sq geom.Sphere, k int, crit dominance.Crite
 	}
 	res.Items = l.finish()
 	if obs.On() {
-		sc.flushObs(substrateOf(idx), algo, k, start, &res.Stats, nil)
+		sc.flushObs(idx.substrate(), algo, k, start, &res.Stats, nil)
 	}
 	return res
 }
@@ -170,7 +182,7 @@ func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Cri
 	// A frozen substrate routes to the packed traversal: same verdicts,
 	// result sets and stats (the kernels and traversal order are
 	// bit-identical to the pointer path), off contiguous SoA blocks.
-	if pt := frozenOf(idx); pt != nil {
+	if pt := idx.frozen(); pt != nil {
 		if pt.Empty() {
 			sc.cancelTrace()
 			return nil, start, false
@@ -321,31 +333,60 @@ func (sc *scratch) searchHS(root IndexNode, sq geom.Sphere, l *bestList) {
 	}
 }
 
-// ssAdapter adapts an SS-tree to the Index interface. ssNode wraps the
-// tree's one-pointer cursor, so boxing it into an IndexNode does not
-// allocate.
-type ssAdapter struct{ t *sstree.Tree }
+// treeAdapter adapts a pointer tree of any substrate to the Index
+// interface, and treeNode its one-pointer cursor to IndexNode — boxing it
+// does not allocate, and children are read by index, so a pointer search
+// allocates nothing per expanded node on any substrate.
+type treeAdapter struct{ t *tree.Tree }
 
 // WrapSSTree adapts an SS-tree for Search.
-func WrapSSTree(t *sstree.Tree) Index { return ssAdapter{t} }
+func WrapSSTree(t *sstree.Tree) Index { return treeAdapter{&t.Tree} }
 
-func (a ssAdapter) RootNode() (IndexNode, bool) {
+// WrapMTree adapts an M-tree for Search.
+func WrapMTree(t *mtree.Tree) Index { return treeAdapter{&t.Tree} }
+
+// WrapRTree adapts an R-tree for Search — the rectangle-bounded baseline
+// for the sphere-vs-rectangle index comparison.
+func WrapRTree(t *rtree.Tree) Index { return treeAdapter{&t.Tree} }
+
+func (a treeAdapter) RootNode() (IndexNode, bool) {
 	root, ok := a.t.Root()
-	if !ok {
-		return nil, false
-	}
-	return ssNode{root}, true
+	return treeNode{root}, ok
 }
 
-type ssNode struct{ n sstree.Node }
+func (a treeAdapter) frozen() *packed.Tree {
+	pt, _ := a.t.Frozen()
+	return pt
+}
 
-func (n ssNode) IsLeaf() bool                    { return n.n.IsLeaf() }
-func (n ssNode) MinDistTo(q geom.Sphere) float64 { return geom.MinDist(n.n.Sphere(), q) }
-func (n ssNode) NodeItems() []Item               { return n.n.Items() }
-func (n ssNode) DebugID() uint64                 { return n.n.DebugID() }
-func (n ssNode) ChildNodes(dst []IndexNode) []IndexNode {
-	for i, m := 0, n.n.NumChildren(); i < m; i++ {
-		dst = append(dst, ssNode{n.n.Child(i)})
+func (a treeAdapter) substrate() packed.Substrate { return a.t.Substrate() }
+
+type treeNode struct{ c tree.Cursor }
+
+func (n treeNode) IsLeaf() bool                    { return n.c.IsLeaf() }
+func (n treeNode) MinDistTo(q geom.Sphere) float64 { return n.c.MinDist(q) }
+func (n treeNode) NodeItems() []Item               { return n.c.Items() }
+func (n treeNode) DebugID() uint64                 { return n.c.DebugID() }
+func (n treeNode) ChildNodes(dst []IndexNode) []IndexNode {
+	for i, m := 0, n.c.NumChildren(); i < m; i++ {
+		dst = append(dst, treeNode{n.c.Child(i)})
 	}
 	return dst
 }
+
+// packedAdapter serves a packed.Tree directly — typically one loaded from
+// a snapshot file (packed.Open), which has no pointer tree behind it.
+type packedAdapter struct{ t *packed.Tree }
+
+// WrapPacked adapts a frozen snapshot for Search. Unlike the tree adapter
+// there is nothing to thaw: the snapshot is immutable, and searches are
+// bit-identical to searches over the (frozen) tree that built it — the
+// traversal dispatches on the snapshot, never on its origin.
+func WrapPacked(t *packed.Tree) Index { return packedAdapter{t} }
+
+func (a packedAdapter) RootNode() (IndexNode, bool) { return nil, false }
+func (a packedAdapter) frozen() *packed.Tree        { return a.t }
+
+// substrate is the one stamped by the tree that froze the snapshot, so
+// restart-from-snapshot keeps the metric shape of serve-after-build.
+func (a packedAdapter) substrate() packed.Substrate { return a.t.Substrate() }

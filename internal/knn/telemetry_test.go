@@ -7,6 +7,7 @@ import (
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/obs"
 	"hyperdom/internal/sstree"
+	"hyperdom/internal/tree"
 )
 
 // TestCandidateSetTelemetry pins the telemetry scalars a candidate search
@@ -38,7 +39,7 @@ func TestCandidateSetCoarsePrunes(t *testing.T) {
 	defer SetQuantMode(prev)
 	rng := rand.New(rand.NewSource(74))
 	items := randItems(rng, 3, 800, 3)
-	tr := sstree.New(3, sstree.WithMaxFill(16))
+	tr := sstree.New(3, tree.WithMaxFill(16))
 	for _, it := range items {
 		tr.Insert(it)
 	}

@@ -5,145 +5,52 @@
 // 5.1); this package provides it as an alternative substrate for the kNN
 // search of package knn, interchangeable with the SS-tree.
 //
-// Differences from the SS-tree: routing centers are actual object centers
-// (pivots) rather than centroids, the insertion heuristic minimises
+// The tree itself is package tree's skeleton; what is here is the M-tree's
+// policy. Differences from the SS-tree: routing centers are actual object
+// centers (pivots) rather than centroids, the insertion heuristic minimises
 // covering-radius enlargement rather than centroid distance, and splits use
 // the generalised-hyperplane partition around a far-apart pivot pair.
 package mtree
 
 import (
-	"fmt"
 	"math"
 
 	"hyperdom/internal/geom"
-	"hyperdom/internal/obs"
 	"hyperdom/internal/packed"
+	"hyperdom/internal/tree"
 	"hyperdom/internal/vec"
 )
 
 // Item is the indexed unit, shared with the other index packages.
 type Item = geom.Item
 
-// DefaultMaxFill is the default node capacity.
-const DefaultMaxFill = 24
-
-// Tree is an M-tree over d-dimensional hyperspheres. Construct with New.
-// Not safe for concurrent mutation.
-type Tree struct {
-	dim     int
-	minFill int
-	maxFill int
-	root    *node
-	size    int
-	frozen  *packed.Tree // cached Freeze snapshot; nil when thawed
-}
-
-type node struct {
-	leaf     bool
-	pivot    []float64 // routing object center
-	radius   float64   // covering radius: every sphere below fits inside
-	count    int
-	children []*node
-	items    []Item
-}
-
-// Option configures a Tree.
-type Option func(*Tree)
-
-// WithMaxFill sets the node capacity (minimum 4; min fill = capacity/3).
-func WithMaxFill(m int) Option {
-	return func(t *Tree) {
-		if m < 4 {
-			m = 4
-		}
-		t.maxFill = m
-		t.minFill = m / 3
-		if t.minFill < 2 {
-			t.minFill = 2
-		}
-	}
-}
+// Tree is an M-tree over d-dimensional hyperspheres: the shared skeleton
+// under the M policy. Construct with New.
+type Tree struct{ tree.Tree }
 
 // New returns an empty M-tree for dim-dimensional spheres.
-func New(dim int, opts ...Option) *Tree {
-	if dim <= 0 {
-		panic(fmt.Sprintf("mtree: New with dimensionality %d", dim))
-	}
-	t := &Tree{dim: dim}
-	WithMaxFill(DefaultMaxFill)(t)
-	for _, o := range opts {
-		o(t)
-	}
-	return t
+func New(dim int, opts ...tree.Option) *Tree {
+	return &Tree{*tree.New(policy{}, dim, opts...)}
 }
 
-// Dim returns the tree's dimensionality.
-func (t *Tree) Dim() int { return t.dim }
+// policy is the M-tree's half of the tree.Policy contract: pivot spheres
+// (Node.Center is a routing object's center, Node.Radius its covering
+// radius), least-enlargement descent, generalised-hyperplane split.
+type policy struct{}
 
-// Len returns the number of indexed spheres.
-func (t *Tree) Len() int { return t.size }
+func (policy) Substrate() packed.Substrate { return packed.SubstrateMTree }
+func (policy) Kind() packed.Kind           { return packed.KindSphere }
 
-// Insert adds the item to the tree.
-func (t *Tree) Insert(it Item) {
-	if it.Sphere.Dim() != t.dim {
-		panic(fmt.Sprintf("mtree: Insert of %d-dimensional sphere into %d-dimensional tree",
-			it.Sphere.Dim(), t.dim))
-	}
-	if err := it.Sphere.Validate(); err != nil {
-		panic("mtree: " + err.Error())
-	}
-	t.thaw()
-	if t.root == nil {
-		t.root = &node{leaf: true, pivot: vec.Clone(it.Sphere.Center)}
-	}
-	left, right := t.insert(t.root, it)
-	if right != nil {
-		newRoot := &node{leaf: false, children: []*node{left, right}}
-		newRoot.adoptPivot()
-		t.root = newRoot
-	}
-	t.size++
-	if obs.On() {
-		obsInserts.Inc()
-	}
-}
-
-func (t *Tree) insert(n *node, it Item) (*node, *node) {
-	if n.leaf {
-		n.items = append(n.items, it)
-		if len(n.items) > t.maxFill {
-			return t.splitLeaf(n)
-		}
-		n.cover(it.Sphere)
-		n.count = len(n.items)
-		return n, nil
-	}
-	best := chooseSubtree(n.children, it.Sphere)
-	left, right := t.insert(n.children[best], it)
-	n.children[best] = left
-	if right != nil {
-		n.children = append(n.children, right)
-		if len(n.children) > t.maxFill {
-			return t.splitInternal(n)
-		}
-	}
-	n.count = 0
-	for _, c := range n.children {
-		n.count += c.count
-		n.cover(geom.Sphere{Center: c.pivot, Radius: c.radius})
-	}
-	return n, nil
-}
-
-// chooseSubtree prefers a child whose covering sphere already contains the
-// new sphere (closest pivot among those); otherwise the child needing the
+// Choose prefers a child whose covering sphere already contains the new
+// sphere (closest pivot among those); otherwise the child needing the
 // least radius enlargement.
-func chooseSubtree(children []*node, s geom.Sphere) int {
+func (policy) Choose(n *tree.Node, it Item) int {
+	s := it.Sphere
 	best := -1
 	bestDist := math.Inf(1)
-	for i, c := range children {
-		d := vec.Dist(c.pivot, s.Center)
-		if d+s.Radius <= c.radius && d < bestDist {
+	for i, c := range n.Children {
+		d := vec.Dist(c.Center, s.Center)
+		if d+s.Radius <= c.Radius && d < bestDist {
 			best, bestDist = i, d
 		}
 	}
@@ -151,8 +58,8 @@ func chooseSubtree(children []*node, s geom.Sphere) int {
 		return best
 	}
 	bestEnl := math.Inf(1)
-	for i, c := range children {
-		enl := vec.Dist(c.pivot, s.Center) + s.Radius - c.radius
+	for i, c := range n.Children {
+		enl := vec.Dist(c.Center, s.Center) + s.Radius - c.Radius
 		if enl < bestEnl {
 			best, bestEnl = i, enl
 		}
@@ -160,36 +67,65 @@ func chooseSubtree(children []*node, s geom.Sphere) int {
 	return best
 }
 
-// cover grows the node's covering radius to include sphere s.
-func (n *node) cover(s geom.Sphere) {
-	if r := vec.Dist(n.pivot, s.Center) + s.Radius; r > n.radius {
-		n.radius = r
+// cover grows n's covering radius to include the sphere (center, radius).
+func cover(n *tree.Node, center []float64, radius float64) {
+	if r := vec.Dist(n.Center, center) + radius; r > n.Radius {
+		n.Radius = r
 	}
 }
 
-// refit recomputes the covering radius (keeping the current pivot) and
-// count from scratch.
-func (n *node) refit() {
-	n.radius = 0
-	if n.leaf {
-		n.count = len(n.items)
-		for _, it := range n.items {
-			n.cover(it.Sphere)
-		}
+// coverEntries grows n's covering radius over all its entries and
+// recomputes its count.
+func coverEntries(n *tree.Node) {
+	n.Count = len(n.Items)
+	for _, it := range n.Items {
+		cover(n, it.Sphere.Center, it.Sphere.Radius)
+	}
+	for _, c := range n.Children {
+		n.Count += c.Count
+		cover(n, c.Center, c.Radius)
+	}
+}
+
+// Grow keeps the pivot and only ever enlarges the covering radius: by the
+// new item on a leaf (whose first item becomes its pivot), over the
+// children — one of which grew or split — on an internal node.
+func (policy) Grow(n *tree.Node, it Item) {
+	if !n.Leaf {
+		coverEntries(n)
 		return
 	}
-	n.count = 0
-	for _, c := range n.children {
-		n.count += c.count
-		n.cover(geom.Sphere{Center: c.pivot, Radius: c.radius})
+	if n.Center == nil {
+		n.Center = vec.Clone(it.Sphere.Center)
 	}
+	cover(n, it.Sphere.Center, it.Sphere.Radius)
+	n.Count = len(n.Items)
 }
 
-// adoptPivot picks the first child's pivot as this node's routing object
-// (the "parent promotion" of the original M-tree) and refits.
-func (n *node) adoptPivot() {
-	n.pivot = vec.Clone(n.children[0].pivot)
-	n.refit()
+// Refit recomputes the covering radius and count from scratch, keeping the
+// current pivot. A node without one — the new root of a root split — adopts
+// its first child's, the "parent promotion" of the original M-tree.
+func (policy) Refit(n *tree.Node) {
+	if n.Center == nil {
+		n.Center = vec.Clone(n.Children[0].Center)
+	}
+	n.Radius = 0
+	coverEntries(n)
+}
+
+// Split promotes two far-apart entries to pivots and partitions the rest
+// by the generalised hyperplane between them.
+func (p policy) Split(n *tree.Node, minFill int) (*tree.Node, *tree.Node) {
+	pts := n.Centers(nil)
+	a, b := farPair(pts)
+	la, lb := partition(pts, pts[a], pts[b], minFill)
+	mk := func(pivot int, idxs []int) *tree.Node {
+		nn := n.Pick(idxs)
+		nn.Center = vec.Clone(pts[pivot])
+		p.Refit(nn)
+		return nn
+	}
+	return mk(a, la), mk(b, lb)
 }
 
 // farPair returns indices of two far-apart points: the point farthest from
@@ -220,20 +156,14 @@ func farPair(pts [][]float64) (int, int) {
 // rebalances so both sides reach minFill (moving the entries whose
 // pivot-distance difference is smallest).
 func partition(pts [][]float64, pa, pb []float64, minFill int) ([]int, []int) {
-	type scored struct {
-		idx  int
-		bias float64 // dist to A − dist to B; negative prefers A
-	}
-	all := make([]scored, len(pts))
+	bias := make([]float64, len(pts)) // dist to A − dist to B; negative prefers A
 	var left, right []int
 	for i, p := range pts {
-		all[i] = scored{i, vec.Dist(pa, p) - vec.Dist(pb, p)}
-	}
-	for _, s := range all {
-		if s.bias <= 0 {
-			left = append(left, s.idx)
+		bias[i] = vec.Dist(pa, p) - vec.Dist(pb, p)
+		if bias[i] <= 0 {
+			left = append(left, i)
 		} else {
-			right = append(right, s.idx)
+			right = append(right, i)
 		}
 	}
 	// Rebalance deficient sides by stealing the least-committed entries.
@@ -241,7 +171,7 @@ func partition(pts [][]float64, pa, pb []float64, minFill int) ([]int, []int) {
 		bestPos := -1
 		bestAbs := math.Inf(1)
 		for pos, idx := range from {
-			if a := math.Abs(all[idx].bias); a < bestAbs {
+			if a := math.Abs(bias[idx]); a < bestAbs {
 				bestPos, bestAbs = pos, a
 			}
 		}
@@ -256,46 +186,4 @@ func partition(pts [][]float64, pa, pb []float64, minFill int) ([]int, []int) {
 		left, right = steal(left, right)
 	}
 	return left, right
-}
-
-func (t *Tree) splitLeaf(n *node) (*node, *node) {
-	if obs.On() {
-		obsSplits.Inc()
-	}
-	pts := make([][]float64, len(n.items))
-	for i, it := range n.items {
-		pts[i] = it.Sphere.Center
-	}
-	a, b := farPair(pts)
-	la, lb := partition(pts, pts[a], pts[b], t.minFill)
-	mk := func(pivotIdx int, idxs []int) *node {
-		nn := &node{leaf: true, pivot: vec.Clone(pts[pivotIdx])}
-		for _, i := range idxs {
-			nn.items = append(nn.items, n.items[i])
-		}
-		nn.refit()
-		return nn
-	}
-	return mk(a, la), mk(b, lb)
-}
-
-func (t *Tree) splitInternal(n *node) (*node, *node) {
-	if obs.On() {
-		obsSplits.Inc()
-	}
-	pts := make([][]float64, len(n.children))
-	for i, c := range n.children {
-		pts[i] = c.pivot
-	}
-	a, b := farPair(pts)
-	la, lb := partition(pts, pts[a], pts[b], t.minFill)
-	mk := func(pivotIdx int, idxs []int) *node {
-		nn := &node{leaf: false, pivot: vec.Clone(pts[pivotIdx])}
-		for _, i := range idxs {
-			nn.children = append(nn.children, n.children[i])
-		}
-		nn.refit()
-		return nn
-	}
-	return mk(a, la), mk(b, lb)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hyperdom/internal/geom"
+	"hyperdom/internal/tree"
 )
 
 func randItem(rng *rand.Rand, d int, id int) Item {
@@ -16,15 +17,15 @@ func randItem(rng *rand.Rand, d int, id int) Item {
 	return Item{Sphere: geom.NewSphere(c, rng.Float64()*3), ID: id}
 }
 
-func buildTree(t *testing.T, rng *rand.Rand, d, n int, opts ...Option) (*Tree, []Item) {
+func buildTree(t *testing.T, rng *rand.Rand, d, n int, opts ...tree.Option) (*Tree, []Item) {
 	t.Helper()
-	tree := New(d, opts...)
+	tr := New(d, opts...)
 	items := make([]Item, n)
 	for i := 0; i < n; i++ {
 		items[i] = randItem(rng, d, i)
-		tree.Insert(items[i])
+		tr.Insert(items[i])
 	}
-	return tree, items
+	return tr, items
 }
 
 func TestEmptyTree(t *testing.T) {
@@ -100,14 +101,14 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 
 func TestSmallFanout(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	tr, _ := buildTree(t, rng, 2, 1000, WithMaxFill(4))
+	tr, _ := buildTree(t, rng, 2, 1000, tree.WithMaxFill(4))
 	if msg := tr.CheckInvariants(); msg != "" {
 		t.Fatalf("invariants with fanout 4: %s", msg)
 	}
 }
 
 func TestDuplicates(t *testing.T) {
-	tr := New(2, WithMaxFill(4))
+	tr := New(2, tree.WithMaxFill(4))
 	s := geom.NewSphere([]float64{3, 3}, 1)
 	for i := 0; i < 40; i++ {
 		tr.Insert(Item{Sphere: s.Clone(), ID: i})

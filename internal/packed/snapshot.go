@@ -123,28 +123,32 @@ const (
 	SubstrateRTree
 )
 
+// substrateNames is the one list of substrate names: what a shard manifest
+// and the -substrate flags spell, and the prefix of each tree's counters.
+var substrateNames = [...]string{
+	SubstrateUnknown: "unknown",
+	SubstrateSSTree:  "sstree",
+	SubstrateMTree:   "mtree",
+	SubstrateRTree:   "rtree",
+}
+
+// NumSubstrates sizes tables indexed by Substrate (SubstrateUnknown included).
+const NumSubstrates = len(substrateNames)
+
 func (s Substrate) String() string {
-	switch s {
-	case SubstrateSSTree:
-		return "sstree"
-	case SubstrateMTree:
-		return "mtree"
-	case SubstrateRTree:
-		return "rtree"
+	if int(s) < NumSubstrates {
+		return substrateNames[s]
 	}
-	return "unknown"
+	return substrateNames[SubstrateUnknown]
 }
 
 // SubstrateFromString is the inverse of Substrate.String; unrecognised
 // names map to SubstrateUnknown.
-func SubstrateFromString(s string) Substrate {
-	switch s {
-	case "sstree":
-		return SubstrateSSTree
-	case "mtree":
-		return SubstrateMTree
-	case "rtree":
-		return SubstrateRTree
+func SubstrateFromString(name string) Substrate {
+	for s := SubstrateSSTree; int(s) < NumSubstrates; s++ {
+		if substrateNames[s] == name {
+			return s
+		}
 	}
 	return SubstrateUnknown
 }

@@ -85,7 +85,7 @@ func parseHeader(data []byte) (*header, error) {
 	if h.kind != KindSphere && h.kind != KindRect {
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, data[40])
 	}
-	if h.substrate > SubstrateRTree {
+	if int(h.substrate) >= NumSubstrates {
 		return nil, fmt.Errorf("%w: unknown substrate %d", ErrCorrupt, data[41])
 	}
 	if tiers := data[42]; tiers != tiersBoth {

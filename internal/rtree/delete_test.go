@@ -3,6 +3,8 @@ package rtree
 import (
 	"math/rand"
 	"testing"
+
+	"hyperdom/internal/tree"
 )
 
 func TestDeleteAll(t *testing.T) {
@@ -37,7 +39,7 @@ func TestDeleteMissing(t *testing.T) {
 
 func TestInsertDeleteInterleaved(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	tr := New(3, WithMaxFill(6))
+	tr := New(3, tree.WithMaxFill(6))
 	live := map[int]Item{}
 	next := 0
 	for step := 0; step < 3000; step++ {

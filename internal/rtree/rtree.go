@@ -4,148 +4,80 @@
 // indexing structures is very effective … compared with conventional
 // well-known indexing structures based on hyperrectangles such as R-tree".
 //
-// Items are hyperspheres; each is stored under its minimum bounding
-// rectangle. Insertion uses least-volume-enlargement subtree choice and
-// Guttman's quadratic split. The tree plugs into the same kNN searches as
-// the SS-tree and M-tree (package knn), which is what makes the
+// The tree itself is package tree's skeleton; what is here is the R-tree's
+// policy. Items are hyperspheres; each is indexed under its minimum
+// bounding rectangle. Insertion uses least-volume-enlargement subtree
+// choice and Guttman's quadratic split. The tree plugs into the same kNN
+// searches as the SS-tree and M-tree (package knn), which is what makes the
 // node-access comparison in BenchmarkIndexNodeAccesses meaningful.
 package rtree
 
 import (
-	"fmt"
 	"math"
 
 	"hyperdom/internal/geom"
-	"hyperdom/internal/obs"
 	"hyperdom/internal/packed"
+	"hyperdom/internal/tree"
 )
 
 // Item is the indexed unit, shared with the other index packages.
 type Item = geom.Item
 
-// DefaultMaxFill is the default node capacity.
-const DefaultMaxFill = 24
-
-// Tree is an R-tree over d-dimensional hypersphere items. Construct with
-// New. Not safe for concurrent mutation.
-type Tree struct {
-	dim     int
-	minFill int
-	maxFill int
-	root    *node
-	size    int
-	frozen  *packed.Tree // cached Freeze snapshot; nil when thawed
-}
-
-type node struct {
-	leaf     bool
-	rect     geom.Rect
-	count    int
-	children []*node
-	items    []Item
-	rects    []geom.Rect // item MBRs, parallel to items (leaves only)
-}
-
-// Option configures a Tree.
-type Option func(*Tree)
-
-// WithMaxFill sets the node capacity (minimum 4; min fill = capacity/3).
-func WithMaxFill(m int) Option {
-	return func(t *Tree) {
-		if m < 4 {
-			m = 4
-		}
-		t.maxFill = m
-		t.minFill = m / 3
-		if t.minFill < 2 {
-			t.minFill = 2
-		}
-	}
-}
+// Tree is an R-tree over d-dimensional hypersphere items: the shared
+// skeleton under the R policy. Construct with New.
+type Tree struct{ tree.Tree }
 
 // New returns an empty R-tree for dim-dimensional sphere items.
-func New(dim int, opts ...Option) *Tree {
-	if dim <= 0 {
-		panic(fmt.Sprintf("rtree: New with dimensionality %d", dim))
-	}
-	t := &Tree{dim: dim}
-	WithMaxFill(DefaultMaxFill)(t)
-	for _, o := range opts {
-		o(t)
-	}
-	return t
+func New(dim int, opts ...tree.Option) *Tree {
+	return &Tree{*tree.New(policy{}, dim, opts...)}
 }
 
-// Dim returns the tree's dimensionality.
-func (t *Tree) Dim() int { return t.dim }
+// policy is the R-tree's half of the tree.Policy contract: MBRs
+// (Node.Rect), least-enlargement descent, quadratic split.
+type policy struct{}
 
-// Len returns the number of indexed spheres.
-func (t *Tree) Len() int { return t.size }
+func (policy) Substrate() packed.Substrate { return packed.SubstrateRTree }
+func (policy) Kind() packed.Kind           { return packed.KindRect }
 
-// Insert adds the item to the tree.
-func (t *Tree) Insert(it Item) {
-	if it.Sphere.Dim() != t.dim {
-		panic(fmt.Sprintf("rtree: Insert of %d-dimensional sphere into %d-dimensional tree",
-			it.Sphere.Dim(), t.dim))
-	}
-	if err := it.Sphere.Validate(); err != nil {
-		panic("rtree: " + err.Error())
-	}
-	t.thaw()
-	mbr := it.Sphere.MBR()
-	if t.root == nil {
-		t.root = &node{leaf: true, rect: mbr.Clone()}
-	}
-	left, right := t.insert(t.root, it, mbr)
-	if right != nil {
-		newRoot := &node{
-			leaf:     false,
-			rect:     geom.UnionRect(left.rect, right.rect),
-			children: []*node{left, right},
-			count:    left.count + right.count,
+// extend grows r in place to contain s's MBR.
+func extend(r *geom.Rect, s geom.Sphere) {
+	for i, c := range s.Center {
+		if lo := c - s.Radius; lo < r.Lo[i] {
+			r.Lo[i] = lo
 		}
-		t.root = newRoot
-	}
-	t.size++
-	if obs.On() {
-		obsInserts.Inc()
+		if hi := c + s.Radius; hi > r.Hi[i] {
+			r.Hi[i] = hi
+		}
 	}
 }
 
-func (t *Tree) insert(n *node, it Item, mbr geom.Rect) (*node, *node) {
-	geom.UnionRectInto(&n.rect, mbr)
-	if n.leaf {
-		n.items = append(n.items, it)
-		n.rects = append(n.rects, mbr)
-		n.count = len(n.items)
-		if len(n.items) > t.maxFill {
-			return t.splitLeaf(n)
+// extendedVolume returns the volume of the union of r and s's MBR without
+// materialising either.
+func extendedVolume(r geom.Rect, s geom.Sphere) float64 {
+	v := 1.0
+	for i, c := range s.Center {
+		lo, hi := r.Lo[i], r.Hi[i]
+		if l := c - s.Radius; l < lo {
+			lo = l
 		}
-		return n, nil
-	}
-	best := chooseSubtree(n.children, mbr)
-	left, right := t.insert(n.children[best], it, mbr)
-	n.children[best] = left
-	if right != nil {
-		n.children = append(n.children, right)
-		if len(n.children) > t.maxFill {
-			n.count++
-			return t.splitInternal(n)
+		if h := c + s.Radius; h > hi {
+			hi = h
 		}
+		v *= hi - lo
 	}
-	n.count++
-	return n, nil
+	return v
 }
 
-// chooseSubtree selects the child whose rectangle needs the least volume
-// enlargement to absorb mbr, breaking ties toward the smaller volume.
-func chooseSubtree(children []*node, mbr geom.Rect) int {
+// Choose selects the child whose rectangle needs the least volume
+// enlargement to absorb the item's MBR, breaking ties toward the smaller
+// volume.
+func (policy) Choose(n *tree.Node, it Item) int {
 	best := 0
 	bestEnl := math.Inf(1)
 	bestVol := math.Inf(1)
-	for i, c := range children {
-		vol := c.rect.Volume()
-		enl := geom.UnionRect(c.rect, mbr).Volume() - vol
+	for i, c := range n.Children {
+		vol := c.Rect.Volume()
+		enl := extendedVolume(c.Rect, it.Sphere) - vol
 		if enl < bestEnl || (enl == bestEnl && vol < bestVol) {
 			best, bestEnl, bestVol = i, enl, vol
 		}
@@ -153,8 +85,56 @@ func chooseSubtree(children []*node, mbr geom.Rect) int {
 	return best
 }
 
-// quadratic split: pick the pair of seeds wasting the most volume if
-// grouped, then assign entries greedily by enlargement preference.
+// Grow unions the new item's MBR into n's rectangle: an MBR only ever
+// grows under insertion, so nothing beneath n needs rereading.
+func (policy) Grow(n *tree.Node, it Item) {
+	if n.Rect.Lo == nil {
+		n.Rect = it.Sphere.MBR()
+	} else {
+		extend(&n.Rect, it.Sphere)
+	}
+	n.Count++
+}
+
+// Refit recomputes n's rectangle and count from its entries.
+func (policy) Refit(n *tree.Node) {
+	n.Count = len(n.Items)
+	if n.Leaf {
+		if n.Count == 0 {
+			return
+		}
+		n.Rect = n.Items[0].Sphere.MBR()
+		for _, it := range n.Items[1:] {
+			extend(&n.Rect, it.Sphere)
+		}
+		return
+	}
+	n.Rect = n.Children[0].Rect.Clone()
+	for _, c := range n.Children {
+		n.Count += c.Count
+		geom.UnionRectInto(&n.Rect, c.Rect)
+	}
+}
+
+// Split is Guttman's quadratic split over the entries' rectangles.
+func (p policy) Split(n *tree.Node, minFill int) (*tree.Node, *tree.Node) {
+	rects := make([]geom.Rect, 0, len(n.Items)+len(n.Children))
+	for _, it := range n.Items {
+		rects = append(rects, it.Sphere.MBR())
+	}
+	for _, c := range n.Children {
+		rects = append(rects, c.Rect)
+	}
+	sa, sb := quadraticSeeds(rects)
+	ga, gb := assignGroups(rects, sa, sb, minFill)
+	left, right := n.Pick(ga), n.Pick(gb)
+	p.Refit(left)
+	p.Refit(right)
+	return left, right
+}
+
+// quadraticSeeds picks the pair of entries wasting the most volume if
+// grouped together.
 func quadraticSeeds(rects []geom.Rect) (int, int) {
 	sa, sb := 0, 1
 	worst := math.Inf(-1)
@@ -170,7 +150,8 @@ func quadraticSeeds(rects []geom.Rect) (int, int) {
 	return sa, sb
 }
 
-// assignGroups distributes indexes 0..n-1 into two groups seeded at sa, sb.
+// assignGroups distributes indexes 0..n-1 into two groups seeded at sa, sb,
+// each entry going to the group it enlarges least.
 func assignGroups(rects []geom.Rect, sa, sb, minFill int) ([]int, []int) {
 	ra := rects[sa].Clone()
 	rb := rects[sb].Clone()
@@ -203,64 +184,4 @@ func assignGroups(rects []geom.Rect, sa, sb, minFill int) ([]int, []int) {
 		}
 	}
 	return ga, gb
-}
-
-func (t *Tree) splitLeaf(n *node) (*node, *node) {
-	if obs.On() {
-		obsSplits.Inc()
-	}
-	sa, sb := quadraticSeeds(n.rects)
-	ga, gb := assignGroups(n.rects, sa, sb, t.minFill)
-	mk := func(idxs []int) *node {
-		nn := &node{leaf: true}
-		for _, i := range idxs {
-			nn.items = append(nn.items, n.items[i])
-			nn.rects = append(nn.rects, n.rects[i])
-		}
-		nn.refit()
-		return nn
-	}
-	return mk(ga), mk(gb)
-}
-
-func (t *Tree) splitInternal(n *node) (*node, *node) {
-	if obs.On() {
-		obsSplits.Inc()
-	}
-	rects := make([]geom.Rect, len(n.children))
-	for i, c := range n.children {
-		rects[i] = c.rect
-	}
-	sa, sb := quadraticSeeds(rects)
-	ga, gb := assignGroups(rects, sa, sb, t.minFill)
-	mk := func(idxs []int) *node {
-		nn := &node{leaf: false}
-		for _, i := range idxs {
-			nn.children = append(nn.children, n.children[i])
-		}
-		nn.refit()
-		return nn
-	}
-	return mk(ga), mk(gb)
-}
-
-// refit recomputes the node's rectangle and count from its entries.
-func (n *node) refit() {
-	if n.leaf {
-		n.count = len(n.items)
-		if n.count == 0 {
-			return
-		}
-		n.rect = n.rects[0].Clone()
-		for _, r := range n.rects[1:] {
-			geom.UnionRectInto(&n.rect, r)
-		}
-		return
-	}
-	n.count = 0
-	n.rect = n.children[0].rect.Clone()
-	for _, c := range n.children {
-		n.count += c.count
-		geom.UnionRectInto(&n.rect, c.rect)
-	}
 }

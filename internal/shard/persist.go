@@ -153,15 +153,13 @@ func OpenDir(dir string, opts OpenOptions) (*Index, error) {
 		return nil, fmt.Errorf("shard: open %s: manifest format %d, this build reads %d — rebuild the snapshot directory",
 			dir, m.Format, manifestFormat)
 	}
-	switch m.Substrate {
-	case "sstree", "mtree", "rtree":
-	default:
+	wantSub := packed.SubstrateFromString(m.Substrate)
+	if wantSub == packed.SubstrateUnknown {
 		return nil, fmt.Errorf("shard: open %s: unknown substrate %q in manifest", dir, m.Substrate)
 	}
 	if m.Dim <= 0 || len(m.Shards) == 0 {
 		return nil, fmt.Errorf("shard: open %s: manifest dim=%d shards=%d", dir, m.Dim, len(m.Shards))
 	}
-	wantSub := packed.SubstrateFromString(m.Substrate)
 
 	bopts := Options{
 		Shards:    len(m.Shards),

@@ -28,6 +28,7 @@ import (
 	"hyperdom/internal/packed"
 	"hyperdom/internal/rtree"
 	"hyperdom/internal/sstree"
+	"hyperdom/internal/tree"
 )
 
 // Options configures BuildSharded.
@@ -62,7 +63,7 @@ func (o *Options) fill() {
 		o.Shards = 1
 	}
 	if o.Substrate == "" {
-		o.Substrate = "sstree"
+		o.Substrate = packed.SubstrateSSTree.String()
 	}
 	if o.Criterion == nil {
 		o.Criterion = dominance.Hyperbola{}
@@ -106,17 +107,18 @@ type Index struct {
 
 // Build partitions items into opts.Shards space-partitioned shards and
 // freezes each. The items slice is not retained; dim is the dimensionality
-// every item (and every query) must have.
+// every item (and every query) must have. Items come from outside — a CSV, a
+// request — so a malformed one is an error here, not a panic further down.
 func Build(items []geom.Item, dim int, opts Options) (*Index, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("shard: dim = %d", dim)
 	}
-	opts.fill()
-	switch opts.Substrate {
-	case "sstree", "mtree", "rtree":
-	default:
-		return nil, fmt.Errorf("shard: unknown substrate %q", opts.Substrate)
+	for i, it := range items {
+		if err := tree.CheckItem(dim, it); err != nil {
+			return nil, fmt.Errorf("shard: item %d (id %d): %w", i, it.ID, err)
+		}
 	}
+	opts.fill()
 	x := &Index{
 		opts:       opts,
 		dim:        dim,
@@ -128,11 +130,17 @@ func Build(items []geom.Item, dim int, opts Options) (*Index, error) {
 	x.plan = plan
 	x.trees = make([]*packed.Tree, len(parts))
 	for i, part := range parts {
-		snap, err := buildTree(opts.Substrate, part, dim, opts.MaxFill)
+		t, err := newTree(opts.Substrate, dim, opts.MaxFill)
 		if err != nil {
 			return nil, err
 		}
-		x.trees[i] = snap
+		for _, it := range part {
+			t.Insert(it)
+		}
+		// The shard serves from the frozen snapshot alone, so the pointer
+		// tree is garbage from here (an empty shard freezes to an explicit
+		// empty snapshot, so a saved directory always has one file per shard).
+		x.trees[i] = t.Freeze()
 	}
 	if obs.On() {
 		obsIndexes.Inc()
@@ -141,45 +149,17 @@ func Build(items []geom.Item, dim int, opts Options) (*Index, error) {
 	return x, nil
 }
 
-// buildTree constructs, fills and freezes one shard's substrate and returns
-// the frozen snapshot alone: the shard serves from it, so the pointer tree
-// is garbage once this returns (an empty shard freezes to an explicit empty
-// snapshot, so a saved directory always has one file per shard).
-func buildTree(substrate string, items []geom.Item, dim, maxFill int) (*packed.Tree, error) {
-	switch substrate {
-	case "sstree":
-		var t *sstree.Tree
-		if maxFill > 0 {
-			t = sstree.New(dim, sstree.WithMaxFill(maxFill))
-		} else {
-			t = sstree.New(dim)
-		}
-		for _, it := range items {
-			t.Insert(it)
-		}
-		return t.Freeze(), nil
-	case "mtree":
-		var t *mtree.Tree
-		if maxFill > 0 {
-			t = mtree.New(dim, mtree.WithMaxFill(maxFill))
-		} else {
-			t = mtree.New(dim)
-		}
-		for _, it := range items {
-			t.Insert(it)
-		}
-		return t.Freeze(), nil
-	case "rtree":
-		var t *rtree.Tree
-		if maxFill > 0 {
-			t = rtree.New(dim, rtree.WithMaxFill(maxFill))
-		} else {
-			t = rtree.New(dim)
-		}
-		for _, it := range items {
-			t.Insert(it)
-		}
-		return t.Freeze(), nil
+// newTree returns an empty pointer tree of the named substrate; maxFill ≤ 0
+// selects the default node capacity.
+func newTree(substrate string, dim, maxFill int) (*tree.Tree, error) {
+	fill := tree.WithMaxFill(maxFill)
+	switch packed.SubstrateFromString(substrate) {
+	case packed.SubstrateSSTree:
+		return &sstree.New(dim, fill).Tree, nil
+	case packed.SubstrateMTree:
+		return &mtree.New(dim, fill).Tree, nil
+	case packed.SubstrateRTree:
+		return &rtree.New(dim, fill).Tree, nil
 	}
 	return nil, fmt.Errorf("shard: unknown substrate %q", substrate)
 }

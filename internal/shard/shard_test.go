@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"hyperdom/internal/knn"
 	"hyperdom/internal/obs"
 	"hyperdom/internal/sstree"
+	"hyperdom/internal/tree"
 )
 
 func randItems(rng *rand.Rand, d, n int, maxR float64) []geom.Item {
@@ -37,7 +39,7 @@ func randQuery(rng *rand.Rand, d int, maxR float64) geom.Sphere {
 // singleIndex builds one frozen SS-tree over all items — the oracle every
 // sharded answer must match bit for bit.
 func singleIndex(items []geom.Item, d int) knn.Index {
-	t := sstree.New(d, sstree.WithMaxFill(16))
+	t := sstree.New(d, tree.WithMaxFill(16))
 	for _, it := range items {
 		t.Insert(it)
 	}
@@ -253,6 +255,39 @@ func TestBuildRejectsBadOptions(t *testing.T) {
 	if _, err := Build(nil, 2, Options{Substrate: "btree"}); err == nil {
 		t.Fatal("unknown substrate accepted")
 	}
+}
+
+// TestBuildRejectsBadItems: items reach Build from outside (a CSV, the root
+// package's BuildSharded), so a wrong-dimension or non-finite one must come
+// back as an error — it used to be an index-out-of-range in the partition
+// planner or a panic out of the substrate's Insert.
+func TestBuildRejectsBadItems(t *testing.T) {
+	good := func(id int) geom.Item {
+		return geom.Item{ID: id, Sphere: geom.Sphere{Center: []float64{float64(id), 1, 2}, Radius: 0.5}}
+	}
+	for name, bad := range map[string]geom.Sphere{
+		"short center":    {Center: []float64{1, 2}, Radius: 0.5},
+		"long center":     {Center: []float64{1, 2, 3, 4}, Radius: 0.5},
+		"empty center":    {},
+		"NaN coord":       {Center: []float64{1, math.NaN(), 3}, Radius: 0.5},
+		"Inf coord":       {Center: []float64{1, 2, math.Inf(1)}, Radius: 0.5},
+		"NaN radius":      {Center: []float64{1, 2, 3}, Radius: math.NaN()},
+		"negative radius": {Center: []float64{1, 2, 3}, Radius: -1},
+	} {
+		for _, substrate := range []string{"sstree", "mtree", "rtree"} {
+			items := []geom.Item{good(0), good(1), {ID: 2, Sphere: bad}, good(3)}
+			x, err := Build(items, 3, Options{Shards: 2, Substrate: substrate})
+			if err == nil {
+				x.Close()
+				t.Errorf("%s/%s: accepted", name, substrate)
+			}
+		}
+	}
+	x, err := Build([]geom.Item{good(0), good(1), good(2), good(3)}, 3, Options{Shards: 2})
+	if err != nil {
+		t.Fatalf("well-formed items rejected: %v", err)
+	}
+	x.Close()
 }
 
 // orMinMax is crit strengthened by Lemma 9, the proof traversals discard

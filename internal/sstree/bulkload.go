@@ -1,11 +1,13 @@
 package sstree
 
 import (
-	"fmt"
 	"sort"
 
 	"hyperdom/internal/obs"
+	"hyperdom/internal/tree"
 )
+
+var obsBulkItems = obs.New("sstree.bulkload_items")
 
 // BulkLoad builds the tree from the whole item set at once, STR-style:
 // items are recursively sorted along the coordinate of highest center
@@ -17,64 +19,57 @@ import (
 // The tree must be empty; items are not retained (their slice may be
 // reused), but the spheres inside them are shared, not copied.
 func (t *Tree) BulkLoad(items []Item) {
-	if t.size != 0 || t.root != nil {
+	if t.Len() != 0 {
 		panic("sstree: BulkLoad into a non-empty tree")
 	}
-	t.thaw()
-	if len(items) == 0 {
-		return
-	}
 	for _, it := range items {
-		if it.Sphere.Dim() != t.dim {
-			panic(fmt.Sprintf("sstree: BulkLoad of %d-dimensional sphere into %d-dimensional tree",
-				it.Sphere.Dim(), t.dim))
-		}
-		if err := it.Sphere.Validate(); err != nil {
-			panic("sstree: " + err.Error())
+		if err := tree.CheckItem(t.Dim(), it); err != nil {
+			panic("sstree: BulkLoad: " + err.Error())
 		}
 	}
-	buf := make([]Item, len(items))
-	copy(buf, items)
-	height := 1
-	cap := t.maxFill
-	for cap < len(buf) {
-		cap *= t.maxFill
-		height++
+	var root *tree.Node
+	if len(items) > 0 {
+		buf := make([]Item, len(items))
+		copy(buf, items)
+		_, maxFill := t.Fill()
+		height := 1
+		for cap := maxFill; cap < len(buf); cap *= maxFill {
+			height++
+		}
+		root = bulkBuild(policy{t.Dim()}, buf, height, maxFill)
 	}
-	t.root = t.bulkBuild(buf, height)
-	t.size = len(buf)
+	tree.Install(&t.Tree, root, len(items))
 	if obs.On() {
-		obsBulkItems.Add(uint64(len(buf)))
+		obsBulkItems.Add(uint64(len(items)))
 	}
 }
 
 // bulkBuild constructs a subtree of the given height over items, which it
 // may reorder.
-func (t *Tree) bulkBuild(items []Item, height int) *node {
-	n := &node{centroid: make([]float64, t.dim)}
-	if height == 1 {
-		n.leaf = true
-		n.items = append([]Item(nil), items...)
-		n.refit()
+func bulkBuild(p policy, items []Item, height, maxFill int) *tree.Node {
+	n := &tree.Node{Leaf: height == 1}
+	if n.Leaf {
+		n.Items = append([]Item(nil), items...)
+		p.Refit(n)
 		return n
 	}
 	// Capacity of one child subtree.
 	childCap := 1
 	for i := 0; i < height-1; i++ {
-		childCap *= t.maxFill
+		childCap *= maxFill
 	}
 	k := (len(items) + childCap - 1) / childCap
 	if k < 2 {
 		k = 2
 	}
-	if k > t.maxFill {
-		k = t.maxFill
+	if k > maxFill {
+		k = maxFill
 	}
 	pts := make([][]float64, len(items))
 	for i, it := range items {
 		pts[i] = it.Sphere.Center
 	}
-	dim := maxVarianceDim(pts, t.dim)
+	dim := maxVarianceDim(pts)
 	sort.Slice(items, func(a, b int) bool {
 		return items[a].Sphere.Center[dim] < items[b].Sphere.Center[dim]
 	})
@@ -89,9 +84,9 @@ func (t *Tree) bulkBuild(items []Item, height int) *node {
 		if size == 0 {
 			continue
 		}
-		n.children = append(n.children, t.bulkBuild(items[start:start+size], height-1))
+		n.Children = append(n.Children, bulkBuild(p, items[start:start+size], height-1, maxFill))
 		start += size
 	}
-	n.refit()
+	p.Refit(n)
 	return n
 }

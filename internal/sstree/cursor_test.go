@@ -3,13 +3,15 @@ package sstree
 import (
 	"math/rand"
 	"testing"
+
+	"hyperdom/internal/tree"
 )
 
 // TestCursorTraversal walks the tree through the read-only cursor API and
 // cross-checks counts, leaf depth and item totals against Len.
 func TestCursorTraversal(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
-	tr, _ := buildTree(t, rng, 3, 700, WithMaxFill(8))
+	tr, _ := buildTree(t, rng, 3, 700, tree.WithMaxFill(8))
 	root, ok := tr.Root()
 	if !ok {
 		t.Fatal("no root")
@@ -18,8 +20,8 @@ func TestCursorTraversal(t *testing.T) {
 		t.Errorf("root Count=%d, Len=%d", root.Count(), tr.Len())
 	}
 	total := 0
-	var walk func(n Node)
-	walk = func(n Node) {
+	var walk func(n tree.Cursor)
+	walk = func(n tree.Cursor) {
 		if n.IsLeaf() {
 			total += len(n.Items())
 			return

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"hyperdom/internal/geom"
+	"hyperdom/internal/tree"
 )
 
 // The on-wire snapshot types. Kept separate from the in-memory node so the
@@ -42,13 +42,10 @@ func encodeSnapshot(w io.Writer, snap treeSnapshot) error {
 // io.WriterTo; the returned byte count is 0 because gob does not expose
 // one (callers needing sizes should wrap w with a counter).
 func (t *Tree) WriteTo(w io.Writer) (int64, error) {
-	snap := treeSnapshot{
-		Version: snapshotVersion,
-		Dim:     t.dim,
-		MinFill: t.minFill,
-		MaxFill: t.maxFill,
-		Size:    t.size,
-		Root:    snapshotNode(t.root),
+	snap := treeSnapshot{Version: snapshotVersion, Dim: t.Dim(), Size: t.Len()}
+	snap.MinFill, snap.MaxFill = t.Fill()
+	if root, ok := t.Root(); ok {
+		snap.Root = snapshotNode(root)
 	}
 	if err := encodeSnapshot(w, snap); err != nil {
 		return 0, fmt.Errorf("sstree: encoding tree: %w", err)
@@ -70,13 +67,12 @@ func ReadFrom(r io.Reader) (*Tree, error) {
 		return nil, fmt.Errorf("sstree: corrupt snapshot header (dim=%d, fill=%d/%d, size=%d)",
 			snap.Dim, snap.MinFill, snap.MaxFill, snap.Size)
 	}
-	t := &Tree{
-		dim:     snap.Dim,
-		minFill: snap.MinFill,
-		maxFill: snap.MaxFill,
-		size:    snap.Size,
-		root:    restoreNode(snap.Root, snap.Dim),
+	t := New(snap.Dim, tree.WithMaxFill(snap.MaxFill))
+	if minFill, _ := t.Fill(); snap.MinFill != minFill {
+		return nil, fmt.Errorf("sstree: corrupt snapshot header (min fill %d under max fill %d)",
+			snap.MinFill, snap.MaxFill)
 	}
+	tree.Install(&t.Tree, restoreNode(snap.Root, snap.Dim), snap.Size)
 	// Bulk-loaded trees may legitimately sit below the minimum fill, so
 	// only the structural (loose) invariants gate deserialisation.
 	if msg := t.CheckInvariantsLoose(); msg != "" {
@@ -85,46 +81,39 @@ func ReadFrom(r io.Reader) (*Tree, error) {
 	return t, nil
 }
 
-func snapshotNode(n *node) *nodeSnapshot {
-	if n == nil {
-		return nil
-	}
+func snapshotNode(n tree.Cursor) *nodeSnapshot {
 	s := &nodeSnapshot{
-		Leaf:     n.leaf,
-		Centroid: n.centroid,
-		Radius:   n.radius,
-		Count:    n.count,
-		Items:    n.items,
+		Leaf:     n.IsLeaf(),
+		Centroid: n.Sphere().Center,
+		Radius:   n.Sphere().Radius,
+		Count:    n.Count(),
+		Items:    n.Items(),
 	}
-	for _, c := range n.children {
-		s.Children = append(s.Children, snapshotNode(c))
+	for i := 0; i < n.NumChildren(); i++ {
+		s.Children = append(s.Children, snapshotNode(n.Child(i)))
 	}
 	return s
 }
 
-func restoreNode(s *nodeSnapshot, dim int) *node {
+func restoreNode(s *nodeSnapshot, dim int) *tree.Node {
 	if s == nil {
 		return nil
 	}
-	n := &node{
-		leaf:     s.Leaf,
-		centroid: s.Centroid,
-		radius:   s.Radius,
-		count:    s.Count,
-		items:    s.Items,
+	n := &tree.Node{
+		Leaf:   s.Leaf,
+		Center: s.Centroid,
+		Radius: s.Radius,
+		Count:  s.Count,
+		Items:  s.Items,
 	}
-	if len(n.centroid) != dim {
+	if len(n.Center) != dim {
 		// Let CheckInvariants produce the error; normalise so it can run.
-		n.centroid = make([]float64, dim)
+		n.Center = make([]float64, dim)
 	}
 	for _, c := range s.Children {
-		n.children = append(n.children, restoreNode(c, dim))
+		n.Children = append(n.Children, restoreNode(c, dim))
 	}
 	return n
 }
 
 var _ io.WriterTo = (*Tree)(nil)
-
-// geomItemGobGuard ensures geom.Item stays gob-encodable; a compile-time
-// reminder that the snapshot embeds it.
-var _ = geom.Item{}

@@ -5,21 +5,23 @@
 // search strategies over it; this package provides the index, and package
 // knn provides the searches.
 //
-// Each node maintains the centroid of the sphere centers stored beneath it
-// and a covering radius, so the bounding sphere of a node is directly
-// comparable against a query hypersphere with geom.MinDist/MaxDist.
-// Insertion descends to the child with the nearest centroid and splits
-// overflowing nodes along the coordinate of highest centroid variance, the
-// two defining heuristics of the SS-tree.
+// The tree itself — insert descent, delete, freeze, cursor — is package
+// tree's skeleton; what is here is the SS-tree's policy. Each node
+// maintains the centroid of the sphere centers stored beneath it and a
+// covering radius, so the bounding sphere of a node is directly comparable
+// against a query hypersphere with geom.MinDist/MaxDist. Insertion descends
+// to the child with the nearest centroid and splits overflowing nodes along
+// the coordinate of highest centroid variance, the two defining heuristics
+// of the SS-tree. Bulk loading and the gob serialisation are SS-only.
 package sstree
 
 import (
-	"fmt"
 	"math"
+	"sort"
 
 	"hyperdom/internal/geom"
-	"hyperdom/internal/obs"
 	"hyperdom/internal/packed"
+	"hyperdom/internal/tree"
 	"hyperdom/internal/vec"
 )
 
@@ -28,211 +30,122 @@ import (
 // one item type.
 type Item = geom.Item
 
-// DefaultMaxFill is the default node capacity.
-const DefaultMaxFill = 24
-
-// Tree is an SS-tree over d-dimensional hyperspheres. The zero value is not
-// usable; construct with New. A Tree is not safe for concurrent mutation;
-// concurrent read-only use is safe.
-type Tree struct {
-	dim     int
-	minFill int
-	maxFill int
-	root    *node
-	size    int
-	frozen  *packed.Tree // cached Freeze snapshot; nil when thawed
-}
-
-type node struct {
-	leaf     bool
-	centroid []float64
-	radius   float64
-	count    int // spheres in this subtree
-	children []*node
-	items    []Item
-}
-
-// Option configures a Tree.
-type Option func(*Tree)
-
-// WithMaxFill sets the node capacity (and the minimum fill to capacity/3,
-// at least 2). Capacities below 4 are raised to 4.
-func WithMaxFill(m int) Option {
-	return func(t *Tree) {
-		if m < 4 {
-			m = 4
-		}
-		t.maxFill = m
-		t.minFill = m / 3
-		if t.minFill < 2 {
-			t.minFill = 2
-		}
-	}
-}
+// Tree is an SS-tree over d-dimensional hyperspheres: the shared skeleton
+// under the SS policy. The zero value is not usable; construct with New.
+type Tree struct{ tree.Tree }
 
 // New returns an empty SS-tree for dim-dimensional spheres.
-func New(dim int, opts ...Option) *Tree {
-	if dim <= 0 {
-		panic(fmt.Sprintf("sstree: New with dimensionality %d", dim))
-	}
-	t := &Tree{dim: dim}
-	WithMaxFill(DefaultMaxFill)(t)
-	for _, o := range opts {
-		o(t)
-	}
-	return t
+func New(dim int, opts ...tree.Option) *Tree {
+	return &Tree{*tree.New(policy{dim}, dim, opts...)}
 }
 
-// Dim returns the tree's dimensionality.
-func (t *Tree) Dim() int { return t.dim }
+// policy is the SS-tree's half of the tree.Policy contract: centroid
+// spheres, nearest-centroid descent, maximum-variance split.
+type policy struct{ dim int }
 
-// Len returns the number of indexed spheres.
-func (t *Tree) Len() int { return t.size }
+func (policy) Substrate() packed.Substrate { return packed.SubstrateSSTree }
+func (policy) Kind() packed.Kind           { return packed.KindSphere }
 
-// Height returns the height of the tree (0 for an empty tree, 1 for a
-// single leaf).
-func (t *Tree) Height() int {
-	h := 0
-	for n := t.root; n != nil; {
-		h++
-		if n.leaf {
-			break
-		}
-		n = n.children[0]
-	}
-	return h
-}
-
-// Insert adds the item to the tree. The item's sphere must match the
-// tree's dimensionality.
-func (t *Tree) Insert(it Item) {
-	if it.Sphere.Dim() != t.dim {
-		panic(fmt.Sprintf("sstree: Insert of %d-dimensional sphere into %d-dimensional tree",
-			it.Sphere.Dim(), t.dim))
-	}
-	if err := it.Sphere.Validate(); err != nil {
-		panic("sstree: " + err.Error())
-	}
-	t.thaw()
-	if t.root == nil {
-		t.root = &node{leaf: true, centroid: make([]float64, t.dim)}
-	}
-	left, right := t.insert(t.root, it)
-	if right != nil {
-		// Root split: grow the tree by one level.
-		newRoot := &node{
-			leaf:     false,
-			centroid: make([]float64, t.dim),
-			children: []*node{left, right},
-		}
-		newRoot.refit()
-		t.root = newRoot
-	}
-	t.size++
-	if obs.On() {
-		obsInserts.Inc()
-	}
-}
-
-// insert descends, inserts, refits bounding spheres on the way out, and
-// returns (n, nil) normally or the two halves on overflow.
-func (t *Tree) insert(n *node, it Item) (*node, *node) {
-	if n.leaf {
-		n.items = append(n.items, it)
-		if len(n.items) > t.maxFill {
-			return t.splitLeaf(n)
-		}
-		n.refit()
-		return n, nil
-	}
-	best := t.chooseSubtree(n, it.Sphere.Center)
-	left, right := t.insert(n.children[best], it)
-	n.children[best] = left
-	if right != nil {
-		n.children = append(n.children, right)
-		if len(n.children) > t.maxFill {
-			return t.splitInternal(n)
-		}
-	}
-	n.refit()
-	return n, nil
-}
-
-// chooseSubtree returns the index of the child whose centroid is nearest to
-// p, breaking ties toward the smaller covering radius.
-func (t *Tree) chooseSubtree(n *node, p []float64) int {
+// Choose returns the index of the child whose centroid is nearest to the
+// item's center, breaking ties toward the smaller covering radius.
+func (policy) Choose(n *tree.Node, it Item) int {
 	best := 0
 	bestDist := math.Inf(1)
-	for i, c := range n.children {
-		d := vec.Dist2(c.centroid, p)
-		if d < bestDist || (d == bestDist && c.radius < n.children[best].radius) {
+	for i, c := range n.Children {
+		d := vec.Dist2(c.Center, it.Sphere.Center)
+		if d < bestDist || (d == bestDist && c.Radius < n.Children[best].Radius) {
 			best, bestDist = i, d
 		}
 	}
 	return best
 }
 
-// refit recomputes the centroid (mean of the underlying sphere centers),
-// covering radius and count of n from its direct entries.
-func (n *node) refit() {
-	for i := range n.centroid {
-		n.centroid[i] = 0
+// Grow refits: a new item moves the centroid, so the covering radius
+// cannot be grown in place.
+func (p policy) Grow(n *tree.Node, _ Item) { p.Refit(n) }
+
+// Refit recomputes the centroid (mean of the underlying sphere centers),
+// covering radius and count of n from its direct entries, items on a leaf
+// and count-weighted child centroids otherwise.
+func (p policy) Refit(n *tree.Node) {
+	if n.Center == nil {
+		n.Center = make([]float64, p.dim)
 	}
-	if n.leaf {
-		n.count = len(n.items)
-		if n.count == 0 {
-			n.radius = 0
-			return
-		}
-		for _, it := range n.items {
-			for i, c := range it.Sphere.Center {
-				n.centroid[i] += c
-			}
-		}
-		inv := 1 / float64(n.count)
-		for i := range n.centroid {
-			n.centroid[i] *= inv
-		}
-		n.radius = 0
-		for _, it := range n.items {
-			if r := vec.Dist(n.centroid, it.Sphere.Center) + it.Sphere.Radius; r > n.radius {
-				n.radius = r
-			}
-		}
+	clear(n.Center)
+	n.Radius = 0
+	n.Count = len(n.Items)
+	for _, c := range n.Children {
+		n.Count += c.Count
+	}
+	if n.Count == 0 {
 		return
 	}
-	n.count = 0
-	for _, c := range n.children {
-		n.count += c.count
-	}
-	if n.count == 0 {
-		n.radius = 0
-		return
-	}
-	for _, c := range n.children {
-		w := float64(c.count)
-		for i, x := range c.centroid {
-			n.centroid[i] += w * x
+	for _, it := range n.Items {
+		for i, x := range it.Sphere.Center {
+			n.Center[i] += x
 		}
 	}
-	inv := 1 / float64(n.count)
-	for i := range n.centroid {
-		n.centroid[i] *= inv
+	for _, c := range n.Children {
+		w := float64(c.Count)
+		for i, x := range c.Center {
+			n.Center[i] += w * x
+		}
 	}
-	n.radius = 0
-	for _, c := range n.children {
-		if r := vec.Dist(n.centroid, c.centroid) + c.radius; r > n.radius {
-			n.radius = r
+	inv := 1 / float64(n.Count)
+	for i := range n.Center {
+		n.Center[i] *= inv
+	}
+	for _, it := range n.Items {
+		if r := vec.Dist(n.Center, it.Sphere.Center) + it.Sphere.Radius; r > n.Radius {
+			n.Radius = r
+		}
+	}
+	for _, c := range n.Children {
+		if r := vec.Dist(n.Center, c.Center) + c.Radius; r > n.Radius {
+			n.Radius = r
 		}
 	}
 }
 
+// Split sorts n's entries along the coordinate of highest center variance
+// and cuts where the two sides' summed variance is least; n keeps the low
+// side.
+func (p policy) Split(n *tree.Node, minFill int) (*tree.Node, *tree.Node) {
+	pts := n.Centers(nil)
+	dim := maxVarianceDim(pts)
+	if n.Leaf {
+		sort.Slice(n.Items, func(i, j int) bool {
+			return n.Items[i].Sphere.Center[dim] < n.Items[j].Sphere.Center[dim]
+		})
+	} else {
+		sort.Slice(n.Children, func(i, j int) bool {
+			return n.Children[i].Center[dim] < n.Children[j].Center[dim]
+		})
+	}
+	vals := make([]float64, len(pts))
+	for i, c := range n.Centers(pts[:0]) {
+		vals[i] = c[dim]
+	}
+	k := bestSplitIndex(vals, minFill)
+	right := &tree.Node{Leaf: n.Leaf}
+	if n.Leaf {
+		right.Items = append(right.Items, n.Items[k:]...)
+		n.Items = n.Items[:k]
+	} else {
+		right.Children = append(right.Children, n.Children[k:]...)
+		n.Children = n.Children[:k]
+	}
+	p.Refit(n)
+	p.Refit(right)
+	return n, right
+}
+
 // maxVarianceDim returns the coordinate with the highest variance over the
 // given points.
-func maxVarianceDim(pts [][]float64, dim int) int {
+func maxVarianceDim(pts [][]float64) int {
 	best, bestVar := 0, -1.0
 	n := float64(len(pts))
-	for i := 0; i < dim; i++ {
+	for i := range pts[0] {
 		var s, s2 float64
 		for _, p := range pts {
 			s += p[i]
@@ -270,50 +183,4 @@ func bestSplitIndex(vals []float64, minFill int) int {
 		}
 	}
 	return bestK
-}
-
-func (t *Tree) splitLeaf(n *node) (*node, *node) {
-	if obs.On() {
-		obsSplits.Inc()
-	}
-	pts := make([][]float64, len(n.items))
-	for i, it := range n.items {
-		pts[i] = it.Sphere.Center
-	}
-	dim := maxVarianceDim(pts, t.dim)
-	sortItemsByDim(n.items, dim)
-	vals := make([]float64, len(n.items))
-	for i, it := range n.items {
-		vals[i] = it.Sphere.Center[dim]
-	}
-	k := bestSplitIndex(vals, t.minFill)
-	right := &node{leaf: true, centroid: make([]float64, t.dim)}
-	right.items = append(right.items, n.items[k:]...)
-	n.items = n.items[:k]
-	n.refit()
-	right.refit()
-	return n, right
-}
-
-func (t *Tree) splitInternal(n *node) (*node, *node) {
-	if obs.On() {
-		obsSplits.Inc()
-	}
-	pts := make([][]float64, len(n.children))
-	for i, c := range n.children {
-		pts[i] = c.centroid
-	}
-	dim := maxVarianceDim(pts, t.dim)
-	sortChildrenByDim(n.children, dim)
-	vals := make([]float64, len(n.children))
-	for i, c := range n.children {
-		vals[i] = c.centroid[dim]
-	}
-	k := bestSplitIndex(vals, t.minFill)
-	right := &node{leaf: false, centroid: make([]float64, t.dim)}
-	right.children = append(right.children, n.children[k:]...)
-	n.children = n.children[:k]
-	n.refit()
-	right.refit()
-	return n, right
 }

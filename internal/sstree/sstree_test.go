@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hyperdom/internal/geom"
+	"hyperdom/internal/tree"
 	"hyperdom/internal/vec"
 )
 
@@ -17,15 +18,15 @@ func randItem(rng *rand.Rand, d int, id int) Item {
 	return Item{Sphere: geom.NewSphere(c, rng.Float64()*3), ID: id}
 }
 
-func buildTree(t *testing.T, rng *rand.Rand, d, n int, opts ...Option) (*Tree, []Item) {
+func buildTree(t *testing.T, rng *rand.Rand, d, n int, opts ...tree.Option) (*Tree, []Item) {
 	t.Helper()
-	tree := New(d, opts...)
+	tr := New(d, opts...)
 	items := make([]Item, n)
 	for i := 0; i < n; i++ {
 		items[i] = randItem(rng, d, i)
-		tree.Insert(items[i])
+		tr.Insert(items[i])
 	}
-	return tree, items
+	return tr, items
 }
 
 func TestEmptyTree(t *testing.T) {
@@ -171,7 +172,7 @@ func TestDeleteMissing(t *testing.T) {
 
 func TestInsertDeleteInterleaved(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	tr := New(3, WithMaxFill(8))
+	tr := New(3, tree.WithMaxFill(8))
 	live := map[int]Item{}
 	next := 0
 	for step := 0; step < 5000; step++ {
@@ -203,7 +204,7 @@ func TestInsertDeleteInterleaved(t *testing.T) {
 
 func TestHeightGrowsLogarithmically(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	tr, _ := buildTree(t, rng, 3, 10000, WithMaxFill(16))
+	tr, _ := buildTree(t, rng, 3, 10000, tree.WithMaxFill(16))
 	h := tr.Height()
 	if h < 3 || h > 8 {
 		t.Errorf("height %d for 10k items with fanout 16; expected a shallow balanced tree", h)
@@ -238,7 +239,7 @@ func TestInsertPanics(t *testing.T) {
 }
 
 func TestDuplicateSpheres(t *testing.T) {
-	tr := New(2, WithMaxFill(4))
+	tr := New(2, tree.WithMaxFill(4))
 	s := geom.NewSphere([]float64{1, 1}, 0.5)
 	for i := 0; i < 50; i++ {
 		tr.Insert(Item{Sphere: s.Clone(), ID: i})
