@@ -72,7 +72,6 @@ type config struct {
 	snapshotVerify bool
 
 	timelinePeriod time.Duration
-	timelineSlots  int
 	healthP99      time.Duration
 	healthErrRate  float64
 
@@ -99,7 +98,6 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&c.snapshotDir, "snapshot-dir", "", "snapshot root: each collection loads zero-copy from DIR/<name> when present and compatible, else builds and saves there for the next start")
 	fs.BoolVar(&c.snapshotVerify, "snapshot-verify", false, "checksum every snapshot section at load (trades the lazy mmap cold-start for eager corruption detection)")
 	fs.DurationVar(&c.timelinePeriod, "timeline-period", obs.DefaultTimelinePeriod, "telemetry timeline tick (window rotation) period")
-	fs.IntVar(&c.timelineSlots, "timeline-slots", obs.DefaultTimelineSlots, "telemetry timeline ring capacity (snapshots retained)")
 	fs.DurationVar(&c.healthP99, "health-p99", 250*time.Millisecond, "degraded when windowed request p99 exceeds this (0 disables)")
 	fs.Float64Var(&c.healthErrRate, "health-error-rate", 0.05, "degraded when windowed 5xx fraction exceeds this (0 disables)")
 	fs.BoolVar(&c.oracle, "oracle", false, "answer one query in process (single-index oracle) and exit")
@@ -309,16 +307,16 @@ func run(c config) error {
 		fmt.Sprintf(`version=%q,go_version=%q,quant_mode=%q`,
 			buildinfo.Version, runtime.Version(), c.quant), 1)
 
-	// Time-aware telemetry (ISSUE 9): the timeline ticker drives window
-	// rotation, rate deltas, runtime sampling and the snapshot ring; the
-	// health thresholds turn those windows into the /debug/health verdict
-	// (and the degraded notes on /readyz).
+	// Time-aware telemetry: the timeline ticker takes the cumulative
+	// readings windows are differences of, samples the runtime and fills the
+	// snapshot ring; the health thresholds turn the window into the
+	// /debug/health verdict (and the degraded notes on /readyz).
 	obs.SetHealthConfig(obs.HealthConfig{
 		LatencyFamily: "server.request_latency",
 		LatencyP99Max: c.healthP99,
 		ErrorRateMax:  c.healthErrRate,
 	})
-	obs.StartTimeline(c.timelinePeriod, c.timelineSlots)
+	obs.StartTimeline(c.timelinePeriod)
 	defer obs.StopTimeline()
 
 	srv := server.New(server.WithLogger(slog.New(slog.NewJSONHandler(os.Stderr, nil))))

@@ -273,14 +273,14 @@ func (p *PreparedPair) verdict(da2, db2, r float64) bool {
 	p2 := math.Sqrt(p22)
 	var v bool
 	if p.line || p.rab == 0 {
-		v = p.dmin(p1, p2) > r
+		v = p.dmin(p1) > r
 	} else {
-		// Coarse reject (ISSUE 6): d0 is dmin's first candidate distToY(0),
+		// Coarse reject (ISSUE 6): d0 is hyperbolaDmin's first candidate distToY(0),
 		// inlined verbatim so it stays bit-identical even on degenerate
-		// frames (b2 = 0 makes the 0/b2 term NaN — so d0, and then dmin, is
-		// NaN too, and the reject settles the same false verdict the full
-		// path would). Since dmin only ever shrinks from d0, !(d0 > radius)
-		// settles the verdict false with zero slack.
+		// frames (b2 = 0 makes the 0/b2 term NaN — so d0, and then the
+		// minimum, is NaN too, and the reject settles the same false verdict
+		// hyperbolaDmin would). Since the minimum only ever shrinks from d0,
+		// !(d0 > radius) settles the verdict false with zero slack.
 		x0 := -p.hA * math.Sqrt(1+0/p.b2)
 		d0 := math.Hypot(p1-x0, p2)
 		if !(d0 > r) {
@@ -302,26 +302,25 @@ func (p *PreparedPair) verdict(da2, db2, r float64) bool {
 	return v
 }
 
-// dmin mirrors hyperbolaDmin with the (Sa, Sb)-only scalars precomputed;
-// every expression keeps the association of the original so the float64
-// result is identical.
-func (p *PreparedPair) dmin(p1, p2 float64) float64 {
+// dmin is hyperbolaDmin on its two closed-form frames: a 1-dimensional
+// ambient space (p.line; the boundary is the point x = −hA) and rab = 0 (the
+// bisector hyperplane x = 0). Every other frame goes through dminBeats.
+func (p *PreparedPair) dmin(p1 float64) float64 {
 	if p.line {
 		return math.Abs(p1 + p.hA)
 	}
-	if p.rab == 0 {
-		return math.Abs(p1)
-	}
-	x0 := -p.hA * math.Sqrt(1+0/p.b2)
-	return p.dminTail(math.Hypot(p1-x0, p2), p1, p2)
+	return math.Abs(p1)
 }
 
-// dminBeats reports p.dminTail(d0, p1, p2) > r without always paying for
-// the quartic: dmin is the minimum over a fixed candidate sequence, so the
-// moment a running prefix of it fails to clear r the final value fails too
-// (later candidates only lower the minimum) and the verdict is settled
-// false. A NaN prefix settles false exactly as the full path's NaN dmin
-// would. Only checks that still clear r after the closed-form candidates
+// dminBeats reports hyperbolaDmin > r on a general (hyperbola) frame without
+// always paying for the quartic. It mirrors hyperbolaDmin's candidate
+// sequence with the (Sa, Sb)-only scalars precomputed, every expression
+// keeping the association of the original so each candidate is the same
+// float64; d0 is the sequence's first candidate, distToY(0), which the
+// caller has already computed. The minimum only shrinks along the sequence,
+// so the moment a running prefix of it fails to clear r the final value
+// fails too and the verdict is settled false. A NaN prefix settles false
+// exactly as hyperbolaDmin's NaN would. Only checks that still clear r after the closed-form candidates
 // reach the quartic, which is what keeps the quartic_solves counter an
 // honest count of solves actually performed.
 func (p *PreparedPair) dminBeats(d0, p1, p2, r float64) bool {
@@ -370,55 +369,4 @@ func (p *PreparedPair) dminBeats(d0, p1, p2, r float64) bool {
 		}
 	}
 	return dmin > r
-}
-
-// dminTail is dmin's general (hyperbola) branch with the y = 0 seed
-// candidate hoisted to the caller: d0 must be distToY(0) bit for bit
-// (inlined as -hA·√(1+0/b2), the 0/b2 term preserving the NaN of a
-// degenerate b2 = 0 frame), so the coarse filter in Dominates can reuse
-// it instead of computing it twice.
-func (p *PreparedPair) dminTail(d0, p1, p2 float64) float64 {
-	hA, b2 := p.hA, p.b2
-
-	distToY := func(y float64) float64 {
-		x := -hA * math.Sqrt(1+y*y/b2)
-		dx := p1 - x
-		dy := p2 - y
-		return math.Hypot(dx, dy)
-	}
-
-	dmin := d0
-
-	if y := p2 * b2 / p.alpha2; y != 0 {
-		if dd := distToY(y); dd < dmin {
-			dmin = dd
-		}
-	}
-
-	if x := p1 * hA * hA / p.alpha2; x < 0 {
-		if y2 := b2 * (x*x/p.hA2 - 1); y2 > 0 {
-			y := math.Sqrt(y2)
-			if dd := distToY(y); dd < dmin {
-				dmin = dd
-			}
-		}
-	}
-
-	if p.obsOn {
-		p.tally.quartics++
-	}
-	P1 := p1 / p.alpha
-	P2 := p2 / p.alpha
-	q3 := p.c3 * P2
-	q2 := p.hatB2 * (1 + p.hatB2*P2*P2 - p.hatA2*P1*P1)
-	q1 := p.c1 * P2
-	q0 := p.c0 * P2 * P2
-
-	roots, n := poly.Quartic4(1.0, q3, q2, q1, q0)
-	for _, y := range roots[:n] {
-		if dd := distToY(p.alpha * y); dd < dmin {
-			dmin = dd
-		}
-	}
-	return dmin
 }

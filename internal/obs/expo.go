@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // The exposition server (ISSUE 3): obs.Handler serves every observability
@@ -62,6 +63,16 @@ func sortLabeled(keys []string) {
 	})
 }
 
+// labeledKeys returns m's registry keys in exposition order.
+func labeledKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for key := range m {
+		keys = append(keys, key)
+	}
+	sortLabeled(keys)
+	return keys
+}
+
 // writeSamples writes one sample line per registry key ("name|pairs", see
 // GetOrNewLabeled) in the order given — `name value`, or `name{pairs} value`
 // — under one # TYPE line per family. suffix extends the sanitized name.
@@ -88,15 +99,13 @@ func writeSamples(w io.Writer, typ, suffix string, keys []string, value func(i i
 
 // WriteMetrics writes the whole registry — counters (flat and labeled),
 // then gauges, then histogram families, then the windowed families — in
-// Prometheus text exposition format.
+// Prometheus text exposition format. The scrape takes one reading of the
+// registry and uses it twice: as the cumulative part, and as the later end
+// of the window.
 func WriteMetrics(w io.Writer) error {
-	snap := Snapshot()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sortLabeled(names)
-	if err := writeSamples(w, "counter", "", names, func(i int) any { return snap[names[i]] }); err != nil {
+	now := reading{when: time.Now(), counters: Snapshot()}
+	names := labeledKeys(now.counters)
+	if err := writeSamples(w, "counter", "", names, func(i int) any { return now.counters[names[i]] }); err != nil {
 		return err
 	}
 
@@ -114,21 +123,23 @@ func WriteMetrics(w io.Writer) error {
 				return err
 			}
 		}
-		if err := writeHistogram(w, pn, h.Labels(), h.Snap()); err != nil {
+		s := h.Snap()
+		now.add(s)
+		if err := writeHistogram(w, pn, h.Labels(), s); err != nil {
 			return err
 		}
 	}
-	return writeWindowedMetrics(w)
+	return writeWindow(w, windowOf(now))
 }
 
-// writeWindowedMetrics emits the sliding-window families (ISSUE 9):
-// per-family windowed quantile gauges suffixed "_1m" (nominal — the true
-// span is WinSlots rotation periods) and, when the timeline rate ring is
-// ticking, windowed per-second counter rates suffixed "_rate_1m". Gauge
-// typed: windowed values go down as well as up.
-func writeWindowedMetrics(w io.Writer) error {
-	for _, name := range histogramFamilies() {
-		ws := MergedWindow(name)
+// writeWindow emits the sliding-window families: per-family windowed
+// quantile gauges suffixed "_1m" (nominal — the true span is the window's)
+// and windowed per-second counter rates suffixed "_rate_1m". Gauge typed:
+// windowed values go down as well as up. Idle families and unmoved counters
+// are left out, and with no window there is nothing to write.
+func writeWindow(w io.Writer, win window) error {
+	for _, name := range labeledKeys(win.families) {
+		ws := win.families[name]
 		if ws.Count == 0 {
 			continue
 		}
@@ -149,14 +160,8 @@ func writeWindowedMetrics(w io.Writer) error {
 			return err
 		}
 	}
-
-	rates := Rates.RatesPerSec()
-	keys := make([]string, 0, len(rates))
-	for key := range rates {
-		keys = append(keys, key)
-	}
-	sortLabeled(keys)
-	return writeSamples(w, "gauge", "_rate_1m", keys, func(i int) any { return rates[keys[i]] })
+	keys := labeledKeys(win.rates)
+	return writeSamples(w, "gauge", "_rate_1m", keys, func(i int) any { return win.rates[keys[i]] })
 }
 
 // writeHistogram writes one labeled histogram instance: cumulative

@@ -44,7 +44,9 @@ func familyLines(body, prefix string) string {
 // and the windowed _1m quantile gauges of the same histogram.
 func TestMetricsEndpoint(t *testing.T) {
 	c := New("test.expo.counter")
+	startWindow(t) // the counter moves before the baseline: no rate family for it
 	c.Add(7)
+	StartTimeline(time.Hour)
 	h := NewHistogram("test.expo.hist", `kind="a"`)
 	h.Record(100)
 	h.Record(200)
@@ -132,6 +134,11 @@ func TestLabeledCountersAndGaugesExposition(t *testing.T) {
 	New("test.lab.requests_total_seen").Add(2) // sorts between the two by raw key
 	SetGauge("test.lab.build_info", `version="test",go_version="go0",quant_mode="f32"`, 1)
 	SetGauge("test.lab.plain_gauge", "", 2.5)
+	// A name used bare and labeled, with a longer sibling that raw key order
+	// ("g", "g_b", "g|l=…") would put between the two.
+	SetGauge("test.lab.g", "", 1)
+	SetGauge("test.lab.g_b", "", 2)
+	SetGauge("test.lab.g", `l="x"`, 3)
 
 	var sb strings.Builder
 	if err := WriteMetrics(&sb); err != nil {
@@ -144,6 +151,11 @@ hyperdom_test_lab_requests_total{code="404",endpoint="knn"} 1
 hyperdom_test_lab_requests_total_seen 2
 # TYPE hyperdom_test_lab_build_info gauge
 hyperdom_test_lab_build_info{version="test",go_version="go0",quant_mode="f32"} 1
+# TYPE hyperdom_test_lab_g gauge
+hyperdom_test_lab_g 1
+hyperdom_test_lab_g{l="x"} 3
+# TYPE hyperdom_test_lab_g_b gauge
+hyperdom_test_lab_g_b 2
 # TYPE hyperdom_test_lab_plain_gauge gauge
 hyperdom_test_lab_plain_gauge 2.5
 `

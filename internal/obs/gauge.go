@@ -1,8 +1,8 @@
 package obs
 
 import (
+	"maps"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,10 +27,16 @@ const labelSep = "|"
 // the /metrics exposition; keep the pair order consistent per family so
 // each combination resolves to a single counter.
 func GetOrNewLabeled(name, labels string) *Counter {
+	return GetOrNew(labeledKey(name, labels))
+}
+
+// labeledKey is the registry key of (name, labels), for counters and gauges
+// alike.
+func labeledKey(name, labels string) string {
 	if labels == "" {
-		return GetOrNew(name)
+		return name
 	}
-	return GetOrNew(name + labelSep + labels)
+	return name + labelSep + labels
 }
 
 // splitLabeled splits a registry key into its metric name and label pairs.
@@ -41,146 +47,95 @@ func splitLabeled(key string) (name, labels string) {
 	return key, ""
 }
 
-// gauges is the process-wide labeled gauge table: last-write-wins float64
-// values for slow-moving facts (build info, readiness, corpus sizes) that a
-// counter cannot express. Gauge writes go through a mutex — they happen at
-// startup or config changes, never on a query path.
-var gauges struct {
+// gauges is the process-wide labeled gauge table: slow-moving facts a
+// counter cannot express. An entry is either stored — a last-write-wins
+// float64 (build info, readiness, corpus sizes) — or a callback evaluated at
+// read time (queue depths, in-flight counts). Registration takes the write
+// lock — it happens at startup or config changes, never on a query path.
+var gauges = struct {
 	mu sync.RWMutex
-	m  map[string]*atomicFloat
+	m  map[string]*gauge
+}{m: make(map[string]*gauge)}
+
+type gauge struct {
+	f    func() float64 // nil for a stored gauge, whose value is in bits
+	bits atomic.Uint64
 }
 
-type atomicFloat struct{ bits atomic.Uint64 }
-
-func (f *atomicFloat) store(v float64) { f.bits.Store(math.Float64bits(v)) }
-func (f *atomicFloat) load() float64   { return math.Float64frombits(f.bits.Load()) }
+func (g *gauge) value() float64 {
+	if g.f != nil {
+		return g.f()
+	}
+	return math.Float64frombits(g.bits.Load())
+}
 
 // SetGauge sets the gauge registered under name and constant label pairs
 // (e.g. `version="v1.2",go_version="go1.22"`; empty for none) to v,
 // creating it on first use. Gauges appear in /metrics as TYPE gauge with
-// the usual hyperdom_ naming.
+// the usual hyperdom_ naming. A stored gauge takes its key over from a
+// callback registered there.
 func SetGauge(name, labels string, v float64) {
-	key := name
-	if labels != "" {
-		key = name + labelSep + labels
-	}
+	key := labeledKey(name, labels)
 	gauges.mu.RLock()
 	g := gauges.m[key]
 	gauges.mu.RUnlock()
-	if g == nil {
+	if g == nil || g.f != nil {
 		gauges.mu.Lock()
-		if gauges.m == nil {
-			gauges.m = make(map[string]*atomicFloat)
-		}
-		if g = gauges.m[key]; g == nil {
-			g = &atomicFloat{}
+		if g = gauges.m[key]; g == nil || g.f != nil {
+			g = &gauge{}
 			gauges.m[key] = g
 		}
 		gauges.mu.Unlock()
 	}
-	g.store(v)
+	g.bits.Store(math.Float64bits(v))
 }
 
 // GaugeValue returns the gauge registered under (name, labels) and whether
 // it exists. Callback gauges (RegisterGaugeFunc) are evaluated on the spot.
 func GaugeValue(name, labels string) (float64, bool) {
-	key := name
-	if labels != "" {
-		key = name + labelSep + labels
-	}
 	gauges.mu.RLock()
-	g := gauges.m[key]
+	g := gauges.m[labeledKey(name, labels)]
 	gauges.mu.RUnlock()
-	if g != nil {
-		return g.load(), true
-	}
-	gaugeFuncs.mu.RLock()
-	e, ok := gaugeFuncs.m[key]
-	gaugeFuncs.mu.RUnlock()
-	if !ok {
+	if g == nil {
 		return 0, false
 	}
-	return e.f(), true
-}
-
-// gaugeFuncs holds callback gauges: values computed at read time (queue
-// depths, in-flight counts, imbalance ratios) instead of stored. Each entry
-// carries a registration token so a stale unregister cannot remove a newer
-// registration under the same key.
-var gaugeFuncs struct {
-	mu  sync.RWMutex
-	seq uint64
-	m   map[string]gaugeFuncEntry
-}
-
-type gaugeFuncEntry struct {
-	f   func() float64
-	tok uint64
+	return g.value(), true
 }
 
 // RegisterGaugeFunc registers f as a callback gauge under (name, labels),
-// replacing any previous registration under the same key — subsystems that
+// replacing any previous callback under the same key — subsystems that
 // rebuild (a re-created shard index reusing its collection label) get
-// last-writer-wins semantics. The returned unregister removes exactly this
-// registration and is safe to call after a replacement. f must be safe for
-// concurrent use and must not block: it runs inline in /metrics scrapes,
-// timeline ticks and health checks.
+// last-writer-wins semantics — but not a stored gauge, which keeps the key.
+// The returned unregister removes exactly this registration and is safe to
+// call after a replacement. f must be safe for concurrent use and must not
+// block: it runs inline in /metrics scrapes and timeline ticks.
 func RegisterGaugeFunc(name, labels string, f func() float64) (unregister func()) {
-	key := name
-	if labels != "" {
-		key = name + labelSep + labels
+	key := labeledKey(name, labels)
+	g := &gauge{f: f}
+	gauges.mu.Lock()
+	if old := gauges.m[key]; old == nil || old.f != nil {
+		gauges.m[key] = g
 	}
-	gaugeFuncs.mu.Lock()
-	if gaugeFuncs.m == nil {
-		gaugeFuncs.m = make(map[string]gaugeFuncEntry)
-	}
-	gaugeFuncs.seq++
-	tok := gaugeFuncs.seq
-	gaugeFuncs.m[key] = gaugeFuncEntry{f: f, tok: tok}
-	gaugeFuncs.mu.Unlock()
+	gauges.mu.Unlock()
 	return func() {
-		gaugeFuncs.mu.Lock()
-		if e, ok := gaugeFuncs.m[key]; ok && e.tok == tok {
-			delete(gaugeFuncs.m, key)
+		gauges.mu.Lock()
+		if gauges.m[key] == g {
+			delete(gauges.m, key)
 		}
-		gaugeFuncs.mu.Unlock()
+		gauges.mu.Unlock()
 	}
 }
 
-// gaugeSnapshot returns the registered gauges — stored and callback — as
-// sorted (key, value) pairs for the exposition writer. A stored gauge and a
-// callback under the same key resolve to the stored value.
+// gaugeSnapshot returns every gauge as (key, value) pairs in exposition
+// order. Callbacks run after the table lock is released.
 func gaugeSnapshot() (keys []string, vals []float64) {
 	gauges.mu.RLock()
-	stored := make(map[string]float64, len(gauges.m))
-	for key, g := range gauges.m {
-		stored[key] = g.load()
-	}
+	byKey := maps.Clone(gauges.m)
 	gauges.mu.RUnlock()
-	gaugeFuncs.mu.RLock()
-	funcs := make(map[string]func() float64, len(gaugeFuncs.m))
-	for key, e := range gaugeFuncs.m {
-		funcs[key] = e.f
-	}
-	gaugeFuncs.mu.RUnlock()
-
-	keys = make([]string, 0, len(stored)+len(funcs))
-	for key := range stored {
-		keys = append(keys, key)
-	}
-	for key := range funcs {
-		if _, dup := stored[key]; !dup {
-			keys = append(keys, key)
-		}
-	}
-	sort.Strings(keys)
+	keys = labeledKeys(byKey)
 	vals = make([]float64, len(keys))
 	for i, key := range keys {
-		if v, ok := stored[key]; ok {
-			vals[i] = v
-			continue
-		}
-		vals[i] = funcs[key]()
+		vals[i] = byKey[key].value()
 	}
 	return keys, vals
 }

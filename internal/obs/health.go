@@ -6,13 +6,14 @@ import (
 	"time"
 )
 
-// The /debug/health verdict (ISSUE 9): a structured ok/degraded/unhealthy
-// reading computed from the windowed telemetry — windowed p99 latency and
-// windowed error rate — against operator-set thresholds. Each enabled check
-// compares its current value to its threshold: under it the check is ok,
-// over it degraded, over twice it unhealthy; the verdict is the worst check,
-// with one reason string per non-ok check. A check with no data (no traffic
-// in the window) is ok — an idle server is a healthy server.
+// The /debug/health verdict: a structured ok/degraded/unhealthy reading
+// computed from the window (window.go) — its p99 latency and its error
+// rate — against operator-set thresholds. Each enabled check compares its
+// current value to its threshold: under it the check is ok, over it
+// degraded, over twice it unhealthy; the verdict is the worst check, with
+// one reason string per non-ok check. A check with no data (no traffic in
+// the window, or no window because no timeline ticks) is ok — an idle
+// server is a healthy server.
 
 // HealthConfig sets the thresholds the verdict is computed from. The zero
 // value disables every check, so Health() reports ok until a server opts
@@ -104,34 +105,43 @@ func worse(a, b string) string {
 }
 
 // Health computes the current verdict from the installed thresholds and
-// the live windowed telemetry. Always safe to call; with no configuration
-// (or no enabled checks) it reports ok with an empty check list.
+// the window. It reads only what it grades — the latency family and the
+// error counter family — since /readyz asks on every probe. Always safe to
+// call; with no configuration (or no enabled checks) it reports ok with an
+// empty check list.
 func Health() HealthVerdict {
 	cfg := HealthConfigured()
-	now := time.Now()
+	now := reading{when: time.Now()}
 	v := HealthVerdict{
 		Status:     HealthOK,
-		WhenUnixNs: now.UnixNano(),
-		When:       now.Format(time.RFC3339Nano),
+		WhenUnixNs: now.when.UnixNano(),
+		When:       now.when.Format(time.RFC3339Nano),
 		Reasons:    []string{},
 		Checks:     []HealthCheck{},
 	}
-	addCheck := func(c HealthCheck, reason string) {
+	addCheck := func(c HealthCheck) {
 		v.Checks = append(v.Checks, c)
 		v.Status = worse(v.Status, c.Status)
 		if c.Status != HealthOK {
-			v.Reasons = append(v.Reasons, reason)
+			v.Reasons = append(v.Reasons, c.Detail)
 		}
 	}
+	latency := cfg.LatencyFamily != "" && cfg.LatencyP99Max > 0
+	if latency {
+		now.add(MergedHist(cfg.LatencyFamily))
+	}
+	if cfg.ErrorRateMax > 0 {
+		now.counters = snapshotFamily(cfg.ErrorFamily)
+	}
+	w := windowOf(now)
 
-	if cfg.LatencyFamily != "" && cfg.LatencyP99Max > 0 {
-		snap := MergedWindow(cfg.LatencyFamily)
+	if latency {
 		c := HealthCheck{
 			Name:      "windowed_p99_latency",
 			Status:    HealthOK,
 			Threshold: float64(cfg.LatencyP99Max.Nanoseconds()),
 		}
-		if snap.Count > 0 {
+		if snap := w.families[cfg.LatencyFamily]; snap.Count > 0 {
 			c.Value = snap.Quantile(0.99)
 			c.Status = grade(c.Value, c.Threshold)
 			c.Detail = cfg.LatencyFamily + " windowed p99 " +
@@ -139,18 +149,14 @@ func Health() HealthVerdict {
 		} else {
 			c.Detail = cfg.LatencyFamily + ": no samples in window"
 		}
-		addCheck(c, c.Detail)
+		addCheck(c)
 	}
 
 	if cfg.ErrorRateMax > 0 {
 		var errRate, totalRate float64
-		for key, rate := range Rates.RatesPerSec() {
-			name, labels := splitLabeled(key)
-			if name != cfg.ErrorFamily {
-				continue
-			}
+		for key, rate := range w.rates {
 			totalRate += rate
-			if strings.Contains(labels, `code="5`) {
+			if _, labels := splitLabeled(key); strings.Contains(labels, `code="5`) {
 				errRate += rate
 			}
 		}
@@ -162,7 +168,7 @@ func Health() HealthVerdict {
 		} else {
 			c.Detail = cfg.ErrorFamily + ": no requests in window"
 		}
-		addCheck(c, c.Detail)
+		addCheck(c)
 	}
 
 	return v

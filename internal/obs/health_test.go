@@ -33,7 +33,7 @@ func TestHealthUnconfigured(t *testing.T) {
 // (over threshold) and unhealthy (over twice), and pins the no-data case to
 // ok.
 func TestHealthLatencyCheck(t *testing.T) {
-	ResetForTest()
+	startWindow(t)
 	resetHealth(t)
 	SetHealthConfig(HealthConfig{
 		LatencyFamily: "test.health.lat",
@@ -53,7 +53,7 @@ func TestHealthLatencyCheck(t *testing.T) {
 		t.Errorf("under-threshold verdict = %s, want ok", v.Status)
 	}
 
-	ResetForTest()
+	startWindow(t)
 	for i := 0; i < 100; i++ {
 		h.Record((1500 * time.Microsecond).Nanoseconds())
 	}
@@ -65,7 +65,7 @@ func TestHealthLatencyCheck(t *testing.T) {
 		t.Errorf("degraded Reasons = %v, want one naming the family", v.Reasons)
 	}
 
-	ResetForTest()
+	startWindow(t)
 	for i := 0; i < 100; i++ {
 		h.Record((5 * time.Millisecond).Nanoseconds())
 	}
@@ -75,68 +75,63 @@ func TestHealthLatencyCheck(t *testing.T) {
 
 	// Expiring the window restores ok without touching the cumulative data.
 	for i := 0; i < WinSlots; i++ {
-		h.RotateWindow()
+		TimelineTick()
 	}
 	if v := Health(); v.Status != HealthOK {
 		t.Errorf("post-expiry verdict = %s, want ok", v.Status)
 	}
+	if got := h.Snap().Count; got != 100 {
+		t.Errorf("cumulative Count = %d after expiry, want 100", got)
+	}
 }
 
-// TestHealthErrorRateCheck feeds the rate ring synthetic request-counter
-// deltas and checks the 5xx-fraction math.
+// errorTraffic moves the default error family's counters by ok 2xx and bad
+// 5xx answers.
+func errorTraffic(ok, bad uint64) {
+	GetOrNewLabeled("server.requests_total", `code="200",endpoint="knn"`).Add(ok)
+	GetOrNewLabeled("server.requests_total", `code="500",endpoint="knn"`).Add(bad)
+}
+
+// TestHealthErrorRateCheck moves the request counters inside a window and
+// checks the 5xx-fraction math.
 func TestHealthErrorRateCheck(t *testing.T) {
-	ResetForTest()
 	resetHealth(t)
 	SetHealthConfig(HealthConfig{ErrorRateMax: 0.05})
 
-	okKey := "server.requests_total" + labelSep + `code="200",endpoint="knn"`
-	errKey := "server.requests_total" + labelSep + `code="500",endpoint="knn"`
-	Rates.Tick(Snap{okKey: 0, errKey: 0}, 0)
-	Rates.Tick(Snap{okKey: 96, errKey: 4}, 10*time.Second)
-	if v := Health(); v.Status != HealthOK {
-		t.Errorf("4%% errors vs 5%% threshold: verdict = %s, want ok", v.Status)
-	}
-
-	Rates.Reset()
-	Rates.Tick(Snap{okKey: 0, errKey: 0}, 0)
-	Rates.Tick(Snap{okKey: 92, errKey: 8}, 10*time.Second)
-	if v := Health(); v.Status != HealthDegraded {
-		t.Errorf("8%% errors: verdict = %s, want degraded", v.Status)
-	}
-
-	Rates.Reset()
-	Rates.Tick(Snap{okKey: 0, errKey: 0}, 0)
-	Rates.Tick(Snap{okKey: 80, errKey: 20}, 10*time.Second)
-	if v := Health(); v.Status != HealthUnhealthy {
-		t.Errorf("20%% errors: verdict = %s, want unhealthy", v.Status)
-	}
-
 	// No traffic in the window → ok.
-	Rates.Reset()
+	startWindow(t)
 	if v := Health(); v.Status != HealthOK {
 		t.Errorf("idle error-rate verdict = %s, want ok", v.Status)
+	}
+	for _, tc := range []struct {
+		ok, bad uint64
+		want    string
+	}{{96, 4, HealthOK}, {92, 8, HealthDegraded}, {80, 20, HealthUnhealthy}} {
+		startWindow(t)
+		errorTraffic(tc.ok, tc.bad)
+		time.Sleep(time.Millisecond) // a window needs a span to have rates
+		if v := Health(); v.Status != tc.want {
+			t.Errorf("%d%% errors vs 5%% threshold: verdict = %s, want %s", tc.bad, v.Status, tc.want)
+		}
 	}
 }
 
 // TestHealthWorstCheckWins combines a degraded latency check with an
 // unhealthy error-rate check and expects the worst to set the verdict.
 func TestHealthWorstCheckWins(t *testing.T) {
-	ResetForTest()
+	startWindow(t)
 	resetHealth(t)
 	SetHealthConfig(HealthConfig{
 		LatencyFamily: "test.health.combo",
 		LatencyP99Max: time.Millisecond,
 		ErrorRateMax:  0.05,
 	})
-	t.Cleanup(Rates.Reset)
 	h := GetOrNewHistogram("test.health.combo", "")
 	for i := 0; i < 100; i++ {
 		h.Record((1500 * time.Microsecond).Nanoseconds()) // degraded
 	}
-	okKey := "server.requests_total" + labelSep + `code="200",endpoint="knn"`
-	errKey := "server.requests_total" + labelSep + `code="500",endpoint="knn"`
-	Rates.Tick(Snap{okKey: 0, errKey: 0}, 0)
-	Rates.Tick(Snap{okKey: 80, errKey: 20}, 10*time.Second) // 0.2 > 2*0.05 → unhealthy
+	errorTraffic(80, 20) // 0.2 > 2*0.05 → unhealthy
+	time.Sleep(time.Millisecond)
 	v := Health()
 	if v.Status != HealthUnhealthy {
 		t.Errorf("combined verdict = %s, want unhealthy", v.Status)

@@ -18,10 +18,10 @@ import (
 // slower samples clamp into the last bucket.
 //
 // The record path is lock-free and allocation-free: one atomic add into a
-// bucket and one into the running sum, for the cumulative side and again for
-// the current window slot. Recorders of different latencies touch different
-// cache lines (a bucket is 8 bytes of a 5 KB array); recorders of the same
-// latency share one, as they do in the window slot.
+// bucket and one into the running sum. Recorders of different latencies
+// touch different cache lines (a bucket is 8 bytes of a 5 KB array);
+// recorders of the same latency share one. Windowed views cost the record
+// path nothing: they are differences of cumulative readings (window.go).
 const (
 	histSubBits    = 4
 	histSubBuckets = 1 << histSubBits // linear sub-buckets per power of two
@@ -64,9 +64,6 @@ type Histogram struct {
 	labels string // Prometheus label pairs, e.g. `substrate="sstree",algo="DF"`; may be empty
 	counts [histBuckets]atomic.Uint64
 	sum    atomic.Uint64
-	// win is the sliding-window side (ISSUE 9): WinSlots rotating time
-	// shards over the same bucket layout, fed by the same record call.
-	win histWindow
 }
 
 // Name returns the registered histogram name.
@@ -84,7 +81,6 @@ func (h *Histogram) Record(v int64) {
 	if v > 0 {
 		h.sum.Add(uint64(v))
 	}
-	h.win.record(i, v)
 }
 
 // RecordDuration records d in nanoseconds.
@@ -97,7 +93,6 @@ func (h *Histogram) reset() {
 		h.counts[i].Store(0)
 	}
 	h.sum.Store(0)
-	h.win.reset()
 }
 
 // HistSnap is a point-in-time reading of a histogram: the buckets, total
@@ -289,8 +284,10 @@ func (sw Stopwatch) Stop(h *Histogram) time.Duration {
 // ResetForTest zeroes every registered counter and histogram and clears
 // the Slow ring, preserving all registrations — so tests (and
 // measurement harnesses like benchkernel) can assert absolute readings
-// instead of diffing snapshots of monotonically growing globals. It is not
-// linearizable against concurrent recorders; quiesce the workload first.
+// instead of diffing snapshots of monotonically growing globals. The
+// retained window readings predate the zeroing and are dropped with it: a
+// ticking timeline windows again from its next tick. It is not linearizable
+// against concurrent recorders; quiesce the workload first.
 func ResetForTest() {
 	registry.mu.RLock()
 	for _, c := range registry.m {
@@ -303,10 +300,10 @@ func ResetForTest() {
 	}
 	histRegistry.mu.RUnlock()
 	Slow.Reset()
-	Rates.Reset()
+	clearReadings()
 	gauges.mu.RLock()
 	for _, g := range gauges.m {
-		g.store(0)
+		g.bits.Store(0)
 	}
 	gauges.mu.RUnlock()
 }

@@ -161,6 +161,20 @@ func Snapshot() Snap {
 	return s
 }
 
+// snapshotFamily reads only the counters of one family: name itself and
+// every labeled instance of it.
+func snapshotFamily(name string) Snap {
+	registry.mu.RLock()
+	defer registry.mu.RUnlock()
+	s := make(Snap)
+	for key, c := range registry.m {
+		if n, _ := splitLabeled(key); n == name {
+			s[key] = c.Load()
+		}
+	}
+	return s
+}
+
 // Diff returns s − prev per counter, keeping only the counters that moved.
 // Counters absent from prev are treated as 0 there.
 func (s Snap) Diff(prev Snap) Snap {

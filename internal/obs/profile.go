@@ -142,11 +142,7 @@ func (pf *ProfileFlags) Start() (stop func(), err error) {
 		// A served bench process is a live server: run the timeline ticker so
 		// /debug/timeline, the _1m windowed families and /debug/health have
 		// data while the operator pokes at it.
-		period := pf.TimelinePeriod
-		if period <= 0 {
-			period = DefaultTimelinePeriod
-		}
-		StartTimeline(period, DefaultTimelineSlots)
+		StartTimeline(pf.TimelinePeriod)
 		fmt.Fprintf(os.Stderr, "obs: serving metrics on http://%s/metrics\n", addr)
 	}
 	return func() {

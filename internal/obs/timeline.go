@@ -1,26 +1,23 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
 
-// The timeline ring (ISSUE 9): a fixed-size in-process ring of periodic
-// snapshots, each pairing the windowed histogram quantiles with the
-// counter rates of the same span, the runtime sample and the current
-// gauges. One background ticker drives the whole time dimension:
+// The timeline ring: a fixed-size in-process ring of periodic snapshots,
+// each pairing the windowed histogram quantiles with the counter rates of
+// the same span, the runtime sample and the current gauges. One background
+// ticker drives the whole time dimension:
 //
-//	every period: snapshot counters → Rates.Tick
-//	              capture every histogram family's windowed quantiles
-//	              sample the runtime, publish hyperdom_runtime_* gauges
-//	              append a TimelineSnapshot to the ring
-//	              RotateWindows()
+//	at start:     push a baseline reading
+//	every period: sample the runtime, publish hyperdom_runtime_* gauges
+//	              take a reading; window = reading − oldest retained one
+//	              append a TimelineSnapshot of that window to the ring
+//	              retain the reading (window.go)
 //
-// Rotation happens after the capture, so each snapshot sees the full
-// just-finished period, and the first snapshot — one period after start —
-// already carries non-null windowed quantiles for every family that
-// recorded samples ("within one rotation period", the acceptance bar).
+// The first snapshot — one period after start — covers exactly that period,
+// so a family that recorded in it already carries non-null quantiles.
 // /debug/timeline serves the ring oldest-first as JSON.
 
 // FamilyWindow is one histogram family's windowed reading inside a
@@ -35,7 +32,7 @@ type FamilyWindow struct {
 	P999  *float64 `json:"p999"`
 }
 
-// familyWindowOf summarizes a merged windowed snapshot.
+// familyWindowOf summarizes one family of a window.
 func familyWindowOf(s HistSnap) FamilyWindow {
 	fw := FamilyWindow{Count: s.Count}
 	if s.Count == 0 {
@@ -54,7 +51,7 @@ type TimelineSnapshot struct {
 	WhenUnixNs int64  `json:"when_unix_ns"`
 	When       string `json:"when"` // RFC3339Nano, for humans and log grep
 	// WindowNs is the wall span the windowed quantiles and rates cover —
-	// grows toward WinSlots×period as the ring warms up.
+	// grows toward WinSlots×period as the readings ring warms up.
 	WindowNs    int64                   `json:"window_ns"`
 	Quantiles   map[string]FamilyWindow `json:"windowed_quantiles"`
 	RatesPerSec map[string]float64      `json:"rates_per_sec"`
@@ -62,57 +59,41 @@ type TimelineSnapshot struct {
 	Gauges      map[string]float64      `json:"gauges"`
 }
 
-// DefaultTimelineSlots sizes the ring when StartTimeline is given n ≤ 0:
-// one hour of history at the default 10s period.
-const DefaultTimelineSlots = 360
+// TimelineSlots is the capacity of the snapshot ring: one hour of history
+// at the default 10s period.
+const TimelineSlots = 360
 
-// DefaultTimelinePeriod is the rotation/snapshot cadence when
-// StartTimeline is given period ≤ 0. Six window slots at 10s give the
-// nominal one-minute windows of the _1m metric families.
+// DefaultTimelinePeriod is the tick cadence when StartTimeline is given
+// period ≤ 0. WinSlots readings at 10s give the nominal one-minute windows
+// of the _1m metric families.
 const DefaultTimelinePeriod = 10 * time.Second
 
-// timelineState is the running collector: the ring plus the ticker
-// goroutine's lifecycle.
-type timelineState struct {
-	mu    sync.Mutex
-	ring  []*TimelineSnapshot
-	next  int
-	used  int
-	stop  chan struct{}
-	done  chan struct{}
-	tick  time.Duration
-	prevT time.Time
+// timeline is the running collector: the snapshot ring (oldest first) plus
+// the ticker goroutine's lifecycle.
+var timeline struct {
+	mu   sync.Mutex
+	ring []*TimelineSnapshot
+	stop chan struct{}
+	done chan struct{}
 }
 
-var timeline timelineState
-
-// StartTimeline starts the periodic collector: every period it captures a
-// TimelineSnapshot into a slots-sized ring, ticks the counter rate window
-// and rotates every histogram window. period ≤ 0 selects
-// DefaultTimelinePeriod, slots ≤ 0 DefaultTimelineSlots. A second call
-// replaces the running collector (the ring restarts empty). Stop with
-// StopTimeline.
-func StartTimeline(period time.Duration, slots int) {
+// StartTimeline starts the periodic collector: it takes the baseline reading
+// now and every period captures a TimelineSnapshot into the ring. period ≤ 0
+// selects DefaultTimelinePeriod. A second call replaces the running
+// collector: the ring restarts empty and windows restart from a fresh
+// baseline. Stop with StopTimeline.
+func StartTimeline(period time.Duration) {
 	if period <= 0 {
 		period = DefaultTimelinePeriod
 	}
-	if slots <= 0 {
-		slots = DefaultTimelineSlots
-	}
 	StopTimeline()
-	timeline.mu.Lock()
-	timeline.ring = make([]*TimelineSnapshot, slots)
-	timeline.next, timeline.used = 0, 0
-	timeline.tick = period
-	timeline.prevT = time.Now()
 	stop := make(chan struct{})
 	done := make(chan struct{})
+	timeline.mu.Lock()
+	timeline.ring = nil
 	timeline.stop, timeline.done = stop, done
 	timeline.mu.Unlock()
-
-	// Arm the rate baseline so the first periodic tick already yields
-	// deltas over a known span.
-	Rates.Tick(Snapshot(), 0)
+	pushReading(takeReading())
 
 	go func() {
 		defer close(done)
@@ -129,8 +110,9 @@ func StartTimeline(period time.Duration, slots int) {
 	}()
 }
 
-// StopTimeline stops the collector goroutine, keeping the ring readable.
-// No-op when the timeline is not running.
+// StopTimeline stops the collector goroutine and drops the window readings
+// (nothing ticks, so nothing bounds a window any more), keeping the snapshot
+// ring readable. Safe to call when the timeline is not running.
 func StopTimeline() {
 	timeline.mu.Lock()
 	stop, done := timeline.stop, timeline.done
@@ -140,36 +122,32 @@ func StopTimeline() {
 		close(stop)
 		<-done
 	}
+	clearReadings()
 }
 
-// TimelineTick performs one collection step by hand: capture, tick rates,
-// rotate windows. The running collector calls it on its cadence; tests
-// (and callers embedding their own scheduler) may call it directly.
+// TimelineTick performs one collection step by hand: snapshot the window
+// that ends now, then retain the reading it ended on. The running collector
+// calls it on its cadence; tests (and callers embedding their own
+// scheduler) may call it directly — with no reading retained yet the
+// snapshot has no window and the tick serves as the baseline.
 func TimelineTick() {
-	now := time.Now()
-	timeline.mu.Lock()
-	dt := now.Sub(timeline.prevT)
-	if timeline.prevT.IsZero() {
-		dt = 0
-	}
-	timeline.prevT = now
-	timeline.mu.Unlock()
-
-	Rates.Tick(Snapshot(), dt)
 	rs := SampleRuntime()
 	PublishRuntimeGauges(rs)
+	now := takeReading()
+	w := windowOf(now)
+	pushReading(now)
 
 	snap := &TimelineSnapshot{
-		WhenUnixNs:  now.UnixNano(),
-		When:        now.Format(time.RFC3339Nano),
-		WindowNs:    Rates.WindowSpan().Nanoseconds(),
-		Quantiles:   make(map[string]FamilyWindow),
-		RatesPerSec: Rates.RatesPerSec(),
+		WhenUnixNs:  now.when.UnixNano(),
+		When:        now.when.Format(time.RFC3339Nano),
+		WindowNs:    w.span.Nanoseconds(),
+		Quantiles:   make(map[string]FamilyWindow, len(w.families)),
+		RatesPerSec: w.rates,
 		Runtime:     rs,
 		Gauges:      make(map[string]float64),
 	}
-	for _, name := range histogramFamilies() {
-		snap.Quantiles[name] = familyWindowOf(MergedWindow(name))
+	for name, f := range w.families {
+		snap.Quantiles[name] = familyWindowOf(f)
 	}
 	gk, gv := gaugeSnapshot()
 	for i, key := range gk {
@@ -177,58 +155,13 @@ func TimelineTick() {
 	}
 
 	timeline.mu.Lock()
-	if timeline.ring == nil {
-		timeline.ring = make([]*TimelineSnapshot, DefaultTimelineSlots)
-	}
-	timeline.ring[timeline.next] = snap
-	timeline.next = (timeline.next + 1) % len(timeline.ring)
-	if timeline.used < len(timeline.ring) {
-		timeline.used++
-	}
+	timeline.ring = pushBounded(timeline.ring, snap, TimelineSlots)
 	timeline.mu.Unlock()
-
-	RotateWindows()
 }
 
 // TimelineSnapshots returns the retained snapshots, oldest first.
 func TimelineSnapshots() []*TimelineSnapshot {
 	timeline.mu.Lock()
 	defer timeline.mu.Unlock()
-	out := make([]*TimelineSnapshot, 0, timeline.used)
-	if timeline.used == 0 {
-		return out
-	}
-	n := len(timeline.ring)
-	start := (timeline.next - timeline.used + n) % n
-	for i := 0; i < timeline.used; i++ {
-		out = append(out, timeline.ring[(start+i)%n])
-	}
-	return out
-}
-
-// ResetTimelineForTest empties the ring without touching the collector
-// goroutine.
-func ResetTimelineForTest() {
-	timeline.mu.Lock()
-	defer timeline.mu.Unlock()
-	for i := range timeline.ring {
-		timeline.ring[i] = nil
-	}
-	timeline.next, timeline.used = 0, 0
-	timeline.prevT = time.Time{}
-}
-
-// histogramFamilies returns the distinct registered histogram family
-// names, sorted.
-func histogramFamilies() []string {
-	var names []string
-	seen := ""
-	for _, h := range Histograms() { // sorted by (name, labels)
-		if h.Name() != seen {
-			seen = h.Name()
-			names = append(names, seen)
-		}
-	}
-	sort.Strings(names)
-	return names
+	return append([]*TimelineSnapshot{}, timeline.ring...)
 }

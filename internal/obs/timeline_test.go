@@ -7,11 +7,10 @@ import (
 
 // TestTimelineTickCapture drives one manual collection step and checks the
 // acceptance bar of ISSUE 9: a family that recorded samples shows non-null
-// windowed quantiles in the very first snapshot (capture happens before
-// rotation), the runtime sample is live, and gauges ride along.
+// windowed quantiles in the very first snapshot (its window reaches back to
+// the baseline), the runtime sample is live, and gauges ride along.
 func TestTimelineTickCapture(t *testing.T) {
-	ResetForTest()
-	ResetTimelineForTest()
+	startWindow(t)
 	h := GetOrNewHistogram("test.timeline.lat", "")
 	for i := 0; i < 200; i++ {
 		h.Record(int64(i) * 1000)
@@ -40,7 +39,7 @@ func TestTimelineTickCapture(t *testing.T) {
 		t.Errorf("windowed Count = %d, want 200", fw.Count)
 	}
 	if fw.P99 == nil || fw.P50 == nil {
-		t.Fatal("windowed quantiles are null in the first snapshot (capture must precede rotation)")
+		t.Fatal("windowed quantiles are null in the first snapshot (its window must reach the baseline)")
 	}
 	if *fw.P99 < *fw.P50 {
 		t.Errorf("p99 %v < p50 %v", *fw.P99, *fw.P50)
@@ -54,8 +53,7 @@ func TestTimelineTickCapture(t *testing.T) {
 
 	// An idle family yields null quantiles, not zeros.
 	GetOrNewHistogram("test.timeline.idle", "")
-	ResetForTest()
-	ResetTimelineForTest()
+	startWindow(t)
 	TimelineTick()
 	s = TimelineSnapshots()[0]
 	if fw := s.Quantiles["test.timeline.idle"]; fw.Count != 0 || fw.P99 != nil {
@@ -63,12 +61,16 @@ func TestTimelineTickCapture(t *testing.T) {
 	}
 }
 
-// TestTimelineRates checks the second tick carries windowed per-second
-// counter rates derived from the deltas between ticks.
+// TestTimelineRates checks a tick carries windowed per-second counter
+// rates derived from the difference to the retained reading — here a
+// hand-driven first tick standing in for the baseline.
 func TestTimelineRates(t *testing.T) {
 	ResetForTest()
-	ResetTimelineForTest()
-	TimelineTick() // arms the rate baseline via Rates.Tick inside
+	t.Cleanup(clearReadings)
+	TimelineTick() // no reading retained yet: this one is the baseline
+	if s := TimelineSnapshots(); s[len(s)-1].WindowNs != 0 || s[len(s)-1].RatesPerSec != nil {
+		t.Errorf("baseline tick reports a window: %+v", s[len(s)-1])
+	}
 	GetOrNew("test.timeline.rate").Add(500)
 	time.Sleep(5 * time.Millisecond)
 	TimelineTick()
@@ -86,19 +88,16 @@ func TestTimelineRates(t *testing.T) {
 	}
 }
 
-// TestTimelineRingWrap fills a small ring past capacity and checks the
+// TestTimelineRingWrap fills the ring past capacity and checks the
 // oldest-first read order and the fixed size.
 func TestTimelineRingWrap(t *testing.T) {
-	ResetForTest()
-	StartTimeline(time.Hour, 3) // ticker too slow to interfere; ring of 3
-	defer StopTimeline()
-	ResetTimelineForTest()
-	for i := 0; i < 5; i++ {
+	startWindow(t) // ticker too slow to interfere
+	for i := 0; i < TimelineSlots+2; i++ {
 		TimelineTick()
 	}
 	snaps := TimelineSnapshots()
-	if len(snaps) != 3 {
-		t.Fatalf("ring holds %d snapshots, want 3", len(snaps))
+	if len(snaps) != TimelineSlots {
+		t.Fatalf("ring holds %d snapshots, want %d", len(snaps), TimelineSlots)
 	}
 	for i := 1; i < len(snaps); i++ {
 		if snaps[i].WhenUnixNs < snaps[i-1].WhenUnixNs {
@@ -112,7 +111,7 @@ func TestTimelineRingWrap(t *testing.T) {
 // cadence and that Stop leaves the ring readable.
 func TestStartStopTimeline(t *testing.T) {
 	ResetForTest()
-	StartTimeline(5*time.Millisecond, 16)
+	StartTimeline(5 * time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
 	for len(TimelineSnapshots()) == 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)

@@ -2,212 +2,139 @@ package obs
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Sliding-window aggregation (ISSUE 9). Every surface built so far is
-// cumulative since process start, so a long-running server cannot answer
-// "what is the p99 right now". The time dimension is added in two shapes:
-//
-//   - Windowed histograms: every registered Histogram carries WinSlots
-//     rotating time shards over the same 624-bucket layout as the
-//     cumulative counts. The record path gains one atomic load (the
-//     current slot index) and one atomic add (the slot bucket) — still
-//     lock-free, still allocation-free (test-locked). RotateWindows,
-//     driven by the timeline ticker, zeroes the oldest slot and makes it
-//     current; WindowSnap merges all slots into an ordinary HistSnap, so
-//     windowed quantiles cover the last WinSlots-1..WinSlots rotation
-//     periods (nominally 1 minute at the default 10s period).
-//
-//   - Counter-delta rate rings: RateWindow keeps, per registered counter,
-//     a ring of per-tick deltas. Ticked off the same timeline cadence, it
-//     turns the monotone counters into windowed per-second rates without
-//     touching any hot path — the deltas come from ordinary snapshots.
-//
-// Rotation is deliberately lossy at the slot boundary: a recorder that
-// loaded the slot index just before a rotation lands its sample in the
-// previous slot, which is still inside the window. No sample is ever torn
-// or double-counted; at most it ages out one period early.
+// The sliding window. Counters and histogram buckets only ever grow, so
+// "what happened in the last minute" needs no storage on the record path:
+// it is a reading of the registry now minus a reading taken a minute ago,
+// exact per bucket and per counter. The timeline ticker keeps the last
+// WinSlots cumulative readings — a baseline when it starts, one more per
+// tick, the oldest overwritten — and windowOf forms the one window every
+// surface reads (/metrics' _1m families, each timeline snapshot, both health
+// checks), so windowed quantiles and rates cover the same span by
+// construction. With no reading retained (no timeline was started, or
+// ResetForTest just cleared the ring) there is no window, rather than a
+// lifetime total under a "_1m" name.
 
-// WinSlots is the number of rotating time shards per histogram window.
-// With the timeline's default 10s rotation period the merged window spans
-// 50–60 seconds — the "_1m" families of the /metrics exposition.
+// WinSlots is the number of cumulative readings retained. The window
+// reaches back to the oldest of them: WinSlots periods at the moment of a
+// tick, WinSlots-1 just after it — 50–60 s at the default 10 s period, the
+// nominal minute of the "_1m" families — and less while the ring warms up.
 const WinSlots = 6
 
-// winSlot is one time shard of a histogram window. Buckets are written
-// with plain atomic adds by any goroutine currently recording; the
-// trailing pad keeps the next slot's first buckets off this slot's last
-// cache line.
-type winSlot struct {
-	counts [histBuckets]atomic.Uint64
-	sum    atomic.Uint64
-	_      [cacheLine - 8]byte
+// reading is one cumulative reading of the registry: counter values and
+// histogram families merged across their labeled instances, at when. A
+// partial reading (Health's: one family of each) windows like a full one.
+type reading struct {
+	when     time.Time
+	counters Snap
+	families map[string]HistSnap
 }
 
-// histWindow is the windowed side of a Histogram: the rotating slots and
-// the atomically published index of the slot currently recorded into.
-type histWindow struct {
-	cur   atomic.Int32
-	_     [cacheLine - 4]byte // keep rotations off the recorders' slot lines
-	slots [WinSlots]winSlot
-}
-
-// recordWindow lands one already-bucketed sample in the current slot.
-// Called from Record with the bucket index it just computed, so the
-// windowed path shares the histIndex work.
-func (w *histWindow) record(bucket int, v int64) {
-	s := &w.slots[int(w.cur.Load())%WinSlots]
-	s.counts[bucket].Add(1)
-	if v > 0 {
-		s.sum.Add(uint64(v))
+// add folds one histogram snapshot into the family it is named after.
+func (r *reading) add(s HistSnap) {
+	if r.families == nil {
+		r.families = make(map[string]HistSnap)
 	}
+	f := r.families[s.Name]
+	f.merge(s)
+	r.families[s.Name] = f
 }
 
-// rotate zeroes the oldest slot and publishes it as current. Zeroing
-// happens before the publish, so recorders never see a dirty slot; a
-// recorder racing the publish writes into the previous slot, which stays
-// in the window.
-func (w *histWindow) rotate() {
-	next := (w.cur.Load() + 1) % WinSlots
-	s := &w.slots[next]
-	for i := range s.counts {
-		s.counts[i].Store(0)
-	}
-	s.sum.Store(0)
-	w.cur.Store(next)
-}
-
-// reset zeroes every slot (ResetForTest).
-func (w *histWindow) reset() {
-	for i := range w.slots {
-		s := &w.slots[i]
-		for b := range s.counts {
-			s.counts[b].Store(0)
-		}
-		s.sum.Store(0)
-	}
-	w.cur.Store(0)
-}
-
-// WindowSnap merges the window's slots into one HistSnap — the same
-// quantile machinery as the cumulative Snap, over only the samples of the
-// last WinSlots rotation periods.
-func (h *Histogram) WindowSnap() HistSnap {
-	s := HistSnap{Name: h.name, Labels: h.labels, Counts: make([]uint64, histBuckets)}
-	for si := range h.win.slots {
-		slot := &h.win.slots[si]
-		for i := range s.Counts {
-			c := slot.counts[i].Load()
-			s.Counts[i] += c
-			s.Count += c
-		}
-		s.Sum += slot.sum.Load()
-	}
-	return s
-}
-
-// RotateWindow advances this histogram's window by one slot.
-func (h *Histogram) RotateWindow() { h.win.rotate() }
-
-// RotateWindows advances every registered histogram's window by one slot.
-// The timeline ticker calls this once per period, after snapshotting.
-func RotateWindows() {
+// takeReading reads the whole registry.
+func takeReading() reading {
+	r := reading{when: time.Now(), counters: Snapshot()}
 	for _, h := range Histograms() {
-		h.win.rotate()
+		r.add(h.Snap())
 	}
+	return r
 }
 
-// MergedWindow merges the windowed snapshots of every labeled instance
-// registered under name — the whole-family windowed view the timeline and
-// the health verdict quantile from. An unknown name yields an empty
-// snapshot.
-func MergedWindow(name string) HistSnap {
-	merged := HistSnap{Name: name, Counts: make([]uint64, histBuckets)}
-	for _, h := range Histograms() {
-		if h.name == name {
-			merged.merge(h.WindowSnap())
+// readings holds the retained readings, oldest first.
+var readings struct {
+	mu   sync.Mutex
+	ring []reading
+}
+
+// pushReading retains r, dropping the oldest reading once WinSlots are held.
+func pushReading(r reading) {
+	readings.mu.Lock()
+	readings.ring = pushBounded(readings.ring, r, WinSlots)
+	readings.mu.Unlock()
+}
+
+// clearReadings drops every retained reading: no window until the next push.
+func clearReadings() {
+	readings.mu.Lock()
+	readings.ring = nil
+	readings.mu.Unlock()
+}
+
+// pushBounded appends v to ring, first shifting out the oldest element when
+// ring already holds max. The rings here are a few hundred words pushed once
+// per tick; the copy buys oldest-first order with no index arithmetic.
+func pushBounded[T any](ring []T, v T, max int) []T {
+	if len(ring) == max {
+		ring = ring[:copy(ring, ring[1:])]
+	}
+	return append(ring, v)
+}
+
+// window is what the registry did between the oldest retained reading and a
+// later one. The zero window means there is none.
+type window struct {
+	// span is the wall time between the two readings.
+	span time.Duration
+	// families holds, for every histogram family of the later reading, the
+	// samples recorded inside the span (Count 0 for an idle family).
+	families map[string]HistSnap
+	// rates holds the per-second rate of every counter that moved inside
+	// the span; nil when none did.
+	rates map[string]float64
+}
+
+// windowOf subtracts the oldest retained reading from now — the only place
+// a past reading meets the live registry. The subtraction saturates at
+// zero: a registry zeroed between the two readings (ResetForTest racing a
+// tick) reads as idle, not as 2⁶⁴ events.
+func windowOf(now reading) window {
+	readings.mu.Lock()
+	defer readings.mu.Unlock()
+	if len(readings.ring) == 0 {
+		return window{}
+	}
+	base := readings.ring[0]
+	w := window{span: now.when.Sub(base.when), families: make(map[string]HistSnap, len(now.families))}
+	for name, f := range now.families {
+		d := HistSnap{Name: name, Counts: make([]uint64, histBuckets), Sum: monus(f.Sum, base.families[name].Sum)}
+		was := base.families[name].Counts // empty for a family registered since
+		for i, c := range f.Counts {
+			if i < len(was) {
+				c = monus(c, was[i])
+			}
+			d.Counts[i] = c
+			d.Count += c
+		}
+		w.families[name] = d
+	}
+	if secs := w.span.Seconds(); secs > 0 {
+		for name, v := range now.counters {
+			if d := monus(v, base.counters[name]); d != 0 {
+				if w.rates == nil {
+					w.rates = make(map[string]float64)
+				}
+				w.rates[name] = float64(d) / secs
+			}
 		}
 	}
-	return merged
+	return w
 }
 
-// RateWindow turns the monotone counter registry into windowed per-second
-// rates: each Tick diffs the current snapshot against the previous one and
-// stores the delta (plus the tick's wall duration) in a WinSlots ring.
-// Rates sums the ring, so a counter's windowed rate covers the same span
-// as the histograms' windowed quantiles. All methods are mutex-guarded —
-// ticks happen at timeline cadence, never on a query path.
-type RateWindow struct {
-	mu      sync.Mutex
-	prev    Snap
-	started bool
-	slots   [WinSlots]Snap
-	elapsed [WinSlots]time.Duration
-	cur     int
-}
-
-// Rates is the process-wide counter rate ring, ticked by the timeline.
-var Rates = &RateWindow{}
-
-// Tick folds one new counter snapshot into the ring: the delta since the
-// previous tick replaces the oldest slot. dt is the wall time since that
-// previous tick. The first tick only arms the baseline and stores nothing.
-func (rw *RateWindow) Tick(now Snap, dt time.Duration) {
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	if !rw.started {
-		rw.prev, rw.started = now, true
-		return
+// monus is a − b, or 0 when b > a.
+func monus(a, b uint64) uint64 {
+	if b > a {
+		return 0
 	}
-	rw.cur = (rw.cur + 1) % WinSlots
-	rw.slots[rw.cur] = now.Diff(rw.prev)
-	rw.elapsed[rw.cur] = dt
-	rw.prev = now
-}
-
-// RatesPerSec returns every counter's windowed per-second rate: the summed
-// ring deltas divided by the summed ring durations. Counters that did not
-// move inside the window are absent. Returns nil before the second tick.
-func (rw *RateWindow) RatesPerSec() map[string]float64 {
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	var total time.Duration
-	sums := make(map[string]uint64)
-	for i := range rw.slots {
-		total += rw.elapsed[i]
-		for name, d := range rw.slots[i] {
-			sums[name] += d
-		}
-	}
-	if total <= 0 || len(sums) == 0 {
-		return nil
-	}
-	secs := total.Seconds()
-	out := make(map[string]float64, len(sums))
-	for name, s := range sums {
-		out[name] = float64(s) / secs
-	}
-	return out
-}
-
-// WindowSpan returns the wall duration the ring currently covers.
-func (rw *RateWindow) WindowSpan() time.Duration {
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	var total time.Duration
-	for _, d := range rw.elapsed {
-		total += d
-	}
-	return total
-}
-
-// Reset empties the ring and disarms the baseline (ResetForTest).
-func (rw *RateWindow) Reset() {
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	rw.prev, rw.started, rw.cur = nil, false, 0
-	for i := range rw.slots {
-		rw.slots[i], rw.elapsed[i] = nil, 0
-	}
+	return a - b
 }

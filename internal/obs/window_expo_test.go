@@ -13,17 +13,15 @@ import (
 // TestWindowedExposition checks /metrics carries the _1m windowed quantile
 // and rate families alongside the cumulative ones after a timeline tick.
 func TestWindowedExposition(t *testing.T) {
-	ResetForTest()
-	ResetTimelineForTest()
+	GetOrNewLabeled("test.expo.win_requests", `code="200"`).Add(40)
+	startWindow(t) // the baseline reading
 	h := GetOrNewHistogram("test.expo.win_latency", "")
 	for i := 0; i < 1000; i++ {
 		h.Record(int64(i) * 1000)
 	}
-	GetOrNewLabeled("test.expo.win_requests", `code="200"`).Add(40)
-	TimelineTick() // arms the rate baseline
 	GetOrNewLabeled("test.expo.win_requests", `code="200"`).Add(60)
 	time.Sleep(2 * time.Millisecond)
-	TimelineTick() // first delta: rates appear
+	TimelineTick() // runtime gauges appear; the window still starts at the baseline
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -52,7 +50,7 @@ func TestWindowedExposition(t *testing.T) {
 	// After the window expires, the _1m family disappears (no stale zeros)
 	// while the cumulative histogram stays.
 	for i := 0; i < WinSlots; i++ {
-		RotateWindows()
+		TimelineTick()
 	}
 	resp2, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -68,11 +66,75 @@ func TestWindowedExposition(t *testing.T) {
 	}
 }
 
+// TestNoWindowWithoutTimeline pins what a process that never starts a
+// timeline exposes: the cumulative families, and no _1m / _rate_1m family —
+// not lifetime totals under a one-minute name.
+func TestNoWindowWithoutTimeline(t *testing.T) {
+	ResetForTest()
+	h := GetOrNewHistogram("test.expo.nowin_latency", "")
+	for i := 0; i < 100; i++ {
+		h.Record(int64(i) * 1000)
+	}
+	GetOrNew("test.expo.nowin_requests").Add(40)
+
+	var sb strings.Builder
+	if err := WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	body := sb.String()
+	if !strings.Contains(body, `hyperdom_test_expo_nowin_latency_seconds_bucket{le="+Inf"} 100`) ||
+		!strings.Contains(body, "hyperdom_test_expo_nowin_requests 40") {
+		t.Errorf("cumulative families missing:\n%s", familyLines(body, "hyperdom_test_expo_nowin"))
+	}
+	for _, line := range strings.Split(body, "\n") {
+		if strings.Contains(line, "_1m") {
+			t.Errorf("windowed family with no timeline running: %s", line)
+		}
+	}
+	if v := Health(); v.Status != HealthOK {
+		t.Errorf("Health with no window = %s, want ok", v.Status)
+	}
+}
+
+// TestWindowSpanCoversQuantilesAndRates pins that a snapshot's quantiles and
+// rates cover one span, the one window_ns reports: what happened before the
+// timeline started is in neither, what happened after is in both.
+func TestWindowSpanCoversQuantilesAndRates(t *testing.T) {
+	ResetForTest()
+	h := GetOrNewHistogram("test.span.latency", "")
+	c := GetOrNew("test.span.requests")
+	for i := 0; i < 100; i++ {
+		h.Record(1000)
+	}
+	c.Add(100)
+
+	StartTimeline(time.Hour)
+	t.Cleanup(StopTimeline)
+	baseline := readings.ring[0].when
+	for i := 0; i < 7; i++ {
+		h.Record(2000)
+	}
+	c.Add(7)
+	time.Sleep(2 * time.Millisecond)
+	TimelineTick()
+
+	s := TimelineSnapshots()[0]
+	if got := s.Quantiles["test.span.latency"].Count; got != 7 {
+		t.Errorf("first snapshot counts %d samples, want the 7 recorded since the timeline started", got)
+	}
+	span := time.Duration(s.WindowNs)
+	if want := time.Unix(0, s.WhenUnixNs).Sub(baseline); span < want-100*time.Microsecond || span > want+100*time.Microsecond {
+		t.Errorf("window_ns = %v, want the time since the baseline %v", span, want)
+	}
+	if got := s.RatesPerSec["test.span.requests"] * span.Seconds(); got < 6.9 || got > 7.1 {
+		t.Errorf("first snapshot's rate × span = %v increments, want the 7 made since the timeline started", got)
+	}
+}
+
 // TestTimelineEndpoint checks /debug/timeline serves the ring as a JSON
 // array (empty ring → []) with windowed quantiles present.
 func TestTimelineEndpoint(t *testing.T) {
-	ResetForTest()
-	ResetTimelineForTest()
+	startWindow(t)
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
 
@@ -121,7 +183,7 @@ func TestTimelineEndpoint(t *testing.T) {
 // TestHealthEndpoint checks /debug/health serves the structured verdict,
 // 200 for ok/degraded and 503 for unhealthy.
 func TestHealthEndpoint(t *testing.T) {
-	ResetForTest()
+	startWindow(t)
 	t.Cleanup(func() {
 		healthCfg.mu.Lock()
 		healthCfg.cfg = HealthConfig{}
@@ -160,7 +222,7 @@ func TestHealthEndpoint(t *testing.T) {
 		t.Errorf("degraded verdict carries no reasons/checks: %+v", v)
 	}
 
-	ResetForTest()
+	startWindow(t)
 	for i := 0; i < 100; i++ {
 		h.Record((10 * time.Millisecond).Nanoseconds())
 	}

@@ -24,14 +24,15 @@ func knnQuery(t *testing.T, ts string) {
 }
 
 // TestHealthAndTimelineEndpoints drives the served time-aware surfaces end
-// to end: queries land in the windowed histogram, one timeline tick later
+// to end: queries land inside the window the timeline opened, one tick later
 // /debug/timeline carries non-null windowed p99 for the request-latency
 // family and /debug/health grades it ok against sane thresholds.
 func TestHealthAndTimelineEndpoints(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 	obs.ResetForTest()
-	obs.ResetTimelineForTest()
+	obs.StartTimeline(time.Hour) // the baseline reading; ticks are driven by hand
+	t.Cleanup(obs.StopTimeline)
 	obs.SetHealthConfig(obs.HealthConfig{
 		LatencyFamily: "server.request_latency",
 		LatencyP99Max: 5 * time.Second, // generous: CI machines are slow, not degraded
@@ -107,6 +108,8 @@ func TestReadyzReportsDegraded(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 	obs.ResetForTest()
+	obs.StartTimeline(time.Hour) // health grades a window; this opens one
+	t.Cleanup(obs.StopTimeline)
 	t.Cleanup(func() { obs.SetHealthConfig(obs.HealthConfig{}) })
 
 	items := testCorpus(t, 3, 100)
