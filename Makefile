@@ -58,7 +58,7 @@ bench:
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
-# Short fuzzing passes over the nine fuzz targets.
+# Short fuzzing passes over the ten fuzz targets.
 fuzz:
 	$(GO) test ./internal/poly -fuzz FuzzQuartic -fuzztime 30s
 	$(GO) test ./internal/dominance -fuzz FuzzHyperbolaVsExact2D -fuzztime 30s
@@ -69,6 +69,7 @@ fuzz:
 	$(GO) test ./internal/packed -fuzz FuzzSnapshotOpen -fuzztime 30s
 	$(GO) test ./internal/server -fuzz FuzzKNNResponseEncode -fuzztime 30s
 	$(GO) test ./internal/shard -fuzz FuzzForestVsBruteForce -fuzztime 30s
+	$(GO) test ./internal/dataset -fuzz FuzzLoadCSV -fuzztime 30s
 
 # Batch-engine worker scaling over a frozen SS-tree: queries/s at pool
 # widths 1/2/4/8 (scaling tops out at GOMAXPROCS).

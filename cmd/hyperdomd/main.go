@@ -281,14 +281,20 @@ func mountCollection(c config, name string, corpus func() ([]geom.Item, int, err
 			log.Printf("collection %s: snapshot %s unusable, rebuilding: %v", name, dir, err)
 		}
 	}
+	start := time.Now()
 	items, dim, err := corpus()
 	if err != nil {
 		return nil, err
 	}
+	loaded := time.Now()
 	x, err := buildCollection(c, items, dim, name)
 	if err != nil {
 		return nil, err
 	}
+	built := time.Now()
+	log.Printf("collection %s: built from corpus in %v (load %v, build+freeze %v; %d items, dim %d, %d shards)",
+		name, built.Sub(start).Round(time.Microsecond), loaded.Sub(start).Round(time.Microsecond),
+		built.Sub(loaded).Round(time.Microsecond), x.Len(), x.Dim(), x.Shards())
 	if c.snapshotDir != "" {
 		dir := filepath.Join(c.snapshotDir, name)
 		if err := x.SaveDir(dir); err != nil {

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hyperdom/internal/geom"
 	"hyperdom/internal/knn"
 	"hyperdom/internal/packed"
 )
@@ -398,4 +399,72 @@ func TestCloseWaitsForSearches(t *testing.T) {
 	x.Close()
 	wg.Wait()
 	x.Close() // and again: harmless
+}
+
+// savedFiles builds items under the given GOMAXPROCS, saves the index and
+// returns every file of the directory by name.
+func savedFiles(t *testing.T, procs int, items []geom.Item, d int, opts Options) map[string][]byte {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	x, err := Build(items, d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	dir := t.TempDir()
+	if err := x.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
+// TestBuildIsScheduleIndependent: shards are built side by side, and what
+// each freezes to must not depend on how many ran at once — one at a time
+// (GOMAXPROCS 1), all at once, or five shards queueing for four slots. Every
+// file SaveDir writes, manifest included, is compared byte for byte. A build
+// that is refused is refused before anything is started.
+func TestBuildIsScheduleIndependent(t *testing.T) {
+	const d, n = 3, 1500
+	items := randItems(rand.New(rand.NewSource(22)), d, n, 3)
+	for _, substrate := range []string{"sstree", "mtree", "rtree"} {
+		for _, shards := range []int{1, 2, 5} {
+			opts := Options{Shards: shards, Substrate: substrate, MaxFill: 12}
+			one := savedFiles(t, 1, items, d, opts)
+			four := savedFiles(t, 4, items, d, opts)
+			if len(one) != shards+1 || len(four) != len(one) {
+				t.Fatalf("%s/%d: %d and %d files, want %d", substrate, shards, len(one), len(four), shards+1)
+			}
+			for name, want := range one {
+				if got, ok := four[name]; !ok || !slices.Equal(got, want) {
+					t.Errorf("%s/%d: %s differs between GOMAXPROCS 1 and 4", substrate, shards, name)
+				}
+			}
+		}
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	before := runtime.NumGoroutine()
+	bad := append(slices.Clone(items[:100]), geom.Item{ID: -1, Sphere: geom.Sphere{Center: []float64{1, 2}, Radius: 1}})
+	for want, build := range map[string]func() (*Index, error){
+		`shard: unknown substrate "btree"`:                                      func() (*Index, error) { return Build(items, d, Options{Shards: 5, Substrate: "btree"}) },
+		"shard: item 100 (id -1): 2-dimensional sphere, index is 3-dimensional": func() (*Index, error) { return Build(bad, d, Options{Shards: 5}) },
+		"shard: dim = 0": func() (*Index, error) { return Build(items, 0, Options{Shards: 5}) },
+	} {
+		if _, err := build(); err == nil || err.Error() != want {
+			t.Errorf("err = %v, want %s", err, want)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: %d goroutines after the refusal, %d before", want, after, before)
+		}
+	}
 }

@@ -15,9 +15,11 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"runtime"
+	"slices"
 	"sync"
 
 	"hyperdom/internal/dominance"
@@ -109,6 +111,12 @@ type Index struct {
 // freezes each. The items slice is not retained; dim is the dimensionality
 // every item (and every query) must have. Items come from outside — a CSV, a
 // request — so a malformed one is an error here, not a panic further down.
+//
+// Shards are built side by side, at most GOMAXPROCS at a time. Each is still
+// filled by inserting its part in partition order, so its frozen bytes — and
+// with them every answer and every Stats — are the same under any schedule.
+// The inserts are on purpose: sstree.BulkLoad is several times faster and
+// the tree it leaves makes kNN scan 2–50× the items (see its comment).
 func Build(items []geom.Item, dim int, opts Options) (*Index, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("shard: dim = %d", dim)
@@ -119,6 +127,10 @@ func Build(items []geom.Item, dim int, opts Options) (*Index, error) {
 		}
 	}
 	opts.fill()
+	substrate := packed.SubstrateFromString(opts.Substrate)
+	if substrate == packed.SubstrateUnknown {
+		return nil, fmt.Errorf("shard: unknown substrate %q", opts.Substrate)
+	}
 	x := &Index{
 		opts:       opts,
 		dim:        dim,
@@ -129,19 +141,25 @@ func Build(items []geom.Item, dim int, opts Options) (*Index, error) {
 	parts, plan := partition(items, dim, opts.Shards, opts.SampleSize)
 	x.plan = plan
 	x.trees = make([]*packed.Tree, len(parts))
+	var wg sync.WaitGroup
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, part := range parts {
-		t, err := newTree(opts.Substrate, dim, opts.MaxFill)
-		if err != nil {
-			return nil, err
-		}
-		for _, it := range part {
-			t.Insert(it)
-		}
-		// The shard serves from the frozen snapshot alone, so the pointer
-		// tree is garbage from here (an empty shard freezes to an explicit
-		// empty snapshot, so a saved directory always has one file per shard).
-		x.trees[i] = t.Freeze()
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-slots }()
+			t := newTree(substrate, dim, opts.MaxFill)
+			for _, it := range part {
+				t.Insert(it)
+			}
+			// The shard serves from the frozen snapshot alone, so the pointer
+			// tree is garbage from here (an empty shard freezes to an explicit
+			// empty snapshot, so a saved directory always has one file per shard).
+			x.trees[i] = t.Freeze()
+		}()
 	}
+	wg.Wait()
 	if obs.On() {
 		obsIndexes.Inc()
 		obsShards.Add(uint64(len(parts)))
@@ -149,19 +167,17 @@ func Build(items []geom.Item, dim int, opts Options) (*Index, error) {
 	return x, nil
 }
 
-// newTree returns an empty pointer tree of the named substrate; maxFill ≤ 0
+// newTree returns an empty pointer tree of a known substrate; maxFill ≤ 0
 // selects the default node capacity.
-func newTree(substrate string, dim, maxFill int) (*tree.Tree, error) {
+func newTree(substrate packed.Substrate, dim, maxFill int) *tree.Tree {
 	fill := tree.WithMaxFill(maxFill)
-	switch packed.SubstrateFromString(substrate) {
-	case packed.SubstrateSSTree:
-		return &sstree.New(dim, fill).Tree, nil
+	switch substrate {
 	case packed.SubstrateMTree:
-		return &mtree.New(dim, fill).Tree, nil
+		return &mtree.New(dim, fill).Tree
 	case packed.SubstrateRTree:
-		return &rtree.New(dim, fill).Tree, nil
+		return &rtree.New(dim, fill).Tree
 	}
-	return nil, fmt.Errorf("shard: unknown substrate %q", substrate)
+	return &sstree.New(dim, fill).Tree
 }
 
 // Shards returns the shard count.
@@ -236,12 +252,14 @@ func partition(items []geom.Item, dim, n, sampleSize int) ([][]geom.Item, *PlanN
 			return &PlanNode{Shard: len(out) - 1}
 		}
 		d := widestDim(part, dim, sampleSize)
-		sort.Slice(part, func(a, b int) bool {
-			ca, cb := part[a].Sphere.Center[d], part[b].Sphere.Center[d]
-			if ca != cb {
-				return ca < cb
+		slices.SortFunc(part, func(a, b geom.Item) int {
+			switch ca, cb := a.Sphere.Center[d], b.Sphere.Center[d]; {
+			case ca < cb:
+				return -1
+			case ca > cb:
+				return 1
 			}
-			return part[a].ID < part[b].ID
+			return cmp.Compare(a.ID, b.ID)
 		})
 		n1 := (n + 1) / 2
 		cut := len(part) * n1 / n

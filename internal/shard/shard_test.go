@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"hyperdom/internal/dataset"
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
 	"hyperdom/internal/knn"
@@ -510,6 +511,22 @@ func TestSearchAllocs(t *testing.T) {
 			if got := testing.AllocsPerRun(100, func() { x.SearchExplain(sq, k) }); got > 4 {
 				t.Errorf("%d shards, k=%d: SearchExplain %v allocs/query, budget 4", shards, k, got)
 			}
+		}
+		x.Close()
+	}
+}
+
+// BenchmarkBuild builds the scan_d10-shaped corpus of the serving benchmark
+// (100k items, d = 10, 2 shards — the corpus dataset.BenchmarkLoadCSV reads);
+// run it with -cpu 1,2: one core must not pay for the goroutines.
+func BenchmarkBuild(b *testing.B) {
+	items := dataset.Spheres(dataset.SyntheticCenters(100_000, 10, dataset.Gaussian, 1), dataset.GaussianRadii(1), 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x, err := Build(items, 10, Options{Shards: 2, Algorithm: knn.HS})
+		if err != nil {
+			b.Fatal(err)
 		}
 		x.Close()
 	}

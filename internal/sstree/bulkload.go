@@ -13,8 +13,14 @@ var obsBulkItems = obs.New("sstree.bulkload_items")
 // items are recursively sorted along the coordinate of highest center
 // variance and sliced into evenly-sized runs, one per child, so every leaf
 // ends up at the same depth with near-uniform fill. Bulk loading is
-// considerably faster than repeated Insert and produces tighter bounding
-// spheres (see BenchmarkBulkLoadVsInsert).
+// considerably faster than repeated Insert (see BenchmarkBulkLoadVsInsert)
+// and that is all it is: each level slices along ONE coordinate, so a node
+// is a thin slab across the other d-1, its bounding sphere is far larger
+// than an inserted node's, and kNN pays for it. Over the serving benchmark's
+// corpora, one tree, HS, k = 10, items scanned per query: 1,005 inserted →
+// 49,440 bulk-loaded (n = 100k, d = 4; nodes visited 186 → 2,270), 47,490 →
+// 99,508 (100k, d = 10), 8,268 → 45,585 (50k, d = 6). Use it where build time
+// is the point (cmd/benchkernel's rebuild baseline); shard.Build inserts.
 //
 // The tree must be empty; items are not retained (their slice may be
 // reused), but the spheres inside them are shared, not copied.
