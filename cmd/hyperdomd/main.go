@@ -23,7 +23,6 @@ import (
 	"io/fs"
 	"log"
 	"log/slog"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -41,11 +40,17 @@ import (
 	"hyperdom/internal/geom"
 	"hyperdom/internal/knn"
 	"hyperdom/internal/obs"
-	"hyperdom/internal/packed"
 	"hyperdom/internal/server"
 	"hyperdom/internal/shard"
 	"hyperdom/internal/sstree"
 )
+
+// What a built collection is made of. Every script, document and benchmark
+// workload runs exactly this configuration, so it is not a flag: SS-tree
+// shards at the default node capacity (shard.Options' zero values), walked
+// best-first, coarse-filtered by the f32 tier (knn's default mode). A
+// snapshot directory is served with whatever substrate its manifest names.
+const algorithm = knn.HS
 
 // Connection limits of the listener: a client gets readHeaderTimeout to
 // send its request line and headers (a slowloris otherwise holds a
@@ -63,10 +68,6 @@ type config struct {
 	n, d        int
 	seed        int64
 	shards      int
-	substrate   string
-	maxFill     int
-	algo        string
-	quant       string
 
 	snapshotDir    string
 	snapshotVerify bool
@@ -91,10 +92,6 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&c.d, "d", 4, "synthetic corpus dimensionality")
 	fs.Int64Var(&c.seed, "seed", 1, "synthetic corpus seed")
 	fs.IntVar(&c.shards, "shards", 2, "shards per collection")
-	fs.StringVar(&c.substrate, "substrate", "sstree", "index substrate: sstree|mtree|rtree")
-	fs.IntVar(&c.maxFill, "maxfill", 0, "substrate node capacity (0 = default)")
-	fs.StringVar(&c.algo, "algo", "hs", "per-shard traversal: hs|df")
-	fs.StringVar(&c.quant, "quant", "f32", "coarse-filter tier: none|f32|i8")
 	fs.StringVar(&c.snapshotDir, "snapshot-dir", "", "snapshot root: each collection loads zero-copy from DIR/<name> when present and compatible, else builds and saves there for the next start")
 	fs.BoolVar(&c.snapshotVerify, "snapshot-verify", false, "checksum every snapshot section at load (trades the lazy mmap cold-start for eager corruption detection)")
 	fs.DurationVar(&c.timelinePeriod, "timeline-period", obs.DefaultTimelinePeriod, "telemetry timeline tick (window rotation) period")
@@ -104,47 +101,7 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&c.k, "k", 5, "oracle: k")
 	fs.StringVar(&c.query, "query", "", "oracle: query center as c1,c2,...")
 	fs.Float64Var(&c.qradius, "qradius", 0, "oracle: query radius")
-	if err := fs.Parse(args); err != nil {
-		return c, err
-	}
-	// The flag package has already reported its own parse errors; report the
-	// enum ones the same way, so a typo does not exit 2 in silence.
-	bad := func(name, value string) (config, error) {
-		err := fmt.Errorf("unknown -%s %q", name, value)
-		fmt.Fprintln(fs.Output(), "hyperdomd:", err)
-		return c, err
-	}
-	switch c.algo {
-	case "hs", "df":
-	default:
-		return bad("algo", c.algo)
-	}
-	switch c.quant {
-	case "none", "f32", "i8":
-	default:
-		return bad("quant", c.quant)
-	}
-	if packed.SubstrateFromString(c.substrate) == packed.SubstrateUnknown {
-		return bad("substrate", c.substrate)
-	}
-	return c, nil
-}
-
-func (c config) algorithm() knn.Algorithm {
-	if c.algo == "df" {
-		return knn.DF
-	}
-	return knn.HS
-}
-
-func (c config) quantMode() knn.QuantMode {
-	switch c.quant {
-	case "none":
-		return knn.QuantNone
-	case "i8":
-		return knn.QuantI8
-	}
-	return knn.QuantF32
+	return c, fs.Parse(args)
 }
 
 // parseCollections splits "name=path,name=path" into ordered pairs.
@@ -197,19 +154,11 @@ func loadCorpus(path string) ([]geom.Item, int, error) {
 	return items, len(items[0].Sphere.Center), nil
 }
 
-// syntheticCorpus mirrors the Gaussian workload of the bench fixtures:
-// centers at 100±25 per coordinate, radii uniform in [0, 2).
+// syntheticCorpus is the Gaussian workload of the bench fixtures: centers
+// at 100±25 per coordinate, radii uniform in [0, 2).
 func syntheticCorpus(n, d int, seed int64) []geom.Item {
-	rng := rand.New(rand.NewSource(seed))
-	items := make([]geom.Item, n)
-	for i := range items {
-		c := make([]float64, d)
-		for j := range c {
-			c[j] = 100 + rng.NormFloat64()*25
-		}
-		items[i] = geom.Item{Sphere: geom.NewSphere(c, rng.Float64()*2), ID: i}
-	}
-	return items
+	ps := dataset.SyntheticCenters(n, d, dataset.Gaussian, seed)
+	return dataset.Spheres(ps, dataset.UniformRadii(0, 2), seed)
 }
 
 // runOracle answers one query over a plain single SS-tree search — the
@@ -218,6 +167,9 @@ func syntheticCorpus(n, d int, seed int64) []geom.Item {
 func runOracle(c config, stdout *os.File) error {
 	if c.data == "" {
 		return errors.New("-oracle requires -data")
+	}
+	if c.k < 1 { // knn.Search panics on it; the server answers 400
+		return fmt.Errorf("bad -k %d: must be at least 1", c.k)
 	}
 	items, dim, err := loadCorpus(c.data)
 	if err != nil {
@@ -230,15 +182,17 @@ func runOracle(c config, stdout *os.File) error {
 	if len(center) != dim {
 		return fmt.Errorf("-query dim %d, corpus dim %d", len(center), dim)
 	}
-	if !(c.qradius >= 0) { // also rejects NaN, which geom.NewSphere panics on
-		return fmt.Errorf("bad -qradius %v", c.qradius)
+	// The check the server makes on a request body (400 there):
+	// strconv.ParseFloat accepts NaN and Inf.
+	q := geom.Sphere{Center: center, Radius: c.qradius}
+	if err := q.Validate(); err != nil {
+		return fmt.Errorf("bad -query/-qradius: %v", err)
 	}
 	t := sstree.New(dim)
 	for _, it := range items {
 		t.Insert(it)
 	}
-	res := knn.Search(knn.WrapSSTree(t), geom.NewSphere(center, c.qradius), c.k,
-		dominance.Hyperbola{}, c.algorithm())
+	res := knn.Search(knn.WrapSSTree(t), q, c.k, dominance.Hyperbola{}, algorithm)
 	ids := make([]int, 0, len(res.Items))
 	for _, it := range res.Items {
 		ids = append(ids, it.ID)
@@ -249,9 +203,7 @@ func runOracle(c config, stdout *os.File) error {
 func buildCollection(c config, items []geom.Item, dim int, label string) (*shard.Index, error) {
 	return shard.Build(items, dim, shard.Options{
 		Shards:    c.shards,
-		Substrate: c.substrate,
-		MaxFill:   c.maxFill,
-		Algorithm: c.algorithm(),
+		Algorithm: algorithm,
 		Label:     label,
 	})
 }
@@ -268,7 +220,7 @@ func mountCollection(c config, name string, corpus func() ([]geom.Item, int, err
 		dir := filepath.Join(c.snapshotDir, name)
 		start := time.Now()
 		x, err := shard.OpenDir(dir, shard.OpenOptions{
-			Algorithm: c.algorithm(),
+			Algorithm: algorithm,
 			Label:     name,
 			Verify:    c.snapshotVerify,
 		})
@@ -308,17 +260,15 @@ func mountCollection(c config, name string, corpus func() ([]geom.Item, int, err
 
 func run(c config) error {
 	obs.SetEnabled(true)
-	knn.SetQuantMode(c.quantMode())
 	obs.SetGauge("build_info",
 		fmt.Sprintf(`version=%q,go_version=%q,quant_mode=%q`,
-			buildinfo.Version, runtime.Version(), c.quant), 1)
+			buildinfo.Version, runtime.Version(), knn.QuantModeNow()), 1)
 
 	// Time-aware telemetry: the timeline ticker takes the cumulative
 	// readings windows are differences of, samples the runtime and fills the
 	// snapshot ring; the health thresholds turn the window into the
 	// /debug/health verdict (and the degraded notes on /readyz).
 	obs.SetHealthConfig(obs.HealthConfig{
-		LatencyFamily: "server.request_latency",
 		LatencyP99Max: c.healthP99,
 		ErrorRateMax:  c.healthErrRate,
 	})

@@ -13,7 +13,6 @@ import (
 
 	"hyperdom/internal/dataset"
 	"hyperdom/internal/geom"
-	"hyperdom/internal/knn"
 	"hyperdom/internal/packed"
 )
 
@@ -22,30 +21,21 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.addr != ":8080" || c.shards != 2 || c.substrate != "sstree" ||
-		c.algo != "hs" || c.quant != "f32" || c.oracle {
+	if c.addr != ":8080" || c.shards != 2 || c.oracle {
 		t.Fatalf("defaults %+v", c)
-	}
-	if c.algorithm() != knn.HS || c.quantMode() != knn.QuantF32 {
-		t.Fatalf("default algo/quant mapping wrong: %+v", c)
 	}
 }
 
+// TestParseFlagsRejectsBadEnums: what used to be enum knobs with one value in
+// use are constants now, so every spelling — the typos this test has always
+// rejected and the once-valid values alike — fails as an undefined flag.
 func TestParseFlagsRejectsBadEnums(t *testing.T) {
-	if _, err := parseFlags([]string{"-algo", "bfs"}); err == nil {
-		t.Fatal("bad -algo accepted")
-	}
-	if _, err := parseFlags([]string{"-quant", "f16"}); err == nil {
-		t.Fatal("bad -quant accepted")
-	}
-	for _, name := range []string{"sstre", "unknown", ""} {
-		if _, err := parseFlags([]string{"-substrate", name}); err == nil {
-			t.Fatalf("bad -substrate %q accepted", name)
-		}
-	}
-	for _, name := range []string{"sstree", "mtree", "rtree"} {
-		if _, err := parseFlags([]string{"-substrate", name}); err != nil {
-			t.Fatalf("-substrate %s: %v", name, err)
+	for _, args := range [][]string{
+		{"-algo", "bfs"}, {"-quant", "f16"}, {"-substrate", "sstre"}, {"-substrate", ""},
+		{"-algo", "df"}, {"-quant", "i8"}, {"-substrate", "mtree"}, {"-maxfill", "8"},
+	} {
+		if _, err := parseFlags(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: error %v, want flag provided but not defined", args, err)
 		}
 	}
 }
@@ -102,7 +92,7 @@ func TestOracleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := config{data: path, oracle: true, k: 5, query: "100,100,100", qradius: 0.5, algo: "hs"}
+	c := config{data: path, oracle: true, k: 5, query: "100,100,100", qradius: 0.5}
 	if err := runOracle(c, of); err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +111,23 @@ func TestOracleRoundTrip(t *testing.T) {
 		t.Fatalf("oracle returned %d ids: %v", len(got.IDs), got.IDs)
 	}
 
-	// A radius that is not a non-negative number is an error, not a panic
-	// in geom.NewSphere.
-	for _, r := range []float64{-1, math.NaN()} {
-		c.qradius = r
-		if err := runOracle(c, of); err == nil || !strings.Contains(err.Error(), "bad -qradius") {
-			t.Errorf("-qradius %v: error %v, want bad -qradius", r, err)
+	// A query the server would answer 400 is a one-line error here, not a
+	// panic in knn.Search or geom, and not an answer.
+	for _, tc := range []struct {
+		k       int
+		query   string
+		qradius float64
+		want    string
+	}{
+		{5, "100,100,100", -1, "bad -query/-qradius"},
+		{5, "100,100,100", math.NaN(), "bad -query/-qradius"},
+		{5, "100,100,100", math.Inf(1), "bad -query/-qradius"},
+		{5, "NaN,100,100", 0.5, "bad -query/-qradius"},
+		{0, "100,100,100", 0.5, "bad -k 0"},
+	} {
+		c.k, c.query, c.qradius = tc.k, tc.query, tc.qradius
+		if err := runOracle(c, of); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("-k %d -query %s -qradius %v: error %v, want %s", tc.k, tc.query, tc.qradius, err, tc.want)
 		}
 	}
 }
@@ -150,7 +151,7 @@ func TestMountRebuildsUnusableSnapshot(t *testing.T) {
 		{"payload byte flip", true, func(b []byte) { b[le.Uint64(b[72+8:])] ^= 0x01 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := config{snapshotDir: t.TempDir(), snapshotVerify: tc.verify, shards: 2, substrate: "sstree", algo: "hs"}
+			c := config{snapshotDir: t.TempDir(), snapshotVerify: tc.verify, shards: 2}
 			builds := 0
 			corpus := func() ([]geom.Item, int, error) {
 				builds++

@@ -11,8 +11,9 @@
 //	-scale    dataset/query scale relative to the paper's (default 0.02;
 //	          1.0 reproduces the full cardinalities — budget hours)
 //	-seed     RNG seed (default 1)
-//	-shadow   audit every dominance check against Hyperbola and count
-//	          per-criterion disagreements (Table 1 in vivo; slows checks)
+//	-shadow   audit every dominance check of the figures' (13–17) searches
+//	          against Hyperbola and count per-criterion disagreements
+//	          (Table 1 in vivo; slows checks)
 //	-quant    quantized coarse-filter tier for frozen-snapshot searches
 //	          (none, f32, i8; default f32 — results are identical across
 //	          tiers, only the traversal cost changes; see DESIGN.md §12)
@@ -43,7 +44,6 @@ import (
 	"strings"
 	"time"
 
-	"hyperdom/internal/dominance"
 	"hyperdom/internal/experiments"
 	"hyperdom/internal/geom"
 	"hyperdom/internal/knn"
@@ -56,7 +56,7 @@ func main() {
 	scale := flag.Float64("scale", 0.02, "workload scale relative to the paper")
 	seed := flag.Int64("seed", 1, "random seed")
 	shadow := flag.Bool("shadow", false,
-		"shadow-evaluate every dominance check against Hyperbola and count per-criterion disagreements")
+		"shadow-evaluate every dominance check of the figures' searches against Hyperbola and count per-criterion disagreements")
 	parallel := flag.String("parallel", "",
 		"comma-separated engine pool widths (e.g. 1,2,4,8); runs the batch-engine scaling experiment instead of the figures")
 	shards := flag.String("shards", "",
@@ -68,9 +68,6 @@ func main() {
 	pf := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *shadow {
-		dominance.SetShadow(true)
-	}
 	qm, err := knn.ParseQuantMode(*quant)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "knnbench: -quant: %v\n", err)
@@ -90,7 +87,7 @@ func main() {
 	}
 	defer stop()
 
-	cfg := experiments.Config{Scale: *scale, Seed: *seed}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, Shadow: *shadow}
 	if *load != "" {
 		if err := runLoaded(*load, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "knnbench: -load: %v\n", err)

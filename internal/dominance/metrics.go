@@ -95,10 +95,9 @@ func (p *PreparedPair) flushObs() {
 }
 
 // FlushObs publishes the pair's locally tallied events to the obs
-// registry. Owners of long-lived pairs (the kNN scratch arena, the
-// parallel workload workers) call it at batch boundaries so snapshots are
-// exact there; between flushes a snapshot can lag by at most obsFlushEvery
-// events per live pair.
+// registry. Owners of long-lived pairs (the kNN scratch arena) call it at
+// batch boundaries so snapshots are exact there; between flushes a snapshot
+// can lag by at most obsFlushEvery events per live pair.
 func (p *PreparedPair) FlushObs() { p.flushObs() }
 
 // tallyQuery records one Dominates call on the pair — the query count and

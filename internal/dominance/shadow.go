@@ -1,8 +1,6 @@
 package dominance
 
 import (
-	"sync/atomic"
-
 	"hyperdom/internal/geom"
 	"hyperdom/internal/obs"
 )
@@ -17,32 +15,36 @@ import (
 // the incorrect side, which would wrongly discard a result). Disagreements
 // land in per-criterion counters and, for traced queries, as SpanShadow
 // events, so a trace shows the exact node and item where e.g. MinMax failed
-// to prune. Shadow mode multiplies the cost of every dominance check
-// roughly five-fold; it is strictly opt-in via SetShadow and never changes
-// a query's answer — callers always get the primary criterion's verdict.
+// to prune. The audit multiplies the cost of every dominance check roughly
+// five-fold, so it is a criterion a caller asks for by wrapping the one it
+// would have used — Shadowed — and never changes a query's answer: callers
+// always get the primary criterion's verdict.
 
-var shadowEnabled atomic.Bool
+// Shadowed decorates a criterion with the shadow audit: Name, Correct and
+// Sound are the primary's, and every Dominates call also runs
+// ShadowCompare on the same instance. Two searches in one process can
+// differ — the audit belongs to the value, not the process.
+type Shadowed struct{ Criterion }
 
-// SetShadow toggles shadow evaluation process-wide.
-func SetShadow(on bool) { shadowEnabled.Store(on) }
+// Dominates returns the primary criterion's verdict after auditing the
+// instance.
+func (s Shadowed) Dominates(sa, sb, sq geom.Sphere) bool { return s.Audit(sa, sb, sq, nil) }
 
-// ShadowOn reports whether shadow evaluation is enabled.
-func ShadowOn() bool { return shadowEnabled.Load() }
+// Audit is Dominates for a traced search: disagreements are also recorded
+// into tb (which may be nil). When the primary is Hyperbola its verdict is
+// reused rather than recomputed.
+func (s Shadowed) Audit(sa, sb, sq geom.Sphere, tb *obs.TraceBuf) bool {
+	hyp, _ := ShadowCompare(sa, sb, sq, tb)
+	if _, ok := s.Criterion.(Hyperbola); ok {
+		return hyp
+	}
+	return s.Criterion.Dominates(sa, sb, sq)
+}
 
 // shadowCompetitors are the cheaper Table 1 criteria audited against
 // Hyperbola, in table order: MinMax and MBR (correct, not sound), GP
 // (correct; sound only for d ≤ 2), Trigonometric (sound, not correct).
 var shadowCompetitors = []Criterion{MinMax{}, MBR{}, GP{}, Trigonometric{}}
-
-// ShadowCompetitorNames returns the audited criteria's names; bit i of a
-// ShadowCompare mask refers to the i-th name.
-func ShadowCompetitorNames() []string {
-	names := make([]string, len(shadowCompetitors))
-	for i, c := range shadowCompetitors {
-		names[i] = c.Name()
-	}
-	return names
-}
 
 var (
 	obsShadowChecks = obs.New("dominance.shadow.checks")
@@ -89,16 +91,4 @@ func ShadowCompare(sa, sb, sq geom.Sphere, tb *obs.TraceBuf) (bool, uint8) {
 		}
 	}
 	return hyp, mask
-}
-
-// ShadowAudit runs ShadowCompare for its side effects and returns the
-// primary criterion's verdict, so a search running in shadow mode answers
-// exactly as it would without it. When primary is Hyperbola its verdict is
-// reused rather than recomputed.
-func ShadowAudit(primary Criterion, sa, sb, sq geom.Sphere, tb *obs.TraceBuf) bool {
-	hyp, _ := ShadowCompare(sa, sb, sq, tb)
-	if _, ok := primary.(Hyperbola); ok {
-		return hyp
-	}
-	return primary.Dominates(sa, sb, sq)
 }

@@ -20,13 +20,23 @@ func shadowWorkload(seed int64, n int) []instance {
 	return w
 }
 
+// shadowCompetitorNames returns the audited criteria's names; bit i of a
+// ShadowCompare mask refers to the i-th name.
+func shadowCompetitorNames() []string {
+	names := make([]string, len(shadowCompetitors))
+	for i, c := range shadowCompetitors {
+		names[i] = c.Name()
+	}
+	return names
+}
+
 // TestShadowComparePolarity checks ShadowCompare against Table 1 on a seed
 // workload: the correct criteria (MinMax, MBR, GP) may only land on the
 // missed-prune side of a disagreement, the sound one (Trigonometric) only
 // on the false-positive side, and the cheap criteria do disagree with
 // Hyperbola somewhere in the workload (otherwise the audit proves nothing).
 func TestShadowComparePolarity(t *testing.T) {
-	names := ShadowCompetitorNames()
+	names := shadowCompetitorNames()
 	missed := make(map[string]int)
 	falsePos := make(map[string]int)
 
@@ -74,7 +84,7 @@ func TestShadowCompareCounters(t *testing.T) {
 	obs.SetEnabled(true)
 	obs.ResetForTest()
 
-	names := ShadowCompetitorNames()
+	names := shadowCompetitorNames()
 	w := shadowWorkload(78, 2000)
 	wantChecks := uint64(len(w))
 	wantMissed := make(map[string]uint64)
@@ -120,14 +130,19 @@ func TestShadowCompareCounters(t *testing.T) {
 	}
 }
 
-// TestShadowAudit checks the primary-verdict contract: whatever the
-// audit observes, the caller gets exactly the primary criterion's answer.
+// TestShadowAudit checks the decorator's contract: whatever the audit
+// observes, the caller gets exactly the primary criterion's answer, and the
+// criterion's identity (Name, Correct, Sound) is the primary's.
 func TestShadowAudit(t *testing.T) {
-	for _, in := range shadowWorkload(79, 1000) {
-		for _, crit := range []Criterion{Hyperbola{}, MinMax{}, MBR{}, GP{}, Trigonometric{}} {
+	for _, crit := range All() {
+		sh := Shadowed{crit}
+		if sh.Name() != crit.Name() || sh.Correct() != crit.Correct() || sh.Sound() != crit.Sound() {
+			t.Errorf("Shadowed{%s} reports %s/%v/%v", crit.Name(), sh.Name(), sh.Correct(), sh.Sound())
+		}
+		for _, in := range shadowWorkload(79, 1000) {
 			want := crit.Dominates(in.sa, in.sb, in.sq)
-			if got := ShadowAudit(crit, in.sa, in.sb, in.sq, nil); got != want {
-				t.Fatalf("ShadowAudit(%s) = %v, want the primary verdict %v",
+			if got := sh.Dominates(in.sa, in.sb, in.sq); got != want {
+				t.Fatalf("Shadowed{%s}.Dominates = %v, want the primary verdict %v",
 					crit.Name(), got, want)
 			}
 		}
@@ -145,7 +160,7 @@ func TestShadowTraceEvents(t *testing.T) {
 		if mask == 0 {
 			continue
 		}
-		for i := 0; i < len(ShadowCompetitorNames()); i++ {
+		for i := 0; i < len(shadowCompetitorNames()); i++ {
 			if mask&(1<<i) != 0 {
 				recorded++
 			}

@@ -32,6 +32,18 @@ type Config struct {
 	// experiments; longer budgets tighten the per-op estimates. Defaults to
 	// 20ms.
 	MinTiming time.Duration
+	// Shadow runs the kNN figures (13–17) under dominance.Shadowed
+	// criteria: every dominance check of a search is also audited against
+	// Hyperbola (Table 1 in vivo). Answers are unchanged; timings are not.
+	Shadow bool
+}
+
+// criterion returns c as the kNN figures should search with it.
+func (c Config) criterion(crit dominance.Criterion) dominance.Criterion {
+	if c.Shadow {
+		return dominance.Shadowed{Criterion: crit}
+	}
+	return crit
 }
 
 func (c Config) normalized() Config {

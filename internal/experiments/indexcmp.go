@@ -49,6 +49,7 @@ func RunIndexComparison(cfg Config) IndexComparisonResult {
 	n := cfg.scaled(DefaultSize, 2000)
 	nq := cfg.scaled(200, 10)
 	res := IndexComparisonResult{Queries: nq}
+	crit := cfg.criterion(dominance.Hyperbola{})
 	for _, d := range []int{4, 8, 16, 32} {
 		items := clusteredItems(cfg.Seed+int64(d), d, n, 30, 8)
 		queries := make([]geom.Sphere, nq)
@@ -77,7 +78,7 @@ func RunIndexComparison(cfg Config) IndexComparisonResult {
 			var nodes int
 			start := time.Now()
 			for _, q := range queries {
-				r := knn.Search(idx.i, q, DefaultK, dominance.Hyperbola{}, knn.HS)
+				r := knn.Search(idx.i, q, DefaultK, crit, knn.HS)
 				nodes += r.Stats.NodesVisited
 			}
 			elapsed := time.Since(start)

@@ -68,7 +68,7 @@ type KnnResult struct {
 // runKnn builds an SS-tree over the items, runs the query batch through
 // all eight variants, and measures time and precision against the
 // Definition 2 ground truth (brute force with the optimal criterion).
-func runKnn(items []geom.Item, queries []geom.Sphere, k int) map[string]KnnMetrics {
+func (cfg Config) runKnn(items []geom.Item, queries []geom.Sphere, k int) map[string]KnnMetrics {
 	if len(items) == 0 || len(queries) == 0 {
 		panic("experiments: empty kNN workload")
 	}
@@ -90,10 +90,11 @@ func runKnn(items []geom.Item, queries []geom.Sphere, k int) map[string]KnnMetri
 
 	out := make(map[string]KnnMetrics, 8)
 	for _, v := range KnnVariants() {
+		crit := cfg.criterion(v.Crit)
 		var correct, returned int
 		start := time.Now()
 		for i, q := range queries {
-			res := knn.Search(idx, q, k, v.Crit, v.Algo)
+			res := knn.Search(idx, q, k, crit, v.Algo)
 			returned += len(res.Items)
 			for _, it := range res.Items {
 				if truths[i][it.ID] {
@@ -144,7 +145,7 @@ func Fig13(cfg Config) KnnResult {
 		queries := knnQueries(nq, DefaultDim, mu, cfg.Seed+99)
 		res.Rows = append(res.Rows, KnnRow{
 			Label:   fmt.Sprintf("%g", mu),
-			Metrics: runKnn(items, queries, DefaultK),
+			Metrics: cfg.runKnn(items, queries, DefaultK),
 		})
 	}
 	return res
@@ -162,7 +163,7 @@ func Fig14(cfg Config) KnnResult {
 	for _, k := range KSweep {
 		res.Rows = append(res.Rows, KnnRow{
 			Label:   fmt.Sprintf("%d", k),
-			Metrics: runKnn(items, queries, k),
+			Metrics: cfg.runKnn(items, queries, k),
 		})
 	}
 	return res
@@ -180,7 +181,7 @@ func Fig15(cfg Config) KnnResult {
 		queries := knnQueries(nq, DefaultDim, DefaultRadius, cfg.Seed+99)
 		res.Rows = append(res.Rows, KnnRow{
 			Label:   fmt.Sprintf("%dk", base/1000),
-			Metrics: runKnn(items, queries, DefaultK),
+			Metrics: cfg.runKnn(items, queries, DefaultK),
 		})
 	}
 	return res
@@ -198,7 +199,7 @@ func Fig16(cfg Config) KnnResult {
 		queries := knnQueries(nq, d, DefaultRadius, cfg.Seed+99)
 		res.Rows = append(res.Rows, KnnRow{
 			Label:   fmt.Sprintf("%d", d),
-			Metrics: runKnn(items, queries, DefaultK),
+			Metrics: cfg.runKnn(items, queries, DefaultK),
 		})
 	}
 	return res

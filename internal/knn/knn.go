@@ -154,12 +154,9 @@ type bestList struct {
 	buf   []Candidate
 	stats *Stats
 
-	// Execution tracing and shadow evaluation (ISSUE 4). tb is non-nil only
-	// while the owning search is sampled for tracing. shadow mirrors
-	// dominance.ShadowOn at reset time so the per-check branch is a plain
-	// bool load.
-	tb     *obs.TraceBuf
-	shadow bool
+	// tb is non-nil only while the owning search is sampled for execution
+	// tracing (ISSUE 4).
+	tb *obs.TraceBuf
 }
 
 // reset reinitialises the list for a new search, reusing the candidate
@@ -171,26 +168,22 @@ func (l *bestList) reset(sq geom.Sphere, k int, crit dominance.Criterion, stats 
 	l.top.Reset(k)
 	l.buf = clearLen(l.buf)
 	l.tb = nil
-	l.shadow = dominance.ShadowOn()
 }
 
 // dominated is the final filter's one criterion call for candidate c
 // against sk, the final Sk l.anch is anchored on. It owns the DomChecks
-// count, routes through shadow evaluation when enabled (the returned
-// verdict is always the primary criterion's), and emits a DomCheck span —
-// with the check's quartic-solve cost on the Hyperbola path — when the
-// search is traced.
+// count and, when the search is traced, emits a DomCheck span — with the
+// check's quartic-solve cost on the Hyperbola path — and hands a
+// dominance.Shadowed criterion the trace so its disagreements land there.
 func (l *bestList) dominated(sk geom.Sphere, c *Candidate) bool {
 	l.stats.DomChecks++
-	if l.shadow {
-		v := dominance.ShadowAudit(l.crit, sk, c.Item.Sphere, l.sq, l.tb)
-		if l.tb != nil {
-			l.tb.DomCheck(obs.PhaseFinal, l.crit.Name(), int64(c.Item.ID), v, 0)
-		}
-		return v
-	}
 	if l.tb == nil {
 		return l.anch.Dominates(c.Item.Sphere)
+	}
+	if sh, ok := l.crit.(dominance.Shadowed); ok {
+		v := sh.Audit(sk, c.Item.Sphere, l.sq, l.tb)
+		l.tb.DomCheck(obs.PhaseFinal, l.crit.Name(), int64(c.Item.ID), v, 0)
+		return v
 	}
 	q0 := l.anch.QuarticSolves()
 	v := l.anch.Dominates(c.Item.Sphere)

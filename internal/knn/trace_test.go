@@ -165,24 +165,25 @@ func TestTraceSampledResultsUnchanged(t *testing.T) {
 	}
 }
 
-// TestSearchShadowMode verifies the shadow-evaluation mode: answers are
-// unchanged for any primary criterion, and the per-criterion disagreement
+// TestSearchShadowMode verifies a search under a dominance.Shadowed
+// criterion: answers are unchanged for any primary criterion — and a plain
+// search in the same process audits nothing — and the per-criterion disagreement
 // counters move with the correct/sound polarity of Table 1 — correct
 // criteria (MinMax, MBR, GP) may only miss prunes, the sound one
 // (Trigonometric) may only report false positives.
 func TestSearchShadowMode(t *testing.T) {
 	defer obs.SetEnabled(true)
-	defer dominance.SetShadow(false)
 	obs.SetEnabled(true)
 
 	_, q, fixtures := traceFixtures(t)
 	idx := fixtures["sstree"]
 	for _, crit := range []dominance.Criterion{dominance.Hyperbola{}, dominance.MinMax{}} {
-		dominance.SetShadow(false)
-		plain := Search(idx, q, 10, crit, HS)
-		dominance.SetShadow(true)
 		obs.ResetForTest()
-		shadowed := Search(idx, q, 10, crit, HS)
+		plain := Search(idx, q, 10, crit, HS)
+		if got := obs.Snapshot().Get("dominance.shadow.checks"); got != 0 {
+			t.Fatalf("%s: a plain search ran %d shadow checks", crit.Name(), got)
+		}
+		shadowed := Search(idx, q, 10, dominance.Shadowed{Criterion: crit}, HS)
 
 		if len(plain.Items) != len(shadowed.Items) {
 			t.Fatalf("%s: shadow mode changed the answer: %d vs %d items",
@@ -205,6 +206,27 @@ func TestSearchShadowMode(t *testing.T) {
 		}
 		if got := snap.Get("dominance.shadow.missed_prune.Trigonometric"); got != 0 {
 			t.Errorf("%s: sound criterion Trigonometric missed %d prunes", crit.Name(), got)
+		}
+
+		// Traced, the same search also leaves one shadow-disagree event per
+		// counted disagreement (the counters doubled: same query twice).
+		obs.SetTraceEvery(1)
+		traced := Search(idx, q, 10, dominance.Shadowed{Criterion: crit}, HS)
+		obs.SetTraceEvery(0)
+		if traced.Stats != shadowed.Stats {
+			t.Errorf("%s: traced Stats %+v, untraced %+v", crit.Name(), traced.Stats, shadowed.Stats)
+		}
+		var disagreements uint64
+		for _, name := range []string{"MinMax", "MBR", "GP", "Trigonometric"} {
+			disagreements += snap.Get("dominance.shadow.missed_prune."+name) +
+				snap.Get("dominance.shadow.false_positive."+name)
+		}
+		traces := obs.Slow.Traced()
+		if len(traces) != 1 {
+			t.Fatalf("%s: retained %d traces, want 1", crit.Name(), len(traces))
+		}
+		if got := traces[0].Trace.CountKind(obs.SpanShadow); disagreements == 0 || uint64(got) != disagreements {
+			t.Errorf("%s: %d shadow-disagree events, %d counted disagreements", crit.Name(), got, disagreements)
 		}
 	}
 }

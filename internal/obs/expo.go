@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -49,36 +48,12 @@ func promName(name string) string {
 	return b.String()
 }
 
-// sortLabeled orders registry keys by (name, labels), not by raw key: '|'
-// sorts after '_', so raw order could split a labeled family around an
-// unrelated longer name and emit its # TYPE line twice.
-func sortLabeled(keys []string) {
-	sort.Slice(keys, func(i, j int) bool {
-		ni, li := splitLabeled(keys[i])
-		nj, lj := splitLabeled(keys[j])
-		if ni != nj {
-			return ni < nj
-		}
-		return li < lj
-	})
-}
-
-// labeledKeys returns m's registry keys in exposition order.
-func labeledKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for key := range m {
-		keys = append(keys, key)
-	}
-	sortLabeled(keys)
-	return keys
-}
-
-// writeSamples writes one sample line per registry key ("name|pairs", see
-// GetOrNewLabeled) in the order given — `name value`, or `name{pairs} value`
-// — under one # TYPE line per family. suffix extends the sanitized name.
-func writeSamples(w io.Writer, typ, suffix string, keys []string, value func(i int) any) error {
+// writeSamples writes one sample line per table key of m ("name|pairs", see
+// table.go) in exposition order — `name value`, or `name{pairs} value` —
+// under one # TYPE line per family. suffix extends the sanitized name.
+func writeSamples[V any](w io.Writer, typ, suffix string, m map[string]V) error {
 	family := ""
-	for i, key := range keys {
+	for _, key := range labeledKeys(m) {
 		name, labels := splitLabeled(key)
 		pn := promName(name) + suffix
 		if pn != family {
@@ -90,7 +65,7 @@ func writeSamples(w io.Writer, typ, suffix string, keys []string, value func(i i
 		if labels != "" {
 			pn += "{" + labels + "}"
 		}
-		if _, err := fmt.Fprintf(w, "%s %v\n", pn, value(i)); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %v\n", pn, m[key]); err != nil {
 			return err
 		}
 	}
@@ -104,13 +79,10 @@ func writeSamples(w io.Writer, typ, suffix string, keys []string, value func(i i
 // of the window.
 func WriteMetrics(w io.Writer) error {
 	now := reading{when: time.Now(), counters: Snapshot()}
-	names := labeledKeys(now.counters)
-	if err := writeSamples(w, "counter", "", names, func(i int) any { return now.counters[names[i]] }); err != nil {
+	if err := writeSamples(w, "counter", "", now.counters); err != nil {
 		return err
 	}
-
-	gk, gv := gaugeSnapshot()
-	if err := writeSamples(w, "gauge", "", gk, func(i int) any { return gv[i] }); err != nil {
+	if err := writeSamples(w, "gauge", "", gaugeSnapshot()); err != nil {
 		return err
 	}
 
@@ -160,8 +132,7 @@ func writeWindow(w io.Writer, win window) error {
 			return err
 		}
 	}
-	keys := labeledKeys(win.rates)
-	return writeSamples(w, "gauge", "_rate_1m", keys, func(i int) any { return win.rates[keys[i]] })
+	return writeSamples(w, "gauge", "_rate_1m", win.rates)
 }
 
 // writeHistogram writes one labeled histogram instance: cumulative

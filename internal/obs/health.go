@@ -15,23 +15,24 @@ import (
 // the window, or no window because no timeline ticks) is ok — an idle
 // server is a healthy server.
 
+// The two families the verdict reads: the histogram family whose windowed
+// p99 (merged across labels) the latency check grades, and the labeled
+// counter family the error check takes its 5xx share of, matching instances
+// by a code="5.." label. Both are the serving layer's.
+const (
+	healthLatencyFamily = "server.request_latency"
+	healthErrorFamily   = "server.requests_total"
+)
+
 // HealthConfig sets the thresholds the verdict is computed from. The zero
 // value disables every check, so Health() reports ok until a server opts
 // in (SetHealthConfig).
 type HealthConfig struct {
-	// LatencyFamily is the histogram family whose windowed p99 the latency
-	// check reads (merged across labels), e.g. "server.request_latency" or
-	// "knn.search_latency". Empty disables the latency check.
-	LatencyFamily string
 	// LatencyP99Max is the windowed-p99 degraded threshold; ≤ 0 disables.
 	LatencyP99Max time.Duration
 	// ErrorRateMax is the degraded threshold for the windowed ratio of 5xx
-	// responses among ErrorFamily counters; ≤ 0 disables.
+	// responses; ≤ 0 disables.
 	ErrorRateMax float64
-	// ErrorFamily is the labeled counter family error rate is computed
-	// over, matching instances by a code="5xx" label. Empty selects
-	// "server.requests_total".
-	ErrorFamily string
 }
 
 var healthCfg struct {
@@ -42,19 +43,9 @@ var healthCfg struct {
 // SetHealthConfig installs the thresholds /debug/health (and the server's
 // /readyz degraded report) computes against.
 func SetHealthConfig(cfg HealthConfig) {
-	if cfg.ErrorFamily == "" {
-		cfg.ErrorFamily = "server.requests_total"
-	}
 	healthCfg.mu.Lock()
 	healthCfg.cfg = cfg
 	healthCfg.mu.Unlock()
-}
-
-// HealthConfigured returns the installed thresholds.
-func HealthConfigured() HealthConfig {
-	healthCfg.mu.RLock()
-	defer healthCfg.mu.RUnlock()
-	return healthCfg.cfg
 }
 
 // Health statuses, ordered by severity.
@@ -110,7 +101,9 @@ func worse(a, b string) string {
 // call; with no configuration (or no enabled checks) it reports ok with an
 // empty check list.
 func Health() HealthVerdict {
-	cfg := HealthConfigured()
+	healthCfg.mu.RLock()
+	cfg := healthCfg.cfg
+	healthCfg.mu.RUnlock()
 	now := reading{when: time.Now()}
 	v := HealthVerdict{
 		Status:     HealthOK,
@@ -126,12 +119,12 @@ func Health() HealthVerdict {
 			v.Reasons = append(v.Reasons, c.Detail)
 		}
 	}
-	latency := cfg.LatencyFamily != "" && cfg.LatencyP99Max > 0
+	latency := cfg.LatencyP99Max > 0
 	if latency {
-		now.add(MergedHist(cfg.LatencyFamily))
+		now.add(MergedHist(healthLatencyFamily))
 	}
 	if cfg.ErrorRateMax > 0 {
-		now.counters = snapshotFamily(cfg.ErrorFamily)
+		now.counters = snapshotFamily(healthErrorFamily)
 	}
 	w := windowOf(now)
 
@@ -141,13 +134,13 @@ func Health() HealthVerdict {
 			Status:    HealthOK,
 			Threshold: float64(cfg.LatencyP99Max.Nanoseconds()),
 		}
-		if snap := w.families[cfg.LatencyFamily]; snap.Count > 0 {
+		if snap := w.families[healthLatencyFamily]; snap.Count > 0 {
 			c.Value = snap.Quantile(0.99)
 			c.Status = grade(c.Value, c.Threshold)
-			c.Detail = cfg.LatencyFamily + " windowed p99 " +
+			c.Detail = healthLatencyFamily + " windowed p99 " +
 				time.Duration(c.Value).String() + ", threshold " + cfg.LatencyP99Max.String()
 		} else {
-			c.Detail = cfg.LatencyFamily + ": no samples in window"
+			c.Detail = healthLatencyFamily + ": no samples in window"
 		}
 		addCheck(c)
 	}
@@ -164,9 +157,9 @@ func Health() HealthVerdict {
 		if totalRate > 0 {
 			c.Value = errRate / totalRate
 			c.Status = grade(c.Value, c.Threshold)
-			c.Detail = "5xx fraction of " + cfg.ErrorFamily + " over window"
+			c.Detail = "5xx fraction of " + healthErrorFamily + " over window"
 		} else {
-			c.Detail = cfg.ErrorFamily + ": no requests in window"
+			c.Detail = healthErrorFamily + ": no requests in window"
 		}
 		addCheck(c)
 	}

@@ -36,7 +36,6 @@ func TestHealthLatencyCheck(t *testing.T) {
 	startWindow(t)
 	resetHealth(t)
 	SetHealthConfig(HealthConfig{
-		LatencyFamily: "test.health.lat",
 		LatencyP99Max: time.Millisecond,
 	})
 
@@ -45,7 +44,7 @@ func TestHealthLatencyCheck(t *testing.T) {
 		t.Errorf("no-data latency verdict = %s, want ok", v.Status)
 	}
 
-	h := GetOrNewHistogram("test.health.lat", "")
+	h := GetOrNewHistogram(healthLatencyFamily, "")
 	for i := 0; i < 100; i++ {
 		h.Record((500 * time.Microsecond).Nanoseconds())
 	}
@@ -61,7 +60,7 @@ func TestHealthLatencyCheck(t *testing.T) {
 	if v.Status != HealthDegraded {
 		t.Errorf("1.5x-threshold verdict = %s, want degraded", v.Status)
 	}
-	if len(v.Reasons) != 1 || !strings.Contains(v.Reasons[0], "test.health.lat") {
+	if len(v.Reasons) != 1 || !strings.Contains(v.Reasons[0], healthLatencyFamily) {
 		t.Errorf("degraded Reasons = %v, want one naming the family", v.Reasons)
 	}
 
@@ -88,8 +87,8 @@ func TestHealthLatencyCheck(t *testing.T) {
 // errorTraffic moves the default error family's counters by ok 2xx and bad
 // 5xx answers.
 func errorTraffic(ok, bad uint64) {
-	GetOrNewLabeled("server.requests_total", `code="200",endpoint="knn"`).Add(ok)
-	GetOrNewLabeled("server.requests_total", `code="500",endpoint="knn"`).Add(bad)
+	GetOrNewLabeled(healthErrorFamily, `code="200",endpoint="knn"`).Add(ok)
+	GetOrNewLabeled(healthErrorFamily, `code="500",endpoint="knn"`).Add(bad)
 }
 
 // TestHealthErrorRateCheck moves the request counters inside a window and
@@ -122,11 +121,10 @@ func TestHealthWorstCheckWins(t *testing.T) {
 	startWindow(t)
 	resetHealth(t)
 	SetHealthConfig(HealthConfig{
-		LatencyFamily: "test.health.combo",
 		LatencyP99Max: time.Millisecond,
 		ErrorRateMax:  0.05,
 	})
-	h := GetOrNewHistogram("test.health.combo", "")
+	h := GetOrNewHistogram(healthLatencyFamily, "")
 	for i := 0; i < 100; i++ {
 		h.Record((1500 * time.Microsecond).Nanoseconds()) // degraded
 	}

@@ -3,8 +3,6 @@ package obs
 import (
 	"math"
 	"math/bits"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -166,72 +164,36 @@ func (s HistSnap) Mean() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// histRegistry is the global (name, labels) → histogram table, a sibling
-// of the counter registry with the same init-time registration contract.
-var histRegistry struct {
-	mu sync.RWMutex
-	m  map[string]*Histogram
-}
+// hists is the histogram table (table.go).
+var hists = table[Histogram]{m: make(map[string]*Histogram)}
 
-func histKey(name, labels string) string { return name + "{" + labels + "}" }
+func newHistogram(key string) *Histogram {
+	name, labels := splitLabeled(key)
+	return &Histogram{name: name, labels: labels}
+}
 
 // NewHistogram registers and returns a histogram under the given name and
 // constant Prometheus label pairs (e.g. `substrate="sstree",algo="DF"`;
 // empty for none). Instances sharing a name form one labeled metric family
 // in the /metrics exposition. Panics on a duplicate (name, labels) pair.
 func NewHistogram(name, labels string) *Histogram {
-	histRegistry.mu.Lock()
-	defer histRegistry.mu.Unlock()
-	if histRegistry.m == nil {
-		histRegistry.m = make(map[string]*Histogram)
-	}
-	key := histKey(name, labels)
-	if _, dup := histRegistry.m[key]; dup {
-		panic("obs: duplicate histogram " + key)
-	}
-	h := &Histogram{name: name, labels: labels}
-	histRegistry.m[key] = h
-	return h
+	return hists.getOrNew(labeledKey(name, labels), newHistogram, true)
 }
 
 // GetOrNewHistogram returns the histogram registered under (name, labels),
 // creating it if needed — for names or labels derived at runtime.
 func GetOrNewHistogram(name, labels string) *Histogram {
-	key := histKey(name, labels)
-	histRegistry.mu.RLock()
-	h := histRegistry.m[key]
-	histRegistry.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	histRegistry.mu.Lock()
-	defer histRegistry.mu.Unlock()
-	if histRegistry.m == nil {
-		histRegistry.m = make(map[string]*Histogram)
-	}
-	if h := histRegistry.m[key]; h != nil {
-		return h
-	}
-	h = &Histogram{name: name, labels: labels}
-	histRegistry.m[key] = h
-	return h
+	return hists.getOrNew(labeledKey(name, labels), newHistogram, false)
 }
 
 // Histograms returns every registered histogram, sorted by (name, labels)
 // so exposition output is stable.
 func Histograms() []*Histogram {
-	histRegistry.mu.RLock()
-	defer histRegistry.mu.RUnlock()
-	out := make([]*Histogram, 0, len(histRegistry.m))
-	for _, h := range histRegistry.m {
-		out = append(out, h)
+	byKey := hists.family("")
+	out := make([]*Histogram, 0, len(byKey))
+	for _, key := range labeledKeys(byKey) {
+		out = append(out, byKey[key])
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].name != out[j].name {
-			return out[i].name < out[j].name
-		}
-		return out[i].labels < out[j].labels
-	})
 	return out
 }
 
@@ -240,10 +202,8 @@ func Histograms() []*Histogram {
 // An unknown name yields an empty (all-zero) snapshot.
 func MergedHist(name string) HistSnap {
 	merged := HistSnap{Name: name, Counts: make([]uint64, histBuckets)}
-	for _, h := range Histograms() {
-		if h.name == name {
-			merged.merge(h.Snap())
-		}
+	for _, h := range hists.family(name) {
+		merged.merge(h.Snap())
 	}
 	return merged
 }
@@ -264,9 +224,6 @@ func StartTimer() Stopwatch {
 	}
 	return Stopwatch{t0: time.Now()}
 }
-
-// Started reports whether the stopwatch is running.
-func (sw Stopwatch) Started() bool { return !sw.t0.IsZero() }
 
 // Stop records the elapsed time into h (if non-nil) and returns it. On a
 // stopped watch it records nothing and returns 0.
@@ -289,21 +246,15 @@ func (sw Stopwatch) Stop(h *Histogram) time.Duration {
 // ticking timeline windows again from its next tick. It is not linearizable
 // against concurrent recorders; quiesce the workload first.
 func ResetForTest() {
-	registry.mu.RLock()
-	for _, c := range registry.m {
+	for _, c := range counters.family("") {
 		c.v.Store(0)
 	}
-	registry.mu.RUnlock()
-	histRegistry.mu.RLock()
-	for _, h := range histRegistry.m {
+	for _, h := range hists.family("") {
 		h.reset()
 	}
-	histRegistry.mu.RUnlock()
 	Slow.Reset()
 	clearReadings()
-	gauges.mu.RLock()
-	for _, g := range gauges.m {
+	for _, g := range gauges.family("") {
 		g.bits.Store(0)
 	}
-	gauges.mu.RUnlock()
 }

@@ -196,9 +196,6 @@ func TestStopwatch(t *testing.T) {
 
 	SetEnabled(true)
 	sw := StartTimer()
-	if !sw.Started() {
-		t.Fatal("StartTimer with the gate on returned a stopped watch")
-	}
 	time.Sleep(time.Millisecond)
 	d := sw.Stop(h)
 	if d < time.Millisecond {
@@ -213,9 +210,6 @@ func TestStopwatch(t *testing.T) {
 
 	SetEnabled(false)
 	sw = StartTimer()
-	if sw.Started() {
-		t.Error("StartTimer with the gate off returned a running watch")
-	}
 	if d := sw.Stop(h); d != 0 {
 		t.Errorf("stopped watch Stop returned %v, want 0", d)
 	}

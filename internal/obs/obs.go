@@ -25,8 +25,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -77,72 +75,31 @@ func SetEnabled(on bool) {
 	}
 }
 
-// registry is the global name → counter table. Registration happens at
-// package-init time (or first use, for dynamic names); reads on the hot
-// path never touch it.
-var registry struct {
-	mu sync.RWMutex
-	m  map[string]*Counter
-}
+// counters is the counter table (table.go).
+var counters = table[Counter]{m: make(map[string]*Counter)}
+
+func newCounter(string) *Counter { return new(Counter) }
 
 // New registers and returns a counter under the given name. It panics on a
 // duplicate name: two subsystems silently sharing a counter is a bug. Use
 // GetOrNew for names built at runtime.
-func New(name string) *Counter {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	if registry.m == nil {
-		registry.m = make(map[string]*Counter)
-	}
-	if _, dup := registry.m[name]; dup {
-		panic(fmt.Sprintf("obs: duplicate counter %q", name))
-	}
-	c := new(Counter)
-	registry.m[name] = c
-	return c
-}
+func New(name string) *Counter { return counters.getOrNew(name, newCounter, true) }
 
 // GetOrNew returns the counter registered under name, creating it if
 // needed. For counter names derived from runtime values (for example a
 // criterion name); static instrumentation should use New at init.
-func GetOrNew(name string) *Counter {
-	registry.mu.RLock()
-	c := registry.m[name]
-	registry.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	if registry.m == nil {
-		registry.m = make(map[string]*Counter)
-	}
-	if c := registry.m[name]; c != nil {
-		return c
-	}
-	c = new(Counter)
-	registry.m[name] = c
-	return c
+func GetOrNew(name string) *Counter { return counters.getOrNew(name, newCounter, false) }
+
+// GetOrNewLabeled returns the counter registered under name with the given
+// constant Prometheus label pairs (e.g. `code="200",endpoint="knn"`),
+// creating it if needed. Keep the pair order consistent per family so each
+// combination resolves to a single counter.
+func GetOrNewLabeled(name, labels string) *Counter {
+	return GetOrNew(labeledKey(name, labels))
 }
 
 // Lookup returns the counter registered under name, or nil.
-func Lookup(name string) *Counter {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	return registry.m[name]
-}
-
-// Names returns all registered counter names, sorted.
-func Names() []string {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	out := make([]string, 0, len(registry.m))
-	for name := range registry.m {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Lookup(name string) *Counter { return counters.lookup(name) }
 
 // Snap is a point-in-time reading of every registered counter.
 type Snap map[string]uint64
@@ -151,26 +108,15 @@ type Snap map[string]uint64
 // atomic but not mutually consistent — counters may advance between reads;
 // for work accounting over a bounded region, take a snapshot before and
 // after and Diff them.
-func Snapshot() Snap {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	s := make(Snap, len(registry.m))
-	for name, c := range registry.m {
-		s[name] = c.Load()
-	}
-	return s
-}
+func Snapshot() Snap { return snapshotFamily("") }
 
 // snapshotFamily reads only the counters of one family: name itself and
 // every labeled instance of it.
 func snapshotFamily(name string) Snap {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	s := make(Snap)
-	for key, c := range registry.m {
-		if n, _ := splitLabeled(key); n == name {
-			s[key] = c.Load()
-		}
+	family := counters.family(name)
+	s := make(Snap, len(family))
+	for key, c := range family {
+		s[key] = c.Load()
 	}
 	return s
 }
@@ -191,14 +137,9 @@ func (s Snap) Diff(prev Snap) Snap {
 // arithmetic over a Diff needs no existence checks.
 func (s Snap) Get(name string) uint64 { return s[name] }
 
-// Fprint writes the snapshot as sorted "name value" lines.
+// Fprint writes the snapshot as "name value" lines in exposition order.
 func (s Snap) Fprint(w io.Writer) {
-	names := make([]string, 0, len(s))
-	for name := range s {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range labeledKeys(s) {
 		fmt.Fprintf(w, "%-48s %d\n", name, s[name])
 	}
 }

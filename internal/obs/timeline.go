@@ -144,14 +144,10 @@ func TimelineTick() {
 		Quantiles:   make(map[string]FamilyWindow, len(w.families)),
 		RatesPerSec: w.rates,
 		Runtime:     rs,
-		Gauges:      make(map[string]float64),
+		Gauges:      gaugeSnapshot(),
 	}
 	for name, f := range w.families {
 		snap.Quantiles[name] = familyWindowOf(f)
-	}
-	gk, gv := gaugeSnapshot()
-	for i, key := range gk {
-		snap.Gauges[key] = gv[i]
 	}
 
 	timeline.mu.Lock()

@@ -209,8 +209,8 @@ func TestHealthEndpoint(t *testing.T) {
 		t.Errorf("unconfigured health = %d %q, want 200 ok", code, v.Status)
 	}
 
-	SetHealthConfig(HealthConfig{LatencyFamily: "test.health.endpoint", LatencyP99Max: time.Millisecond})
-	h := GetOrNewHistogram("test.health.endpoint", "")
+	SetHealthConfig(HealthConfig{LatencyP99Max: time.Millisecond})
+	h := GetOrNewHistogram(healthLatencyFamily, "")
 	for i := 0; i < 100; i++ {
 		h.Record((1500 * time.Microsecond).Nanoseconds())
 	}

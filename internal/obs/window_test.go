@@ -340,11 +340,8 @@ func TestRegisterGaugeFunc(t *testing.T) {
 	// Stored gauges win key collisions.
 	SetGauge("test.gaugefunc.shadow", "", 1)
 	unS := RegisterGaugeFunc("test.gaugefunc.shadow", "", func() float64 { return 2 })
-	keys, vals := gaugeSnapshot()
-	for i, k := range keys {
-		if k == "test.gaugefunc.shadow" && vals[i] != 1 {
-			t.Errorf("stored gauge shadowed by callback: snapshot = %v, want 1", vals[i])
-		}
+	if v := gaugeSnapshot()["test.gaugefunc.shadow"]; v != 1 {
+		t.Errorf("stored gauge shadowed by callback: snapshot = %v, want 1", v)
 	}
 	unS()
 	un2()

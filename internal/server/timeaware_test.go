@@ -34,7 +34,6 @@ func TestHealthAndTimelineEndpoints(t *testing.T) {
 	obs.StartTimeline(time.Hour) // the baseline reading; ticks are driven by hand
 	t.Cleanup(obs.StopTimeline)
 	obs.SetHealthConfig(obs.HealthConfig{
-		LatencyFamily: "server.request_latency",
 		LatencyP99Max: 5 * time.Second, // generous: CI machines are slow, not degraded
 		ErrorRateMax:  0.5,
 	})
@@ -136,7 +135,6 @@ func TestReadyzReportsDegraded(t *testing.T) {
 
 	// Degrade: tiny latency threshold plus slow recorded samples.
 	obs.SetHealthConfig(obs.HealthConfig{
-		LatencyFamily: "server.request_latency",
 		LatencyP99Max: time.Nanosecond,
 	})
 	knnQuery(t, ts.URL)

@@ -5,39 +5,27 @@ import (
 	"hyperdom/internal/obs"
 )
 
-// Worker/batch-level observability counters (ISSUE 2). The per-triple hot
-// loops stay untouched: every counter here is fed with one atomic add per
-// batch (or per worker chunk), amortizing the accounting over thousands of
-// criterion calls. Per-criterion invocation totals are published under
+// Batch-level observability counters (ISSUE 2). The per-triple hot loops
+// stay untouched: every counter here is fed with one atomic add per batch,
+// amortizing the accounting over thousands of criterion calls.
+// Per-criterion invocation totals are published under
 // "workload.verdicts.<criterion name>".
 var (
 	obsTriples       = obs.New("workload.triples_evaluated")
 	obsSerialBatches = obs.New("workload.batches_serial")
-	obsParBatches    = obs.New("workload.batches_parallel")
-	obsWorkers       = obs.New("workload.workers_spawned")
-	obsPrepGroups    = obs.New("workload.prepared_groups")
-	obsPrepShared    = obs.New("workload.prepared_shared_triples")
 	obsTimingRuns    = obs.New("workload.timing_runs")
-	obsShadowBatches = obs.New("workload.batches_shadow")
 )
 
-// Batch- and worker-level latency histograms (ISSUE 3). One sample per
-// whole batch and one per worker chunk — never per triple, so the
-// accounting cost stays amortized over thousands of criterion calls.
-var (
-	histSerialBatch = obs.NewHistogram("workload.batch_latency", `path="serial"`)
-	histParBatch    = obs.NewHistogram("workload.batch_latency", `path="parallel"`)
-	histChunk       = obs.NewHistogram("workload.chunk_latency", `path="generic"`)
-	histPrepChunk   = obs.NewHistogram("workload.chunk_latency", `path="prepared"`)
-	histShadowBatch = obs.NewHistogram("workload.batch_latency", `path="shadow"`)
-)
+// histSerialBatch takes one sample per whole batch (ISSUE 3) — never per
+// triple, for the same reason.
+var histSerialBatch = obs.NewHistogram("workload.batch_latency", `path="serial"`)
 
 // tallyBatch records one evaluated workload batch for the given criterion.
-func tallyBatch(c dominance.Criterion, n int, batches *obs.Counter) {
+func tallyBatch(c dominance.Criterion, n int) {
 	if !obs.On() || n == 0 {
 		return
 	}
-	batches.Inc()
+	obsSerialBatches.Inc()
 	obsTriples.Add(uint64(n))
 	obs.GetOrNew("workload.verdicts." + c.Name()).Add(uint64(n))
 }

@@ -49,7 +49,7 @@ func Verdicts(c dominance.Criterion, w []Triple) []bool {
 	for i, t := range w {
 		out[i] = c.Dominates(t.A, t.B, t.Q)
 	}
-	tallyBatch(c, len(w), obsSerialBatches)
+	tallyBatch(c, len(w))
 	sw.Stop(histSerialBatch)
 	return out
 }
