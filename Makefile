@@ -58,7 +58,7 @@ bench:
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
-# Short fuzzing passes over the ten fuzz targets.
+# Short fuzzing passes over the eleven fuzz targets.
 fuzz:
 	$(GO) test ./internal/poly -fuzz FuzzQuartic -fuzztime 30s
 	$(GO) test ./internal/dominance -fuzz FuzzHyperbolaVsExact2D -fuzztime 30s
@@ -66,6 +66,7 @@ fuzz:
 	$(GO) test ./internal/tree -fuzz FuzzTreeOps -fuzztime 30s
 	$(GO) test ./internal/packed -fuzz FuzzPackedMinDist -fuzztime 30s
 	$(GO) test ./internal/packed -fuzz FuzzQuantizedLowerBound -fuzztime 30s
+	$(GO) test ./internal/packed -fuzz FuzzBoxLowerBound -fuzztime 30s
 	$(GO) test ./internal/packed -fuzz FuzzSnapshotOpen -fuzztime 30s
 	$(GO) test ./internal/server -fuzz FuzzKNNResponseEncode -fuzztime 30s
 	$(GO) test ./internal/shard -fuzz FuzzForestVsBruteForce -fuzztime 30s

@@ -132,12 +132,29 @@ func TestOracleRoundTrip(t *testing.T) {
 	}
 }
 
+// invertFirstBox swaps the lo and hi of the first child box in snapshot bytes
+// b: section 23 of the table of 24-byte {id, crc, off, len} entries at byte 72.
+func invertFirstBox(b []byte) {
+	le := binary.LittleEndian
+	for e := 72; e < 72+24*int(le.Uint32(b[44:])); e += 24 {
+		if le.Uint32(b[e:]) == 23 {
+			off := le.Uint64(b[e+8:])
+			lo, hi := le.Uint32(b[off:]), le.Uint32(b[off+4:])
+			le.PutUint32(b[off:], hi)
+			le.PutUint32(b[off+4:], lo)
+			return
+		}
+	}
+	panic("snapshot has no child-box section")
+}
+
 // TestMountRebuildsUnusableSnapshot exercises the path that makes a
 // snapshot format bump safe in production: a snapshot directory this build
 // cannot use (files of the previous format version; a corrupted payload
-// under -snapshot-verify) is rebuilt from the corpus and saved over, the
-// rebuilt collection answers like the original, and the next start loads
-// the rewritten files without touching the corpus.
+// under -snapshot-verify; an inverted child box with or without it) is
+// rebuilt from the corpus and saved over, the rebuilt collection answers
+// like the original, and the next start loads the rewritten files without
+// touching the corpus.
 func TestMountRebuildsUnusableSnapshot(t *testing.T) {
 	le := binary.LittleEndian
 	for _, tc := range []struct {
@@ -149,6 +166,10 @@ func TestMountRebuildsUnusableSnapshot(t *testing.T) {
 		// lives 8 bytes into the table at byte 72 (packed/snapshot.go).
 		{"previous format version", false, func(b []byte) { le.PutUint32(b[8:], packed.FormatVersion-1) }},
 		{"payload byte flip", true, func(b []byte) { b[le.Uint64(b[72+8:])] ^= 0x01 }},
+		// The one payload damage an unverified open must catch too: the walk
+		// prunes on the child boxes, so an inverted one would lose answers.
+		{"inverted child box", false, invertFirstBox},
+		{"inverted child box, verified", true, invertFirstBox},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := config{snapshotDir: t.TempDir(), snapshotVerify: tc.verify, shards: 2}

@@ -12,10 +12,10 @@ import (
 // (node visits, criterion checks, prunes) keep accumulating in the
 // per-search Stats struct exactly as before; on top of that, every search
 // drains its Stats — plus the traversal internals Stats never carried:
-// heap pushes/pops, heap backing-array growth and depth-first child
-// expansions — into these process-wide counters, one batch of atomic adds
-// per search. The hot per-node increments are plain field adds on
-// scratch-owned structs.
+// heap pushes/pops, heap backing-array growth, depth-first child
+// expansions and the children a box bound pruned — into these process-wide
+// counters, one batch of atomic adds per search. The hot per-node
+// increments are plain field adds on scratch-owned structs.
 var (
 	obsSearches      = obs.New("knn.searches")
 	obsNodesVisited  = obs.New("knn.nodes_visited")
@@ -29,6 +29,7 @@ var (
 	obsBatches       = obs.New("knn.batches")
 	obsBatchQueries  = obs.New("knn.batch_queries")
 	obsBruteSearches = obs.New("knn.brute_force_searches")
+	obsBoxPrunes     = obs.New("knn.box_prunes")
 )
 
 // Quantized coarse-filter counters (ISSUE 6): how often the narrow-tier
@@ -120,6 +121,9 @@ func (sc *scratch) flushObs(sub packed.Substrate, algo Algorithm, k int, start t
 	if sc.qItemExact != 0 {
 		obsQuantItemExact.Add(sc.qItemExact)
 	}
+	if sc.boxPrunes != 0 {
+		obsBoxPrunes.Add(sc.boxPrunes)
+	}
 
 	if !start.IsZero() {
 		lat := time.Since(start).Nanoseconds()
@@ -157,5 +161,5 @@ func (sc *scratch) clearObsTallies() {
 	sc.heap.pushes, sc.heap.pops, sc.heap.grown = 0, 0, 0
 	sc.packedHeap.pushes, sc.packedHeap.pops, sc.packedHeap.grown = 0, 0, 0
 	sc.dfExpansions = 0
-	sc.qItemPrunes, sc.qItemExact = 0, 0
+	sc.qItemPrunes, sc.qItemExact, sc.boxPrunes = 0, 0, 0
 }

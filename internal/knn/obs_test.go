@@ -59,6 +59,34 @@ func TestObsSearchCounters(t *testing.T) {
 	}
 }
 
+// TestObsBoxPrunes: knn.box_prunes counts the children a sphere bound
+// admitted and the box bound rejected, so it moves only where there is a
+// box — the packed walk over a sphere-bounded tree — and /metrics shows
+// whether the second bound is doing anything.
+func TestObsBoxPrunes(t *testing.T) {
+	defer obs.SetEnabled(true)
+	obs.SetEnabled(true)
+	rng := rand.New(rand.NewSource(2402))
+	const d = 5
+	_, fixtures := buildFixtures(rng, d, 2000)
+	q := randQuery(rng, d, 5)
+	for _, fx := range fixtures {
+		for _, frozen := range []bool{false, true} {
+			if frozen {
+				fx.freeze()
+			}
+			for _, algo := range []Algorithm{DF, HS} {
+				obs.ResetForTest()
+				Search(fx.idx, q, 10, dominance.Hyperbola{}, algo)
+				got := obs.Snapshot().Get("knn.box_prunes")
+				if want := frozen && fx.name != "rtree"; (got > 0) != want {
+					t.Errorf("%s frozen=%v %v: knn.box_prunes = %d, want moved=%v", fx.name, frozen, algo, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestObsSearchLatency verifies the per-search latency observability: each
 // search records exactly one sample into the histogram instance of its
 // (substrate, strategy) pair, and the flight recorder retains the query

@@ -105,8 +105,11 @@ func (sc *scratch) offerLeafPacked(t *packed.Tree, n int32, sq geom.Sphere, l *b
 
 // searchDFPacked is searchDF over a frozen snapshot: node ids instead of
 // cursors, and the per-child MinDist loop replaced by one streaming kernel
-// call over the node's packed bounds. nd is n's own MinDist to the query,
-// known from the parent's pass (RootMinDist at the root).
+// call over the node's packed bounds. The keys it sorts and prunes on are
+// ChildMinDists' — over a sphere-bounded tree max(sphere, box), taken
+// against distk as n is entered; distk only shrinks, so a child put beyond
+// it stays there. nd is n's own key, known from the parent's pass
+// (RootMinDist at the root).
 func (sc *scratch) searchDFPacked(t *packed.Tree, n int32, nd float64, sq geom.Sphere, l *bestList) {
 	l.stats.NodesVisited++
 	sp := int32(-1)
@@ -126,7 +129,7 @@ func (sc *scratch) searchDFPacked(t *packed.Tree, n int32, nd float64, sq geom.S
 	sc.dfExpansions += uint64(nc)
 	sc.pStack = append(sc.pStack, kids...)
 	sc.pDists = growTo(sc.pDists, base+nc)
-	t.ChildMinDists(n, sq, sc.pDists[base:base+nc])
+	sc.boxPrunes += uint64(t.ChildMinDists(n, sq, l.distK(), sc.pDists[base:base+nc]))
 	sortByDist(sc.pStack[base:base+nc], sc.pDists[base:base+nc])
 	for i := 0; i < nc; i++ {
 		if sc.pDists[base+i] > l.distK() {
@@ -148,9 +151,11 @@ func (sc *scratch) searchDFPacked(t *packed.Tree, n int32, nd float64, sq geom.S
 
 // searchHSPacked is searchHS over a frozen snapshot. Children are scored by
 // one kernel pass per expanded node and pushed under the hoisted distk
-// bound; the pop order is identical to the pointer path because the keys
-// are bit-identical and the heap is the same shape. rootDist is the root's
-// MinDist to the query, as for searchDFPacked.
+// bound. Over a rectangle-bounded tree the keys are the pointer path's bit
+// for bit and the heap is the same shape, so the pop order is too; over a
+// sphere-bounded tree the keys are max(sphere, box), fewer children are
+// pushed and the frontier is ordered by the tighter bound. rootDist is the
+// root's MinDist to the query, as for searchDFPacked.
 func (sc *scratch) searchHSPacked(t *packed.Tree, rootDist float64, sq geom.Sphere, l *bestList) {
 	h := &sc.packedHeap
 	h.push(t.Root(), rootDist)
@@ -179,7 +184,7 @@ func (sc *scratch) searchHSPacked(t *packed.Tree, rootDist float64, sq geom.Sphe
 		dk := l.distK()
 		kids := t.Children(n)
 		sc.pBuf = growTo(sc.pBuf, len(kids))
-		t.ChildMinDists(n, sq, sc.pBuf)
+		sc.boxPrunes += uint64(t.ChildMinDists(n, sq, dk, sc.pBuf))
 		for i, c := range kids {
 			if d := sc.pBuf[i]; d <= dk {
 				h.push(c, d)

@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -41,21 +42,31 @@ func buildFixtures(rng *rand.Rand, d, n int) ([]Item, []frozenFixture) {
 }
 
 // TestPackedMatchesPointer is the differential lock of ISSUE 5, widened by
-// ISSUE 6 over the quantization modes: on every substrate, both traversal
-// strategies and every quant tier (none, f32, i8), a frozen tree must
-// return the exact result list (items AND order) and the exact work Stats
-// the pointer path returns. The tiers keep even Stats identical because a
-// coarse prune takes exactly the branch the exact value would have taken —
-// the narrow pass only decides *when* the exact block is read, never what
-// the traversal does.
+// ISSUE 6 over the quantization modes and restated by ISSUE 24: on every
+// substrate, both traversal strategies and every quant tier (none, f32,
+// i8), a frozen tree must return the exact result list (items AND order) the
+// pointer path returns. What it may do on the way depends on the bounds:
+//
+//   - rtree: the packed keys are the pointer path's bit for bit, so the work
+//     Stats are equal too;
+//   - sstree, mtree: the packed walk prunes on max(sphere, box) where the
+//     pointer path has the sphere alone, so on every query it may visit no
+//     more nodes and scan no more items (DomChecks and Pruned follow the
+//     candidates it met and may move either way) — and over each fixture of
+//     four or more dimensions it must visit and scan strictly fewer in
+//     total, so a box that silently stopped firing fails here.
+//
+// Within the packed walk the tiers keep even Stats identical: a coarse prune
+// takes exactly the branch the exact value would have taken — the narrow
+// pass only decides *when* the exact block is read, never what the
+// traversal does.
 func TestPackedMatchesPointer(t *testing.T) {
 	prev := SetQuantMode(QuantNone)
 	defer SetQuantMode(prev)
 	quants := []QuantMode{QuantNone, QuantF32, QuantI8}
 	rng := rand.New(rand.NewSource(501))
 	for _, d := range []int{2, 5, 8} {
-		items, fixtures := buildFixtures(rng, d, 2500)
-		_ = items
+		_, fixtures := buildFixtures(rng, d, 2500)
 		queries := make([]geom.Sphere, 25)
 		ks := make([]int, len(queries))
 		for i := range queries {
@@ -63,8 +74,12 @@ func TestPackedMatchesPointer(t *testing.T) {
 			ks[i] = 1 + rng.Intn(15)
 		}
 		for _, fx := range fixtures {
+			var pointerWork, packedWork Stats // totals at QuantNone
 			for _, crit := range []dominance.Criterion{dominance.Hyperbola{}, dominance.MinMax{}} {
 				// Pointer answers first, then freeze and re-ask per tier.
+				if fx.idx.frozen() != nil {
+					t.Fatalf("%s: fixture is frozen, the reference pass would take the packed walk", fx.name)
+				}
 				type ans struct{ res [2]Result }
 				pointer := make([]ans, len(queries))
 				for i, sq := range queries {
@@ -73,26 +88,47 @@ func TestPackedMatchesPointer(t *testing.T) {
 					}
 				}
 				fx.freeze()
+				exact := make([]ans, len(queries)) // the packed walk at QuantNone
 				for _, qm := range quants {
 					SetQuantMode(qm)
 					for i, sq := range queries {
 						for _, algo := range []Algorithm{DF, HS} {
 							got := Search(fx.idx, sq, ks[i], crit, algo)
 							want := pointer[i].res[algo]
+							ctx := fmt.Sprintf("%s d=%d crit=%s algo=%v quant=%s q=%d", fx.name, d, crit.Name(), algo, qm, i)
 							if !reflect.DeepEqual(got.Items, want.Items) {
-								t.Fatalf("%s d=%d crit=%s algo=%v quant=%s q=%d: packed items differ\n got %v\nwant %v",
-									fx.name, d, crit.Name(), algo, qm, i, sortedIDs(got.Items), sortedIDs(want.Items))
+								t.Fatalf("%s: packed items differ\n got %v\nwant %v",
+									ctx, sortedIDs(got.Items), sortedIDs(want.Items))
 							}
-							if got.Stats != want.Stats {
-								t.Fatalf("%s d=%d crit=%s algo=%v quant=%s q=%d: packed stats differ\n got %+v\nwant %+v",
-									fx.name, d, crit.Name(), algo, qm, i, got.Stats, want.Stats)
+							if qm == QuantNone {
+								exact[i].res[algo] = got
+								pointerWork.NodesVisited += want.Stats.NodesVisited
+								pointerWork.Items += want.Stats.Items
+								packedWork.NodesVisited += got.Stats.NodesVisited
+								packedWork.Items += got.Stats.Items
+							} else if got.Stats != exact[i].res[algo].Stats {
+								t.Fatalf("%s: stats differ from the exact packed walk\n got %+v\nwant %+v",
+									ctx, got.Stats, exact[i].res[algo].Stats)
+							}
+							switch {
+							case fx.name == "rtree":
+								if got.Stats != want.Stats {
+									t.Fatalf("%s: packed stats differ\n got %+v\nwant %+v", ctx, got.Stats, want.Stats)
+								}
+							case got.Stats.NodesVisited > want.Stats.NodesVisited || got.Stats.Items > want.Stats.Items:
+								t.Fatalf("%s: packed walk did more than the pointer walk\n got %+v\nwant at most %+v",
+									ctx, got.Stats, want.Stats)
 							}
 						}
 					}
 				}
 				SetQuantMode(QuantNone)
-				fx.thaw()
-				fx.freeze()
+				fx.thaw() // the next criterion's reference pass needs the pointer tree
+			}
+			if fx.name != "rtree" && d >= 4 &&
+				(packedWork.NodesVisited >= pointerWork.NodesVisited || packedWork.Items >= pointerWork.Items) {
+				t.Fatalf("%s d=%d: the box bound pruned nothing: packed %d nodes / %d items, pointer %d / %d",
+					fx.name, d, packedWork.NodesVisited, packedWork.Items, pointerWork.NodesVisited, pointerWork.Items)
 			}
 		}
 	}

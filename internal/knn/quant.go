@@ -12,8 +12,8 @@ import (
 // traversals consult before touching the exact float64 blocks (ISSUE 6).
 // The mode changes only how much work a search does, never its answer: the
 // narrow bounds are conservative, survivors fall back to the exact kernels,
-// and result sets and Stats stay bit-identical to the pointer path across
-// all modes. Process-wide, read once per search.
+// and result sets stay bit-identical to the pointer path — and Stats to the
+// exact packed walk — across all modes. Process-wide, read once per search.
 type QuantMode int32
 
 const (

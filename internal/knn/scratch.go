@@ -54,6 +54,10 @@ type scratch struct {
 	qItemPrunes uint64
 	qItemExact  uint64
 
+	// boxPrunes tallies the children whose sphere bound was within distk
+	// and whose box was not (packed.Tree.ChildMinDists); drained by flushObs.
+	boxPrunes uint64
+
 	// dfExpansions tallies children expanded by the depth-first
 	// traversals this search (plain add; drained by flushObs).
 	dfExpansions uint64

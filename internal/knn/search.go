@@ -73,8 +73,8 @@ type IndexNode interface {
 // given traversal strategy and dominance criterion. A frozen index is
 // searched off its packed snapshot (searchDFPacked/searchHSPacked, the
 // serving kernel); any other goes through the IndexNode interface
-// (searchDF/searchHS, the Section 6 reference the packed kernel is
-// bit-compared against). Either way the traversal runs out of a pooled
+// (searchDF/searchHS, the Section 6 reference the packed kernel's answers
+// are bit-compared against). Either way the traversal runs out of a pooled
 // scratch arena and performs no steady-state heap allocation beyond the
 // returned answer slice.
 func Search(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm) Result {
@@ -179,9 +179,9 @@ func (sc *scratch) stashQuant(sq geom.Sphere) {
 // pass and the obs flush.
 func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm, stats *Stats) (l *bestList, start time.Time, ok bool) {
 	l, start = sc.begin(sq, k, crit, stats)
-	// A frozen substrate routes to the packed traversal: same verdicts,
-	// result sets and stats (the kernels and traversal order are
-	// bit-identical to the pointer path), off contiguous SoA blocks.
+	// A frozen substrate routes to the packed traversal: the same result
+	// set off contiguous SoA blocks, from no more nodes and items than the
+	// pointer path visits (DESIGN.md §11).
 	if pt := idx.frozen(); pt != nil {
 		if pt.Empty() {
 			sc.cancelTrace()

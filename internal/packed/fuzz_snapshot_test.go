@@ -97,7 +97,7 @@ func FuzzSnapshotOpen(f *testing.F) {
 			}
 			kids := tr.Children(n)
 			dst = append(dst[:0], make([]float64, len(kids))...)
-			tr.ChildMinDists(n, q, dst)
+			tr.ChildMinDists(n, q, 1, dst)
 			stack = append(stack, kids...)
 		}
 	})

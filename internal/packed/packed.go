@@ -14,10 +14,15 @@
 // searches fall back to the pointer path until the next Freeze. See
 // DESIGN.md §11 for the freeze/thaw contract.
 //
-// Bit-exactness: the packed traversal (package knn) produces verdicts,
-// result sets and work stats identical to the pointer path, because the
-// block kernels preserve the scalar accumulation order (package vec) and
-// the entry order preserves the child/item order of the source nodes.
+// Bit-exactness: the block kernels preserve the scalar accumulation order
+// (package vec) and the entry order preserves the child/item order of the
+// source nodes, so every distance the packed traversal (package knn) reads
+// is the pointer path's, and its result sets — items and order — are
+// identical. Over a rectangle-bounded tree the work stats are identical
+// too. A sphere-bounded tree carries a second bound per child entry, the
+// axis-aligned box of everything below it (box.go), and the packed walk
+// prunes on the larger of the two: it visits a subset of the nodes and
+// items the pointer path does.
 package packed
 
 import (
@@ -64,8 +69,9 @@ func NoteThaw() {
 // delimit each node's entries:
 //
 //   - internal node i owns child entries child[childStart[i]:childStart[i+1]],
-//     whose bounds live at cCenters[e*dim:(e+1)*dim]+cRadii[e] (KindSphere)
-//     or cLo/cHi[e*dim:(e+1)*dim] (KindRect);
+//     whose bounds live at cCenters[e*dim:(e+1)*dim]+cRadii[e] and
+//     cBox[e*2*dim:(e+1)*2*dim] (KindSphere) or cLo/cHi[e*dim:(e+1)*dim]
+//     (KindRect);
 //   - leaf node i owns items[itemStart[i]:itemStart[i+1]], whose sphere
 //     geometry is mirrored into iCenters/iRadii for the streaming pass.
 type Tree struct {
@@ -81,6 +87,7 @@ type Tree struct {
 	child    []int32
 	cCenters []float64 // KindSphere: len(child)*dim
 	cRadii   []float64 // KindSphere: len(child)
+	cBox     []float32 // KindSphere: len(child)*dim*2, [lo,hi] interleaved; see box.go
 	cLo, cHi []float64 // KindRect: len(child)*dim each
 
 	items    []geom.Item
@@ -163,17 +170,24 @@ func (t *Tree) RootOrder(q geom.Sphere) float64 {
 }
 
 // ChildMinDists streams one pass over internal node n's packed child
-// bounds and writes the per-child minimum distance to the query sphere
-// into dst, which must have length len(Children(n)). Values are
-// bit-identical to the pointer path's per-child geom.MinDist /
-// geom.MinDistRectSphere calls.
-func (t *Tree) ChildMinDists(n int32, q geom.Sphere, dst []float64) {
-	lo, hi := t.childStart[n]*int32(t.dim), t.childStart[n+1]*int32(t.dim)
+// bounds and writes into dst, which must have length len(Children(n)), a
+// lower bound on the distance from the query sphere to anything below each
+// child. For a KindRect tree that is the pointer path's
+// geom.MinDistRectSphere, bit for bit. For a KindSphere tree it is the
+// pointer path's geom.MinDist of the child's sphere, raised — for every
+// child that bound alone would admit under dk, the caller's current k-th
+// distance — to the MinDist of the child's box when that is larger
+// (vec.RaiseToBoxBlock). boxPrunes counts the children the sphere admitted
+// and the box put beyond dk.
+func (t *Tree) ChildMinDists(n int32, q geom.Sphere, dk float64, dst []float64) (boxPrunes int) {
+	cs, ce := t.childStart[n], t.childStart[n+1]
+	lo, hi := cs*int32(t.dim), ce*int32(t.dim)
 	if t.kind == KindRect {
 		vec.MinDistRectBlock(dst, t.cLo[lo:hi], t.cHi[lo:hi], q.Center, q.Radius)
-		return
+		return 0
 	}
-	vec.MinDistSphereBlock(dst, t.cCenters[lo:hi], t.cRadii[t.childStart[n]:t.childStart[n+1]], q.Center, q.Radius)
+	vec.MinDistSphereBlock(dst, t.cCenters[lo:hi], t.cRadii[cs:ce], q.Center, q.Radius)
+	return vec.RaiseToBoxBlock(dst, t.cBox[2*int(lo):2*int(hi)], q.Center, q.Radius, dk)
 }
 
 // LeafDists streams one pass over leaf n's packed item centers and writes
@@ -312,6 +326,7 @@ func (b *Builder) finish(root int32) *Tree {
 		t.items[i].Sphere.Center = t.iCenters[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	t.buildQuant()
+	t.buildBoxes()
 	if obs.On() {
 		obsFreezes.Inc()
 		obsNodes.Add(uint64(len(t.leaf)))

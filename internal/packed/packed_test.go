@@ -64,9 +64,10 @@ func TestAccessorsMatchScalar(t *testing.T) {
 		t.Fatalf("RootMinDist = %v, want %v", got, want)
 	}
 
+	// A negative dk is outside the box pass's domain: the sphere bound alone.
 	root := pt.Root()
 	dst := make([]float64, 2)
-	pt.ChildMinDists(root, q, dst)
+	pt.ChildMinDists(root, q, -1, dst)
 	bounds := []geom.Sphere{
 		{Center: []float64{0.5, 0}, Radius: 1.25},
 		{Center: []float64{4, 4}, Radius: 1},
@@ -89,6 +90,37 @@ func TestAccessorsMatchScalar(t *testing.T) {
 	}
 }
 
+// TestChildMinDistsBox pins the second bound on the hand-built tree: leaf0's
+// items span [-0.5,1.25]×[-0.5,0.5], so from (0.25,3) with radius 0.75 its
+// box stands 2.5−0.75 away where its sphere says ≈1.01; leaf1's box [3,5]²
+// stands 2 away and its sphere ≈2.13, so there the sphere stays. An unbounded
+// dk raises leaf0's key to just under the box distance; a dk between its two
+// bounds rejects it with the smallest key above dk; a dk below the sphere
+// bound never consults the box.
+func TestChildMinDistsBox(t *testing.T) {
+	pt := buildTwoLevel(t)
+	q := geom.Sphere{Center: []float64{0.25, 3}, Radius: 0.75}
+	sphere := make([]float64, 2)
+	pt.ChildMinDists(pt.Root(), q, -1, sphere)
+
+	dst := make([]float64, 2)
+	if n := pt.ChildMinDists(pt.Root(), q, math.Inf(1), dst); n != 0 {
+		t.Fatalf("unbounded dk rejected %d children", n)
+	}
+	if !(dst[0] <= 1.75 && dst[0] > 1.75-1e-6) || dst[1] != sphere[1] {
+		t.Fatalf("raised keys = %v, want just under 1.75 and the sphere's %v", dst, sphere[1])
+	}
+	if n := pt.ChildMinDists(pt.Root(), q, 1.5, dst); n != 1 {
+		t.Fatalf("dk=1.5 rejected %d children, want 1", n)
+	}
+	if dst[0] != math.Nextafter(1.5, 2) || dst[1] != sphere[1] {
+		t.Fatalf("dk=1.5 keys = %v, want the float above 1.5 and the sphere's %v", dst, sphere[1])
+	}
+	if n := pt.ChildMinDists(pt.Root(), q, 1, dst); n != 0 || dst[0] != sphere[0] {
+		t.Fatalf("dk=1: %d rejected, keys %v, want the sphere's %v", n, dst, sphere)
+	}
+}
+
 func TestRectBuilder(t *testing.T) {
 	b := NewBuilder(KindRect, 2)
 	l0 := b.Leaf([]geom.Item{sph(7, []float64{1, 1}, 0.5)})
@@ -101,7 +133,7 @@ func TestRectBuilder(t *testing.T) {
 		t.Fatalf("rect RootMinDist = %v, want %v", got, wantRoot)
 	}
 	dst := make([]float64, 1)
-	pt.ChildMinDists(pt.Root(), q, dst)
+	pt.ChildMinDists(pt.Root(), q, math.Inf(1), dst)
 	if dst[0] != wantRoot {
 		t.Fatalf("rect ChildMinDists = %v, want %v", dst[0], wantRoot)
 	}

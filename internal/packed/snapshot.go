@@ -6,7 +6,7 @@
 // in little-endian order:
 //
 //	[0,  8)  magic "HDSNAPLE" (the trailing LE doubles as the byte-order mark)
-//	[8, 12)  format version (u32, currently 2)
+//	[8, 12)  format version (u32, currently 3)
 //	[12,16)  header CRC-32C over [0, hdrLen) with this field zeroed
 //	[16,20)  hdrLen: fixed fields + section table, the CRC-covered prefix
 //	[20,40)  dim, nodes, children, items (u32 each), root (i32)
@@ -55,9 +55,11 @@ import (
 
 // FormatVersion is the snapshot format this build writes and reads. v2
 // dropped the sections no traversal read (the child-bound coarse tier and
-// the per-item quantized radii/slacks already folded into iSR32/iSR8); a v1
-// file is refused with ErrBadVersion and rebuilt by its owner.
-const FormatVersion = 2
+// the per-item quantized radii/slacks already folded into iSR32/iSR8); v3
+// added the child boxes of a sphere-bounded tree (secCBox, box.go), which
+// the traversal prunes on and a reader must therefore not do without. An
+// older file is refused with ErrBadVersion and rebuilt by its owner.
+const FormatVersion = 3
 
 const (
 	magicLE = "HDSNAPLE"
@@ -189,6 +191,7 @@ const (
 	secIPivotHi32
 	secISR32
 	secISR8
+	secCBox
 )
 
 // secSpec is one section's contract: element width and the exact element
@@ -236,6 +239,7 @@ func secSpecs(kind Kind, dim, nodes, children, items int64, root int32) []secSpe
 		{secIPivotHi32, 4, items},
 		{secISR32, 4, items},
 		{secISR8, 4, items},
+		{secCBox, 4, sel(sphere, children*dim*2)},
 	}
 }
 
@@ -363,11 +367,13 @@ func (t *Tree) secData(id uint32) []byte {
 		return leBytes(q.iSR32)
 	case secISR8:
 		return leBytes(q.iSR8)
+	case secCBox:
+		return leBytes(t.cBox)
 	}
 	panic(fmt.Sprintf("packed: unknown section id %d", id))
 }
 
-// WriteTo serializes the snapshot in format v2 and reports the bytes
+// WriteTo serializes the snapshot in format v3 and reports the bytes
 // written. It implements io.WriterTo; durability (atomic replace, fsync)
 // is Save's job — WriteTo only streams bytes.
 func (t *Tree) WriteTo(w io.Writer) (int64, error) {

@@ -242,6 +242,8 @@ func decodeTree(data []byte, zeroCopy, verify bool) (*Tree, error) {
 			q.iSR32 = decodeSlice[float32](b, zeroCopy)
 		case secISR8:
 			q.iSR8 = decodeSlice[float32](b, zeroCopy)
+		case secCBox:
+			t.cBox = decodeSlice[float32](b, zeroCopy)
 		}
 	}
 	if len(sections) > 0 {
@@ -275,8 +277,17 @@ func decodeTree(data []byte, zeroCopy, verify bool) (*Tree, error) {
 // forest before any traversal touches them: exact prefix-array shape, and
 // the builder's bottom-up id invariant child[e] < parent — which makes
 // cycles impossible (ids strictly decrease along any path) and bounds
-// every child id in one comparison.
+// every child id in one comparison. It also reads every child box: the
+// traversal prunes on them, so an inverted or NaN box would lose answers
+// without a sign, and at 8·dim bytes per child entry the pass is cheap
+// enough to run whether or not the section CRCs do.
 func (t *Tree) validateStructure(h *header) error {
+	for i := 0; i < len(t.cBox); i += 2 {
+		if !(t.cBox[i] <= t.cBox[i+1]) {
+			return fmt.Errorf("%w: child entry %d has box [%v, %v] on axis %d",
+				ErrCorrupt, i/2/t.dim, t.cBox[i], t.cBox[i+1], i/2%t.dim)
+		}
+	}
 	cs, is := t.childStart, t.itemStart
 	if cs[0] != 0 || is[0] != 0 {
 		return fmt.Errorf("%w: prefix arrays start at %d/%d", ErrCorrupt, cs[0], is[0])

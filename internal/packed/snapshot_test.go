@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -123,6 +124,7 @@ func eqTree(t *testing.T, want, got *Tree) {
 	eq("child", want.child, got.child)
 	eq("cCenters", want.cCenters, got.cCenters)
 	eq("cRadii", want.cRadii, got.cRadii)
+	eq("cBox", want.cBox, got.cBox)
 	eq("cLo", want.cLo, got.cLo)
 	eq("cHi", want.cHi, got.cHi)
 	eq("iCenters", want.iCenters, got.iCenters)
@@ -180,17 +182,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotFormatLayout pins the v2 table of contents (DESIGN.md §12):
-// 22 section kinds, of which a sphere-bounded file carries 18 and a
-// rect-bounded one 19.
+// TestSnapshotFormatLayout pins the v3 table of contents (DESIGN.md §16):
+// 23 section kinds, of which a sphere-bounded file carries 19 (the child
+// boxes are its alone) and a rect-bounded one 19.
 func TestSnapshotFormatLayout(t *testing.T) {
-	if FormatVersion != 2 {
-		t.Fatalf("FormatVersion = %d, want 2", FormatVersion)
+	if FormatVersion != 3 {
+		t.Fatalf("FormatVersion = %d, want 3", FormatVersion)
 	}
-	if n := len(secSpecs(KindSphere, 2, 1, 0, 1, 0)); n != 22 {
-		t.Fatalf("secSpecs lists %d sections, want 22", n)
+	if n := len(secSpecs(KindSphere, 2, 1, 0, 1, 0)); n != 23 {
+		t.Fatalf("secSpecs lists %d sections, want 23", n)
 	}
-	for kind, want := range map[Kind]uint32{KindSphere: 18, KindRect: 19} {
+	for kind, want := range map[Kind]uint32{KindSphere: 19, KindRect: 19} {
 		data := snapshotBytes(t, randTree(42, kind, 4, 8, 16))
 		if got := binary.LittleEndian.Uint32(data[44:]); got != want {
 			t.Errorf("kind %d file carries %d sections, want %d", kind, got, want)
@@ -328,6 +330,19 @@ func sectionRange(t *testing.T, data []byte, id uint32) (off, ln uint64) {
 	return 0, 0
 }
 
+// invertFirstBox swaps the lo and hi of the first child box's first axis.
+func invertFirstBox(t *testing.T, data []byte) {
+	t.Helper()
+	le := binary.LittleEndian
+	off, _ := sectionRange(t, data, secCBox)
+	lo, hi := le.Uint32(data[off:]), le.Uint32(data[off+4:])
+	if lo == hi {
+		t.Fatal("first child box is degenerate; nothing to invert")
+	}
+	le.PutUint32(data[off:], hi)
+	le.PutUint32(data[off+4:], lo)
+}
+
 // TestSnapshotCorruptInputs is the regression table of the corrupt-input
 // hardening: every mutation must come back as the right typed error —
 // never a panic, never an out-of-bounds slice, never a silently served
@@ -355,7 +370,11 @@ func TestSnapshotCorruptInputs(t *testing.T) {
 			return b
 		}, ErrBadVersion},
 		{"header bit flip", func(b []byte) []byte { b[25] ^= 0x40; return b }, ErrChecksum},
-		{"payload bit flip", func(b []byte) []byte { b[len(b)-7] ^= 1; return b }, ErrChecksum},
+		{"payload bit flip", func(b []byte) []byte {
+			off, ln := sectionRange(t, b, secISR8)
+			b[off+ln-7] ^= 1
+			return b
+		}, ErrChecksum},
 		{"truncated payload", func(b []byte) []byte { return b[:len(b)-100] }, ErrTruncated},
 		{"unknown flags", func(b []byte) []byte {
 			b[43] = 0x80
@@ -415,6 +434,17 @@ func TestSnapshotCorruptInputs(t *testing.T) {
 			rewriteCRCs(b)
 			return b
 		}, ErrCorrupt},
+		{"box inverted", func(b []byte) []byte {
+			invertFirstBox(t, b)
+			rewriteCRCs(b)
+			return b
+		}, ErrCorrupt},
+		{"box NaN", func(b []byte) []byte {
+			off, ln := sectionRange(t, b, secCBox)
+			le.PutUint32(b[off+ln-4:], math.Float32bits(float32(math.NaN())))
+			rewriteCRCs(b)
+			return b
+		}, ErrCorrupt},
 		{"item count lies", func(b []byte) []byte {
 			le.PutUint32(b[32:], le.Uint32(b[32:])+1)
 			rewriteCRCs(b)
@@ -432,6 +462,31 @@ func TestSnapshotCorruptInputs(t *testing.T) {
 				t.Fatalf("error %v, want %v", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestSnapshotBadBoxWithoutVerify: the traversal prunes on the child boxes,
+// so a damaged one must stop the open even on the mmap path that skips the
+// section CRCs — with the CRCs left stale, as bit rot would leave them.
+func TestSnapshotBadBoxWithoutVerify(t *testing.T) {
+	data := snapshotBytes(t, randTree(11, KindSphere, 3, 4, 8))
+	invertFirstBox(t, data)
+	path := filepath.Join(t.TempDir(), "bad.hds")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open without verify: %v, want ErrCorrupt", err)
+	}
+	if _, err := Open(path, VerifyChecksums()); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("Open with verify over stale CRCs: %v, want ErrChecksum", err)
+	}
+	rewriteCRCs(data)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path, VerifyChecksums()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open with verify over fresh CRCs: %v, want ErrCorrupt", err)
 	}
 }
 

@@ -15,8 +15,9 @@
 //	GET  /metrics, /debug/...              obs exposition
 //
 // Every /v1 request runs through one middleware (DESIGN.md §14): it honors
-// or generates an X-Request-ID (echoed on the response), captures the
-// status code, measures latency into the per-(collection, endpoint, code)
+// or generates an X-Request-ID (echoed on the response), turns a handler's
+// panic into a 500, captures the status code, measures latency into the
+// per-(collection, endpoint, code)
 // hyperdom_server_request_latency_seconds family, counts it in
 // hyperdom_server_requests_total{code,endpoint}, emits one structured JSON
 // access-log line, and completes the telemetry record of a kNN request's
@@ -337,12 +338,28 @@ func (s *Server) wrap(ep endpoint, h func(*reqCtx, *http.Request)) http.HandlerF
 			}
 		}
 		inflight.Add(1)
-		// Deferred: a handler that panics (net/http recovers per connection)
-		// must not leave the gauge raised for the life of the process.
+		// Deferred: a panic that leaves this function (below) must not keep
+		// the gauge raised for the life of the process.
 		defer inflight.Add(-1)
 		start := time.Now()
-		h(c, r)
-		if c.status == 0 {
+		// A handler that panics — a search on an Index closed under it — is
+		// a failed request like any other: 500 with a JSON body, counted and
+		// logged below under its request ID, the connection kept.
+		var panicked any
+		func() {
+			defer func() { panicked = recover() }()
+			h(c, r)
+		}()
+		started := c.status != 0
+		var cause slog.Attr // stays empty, which slog drops, unless the handler panicked
+		if panicked != nil {
+			cause = slog.String("panic", fmt.Sprint(panicked))
+			if started {
+				c.status = http.StatusInternalServerError // what the meters and the log line say
+			} else {
+				writeError(c, http.StatusInternalServerError, "internal error: %v", panicked)
+			}
+		} else if !started {
 			c.status = http.StatusOK
 		}
 		lat := time.Since(start)
@@ -382,7 +399,14 @@ func (s *Server) wrap(ep endpoint, h func(*reqCtx, *http.Request)) http.HandlerF
 			slog.Int("shards", shards),
 			slog.Int("shards_visited", visited),
 			slog.Int64("latency_ns", lat.Nanoseconds()),
+			cause,
 		)
+		if panicked != nil && started {
+			// Part of another answer is already on the wire, so the 500 could
+			// not be sent: have net/http drop the connection rather than let
+			// the client read a truncated body as whole.
+			panic(http.ErrAbortHandler)
+		}
 	}
 }
 

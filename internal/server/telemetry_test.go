@@ -2,11 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strconv"
 	"strings"
 	"sync"
@@ -449,23 +452,60 @@ func TestDebugRequestsServed(t *testing.T) {
 	}
 }
 
-// TestInflightSurvivesHandlerPanic drives a panicking handler through the
-// middleware — what a search on an Index closed under it does — and reads
-// the inflight gauge back at rest: net/http recovers the panic per
-// connection, and the gauge must not stay raised for the life of the process.
+// TestInflightSurvivesHandlerPanic closes a collection's Index under the
+// server and asks it a kNN query: the handler panics (`shard: search on a
+// closed Index`), and the middleware must make of that an ordinary failed
+// request — 500 with a JSON error body and the request's ID, status="500" in
+// the request meters, one ERROR access-log line carrying the ID and the
+// panic, the inflight gauge back at rest — on a connection the client can go
+// on using.
 func TestInflightSurvivesHandlerPanic(t *testing.T) {
-	s := New()
-	h := s.wrap(epList, func(*reqCtx, *http.Request) { panic("shard: search on a closed Index") })
+	obs.ResetForTest()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	defer obs.ResetForTest()
+	s, ts, logs := loggedServer(t, 2, 80)
+	s.lookup("default").x.Close()
+
+	var reused bool
+	trace := &httptrace.ClientTrace{GotConn: func(ci httptrace.GotConnInfo) { reused = ci.Reused }}
 	before := inflight.Load()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("the handler's panic did not reach net/http")
-			}
-		}()
-		h(httptest.NewRecorder(), httptest.NewRequest("GET", "/v1/collections", nil))
-	}()
+	for i := 0; i < 2; i++ { // the second request rides the first one's connection
+		req, _ := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace),
+			"POST", ts.URL+"/v1/collections/default/knn", strings.NewReader(`{"center":[1,2],"k":1}`))
+		req.Header.Set("X-Request-ID", "panic-"+strconv.Itoa(i))
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		var body map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || err != nil || !strings.Contains(body["error"], "closed Index") {
+			t.Fatalf("request %d: status %d, body %v (%v), want 500 and the panic as a JSON error", i, resp.StatusCode, body, err)
+		}
+		rec := lastLogLine(t, logs)
+		if rec["request_id"] != "panic-"+strconv.Itoa(i) || rec["status"] != float64(500) || rec["level"] != "ERROR" ||
+			!strings.Contains(fmt.Sprint(rec["panic"]), "closed Index") {
+			t.Fatalf("request %d: log line %+v, want ERROR, status 500, this request's ID and the panic", i, rec)
+		}
+	}
+	if n := strings.Count(logs.String(), "\n"); n != 2 {
+		t.Errorf("%d access-log lines for 2 requests", n)
+	}
+	if !reused {
+		t.Error("the second request needed a new connection: a panicking handler cost the client its connection")
+	}
 	if got := inflight.Load(); got != before {
 		t.Errorf("inflight = %d after a panicking handler, want %d", got, before)
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if want := `hyperdom_server_requests_total{code="500",endpoint="knn"} 2`; !strings.Contains(string(raw), want) {
+		t.Errorf("metrics missing %s", want)
 	}
 }

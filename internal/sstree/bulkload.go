@@ -16,11 +16,15 @@ var obsBulkItems = obs.New("sstree.bulkload_items")
 // considerably faster than repeated Insert (see BenchmarkBulkLoadVsInsert)
 // and that is all it is: each level slices along ONE coordinate, so a node
 // is a thin slab across the other d-1, its bounding sphere is far larger
-// than an inserted node's, and kNN pays for it. Over the serving benchmark's
-// corpora, one tree, HS, k = 10, items scanned per query: 1,005 inserted →
-// 49,440 bulk-loaded (n = 100k, d = 4; nodes visited 186 → 2,270), 47,490 →
-// 99,508 (100k, d = 10), 8,268 → 45,585 (50k, d = 6). Use it where build time
-// is the point (cmd/benchkernel's rebuild baseline); shard.Build inserts.
+// than an inserted node's, and a kNN walk that prunes on the sphere pays for
+// it. Over the serving benchmark's corpora, one tree, HS, k = 10, items
+// scanned per query by the pointer walk: 1,005 inserted → 49,440 bulk-loaded
+// (n = 100k, d = 4; nodes visited 186 → 2,270), 47,490 → 99,508 (100k,
+// d = 10), 8,268 → 45,585 (50k, d = 6). The frozen tree's walk also prunes
+// on each child's box (packed.Tree.ChildMinDists), which fits a slab as well
+// as it fits anything, and the gap all but closes: 465 → 711 (nodes 62 → 42),
+// 23,646 → 34,652, 4,206 → 8,233. Use it where build time is the point
+// (cmd/benchkernel's rebuild baseline); shard.Build inserts.
 //
 // The tree must be empty; items are not retained (their slice may be
 // reused), but the spheres inside them are shared, not copied.

@@ -14,9 +14,11 @@ import "math"
 // strict coordinate order — the inner loops are 4-way unrolled for loop
 // overhead, but each term is added to a single accumulator in the same
 // order the scalar Dist2 uses, so the results are bit-identical to the
-// pointer-walking geom.MinDist / geom.MinDistRectSphere path. The frozen
-// and pointer traversals therefore take exactly the same branches; the
-// differential tests in package knn and FuzzPackedMinDist rely on this.
+// pointer-walking geom.MinDist / geom.MinDistRectSphere path. On those
+// values the frozen and pointer traversals take exactly the same branches;
+// the differential tests in package knn and FuzzPackedMinDist rely on this.
+// RaiseToBoxBlock is the one kernel outside the contract: it computes a
+// second, deliberately conservative bound the pointer path does not have.
 
 // dist2Seq returns the squared distance between c and q accumulated in
 // coordinate order, 4-way unrolled. c and q must have equal length (the
@@ -120,4 +122,57 @@ func MinDistRectBlock(dst, lo, hi []float64, q []float64, qr float64) {
 			dst[i] = 0
 		}
 	}
+}
+
+// RaiseToBoxBlock tightens the sphere bounds MinDistSphereBlock wrote into
+// dst with a second bound per entry: box holds, for entry i, the interleaved
+// float32 [lo, hi] pairs of an axis-aligned box around everything the entry
+// bounds (box[2*(i*d+j)], box[2*(i*d+j)+1] for coordinate j), lo <= hi,
+// rounded outward when it was built. For every entry whose bound is still
+// <= dk the kernel computes the squared distance from q to the box —
+// max(lo−c, c−hi, 0) per coordinate, taken without a branch as
+// ½·((x+|x|) + (y+|y|)), which is exact because lo <= hi lets at most one
+// of x = lo−c and y = c−hi be positive — and
+//
+//   - rejects the entry in squared space, before any square root, when
+//     s·(1−2·lbEps) > (dk+qr)²: dst[i] becomes the smallest value above dk,
+//     which the margin just cleared keeps a lower bound;
+//   - otherwise raises dst[i] to √s·(1−lbEps) − qr when that is larger.
+//
+// It returns the number of entries rejected. The relative shave on the
+// distance term absorbs the float64 rounding of this evaluation and of the
+// exact one, as in the select kernels of quant.go; the box is a lower bound
+// because a sphere lies inside its bounding box. Outside the squared-space
+// domain (qr or dk negative or NaN) nothing is touched. A NaN coordinate, or
+// an infinite box end (x+|x| is then Inf−Inf), makes s NaN, which fails both
+// comparisons, so dst[i] keeps the sphere bound.
+func RaiseToBoxBlock(dst []float64, box []float32, q []float64, qr, dk float64) (rejected int) {
+	d := len(q)
+	if len(box) != 2*d*len(dst) {
+		panic(dimMismatch("RaiseToBoxBlock", len(box), 2*d*len(dst)))
+	}
+	if !(qr >= 0 && dk >= 0) {
+		return 0
+	}
+	thr := dk + qr
+	thr2 := thr * thr
+	for i := range dst {
+		if !(dst[i] <= dk) {
+			continue
+		}
+		b := box[2*d*i : 2*d*(i+1)]
+		var s float64
+		for j, c := range q {
+			x, y := float64(b[2*j])-c, c-float64(b[2*j+1])
+			dd := 0.5 * ((x + math.Abs(x)) + (y + math.Abs(y)))
+			s += dd * dd
+		}
+		if selDrop(s, thr2) {
+			dst[i] = math.Nextafter(dk, math.Inf(1))
+			rejected++
+		} else if m := math.Sqrt(s)*(1-lbEps) - qr; m > dst[i] {
+			dst[i] = m
+		}
+	}
+	return rejected
 }
