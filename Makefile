@@ -8,7 +8,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS  = -ldflags "-X hyperdom/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: all build check orphans loc test test-short bench bench-all bench-parallel bench-quant fuzz experiments examples serve serve-sharded hyperdomd trace cover clean
+.PHONY: all build check orphans loc test test-short bench bench-all bench-parallel bench-quant bench-smoke fuzz experiments examples serve serve-sharded hyperdomd trace cover clean
 
 all: build check
 
@@ -58,19 +58,45 @@ bench:
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
-# Short fuzzing passes over the eleven fuzz targets.
+# The fuzz targets, package:Target — the one list; CI's fuzz-smoke job runs
+# `make fuzz FUZZTIME=10s`.
+FUZZTIME ?= 30s
+FUZZ_TARGETS = \
+	internal/poly:FuzzQuartic \
+	internal/dominance:FuzzHyperbolaVsExact2D \
+	internal/dominance:FuzzPreparedPairAgree \
+	internal/tree:FuzzTreeOps \
+	internal/packed:FuzzPackedMinDist \
+	internal/packed:FuzzQuantizedLowerBound \
+	internal/packed:FuzzBoxLowerBound \
+	internal/packed:FuzzSnapshotOpen \
+	internal/server:FuzzKNNResponseEncode \
+	internal/server:FuzzKNNRequest \
+	internal/shard:FuzzForestVsBruteForce \
+	internal/dataset:FuzzLoadCSV
+
 fuzz:
-	$(GO) test ./internal/poly -fuzz FuzzQuartic -fuzztime 30s
-	$(GO) test ./internal/dominance -fuzz FuzzHyperbolaVsExact2D -fuzztime 30s
-	$(GO) test ./internal/dominance -fuzz FuzzPreparedPairAgree -fuzztime 30s
-	$(GO) test ./internal/tree -fuzz FuzzTreeOps -fuzztime 30s
-	$(GO) test ./internal/packed -fuzz FuzzPackedMinDist -fuzztime 30s
-	$(GO) test ./internal/packed -fuzz FuzzQuantizedLowerBound -fuzztime 30s
-	$(GO) test ./internal/packed -fuzz FuzzBoxLowerBound -fuzztime 30s
-	$(GO) test ./internal/packed -fuzz FuzzSnapshotOpen -fuzztime 30s
-	$(GO) test ./internal/server -fuzz FuzzKNNResponseEncode -fuzztime 30s
-	$(GO) test ./internal/shard -fuzz FuzzForestVsBruteForce -fuzztime 30s
-	$(GO) test ./internal/dataset -fuzz FuzzLoadCSV -fuzztime 30s
+	@for t in $(FUZZ_TARGETS); do \
+		echo "== $$t ($(FUZZTIME))"; \
+		$(GO) test ./$${t%%:*} -fuzz "^$${t##*:}\$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
+
+# The frozen benchmark harness end to end, twice and quickly: a change that
+# breaks what bench/ drives (names, flags, endpoints, answers) fails here
+# before the pipeline runs it. The two workloads whose -quick runs pass
+# their own sample-size checks; each prints one JSON line. A -quick request
+# is cheap enough that the harness's own "load generator used > 0.60 of a
+# core" abort trips about one run in ten on a 2-core box, so a failed run is
+# tried once more: a broken harness fails twice.
+bench-smoke:
+	@for w in fat_d10 mixed_snap; do \
+		echo "== bench/run.sh -quick -workload $$w"; \
+		for try in 1 2; do \
+			out=$$(bash bench/run.sh -quick -workload $$w 2>&1) && \
+				echo "$$out" | tail -n 1 | grep -q '"failed":0' && continue 2; \
+			echo "$$out"; echo "bench-smoke: $$w, try $$try: non-zero exit or no \"failed\":0"; \
+		done; exit 1; \
+	done
 
 # Batch-engine worker scaling over a frozen SS-tree: queries/s at pool
 # widths 1/2/4/8 (scaling tops out at GOMAXPROCS).

@@ -10,8 +10,8 @@
 //   - tree construction cost: bulk load versus repeated insert, in
 //     nanoseconds per item;
 //   - snapshot cold-start: packed.Open over a saved 100k-item snapshot
-//     (open + validate, zero-copy) versus a BulkLoad+Freeze rebuild, the
-//     ratio -min-snapshot-speedup gates;
+//     (open + validate, zero-copy) versus a BulkLoad+Freeze rebuild (a
+//     gated ratio);
 //   - the kNN final filter alone at the paper's Table 2 defaults (d = 10,
 //     radius μ = 10): SearchCandidates' output replayed through
 //     dominance.Anchored, as nanoseconds per candidate and the share of
@@ -29,18 +29,16 @@
 // Usage:
 //
 //	benchkernel [-o BENCH_knn.json] [-quant none|f32|i8]
-//	benchkernel -gate BENCH_knn.json -min-speedup 1.3 \
-//	            -min-packed-speedup 1.15 -min-quant-speedup 1.4 \
-//	            -min-sphere-speedup 1.5 -min-snapshot-speedup 20 \
-//	            -min-scaling 2.5                             # CI sanity gate
+//	benchkernel -gate BENCH_knn.json                        # CI sanity gate (ratioFloors)
+//	benchkernel -gate BENCH_knn.json -scaling-only -require-cores 2   # CI scaling gate
 //	benchkernel -trace trace.json                           # export query traces
 //
 // The packed search is benchmarked four ways: pointer path, frozen
 // snapshot with quantization off (isolating the SoA layout, the
 // speedup_packed_layout gate), and the frozen snapshot through the float32
 // and int8 coarse-filter tiers (ISSUE 6). The speedup_quantized block
-// records each tier's gain over the pointer path; its best geomean is what
-// -min-quant-speedup gates. The pointer path is the IndexNode-interface
+// records each tier's gain over the pointer path; its best geomean is
+// gated. The pointer path is the IndexNode-interface
 // traversal (the only one an unfrozen tree has), so both ratios read
 // "serving kernel over reference": a higher one can mean a slower
 // denominator as well as a faster kernel, and a lower one a faster
@@ -48,9 +46,10 @@
 // under (default f32), which is where the coarse_prune_rate figure comes
 // from.
 //
-// The -min-scaling floor is adaptive: a runner with P schedulable cores
-// cannot scale past P, so the effective floor is
-// min(min-scaling, 0.45·GOMAXPROCS), never below 0.8 — on a single-core
+// Worker scaling is gated by -scaling-only runs alone (the job with a
+// guaranteed multi-core runner), and its floor is adaptive: a runner with P
+// schedulable cores cannot scale past P, so the effective floor is
+// min(scalingFloor, 0.45·GOMAXPROCS), never below 0.8 — on a single-core
 // container the gate only demands that the pool not slow queries down,
 // while a multi-core runner must show real parallel speedup.
 //
@@ -120,7 +119,7 @@ type metricsBlock struct {
 // quantBlock is the quantized coarse-filter speedup table (ISSUE 6): each
 // tier's traversal time against the pointer path on the same frozen
 // fixture. Best is the larger tier geomean — the number the
-// -min-quant-speedup gate reads.
+// quantized-speedup gate reads.
 type quantBlock struct {
 	DFf32      float64 `json:"df_f32"`
 	HSf32      float64 `json:"hs_f32"`
@@ -136,8 +135,7 @@ type quantBlock struct {
 // same 100k-item frozen index brought to serving two ways — packed.Open
 // over a saved snapshot file (header validate + structural checks + slice
 // the mapping; no tree rebuild) versus rebuilding from the raw items with
-// BulkLoad+Freeze. Speedup is rebuild/open per item; -min-snapshot-speedup
-// gates it. HeapBytesAfterOpen shows what the open path actually allocates
+// BulkLoad+Freeze. Speedup is rebuild/open per item, a gated ratio. HeapBytesAfterOpen shows what the open path actually allocates
 // (the item directory and headers — the payload stays in the page cache).
 type snapshotLoadBlock struct {
 	Items              int     `json:"items"`
@@ -242,18 +240,12 @@ type report struct {
 
 // config holds the parsed command line.
 type config struct {
-	Out              string
-	Gate             string
-	MinSpeedup       float64
-	MinPackedSpeedup float64
-	MinQuantSpeedup  float64
-	MinSphereSpeedup float64
-	MinSnapSpeedup   float64
-	MinScaling       float64
-	ScalingOnly      bool
-	RequireCores     int
-	Quant            knn.QuantMode
-	Profile          *obs.ProfileFlags
+	Out          string
+	Gate         string
+	ScalingOnly  bool
+	RequireCores int
+	Quant        knn.QuantMode
+	Profile      *obs.ProfileFlags
 }
 
 // parseFlags parses args (not including the program name) into a config.
@@ -262,13 +254,7 @@ func parseFlags(args []string) (*config, error) {
 	cfg := &config{}
 	fs.StringVar(&cfg.Out, "o", "BENCH_knn.json", "output file")
 	fs.StringVar(&cfg.Gate, "gate", "", "committed BENCH_knn.json to gate against (CI mode; exits non-zero on regression)")
-	fs.Float64Var(&cfg.MinSpeedup, "min-speedup", 1.3, "minimum prepared point-query speedup the gate accepts")
-	fs.Float64Var(&cfg.MinPackedSpeedup, "min-packed-speedup", 1.15, "minimum packed-layout (quantization off) search speedup the gate accepts")
-	fs.Float64Var(&cfg.MinQuantSpeedup, "min-quant-speedup", 1.4, "minimum quantized-tier search speedup over the pointer path the gate accepts (best tier geomean)")
-	fs.Float64Var(&cfg.MinSphereSpeedup, "min-sphere-speedup", 1.5, "minimum prepared sphere-query speedup the gate accepts")
-	fs.Float64Var(&cfg.MinSnapSpeedup, "min-snapshot-speedup", 20, "minimum snapshot open-vs-rebuild speedup the gate accepts (<= 0 skips)")
-	fs.Float64Var(&cfg.MinScaling, "min-scaling", 2.5, "minimum 8-worker throughput scaling the gate accepts on an 8-core runner (floor adapts down to min(value, 0.45*GOMAXPROCS), never below 0.8; <= 0 skips the scaling gate entirely)")
-	fs.BoolVar(&cfg.ScalingOnly, "scaling-only", false, "measure (and gate) only the throughput_scaling and shard_scaling blocks — the dedicated multi-core CI job's mode")
+	fs.BoolVar(&cfg.ScalingOnly, "scaling-only", false, "measure (and gate) only the throughput_scaling and shard_scaling blocks — the dedicated multi-core CI job's mode, and the only one that gates scaling")
 	fs.IntVar(&cfg.RequireCores, "require-cores", 0, "gate mode: fail unless the measurement ran with at least this many schedulable cores (guards the scaling gate against silently passing on undersized runners)")
 	quant := fs.String("quant", "f32", "quantized tier the counter-enabled metrics pass runs under (none, f32, i8)")
 	cfg.Profile = obs.RegisterFlags(fs)
@@ -845,11 +831,28 @@ func captureMetrics(idx knn.Index, queries []geom.Sphere, k int, sa, sb geom.Sph
 	return m
 }
 
+// ratioFloors are the dimensionless speedups a full (not -scaling-only) run
+// is gated on — stable across machines of different speed, so the floors
+// are constants of the tool, not of the invocation.
+var ratioFloors = []struct {
+	name  string
+	value func(*report) float64
+	floor float64
+}{
+	{"prepared point-query speedup", func(r *report) float64 { return r.SpeedupPointQ }, 1.3},
+	{"packed-layout search speedup", func(r *report) float64 { return r.SpeedupPacked }, 1.15},
+	{"quantized search speedup (best tier)", func(r *report) float64 { return r.SpeedupQuantized.Best }, 1.4},
+	{"prepared sphere-query speedup", func(r *report) float64 { return r.SpeedupSphereQ }, 1.5},
+	{"snapshot open-vs-rebuild speedup", func(r *report) float64 { return r.SnapshotLoad.Speedup }, 20},
+}
+
+// scalingFloor is the 8-worker throughput scaling an 8-core runner must
+// show; gateReport adapts it down to the cores the measurement had.
+const scalingFloor = 2.5
+
 // gateReport compares a fresh report against the committed one and returns
 // the list of regressions; empty means the gate passes. Timing is checked
-// only through dimensionless ratios (prepared-pair speedup, packed-layout
-// speedup, worker scaling — all stable across machines of different
-// speed); allocations are exact counts.
+// only through dimensionless ratios; allocations are exact counts.
 func gateReport(current, committed report, cfg *config) []string {
 	var failures []string
 	if cfg.RequireCores > 0 && current.Throughput.GoMaxProcs < cfg.RequireCores {
@@ -857,55 +860,11 @@ func gateReport(current, committed report, cfg *config) []string {
 			"measurement ran with gomaxprocs=%d, below -require-cores %d (cores_detected=%d) — runner is undersized for this gate",
 			current.Throughput.GoMaxProcs, cfg.RequireCores, current.Throughput.CoresDetected))
 	}
-	if !cfg.ScalingOnly {
-		if current.SpeedupPointQ < cfg.MinSpeedup {
-			failures = append(failures, fmt.Sprintf(
-				"prepared point-query speedup %.2fx below floor %.2fx", current.SpeedupPointQ, cfg.MinSpeedup))
-		}
-		if current.SpeedupPacked < cfg.MinPackedSpeedup {
-			failures = append(failures, fmt.Sprintf(
-				"packed-layout search speedup %.2fx below floor %.2fx", current.SpeedupPacked, cfg.MinPackedSpeedup))
-		}
-		if current.SpeedupQuantized.Best < cfg.MinQuantSpeedup {
-			failures = append(failures, fmt.Sprintf(
-				"quantized search speedup %.2fx (best tier %s) below floor %.2fx",
-				current.SpeedupQuantized.Best, current.SpeedupQuantized.BestTier, cfg.MinQuantSpeedup))
-		}
-		if current.SpeedupSphereQ < cfg.MinSphereSpeedup {
-			failures = append(failures, fmt.Sprintf(
-				"prepared sphere-query speedup %.2fx below floor %.2fx", current.SpeedupSphereQ, cfg.MinSphereSpeedup))
-		}
-		if current.Metrics.ChecksPerCandidate > 1 {
-			failures = append(failures, fmt.Sprintf(
-				"%.3f criterion calls per candidate: some candidate was decided more than once",
-				current.Metrics.ChecksPerCandidate))
-		}
-		if current.FinalFilter.QuarticShare > maxQuarticShare {
-			failures = append(failures, fmt.Sprintf(
-				"final filter reaches the quartic on %.3f of its criterion calls, ceiling %.2f",
-				current.FinalFilter.QuarticShare, maxQuarticShare))
-		}
-		if cfg.MinSnapSpeedup > 0 && current.SnapshotLoad.Speedup < cfg.MinSnapSpeedup {
-			failures = append(failures, fmt.Sprintf(
-				"snapshot open-vs-rebuild speedup %.2fx below floor %.2fx (open %.1f ns/item, rebuild %.1f ns/item)",
-				current.SnapshotLoad.Speedup, cfg.MinSnapSpeedup,
-				current.SnapshotLoad.OpenNsPerItem, current.SnapshotLoad.RebuildNsPerItem))
-		}
-	}
-	// A pool of 8 workers cannot scale past the cores it runs on, so the
-	// floor adapts: min(-min-scaling, 0.45·GOMAXPROCS), never below 0.8 —
-	// on one core the pool must merely not slow queries down, on 8 cores
-	// the full -min-scaling bar applies. -min-scaling 0 (or below) skips
-	// the check entirely: the single-core bench-sanity job opts out and
-	// leaves scaling to the dedicated multi-core job.
-	if cfg.MinScaling > 0 {
-		floor := cfg.MinScaling
-		if adaptive := 0.45 * float64(current.Throughput.GoMaxProcs); adaptive < floor {
-			floor = adaptive
-		}
-		if floor < 0.8 {
-			floor = 0.8
-		}
+	if cfg.ScalingOnly {
+		// A pool of 8 workers cannot scale past the cores it runs on, so the
+		// floor adapts: min(scalingFloor, 0.45·GOMAXPROCS), never below 0.8 —
+		// on one core the pool must merely not slow queries down.
+		floor := max(min(scalingFloor, 0.45*float64(current.Throughput.GoMaxProcs)), 0.8)
 		if current.Throughput.ScalingAtMax < floor {
 			failures = append(failures, fmt.Sprintf(
 				"8-worker throughput scaling %.2fx below floor %.2fx (gomaxprocs=%d)",
@@ -922,22 +881,35 @@ func gateReport(current, committed report, cfg *config) []string {
 				current.ShardScaling.ScalingAtMax, maxShards(current.ShardScaling),
 				current.ShardScaling.GoMaxProcs))
 		}
+		return failures
 	}
-	if !cfg.ScalingOnly {
-		type allocGate struct {
-			name               string
-			current, committed int64
+	for _, g := range ratioFloors {
+		if v := g.value(&current); v < g.floor {
+			failures = append(failures, fmt.Sprintf("%s %.2fx below floor %.2fx", g.name, v, g.floor))
 		}
-		for _, g := range []allocGate{
-			{"DF search", current.KnnAllocsDF, committed.KnnAllocsDF},
-			{"HS search", current.KnnAllocsHS, committed.KnnAllocsHS},
-			{"packed DF search", current.KnnAllocsPackedDF, committed.KnnAllocsPackedDF},
-			{"packed HS search", current.KnnAllocsPackedHS, committed.KnnAllocsPackedHS},
-		} {
-			if g.current > g.committed {
-				failures = append(failures, fmt.Sprintf(
-					"%s allocs/op %d exceeds committed %d", g.name, g.current, g.committed))
-			}
+	}
+	if current.Metrics.ChecksPerCandidate > 1 {
+		failures = append(failures, fmt.Sprintf(
+			"%.3f criterion calls per candidate: some candidate was decided more than once",
+			current.Metrics.ChecksPerCandidate))
+	}
+	if current.FinalFilter.QuarticShare > maxQuarticShare {
+		failures = append(failures, fmt.Sprintf(
+			"final filter reaches the quartic on %.3f of its criterion calls, ceiling %.2f",
+			current.FinalFilter.QuarticShare, maxQuarticShare))
+	}
+	for _, g := range []struct {
+		name               string
+		current, committed int64
+	}{
+		{"DF search", current.KnnAllocsDF, committed.KnnAllocsDF},
+		{"HS search", current.KnnAllocsHS, committed.KnnAllocsHS},
+		{"packed DF search", current.KnnAllocsPackedDF, committed.KnnAllocsPackedDF},
+		{"packed HS search", current.KnnAllocsPackedHS, committed.KnnAllocsPackedHS},
+	} {
+		if g.current > g.committed {
+			failures = append(failures, fmt.Sprintf(
+				"%s allocs/op %d exceeds committed %d", g.name, g.current, g.committed))
 		}
 	}
 	return failures

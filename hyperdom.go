@@ -50,7 +50,8 @@ type Rect = geom.Rect
 type Item = geom.Item
 
 // NewSphere returns a sphere with the given center and radius; it panics
-// on a negative radius or an empty center.
+// on anything Sphere.Validate refuses: an empty center, a non-finite
+// coordinate, a negative or non-finite radius.
 func NewSphere(center []float64, radius float64) Sphere {
 	return geom.NewSphere(center, radius)
 }

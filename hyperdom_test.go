@@ -3,6 +3,7 @@ package hyperdom_test
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hyperdom"
@@ -86,6 +87,38 @@ func TestKNNThroughFacade(t *testing.T) {
 		gotM := hyperdom.KNNOverMTree(mt, sq, 5, hyperdom.Hyperbola(), strategy)
 		if len(gotM.Items) != len(want.Items) {
 			t.Fatalf("M-tree %v: %d items, want %d", strategy, len(gotM.Items), len(want.Items))
+		}
+	}
+}
+
+// TestKNNBatchMatchesSerial: the batch is KNN per query, in query order,
+// whatever the pool width and whether or not the tree is frozen.
+func TestKNNBatchMatchesSerial(t *testing.T) {
+	items := randomItems(1500, 3, 5)
+	ss := hyperdom.NewSSTree(3, 0)
+	for _, it := range items {
+		ss.Insert(it)
+	}
+	queries := make([]hyperdom.Sphere, 25)
+	for i := range queries {
+		queries[i] = items[i*7].Sphere
+	}
+	for _, frozen := range []bool{false, true} {
+		if frozen {
+			ss.Freeze()
+		}
+		want := make([]hyperdom.KNNResult, len(queries))
+		for i, q := range queries {
+			want[i] = hyperdom.KNN(ss, q, 6, hyperdom.Hyperbola(), hyperdom.BestFirst)
+		}
+		for _, workers := range []int{0, 1, 3} {
+			got := hyperdom.KNNBatch(ss, queries, 6, hyperdom.Hyperbola(), hyperdom.BestFirst, workers)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("frozen=%v workers=%d: batch differs from serial KNN", frozen, workers)
+			}
+			if empty := hyperdom.KNNBatch(ss, nil, 6, hyperdom.Hyperbola(), hyperdom.BestFirst, workers); len(empty) != 0 {
+				t.Errorf("frozen=%v workers=%d: empty batch returned %d results", frozen, workers, len(empty))
+			}
 		}
 	}
 }

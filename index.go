@@ -12,6 +12,7 @@ import (
 	"hyperdom/internal/sstree"
 	"hyperdom/internal/topk"
 	"hyperdom/internal/tree"
+	"hyperdom/internal/workload"
 )
 
 // SSTree is an SS-tree index over hyperspheres (White & Jain, ICDE 1996),
@@ -106,10 +107,11 @@ func KNNBruteForce(items []Item, sq Sphere, k int, crit Criterion) KNNResult {
 	return knn.BruteForce(items, sq, k, crit)
 }
 
-// KNNBatch answers many kNN queries over one SS-tree concurrently and
-// returns results in query order. workers ≤ 0 selects GOMAXPROCS.
+// KNNBatch answers many kNN queries over one SS-tree concurrently, through
+// a pool of workers (internal/engine) that lives for the call, and returns
+// results in query order. workers ≤ 0 selects GOMAXPROCS.
 func KNNBatch(t *SSTree, queries []Sphere, k int, crit Criterion, strategy SearchStrategy, workers int) []KNNResult {
-	return knn.SearchBatch(knn.WrapSSTree(t), queries, k, crit, strategy, workers)
+	return workload.KNNBatch(knn.WrapSSTree(t), queries, k, workers, crit, strategy)
 }
 
 // RKNNResult is the answer of a reverse-kNN query.

@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -164,11 +165,14 @@ func TestNewSpherePanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewSphere(nil, 1) },
 		func() { NewSphere([]float64{0}, -1) },
+		func() { NewSphere([]float64{0}, math.Inf(1)) },
+		func() { NewSphere([]float64{0, math.NaN()}, 1) },
+		func() { NewSphere([]float64{math.Inf(-1)}, 1) },
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Error("NewSphere with invalid input did not panic")
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "geom: NewSphere") {
+					t.Errorf("NewSphere with invalid input: recovered %q, want a geom: NewSphere panic", msg)
 				}
 			}()
 			fn()

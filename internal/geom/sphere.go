@@ -18,16 +18,15 @@ type Sphere struct {
 }
 
 // NewSphere returns a sphere with the given center and radius. It panics if
-// the radius is negative or the center is empty, because every caller bug of
-// that kind would otherwise surface as a far-away wrong answer.
+// the sphere is not well-formed (Validate), because every caller bug of that
+// kind would otherwise surface as a far-away wrong answer, or as an error
+// from the first index the sphere is inserted into.
 func NewSphere(center []float64, radius float64) Sphere {
-	if len(center) == 0 {
-		panic("geom: NewSphere with empty center")
+	s := Sphere{Center: center, Radius: radius}
+	if err := s.Validate(); err != nil {
+		panic("geom: NewSphere: " + err.Error())
 	}
-	if radius < 0 || math.IsNaN(radius) {
-		panic(fmt.Sprintf("geom: NewSphere with invalid radius %v", radius))
-	}
-	return Sphere{Center: center, Radius: radius}
+	return s
 }
 
 // Point returns the degenerate sphere of radius 0 centered at p.

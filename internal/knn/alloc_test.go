@@ -135,28 +135,6 @@ func TestSearchAllocsPacked(t *testing.T) {
 	}
 }
 
-// TestSearchBatchAllocs pins the per-query allocation cost of the batch
-// path, which reuses one scratch arena per worker across all its queries.
-func TestSearchBatchAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("10k-item fixture")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
-	}
-	idx, queries := allocFixture(10000)
-	SearchBatch(idx, queries, 10, dominance.Hyperbola{}, HS, 1) // warm
-	allocs := testing.AllocsPerRun(16, func() {
-		SearchBatch(idx, queries, 10, dominance.Hyperbola{}, HS, 1)
-	})
-	// Budget: one answer slice per query plus the fixed batch scaffolding
-	// (result slice, channel, waitgroup, goroutine closure).
-	budget := float64(len(queries)*searchAllocBudget + 8)
-	if allocs > budget {
-		t.Errorf("%.1f allocs per %d-query batch, budget %.0f", allocs, len(queries), budget)
-	}
-}
-
 // BenchmarkSearch measures the kNN traversals over the 10k-item SS-tree —
 // the figures BENCH_knn.json tracks across PRs.
 func BenchmarkSearch(b *testing.B) {
@@ -184,20 +162,6 @@ func BenchmarkSearchPacked(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				Search(idx, queries[i%len(queries)], 10, dominance.Hyperbola{}, algo)
-			}
-		})
-	}
-}
-
-// BenchmarkSearchBatch measures batch throughput with worker-pooled scratch.
-func BenchmarkSearchBatch(b *testing.B) {
-	idx, queries := allocFixture(10000)
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("SS10k/HS/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				SearchBatch(idx, queries, 10, dominance.Hyperbola{}, HS, workers)
 			}
 		})
 	}

@@ -26,8 +26,6 @@ var (
 	obsHeapPops      = obs.New("knn.heap_pops")
 	obsHeapGrowth    = obs.New("knn.heap_growth")
 	obsDFExpansions  = obs.New("knn.df_child_expansions")
-	obsBatches       = obs.New("knn.batches")
-	obsBatchQueries  = obs.New("knn.batch_queries")
 	obsBruteSearches = obs.New("knn.brute_force_searches")
 	obsBoxPrunes     = obs.New("knn.box_prunes")
 )

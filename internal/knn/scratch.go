@@ -19,8 +19,8 @@ import (
 // base on exit. Appends reuse the retained capacity, so after the first few
 // searches the arena never grows.
 //
-// A scratch is owned by exactly one search at a time; SearchBatch gives each
-// worker its own.
+// A scratch is owned by exactly one search at a time; an engine worker holds
+// one, through its Searcher, for life.
 type scratch struct {
 	list bestList
 

@@ -5,22 +5,16 @@
 // than a checksummed table of contents over those blocks written verbatim
 // in little-endian order:
 //
-//	[0,  8)  magic "HDSNAPLE" (the trailing LE doubles as the byte-order mark)
-//	[8, 12)  format version (u32, currently 3)
-//	[12,16)  header CRC-32C over [0, hdrLen) with this field zeroed
-//	[16,20)  hdrLen: fixed fields + section table, the CRC-covered prefix
-//	[20,40)  dim, nodes, children, items (u32 each), root (i32)
-//	[40,44)  kind, substrate, tiers, flags (u8 each)
-//	[44,48)  section count (u32)
-//	[48,72)  rootRadius, slackRel, pivotRel (f64 bits each)
-//	[72, ..) section table: {id u32, CRC-32C u32, off u64, len u64} ascending
-//	         by id, offsets 64-byte aligned and ascending
+//	[0, 72)  the fixed header (type header, field for field)
+//	[72, ..) section table: one secEntry per section, ascending by id,
+//	         offsets 64-byte aligned and ascending
 //	[...  )  raw section payloads
 //
-// Every section's expected element count is derivable from the header
-// alone (see secSpecs), so a reader never trusts a length field further
-// than the arithmetic it can check — the foundation of the corrupt-input
-// hardening FuzzSnapshotOpen locks in.
+// Both are encoded with encoding/binary; the header CRC covers the fixed
+// header and the table. Every section's expected element count is derivable
+// from the header alone (the sections table), so a reader never trusts a
+// length field further than the arithmetic it can check — the foundation of
+// the corrupt-input hardening FuzzSnapshotOpen locks in.
 //
 // Two load paths share one decoder. Load/OpenBytes copy every block out of
 // the file bytes and verify every section CRC — the portable path. Open
@@ -40,6 +34,7 @@
 package packed
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -50,6 +45,7 @@ import (
 	"path/filepath"
 	"unsafe"
 
+	"hyperdom/internal/geom"
 	"hyperdom/internal/obs"
 )
 
@@ -164,10 +160,42 @@ func (t *Tree) Substrate() Substrate { return t.substrate }
 // survives serialization.
 func (b *Builder) SetSubstrate(s Substrate) { b.t.substrate = s }
 
+// header is the fixed 72-byte prefix of a snapshot file. encoding/binary
+// writes and reads it little-endian, field after field with no padding, so
+// the declaration order below is the byte layout.
+type header struct {
+	Magic      [8]byte // magicLE; the trailing LE doubles as the byte-order mark
+	Version    uint32
+	CRC        uint32 // CRC-32C over [0, HdrLen) with this field zeroed
+	HdrLen     uint32 // fixed header + section table, the CRC-covered prefix
+	Dim        uint32
+	Nodes      uint32
+	Children   uint32
+	Items      uint32
+	Root       int32 // -1: empty tree
+	Kind       Kind
+	Substrate  Substrate
+	Tiers      uint8
+	Flags      uint8 // reserved, zero
+	NSec       uint32
+	RootRadius float64
+	SlackRel   float64
+	PivotRel   float64
+}
+
+// hdrCRCOff is the byte offset of header.CRC, the one field the checksum
+// over the header has to step around.
+const hdrCRCOff = 12
+
+// secEntry is one row of the file's section table.
+type secEntry struct {
+	ID, CRC  uint32
+	Off, Len uint64
+}
+
 // Section ids, in both file order and ascending numeric order (the table
 // is required to be strictly ascending). Which ids appear in a given file
-// depends on kind and emptiness; secSpecs is the single source of truth
-// for the expected element count of every section.
+// depends on kind and emptiness.
 const (
 	secLeaf uint32 = iota + 1
 	secChildStart
@@ -194,66 +222,148 @@ const (
 	secCBox
 )
 
-// secSpec is one section's contract: element width and the exact element
-// count implied by the header. n == 0 means the section must be absent.
-type secSpec struct {
-	id   uint32
-	elem int64
-	n    int64
+// section is everything the format knows about one section. The element
+// count is recomputed from the header, never read from the file, so a valid
+// writer cannot emit a file its own reader would reject and a corrupted
+// length can never make the reader slice out of bounds.
+type section struct {
+	id    uint32
+	elem  int64                 // element width in bytes
+	count func(h *header) int64 // elements the header implies; 0 = the section must be absent
+	// bytes returns the column as little-endian bytes (leBytes) without
+	// writing to t: searches run during a save.
+	bytes func(t *Tree) []byte
+	// fill decodes the column from b into t. With zeroCopy the Tree's slice
+	// may alias b, which must then outlive it.
+	fill func(t *Tree, b []byte, zeroCopy bool)
+	// check, when set, reads the raw bytes before fill: the contents no
+	// later validation pass would catch.
+	check func(b []byte, dim int) error
 }
 
-// secSpecs derives every section's expected shape from the header fields
-// alone. Writer and reader share it, so a valid writer cannot emit a file
-// its own reader would reject, and a corrupted length can never make the
-// reader slice out of bounds — the count is recomputed, never trusted.
-func secSpecs(kind Kind, dim, nodes, children, items int64, root int32) []secSpec {
-	sphere := kind == KindSphere
-	rect := kind == KindRect
-	sel := func(cond bool, n int64) int64 {
-		if cond {
-			return n
-		}
+// sec is the section over one plain numeric column of the Tree.
+func sec[T word](id uint32, count func(*header) int64, field func(*Tree) *[]T) section {
+	var z T
+	return section{
+		id: id, elem: int64(unsafe.Sizeof(z)), count: count,
+		bytes: func(t *Tree) []byte { return leBytes(*field(t)) },
+		fill:  func(t *Tree, b []byte, zeroCopy bool) { *field(t) = decodeSlice[T](b, zeroCopy) },
+	}
+}
+
+func (s section) checked(check func(b []byte, dim int) error) section {
+	s.check = check
+	return s
+}
+
+func perNode(h *header) int64    { return int64(h.Nodes) }
+func perNodeEnd(h *header) int64 { return int64(h.Nodes) + 1 }
+func perChild(h *header) int64   { return int64(h.Children) }
+func perItem(h *header) int64    { return int64(h.Items) }
+
+// perRoot: an empty tree has no root bound.
+func perRoot(h *header) int64 {
+	if h.Root < 0 {
 		return 0
 	}
-	rootN := sel(root >= 0, dim)
-	return []secSpec{
-		{secLeaf, 1, nodes},
-		{secChildStart, 4, nodes + 1},
-		{secItemStart, 4, nodes + 1},
-		{secChild, 4, children},
-		{secCCenters, 8, sel(sphere, children*dim)},
-		{secCRadii, 8, sel(sphere, children)},
-		{secCLo, 8, sel(rect, children*dim)},
-		{secCHi, 8, sel(rect, children*dim)},
-		{secItemIDs, 8, items},
-		{secICenters, 8, items * dim},
-		{secIRadii, 8, items},
-		{secRootCenter, 8, sel(sphere, rootN)},
-		{secRootLo, 8, sel(rect, rootN)},
-		{secRootHi, 8, sel(rect, rootN)},
-		{secQICen32, 4, items * dim},
-		{secQICen8, 1, items * dim},
-		{secQIScale, 8, nodes},
-		{secQIOffset, 8, nodes},
-		{secLeafPivot, 8, nodes * dim},
-		{secIPivotHi32, 4, items},
-		{secISR32, 4, items},
-		{secISR8, 4, items},
-		{secCBox, 4, sel(sphere, children*dim*2)},
+	return 1
+}
+
+// coords turns a count of entries into mul·dim coordinates per entry.
+func coords(mul int64, n func(*header) int64) func(*header) int64 {
+	return func(h *header) int64 { return n(h) * mul * int64(h.Dim) }
+}
+
+// only confines a section to trees of one kind.
+func only(k Kind, n func(*header) int64) func(*header) int64 {
+	return func(h *header) int64 {
+		if h.Kind != k {
+			return 0
+		}
+		return n(h)
 	}
+}
+
+// sections is the snapshot format's table of contents, ascending by id:
+// what WriteTo emits and what decodeTree expects, checks and fills.
+var sections = []section{
+	sec(secLeaf, perNode, func(t *Tree) *[]bool { return &t.leaf }).checked(checkLeafFlags),
+	sec(secChildStart, perNodeEnd, func(t *Tree) *[]int32 { return &t.childStart }),
+	sec(secItemStart, perNodeEnd, func(t *Tree) *[]int32 { return &t.itemStart }),
+	sec(secChild, perChild, func(t *Tree) *[]int32 { return &t.child }),
+	sec(secCCenters, only(KindSphere, coords(1, perChild)), func(t *Tree) *[]float64 { return &t.cCenters }),
+	sec(secCRadii, only(KindSphere, perChild), func(t *Tree) *[]float64 { return &t.cRadii }),
+	sec(secCLo, only(KindRect, coords(1, perChild)), func(t *Tree) *[]float64 { return &t.cLo }),
+	sec(secCHi, only(KindRect, coords(1, perChild)), func(t *Tree) *[]float64 { return &t.cHi }),
+	{
+		// The item IDs live in []geom.Item, which holds Go slice headers and
+		// so cannot be a file column itself; decodeTree points each item's
+		// sphere into iCenters/iRadii once those are in.
+		id: secItemIDs, elem: 8, count: perItem,
+		bytes: func(t *Tree) []byte {
+			ids := make([]int64, len(t.items))
+			for i := range t.items {
+				ids[i] = int64(t.items[i].ID)
+			}
+			return leBytes(ids)
+		},
+		fill: func(t *Tree, b []byte, _ bool) {
+			t.items = make([]geom.Item, len(b)/8)
+			for i, id := range decodeSlice[int64](b, true) {
+				t.items[i].ID = int(id)
+			}
+		},
+	},
+	sec(secICenters, coords(1, perItem), func(t *Tree) *[]float64 { return &t.iCenters }),
+	sec(secIRadii, perItem, func(t *Tree) *[]float64 { return &t.iRadii }),
+	sec(secRootCenter, only(KindSphere, coords(1, perRoot)), func(t *Tree) *[]float64 { return &t.rootCenter }),
+	sec(secRootLo, only(KindRect, coords(1, perRoot)), func(t *Tree) *[]float64 { return &t.rootLo }),
+	sec(secRootHi, only(KindRect, coords(1, perRoot)), func(t *Tree) *[]float64 { return &t.rootHi }),
+	sec(secQICen32, coords(1, perItem), func(t *Tree) *[]float32 { return &t.quant.iCen32 }),
+	sec(secQICen8, coords(1, perItem), func(t *Tree) *[]int8 { return &t.quant.iCen8 }),
+	sec(secQIScale, perNode, func(t *Tree) *[]float64 { return &t.quant.iScale }),
+	sec(secQIOffset, perNode, func(t *Tree) *[]float64 { return &t.quant.iOffset }),
+	sec(secLeafPivot, coords(1, perNode), func(t *Tree) *[]float64 { return &t.quant.leafPivot }),
+	sec(secIPivotHi32, perItem, func(t *Tree) *[]float32 { return &t.quant.iPivotHi32 }),
+	sec(secISR32, perItem, func(t *Tree) *[]float32 { return &t.quant.iSR32 }),
+	sec(secISR8, perItem, func(t *Tree) *[]float32 { return &t.quant.iSR8 }),
+	sec(secCBox, only(KindSphere, coords(2, perChild)), func(t *Tree) *[]float32 { return &t.cBox }).checked(checkBoxes),
+}
+
+// checkLeafFlags: []bool is one 0/1 byte per element in Go's ABI, and any
+// other byte must be refused before the section is cast back.
+func checkLeafFlags(b []byte, _ int) error {
+	for i, v := range b {
+		if v > 1 {
+			return fmt.Errorf("%w: leaf flag %d at node %d", ErrCorrupt, v, i)
+		}
+	}
+	return nil
+}
+
+// checkBoxes reads every child box: the traversal prunes on them, so an
+// inverted or NaN box would lose answers without a sign, and at 8·dim bytes
+// per child entry the pass is cheap enough to run whether or not the
+// section CRCs do.
+func checkBoxes(b []byte, dim int) error {
+	le := binary.LittleEndian
+	for i := 0; i < len(b); i += 8 {
+		lo, hi := math.Float32frombits(le.Uint32(b[i:])), math.Float32frombits(le.Uint32(b[i+4:]))
+		if !(lo <= hi) {
+			return fmt.Errorf("%w: child entry %d has box [%v, %v] on axis %d",
+				ErrCorrupt, i/8/dim, lo, hi, i/8%dim)
+		}
+	}
+	return nil
 }
 
 // hostLE reports whether this process runs little-endian. The format is
 // little-endian on disk regardless; on big-endian hosts every block is
 // byte-swap-copied and the zero-copy fast path is simply unavailable.
-var hostLE = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // word is any fixed-width element a section can hold. bool rides along
-// because []bool is one 0/1 byte per element in Go's ABI — the leaf
-// section validates every byte before casting back.
+// because []bool is one 0/1 byte per element in Go's ABI.
 type word interface {
 	~int8 | ~uint8 | ~bool | ~int32 | ~float32 | ~int64 | ~float64
 }
@@ -266,6 +376,15 @@ func rawBytes[T word](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
 }
 
+// swapCopy copies src to dst reversing the bytes of every w-byte element.
+func swapCopy(dst, src []byte, w int) {
+	for i := 0; i < len(src); i += w {
+		for j := 0; j < w; j++ {
+			dst[i+j] = src[i+w-1-j]
+		}
+	}
+}
+
 // leBytes returns s as little-endian bytes: an alias of the backing array
 // on little-endian hosts, an element-wise swapped copy otherwise.
 func leBytes[T word](s []T) []byte {
@@ -273,13 +392,8 @@ func leBytes[T word](s []T) []byte {
 	if hostLE || len(b) == len(s) {
 		return b
 	}
-	w := int(unsafe.Sizeof(s[0]))
 	out := make([]byte, len(b))
-	for i := 0; i < len(b); i += w {
-		for j := 0; j < w; j++ {
-			out[i+j] = b[i+w-1-j]
-		}
-	}
+	swapCopy(out, b, len(b)/len(s))
 	return out
 }
 
@@ -298,151 +412,77 @@ func decodeSlice[T word](b []byte, zeroCopy bool) []T {
 		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 	}
 	out := make([]T, n)
-	ob := rawBytes(out)
-	if hostLE || w == 1 {
-		copy(ob, b)
+	if hostLE {
+		copy(rawBytes(out), b)
 	} else {
-		for i := 0; i < len(b); i += w {
-			for j := 0; j < w; j++ {
-				ob[i+j] = b[i+w-1-j]
-			}
-		}
+		swapCopy(rawBytes(out), b, w)
 	}
 	return out
 }
 
 func align64(n int64) int64 { return (n + secAlign - 1) &^ (secAlign - 1) }
 
-// secData returns section id's payload as little-endian bytes. Sections
-// whose elements are 1 byte wide alias the Tree's slices; wider sections
-// alias on little-endian hosts and are swap-copied on big-endian ones.
-func (t *Tree) secData(id uint32) []byte {
-	q := &t.quant
-	switch id {
-	case secLeaf:
-		return rawBytes(t.leaf)
-	case secChildStart:
-		return leBytes(t.childStart)
-	case secItemStart:
-		return leBytes(t.itemStart)
-	case secChild:
-		return leBytes(t.child)
-	case secCCenters:
-		return leBytes(t.cCenters)
-	case secCRadii:
-		return leBytes(t.cRadii)
-	case secCLo:
-		return leBytes(t.cLo)
-	case secCHi:
-		return leBytes(t.cHi)
-	case secItemIDs:
-		ids := make([]int64, len(t.items))
-		for i := range t.items {
-			ids[i] = int64(t.items[i].ID)
-		}
-		return leBytes(ids)
-	case secICenters:
-		return leBytes(t.iCenters)
-	case secIRadii:
-		return leBytes(t.iRadii)
-	case secRootCenter:
-		return leBytes(t.rootCenter)
-	case secRootLo:
-		return leBytes(t.rootLo)
-	case secRootHi:
-		return leBytes(t.rootHi)
-	case secQICen32:
-		return leBytes(q.iCen32)
-	case secQICen8:
-		return rawBytes(q.iCen8)
-	case secQIScale:
-		return leBytes(q.iScale)
-	case secQIOffset:
-		return leBytes(q.iOffset)
-	case secLeafPivot:
-		return leBytes(q.leafPivot)
-	case secIPivotHi32:
-		return leBytes(q.iPivotHi32)
-	case secISR32:
-		return leBytes(q.iSR32)
-	case secISR8:
-		return leBytes(q.iSR8)
-	case secCBox:
-		return leBytes(t.cBox)
-	}
-	panic(fmt.Sprintf("packed: unknown section id %d", id))
-}
-
 // WriteTo serializes the snapshot in format v3 and reports the bytes
 // written. It implements io.WriterTo; durability (atomic replace, fsync)
 // is Save's job — WriteTo only streams bytes.
 func (t *Tree) WriteTo(w io.Writer) (int64, error) {
-	type sec struct {
-		id   uint32
-		data []byte
+	h := header{
+		Magic:      [8]byte([]byte(magicLE)),
+		Version:    FormatVersion,
+		Dim:        uint32(t.dim),
+		Nodes:      uint32(len(t.leaf)),
+		Children:   uint32(len(t.child)),
+		Items:      uint32(len(t.items)),
+		Root:       t.root,
+		Kind:       t.kind,
+		Substrate:  t.substrate,
+		Tiers:      tiersBoth,
+		RootRadius: t.rootRadius,
+		SlackRel:   slackRelParam,
+		PivotRel:   pivotRelParam,
 	}
-	var secs []sec
-	for _, sp := range secSpecs(t.kind, int64(t.dim), int64(len(t.leaf)), int64(len(t.child)), int64(len(t.items)), t.root) {
-		data := t.secData(sp.id)
-		if int64(len(data)) != sp.n*sp.elem {
-			panic(fmt.Sprintf("packed: section %d holds %d bytes, format expects %d", sp.id, len(data), sp.n*sp.elem))
+	var table []secEntry
+	blocks := [][]byte{nil} // the header, once the table is known, then each payload
+	for _, s := range sections {
+		data := s.bytes(t)
+		if want := s.count(&h) * s.elem; int64(len(data)) != want {
+			panic(fmt.Sprintf("packed: section %d holds %d bytes, format expects %d", s.id, len(data), want))
 		}
-		if sp.n == 0 {
-			continue
+		if len(data) > 0 {
+			table = append(table, secEntry{ID: s.id, CRC: crc32.Checksum(data, castagnoli), Len: uint64(len(data))})
+			blocks = append(blocks, data)
 		}
-		secs = append(secs, sec{sp.id, data})
 	}
-
-	hdrLen := int64(fixedHdrLen + secEntryLen*len(secs))
-	hdr := make([]byte, align64(hdrLen))
-	le := binary.LittleEndian
-	copy(hdr, magicLE)
-	le.PutUint32(hdr[8:], FormatVersion)
-	le.PutUint32(hdr[16:], uint32(hdrLen))
-	le.PutUint32(hdr[20:], uint32(t.dim))
-	le.PutUint32(hdr[24:], uint32(len(t.leaf)))
-	le.PutUint32(hdr[28:], uint32(len(t.child)))
-	le.PutUint32(hdr[32:], uint32(len(t.items)))
-	le.PutUint32(hdr[36:], uint32(t.root))
-	hdr[40] = byte(t.kind)
-	hdr[41] = byte(t.substrate)
-	hdr[42] = tiersBoth
-	hdr[43] = 0 // flags, reserved
-	le.PutUint32(hdr[44:], uint32(len(secs)))
-	le.PutUint64(hdr[48:], math.Float64bits(t.rootRadius))
-	le.PutUint64(hdr[56:], math.Float64bits(slackRelParam))
-	le.PutUint64(hdr[64:], math.Float64bits(pivotRelParam))
-	off := align64(hdrLen)
-	for i, s := range secs {
-		e := hdr[fixedHdrLen+i*secEntryLen:]
-		le.PutUint32(e[0:], s.id)
-		le.PutUint32(e[4:], crc32.Checksum(s.data, castagnoli))
-		le.PutUint64(e[8:], uint64(off))
-		le.PutUint64(e[16:], uint64(len(s.data)))
-		off = align64(off + int64(len(s.data)))
+	h.NSec = uint32(len(table))
+	h.HdrLen = fixedHdrLen + secEntryLen*h.NSec
+	off := align64(int64(h.HdrLen))
+	for i := range table {
+		table[i].Off = uint64(off)
+		off = align64(off + int64(table[i].Len))
+	}
+	var hdr bytes.Buffer
+	if err := binary.Write(&hdr, binary.LittleEndian, &h); err != nil {
+		return 0, err
+	}
+	if err := binary.Write(&hdr, binary.LittleEndian, table); err != nil {
+		return 0, err
 	}
 	// The CRC field is still zero here, which is exactly the byte state
 	// the checksum is defined over.
-	le.PutUint32(hdr[12:], crc32.Checksum(hdr[:hdrLen], castagnoli))
+	blocks[0] = hdr.Bytes()
+	binary.LittleEndian.PutUint32(blocks[0][hdrCRCOff:], crc32.Checksum(blocks[0], castagnoli))
 
 	var n int64
-	emit := func(b []byte) error {
+	var pad [secAlign]byte
+	for _, b := range blocks {
 		m, err := w.Write(b)
 		n += int64(m)
-		return err
-	}
-	if err := emit(hdr); err != nil {
-		return n, err
-	}
-	var pad [secAlign]byte
-	for _, s := range secs {
-		if err := emit(s.data); err != nil {
-			return n, err
+		if rem := len(b) % secAlign; err == nil && rem != 0 {
+			m, err = w.Write(pad[:secAlign-rem])
+			n += int64(m)
 		}
-		if rem := int64(len(s.data)) % secAlign; rem != 0 {
-			if err := emit(pad[:secAlign-rem]); err != nil {
-				return n, err
-			}
+		if err != nil {
+			return n, err
 		}
 	}
 	if obs.On() {
@@ -451,43 +491,38 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// Save writes the snapshot to path atomically: the bytes go to a temp
-// file in the same directory, the file is fsynced, renamed over path, and
-// the directory fsynced — a crash leaves either the old file or the new
-// one, never a torn hybrid, and a reader can Open concurrently with a
-// writer replacing the file.
-func (t *Tree) Save(path string) (err error) {
+// Save writes the snapshot to path with ReplaceFile's guarantees, so a
+// reader can Open concurrently with a writer replacing the file.
+func (t *Tree) Save(path string) error { return ReplaceFile(path, t) }
+
+// ReplaceFile makes path hold exactly what src writes, atomically and
+// durably: the bytes go to a temp file in the same directory, the file is
+// fsynced, renamed over path, and the directory fsynced — a crash leaves
+// either the old file or the new one, never a torn hybrid. Every step's
+// error is returned; on failure the temp file is removed.
+func ReplaceFile(path string, src io.WriterTo) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
-	tmp := f.Name()
-	defer func() {
-		if f != nil {
-			f.Close()
-		}
-		if err != nil {
-			os.Remove(tmp)
-		}
-	}()
-	if _, err = t.WriteTo(f); err != nil {
-		return err
+	_, err = src.WriteTo(f)
+	if err == nil {
+		// CreateTemp opens 0600; these files are shippable artifacts, so
+		// widen to the usual rw-r--r-- (cut down by the process umask).
+		err = f.Chmod(0o644)
 	}
-	// CreateTemp opens 0600; a snapshot is a shippable artifact, so widen
-	// to the usual rw-r--r-- (cut down by the process umask on rename).
-	if err = f.Chmod(0o644); err != nil {
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err = f.Sync(); err != nil {
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	err = f.Close()
-	f = nil
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
 	if err != nil {
-		return err
-	}
-	if err = os.Rename(tmp, path); err != nil {
+		os.Remove(f.Name())
 		return err
 	}
 	d, err := os.Open(dir)

@@ -1,10 +1,10 @@
 package packed
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"time"
 
@@ -12,138 +12,99 @@ import (
 	"hyperdom/internal/obs"
 )
 
-// header is the parsed, bounds-checked fixed header plus section table.
-// Counts are widened to int64 so all downstream size arithmetic is
-// overflow-free under the maxSnap* caps.
-type header struct {
-	kind      Kind
-	substrate Substrate
-	dim       int64
-	nodes     int64
-	children  int64
-	items     int64
-	root      int32
-	rootRad   float64
-	secs      []secEntry
-}
-
-type secEntry struct {
-	id  uint32
-	crc uint32
-	off uint64
-	ln  uint64
-}
-
 // parseHeader validates everything that can be validated before touching a
 // single payload byte: magic, version, header CRC, field caps, and a
 // section table whose entries are strictly ascending by id, 64-byte
 // aligned, non-overlapping and inside the file. After it returns, every
-// secs[i] byte range is safe to slice out of data.
-func parseHeader(data []byte) (*header, error) {
-	le := binary.LittleEndian
-	if len(data) < fixedHdrLen {
-		return nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, len(data), fixedHdrLen)
+// table entry's byte range is safe to slice out of data, and the counts in
+// h keep all downstream size arithmetic inside int64 (the maxSnap* caps).
+func parseHeader(data []byte) (h *header, table []secEntry, err error) {
+	h = new(header)
+	if len(data) < fixedHdrLen || binary.Read(bytes.NewReader(data), binary.LittleEndian, h) != nil {
+		return nil, nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, len(data), fixedHdrLen)
 	}
-	switch string(data[:8]) {
+	switch string(h.Magic[:]) {
 	case magicLE:
 	case magicBE:
-		return nil, fmt.Errorf("%w: big-endian snapshot; re-freeze and save on a little-endian host (v%d writes little-endian only)",
+		return nil, nil, fmt.Errorf("%w: big-endian snapshot; re-freeze and save on a little-endian host (v%d writes little-endian only)",
 			ErrIncompatible, FormatVersion)
 	default:
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadMagic, data[:8])
+		return nil, nil, fmt.Errorf("%w: bad magic %q", ErrBadMagic, h.Magic[:])
 	}
-	if v := le.Uint32(data[8:]); v != FormatVersion {
-		return nil, fmt.Errorf("%w: file is format v%d, this build reads v%d — rebuild the snapshot with a matching hyperdom build (datagen -freeze or hyperdomd build-and-save)",
-			ErrBadVersion, v, FormatVersion)
+	if h.Version != FormatVersion {
+		return nil, nil, fmt.Errorf("%w: file is format v%d, this build reads v%d — rebuild the snapshot with a matching hyperdom build (datagen -freeze or hyperdomd build-and-save)",
+			ErrBadVersion, h.Version, FormatVersion)
 	}
-	hdrLen := int64(le.Uint32(data[16:]))
-	nsec := int64(le.Uint32(data[44:]))
-	if hdrLen != fixedHdrLen+secEntryLen*nsec || hdrLen > int64(len(data)) {
-		return nil, fmt.Errorf("%w: header length %d inconsistent with %d sections in a %d-byte file",
-			ErrCorrupt, hdrLen, nsec, len(data))
+	hdrLen := int64(h.HdrLen)
+	if hdrLen != fixedHdrLen+secEntryLen*int64(h.NSec) || hdrLen > int64(len(data)) {
+		return nil, nil, fmt.Errorf("%w: header length %d inconsistent with %d sections in a %d-byte file",
+			ErrCorrupt, hdrLen, h.NSec, len(data))
 	}
 	// The stored CRC is defined over the header bytes with its own field
 	// zeroed; fold the three spans instead of copying.
-	crc := crc32.Update(0, castagnoli, data[:12])
+	crc := crc32.Update(0, castagnoli, data[:hdrCRCOff])
 	crc = crc32.Update(crc, castagnoli, []byte{0, 0, 0, 0})
-	crc = crc32.Update(crc, castagnoli, data[16:hdrLen])
-	if got := le.Uint32(data[12:]); got != crc {
+	crc = crc32.Update(crc, castagnoli, data[hdrCRCOff+4:hdrLen])
+	if h.CRC != crc {
 		noteChecksumFailure()
-		return nil, fmt.Errorf("%w: header CRC %08x, computed %08x", ErrChecksum, got, crc)
+		return nil, nil, fmt.Errorf("%w: header CRC %08x, computed %08x", ErrChecksum, h.CRC, crc)
 	}
 
-	h := &header{
-		dim:      int64(le.Uint32(data[20:])),
-		nodes:    int64(le.Uint32(data[24:])),
-		children: int64(le.Uint32(data[28:])),
-		items:    int64(le.Uint32(data[32:])),
-		root:     int32(le.Uint32(data[36:])),
-		rootRad:  math.Float64frombits(le.Uint64(data[48:])),
+	if h.Kind != KindSphere && h.Kind != KindRect {
+		return nil, nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, h.Kind)
 	}
-	h.kind = Kind(data[40])
-	h.substrate = Substrate(data[41])
-	if h.kind != KindSphere && h.kind != KindRect {
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, data[40])
+	if int(h.Substrate) >= NumSubstrates {
+		return nil, nil, fmt.Errorf("%w: unknown substrate %d", ErrCorrupt, h.Substrate)
 	}
-	if int(h.substrate) >= NumSubstrates {
-		return nil, fmt.Errorf("%w: unknown substrate %d", ErrCorrupt, data[41])
+	if h.Tiers != tiersBoth {
+		return nil, nil, fmt.Errorf("%w: quant tier mask %#x, this build serves snapshots carrying both tiers (%#x) — re-freeze with a matching build",
+			ErrIncompatible, h.Tiers, tiersBoth)
 	}
-	if tiers := data[42]; tiers != tiersBoth {
-		return nil, fmt.Errorf("%w: quant tier mask %#x, this build serves snapshots carrying both tiers (%#x) — re-freeze with a matching build",
-			ErrIncompatible, tiers, tiersBoth)
+	if h.Flags != 0 {
+		return nil, nil, fmt.Errorf("%w: unknown flags %#x — written by a newer build; upgrade this reader or re-freeze", ErrIncompatible, h.Flags)
 	}
-	if flags := data[43]; flags != 0 {
-		return nil, fmt.Errorf("%w: unknown flags %#x — written by a newer build; upgrade this reader or re-freeze", ErrIncompatible, flags)
+	if h.Dim < 1 || h.Dim > maxSnapDim {
+		return nil, nil, fmt.Errorf("%w: dimensionality %d outside [1, %d]", ErrCorrupt, h.Dim, maxSnapDim)
 	}
-	if h.dim < 1 || h.dim > maxSnapDim {
-		return nil, fmt.Errorf("%w: dimensionality %d outside [1, %d]", ErrCorrupt, h.dim, maxSnapDim)
+	if h.Nodes > maxSnapCount || h.Children > maxSnapCount || h.Items > maxSnapCount {
+		return nil, nil, fmt.Errorf("%w: counts nodes=%d children=%d items=%d exceed the int32 id space",
+			ErrCorrupt, h.Nodes, h.Children, h.Items)
 	}
-	if h.nodes > maxSnapCount || h.children > maxSnapCount || h.items > maxSnapCount {
-		return nil, fmt.Errorf("%w: counts nodes=%d children=%d items=%d exceed the int32 id space",
-			ErrCorrupt, h.nodes, h.children, h.items)
+	if h.Root < -1 || int64(h.Root) >= int64(h.Nodes) {
+		return nil, nil, fmt.Errorf("%w: root %d of %d nodes", ErrCorrupt, h.Root, h.Nodes)
 	}
-	if h.root < -1 || int64(h.root) >= h.nodes {
-		return nil, fmt.Errorf("%w: root %d of %d nodes", ErrCorrupt, h.root, h.nodes)
-	}
-	if h.root < 0 && (h.nodes != 0 || h.items != 0) {
-		return nil, fmt.Errorf("%w: rootless snapshot with %d nodes, %d items", ErrCorrupt, h.nodes, h.items)
+	if h.Root < 0 && (h.Nodes != 0 || h.Items != 0) {
+		return nil, nil, fmt.Errorf("%w: rootless snapshot with %d nodes, %d items", ErrCorrupt, h.Nodes, h.Items)
 	}
 	// The freeze-time conservatism margins must match this build's
 	// compiled-in constants bit-for-bit: the coarse kernels subtract
 	// exactly these margins, so a snapshot frozen with smaller ones could
 	// make them prune items the exact path would keep.
-	slackRel := math.Float64frombits(le.Uint64(data[56:]))
-	pivotRel := math.Float64frombits(le.Uint64(data[64:]))
-	if slackRel != slackRelParam || pivotRel != pivotRelParam {
-		return nil, fmt.Errorf("%w: quant-slack margins slackRel=%g pivotRel=%g, this build requires slackRel=%g pivotRel=%g — re-freeze with a matching build",
-			ErrIncompatible, slackRel, pivotRel, slackRelParam, pivotRelParam)
+	if h.SlackRel != slackRelParam || h.PivotRel != pivotRelParam {
+		return nil, nil, fmt.Errorf("%w: quant-slack margins slackRel=%g pivotRel=%g, this build requires slackRel=%g pivotRel=%g — re-freeze with a matching build",
+			ErrIncompatible, h.SlackRel, h.PivotRel, slackRelParam, pivotRelParam)
 	}
 
-	h.secs = make([]secEntry, nsec)
+	table = make([]secEntry, h.NSec)
+	if err := binary.Read(bytes.NewReader(data[fixedHdrLen:hdrLen]), binary.LittleEndian, table); err != nil {
+		return nil, nil, fmt.Errorf("%w: section table: %v", ErrTruncated, err)
+	}
 	prevEnd := uint64(align64(hdrLen))
 	prevID := uint32(0)
-	for i := range h.secs {
-		e := data[fixedHdrLen+i*secEntryLen:]
-		s := secEntry{
-			id:  le.Uint32(e[0:]),
-			crc: le.Uint32(e[4:]),
-			off: le.Uint64(e[8:]),
-			ln:  le.Uint64(e[16:]),
+	for i, s := range table {
+		if s.ID <= prevID {
+			return nil, nil, fmt.Errorf("%w: section ids not strictly ascending at entry %d (id %d)", ErrCorrupt, i, s.ID)
 		}
-		if s.id <= prevID {
-			return nil, fmt.Errorf("%w: section ids not strictly ascending at entry %d (id %d)", ErrCorrupt, i, s.id)
+		if s.Off%secAlign != 0 || s.Off < prevEnd {
+			return nil, nil, fmt.Errorf("%w: section %d at offset %d (previous end %d)", ErrCorrupt, s.ID, s.Off, prevEnd)
 		}
-		if s.off%secAlign != 0 || s.off < prevEnd {
-			return nil, fmt.Errorf("%w: section %d at offset %d (previous end %d)", ErrCorrupt, s.id, s.off, prevEnd)
+		if s.Len > uint64(len(data)) || s.Off > uint64(len(data))-s.Len {
+			return nil, nil, fmt.Errorf("%w: section %d spans [%d, %d+%d) beyond the %d-byte file",
+				ErrTruncated, s.ID, s.Off, s.Off, s.Len, len(data))
 		}
-		if s.ln > uint64(len(data)) || s.off > uint64(len(data))-s.ln {
-			return nil, fmt.Errorf("%w: section %d spans [%d, %d+%d) beyond the %d-byte file",
-				ErrTruncated, s.id, s.off, s.off, s.ln, len(data))
-		}
-		prevEnd, prevID = s.off+s.ln, s.id
-		h.secs[i] = s
+		prevEnd, prevID = s.Off+s.Len, s.ID
 	}
-	return h, nil
+	return h, table, nil
 }
 
 // decodeTree turns snapshot bytes into a servable Tree. zeroCopy points
@@ -152,122 +113,66 @@ func parseHeader(data []byte) (*header, error) {
 // section's CRC — always on for the copy paths, opt-in for mmap so
 // opening does not force the whole file resident.
 func decodeTree(data []byte, zeroCopy, verify bool) (*Tree, error) {
-	h, err := parseHeader(data)
+	h, table, err := parseHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	sections := make(map[uint32][]byte, len(h.secs))
-	for _, e := range h.secs {
-		b := data[e.off : e.off+e.ln]
+	payloads := make(map[uint32][]byte, len(table))
+	for _, e := range table {
+		b := data[e.Off : e.Off+e.Len]
 		if verify {
-			if got := crc32.Checksum(b, castagnoli); got != e.crc {
+			if got := crc32.Checksum(b, castagnoli); got != e.CRC {
 				noteChecksumFailure()
-				return nil, fmt.Errorf("%w: section %d CRC %08x, computed %08x", ErrChecksum, e.id, e.crc, got)
+				return nil, fmt.Errorf("%w: section %d CRC %08x, computed %08x", ErrChecksum, e.ID, e.CRC, got)
 			}
 		}
-		sections[e.id] = b
+		payloads[e.ID] = b
 	}
 
 	t := &Tree{
-		kind:       h.kind,
-		dim:        int(h.dim),
-		root:       h.root,
-		substrate:  h.substrate,
-		rootRadius: h.rootRad,
+		kind:       h.Kind,
+		dim:        int(h.Dim),
+		root:       h.Root,
+		substrate:  h.Substrate,
+		rootRadius: h.RootRadius,
 	}
-	q := &t.quant
-	var itemIDs []int64
-	for _, sp := range secSpecs(h.kind, h.dim, h.nodes, h.children, h.items, h.root) {
-		b, present := sections[sp.id]
-		if sp.n == 0 {
+	for _, s := range sections {
+		b, present := payloads[s.id]
+		want := s.count(h) * s.elem
+		if want == 0 {
 			if present {
-				return nil, fmt.Errorf("%w: unexpected section %d", ErrCorrupt, sp.id)
+				return nil, fmt.Errorf("%w: unexpected section %d", ErrCorrupt, s.id)
 			}
 			continue
 		}
 		if !present {
-			return nil, fmt.Errorf("%w: missing section %d (%d bytes expected)", ErrTruncated, sp.id, sp.n*sp.elem)
+			return nil, fmt.Errorf("%w: missing section %d (%d bytes expected)", ErrTruncated, s.id, want)
 		}
-		if int64(len(b)) != sp.n*sp.elem {
-			return nil, fmt.Errorf("%w: section %d holds %d bytes, header implies %d", ErrCorrupt, sp.id, len(b), sp.n*sp.elem)
+		if int64(len(b)) != want {
+			return nil, fmt.Errorf("%w: section %d holds %d bytes, header implies %d", ErrCorrupt, s.id, len(b), want)
 		}
-		delete(sections, sp.id)
-		switch sp.id {
-		case secLeaf:
-			for i, v := range b {
-				if v > 1 {
-					return nil, fmt.Errorf("%w: leaf flag %d at node %d", ErrCorrupt, v, i)
-				}
+		delete(payloads, s.id)
+		if s.check != nil {
+			if err := s.check(b, t.dim); err != nil {
+				return nil, err
 			}
-			t.leaf = decodeSlice[bool](b, zeroCopy)
-		case secChildStart:
-			t.childStart = decodeSlice[int32](b, zeroCopy)
-		case secItemStart:
-			t.itemStart = decodeSlice[int32](b, zeroCopy)
-		case secChild:
-			t.child = decodeSlice[int32](b, zeroCopy)
-		case secCCenters:
-			t.cCenters = decodeSlice[float64](b, zeroCopy)
-		case secCRadii:
-			t.cRadii = decodeSlice[float64](b, zeroCopy)
-		case secCLo:
-			t.cLo = decodeSlice[float64](b, zeroCopy)
-		case secCHi:
-			t.cHi = decodeSlice[float64](b, zeroCopy)
-		case secItemIDs:
-			itemIDs = decodeSlice[int64](b, zeroCopy)
-		case secICenters:
-			t.iCenters = decodeSlice[float64](b, zeroCopy)
-		case secIRadii:
-			t.iRadii = decodeSlice[float64](b, zeroCopy)
-		case secRootCenter:
-			t.rootCenter = decodeSlice[float64](b, zeroCopy)
-		case secRootLo:
-			t.rootLo = decodeSlice[float64](b, zeroCopy)
-		case secRootHi:
-			t.rootHi = decodeSlice[float64](b, zeroCopy)
-		case secQICen32:
-			q.iCen32 = decodeSlice[float32](b, zeroCopy)
-		case secQICen8:
-			q.iCen8 = decodeSlice[int8](b, zeroCopy)
-		case secQIScale:
-			q.iScale = decodeSlice[float64](b, zeroCopy)
-		case secQIOffset:
-			q.iOffset = decodeSlice[float64](b, zeroCopy)
-		case secLeafPivot:
-			q.leafPivot = decodeSlice[float64](b, zeroCopy)
-		case secIPivotHi32:
-			q.iPivotHi32 = decodeSlice[float32](b, zeroCopy)
-		case secISR32:
-			q.iSR32 = decodeSlice[float32](b, zeroCopy)
-		case secISR8:
-			q.iSR8 = decodeSlice[float32](b, zeroCopy)
-		case secCBox:
-			t.cBox = decodeSlice[float32](b, zeroCopy)
 		}
+		s.fill(t, b, zeroCopy)
 	}
-	if len(sections) > 0 {
-		for id := range sections {
-			return nil, fmt.Errorf("%w: unknown section id %d", ErrCorrupt, id)
-		}
+	for id := range payloads {
+		return nil, fmt.Errorf("%w: unknown section id %d", ErrCorrupt, id)
 	}
 	if err := t.validateStructure(h); err != nil {
 		return nil, err
 	}
 
-	// Rebuild the []geom.Item view. The struct slice itself is the one
-	// block that cannot live in the file (it holds Go slice headers), but
-	// each Center points into iCenters — zero-copy on the mmap path — so
+	// Each Center points into iCenters — zero-copy on the mmap path — so
 	// the per-item heap cost is the ~40-byte struct, not the coordinates.
-	t.items = make([]geom.Item, h.items)
 	dim := t.dim
 	for i := range t.items {
-		t.items[i] = geom.Item{
-			Sphere: geom.Sphere{
-				Center: t.iCenters[i*dim : (i+1)*dim : (i+1)*dim],
-				Radius: t.iRadii[i],
-			},
-			ID: int(itemIDs[i]),
+		t.items[i].Sphere = geom.Sphere{
+			Center: t.iCenters[i*dim : (i+1)*dim : (i+1)*dim],
+			Radius: t.iRadii[i],
 		}
 	}
 	return t, nil
@@ -277,28 +182,25 @@ func decodeTree(data []byte, zeroCopy, verify bool) (*Tree, error) {
 // forest before any traversal touches them: exact prefix-array shape, and
 // the builder's bottom-up id invariant child[e] < parent — which makes
 // cycles impossible (ids strictly decrease along any path) and bounds
-// every child id in one comparison. It also reads every child box: the
-// traversal prunes on them, so an inverted or NaN box would lose answers
-// without a sign, and at 8·dim bytes per child entry the pass is cheap
-// enough to run whether or not the section CRCs do.
+// every child id in one comparison.
 func (t *Tree) validateStructure(h *header) error {
-	for i := 0; i < len(t.cBox); i += 2 {
-		if !(t.cBox[i] <= t.cBox[i+1]) {
-			return fmt.Errorf("%w: child entry %d has box [%v, %v] on axis %d",
-				ErrCorrupt, i/2/t.dim, t.cBox[i], t.cBox[i+1], i/2%t.dim)
-		}
-	}
 	cs, is := t.childStart, t.itemStart
+	nodes := int64(h.Nodes)
 	if cs[0] != 0 || is[0] != 0 {
 		return fmt.Errorf("%w: prefix arrays start at %d/%d", ErrCorrupt, cs[0], is[0])
 	}
-	if int64(cs[h.nodes]) != h.children || int64(is[h.nodes]) != h.items {
+	if int64(cs[nodes]) != int64(h.Children) || int64(is[nodes]) != int64(h.Items) {
 		return fmt.Errorf("%w: prefix arrays end at %d/%d, header says %d children, %d items",
-			ErrCorrupt, cs[h.nodes], is[h.nodes], h.children, h.items)
+			ErrCorrupt, cs[nodes], is[nodes], h.Children, h.Items)
 	}
-	for n := int64(0); n < h.nodes; n++ {
+	for n := int64(0); n < nodes; n++ {
 		if cs[n+1] < cs[n] || is[n+1] < is[n] {
 			return fmt.Errorf("%w: prefix array decreases at node %d", ErrCorrupt, n)
+		}
+		// Checked here, not left to the decrease that must follow: the child
+		// slice below is taken before a later node would report it.
+		if int64(cs[n+1]) > int64(h.Children) {
+			return fmt.Errorf("%w: node %d's children end at %d of %d", ErrCorrupt, n, cs[n+1], h.Children)
 		}
 		if t.leaf[n] {
 			if cs[n+1] != cs[n] {

@@ -189,8 +189,8 @@ func TestSnapshotFormatLayout(t *testing.T) {
 	if FormatVersion != 3 {
 		t.Fatalf("FormatVersion = %d, want 3", FormatVersion)
 	}
-	if n := len(secSpecs(KindSphere, 2, 1, 0, 1, 0)); n != 23 {
-		t.Fatalf("secSpecs lists %d sections, want 23", n)
+	if n := len(sections); n != 23 {
+		t.Fatalf("sections lists %d sections, want 23", n)
 	}
 	for kind, want := range map[Kind]uint32{KindSphere: 19, KindRect: 19} {
 		data := snapshotBytes(t, randTree(42, kind, 4, 8, 16))
@@ -431,6 +431,16 @@ func TestSnapshotCorruptInputs(t *testing.T) {
 		{"prefix array decreasing", func(b []byte) []byte {
 			off, _ := sectionRange(t, b, secItemStart)
 			le.PutUint32(b[off+4:], ^uint32(0)) // -1
+			rewriteCRCs(b)
+			return b
+		}, ErrCorrupt},
+		{"prefix array overshoots", func(b []byte) []byte {
+			// The two internal nodes under the root end their children past
+			// the child array and only the root comes back down: the walk
+			// must not slice on the way there.
+			off, ln := sectionRange(t, b, secChildStart)
+			le.PutUint32(b[off+ln-12:], 1<<30)
+			le.PutUint32(b[off+ln-8:], 1<<30)
 			rewriteCRCs(b)
 			return b
 		}, ErrCorrupt},

@@ -18,7 +18,7 @@ import (
 	"hyperdom/internal/sstree"
 )
 
-func testCorpus(t *testing.T, d, n int) []geom.Item {
+func testCorpus(t testing.TB, d, n int) []geom.Item {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
 	items := make([]geom.Item, n)
@@ -32,7 +32,7 @@ func testCorpus(t *testing.T, d, n int) []geom.Item {
 	return items
 }
 
-func testServer(t *testing.T, items []geom.Item, d int) (*Server, *httptest.Server) {
+func testServer(t testing.TB, items []geom.Item, d int) (*Server, *httptest.Server) {
 	t.Helper()
 	x, err := shard.Build(items, d, shard.Options{Shards: 2, Algorithm: knn.HS, Label: "default"})
 	if err != nil {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -44,11 +45,11 @@ func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.hds", i) }
 // SaveDir persists the index into dir: one packed snapshot per shard
 // (shard-0000.hds, shard-0001.hds, ...) plus a manifest.json carrying the
 // substrate, dimensionality, per-shard item counts and the partition
-// planner's split tree. Each file is written atomically (temp file +
-// fsync + rename, directory fsynced), so a crash mid-save never leaves a
-// half-written file under the final name; the manifest is written last, so
-// a directory with a manifest always has all its shard files. dir is
-// created if missing. The index stays fully serveable throughout.
+// planner's split tree. Each file is written with packed.ReplaceFile, so a
+// crash mid-save never leaves a half-written file under the final name; the
+// manifest is written last, so a directory with a manifest always has all
+// its shard files. dir is created if missing. The index stays fully
+// serveable throughout.
 func (x *Index) SaveDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("shard: save: %w", err)
@@ -69,46 +70,12 @@ func (x *Index) SaveDir(dir string) error {
 		}
 		m.Shards[i] = manifestShard{File: name, Items: snap.Len()}
 	}
-	return writeManifest(dir, &m)
-}
-
-// writeManifest writes manifest.json with the same atomic temp+rename+
-// fsync discipline as the snapshot files.
-func writeManifest(dir string, m *manifest) (err error) {
-	data, err := json.MarshalIndent(m, "", "  ")
+	data, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("shard: encode manifest: %w", err)
 	}
-	data = append(data, '\n')
-	f, err := os.CreateTemp(dir, ".manifest-*.tmp")
-	if err != nil {
+	if err := packed.ReplaceFile(filepath.Join(dir, ManifestName), bytes.NewReader(append(data, '\n'))); err != nil {
 		return fmt.Errorf("shard: save manifest: %w", err)
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	if _, err = f.Write(data); err != nil {
-		return fmt.Errorf("shard: save manifest: %w", err)
-	}
-	if err = f.Chmod(0o644); err != nil {
-		return fmt.Errorf("shard: save manifest: %w", err)
-	}
-	if err = f.Sync(); err != nil {
-		return fmt.Errorf("shard: save manifest: %w", err)
-	}
-	if err = f.Close(); err != nil {
-		return fmt.Errorf("shard: save manifest: %w", err)
-	}
-	if err = os.Rename(tmp, filepath.Join(dir, ManifestName)); err != nil {
-		return fmt.Errorf("shard: save manifest: %w", err)
-	}
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
 	}
 	return nil
 }

@@ -342,10 +342,54 @@ func TestSaveDirOverwrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".tmp") {
+		if strings.Contains(e.Name(), ".tmp") {
 			t.Fatalf("stray temp file %s", e.Name())
 		}
 	}
+}
+
+// TestSaveDirReportsManifestErrors: a step of the manifest's durable replace
+// that fails is SaveDir's error, not a nil with no manifest on disk.
+func TestSaveDirReportsManifestErrors(t *testing.T) {
+	x, err := Build(randItems(rand.New(rand.NewSource(78)), 2, 60, 1), 2, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+
+	// The shard files save; the manifest cannot be renamed over a non-empty
+	// directory of its name.
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, ManifestName, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.SaveDir(dir); err == nil {
+		t.Error("manifest rename failed: SaveDir returned nil")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp") {
+			t.Errorf("stray temp file %s after a failed save", e.Name())
+		}
+	}
+
+	// Every rename succeeds and only the directory fsync cannot happen.
+	t.Run("unreadable directory", func(t *testing.T) {
+		if os.Geteuid() == 0 {
+			t.Skip("root opens unreadable directories")
+		}
+		locked := filepath.Join(t.TempDir(), "locked")
+		if err := os.Mkdir(locked, 0o300); err != nil {
+			t.Fatal(err)
+		}
+		defer os.Chmod(locked, 0o700)
+		if err := x.SaveDir(locked); err == nil {
+			t.Error("directory that cannot be opened for fsync: SaveDir returned nil")
+		}
+	})
 }
 
 // TestCloseWaitsForSearches races eight searching goroutines against one
