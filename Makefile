@@ -8,7 +8,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS  = -ldflags "-X hyperdom/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: all build check orphans loc test test-short bench bench-all bench-parallel bench-quant bench-smoke fuzz experiments examples serve serve-sharded hyperdomd trace cover clean
+.PHONY: all build check orphans loc test test-short bench bench-all bench-scaling bench-quant bench-smoke fuzz experiments examples serve serve-sharded hyperdomd trace cover clean
 
 all: build check
 
@@ -98,10 +98,11 @@ bench-smoke:
 		done; exit 1; \
 	done
 
-# Batch-engine worker scaling over a frozen SS-tree: queries/s at pool
-# widths 1/2/4/8 (scaling tops out at GOMAXPROCS).
-bench-parallel:
-	$(GO) run ./cmd/knnbench -parallel 1,2,4,8 -scale 0.05
+# The two scaling tables CI's throughput-scaling job gates: queries/s of the
+# batch engine at pool widths 1/2/4/8 (tops out at GOMAXPROCS) and of the
+# sharded index at 1/2/4 shards, written to scaling.json.
+bench-scaling:
+	$(GO) run ./cmd/benchkernel -scaling-only -o scaling.json
 
 # The quantized coarse-filter comparison: Fig 13 once per tier (exact
 # packed baseline, float32, int8) on the same workload.
@@ -149,5 +150,5 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -20
 
 clean:
-	rm -f cover.out trace.json
+	rm -f cover.out trace.json scaling.json
 	rm -rf bin

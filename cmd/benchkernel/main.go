@@ -30,7 +30,7 @@
 //
 //	benchkernel [-o BENCH_knn.json] [-quant none|f32|i8]
 //	benchkernel -gate BENCH_knn.json                        # CI sanity gate (ratioFloors)
-//	benchkernel -gate BENCH_knn.json -scaling-only -require-cores 2   # CI scaling gate
+//	benchkernel -scaling-only -o scaling.json [-gate BENCH_knn.json -require-cores 2]   # scaling tables; CI's gate
 //	benchkernel -trace trace.json                           # export query traces
 //
 // The packed search is benchmarked four ways: pointer path, frozen
@@ -261,6 +261,15 @@ func parseFlags(args []string) (*config, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	if cfg.ScalingOnly {
+		explicitOut := false
+		fs.Visit(func(f *flag.Flag) { explicitOut = explicitOut || f.Name == "o" })
+		if !explicitOut {
+			err := fmt.Errorf("-scaling-only needs an explicit -o: its scaling-only report would overwrite %s", cfg.Out)
+			fmt.Fprintln(os.Stderr, "benchkernel:", err)
+			return nil, err
+		}
+	}
 	qm, err := knn.ParseQuantMode(*quant)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchkernel:", err)
@@ -480,16 +489,8 @@ func buildReport(cfg *config) report {
 // STR bulk load — over the same item set, in nanoseconds per item
 // (BenchmarkBulkLoadVsInsert's numbers, snapshotted into the report).
 func buildCost(rep *report) (insertNs, bulkNs, speedup float64) {
-	rng := rand.New(rand.NewSource(42))
 	d := 8
-	items := make([]geom.Item, rep.KnnTreeItems)
-	for i := range items {
-		c := make([]float64, d)
-		for j := range c {
-			c[j] = 100 + rng.NormFloat64()*25
-		}
-		items[i] = geom.Item{ID: i, Sphere: geom.NewSphere(c, rng.Float64()*2)}
-	}
+	items := gaussianItems(rand.New(rand.NewSource(42)), rep.KnnTreeItems, d)
 	ins := run("Build/SS10k/Insert", rep, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			t := sstree.New(d)
@@ -515,15 +516,7 @@ func buildCost(rep *report) (insertNs, bulkNs, speedup float64) {
 // whether the open actually mapped, and the heap the open path retains.
 func measureSnapshotLoad(rep *report) snapshotLoadBlock {
 	const n, d = 100000, 8
-	rng := rand.New(rand.NewSource(4242))
-	items := make([]geom.Item, n)
-	for i := range items {
-		c := make([]float64, d)
-		for j := range c {
-			c[j] = 100 + rng.NormFloat64()*25
-		}
-		items[i] = geom.Item{ID: i, Sphere: geom.NewSphere(c, rng.Float64()*2)}
-	}
+	items := gaussianItems(rand.New(rand.NewSource(4242)), n, d)
 	dir, err := os.MkdirTemp("", "hdsnapbench")
 	if err != nil {
 		panic(err)
@@ -1015,24 +1008,33 @@ func randSphere(rng *rand.Rand, d int, maxR float64) geom.Sphere {
 // for the shard-scaling section, which builds its own partitioned trees.
 func knnFixture(n, d int) (*sstree.Tree, knn.Index, []geom.Item, []geom.Sphere) {
 	rng := rand.New(rand.NewSource(7001))
+	items := gaussianItems(rng, n, d)
 	t := sstree.New(d)
-	items := make([]geom.Item, 0, n)
-	for i := 0; i < n; i++ {
-		c := make([]float64, d)
-		for j := range c {
-			c[j] = 100 + rng.NormFloat64()*25
-		}
-		it := geom.Item{Sphere: geom.NewSphere(c, rng.Float64()*2), ID: i}
+	for _, it := range items {
 		t.Insert(it)
-		items = append(items, it)
 	}
 	queries := make([]geom.Sphere, 16)
 	for i := range queries {
-		c := make([]float64, d)
-		for j := range c {
-			c[j] = 100 + rng.NormFloat64()*25
-		}
-		queries[i] = geom.NewSphere(c, rng.Float64()*2)
+		queries[i] = gaussianSphere(rng, d)
 	}
 	return t, knn.WrapSSTree(t), items, queries
+}
+
+// gaussianItems draws n spheres with gaussianSphere, IDs 0..n-1.
+func gaussianItems(rng *rand.Rand, n, d int) []geom.Item {
+	items := make([]geom.Item, n)
+	for i := range items {
+		items[i] = geom.Item{ID: i, Sphere: gaussianSphere(rng, d)}
+	}
+	return items
+}
+
+// gaussianSphere draws the fixtures' sphere: d centre coordinates
+// N(100, 25), then a radius U[0, 2).
+func gaussianSphere(rng *rand.Rand, d int) geom.Sphere {
+	c := make([]float64, d)
+	for j := range c {
+		c[j] = 100 + rng.NormFloat64()*25
+	}
+	return geom.NewSphere(c, rng.Float64()*2)
 }

@@ -65,6 +65,11 @@ func TestParseFlagsBad(t *testing.T) {
 	if _, err := parseFlags([]string{"-quant", "f16"}); err == nil {
 		t.Error("unknown quant tier accepted")
 	}
+	// A scaling-only report has no kernel rows and zero alloc counts: written
+	// over the default BENCH_knn.json, it would fail the next -gate run.
+	if _, err := parseFlags([]string{"-scaling-only"}); err == nil {
+		t.Error("-scaling-only accepted without an explicit -o")
+	}
 }
 
 // TestReportRoundTrip pins the BENCH_knn.json schema, metrics block

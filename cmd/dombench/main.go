@@ -82,37 +82,15 @@ func main() {
 	}
 
 	for _, f := range selected {
-		before := figureMetricsStart(pf)
-		res := runners[f](cfg)
-		fmt.Println(res.TimeTable().Render())
-		if f != 11 && f != 12 { // the paper reports time only for Figs 11–12
-			fmt.Println(res.PrecisionTable().Render())
-			fmt.Println(res.RecallTable().Render())
-		}
-		figureMetricsEnd(pf, f, before)
+		pf.Figure(f, func() {
+			res := runners[f](cfg)
+			fmt.Println(res.TimeTable().Render())
+			if f != 11 && f != 12 { // the paper reports time only for Figs 11–12
+				fmt.Println(res.PrecisionTable().Render())
+				fmt.Println(res.RecallTable().Render())
+			}
+		})
 	}
-}
-
-// figureMetricsStart honors an explicit -metrics per figure: the counter
-// gate is (re-)enabled before each figure — regardless of what an earlier
-// figure or timing loop left it at — and the registry snapshotted so the
-// figure's own counter diff can be printed afterwards.
-func figureMetricsStart(pf *obs.ProfileFlags) obs.Snap {
-	if !pf.Metrics {
-		return nil
-	}
-	obs.SetEnabled(true)
-	return obs.Snapshot()
-}
-
-// figureMetricsEnd prints the counters one figure moved, to stderr so the
-// figure tables on stdout stay machine-readable.
-func figureMetricsEnd(pf *obs.ProfileFlags, fig int, before obs.Snap) {
-	if before == nil {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "-- fig %d counters --\n", fig)
-	obs.Snapshot().Diff(before).Fprint(os.Stderr)
 }
 
 // runOnFile runs the five-criteria comparison on spheres loaded from a CSV

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	knnbench [-fig N] [-scale S] [-seed N] [-quant none|f32|i8] [-parallel 1,2,4,8]
+//	knnbench [-fig N] [-scale S] [-seed N] [-quant none|f32|i8]
 //
 //	-fig      figure to run: 13, 14, 15, 16, or 0 for all (default 0);
 //	          17 runs the index-comparison extension experiment
@@ -17,16 +17,12 @@
 //	-quant    quantized coarse-filter tier for frozen-snapshot searches
 //	          (none, f32, i8; default f32 — results are identical across
 //	          tiers, only the traversal cost changes; see DESIGN.md §12)
-//	-parallel comma-separated worker-pool widths; runs the batch-engine
-//	          scaling experiment over a frozen SS-tree instead of the
-//	          figures and prints a queries/s table per width
-//	-shards   comma-separated shard counts; runs the
-//	          shard-scaling experiment (DESIGN.md §13) instead of the
-//	          figures and prints a queries/s table per count
 //	-load     open a snapshot directory written by datagen -freeze or
 //	          hyperdomd/shard SaveDir and benchmark serving straight off
 //	          the mmapped files (no tree rebuild) instead of the figures;
 //	          prints open latency and queries/s
+//
+// The worker- and shard-scaling tables are benchkernel's (`make bench-scaling`).
 //
 // The shared observability flags apply as well; in particular
 // `-trace out.json` samples every `-trace-every`-th search (default 16,
@@ -40,8 +36,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"hyperdom/internal/experiments"
@@ -57,10 +51,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	shadow := flag.Bool("shadow", false,
 		"shadow-evaluate every dominance check of the figures' searches against Hyperbola and count per-criterion disagreements")
-	parallel := flag.String("parallel", "",
-		"comma-separated engine pool widths (e.g. 1,2,4,8); runs the batch-engine scaling experiment instead of the figures")
-	shards := flag.String("shards", "",
-		"comma-separated shard counts (e.g. 1,2,4); runs the shard-scaling experiment instead of the figures")
 	load := flag.String("load", "",
 		"snapshot directory to open and benchmark (skips the figures and any index build)")
 	quant := flag.String("quant", "f32",
@@ -95,32 +85,8 @@ func main() {
 		}
 		return
 	}
-	if *parallel != "" {
-		widths, err := parseWidths(*parallel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "knnbench: -parallel: %v\n", err)
-			os.Exit(2)
-		}
-		before := figureMetricsStart(pf)
-		fmt.Println(experiments.RunParallel(cfg, widths).Table().Render())
-		figureMetricsEnd(pf, 0, before)
-		return
-	}
-	if *shards != "" {
-		counts, err := parseWidths(*shards)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "knnbench: -shards: %v\n", err)
-			os.Exit(2)
-		}
-		before := figureMetricsStart(pf)
-		fmt.Println(experiments.RunSharded(cfg, counts).Table().Render())
-		figureMetricsEnd(pf, 0, before)
-		return
-	}
 	if *fig == 17 {
-		before := figureMetricsStart(pf)
-		fmt.Println(experiments.RunIndexComparison(cfg).Table().Render())
-		figureMetricsEnd(pf, 17, before)
+		pf.Figure(17, func() { fmt.Println(experiments.RunIndexComparison(cfg).Table().Render()) })
 		return
 	}
 	runners := map[int]func(experiments.Config) experiments.KnnResult{
@@ -141,11 +107,11 @@ func main() {
 	}
 
 	for _, f := range selected {
-		before := figureMetricsStart(pf)
-		res := runners[f](cfg)
-		fmt.Println(res.TimeTable().Render())
-		fmt.Println(res.PrecisionTable().Render())
-		figureMetricsEnd(pf, f, before)
+		pf.Figure(f, func() {
+			res := runners[f](cfg)
+			fmt.Println(res.TimeTable().Render())
+			fmt.Println(res.PrecisionTable().Render())
+		})
 	}
 }
 
@@ -185,41 +151,4 @@ func runLoaded(dir string, seed int64) error {
 	fmt.Printf("%d queries (k=%d) in %v: %.0f queries/s\n",
 		nq, k, el.Round(time.Millisecond), float64(nq)/el.Seconds())
 	return nil
-}
-
-// parseWidths parses the -parallel value: comma-separated positive pool
-// widths.
-func parseWidths(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	widths := make([]int, 0, len(parts))
-	for _, p := range parts {
-		w, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("bad pool width %q (want positive integers, e.g. 1,2,4,8)", p)
-		}
-		widths = append(widths, w)
-	}
-	return widths, nil
-}
-
-// figureMetricsStart honors an explicit -metrics per figure: the counter
-// gate is (re-)enabled before each figure — regardless of what an earlier
-// figure or timing loop left it at — and the registry snapshotted so the
-// figure's own counter diff can be printed afterwards.
-func figureMetricsStart(pf *obs.ProfileFlags) obs.Snap {
-	if !pf.Metrics {
-		return nil
-	}
-	obs.SetEnabled(true)
-	return obs.Snapshot()
-}
-
-// figureMetricsEnd prints the counters one figure moved, to stderr so the
-// figure tables on stdout stay machine-readable.
-func figureMetricsEnd(pf *obs.ProfileFlags, fig int, before obs.Snap) {
-	if before == nil {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "-- fig %d counters --\n", fig)
-	obs.Snapshot().Diff(before).Fprint(os.Stderr)
 }

@@ -106,21 +106,6 @@ func TestOverlap(t *testing.T) {
 	}
 }
 
-func TestMinMaxDistPoint(t *testing.T) {
-	s := NewSphere([]float64{0, 0}, 2)
-	p := []float64{5, 0}
-	if got := MinDistPoint(s, p); got != 3 {
-		t.Errorf("MinDistPoint = %v, want 3", got)
-	}
-	if got := MaxDistPoint(s, p); got != 7 {
-		t.Errorf("MaxDistPoint = %v, want 7", got)
-	}
-	inside := []float64{1, 0}
-	if got := MinDistPoint(s, inside); got != 0 {
-		t.Errorf("MinDistPoint inside = %v, want 0", got)
-	}
-}
-
 func TestSphereContains(t *testing.T) {
 	s := NewSphere([]float64{0, 0}, 2)
 	if !s.Contains([]float64{1, 1}) {

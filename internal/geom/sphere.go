@@ -90,20 +90,6 @@ func MinDist(a, b Sphere) float64 {
 	return 0
 }
 
-// MinDistPoint returns the minimum distance between sphere s and point p.
-func MinDistPoint(s Sphere, p []float64) float64 {
-	d := vec.Dist(s.Center, p) - s.Radius
-	if d > 0 {
-		return d
-	}
-	return 0
-}
-
-// MaxDistPoint returns the maximum distance between sphere s and point p.
-func MaxDistPoint(s Sphere, p []float64) float64 {
-	return vec.Dist(s.Center, p) + s.Radius
-}
-
 // Overlap reports whether a and b overlap: Dist(ca,cb) ≤ ra + rb
 // (Section 2.1). Tangent spheres count as overlapping, matching Lemma 1.
 func Overlap(a, b Sphere) bool {

@@ -134,26 +134,31 @@ func (s *HistSnap) merge(o HistSnap) {
 // (≤ 1/16 relative for samples ≥ 16ns). An empty histogram returns 0 for
 // every q — never NaN, never a panic.
 func (s HistSnap) Quantile(q float64) float64 {
-	if s.Count == 0 {
+	i := rankBucket(s.Counts, s.Count, q)
+	if i < 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
+	return float64(histLower(i))
+}
+
+// rankBucket returns the index of the bucket holding the sample of rank
+// ⌈q·total⌉ (q clamped to [0, 1], rank at least 1) — the last bucket if the
+// counts never reach it — or -1 when total is 0. Both quantile readers, the
+// registry's and the runtime collector's, walk their counts through it.
+func rankBucket(counts []uint64, total uint64, q float64) int {
+	if total == 0 {
+		return -1
 	}
-	rank := uint64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
+	q = min(max(q, 0), 1)
+	rank := max(uint64(math.Ceil(q*float64(total))), 1)
 	var cum uint64
-	for i, c := range s.Counts {
+	for i, c := range counts {
 		cum += c
 		if cum >= rank {
-			return float64(histLower(i))
+			return i
 		}
 	}
-	return float64(histLower(histBuckets - 1))
+	return len(counts) - 1
 }
 
 // Mean returns the mean sample in nanoseconds, or 0 when empty.

@@ -101,6 +101,23 @@ func (pf *ProfileFlags) Wanted() bool {
 		pf.MemProfile != "" || pf.TracePath != ""
 }
 
+// Figure runs figure n of a figure runner. With -metrics it (re-)enables
+// the counter gate first — whatever an earlier figure or timing loop left it
+// at — and afterwards prints the counters the figure moved to stderr, so the
+// figure tables on stdout stay machine-readable. Without -metrics it only
+// calls run.
+func (pf *ProfileFlags) Figure(n int, run func()) {
+	if !pf.Metrics {
+		run()
+		return
+	}
+	SetEnabled(true)
+	before := Snapshot()
+	run()
+	fmt.Fprintf(os.Stderr, "-- fig %d counters --\n", n)
+	Snapshot().Diff(before).Fprint(os.Stderr)
+}
+
 // Start begins whatever profiling the flags request and returns the
 // function to run at exit (stop the CPU profile, dump the heap profile,
 // print the metrics snapshot). The returned stop is never nil. When -serve

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"runtime"
 	"runtime/metrics"
 	"sync"
@@ -106,30 +105,11 @@ func float64HistQuantile(h *metrics.Float64Histogram, q float64) float64 {
 	for _, c := range h.Counts {
 		total += c
 	}
-	if total == 0 {
+	i := rankBucket(h.Counts, total, q)
+	if i < 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range h.Counts {
-		cum += c
-		if cum >= rank {
-			lo := h.Buckets[i]
-			if math.IsInf(lo, -1) || lo < 0 {
-				return 0
-			}
-			return lo
-		}
-	}
-	return 0
+	return max(h.Buckets[i], 0)
 }
 
 // PublishRuntimeGauges stores rs as hyperdom_runtime_* gauges so /metrics

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"testing"
 )
 
@@ -51,5 +52,40 @@ func TestPublishRuntimeGauges(t *testing.T) {
 	}
 	if v, _ := GaugeValue("runtime.goroutines", ""); v <= 0 {
 		t.Errorf("runtime.goroutines = %v, want > 0", v)
+	}
+}
+
+// TestQuantileReadersAgree: the registry's and the runtime collector's
+// quantile readers walk one rank through rankBucket, so over the same counts
+// — with the runtime histogram's bucket bounds set to histLower — they pick
+// the same bucket for every q, and both read 0 when the counts are empty.
+func TestQuantileReadersAgree(t *testing.T) {
+	counts := make([]uint64, histBuckets)
+	for i, c := range map[int]uint64{0: 2, 5: 1, 40: 7, 41: 3, 200: 5, 499: 1, histBuckets - 1: 1} {
+		counts[i] = c
+	}
+	bounds := make([]float64, histBuckets+1)
+	for i := range bounds {
+		bounds[i] = float64(histLower(min(i, histBuckets-1)))
+	}
+	var total uint64
+	for _, c := range counts {
+		total += c
+	}
+	snap := HistSnap{Counts: counts, Count: total}
+	rt := &metrics.Float64Histogram{Counts: counts, Buckets: bounds}
+	for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+		if got, want := float64HistQuantile(rt, q), snap.Quantile(q); got != want {
+			t.Errorf("q=%v: runtime reader %v, registry reader %v", q, got, want)
+		}
+	}
+	empty := make([]uint64, histBuckets)
+	for _, q := range []float64{0, 0.5, 1} {
+		if got := (HistSnap{Counts: empty}).Quantile(q); got != 0 {
+			t.Errorf("empty registry reader q=%v: %v, want 0", q, got)
+		}
+		if got := float64HistQuantile(&metrics.Float64Histogram{Counts: empty, Buckets: bounds}, q); got != 0 {
+			t.Errorf("empty runtime reader q=%v: %v, want 0", q, got)
+		}
 	}
 }

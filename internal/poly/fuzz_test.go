@@ -7,8 +7,7 @@ import (
 
 // FuzzQuartic drives the solver with arbitrary coefficients: it must never
 // panic, every returned root must have a small residual relative to the
-// coefficient majorant, roots must come back sorted, and the slice and
-// array entry points must agree.
+// coefficient majorant, and roots must come back sorted.
 func FuzzQuartic(f *testing.F) {
 	f.Add(1.0, -10.0, 35.0, -50.0, 24.0)
 	f.Add(0.0, 1.0, -6.0, 11.0, -6.0)
@@ -22,17 +21,11 @@ func FuzzQuartic(f *testing.F) {
 			}
 		}
 		coef := []float64{a, b, c, d, e}
-		roots := Quartic(a, b, c, d, e)
 		arr, n := Quartic4(a, b, c, d, e)
-		if n != len(roots) {
-			t.Fatalf("Quartic returned %d roots, Quartic4 %d", len(roots), n)
-		}
+		roots := arr[:n]
 		for i, r := range roots {
 			if math.IsNaN(r) || math.IsInf(r, 0) {
 				t.Fatalf("non-finite root %v", r)
-			}
-			if r != arr[i] {
-				t.Fatalf("root %d differs between entry points: %v vs %v", i, r, arr[i])
 			}
 			if i > 0 && roots[i-1] > r {
 				t.Fatalf("roots not sorted: %v", roots)
@@ -59,7 +52,7 @@ func FuzzCubicHasRoot(f *testing.F) {
 		if math.Abs(a) < 1e-6*(1+m) {
 			t.Skip()
 		}
-		if roots := Cubic(a, b, c, d); len(roots) == 0 {
+		if _, n := cubic3(a, b, c, d); n == 0 {
 			t.Fatalf("cubic %v %v %v %v returned no real roots", a, b, c, d)
 		}
 	})

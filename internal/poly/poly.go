@@ -1,12 +1,13 @@
-// Package poly provides closed-form real-root solvers for polynomials of
-// degree ≤ 4. The quartic solver is the O(1) primitive that Algorithm
-// Hyperbola (Section 4.3.2 of the paper) relies on to stay O(d) overall:
-// Eq. (14) reduces the Lagrange conditions of the minimum-distance problem
-// to a single quartic in the multiplier λ.
+// Package poly provides Quartic4, a closed-form real-root solver for
+// polynomials of degree ≤ 4 — one solver per degree, quad2 and cubic3 below
+// it. The quartic solver is the O(1) primitive that Algorithm Hyperbola
+// (Section 4.3.2 of the paper) relies on to stay O(d) overall: Eq. (14)
+// reduces the Lagrange conditions of the minimum-distance problem to a
+// single quartic in the multiplier λ.
 //
-// All solvers return only real roots, deduplicated, in ascending order, and
-// polish each root with a few Newton iterations against the original
-// polynomial so that downstream geometric residuals stay small.
+// The solvers return only real roots, deduplicated, in ascending order;
+// cubic3 and Quartic4 polish each root with a few Newton iterations against
+// the original polynomial so that downstream geometric residuals stay small.
 package poly
 
 import (
@@ -37,65 +38,6 @@ func EvalDeriv(c []float64, x float64) float64 {
 		v = v*x + float64(n-i)*ci
 	}
 	return v
-}
-
-// Linear returns the real roots of a·x + b = 0.
-func Linear(a, b float64) []float64 {
-	if a == 0 {
-		return nil
-	}
-	return []float64{-b / a}
-}
-
-// Quadratic returns the real roots of a·x² + b·x + c = 0 in ascending
-// order. A double root is returned once. If a is (relatively) zero the
-// equation degrades to linear.
-func Quadratic(a, b, c float64) []float64 {
-	if degenerate(a, b, c) {
-		return Linear(b, c)
-	}
-	disc := b*b - 4*a*c
-	if disc < 0 {
-		return nil
-	}
-	if disc == 0 {
-		return []float64{-b / (2 * a)}
-	}
-	// Numerically stable form: avoid cancellation between -b and ±sqrt.
-	q := -0.5 * (b + math.Copysign(math.Sqrt(disc), b))
-	r1 := q / a
-	r2 := c / q
-	if r1 > r2 {
-		r1, r2 = r2, r1
-	}
-	return []float64{r1, r2}
-}
-
-// Cubic returns the real roots of a·x³ + b·x² + c·x + d = 0 in ascending
-// order, using the trigonometric/Cardano method. If a is (relatively) zero
-// the equation degrades to quadratic.
-func Cubic(a, b, c, d float64) []float64 {
-	r, n := cubic3(a, b, c, d)
-	if n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	copy(out, r[:n])
-	return out
-}
-
-// Quartic returns the real roots of a·x⁴ + b·x³ + c·x² + d·x + e = 0 in
-// ascending order, via Ferrari's method with a Cardano resolvent cubic.
-// If a is (relatively) zero the equation degrades to cubic. Quartic4 is the
-// allocation-free variant used on hot paths.
-func Quartic(a, b, c, d, e float64) []float64 {
-	r, n := Quartic4(a, b, c, d, e)
-	if n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	copy(out, r[:n])
-	return out
 }
 
 // residualOK reports whether x is, within floating-point backward error, a
@@ -182,25 +124,24 @@ func scanRoots(c []float64) []float64 {
 	switch n {
 	case 0:
 		return nil
-	case 1:
-		return Linear(c[0], c[1])
+	case 1: // a zero leading coefficient makes quad2 the linear solve
+		r, m := quad2(0, c[0], c[1])
+		return r[:m]
 	case 2:
-		return Quadratic(c[0], c[1], c[2])
+		r, m := quad2(c[0], c[1], c[2])
+		return r[:m]
 	}
 
-	// Critical points of the polynomial = roots of the derivative.
-	dc := make([]float64, n)
-	for i := 0; i < n; i++ {
-		dc[i] = float64(n-i) * c[i]
-	}
+	// Critical points of the polynomial = roots of its derivative, a
+	// quadratic or (for the quartic, the highest degree scanRoots sees) a
+	// cubic.
 	var crits []float64
-	switch n {
-	case 3:
-		crits = Quadratic(dc[0], dc[1], dc[2])
-	case 4:
-		crits = Cubic(dc[0], dc[1], dc[2], dc[3])
-	default:
-		crits = scanRoots(dc)
+	if n == 3 {
+		r, m := quad2(3*c[0], 2*c[1], c[2])
+		crits = r[:m]
+	} else {
+		r, m := cubic3(4*c[0], 3*c[1], 2*c[2], c[3])
+		crits = r[:m]
 	}
 
 	// Cauchy bound on root magnitude.
@@ -245,7 +186,7 @@ func scanRoots(c []float64) []float64 {
 	for i, r := range roots {
 		roots[i] = polish(c, r)
 	}
-	return dedupSort(roots)
+	return roots[:sortDedup(roots)]
 }
 
 func bisect(c []float64, lo, hi float64) float64 {
@@ -279,21 +220,6 @@ func degenerate(c ...float64) bool {
 		}
 	}
 	return lead < eps*m
-}
-
-func dedupSort(roots []float64) []float64 {
-	if len(roots) == 0 {
-		return roots
-	}
-	sort.Float64s(roots)
-	out := roots[:1]
-	for _, r := range roots[1:] {
-		last := out[len(out)-1]
-		if r-last > 1e-7*(1+math.Abs(r)+math.Abs(last)) {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 func clamp(x, lo, hi float64) float64 {

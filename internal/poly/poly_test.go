@@ -25,12 +25,13 @@ func TestEvalDeriv(t *testing.T) {
 	}
 }
 
+// TestLinear: with a zero leading coefficient quad2 is the linear solve.
 func TestLinear(t *testing.T) {
-	if got := Linear(2, -4); len(got) != 1 || got[0] != 2 {
-		t.Errorf("Linear = %v, want [2]", got)
+	if r, n := quad2(0, 2, -4); n != 1 || r[0] != 2 {
+		t.Errorf("quad2(0, 2, -4) = %v, want [2]", r[:n])
 	}
-	if got := Linear(0, 1); got != nil {
-		t.Errorf("Linear degenerate = %v, want nil", got)
+	if r, n := quad2(0, 0, 1); n != 0 {
+		t.Errorf("quad2(0, 0, 1) = %v, want no roots", r[:n])
 	}
 }
 
@@ -49,8 +50,8 @@ func TestQuadratic(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			got := Quadratic(tc.a, tc.b, tc.c)
-			assertRoots(t, got, tc.want, 1e-6)
+			r, n := quad2(tc.a, tc.b, tc.c)
+			assertRoots(t, r[:n], tc.want, 1e-6)
 		})
 	}
 }
@@ -70,8 +71,8 @@ func TestCubic(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			got := Cubic(tc.a, tc.b, tc.c, tc.d)
-			assertRoots(t, got, tc.want, 1e-6)
+			r, n := cubic3(tc.a, tc.b, tc.c, tc.d)
+			assertRoots(t, r[:n], tc.want, 1e-6)
 		})
 	}
 }
@@ -93,8 +94,8 @@ func TestQuartic(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			got := Quartic(tc.a, tc.b, tc.c, tc.d, tc.e)
-			assertRoots(t, got, tc.want, 1e-5)
+			r, n := Quartic4(tc.a, tc.b, tc.c, tc.d, tc.e)
+			assertRoots(t, r[:n], tc.want, 1e-5)
 		})
 	}
 }
@@ -116,7 +117,8 @@ func TestQuarticFromRandomRootsProperty(t *testing.T) {
 		for _, root := range roots {
 			c = mulLinear(c, root)
 		}
-		got := Quartic(c[0], c[1], c[2], c[3], c[4])
+		r4, n := Quartic4(c[0], c[1], c[2], c[3], c[4])
+		got := r4[:n]
 		// Every true root must be matched by some returned root.
 		for _, want := range roots {
 			matched := false
@@ -154,7 +156,8 @@ func TestQuarticResidualProperty(t *testing.T) {
 		if scale == 0 {
 			return true
 		}
-		for _, root := range Quartic(c[0], c[1], c[2], c[3], c[4]) {
+		r4, n := Quartic4(c[0], c[1], c[2], c[3], c[4])
+		for _, root := range r4[:n] {
 			m := math.Abs(root)
 			res := math.Abs(Eval(c, root))
 			if res > 1e-6*scale*(1+m*m*m*m) {
@@ -177,8 +180,8 @@ func TestCubicAlwaysHasRootProperty(t *testing.T) {
 		if a == 0 {
 			a = 1
 		}
-		got := Cubic(a, r.NormFloat64()*10, r.NormFloat64()*10, r.NormFloat64()*10)
-		return len(got) >= 1
+		_, n := cubic3(a, r.NormFloat64()*10, r.NormFloat64()*10, r.NormFloat64()*10)
+		return n >= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -189,6 +192,17 @@ func TestScanRootsFallback(t *testing.T) {
 	// (x−1)(x+1)(x−3)(x+3) = x⁴ −10x² + 9
 	got := scanRoots([]float64{1, 0, -10, 0, 9})
 	assertRoots(t, got, []float64{-3, -1, 1, 3}, 1e-6)
+}
+
+// TestSolversDoNotAllocate pins the hot path's contract: a well-conditioned
+// quartic or cubic is solved without touching the heap.
+func TestSolversDoNotAllocate(t *testing.T) {
+	if a := testing.AllocsPerRun(100, func() { Quartic4(1, -10, 35, -50, 24) }); a != 0 {
+		t.Errorf("Quartic4: %v allocs/op, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { cubic3(1, -6, 11, -6) }); a != 0 {
+		t.Errorf("cubic3: %v allocs/op, want 0", a)
+	}
 }
 
 func assertRoots(t *testing.T, got, want []float64, tol float64) {

@@ -1,11 +1,13 @@
 package poly
 
-import "math"
+import (
+	"cmp"
+	"math"
+)
 
-// This file holds the allocation-free solver cores. The hypersphere
-// dominance operator solves one quartic per call on its hot path, so the
-// closed-form machinery works in fixed-size arrays; the slice-returning
-// exported functions are thin wrappers. Heap allocation only happens on the
+// This file holds the allocation-free solvers. The hypersphere dominance
+// operator solves one quartic per call on its hot path, so the closed-form
+// machinery works in fixed-size arrays. Heap allocation only happens on the
 // rare ill-conditioned fallback through scanRoots.
 
 // quad2 returns the real roots of a·x² + b·x + c = 0 in ascending order
@@ -100,7 +102,8 @@ func cubic3(a, b, c, d float64) ([3]float64, int) {
 		m := copy(arr[:], rs)
 		return arr, m
 	}
-	return sortDedup3(out, kept)
+	kept = sortDedup(out[:kept])
+	return out, kept
 }
 
 // Quartic4 returns the real roots of a·x⁴ + b·x³ + c·x² + d·x + e = 0 in
@@ -198,7 +201,8 @@ func Quartic4(a, b, c, d, e float64) ([4]float64, int) {
 	if dropped {
 		return fallback4(a, b, c, d, e)
 	}
-	return sortDedup4(out, kept)
+	kept = sortDedup(out[:kept])
+	return out, kept
 }
 
 // fallback4 routes through the slow, provably-complete splitting solver.
@@ -209,30 +213,18 @@ func fallback4(a, b, c, d, e float64) ([4]float64, int) {
 	return out, n
 }
 
-func sortDedup3(r [3]float64, n int) ([3]float64, int) {
-	insertionSort(r[:n])
-	m := dedupInPlace(r[:n])
-	return r, m
-}
-
-func sortDedup4(r [4]float64, n int) ([4]float64, int) {
-	insertionSort(r[:n])
-	m := dedupInPlace(r[:n])
-	return r, m
-}
-
-func insertionSort(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-// dedupInPlace merges sorted near-duplicates and returns the new length.
-func dedupInPlace(xs []float64) int {
+// sortDedup sorts xs ascending (insertion sort with sort.Float64s' order,
+// NaN first: xs holds at most eight roots), merges near-duplicate
+// neighbours in place and returns how many distinct roots remain at its
+// front.
+func sortDedup(xs []float64) int {
 	if len(xs) == 0 {
 		return 0
+	}
+	for i := 1; i < len(xs); i++ {
+		for j := i; j > 0 && cmp.Less(xs[j], xs[j-1]); j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
 	}
 	m := 1
 	for _, x := range xs[1:] {

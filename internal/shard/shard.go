@@ -51,9 +51,6 @@ type Options struct {
 	// Algorithm is the per-shard traversal strategy. The zero value is DF;
 	// servers typically select knn.HS.
 	Algorithm knn.Algorithm
-	// SampleSize bounds how many item centers the planner inspects per
-	// split when picking the cut dimension; ≤ 0 selects 1024.
-	SampleSize int
 	// Label names this index in the obs exposition: the per-collection
 	// `collection="..."` label of the hyperdom_shard_* latency families.
 	// Empty selects "default".
@@ -69,9 +66,6 @@ func (o *Options) fill() {
 	}
 	if o.Criterion == nil {
 		o.Criterion = dominance.Hyperbola{}
-	}
-	if o.SampleSize <= 0 {
-		o.SampleSize = 1024
 	}
 	if o.Label == "" {
 		o.Label = "default"
@@ -138,7 +132,7 @@ func Build(items []geom.Item, dim int, opts Options) (*Index, error) {
 		histSearch: obs.GetOrNewHistogram("shard.search_latency", `collection="`+opts.Label+`"`),
 		histMerge:  obs.GetOrNewHistogram("shard.merge_latency", `collection="`+opts.Label+`"`),
 	}
-	parts, plan := partition(items, dim, opts.Shards, opts.SampleSize)
+	parts, plan := partition(items, dim, opts.Shards)
 	x.plan = plan
 	x.trees = make([]*packed.Tree, len(parts))
 	var wg sync.WaitGroup
@@ -241,7 +235,7 @@ func (x *Index) Plan() *PlanNode { return x.plan }
 // contiguous region of space, so a query's candidates concentrate in few
 // shards and the far ones are skipped off their root bound. The returned
 // plan tree records every cut, leaves numbered in shard order.
-func partition(items []geom.Item, dim, n, sampleSize int) ([][]geom.Item, *PlanNode) {
+func partition(items []geom.Item, dim, n int) ([][]geom.Item, *PlanNode) {
 	work := make([]geom.Item, len(items))
 	copy(work, items)
 	out := make([][]geom.Item, 0, n)
@@ -251,7 +245,7 @@ func partition(items []geom.Item, dim, n, sampleSize int) ([][]geom.Item, *PlanN
 			out = append(out, part)
 			return &PlanNode{Shard: len(out) - 1}
 		}
-		d := widestDim(part, dim, sampleSize)
+		d := widestDim(part, dim)
 		slices.SortFunc(part, func(a, b geom.Item) int {
 			switch ca, cb := a.Sphere.Center[d], b.Sphere.Center[d]; {
 			case ca < cb:
@@ -281,9 +275,12 @@ func partition(items []geom.Item, dim, n, sampleSize int) ([][]geom.Item, *PlanN
 	return out, plan
 }
 
+// sampleSize bounds how many item centers widestDim inspects per split.
+const sampleSize = 1024
+
 // widestDim picks the center dimension with the widest spread over a
 // stride sample of at most sampleSize items.
-func widestDim(items []geom.Item, dim, sampleSize int) int {
+func widestDim(items []geom.Item, dim int) int {
 	if len(items) == 0 {
 		return 0
 	}

@@ -168,7 +168,7 @@ func TestPartitionBalance(t *testing.T) {
 	for _, n := range []int{1, 10, 1000, 4096} {
 		for _, shards := range []int{1, 2, 3, 7, 8} {
 			items := randItems(rng, 4, n, 1)
-			parts, plan := partition(items, 4, shards, 256)
+			parts, plan := partition(items, 4, shards)
 			if plan == nil {
 				t.Fatalf("n=%d shards=%d: nil plan", n, shards)
 			}

@@ -5,7 +5,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -33,29 +32,6 @@ func StdDev(xs []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs by linear
-// interpolation, or 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	pos := p / 100 * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
 // Welford is a streaming mean/variance accumulator.

@@ -25,27 +25,6 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {-1, 1}, {101, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("Percentile(nil) != 0")
-	}
-	// Must not mutate the input.
-	ys := []float64{3, 1, 2}
-	Percentile(ys, 50)
-	if ys[0] != 3 {
-		t.Error("Percentile sorted the caller's slice")
-	}
-}
-
 func TestWelfordMatchesBatch(t *testing.T) {
 	xs := []float64{1.5, -2, 7, 7, 3.25, 0}
 	var w Welford

@@ -26,11 +26,6 @@ func Norm(a []float64) float64 {
 	return math.Sqrt(Dot(a, a))
 }
 
-// Norm2 returns the squared Euclidean norm of a.
-func Norm2(a []float64) float64 {
-	return Dot(a, a)
-}
-
 // Dist returns the Euclidean distance between points a and b (Eq. 1 of the
 // paper). It panics if the lengths differ.
 func Dist(a, b []float64) float64 {
@@ -62,18 +57,6 @@ func Sub(a, b []float64) []float64 {
 	return out
 }
 
-// SubTo stores a−b into dst and returns dst. dst must have the same length
-// as a and b; it may alias either operand.
-func SubTo(dst, a, b []float64) []float64 {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic(dimMismatch("SubTo", len(a), len(b)))
-	}
-	for i, ai := range a {
-		dst[i] = ai - b[i]
-	}
-	return dst
-}
-
 // Add returns a+b as a new slice.
 func Add(a, b []float64) []float64 {
 	if len(a) != len(b) {
@@ -84,17 +67,6 @@ func Add(a, b []float64) []float64 {
 		out[i] = ai + b[i]
 	}
 	return out
-}
-
-// AddTo stores a+b into dst and returns dst.
-func AddTo(dst, a, b []float64) []float64 {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic(dimMismatch("AddTo", len(a), len(b)))
-	}
-	for i, ai := range a {
-		dst[i] = ai + b[i]
-	}
-	return dst
 }
 
 // Scale returns s·a as a new slice.
@@ -126,18 +98,6 @@ func Axpy(dst []float64, s float64, x, y []float64) []float64 {
 		dst[i] = y[i] + s*xi
 	}
 	return dst
-}
-
-// Lerp returns (1−t)·a + t·b as a new slice.
-func Lerp(a, b []float64, t float64) []float64 {
-	if len(a) != len(b) {
-		panic(dimMismatch("Lerp", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i, ai := range a {
-		out[i] = ai + t*(b[i]-ai)
-	}
-	return out
 }
 
 // Clone returns a copy of a.

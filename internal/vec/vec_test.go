@@ -86,14 +86,6 @@ func TestSubAddScale(t *testing.T) {
 		t.Errorf("Scale = %v", got)
 	}
 	dst := make([]float64, 2)
-	SubTo(dst, a, b)
-	if !Equal(dst, []float64{3, 4}) {
-		t.Errorf("SubTo = %v", dst)
-	}
-	AddTo(dst, a, b)
-	if !Equal(dst, []float64{7, 10}) {
-		t.Errorf("AddTo = %v", dst)
-	}
 	ScaleTo(dst, -1, b)
 	if !Equal(dst, []float64{-2, -3}) {
 		t.Errorf("ScaleTo = %v", dst)
@@ -101,29 +93,6 @@ func TestSubAddScale(t *testing.T) {
 	Axpy(dst, 2, b, a)
 	if !Equal(dst, []float64{9, 13}) {
 		t.Errorf("Axpy = %v", dst)
-	}
-}
-
-func TestSubToAliasing(t *testing.T) {
-	a := []float64{5, 7}
-	b := []float64{2, 3}
-	SubTo(a, a, b)
-	if !Equal(a, []float64{3, 4}) {
-		t.Errorf("aliased SubTo = %v", a)
-	}
-}
-
-func TestLerp(t *testing.T) {
-	a := []float64{0, 0}
-	b := []float64{10, 20}
-	if got := Lerp(a, b, 0); !Equal(got, a) {
-		t.Errorf("Lerp t=0 = %v", got)
-	}
-	if got := Lerp(a, b, 1); !Equal(got, b) {
-		t.Errorf("Lerp t=1 = %v", got)
-	}
-	if got := Lerp(a, b, 0.5); !Equal(got, []float64{5, 10}) {
-		t.Errorf("Lerp t=.5 = %v", got)
 	}
 }
 
