@@ -486,7 +486,7 @@ func buildReport(cfg *config) report {
 }
 
 // buildCost measures tree construction both ways — repeated Insert versus
-// STR bulk load — over the same item set, in nanoseconds per item
+// bulk load (tree.Load) — over the same item set, in nanoseconds per item
 // (BenchmarkBulkLoadVsInsert's numbers, snapshotted into the report).
 func buildCost(rep *report) (insertNs, bulkNs, speedup float64) {
 	d := 8

@@ -103,10 +103,16 @@ func (policy) Grow(n *tree.Node, it Item) {
 }
 
 // Refit recomputes the covering radius and count from scratch, keeping the
-// current pivot. A node without one — the new root of a root split — adopts
-// its first child's, the "parent promotion" of the original M-tree.
+// current pivot. A node without one adopts its first entry's: a leaf its
+// first item's center, as Grow does on a leaf's first insert, and an internal
+// node — the new root of a root split, a bulk-loaded node — its first
+// child's pivot, the "parent promotion" of the original M-tree.
 func (policy) Refit(n *tree.Node) {
-	if n.Center == nil {
+	switch {
+	case n.Center != nil:
+	case n.Leaf:
+		n.Center = vec.Clone(n.Items[0].Sphere.Center)
+	default:
 		n.Center = vec.Clone(n.Children[0].Center)
 	}
 	n.Radius = 0

@@ -54,6 +54,31 @@ func TestInsertInvariants(t *testing.T) {
 	}
 }
 
+// TestRefitFreshLeaf: a leaf that never had an item inserted — a bulk-loaded
+// one — has no pivot; Refit gives it its first item's center, as Grow does on
+// a leaf's first insert, and covers every item from there.
+func TestRefitFreshLeaf(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	leaf := &tree.Node{Leaf: true}
+	for i := 0; i < 5; i++ {
+		leaf.Items = append(leaf.Items, randItem(rng, 3, i))
+	}
+	policy{}.Refit(leaf)
+	first := leaf.Items[0].Sphere.Center
+	if &leaf.Center[0] == &first[0] || leaf.Center[0] != first[0] || leaf.Center[2] != first[2] {
+		t.Fatalf("pivot %v, want a copy of the first item's center %v", leaf.Center, first)
+	}
+	if leaf.Count != 5 {
+		t.Errorf("Count = %d, want 5", leaf.Count)
+	}
+	cover := geom.Sphere{Center: leaf.Center, Radius: leaf.Radius}
+	for _, it := range leaf.Items {
+		if !cover.ContainsSphere(it.Sphere) {
+			t.Errorf("item %d escapes the refitted leaf", it.ID)
+		}
+	}
+}
+
 func TestVisitSeesEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tr, items := buildTree(t, rng, 3, 1500)

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"math/rand"
 	"os"
@@ -286,8 +287,9 @@ func TestOpenDirRejects(t *testing.T) {
 	}
 
 	// A flipped payload byte gets through the structural checks only to be
-	// caught by the full checksum pass under Verify. Flip mid-file: the
-	// tail of the file can be unchecksummed alignment padding.
+	// caught by the full checksum pass under Verify. Flip a byte inside a
+	// named section, the item centers: alignment padding between sections
+	// is not checksummed, and where it falls depends on the tree's shape.
 	t.Run("bit flip under Verify", func(t *testing.T) {
 		dir := save(t)
 		p := filepath.Join(dir, shardFileName(0))
@@ -295,7 +297,8 @@ func TestOpenDirRejects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data[len(data)/2] ^= 0x01
+		off, ln := sectionRange(t, data, sectionICenters)
+		data[off+ln/2] ^= 0x01
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -305,6 +308,25 @@ func TestOpenDirRejects(t *testing.T) {
 			t.Fatalf("error %q is not a checksum error", err)
 		}
 	})
+}
+
+// sectionICenters is the snapshot section holding the item centers
+// (packed's section table, internal/packed/snapshot.go).
+const sectionICenters = 10
+
+// sectionRange returns the byte range of section id in a snapshot file: its
+// table follows the 72-byte fixed header, whose word at byte 44 counts the
+// entries, each 24 bytes of {id u32, crc u32, offset u64, length u64}.
+func sectionRange(t *testing.T, data []byte, id uint32) (off, ln uint64) {
+	t.Helper()
+	le := binary.LittleEndian
+	for i := 0; i < int(le.Uint32(data[44:])); i++ {
+		if e := data[72+24*i:]; le.Uint32(e) == id {
+			return le.Uint64(e[8:]), le.Uint64(e[16:])
+		}
+	}
+	t.Fatalf("section %d not present", id)
+	return 0, 0
 }
 
 // TestSaveDirOverwrite: saving twice into the same directory is fine, and

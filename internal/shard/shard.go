@@ -17,7 +17,6 @@ package shard
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -106,11 +105,14 @@ type Index struct {
 // every item (and every query) must have. Items come from outside — a CSV, a
 // request — so a malformed one is an error here, not a panic further down.
 //
-// Shards are built side by side, at most GOMAXPROCS at a time. Each is still
-// filled by inserting its part in partition order, so its frozen bytes — and
-// with them every answer and every Stats — are the same under any schedule.
-// The inserts are on purpose: sstree.BulkLoad is several times faster and
-// the tree it leaves makes kNN scan 2–50× the items (see its comment).
+// Shards are built side by side, at most GOMAXPROCS at a time. Each is
+// bulk-loaded by tree.Load from its part of the partition: the cut that made
+// the shards goes on cutting inside each one, down to the leaves, so no item
+// is inserted one at a time. A shard's frozen bytes — and with them every
+// answer and every Stats — depend on its part alone, not on the schedule.
+// Against a shard built by Insert over the same part the answers are the
+// same and a query scans fewer items and nodes (EXPERIMENTS.md, "Serving —
+// bulk-built shards").
 func Build(items []geom.Item, dim int, opts Options) (*Index, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("shard: dim = %d", dim)
@@ -144,9 +146,7 @@ func Build(items []geom.Item, dim int, opts Options) (*Index, error) {
 			defer wg.Done()
 			defer func() { <-slots }()
 			t := newTree(substrate, dim, opts.MaxFill)
-			for _, it := range part {
-				t.Insert(it)
-			}
+			tree.Load(t, part)
 			// The shard serves from the frozen snapshot alone, so the pointer
 			// tree is garbage from here (an empty shard freezes to an explicit
 			// empty snapshot, so a saved directory always has one file per shard).
@@ -229,15 +229,15 @@ type PlanNode struct {
 func (x *Index) Plan() *PlanNode { return x.plan }
 
 // partition splits items into n space-partitioned groups of near-equal
-// size: recursively pick the widest center dimension from a stride sample,
-// sort by (center[dim], ID) and cut proportionally to the shard counts on
-// each side. Deterministic for a given input order, and every group is a
-// contiguous region of space, so a query's candidates concentrate in few
-// shards and the far ones are skipped off their root bound. The returned
-// plan tree records every cut, leaves numbered in shard order.
+// size by tree.Cut, recursively: the widest center dimension of a stride
+// sample, cut proportionally to the shard counts on each side in (center[dim],
+// ID) order — the same cut tree.Load makes inside each shard, so one splitter
+// carves the corpus into shards and each shard into nodes. Deterministic for
+// a given input order, and every group is a contiguous region of space, so a
+// query's candidates concentrate in few shards and the far ones are skipped
+// off their root bound. The returned plan tree records every cut, leaves
+// numbered in shard order.
 func partition(items []geom.Item, dim, n int) ([][]geom.Item, *PlanNode) {
-	work := make([]geom.Item, len(items))
-	copy(work, items)
 	out := make([][]geom.Item, 0, n)
 	var split func(part []geom.Item, n int) *PlanNode
 	split = func(part []geom.Item, n int) *PlanNode {
@@ -245,64 +245,23 @@ func partition(items []geom.Item, dim, n int) ([][]geom.Item, *PlanNode) {
 			out = append(out, part)
 			return &PlanNode{Shard: len(out) - 1}
 		}
-		d := widestDim(part, dim)
-		slices.SortFunc(part, func(a, b geom.Item) int {
-			switch ca, cb := a.Sphere.Center[d], b.Sphere.Center[d]; {
-			case ca < cb:
-				return -1
-			case ca > cb:
-				return 1
-			}
-			return cmp.Compare(a.ID, b.ID)
-		})
-		n1 := (n + 1) / 2
-		cut := len(part) * n1 / n
-		// The boundary is the first right-side center value (the last value
-		// overall when everything went left — degenerate tiny parts).
-		var boundary float64
-		switch {
-		case cut < len(part):
-			boundary = part[cut].Sphere.Center[d]
-		case len(part) > 0:
-			boundary = part[len(part)-1].Sphere.Center[d]
+		d, cut := tree.Cut(part, dim, n)
+		if n > 2 {
+			// A side cut again picks its dimension from a stride sample;
+			// sorted, it shows the sample evenly spaced ranks whatever order
+			// Cut left, so the plan is the one a sort at every cut makes.
+			slices.SortFunc(part, func(a, b geom.Item) int {
+				return cmp.Or(cmp.Compare(a.Sphere.Center[d], b.Sphere.Center[d]), cmp.Compare(a.ID, b.ID))
+			})
 		}
-		node := &PlanNode{Dim: d, Cut: boundary}
-		node.Left = split(part[:cut], n1)
-		node.Right = split(part[cut:], n-n1)
+		node := &PlanNode{Dim: d}
+		if cut < len(part) { // the first right-side center value
+			node.Cut = part[cut].Sphere.Center[d]
+		}
+		node.Left = split(part[:cut], (n+1)/2)
+		node.Right = split(part[cut:], n/2)
 		return node
 	}
-	plan := split(work, n)
+	plan := split(slices.Clone(items), n)
 	return out, plan
-}
-
-// sampleSize bounds how many item centers widestDim inspects per split.
-const sampleSize = 1024
-
-// widestDim picks the center dimension with the widest spread over a
-// stride sample of at most sampleSize items.
-func widestDim(items []geom.Item, dim int) int {
-	if len(items) == 0 {
-		return 0
-	}
-	stride := 1
-	if len(items) > sampleSize {
-		stride = (len(items) + sampleSize - 1) / sampleSize
-	}
-	best, bestSpread := 0, math.Inf(-1)
-	for d := 0; d < dim; d++ {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := 0; i < len(items); i += stride {
-			c := items[i].Sphere.Center[d]
-			if c < lo {
-				lo = c
-			}
-			if c > hi {
-				hi = c
-			}
-		}
-		if spread := hi - lo; spread > bestSpread {
-			best, bestSpread = d, spread
-		}
-	}
-	return best
 }

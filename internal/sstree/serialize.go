@@ -73,8 +73,9 @@ func ReadFrom(r io.Reader) (*Tree, error) {
 			snap.MinFill, snap.MaxFill)
 	}
 	tree.Install(&t.Tree, restoreNode(snap.Root, snap.Dim), snap.Size)
-	// Bulk-loaded trees may legitimately sit below the minimum fill, so
-	// only the structural (loose) invariants gate deserialisation.
+	// A tree bulk-loaded by an earlier build, whose BulkLoad did not cut to
+	// the minimum fill, may legitimately sit below it, so only the
+	// structural (loose) invariants gate deserialisation.
 	if msg := t.CheckInvariantsLoose(); msg != "" {
 		return nil, fmt.Errorf("sstree: snapshot fails invariants: %s", msg)
 	}

@@ -89,9 +89,9 @@ func collectItems(n *Node, out *[]Item) {
 func (t *Tree) CheckInvariants() string { return t.checkInvariants(true) }
 
 // CheckInvariantsLoose validates everything CheckInvariants does except
-// the minimum fill. Bulk-loaded trees trade guaranteed minimum fill for
-// build speed and tighter bounds, so their nodes may legitimately sit
-// below minFill.
+// the minimum fill. Load meets the strict form; this one is for trees
+// restored from files written by a bulk loader that did not (sstree's gob
+// ReadFrom), whose nodes may legitimately sit below minFill.
 func (t *Tree) CheckInvariantsLoose() string { return t.checkInvariants(false) }
 
 func (t *Tree) checkInvariants(strictFill bool) string {
