@@ -8,16 +8,18 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS  = -ldflags "-X hyperdom/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: all build check orphans loc test test-short bench bench-all bench-scaling bench-quant bench-smoke fuzz experiments examples serve serve-sharded hyperdomd trace cover clean
+.PHONY: all build check orphans loc test test-short bench bench-all bench-scaling bench-quant bench-smoke fuzz experiments examples serve serve-sharded hyperdomd cover clean
 
 all: build check
 
 build:
 	$(GO) build ./...
 
-# Static analysis, formatting and the full suite under the race detector —
-# the gate a change must pass before it ships. staticcheck runs when
-# installed (CI installs it; locally: go install honnef.co/go/tools/cmd/staticcheck@latest).
+# Static analysis, formatting, the full suite under the race detector, and
+# the allocation and overhead gates, which skip themselves under -race and
+# so run once more without it — the gate a change must pass before it
+# ships. staticcheck runs when installed (CI installs it; locally: go
+# install honnef.co/go/tools/cmd/staticcheck@latest).
 check:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
@@ -25,6 +27,7 @@ check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) test -race ./...
+	$(GO) test -count=1 -run 'Allocs|Overhead' ./...
 
 # Fails when an internal package is imported by nothing the module ships:
 # the root package, the commands and the benchmark harness.
@@ -132,12 +135,6 @@ serve-sharded:
 hyperdomd:
 	$(GO) build $(LDFLAGS) -o bin/hyperdomd ./cmd/hyperdomd
 
-# Record per-query execution traces from a Fig 13 run into trace.json —
-# load it in chrome://tracing or https://ui.perfetto.dev. See README
-# "Tracing a slow query".
-trace:
-	$(GO) run ./cmd/knnbench -fig 13 -scale 0.01 -trace trace.json -trace-every 8
-
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/uncertain_gis
@@ -150,5 +147,5 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -20
 
 clean:
-	rm -f cover.out trace.json scaling.json
+	rm -f cover.out scaling.json
 	rm -rf bin

@@ -31,7 +31,6 @@
 //	benchkernel [-o BENCH_knn.json] [-quant none|f32|i8]
 //	benchkernel -gate BENCH_knn.json                        # CI sanity gate (ratioFloors)
 //	benchkernel -scaling-only -o scaling.json [-gate BENCH_knn.json -require-cores 2]   # scaling tables; CI's gate
-//	benchkernel -trace trace.json                           # export query traces
 //
 // The packed search is benchmarked four ways: pointer path, frozen
 // snapshot with quantization off (isolating the SoA layout, the
@@ -52,10 +51,6 @@
 // min(scalingFloor, 0.45·GOMAXPROCS), never below 0.8 — on a single-core
 // container the gate only demands that the pool not slow queries down,
 // while a multi-core runner must show real parallel speedup.
-//
-// The shared observability flags apply: with -trace the counter-enabled
-// metrics pass samples its searches for execution tracing and the retained
-// traces are exported as Chrome trace_event JSON on exit (DESIGN.md §10).
 package main
 
 import (

@@ -16,11 +16,7 @@
 // The shared observability flags are available too: `domquery -serve :6060`
 // answers the query and then keeps serving /metrics, /debug/slow and
 // /debug/pprof until interrupted, so the criterion counters the query moved
-// can be inspected. With `-trace out.json` the query's criterion-by-
-// criterion evaluation is recorded as an execution trace — one DomCheck
-// event per criterion plus a shadow-disagreement event wherever a cheap
-// criterion contradicts Hyperbola — and exported as Chrome trace_event
-// JSON.
+// can be inspected.
 package main
 
 import (
@@ -29,21 +25,17 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"hyperdom"
 	"hyperdom/internal/obs"
 )
 
-type sphereJSON struct {
-	Center []float64 `json:"center"`
-	Radius float64   `json:"radius"`
-}
-
+// queryJSON is the input document; a sphere decodes as
+// {"center": [...], "radius": r}.
 type queryJSON struct {
-	Sa sphereJSON `json:"sa"`
-	Sb sphereJSON `json:"sb"`
-	Sq sphereJSON `json:"sq"`
+	Sa hyperdom.Sphere `json:"sa"`
+	Sb hyperdom.Sphere `json:"sb"`
+	Sq hyperdom.Sphere `json:"sq"`
 }
 
 type resultJSON struct {
@@ -76,71 +68,36 @@ func main() {
 		defer f.Close()
 		r = f
 	}
-	var tb *obs.TraceBuf
-	if obs.TraceEnabled() {
-		tb = &obs.TraceBuf{}
-	}
-	if err := run(r, os.Stdout, tb); err != nil {
+	if err := run(r, os.Stdout); err != nil {
 		fatal("%v", err)
 	}
 	stop()
 }
 
 // run decodes one query from r, evaluates it and writes the JSON result to
-// w, recording the evaluation into tb (may be nil) for -trace. Extracted
-// from main so the full pipeline is unit-testable.
-func run(r io.Reader, w io.Writer, tb *obs.TraceBuf) error {
+// w. Extracted from main so the full pipeline is unit-testable.
+func run(r io.Reader, w io.Writer) error {
 	var q queryJSON
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&q); err != nil {
 		return fmt.Errorf("decoding query: %w", err)
 	}
-	for _, s := range []sphereJSON{q.Sa, q.Sb, q.Sq} {
-		if len(s.Center) == 0 {
-			return fmt.Errorf("every sphere needs a non-empty center")
+	sa, sb, sq := q.Sa, q.Sb, q.Sq
+	for _, s := range []hyperdom.Sphere{sa, sb, sq} {
+		if err := s.Validate(); err != nil {
+			return err
 		}
-		if len(s.Center) != len(q.Sa.Center) {
+		if s.Dim() != sa.Dim() {
 			return fmt.Errorf("spheres must share one dimensionality")
 		}
-		if s.Radius < 0 {
-			return fmt.Errorf("radius must be non-negative")
-		}
 	}
 
-	sa := hyperdom.NewSphere(q.Sa.Center, q.Sa.Radius)
-	sb := hyperdom.NewSphere(q.Sb.Center, q.Sb.Radius)
-	sq := hyperdom.NewSphere(q.Sq.Center, q.Sq.Radius)
-
-	start := time.Now()
-	if tb != nil {
-		tb.Begin(start)
-	}
 	res := resultJSON{Verdicts: map[string]bool{}}
 	for _, c := range hyperdom.Criteria() {
-		v := c.Dominates(sa, sb, sq)
-		res.Verdicts[c.Name()] = v
-		if tb != nil {
-			tb.DomCheck(0, c.Name(), -1, v, 0)
-		}
+		res.Verdicts[c.Name()] = c.Dominates(sa, sb, sq)
 	}
 	res.Dominates = res.Verdicts["Hyperbola"]
-	if tb != nil {
-		for name, v := range res.Verdicts {
-			if name != "Hyperbola" && v != res.Dominates {
-				tb.Shadow(name, v, res.Dominates)
-			}
-		}
-		lat := time.Since(start).Nanoseconds()
-		obs.Slow.Record(&obs.Op{
-			WhenUnixNs: start.UnixNano(),
-			LatencyNs:  lat,
-			Substrate:  "domquery",
-			Algo:       "criteria",
-			DomChecks:  uint64(len(res.Verdicts)),
-			Trace:      tb.Finish(lat),
-		})
-	}
 	if !res.Dominates {
 		if wit := hyperdom.FindWitness(sa, sb, sq, 2048); wit != nil {
 			res.Witness = &witnessJSON{Q: wit.Q, Margin: wit.Margin}

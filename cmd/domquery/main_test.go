@@ -10,7 +10,7 @@ import (
 func evalQuery(t *testing.T, input string) resultJSON {
 	t.Helper()
 	var out bytes.Buffer
-	if err := run(strings.NewReader(input), &out, nil); err != nil {
+	if err := run(strings.NewReader(input), &out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	var res resultJSON
@@ -69,7 +69,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 	for name, input := range cases {
 		var out bytes.Buffer
-		if err := run(strings.NewReader(input), &out, nil); err == nil {
+		if err := run(strings.NewReader(input), &out); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

@@ -24,11 +24,9 @@
 //
 // The worker- and shard-scaling tables are benchkernel's (`make bench-scaling`).
 //
-// The shared observability flags apply as well; in particular
-// `-trace out.json` samples every `-trace-every`-th search (default 16,
-// matching README "Tracing a slow query") for execution tracing and
-// exports the retained traces — tagged with the trace_id that /debug/slow
-// entries carry — as Chrome trace_event JSON on exit (DESIGN.md §9).
+// The shared observability flags apply as well; in particular `-serve addr`
+// keeps /metrics and the Slow ring's /debug/slow view of the figures'
+// searches up after the run (DESIGN.md §9).
 package main
 
 import (

@@ -66,8 +66,5 @@ func (a *Anchored) Dominates(sb geom.Sphere) bool {
 	return a.p.verdict(a.da2, db2, a.sq.Radius)
 }
 
-// QuarticSolves is PreparedPair.QuarticSolves for the Hyperbola kernel.
-func (a *Anchored) QuarticSolves() uint64 { return a.p.QuarticSolves() }
-
 // FlushObs is PreparedPair.FlushObs for the Hyperbola kernel.
 func (a *Anchored) FlushObs() { a.p.flushObs() }

@@ -133,10 +133,10 @@ func (p *PreparedPair) frame(d int, dcc2, rab float64) {
 func (p *PreparedPair) Overlaps() bool { return p.overlap }
 
 // QuarticSolves returns the pair's locally tallied quartic-solve count
-// since its last obs flush. Execution tracing reads it before and after a
-// check to attribute solves to individual spans; the difference is only
-// meaningful across a window with no intervening flush (windows of up to
-// obsFlushEvery queries), so callers must treat a decrease as zero.
+// since its last obs flush. A caller reading it before and after a check to
+// attribute solves to that check gets a meaningful difference only across a
+// window with no intervening flush (windows of up to obsFlushEvery
+// queries), so it must treat a decrease as zero.
 func (p *PreparedPair) QuarticSolves() uint64 { return p.tally.quartics }
 
 // DominatesBatch evaluates the pair's verdict for every query sphere,

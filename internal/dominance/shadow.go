@@ -13,9 +13,7 @@ import (
 // criterion cannot — the unsound side, a pruning opportunity lost) or a
 // false positive (the cheap criterion claims dominance Hyperbola refutes —
 // the incorrect side, which would wrongly discard a result). Disagreements
-// land in per-criterion counters and, for traced queries, as SpanShadow
-// events, so a trace shows the exact node and item where e.g. MinMax failed
-// to prune. The audit multiplies the cost of every dominance check roughly
+// land in per-criterion counters. The audit multiplies the cost of every dominance check roughly
 // five-fold, so it is a criterion a caller asks for by wrapping the one it
 // would have used — Shadowed — and never changes a query's answer: callers
 // always get the primary criterion's verdict.
@@ -27,14 +25,10 @@ import (
 type Shadowed struct{ Criterion }
 
 // Dominates returns the primary criterion's verdict after auditing the
-// instance.
-func (s Shadowed) Dominates(sa, sb, sq geom.Sphere) bool { return s.Audit(sa, sb, sq, nil) }
-
-// Audit is Dominates for a traced search: disagreements are also recorded
-// into tb (which may be nil). When the primary is Hyperbola its verdict is
-// reused rather than recomputed.
-func (s Shadowed) Audit(sa, sb, sq geom.Sphere, tb *obs.TraceBuf) bool {
-	hyp, _ := ShadowCompare(sa, sb, sq, tb)
+// instance. When the primary is Hyperbola its verdict is reused rather than
+// recomputed.
+func (s Shadowed) Dominates(sa, sb, sq geom.Sphere) bool {
+	hyp, _ := ShadowCompare(sa, sb, sq)
 	if _, ok := s.Criterion.(Hyperbola); ok {
 		return hyp
 	}
@@ -64,9 +58,8 @@ func init() {
 // ShadowCompare evaluates Hyperbola and every competitor on one dominance
 // instance. It returns Hyperbola's verdict and a bitmask of competitors
 // that disagreed (bit i = shadowCompetitors[i]). Disagreement counters
-// move when the obs gate is on; each disagreement is also recorded into tb
-// when a trace is active (tb may be nil).
-func ShadowCompare(sa, sb, sq geom.Sphere, tb *obs.TraceBuf) (bool, uint8) {
+// move when the obs gate is on.
+func ShadowCompare(sa, sb, sq geom.Sphere) (bool, uint8) {
 	hyp := Hyperbola{}.Dominates(sa, sb, sq)
 	on := obs.On()
 	if on {
@@ -85,9 +78,6 @@ func ShadowCompare(sa, sb, sq geom.Sphere, tb *obs.TraceBuf) (bool, uint8) {
 			} else {
 				obsShadowFalsePos[i].Inc()
 			}
-		}
-		if tb != nil && tb.Active() {
-			tb.Shadow(c.Name(), v, hyp)
 		}
 	}
 	return hyp, mask

@@ -3,7 +3,6 @@ package dominance
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"hyperdom/internal/obs"
 )
@@ -41,7 +40,7 @@ func TestShadowComparePolarity(t *testing.T) {
 	falsePos := make(map[string]int)
 
 	for _, in := range shadowWorkload(77, 4000) {
-		hyp, mask := ShadowCompare(in.sa, in.sb, in.sq, nil)
+		hyp, mask := ShadowCompare(in.sa, in.sb, in.sq)
 		if want := (Hyperbola{}).Dominates(in.sa, in.sb, in.sq); hyp != want {
 			t.Fatalf("ShadowCompare verdict %v diverges from Hyperbola %v", hyp, want)
 		}
@@ -90,7 +89,7 @@ func TestShadowCompareCounters(t *testing.T) {
 	wantMissed := make(map[string]uint64)
 	wantFalsePos := make(map[string]uint64)
 	for _, in := range w {
-		hyp, mask := ShadowCompare(in.sa, in.sb, in.sq, nil)
+		hyp, mask := ShadowCompare(in.sa, in.sb, in.sq)
 		for i, name := range names {
 			if mask&(1<<i) == 0 {
 				continue
@@ -119,7 +118,7 @@ func TestShadowCompareCounters(t *testing.T) {
 	// Gate off: verdicts unchanged, counters frozen.
 	obs.SetEnabled(false)
 	for _, in := range w[:200] {
-		hyp, _ := ShadowCompare(in.sa, in.sb, in.sq, nil)
+		hyp, _ := ShadowCompare(in.sa, in.sb, in.sq)
 		if want := (Hyperbola{}).Dominates(in.sa, in.sb, in.sq); hyp != want {
 			t.Fatalf("gate-off ShadowCompare verdict diverged")
 		}
@@ -146,32 +145,5 @@ func TestShadowAudit(t *testing.T) {
 					crit.Name(), got, want)
 			}
 		}
-	}
-}
-
-// TestShadowTraceEvents checks disagreements land in an active TraceBuf as
-// shadow spans carrying both verdicts.
-func TestShadowTraceEvents(t *testing.T) {
-	var tb obs.TraceBuf
-	tb.Begin(time.Now())
-	recorded := 0
-	for _, in := range shadowWorkload(80, 1500) {
-		hyp, mask := ShadowCompare(in.sa, in.sb, in.sq, &tb)
-		if mask == 0 {
-			continue
-		}
-		for i := 0; i < len(shadowCompetitorNames()); i++ {
-			if mask&(1<<i) != 0 {
-				recorded++
-			}
-		}
-		_ = hyp
-	}
-	if recorded == 0 {
-		t.Fatal("workload produced no disagreements to record")
-	}
-	qt := tb.Finish(1)
-	if got := qt.CountKind(obs.SpanShadow); got != recorded {
-		t.Errorf("trace has %d shadow spans, want %d", got, recorded)
 	}
 }

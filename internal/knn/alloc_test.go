@@ -2,12 +2,14 @@ package knn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
 	"hyperdom/internal/mtree"
+	"hyperdom/internal/obs"
 	"hyperdom/internal/rtree"
 	"hyperdom/internal/sstree"
 )
@@ -20,6 +22,10 @@ import (
 // slices, dist slices, order permutations, sort closures and heap boxes on
 // every node visit, hundreds per search.
 const searchAllocBudget = 8
+
+// steadyAllocs is what an SS-tree search allocates in steady state: the
+// answer slice, and room for one incidental growth.
+const steadyAllocs = 2
 
 // allocCorpus draws the n items and 16 queries the allocation and
 // benchmark tests share.
@@ -60,7 +66,10 @@ func allocFixture(n int) (Index, []geom.Sphere) {
 // within searchAllocBudget for every substrate and both traversal
 // strategies. The M-tree and R-tree adapters used to copy each expanded
 // node's children into a fresh slice (40 and 32–33 allocs per search on
-// this corpus); the one cursor reads children by index.
+// this corpus); the one cursor reads children by index. It measures with
+// the obs gate on and the Slow ring in its steady state — full of slower
+// ops, so no search here is admitted (an admitted op costs its one heap
+// copy) — where an SS-tree search costs at most steadyAllocs.
 func TestSearchAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-item fixture")
@@ -68,6 +77,12 @@ func TestSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
+	defer obs.SetEnabled(true)
+	obs.SetEnabled(true)
+	for i := 0; i < obs.SlowSlots; i++ {
+		obs.Slow.Record(&obs.Op{LatencyNs: math.MaxInt64})
+	}
+	defer obs.Slow.Reset()
 	items, queries := allocCorpus(10000)
 	ss, mt, rt := sstree.New(8), mtree.New(8), rtree.New(8)
 	for _, it := range items {
@@ -98,6 +113,9 @@ func TestSearchAllocs(t *testing.T) {
 				})
 				if allocs > searchAllocBudget {
 					t.Errorf("%.1f allocs per search, budget %d", allocs, searchAllocBudget)
+				}
+				if sub.name == "sstree" && allocs > steadyAllocs {
+					t.Errorf("%.1f allocs per search with obs on, want ≤ %d", allocs, steadyAllocs)
 				}
 			})
 		}

@@ -190,9 +190,6 @@ type CandidateSet struct {
 	// packed and pointer paths is test-locked, and this depends on the
 	// quant mode.
 	CoarsePrunes uint64
-	// TraceID links to this traversal's retained execution trace in
-	// /debug/trace when it was sampled, 0 otherwise.
-	TraceID uint64
 }
 
 // SearchCandidates runs the kNN traversal and returns what it kept instead
@@ -221,7 +218,7 @@ func (sc *scratch) searchCandidates(idx Index, sq geom.Sphere, k int, crit domin
 	cs.CoarsePrunes = sc.qItemPrunes
 	cs.Candidates = l.collect()
 	if obs.On() {
-		cs.TraceID = sc.flushObs(idx.substrate(), algo, k, start, &cs.Stats, nil)
+		sc.flushObs(idx.substrate(), algo, k, start, &cs.Stats, nil)
 	}
 	return cs
 }

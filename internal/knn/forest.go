@@ -63,7 +63,6 @@ func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, crit dominance.Cr
 		if rootDist > l.distK() {
 			break // and every later tree: the order is ascending, distK only shrinks
 		}
-		sc.treeTag = uint64(i+1) << 32
 		sc.packedHeap.es = sc.packedHeap.es[:0] // a best-first search that ended early leaves its frontier behind
 		var sp *obs.ShardSpan
 		var t0 time.Time
@@ -86,7 +85,6 @@ func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, crit dominance.Cr
 		}
 	}
 	if visited == 0 {
-		sc.cancelTrace()
 		return res, 0
 	}
 
@@ -103,14 +101,7 @@ func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, crit dominance.Cr
 	}
 	if obs.On() {
 		obsSearchPacked.Inc()
-		id := sc.flushObs(trees[order[0]].Substrate(), algo, k, start, &res.Stats, ex)
-		if ex != nil && id != 0 {
-			for i := range ex.Shards {
-				if !ex.Shards[i].Skipped {
-					ex.Shards[i].TraceID = id
-				}
-			}
-		}
+		sc.flushObs(trees[order[0]].Substrate(), algo, k, start, &res.Stats, ex)
 	}
 	return res, visited
 }

@@ -153,10 +153,6 @@ type bestList struct {
 	top   TopK
 	buf   []Candidate
 	stats *Stats
-
-	// tb is non-nil only while the owning search is sampled for execution
-	// tracing (ISSUE 4).
-	tb *obs.TraceBuf
 }
 
 // reset reinitialises the list for a new search, reusing the candidate
@@ -167,44 +163,6 @@ func (l *bestList) reset(sq geom.Sphere, k int, crit dominance.Criterion, stats 
 	l.stats = stats
 	l.top.Reset(k)
 	l.buf = clearLen(l.buf)
-	l.tb = nil
-}
-
-// dominated is the final filter's one criterion call for candidate c
-// against sk, the final Sk l.anch is anchored on. It owns the DomChecks
-// count and, when the search is traced, emits a DomCheck span — with the
-// check's quartic-solve cost on the Hyperbola path — and hands a
-// dominance.Shadowed criterion the trace so its disagreements land there.
-func (l *bestList) dominated(sk geom.Sphere, c *Candidate) bool {
-	l.stats.DomChecks++
-	if l.tb == nil {
-		return l.anch.Dominates(c.Item.Sphere)
-	}
-	if sh, ok := l.crit.(dominance.Shadowed); ok {
-		v := sh.Audit(sk, c.Item.Sphere, l.sq, l.tb)
-		l.tb.DomCheck(obs.PhaseFinal, l.crit.Name(), int64(c.Item.ID), v, 0)
-		return v
-	}
-	q0 := l.anch.QuarticSolves()
-	v := l.anch.Dominates(c.Item.Sphere)
-	var dq uint64
-	// The tally auto-flushes every obsFlushEvery queries; a wrapped window
-	// reads as zero rather than garbage.
-	if q := l.anch.QuarticSolves(); q > q0 {
-		dq = q - q0
-	}
-	l.tb.DomCheck(obs.PhaseFinal, l.crit.Name(), int64(c.Item.ID), v, dq)
-	return v
-}
-
-// notePrune owns the Pruned count for its call site and emits the matching
-// ItemPrune span when the search is traced — span counts and the knn.pruned
-// counter stay exactly equal by construction.
-func (l *bestList) notePrune(phase uint8, c *Candidate) {
-	l.stats.Pruned++
-	if l.tb != nil {
-		l.tb.ItemPrune(phase, int64(c.Item.ID), c.MinDist)
-	}
 }
 
 // distK returns the k-th smallest MaxDist seen, or +Inf before k items.
@@ -234,7 +192,7 @@ func (l *bestList) offerDist(it *Item, dist float64) {
 	c := Candidate{Item: it, MaxDist: dist + it.Sphere.Radius + l.sq.Radius, MinDist: minDist}
 	if l.top.Full() && c.MinDist > l.top.Kth().MaxDist {
 		// Case 3: Lemma 9 — MinMax-provably dominated by the final Sk.
-		l.notePrune(obs.PhaseCase3, &c)
+		l.stats.Pruned++
 		return
 	}
 	// Cases 1 and 2 differ only in who stays among the k smallest: whichever
@@ -257,8 +215,9 @@ func (l *bestList) finish() []Item {
 		es = l.buf[:0] // compact buf in place, then take top's survivors
 		for _, part := range [2][]Candidate{l.buf, l.top.es} {
 			for i := range part {
-				if c := &part[i]; l.dominated(sk, c) {
-					l.notePrune(obs.PhaseFinal, c)
+				l.stats.DomChecks++
+				if c := &part[i]; l.anch.Dominates(c.Item.Sphere) {
+					l.stats.Pruned++
 				} else {
 					es = append(es, *c)
 				}

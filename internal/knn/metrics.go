@@ -93,9 +93,8 @@ func fillOp(op *obs.Op, substrate, algo string, k int, start time.Time, latNs in
 // here otherwise. Called once per search when the obs gate is on; the
 // scratch tallies still accumulate (cheaply) when it is off, so they are
 // also zeroed here to keep a later snapshot from attributing old work to a
-// new window. The return value is the ID of the span trace this search
-// recorded, 0 when it was not sampled.
-func (sc *scratch) flushObs(sub packed.Substrate, algo Algorithm, k int, start time.Time, st *Stats, ex *obs.Op) (traceID uint64) {
+// new window.
+func (sc *scratch) flushObs(sub packed.Substrate, algo Algorithm, k int, start time.Time, st *Stats, ex *obs.Op) {
 	obsSearches.Inc()
 	obsSearchSub[sub].Inc()
 	flushStats(st)
@@ -132,14 +131,6 @@ func (sc *scratch) flushObs(sub packed.Substrate, algo Algorithm, k int, start t
 			op = &own
 		}
 		fillOp(op, substrateLabels[sub], algo.String(), k, start, lat, st, heapPushes)
-		if sc.tb != nil {
-			// Freeze the sampled span tree into the record: a trace is
-			// retained exactly as long as its op stays among the SlowSlots
-			// slowest (tail sampling).
-			op.Trace = sc.trace.Finish(lat)
-			sc.tb = nil
-			traceID = op.Trace.ID
-		}
 		if ex == nil {
 			obs.Slow.Record(op)
 		}
@@ -150,7 +141,6 @@ func (sc *scratch) flushObs(sub packed.Substrate, algo Algorithm, k int, start t
 	// (quartic solves, overlap short-circuits) become visible with the
 	// same per-search cadence.
 	sc.list.anch.FlushObs()
-	return traceID
 }
 
 // clearObsTallies zeroes the scratch-local counters a flush (or a pool

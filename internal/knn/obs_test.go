@@ -3,6 +3,7 @@ package knn
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/obs"
@@ -196,3 +197,163 @@ func TestObsBruteForceCounters(t *testing.T) {
 		t.Errorf("brute-force flight record wrong: %+v", dump)
 	}
 }
+
+// TestCountersMatchStats holds the per-search telemetry to the search's own
+// accounting exactly, on every substrate and both strategies: one search
+// into a zeroed registry moves knn.nodes_visited, knn.items_scanned,
+// knn.pruned and knn.dom_checks by its Stats, and leaves one Slow-ring
+// record carrying the same counts. (TestObsSearchCounters only bounds the
+// totals from below.)
+func TestCountersMatchStats(t *testing.T) {
+	defer obs.SetEnabled(true)
+	obs.SetEnabled(true)
+
+	rng := rand.New(rand.NewSource(4242))
+	const d = 4
+	_, fixtures := buildFixtures(rng, d, 900)
+	q := randQuery(rng, d, 1)
+	for _, fx := range fixtures {
+		for _, algo := range []Algorithm{DF, HS} {
+			idx, name, algo := fx.idx, fx.name, algo
+			t.Run(name+"/"+algo.String(), func(t *testing.T) {
+				obs.ResetForTest()
+				res := Search(idx, q, 10, dominance.Hyperbola{}, algo)
+				if res.Stats.DomChecks == 0 || res.Stats.Pruned == 0 {
+					t.Fatalf("fixture too easy to tell counters apart: %+v", res.Stats)
+				}
+
+				snap := obs.Snapshot()
+				for _, c := range []struct {
+					name string
+					want int
+				}{
+					{"knn.nodes_visited", res.Stats.NodesVisited},
+					{"knn.items_scanned", res.Stats.Items},
+					{"knn.pruned", res.Stats.Pruned},
+					{"knn.dom_checks", res.Stats.DomChecks},
+				} {
+					if got := snap.Get(c.name); got != uint64(c.want) {
+						t.Errorf("%s = %d, Stats says %d", c.name, got, c.want)
+					}
+				}
+
+				dump := obs.Slow.Dump()
+				if len(dump) != 1 {
+					t.Fatalf("Slow ring holds %d records, want 1", len(dump))
+				}
+				rec := dump[0]
+				if rec.Substrate != name || rec.Algo != algo.String() || rec.K != 10 {
+					t.Errorf("record header %s/%s k=%d, want %s/%v k=10", rec.Substrate, rec.Algo, rec.K, name, algo)
+				}
+				if rec.Nodes != uint64(res.Stats.NodesVisited) || rec.Items != uint64(res.Stats.Items) ||
+					rec.Pruned != uint64(res.Stats.Pruned) || rec.DomChecks != uint64(res.Stats.DomChecks) {
+					t.Errorf("record counts nodes/items/pruned/checks = %d/%d/%d/%d, Stats %+v",
+						rec.Nodes, rec.Items, rec.Pruned, rec.DomChecks, res.Stats)
+				}
+			})
+		}
+	}
+}
+
+// TestSearchShadowMode verifies a search under a dominance.Shadowed
+// criterion: answers are unchanged for any primary criterion — and a plain
+// search in the same process audits nothing — and the per-criterion disagreement
+// counters move with the correct/sound polarity of Table 1 — correct
+// criteria (MinMax, MBR, GP) may only miss prunes, the sound one
+// (Trigonometric) may only report false positives.
+func TestSearchShadowMode(t *testing.T) {
+	defer obs.SetEnabled(true)
+	obs.SetEnabled(true)
+
+	rng := rand.New(rand.NewSource(4242))
+	const d = 4
+	idx := index(randItems(rng, d, 900, 2), d)
+	q := randQuery(rng, d, 1)
+	for _, crit := range []dominance.Criterion{dominance.Hyperbola{}, dominance.MinMax{}} {
+		obs.ResetForTest()
+		plain := Search(idx, q, 10, crit, HS)
+		if got := obs.Snapshot().Get("dominance.shadow.checks"); got != 0 {
+			t.Fatalf("%s: a plain search ran %d shadow checks", crit.Name(), got)
+		}
+		shadowed := Search(idx, q, 10, dominance.Shadowed{Criterion: crit}, HS)
+
+		if len(plain.Items) != len(shadowed.Items) {
+			t.Fatalf("%s: shadow mode changed the answer: %d vs %d items",
+				crit.Name(), len(shadowed.Items), len(plain.Items))
+		}
+		for i := range plain.Items {
+			if plain.Items[i].ID != shadowed.Items[i].ID {
+				t.Fatalf("%s: shadow mode changed the answer at position %d", crit.Name(), i)
+			}
+		}
+
+		snap := obs.Snapshot()
+		if got := snap.Get("dominance.shadow.checks"); got != uint64(shadowed.Stats.DomChecks) {
+			t.Errorf("%s: shadow checks = %d, DomChecks = %d", crit.Name(), got, shadowed.Stats.DomChecks)
+		}
+		var disagreements uint64
+		for _, name := range []string{"MinMax", "MBR", "GP", "Trigonometric"} {
+			disagreements += snap.Get("dominance.shadow.missed_prune."+name) +
+				snap.Get("dominance.shadow.false_positive."+name)
+		}
+		if disagreements == 0 {
+			t.Errorf("%s: the audit counted no disagreement", crit.Name())
+		}
+		for _, name := range []string{"MinMax", "MBR", "GP"} {
+			if got := snap.Get("dominance.shadow.false_positive." + name); got != 0 {
+				t.Errorf("%s: correct criterion %s reported %d false positives", crit.Name(), name, got)
+			}
+		}
+		if got := snap.Get("dominance.shadow.missed_prune.Trigonometric"); got != 0 {
+			t.Errorf("%s: sound criterion Trigonometric missed %d prunes", crit.Name(), got)
+		}
+	}
+}
+
+// TestSearchObsOverhead holds the instrumentation to its budget at the
+// search level: with the obs gate on, a Search must cost less than 5% over
+// the same binary with the gate off. Off and on rounds alternate and the
+// minimum of each side is kept, as in internal/dominance: `go test ./...`
+// runs packages side by side, and a neighbour that is busy through all of
+// one side's rounds would otherwise be read as overhead.
+func TestSearchObsOverhead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing measurement")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation distorts the timing comparison")
+	}
+	defer obs.SetEnabled(true)
+	idx, queries := allocFixture(4000)
+
+	round := func(enabled bool) time.Duration {
+		obs.SetEnabled(enabled)
+		start := time.Now()
+		for rep := 0; rep < 4; rep++ {
+			for _, q := range queries {
+				res := Search(idx, q, 10, dominance.Hyperbola{}, HS)
+				obsSink += len(res.Items)
+			}
+		}
+		return time.Since(start)
+	}
+
+	const budget, attempts, rounds = 1.05, 3, 9
+	round(false) // warm caches, pool and tree paths
+	var off, on time.Duration
+	for attempt := 1; attempt <= attempts; attempt++ {
+		off, on = 1<<62, 1<<62
+		for r := 0; r < rounds; r++ {
+			off = min(off, round(false))
+			on = min(on, round(true))
+		}
+		t.Logf("attempt %d: off=%v on=%v ratio=%.3f", attempt, off, on, float64(on)/float64(off))
+		if float64(on) < float64(off)*budget {
+			return
+		}
+	}
+	t.Errorf("obs-on overhead %.1f%% exceeds %.0f%% budget",
+		(float64(on)/float64(off)-1)*100, (budget-1)*100)
+}
+
+var obsSink int

@@ -14,9 +14,7 @@ var obsSearchPacked = obs.New("knn.searches.packed")
 
 // quantOn reports whether this search should run the two-phase
 // coarse-filter loop over a leaf's items (ISSUE 6): a quantized tier is
-// selected, the search is not being traced (the trace schema records exact
-// per-entry distances, which the coarse pass deliberately never computes),
-// and the best-list is full with a usable threshold (0 <= dk < +Inf: an
+// selected and the best-list is full with a usable threshold (0 <= dk < +Inf: an
 // unbounded dk can prune nothing, and a negative one — possible only with
 // degenerate data spheres — would reintroduce the mixed-sign cancellation
 // the select kernels' threshold arithmetic excludes; see vec/quant.go).
@@ -24,14 +22,8 @@ var obsSearchPacked = obs.New("knn.searches.packed")
 // pass pruned ~20% of children where the leaf pass prunes ~99% of items, and
 // cost more than the exact kernel it replaced.
 func (sc *scratch) quantOn(dk float64) bool {
-	return sc.quant != packed.TierNone && sc.tb == nil && dk >= 0 && !math.IsInf(dk, 1)
+	return sc.quant != packed.TierNone && dk >= 0 && !math.IsInf(dk, 1)
 }
-
-// packedNodeID is the trace identity of a packed node: its dense id shifted
-// by one, because 0 means "no identity" in the span schema, under the tag of
-// the tree being searched — node ids are dense per tree, and a forest search
-// records every tree it visits into one trace.
-func (sc *scratch) packedNodeID(n int32) uint64 { return sc.treeTag | (uint64(n) + 1) }
 
 // offerLeafPacked streams one DistBlock pass over leaf n's packed item
 // centers and offers every item off it.
@@ -44,18 +36,9 @@ func (sc *scratch) packedNodeID(n int32) uint64 { return sc.treeTag | (uint64(n)
 // exactly offerDist's Case 3 (minDist > dk with dk ≥ 0 implies the raw and
 // clamped minDist agree, and maxDist ≥ minDist > dk rules out Cases 1–2),
 // and a Case-3 offer changes no list state, so stats and results stay
-// bit-identical. Traced searches take the plain per-item path, which emits
-// the identical ItemPrune spans.
-func (sc *scratch) offerLeafPacked(t *packed.Tree, n int32, sq geom.Sphere, l *bestList) int32 {
+// bit-identical.
+func (sc *scratch) offerLeafPacked(t *packed.Tree, n int32, sq geom.Sphere, l *bestList) {
 	items := t.LeafItems(n)
-	if l.tb != nil {
-		sc.pBuf = growTo(sc.pBuf, len(items))
-		t.LeafDists(n, sq.Center, sc.pBuf)
-		for i := range items {
-			l.offerDist(&items[i], sc.pBuf[i])
-		}
-		return int32(len(items))
-	}
 	radii := t.ItemRadii(n)
 	qr := sq.Radius
 	dk := l.distK()
@@ -86,7 +69,7 @@ func (sc *scratch) offerLeafPacked(t *packed.Tree, n int32, sq geom.Sphere, l *b
 			l.offerDist(&items[i], dist)
 			dk = l.distK()
 		}
-		return int32(len(items))
+		return
 	}
 	sc.pBuf = growTo(sc.pBuf, len(items))
 	t.LeafDists(n, sq.Center, sc.pBuf)
@@ -100,7 +83,6 @@ func (sc *scratch) offerLeafPacked(t *packed.Tree, n int32, sq geom.Sphere, l *b
 		l.offerDist(&items[i], dist)
 		dk = l.distK()
 	}
-	return int32(len(items))
 }
 
 // searchDFPacked is searchDF over a frozen snapshot: node ids instead of
@@ -112,15 +94,8 @@ func (sc *scratch) offerLeafPacked(t *packed.Tree, n int32, sq geom.Sphere, l *b
 // (RootMinDist at the root).
 func (sc *scratch) searchDFPacked(t *packed.Tree, n int32, nd float64, sq geom.Sphere, l *bestList) {
 	l.stats.NodesVisited++
-	sp := int32(-1)
-	if tb := sc.tb; tb != nil {
-		sp = tb.StartNode(sc.packedNodeID(n), nd)
-	}
 	if t.IsLeaf(n) {
-		scanned := sc.offerLeafPacked(t, n, sq, l)
-		if sc.tb != nil {
-			sc.tb.EndNode(sp, 0, scanned)
-		}
+		sc.offerLeafPacked(t, n, sq, l)
 		return
 	}
 	base := len(sc.pStack)
@@ -133,20 +108,12 @@ func (sc *scratch) searchDFPacked(t *packed.Tree, n int32, nd float64, sq geom.S
 	sortByDist(sc.pStack[base:base+nc], sc.pDists[base:base+nc])
 	for i := 0; i < nc; i++ {
 		if sc.pDists[base+i] > l.distK() {
-			if tb := sc.tb; tb != nil {
-				for j := i; j < nc; j++ {
-					tb.NodePrune(sc.packedNodeID(sc.pStack[base+j]), sc.pDists[base+j])
-				}
-			}
 			break
 		}
 		sc.searchDFPacked(t, sc.pStack[base+i], sc.pDists[base+i], sq, l)
 	}
 	sc.pStack = sc.pStack[:base]
 	sc.pDists = sc.pDists[:base]
-	if sc.tb != nil {
-		sc.tb.EndNode(sp, int32(nc), 0)
-	}
 }
 
 // searchHSPacked is searchHS over a frozen snapshot. Children are scored by
@@ -162,21 +129,11 @@ func (sc *scratch) searchHSPacked(t *packed.Tree, rootDist float64, sq geom.Sphe
 	for h.len() > 0 {
 		n, dist := h.pop()
 		if dist > l.distK() {
-			if tb := sc.tb; tb != nil {
-				tb.NodePrune(sc.packedNodeID(n), dist)
-			}
 			return
 		}
 		l.stats.NodesVisited++
-		sp := int32(-1)
-		if tb := sc.tb; tb != nil {
-			sp = tb.StartNode(sc.packedNodeID(n), dist)
-		}
 		if t.IsLeaf(n) {
-			scanned := sc.offerLeafPacked(t, n, sq, l)
-			if sc.tb != nil {
-				sc.tb.EndNode(sp, 0, scanned)
-			}
+			sc.offerLeafPacked(t, n, sq, l)
 			continue
 		}
 		// Invariant: distk cannot change inside this loop — it only shrinks
@@ -188,12 +145,7 @@ func (sc *scratch) searchHSPacked(t *packed.Tree, rootDist float64, sq geom.Sphe
 		for i, c := range kids {
 			if d := sc.pBuf[i]; d <= dk {
 				h.push(c, d)
-			} else if tb := sc.tb; tb != nil {
-				tb.NodePrune(sc.packedNodeID(c), d)
 			}
-		}
-		if sc.tb != nil {
-			sc.tb.EndNode(sp, int32(len(kids)), 0)
 		}
 	}
 }

@@ -11,17 +11,14 @@ import (
 	"hyperdom/internal/obs"
 )
 
-// TestTraceScrapeConcurrent is the flight-recorder/trace linkage race gate
-// (ISSUE 4): searches recording sampled traces into the ring while scrapers
-// hammer /debug/slow and /debug/trace must neither race (the -race CI run
-// covers this file) nor tear spans — every trace served is a complete,
-// internally consistent tree.
-func TestTraceScrapeConcurrent(t *testing.T) {
+// TestScrapeConcurrent is the Slow ring's race gate: searches recording
+// their ops into the ring and the registry while scrapers hammer
+// /debug/slow, /debug/requests and /metrics must neither race (the -race CI
+// run covers this file) nor tear a record — every op read back is whole.
+func TestScrapeConcurrent(t *testing.T) {
 	defer obs.SetEnabled(true)
-	defer obs.SetTraceEvery(0)
 	obs.SetEnabled(true)
 	obs.ResetForTest()
-	obs.SetTraceEvery(2)
 
 	rng := rand.New(rand.NewSource(321))
 	idx := index(randItems(rng, 4, 700, 2), 4)
@@ -52,7 +49,7 @@ func TestTraceScrapeConcurrent(t *testing.T) {
 	stop := make(chan struct{})
 	var readWG sync.WaitGroup
 
-	// Two scrapers, one per endpoint, polling until the searchers finish.
+	// One scraper per endpoint, polling until the searchers finish.
 	scrape := func(path string) {
 		defer readWG.Done()
 		for {
@@ -76,12 +73,14 @@ func TestTraceScrapeConcurrent(t *testing.T) {
 			}
 		}
 	}
-	readWG.Add(2)
+	readWG.Add(3)
 	go scrape("/debug/slow")
-	go scrape("/debug/trace")
+	go scrape("/debug/requests")
+	go scrape("/metrics")
 
-	// A direct reader too: Traces() without the HTTP layer, checking span
-	// trees for tearing while writers are active.
+	// A direct reader too: the ring without the HTTP layer, checking records
+	// for tearing while writers are active. Every search above asks for
+	// k in [5, 11], and a record's counts belong to one search.
 	readWG.Add(1)
 	go func() {
 		defer readWG.Done()
@@ -91,17 +90,10 @@ func TestTraceScrapeConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			for _, op := range obs.Slow.Traced() {
-				qt := &op.Trace
-				if len(qt.Spans) == 0 || qt.Spans[0].Kind != obs.SpanSearch {
-					t.Errorf("trace %d has no root span", qt.ID)
+			for _, op := range obs.Slow.Dump() {
+				if op.K < 5 || op.K > 11 || op.LatencyNs <= 0 || op.Nodes == 0 || op.Items < op.Pruned {
+					t.Errorf("torn record: %+v", op)
 					return
-				}
-				for i, sp := range qt.Spans {
-					if i > 0 && (sp.Parent < 0 || int(sp.Parent) >= i) {
-						t.Errorf("trace %d span %d torn: parent %d", qt.ID, i, sp.Parent)
-						return
-					}
 				}
 			}
 		}
@@ -114,7 +106,7 @@ func TestTraceScrapeConcurrent(t *testing.T) {
 	if got := obs.Lookup("knn.searches").Load(); got != searchers*rounds {
 		t.Errorf("knn.searches = %d, want %d", got, searchers*rounds)
 	}
-	if len(obs.Slow.Traced()) == 0 {
-		t.Error("no traces retained after concurrent run")
+	if len(obs.Slow.Dump()) == 0 {
+		t.Error("no ops retained after concurrent run")
 	}
 }

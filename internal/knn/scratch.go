@@ -3,7 +3,6 @@ package knn
 import (
 	"sync"
 
-	"hyperdom/internal/obs"
 	"hyperdom/internal/packed"
 )
 
@@ -38,11 +37,6 @@ type scratch struct {
 	pBuf       []float64
 	packedHeap distHeap[int32]
 
-	// treeTag qualifies packed node ids in a trace by the tree they belong
-	// to: 0 for a single-index search, (tree index + 1) << 32 while a forest
-	// search is inside that tree.
-	treeTag uint64
-
 	// Quantized coarse-filter state (ISSUE 6): the tier this search
 	// consults (stashed once at packed dispatch from the process-wide
 	// QuantMode), the survivor-index buffer the leaf select kernels fill,
@@ -61,14 +55,6 @@ type scratch struct {
 	// dfExpansions tallies children expanded by the depth-first
 	// traversals this search (plain add; drained by flushObs).
 	dfExpansions uint64
-
-	// trace is the search's span buffer when this search was sampled for
-	// execution tracing (ISSUE 4); tb points at it then and is nil
-	// otherwise, so every instrumentation site pays one nil check. The
-	// buffer's span storage is reused across traced searches on this
-	// scratch; Span holds no references, so pooling it is leak-safe.
-	trace obs.TraceBuf
-	tb    *obs.TraceBuf
 }
 
 // resetTraversal empties the traversal buffers before a search. The DF
@@ -107,18 +93,7 @@ func putScratch(sc *scratch) {
 	sc.pDists = sc.pDists[:0]
 	sc.packedHeap.es = sc.packedHeap.es[:0]
 	sc.list.release()
-	// A trace begun by a search that never reached its flush (obs gate
-	// turned off mid-search) must not leak into the next search.
-	sc.cancelTrace()
 	scratchPool.Put(sc)
-}
-
-// cancelTrace abandons an in-flight trace, keeping the buffer for reuse.
-func (sc *scratch) cancelTrace() {
-	if sc.tb != nil {
-		sc.trace.Cancel()
-		sc.tb = nil
-	}
 }
 
 // growToI32 is growTo for the survivor-index buffer.

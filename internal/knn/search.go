@@ -119,8 +119,8 @@ func (sc *scratch) search(idx Index, sq geom.Sphere, k int, crit dominance.Crite
 }
 
 // begin arms the scratch for one search: the best-known list reset for
-// (sq, k, crit) and, when instrumentation is on, the clock read and the
-// trace-sampling decision flushObs later settles.
+// (sq, k, crit) and, when instrumentation is on, the clock read flushObs
+// later settles.
 func (sc *scratch) begin(sq geom.Sphere, k int, crit dominance.Criterion, stats *Stats) (l *bestList, start time.Time) {
 	if k <= 0 {
 		panic(fmt.Sprintf("knn: k = %d", k))
@@ -130,18 +130,10 @@ func (sc *scratch) begin(sq geom.Sphere, k int, crit dominance.Criterion, stats 
 	// obs.Op at the same flush point as the work counters.
 	if obs.On() {
 		start = time.Now()
-		if obs.SampleTrace() {
-			// This search records its full span tree; flushObs freezes it
-			// into the search's obs.Op.
-			sc.trace.Begin(start)
-			sc.tb = &sc.trace
-		}
 	}
 	sc.resetTraversal()
-	sc.treeTag = 0
 	l = &sc.list
 	l.reset(sq, k, crit, stats)
-	l.tb = sc.tb
 	return l, start
 }
 
@@ -175,8 +167,7 @@ func (sc *scratch) stashQuant(sq geom.Sphere) {
 // SearchCandidates (raw candidate stream): dispatch to the packed or the
 // interface path, with the best-known list filled in and the per-search
 // instrumentation armed. ok=false means the index was empty: the list holds
-// nothing and any sampled trace was cancelled; callers skip both the answer
-// pass and the obs flush.
+// nothing, and callers skip both the answer pass and the obs flush.
 func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm, stats *Stats) (l *bestList, start time.Time, ok bool) {
 	l, start = sc.begin(sq, k, crit, stats)
 	// A frozen substrate routes to the packed traversal: the same result
@@ -184,7 +175,6 @@ func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Cri
 	// pointer path visits (DESIGN.md §11).
 	if pt := idx.frozen(); pt != nil {
 		if pt.Empty() {
-			sc.cancelTrace()
 			return nil, start, false
 		}
 		sc.stashQuant(sq)
@@ -196,7 +186,6 @@ func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Cri
 	}
 	root, rok := idx.RootNode()
 	if !rok {
-		sc.cancelTrace()
 		return nil, start, false
 	}
 	switch algo {
@@ -216,17 +205,10 @@ func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Cri
 // frame-stacked across recursion levels.
 func (sc *scratch) searchDF(n IndexNode, sq geom.Sphere, l *bestList) {
 	l.stats.NodesVisited++
-	sp := int32(-1)
-	if tb := sc.tb; tb != nil {
-		sp = tb.StartNode(nodeID(n), n.MinDistTo(sq))
-	}
 	if n.IsLeaf() {
 		items := n.NodeItems()
 		for i := range items {
 			l.offer(&items[i])
-		}
-		if sc.tb != nil {
-			sc.tb.EndNode(sp, 0, int32(len(items)))
 		}
 		return
 	}
@@ -242,11 +224,6 @@ func (sc *scratch) searchDF(n IndexNode, sq geom.Sphere, l *bestList) {
 	for i := 0; i < nc; i++ {
 		if sc.dists[base+i] > l.distK() {
 			// Every deeper item has MinDist ≥ this bound: Case 3 territory.
-			if tb := sc.tb; tb != nil {
-				for j := i; j < nc; j++ {
-					tb.NodePrune(nodeID(sc.stack[base+j]), sc.dists[base+j])
-				}
-			}
 			break
 		}
 		sc.searchDF(sc.stack[base+i], sq, l)
@@ -254,21 +231,6 @@ func (sc *scratch) searchDF(n IndexNode, sq geom.Sphere, l *bestList) {
 	clear(sc.stack[base : base+nc]) // drop node refs before the frame pops
 	sc.stack = sc.stack[:base]
 	sc.dists = sc.dists[:base]
-	if sc.tb != nil {
-		sc.tb.EndNode(sp, int32(nc), 0)
-	}
-}
-
-// nodeIdent is the optional node-identity hook of index cursors; the three
-// tree substrates implement it.
-type nodeIdent interface{ DebugID() uint64 }
-
-// nodeID extracts a node's trace identity, 0 when the substrate offers none.
-func nodeID(n IndexNode) uint64 {
-	if id, ok := n.(nodeIdent); ok {
-		return id.DebugID()
-	}
-	return 0
 }
 
 // growTo extends s to length n, reusing capacity.
@@ -290,23 +252,13 @@ func (sc *scratch) searchHS(root IndexNode, sq geom.Sphere, l *bestList) {
 	for h.len() > 0 {
 		n, dist := h.pop()
 		if dist > l.distK() {
-			if tb := sc.tb; tb != nil {
-				tb.NodePrune(nodeID(n), dist)
-			}
 			return
 		}
 		l.stats.NodesVisited++
-		sp := int32(-1)
-		if tb := sc.tb; tb != nil {
-			sp = tb.StartNode(nodeID(n), dist)
-		}
 		if n.IsLeaf() {
 			items := n.NodeItems()
 			for i := range items {
 				l.offer(&items[i])
-			}
-			if sc.tb != nil {
-				sc.tb.EndNode(sp, 0, int32(len(items)))
 			}
 			continue
 		}
@@ -320,16 +272,10 @@ func (sc *scratch) searchHS(root IndexNode, sq geom.Sphere, l *bestList) {
 		for _, c := range sc.stack[base:] {
 			if d := c.MinDistTo(sq); d <= dk {
 				h.push(c, d)
-			} else if tb := sc.tb; tb != nil {
-				tb.NodePrune(nodeID(c), d)
 			}
 		}
-		nc := int32(len(sc.stack) - base)
 		clear(sc.stack[base:])
 		sc.stack = sc.stack[:base]
-		if sc.tb != nil {
-			sc.tb.EndNode(sp, nc, 0)
-		}
 	}
 }
 
@@ -366,7 +312,6 @@ type treeNode struct{ c tree.Cursor }
 func (n treeNode) IsLeaf() bool                    { return n.c.IsLeaf() }
 func (n treeNode) MinDistTo(q geom.Sphere) float64 { return n.c.MinDist(q) }
 func (n treeNode) NodeItems() []Item               { return n.c.Items() }
-func (n treeNode) DebugID() uint64                 { return n.c.DebugID() }
 func (n treeNode) ChildNodes(dst []IndexNode) []IndexNode {
 	for i, m := 0, n.c.NumChildren(); i < m; i++ {
 		dst = append(dst, treeNode{n.c.Child(i)})

@@ -20,7 +20,6 @@ import (
 //	/debug/slow     the Slow ring's slowest operations as JSON
 //	/debug/requests the ring's served requests with their shard trees
 //	                (?format=chrome: as Chrome trace_event JSON)
-//	/debug/trace    the ring's sampled operations as Chrome trace_event JSON
 //	/debug/timeline the timeline ring: periodic windowed-quantile /
 //	                rate / runtime snapshots, oldest first, as JSON
 //	/debug/health   the structured ok/degraded/unhealthy verdict (503
@@ -182,14 +181,6 @@ func serveJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// serveChrome answers with the ops as one Chrome trace_event document.
-func serveChrome(w http.ResponseWriter, ops []*Op) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	if err := WriteChromeTrace(w, ops); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
 // Handler returns the observability mux described above. Mount it on any
 // server, or let Serve run it on a dedicated listener.
 func Handler() http.Handler {
@@ -207,13 +198,13 @@ func Handler() http.Handler {
 	})
 	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("format") == "chrome" {
-			serveChrome(w, Slow.Served())
+			w.Header().Set("Content-Type", "application/json; charset=utf-8")
+			if err := WriteChromeTrace(w, Slow.Served()); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+			}
 			return
 		}
 		serveJSON(w, http.StatusOK, RequestRecords(Slow.Served()))
-	})
-	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		serveChrome(w, Slow.Traced())
 	})
 	mux.HandleFunc("/debug/timeline", func(w http.ResponseWriter, r *http.Request) {
 		serveJSON(w, http.StatusOK, TimelineSnapshots())

@@ -14,8 +14,8 @@ import (
 // one ring so a tail-latency spike can be explained after the fact. The
 // debug endpoints are projections of that ring: /debug/slow lists every op
 // by its search fields, /debug/requests the ops a server wrapped by their
-// request fields and shard tree, /debug/trace and
-// /debug/requests?format=chrome render them through WriteChromeTrace.
+// request fields and shard tree, and /debug/requests?format=chrome renders
+// those through WriteChromeTrace.
 
 // BoundValue is a float64 that marshals non-finite values (the +Inf a
 // never-tightened distK bound reports) as JSON null instead of failing the
@@ -55,11 +55,6 @@ type ShardSpan struct {
 	CoarsePrunes   uint64     `json:"coarse_prunes"`
 	BoundObserved  BoundValue `json:"distk_observed"`
 	BoundPublished BoundValue `json:"distk_published"`
-	// TraceID is the op's Trace.ID when the search was sampled
-	// (SetTraceEvery), 0 otherwise; every visited shard of one search carries
-	// the same ID, and the trace's node ids carry the shard in their upper
-	// half.
-	TraceID uint64 `json:"trace_id,omitempty"`
 }
 
 // MergeSpan is the end of a forest search: the one final filter of
@@ -94,9 +89,8 @@ func (f *Forest) Visited() int {
 
 // Op is one finished operation's telemetry record. The search that ran
 // fills the first block; Forest is set when it walked a forest for a caller
-// who asked for the explain, Trace when it was sampled for node-level
-// tracing, and the request block when a server wrapped it. An Op in the ring
-// is immutable: Record stores a private copy.
+// who asked for the explain, and the request block when a server wrapped
+// it. An Op in the ring is immutable: Record stores a private copy.
 type Op struct {
 	// WhenUnixNs is the start of the outermost clock: the request's when a
 	// server wrapped the search, the search's otherwise.
@@ -112,7 +106,6 @@ type Op struct {
 	HeapPushes uint64
 
 	Forest
-	Trace QueryTrace
 
 	RequestID  string // empty when no server wrapped the search
 	Collection string
@@ -197,29 +190,17 @@ func (r *SlowRing) Dump() []*Op {
 	return out
 }
 
-// dumpIf is Dump restricted to the ops keep accepts.
-func (r *SlowRing) dumpIf(keep func(*Op) bool) []*Op {
+// Served returns the retained operations a server wrapped, slowest first.
+func (r *SlowRing) Served() []*Op {
 	ops := r.Dump()
 	n := 0
 	for _, o := range ops {
-		if keep(o) {
+		if o.RequestID != "" {
 			ops[n] = o
 			n++
 		}
 	}
 	return ops[:n]
-}
-
-// Traced returns the retained operations that were sampled for node-level
-// tracing, slowest first: a trace lives exactly as long as its op stays
-// among the SlowSlots slowest.
-func (r *SlowRing) Traced() []*Op {
-	return r.dumpIf(func(o *Op) bool { return o.Trace.ID != 0 })
-}
-
-// Served returns the retained operations a server wrapped, slowest first.
-func (r *SlowRing) Served() []*Op {
-	return r.dumpIf(func(o *Op) bool { return o.RequestID != "" })
 }
 
 // Reset empties the ring. Like ResetForTest, not linearizable against
@@ -247,10 +228,7 @@ type SlowRecord struct {
 	DomChecks  uint64 `json:"dom_checks"`
 	Pruned     uint64 `json:"pruned"`
 	HeapPushes uint64 `json:"heap_pushes"`
-	// TraceID names the op's node-level trace in /debug/trace (the qN
-	// process names), absent when it was not sampled.
-	TraceID   uint64 `json:"trace_id,omitempty"`
-	RequestID string `json:"request_id,omitempty"`
+	RequestID  string `json:"request_id,omitempty"`
 }
 
 // RequestRecord is one /debug/requests entry: a served op by its request
@@ -280,7 +258,7 @@ func SlowRecords(ops []*Op) []SlowRecord {
 			WhenUnixNs: o.WhenUnixNs, When: o.when(), LatencyNs: o.LatencyNs,
 			Substrate: o.Substrate, Algo: o.Algo, K: o.K,
 			Nodes: o.Nodes, Items: o.Items, DomChecks: o.DomChecks, Pruned: o.Pruned, HeapPushes: o.HeapPushes,
-			TraceID: o.Trace.ID, RequestID: o.RequestID,
+			RequestID: o.RequestID,
 		}
 	}
 	return out

@@ -58,16 +58,14 @@ func Serve(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// ProfileFlags is the shared -serve/-pprof/-cpuprofile/-memprofile/-metrics/
-// -trace flag set of the benchmark commands.
+// ProfileFlags is the shared -serve/-pprof/-cpuprofile/-memprofile/-metrics
+// flag set of the benchmark commands.
 type ProfileFlags struct {
 	CPUProfile     string
 	MemProfile     string
 	PprofAddr      string
 	ServeAddr      string
 	Metrics        bool
-	TracePath      string
-	TraceEvery     int
 	TimelinePeriod time.Duration
 
 	boundServe string // the address -serve actually bound (ephemeral ports)
@@ -81,13 +79,9 @@ func RegisterFlags(fs *flag.FlagSet) *ProfileFlags {
 	fs.StringVar(&pf.MemProfile, "memprofile", "", "write a heap profile to `file` on exit")
 	fs.StringVar(&pf.PprofAddr, "pprof", "", "serve /debug/pprof (and the rest of the obs mux) on `addr` (e.g. localhost:6060)")
 	fs.StringVar(&pf.ServeAddr, "serve", "",
-		"serve /metrics, /debug/slow, /debug/trace and /debug/pprof on `addr`; keeps serving after the run until interrupted")
+		"serve /metrics, /debug/slow and /debug/pprof on `addr`; keeps serving after the run until interrupted")
 	fs.BoolVar(&pf.Metrics, "metrics", false,
 		"print the obs counter snapshot on exit; in the figure runners this also re-enables counters for each figure and prints a per-figure diff")
-	fs.StringVar(&pf.TracePath, "trace", "",
-		"export the retained per-query execution traces as Chrome trace_event JSON to `file` on exit (open in chrome://tracing or ui.perfetto.dev)")
-	fs.IntVar(&pf.TraceEvery, "trace-every", 16,
-		"with -trace or -serve, sample every Nth search for execution tracing")
 	fs.DurationVar(&pf.TimelinePeriod, "timeline-period", DefaultTimelinePeriod,
 		"with -serve, telemetry timeline tick (window rotation) period")
 	return pf
@@ -98,7 +92,7 @@ func RegisterFlags(fs *flag.FlagSet) *ProfileFlags {
 // it returns true.
 func (pf *ProfileFlags) Wanted() bool {
 	return pf.Metrics || pf.PprofAddr != "" || pf.ServeAddr != "" || pf.CPUProfile != "" ||
-		pf.MemProfile != "" || pf.TracePath != ""
+		pf.MemProfile != ""
 }
 
 // Figure runs figure n of a figure runner. With -metrics it (re-)enables
@@ -125,11 +119,6 @@ func (pf *ProfileFlags) Figure(n int, run func()) {
 // until SIGINT/SIGTERM, so `cmd -serve addr` stays inspectable after its
 // run finishes.
 func (pf *ProfileFlags) Start() (stop func(), err error) {
-	if pf.TracePath != "" || pf.ServeAddr != "" {
-		// -trace wants a file on exit; -serve wants /debug/trace to have
-		// content. Either way, turn on 1-in-N execution-trace sampling.
-		SetTraceEvery(pf.TraceEvery)
-	}
 	var stopCPU func() error
 	if pf.CPUProfile != "" {
 		stopCPU, err = StartCPUProfile(pf.CPUProfile)
@@ -175,16 +164,6 @@ func (pf *ProfileFlags) Start() (stop func(), err error) {
 		}
 		if pf.Metrics {
 			Snapshot().Fprint(os.Stderr)
-		}
-		if pf.TracePath != "" {
-			// Written before the -serve wait so the file exists while the
-			// process is still inspectable over HTTP.
-			n, err := WriteChromeTraceFile(pf.TracePath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "obs: trace export: %v\n", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "obs: wrote %d query traces to %s\n", n, pf.TracePath)
-			}
 		}
 		if pf.boundServe != "" {
 			fmt.Fprintf(os.Stderr, "obs: still serving on http://%s/metrics — Ctrl-C to exit\n", pf.boundServe)

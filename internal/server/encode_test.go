@@ -53,7 +53,7 @@ func testExplain() *obs.Forest {
 		Shards: []obs.ShardSpan{
 			{Shard: 0, Items: 12, LatencyNs: 1234, QueueWaitNs: 5, Candidates: 7, NodesVisited: 3, ItemsScanned: 12,
 				CoarsePrunes: 2, BoundObserved: obs.BoundValue(math.Inf(1)), BoundPublished: 1.5e21},
-			{Shard: 1, Items: 0, BoundObserved: 0.25, BoundPublished: obs.BoundValue(math.NaN()), TraceID: 9},
+			{Shard: 1, Items: 0, BoundObserved: 0.25, BoundPublished: obs.BoundValue(math.NaN())},
 		},
 		Merge: obs.MergeSpan{LatencyNs: 99, Candidates: 7, Pruned: 4, Results: 3},
 	}

@@ -344,17 +344,13 @@ func TestUnknownCollectionsShareOneLabel(t *testing.T) {
 // TestDebugRequestsServed pins "one request, one record" end to end: a
 // served kNN query leaves exactly one op in the Slow ring, visible in
 // /debug/slow and /debug/requests under the request ID the response carried
-// and the same when_unix_ns; sampled, its node spans appear in /debug/trace
-// under the shards that visited them; and a library search on the same
-// index leaves one op with no request.
+// and the same when_unix_ns; ?format=chrome draws it as one process with a
+// shard-search span on the thread of each shard it visited; and a library
+// search on the same index leaves one op with no request.
 func TestDebugRequestsServed(t *testing.T) {
 	obs.SetEnabled(true)
-	obs.SetTraceEvery(1)
 	obs.ResetForTest()
-	defer func() {
-		obs.SetTraceEvery(0)
-		obs.ResetForTest()
-	}()
+	defer obs.ResetForTest()
 	const d = 2
 	s, ts, _ := loggedServer(t, d, 200)
 
@@ -394,17 +390,10 @@ func TestDebugRequestsServed(t *testing.T) {
 	if sl.Substrate != "sstree" || sl.K != 4 || sl.Nodes == 0 || sl.LatencyNs <= 0 || sl.LatencyNs > r.LatencyNs {
 		t.Errorf("slow view %+v: want the search's own fields, its latency within the request's %d", sl, r.LatencyNs)
 	}
-	if sl.TraceID == 0 {
-		t.Error("sampled request has no trace_id in /debug/slow")
-	}
-	for _, sp := range r.Shards {
-		if want := map[bool]uint64{false: sl.TraceID}[sp.Skipped]; sp.TraceID != want {
-			t.Errorf("shard %d (skipped %v) trace_id %d, want %d", sp.Shard, sp.Skipped, sp.TraceID, want)
-		}
-	}
 
-	// The same op in /debug/trace: one process, the request root on thread
-	// 0, and every node span on the thread of a shard the request visited.
+	// The same op as a Chrome trace: one process, the request root, search
+	// and merge on thread 0, and one shard-search span on the thread of each
+	// shard the request visited.
 	var doc struct {
 		TraceEvents []struct {
 			Name string `json:"name"`
@@ -412,12 +401,12 @@ func TestDebugRequestsServed(t *testing.T) {
 			Tid  int    `json:"tid"`
 		} `json:"traceEvents"`
 	}
-	getJSON("/debug/trace", &doc)
+	getJSON("/debug/requests?format=chrome", &doc)
 	visited := map[int]bool{}
 	for _, sp := range r.Shards {
 		visited[sp.Shard+1] = !sp.Skipped
 	}
-	nodes := 0
+	shardSpans := 0
 	for _, ev := range doc.TraceEvents {
 		if ev.Pid != 1 {
 			t.Fatalf("event %q in process %d: one op, one process", ev.Name, ev.Pid)
@@ -427,15 +416,15 @@ func TestDebugRequestsServed(t *testing.T) {
 			if ev.Tid != 0 {
 				t.Errorf("%s span on thread %d, want 0", ev.Name, ev.Tid)
 			}
-		case "node", "leaf":
-			nodes++
+		case "shard-search":
+			shardSpans++
 			if !visited[ev.Tid] {
 				t.Errorf("%s span on thread %d, not a visited shard's (%v)", ev.Name, ev.Tid, visited)
 			}
 		}
 	}
-	if uint64(nodes) != sl.Nodes {
-		t.Errorf("/debug/trace draws %d node spans, the op counted %d nodes", nodes, sl.Nodes)
+	if shardSpans != r.ShardsVisited {
+		t.Errorf("?format=chrome draws %d shard-search spans, the request visited %d shards", shardSpans, r.ShardsVisited)
 	}
 
 	// A library search nobody explains records itself, with no request.

@@ -13,8 +13,8 @@ import (
 // order: whether it was visited and in which position, latency, the
 // candidates it added, traversal work, coarse-prune hits, and the list's
 // distK on entering and leaving it, plus the span of the final Definition 2
-// filter — is always filled; the search header and work counts (and the
-// node-level trace, when sampled) are filled when the obs gate is on.
+// filter — is always filled; the search header and work counts are filled
+// when the obs gate is on.
 // Semantics are spelled out in DESIGN.md §9.
 type Explain = obs.Op
 

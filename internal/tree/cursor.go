@@ -1,10 +1,6 @@
 package tree
 
-import (
-	"reflect"
-
-	"hyperdom/internal/geom"
-)
+import "hyperdom/internal/geom"
 
 // Cursor is a read-only view of a tree node, used by search algorithms
 // (package knn) and by tests.
@@ -55,12 +51,6 @@ func (c Cursor) Children() []Cursor {
 // Items returns the node's items. Only valid on leaves. The returned slice
 // is the node's own; callers must not modify it.
 func (c Cursor) Items() []Item { return c.n.Items }
-
-// DebugID returns an opaque identifier for the underlying node — stable
-// across visits for the tree's lifetime and distinct between live nodes —
-// for execution traces and prune audits. It carries no meaning beyond
-// identity.
-func (c Cursor) DebugID() uint64 { return uint64(reflect.ValueOf(c.n).Pointer()) }
 
 // RangeSearch returns all items whose spheres intersect the query sphere q
 // (MinDist(item, q) == 0), in unspecified order.

@@ -87,7 +87,7 @@ func TestCursorTraversal(t *testing.T) {
 				}
 				sum := 0
 				for i, c := range kids {
-					if c.DebugID() != n.Child(i).DebugID() {
+					if c != n.Child(i) {
 						t.Fatal("Children and Child disagree")
 					}
 					sum += c.Count()
