@@ -18,7 +18,8 @@ build:
 # Static analysis, formatting, the full suite under the race detector, and
 # the allocation and overhead gates, which skip themselves under -race and
 # so run once more without it — the gate a change must pass before it
-# ships. staticcheck runs when installed (CI installs it; locally: go
+# ships. The allocation gates run five times, so a flake that trips one run
+# in thirty shows; the timing gates run once. staticcheck runs when installed (CI installs it; locally: go
 # install honnef.co/go/tools/cmd/staticcheck@latest).
 check:
 	$(GO) vet ./...
@@ -27,7 +28,8 @@ check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) test -race ./...
-	$(GO) test -count=1 -run 'Allocs|Overhead' ./...
+	$(GO) test -count=5 -run Allocs ./...
+	$(GO) test -count=1 -run Overhead ./...
 
 # Fails when an internal package is imported by nothing the module ships:
 # the root package, the commands and the benchmark harness.

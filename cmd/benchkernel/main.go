@@ -28,7 +28,7 @@
 //
 // Usage:
 //
-//	benchkernel [-o BENCH_knn.json] [-quant none|f32|i8]
+//	benchkernel [-o BENCH_knn.json]
 //	benchkernel -gate BENCH_knn.json                        # CI sanity gate (ratioFloors)
 //	benchkernel -scaling-only -o scaling.json [-gate BENCH_knn.json -require-cores 2]   # scaling tables; CI's gate
 //
@@ -41,9 +41,8 @@
 // traversal (the only one an unfrozen tree has), so both ratios read
 // "serving kernel over reference": a higher one can mean a slower
 // denominator as well as a faster kernel, and a lower one a faster
-// reference. -quant picks the tier the counter-enabled metrics pass runs
-// under (default f32), which is where the coarse_prune_rate figure comes
-// from.
+// reference. The counter-enabled metrics pass runs under the served f32
+// tier, which is where the coarse_prune_rate figure comes from.
 //
 // Worker scaling is gated by -scaling-only runs alone (the job with a
 // guaranteed multi-core runner), and its floor is adaptive: a runner with P
@@ -107,7 +106,7 @@ type metricsBlock struct {
 	ChecksPerCandidate float64 `json:"checks_per_candidate"`
 	// CoarsePruneRate is the fraction of packed leaf items the quantized
 	// pass settled without touching the exact float64 block, under the
-	// -quant tier of the metrics pass.
+	// served f32 tier of the metrics pass.
 	CoarsePruneRate float64 `json:"coarse_prune_rate"`
 }
 
@@ -239,7 +238,6 @@ type config struct {
 	Gate         string
 	ScalingOnly  bool
 	RequireCores int
-	Quant        knn.QuantMode
 	Profile      *obs.ProfileFlags
 }
 
@@ -251,7 +249,6 @@ func parseFlags(args []string) (*config, error) {
 	fs.StringVar(&cfg.Gate, "gate", "", "committed BENCH_knn.json to gate against (CI mode; exits non-zero on regression)")
 	fs.BoolVar(&cfg.ScalingOnly, "scaling-only", false, "measure (and gate) only the throughput_scaling and shard_scaling blocks — the dedicated multi-core CI job's mode, and the only one that gates scaling")
 	fs.IntVar(&cfg.RequireCores, "require-cores", 0, "gate mode: fail unless the measurement ran with at least this many schedulable cores (guards the scaling gate against silently passing on undersized runners)")
-	quant := fs.String("quant", "f32", "quantized tier the counter-enabled metrics pass runs under (none, f32, i8)")
 	cfg.Profile = obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -265,12 +262,6 @@ func parseFlags(args []string) (*config, error) {
 			return nil, err
 		}
 	}
-	qm, err := knn.ParseQuantMode(*quant)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchkernel:", err)
-		return nil, err
-	}
-	cfg.Quant = qm
 	return cfg, nil
 }
 
@@ -471,12 +462,10 @@ func buildReport(cfg *config) report {
 	rep.Throughput = measureScaling(&rep, idx, queries, rep.KnnK)
 	rep.ShardScaling = measureShardScaling(&rep, items, 8, queries, rep.KnnK)
 
-	// The metrics pass runs under the -quant tier so the coarse-filter
-	// counters (and the derived prune rate) describe the configuration the
-	// user asked about.
-	knn.SetQuantMode(cfg.Quant)
+	// The metrics pass runs under the process default, the served f32
+	// tier, so the coarse-filter counters (and the derived prune rate)
+	// describe what is served.
 	rep.Metrics = captureMetrics(idx, queries, rep.KnnK, sa, sb, points)
-	knn.SetQuantMode(prevMode)
 	return rep
 }
 
@@ -807,8 +796,7 @@ func captureMetrics(idx knn.Index, queries []geom.Sphere, k int, sa, sb geom.Sph
 		m.PreparedReuseRate = float64(sweep.Get("dominance.prepared.reuse_hits")) / float64(q)
 	}
 	// Coarse-filter effectiveness: leaf items settled by the narrow bounds
-	// over all items the quantized pass looked at. Zero when the metrics
-	// pass ran with -quant none.
+	// over all items the quantized pass looked at.
 	coarse := diff.Get("packed.quant.item_coarse_prunes")
 	if total := coarse + diff.Get("packed.quant.item_exact_fallbacks"); total > 0 {
 		m.CoarsePruneRate = float64(coarse) / float64(total)

@@ -30,9 +30,6 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.RequireCores != 0 {
 		t.Errorf("RequireCores = %d, want 0", cfg.RequireCores)
 	}
-	if cfg.Quant != knn.QuantF32 {
-		t.Errorf("Quant = %v, want f32", cfg.Quant)
-	}
 	if cfg.Profile == nil || cfg.Profile.Wanted() {
 		t.Errorf("Profile = %+v, want registered and idle", cfg.Profile)
 	}
@@ -61,9 +58,6 @@ func TestParseFlagsAll(t *testing.T) {
 func TestParseFlagsBad(t *testing.T) {
 	if _, err := parseFlags([]string{"-require-cores", "not-a-number"}); err == nil {
 		t.Error("bad flag value accepted")
-	}
-	if _, err := parseFlags([]string{"-quant", "f16"}); err == nil {
-		t.Error("unknown quant tier accepted")
 	}
 	// A scaling-only report has no kernel rows and zero alloc counts: written
 	// over the default BENCH_knn.json, it would fail the next -gate run.

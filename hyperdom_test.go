@@ -1,7 +1,6 @@
 package hyperdom_test
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -162,22 +161,33 @@ func TestRTreeThroughFacade(t *testing.T) {
 	}
 }
 
-func TestSSTreeSerializationThroughFacade(t *testing.T) {
+// TestShardedSnapshotThroughFacade: the one on-disk format, through the
+// root package — a saved ShardedIndex reopens with the same shape and
+// answers every query with the same items and stats.
+func TestShardedSnapshotThroughFacade(t *testing.T) {
 	items := randomItems(300, 2, 4)
-	tr := hyperdom.NewSSTree(2, 12)
-	for _, it := range items {
-		tr.Insert(it)
-	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	got, err := hyperdom.ReadSSTree(&buf)
+	built, err := hyperdom.BuildSharded(items, 2, hyperdom.ShardOptions{Shards: 2})
 	if err != nil {
-		t.Fatalf("ReadSSTree: %v", err)
+		t.Fatal(err)
 	}
-	if got.Len() != 300 {
-		t.Errorf("restored Len=%d", got.Len())
+	defer built.Close()
+	dir := t.TempDir()
+	if err := built.SaveDir(dir); err != nil {
+		t.Fatalf("SaveDir: %v", err)
+	}
+	got, err := hyperdom.OpenSharded(dir, hyperdom.OpenShardOptions{Verify: true})
+	if err != nil {
+		t.Fatalf("OpenSharded: %v", err)
+	}
+	defer got.Close()
+	if got.Len() != 300 || got.Shards() != 2 {
+		t.Fatalf("reopened Len=%d Shards=%d", got.Len(), got.Shards())
+	}
+	for _, it := range items[:20] {
+		want, have := built.Search(it.Sphere, 7), got.Search(it.Sphere, 7)
+		if !reflect.DeepEqual(have.Items, want.Items) || have.Stats != want.Stats {
+			t.Fatalf("query %d: reopened index answers differently", it.ID)
+		}
 	}
 }
 

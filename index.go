@@ -1,8 +1,6 @@
 package hyperdom
 
 import (
-	"io"
-
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/knn"
 	"hyperdom/internal/mtree"
@@ -16,7 +14,9 @@ import (
 )
 
 // SSTree is an SS-tree index over hyperspheres (White & Jain, ICDE 1996),
-// the index the paper's kNN experiments run on.
+// the index the paper's kNN experiments run on. It has no file format of
+// its own: the one on-disk form of a tree is the packed snapshot a
+// ShardedIndex writes with SaveDir and OpenSharded serves again.
 type SSTree = sstree.Tree
 
 // NewSSTree returns an empty SS-tree for dim-dimensional spheres. maxFill
@@ -166,10 +166,6 @@ func FindWitness(sa, sb, sq Sphere, samples int) *dominance.Witness {
 
 // Witness is a certificate of non-dominance returned by FindWitness.
 type Witness = dominance.Witness
-
-// ReadSSTree deserialises an SS-tree previously written with
-// (*SSTree).WriteTo and validates its structural invariants.
-func ReadSSTree(r io.Reader) (*SSTree, error) { return sstree.ReadFrom(r) }
 
 // DominanceHorizon returns the supremum time t* ∈ [0, tMax] up to which sa
 // keeps dominating sb wrt sq while all three radii grow linearly

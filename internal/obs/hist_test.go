@@ -220,7 +220,7 @@ func TestStopwatch(t *testing.T) {
 
 // TestHistRecordAllocs keeps the record path allocation-free.
 func TestHistRecordAllocs(t *testing.T) {
-	h := NewHistogram("test.hist.allocs", "")
+	h := GetOrNewHistogram("test.hist.allocs", "")
 	if allocs := testing.AllocsPerRun(100, func() { h.Record(12345) }); allocs != 0 {
 		t.Errorf("Record allocates %.1f times per call, want 0", allocs)
 	}

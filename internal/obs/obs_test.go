@@ -109,7 +109,7 @@ func TestCounterConcurrent(t *testing.T) {
 }
 
 func TestCounterAddAllocs(t *testing.T) {
-	c := New("test.allocs")
+	c := GetOrNew("test.allocs")
 	if allocs := testing.AllocsPerRun(100, func() { c.Add(3) }); allocs != 0 {
 		t.Errorf("Counter.Add allocates %.1f times per call, want 0", allocs)
 	}

@@ -72,7 +72,8 @@ func TestHeaderLayout(t *testing.T) {
 // TestParentWrittenSnapshots opens one small snapshot per substrate written
 // by the commit before the section table existed (datagen -n 120 -d 3 -mu 2
 // -seed 5 -maxfill 8 -shards 1) and re-saves it: the table must read that
-// build's bytes and write them back unchanged.
+// build's bytes and write them back unchanged, through Open (with and
+// without VerifyChecksums) and through the copy path, Load.
 func TestParentWrittenSnapshots(t *testing.T) {
 	for _, sub := range []Substrate{SubstrateSSTree, SubstrateMTree, SubstrateRTree} {
 		t.Run(sub.String(), func(t *testing.T) {
@@ -81,10 +82,14 @@ func TestParentWrittenSnapshots(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, opts := range [][]OpenOption{nil, {VerifyChecksums()}, {NoMmap()}} {
-				s, err := Open(path, opts...)
+			for _, open := range []func() (*Snapshot, error){
+				func() (*Snapshot, error) { return Open(path) },
+				func() (*Snapshot, error) { return Open(path, VerifyChecksums()) },
+				func() (*Snapshot, error) { return Load(path) },
+			} {
+				s, err := open()
 				if err != nil {
-					t.Fatalf("Open: %v", err)
+					t.Fatalf("open: %v", err)
 				}
 				if s.Tree.Substrate() != sub || s.Tree.Len() != 120 {
 					t.Errorf("opened a %v tree of %d items", s.Tree.Substrate(), s.Tree.Len())

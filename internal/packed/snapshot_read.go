@@ -256,7 +256,6 @@ func (s *Snapshot) Close() error {
 
 type openConfig struct {
 	verify bool
-	noMmap bool
 }
 
 // OpenOption configures Open.
@@ -266,21 +265,20 @@ type OpenOption func(*openConfig)
 // file resident. The copy paths (Load, OpenBytes) always verify.
 func VerifyChecksums() OpenOption { return func(c *openConfig) { c.verify = true } }
 
-// NoMmap forces the copying load path even where mmap is available.
-func NoMmap() OpenOption { return func(c *openConfig) { c.noMmap = true } }
-
-// Open loads a snapshot file, zero-copy via mmap where the platform
-// supports it (falling back to a verified copy load otherwise). The
-// header is CRC-checked and the structure fully validated either way;
-// section payload CRCs are verified only with VerifyChecksums, so an open
-// faults in the metadata pages and leaves the payload to the page cache.
+// Open loads a snapshot file, zero-copy via mmap where the platform and
+// the file system can map it and through Load where they cannot; there is
+// no option to choose — call Load for the copy path. The header is
+// CRC-checked and the structure fully validated either way; on the mmap
+// path section payload CRCs are verified only with VerifyChecksums, so an
+// open faults in the metadata pages and leaves the payload to the page
+// cache.
 func Open(path string, opts ...OpenOption) (*Snapshot, error) {
 	var cfg openConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
 	start := time.Now()
-	if mmapSupported && !cfg.noMmap {
+	if mmapSupported {
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, err

@@ -256,7 +256,6 @@ func TestSnapshotSaveOpen(t *testing.T) {
 	}{
 		{"Load", func() (*Snapshot, error) { return Load(path) }},
 		{"Open+Verify", func() (*Snapshot, error) { return Open(path, VerifyChecksums()) }},
-		{"Open+NoMmap", func() (*Snapshot, error) { return Open(path, NoMmap()) }},
 	} {
 		s, err := open.fn()
 		if err != nil {

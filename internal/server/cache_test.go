@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -377,10 +378,18 @@ func TestKNNHandlerAllocs(t *testing.T) {
 	queries := queriesOf(items, 8)
 	const rounds = 32
 
+	// Every pass runs on one P with the collector off, so the handler pass
+	// and the search-only pass draw on the same pooled response buffer and
+	// search scratch. sync.Pool keeps one cache per P and a GC cycle moves
+	// it aside; on two Ps a request could then miss the warm object and
+	// regrow a fresh one for the whole answer — a fresh knn scratch is
+	// 251 KB at 866 results, 7,852 B a request over one replay — in one
+	// pass and not the other. That refill is not the gate's subject.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
 	// perRequest is what run allocates per call, as the cheapest of a few
-	// replays of rounds calls (a GC cycle during one of them empties the
-	// pools, and the refill is not the gate's subject); prepare runs before
-	// each replay, unmeasured.
+	// replays of rounds calls; prepare runs before each replay, unmeasured.
 	perRequest := func(prepare func(), run func(i int)) (allocs, bytesPer float64) {
 		allocs, bytesPer = math.Inf(1), math.Inf(1)
 		for replay := 0; replay < 3; replay++ {

@@ -83,6 +83,8 @@ func (x *Index) SaveDir(dir string) error {
 // OpenOptions configures OpenDir. The structural build parameters
 // (substrate, dimensionality, shard count, max fill) come from the
 // manifest, not from here — a loaded index must match what was saved.
+// Every shard file is opened with packed.Open, so how it is read (mapped
+// or copied) is the platform's choice, not an option.
 type OpenOptions struct {
 	// Criterion, Algorithm and Label act exactly as in Options; zero values
 	// select the same defaults.
@@ -95,8 +97,6 @@ type OpenOptions struct {
 	// the lazy-load win; corruption is still caught structurally at open
 	// and the header is always checksum-verified.
 	Verify bool
-	// NoMmap forces the copying load path even where mmap is available.
-	NoMmap bool
 }
 
 // OpenDir loads a SaveDir directory into a serving index: the manifest is
@@ -155,9 +155,6 @@ func OpenDir(dir string, opts OpenOptions) (*Index, error) {
 	var popts []packed.OpenOption
 	if opts.Verify {
 		popts = append(popts, packed.VerifyChecksums())
-	}
-	if opts.NoMmap {
-		popts = append(popts, packed.NoMmap())
 	}
 	for i, ms := range m.Shards {
 		if ms.File == "" || filepath.Base(ms.File) != ms.File {

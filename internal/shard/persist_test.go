@@ -51,7 +51,6 @@ func TestSaveDirOpenDirBitIdentity(t *testing.T) {
 			}{
 				{"mmap", OpenOptions{Algorithm: knn.HS}},
 				{"verify", OpenOptions{Algorithm: knn.HS, Verify: true}},
-				{"copy", OpenOptions{Algorithm: knn.HS, NoMmap: true}},
 			} {
 				loaded, err := OpenDir(dir, mode.o)
 				if err != nil {

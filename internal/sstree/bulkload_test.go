@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hyperdom/internal/geom"
+	"hyperdom/internal/packed"
 )
 
 func TestBulkLoadInvariantsAcrossSizes(t *testing.T) {
@@ -22,7 +23,7 @@ func TestBulkLoadInvariantsAcrossSizes(t *testing.T) {
 		if tr.Len() != n {
 			t.Errorf("n=%d: Len=%d", n, tr.Len())
 		}
-		if msg := tr.CheckInvariantsLoose(); msg != "" {
+		if msg := tr.CheckInvariants(); msg != "" {
 			t.Errorf("n=%d: %s", n, msg)
 		}
 	}
@@ -106,79 +107,38 @@ func TestBulkLoadDoesNotRetainInput(t *testing.T) {
 	}
 }
 
-func TestSerializeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	tr, items := buildTree(t, rng, 5, 2000)
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
+// roundTrip writes tr's frozen form as a packed snapshot — the one on-disk
+// format — opens the bytes and checks the reopened tree has tr's shape and
+// re-saves to the same bytes.
+func roundTrip(t *testing.T, tr *Tree) {
+	t.Helper()
+	var want, got bytes.Buffer
+	if _, err := tr.Freeze().WriteTo(&want); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	got, err := ReadFrom(&buf)
+	back, err := packed.OpenBytes(want.Bytes())
 	if err != nil {
-		t.Fatalf("ReadFrom: %v", err)
+		t.Fatalf("OpenBytes: %v", err)
 	}
-	if got.Len() != tr.Len() || got.Dim() != tr.Dim() {
-		t.Fatalf("round trip changed shape: %d/%d vs %d/%d", got.Len(), got.Dim(), tr.Len(), tr.Dim())
+	if back.Substrate() != packed.SubstrateSSTree || back.Len() != tr.Len() || back.Dim() != tr.Dim() {
+		t.Fatalf("round trip changed shape: %v %d/%d vs %d/%d",
+			back.Substrate(), back.Len(), back.Dim(), tr.Len(), tr.Dim())
 	}
-	for trial := 0; trial < 20; trial++ {
-		q := randItem(rng, 5, -1).Sphere
-		q.Radius += 5 * rng.Float64()
-		if !equalInts(idsOf(tr.RangeSearch(q)), idsOf(got.RangeSearch(q))) {
-			t.Fatalf("trial %d: restored tree answers differently", trial)
-		}
+	if _, err := back.WriteTo(&got); err != nil {
+		t.Fatalf("re-save: %v", err)
 	}
-	// The restored tree must accept further inserts.
-	got.Insert(randItem(rng, 5, 10_000))
-	if got.Len() != len(items)+1 {
-		t.Errorf("insert after restore: Len=%d", got.Len())
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("re-saved snapshot differs (%d vs %d bytes)", got.Len(), want.Len())
 	}
+}
+
+func TestSerializeRoundTrip(t *testing.T) {
+	tr, _ := buildTree(t, rand.New(rand.NewSource(24)), 5, 2000)
+	roundTrip(t, tr)
 }
 
 func TestSerializeEmptyTree(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := New(3).WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	got, err := ReadFrom(&buf)
-	if err != nil {
-		t.Fatalf("ReadFrom: %v", err)
-	}
-	if got.Len() != 0 || got.Dim() != 3 {
-		t.Errorf("empty round trip: Len=%d Dim=%d", got.Len(), got.Dim())
-	}
-}
-
-func TestReadFromRejectsGarbage(t *testing.T) {
-	if _, err := ReadFrom(bytes.NewReader([]byte("not a gob stream"))); err == nil {
-		t.Error("garbage accepted")
-	}
-}
-
-func TestReadFromRejectsWrongVersion(t *testing.T) {
-	var buf bytes.Buffer
-	snap := treeSnapshot{Version: 99, Dim: 2, MinFill: 2, MaxFill: 8}
-	if err := encodeSnapshot(&buf, snap); err != nil {
-		t.Fatalf("encoding: %v", err)
-	}
-	if _, err := ReadFrom(&buf); err == nil {
-		t.Error("future snapshot version accepted")
-	}
-}
-
-func TestReadFromRejectsCorruptHeader(t *testing.T) {
-	for name, snap := range map[string]treeSnapshot{
-		"zero dim":      {Version: snapshotVersion, Dim: 0, MinFill: 2, MaxFill: 8},
-		"tiny maxfill":  {Version: snapshotVersion, Dim: 2, MinFill: 2, MaxFill: 1},
-		"negative size": {Version: snapshotVersion, Dim: 2, MinFill: 2, MaxFill: 8, Size: -3},
-	} {
-		var buf bytes.Buffer
-		if err := encodeSnapshot(&buf, snap); err != nil {
-			t.Fatalf("%s: encoding: %v", name, err)
-		}
-		if _, err := ReadFrom(&buf); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
+	roundTrip(t, New(3))
 }
 
 func TestBulkLoadedTreeSerializes(t *testing.T) {
@@ -189,17 +149,7 @@ func TestBulkLoadedTreeSerializes(t *testing.T) {
 	}
 	tr := New(3)
 	tr.BulkLoad(items)
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	got, err := ReadFrom(&buf)
-	if err != nil {
-		t.Fatalf("ReadFrom of a bulk-loaded tree: %v", err)
-	}
-	if got.Len() != 700 {
-		t.Errorf("Len=%d", got.Len())
-	}
+	roundTrip(t, tr)
 }
 
 func BenchmarkBulkLoadVsInsert(b *testing.B) {

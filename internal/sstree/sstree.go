@@ -12,8 +12,8 @@
 // against a query hypersphere with geom.MinDist/MaxDist. Insertion descends
 // to the child with the nearest centroid and splits overflowing nodes along
 // the coordinate of highest centroid variance, the two defining heuristics
-// of the SS-tree. BulkLoad wraps the skeleton's tree.Load; the gob
-// serialisation is SS-only.
+// of the SS-tree. BulkLoad wraps the skeleton's tree.Load; a tree is
+// persisted only in its frozen form, as a package packed snapshot.
 package sstree
 
 import (

@@ -86,15 +86,7 @@ func collectItems(n *Node, out *[]Item) {
 // items beneath it; every item's sphere and every child's bound is inside
 // its parent's bound (within a small float tolerance); fanout within
 // [minFill, maxFill] except at the root.
-func (t *Tree) CheckInvariants() string { return t.checkInvariants(true) }
-
-// CheckInvariantsLoose validates everything CheckInvariants does except
-// the minimum fill. Load meets the strict form; this one is for trees
-// restored from files written by a bulk loader that did not (sstree's gob
-// ReadFrom), whose nodes may legitimately sit below minFill.
-func (t *Tree) CheckInvariantsLoose() string { return t.checkInvariants(false) }
-
-func (t *Tree) checkInvariants(strictFill bool) string {
+func (t *Tree) CheckInvariants() string {
 	if t.root == nil {
 		if t.size != 0 {
 			return "empty root but non-zero size"
@@ -109,7 +101,7 @@ func (t *Tree) checkInvariants(strictFill bool) string {
 		if fill > t.maxFill {
 			return "node overflow"
 		}
-		if strictFill && depth != 0 && fill < t.minFill {
+		if depth != 0 && fill < t.minFill {
 			return "node fill below minimum"
 		}
 		if n.Leaf {

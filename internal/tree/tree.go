@@ -243,10 +243,10 @@ func (t *Tree) insert(n *Node, it Item) (*Node, *Node) {
 	return n, nil
 }
 
-// Install makes root, built outside Insert — a bulk load, a restored
-// snapshot — and holding size items, the content of t. The nodes must
-// already carry the bounds and counts the policy's Refit would give them. A
-// function, so that it is not promoted into the substrates' method sets.
+// Install makes root, built outside Insert by a bulk load and holding size
+// items, the content of t. The nodes must already carry the bounds and
+// counts the policy's Refit would give them. A function, so that it is not
+// promoted into the substrates' method sets.
 func Install(t *Tree, root *Node, size int) {
 	t.thaw()
 	t.root, t.size = root, size
