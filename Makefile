@@ -8,7 +8,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS  = -ldflags "-X hyperdom/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: all build check orphans loc test test-short bench bench-all bench-scaling bench-quant bench-smoke fuzz experiments examples serve serve-sharded hyperdomd cover clean
+.PHONY: all build check orphans loc test test-short bench bench-all bench-scaling bench-smoke fuzz experiments examples serve serve-sharded hyperdomd cover clean
 
 all: build check
 
@@ -104,17 +104,10 @@ bench-smoke:
 	done
 
 # The two scaling tables CI's throughput-scaling job gates: queries/s of the
-# batch engine at pool widths 1/2/4/8 (tops out at GOMAXPROCS) and of the
+# batch engine at 1/2/4/8 workers (tops out at GOMAXPROCS) and of the
 # sharded index at 1/2/4 shards, written to scaling.json.
 bench-scaling:
 	$(GO) run ./cmd/benchkernel -scaling-only -o scaling.json
-
-# The quantized coarse-filter comparison: Fig 13 once per tier (exact
-# packed baseline, float32, int8) on the same workload.
-bench-quant:
-	$(GO) run ./cmd/knnbench -fig 13 -scale 0.05 -quant none
-	$(GO) run ./cmd/knnbench -fig 13 -scale 0.05 -quant f32
-	$(GO) run ./cmd/knnbench -fig 13 -scale 0.05 -quant i8
 
 # Regenerate the paper's figures at a moderate scale.
 experiments:

@@ -16,7 +16,7 @@
 //     radius μ = 10): SearchCandidates' output replayed through
 //     dominance.Anchored, as nanoseconds per candidate and the share of
 //     criterion calls that reach the quartic (gated at 0.2);
-//   - batch-query throughput through the engine worker pool at 1/2/4/8
+//   - batch-query throughput through the batch engine at 1/2/4/8
 //     workers, with the scaling ratio relative to one worker;
 //   - a metrics block captured from the obs registry: prune rates,
 //     dominance checks and nodes visited per query, heap traffic, and the
@@ -37,7 +37,7 @@
 // speedup_packed_layout gate), and the frozen snapshot through the float32
 // and int8 coarse-filter tiers (ISSUE 6). The speedup_quantized block
 // records each tier's gain over the pointer path; its best geomean is
-// gated. The pointer path is the IndexNode-interface
+// gated. The pointer path is the tree-cursor
 // traversal (the only one an unfrozen tree has), so both ratios read
 // "serving kernel over reference": a higher one can mean a slower
 // denominator as well as a faster kernel, and a lower one a faster
@@ -48,7 +48,7 @@
 // guaranteed multi-core runner), and its floor is adaptive: a runner with P
 // schedulable cores cannot scale past P, so the effective floor is
 // min(scalingFloor, 0.45·GOMAXPROCS), never below 0.8 — on a single-core
-// container the gate only demands that the pool not slow queries down,
+// container the gate only demands that the workers not slow queries down,
 // while a multi-core runner must show real parallel speedup.
 package main
 
@@ -159,8 +159,8 @@ type finalFilterBlock struct {
 const maxQuarticShare = 0.2
 
 // scalingPoint is one engine throughput measurement: a fixed query batch
-// answered through a pool of Workers workers, as queries per second and as
-// a ratio over the 1-worker pool.
+// answered on Workers workers, as queries per second and as a ratio over
+// one worker.
 type scalingPoint struct {
 	Workers   int     `json:"workers"`
 	OpsPerSec float64 `json:"ops_per_sec"`
@@ -622,7 +622,7 @@ func measureFinalFilter(rep *report) finalFilterBlock {
 	}
 }
 
-// measureScaling drives the same query batch through engine pools of
+// measureScaling drives the same query batch through the engine at
 // 1/2/4/8 workers over the frozen fixture and reports queries per second at
 // each width. The batch cycles the fixture queries up to a size that keeps
 // eight workers busy.
@@ -752,9 +752,9 @@ func captureMetrics(idx knn.Index, queries []geom.Sphere, k int, sa, sb geom.Sph
 			knn.Search(idx, q, k, dominance.Hyperbola{}, knn.HS)
 		}
 	}
-	// One parallel batch over the same queries through the engine pool, so
-	// the engine layer's counters and queue-wait histogram carry samples in
-	// the exposition. The batch answers are bit-identical to the serial
+	// One parallel batch over the same queries, so the workload layer's
+	// batch counters carry samples in the exposition; its searches count in
+	// searches below. The batch answers are bit-identical to the serial
 	// searches above, so the per-query ratios stay meaningful over the sum.
 	workload.KNNBatch(idx, queries, k, 2, dominance.Hyperbola{}, knn.HS)
 	// Snapshot between the traversal rounds and the point sweep: the kNN
@@ -837,9 +837,9 @@ func gateReport(current, committed report, cfg *config) []string {
 			current.Throughput.GoMaxProcs, cfg.RequireCores, current.Throughput.CoresDetected))
 	}
 	if cfg.ScalingOnly {
-		// A pool of 8 workers cannot scale past the cores it runs on, so the
+		// Eight workers cannot scale past the cores they run on, so the
 		// floor adapts: min(scalingFloor, 0.45·GOMAXPROCS), never below 0.8 —
-		// on one core the pool must merely not slow queries down.
+		// on one core the batch must merely not slow queries down.
 		floor := max(min(scalingFloor, 0.45*float64(current.Throughput.GoMaxProcs)), 0.8)
 		if current.Throughput.ScalingAtMax < floor {
 			failures = append(failures, fmt.Sprintf(

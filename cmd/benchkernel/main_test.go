@@ -179,7 +179,7 @@ func TestGateReport(t *testing.T) {
 	if failures := gateReport(bad, committed, sOnly); len(failures) != 1 {
 		t.Errorf("-scaling-only produced %d failures, want 1: %v", len(failures), failures)
 	}
-	// Even one core must not make queries slower through the pool: scaling
+	// Even one core must not make queries slower across workers: scaling
 	// under 0.8 fails regardless of GOMAXPROCS — where scaling is gated.
 	slow := ok
 	slow.Throughput = throughputBlock{GoMaxProcs: 1, ScalingAtMax: 0.7}

@@ -16,9 +16,8 @@
 //
 // With -freeze DIR the dataset is additionally built into a sharded index
 // and persisted as a packed snapshot directory (shard-NNNN.hds files plus
-// manifest.json) that hyperdomd -snapshot-dir and knnbench -load open
-// zero-copy — point hyperdomd's -snapshot-dir at DIR's parent, or name DIR
-// "<root>/default". -shards/-substrate/-maxfill shape the frozen index.
+// manifest.json) that hyperdomd -snapshot-dir opens zero-copy — point
+// -snapshot-dir at DIR's parent, or name DIR "<root>/default". -shards/-substrate/-maxfill shape the frozen index.
 // CSV floats round-trip exactly (strconv 'g' -1), so a snapshot frozen
 // here answers bit-identically to an index built from the written CSV.
 package main

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	knnbench [-fig N] [-scale S] [-seed N] [-quant none|f32|i8]
+//	knnbench [-fig N] [-scale S] [-seed N] [-shadow]
 //
 //	-fig      figure to run: 13, 14, 15, 16, or 0 for all (default 0);
 //	          17 runs the index-comparison extension experiment
@@ -14,15 +14,10 @@
 //	-shadow   audit every dominance check of the figures' (13–17) searches
 //	          against Hyperbola and count per-criterion disagreements
 //	          (Table 1 in vivo; slows checks)
-//	-quant    quantized coarse-filter tier for frozen-snapshot searches
-//	          (none, f32, i8; default f32 — results are identical across
-//	          tiers, only the traversal cost changes; see DESIGN.md §12)
-//	-load     open a snapshot directory written by datagen -freeze or
-//	          hyperdomd/shard SaveDir and benchmark serving straight off
-//	          the mmapped files (no tree rebuild) instead of the figures;
-//	          prints open latency and queries/s
 //
-// The worker- and shard-scaling tables are benchkernel's (`make bench-scaling`).
+// The worker- and shard-scaling tables, the quantized-tier comparison and
+// the snapshot-load timing are benchkernel's (`make bench-scaling`,
+// `make bench`).
 //
 // The shared observability flags apply as well; in particular `-serve addr`
 // keeps /metrics and the Slow ring's /debug/slow view of the figures'
@@ -32,15 +27,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"time"
 
 	"hyperdom/internal/experiments"
-	"hyperdom/internal/geom"
-	"hyperdom/internal/knn"
 	"hyperdom/internal/obs"
-	"hyperdom/internal/shard"
 )
 
 func main() {
@@ -49,19 +39,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	shadow := flag.Bool("shadow", false,
 		"shadow-evaluate every dominance check of the figures' searches against Hyperbola and count per-criterion disagreements")
-	load := flag.String("load", "",
-		"snapshot directory to open and benchmark (skips the figures and any index build)")
-	quant := flag.String("quant", "f32",
-		"quantized coarse-filter tier for frozen-snapshot searches (none, f32, i8)")
 	pf := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-
-	qm, err := knn.ParseQuantMode(*quant)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "knnbench: -quant: %v\n", err)
-		os.Exit(2)
-	}
-	knn.SetQuantMode(qm)
 
 	// Figure timings must stay comparable to the paper's, so the counter
 	// gate stays off unless observability output was actually asked for.
@@ -76,13 +55,6 @@ func main() {
 	defer stop()
 
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, Shadow: *shadow}
-	if *load != "" {
-		if err := runLoaded(*load, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "knnbench: -load: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *fig == 17 {
 		pf.Figure(17, func() { fmt.Println(experiments.RunIndexComparison(cfg).Table().Render()) })
 		return
@@ -111,42 +83,4 @@ func main() {
 			fmt.Println(res.PrecisionTable().Render())
 		})
 	}
-}
-
-// runLoaded opens a snapshot directory and benchmarks serving directly off
-// it: open+validate latency first (the cold-start the zero-copy format
-// exists for), then sustained queries/s over the standard Gaussian query
-// mix (centers 100±25 per coordinate, matching the synthetic corpora).
-func runLoaded(dir string, seed int64) error {
-	start := time.Now()
-	x, err := shard.OpenDir(dir, shard.OpenOptions{Algorithm: knn.HS})
-	if err != nil {
-		return err
-	}
-	defer x.Close()
-	openLat := time.Since(start)
-	fmt.Printf("opened %s in %v: %d items, dim %d, %d shards\n",
-		dir, openLat.Round(time.Microsecond), x.Len(), x.Dim(), x.Shards())
-
-	rng := rand.New(rand.NewSource(seed))
-	const nq, k = 2000, 10
-	queries := make([]geom.Sphere, nq)
-	for i := range queries {
-		c := make([]float64, x.Dim())
-		for j := range c {
-			c[j] = 100 + rng.NormFloat64()*25
-		}
-		queries[i] = geom.NewSphere(c, rng.Float64()*2)
-	}
-	for i := 0; i < 64; i++ { // warm the mapping and the scratch pools
-		x.Search(queries[i%nq], k)
-	}
-	bstart := time.Now()
-	for _, q := range queries {
-		x.Search(q, k)
-	}
-	el := time.Since(bstart)
-	fmt.Printf("%d queries (k=%d) in %v: %.0f queries/s\n",
-		nq, k, el.Round(time.Millisecond), float64(nq)/el.Seconds())
-	return nil
 }

@@ -122,6 +122,40 @@ func TestKNNBatchMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestKNNBatchPanicIsRecoverable: one wrong-dimension query among good ones
+// panics KNNBatch on the caller's goroutine with KNN's own message, so the
+// caller can recover it instead of the process dying on a worker.
+func TestKNNBatchPanicIsRecoverable(t *testing.T) {
+	items := randomItems(500, 2, 9)
+	ss := hyperdom.NewSSTree(2, 0)
+	for _, it := range items {
+		ss.Insert(it)
+	}
+	bad := hyperdom.NewSphere([]float64{1, 2, 3}, 1)
+	recovered := func(f func()) (r any) {
+		defer func() { r = recover() }()
+		f()
+		return nil
+	}
+	want := recovered(func() { hyperdom.KNN(ss, bad, 4, hyperdom.Hyperbola(), hyperdom.BestFirst) })
+	if want == nil {
+		t.Fatal("KNN did not panic on a wrong-dimension query")
+	}
+	var queries []hyperdom.Sphere
+	for i := 0; i < 30; i++ {
+		if i == 15 {
+			queries = append(queries, bad)
+		}
+		queries = append(queries, items[i*11].Sphere)
+	}
+	for _, workers := range []int{1, 4} {
+		got := recovered(func() { hyperdom.KNNBatch(ss, queries, 4, hyperdom.Hyperbola(), hyperdom.BestFirst, workers) })
+		if got != want {
+			t.Errorf("workers=%d: KNNBatch panicked with %v, want %v", workers, got, want)
+		}
+	}
+}
+
 func TestRKNNAndTopKThroughFacade(t *testing.T) {
 	items := randomItems(300, 2, 2)
 	ss := hyperdom.NewSSTree(2, 0)

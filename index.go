@@ -59,28 +59,6 @@ const (
 // KNNResult is the answer of a kNN query.
 type KNNResult = knn.Result
 
-// QuantMode selects which quantized coarse-filter tier frozen snapshots
-// search through: QuantNone (exact kernels only), QuantF32 (the default)
-// or QuantI8. Whatever the tier, answers are bit-identical to the exact
-// path — the tiers only decide how much exact work is skipped. See
-// DESIGN.md §12.
-type QuantMode = knn.QuantMode
-
-// The three coarse-filter tiers.
-const (
-	QuantNone QuantMode = knn.QuantNone
-	QuantF32  QuantMode = knn.QuantF32
-	QuantI8   QuantMode = knn.QuantI8
-)
-
-// SetQuantMode switches the process-wide coarse-filter tier and returns
-// the previous mode. Safe under concurrent searches: each search reads
-// the mode once at dispatch, so no traversal straddles tiers.
-func SetQuantMode(m QuantMode) QuantMode { return knn.SetQuantMode(m) }
-
-// QuantModeNow reports the tier searches are currently dispatched with.
-func QuantModeNow() QuantMode { return knn.QuantModeNow() }
-
 // KNN answers the k-nearest-neighbour query of the paper's Definition 2
 // over an SS-tree: it returns every indexed sphere that is not dominated,
 // with respect to the query sphere sq, by the sphere with the k-th
@@ -107,9 +85,11 @@ func KNNBruteForce(items []Item, sq Sphere, k int, crit Criterion) KNNResult {
 	return knn.BruteForce(items, sq, k, crit)
 }
 
-// KNNBatch answers many kNN queries over one SS-tree concurrently, through
-// a pool of workers (internal/engine) that lives for the call, and returns
-// results in query order. workers ≤ 0 selects GOMAXPROCS.
+// KNNBatch answers many kNN queries over one SS-tree concurrently and
+// returns results in query order: KNN per query, run on up to workers
+// goroutines started for the call (workers ≤ 0 selects GOMAXPROCS). A query
+// that panics (one of the wrong dimension, say) makes KNNBatch panic with
+// the same value on the caller's goroutine, where it can be recovered.
 func KNNBatch(t *SSTree, queries []Sphere, k int, crit Criterion, strategy SearchStrategy, workers int) []KNNResult {
 	return workload.KNNBatch(knn.WrapSSTree(t), queries, k, workers, crit, strategy)
 }

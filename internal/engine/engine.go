@@ -1,17 +1,10 @@
-// Package engine is the parallel batch-query engine (ISSUE 5): a fixed
-// pool of workers answering kNN queries over one shared index, each worker
-// owning a knn.Searcher (and through it a scratch arena) for its whole
-// lifetime, so a query costs no pool round-trip and no cross-worker
-// sharing.
+// Package engine runs batches of kNN queries over one shared index on a
+// few goroutines. It schedules knn.Search calls and nothing else: a batch
+// starts its workers for the call, each worker claims query indices from
+// one shared counter and answers them out of its own knn.Searcher, and the
+// call returns when every query is answered.
 //
-// Submission runs through a bounded queue: when every worker is busy and
-// the queue is full, SearchBatch blocks in the send — backpressure reaches
-// the producer instead of growing an unbounded backlog (DESIGN.md §11).
-// Saturation is observable: engine.queue_wait histograms the
-// submit-to-dequeue latency of every task, and the engine.submitted /
-// engine.completed counters expose the in-flight depth as their difference.
-//
-// The index must not be mutated while an Engine is running over it. Freeze
+// The index must not be mutated while a batch is running over it. Freeze
 // the substrate first (e.g. sstree.Freeze) so the workers stream over the
 // packed snapshot — the engine works either way, but the frozen path is
 // both faster and immune to accidental mutation, since the snapshot is
@@ -22,43 +15,28 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
 	"hyperdom/internal/knn"
-	"hyperdom/internal/obs"
 )
 
-// task is one queued query. Results are written in place through out, so
-// the batch path allocates nothing per task beyond what the search itself
-// returns.
-type task struct {
-	sq    geom.Sphere
-	k     int
-	out   *knn.Result
-	wg    *sync.WaitGroup
-	enqNs int64 // submit time (UnixNano) when obs is on, else 0
-}
-
-// Engine is the worker pool. Construct with New; Close releases it.
-// SearchBatch and Search are safe for concurrent use from any number of
-// goroutines; Close must happen-after every submission.
+// Engine holds an index and the settings its batches run with. It owns no
+// goroutines between calls; SearchBatch and Search are safe for concurrent
+// use from any number of goroutines.
 type Engine struct {
 	idx     knn.Index
 	crit    dominance.Criterion
 	algo    knn.Algorithm
 	workers int
-	queue   chan task
-	done    sync.WaitGroup
-	closing sync.Once
 }
 
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithWorkers sets the pool size; n ≤ 0 (and the default) selects
-// GOMAXPROCS.
+// WithWorkers sets how many goroutines a batch runs on at most; n ≤ 0 (and
+// the default) selects GOMAXPROCS.
 func WithWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }
@@ -74,13 +52,7 @@ func WithAlgorithm(a knn.Algorithm) Option {
 	return func(e *Engine) { e.algo = a }
 }
 
-// queueDepthPerWorker sizes the bounded submission queue: deep enough that
-// workers never starve between a batch's sends, shallow enough that a
-// stalled pool pushes back on producers within a few queries.
-const queueDepthPerWorker = 4
-
-// New starts an engine over the index. The caller owns the returned
-// Engine and must Close it to stop the workers.
+// New returns an engine over the index.
 func New(idx knn.Index, opts ...Option) *Engine {
 	e := &Engine{idx: idx, crit: dominance.Hyperbola{}, algo: knn.HS}
 	for _, o := range opts {
@@ -89,109 +61,62 @@ func New(idx knn.Index, opts ...Option) *Engine {
 	if e.workers <= 0 {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
-	e.queue = make(chan task, e.workers*queueDepthPerWorker)
-	if obs.On() {
-		obsEngines.Inc()
-		obsWorkers.Add(uint64(e.workers))
-	}
-	e.done.Add(e.workers)
-	for i := 0; i < e.workers; i++ {
-		go e.worker()
-	}
-	trackEngine(e)
 	return e
 }
 
-// Workers returns the pool size.
-func (e *Engine) Workers() int { return e.workers }
-
-// worker drains the queue until Close. Its Searcher — and the scratch
-// arena inside — lives for the worker's whole life, so per-query state
-// never crosses goroutines and the knn allocation budget holds under any
-// worker count.
-func (e *Engine) worker() {
-	defer e.done.Done()
-	s := knn.NewSearcher()
-	defer s.Close()
-	for t := range e.queue {
-		if t.enqNs != 0 {
-			histQueueWait.Record(time.Now().UnixNano() - t.enqNs)
-		}
-		*t.out = s.Search(e.idx, t.sq, t.k, e.crit, e.algo)
-		if obs.On() {
-			obsCompleted.Inc()
-		}
-		t.wg.Done()
-	}
-}
-
 // SearchBatch answers every query with the engine's criterion and strategy
-// and returns the results in query order. It blocks until the whole batch
-// is done; submission itself blocks whenever the bounded queue is full
-// (backpressure). Concurrent batches interleave fairly at query
-// granularity.
+// and returns the results in query order. It runs min(workers,
+// len(queries)) goroutines for the call. If a query panics (a query of the
+// wrong dimension, say), the other workers stop claiming queries and
+// SearchBatch panics with the first panic value on the caller's goroutine.
 func (e *Engine) SearchBatch(queries []geom.Sphere, k int) []knn.Result {
 	if k <= 0 {
 		panic(fmt.Sprintf("engine: k = %d", k))
 	}
 	results := make([]knn.Result, len(queries))
-	if len(queries) == 0 {
-		return results
-	}
-	on := obs.On()
-	if on {
-		obsBatches.Inc()
-		obsSubmitted.Add(uint64(len(queries)))
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(queries))
-	for i := range queries {
-		var enq int64
-		if on {
-			enq = time.Now().UnixNano()
+	var (
+		next     atomic.Int64
+		failed   atomic.Bool
+		panicVal any // written by the one worker that sets failed
+		wg       sync.WaitGroup
+	)
+	worker := func() {
+		defer wg.Done()
+		s := knn.NewSearcher()
+		defer s.Close()
+		defer func() {
+			if r := recover(); r != nil && failed.CompareAndSwap(false, true) {
+				panicVal = r
+			}
+		}()
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= len(queries) {
+				return
+			}
+			results[i] = s.Search(e.idx, queries[i], k, e.crit, e.algo)
 		}
-		e.queue <- task{sq: queries[i], k: k, out: &results[i], wg: &wg, enqNs: enq}
+	}
+	n := min(e.workers, len(queries))
+	wg.Add(n)
+	for w := 0; w < n; w++ {
+		go worker()
 	}
 	wg.Wait()
+	if failed.Load() {
+		panic(panicVal)
+	}
 	return results
 }
 
-// Search answers a single query through the pool, blocking until a worker
-// picks it up and finishes. Prefer SearchBatch for throughput; Search
-// exists so sporadic queries share the workers' warm arenas.
+// Search answers a single query on the calling goroutine: knn.Search with
+// the engine's criterion and strategy.
 func (e *Engine) Search(sq geom.Sphere, k int) knn.Result {
 	if k <= 0 {
 		panic(fmt.Sprintf("engine: k = %d", k))
 	}
-	on := obs.On()
-	if on {
-		obsSubmitted.Inc()
-	}
-	var res knn.Result
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var enq int64
-	if on {
-		enq = time.Now().UnixNano()
-	}
-	e.queue <- task{sq: sq, k: k, out: &res, wg: &wg, enqNs: enq}
-	wg.Wait()
-	return res
+	return knn.Search(e.idx, sq, k, e.crit, e.algo)
 }
 
-// Criterion returns the dominance criterion the engine answers with.
-func (e *Engine) Criterion() dominance.Criterion { return e.crit }
-
-// Algorithm returns the traversal strategy the engine answers with.
-func (e *Engine) Algorithm() knn.Algorithm { return e.algo }
-
-// Close stops the workers after the already-queued work drains and waits
-// for them to exit. Safe to call more than once; submitting after Close
-// panics.
-func (e *Engine) Close() {
-	e.closing.Do(func() {
-		untrackEngine(e)
-		close(e.queue)
-	})
-	e.done.Wait()
-}
+// Close does nothing: an Engine holds no goroutines between calls.
+func (e *Engine) Close() {}

@@ -80,32 +80,6 @@ func TestEngineMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestEngineBackpressure: a single slow worker with a minimal queue must
-// still complete a batch far larger than the queue — submission blocks
-// instead of dropping or growing without bound.
-func TestEngineBackpressure(t *testing.T) {
-	rng := rand.New(rand.NewSource(602))
-	d := 3
-	items := randItems(rng, d, 400)
-	ss := sstree.New(d)
-	for _, it := range items {
-		ss.Insert(it)
-	}
-	ss.Freeze()
-	e := New(knn.WrapSSTree(ss), WithWorkers(1))
-	defer e.Close()
-	queries := randQueries(rng, d, 50*queueDepthPerWorker)
-	res := e.SearchBatch(queries, 5)
-	if len(res) != len(queries) {
-		t.Fatalf("batch returned %d results for %d queries", len(res), len(queries))
-	}
-	for i, r := range res {
-		if r.K != 5 {
-			t.Fatalf("result %d: K = %d, not filled in", i, r.K)
-		}
-	}
-}
-
 // TestEngineConcurrentBatches drives several batches from concurrent
 // goroutines through one pool (run under -race in CI) and checks each gets
 // its own correct, complete answer set.
@@ -147,9 +121,9 @@ func TestEngineConcurrentBatches(t *testing.T) {
 	}
 }
 
-// TestEngineObs verifies the saturation metrics: submitted == completed ==
-// batch size after a batch drains, workers is the pool size, and
-// engine.queue_wait holds one sample per query.
+// TestEngineObs: every query, batched or single, goes through knn.Search's
+// per-search accounting (counters, latency histograms, flight recorder),
+// and nothing moves while the gate is off.
 func TestEngineObs(t *testing.T) {
 	defer obs.SetEnabled(true)
 	obs.SetEnabled(true)
@@ -171,32 +145,12 @@ func TestEngineObs(t *testing.T) {
 	e.Close()
 
 	snap := obs.Snapshot()
-	wantSubmitted := uint64(len(queries) + 1)
-	if got := snap.Get("engine.submitted"); got != wantSubmitted {
-		t.Errorf("engine.submitted = %d, want %d", got, wantSubmitted)
+	wantSearches := uint64(len(queries) + 1)
+	if got := snap.Get("knn.searches"); got != wantSearches {
+		t.Errorf("knn.searches = %d, want %d", got, wantSearches)
 	}
-	if got := snap.Get("engine.completed"); got != wantSubmitted {
-		t.Errorf("engine.completed = %d, want %d", got, wantSubmitted)
-	}
-	if got := snap.Get("engine.batches"); got != 1 {
-		t.Errorf("engine.batches = %d, want 1", got)
-	}
-	if got := snap.Get("engine.workers"); got != 3 {
-		t.Errorf("engine.workers = %d, want 3", got)
-	}
-	if got := snap.Get("engine.pools_started"); got != 1 {
-		t.Errorf("engine.pools_started = %d, want 1", got)
-	}
-	if hist := obs.MergedHist("engine.queue_wait"); hist.Count != wantSubmitted {
-		t.Errorf("engine.queue_wait samples = %d, want %d", hist.Count, wantSubmitted)
-	}
-	// The engine routes through knn.Search, so the per-search accounting
-	// (counters, latency histograms, flight recorder) keeps working.
-	if got := snap.Get("knn.searches"); got != wantSubmitted {
-		t.Errorf("knn.searches = %d, want %d", got, wantSubmitted)
-	}
-	if got := snap.Get("knn.searches.packed"); got != wantSubmitted {
-		t.Errorf("knn.searches.packed = %d, want %d", got, wantSubmitted)
+	if got := snap.Get("knn.searches.packed"); got != wantSearches {
+		t.Errorf("knn.searches.packed = %d, want %d", got, wantSearches)
 	}
 
 	// Nothing moves while the gate is off.
@@ -257,4 +211,41 @@ func TestEngineEmptyBatchAndPanics(t *testing.T) {
 		}
 	}()
 	e.SearchBatch(randQueries(rand.New(rand.NewSource(1)), 2, 1), 0)
+}
+
+// TestEngineQueryPanicReachesCaller: a query that panics inside the search
+// (here one of the wrong dimension) panics the caller's goroutine with
+// knn.Search's own message, batched or single, so the caller can recover
+// it; the good queries around it do not hide it.
+func TestEngineQueryPanicReachesCaller(t *testing.T) {
+	rng := rand.New(rand.NewSource(606))
+	ss := sstree.New(2)
+	for _, it := range randItems(rng, 2, 200) {
+		ss.Insert(it)
+	}
+	idx := knn.WrapSSTree(ss)
+	bad := geom.NewSphere([]float64{1, 2, 3}, 1)
+	recovered := func(f func()) (r any) {
+		defer func() { r = recover() }()
+		f()
+		return nil
+	}
+	want := recovered(func() { knn.Search(idx, bad, 3, dominance.Hyperbola{}, knn.HS) })
+	if want == nil {
+		t.Fatal("knn.Search did not panic on a wrong-dimension query")
+	}
+	e := New(idx, WithWorkers(4))
+	defer e.Close()
+	queries := append(randQueries(rng, 2, 40), bad)
+	queries = append(queries, randQueries(rng, 2, 40)...)
+	if got := recovered(func() { e.SearchBatch(queries, 3) }); got != want {
+		t.Errorf("SearchBatch panicked with %v, want %v", got, want)
+	}
+	if got := recovered(func() { e.Search(bad, 3) }); got != want {
+		t.Errorf("Search panicked with %v, want %v", got, want)
+	}
+	// The engine still answers after a failed batch.
+	if res := e.SearchBatch(queries[:40], 3); len(res) != 40 || res[39].K != 3 {
+		t.Errorf("batch after a panic returned %d results", len(res))
+	}
 }

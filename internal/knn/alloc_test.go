@@ -154,7 +154,7 @@ func TestSearchAllocsPacked(t *testing.T) {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
 	idx, queries := allocFixture(10000)
-	idx.(treeAdapter).t.Freeze()
+	idx.t.Freeze()
 	for _, algo := range []Algorithm{DF, HS} {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
@@ -193,7 +193,7 @@ func BenchmarkSearch(b *testing.B) {
 // speedup_packed_layout.
 func BenchmarkSearchPacked(b *testing.B) {
 	idx, queries := allocFixture(10000)
-	idx.(treeAdapter).t.Freeze()
+	idx.t.Freeze()
 	for _, algo := range []Algorithm{DF, HS} {
 		algo := algo
 		b.Run(fmt.Sprintf("SS10k/%v", algo), func(b *testing.B) {

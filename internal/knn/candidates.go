@@ -13,7 +13,7 @@ import (
 // arithmetic every search path uses (so merged orderings are bit-identical).
 // It is 24 bytes — the heap sifts, the buffer appends, the final filter's
 // compaction and its sort all move candidates, never items. Item points into
-// the leaf's own item slice (packed.Tree.LeafItems, IndexNode.NodeItems) and
+// the leaf's own item slice (packed.Tree.LeafItems, tree.Cursor.Items) and
 // is valid until that index is mutated or closed.
 type Candidate struct {
 	Item    *Item

@@ -1,10 +1,11 @@
 package knn
 
 // distHeap is the best-first frontier of both traversals: a hand-rolled
-// min-heap of nodes keyed by MinDist to the query, instantiated at IndexNode
-// (searchHS) and at packed node ids (searchHSPacked). It deliberately does
-// not implement container/heap: the standard interface forces every pushed
-// entry through an `any` box, which allocated on each node visit.
+// min-heap of nodes keyed by MinDist to the query, instantiated at
+// tree.Cursor (searchHS) and at packed node ids (searchHSPacked). It
+// deliberately does not implement container/heap: the standard interface
+// forces every pushed entry through an `any` box, which allocated on each
+// node visit.
 //
 // Each (dist, node) pair is one struct, so a sift step touches one cache
 // line per level instead of the two a parallel-slice layout costs. Both
@@ -47,7 +48,7 @@ func (h *distHeap[N]) push(n N, d float64) {
 
 // pop removes and returns the nearest node. The vacated slot is zeroed
 // before the slice shrinks: the backing array survives in the scratch pool,
-// and a live IndexNode there would retain an entire abandoned index.
+// and a live tree.Cursor there would retain an entire abandoned index.
 func (h *distHeap[N]) pop() (N, float64) {
 	h.pops++
 	e := h.es[0]

@@ -81,17 +81,10 @@ func checkDistHeap[N comparable](t *testing.T, keys []float64, node func(i int) 
 	}
 }
 
-// heapTestNode is a distinct non-nil IndexNode per index; the embedded nil
-// interface is never called.
-type heapTestNode struct {
-	IndexNode
-	i int
-}
-
 func TestDistHeap(t *testing.T) {
 	for name, keys := range heapKeySets() {
-		t.Run("IndexNode/"+name, func(t *testing.T) {
-			checkDistHeap(t, keys, func(i int) IndexNode { return &heapTestNode{i: i} })
+		t.Run("pointer/"+name, func(t *testing.T) {
+			checkDistHeap(t, keys, func(i int) *int { return &i })
 		})
 		t.Run("int32/"+name, func(t *testing.T) {
 			checkDistHeap(t, keys, func(i int) int32 { return int32(i + 1) })

@@ -39,7 +39,7 @@ func buildFrozen(t *testing.T, substrate string, items []Item, d int) (Index, *p
 		return WrapRTree(tr), tr.Freeze()
 	}
 	t.Fatalf("unknown substrate %q", substrate)
-	return nil, nil
+	return Index{}, nil
 }
 
 func eqResult(t *testing.T, label string, want, got Result) {
@@ -155,7 +155,7 @@ func TestSearchAllocsLoaded(t *testing.T) {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
 	idx, queries := allocFixture(10000)
-	pt := idx.(treeAdapter).t.Freeze()
+	pt := idx.t.Freeze()
 	path := filepath.Join(t.TempDir(), "alloc.hds")
 	if err := pt.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)

@@ -41,19 +41,6 @@ func (m QuantMode) String() string {
 	return fmt.Sprintf("QuantMode(%d)", int32(m))
 }
 
-// ParseQuantMode maps the flag spelling ("none", "f32", "i8") to a mode.
-func ParseQuantMode(s string) (QuantMode, error) {
-	switch s {
-	case "none":
-		return QuantNone, nil
-	case "f32":
-		return QuantF32, nil
-	case "i8":
-		return QuantI8, nil
-	}
-	return QuantNone, fmt.Errorf("knn: unknown quant mode %q (want none, f32 or i8)", s)
-}
-
 // tier maps the mode to the snapshot tier the packed accessors take.
 func (m QuantMode) tier() packed.Tier {
 	switch m {

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"hyperdom/internal/packed"
+	"hyperdom/internal/tree"
 )
 
 // scratch is the per-search reusable arena: every buffer a traversal needs —
@@ -19,14 +20,14 @@ import (
 // searches the arena never grows.
 //
 // A scratch is owned by exactly one search at a time; an engine worker holds
-// one, through its Searcher, for life.
+// one, through its Searcher, for the length of its batch.
 type scratch struct {
 	list bestList
 
-	// Reference (interface-based) traversal state.
-	stack []IndexNode         // DF child frames / HS expansion buffer
-	dists []float64           // MinDist keys parallel to stack
-	heap  distHeap[IndexNode] // HS frontier
+	// Reference (pointer-tree) traversal state.
+	stack []tree.Cursor         // DF child frames
+	dists []float64             // MinDist keys parallel to stack
+	heap  distHeap[tree.Cursor] // HS frontier
 
 	// Packed (frozen snapshot) traversal state: dense node ids instead of
 	// cursors, plus a staging buffer for the streaming kernel outputs
@@ -75,7 +76,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
 // putScratch returns sc to the pool with every reference cleared: a pooled
-// scratch may live arbitrarily long, and a single stale IndexNode or
+// scratch may live arbitrarily long, and a single stale tree.Cursor or
 // Candidate would otherwise retain an entire index (or its data spheres)
 // that the caller has dropped. The node buffers are cleared over their full
 // capacity; the best-known list keeps its tail zero and clears by length

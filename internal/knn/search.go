@@ -37,42 +37,39 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// Index abstracts what the searches traverse. It has two implementations,
-// both at the end of this file: a pointer tree of any substrate
-// (WrapSSTree, WrapMTree, WrapRTree) and a bare packed snapshot
-// (WrapPacked).
-type Index interface {
-	// RootNode returns the root cursor of the pointer tree, or ok=false
-	// for an empty index and for one that has no pointer tree.
-	RootNode() (IndexNode, bool)
-	// frozen returns the packed snapshot to search instead: the tree's
-	// cached Freeze (nil when it was never frozen, or was mutated since —
-	// the trees auto-thaw), or the bare snapshot itself.
-	frozen() *packed.Tree
-	// substrate attributes the index's searches in the telemetry.
-	substrate() packed.Substrate
+// Index is what the searches traverse: a pointer tree of any substrate
+// (WrapSSTree, WrapMTree, WrapRTree) or a bare packed snapshot
+// (WrapPacked). Exactly one of t and p is set.
+type Index struct {
+	t *tree.Tree
+	p *packed.Tree
 }
 
-// IndexNode is a read-only cursor over one index node.
-type IndexNode interface {
-	IsLeaf() bool
-	// MinDistTo returns a lower bound on the distance from any item in the
-	// subtree to the query sphere: 0 when they can intersect, and never
-	// more than the true minimum distance. Sphere-bounded nodes (SS-tree,
-	// M-tree) return MinDist of their bounding sphere; rectangle-bounded
-	// nodes (R-tree) return MinDist of their MBR.
-	MinDistTo(q geom.Sphere) float64
-	// ChildNodes appends the node's children to dst and returns it. Only
-	// valid on internal nodes.
-	ChildNodes(dst []IndexNode) []IndexNode
-	// NodeItems returns the node's items. Only valid on leaves.
-	NodeItems() []Item
+// frozen returns the packed snapshot to search instead of the pointer
+// tree: the bare snapshot itself, or the tree's cached Freeze (nil when it
+// was never frozen, or was mutated since — the trees auto-thaw).
+func (idx Index) frozen() *packed.Tree {
+	if idx.p != nil {
+		return idx.p
+	}
+	pt, _ := idx.t.Frozen()
+	return pt
+}
+
+// substrate attributes the index's searches in the telemetry. A bare
+// snapshot reports the one stamped by the tree that froze it, so
+// restart-from-snapshot keeps the metric shape of serve-after-build.
+func (idx Index) substrate() packed.Substrate {
+	if idx.p != nil {
+		return idx.p.Substrate()
+	}
+	return idx.t.Substrate()
 }
 
 // Search answers the kNN query of Definition 2 over an index using the
 // given traversal strategy and dominance criterion. A frozen index is
 // searched off its packed snapshot (searchDFPacked/searchHSPacked, the
-// serving kernel); any other goes through the IndexNode interface
+// serving kernel); any other walks the pointer tree's cursors
 // (searchDF/searchHS, the Section 6 reference the packed kernel's answers
 // are bit-compared against). Either way the traversal runs out of a pooled
 // scratch arena and performs no steady-state heap allocation beyond the
@@ -84,8 +81,8 @@ func Search(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Alg
 }
 
 // Searcher owns one scratch arena for repeated searches from a single
-// goroutine — the per-worker handle of the batch-query engine (package
-// engine). It skips the pool round-trip Search pays per query; otherwise
+// goroutine — what each worker of a batch (package engine) searches
+// through. It skips the pool round-trip Search pays per query; otherwise
 // the two are identical. Not safe for concurrent use.
 type Searcher struct{ sc *scratch }
 
@@ -165,7 +162,7 @@ func (sc *scratch) stashQuant(sq geom.Sphere) {
 
 // traverse runs the index traversal shared by Search (finish() filter) and
 // SearchCandidates (raw candidate stream): dispatch to the packed or the
-// interface path, with the best-known list filled in and the per-search
+// pointer path, with the best-known list filled in and the per-search
 // instrumentation armed. ok=false means the index was empty: the list holds
 // nothing, and callers skip both the answer pass and the obs flush.
 func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm, stats *Stats) (l *bestList, start time.Time, ok bool) {
@@ -184,7 +181,7 @@ func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Cri
 		}
 		return l, start, true
 	}
-	root, rok := idx.RootNode()
+	root, rok := idx.t.Root()
 	if !rok {
 		return nil, start, false
 	}
@@ -203,23 +200,23 @@ func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Cri
 // whose MinDist to the query exceeds distk (every item below would fall to
 // Case 3). Child cursors and distance keys live in the scratch arena,
 // frame-stacked across recursion levels.
-func (sc *scratch) searchDF(n IndexNode, sq geom.Sphere, l *bestList) {
+func (sc *scratch) searchDF(n tree.Cursor, sq geom.Sphere, l *bestList) {
 	l.stats.NodesVisited++
 	if n.IsLeaf() {
-		items := n.NodeItems()
+		items := n.Items()
 		for i := range items {
 			l.offer(&items[i])
 		}
 		return
 	}
 	base := len(sc.stack)
-	sc.stack = n.ChildNodes(sc.stack)
-	nc := len(sc.stack) - base
-	sc.dfExpansions += uint64(nc)
-	sc.dists = growTo(sc.dists, base+nc)
+	nc := n.NumChildren()
 	for i := 0; i < nc; i++ {
-		sc.dists[base+i] = sc.stack[base+i].MinDistTo(sq)
+		c := n.Child(i)
+		sc.stack = append(sc.stack, c)
+		sc.dists = append(sc.dists, c.MinDist(sq))
 	}
+	sc.dfExpansions += uint64(nc)
 	sortByDist(sc.stack[base:base+nc], sc.dists[base:base+nc])
 	for i := 0; i < nc; i++ {
 		if sc.dists[base+i] > l.distK() {
@@ -246,9 +243,9 @@ func growTo(s []float64, n int) []float64 {
 // searchHS pops nodes in globally ascending MinDist order; once the nearest
 // unexplored node is beyond distk the traversal is complete, because distk
 // never increases.
-func (sc *scratch) searchHS(root IndexNode, sq geom.Sphere, l *bestList) {
+func (sc *scratch) searchHS(root tree.Cursor, sq geom.Sphere, l *bestList) {
 	h := &sc.heap
-	h.push(root, root.MinDistTo(sq))
+	h.push(root, root.MinDist(sq))
 	for h.len() > 0 {
 		n, dist := h.pop()
 		if dist > l.distK() {
@@ -256,82 +253,39 @@ func (sc *scratch) searchHS(root IndexNode, sq geom.Sphere, l *bestList) {
 		}
 		l.stats.NodesVisited++
 		if n.IsLeaf() {
-			items := n.NodeItems()
+			items := n.Items()
 			for i := range items {
 				l.offer(&items[i])
 			}
 			continue
 		}
-		base := len(sc.stack)
-		sc.stack = n.ChildNodes(sc.stack)
 		// Invariant: distk cannot change inside this loop — it only shrinks
 		// when an item is offered to the list, and expanding an internal
 		// node only pushes child nodes. Hoisting the bound out of the loop
 		// saves a distK() call per child.
 		dk := l.distK()
-		for _, c := range sc.stack[base:] {
-			if d := c.MinDistTo(sq); d <= dk {
+		for i, m := 0, n.NumChildren(); i < m; i++ {
+			c := n.Child(i)
+			if d := c.MinDist(sq); d <= dk {
 				h.push(c, d)
 			}
 		}
-		clear(sc.stack[base:])
-		sc.stack = sc.stack[:base]
 	}
 }
 
-// treeAdapter adapts a pointer tree of any substrate to the Index
-// interface, and treeNode its one-pointer cursor to IndexNode — boxing it
-// does not allocate, and children are read by index, so a pointer search
-// allocates nothing per expanded node on any substrate.
-type treeAdapter struct{ t *tree.Tree }
-
 // WrapSSTree adapts an SS-tree for Search.
-func WrapSSTree(t *sstree.Tree) Index { return treeAdapter{&t.Tree} }
+func WrapSSTree(t *sstree.Tree) Index { return Index{t: &t.Tree} }
 
 // WrapMTree adapts an M-tree for Search.
-func WrapMTree(t *mtree.Tree) Index { return treeAdapter{&t.Tree} }
+func WrapMTree(t *mtree.Tree) Index { return Index{t: &t.Tree} }
 
 // WrapRTree adapts an R-tree for Search — the rectangle-bounded baseline
 // for the sphere-vs-rectangle index comparison.
-func WrapRTree(t *rtree.Tree) Index { return treeAdapter{&t.Tree} }
+func WrapRTree(t *rtree.Tree) Index { return Index{t: &t.Tree} }
 
-func (a treeAdapter) RootNode() (IndexNode, bool) {
-	root, ok := a.t.Root()
-	return treeNode{root}, ok
-}
-
-func (a treeAdapter) frozen() *packed.Tree {
-	pt, _ := a.t.Frozen()
-	return pt
-}
-
-func (a treeAdapter) substrate() packed.Substrate { return a.t.Substrate() }
-
-type treeNode struct{ c tree.Cursor }
-
-func (n treeNode) IsLeaf() bool                    { return n.c.IsLeaf() }
-func (n treeNode) MinDistTo(q geom.Sphere) float64 { return n.c.MinDist(q) }
-func (n treeNode) NodeItems() []Item               { return n.c.Items() }
-func (n treeNode) ChildNodes(dst []IndexNode) []IndexNode {
-	for i, m := 0, n.c.NumChildren(); i < m; i++ {
-		dst = append(dst, treeNode{n.c.Child(i)})
-	}
-	return dst
-}
-
-// packedAdapter serves a packed.Tree directly — typically one loaded from
-// a snapshot file (packed.Open), which has no pointer tree behind it.
-type packedAdapter struct{ t *packed.Tree }
-
-// WrapPacked adapts a frozen snapshot for Search. Unlike the tree adapter
-// there is nothing to thaw: the snapshot is immutable, and searches are
+// WrapPacked adapts a frozen snapshot for Search — typically one loaded
+// from a snapshot file (packed.Open), which has no pointer tree behind it.
+// There is nothing to thaw: the snapshot is immutable, and searches are
 // bit-identical to searches over the (frozen) tree that built it — the
 // traversal dispatches on the snapshot, never on its origin.
-func WrapPacked(t *packed.Tree) Index { return packedAdapter{t} }
-
-func (a packedAdapter) RootNode() (IndexNode, bool) { return nil, false }
-func (a packedAdapter) frozen() *packed.Tree        { return a.t }
-
-// substrate is the one stamped by the tree that froze the snapshot, so
-// restart-from-snapshot keeps the metric shape of serve-after-build.
-func (a packedAdapter) substrate() packed.Substrate { return a.t.Substrate() }
+func WrapPacked(t *packed.Tree) Index { return Index{p: t} }

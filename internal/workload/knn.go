@@ -32,11 +32,12 @@ func KNNQueries(items []geom.Item, n int, seed int64) []geom.Sphere {
 	return qs
 }
 
-// KNNBatch answers the query workload through a parallel batch engine over
-// the index and returns the per-query results in query order. workers ≤ 0
-// selects GOMAXPROCS. Freeze the substrate first to route the workers over
-// the packed snapshot. Results are identical to serial knn.Search calls —
-// the engine schedules, it does not approximate.
+// KNNBatch answers the query workload on up to workers goroutines
+// (engine.SearchBatch; workers ≤ 0 selects GOMAXPROCS) and returns the
+// per-query results in query order. Freeze the substrate first to route the
+// workers over the packed snapshot. Results are identical to serial
+// knn.Search calls — the engine schedules, it does not approximate — and a
+// query that panics panics the caller.
 func KNNBatch(idx knn.Index, queries []geom.Sphere, k, workers int, crit dominance.Criterion, algo knn.Algorithm) []knn.Result {
 	e := engine.New(idx, engine.WithWorkers(workers), engine.WithCriterion(crit), engine.WithAlgorithm(algo))
 	defer e.Close()
