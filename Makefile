@@ -8,7 +8,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS  = -ldflags "-X hyperdom/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: all build check orphans loc test test-short bench bench-all bench-scaling bench-smoke fuzz experiments examples serve serve-sharded hyperdomd cover clean
+.PHONY: all build check orphans loc test test-short bench bench-all bench-scaling bench-smoke fuzz experiments examples serve-sharded hyperdomd cover clean
 
 all: build check
 
@@ -114,12 +114,6 @@ experiments:
 	$(GO) run ./cmd/dombench -scale 0.2 -timing 100ms
 	$(GO) run ./cmd/knnbench -scale 0.05
 	$(GO) run ./cmd/knnbench -fig 17 -scale 0.05
-
-# Run the kNN figures with counters enabled and the observability server
-# up for local profiling: /metrics, /debug/slow and /debug/pprof stay
-# served on :6060 after the figures finish, until Ctrl-C.
-serve:
-	$(GO) run ./cmd/knnbench -serve :6060 -metrics
 
 # Start the sharded kNN server on a synthetic corpus —
 # the HTTP layer of DESIGN.md §13. See README "Running the server".

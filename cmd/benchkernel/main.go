@@ -24,7 +24,9 @@
 //
 // Timing benchmarks run with the obs counters disabled so ns/op stays
 // comparable across PRs; the metrics block comes from a separate
-// counter-enabled pass over a fixed workload.
+// counter-enabled pass over a fixed workload. The shared observability
+// flags -cpuprofile, -memprofile and -metrics apply too; the process serves
+// no HTTP.
 //
 // Usage:
 //

@@ -39,7 +39,7 @@ func TestParseFlagsAll(t *testing.T) {
 	cfg, err := parseFlags([]string{
 		"-o", "out.json", "-gate", "committed.json",
 		"-scaling-only", "-require-cores", "2",
-		"-cpuprofile", "cpu.out", "-memprofile", "mem.out", "-pprof", "localhost:0", "-metrics",
+		"-cpuprofile", "cpu.out", "-memprofile", "mem.out", "-metrics",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,6 +63,12 @@ func TestParseFlagsBad(t *testing.T) {
 	// over the default BENCH_knn.json, it would fail the next -gate run.
 	if _, err := parseFlags([]string{"-scaling-only"}); err == nil {
 		t.Error("-scaling-only accepted without an explicit -o")
+	}
+	// The tool serves no HTTP: hyperdomd is the one process that does.
+	for _, args := range [][]string{{"-serve", "localhost:0"}, {"-pprof", "localhost:0"}} {
+		if _, err := parseFlags(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: error %v, want flag provided but not defined", args, err)
+		}
 	}
 }
 

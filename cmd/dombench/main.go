@@ -15,6 +15,10 @@
 //	        ("id,radius,c1,…,cd", as written by datagen) instead of the
 //	        built-in figures — the path for users who hold the paper's
 //	        actual datasets
+//
+// The shared observability flags apply as well: -cpuprofile and -memprofile
+// write profiles, and -metrics prints to stderr the counters each figure
+// moved (DESIGN.md §9).
 package main
 
 import (

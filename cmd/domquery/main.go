@@ -13,10 +13,9 @@
 // verdict, and — when dominance fails — a witness point inside Sq whose
 // distance margin certifies the failure.
 //
-// The shared observability flags are available too: `domquery -serve :6060`
-// answers the query and then keeps serving /metrics, /debug/slow and
-// /debug/pprof until interrupted, so the criterion counters the query moved
-// can be inspected.
+// The shared observability flags are available too: `domquery -metrics`
+// prints the criterion counters the query moved to stderr, and -cpuprofile
+// and -memprofile write profiles.
 package main
 
 import (

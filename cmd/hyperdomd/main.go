@@ -72,9 +72,8 @@ type config struct {
 	snapshotDir    string
 	snapshotVerify bool
 
-	timelinePeriod time.Duration
-	healthP99      time.Duration
-	healthErrRate  float64
+	healthP99     time.Duration
+	healthErrRate float64
 
 	oracle  bool
 	k       int
@@ -94,7 +93,6 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&c.shards, "shards", 2, "shards per collection")
 	fs.StringVar(&c.snapshotDir, "snapshot-dir", "", "snapshot root: each collection loads zero-copy from DIR/<name> when present and compatible, else builds and saves there for the next start")
 	fs.BoolVar(&c.snapshotVerify, "snapshot-verify", false, "checksum every snapshot section at load (trades the lazy mmap cold-start for eager corruption detection)")
-	fs.DurationVar(&c.timelinePeriod, "timeline-period", obs.DefaultTimelinePeriod, "telemetry timeline tick (window rotation) period")
 	fs.DurationVar(&c.healthP99, "health-p99", 250*time.Millisecond, "degraded when windowed request p99 exceeds this (0 disables)")
 	fs.Float64Var(&c.healthErrRate, "health-error-rate", 0.05, "degraded when windowed 5xx fraction exceeds this (0 disables)")
 	fs.BoolVar(&c.oracle, "oracle", false, "answer one query in process (single-index oracle) and exit")
@@ -104,7 +102,9 @@ func parseFlags(args []string) (config, error) {
 	return c, fs.Parse(args)
 }
 
-// parseCollections splits "name=path,name=path" into ordered pairs.
+// parseCollections splits "name=path,name=path" into ordered pairs. Every
+// name must pass shard.CheckName: it becomes a URL segment, a metrics label
+// and a directory under -snapshot-dir.
 func parseCollections(s string) ([][2]string, error) {
 	if s == "" {
 		return nil, nil
@@ -115,6 +115,9 @@ func parseCollections(s string) ([][2]string, error) {
 		name, path, ok := strings.Cut(p, "=")
 		if !ok || name == "" || path == "" {
 			return nil, fmt.Errorf("bad -collections entry %q (want name=path)", p)
+		}
+		if err := shard.CheckName(name); err != nil {
+			return nil, fmt.Errorf("bad -collections entry %q: %w", p, err)
 		}
 		out = append(out, [2]string{name, path})
 	}
@@ -259,20 +262,26 @@ func mountCollection(c config, name string, corpus func() ([]geom.Item, int, err
 }
 
 func run(c config) error {
+	// A bad collection name fails the start before anything is built or
+	// written.
+	extra, err := parseCollections(c.collections)
+	if err != nil {
+		return err
+	}
+
 	obs.SetEnabled(true)
 	obs.SetGauge("build_info",
-		fmt.Sprintf(`version=%q,go_version=%q,quant_mode=%q`,
-			buildinfo.Version, runtime.Version(), knn.QuantModeNow()), 1)
+		fmt.Sprintf(`version=%q,go_version=%q`, buildinfo.Version, runtime.Version()), 1)
 
-	// Time-aware telemetry: the timeline ticker takes the cumulative
-	// readings windows are differences of, samples the runtime and fills the
-	// snapshot ring; the health thresholds turn the window into the
-	// /debug/health verdict (and the degraded notes on /readyz).
+	// Time-aware telemetry: the timeline ticker publishes the runtime gauges
+	// and takes the cumulative readings windows are differences of, from
+	// start; the health thresholds turn the window into the /debug/health
+	// verdict (and the degraded notes on /readyz).
 	obs.SetHealthConfig(obs.HealthConfig{
 		LatencyP99Max: c.healthP99,
 		ErrorRateMax:  c.healthErrRate,
 	})
-	obs.StartTimeline(c.timelinePeriod)
+	obs.StartTimeline()
 	defer obs.StopTimeline()
 
 	srv := server.New(server.WithLogger(slog.New(slog.NewJSONHandler(os.Stderr, nil))))
@@ -311,10 +320,6 @@ func run(c config) error {
 	}
 	log.Printf("collection default: %d items, dim %d, %d shards (%v)", x.Len(), x.Dim(), x.Shards(), x.ShardSizes())
 
-	extra, err := parseCollections(c.collections)
-	if err != nil {
-		return err
-	}
 	for _, nc := range extra {
 		path := nc[1]
 		x, err := mountCollection(c, nc[0], func() ([]geom.Item, int, error) {

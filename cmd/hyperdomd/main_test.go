@@ -54,6 +54,35 @@ func TestParseCollections(t *testing.T) {
 	if got, err := parseCollections(""); err != nil || got != nil {
 		t.Fatalf("empty: %v %v", got, err)
 	}
+	for _, bad := range []string{`a"b=x.csv`, "../../x=y.csv", "a=x.csv,..=y.csv", "a/b=x.csv"} {
+		if got, err := parseCollections(bad); err == nil {
+			t.Errorf("%q: accepted as %v, want a bad-name error", bad, got)
+		}
+	}
+}
+
+// TestBadCollectionNameWritesNothing: a -collections name is checked before
+// any collection is built, so a start with "../../x" fails without writing
+// a snapshot anywhere — neither the default collection's under -snapshot-dir
+// nor one two levels above it. (The last entry's corpus is missing, so a
+// build that checks no name still fails the start rather than serving.)
+func TestBadCollectionNameWritesNothing(t *testing.T) {
+	root := t.TempDir()
+	csv := filepath.Join(root, "c.csv")
+	if err := os.WriteFile(csv, []byte("1,0.5,1,2\n2,0.5,3,4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snaps := filepath.Join(root, "a", "b")
+	c := config{addr: "localhost:0", n: 100, d: 2, seed: 1, shards: 1,
+		snapshotDir: snaps, collections: "../../x=" + csv + ",y=" + filepath.Join(root, "missing.csv")}
+	if err := run(c); err == nil {
+		t.Fatal("run accepted the collection name ../../x")
+	}
+	for _, dir := range []string{snaps, filepath.Join(root, "x")} {
+		if _, err := os.Stat(dir); err == nil {
+			t.Errorf("%s written by a start that must fail first", dir)
+		}
+	}
 }
 
 func TestParseCenter(t *testing.T) {

@@ -19,9 +19,9 @@
 // the snapshot-load timing are benchkernel's (`make bench-scaling`,
 // `make bench`).
 //
-// The shared observability flags apply as well; in particular `-serve addr`
-// keeps /metrics and the Slow ring's /debug/slow view of the figures'
-// searches up after the run (DESIGN.md §9).
+// The shared observability flags apply as well: -cpuprofile and -memprofile
+// write profiles, and -metrics prints to stderr the counters each figure's
+// searches moved (DESIGN.md §9). Only hyperdomd serves telemetry over HTTP.
 package main
 
 import (

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"hyperdom/internal/obs"
 	"hyperdom/internal/packed"
 )
 
@@ -54,35 +53,12 @@ func (m QuantMode) tier() packed.Tier {
 
 var quantMode atomic.Int32
 
-func init() {
-	quantMode.Store(int32(QuantF32))
-	publishQuantModeGauge(QuantF32)
-}
-
-// publishQuantModeGauge keeps the live hyperdom_quant_mode gauge in step
-// with the process-wide mode (ISSUE 9): a one-hot labeled family — the
-// active mode's instance reads 1, the others 0 — so a scrape reflects a
-// runtime SetQuantMode flip immediately, where the build_info gauge only
-// records the mode the server booted with.
-func publishQuantModeGauge(active QuantMode) {
-	for _, m := range []QuantMode{QuantNone, QuantF32, QuantI8} {
-		v := 0.0
-		if m == active {
-			v = 1.0
-		}
-		obs.SetGauge("quant_mode", `mode="`+m.String()+`"`, v)
-	}
-}
+func init() { quantMode.Store(int32(QuantF32)) }
 
 // SetQuantMode switches the process-wide quantization mode and returns the
 // previous one. Safe to call concurrently with searches; each search reads
-// the mode once at dispatch. The hyperdom_quant_mode gauge follows every
-// flip.
-func SetQuantMode(m QuantMode) QuantMode {
-	prev := QuantMode(quantMode.Swap(int32(m)))
-	publishQuantModeGauge(m)
-	return prev
-}
+// the mode once at dispatch.
+func SetQuantMode(m QuantMode) QuantMode { return QuantMode(quantMode.Swap(int32(m))) }
 
 // QuantModeNow returns the current process-wide quantization mode.
 func QuantModeNow() QuantMode { return QuantMode(quantMode.Load()) }

@@ -20,8 +20,6 @@ import (
 //	/debug/slow     the Slow ring's slowest operations as JSON
 //	/debug/requests the ring's served requests with their shard trees
 //	                (?format=chrome: as Chrome trace_event JSON)
-//	/debug/timeline the timeline ring: periodic windowed-quantile /
-//	                rate / runtime snapshots, oldest first, as JSON
 //	/debug/health   the structured ok/degraded/unhealthy verdict (503
 //	                when unhealthy)
 //	/debug/pprof    the runtime profiler endpoints
@@ -181,8 +179,8 @@ func serveJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// Handler returns the observability mux described above. Mount it on any
-// server, or let Serve run it on a dedicated listener.
+// Handler returns the observability mux described above, for a server to
+// mount.
 func Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -205,9 +203,6 @@ func Handler() http.Handler {
 			return
 		}
 		serveJSON(w, http.StatusOK, RequestRecords(Slow.Served()))
-	})
-	mux.HandleFunc("/debug/timeline", func(w http.ResponseWriter, r *http.Request) {
-		serveJSON(w, http.StatusOK, TimelineSnapshots())
 	})
 	mux.HandleFunc("/debug/health", func(w http.ResponseWriter, r *http.Request) {
 		v := Health()

@@ -47,7 +47,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	c := New("test.expo.counter")
 	startWindow(t) // the counter moves before the baseline: no rate family for it
 	c.Add(7)
-	StartTimeline(time.Hour)
+	startTimeline(time.Hour)
 	h := NewHistogram("test.expo.hist", `kind="a"`)
 	h.Record(100)
 	h.Record(200)
@@ -133,7 +133,7 @@ func TestLabeledCountersAndGaugesExposition(t *testing.T) {
 	GetOrNewLabeled("test.lab.requests_total", `code="200",endpoint="knn"`).Add(3)
 	GetOrNewLabeled("test.lab.requests_total", `code="404",endpoint="knn"`).Inc()
 	New("test.lab.requests_total_seen").Add(2) // sorts between the two by raw key
-	SetGauge("test.lab.build_info", `version="test",go_version="go0",quant_mode="f32"`, 1)
+	SetGauge("test.lab.build_info", `version="test",go_version="go0"`, 1)
 	SetGauge("test.lab.plain_gauge", "", 2.5)
 	// A name used bare and labeled, with a longer sibling that raw key order
 	// ("g", "g_b", "g|l=…") would put between the two.
@@ -151,7 +151,7 @@ hyperdom_test_lab_requests_total{code="404",endpoint="knn"} 1
 # TYPE hyperdom_test_lab_requests_total_seen counter
 hyperdom_test_lab_requests_total_seen 2
 # TYPE hyperdom_test_lab_build_info gauge
-hyperdom_test_lab_build_info{version="test",go_version="go0",quant_mode="f32"} 1
+hyperdom_test_lab_build_info{version="test",go_version="go0"} 1
 # TYPE hyperdom_test_lab_g gauge
 hyperdom_test_lab_g 1
 hyperdom_test_lab_g{l="x"} 3

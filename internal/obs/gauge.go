@@ -57,7 +57,7 @@ func GaugeValue(name, labels string) (float64, bool) {
 // last-writer-wins semantics — but not a stored gauge, which keeps the key.
 // The returned unregister removes exactly this registration and is safe to
 // call after a replacement. f must be safe for concurrent use and must not
-// block: it runs inline in /metrics scrapes and timeline ticks.
+// block: it runs inline in /metrics scrapes.
 func RegisterGaugeFunc(name, labels string, f func() float64) (unregister func()) {
 	key := labeledKey(name, labels)
 	g := &gauge{f: f}

@@ -5,8 +5,10 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -152,12 +154,10 @@ func TestProfileFiles(t *testing.T) {
 }
 
 func TestServeExportsMetrics(t *testing.T) {
-	addr, err := Serve("localhost:0")
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
+	srv := httptest.NewServer(Handler())
+	defer srv.Close()
 	New("test.serve.visible").Add(41)
-	resp, err := http.Get("http://" + addr + "/metrics")
+	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
@@ -180,5 +180,11 @@ func TestRegisterFlags(t *testing.T) {
 	}
 	if !pf.Metrics || pf.CPUProfile != "c.out" || !pf.Wanted() {
 		t.Errorf("flags not bound: %+v", pf)
+	}
+	// The tools serve nothing, so no flag of theirs is about serving.
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if want := []string{"cpuprofile", "memprofile", "metrics"}; !slices.Equal(names, want) {
+		t.Errorf("profiling flags %v, want %v", names, want)
 	}
 }

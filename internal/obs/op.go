@@ -120,11 +120,13 @@ func (o *Op) rank() int64 { return max(o.LatencyNs, o.RequestNs) }
 // SlowSlots is the ring capacity: how many slow operations are retained.
 const SlowSlots = 64
 
-// SlowRing retains the slowest recent operations. A slot is one atomic
-// pointer to an Op nobody writes after it is stored, so a reader sees a
-// whole record or none — there is no version to check and nothing to lock.
-// The ring is deliberately lossy: two concurrent admissions may pick the
-// same slot, and the last store wins. The zero value is ready to use.
+// SlowRing retains the slowest recent operations: "recent" is the window
+// (window.go), since every timeline tick expires the ops that started
+// before it; with no timeline nothing expires. A slot is one atomic pointer
+// to an Op nobody writes after it is stored, so a reader sees a whole
+// record or none — there is no version to check and nothing to lock. The
+// ring is deliberately lossy: two concurrent admissions may pick the same
+// slot, and the last store wins. The zero value is ready to use.
 type SlowRing struct {
 	slots [SlowSlots]atomic.Pointer[Op]
 	// floor caches the smallest retained rank (0 while a slot is free), so
@@ -173,6 +175,20 @@ func (r *SlowRing) Record(op *Op) {
 	r.floor.Store(floor)
 }
 
+// expire frees every slot whose op started before base, then refreshes
+// floor. An op admitted concurrently into a slot being freed survives: the
+// slot is cleared only if it still holds the expired op.
+func (r *SlowRing) expire(base time.Time) {
+	ns := base.UnixNano()
+	for i := range r.slots {
+		if o := r.slots[i].Load(); o != nil && o.WhenUnixNs < ns {
+			r.slots[i].CompareAndSwap(o, nil)
+		}
+	}
+	_, floor := r.fastest()
+	r.floor.Store(floor)
+}
+
 // Dump returns the retained operations, slowest first.
 func (r *SlowRing) Dump() []*Op {
 	out := make([]*Op, 0, SlowSlots)
@@ -214,8 +230,8 @@ func (r *SlowRing) Reset() {
 
 // SlowRecord is one /debug/slow entry: an op by its search fields.
 // LatencyNs is the search's; When renders WhenUnixNs as RFC3339Nano text so
-// entries line up with the timeline ring and external logs, and RequestID
-// joins the entry to its /debug/requests view.
+// entries line up with access logs, and RequestID joins the entry to its
+// /debug/requests view.
 type SlowRecord struct {
 	WhenUnixNs int64  `json:"when_unix_ns"`
 	When       string `json:"when"`

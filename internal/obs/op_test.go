@@ -143,6 +143,44 @@ func TestFlightReset(t *testing.T) {
 	}
 }
 
+// TestSlowRingKeepsRecentOps pins what "recent" means: the ring holds the
+// slowest ops of the window, not of the process lifetime. An hour-old
+// process recorded 64 ops of 50 ms in its first minute; a timeline tick now
+// expires them, so a 40 ms op recorded after it is retained, and it survives
+// the next tick, whose window still reaches back past its start.
+func TestSlowRingKeepsRecentOps(t *testing.T) {
+	ResetForTest()
+	t.Cleanup(ResetForTest)
+	boot := time.Now().Add(-time.Hour)
+	for i := 0; i < SlowSlots; i++ {
+		Slow.Record(&Op{
+			WhenUnixNs: boot.Add(time.Duration(i) * time.Second).UnixNano(),
+			LatencyNs:  (50 * time.Millisecond).Nanoseconds(),
+		})
+	}
+	if n := len(Slow.Dump()); n != SlowSlots {
+		t.Fatalf("ring holds %d boot-time ops before any tick, want %d (no ticker, no expiry)", n, SlowSlots)
+	}
+
+	TimelineTick() // the window's base: now
+	recent := (40 * time.Millisecond).Nanoseconds()
+	Slow.Record(&Op{WhenUnixNs: time.Now().UnixNano(), LatencyNs: recent})
+	TimelineTick()
+
+	dump := Slow.Dump()
+	if len(dump) == 0 || dump[0].LatencyNs != recent {
+		t.Fatalf("the recent 40 ms op is not the slowest retained op (%d ops retained)", len(dump))
+	}
+	oldest := dump[0].WhenUnixNs
+	for _, o := range dump {
+		oldest = min(oldest, o.WhenUnixNs)
+	}
+	if oldest < boot.Add(time.Minute).UnixNano() {
+		t.Errorf("oldest retained op started %v ago, at boot: boot-time ops never expire",
+			time.Since(time.Unix(0, oldest)).Round(time.Second))
+	}
+}
+
 // TestFlightRecordAllocs pins the cost of the record path: an op that is
 // not admitted allocates nothing (the caller's Op stays on its stack), an
 // admitted one exactly its heap copy.

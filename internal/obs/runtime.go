@@ -7,10 +7,9 @@ import (
 )
 
 // Runtime collector (ISSUE 9): a point-in-time sample of the Go runtime's
-// own health — heap footprint, GC pause distribution, scheduler pressure —
-// read from runtime/metrics. The timeline ticker takes one sample per
-// period, stores it in the timeline ring and publishes the scalar fields
-// as hyperdom_runtime_* gauges, so an operator can correlate a windowed
+// own health — heap footprint, GC pauses, scheduler pressure — read from
+// runtime/metrics. Every timeline tick takes one sample and publishes it as
+// the hyperdom_runtime_* gauges, so an operator can correlate a windowed
 // latency regression with a GC storm or a goroutine leak without attaching
 // a profiler.
 
@@ -39,14 +38,13 @@ var runtimeSampleBuf struct {
 // float64 histograms, so they cover the process lifetime (the runtime does
 // not expose windowed pause data); everything else is instantaneous.
 type RuntimeSample struct {
-	Goroutines    int     `json:"goroutines"`
-	GOMAXPROCS    int     `json:"gomaxprocs"`
-	HeapBytes     uint64  `json:"heap_bytes"`
-	HeapObjects   uint64  `json:"heap_objects"`
-	GCCycles      uint64  `json:"gc_cycles"`
-	GCPauseP50Ns  float64 `json:"gc_pause_p50_ns"`
-	GCPauseP99Ns  float64 `json:"gc_pause_p99_ns"`
-	SchedLatP99Ns float64 `json:"sched_latency_p99_ns"`
+	Goroutines    int
+	GOMAXPROCS    int
+	HeapBytes     uint64
+	HeapObjects   uint64
+	GCCycles      uint64
+	GCPauseP99Ns  float64
+	SchedLatP99Ns float64
 }
 
 // SampleRuntime reads one RuntimeSample from runtime/metrics.
@@ -75,9 +73,7 @@ func SampleRuntime() RuntimeSample {
 			rs.Goroutines = int(sampleUint(s))
 		case "/gc/pauses:seconds":
 			if s.Value.Kind() == metrics.KindFloat64Histogram {
-				h := s.Value.Float64Histogram()
-				rs.GCPauseP50Ns = float64HistQuantile(h, 0.50) * 1e9
-				rs.GCPauseP99Ns = float64HistQuantile(h, 0.99) * 1e9
+				rs.GCPauseP99Ns = float64HistQuantile(s.Value.Float64Histogram(), 0.99) * 1e9
 			}
 		case "/sched/latencies:seconds":
 			if s.Value.Kind() == metrics.KindFloat64Histogram {

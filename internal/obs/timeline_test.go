@@ -5,125 +5,117 @@ import (
 	"time"
 )
 
-// TestTimelineTickCapture drives one manual collection step and checks the
-// acceptance bar of ISSUE 9: a family that recorded samples shows non-null
-// windowed quantiles in the very first snapshot (its window reaches back to
-// the baseline), the runtime sample is live, and gauges ride along.
+// TestTimelineTickCapture drives one manual tick and checks what it leaves
+// behind: a family that recorded samples since the base reading shows
+// non-null windowed quantiles (the window reaches back to the base), an idle
+// family shows none, and the runtime gauges are published.
 func TestTimelineTickCapture(t *testing.T) {
 	startWindow(t)
 	h := GetOrNewHistogram("test.timeline.lat", "")
 	for i := 0; i < 200; i++ {
 		h.Record(int64(i) * 1000)
 	}
-	GetOrNew("test.timeline.hits").Add(30)
-	SetGauge("test.timeline.gauge", "", 42)
+	GetOrNewHistogram("test.timeline.idle", "")
 
 	TimelineTick()
 
-	snaps := TimelineSnapshots()
-	if len(snaps) != 1 {
-		t.Fatalf("got %d snapshots after one tick, want 1", len(snaps))
+	if len(readings.ring) != 2 {
+		t.Fatalf("%d readings retained after the base and one tick, want 2", len(readings.ring))
 	}
-	s := snaps[0]
-	if s.WhenUnixNs == 0 || s.When == "" {
-		t.Error("snapshot missing wall-clock stamp")
-	}
-	if _, err := time.Parse(time.RFC3339Nano, s.When); err != nil {
-		t.Errorf("When %q is not RFC3339Nano: %v", s.When, err)
-	}
-	fw, ok := s.Quantiles["test.timeline.lat"]
+	w := windowNow()
+	fw, ok := w.families["test.timeline.lat"]
 	if !ok {
-		t.Fatalf("snapshot has no windowed quantiles for the recorded family; got %v", s.Quantiles)
+		t.Fatalf("window has no entry for the recorded family; got %v", w.families)
 	}
 	if fw.Count != 200 {
 		t.Errorf("windowed Count = %d, want 200", fw.Count)
 	}
-	if fw.P99 == nil || fw.P50 == nil {
-		t.Fatal("windowed quantiles are null in the first snapshot (its window must reach the baseline)")
+	if p50, p99 := fw.Quantile(0.5), fw.Quantile(0.99); p50 <= 0 || p99 < p50 {
+		t.Errorf("windowed p50 %v, p99 %v: want 0 < p50 ≤ p99", p50, p99)
 	}
-	if *fw.P99 < *fw.P50 {
-		t.Errorf("p99 %v < p50 %v", *fw.P99, *fw.P50)
+	if got := w.families["test.timeline.idle"].Count; got != 0 {
+		t.Errorf("idle family windowed Count = %d, want 0", got)
 	}
-	if s.Runtime.Goroutines <= 0 || s.Runtime.GOMAXPROCS <= 0 {
-		t.Errorf("runtime sample not live: %+v", s.Runtime)
-	}
-	if got := s.Gauges["test.timeline.gauge"]; got != 42 {
-		t.Errorf("snapshot gauge = %v, want 42", got)
-	}
-
-	// An idle family yields null quantiles, not zeros.
-	GetOrNewHistogram("test.timeline.idle", "")
-	startWindow(t)
-	TimelineTick()
-	s = TimelineSnapshots()[0]
-	if fw := s.Quantiles["test.timeline.idle"]; fw.Count != 0 || fw.P99 != nil {
-		t.Errorf("idle family window = %+v, want count 0 and null quantiles", fw)
+	if v, _ := GaugeValue("runtime.goroutines", ""); v <= 0 {
+		t.Errorf("runtime.goroutines = %v after a tick, want > 0", v)
 	}
 }
 
-// TestTimelineRates checks a tick carries windowed per-second counter
-// rates derived from the difference to the retained reading — here a
-// hand-driven first tick standing in for the baseline.
+// TestTimelineRates checks a tick's window carries per-second counter rates
+// derived from the difference to the base reading — here a hand-driven
+// first tick.
 func TestTimelineRates(t *testing.T) {
 	ResetForTest()
 	t.Cleanup(clearReadings)
-	TimelineTick() // no reading retained yet: this one is the baseline
-	if s := TimelineSnapshots(); s[len(s)-1].WindowNs != 0 || s[len(s)-1].RatesPerSec != nil {
-		t.Errorf("baseline tick reports a window: %+v", s[len(s)-1])
+	TimelineTick() // no reading retained yet: this one is the base
+	if w := windowNow(); w.rates != nil {
+		t.Errorf("rates at the base reading = %v, want none", w.rates)
 	}
 	GetOrNew("test.timeline.rate").Add(500)
 	time.Sleep(5 * time.Millisecond)
 	TimelineTick()
-	snaps := TimelineSnapshots()
-	s := snaps[len(snaps)-1]
-	rate, ok := s.RatesPerSec["test.timeline.rate"]
+	w := windowNow()
+	rate, ok := w.rates["test.timeline.rate"]
 	if !ok {
-		t.Fatalf("no windowed rate for the moved counter; got %v", s.RatesPerSec)
+		t.Fatalf("no windowed rate for the moved counter; got %v", w.rates)
 	}
 	if rate <= 0 {
 		t.Errorf("rate = %v, want > 0", rate)
 	}
-	if s.WindowNs <= 0 {
-		t.Errorf("WindowNs = %d, want > 0", s.WindowNs)
+	if w.span <= 0 {
+		t.Errorf("window span = %v, want > 0", w.span)
 	}
 }
 
-// TestTimelineRingWrap fills the ring past capacity and checks the
-// oldest-first read order and the fixed size.
+// TestTimelineRingWrap ticks past the reading ring's capacity and checks
+// the fixed size and the oldest-first order.
 func TestTimelineRingWrap(t *testing.T) {
-	startWindow(t) // ticker too slow to interfere
-	for i := 0; i < TimelineSlots+2; i++ {
+	startWindow(t)
+	for i := 0; i < WinSlots+2; i++ {
 		TimelineTick()
 	}
-	snaps := TimelineSnapshots()
-	if len(snaps) != TimelineSlots {
-		t.Fatalf("ring holds %d snapshots, want %d", len(snaps), TimelineSlots)
+	if len(readings.ring) != WinSlots {
+		t.Fatalf("ring holds %d readings, want %d", len(readings.ring), WinSlots)
 	}
-	for i := 1; i < len(snaps); i++ {
-		if snaps[i].WhenUnixNs < snaps[i-1].WhenUnixNs {
-			t.Errorf("snapshots out of order: [%d]=%d before [%d]=%d",
-				i, snaps[i].WhenUnixNs, i-1, snaps[i-1].WhenUnixNs)
+	for i := 1; i < len(readings.ring); i++ {
+		if readings.ring[i].when.Before(readings.ring[i-1].when) {
+			t.Errorf("readings out of order: [%d]=%v before [%d]=%v",
+				i, readings.ring[i].when, i-1, readings.ring[i-1].when)
 		}
 	}
 }
 
-// TestStartStopTimeline checks the background collector ticks on its own
-// cadence and that Stop leaves the ring readable.
+// TestStartStopTimeline checks the ticker ticks at start — so the window
+// and the runtime gauges exist from the first scrape — and then on its own
+// cadence, and that Stop ends both the ticks and the window.
 func TestStartStopTimeline(t *testing.T) {
 	ResetForTest()
-	StartTimeline(5 * time.Millisecond)
+	readingsHeld := func() int {
+		readings.mu.Lock()
+		defer readings.mu.Unlock()
+		return len(readings.ring)
+	}
+	startTimeline(5 * time.Millisecond)
+	if v, _ := GaugeValue("runtime.goroutines", ""); v <= 0 {
+		t.Errorf("runtime.goroutines = %v right after start, want > 0", v)
+	}
+	if readingsHeld() == 0 {
+		t.Error("no base reading right after start")
+	}
 	deadline := time.Now().Add(2 * time.Second)
-	for len(TimelineSnapshots()) == 0 && time.Now().Before(deadline) {
+	for readingsHeld() < 2 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
+	if readingsHeld() < 2 {
+		t.Fatal("the ticker did not tick on its own")
+	}
 	StopTimeline()
-	n := len(TimelineSnapshots())
-	if n == 0 {
-		t.Fatal("background collector produced no snapshots")
+	if n := readingsHeld(); n != 0 {
+		t.Fatalf("%d readings retained after StopTimeline, want 0", n)
 	}
 	time.Sleep(15 * time.Millisecond)
-	if got := len(TimelineSnapshots()); got != n {
-		t.Errorf("ring advanced after StopTimeline: %d -> %d", n, got)
+	if n := readingsHeld(); n != 0 {
+		t.Errorf("the ticker kept ticking after StopTimeline: %d readings", n)
 	}
 	StopTimeline() // idempotent
 }

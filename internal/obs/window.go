@@ -9,17 +9,16 @@ import (
 // "what happened in the last minute" needs no storage on the record path:
 // it is a reading of the registry now minus a reading taken a minute ago,
 // exact per bucket and per counter. The timeline ticker keeps the last
-// WinSlots cumulative readings — a baseline when it starts, one more per
-// tick, the oldest overwritten — and windowOf forms the one window every
-// surface reads (/metrics' _1m families, each timeline snapshot, both health
-// checks), so windowed quantiles and rates cover the same span by
-// construction. With no reading retained (no timeline was started, or
-// ResetForTest just cleared the ring) there is no window, rather than a
-// lifetime total under a "_1m" name.
+// WinSlots cumulative readings — one when it starts, one more per tick, the
+// oldest overwritten — and windowOf forms the one window every surface reads
+// (/metrics' _1m families and both health checks), so windowed quantiles
+// and rates cover the same span by construction. With no reading retained
+// (no timeline was started, or ResetForTest just cleared the ring) there is
+// no window, rather than a lifetime total under a "_1m" name.
 
 // WinSlots is the number of cumulative readings retained. The window
 // reaches back to the oldest of them: WinSlots periods at the moment of a
-// tick, WinSlots-1 just after it — 50–60 s at the default 10 s period, the
+// tick, WinSlots-1 just after it — 50–60 s at the 10 s TimelinePeriod, the
 // nominal minute of the "_1m" families — and less while the ring warms up.
 const WinSlots = 6
 
@@ -57,11 +56,16 @@ var readings struct {
 	ring []reading
 }
 
-// pushReading retains r, dropping the oldest reading once WinSlots are held.
-func pushReading(r reading) {
+// pushReading retains r, dropping the oldest reading once WinSlots are
+// held, and returns the time of the oldest one left: the window's base.
+func pushReading(r reading) time.Time {
 	readings.mu.Lock()
-	readings.ring = pushBounded(readings.ring, r, WinSlots)
-	readings.mu.Unlock()
+	defer readings.mu.Unlock()
+	if len(readings.ring) == WinSlots {
+		readings.ring = readings.ring[:copy(readings.ring, readings.ring[1:])]
+	}
+	readings.ring = append(readings.ring, r)
+	return readings.ring[0].when
 }
 
 // clearReadings drops every retained reading: no window until the next push.
@@ -69,16 +73,6 @@ func clearReadings() {
 	readings.mu.Lock()
 	readings.ring = nil
 	readings.mu.Unlock()
-}
-
-// pushBounded appends v to ring, first shifting out the oldest element when
-// ring already holds max. The rings here are a few hundred words pushed once
-// per tick; the copy buys oldest-first order with no index arithmetic.
-func pushBounded[T any](ring []T, v T, max int) []T {
-	if len(ring) == max {
-		ring = ring[:copy(ring, ring[1:])]
-	}
-	return append(ring, v)
 }
 
 // window is what the registry did between the oldest retained reading and a

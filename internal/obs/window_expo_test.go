@@ -96,8 +96,8 @@ func TestNoWindowWithoutTimeline(t *testing.T) {
 	}
 }
 
-// TestWindowSpanCoversQuantilesAndRates pins that a snapshot's quantiles and
-// rates cover one span, the one window_ns reports: what happened before the
+// TestWindowSpanCoversQuantilesAndRates pins that a window's quantiles and
+// rates cover one span, the one it reports: what happened before the
 // timeline started is in neither, what happened after is in both.
 func TestWindowSpanCoversQuantilesAndRates(t *testing.T) {
 	ResetForTest()
@@ -108,75 +108,41 @@ func TestWindowSpanCoversQuantilesAndRates(t *testing.T) {
 	}
 	c.Add(100)
 
-	StartTimeline(time.Hour)
+	TimelineTick() // the base reading
 	t.Cleanup(StopTimeline)
-	baseline := readings.ring[0].when
+	base := readings.ring[0].when
 	for i := 0; i < 7; i++ {
 		h.Record(2000)
 	}
 	c.Add(7)
 	time.Sleep(2 * time.Millisecond)
-	TimelineTick()
+	now := takeReading()
+	w := windowOf(now)
 
-	s := TimelineSnapshots()[0]
-	if got := s.Quantiles["test.span.latency"].Count; got != 7 {
-		t.Errorf("first snapshot counts %d samples, want the 7 recorded since the timeline started", got)
+	if got := w.families["test.span.latency"].Count; got != 7 {
+		t.Errorf("window counts %d samples, want the 7 recorded since the timeline started", got)
 	}
-	span := time.Duration(s.WindowNs)
-	if want := time.Unix(0, s.WhenUnixNs).Sub(baseline); span < want-100*time.Microsecond || span > want+100*time.Microsecond {
-		t.Errorf("window_ns = %v, want the time since the baseline %v", span, want)
+	if want := now.when.Sub(base); w.span != want {
+		t.Errorf("window span = %v, want the time since the base reading %v", w.span, want)
 	}
-	if got := s.RatesPerSec["test.span.requests"] * span.Seconds(); got < 6.9 || got > 7.1 {
-		t.Errorf("first snapshot's rate × span = %v increments, want the 7 made since the timeline started", got)
+	if got := w.rates["test.span.requests"] * w.span.Seconds(); got < 6.9 || got > 7.1 {
+		t.Errorf("rate × span = %v increments, want the 7 made since the timeline started", got)
 	}
 }
 
-// TestTimelineEndpoint checks /debug/timeline serves the ring as a JSON
-// array (empty ring → []) with windowed quantiles present.
+// TestTimelineEndpoint checks /debug/timeline is gone: every field its
+// snapshots carried is on /metrics at the same moment.
 func TestTimelineEndpoint(t *testing.T) {
 	startWindow(t)
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
-
-	get := func() []map[string]any {
-		resp, err := http.Get(srv.URL + "/debug/timeline")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var out []map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatalf("/debug/timeline not a JSON array: %v", err)
-		}
-		return out
+	resp, err := srv.Client().Get(srv.URL + "/debug/timeline")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	if got := get(); len(got) != 0 {
-		t.Fatalf("empty ring served %d snapshots, want []", len(got))
-	}
-
-	h := GetOrNewHistogram("test.timeline.endpoint", "")
-	for i := 0; i < 50; i++ {
-		h.Record(5000)
-	}
-	TimelineTick()
-	snaps := get()
-	if len(snaps) != 1 {
-		t.Fatalf("got %d snapshots, want 1", len(snaps))
-	}
-	q, ok := snaps[0]["windowed_quantiles"].(map[string]any)
-	if !ok {
-		t.Fatalf("snapshot missing windowed_quantiles: %v", snaps[0])
-	}
-	fam, ok := q["test.timeline.endpoint"].(map[string]any)
-	if !ok {
-		t.Fatalf("windowed_quantiles missing the recorded family: %v", q)
-	}
-	if fam["p99"] == nil {
-		t.Error("p99 is null for a family with samples in the window")
-	}
-	if _, err := time.Parse(time.RFC3339Nano, snaps[0]["when"].(string)); err != nil {
-		t.Errorf("snapshot when field: %v", err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/timeline status = %d, want 404", resp.StatusCode)
 	}
 }
 

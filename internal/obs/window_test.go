@@ -9,13 +9,12 @@ import (
 	"unsafe"
 )
 
-// startWindow zeroes the registry and starts a timeline whose ticker never
-// fires on its own: the baseline reading is taken here and the test drives
-// every tick by hand.
+// startWindow zeroes the registry and opens a window with no ticker: the
+// base reading is taken here and the test drives every tick by hand.
 func startWindow(t *testing.T) {
 	t.Helper()
 	ResetForTest()
-	StartTimeline(time.Hour)
+	TimelineTick()
 	t.Cleanup(StopTimeline)
 }
 
@@ -309,9 +308,9 @@ func TestWindowSurvivesReset(t *testing.T) {
 		t.Errorf("counter rate over a reset = %v, want absent (saturated)", got)
 	}
 
-	// A second StartTimeline restarts from a fresh baseline, not from the
-	// stale reading.
-	StartTimeline(time.Hour)
+	// Starting a ticker restarts from a fresh baseline, not from the stale
+	// reading.
+	startTimeline(time.Hour)
 	if w := windowNow(); w.families["test.win.reset"].Count != 0 || w.rates != nil {
 		t.Errorf("window right after a restart = %+v, want empty", w)
 	}

@@ -191,10 +191,11 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 func (s *Server) Ready() bool { return s.ready.Load() }
 
 // AddCollection mounts x under /v1/collections/{name}. The server takes
-// ownership: Close closes it. Duplicate names error.
+// ownership: Close closes it. A name that fails shard.CheckName — it is a
+// URL segment and a metrics label value — and a duplicate name error.
 func (s *Server) AddCollection(name string, x *shard.Index) error {
-	if name == "" {
-		return fmt.Errorf("server: empty collection name")
+	if err := shard.CheckName(name); err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -233,6 +233,31 @@ func TestDuplicateCollectionRejected(t *testing.T) {
 	}
 }
 
+// TestCollectionNameChecked: a collection name is a URL segment and the
+// value of every collection="…" label, so one that fails shard.CheckName is
+// refused at AddCollection — a quote in it would make every later /metrics
+// scrape unparsable — and the mounted set stays as it was.
+func TestCollectionNameChecked(t *testing.T) {
+	const d = 2
+	x, err := shard.Build(testCorpus(t, d, 30), d, shard.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New()
+	defer s.Close()
+	for _, name := range []string{`a"b`, "../../x", "a/b", "..", "."} {
+		if err := s.AddCollection(name, x); err == nil {
+			t.Errorf("AddCollection(%q) accepted", name)
+		}
+	}
+	if got := s.Collections(); len(got) != 0 {
+		t.Fatalf("collections %v after only bad names", got)
+	}
+	if err := s.AddCollection("ok-name_1.v2", x); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHostileK: k is client-chosen, and nothing below the handler may size
 // anything by it. k = 2⁴⁰ answers 200 with the whole collection — what any
 // k ≥ n answers — echoes the k that was asked, and allocates what the answer

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -24,14 +25,16 @@ func knnQuery(t *testing.T, ts string) {
 }
 
 // TestHealthAndTimelineEndpoints drives the served time-aware surfaces end
-// to end: queries land inside the window the timeline opened, one tick later
-// /debug/timeline carries non-null windowed p99 for the request-latency
-// family and /debug/health grades it ok against sane thresholds.
+// to end, as hyperdomd runs them: the runtime gauges are on the first scrape
+// after the timeline starts, queries land inside the window it opened, one
+// tick later /metrics carries the windowed request-latency quantiles and
+// request rates, /debug/health grades them ok against sane thresholds, and
+// /debug/timeline is gone.
 func TestHealthAndTimelineEndpoints(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 	obs.ResetForTest()
-	obs.StartTimeline(time.Hour) // the baseline reading; ticks are driven by hand
+	obs.StartTimeline() // its first tick is now; the test drives the next by hand
 	t.Cleanup(obs.StopTimeline)
 	obs.SetHealthConfig(obs.HealthConfig{
 		LatencyP99Max: 5 * time.Second, // generous: CI machines are slow, not degraded
@@ -41,46 +44,64 @@ func TestHealthAndTimelineEndpoints(t *testing.T) {
 
 	items := testCorpus(t, 3, 400)
 	_, ts := testServer(t, items, 3)
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	gauge := func(body, name string) float64 {
+		t.Helper()
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("/metrics has no %s line", name)
+		return 0
+	}
+
+	if v := gauge(scrape(), "hyperdom_runtime_goroutines"); v <= 0 {
+		t.Errorf("first scrape: hyperdom_runtime_goroutines = %v, want > 0", v)
+	}
 	for i := 0; i < 10; i++ {
 		knnQuery(t, ts.URL)
 	}
 	obs.TimelineTick()
 
-	resp, err := http.Get(ts.URL + "/debug/timeline")
+	body := scrape()
+	if n := gauge(body, "hyperdom_server_request_latency_seconds_1m_count"); n < 10 {
+		t.Errorf("windowed request latency count = %v, want ≥ 10", n)
+	}
+	for _, want := range []string{
+		`hyperdom_server_request_latency_seconds_1m{quantile="0.99"} `,
+		`hyperdom_server_requests_total_rate_1m{`,
+		"hyperdom_server_inflight_requests ",
+		"hyperdom_runtime_heap_bytes ",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics after a tick lacks %q", want)
+		}
+	}
+
+	tresp, err := http.Get(ts.URL + "/debug/timeline")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var snaps []struct {
-		When      string `json:"when"`
-		Quantiles map[string]struct {
-			Count uint64   `json:"count"`
-			P99   *float64 `json:"p99"`
-		} `json:"windowed_quantiles"`
-		Runtime struct {
-			Goroutines int `json:"goroutines"`
-		} `json:"runtime"`
-		Gauges map[string]float64 `json:"gauges"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snaps); err != nil {
-		t.Fatalf("/debug/timeline decode: %v", err)
-	}
-	if len(snaps) == 0 {
-		t.Fatal("no timeline snapshots after a tick")
-	}
-	last := snaps[len(snaps)-1]
-	fam, ok := last.Quantiles["server.request_latency"]
-	if !ok {
-		t.Fatalf("timeline lacks server.request_latency; families: %v", last.Quantiles)
-	}
-	if fam.Count < 10 || fam.P99 == nil {
-		t.Errorf("windowed request latency = %+v, want count ≥ 10 and non-null p99", fam)
-	}
-	if last.Runtime.Goroutines <= 0 {
-		t.Errorf("timeline runtime sample dead: %+v", last.Runtime)
-	}
-	if _, ok := last.Gauges["server.inflight_requests"]; !ok {
-		t.Error("timeline gauges missing server.inflight_requests")
+	tresp.Body.Close()
+	if tresp.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/timeline status = %d, want 404", tresp.StatusCode)
 	}
 
 	hresp, err := http.Get(ts.URL + "/debug/health")
@@ -107,7 +128,7 @@ func TestReadyzReportsDegraded(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 	obs.ResetForTest()
-	obs.StartTimeline(time.Hour) // health grades a window; this opens one
+	obs.TimelineTick() // health grades a window; this opens one
 	t.Cleanup(obs.StopTimeline)
 	t.Cleanup(func() { obs.SetHealthConfig(obs.HealthConfig{}) })
 
@@ -151,8 +172,7 @@ func TestReadyzReportsDegraded(t *testing.T) {
 }
 
 // TestRequestTraceWallClock checks /debug/requests entries carry the
-// RFC3339 when field alongside when_unix_ns (satellite: correlate with
-// timeline snapshots and external logs).
+// RFC3339 when field alongside when_unix_ns, to correlate with access logs.
 func TestRequestTraceWallClock(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)

@@ -44,7 +44,7 @@ func TestBulkBuiltMatchesInserted(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				parts, _ := partition(items, c.d, shards)
+				parts := partition(items, c.d, shards)
 				ref := make([]*packed.Tree, len(parts))
 				for i, part := range parts {
 					tr := newTree(packed.SubstrateFromString(substrate), c.d, 0)

@@ -22,8 +22,9 @@ const ManifestName = "manifest.json"
 const manifestFormat = 1
 
 // manifest is the JSON sidecar tying a directory of shard snapshots back
-// into one sharded index: which file is which shard, how the space was cut
-// (the partition plan), and the build parameters a reload must match.
+// into one sharded index: which file is which shard, and the build
+// parameters a reload must match. A manifest written before the partition
+// plan was dropped carries a "plan" key too; decoding ignores it.
 type manifest struct {
 	Format    int             `json:"format"`
 	Substrate string          `json:"substrate"`
@@ -31,7 +32,6 @@ type manifest struct {
 	Items     int             `json:"items"`
 	MaxFill   int             `json:"max_fill,omitempty"`
 	Shards    []manifestShard `json:"shards"`
-	Plan      *PlanNode       `json:"plan,omitempty"`
 }
 
 type manifestShard struct {
@@ -44,12 +44,11 @@ func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.hds", i) }
 
 // SaveDir persists the index into dir: one packed snapshot per shard
 // (shard-0000.hds, shard-0001.hds, ...) plus a manifest.json carrying the
-// substrate, dimensionality, per-shard item counts and the partition
-// planner's split tree. Each file is written with packed.ReplaceFile, so a
-// crash mid-save never leaves a half-written file under the final name; the
-// manifest is written last, so a directory with a manifest always has all
-// its shard files. dir is created if missing. The index stays fully
-// serveable throughout.
+// substrate, dimensionality and per-shard item counts. Each file is written
+// with packed.ReplaceFile, so a crash mid-save never leaves a half-written
+// file under the final name; the manifest is written last, so a directory
+// with a manifest always has all its shard files. dir is created if
+// missing. The index stays fully serveable throughout.
 func (x *Index) SaveDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("shard: save: %w", err)
@@ -61,7 +60,6 @@ func (x *Index) SaveDir(dir string) error {
 		Items:     x.n,
 		MaxFill:   x.opts.MaxFill,
 		Shards:    make([]manifestShard, len(x.trees)),
-		Plan:      x.plan,
 	}
 	for i, snap := range x.trees {
 		name := shardFileName(i)
@@ -108,6 +106,10 @@ type OpenOptions struct {
 // keep the index (not just its results) alive while results' Center slices
 // are in use, as those alias the mapping.
 func OpenDir(dir string, opts OpenOptions) (*Index, error) {
+	bopts := Options{Criterion: opts.Criterion, Algorithm: opts.Algorithm, Label: opts.Label}
+	if err := bopts.fill(); err != nil {
+		return nil, err
+	}
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, fmt.Errorf("shard: open %s: %w", dir, err)
@@ -128,15 +130,7 @@ func OpenDir(dir string, opts OpenOptions) (*Index, error) {
 		return nil, fmt.Errorf("shard: open %s: manifest dim=%d shards=%d", dir, m.Dim, len(m.Shards))
 	}
 
-	bopts := Options{
-		Shards:    len(m.Shards),
-		Substrate: m.Substrate,
-		MaxFill:   m.MaxFill,
-		Criterion: opts.Criterion,
-		Algorithm: opts.Algorithm,
-		Label:     opts.Label,
-	}
-	bopts.fill()
+	bopts.Shards, bopts.Substrate, bopts.MaxFill = len(m.Shards), m.Substrate, m.MaxFill
 
 	x := &Index{
 		opts:       bopts,
@@ -144,7 +138,6 @@ func OpenDir(dir string, opts OpenOptions) (*Index, error) {
 		n:          0,
 		histSearch: obs.GetOrNewHistogram("shard.search_latency", `collection="`+bopts.Label+`"`),
 		histMerge:  obs.GetOrNewHistogram("shard.merge_latency", `collection="`+bopts.Label+`"`),
-		plan:       m.Plan,
 	}
 	fail := func(err error) (*Index, error) {
 		x.Close()

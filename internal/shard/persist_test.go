@@ -64,9 +64,6 @@ func TestSaveDirOpenDirBitIdentity(t *testing.T) {
 				if !reflect.DeepEqual(loaded.ShardSizes(), built.ShardSizes()) {
 					t.Fatalf("%s: shard sizes %v, want %v", mode.name, loaded.ShardSizes(), built.ShardSizes())
 				}
-				if !reflect.DeepEqual(loaded.Plan(), built.Plan()) {
-					t.Fatalf("%s: plan did not round-trip", mode.name)
-				}
 				for _, quant := range []knn.QuantMode{knn.QuantNone, knn.QuantF32, knn.QuantI8} {
 					knn.SetQuantMode(quant)
 					for q := 0; q < 12; q++ {
@@ -127,8 +124,8 @@ func TestSaveDirEmptyShards(t *testing.T) {
 	}
 }
 
-// TestSaveDirManifest pins the manifest schema: format, substrate, dim,
-// per-shard files and a plan whose leaves cover every shard exactly once.
+// TestSaveDirManifest pins the manifest schema: format, substrate, dim and
+// per-shard files — and no partition plan.
 func TestSaveDirManifest(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	items := randItems(rng, 4, 500, 2)
@@ -165,31 +162,59 @@ func TestSaveDirManifest(t *testing.T) {
 	if total != 500 {
 		t.Fatalf("shard items sum to %d", total)
 	}
-	if m.Plan == nil {
-		t.Fatal("no plan in manifest")
+	if strings.Contains(string(data), `"plan"`) {
+		t.Errorf("manifest still carries a partition plan:\n%s", data)
 	}
-	seen := map[int]bool{}
-	var walk func(p *PlanNode)
-	walk = func(p *PlanNode) {
-		if p.Left == nil && p.Right == nil {
-			if seen[p.Shard] {
-				t.Fatalf("plan leaf shard %d twice", p.Shard)
-			}
-			seen[p.Shard] = true
-			return
-		}
-		if p.Left == nil || p.Right == nil {
-			t.Fatal("half-internal plan node")
-		}
-		if p.Dim < 0 || p.Dim >= 4 {
-			t.Fatalf("plan cut dim %d", p.Dim)
-		}
-		walk(p.Left)
-		walk(p.Right)
+}
+
+// TestOpenDirManifestWithPlan opens a directory whose manifest carries the
+// "plan" key that builds before the plan was dropped wrote: the key is
+// ignored and the index answers like the one saved.
+func TestOpenDirManifestWithPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	items := randItems(rng, 3, 600, 2)
+	built, err := Build(items, 3, Options{Shards: 3, Algorithm: knn.HS})
+	if err != nil {
+		t.Fatal(err)
 	}
-	walk(m.Plan)
-	if len(seen) != 5 {
-		t.Fatalf("plan covers %d shards", len(seen))
+	defer built.Close()
+	dir := t.TempDir()
+	if err := built.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, ManifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The split tree as those builds serialised it: internal nodes with a
+	// cut, leaves with only their shard.
+	const plan = `"plan": {"dim": 1, "cut": 0.25, "shard": 0,
+    "left": {"shard": 0},
+    "right": {"dim": 2, "cut": -0.5, "shard": 0, "left": {"shard": 1}, "right": {"shard": 2}}}`
+	data = []byte(strings.Replace(string(data), `"shards": [`, plan+`,
+  "shards": [`, 1))
+	if !strings.Contains(string(data), `"plan"`) {
+		t.Fatal("test manifest has no plan key")
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := OpenDir(dir, OpenOptions{Algorithm: knn.HS, Verify: true})
+	if err != nil {
+		t.Fatalf("OpenDir over a manifest with a plan: %v", err)
+	}
+	defer loaded.Close()
+	if !reflect.DeepEqual(loaded.ShardSizes(), built.ShardSizes()) {
+		t.Fatalf("shard sizes %v, want %v", loaded.ShardSizes(), built.ShardSizes())
+	}
+	for q := 0; q < 20; q++ {
+		sq := randQuery(rng, 3, 2)
+		want, got := built.Search(sq, 7), loaded.Search(sq, 7)
+		sameItems(t, "manifest with plan", got.Items, want.Items)
+		if got.Stats != want.Stats {
+			t.Fatalf("stats %+v, want %+v", got.Stats, want.Stats)
+		}
 	}
 }
 

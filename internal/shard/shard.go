@@ -3,8 +3,8 @@
 // packed snapshot, and answers the paper's Definition 2 kNN query by walking
 // that forest on the calling goroutine with one best-known list
 // (knn.SearchForest) — nearest shard first, every shard whose root bound
-// exceeds the running distK skipped. What the package owns is the partition
-// plan, its persistence (SaveDir/OpenDir) and the lifetime of the snapshot
+// exceeds the running distK skipped. What the package owns is the partition,
+// its persistence (SaveDir/OpenDir) and the lifetime of the snapshot
 // mappings; concurrency comes from concurrent callers, one goroutine each.
 //
 // The distribution is invisible to callers: Definition 2 filters against
@@ -52,11 +52,12 @@ type Options struct {
 	Algorithm knn.Algorithm
 	// Label names this index in the obs exposition: the per-collection
 	// `collection="..."` label of the hyperdom_shard_* latency families.
-	// Empty selects "default".
+	// Empty selects "default"; anything else must pass CheckName.
 	Label string
 }
 
-func (o *Options) fill() {
+// fill selects the defaults of the zero fields and checks Label.
+func (o *Options) fill() error {
 	if o.Shards <= 0 {
 		o.Shards = 1
 	}
@@ -69,6 +70,26 @@ func (o *Options) fill() {
 	if o.Label == "" {
 		o.Label = "default"
 	}
+	return CheckName(o.Label)
+}
+
+// maxNameLen bounds a collection name.
+const maxNameLen = 64
+
+// CheckName reports whether name may name a collection: 1 to 64 characters
+// from [A-Za-z0-9._-], and neither "." nor "..". A collection name is used
+// unescaped as a URL path segment, as a Prometheus label value and as a
+// directory name under a snapshot root, and this set is inert in all three.
+func CheckName(name string) error {
+	ok := len(name) >= 1 && len(name) <= maxNameLen && name != "." && name != ".."
+	for i := 0; ok && i < len(name); i++ {
+		c := name[i]
+		ok = 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '_' || c == '-'
+	}
+	if !ok {
+		return fmt.Errorf("shard: bad collection name %q: want 1-%d of [A-Za-z0-9._-], not . or ..", name, maxNameLen)
+	}
+	return nil
 }
 
 // Index is a partitioned kNN index. Build with Build or OpenDir. Search is
@@ -82,11 +103,6 @@ type Index struct {
 	// from is the only copy of its data, whether it was frozen in this
 	// process or opened from a file, and what SaveDir persists.
 	trees []*packed.Tree
-
-	// plan is the partition planner's split tree: how space was cut into
-	// shards. SaveDir persists it in the manifest so routing context
-	// survives reload; OpenDir restores it.
-	plan *PlanNode
 
 	// snaps holds the mmap-backed snapshots of an OpenDir index. A search
 	// reads the mapped pages, so it holds life for reading and Close takes
@@ -122,7 +138,9 @@ func Build(items []geom.Item, dim int, opts Options) (*Index, error) {
 			return nil, fmt.Errorf("shard: item %d (id %d): %w", i, it.ID, err)
 		}
 	}
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	substrate := packed.SubstrateFromString(opts.Substrate)
 	if substrate == packed.SubstrateUnknown {
 		return nil, fmt.Errorf("shard: unknown substrate %q", opts.Substrate)
@@ -134,8 +152,7 @@ func Build(items []geom.Item, dim int, opts Options) (*Index, error) {
 		histSearch: obs.GetOrNewHistogram("shard.search_latency", `collection="`+opts.Label+`"`),
 		histMerge:  obs.GetOrNewHistogram("shard.merge_latency", `collection="`+opts.Label+`"`),
 	}
-	parts, plan := partition(items, dim, opts.Shards)
-	x.plan = plan
+	parts := partition(items, dim, opts.Shards)
 	x.trees = make([]*packed.Tree, len(parts))
 	var wg sync.WaitGroup
 	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
@@ -209,25 +226,6 @@ func (x *Index) Close() {
 	x.snaps = nil
 }
 
-// PlanNode is one node of the partition planner's split tree. An internal
-// node records the cut: items whose center[Dim] orders before Cut went
-// left, the rest right (ties broken by ID at plan time). A node with nil
-// Left/Right is a leaf owning shard Shard. SaveDir persists the tree in
-// the manifest — the partitioning is a property of the corpus, and a
-// reloaded index must keep serving (and later route inserts) under the
-// same plan rather than re-derive a different one.
-type PlanNode struct {
-	Dim   int       `json:"dim,omitempty"`
-	Cut   float64   `json:"cut,omitempty"`
-	Shard int       `json:"shard"`
-	Left  *PlanNode `json:"left,omitempty"`
-	Right *PlanNode `json:"right,omitempty"`
-}
-
-// Plan returns the partition planner's split tree (nil only for indexes
-// predating plan capture).
-func (x *Index) Plan() *PlanNode { return x.plan }
-
 // partition splits items into n space-partitioned groups of near-equal
 // size by tree.Cut, recursively: the widest center dimension of a stride
 // sample, cut proportionally to the shard counts on each side in (center[dim],
@@ -235,33 +233,27 @@ func (x *Index) Plan() *PlanNode { return x.plan }
 // carves the corpus into shards and each shard into nodes. Deterministic for
 // a given input order, and every group is a contiguous region of space, so a
 // query's candidates concentrate in few shards and the far ones are skipped
-// off their root bound. The returned plan tree records every cut, leaves
-// numbered in shard order.
-func partition(items []geom.Item, dim, n int) ([][]geom.Item, *PlanNode) {
+// off their root bound.
+func partition(items []geom.Item, dim, n int) [][]geom.Item {
 	out := make([][]geom.Item, 0, n)
-	var split func(part []geom.Item, n int) *PlanNode
-	split = func(part []geom.Item, n int) *PlanNode {
+	var split func(part []geom.Item, n int)
+	split = func(part []geom.Item, n int) {
 		if n == 1 {
 			out = append(out, part)
-			return &PlanNode{Shard: len(out) - 1}
+			return
 		}
 		d, cut := tree.Cut(part, dim, n)
 		if n > 2 {
 			// A side cut again picks its dimension from a stride sample;
 			// sorted, it shows the sample evenly spaced ranks whatever order
-			// Cut left, so the plan is the one a sort at every cut makes.
+			// Cut left, so the shards are the ones a sort at every cut makes.
 			slices.SortFunc(part, func(a, b geom.Item) int {
 				return cmp.Or(cmp.Compare(a.Sphere.Center[d], b.Sphere.Center[d]), cmp.Compare(a.ID, b.ID))
 			})
 		}
-		node := &PlanNode{Dim: d}
-		if cut < len(part) { // the first right-side center value
-			node.Cut = part[cut].Sphere.Center[d]
-		}
-		node.Left = split(part[:cut], (n+1)/2)
-		node.Right = split(part[cut:], n/2)
-		return node
+		split(part[:cut], (n+1)/2)
+		split(part[cut:], n/2)
 	}
-	plan := split(slices.Clone(items), n)
-	return out, plan
+	split(slices.Clone(items), n)
+	return out
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -160,7 +161,7 @@ func TestShardedSmallDatabases(t *testing.T) {
 	}
 }
 
-// TestPartitionBalance pins the planner's contract: shards differ in size
+// TestPartitionBalance pins the partition's contract: shards differ in size
 // by at most the rounding slack of the recursive proportional cuts, are
 // disjoint, and cover every item.
 func TestPartitionBalance(t *testing.T) {
@@ -168,10 +169,7 @@ func TestPartitionBalance(t *testing.T) {
 	for _, n := range []int{1, 10, 1000, 4096} {
 		for _, shards := range []int{1, 2, 3, 7, 8} {
 			items := randItems(rng, 4, n, 1)
-			parts, plan := partition(items, 4, shards)
-			if plan == nil {
-				t.Fatalf("n=%d shards=%d: nil plan", n, shards)
-			}
+			parts := partition(items, 4, shards)
 			if len(parts) != shards {
 				t.Fatalf("n=%d shards=%d: got %d parts", n, shards, len(parts))
 			}
@@ -430,8 +428,8 @@ func TestForestSkipsFarShards(t *testing.T) {
 }
 
 // TestForestOpensHomeShardFirst pins what orders shards whose bounds all
-// touch the query, the usual case inside one cloud of data: the shard the
-// query's center was partitioned into should nearly always be opened first,
+// touch the query, the usual case inside one cloud of data: each query is a
+// corpus item, and the shard that holds it should nearly always be opened first,
 // so that the other shards are searched under a distK that is already tight.
 // Shard order, which a plain MinDist tie would fall back to, gets one query
 // in four right here.
@@ -444,19 +442,17 @@ func TestForestOpensHomeShardFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer x.Close()
+	home := make(map[int]int, n) // item ID → the shard that holds it
+	for s, part := range partition(items, d, shards) {
+		for _, it := range part {
+			home[it.ID] = s
+		}
+	}
 	const queries = 200
 	homeFirst := 0
 	for _, it := range items[:queries] {
-		home := x.plan
-		for home.Left != nil {
-			if it.Sphere.Center[home.Dim] < home.Cut {
-				home = home.Left
-			} else {
-				home = home.Right
-			}
-		}
 		_, ex := x.SearchExplain(it.Sphere, 5)
-		if ex.Shards[home.Shard].Order == 0 {
+		if ex.Shards[home[it.ID]].Order == 0 {
 			homeFirst++
 		}
 	}
@@ -529,5 +525,47 @@ func BenchmarkBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 		x.Close()
+	}
+}
+
+// TestCheckName pins the collection-name rule and that Build and OpenDir
+// apply it to Label before building or reading anything: a name is used
+// unescaped as a Prometheus label value and as a directory name, so a quote
+// would break every scrape and ".." would climb out of a snapshot root.
+func TestCheckName(t *testing.T) {
+	for _, name := range []string{"default", "a", "A-z_0.9", "..a", strings.Repeat("x", 64)} {
+		if err := CheckName(name); err != nil {
+			t.Errorf("CheckName(%q) = %v, want nil", name, err)
+		}
+	}
+	bad := []string{"", ".", "..", `a"b`, "../../x", "a/b", `a\b`, "a b", "a,b", "é", "a\n", strings.Repeat("x", 65)}
+	for _, name := range bad {
+		if err := CheckName(name); err == nil {
+			t.Errorf("CheckName(%q) = nil, want an error", name)
+		}
+	}
+
+	items := randItems(rand.New(rand.NewSource(101)), 2, 50, 1)
+	dir := t.TempDir()
+	x, err := Build(items, 2, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.Label() != "default" {
+		t.Errorf("empty Label built as %q, want default", x.Label())
+	}
+	if err := x.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	x.Close()
+	for _, label := range []string{`a"b`, "../../x"} {
+		if x, err := Build(items, 2, Options{Shards: 2, Label: label}); err == nil {
+			x.Close()
+			t.Errorf("Build accepted Label %q", label)
+		}
+		if x, err := OpenDir(dir, OpenOptions{Label: label}); err == nil {
+			x.Close()
+			t.Errorf("OpenDir accepted Label %q", label)
+		}
 	}
 }

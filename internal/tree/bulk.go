@@ -60,7 +60,7 @@ func (t *Tree) loadParts(n *Node, items []Item, k, capacity int) {
 	t.loadParts(n, items[m:], k/2, capacity)
 }
 
-// Cut is the one balanced split behind both the shard planner and Load: it
+// Cut is the one balanced split behind both the shard partition and Load: it
 // picks d, the widest center dimension of items, and moves the m =
 // len(items)·⌈k/2⌉/k smallest by (center[d], ID) to the front by quickselect,
 // neither side sorted. Cutting the left side into ⌈k/2⌉ parts and the right

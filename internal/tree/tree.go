@@ -2,7 +2,7 @@
 // substrates share: node and tree types, Insert with its validation, root
 // split and counters, the recursive descent, Delete with
 // condense-and-reinsert, the bulk loader Load and the balanced Cut it shares
-// with the shard planner, Freeze/thaw, the read-only cursor, RangeSearch,
+// with the shard partition, Freeze/thaw, the read-only cursor, RangeSearch,
 // Visit and CheckInvariants. Everything the literature says differs between
 // an SS-tree, an M-tree and an R-tree — which subtree takes a new item, how
 // an overflowing node is split, and how a bound follows its entries — is a

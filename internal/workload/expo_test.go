@@ -1,0 +1,69 @@
+package workload
+
+import (
+	"math/rand"
+	"regexp"
+	"strings"
+	"testing"
+
+	"hyperdom/internal/dominance"
+	"hyperdom/internal/geom"
+	"hyperdom/internal/knn"
+	"hyperdom/internal/obs"
+	"hyperdom/internal/sstree"
+)
+
+// TestMetricsExposition drives every instrumented layer a little — a
+// PreparedPair batch, knn.Search, a Verdicts batch, KNNBatch and a
+// shadow-audited search — and checks the Prometheus text obs.WriteMetrics
+// renders for them: # TYPE lines, a histogram family, _bucket series of the
+// dominance, knn and workload layers, and non-zero kNN-batch and
+// shadow-audit counters.
+func TestMetricsExposition(t *testing.T) {
+	defer obs.SetEnabled(obs.On())
+	obs.SetEnabled(true)
+
+	rng := rand.New(rand.NewSource(73))
+	const d = 3
+	items := make([]geom.Item, 600)
+	for i := range items {
+		c := make([]float64, d)
+		for j := range c {
+			c[j] = rng.NormFloat64() * 10
+		}
+		items[i] = geom.Item{ID: i, Sphere: geom.NewSphere(c, rng.Float64())}
+	}
+	ss := sstree.New(d)
+	for _, it := range items {
+		ss.Insert(it)
+	}
+	ss.Freeze()
+	idx := knn.WrapSSTree(ss)
+	queries := KNNQueries(items, 20, 5)
+
+	pair := dominance.PreparePair(items[0].Sphere, items[1].Sphere)
+	pair.DominatesBatch(queries, make([]bool, len(queries)))
+	knn.Search(idx, queries[0], 5, dominance.Hyperbola{}, knn.HS)
+	Verdicts(dominance.Hyperbola{}, Dominance(items, 200, 6))
+	KNNBatch(idx, queries, 5, 2, dominance.Hyperbola{}, knn.HS)
+	knn.Search(idx, queries[1], 5, dominance.Shadowed{Criterion: dominance.MinMax{}}, knn.HS)
+
+	var sb strings.Builder
+	if err := obs.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	body := sb.String()
+	for _, want := range []string{
+		`(?m)^# TYPE hyperdom_`,
+		`(?m)^# TYPE hyperdom_\S+ histogram$`,
+		`(?m)^hyperdom_dominance_\S*_bucket\{`,
+		`(?m)^hyperdom_knn_\S*_bucket\{`,
+		`(?m)^hyperdom_workload_\S*_bucket\{`,
+		`(?m)^hyperdom_workload_knn_batches [1-9]`,
+		`(?m)^hyperdom_dominance_shadow_checks [1-9]`,
+	} {
+		if !regexp.MustCompile(want).MatchString(body) {
+			t.Errorf("/metrics text has no line matching %s", want)
+		}
+	}
+}
