@@ -64,7 +64,8 @@ bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
 # The fuzz targets, package:Target — the one list; CI's fuzz-smoke job runs
-# `make fuzz FUZZTIME=10s`.
+# `make fuzz FUZZTIME=10s`. -run names the target too, so each run replays
+# that target's seeds and corpus and none of its package's other tests.
 FUZZTIME ?= 30s
 FUZZ_TARGETS = \
 	internal/poly:FuzzQuartic \
@@ -83,7 +84,7 @@ FUZZ_TARGETS = \
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		echo "== $$t ($(FUZZTIME))"; \
-		$(GO) test ./$${t%%:*} -fuzz "^$${t##*:}\$$" -fuzztime $(FUZZTIME) || exit 1; \
+		$(GO) test ./$${t%%:*} -run "^$${t##*:}\$$" -fuzz "^$${t##*:}\$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
 
 # The frozen benchmark harness end to end, twice and quickly: a change that

@@ -14,10 +14,11 @@
 //	-seed     RNG seed (default 1)
 //	-o        output file (default stdout)
 //
-// With -freeze DIR the dataset is additionally built into a sharded index
-// and persisted as a packed snapshot directory (shard-NNNN.hds files plus
-// manifest.json) that hyperdomd -snapshot-dir opens zero-copy — point
-// -snapshot-dir at DIR's parent, or name DIR "<root>/default". -shards/-substrate/-maxfill shape the frozen index.
+// With -freeze DIR the dataset is additionally built into a sharded SS-tree
+// index and persisted as a packed snapshot directory (shard-NNNN.hds files
+// plus manifest.json) that hyperdomd -snapshot-dir opens zero-copy — point
+// -snapshot-dir at DIR's parent, or name DIR "<root>/default". -shards and
+// -maxfill shape the frozen index.
 // CSV floats round-trip exactly (strconv 'g' -1), so a snapshot frozen
 // here answers bit-identically to an index built from the written CSV.
 package main
@@ -29,7 +30,6 @@ import (
 	"os"
 
 	"hyperdom/internal/dataset"
-	"hyperdom/internal/packed"
 	"hyperdom/internal/shard"
 )
 
@@ -43,12 +43,8 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	freeze := flag.String("freeze", "", "also build a sharded index and save it as a snapshot directory here")
 	shards := flag.Int("shards", 2, "freeze: shard count")
-	substrate := flag.String("substrate", "sstree", "freeze: index substrate (sstree|mtree|rtree)")
 	maxFill := flag.Int("maxfill", 0, "freeze: substrate node capacity (0 = default)")
 	flag.Parse()
-	if packed.SubstrateFromString(*substrate) == packed.SubstrateUnknown {
-		fatal("unknown -substrate %q", *substrate)
-	}
 
 	ps, err := buildPointSet(*name, *n, *d, *dist, *seed)
 	if err != nil {
@@ -82,11 +78,7 @@ func main() {
 			fatal("-freeze: empty dataset")
 		}
 		dim := len(items[0].Sphere.Center)
-		x, err := shard.Build(items, dim, shard.Options{
-			Shards:    *shards,
-			Substrate: *substrate,
-			MaxFill:   *maxFill,
-		})
+		x, err := shard.Build(items, dim, shard.Options{Shards: *shards, MaxFill: *maxFill})
 		if err != nil {
 			fatal("-freeze: %v", err)
 		}
@@ -94,8 +86,8 @@ func main() {
 		if err := x.SaveDir(*freeze); err != nil {
 			fatal("-freeze: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "datagen: froze %d items (dim %d) into %s (%d shards, %s)\n",
-			x.Len(), dim, *freeze, x.Shards(), *substrate)
+		fmt.Fprintf(os.Stderr, "datagen: froze %d items (dim %d) into %s (%d shards, sstree)\n",
+			x.Len(), dim, *freeze, x.Shards())
 	}
 }
 

@@ -49,7 +49,8 @@ import (
 // workload runs exactly this configuration, so it is not a flag: SS-tree
 // shards at the default node capacity (shard.Options' zero values), walked
 // best-first, coarse-filtered by the f32 tier (knn's default mode). A
-// snapshot directory is served with whatever substrate its manifest names.
+// snapshot directory of another substrate, which earlier builds could write,
+// is refused at open and rebuilt like any other unusable snapshot.
 const algorithm = knn.HS
 
 // Connection limits of the listener: a client gets readHeaderTimeout to

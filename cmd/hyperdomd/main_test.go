@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -177,9 +178,21 @@ func invertFirstBox(b []byte) {
 	panic("snapshot has no child-box section")
 }
 
-// TestMountRebuildsUnusableSnapshot exercises the path that makes a
-// snapshot format bump safe in production: a snapshot directory this build
-// cannot use (files of the previous format version; a corrupted payload
+// restampMTree marks a snapshot file as an earlier build's M-tree snapshot:
+// substrate byte 41 of the header set to 2, and the header CRC (bytes
+// 12-15, over the header and the section table, whose length is the word at
+// byte 16) recomputed with the CRC field zeroed.
+func restampMTree(b []byte) {
+	le := binary.LittleEndian
+	b[41] = 2
+	hdr := b[:le.Uint32(b[16:])]
+	le.PutUint32(hdr[12:], 0)
+	le.PutUint32(hdr[12:], crc32.Checksum(hdr, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// TestMountRebuildsUnusableSnapshot exercises the path that makes a snapshot
+// format bump safe in production: a snapshot directory this build cannot use
+// (files of the previous format version; an M-tree's; a corrupted payload
 // under -snapshot-verify; an inverted child box with or without it) is
 // rebuilt from the corpus and saved over, the rebuilt collection answers
 // like the original, and the next start loads the rewritten files without
@@ -194,6 +207,7 @@ func TestMountRebuildsUnusableSnapshot(t *testing.T) {
 		// [8,12) is the format version; the first section entry's offset
 		// lives 8 bytes into the table at byte 72 (packed/snapshot.go).
 		{"previous format version", false, func(b []byte) { le.PutUint32(b[8:], packed.FormatVersion-1) }},
+		{"M-tree substrate", false, restampMTree},
 		{"payload byte flip", true, func(b []byte) { b[le.Uint64(b[72+8:])] ^= 0x01 }},
 		// The one payload damage an unverified open must catch too: the walk
 		// prunes on the child boxes, so an inverted one would lose answers.

@@ -26,7 +26,8 @@ func NewSSTree(dim, maxFill int) *SSTree {
 }
 
 // MTree is an M-tree index over hyperspheres (Ciaccia, Patella & Zezula,
-// VLDB 1997), interchangeable with the SS-tree for all searches.
+// VLDB 1997), interchangeable with the SS-tree for all searches. It is
+// searched by pointer walk only: unlike the SS-tree it has no Freeze.
 type MTree = mtree.Tree
 
 // NewMTree returns an empty M-tree for dim-dimensional spheres. maxFill
@@ -37,7 +38,8 @@ func NewMTree(dim, maxFill int) *MTree {
 
 // RTree is a Guttman R-tree over hypersphere items: the rectangle-bounded
 // baseline the sphere-tree literature (and this paper's introduction)
-// compares against. It answers the same searches as the sphere trees.
+// compares against. It answers the same searches as the sphere trees, by
+// pointer walk only: unlike the SS-tree it has no Freeze.
 type RTree = rtree.Tree
 
 // NewRTree returns an empty R-tree for dim-dimensional sphere items.

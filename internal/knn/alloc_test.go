@@ -12,6 +12,7 @@ import (
 	"hyperdom/internal/obs"
 	"hyperdom/internal/rtree"
 	"hyperdom/internal/sstree"
+	"hyperdom/internal/tree"
 )
 
 // searchAllocBudget is the steady-state allocations-per-search ceiling for
@@ -154,7 +155,7 @@ func TestSearchAllocsPacked(t *testing.T) {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
 	idx, queries := allocFixture(10000)
-	idx.t.Freeze()
+	tree.Freeze(idx.t)
 	for _, algo := range []Algorithm{DF, HS} {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
@@ -193,7 +194,7 @@ func BenchmarkSearch(b *testing.B) {
 // speedup_packed_layout.
 func BenchmarkSearchPacked(b *testing.B) {
 	idx, queries := allocFixture(10000)
-	idx.t.Freeze()
+	tree.Freeze(idx.t)
 	for _, algo := range []Algorithm{DF, HS} {
 		algo := algo
 		b.Run(fmt.Sprintf("SS10k/%v", algo), func(b *testing.B) {

@@ -78,7 +78,7 @@ func TestOneCriterionCallPerCandidate(t *testing.T) {
 		items := randItems(rng, d, 1500, 3)
 		sq := randQuery(rng, d, 3)
 		k := 1 + rng.Intn(20)
-		pointer, pt := buildFrozen(t, "sstree", items, d)
+		pointer, pt := buildIndex(t, "sstree", items, d)
 		for _, idx := range []Index{pointer, WrapPacked(pt)} {
 			for _, algo := range []Algorithm{DF, HS} {
 				calls := 0
@@ -140,8 +140,8 @@ func (c orMinMax) Dominates(sa, sb, sq geom.Sphere) bool {
 }
 
 // TestDifferentialMatrix is the answer lock of the criterion-free
-// traversal: every criterion × substrate (pointer, frozen, mmap-loaded) ×
-// strategy × quant tier × k against BruteForce — ids AND order — on a
+// traversal: every criterion × substrate (pointer; the SS-tree also frozen
+// and mmap-loaded) × strategy × quant tier × k against BruteForce — ids AND order — on a
 // random fixture and on one full of MaxDist ties.
 //
 // BruteForce asks the criterion about every item; a search drops Case 3
@@ -169,25 +169,26 @@ func TestDifferentialMatrix(t *testing.T) {
 	}
 	for _, fx := range fixtures {
 		for _, substrate := range []string{"sstree", "mtree", "rtree"} {
-			pointer, pt := buildFrozen(t, substrate, fx.items, d)
-			path := filepath.Join(t.TempDir(), substrate+".hds")
-			if err := pt.Save(path); err != nil {
-				t.Fatalf("Save: %v", err)
-			}
-			mm, err := packed.Open(path)
-			if err != nil {
-				t.Fatalf("Open: %v", err)
-			}
-			defer mm.Close()
+			pointer, pt := buildIndex(t, substrate, fx.items, d)
 			type target struct {
 				name  string
 				idx   Index
 				tiers []QuantMode
 			}
-			targets := []target{
-				{"pointer", pointer, []QuantMode{QuantNone}},
-				{"packed", WrapPacked(pt), []QuantMode{QuantNone, QuantF32, QuantI8}},
-				{"mmap", WrapPacked(mm.Tree), []QuantMode{QuantNone, QuantF32, QuantI8}},
+			targets := []target{{"pointer", pointer, []QuantMode{QuantNone}}}
+			if pt != nil {
+				path := filepath.Join(t.TempDir(), substrate+".hds")
+				if err := pt.Save(path); err != nil {
+					t.Fatalf("Save: %v", err)
+				}
+				mm, err := packed.Open(path)
+				if err != nil {
+					t.Fatalf("Open: %v", err)
+				}
+				defer mm.Close()
+				targets = append(targets,
+					target{"packed", WrapPacked(pt), []QuantMode{QuantNone, QuantF32, QuantI8}},
+					target{"mmap", WrapPacked(mm.Tree), []QuantMode{QuantNone, QuantF32, QuantI8}})
 			}
 			for _, crit := range crits {
 				for qi, sq := range fx.q {

@@ -7,6 +7,7 @@ import (
 	"hyperdom/internal/geom"
 	"hyperdom/internal/obs"
 	"hyperdom/internal/packed"
+	"hyperdom/internal/tree"
 )
 
 // SearchForest answers the Definition 2 kNN query over the union of the
@@ -101,7 +102,7 @@ func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, crit dominance.Cr
 	}
 	if obs.On() {
 		obsSearchPacked.Inc()
-		sc.flushObs(trees[order[0]].Substrate(), algo, k, start, &res.Stats, ex)
+		sc.flushObs(tree.SSTree, algo, k, start, &res.Stats, ex)
 	}
 	return res, visited
 }

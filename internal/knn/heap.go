@@ -10,9 +10,8 @@ package knn
 // Each (dist, node) pair is one struct, so a sift step touches one cache
 // line per level instead of the two a parallel-slice layout costs. Both
 // instantiations run the same comparisons and swaps, so with bit-identical
-// keys they pop in the same order — which is what keeps the packed
-// traversal's Stats equal to the reference's over a rectangle-bounded tree
-// (over a sphere-bounded one the packed keys are tighter; packed_search.go).
+// keys they pop in the same order (the packed keys are tighter than the
+// reference's, so the two traversals' Stats differ; packed_search.go).
 type distHeap[N any] struct {
 	es []distEntry[N]
 

@@ -14,29 +14,31 @@ import (
 	"hyperdom/internal/tree"
 )
 
-// buildFrozen builds, fills and freezes one substrate index and returns
-// both the live adapter and its packed snapshot.
-func buildFrozen(t *testing.T, substrate string, items []Item, d int) (Index, *packed.Tree) {
+// buildIndex builds and fills one substrate's tree and returns its adapter
+// and, for the SS-tree, the packed snapshot it froze to (the M-tree and the
+// R-tree have no frozen form: nil).
+func buildIndex(t *testing.T, substrate string, items []Item, d int) (Index, *packed.Tree) {
 	t.Helper()
+	fill := tree.WithMaxFill(16)
 	switch substrate {
 	case "sstree":
-		tr := sstree.New(d, tree.WithMaxFill(16))
+		tr := sstree.New(d, fill)
 		for _, it := range items {
 			tr.Insert(it)
 		}
 		return WrapSSTree(tr), tr.Freeze()
 	case "mtree":
-		tr := mtree.New(d, tree.WithMaxFill(16))
+		tr := mtree.New(d, fill)
 		for _, it := range items {
 			tr.Insert(it)
 		}
-		return WrapMTree(tr), tr.Freeze()
+		return WrapMTree(tr), nil
 	case "rtree":
-		tr := rtree.New(d, tree.WithMaxFill(16))
+		tr := rtree.New(d, fill)
 		for _, it := range items {
 			tr.Insert(it)
 		}
-		return WrapRTree(tr), tr.Freeze()
+		return WrapRTree(tr), nil
 	}
 	t.Fatalf("unknown substrate %q", substrate)
 	return Index{}, nil
@@ -66,61 +68,55 @@ func eqResult(t *testing.T, label string, want, got Result) {
 // TestLoadedSnapshotBitIdentity is the round-trip lock (ISSUE 10): a
 // snapshot loaded from disk — through the copying path and the mmap path
 // alike — must answer every query with bit-identical result sets AND
-// bit-identical knn.Stats versus the in-memory original, across all three
-// substrates, both traversal strategies and all three quantization tiers.
+// bit-identical knn.Stats versus the in-memory original, across both
+// traversal strategies and all three quantization tiers.
 func TestLoadedSnapshotBitIdentity(t *testing.T) {
 	prev := SetQuantMode(QuantNone)
 	defer SetQuantMode(prev)
 	rng := rand.New(rand.NewSource(1010))
 	const d, n = 4, 3000
-	for _, substrate := range []string{"sstree", "mtree", "rtree"} {
-		t.Run(substrate, func(t *testing.T) {
-			items := randItems(rng, d, n, 2)
-			orig, pt := buildFrozen(t, substrate, items, d)
-			path := filepath.Join(t.TempDir(), substrate+".hds")
-			if err := pt.Save(path); err != nil {
-				t.Fatalf("Save: %v", err)
-			}
-			mm, err := packed.Open(path)
-			if err != nil {
-				t.Fatalf("Open: %v", err)
-			}
-			defer mm.Close()
-			cp, err := packed.Load(path)
-			if err != nil {
-				t.Fatalf("Load: %v", err)
-			}
-			defer cp.Close()
-			if want := packed.SubstrateFromString(substrate); mm.Tree.Substrate() != want {
-				t.Fatalf("substrate stamp = %v, want %v", mm.Tree.Substrate(), want)
-			}
-			loaded := []struct {
-				name string
-				idx  Index
-			}{
-				{"mmap", WrapPacked(mm.Tree)},
-				{"copy", WrapPacked(cp.Tree)},
-			}
-			queries := make([]geom.Sphere, 12)
-			for i := range queries {
-				queries[i] = randQuery(rng, d, 2)
-			}
-			for _, qm := range []QuantMode{QuantNone, QuantF32, QuantI8} {
-				SetQuantMode(qm)
-				for _, algo := range []Algorithm{DF, HS} {
-					for qi, sq := range queries {
-						k := 1 + qi
-						want := Search(orig, sq, k, dominance.Hyperbola{}, algo)
-						for _, ld := range loaded {
-							got := Search(ld.idx, sq, k, dominance.Hyperbola{}, algo)
-							eqResult(t, substrate+"/"+qm.String()+"/"+algo.String()+"/"+ld.name, want, got)
-						}
+	t.Run("sstree", func(t *testing.T) {
+		orig, pt := buildIndex(t, "sstree", randItems(rng, d, n, 2), d)
+		path := filepath.Join(t.TempDir(), "sstree.hds")
+		if err := pt.Save(path); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		mm, err := packed.Open(path)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer mm.Close()
+		cp, err := packed.Load(path)
+		if err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+		defer cp.Close()
+		loaded := []struct {
+			name string
+			idx  Index
+		}{
+			{"mmap", WrapPacked(mm.Tree)},
+			{"copy", WrapPacked(cp.Tree)},
+		}
+		queries := make([]geom.Sphere, 12)
+		for i := range queries {
+			queries[i] = randQuery(rng, d, 2)
+		}
+		for _, qm := range []QuantMode{QuantNone, QuantF32, QuantI8} {
+			SetQuantMode(qm)
+			for _, algo := range []Algorithm{DF, HS} {
+				for qi, sq := range queries {
+					k := 1 + qi
+					want := Search(orig, sq, k, dominance.Hyperbola{}, algo)
+					for _, ld := range loaded {
+						got := Search(ld.idx, sq, k, dominance.Hyperbola{}, algo)
+						eqResult(t, qm.String()+"/"+algo.String()+"/"+ld.name, want, got)
 					}
 				}
 			}
-			SetQuantMode(QuantNone)
-		})
-	}
+		}
+		SetQuantMode(QuantNone)
+	})
 }
 
 // TestLoadedSnapshotEmpty: an empty snapshot round-trips and serves empty
@@ -155,7 +151,7 @@ func TestSearchAllocsLoaded(t *testing.T) {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
 	idx, queries := allocFixture(10000)
-	pt := idx.t.Freeze()
+	pt := tree.Freeze(idx.t)
 	path := filepath.Join(t.TempDir(), "alloc.hds")
 	if err := pt.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"hyperdom/internal/obs"
-	"hyperdom/internal/packed"
+	"hyperdom/internal/tree"
 )
 
 // Traversal-level observability counters (ISSUE 2). The per-query figures
@@ -39,31 +39,24 @@ var (
 	obsQuantItemExact  = obs.New("packed.quant.item_exact_fallbacks")
 )
 
-// Per-substrate search counters and per-search latency histograms (ISSUE
-// 3), indexed by the packed.Substrate an index reports: one counter per
-// substrate and one histogram per (substrate, strategy) pair of the
-// "knn.search_latency" family, plus a brute-force instance. Each search
-// records exactly one sample, at the same flush point as the counters.
-// substrateLabels is also what an obs.Op calls the substrate; snapshots
-// stamped SubstrateUnknown land in "other".
+// Per-substrate search counters and per-search latency histograms, indexed
+// by the tree.Substrate of the index searched — a packed walk is an
+// SS-tree's: one counter per substrate and one histogram per (substrate,
+// strategy) pair of the "knn.search_latency" family, plus a brute-force
+// instance. Each search records exactly one sample, at the same flush point
+// as the counters. The substrate's name is also what an obs.Op calls it.
 var (
-	substrateLabels [packed.NumSubstrates]string
-	obsSearchSub    [packed.NumSubstrates]*obs.Counter // knn.searches.<substrate>
-	searchLatency   [packed.NumSubstrates][2]*obs.Histogram
-	bruteLatency    = obs.NewHistogram("knn.search_latency", `substrate="brute",algo="scan"`)
+	obsSearchSub  [tree.NumSubstrates]*obs.Counter // knn.searches.<substrate>
+	searchLatency [tree.NumSubstrates][2]*obs.Histogram
+	bruteLatency  = obs.NewHistogram("knn.search_latency", `substrate="brute",algo="scan"`)
 )
 
 func init() {
-	for s := range substrateLabels {
-		label := "other"
-		if s != int(packed.SubstrateUnknown) {
-			label = packed.Substrate(s).String()
-		}
-		substrateLabels[s] = label
-		obsSearchSub[s] = obs.New("knn.searches." + label)
+	for s := range tree.Substrate(tree.NumSubstrates) {
+		obsSearchSub[s] = obs.New("knn.searches." + s.String())
 		for _, a := range []Algorithm{DF, HS} {
 			searchLatency[s][a] = obs.NewHistogram("knn.search_latency",
-				fmt.Sprintf("substrate=%q,algo=%q", label, a.String()))
+				fmt.Sprintf("substrate=%q,algo=%q", s, a))
 		}
 	}
 }
@@ -94,7 +87,7 @@ func fillOp(op *obs.Op, substrate, algo string, k int, start time.Time, latNs in
 // scratch tallies still accumulate (cheaply) when it is off, so they are
 // also zeroed here to keep a later snapshot from attributing old work to a
 // new window.
-func (sc *scratch) flushObs(sub packed.Substrate, algo Algorithm, k int, start time.Time, st *Stats, ex *obs.Op) {
+func (sc *scratch) flushObs(sub tree.Substrate, algo Algorithm, k int, start time.Time, st *Stats, ex *obs.Op) {
 	obsSearches.Inc()
 	obsSearchSub[sub].Inc()
 	flushStats(st)
@@ -130,7 +123,7 @@ func (sc *scratch) flushObs(sub packed.Substrate, algo Algorithm, k int, start t
 		if op == nil {
 			op = &own
 		}
-		fillOp(op, substrateLabels[sub], algo.String(), k, start, lat, st, heapPushes)
+		fillOp(op, sub.String(), algo.String(), k, start, lat, st, heapPushes)
 		if ex == nil {
 			obs.Slow.Record(op)
 		}

@@ -6,8 +6,24 @@ import (
 	"time"
 
 	"hyperdom/internal/dominance"
+	"hyperdom/internal/mtree"
 	"hyperdom/internal/obs"
+	"hyperdom/internal/rtree"
+	"hyperdom/internal/sstree"
+	"hyperdom/internal/tree"
 )
+
+// substrateTrees inserts the same n random items into a pointer tree of
+// each substrate, in tree.Substrate order.
+func substrateTrees(rng *rand.Rand, d, n int) []*tree.Tree {
+	trees := []*tree.Tree{&sstree.New(d).Tree, &mtree.New(d).Tree, &rtree.New(d).Tree}
+	for _, it := range randItems(rng, d, n, 5) {
+		for _, tr := range trees {
+			tr.Insert(it)
+		}
+	}
+	return trees
+}
 
 // TestObsSearchCounters verifies the traversal accounting: a tree search
 // publishes its Stats and heap tallies into the registry, attributed to the
@@ -62,26 +78,26 @@ func TestObsSearchCounters(t *testing.T) {
 
 // TestObsBoxPrunes: knn.box_prunes counts the children a sphere bound
 // admitted and the box bound rejected, so it moves only where there is a
-// box — the packed walk over a sphere-bounded tree — and /metrics shows
-// whether the second bound is doing anything.
+// box — the packed walk of a frozen SS-tree, not any pointer walk — and
+// /metrics shows whether the second bound is doing anything.
 func TestObsBoxPrunes(t *testing.T) {
 	defer obs.SetEnabled(true)
 	obs.SetEnabled(true)
 	rng := rand.New(rand.NewSource(2402))
 	const d = 5
-	_, fixtures := buildFixtures(rng, d, 2000)
+	trees := substrateTrees(rng, d, 2000)
 	q := randQuery(rng, d, 5)
-	for _, fx := range fixtures {
-		for _, frozen := range []bool{false, true} {
-			if frozen {
-				fx.freeze()
-			}
+	for _, frozen := range []bool{false, true} {
+		if frozen {
+			tree.Freeze(trees[tree.SSTree])
+		}
+		for _, tr := range trees {
 			for _, algo := range []Algorithm{DF, HS} {
 				obs.ResetForTest()
-				Search(fx.idx, q, 10, dominance.Hyperbola{}, algo)
+				Search(Index{t: tr}, q, 10, dominance.Hyperbola{}, algo)
 				got := obs.Snapshot().Get("knn.box_prunes")
-				if want := frozen && fx.name != "rtree"; (got > 0) != want {
-					t.Errorf("%s frozen=%v %v: knn.box_prunes = %d, want moved=%v", fx.name, frozen, algo, got, want)
+				if want := frozen && tr.Substrate() == tree.SSTree; (got > 0) != want {
+					t.Errorf("%v frozen=%v %v: knn.box_prunes = %d, want moved=%v", tr.Substrate(), frozen, algo, got, want)
 				}
 			}
 		}
@@ -210,11 +226,11 @@ func TestCountersMatchStats(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(4242))
 	const d = 4
-	_, fixtures := buildFixtures(rng, d, 900)
+	trees := substrateTrees(rng, d, 900)
 	q := randQuery(rng, d, 1)
-	for _, fx := range fixtures {
+	for _, tr := range trees {
 		for _, algo := range []Algorithm{DF, HS} {
-			idx, name, algo := fx.idx, fx.name, algo
+			idx, name, algo := Index{t: tr}, tr.Substrate().String(), algo
 			t.Run(name+"/"+algo.String(), func(t *testing.T) {
 				obs.ResetForTest()
 				res := Search(idx, q, 10, dominance.Hyperbola{}, algo)

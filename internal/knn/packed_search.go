@@ -118,11 +118,10 @@ func (sc *scratch) searchDFPacked(t *packed.Tree, n int32, nd float64, sq geom.S
 
 // searchHSPacked is searchHS over a frozen snapshot. Children are scored by
 // one kernel pass per expanded node and pushed under the hoisted distk
-// bound. Over a rectangle-bounded tree the keys are the pointer path's bit
-// for bit and the heap is the same shape, so the pop order is too; over a
-// sphere-bounded tree the keys are max(sphere, box), fewer children are
-// pushed and the frontier is ordered by the tighter bound. rootDist is the
-// root's MinDist to the query, as for searchDFPacked.
+// bound. The keys are max(sphere, box) where the pointer path has the
+// sphere alone, so fewer children are pushed and the frontier is ordered by
+// the tighter bound. rootDist is the root's MinDist to the query, as for
+// searchDFPacked.
 func (sc *scratch) searchHSPacked(t *packed.Tree, rootDist float64, sq geom.Sphere, l *bestList) {
 	h := &sc.packedHeap
 	h.push(t.Root(), rootDist)

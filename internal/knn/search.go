@@ -38,7 +38,7 @@ func (a Algorithm) String() string {
 }
 
 // Index is what the searches traverse: a pointer tree of any substrate
-// (WrapSSTree, WrapMTree, WrapRTree) or a bare packed snapshot
+// (WrapSSTree, WrapMTree, WrapRTree) or a bare packed snapshot of an SS-tree
 // (WrapPacked). Exactly one of t and p is set.
 type Index struct {
 	t *tree.Tree
@@ -57,11 +57,10 @@ func (idx Index) frozen() *packed.Tree {
 }
 
 // substrate attributes the index's searches in the telemetry. A bare
-// snapshot reports the one stamped by the tree that froze it, so
-// restart-from-snapshot keeps the metric shape of serve-after-build.
-func (idx Index) substrate() packed.Substrate {
+// snapshot is an SS-tree's, the only tree that freezes.
+func (idx Index) substrate() tree.Substrate {
 	if idx.p != nil {
-		return idx.p.Substrate()
+		return tree.SSTree
 	}
 	return idx.t.Substrate()
 }
@@ -167,7 +166,7 @@ func (sc *scratch) stashQuant(sq geom.Sphere) {
 // nothing, and callers skip both the answer pass and the obs flush.
 func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm, stats *Stats) (l *bestList, start time.Time, ok bool) {
 	l, start = sc.begin(sq, k, crit, stats)
-	// A frozen substrate routes to the packed traversal: the same result
+	// A frozen SS-tree routes to the packed traversal: the same result
 	// set off contiguous SoA blocks, from no more nodes and items than the
 	// pointer path visits (DESIGN.md §11).
 	if pt := idx.frozen(); pt != nil {

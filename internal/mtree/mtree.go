@@ -16,7 +16,6 @@ import (
 	"math"
 
 	"hyperdom/internal/geom"
-	"hyperdom/internal/packed"
 	"hyperdom/internal/tree"
 	"hyperdom/internal/vec"
 )
@@ -38,8 +37,7 @@ func New(dim int, opts ...tree.Option) *Tree {
 // radius), least-enlargement descent, generalised-hyperplane split.
 type policy struct{}
 
-func (policy) Substrate() packed.Substrate { return packed.SubstrateMTree }
-func (policy) Kind() packed.Kind           { return packed.KindSphere }
+func (policy) Substrate() tree.Substrate { return tree.MTree }
 
 // Choose prefers a child whose covering sphere already contains the new
 // sphere (closest pivot among those); otherwise the child needing the

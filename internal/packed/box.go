@@ -2,19 +2,18 @@ package packed
 
 import "math"
 
-// The second bound of a sphere-bounded tree (ISSUE 24). An SS-tree or
-// M-tree child entry is bounded by a sphere around a centroid or pivot,
-// which in more than a few dimensions is far looser than the data: most of
-// its volume is empty, and the kNN walk opens subtrees nothing in which is
-// within distk. Any sound lower bound on MinDist may prune (Lemma 9), and a
-// sphere lies inside its bounding box, so finish() stores beside every
-// child entry the axis-aligned box of everything below it and the walk
-// prunes on max(sphere, box) — the intersection test of the SR-tree
-// (Katayama & Satoh, SIGMOD '97).
+// The second bound of a frozen tree. An SS-tree child entry is bounded by
+// a sphere around a centroid, which in more than a few dimensions is far
+// looser than the data: most of its volume is empty, and the kNN walk
+// opens subtrees nothing in which is within distk. Any sound lower bound on
+// MinDist may prune (Lemma 9), and a sphere lies inside its bounding box,
+// so finish() stores beside every child entry the axis-aligned box of
+// everything below it and the walk prunes on max(sphere, box) — the
+// intersection test of the SR-tree (Katayama & Satoh, SIGMOD '97).
 //
 // The box is derived here, bottom-up from the frozen arrays, and never
-// maintained by the substrates: insertion, splits and the shape of the tree
-// are what they were, so is every byte of the other sections, and a
+// maintained by the pointer tree: insertion, splits and the shape of the
+// tree are what they were, so is every byte of the other sections, and a
 // mutation thaws the snapshot anyway. Builder ids are bottom-up (child <
 // parent), so one pass in id order sees every child's box before its
 // parent's.
@@ -44,11 +43,8 @@ func f32Above(x float64) float32 {
 	return f
 }
 
-// buildBoxes fills cBox for every child entry of a KindSphere tree.
+// buildBoxes fills cBox for every child entry.
 func (t *Tree) buildBoxes() {
-	if t.kind != KindSphere {
-		return
-	}
 	w := 2 * t.dim
 	nodeBox := make([]float32, len(t.leaf)*w)
 	t.cBox = make([]float32, len(t.child)*w)

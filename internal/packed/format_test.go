@@ -71,13 +71,14 @@ func TestHeaderLayout(t *testing.T) {
 
 // TestParentWrittenSnapshots opens one small snapshot per substrate written
 // by the commit before the section table existed (datagen -n 120 -d 3 -mu 2
-// -seed 5 -maxfill 8 -shards 1) and re-saves it: the table must read that
-// build's bytes and write them back unchanged, through Open (with and
-// without VerifyChecksums) and through the copy path, Load.
+// -seed 5 -maxfill 8 -shards 1 -substrate …) through Open (with and
+// without VerifyChecksums) and through the copy path, Load. The SS-tree's
+// must be read and written back unchanged; the M-tree's and the R-tree's,
+// which no build freezes any more, must be refused as ErrIncompatible.
 func TestParentWrittenSnapshots(t *testing.T) {
-	for _, sub := range []Substrate{SubstrateSSTree, SubstrateMTree, SubstrateRTree} {
-		t.Run(sub.String(), func(t *testing.T) {
-			path := filepath.Join("testdata", "v3-"+sub.String()+".hds")
+	for _, sub := range []string{"sstree", "mtree", "rtree"} {
+		t.Run(sub, func(t *testing.T) {
+			path := filepath.Join("testdata", "v3-"+sub+".hds")
 			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -88,11 +89,17 @@ func TestParentWrittenSnapshots(t *testing.T) {
 				func() (*Snapshot, error) { return Load(path) },
 			} {
 				s, err := open()
+				if sub != "sstree" {
+					if !errors.Is(err, ErrIncompatible) {
+						t.Fatalf("open: %v, want ErrIncompatible", err)
+					}
+					continue
+				}
 				if err != nil {
 					t.Fatalf("open: %v", err)
 				}
-				if s.Tree.Substrate() != sub || s.Tree.Len() != 120 {
-					t.Errorf("opened a %v tree of %d items", s.Tree.Substrate(), s.Tree.Len())
+				if s.Tree.Len() != 120 {
+					t.Errorf("opened a tree of %d items", s.Tree.Len())
 				}
 				if got := snapshotBytes(t, s.Tree); !bytes.Equal(got, want) {
 					t.Errorf("re-saved snapshot differs from the file (%d vs %d bytes)", len(got), len(want))

@@ -3,50 +3,44 @@ package packed
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"hyperdom/internal/geom"
 )
 
-// fuzzSeedSnapshot builds a small valid snapshot of each kind for the
-// fuzz seed corpus.
-func fuzzSeedSnapshot(kind Kind) []byte {
-	var pt *Tree
-	if kind == KindSphere {
-		b := NewBuilder(KindSphere, 2)
-		l0 := b.Leaf([]geom.Item{
-			{ID: 1, Sphere: geom.Sphere{Center: []float64{0, 0}, Radius: 0.5}},
-			{ID: 2, Sphere: geom.Sphere{Center: []float64{1, 0}, Radius: 0.25}},
-		})
-		l1 := b.Leaf([]geom.Item{
-			{ID: 3, Sphere: geom.Sphere{Center: []float64{4, 4}, Radius: 1}},
-		})
-		root := b.InternalSphere([]int32{l0, l1},
-			[][]float64{{0.5, 0}, {4, 4}}, []float64{1.25, 1})
-		pt = b.FinishSphere(root, []float64{2, 2}, 4)
-	} else {
-		b := NewBuilder(KindRect, 2)
-		l0 := b.Leaf([]geom.Item{
-			{ID: 1, Sphere: geom.Sphere{Center: []float64{0, 0}, Radius: 0.5}},
-		})
-		root := b.InternalRect([]int32{l0},
-			[][]float64{{-1, -1}}, [][]float64{{1, 1}})
-		pt = b.FinishRect(root, []float64{-1, -1}, []float64{1, 1})
-	}
+// fuzzSeedSnapshot builds a small valid snapshot for the fuzz seed corpus.
+func fuzzSeedSnapshot() []byte {
+	b := NewBuilder(KindSphere, 2)
+	l0 := b.Leaf([]geom.Item{
+		{ID: 1, Sphere: geom.Sphere{Center: []float64{0, 0}, Radius: 0.5}},
+		{ID: 2, Sphere: geom.Sphere{Center: []float64{1, 0}, Radius: 0.25}},
+	})
+	l1 := b.Leaf([]geom.Item{
+		{ID: 3, Sphere: geom.Sphere{Center: []float64{4, 4}, Radius: 1}},
+	})
+	root := b.InternalSphere([]int32{l0, l1},
+		[][]float64{{0.5, 0}, {4, 4}}, []float64{1.25, 1})
 	var buf bytes.Buffer
-	if _, err := pt.WriteTo(&buf); err != nil {
+	if _, err := b.FinishSphere(root, []float64{2, 2}, 4).WriteTo(&buf); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
 }
 
-// FuzzSnapshotOpen is the corrupt-input hardening gate (ISSUE 10): no
-// byte sequence may make the snapshot decoder panic, slice out of bounds,
-// or fail with anything but the typed sentinel errors — and anything it
-// does accept must be safely traversable.
+// FuzzSnapshotOpen is the corrupt-input hardening gate: no byte sequence
+// may make the snapshot decoder panic, slice out of bounds, or fail with
+// anything but the typed sentinel errors — and anything it does accept
+// must be safely traversable. The R-tree snapshot an earlier build wrote
+// (testdata/v3-rtree.hds, and the corpus entry valid-rect) seeds the
+// rectangle sections the reader now refuses.
 func FuzzSnapshotOpen(f *testing.F) {
-	sphere := fuzzSeedSnapshot(KindSphere)
-	rect := fuzzSeedSnapshot(KindRect)
+	sphere := fuzzSeedSnapshot()
+	rect, err := os.ReadFile(filepath.Join("testdata", "v3-rtree.hds"))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(sphere)
 	f.Add(rect)
 	f.Add([]byte{})

@@ -1,28 +1,28 @@
-// Package packed provides the read-optimized "frozen" representation of
-// the tree substrates (ISSUE 5). A packed.Tree flattens a pointer-based
-// index into structure-of-arrays form: for every node, the bounding
-// geometry of its children (or the spheres of its leaf items) is stored in
-// one contiguous []float64 block — all coordinates of entry 0..n-1
-// back-to-back — with radii and child offsets in parallel slices. The kNN
-// traversal's mindist loop over a node then becomes a single streaming
-// pass over sequential memory (vec.MinDistSphereBlock and friends) instead
-// of a pointer chase through per-node heap objects.
+// Package packed provides the read-optimized "frozen" form of the SS-tree.
+// A packed.Tree flattens the pointer-based index into structure-of-arrays
+// form: for every node, the bounding spheres of its children (or the
+// spheres of its leaf items) are stored in one contiguous []float64 block —
+// all coordinates of entry 0..n-1 back-to-back — with radii and child
+// offsets in parallel slices. The kNN traversal's mindist
+// loop over a node then becomes a single streaming pass over sequential
+// memory (vec.MinDistSphereBlock and friends) instead of a pointer chase
+// through per-node heap objects.
 //
-// A frozen tree is an immutable snapshot. The substrates build one through
-// their Freeze method and cache it; mutating the source tree (Insert,
+// A frozen tree is an immutable snapshot. The SS-tree builds one through
+// its Freeze method and caches it; mutating the source tree (Insert,
 // Delete, BulkLoad) auto-thaws — the cached snapshot is dropped and
 // searches fall back to the pointer path until the next Freeze. See
-// DESIGN.md §11 for the freeze/thaw contract.
+// DESIGN.md §11 for the freeze/thaw contract. The M-tree and R-tree have
+// no frozen form: they are pointer-walk baselines only.
 //
 // Bit-exactness: the block kernels preserve the scalar accumulation order
 // (package vec) and the entry order preserves the child/item order of the
 // source nodes, so every distance the packed traversal (package knn) reads
 // is the pointer path's, and its result sets — items and order — are
-// identical. Over a rectangle-bounded tree the work stats are identical
-// too. A sphere-bounded tree carries a second bound per child entry, the
-// axis-aligned box of everything below it (box.go), and the packed walk
-// prunes on the larger of the two: it visits a subset of the nodes and
-// items the pointer path does.
+// identical. Each child entry carries a second bound, the axis-aligned box
+// of everything below it (box.go), and the packed walk prunes on the larger
+// of the two: it visits a subset of the nodes and items the pointer path
+// does.
 package packed
 
 import (
@@ -33,20 +33,15 @@ import (
 	"hyperdom/internal/vec"
 )
 
-// Kind is the bounding geometry of internal-node entries.
+// Kind is the bounding geometry of internal-node entries, stamped into the
+// snapshot header. KindSphere is the only kind a tree is frozen with.
 type Kind uint8
 
-const (
-	// KindSphere: children are bounded by hyperspheres (SS-tree centroids,
-	// M-tree pivots with covering radii).
-	KindSphere Kind = iota
-	// KindRect: children are bounded by axis-aligned rectangles (R-tree
-	// MBRs). Leaf items are spheres regardless of kind.
-	KindRect
-)
+// KindSphere: children are bounded by hyperspheres (SS-tree centroids).
+const KindSphere Kind = 0
 
 // Freeze/thaw observability: how many snapshots were built and how much
-// they hold. Thaws are counted by the substrates through NoteThaw.
+// they hold. Thaws are counted by the tree through NoteThaw.
 var (
 	obsFreezes = obs.New("packed.freezes")
 	obsThaws   = obs.New("packed.thaws")
@@ -70,41 +65,33 @@ func NoteThaw() {
 //
 //   - internal node i owns child entries child[childStart[i]:childStart[i+1]],
 //     whose bounds live at cCenters[e*dim:(e+1)*dim]+cRadii[e] and
-//     cBox[e*2*dim:(e+1)*2*dim] (KindSphere) or cLo/cHi[e*dim:(e+1)*dim]
-//     (KindRect);
+//     cBox[e*2*dim:(e+1)*2*dim];
 //   - leaf node i owns items[itemStart[i]:itemStart[i+1]], whose sphere
 //     geometry is mirrored into iCenters/iRadii for the streaming pass.
 type Tree struct {
-	kind      Kind
-	dim       int
-	root      int32 // -1 for an empty tree
-	substrate Substrate
+	dim  int
+	root int32 // -1 for an empty tree
 
 	leaf       []bool
 	childStart []int32 // len nodes+1
 	itemStart  []int32 // len nodes+1
 
 	child    []int32
-	cCenters []float64 // KindSphere: len(child)*dim
-	cRadii   []float64 // KindSphere: len(child)
-	cBox     []float32 // KindSphere: len(child)*dim*2, [lo,hi] interleaved; see box.go
-	cLo, cHi []float64 // KindRect: len(child)*dim each
+	cCenters []float64 // len(child)*dim
+	cRadii   []float64 // len(child)
+	cBox     []float32 // len(child)*dim*2, [lo,hi] interleaved; see box.go
 
 	items    []geom.Item
 	iCenters []float64 // len(items)*dim
 	iRadii   []float64 // len(items)
 
-	rootCenter     []float64 // KindSphere root bound
-	rootRadius     float64
-	rootLo, rootHi []float64 // KindRect root bound
+	rootCenter []float64 // root bound
+	rootRadius float64
 
 	// quant holds the narrow (float32 / int8) copies of every leaf item
 	// sphere used by the coarse-filter pass (ISSUE 6); see quant.go.
 	quant quantTiers
 }
-
-// Kind returns the bounding geometry of the tree's internal entries.
-func (t *Tree) Kind() Kind { return t.kind }
 
 // Dim returns the dimensionality.
 func (t *Tree) Dim() int { return t.dim }
@@ -140,9 +127,6 @@ func (t *Tree) LeafItems(n int32) []geom.Item {
 // the root's bound — the same value the pointer path computes from the
 // root cursor.
 func (t *Tree) RootMinDist(q geom.Sphere) float64 {
-	if t.kind == KindRect {
-		return geom.MinDistRectSphere(geom.Rect{Lo: t.rootLo, Hi: t.rootHi}, q)
-	}
 	return geom.MinDist(geom.Sphere{Center: t.rootCenter, Radius: t.rootRadius}, q)
 }
 
@@ -157,35 +141,20 @@ func (t *Tree) RootOrder(q geom.Sphere) float64 {
 	if md := t.RootMinDist(q); md > 0 {
 		return md
 	}
-	var d2 float64
-	if t.kind == KindRect {
-		for i, c := range q.Center {
-			m := (t.rootLo[i]+t.rootHi[i])/2 - c
-			d2 += m * m
-		}
-	} else {
-		d2 = vec.Dist2(t.rootCenter, q.Center)
-	}
-	return -1 / (1 + d2)
+	return -1 / (1 + vec.Dist2(t.rootCenter, q.Center))
 }
 
 // ChildMinDists streams one pass over internal node n's packed child
 // bounds and writes into dst, which must have length len(Children(n)), a
 // lower bound on the distance from the query sphere to anything below each
-// child. For a KindRect tree that is the pointer path's
-// geom.MinDistRectSphere, bit for bit. For a KindSphere tree it is the
-// pointer path's geom.MinDist of the child's sphere, raised — for every
-// child that bound alone would admit under dk, the caller's current k-th
-// distance — to the MinDist of the child's box when that is larger
-// (vec.RaiseToBoxBlock). boxPrunes counts the children the sphere admitted
-// and the box put beyond dk.
+// child: the pointer path's geom.MinDist of the child's sphere, raised —
+// for every child that bound alone would admit under dk, the caller's
+// current k-th distance — to the MinDist of the child's box when that is
+// larger (vec.RaiseToBoxBlock). boxPrunes counts the children the sphere
+// admitted and the box put beyond dk.
 func (t *Tree) ChildMinDists(n int32, q geom.Sphere, dk float64, dst []float64) (boxPrunes int) {
 	cs, ce := t.childStart[n], t.childStart[n+1]
 	lo, hi := cs*int32(t.dim), ce*int32(t.dim)
-	if t.kind == KindRect {
-		vec.MinDistRectBlock(dst, t.cLo[lo:hi], t.cHi[lo:hi], q.Center, q.Radius)
-		return 0
-	}
 	vec.MinDistSphereBlock(dst, t.cCenters[lo:hi], t.cRadii[cs:ce], q.Center, q.Radius)
 	return vec.RaiseToBoxBlock(dst, t.cBox[2*int(lo):2*int(hi)], q.Center, q.Radius, dk)
 }
@@ -206,20 +175,24 @@ func (t *Tree) ItemRadii(n int32) []float64 {
 	return t.iRadii[t.itemStart[n]:t.itemStart[n+1]]
 }
 
-// Builder assembles a Tree bottom-up. The substrates' Freeze methods walk
-// their pointer nodes post-order: children are added first, then the
+// Builder assembles a Tree bottom-up. The SS-tree's Freeze walks its
+// pointer nodes post-order: children are added first, then the
 // parent references their ids. Entry blocks are appended at node creation,
 // so each node's block is contiguous by construction.
 type Builder struct {
 	t *Tree
 }
 
-// NewBuilder starts a snapshot of the given kind and dimensionality.
+// NewBuilder starts a snapshot of the given dimensionality. kind must be
+// KindSphere.
 func NewBuilder(kind Kind, dim int) *Builder {
+	if kind != KindSphere {
+		panic(fmt.Sprintf("packed: NewBuilder with kind %d: only sphere-bounded trees freeze", kind))
+	}
 	if dim <= 0 {
 		panic(fmt.Sprintf("packed: NewBuilder with dimensionality %d", dim))
 	}
-	t := &Tree{kind: kind, dim: dim, root: -1}
+	t := &Tree{dim: dim, root: -1}
 	t.childStart = append(t.childStart, 0)
 	t.itemStart = append(t.itemStart, 0)
 	return &Builder{t: t}
@@ -252,13 +225,10 @@ func (b *Builder) Leaf(items []geom.Item) int32 {
 	return id
 }
 
-// InternalSphere adds an internal node (KindSphere) whose i-th child is
-// node ids[i] bounded by the sphere (centers[i], radii[i]), preserving
-// order, and returns its id. Bound geometry is copied.
+// InternalSphere adds an internal node whose i-th child is node ids[i]
+// bounded by the sphere (centers[i], radii[i]), preserving order, and
+// returns its id. Bound geometry is copied.
 func (b *Builder) InternalSphere(ids []int32, centers [][]float64, radii []float64) int32 {
-	if b.t.kind != KindSphere {
-		panic("packed: InternalSphere on a rect-bounded builder")
-	}
 	if len(ids) != len(centers) || len(ids) != len(radii) {
 		panic("packed: InternalSphere with mismatched child slices")
 	}
@@ -272,39 +242,11 @@ func (b *Builder) InternalSphere(ids []int32, centers [][]float64, radii []float
 	return id
 }
 
-// InternalRect adds an internal node (KindRect) whose i-th child is node
-// ids[i] bounded by the rectangle [lo[i], hi[i]], preserving order, and
-// returns its id. Bound geometry is copied.
-func (b *Builder) InternalRect(ids []int32, lo, hi [][]float64) int32 {
-	if b.t.kind != KindRect {
-		panic("packed: InternalRect on a sphere-bounded builder")
-	}
-	if len(ids) != len(lo) || len(ids) != len(hi) {
-		panic("packed: InternalRect with mismatched child slices")
-	}
-	id := b.newNode(false)
-	for i, c := range ids {
-		b.t.child = append(b.t.child, c)
-		b.t.cLo = append(b.t.cLo, lo[i]...)
-		b.t.cHi = append(b.t.cHi, hi[i]...)
-	}
-	b.t.childStart[id+1] = int32(len(b.t.child))
-	return id
-}
-
 // FinishSphere seals the snapshot with root node id and its bounding
 // sphere and returns the immutable Tree. The bound is copied.
 func (b *Builder) FinishSphere(root int32, center []float64, radius float64) *Tree {
 	b.t.rootCenter = append([]float64(nil), center...)
 	b.t.rootRadius = radius
-	return b.finish(root)
-}
-
-// FinishRect seals the snapshot with root node id and its bounding
-// rectangle and returns the immutable Tree. The bound is copied.
-func (b *Builder) FinishRect(root int32, lo, hi []float64) *Tree {
-	b.t.rootLo = append([]float64(nil), lo...)
-	b.t.rootHi = append([]float64(nil), hi...)
 	return b.finish(root)
 }
 
@@ -320,7 +262,7 @@ func (b *Builder) finish(root int32) *Tree {
 	t.root = root
 	// Point every item's Center into iCenters, as the snapshot reader does:
 	// the tree then holds one copy of each centre, keeps neither the
-	// substrate it was frozen from nor the caller's coordinate slices alive,
+	// pointer tree it was frozen from nor the caller's coordinate slices alive,
 	// and gives every item an address of its own.
 	for i, dim := 0, t.dim; i < len(t.items); i++ {
 		t.items[i].Sphere.Center = t.iCenters[i*dim : (i+1)*dim : (i+1)*dim]

@@ -28,8 +28,8 @@ func buildTwoLevel(t *testing.T) *Tree {
 
 func TestBuilderStructure(t *testing.T) {
 	pt := buildTwoLevel(t)
-	if pt.Kind() != KindSphere || pt.Dim() != 2 {
-		t.Fatalf("kind/dim = %v/%d", pt.Kind(), pt.Dim())
+	if pt.Dim() != 2 {
+		t.Fatalf("dim = %d", pt.Dim())
 	}
 	if pt.Empty() || pt.NumNodes() != 3 || pt.Len() != 3 {
 		t.Fatalf("empty=%v nodes=%d items=%d", pt.Empty(), pt.NumNodes(), pt.Len())
@@ -121,44 +121,20 @@ func TestChildMinDistsBox(t *testing.T) {
 	}
 }
 
-func TestRectBuilder(t *testing.T) {
-	b := NewBuilder(KindRect, 2)
-	l0 := b.Leaf([]geom.Item{sph(7, []float64{1, 1}, 0.5)})
-	root := b.InternalRect([]int32{l0}, [][]float64{{0.5, 0.5}}, [][]float64{{1.5, 1.5}})
-	pt := b.FinishRect(root, []float64{0.5, 0.5}, []float64{1.5, 1.5})
-
-	q := geom.Sphere{Center: []float64{3, 1}, Radius: 0.25}
-	wantRoot := geom.MinDistRectSphere(geom.Rect{Lo: []float64{0.5, 0.5}, Hi: []float64{1.5, 1.5}}, q)
-	if got := pt.RootMinDist(q); got != wantRoot {
-		t.Fatalf("rect RootMinDist = %v, want %v", got, wantRoot)
-	}
-	dst := make([]float64, 1)
-	pt.ChildMinDists(pt.Root(), q, math.Inf(1), dst)
-	if dst[0] != wantRoot {
-		t.Fatalf("rect ChildMinDists = %v, want %v", dst[0], wantRoot)
-	}
-}
-
-// TestRootOrder pins the forest walk's sort key for both bound kinds: the
-// root's MinDist while the bound is clear of the query, and below zero —
-// growing with the distance to the bound's center — once it touches.
+// TestRootOrder pins the forest walk's sort key: the root's MinDist while
+// the bound is clear of the query, and below zero — growing with the
+// distance to the bound's center — once it touches.
 func TestRootOrder(t *testing.T) {
-	sphere := buildTwoLevel(t) // root bound: center (2,2), radius 4
-	b := NewBuilder(KindRect, 2)
-	l0 := b.Leaf([]geom.Item{sph(7, []float64{1, 1}, 0.5)})
-	rect := b.FinishRect(b.InternalRect([]int32{l0}, [][]float64{{0.5, 0.5}}, [][]float64{{1.5, 1.5}}),
-		[]float64{0, 0}, []float64{4, 4}) // root bound: center (2,2)
-	for _, pt := range []*Tree{sphere, rect} {
-		far := geom.Sphere{Center: []float64{20, 2}, Radius: 1}
-		if got, want := pt.RootOrder(far), pt.RootMinDist(far); got != want || got <= 0 {
-			t.Errorf("%v: clear of the bound, RootOrder = %v, RootMinDist = %v", pt.Kind(), got, want)
-		}
-		centred := pt.RootOrder(geom.Sphere{Center: []float64{2, 2}, Radius: 0.5})
-		off := pt.RootOrder(geom.Sphere{Center: []float64{3, 3}, Radius: 0.5})
-		edge := pt.RootOrder(geom.Sphere{Center: []float64{4.25, 2}, Radius: 0.5})
-		if !(centred < off && off < edge && edge < 0) {
-			t.Errorf("%v: touching keys %v, %v, %v: want ascending with center distance, all below zero", pt.Kind(), centred, off, edge)
-		}
+	pt := buildTwoLevel(t) // root bound: center (2,2), radius 4
+	far := geom.Sphere{Center: []float64{20, 2}, Radius: 1}
+	if got, want := pt.RootOrder(far), pt.RootMinDist(far); got != want || got <= 0 {
+		t.Errorf("clear of the bound, RootOrder = %v, RootMinDist = %v", got, want)
+	}
+	centred := pt.RootOrder(geom.Sphere{Center: []float64{2, 2}, Radius: 0.5})
+	off := pt.RootOrder(geom.Sphere{Center: []float64{3, 3}, Radius: 0.5})
+	edge := pt.RootOrder(geom.Sphere{Center: []float64{4.25, 2}, Radius: 0.5})
+	if !(centred < off && off < edge && edge < 0) {
+		t.Errorf("touching keys %v, %v, %v: want ascending with center distance, all below zero", centred, off, edge)
 	}
 }
 
@@ -183,12 +159,7 @@ func TestBuilderPanics(t *testing.T) {
 	expectPanic("wrong item dim", func() {
 		NewBuilder(KindSphere, 2).Leaf([]geom.Item{sph(1, []float64{1, 2, 3}, 1)})
 	})
-	expectPanic("rect on sphere builder", func() {
-		NewBuilder(KindSphere, 2).InternalRect(nil, nil, nil)
-	})
-	expectPanic("sphere on rect builder", func() {
-		NewBuilder(KindRect, 2).InternalSphere(nil, nil, nil)
-	})
+	expectPanic("not sphere-bounded", func() { NewBuilder(KindSphere+1, 2) })
 	expectPanic("ragged children", func() {
 		NewBuilder(KindSphere, 2).InternalSphere([]int32{0}, nil, []float64{1})
 	})

@@ -42,11 +42,10 @@ const (
 	TierI8
 )
 
-// quantTiers holds both narrow copies of the leaf item spheres (items are
-// spheres in every kind). Item arrays parallel t.items / t.iCenters; the
-// int8 tier's scale/offset arrays are indexed by node id. The quantized
-// radii and per-entry slacks exist only inside the quantizers, which fold
-// them into iSR32/iSR8.
+// quantTiers holds both narrow copies of the leaf item spheres. Item arrays
+// parallel t.items / t.iCenters; the int8 tier's scale/offset arrays are
+// indexed by node id. The quantized radii and per-entry slacks exist only
+// inside the quantizers, which fold them into iSR32/iSR8.
 type quantTiers struct {
 	iCen32  []float32
 	iCen8   []int8

@@ -109,57 +109,6 @@ var (
 	histSnapLoad   = obs.GetOrNewHistogram("snapshot.load_latency", "")
 )
 
-// Substrate records which tree substrate froze a snapshot. Routing layers
-// (shard manifests, hyperdomd collections) use it to refuse a file built
-// for a different substrate than the one they were configured to serve.
-type Substrate uint8
-
-const (
-	SubstrateUnknown Substrate = iota
-	SubstrateSSTree
-	SubstrateMTree
-	SubstrateRTree
-)
-
-// substrateNames is the one list of substrate names: what a shard manifest
-// and the -substrate flags spell, and the prefix of each tree's counters.
-var substrateNames = [...]string{
-	SubstrateUnknown: "unknown",
-	SubstrateSSTree:  "sstree",
-	SubstrateMTree:   "mtree",
-	SubstrateRTree:   "rtree",
-}
-
-// NumSubstrates sizes tables indexed by Substrate (SubstrateUnknown included).
-const NumSubstrates = len(substrateNames)
-
-func (s Substrate) String() string {
-	if int(s) < NumSubstrates {
-		return substrateNames[s]
-	}
-	return substrateNames[SubstrateUnknown]
-}
-
-// SubstrateFromString is the inverse of Substrate.String; unrecognised
-// names map to SubstrateUnknown.
-func SubstrateFromString(name string) Substrate {
-	for s := SubstrateSSTree; int(s) < NumSubstrates; s++ {
-		if substrateNames[s] == name {
-			return s
-		}
-	}
-	return SubstrateUnknown
-}
-
-// Substrate returns the substrate that froze this snapshot
-// (SubstrateUnknown for trees built before stamping existed).
-func (t *Tree) Substrate() Substrate { return t.substrate }
-
-// SetSubstrate stamps the substrate origin into the snapshot under
-// construction; the substrates' Freeze methods call it so the information
-// survives serialization.
-func (b *Builder) SetSubstrate(s Substrate) { b.t.substrate = s }
-
 // header is the fixed 72-byte prefix of a snapshot file. encoding/binary
 // writes and reads it little-endian, field after field with no padding, so
 // the declaration order below is the byte layout.
@@ -173,8 +122,8 @@ type header struct {
 	Children   uint32
 	Items      uint32
 	Root       int32 // -1: empty tree
-	Kind       Kind
-	Substrate  Substrate
+	Kind       Kind  // KindSphere
+	Substrate  uint8 // hdrSSTree
 	Tiers      uint8
 	Flags      uint8 // reserved, zero
 	NSec       uint32
@@ -187,6 +136,16 @@ type header struct {
 // over the header has to step around.
 const hdrCRCOff = 12
 
+// hdrSSTree is the substrate byte of every snapshot this build writes and
+// the only one it reads. Earlier builds also froze M-trees (2) and R-trees
+// (3, with kind 1), and left trees they could not name at 0; the reader
+// refuses those as ErrIncompatible, so whoever owns the file rebuilds it.
+const hdrSSTree = 1
+
+// hdrSubstrateNames spells the substrate bytes earlier builds wrote, for the
+// refusal message.
+var hdrSubstrateNames = [...]string{"unstamped", "SS-tree", "M-tree", "R-tree"}
+
 // secEntry is one row of the file's section table.
 type secEntry struct {
 	ID, CRC  uint32
@@ -195,7 +154,9 @@ type secEntry struct {
 
 // Section ids, in both file order and ascending numeric order (the table
 // is required to be strictly ascending). Which ids appear in a given file
-// depends on kind and emptiness.
+// depends on emptiness. Ids 7, 8, 13 and 14 held the child and root
+// rectangles of an R-tree snapshot: they are reserved, never written, and
+// a file that carries one is refused.
 const (
 	secLeaf uint32 = iota + 1
 	secChildStart
@@ -203,14 +164,14 @@ const (
 	secChild
 	secCCenters
 	secCRadii
-	secCLo
-	secCHi
+	_ // 7: child rectangle lower corners
+	_ // 8: child rectangle upper corners
 	secItemIDs
 	secICenters
 	secIRadii
 	secRootCenter
-	secRootLo
-	secRootHi
+	_ // 13: root rectangle lower corner
+	_ // 14: root rectangle upper corner
 	secQICen32
 	secQICen8
 	secQIScale
@@ -274,16 +235,6 @@ func coords(mul int64, n func(*header) int64) func(*header) int64 {
 	return func(h *header) int64 { return n(h) * mul * int64(h.Dim) }
 }
 
-// only confines a section to trees of one kind.
-func only(k Kind, n func(*header) int64) func(*header) int64 {
-	return func(h *header) int64 {
-		if h.Kind != k {
-			return 0
-		}
-		return n(h)
-	}
-}
-
 // sections is the snapshot format's table of contents, ascending by id:
 // what WriteTo emits and what decodeTree expects, checks and fills.
 var sections = []section{
@@ -291,10 +242,8 @@ var sections = []section{
 	sec(secChildStart, perNodeEnd, func(t *Tree) *[]int32 { return &t.childStart }),
 	sec(secItemStart, perNodeEnd, func(t *Tree) *[]int32 { return &t.itemStart }),
 	sec(secChild, perChild, func(t *Tree) *[]int32 { return &t.child }),
-	sec(secCCenters, only(KindSphere, coords(1, perChild)), func(t *Tree) *[]float64 { return &t.cCenters }),
-	sec(secCRadii, only(KindSphere, perChild), func(t *Tree) *[]float64 { return &t.cRadii }),
-	sec(secCLo, only(KindRect, coords(1, perChild)), func(t *Tree) *[]float64 { return &t.cLo }),
-	sec(secCHi, only(KindRect, coords(1, perChild)), func(t *Tree) *[]float64 { return &t.cHi }),
+	sec(secCCenters, coords(1, perChild), func(t *Tree) *[]float64 { return &t.cCenters }),
+	sec(secCRadii, perChild, func(t *Tree) *[]float64 { return &t.cRadii }),
 	{
 		// The item IDs live in []geom.Item, which holds Go slice headers and
 		// so cannot be a file column itself; decodeTree points each item's
@@ -316,9 +265,7 @@ var sections = []section{
 	},
 	sec(secICenters, coords(1, perItem), func(t *Tree) *[]float64 { return &t.iCenters }),
 	sec(secIRadii, perItem, func(t *Tree) *[]float64 { return &t.iRadii }),
-	sec(secRootCenter, only(KindSphere, coords(1, perRoot)), func(t *Tree) *[]float64 { return &t.rootCenter }),
-	sec(secRootLo, only(KindRect, coords(1, perRoot)), func(t *Tree) *[]float64 { return &t.rootLo }),
-	sec(secRootHi, only(KindRect, coords(1, perRoot)), func(t *Tree) *[]float64 { return &t.rootHi }),
+	sec(secRootCenter, coords(1, perRoot), func(t *Tree) *[]float64 { return &t.rootCenter }),
 	sec(secQICen32, coords(1, perItem), func(t *Tree) *[]float32 { return &t.quant.iCen32 }),
 	sec(secQICen8, coords(1, perItem), func(t *Tree) *[]int8 { return &t.quant.iCen8 }),
 	sec(secQIScale, perNode, func(t *Tree) *[]float64 { return &t.quant.iScale }),
@@ -327,7 +274,7 @@ var sections = []section{
 	sec(secIPivotHi32, perItem, func(t *Tree) *[]float32 { return &t.quant.iPivotHi32 }),
 	sec(secISR32, perItem, func(t *Tree) *[]float32 { return &t.quant.iSR32 }),
 	sec(secISR8, perItem, func(t *Tree) *[]float32 { return &t.quant.iSR8 }),
-	sec(secCBox, only(KindSphere, coords(2, perChild)), func(t *Tree) *[]float32 { return &t.cBox }).checked(checkBoxes),
+	sec(secCBox, coords(2, perChild), func(t *Tree) *[]float32 { return &t.cBox }).checked(checkBoxes),
 }
 
 // checkLeafFlags: []bool is one 0/1 byte per element in Go's ABI, and any
@@ -434,8 +381,8 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 		Children:   uint32(len(t.child)),
 		Items:      uint32(len(t.items)),
 		Root:       t.root,
-		Kind:       t.kind,
-		Substrate:  t.substrate,
+		Kind:       KindSphere,
+		Substrate:  hdrSSTree,
 		Tiers:      tiersBoth,
 		RootRadius: t.rootRadius,
 		SlackRel:   slackRelParam,

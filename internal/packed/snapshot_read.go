@@ -50,11 +50,13 @@ func parseHeader(data []byte) (h *header, table []secEntry, err error) {
 		return nil, nil, fmt.Errorf("%w: header CRC %08x, computed %08x", ErrChecksum, h.CRC, crc)
 	}
 
-	if h.Kind != KindSphere && h.Kind != KindRect {
-		return nil, nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, h.Kind)
-	}
-	if int(h.Substrate) >= NumSubstrates {
-		return nil, nil, fmt.Errorf("%w: unknown substrate %d", ErrCorrupt, h.Substrate)
+	if h.Kind != KindSphere || h.Substrate != hdrSSTree {
+		found := fmt.Sprintf("substrate %d", h.Substrate)
+		if int(h.Substrate) < len(hdrSubstrateNames) {
+			found = hdrSubstrateNames[h.Substrate]
+		}
+		return nil, nil, fmt.Errorf("%w: %s snapshot (kind %d, substrate %d), this build serves only SS-tree snapshots (kind %d, substrate %d) — rebuild it",
+			ErrIncompatible, found, h.Kind, h.Substrate, KindSphere, hdrSSTree)
 	}
 	if h.Tiers != tiersBoth {
 		return nil, nil, fmt.Errorf("%w: quant tier mask %#x, this build serves snapshots carrying both tiers (%#x) — re-freeze with a matching build",
@@ -130,10 +132,8 @@ func decodeTree(data []byte, zeroCopy, verify bool) (*Tree, error) {
 	}
 
 	t := &Tree{
-		kind:       h.Kind,
 		dim:        int(h.Dim),
 		root:       h.Root,
-		substrate:  h.Substrate,
 		rootRadius: h.RootRadius,
 	}
 	for _, s := range sections {

@@ -16,13 +16,13 @@ import (
 	"hyperdom/internal/geom"
 )
 
-// randTree builds a three-level tree of the given kind through the
-// Builder — the same entry point the substrates' Freeze methods use — so
-// the snapshot tests exercise every section kind without importing a
-// substrate (which would cycle back into packed).
-func randTree(seed int64, kind Kind, dim, leaves, perLeaf int) *Tree {
+// randTree builds a three-level tree through the Builder — the same entry
+// point the SS-tree's Freeze uses — so the snapshot tests exercise every
+// section kind without importing a tree (which would cycle back into
+// packed).
+func randTree(seed int64, dim, leaves, perLeaf int) *Tree {
 	rng := rand.New(rand.NewSource(seed))
-	b := NewBuilder(kind, dim)
+	b := NewBuilder(KindSphere, dim)
 	center := func() []float64 {
 		c := make([]float64, dim)
 		for j := range c {
@@ -34,7 +34,6 @@ func randTree(seed int64, kind Kind, dim, leaves, perLeaf int) *Tree {
 	var leafIDs []int32
 	var bounds [][]float64
 	var radii []float64
-	var los, his [][]float64
 	for l := 0; l < leaves; l++ {
 		items := make([]geom.Item, perLeaf)
 		for i := range items {
@@ -45,36 +44,14 @@ func randTree(seed int64, kind Kind, dim, leaves, perLeaf int) *Tree {
 		c := center()
 		bounds = append(bounds, c)
 		radii = append(radii, 30+rng.Float64())
-		lo, hi := make([]float64, dim), make([]float64, dim)
-		for j := range lo {
-			lo[j] = c[j] - 30
-			hi[j] = c[j] + 30
-		}
-		los, his = append(los, lo), append(his, hi)
 	}
 	// Group leaves under two internal nodes, then a root above them.
 	half := len(leafIDs) / 2
-	if kind == KindSphere {
-		n0 := b.InternalSphere(leafIDs[:half], bounds[:half], radii[:half])
-		n1 := b.InternalSphere(leafIDs[half:], bounds[half:], radii[half:])
-		root := b.InternalSphere([]int32{n0, n1},
-			[][]float64{center(), center()}, []float64{90, 90})
-		return b.FinishSphere(root, center(), 200)
-	}
-	n0 := b.InternalRect(leafIDs[:half], los[:half], his[:half])
-	n1 := b.InternalRect(leafIDs[half:], los[half:], his[half:])
-	wide := func(off float64) ([]float64, []float64) {
-		lo, hi := make([]float64, dim), make([]float64, dim)
-		for j := range lo {
-			lo[j], hi[j] = off-80, off+80
-		}
-		return lo, hi
-	}
-	l0, h0 := wide(100)
-	l1, h1 := wide(100)
-	root := b.InternalRect([]int32{n0, n1}, [][]float64{l0, l1}, [][]float64{h0, h1})
-	lr, hr := wide(100)
-	return b.FinishRect(root, lr, hr)
+	n0 := b.InternalSphere(leafIDs[:half], bounds[:half], radii[:half])
+	n1 := b.InternalSphere(leafIDs[half:], bounds[half:], radii[half:])
+	root := b.InternalSphere([]int32{n0, n1},
+		[][]float64{center(), center()}, []float64{90, 90})
+	return b.FinishSphere(root, center(), 200)
 }
 
 // eqSlices reports a test error for every field where the two trees
@@ -112,11 +89,9 @@ func eqTree(t *testing.T, want, got *Tree) {
 			t.Fatalf("eqTree: unhandled type %T", a)
 		}
 	}
-	if want.kind != got.kind || want.dim != got.dim || want.root != got.root ||
-		want.substrate != got.substrate || want.rootRadius != got.rootRadius {
-		t.Errorf("scalars differ: kind %v/%v dim %d/%d root %d/%d substrate %v/%v rootRadius %v/%v",
-			want.kind, got.kind, want.dim, got.dim, want.root, got.root,
-			want.substrate, got.substrate, want.rootRadius, got.rootRadius)
+	if want.dim != got.dim || want.root != got.root || want.rootRadius != got.rootRadius {
+		t.Errorf("scalars differ: dim %d/%d root %d/%d rootRadius %v/%v",
+			want.dim, got.dim, want.root, got.root, want.rootRadius, got.rootRadius)
 	}
 	eq("leaf", want.leaf, got.leaf)
 	eq("childStart", want.childStart, got.childStart)
@@ -125,13 +100,9 @@ func eqTree(t *testing.T, want, got *Tree) {
 	eq("cCenters", want.cCenters, got.cCenters)
 	eq("cRadii", want.cRadii, got.cRadii)
 	eq("cBox", want.cBox, got.cBox)
-	eq("cLo", want.cLo, got.cLo)
-	eq("cHi", want.cHi, got.cHi)
 	eq("iCenters", want.iCenters, got.iCenters)
 	eq("iRadii", want.iRadii, got.iRadii)
 	eq("rootCenter", want.rootCenter, got.rootCenter)
-	eq("rootLo", want.rootLo, got.rootLo)
-	eq("rootHi", want.rootHi, got.rootHi)
 	if len(want.items) != len(got.items) {
 		t.Fatalf("items: %d vs %d", len(want.items), len(got.items))
 	}
@@ -166,37 +137,38 @@ func snapshotBytes(t *testing.T, pt *Tree) []byte {
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		kind Kind
-	}{{"sphere", KindSphere}, {"rect", KindRect}} {
-		t.Run(tc.name, func(t *testing.T) {
-			pt := randTree(42, tc.kind, 4, 8, 16)
-			pt.substrate = SubstrateSSTree
-			got, err := OpenBytes(snapshotBytes(t, pt))
-			if err != nil {
-				t.Fatalf("OpenBytes: %v", err)
-			}
-			eqTree(t, pt, got)
-		})
-	}
+	t.Run("sphere", func(t *testing.T) {
+		pt := randTree(42, 4, 8, 16)
+		got, err := OpenBytes(snapshotBytes(t, pt))
+		if err != nil {
+			t.Fatalf("OpenBytes: %v", err)
+		}
+		eqTree(t, pt, got)
+	})
 }
 
 // TestSnapshotFormatLayout pins the v3 table of contents (DESIGN.md §16):
-// 23 section kinds, of which a sphere-bounded file carries 19 (the child
-// boxes are its alone) and a rect-bounded one 19.
+// ids 1 to 23 less the four reserved rectangle ids (7, 8, 13, 14), all 19
+// of them in every non-empty file, under a header stamped kind 0 (sphere)
+// and substrate 1 (SS-tree).
 func TestSnapshotFormatLayout(t *testing.T) {
 	if FormatVersion != 3 {
 		t.Fatalf("FormatVersion = %d, want 3", FormatVersion)
 	}
-	if n := len(sections); n != 23 {
-		t.Fatalf("sections lists %d sections, want 23", n)
+	var ids []uint32
+	for _, s := range sections {
+		ids = append(ids, s.id)
 	}
-	for kind, want := range map[Kind]uint32{KindSphere: 19, KindRect: 19} {
-		data := snapshotBytes(t, randTree(42, kind, 4, 8, 16))
-		if got := binary.LittleEndian.Uint32(data[44:]); got != want {
-			t.Errorf("kind %d file carries %d sections, want %d", kind, got, want)
-		}
+	want := []uint32{1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 15, 16, 17, 18, 19, 20, 21, 22, 23}
+	if !slices.Equal(ids, want) {
+		t.Fatalf("section ids %v, want %v", ids, want)
+	}
+	data := snapshotBytes(t, randTree(42, 4, 8, 16))
+	if got := binary.LittleEndian.Uint32(data[44:]); got != uint32(len(want)) {
+		t.Errorf("file carries %d sections, want %d", got, len(want))
+	}
+	if data[40] != 0 || data[41] != 1 {
+		t.Errorf("header kind/substrate bytes %d/%d, want 0/1", data[40], data[41])
 	}
 }
 
@@ -228,8 +200,7 @@ func TestSnapshotSingleLeafRoundTrip(t *testing.T) {
 // (atomic temp+rename), Open (mmap where supported) and Load (copy), each
 // yielding a bit-identical tree, and Close releasing the mapping.
 func TestSnapshotSaveOpen(t *testing.T) {
-	pt := randTree(7, KindSphere, 4, 8, 16)
-	pt.substrate = SubstrateMTree
+	pt := randTree(7, 4, 8, 16)
 	path := filepath.Join(t.TempDir(), "t.hds")
 	if err := pt.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)
@@ -271,8 +242,8 @@ func TestSnapshotSaveOpen(t *testing.T) {
 func TestSnapshotSaveAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.hds")
-	first := randTree(1, KindSphere, 2, 4, 4)
-	second := randTree(2, KindRect, 3, 6, 8)
+	first := randTree(1, 2, 4, 4)
+	second := randTree(2, 3, 6, 8)
 	for _, pt := range []*Tree{first, second} {
 		if err := pt.Save(path); err != nil {
 			t.Fatalf("Save: %v", err)
@@ -347,7 +318,7 @@ func invertFirstBox(t *testing.T, data []byte) {
 // never a panic, never an out-of-bounds slice, never a silently served
 // wrong tree.
 func TestSnapshotCorruptInputs(t *testing.T) {
-	base := snapshotBytes(t, randTree(11, KindSphere, 3, 4, 8))
+	base := snapshotBytes(t, randTree(11, 3, 4, 8))
 	le := binary.LittleEndian
 	cases := []struct {
 		name    string
@@ -382,6 +353,21 @@ func TestSnapshotCorruptInputs(t *testing.T) {
 		}, ErrIncompatible},
 		{"tier mask missing i8", func(b []byte) []byte {
 			b[42] = tiersF32
+			rewriteCRCs(b)
+			return b
+		}, ErrIncompatible},
+		{"rect kind", func(b []byte) []byte {
+			b[40] = 1
+			rewriteCRCs(b)
+			return b
+		}, ErrIncompatible},
+		{"M-tree substrate", func(b []byte) []byte {
+			b[41] = 2
+			rewriteCRCs(b)
+			return b
+		}, ErrIncompatible},
+		{"unstamped substrate", func(b []byte) []byte {
+			b[41] = 0
 			rewriteCRCs(b)
 			return b
 		}, ErrIncompatible},
@@ -478,7 +464,7 @@ func TestSnapshotCorruptInputs(t *testing.T) {
 // so a damaged one must stop the open even on the mmap path that skips the
 // section CRCs — with the CRCs left stale, as bit rot would leave them.
 func TestSnapshotBadBoxWithoutVerify(t *testing.T) {
-	data := snapshotBytes(t, randTree(11, KindSphere, 3, 4, 8))
+	data := snapshotBytes(t, randTree(11, 3, 4, 8))
 	invertFirstBox(t, data)
 	path := filepath.Join(t.TempDir(), "bad.hds")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -502,7 +488,7 @@ func TestSnapshotBadBoxWithoutVerify(t *testing.T) {
 // TestSnapshotErrorMessages spot-checks that the rejection messages say
 // what to do about it, not just that bytes were bad.
 func TestSnapshotErrorMessages(t *testing.T) {
-	base := snapshotBytes(t, randTree(12, KindSphere, 2, 4, 4))
+	base := snapshotBytes(t, randTree(12, 2, 4, 4))
 	le := binary.LittleEndian
 
 	b := slices.Clone(base)
@@ -518,5 +504,13 @@ func TestSnapshotErrorMessages(t *testing.T) {
 	_, err = OpenBytes(b)
 	if err == nil || !strings.Contains(err.Error(), "little-endian") {
 		t.Errorf("endianness error not actionable: %v", err)
+	}
+
+	b = slices.Clone(base)
+	b[41] = 3
+	rewriteCRCs(b)
+	_, err = OpenBytes(b)
+	if err == nil || !strings.Contains(err.Error(), "R-tree snapshot") || !strings.Contains(err.Error(), "rebuild") {
+		t.Errorf("substrate refusal does not name what it found: %v", err)
 	}
 }

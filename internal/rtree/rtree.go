@@ -16,7 +16,6 @@ import (
 	"math"
 
 	"hyperdom/internal/geom"
-	"hyperdom/internal/packed"
 	"hyperdom/internal/tree"
 )
 
@@ -36,8 +35,7 @@ func New(dim int, opts ...tree.Option) *Tree {
 // (Node.Rect), least-enlargement descent, quadratic split.
 type policy struct{}
 
-func (policy) Substrate() packed.Substrate { return packed.SubstrateRTree }
-func (policy) Kind() packed.Kind           { return packed.KindRect }
+func (policy) Substrate() tree.Substrate { return tree.RTree }
 
 // extend grows r in place to contain s's MBR.
 func extend(r *geom.Rect, s geom.Sphere) {

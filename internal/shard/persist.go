@@ -3,7 +3,9 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -23,15 +25,15 @@ const manifestFormat = 1
 
 // manifest is the JSON sidecar tying a directory of shard snapshots back
 // into one sharded index: which file is which shard, and the build
-// parameters a reload must match. A manifest written before the partition
-// plan was dropped carries a "plan" key too; decoding ignores it.
+// parameters a reload must match. Manifests written by earlier builds carry
+// a "plan" or a "substrate" key too; decoding ignores both, and a shard
+// file of any substrate but the SS-tree is refused by packed.Open.
 type manifest struct {
-	Format    int             `json:"format"`
-	Substrate string          `json:"substrate"`
-	Dim       int             `json:"dim"`
-	Items     int             `json:"items"`
-	MaxFill   int             `json:"max_fill,omitempty"`
-	Shards    []manifestShard `json:"shards"`
+	Format  int             `json:"format"`
+	Dim     int             `json:"dim"`
+	Items   int             `json:"items"`
+	MaxFill int             `json:"max_fill,omitempty"`
+	Shards  []manifestShard `json:"shards"`
 }
 
 type manifestShard struct {
@@ -44,22 +46,22 @@ func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.hds", i) }
 
 // SaveDir persists the index into dir: one packed snapshot per shard
 // (shard-0000.hds, shard-0001.hds, ...) plus a manifest.json carrying the
-// substrate, dimensionality and per-shard item counts. Each file is written
-// with packed.ReplaceFile, so a crash mid-save never leaves a half-written
-// file under the final name; the manifest is written last, so a directory
-// with a manifest always has all its shard files. dir is created if
-// missing. The index stays fully serveable throughout.
+// dimensionality and per-shard item counts. Each file is written with
+// packed.ReplaceFile, so a crash mid-save never leaves a half-written file
+// under the final name; the manifest is written last, so a directory with a
+// manifest always has all its shard files. Once it is, the shard files of
+// an earlier save with more shards are removed. dir is created if missing.
+// The index stays fully serveable throughout.
 func (x *Index) SaveDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("shard: save: %w", err)
 	}
 	m := manifest{
-		Format:    manifestFormat,
-		Substrate: x.opts.Substrate,
-		Dim:       x.dim,
-		Items:     x.n,
-		MaxFill:   x.opts.MaxFill,
-		Shards:    make([]manifestShard, len(x.trees)),
+		Format:  manifestFormat,
+		Dim:     x.dim,
+		Items:   x.n,
+		MaxFill: x.opts.MaxFill,
+		Shards:  make([]manifestShard, len(x.trees)),
 	}
 	for i, snap := range x.trees {
 		name := shardFileName(i)
@@ -75,14 +77,33 @@ func (x *Index) SaveDir(dir string) error {
 	if err := packed.ReplaceFile(filepath.Join(dir, ManifestName), bytes.NewReader(append(data, '\n'))); err != nil {
 		return fmt.Errorf("shard: save manifest: %w", err)
 	}
+	return removeStaleShards(dir, len(x.trees))
+}
+
+// removeStaleShards deletes the shard files in dir that a save of n shards
+// does not name: exactly the names shardFileName gives an index ≥ n.
+func removeStaleShards(dir string, n int) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("shard: save: %w", err)
+	}
+	for _, e := range entries {
+		var i int
+		if _, err := fmt.Sscanf(e.Name(), "shard-%d.hds", &i); err != nil || i < n || shardFileName(i) != e.Name() {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("shard: save: remove stale %s: %w", e.Name(), err)
+		}
+	}
 	return nil
 }
 
 // OpenOptions configures OpenDir. The structural build parameters
-// (substrate, dimensionality, shard count, max fill) come from the
-// manifest, not from here — a loaded index must match what was saved.
-// Every shard file is opened with packed.Open, so how it is read (mapped
-// or copied) is the platform's choice, not an option.
+// (dimensionality, shard count, max fill) come from the manifest, not from
+// here — a loaded index must match what was saved. Every shard file is
+// opened with packed.Open, so how it is read (mapped or copied) is the
+// platform's choice, not an option.
 type OpenOptions struct {
 	// Criterion, Algorithm and Label act exactly as in Options; zero values
 	// select the same defaults.
@@ -122,15 +143,11 @@ func OpenDir(dir string, opts OpenOptions) (*Index, error) {
 		return nil, fmt.Errorf("shard: open %s: manifest format %d, this build reads %d — rebuild the snapshot directory",
 			dir, m.Format, manifestFormat)
 	}
-	wantSub := packed.SubstrateFromString(m.Substrate)
-	if wantSub == packed.SubstrateUnknown {
-		return nil, fmt.Errorf("shard: open %s: unknown substrate %q in manifest", dir, m.Substrate)
-	}
 	if m.Dim <= 0 || len(m.Shards) == 0 {
 		return nil, fmt.Errorf("shard: open %s: manifest dim=%d shards=%d", dir, m.Dim, len(m.Shards))
 	}
 
-	bopts.Shards, bopts.Substrate, bopts.MaxFill = len(m.Shards), m.Substrate, m.MaxFill
+	bopts.Shards, bopts.MaxFill = len(m.Shards), m.MaxFill
 
 	x := &Index{
 		opts:       bopts,
@@ -162,9 +179,6 @@ func OpenDir(dir string, opts OpenOptions) (*Index, error) {
 		if t.Dim() != m.Dim {
 			return fail(fmt.Errorf("shard: open %s shard %d: dim %d, manifest says %d", dir, i, t.Dim(), m.Dim))
 		}
-		if got := t.Substrate(); got != wantSub && got != packed.SubstrateUnknown {
-			return fail(fmt.Errorf("shard: open %s shard %d: substrate %v, manifest says %q", dir, i, got, m.Substrate))
-		}
 		if t.Len() != ms.Items {
 			return fail(fmt.Errorf("shard: open %s shard %d: %d items, manifest says %d", dir, i, t.Len(), ms.Items))
 		}
@@ -179,11 +193,11 @@ func OpenDir(dir string, opts OpenOptions) (*Index, error) {
 		obsIndexes.Inc()
 		obsShards.Add(uint64(len(x.trees)))
 		// Every snapshot carries both narrow leaf tiers (the header's tier
-		// mask is checked at open); the info gauge makes the running
-		// format/substrate visible per collection.
+		// mask is checked at open); the info gauge makes the running format
+		// visible per collection.
 		obs.SetGauge("snapshot.info",
-			fmt.Sprintf(`collection=%q,version="%d",substrate=%q,quant="f32+i8"`,
-				bopts.Label, packed.FormatVersion, m.Substrate), 1)
+			fmt.Sprintf(`collection=%q,version="%d",quant="f32+i8"`,
+				bopts.Label, packed.FormatVersion), 1)
 	}
 	return x, nil
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -23,67 +24,60 @@ import (
 // index's acceptance gate: an index reloaded from disk — shard
 // snapshots mmapped straight into serving — answers every query with the
 // same result set and the same aggregate Stats as the index that was
-// saved, across substrates, traversals and quantization tiers.
+// saved, across traversals and quantization tiers.
 func TestSaveDirOpenDirBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	const d, n = 3, 800
 	defer knn.SetQuantMode(knn.SetQuantMode(knn.QuantNone)) // restore on exit
-	for _, substrate := range []string{"sstree", "mtree", "rtree"} {
-		t.Run(substrate, func(t *testing.T) {
-			items := randItems(rng, d, n, 3)
-			built, err := Build(items, d, Options{
-				Shards:    3,
-				Substrate: substrate,
-				MaxFill:   16,
-				Algorithm: knn.HS,
-			})
+	t.Run("sstree", func(t *testing.T) {
+		items := randItems(rng, d, n, 3)
+		built, err := Build(items, d, Options{Shards: 3, MaxFill: 16, Algorithm: knn.HS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer built.Close()
+		dir := t.TempDir()
+		if err := built.SaveDir(dir); err != nil {
+			t.Fatalf("SaveDir: %v", err)
+		}
+		for _, mode := range []struct {
+			name string
+			o    OpenOptions
+		}{
+			{"mmap", OpenOptions{Algorithm: knn.HS}},
+			{"verify", OpenOptions{Algorithm: knn.HS, Verify: true}},
+		} {
+			loaded, err := OpenDir(dir, mode.o)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("OpenDir(%s): %v", mode.name, err)
 			}
-			defer built.Close()
-			dir := t.TempDir()
-			if err := built.SaveDir(dir); err != nil {
-				t.Fatalf("SaveDir: %v", err)
+			if loaded.Len() != built.Len() || loaded.Dim() != d || loaded.Shards() != built.Shards() {
+				t.Fatalf("%s: loaded n=%d dim=%d shards=%d, want n=%d dim=%d shards=%d",
+					mode.name, loaded.Len(), loaded.Dim(), loaded.Shards(),
+					built.Len(), d, built.Shards())
 			}
-			for _, mode := range []struct {
-				name string
-				o    OpenOptions
-			}{
-				{"mmap", OpenOptions{Algorithm: knn.HS}},
-				{"verify", OpenOptions{Algorithm: knn.HS, Verify: true}},
-			} {
-				loaded, err := OpenDir(dir, mode.o)
-				if err != nil {
-					t.Fatalf("OpenDir(%s): %v", mode.name, err)
-				}
-				if loaded.Len() != built.Len() || loaded.Dim() != d || loaded.Shards() != built.Shards() {
-					t.Fatalf("%s: loaded n=%d dim=%d shards=%d, want n=%d dim=%d shards=%d",
-						mode.name, loaded.Len(), loaded.Dim(), loaded.Shards(),
-						built.Len(), d, built.Shards())
-				}
-				if !reflect.DeepEqual(loaded.ShardSizes(), built.ShardSizes()) {
-					t.Fatalf("%s: shard sizes %v, want %v", mode.name, loaded.ShardSizes(), built.ShardSizes())
-				}
-				for _, quant := range []knn.QuantMode{knn.QuantNone, knn.QuantF32, knn.QuantI8} {
-					knn.SetQuantMode(quant)
-					for q := 0; q < 12; q++ {
-						sq := randQuery(rng, d, 3)
-						k := 1 + rng.Intn(12)
-						want := built.Search(sq, k)
-						got := loaded.Search(sq, k)
-						ctx := substrate + "/" + mode.name + "/" + quant.String()
-						sameItems(t, ctx, got.Items, want.Items)
-						if got.Stats != want.Stats {
-							t.Fatalf("%s: stats %+v, want %+v", ctx, got.Stats, want.Stats)
-						}
+			if !reflect.DeepEqual(loaded.ShardSizes(), built.ShardSizes()) {
+				t.Fatalf("%s: shard sizes %v, want %v", mode.name, loaded.ShardSizes(), built.ShardSizes())
+			}
+			for _, quant := range []knn.QuantMode{knn.QuantNone, knn.QuantF32, knn.QuantI8} {
+				knn.SetQuantMode(quant)
+				for q := 0; q < 12; q++ {
+					sq := randQuery(rng, d, 3)
+					k := 1 + rng.Intn(12)
+					want := built.Search(sq, k)
+					got := loaded.Search(sq, k)
+					ctx := mode.name + "/" + quant.String()
+					sameItems(t, ctx, got.Items, want.Items)
+					if got.Stats != want.Stats {
+						t.Fatalf("%s: stats %+v, want %+v", ctx, got.Stats, want.Stats)
 					}
 				}
-				knn.SetQuantMode(knn.QuantNone)
-				loaded.Close()
-				loaded.Close() // double Close is safe
 			}
-		})
-	}
+			knn.SetQuantMode(knn.QuantNone)
+			loaded.Close()
+			loaded.Close() // double Close is safe
+		}
+	})
 }
 
 // TestSaveDirEmptyShards: with fewer items than shards some shards are
@@ -124,12 +118,12 @@ func TestSaveDirEmptyShards(t *testing.T) {
 	}
 }
 
-// TestSaveDirManifest pins the manifest schema: format, substrate, dim and
-// per-shard files — and no partition plan.
+// TestSaveDirManifest pins the manifest schema: format, dim and per-shard
+// files — and neither a partition plan nor a substrate.
 func TestSaveDirManifest(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	items := randItems(rng, 4, 500, 2)
-	built, err := Build(items, 4, Options{Shards: 5, Substrate: "rtree", MaxFill: 16})
+	built, err := Build(items, 4, Options{Shards: 5, MaxFill: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +140,7 @@ func TestSaveDirManifest(t *testing.T) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatalf("manifest does not parse: %v", err)
 	}
-	if m.Format != manifestFormat || m.Substrate != "rtree" || m.Dim != 4 || m.Items != 500 {
+	if m.Format != manifestFormat || m.Dim != 4 || m.Items != 500 || m.MaxFill != 16 {
 		t.Fatalf("manifest header %+v", m)
 	}
 	if len(m.Shards) != 5 {
@@ -162,14 +156,16 @@ func TestSaveDirManifest(t *testing.T) {
 	if total != 500 {
 		t.Fatalf("shard items sum to %d", total)
 	}
-	if strings.Contains(string(data), `"plan"`) {
-		t.Errorf("manifest still carries a partition plan:\n%s", data)
+	for _, key := range []string{`"plan"`, `"substrate"`} {
+		if strings.Contains(string(data), key) {
+			t.Errorf("manifest still carries %s:\n%s", key, data)
+		}
 	}
 }
 
 // TestOpenDirManifestWithPlan opens a directory whose manifest carries the
-// "plan" key that builds before the plan was dropped wrote: the key is
-// ignored and the index answers like the one saved.
+// keys earlier builds wrote — the partition plan and the substrate name —
+// and both are ignored: the index answers like the one saved.
 func TestOpenDirManifestWithPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	items := randItems(rng, 3, 600, 2)
@@ -193,16 +189,17 @@ func TestOpenDirManifestWithPlan(t *testing.T) {
     "left": {"shard": 0},
     "right": {"dim": 2, "cut": -0.5, "shard": 0, "left": {"shard": 1}, "right": {"shard": 2}}}`
 	data = []byte(strings.Replace(string(data), `"shards": [`, plan+`,
+  "substrate": "sstree",
   "shards": [`, 1))
-	if !strings.Contains(string(data), `"plan"`) {
-		t.Fatal("test manifest has no plan key")
+	if !strings.Contains(string(data), `"plan"`) || !strings.Contains(string(data), `"substrate"`) {
+		t.Fatal("test manifest lacks the plan or the substrate key")
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := OpenDir(dir, OpenOptions{Algorithm: knn.HS, Verify: true})
 	if err != nil {
-		t.Fatalf("OpenDir over a manifest with a plan: %v", err)
+		t.Fatalf("OpenDir over a manifest with a plan and a substrate: %v", err)
 	}
 	defer loaded.Close()
 	if !reflect.DeepEqual(loaded.ShardSizes(), built.ShardSizes()) {
@@ -269,8 +266,16 @@ func TestOpenDirRejects(t *testing.T) {
 			edit(t, dir, func(m *manifest) { m.Format = 99 })
 		}, "manifest format 99"},
 		{"bad substrate", func(t *testing.T, dir string) {
-			edit(t, dir, func(m *manifest) { m.Substrate = "btree" })
-		}, "unknown substrate"},
+			// An earlier build's M-tree shard: substrate byte 41 of the
+			// header, under a header CRC (bytes 12-15) recomputed to match.
+			p := filepath.Join(dir, shardFileName(1))
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restamp(data, 2)
+			os.WriteFile(p, data, 0o644)
+		}, "M-tree snapshot"},
 		{"escaping file name", func(t *testing.T, dir string) {
 			edit(t, dir, func(m *manifest) { m.Shards[0].File = "../evil.hds" })
 		}, "non-local file"},
@@ -334,6 +339,17 @@ func TestOpenDirRejects(t *testing.T) {
 	})
 }
 
+// restamp sets the substrate byte of a snapshot file's header and
+// recomputes the header CRC over the fixed header and the section table
+// (header word 16 is their length), with the CRC field itself zeroed.
+func restamp(data []byte, substrate byte) {
+	le := binary.LittleEndian
+	data[41] = substrate
+	hdr := data[:le.Uint32(data[16:])]
+	le.PutUint32(hdr[12:], 0)
+	le.PutUint32(hdr[12:], crc32.Checksum(hdr, crc32.MakeTable(crc32.Castagnoli)))
+}
+
 // sectionICenters is the snapshot section holding the item centers
 // (packed's section table, internal/packed/snapshot.go).
 const sectionICenters = 10
@@ -353,8 +369,9 @@ func sectionRange(t *testing.T, data []byte, id uint32) (off, ln uint64) {
 	return 0, 0
 }
 
-// TestSaveDirOverwrite: saving twice into the same directory is fine, and
-// a reload after the second save serves the second index.
+// TestSaveDirOverwrite: saving twice into the same directory is fine, a
+// reload after the second save serves the second index, and a save of
+// fewer shards leaves none of the first save's extra shard files behind.
 func TestSaveDirOverwrite(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	dir := t.TempDir()
@@ -392,6 +409,46 @@ func TestSaveDirOverwrite(t *testing.T) {
 			t.Fatalf("stray temp file %s", e.Name())
 		}
 	}
+
+	// Five shards, then two: the directory holds the manifest and the two
+	// new shard files, nothing else. A file that only looks like a shard
+	// file is not SaveDir's to remove.
+	t.Run("fewer shards", func(t *testing.T) {
+		dir := t.TempDir()
+		items := randItems(rng, 2, 100, 1)
+		for _, shards := range []int{5, 2} {
+			x, err := Build(items, 2, Options{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := x.SaveDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			x.Close()
+		}
+		if err := os.WriteFile(filepath.Join(dir, "shard-7.hds"), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := OpenDir(dir, OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer loaded.Close()
+		if loaded.Shards() != 2 || loaded.Len() != 100 {
+			t.Fatalf("reload has %d shards, %d items; want 2, 100", loaded.Shards(), loaded.Len())
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if want := []string{ManifestName, shardFileName(0), shardFileName(1), "shard-7.hds"}; !slices.Equal(names, want) {
+			t.Fatalf("directory holds %v, want %v", names, want)
+		}
+	})
 }
 
 // TestSaveDirReportsManifestErrors: a step of the manifest's durable replace
@@ -526,18 +583,16 @@ func savedFiles(t *testing.T, procs int, items []geom.Item, d int, opts Options)
 func TestBuildIsScheduleIndependent(t *testing.T) {
 	const d, n = 3, 1500
 	items := randItems(rand.New(rand.NewSource(22)), d, n, 3)
-	for _, substrate := range []string{"sstree", "mtree", "rtree"} {
-		for _, shards := range []int{1, 2, 5} {
-			opts := Options{Shards: shards, Substrate: substrate, MaxFill: 12}
-			one := savedFiles(t, 1, items, d, opts)
-			four := savedFiles(t, 4, items, d, opts)
-			if len(one) != shards+1 || len(four) != len(one) {
-				t.Fatalf("%s/%d: %d and %d files, want %d", substrate, shards, len(one), len(four), shards+1)
-			}
-			for name, want := range one {
-				if got, ok := four[name]; !ok || !slices.Equal(got, want) {
-					t.Errorf("%s/%d: %s differs between GOMAXPROCS 1 and 4", substrate, shards, name)
-				}
+	for _, shards := range []int{1, 2, 5} {
+		opts := Options{Shards: shards, MaxFill: 12}
+		one := savedFiles(t, 1, items, d, opts)
+		four := savedFiles(t, 4, items, d, opts)
+		if len(one) != shards+1 || len(four) != len(one) {
+			t.Fatalf("%d shards: %d and %d files, want %d", shards, len(one), len(four), shards+1)
+		}
+		for name, want := range one {
+			if got, ok := four[name]; !ok || !slices.Equal(got, want) {
+				t.Errorf("%d shards: %s differs between GOMAXPROCS 1 and 4", shards, name)
 			}
 		}
 	}
@@ -546,7 +601,6 @@ func TestBuildIsScheduleIndependent(t *testing.T) {
 	before := runtime.NumGoroutine()
 	bad := append(slices.Clone(items[:100]), geom.Item{ID: -1, Sphere: geom.Sphere{Center: []float64{1, 2}, Radius: 1}})
 	for want, build := range map[string]func() (*Index, error){
-		`shard: unknown substrate "btree"`:                                      func() (*Index, error) { return Build(items, d, Options{Shards: 5, Substrate: "btree"}) },
 		"shard: item 100 (id -1): 2-dimensional sphere, index is 3-dimensional": func() (*Index, error) { return Build(bad, d, Options{Shards: 5}) },
 		"shard: dim = 0": func() (*Index, error) { return Build(items, 0, Options{Shards: 5}) },
 	} {

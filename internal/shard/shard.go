@@ -10,8 +10,8 @@
 // The distribution is invisible to callers: Definition 2 filters against
 // the GLOBAL Sk, and because the list is shared across shards the final
 // filter runs once, against that Sk, so the result set is bit-identical to
-// a single-index search over the same data (test-locked for every substrate
-// × traversal × quantization tier).
+// a single-index search over the same data (test-locked for every
+// traversal × quantization tier).
 package shard
 
 import (
@@ -24,10 +24,8 @@ import (
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
 	"hyperdom/internal/knn"
-	"hyperdom/internal/mtree"
 	"hyperdom/internal/obs"
 	"hyperdom/internal/packed"
-	"hyperdom/internal/rtree"
 	"hyperdom/internal/sstree"
 	"hyperdom/internal/tree"
 )
@@ -37,10 +35,8 @@ type Options struct {
 	// Shards is the shard count; ≤ 0 selects 1 (a single shard, which
 	// degenerates to a single-index search).
 	Shards int
-	// Substrate selects the per-shard index: "sstree" (default), "mtree"
-	// or "rtree".
-	Substrate string
-	// MaxFill is the substrate node capacity; ≤ 0 selects the default.
+	// MaxFill is the node capacity of each shard's SS-tree; ≤ 0 selects the
+	// default.
 	MaxFill int
 	// Criterion is the dominance criterion (nil selects Hyperbola, the
 	// exact one). Bit-identity with a single-index search is guaranteed
@@ -60,9 +56,6 @@ type Options struct {
 func (o *Options) fill() error {
 	if o.Shards <= 0 {
 		o.Shards = 1
-	}
-	if o.Substrate == "" {
-		o.Substrate = packed.SubstrateSSTree.String()
 	}
 	if o.Criterion == nil {
 		o.Criterion = dominance.Hyperbola{}
@@ -116,10 +109,11 @@ type Index struct {
 	histMerge  *obs.Histogram
 }
 
-// Build partitions items into opts.Shards space-partitioned shards and
-// freezes each. The items slice is not retained; dim is the dimensionality
-// every item (and every query) must have. Items come from outside — a CSV, a
-// request — so a malformed one is an error here, not a panic further down.
+// Build partitions items into opts.Shards space-partitioned SS-tree shards
+// and freezes each. The items slice is not retained; dim is the
+// dimensionality every item (and every query) must have. Items come from
+// outside — a CSV, a request — so a malformed one is an error here, not a
+// panic further down.
 //
 // Shards are built side by side, at most GOMAXPROCS at a time. Each is
 // bulk-loaded by tree.Load from its part of the partition: the cut that made
@@ -141,10 +135,6 @@ func Build(items []geom.Item, dim int, opts Options) (*Index, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	substrate := packed.SubstrateFromString(opts.Substrate)
-	if substrate == packed.SubstrateUnknown {
-		return nil, fmt.Errorf("shard: unknown substrate %q", opts.Substrate)
-	}
 	x := &Index{
 		opts:       opts,
 		dim:        dim,
@@ -162,8 +152,8 @@ func Build(items []geom.Item, dim int, opts Options) (*Index, error) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-slots }()
-			t := newTree(substrate, dim, opts.MaxFill)
-			tree.Load(t, part)
+			t := sstree.New(dim, tree.WithMaxFill(opts.MaxFill))
+			tree.Load(&t.Tree, part)
 			// The shard serves from the frozen snapshot alone, so the pointer
 			// tree is garbage from here (an empty shard freezes to an explicit
 			// empty snapshot, so a saved directory always has one file per shard).
@@ -176,19 +166,6 @@ func Build(items []geom.Item, dim int, opts Options) (*Index, error) {
 		obsShards.Add(uint64(len(parts)))
 	}
 	return x, nil
-}
-
-// newTree returns an empty pointer tree of a known substrate; maxFill ≤ 0
-// selects the default node capacity.
-func newTree(substrate packed.Substrate, dim, maxFill int) *tree.Tree {
-	fill := tree.WithMaxFill(maxFill)
-	switch substrate {
-	case packed.SubstrateMTree:
-		return &mtree.New(dim, fill).Tree
-	case packed.SubstrateRTree:
-		return &rtree.New(dim, fill).Tree
-	}
-	return &sstree.New(dim, fill).Tree
 }
 
 // Shards returns the shard count.

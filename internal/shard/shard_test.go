@@ -64,43 +64,36 @@ func sameItems(t *testing.T, ctx string, got, want []geom.Item) {
 }
 
 // TestShardedMatchesSingle locks the acceptance criterion of the sharded
-// index: for every substrate, traversal strategy and
-// quantization tier, the sharded result set is bit-identical (same IDs,
-// same order) to a single-index search over the same data.
+// index: for every traversal strategy and quantization tier, the sharded
+// result set is bit-identical (same IDs, same order) to a single-index
+// search over the same data.
 func TestShardedMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	const d, n = 3, 900
 	items := randItems(rng, d, n, 3)
 	oracle := singleIndex(items, d)
 	defer knn.SetQuantMode(knn.SetQuantMode(knn.QuantF32)) // restore on exit
-	for _, substrate := range []string{"sstree", "mtree", "rtree"} {
-		for _, algo := range []knn.Algorithm{knn.DF, knn.HS} {
-			for _, shards := range []int{2, 3, 5} {
-				x, err := Build(items, d, Options{
-					Shards:    shards,
-					Substrate: substrate,
-					MaxFill:   16,
-					Algorithm: algo,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, quant := range []knn.QuantMode{knn.QuantNone, knn.QuantF32, knn.QuantI8} {
-					knn.SetQuantMode(quant)
-					for q := 0; q < 20; q++ {
-						sq := randQuery(rng, d, 3)
-						k := 1 + rng.Intn(15)
-						want := knn.Search(oracle, sq, k, dominance.Hyperbola{}, algo)
-						got := x.Search(sq, k)
-						ctx := substrate + "/" + algo.String()
-						sameItems(t, ctx, got.Items, want.Items)
-						if got.K != k {
-							t.Fatalf("%s: K = %d, want %d", ctx, got.K, k)
-						}
+	for _, algo := range []knn.Algorithm{knn.DF, knn.HS} {
+		for _, shards := range []int{2, 3, 5} {
+			x, err := Build(items, d, Options{Shards: shards, MaxFill: 16, Algorithm: algo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, quant := range []knn.QuantMode{knn.QuantNone, knn.QuantF32, knn.QuantI8} {
+				knn.SetQuantMode(quant)
+				for q := 0; q < 20; q++ {
+					sq := randQuery(rng, d, 3)
+					k := 1 + rng.Intn(15)
+					want := knn.Search(oracle, sq, k, dominance.Hyperbola{}, algo)
+					got := x.Search(sq, k)
+					ctx := algo.String()
+					sameItems(t, ctx, got.Items, want.Items)
+					if got.K != k {
+						t.Fatalf("%s: K = %d, want %d", ctx, got.K, k)
 					}
 				}
-				x.Close()
 			}
+			x.Close()
 		}
 	}
 }
@@ -113,11 +106,7 @@ func TestShardedStatsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	const d = 3
 	items := randItems(rng, d, 600, 3)
-	x, err := Build(items, d, Options{
-		Shards:    4,
-		Substrate: "sstree",
-		Algorithm: knn.HS,
-	})
+	x, err := Build(items, d, Options{Shards: 4, Algorithm: knn.HS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,9 +240,6 @@ func TestBuildRejectsBadOptions(t *testing.T) {
 	if _, err := Build(nil, 0, Options{}); err == nil {
 		t.Fatal("dim 0 accepted")
 	}
-	if _, err := Build(nil, 2, Options{Substrate: "btree"}); err == nil {
-		t.Fatal("unknown substrate accepted")
-	}
 }
 
 // TestBuildRejectsBadItems: items reach Build from outside (a CSV, the root
@@ -273,13 +259,11 @@ func TestBuildRejectsBadItems(t *testing.T) {
 		"NaN radius":      {Center: []float64{1, 2, 3}, Radius: math.NaN()},
 		"negative radius": {Center: []float64{1, 2, 3}, Radius: -1},
 	} {
-		for _, substrate := range []string{"sstree", "mtree", "rtree"} {
-			items := []geom.Item{good(0), good(1), {ID: 2, Sphere: bad}, good(3)}
-			x, err := Build(items, 3, Options{Shards: 2, Substrate: substrate})
-			if err == nil {
-				x.Close()
-				t.Errorf("%s/%s: accepted", name, substrate)
-			}
+		items := []geom.Item{good(0), good(1), {ID: 2, Sphere: bad}, good(3)}
+		x, err := Build(items, 3, Options{Shards: 2})
+		if err == nil {
+			x.Close()
+			t.Errorf("%s: accepted", name)
 		}
 	}
 	x, err := Build([]geom.Item{good(0), good(1), good(2), good(3)}, 3, Options{Shards: 2})

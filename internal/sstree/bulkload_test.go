@@ -120,9 +120,8 @@ func roundTrip(t *testing.T, tr *Tree) {
 	if err != nil {
 		t.Fatalf("OpenBytes: %v", err)
 	}
-	if back.Substrate() != packed.SubstrateSSTree || back.Len() != tr.Len() || back.Dim() != tr.Dim() {
-		t.Fatalf("round trip changed shape: %v %d/%d vs %d/%d",
-			back.Substrate(), back.Len(), back.Dim(), tr.Len(), tr.Dim())
+	if back.Len() != tr.Len() || back.Dim() != tr.Dim() {
+		t.Fatalf("round trip changed shape: %d/%d vs %d/%d", back.Len(), back.Dim(), tr.Len(), tr.Dim())
 	}
 	if _, err := back.WriteTo(&got); err != nil {
 		t.Fatalf("re-save: %v", err)

@@ -40,12 +40,15 @@ func New(dim int, opts ...tree.Option) *Tree {
 	return &Tree{*tree.New(policy{dim}, dim, opts...)}
 }
 
+// Freeze builds — or returns the cached — packed snapshot of the tree, the
+// form every served shard is searched in; see tree.Freeze.
+func (t *Tree) Freeze() *packed.Tree { return tree.Freeze(&t.Tree) }
+
 // policy is the SS-tree's half of the tree.Policy contract: centroid
 // spheres, nearest-centroid descent, maximum-variance split.
 type policy struct{ dim int }
 
-func (policy) Substrate() packed.Substrate { return packed.SubstrateSSTree }
-func (policy) Kind() packed.Kind           { return packed.KindSphere }
+func (policy) Substrate() tree.Substrate { return tree.SSTree }
 
 // Choose returns the index of the child whose centroid is nearest to the
 // item's center, breaking ties toward the smaller covering radius.

@@ -2,25 +2,27 @@ package tree
 
 import "hyperdom/internal/packed"
 
-// Freeze builds — or returns the cached — packed read-optimized snapshot
-// of the tree (ISSUE 5): every node's child bounds flattened into
-// contiguous SoA blocks (centers and radii for sphere bounds, lo/hi for
-// rectangles) that the kNN traversal streams over instead of chasing node
+// Freeze builds — or returns the cached — packed read-optimized snapshot of
+// an SS-tree: every node's child spheres flattened into contiguous SoA
+// blocks that the kNN traversal streams over instead of chasing node
 // pointers. Searches through package knn's wrappers pick the snapshot up
-// automatically.
+// automatically. The packed form is the SS-tree's alone: Freeze panics on a
+// tree of any other substrate. A function, so that it is not promoted into
+// the substrates' method sets; sstree.Tree.Freeze calls it.
 //
 // The snapshot is immutable and safe for concurrent readers. Mutating the
 // tree afterwards (Insert, Delete, a bulk load) auto-thaws: the cached
 // snapshot is dropped, Frozen reports false again, and searches fall back
 // to the pointer path until the next Freeze. Callers holding the returned
 // *packed.Tree directly must discard it after mutating the source.
-func (t *Tree) Freeze() *packed.Tree {
+func Freeze(t *Tree) *packed.Tree {
+	if s := t.pol.Substrate(); s != SSTree {
+		panic(s.String() + ": Freeze: only an SS-tree has a frozen form")
+	}
 	if t.frozen != nil {
 		return t.frozen
 	}
-	rect := t.pol.Kind() == packed.KindRect
-	b := packed.NewBuilder(t.pol.Kind(), t.dim)
-	b.SetSubstrate(t.pol.Substrate())
+	b := packed.NewBuilder(packed.KindSphere, t.dim)
 	if t.root == nil {
 		t.frozen = b.FinishEmpty()
 		return t.frozen
@@ -31,29 +33,15 @@ func (t *Tree) Freeze() *packed.Tree {
 			return b.Leaf(n.Items)
 		}
 		ids := make([]int32, len(n.Children))
+		centers := make([][]float64, len(n.Children))
+		radii := make([]float64, len(n.Children))
 		for i, c := range n.Children {
 			ids[i] = build(c)
+			centers[i], radii[i] = c.Center, c.Radius
 		}
-		a := make([][]float64, len(ids)) // centers, or lower corners
-		if rect {
-			hi := make([][]float64, len(ids))
-			for i, c := range n.Children {
-				a[i], hi[i] = c.Rect.Lo, c.Rect.Hi
-			}
-			return b.InternalRect(ids, a, hi)
-		}
-		radii := make([]float64, len(ids))
-		for i, c := range n.Children {
-			a[i], radii[i] = c.Center, c.Radius
-		}
-		return b.InternalSphere(ids, a, radii)
+		return b.InternalSphere(ids, centers, radii)
 	}
-	root := build(t.root)
-	if rect {
-		t.frozen = b.FinishRect(root, t.root.Rect.Lo, t.root.Rect.Hi)
-	} else {
-		t.frozen = b.FinishSphere(root, t.root.Center, t.root.Radius)
-	}
+	t.frozen = b.FinishSphere(build(t.root), t.root.Center, t.root.Radius)
 	return t.frozen
 }
 

@@ -2,20 +2,21 @@
 // substrates share: node and tree types, Insert with its validation, root
 // split and counters, the recursive descent, Delete with
 // condense-and-reinsert, the bulk loader Load and the balanced Cut it shares
-// with the shard partition, Freeze/thaw, the read-only cursor, RangeSearch,
-// Visit and CheckInvariants. Everything the literature says differs between
-// an SS-tree, an M-tree and an R-tree — which subtree takes a new item, how
-// an overflowing node is split, and how a bound follows its entries — is a
-// Policy, implemented by packages sstree, mtree and rtree; the skeleton
-// never looks inside a heuristic, and a policy never walks the tree.
+// with the shard partition, the SS-tree's Freeze/thaw, the read-only cursor,
+// RangeSearch, Visit and CheckInvariants. Everything the literature says
+// differs between an SS-tree, an M-tree and an R-tree — which subtree takes
+// a new item, how an overflowing node is split, and how a bound follows its
+// entries — is a Policy, implemented by packages sstree, mtree and rtree;
+// the skeleton never looks inside a heuristic, and a policy never walks the
+// tree.
 //
-// Bounds come in two forms, fixed per tree by Policy.Kind: a sphere
+// Bounds come in two forms, fixed per tree by its policy: a sphere
 // (Node.Center, Node.Radius) for the SS-tree's centroid spheres and the
 // M-tree's pivot spheres, a rectangle (Node.Rect) for the R-tree's MBRs. The
 // operations that only read a bound — MinDist to a query, the delete
-// descent's "may this subtree hold that item", the containment invariant,
-// emitting to packed.Builder — depend on the form alone and live in
-// bound.go, once per form rather than once per policy.
+// descent's "may this subtree hold that item", the containment invariant —
+// depend on the form alone and live in bound.go, once per form rather than
+// once per policy.
 package tree
 
 import (
@@ -72,15 +73,29 @@ func (n *Node) Pick(idxs []int) *Node {
 	return nn
 }
 
+// Substrate names a policy: the prefix of its tree's counters and panic
+// messages, and the label package knn files its searches under.
+type Substrate uint8
+
+const (
+	SSTree Substrate = iota
+	MTree
+	RTree
+)
+
+var substrateNames = [...]string{SSTree: "sstree", MTree: "mtree", RTree: "rtree"}
+
+// NumSubstrates sizes tables indexed by Substrate.
+const NumSubstrates = len(substrateNames)
+
+func (s Substrate) String() string { return substrateNames[s] }
+
 // Policy is what differs between the substrates. A node handed to a policy
 // has its entries (Items on a leaf, Children otherwise) in place; a fresh
 // node has no bound yet, and Grow and Refit allocate it on first use.
 type Policy interface {
-	// Substrate is the tag Freeze stamps into the snapshot; its String is
-	// the prefix of the tree's counters and panic messages.
-	Substrate() packed.Substrate
-	// Kind is the bound form the policy keeps in its nodes.
-	Kind() packed.Kind
+	// Substrate names the policy.
+	Substrate() Substrate
 	// Choose returns the index of the child of internal node n that takes it.
 	Choose(n *Node, it Item) int
 	// Split divides overflowing node n into two nodes of at least minFill
@@ -100,8 +115,8 @@ type Policy interface {
 // the work it counts; traversal-time work is counted by package knn.
 type counters struct{ inserts, deletes, splits, reinserts *obs.Counter }
 
-var obsCounters = func() (cs [packed.NumSubstrates]counters) {
-	for s := packed.SubstrateSSTree; int(s) < len(cs); s++ {
+var obsCounters = func() (cs [NumSubstrates]counters) {
+	for s := range Substrate(NumSubstrates) {
 		cs[s] = counters{
 			inserts:   obs.New(s.String() + ".inserts"),
 			deletes:   obs.New(s.String() + ".deletes"),
@@ -124,7 +139,7 @@ type Tree struct {
 	maxFill int
 	root    *Node
 	size    int
-	frozen  *packed.Tree // cached Freeze snapshot; nil when thawed
+	frozen  *packed.Tree // cached Freeze snapshot of an SS-tree; nil when thawed
 }
 
 // Option configures a Tree.
@@ -165,8 +180,8 @@ func (t *Tree) Len() int { return t.size }
 // Fill returns the minimum and maximum node fill.
 func (t *Tree) Fill() (minFill, maxFill int) { return t.minFill, t.maxFill }
 
-// Substrate returns the policy's substrate tag.
-func (t *Tree) Substrate() packed.Substrate { return t.pol.Substrate() }
+// Substrate names the tree's policy.
+func (t *Tree) Substrate() Substrate { return t.pol.Substrate() }
 
 // Height returns the height of the tree (0 for an empty tree, 1 for a
 // single leaf).

@@ -7,7 +7,6 @@ import (
 	"hyperdom/internal/geom"
 	"hyperdom/internal/mtree"
 	"hyperdom/internal/obs"
-	"hyperdom/internal/packed"
 	"hyperdom/internal/rtree"
 	"hyperdom/internal/sstree"
 	"hyperdom/internal/tree"
@@ -54,7 +53,7 @@ func TestCursorTraversal(t *testing.T) {
 				t.Errorf("root Count=%d, Len=%d", root.Count(), tr.Len())
 			}
 			inside := func(n tree.Cursor, it tree.Item) bool {
-				if tr.Substrate() != packed.SubstrateRTree {
+				if tr.Substrate() != tree.RTree {
 					cover := n.Sphere()
 					return geom.Sphere{Center: cover.Center, Radius: cover.Radius * (1 + 1e-9)}.ContainsSphere(it.Sphere)
 				}

@@ -5,17 +5,17 @@ import "math"
 // Packed-block kernels (ISSUE 5). A "block" is the SoA layout of the frozen
 // tree representation (package packed): the centers of entries 0..n-1 stored
 // back-to-back in one contiguous []float64 — entry i occupies
-// centers[i*d : (i+1)*d] — with radii (or rectangle bounds) in parallel
-// slices. The kernels below stream one pass over such a block and write the
-// per-entry result into a caller-owned scratch slice, so a traversal's
-// mindist loop touches only sequential memory and allocates nothing.
+// centers[i*d : (i+1)*d] — with radii in a parallel slice. The kernels
+// below stream one pass over such a block and write the per-entry result
+// into a caller-owned scratch slice, so a traversal's mindist loop touches
+// only sequential memory and allocates nothing.
 //
 // Bit-exactness contract: every kernel accumulates the squared distance in
 // strict coordinate order — the inner loops are 4-way unrolled for loop
 // overhead, but each term is added to a single accumulator in the same
 // order the scalar Dist2 uses, so the results are bit-identical to the
-// pointer-walking geom.MinDist / geom.MinDistRectSphere path. On those
-// values the frozen and pointer traversals take exactly the same branches;
+// pointer-walking geom.MinDist path. On those values the frozen and
+// pointer traversals take exactly the same branches;
 // the differential tests in package knn and FuzzPackedMinDist rely on this.
 // RaiseToBoxBlock is the one kernel outside the contract: it computes a
 // second, deliberately conservative bound the pointer path does not have.
@@ -82,40 +82,6 @@ func MinDistSphereBlock(dst, centers, radii []float64, q []float64, qr float64) 
 	d := len(q)
 	for i := 0; i < n; i++ {
 		m := math.Sqrt(dist2Seq(centers[i*d:(i+1)*d], q)) - radii[i] - qr
-		if m > 0 {
-			dst[i] = m
-		} else {
-			dst[i] = 0
-		}
-	}
-}
-
-// MinDistRectBlock writes into dst[i] the minimum distance between the
-// query sphere (center q, radius qr) and the i-th packed rectangle
-// [lo[i*d:], hi[i*d:]]: max(0, pointDist(rect, q) − qr). Bit-identical to
-// geom.MinDistRectSphere per entry, including the per-coordinate
-// accumulation order.
-func MinDistRectBlock(dst, lo, hi []float64, q []float64, qr float64) {
-	n := blockLen("MinDistRectBlock", dst, len(lo), len(q))
-	if len(hi) != len(lo) {
-		panic(dimMismatch("MinDistRectBlock", len(hi), len(lo)))
-	}
-	d := len(q)
-	for i := 0; i < n; i++ {
-		l := lo[i*d : (i+1)*d]
-		h := hi[i*d : (i+1)*d]
-		var sum float64
-		for j, c := range q {
-			var dd float64
-			switch {
-			case c < l[j]:
-				dd = l[j] - c
-			case c > h[j]:
-				dd = c - h[j]
-			}
-			sum += dd * dd
-		}
-		m := math.Sqrt(sum) - qr
 		if m > 0 {
 			dst[i] = m
 		} else {

@@ -90,51 +90,6 @@ func TestMinDistSphereBlockClamps(t *testing.T) {
 	}
 }
 
-// TestMinDistRectBlockBitIdentical locks the rect kernel against the scalar
-// per-coordinate accumulation of geom.MinDistRectSphere.
-func TestMinDistRectBlockBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, d := range []int{1, 2, 4, 5, 8, 10} {
-		n := 16
-		lo := make([]float64, n*d)
-		hi := make([]float64, n*d)
-		for i := range lo {
-			a, b := rng.NormFloat64()*10, rng.NormFloat64()*10
-			if a > b {
-				a, b = b, a
-			}
-			lo[i], hi[i] = a, b
-		}
-		q := make([]float64, d)
-		for i := range q {
-			q[i] = rng.NormFloat64() * 10
-		}
-		qr := rng.Float64() * 2
-		dst := make([]float64, n)
-		MinDistRectBlock(dst, lo, hi, q, qr)
-		for i := 0; i < n; i++ {
-			var sum float64
-			for j := 0; j < d; j++ {
-				var dd float64
-				switch c := q[j]; {
-				case c < lo[i*d+j]:
-					dd = lo[i*d+j] - c
-				case c > hi[i*d+j]:
-					dd = c - hi[i*d+j]
-				}
-				sum += dd * dd
-			}
-			want := math.Sqrt(sum) - qr
-			if want < 0 {
-				want = 0
-			}
-			if dst[i] != want {
-				t.Fatalf("d=%d entry %d: MinDistRectBlock=%v want %v", d, i, dst[i], want)
-			}
-		}
-	}
-}
-
 // TestBlockKernelsPanic checks the length validation of every kernel.
 func TestBlockKernelsPanic(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
@@ -152,9 +107,6 @@ func TestBlockKernelsPanic(t *testing.T) {
 	expectPanic("MinDistSphereBlock radii", func() {
 		MinDistSphereBlock(make([]float64, 2), make([]float64, 4), make([]float64, 1), q, 0)
 	})
-	expectPanic("MinDistRectBlock hi", func() {
-		MinDistRectBlock(make([]float64, 2), make([]float64, 4), make([]float64, 2), q, 0)
-	})
 	expectPanic("DistBlock empty q", func() { DistBlock(nil, nil, nil) })
 }
 
@@ -163,7 +115,6 @@ func TestBlockKernelsEmpty(t *testing.T) {
 	q := []float64{1, 2}
 	DistBlock(nil, nil, q)
 	MinDistSphereBlock(nil, nil, nil, q, 1)
-	MinDistRectBlock(nil, nil, nil, q, 1)
 }
 
 func BenchmarkMinDistSphereBlock(b *testing.B) {

@@ -34,7 +34,7 @@ func KNNQueries(items []geom.Item, n int, seed int64) []geom.Sphere {
 
 // KNNBatch answers the query workload on up to workers goroutines
 // (engine.SearchBatch; workers ≤ 0 selects GOMAXPROCS) and returns the
-// per-query results in query order. Freeze the substrate first to route the
+// per-query results in query order. Freeze an SS-tree first to route the
 // workers over the packed snapshot. Results are identical to serial
 // knn.Search calls — the engine schedules, it does not approximate — and a
 // query that panics panics the caller.

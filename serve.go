@@ -22,9 +22,9 @@ func BuildSharded(items []Item, dim int, opts ShardOptions) (*ShardedIndex, erro
 	return shard.Build(items, dim, opts)
 }
 
-// OpenShardOptions configures OpenSharded. The structural build
-// parameters (substrate, dimensionality, shard count) come from the
-// snapshot directory's manifest; this only picks serving parameters.
+// OpenShardOptions configures OpenSharded. The structural build parameters
+// (dimensionality, shard count) come from the snapshot directory's manifest;
+// this only picks serving parameters.
 type OpenShardOptions = shard.OpenOptions
 
 // OpenSharded loads a snapshot directory written by ShardedIndex.SaveDir
