@@ -2,14 +2,12 @@ package knn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
 	"hyperdom/internal/mtree"
-	"hyperdom/internal/obs"
 	"hyperdom/internal/rtree"
 	"hyperdom/internal/sstree"
 	"hyperdom/internal/tree"
@@ -109,8 +107,8 @@ func TestSearchAllocs(t *testing.T) {
 
 // TestTraceDisabledAllocs holds the SS-tree search, as it is served, to
 // at most 2 allocations: the answer slice and room for one incidental
-// growth. A search records no node-level trace, so the only per-query
-// bookkeeping is the obs counters and the Slow ring's admission check.
+// growth. A search records no node-level trace and no Slow-ring op, so the
+// only per-query bookkeeping is the obs counters.
 func TestTraceDisabledAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-item fixture")
@@ -118,13 +116,6 @@ func TestTraceDisabledAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
-	// The Slow ring's steady state is "full of slower ops": saturate it, so
-	// no search measured here is admitted (an admitted op costs its one
-	// heap copy).
-	for i := 0; i < obs.SlowSlots; i++ {
-		obs.Slow.Record(&obs.Op{LatencyNs: math.MaxInt64})
-	}
-	defer obs.Slow.Reset()
 	idx, queries := allocFixture(10000)
 	for _, algo := range []Algorithm{DF, HS} {
 		q := 0

@@ -218,7 +218,7 @@ func (sc *scratch) searchCandidates(idx Index, sq geom.Sphere, k int, crit domin
 	cs.CoarsePrunes = sc.qItemPrunes
 	cs.Candidates = l.collect()
 	if obs.On() {
-		sc.flushObs(idx.substrate(), algo, k, start, &cs.Stats, nil)
+		sc.flushObs(idx.substrate(), algo, start, &cs.Stats)
 	}
 	return cs
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -13,6 +15,7 @@ import (
 	"hyperdom/internal/geom"
 	"hyperdom/internal/packed"
 	"hyperdom/internal/sstree"
+	"hyperdom/internal/tree"
 )
 
 // kthOf returns the item of items with the k-th smallest (MaxDist, ID) to
@@ -373,5 +376,33 @@ func TestPutScratchHoldsNoCandidate(t *testing.T) {
 		sc.searchCandidates(big, randQuery(rng, d, 30), 10, dominance.Hyperbola{}, algo)
 		putScratch(sc)
 		check(algo.String(), sc)
+	}
+}
+
+// TestWholeCollectionScratchNotPooled serves whole-collection answers over a
+// forest of more than maxPooledCandidates items — a hostile k clamped to n,
+// and a query sphere so large that every item stays a candidate — and
+// checks the next getScratch holds no candidate storage over the cap. It
+// runs on one P with the collector off, so a scratch that was put back is
+// the one getScratch returns.
+func TestWholeCollectionScratchNotPooled(t *testing.T) {
+	const d, n = 2, maxPooledCandidates + 4000
+	rng := rand.New(rand.NewSource(4245))
+	forest := []*packed.Tree{tree.Freeze(index(randItems(rng, d, n, 1), d).t)}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	sq := geom.NewSphere(make([]float64, d), 1e6)
+	for _, k := range []int{10, n} {
+		res, _ := SearchForest(forest, sq, k, dominance.Hyperbola{}, HS, nil)
+		if len(res.Items) != n {
+			t.Fatalf("k=%d: fixture answers %d items, want the whole collection of %d", k, len(res.Items), n)
+		}
+		sc := getScratch()
+		top, buf := cap(sc.list.top.es), cap(sc.list.buf)
+		putScratch(sc)
+		if top > maxPooledCandidates || buf > maxPooledCandidates {
+			t.Errorf("k=%d: the pool kept candidate storage of %d + %d entries, cap %d each", k, top, buf, maxPooledCandidates)
+		}
 	}
 }

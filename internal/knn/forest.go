@@ -26,11 +26,10 @@ import (
 //
 // visited is the number of trees opened. ex, when non-nil, asks for the
 // search's explain: it receives the per-tree spans and the filter span —
-// two clock reads per opened tree and one slice, whatever the obs gate says
-// — and, with the gate on, the search's whole telemetry record, which the
-// caller then owns: a search that is explained does not offer itself to the
-// Slow ring, the layer that wraps it does (DESIGN.md §9).
-func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm, ex *obs.Op) (res Result, visited int) {
+// two clock reads per opened tree and one slice, whatever the obs gate says.
+// A search records nothing into the Slow ring; the HTTP middleware that
+// served it does (DESIGN.md §9).
+func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm, ex *obs.Forest) (res Result, visited int) {
 	sc := getScratch()
 	defer putScratch(sc)
 	res.K = k
@@ -102,7 +101,7 @@ func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, crit dominance.Cr
 	}
 	if obs.On() {
 		obsSearchPacked.Inc()
-		sc.flushObs(tree.SSTree, algo, k, start, &res.Stats, ex)
+		sc.flushObs(tree.SSTree, algo, start, &res.Stats)
 	}
 	return res, visited
 }

@@ -84,11 +84,7 @@ func BruteForce(items []Item, sq geom.Sphere, k int, crit dominance.Criterion) R
 			obsBruteSearches.Inc()
 			flushStats(&res.Stats)
 			if !start.IsZero() {
-				lat := time.Since(start).Nanoseconds()
-				bruteLatency.Record(lat)
-				var op obs.Op
-				fillOp(&op, "brute", "scan", k, start, lat, &res.Stats, 0)
-				obs.Slow.Record(&op)
+				bruteLatency.Record(time.Since(start).Nanoseconds())
 			}
 		}
 	}()
@@ -239,6 +235,11 @@ func (l *bestList) finish() []Item {
 	return out
 }
 
+// maxPooledCandidates caps the candidate storage a pooled scratch keeps. A
+// whole-collection answer grows top.es and buf to n entries; storage past
+// the cap is left to the collector instead of being pinned in the pool.
+const maxPooledCandidates = 16 << 10
+
 // release drops every reference the list holds before its scratch goes back
 // to the pool: the candidates point into an index the caller may close (a
 // snapshot's unmapped pages) or drop, and sq, crit and the anchored kernel
@@ -248,5 +249,14 @@ func (l *bestList) finish() []Item {
 // append, finish zeroes what its compaction vacates, reset clears by length.
 func (l *bestList) release() {
 	l.anch.FlushObs()
-	*l = bestList{top: TopK{es: clearLen(l.top.es)}, buf: clearLen(l.buf)}
+	*l = bestList{top: TopK{es: poolCandidates(l.top.es)}, buf: poolCandidates(l.buf)}
+}
+
+// poolCandidates returns s cleared by length for the pool, or nil when its
+// capacity is over maxPooledCandidates.
+func poolCandidates(s []Candidate) []Candidate {
+	if cap(s) > maxPooledCandidates {
+		return nil
+	}
+	return clearLen(s)
 }

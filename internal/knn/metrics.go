@@ -44,7 +44,7 @@ var (
 // SS-tree's: one counter per substrate and one histogram per (substrate,
 // strategy) pair of the "knn.search_latency" family, plus a brute-force
 // instance. Each search records exactly one sample, at the same flush point
-// as the counters. The substrate's name is also what an obs.Op calls it.
+// as the counters.
 var (
 	obsSearchSub  [tree.NumSubstrates]*obs.Counter // knn.searches.<substrate>
 	searchLatency [tree.NumSubstrates][2]*obs.Histogram
@@ -69,32 +69,19 @@ func flushStats(st *Stats) {
 	obsPruned.Add(uint64(st.Pruned))
 }
 
-// fillOp writes the search part of a telemetry record — the one place a
-// finished search's header and work counts become an obs.Op.
-func fillOp(op *obs.Op, substrate, algo string, k int, start time.Time, latNs int64, st *Stats, heapPushes uint64) {
-	op.WhenUnixNs, op.LatencyNs = start.UnixNano(), latNs
-	op.Substrate, op.Algo, op.K = substrate, algo, k
-	op.Nodes, op.Items = uint64(st.NodesVisited), uint64(st.Items)
-	op.DomChecks, op.Pruned, op.HeapPushes = uint64(st.DomChecks), uint64(st.Pruned), heapPushes
-}
-
 // flushObs drains one finished search into the global counters, records
-// its latency into the (substrate, strategy) histogram, writes its
-// telemetry record, and zeroes the scratch-local tallies. The record goes
-// into ex when the caller asked for the search's explain — that caller owns
-// the outermost clock and records the op — and is offered to the Slow ring
-// here otherwise. Called once per search when the obs gate is on; the
+// its latency into the (substrate, strategy) histogram, and zeroes the
+// scratch-local tallies. Called once per search when the obs gate is on; the
 // scratch tallies still accumulate (cheaply) when it is off, so they are
 // also zeroed here to keep a later snapshot from attributing old work to a
 // new window.
-func (sc *scratch) flushObs(sub tree.Substrate, algo Algorithm, k int, start time.Time, st *Stats, ex *obs.Op) {
+func (sc *scratch) flushObs(sub tree.Substrate, algo Algorithm, start time.Time, st *Stats) {
 	obsSearches.Inc()
 	obsSearchSub[sub].Inc()
 	flushStats(st)
 
-	heapPushes := sc.heap.pushes + sc.packedHeap.pushes
-	if heapPushes != 0 {
-		obsHeapPushes.Add(heapPushes)
+	if n := sc.heap.pushes + sc.packedHeap.pushes; n != 0 {
+		obsHeapPushes.Add(n)
 	}
 	if n := sc.heap.pops + sc.packedHeap.pops; n != 0 {
 		obsHeapPops.Add(n)
@@ -116,17 +103,7 @@ func (sc *scratch) flushObs(sub tree.Substrate, algo Algorithm, k int, start tim
 	}
 
 	if !start.IsZero() {
-		lat := time.Since(start).Nanoseconds()
-		searchLatency[sub][algo].Record(lat)
-		var own obs.Op
-		op := ex
-		if op == nil {
-			op = &own
-		}
-		fillOp(op, sub.String(), algo.String(), k, start, lat, st, heapPushes)
-		if ex == nil {
-			obs.Slow.Record(op)
-		}
+		searchLatency[sub][algo].Record(time.Since(start).Nanoseconds())
 	}
 	sc.clearObsTallies()
 

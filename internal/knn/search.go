@@ -109,7 +109,7 @@ func (sc *scratch) search(idx Index, sq geom.Sphere, k int, crit dominance.Crite
 	}
 	res.Items = l.finish()
 	if obs.On() {
-		sc.flushObs(idx.substrate(), algo, k, start, &res.Stats, nil)
+		sc.flushObs(idx.substrate(), algo, start, &res.Stats)
 	}
 	return res
 }
@@ -122,8 +122,8 @@ func (sc *scratch) begin(sq geom.Sphere, k int, crit dominance.Criterion, stats 
 		panic(fmt.Sprintf("knn: k = %d", k))
 	}
 	// One clock read per search when instrumentation is on: the delta feeds
-	// the per-(substrate, strategy) latency histogram and the search's
-	// obs.Op at the same flush point as the work counters.
+	// the per-(substrate, strategy) latency histogram at the same flush
+	// point as the work counters.
 	if obs.On() {
 		start = time.Now()
 	}

@@ -17,9 +17,8 @@ import (
 //	/metrics        counters and histogram buckets in Prometheus text
 //	                format, plus the windowed *_1m quantile and rate
 //	                families when the timeline is ticking
-//	/debug/slow     the Slow ring's slowest operations as JSON
-//	/debug/requests the ring's served requests with their shard trees
-//	                (?format=chrome: as Chrome trace_event JSON)
+//	/debug/requests the Slow ring's slowest recent requests with their
+//	                shard trees, as JSON
 //	/debug/health   the structured ok/degraded/unhealthy verdict (503
 //	                when unhealthy)
 //	/debug/pprof    the runtime profiler endpoints
@@ -189,20 +188,10 @@ func Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	// The JSON views serve [] for an empty ring, never null: scrapers index
-	// into the array unconditionally.
-	mux.HandleFunc("/debug/slow", func(w http.ResponseWriter, r *http.Request) {
-		serveJSON(w, http.StatusOK, SlowRecords(Slow.Dump()))
-	})
+	// An empty ring serves [], never null: scrapers index into the array
+	// unconditionally.
 	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "chrome" {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			if err := WriteChromeTrace(w, Slow.Served()); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-			return
-		}
-		serveJSON(w, http.StatusOK, RequestRecords(Slow.Served()))
+		serveJSON(w, http.StatusOK, Slow.Dump())
 	})
 	mux.HandleFunc("/debug/health", func(w http.ResponseWriter, r *http.Request) {
 		v := Health()

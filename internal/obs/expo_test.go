@@ -172,55 +172,55 @@ hyperdom_test_lab_plain_gauge 2.5
 	}
 }
 
-// TestSlowEndpoint checks /debug/slow serves the ring's dump as valid JSON
-// in descending latency order.
+// TestSlowEndpoint checks the Slow ring's one view, /debug/requests, serves
+// the ring's dump as valid JSON in descending latency order.
 func TestSlowEndpoint(t *testing.T) {
 	Slow.Reset()
 	defer Slow.Reset()
-	Slow.Record(&Op{LatencyNs: 300, Substrate: "expo-substrate", K: 10, Nodes: 42})
-	Slow.Record(&Op{LatencyNs: 700, Substrate: "expo-substrate", K: 5, Nodes: 99})
+	Slow.Record(&Op{RequestID: "a", RequestNs: 300, K: 10, ShardsVisited: 1})
+	Slow.Record(&Op{RequestID: "b", RequestNs: 700, K: 5, ShardsVisited: 2})
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/debug/slow")
+	resp, err := srv.Client().Get(srv.URL + "/debug/requests")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != 200 {
-		t.Fatalf("/debug/slow status = %d", resp.StatusCode)
+		t.Fatalf("/debug/requests status = %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
-		t.Errorf("/debug/slow Content-Type = %q", ct)
+		t.Errorf("/debug/requests Content-Type = %q", ct)
 	}
-	var recs []SlowRecord
+	var recs []Op
 	if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
-		t.Fatalf("/debug/slow is not valid JSON: %v", err)
+		t.Fatalf("/debug/requests is not valid JSON: %v", err)
 	}
 	if len(recs) != 2 {
-		t.Fatalf("/debug/slow returned %d records, want 2", len(recs))
+		t.Fatalf("/debug/requests returned %d records, want 2", len(recs))
 	}
-	if recs[0].LatencyNs != 700 || recs[1].LatencyNs != 300 {
+	if recs[0].RequestNs != 700 || recs[1].RequestNs != 300 {
 		t.Errorf("records not in descending latency order: %+v", recs)
 	}
-	if recs[0].Substrate != "expo-substrate" || recs[0].K != 5 || recs[0].Nodes != 99 {
+	if recs[0].RequestID != "b" || recs[0].K != 5 || recs[0].ShardsVisited != 2 {
 		t.Errorf("record fields lost in exposition: %+v", recs[0])
 	}
 }
 
-// TestSlowEndpointEmpty checks the empty-recorder case: /debug/slow must
+// TestSlowEndpointEmpty checks the empty-ring case: /debug/requests must
 // serve [] (never null), with the JSON content type.
 func TestSlowEndpointEmpty(t *testing.T) {
 	Slow.Reset()
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/debug/slow")
+	resp, err := srv.Client().Get(srv.URL + "/debug/requests")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
-		t.Errorf("/debug/slow Content-Type = %q", ct)
+		t.Errorf("/debug/requests Content-Type = %q", ct)
 	}
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -228,13 +228,13 @@ func TestSlowEndpointEmpty(t *testing.T) {
 	}
 	body := strings.TrimSpace(string(raw))
 	if body != "[]" {
-		t.Errorf("empty /debug/slow body = %q, want []", body)
+		t.Errorf("empty /debug/requests body = %q, want []", body)
 	}
 }
 
 // TestTraceEndpoint checks /debug/trace is gone: the sampled node-level
-// trace it served is retired, and the per-query record is the Slow ring's
-// Op, served by /debug/slow and /debug/requests.
+// trace it served is retired, and the per-request record is the Slow ring's
+// Op, served by /debug/requests.
 func TestTraceEndpoint(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()

@@ -233,7 +233,7 @@ func TestResetForTest(t *testing.T) {
 	h := NewHistogram("test.reset.hist", "")
 	c.Add(5)
 	h.Record(100)
-	Slow.Record(&Op{LatencyNs: 999, K: 1})
+	Slow.Record(&Op{RequestNs: 999, K: 1})
 	ResetForTest()
 	if got := c.Load(); got != 0 {
 		t.Errorf("counter = %d after ResetForTest, want 0", got)

@@ -8,14 +8,11 @@ import (
 	"time"
 )
 
-// One record, one ring (DESIGN.md §9). Every finished operation — a kNN
-// search, a brute-force scan, a served request wrapping a search — is
-// described by one Op, and the SlowSlots slowest recent ones are retained in
-// one ring so a tail-latency spike can be explained after the fact. The
-// debug endpoints are projections of that ring: /debug/slow lists every op
-// by its search fields, /debug/requests the ops a server wrapped by their
-// request fields and shard tree, and /debug/requests?format=chrome renders
-// those through WriteChromeTrace.
+// One request record, one ring, one view (DESIGN.md §9). Every served kNN
+// request is described by one Op — its identity, status and wall latency,
+// and the per-shard spans of the search it ran — and the SlowSlots slowest
+// recent ones are retained in one ring so a tail-latency spike can be
+// explained after the fact. /debug/requests serves the ring's Dump.
 
 // BoundValue is a float64 that marshals non-finite values (the +Inf a
 // never-tightened distK bound reports) as JSON null instead of failing the
@@ -87,37 +84,28 @@ func (f *Forest) Visited() int {
 	return n
 }
 
-// Op is one finished operation's telemetry record. The search that ran
-// fills the first block; Forest is set when it walked a forest for a caller
-// who asked for the explain, and the request block when a server wrapped
-// it. An Op in the ring is immutable: Record stores a private copy.
+// Op is one served request's telemetry record, and one /debug/requests
+// entry as it marshals: the request block the HTTP middleware fills, and the
+// Forest the search filled for it. An Op in the ring is immutable: Record
+// stores a private copy.
 type Op struct {
-	// WhenUnixNs is the start of the outermost clock: the request's when a
-	// server wrapped the search, the search's otherwise.
-	WhenUnixNs int64
-	LatencyNs  int64 // the search's own latency
-	Substrate  string
-	Algo       string
-	K          int // the k the search ran with
-	Nodes      uint64
-	Items      uint64
-	DomChecks  uint64
-	Pruned     uint64
-	HeapPushes uint64
-
+	RequestID  string `json:"request_id"`
+	Collection string `json:"collection"`
+	Endpoint   string `json:"endpoint"`
+	Status     int    `json:"status"`
+	K          int    `json:"k"`            // the k the search ran with
+	WhenUnixNs int64  `json:"when_unix_ns"` // the request's start
+	// When renders WhenUnixNs as RFC3339Nano text so entries line up with
+	// access logs; Dump fills it.
+	When      string `json:"when"`
+	RequestNs int64  `json:"latency_ns"` // the request's wall latency
+	// ShardsVisited is how many of Shards the request actually opened; the
+	// rest were skipped off their root bound.
+	ShardsVisited int `json:"shards_visited"`
 	Forest
-
-	RequestID  string // empty when no server wrapped the search
-	Collection string
-	Endpoint   string
-	Status     int
-	RequestNs  int64 // the request's wall latency, 0 without a request
 }
 
-// rank is the latency the ring orders by: the outermost one.
-func (o *Op) rank() int64 { return max(o.LatencyNs, o.RequestNs) }
-
-// SlowSlots is the ring capacity: how many slow operations are retained.
+// SlowSlots is the ring capacity: how many slow requests are retained.
 const SlowSlots = 64
 
 // SlowRing retains the slowest recent operations: "recent" is the window
@@ -129,24 +117,26 @@ const SlowSlots = 64
 // slot, and the last store wins. The zero value is ready to use.
 type SlowRing struct {
 	slots [SlowSlots]atomic.Pointer[Op]
-	// floor caches the smallest retained rank (0 while a slot is free), so
-	// an op that cannot displace anything pays one atomic load. Racing
-	// admissions may leave it slightly stale in either direction until the
-	// next one refreshes it; that costs a spurious scan or a dropped op.
+	// floor caches the smallest retained RequestNs (0 while a slot is
+	// free), so an op that cannot displace anything pays one atomic load.
+	// Racing admissions may leave it slightly stale in either direction
+	// until the next one refreshes it; that costs a spurious scan or a
+	// dropped op.
 	floor atomic.Int64
 }
 
-// Slow is the process-wide ring every instrumented layer records into.
+// Slow is the process-wide ring: the HTTP middleware records each served
+// kNN request into it.
 var Slow = &SlowRing{}
 
-// fastest returns the slot holding the fastest op and its rank; a free slot
-// ranks 0.
+// fastest returns the slot holding the fastest op and its latency; a free
+// slot ranks 0.
 func (r *SlowRing) fastest() (slot int, rank int64) {
 	rank = math.MaxInt64
 	for i := range r.slots {
 		var l int64
 		if o := r.slots[i].Load(); o != nil {
-			l = o.rank()
+			l = o.RequestNs
 		}
 		if l < rank {
 			slot, rank = i, l
@@ -155,13 +145,13 @@ func (r *SlowRing) fastest() (slot int, rank int64) {
 	return slot, rank
 }
 
-// Record offers one finished operation to the ring. An op no slower than
+// Record offers one finished request to the ring. An op no slower than
 // every retained one returns after one atomic load and allocates nothing; a
 // slower one is copied to the heap and replaces the currently fastest, so
 // the caller may keep (or keep on its stack) the Op it passed. Callers gate
 // on On() themselves.
 func (r *SlowRing) Record(op *Op) {
-	rank := op.rank()
+	rank := op.RequestNs
 	if rank <= r.floor.Load() {
 		return
 	}
@@ -189,34 +179,25 @@ func (r *SlowRing) expire(base time.Time) {
 	r.floor.Store(floor)
 }
 
-// Dump returns the retained operations, slowest first.
-func (r *SlowRing) Dump() []*Op {
-	out := make([]*Op, 0, SlowSlots)
+// Dump returns copies of the retained operations, slowest first, with When
+// rendered.
+func (r *SlowRing) Dump() []Op {
+	out := make([]Op, 0, SlowSlots)
 	for i := range r.slots {
 		if o := r.slots[i].Load(); o != nil {
-			out = append(out, o)
+			out = append(out, *o)
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {
-		if ra, rb := out[a].rank(), out[b].rank(); ra != rb {
+		if ra, rb := out[a].RequestNs, out[b].RequestNs; ra != rb {
 			return ra > rb
 		}
 		return out[a].WhenUnixNs > out[b].WhenUnixNs
 	})
-	return out
-}
-
-// Served returns the retained operations a server wrapped, slowest first.
-func (r *SlowRing) Served() []*Op {
-	ops := r.Dump()
-	n := 0
-	for _, o := range ops {
-		if o.RequestID != "" {
-			ops[n] = o
-			n++
-		}
+	for i := range out {
+		out[i].When = time.Unix(0, out[i].WhenUnixNs).Format(time.RFC3339Nano)
 	}
-	return ops[:n]
+	return out
 }
 
 // Reset empties the ring. Like ResetForTest, not linearizable against
@@ -226,69 +207,4 @@ func (r *SlowRing) Reset() {
 		r.slots[i].Store(nil)
 	}
 	r.floor.Store(0)
-}
-
-// SlowRecord is one /debug/slow entry: an op by its search fields.
-// LatencyNs is the search's; When renders WhenUnixNs as RFC3339Nano text so
-// entries line up with access logs, and RequestID joins the entry to its
-// /debug/requests view.
-type SlowRecord struct {
-	WhenUnixNs int64  `json:"when_unix_ns"`
-	When       string `json:"when"`
-	LatencyNs  int64  `json:"latency_ns"`
-	Substrate  string `json:"substrate"`
-	Algo       string `json:"algo"`
-	K          int    `json:"k"`
-	Nodes      uint64 `json:"nodes_visited"`
-	Items      uint64 `json:"items_scanned"`
-	DomChecks  uint64 `json:"dom_checks"`
-	Pruned     uint64 `json:"pruned"`
-	HeapPushes uint64 `json:"heap_pushes"`
-	RequestID  string `json:"request_id,omitempty"`
-}
-
-// RequestRecord is one /debug/requests entry: a served op by its request
-// fields and shard tree. LatencyNs is the request's.
-type RequestRecord struct {
-	RequestID  string `json:"request_id"`
-	Collection string `json:"collection"`
-	Endpoint   string `json:"endpoint"`
-	Status     int    `json:"status"`
-	K          int    `json:"k"`
-	WhenUnixNs int64  `json:"when_unix_ns"`
-	When       string `json:"when"`
-	LatencyNs  int64  `json:"latency_ns"`
-	// ShardsVisited is how many of Shards the request actually opened; the
-	// rest were skipped off their root bound.
-	ShardsVisited int `json:"shards_visited"`
-	Forest
-}
-
-func (o *Op) when() string { return time.Unix(0, o.WhenUnixNs).Format(time.RFC3339Nano) }
-
-// SlowRecords projects ops onto their /debug/slow view.
-func SlowRecords(ops []*Op) []SlowRecord {
-	out := make([]SlowRecord, len(ops))
-	for i, o := range ops {
-		out[i] = SlowRecord{
-			WhenUnixNs: o.WhenUnixNs, When: o.when(), LatencyNs: o.LatencyNs,
-			Substrate: o.Substrate, Algo: o.Algo, K: o.K,
-			Nodes: o.Nodes, Items: o.Items, DomChecks: o.DomChecks, Pruned: o.Pruned, HeapPushes: o.HeapPushes,
-			RequestID: o.RequestID,
-		}
-	}
-	return out
-}
-
-// RequestRecords projects served ops onto their /debug/requests view.
-func RequestRecords(ops []*Op) []RequestRecord {
-	out := make([]RequestRecord, len(ops))
-	for i, o := range ops {
-		out[i] = RequestRecord{
-			RequestID: o.RequestID, Collection: o.Collection, Endpoint: o.Endpoint, Status: o.Status, K: o.K,
-			WhenUnixNs: o.WhenUnixNs, When: o.when(), LatencyNs: o.RequestNs,
-			ShardsVisited: o.Visited(), Forest: o.Forest,
-		}
-	}
-	return out
 }

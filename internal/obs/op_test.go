@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
@@ -59,11 +60,9 @@ func TestFlightAdmitAndReplace(t *testing.T) {
 	for i := 0; i < n; i++ {
 		lat := int64(((i * 37) % n) + 1)
 		r.Record(&Op{
-			WhenUnixNs: lat, LatencyNs: lat,
-			Substrate: "test-substrate", Algo: "test-algo", K: int(lat),
-			Nodes: uint64(lat), Items: uint64(2 * lat),
-			DomChecks: uint64(3 * lat), Pruned: uint64(4 * lat),
-			HeapPushes: uint64(5 * lat),
+			WhenUnixNs: lat, RequestNs: lat,
+			Collection: "test-collection", Endpoint: "test-endpoint",
+			K: int(lat), Status: int(2 * lat), ShardsVisited: int(3 * lat),
 		})
 	}
 	dump := r.Dump()
@@ -72,22 +71,21 @@ func TestFlightAdmitAndReplace(t *testing.T) {
 	}
 	for i, o := range dump {
 		want := int64(n - i) // slowest SlowSlots are n, n-1, ..., n-SlowSlots+1
-		if o.LatencyNs != want {
-			t.Errorf("dump[%d].LatencyNs = %d, want %d", i, o.LatencyNs, want)
+		if o.RequestNs != want {
+			t.Errorf("dump[%d].RequestNs = %d, want %d", i, o.RequestNs, want)
 		}
-		if o.Substrate != "test-substrate" || o.Algo != "test-algo" {
-			t.Errorf("dump[%d] labels = (%q, %q)", i, o.Substrate, o.Algo)
+		if o.Collection != "test-collection" || o.Endpoint != "test-endpoint" {
+			t.Errorf("dump[%d] labels = (%q, %q)", i, o.Collection, o.Endpoint)
 		}
-		lat := uint64(o.LatencyNs)
-		if o.K != int(lat) || o.Nodes != lat || o.Items != 2*lat ||
-			o.DomChecks != 3*lat || o.Pruned != 4*lat || o.HeapPushes != 5*lat {
-			t.Errorf("dump[%d] counts do not match the op offered: %+v", i, o)
+		lat := int(o.RequestNs)
+		if o.WhenUnixNs != o.RequestNs || o.K != lat || o.Status != 2*lat || o.ShardsVisited != 3*lat {
+			t.Errorf("dump[%d] fields do not match the op offered: %+v", i, o)
 		}
 	}
 	// An op no slower than the retained minimum must be rejected on the
 	// fast path and must not disturb the ring.
-	r.Record(&Op{LatencyNs: int64(n - SlowSlots)})
-	if again := r.Dump(); len(again) != SlowSlots || again[SlowSlots-1].LatencyNs != int64(n-SlowSlots+1) {
+	r.Record(&Op{RequestNs: int64(n - SlowSlots)})
+	if again := r.Dump(); len(again) != SlowSlots || again[SlowSlots-1].RequestNs != int64(n-SlowSlots+1) {
 		t.Error("rejected op disturbed the ring")
 	}
 	if got := r.floor.Load(); got != int64(n-SlowSlots+1) {
@@ -95,14 +93,14 @@ func TestFlightAdmitAndReplace(t *testing.T) {
 	}
 }
 
-// TestRingAdmissionAndDump ranks served ops by their request latency, not
-// the search's: ascending fill past capacity keeps the SlowSlots slowest
-// requests, a too-fast one is rejected once full, and Reset empties the
-// ring and reopens admission.
+// TestRingAdmissionAndDump ranks served ops by their request latency:
+// ascending fill past capacity keeps the SlowSlots slowest requests, a
+// too-fast one is rejected once full, and Reset empties the ring and
+// reopens admission.
 func TestRingAdmissionAndDump(t *testing.T) {
 	var r SlowRing
 	for i := 0; i < SlowSlots+16; i++ {
-		r.Record(&Op{RequestID: "r", LatencyNs: 1, RequestNs: int64(i + 1)})
+		r.Record(&Op{RequestID: "r", RequestNs: int64(i + 1)})
 	}
 	dump := r.Dump()
 	if len(dump) != SlowSlots {
@@ -117,7 +115,7 @@ func TestRingAdmissionAndDump(t *testing.T) {
 	if got, want := dump[len(dump)-1].RequestNs, int64(17); got != want {
 		t.Fatalf("fastest retained %d, want %d", got, want)
 	}
-	r.Record(&Op{RequestID: "fast", LatencyNs: 1, RequestNs: 2})
+	r.Record(&Op{RequestID: "fast", RequestNs: 2})
 	for _, o := range r.Dump() {
 		if o.RequestID == "fast" {
 			t.Fatal("too-fast request admitted into a full ring")
@@ -132,13 +130,13 @@ func TestRingAdmissionAndDump(t *testing.T) {
 // TestFlightReset empties the ring and reopens admission.
 func TestFlightReset(t *testing.T) {
 	var r SlowRing
-	r.Record(&Op{LatencyNs: 100})
+	r.Record(&Op{RequestNs: 100})
 	r.Reset()
 	if dump := r.Dump(); len(dump) != 0 {
 		t.Fatalf("ring holds %d ops after Reset, want 0", len(dump))
 	}
-	r.Record(&Op{LatencyNs: 5})
-	if dump := r.Dump(); len(dump) != 1 || dump[0].LatencyNs != 5 {
+	r.Record(&Op{RequestNs: 5})
+	if dump := r.Dump(); len(dump) != 1 || dump[0].RequestNs != 5 {
 		t.Error("ring does not admit after Reset")
 	}
 }
@@ -155,7 +153,7 @@ func TestSlowRingKeepsRecentOps(t *testing.T) {
 	for i := 0; i < SlowSlots; i++ {
 		Slow.Record(&Op{
 			WhenUnixNs: boot.Add(time.Duration(i) * time.Second).UnixNano(),
-			LatencyNs:  (50 * time.Millisecond).Nanoseconds(),
+			RequestNs:  (50 * time.Millisecond).Nanoseconds(),
 		})
 	}
 	if n := len(Slow.Dump()); n != SlowSlots {
@@ -164,11 +162,11 @@ func TestSlowRingKeepsRecentOps(t *testing.T) {
 
 	TimelineTick() // the window's base: now
 	recent := (40 * time.Millisecond).Nanoseconds()
-	Slow.Record(&Op{WhenUnixNs: time.Now().UnixNano(), LatencyNs: recent})
+	Slow.Record(&Op{WhenUnixNs: time.Now().UnixNano(), RequestNs: recent})
 	TimelineTick()
 
 	dump := Slow.Dump()
-	if len(dump) == 0 || dump[0].LatencyNs != recent {
+	if len(dump) == 0 || dump[0].RequestNs != recent {
 		t.Fatalf("the recent 40 ms op is not the slowest retained op (%d ops retained)", len(dump))
 	}
 	oldest := dump[0].WhenUnixNs
@@ -187,17 +185,17 @@ func TestSlowRingKeepsRecentOps(t *testing.T) {
 func TestFlightRecordAllocs(t *testing.T) {
 	var r SlowRing
 	for i := 0; i < SlowSlots; i++ {
-		r.Record(&Op{LatencyNs: 1000 + int64(i)})
+		r.Record(&Op{RequestNs: 1000 + int64(i)})
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		r.Record(&Op{LatencyNs: 1, Substrate: "sstree", RequestID: "x"})
+		r.Record(&Op{RequestNs: 1, RequestID: "x", Endpoint: "knn"})
 	}); allocs != 0 {
 		t.Errorf("non-admitted Record allocates %.1f times per call, want 0", allocs)
 	}
 	var admitLat int64 = 10000
 	if allocs := testing.AllocsPerRun(100, func() {
 		admitLat++
-		r.Record(&Op{LatencyNs: admitLat})
+		r.Record(&Op{RequestNs: admitLat})
 	}); allocs != 1 {
 		t.Errorf("admitted Record allocates %.1f times per call, want 1", allocs)
 	}
@@ -222,8 +220,8 @@ func TestFlightConcurrent(t *testing.T) {
 				return
 			default:
 				for _, o := range r.Dump() {
-					if !offered(o.LatencyNs) {
-						t.Errorf("dump returned latency %d that was never offered", o.LatencyNs)
+					if !offered(o.RequestNs) {
+						t.Errorf("dump returned latency %d that was never offered", o.RequestNs)
 						return
 					}
 				}
@@ -235,7 +233,7 @@ func TestFlightConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				r.Record(&Op{LatencyNs: int64(w*per + i + 1), K: w})
+				r.Record(&Op{RequestNs: int64(w*per + i + 1), K: w})
 			}
 		}(w)
 	}
@@ -247,8 +245,8 @@ func TestFlightConcurrent(t *testing.T) {
 		t.Fatalf("ring holds %d ops after concurrent filling, want %d", len(dump), SlowSlots)
 	}
 	// The slowest op overall can never be displaced, racy or not.
-	if dump[0].LatencyNs != workers*per {
-		t.Errorf("slowest retained latency = %d, want %d", dump[0].LatencyNs, workers*per)
+	if dump[0].RequestNs != workers*per {
+		t.Errorf("slowest retained latency = %d, want %d", dump[0].RequestNs, workers*per)
 	}
 }
 
@@ -279,11 +277,9 @@ func TestRingNeverTears(t *testing.T) {
 				// Ever-growing latencies: every offer is admitted, and the
 				// writers keep colliding on the currently fastest slot.
 				v := seq.Add(1)
-				u := uint64(v)
 				r.Record(&Op{
-					WhenUnixNs: v, LatencyNs: v, K: int(v),
-					Nodes: u, Items: u, DomChecks: u, Pruned: u, HeapPushes: u,
-					Status: int(v), RequestNs: v,
+					WhenUnixNs: v, RequestNs: v, K: int(v), Status: int(v), ShardsVisited: int(v),
+					Forest: Forest{Merge: MergeSpan{LatencyNs: v, Candidates: int(v), Pruned: int(v), Results: int(v)}},
 				})
 			}
 		}()
@@ -293,9 +289,9 @@ func TestRingNeverTears(t *testing.T) {
 	for time.Now().Before(deadline) {
 		for _, o := range r.Dump() {
 			reads++
-			v, u := o.LatencyNs, uint64(o.LatencyNs)
-			if o.WhenUnixNs != v || o.K != int(v) || o.Nodes != u || o.Items != u || o.DomChecks != u ||
-				o.Pruned != u || o.HeapPushes != u || o.Status != int(v) || o.RequestNs != v {
+			v, m := o.RequestNs, o.Merge
+			if o.WhenUnixNs != v || o.K != int(v) || o.Status != int(v) || o.ShardsVisited != int(v) ||
+				m.LatencyNs != v || m.Candidates != int(v) || m.Pruned != int(v) || m.Results != int(v) {
 				torn++
 			}
 		}
@@ -310,14 +306,13 @@ func TestRingNeverTears(t *testing.T) {
 	}
 }
 
-// TestFlightDumpWallClock checks the /debug/slow view renders when_unix_ns
-// as an RFC3339 when string (ISSUE 9: entries correlate with the timeline
-// and logs).
+// TestFlightDumpWallClock checks Dump renders when_unix_ns as an RFC3339
+// when string, so entries correlate with the access log.
 func TestFlightDumpWallClock(t *testing.T) {
 	var r SlowRing
 	when := time.Date(2026, 8, 7, 12, 30, 45, 123456789, time.UTC)
-	r.Record(&Op{WhenUnixNs: when.UnixNano(), LatencyNs: 999})
-	recs := SlowRecords(r.Dump())
+	r.Record(&Op{WhenUnixNs: when.UnixNano(), RequestNs: 999})
+	recs := r.Dump()
 	if len(recs) != 1 {
 		t.Fatalf("dump holds %d records, want 1", len(recs))
 	}
@@ -330,138 +325,39 @@ func TestFlightDumpWallClock(t *testing.T) {
 	}
 }
 
-// TestRequestChromeTraceExport renders a served, forest-walking op through
-// the one Chrome writer.
-func TestRequestChromeTraceExport(t *testing.T) {
-	op := &Op{
-		RequestID: "abc-1", Collection: "default", Endpoint: "knn", Status: 200,
-		K: 5, WhenUnixNs: 1000, LatencyNs: 450, RequestNs: 500,
-		Forest: Forest{
-			Shards: []ShardSpan{
-				{Shard: 0, Order: 1, LatencyNs: 200, Candidates: 7, BoundObserved: BoundValue(math.Inf(1)), BoundPublished: 3.5},
-				{Shard: 1, Order: 0, LatencyNs: 300, Candidates: 9, BoundObserved: 3.5, BoundPublished: 3.5},
-				{Shard: 2, Order: -1, Skipped: true},
-			},
-			Merge: MergeSpan{LatencyNs: 50, Candidates: 16, Pruned: 11, Results: 5},
-		},
-	}
-	export := func(ops []*Op) []map[string]any {
-		t.Helper()
-		var sb strings.Builder
-		if err := WriteChromeTrace(&sb, ops); err != nil {
-			t.Fatal(err)
-		}
-		var doc struct {
-			TraceEvents []map[string]any `json:"traceEvents"`
-		}
-		if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
-			t.Fatalf("invalid trace_event JSON: %v\n%s", err, sb.String())
-		}
-		return doc.TraceEvents
-	}
-	events := export([]*Op{op})
-	// 1 process meta + request root + search + 2 thread metas + 2 shard
-	// spans + 1 merge; the skipped shard draws nothing.
-	if len(events) != 8 {
-		t.Fatalf("%d events, want 8: %v", len(events), events)
-	}
-	shardSpans := 0
-	for _, e := range events {
-		switch e["name"] {
-		case "knn":
-			if e["dur"].(float64) != 0.5 || e["tid"].(float64) != 0 {
-				t.Errorf("request root span = %v, want the request's 500ns on thread 0", e)
-			}
-		case "search":
-			if e["dur"].(float64) != 0.45 {
-				t.Errorf("search span = %v, want the search's 450ns", e)
-			}
-		case "shard-search":
-			shardSpans++
-			args := e["args"].(map[string]any)
-			if args["request_id"] != "abc-1" {
-				t.Fatalf("shard span missing request_id: %v", e)
-			}
-			// Shard 1 (thread 2) was visited first; shard 0 (thread 1)
-			// starts where it ended.
-			if want := map[float64]float64{1: 0.3, 2: 0}[e["tid"].(float64)]; e["ts"].(float64) != want {
-				t.Errorf("shard span on thread %v starts at %v µs, want %v", e["tid"], e["ts"], want)
-			}
-			// The Inf bound must surface as null, never +Inf (which would
-			// have failed the whole encode).
-			if v, ok := args["distk_observed"]; ok && v != nil {
-				if f, isF := v.(float64); isF && math.IsInf(f, 0) {
-					t.Fatalf("Inf leaked into trace args: %v", e)
-				}
-			}
-		case "merge":
-			if e["ts"].(float64) != 0.5 {
-				t.Errorf("merge span starts at %v µs, want after both shards (0.5)", e["ts"])
-			}
-		}
-	}
-	if shardSpans != 2 {
-		t.Fatalf("%d shard spans, want 2", shardSpans)
-	}
-
-	// Empty set still produces a valid document.
-	if events := export(nil); len(events) != 0 {
-		t.Fatalf("empty export has %d events", len(events))
-	}
-}
-
+// TestDebugRequestsEndpoint pins one /debug/requests entry byte for byte:
+// keys, key order and values, the Inf bound as null. ?format=chrome is an
+// unknown parameter like any other.
 func TestDebugRequestsEndpoint(t *testing.T) {
 	ResetForTest()
+	defer ResetForTest()
 	Slow.Record(&Op{
 		RequestID: "req-9", Collection: "default", Endpoint: "knn",
-		Status: 200, K: 3, LatencyNs: 1000, RequestNs: 1234,
-		Forest: Forest{Shards: []ShardSpan{{Shard: 0, Candidates: 5, BoundObserved: BoundValue(math.Inf(1))}}},
+		Status: 200, K: 3, WhenUnixNs: 1000, RequestNs: 1234, ShardsVisited: 1,
+		Forest: Forest{
+			Shards: []ShardSpan{{Shard: 0, Items: 9, Candidates: 5, LatencyNs: 40, BoundObserved: BoundValue(math.Inf(1)), BoundPublished: 2.5}},
+			Merge:  MergeSpan{LatencyNs: 7, Candidates: 5, Pruned: 2, Results: 3},
+		},
 	})
-	Slow.Record(&Op{Substrate: "sstree", LatencyNs: 77}) // a library search: no request view
-	defer ResetForTest()
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
 
 	body := httpGet(t, ts.URL+"/debug/requests")
-	var recs []RequestRecord
-	if err := json.Unmarshal([]byte(body), &recs); err != nil {
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, []byte(body)); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, body)
 	}
-	if len(recs) != 1 || recs[0].RequestID != "req-9" || len(recs[0].Shards) != 1 {
-		t.Fatalf("records %+v", recs)
+	when := time.Unix(0, 1000).Format(time.RFC3339Nano)
+	want := `[{"request_id":"req-9","collection":"default","endpoint":"knn","status":200,"k":3,` +
+		`"when_unix_ns":1000,"when":"` + when + `","latency_ns":1234,"shards_visited":1,` +
+		`"shards":[{"shard":0,"items":9,"order":0,"skipped":false,"latency_ns":40,"queue_wait_ns":0,` +
+		`"candidates":5,"nodes_visited":0,"items_scanned":0,"coarse_prunes":0,"distk_observed":null,"distk_published":2.5}],` +
+		`"merge":{"latency_ns":7,"candidates":5,"pruned":2,"results":3}}]`
+	if compact.String() != want {
+		t.Fatalf("/debug/requests entry\n got %s\nwant %s", compact.String(), want)
 	}
-	if recs[0].LatencyNs != 1234 || recs[0].ShardsVisited != 1 {
-		t.Errorf("request view latency %d visited %d, want the request's 1234 and 1", recs[0].LatencyNs, recs[0].ShardsVisited)
-	}
-	if !strings.Contains(body, `"distk_observed": null`) {
-		t.Fatalf("Inf bound not serialized as null:\n%s", body)
-	}
-
-	// Both ops are in /debug/slow, the served one by its search latency and
-	// joined to the request view by request_id.
-	var slow []SlowRecord
-	if err := json.Unmarshal([]byte(httpGet(t, ts.URL+"/debug/slow")), &slow); err != nil {
-		t.Fatal(err)
-	}
-	if len(slow) != 2 || slow[0].RequestID != "req-9" || slow[0].LatencyNs != 1000 || slow[1].RequestID != "" {
-		t.Fatalf("/debug/slow = %+v", slow)
+	if chrome := httpGet(t, ts.URL+"/debug/requests?format=chrome"); chrome != body {
+		t.Errorf("?format=chrome changed the view:\n%s", chrome)
 	}
 
-	chrome := httpGet(t, ts.URL+"/debug/requests?format=chrome")
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(chrome), &doc); err != nil {
-		t.Fatalf("invalid chrome JSON: %v\n%s", err, chrome)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("chrome export empty")
-	}
-
-	// Empty ring must serve [].
-	ResetForTest()
-	body = httpGet(t, ts.URL+"/debug/requests")
-	if strings.TrimSpace(body) != "[]" {
-		t.Fatalf("empty dump = %q, want []", body)
-	}
 }

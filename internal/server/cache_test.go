@@ -447,6 +447,29 @@ func TestKNNHandlerAllocs(t *testing.T) {
 	}
 }
 
+// TestWholeCollectionBodyNotPooled serves one whole-collection answer over
+// 1 MiB and checks the pool does not keep its body: the next respBufs.Get
+// holds at most maxPooledBody. It runs like TestKNNHandlerAllocs, on one P
+// with the collector off, so a body that was put back is the one Get
+// returns.
+func TestWholeCollectionBodyNotPooled(t *testing.T) {
+	const d, n = 4, 20000
+	items := dataset.Spheres(dataset.SyntheticCenters(n, d, dataset.Gaussian, 1), dataset.GaussianRadii(1), 2)
+	s := mount(t, "default", buildIndex(t, items, d))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	status, body := serveKNN(s.Handler(), "default", geom.Sphere{Center: make([]float64, d), Radius: 1e6}, 10)
+	if status != http.StatusOK || len(body) <= maxPooledBody {
+		t.Fatalf("fixture: status %d, %d-byte body, want 200 over %d bytes", status, len(body), maxPooledBody)
+	}
+	buf := respBufs.Get().(*[]byte)
+	defer respBufs.Put(buf)
+	if c := cap(*buf); c > maxPooledBody {
+		t.Errorf("the pool kept a %d-byte response body, cap %d", c, maxPooledBody)
+	}
+}
+
 type nullWriter struct{ h http.Header }
 
 func (w *nullWriter) Header() http.Header         { return w.h }

@@ -30,8 +30,12 @@ import (
 const fragBudgetBytes = 4 << 20
 
 // respBufs recycles response bodies: one contiguous buffer per answer in
-// flight, so the document reaches the client in a single Write.
+// flight, so the document reaches the client in a single Write. A body over
+// maxPooledBody — a whole-collection answer — is not put back: the pool
+// would otherwise pin it at full size.
 var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 1 << 20
 
 // fragment is the rendered {"id":…,"center":[…],"radius":…} text of one
 // stored item. Its identity is the item's ID plus the address of its first

@@ -20,9 +20,9 @@
 // per-(collection, endpoint, code)
 // hyperdom_server_request_latency_seconds family, counts it in
 // hyperdom_server_requests_total{code,endpoint}, emits one structured JSON
-// access-log line, and completes the telemetry record of a kNN request's
-// search with the request's identity and wall latency before offering it —
-// once — to the obs.Slow ring behind /debug/slow and /debug/requests.
+// access-log line, and completes the record of a kNN request — the search's
+// shard tree — with the request's identity and wall latency before offering
+// it, once, to the obs.Slow ring behind /debug/requests.
 package server
 
 import (
@@ -43,16 +43,11 @@ import (
 	"hyperdom/internal/shard"
 )
 
-var (
-	obsRequests    = obs.New("server.requests")
-	obsBadRequests = obs.New("server.bad_requests")
-
-	// inflight counts /v1 requests currently inside a handler, exposed as
-	// the hyperdom_server_inflight_requests saturation gauge (ISSUE 9).
-	// Process-wide rather than per-Server: the gauge answers "how loaded is
-	// this process", and test servers coexisting briefly only ever add.
-	inflight atomic.Int64
-)
+// inflight counts /v1 requests currently inside a handler, exposed as the
+// hyperdom_server_inflight_requests saturation gauge. Process-wide rather
+// than per-Server: the gauge answers "how loaded is this process", and test
+// servers coexisting briefly only ever add.
+var inflight atomic.Int64
 
 func init() {
 	obs.RegisterGaugeFunc("server.inflight_requests", "", func() float64 {
@@ -367,7 +362,6 @@ func (s *Server) wrap(ep endpoint, h func(*reqCtx, *http.Request)) http.HandlerF
 
 		on := obs.On()
 		if on {
-			obsRequests.Inc()
 			mt := ms.get(ep, c.status)
 			mt.count.Inc()
 			mt.lat.Record(lat.Nanoseconds())
@@ -381,6 +375,7 @@ func (s *Server) wrap(ep endpoint, h func(*reqCtx, *http.Request)) http.HandlerF
 				// one layer that records the operation.
 				op.WhenUnixNs, op.RequestNs = start.UnixNano(), lat.Nanoseconds()
 				op.RequestID, op.Collection, op.Endpoint, op.Status = id, c.collection, name, c.status
+				op.ShardsVisited = visited
 				obs.Slow.Record(op)
 			}
 		}
@@ -444,9 +439,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	if obs.On() {
-		obsBadRequests.Inc()
-	}
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
@@ -497,7 +489,9 @@ func (s *Server) handleKNN(c *reqCtx, r *http.Request) {
 	// bit-identical to the plain path (test-locked). k is clamped to the
 	// collection size — any k ≥ n already answers with the whole collection
 	// — so no layer below sizes anything by a client-chosen number.
-	res, op := x.SearchExplain(sq, min(req.K, max(x.Len(), 1)))
+	k := min(req.K, max(x.Len(), 1))
+	res, op := x.SearchExplain(sq, k)
+	op.K = k
 	c.op = op
 	// The shard tree is in the response only under ?explain=true — the
 	// answer fields are byte-identical either way.
@@ -514,8 +508,10 @@ func (s *Server) handleKNN(c *reqCtx, r *http.Request) {
 		c.WriteHeader(http.StatusOK)
 		_, _ = c.Write(body) // a failed write means the client has gone
 	}
-	*buf = body
-	respBufs.Put(buf)
+	if cap(body) <= maxPooledBody {
+		*buf = body
+		respBufs.Put(buf)
+	}
 }
 
 type dominatesRequest struct {

@@ -202,7 +202,6 @@ func TestMetricsExposition(t *testing.T) {
 		`collection="default"`,
 		"hyperdom_server_request_latency_seconds",
 		`endpoint="knn"`,
-		"hyperdom_server_requests",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics exposition missing %q\n%s", want, body)

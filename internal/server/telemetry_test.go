@@ -14,10 +14,14 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
+	"hyperdom/internal/knn"
 	"hyperdom/internal/obs"
 	"hyperdom/internal/shard"
+	"hyperdom/internal/sstree"
 )
 
 // syncBuffer is a goroutine-safe log sink for the access-log assertions
@@ -300,9 +304,6 @@ func TestServerErrorPaths(t *testing.T) {
 			t.Fatalf("metrics missing requests_total{%s}\n%s", labels, body)
 		}
 	}
-	if !strings.Contains(body, "hyperdom_server_bad_requests 4") {
-		t.Fatalf("bad_requests counter not at 4\n%s", body)
-	}
 }
 
 // TestUnknownCollectionsShareOneLabel pins that names a client invents do
@@ -342,102 +343,82 @@ func TestUnknownCollectionsShareOneLabel(t *testing.T) {
 }
 
 // TestDebugRequestsServed pins "one request, one record" end to end: a
-// served kNN query leaves exactly one op in the Slow ring, visible in
-// /debug/slow and /debug/requests under the request ID the response carried
-// and the same when_unix_ns; ?format=chrome draws it as one process with a
-// shard-search span on the thread of each shard it visited; and a library
-// search on the same index leaves one op with no request.
+// served kNN query leaves exactly one entry in /debug/requests, under the
+// request ID the response carried and with the k the search ran with; and
+// library searches — knn.Search, knn.SearchCandidates, knn.BruteForce and
+// shard.Index.Search — leave nothing in the ring.
 func TestDebugRequestsServed(t *testing.T) {
 	obs.SetEnabled(true)
 	obs.ResetForTest()
 	defer obs.ResetForTest()
-	const d = 2
-	s, ts, _ := loggedServer(t, d, 200)
+	const d, n = 2, 200
+	s, ts, _ := loggedServer(t, d, n)
 
-	resp := postJSON(t, ts.URL+"/v1/collections/default/knn",
-		map[string]any{"center": []float64{100, 100}, "radius": 0.5, "k": 4})
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	id := resp.Header.Get("X-Request-ID")
-
-	getJSON := func(path string, v any) {
+	ask := func(k int) string {
 		t.Helper()
-		dresp, err := http.Get(ts.URL + path)
+		resp := postJSON(t, ts.URL+"/v1/collections/default/knn",
+			map[string]any{"center": []float64{100, 100}, "radius": 0.5, "k": k})
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.Header.Get("X-Request-ID")
+	}
+	getRequests := func() []obs.Op {
+		t.Helper()
+		dresp, err := http.Get(ts.URL + "/debug/requests")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer dresp.Body.Close()
-		if err := json.NewDecoder(dresp.Body).Decode(v); err != nil {
-			t.Fatalf("%s: %v", path, err)
+		var ops []obs.Op
+		if err := json.NewDecoder(dresp.Body).Decode(&ops); err != nil {
+			t.Fatalf("/debug/requests: %v", err)
 		}
+		return ops
 	}
-	var reqs []obs.RequestRecord
-	getJSON("/debug/requests", &reqs)
-	var slow []obs.SlowRecord
-	getJSON("/debug/slow", &slow)
-	if len(reqs) != 1 || len(slow) != 1 {
-		t.Fatalf("one request left %d /debug/requests and %d /debug/slow entries, want 1 and 1", len(reqs), len(slow))
+
+	id := ask(4)
+	reqs := getRequests()
+	if len(reqs) != 1 {
+		t.Fatalf("one request left %d /debug/requests entries, want 1", len(reqs))
 	}
-	r, sl := reqs[0], slow[0]
+	r := reqs[0]
 	if r.RequestID != id || r.Collection != "default" || r.Endpoint != "knn" || r.Status != 200 ||
-		r.K != 4 || len(r.Shards) != 2 || r.LatencyNs <= 0 ||
-		r.ShardsVisited < 1 || r.ShardsVisited > 2 {
-		t.Fatalf("request view %+v", r)
+		r.K != 4 || len(r.Shards) != 2 || r.RequestNs <= 0 ||
+		r.ShardsVisited < 1 || r.ShardsVisited > 2 || r.ShardsVisited != r.Visited() {
+		t.Fatalf("request entry %+v", r)
 	}
-	if sl.RequestID != id || sl.WhenUnixNs != r.WhenUnixNs || sl.When != r.When {
-		t.Errorf("views do not join: slow (%q, %d) vs requests (%q, %d)", sl.RequestID, sl.WhenUnixNs, r.RequestID, r.WhenUnixNs)
-	}
-	if sl.Substrate != "sstree" || sl.K != 4 || sl.Nodes == 0 || sl.LatencyNs <= 0 || sl.LatencyNs > r.LatencyNs {
-		t.Errorf("slow view %+v: want the search's own fields, its latency within the request's %d", sl, r.LatencyNs)
+	if when, err := time.Parse(time.RFC3339Nano, r.When); err != nil || when.UnixNano() != r.WhenUnixNs {
+		t.Errorf("when %q does not render when_unix_ns %d (%v)", r.When, r.WhenUnixNs, err)
 	}
 
-	// The same op as a Chrome trace: one process, the request root, search
-	// and merge on thread 0, and one shard-search span on the thread of each
-	// shard the request visited.
-	var doc struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Pid  int    `json:"pid"`
-			Tid  int    `json:"tid"`
-		} `json:"traceEvents"`
-	}
-	getJSON("/debug/requests?format=chrome", &doc)
-	visited := map[int]bool{}
-	for _, sp := range r.Shards {
-		visited[sp.Shard+1] = !sp.Skipped
-	}
-	shardSpans := 0
-	for _, ev := range doc.TraceEvents {
-		if ev.Pid != 1 {
-			t.Fatalf("event %q in process %d: one op, one process", ev.Name, ev.Pid)
-		}
-		switch ev.Name {
-		case "knn", "search", "merge":
-			if ev.Tid != 0 {
-				t.Errorf("%s span on thread %d, want 0", ev.Name, ev.Tid)
-			}
-		case "shard-search":
-			shardSpans++
-			if !visited[ev.Tid] {
-				t.Errorf("%s span on thread %d, not a visited shard's (%v)", ev.Name, ev.Tid, visited)
+	// k is the k the search ran with: a k over the collection is clamped.
+	big, found := ask(1<<40), false
+	for _, o := range getRequests() {
+		if o.RequestID == big {
+			found = true
+			if o.K != n {
+				t.Errorf("k=2^40 request recorded k=%d, want the collection size %d", o.K, n)
 			}
 		}
 	}
-	if shardSpans != r.ShardsVisited {
-		t.Errorf("?format=chrome draws %d shard-search spans, the request visited %d shards", shardSpans, r.ShardsVisited)
+	if !found {
+		t.Errorf("k=2^40 request %q not in /debug/requests", big)
 	}
 
-	// A library search nobody explains records itself, with no request.
+	// Library searches record nothing: only the HTTP middleware does.
 	obs.Slow.Reset()
-	s.lookup("default").x.Search(geom.Sphere{Center: []float64{100, 100}, Radius: 0.5}, 4)
-	ops := obs.Slow.Dump()
-	if len(ops) != 1 || ops[0].RequestID != "" || ops[0].RequestNs != 0 || len(ops[0].Shards) != 0 || ops[0].K != 4 {
-		t.Fatalf("library search left %d ops (first %+v), want one without a request", len(ops), ops)
+	items := testCorpus(t, d, n)
+	st := sstree.New(d)
+	for _, it := range items {
+		st.Insert(it)
 	}
-	reqs = nil
-	getJSON("/debug/requests", &reqs)
-	if len(reqs) != 0 {
-		t.Errorf("/debug/requests lists %d entries for a library search, want 0", len(reqs))
+	sq := geom.Sphere{Center: []float64{100, 100}, Radius: 0.5}
+	knn.Search(knn.WrapSSTree(st), sq, 4, dominance.Hyperbola{}, knn.HS)
+	knn.SearchCandidates(knn.WrapSSTree(st), sq, 4, dominance.Hyperbola{}, knn.DF, nil)
+	knn.BruteForce(items, sq, 4, dominance.Hyperbola{})
+	s.lookup("default").x.Search(sq, 4)
+	if ops := obs.Slow.Dump(); len(ops) != 0 {
+		t.Fatalf("library searches left %d ops in the Slow ring (first %+v), want 0", len(ops), ops[0])
 	}
 }
 

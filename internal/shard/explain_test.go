@@ -35,7 +35,7 @@ func TestSearchExplainMatchesSearch(t *testing.T) {
 			if len(ex.Shards) != shards {
 				t.Fatalf("%d shard spans, want %d", len(ex.Shards), shards)
 			}
-			nodes, scanned, cands := 0, 0, 0
+			nodes, scanned, cands, traversalPruned := 0, 0, 0, 0
 			byOrder := make([]*obs.ShardSpan, ex.Visited())
 			for i := range ex.Shards {
 				sp := &ex.Shards[i]
@@ -61,6 +61,7 @@ func TestSearchExplainMatchesSearch(t *testing.T) {
 				nodes += sp.NodesVisited
 				scanned += sp.ItemsScanned
 				cands += sp.Candidates
+				traversalPruned += sp.ItemsScanned - sp.Candidates
 			}
 			// The list enters the first shard unbounded and every later one
 			// with the distK the previous left behind, which only shrinks.
@@ -90,6 +91,16 @@ func TestSearchExplainMatchesSearch(t *testing.T) {
 			}
 			if ex.Merge.LatencyNs <= 0 {
 				t.Fatalf("merge latency %d", ex.Merge.LatencyNs)
+			}
+			// With n > k the final filter asks the criterion once per
+			// candidate, and every item the traversal scanned but did not
+			// keep was pruned there (Case 3).
+			if res.Stats.DomChecks != ex.Merge.Candidates {
+				t.Fatalf("stats dom checks %d, merge candidates %d", res.Stats.DomChecks, ex.Merge.Candidates)
+			}
+			if want := traversalPruned + ex.Merge.Pruned; res.Stats.Pruned != want {
+				t.Fatalf("stats pruned %d, want Σ(items scanned − candidates) %d + merge pruned %d",
+					res.Stats.Pruned, traversalPruned, ex.Merge.Pruned)
 			}
 		}
 		x.Close()

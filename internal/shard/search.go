@@ -8,14 +8,13 @@ import (
 	"hyperdom/internal/obs"
 )
 
-// Explain is what SearchExplain hands back beside the answer: the search's
-// telemetry record. Its Forest part — one ShardSpan per shard, in shard
+// Explain is what SearchExplain hands back beside the answer: the request
+// record with its Forest part filled — one ShardSpan per shard, in shard
 // order: whether it was visited and in which position, latency, the
 // candidates it added, traversal work, coarse-prune hits, and the list's
 // distK on entering and leaving it, plus the span of the final Definition 2
-// filter — is always filled; the search header and work counts are filled
-// when the obs gate is on.
-// Semantics are spelled out in DESIGN.md §9.
+// filter. The request fields are the caller's to fill (the HTTP middleware
+// does). Semantics are spelled out in DESIGN.md §9.
 type Explain = obs.Op
 
 // Search answers the Definition 2 kNN query over all shards: one best-known
@@ -34,16 +33,16 @@ func (x *Index) Search(sq geom.Sphere, k int) knn.Result {
 // bit-identical to Search over the same data (the record holds scalar
 // by-products the traversals produce anyway); the extra cost is two
 // allocations per request and two clock reads per visited shard,
-// independent of the process-wide obs gate. An explained search does not
-// offer itself to obs.Slow: the caller holds the record and, if it wraps the
-// search in something larger (the HTTP middleware), completes and records it.
+// independent of the process-wide obs gate. The search records nothing into
+// obs.Slow: the caller holds the record and, if it wraps the search in a
+// request (the HTTP middleware), completes and records it.
 func (x *Index) SearchExplain(sq geom.Sphere, k int) (knn.Result, *Explain) {
 	ex := &Explain{}
-	res := x.search(sq, k, ex)
+	res := x.search(sq, k, &ex.Forest)
 	return res, ex
 }
 
-func (x *Index) search(sq geom.Sphere, k int, ex *Explain) knn.Result {
+func (x *Index) search(sq geom.Sphere, k int, ex *obs.Forest) knn.Result {
 	if k <= 0 {
 		panic(fmt.Sprintf("shard: k = %d", k))
 	}
