@@ -377,19 +377,15 @@ func buildReport(cfg *config) report {
 	rep.SpeedupSphereQ = ratio(pairRows[2], pairRows[3])
 	rep.SpeedupTargetMet = rep.SpeedupPointQ >= 1.5
 
-	tree, idx, items, queries := knnFixture(rep.KnnTreeItems, 8)
-	// Pass 0 walks the pointer tree; the rest walk the packed snapshot with
+	tree, items, queries := knnFixture(rep.KnnTreeItems, 8)
+	// Pass 0 walks the pointer tree; the rest walk its packed snapshot with
 	// quantization off (isolating the SoA layout, pass 1) and through the
 	// two coarse-filter tiers (passes 2-3) — same fixture, same queries, so
-	// every ratio isolates one mechanism. The packed passes run against a
-	// deterministic twin of the tree (same seed, same insert order,
-	// identical structure) that is frozen up front: with two trees the
-	// pointer and packed cells interleave within each round instead of
-	// running minutes apart on opposite sides of a Freeze call, so slow
-	// drift of the host cannot masquerade as a layout speedup — or erase
-	// one. The process default is QuantF32, so each pass pins its mode.
-	frozenTree, frozenIdx, _, _ := knnFixture(rep.KnnTreeItems, 8)
-	frozenTree.Freeze()
+	// every ratio isolates one mechanism. The pointer and packed cells
+	// interleave within each round, so slow drift of the host cannot
+	// masquerade as a layout speedup — or erase one. The process default is
+	// QuantF32, so each pass pins its mode.
+	idx, packedIdx := knn.WrapSSTree(tree), knn.WrapPacked(tree.Freeze())
 	passes := []struct {
 		label string
 		mode  knn.QuantMode
@@ -408,7 +404,7 @@ func buildReport(cfg *config) report {
 	searchCell := func(pass int, algo knn.Algorithm) func(*testing.B) {
 		target := idx
 		if pass > 0 {
-			target = frozenIdx
+			target = packedIdx
 		}
 		knn.SetQuantMode(passes[pass].mode)
 		return func(b *testing.B) {
@@ -428,10 +424,6 @@ func buildReport(cfg *config) report {
 		}
 	}
 	knn.SetQuantMode(prevMode)
-	// The post-search sections (scaling, metrics) exercise the packed quant
-	// path on the primary fixture, so freeze it now that the pointer rounds
-	// are done.
-	tree.Freeze()
 	for pass, p := range passes {
 		for ai, algo := range algos {
 			rows[pass][ai].Name = fmt.Sprintf("%s/%v", p.label, algo)
@@ -461,13 +453,15 @@ func buildReport(cfg *config) report {
 	rep.BuildInsertNs, rep.BuildBulkNs, rep.BuildBulkSpeedup = buildCost(&rep)
 	rep.SnapshotLoad = measureSnapshotLoad(&rep)
 	rep.FinalFilter = measureFinalFilter(&rep)
-	rep.Throughput = measureScaling(&rep, idx, queries, rep.KnnK)
+	// The post-search sections (scaling, metrics) exercise the packed quant
+	// path.
+	rep.Throughput = measureScaling(&rep, packedIdx, queries, rep.KnnK)
 	rep.ShardScaling = measureShardScaling(&rep, items, 8, queries, rep.KnnK)
 
 	// The metrics pass runs under the process default, the served f32
 	// tier, so the coarse-filter counters (and the derived prune rate)
 	// describe what is served.
-	rep.Metrics = captureMetrics(idx, queries, rep.KnnK, sa, sb, points)
+	rep.Metrics = captureMetrics(packedIdx, queries, rep.KnnK, sa, sb, points)
 	return rep
 }
 
@@ -570,8 +564,7 @@ func finalFilterInputs(n, nq, k int) (inputs []filterInput, candidates int) {
 	items := dataset.Spheres(dataset.SyntheticCenters(n, d, dataset.Gaussian, 1), dataset.GaussianRadii(10), 2)
 	t := sstree.New(d)
 	t.BulkLoad(items)
-	t.Freeze()
-	idx := knn.WrapSSTree(t)
+	idx := knn.WrapPacked(t.Freeze())
 	for _, sq := range workload.KNNQueries(items, nq, 3) {
 		cs := knn.SearchCandidates(idx, sq, k, dominance.Hyperbola{}, knn.HS, nil)
 		in := filterInput{sk: cs.Candidates[k-1].Item.Sphere, sq: sq}
@@ -717,9 +710,8 @@ func scalingReport() report {
 	obs.SetEnabled(false)
 	defer obs.SetEnabled(wasOn)
 
-	tree, idx, items, queries := knnFixture(rep.KnnTreeItems, 8)
-	tree.Freeze()
-	rep.Throughput = measureScaling(&rep, idx, queries, rep.KnnK)
+	tree, items, queries := knnFixture(rep.KnnTreeItems, 8)
+	rep.Throughput = measureScaling(&rep, knn.WrapPacked(tree.Freeze()), queries, rep.KnnK)
 	rep.ShardScaling = measureShardScaling(&rep, items, 8, queries, rep.KnnK)
 	return rep
 }
@@ -988,10 +980,10 @@ func randSphere(rng *rand.Rand, d int, maxR float64) geom.Sphere {
 
 // knnFixture mirrors the knn package's allocation fixture: a 10k-item
 // SS-tree of Gaussian spheres and a query batch from the same distribution.
-// The tree itself is returned too, so the caller can Freeze it between the
-// pointer-path and packed-path timing passes; the raw item set rides along
-// for the shard-scaling section, which builds its own partitioned trees.
-func knnFixture(n, d int) (*sstree.Tree, knn.Index, []geom.Item, []geom.Sphere) {
+// The caller wraps the tree for the pointer walk or its Freeze for the
+// packed one; the raw item set rides along for the shard-scaling section,
+// which builds its own partitioned trees.
+func knnFixture(n, d int) (*sstree.Tree, []geom.Item, []geom.Sphere) {
 	rng := rand.New(rand.NewSource(7001))
 	items := gaussianItems(rng, n, d)
 	t := sstree.New(d)
@@ -1002,7 +994,7 @@ func knnFixture(n, d int) (*sstree.Tree, knn.Index, []geom.Item, []geom.Sphere) 
 	for i := range queries {
 		queries[i] = gaussianSphere(rng, d)
 	}
-	return t, knn.WrapSSTree(t), items, queries
+	return t, items, queries
 }
 
 // gaussianItems draws n spheres with gaussianSphere, IDs 0..n-1.

@@ -246,7 +246,8 @@ func TestCaptureMetrics(t *testing.T) {
 	defer obs.SetEnabled(true)
 	obs.SetEnabled(false) // captureMetrics enables the gate itself
 
-	_, idx, _, queries := knnFixture(1500, 6)
+	tr, _, queries := knnFixture(1500, 6)
+	idx := knn.WrapPacked(tr.Freeze())
 	sa, sb, points, _ := pairWorkload(rand.New(rand.NewSource(42)), 6, 64)
 	m := captureMetrics(idx, queries, 5, sa, sb, points)
 

@@ -3,6 +3,7 @@ package hyperdom_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hyperdom"
@@ -91,7 +92,9 @@ func TestKNNThroughFacade(t *testing.T) {
 }
 
 // TestKNNBatchMatchesSerial: the batch is KNN per query, in query order,
-// whatever the pool width and whether or not the tree is frozen.
+// whatever the pool width; and the facade's packed, served form — a
+// one-shard BuildSharded over the same items — answers every query with
+// KNN's item IDs.
 func TestKNNBatchMatchesSerial(t *testing.T) {
 	items := randomItems(1500, 3, 5)
 	ss := hyperdom.NewSSTree(3, 0)
@@ -102,22 +105,28 @@ func TestKNNBatchMatchesSerial(t *testing.T) {
 	for i := range queries {
 		queries[i] = items[i*7].Sphere
 	}
-	for _, frozen := range []bool{false, true} {
-		if frozen {
-			ss.Freeze()
+	want := make([]hyperdom.KNNResult, len(queries))
+	for i, q := range queries {
+		want[i] = hyperdom.KNN(ss, q, 6, hyperdom.Hyperbola(), hyperdom.BestFirst)
+	}
+	for _, workers := range []int{0, 1, 3} {
+		got := hyperdom.KNNBatch(ss, queries, 6, hyperdom.Hyperbola(), hyperdom.BestFirst, workers)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: batch differs from serial KNN", workers)
 		}
-		want := make([]hyperdom.KNNResult, len(queries))
-		for i, q := range queries {
-			want[i] = hyperdom.KNN(ss, q, 6, hyperdom.Hyperbola(), hyperdom.BestFirst)
+		if empty := hyperdom.KNNBatch(ss, nil, 6, hyperdom.Hyperbola(), hyperdom.BestFirst, workers); len(empty) != 0 {
+			t.Errorf("workers=%d: empty batch returned %d results", workers, len(empty))
 		}
-		for _, workers := range []int{0, 1, 3} {
-			got := hyperdom.KNNBatch(ss, queries, 6, hyperdom.Hyperbola(), hyperdom.BestFirst, workers)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("frozen=%v workers=%d: batch differs from serial KNN", frozen, workers)
-			}
-			if empty := hyperdom.KNNBatch(ss, nil, 6, hyperdom.Hyperbola(), hyperdom.BestFirst, workers); len(empty) != 0 {
-				t.Errorf("frozen=%v workers=%d: empty batch returned %d results", frozen, workers, len(empty))
-			}
+	}
+
+	x, err := hyperdom.BuildSharded(items, 3, hyperdom.ShardOptions{Shards: 1, Algorithm: hyperdom.BestFirst})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	for i, q := range queries {
+		if got := x.Search(q, 6); !slices.Equal(got.IDs(), want[i].IDs()) {
+			t.Errorf("query %d: sharded answer %v, KNN %v", i, got.IDs(), want[i].IDs())
 		}
 	}
 }

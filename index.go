@@ -65,7 +65,9 @@ type KNNResult = knn.Result
 // over an SS-tree: it returns every indexed sphere that is not dominated,
 // with respect to the query sphere sq, by the sphere with the k-th
 // smallest MaxDist to sq. With the Hyperbola criterion the answer is
-// exact; with another correct criterion it is a superset.
+// exact; with another correct criterion it is a superset. It walks the
+// pointer tree, the Section 6 reference; the packed form that is served is
+// a ShardedIndex (BuildSharded).
 func KNN(t *SSTree, sq Sphere, k int, crit Criterion, strategy SearchStrategy) KNNResult {
 	return knn.Search(knn.WrapSSTree(t), sq, k, crit, strategy)
 }

@@ -69,7 +69,7 @@ func randRotation(rng *rand.Rand, d int) [][]float64 {
 				ok = false
 				break
 			}
-			vec.ScaleTo(v, 1/n, v)
+			v = vec.Scale(1/n, v)
 			m[i] = v
 		}
 		if ok {

@@ -4,10 +4,10 @@
 // one shared counter and answers them out of its own knn.Searcher, and the
 // call returns when every query is answered.
 //
-// The index must not be mutated while a batch is running over it. Freeze
-// the substrate first (e.g. sstree.Freeze) so the workers stream over the
-// packed snapshot — the engine works either way, but the frozen path is
-// both faster and immune to accidental mutation, since the snapshot is
+// The index must not be mutated while a batch is running over it. Wrap a
+// snapshot with knn.WrapPacked (an SS-tree's Freeze) so the workers stream
+// over the packed form — the engine works either way, but the packed walk
+// is both faster and immune to accidental mutation, since the snapshot is
 // immutable.
 package engine
 

@@ -40,8 +40,8 @@ func randQueries(rng *rand.Rand, d, n int) []geom.Sphere {
 
 // TestEngineMatchesSequential: the engine is a scheduler, not a different
 // algorithm — every batch result must equal the direct knn.Search answer,
-// items and stats, on a frozen and an unfrozen SS-tree and on the
-// rect-bounded R-tree's pointer walk.
+// items and stats, on an SS-tree's pointer walk, on its snapshot's packed
+// walk and on the rect-bounded R-tree's pointer walk.
 func TestEngineMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(601))
 	d := 5
@@ -54,26 +54,22 @@ func TestEngineMatchesSequential(t *testing.T) {
 		ss.Insert(it)
 		rt.Insert(it)
 	}
-	for _, frozen := range []bool{false, true} {
-		if frozen {
-			ss.Freeze()
-		}
-		for _, tc := range []struct {
-			name string
-			idx  knn.Index
-		}{
-			{"sstree", knn.WrapSSTree(ss)},
-			{"rtree", knn.WrapRTree(rt)},
-		} {
-			for _, algo := range []knn.Algorithm{knn.DF, knn.HS} {
-				e := New(tc.idx, WithWorkers(4), WithAlgorithm(algo))
-				got := e.SearchBatch(queries, 8)
-				e.Close()
-				for i, sq := range queries {
-					want := knn.Search(tc.idx, sq, 8, dominance.Hyperbola{}, algo)
-					if !reflect.DeepEqual(got[i].Items, want.Items) || got[i].Stats != want.Stats {
-						t.Fatalf("%s frozen=%v algo=%v query %d: engine result differs", tc.name, frozen, algo, i)
-					}
+	for _, tc := range []struct {
+		name string
+		idx  knn.Index
+	}{
+		{"sstree", knn.WrapSSTree(ss)},
+		{"packed", knn.WrapPacked(ss.Freeze())},
+		{"rtree", knn.WrapRTree(rt)},
+	} {
+		for _, algo := range []knn.Algorithm{knn.DF, knn.HS} {
+			e := New(tc.idx, WithWorkers(4), WithAlgorithm(algo))
+			got := e.SearchBatch(queries, 8)
+			e.Close()
+			for i, sq := range queries {
+				want := knn.Search(tc.idx, sq, 8, dominance.Hyperbola{}, algo)
+				if !reflect.DeepEqual(got[i].Items, want.Items) || got[i].Stats != want.Stats {
+					t.Fatalf("%s algo=%v query %d: engine result differs", tc.name, algo, i)
 				}
 			}
 		}
@@ -91,8 +87,7 @@ func TestEngineConcurrentBatches(t *testing.T) {
 	for _, it := range items {
 		ss.Insert(it)
 	}
-	ss.Freeze()
-	idx := knn.WrapSSTree(ss)
+	idx := knn.WrapPacked(ss.Freeze())
 	e := New(idx, WithWorkers(4))
 	defer e.Close()
 
@@ -135,10 +130,10 @@ func TestEngineObs(t *testing.T) {
 	for _, it := range items {
 		ss.Insert(it)
 	}
-	ss.Freeze()
+	idx := knn.WrapPacked(ss.Freeze())
 
 	obs.ResetForTest()
-	e := New(knn.WrapSSTree(ss), WithWorkers(3))
+	e := New(idx, WithWorkers(3))
 	queries := randQueries(rng, d, 37)
 	e.SearchBatch(queries, 4)
 	e.Search(queries[0], 4)
@@ -156,7 +151,7 @@ func TestEngineObs(t *testing.T) {
 	// Nothing moves while the gate is off.
 	obs.SetEnabled(false)
 	obs.ResetForTest()
-	e2 := New(knn.WrapSSTree(ss), WithWorkers(2))
+	e2 := New(idx, WithWorkers(2))
 	e2.SearchBatch(queries[:5], 4)
 	e2.Close()
 	if moved := obs.Snapshot().Diff(obs.Snap{}); len(moved) != 0 {
@@ -181,8 +176,7 @@ func TestEngineAllocs(t *testing.T) {
 	for _, it := range items {
 		ss.Insert(it)
 	}
-	ss.Freeze()
-	e := New(knn.WrapSSTree(ss), WithWorkers(2))
+	e := New(knn.WrapPacked(ss.Freeze()), WithWorkers(2))
 	defer e.Close()
 	queries := randQueries(rng, d, 16)
 	e.SearchBatch(queries, 10) // warm worker arenas

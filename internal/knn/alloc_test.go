@@ -10,7 +10,6 @@ import (
 	"hyperdom/internal/mtree"
 	"hyperdom/internal/rtree"
 	"hyperdom/internal/sstree"
-	"hyperdom/internal/tree"
 )
 
 // searchAllocBudget is the steady-state allocations-per-search ceiling for
@@ -47,13 +46,13 @@ func allocCorpus(n int) ([]Item, []geom.Sphere) {
 
 // allocFixture builds the 10k-item SS-tree the allocation and benchmark
 // tests share.
-func allocFixture(n int) (Index, []geom.Sphere) {
+func allocFixture(n int) (*sstree.Tree, []geom.Sphere) {
 	items, queries := allocCorpus(n)
 	t := sstree.New(8)
 	for _, it := range items {
 		t.Insert(it)
 	}
-	return WrapSSTree(t), queries
+	return t, queries
 }
 
 // TestSearchAllocs is the allocation regression gate of the zero-allocation
@@ -116,7 +115,8 @@ func TestTraceDisabledAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
-	idx, queries := allocFixture(10000)
+	ss, queries := allocFixture(10000)
+	idx := WrapSSTree(ss)
 	for _, algo := range []Algorithm{DF, HS} {
 		q := 0
 		// Warm the scratch pool.
@@ -145,8 +145,8 @@ func TestSearchAllocsPacked(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
-	idx, queries := allocFixture(10000)
-	tree.Freeze(idx.t)
+	ss, queries := allocFixture(10000)
+	idx := WrapPacked(ss.Freeze())
 	for _, algo := range []Algorithm{DF, HS} {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
@@ -168,7 +168,8 @@ func TestSearchAllocsPacked(t *testing.T) {
 // BenchmarkSearch measures the kNN traversals over the 10k-item SS-tree —
 // the figures BENCH_knn.json tracks across PRs.
 func BenchmarkSearch(b *testing.B) {
-	idx, queries := allocFixture(10000)
+	ss, queries := allocFixture(10000)
+	idx := WrapSSTree(ss)
 	for _, algo := range []Algorithm{DF, HS} {
 		algo := algo
 		b.Run(fmt.Sprintf("SS10k/%v", algo), func(b *testing.B) {
@@ -184,8 +185,8 @@ func BenchmarkSearch(b *testing.B) {
 // single-thread packed-layout win BENCH_knn.json records as
 // speedup_packed_layout.
 func BenchmarkSearchPacked(b *testing.B) {
-	idx, queries := allocFixture(10000)
-	tree.Freeze(idx.t)
+	ss, queries := allocFixture(10000)
+	idx := WrapPacked(ss.Freeze())
 	for _, algo := range []Algorithm{DF, HS} {
 		algo := algo
 		b.Run(fmt.Sprintf("SS10k/%v", algo), func(b *testing.B) {

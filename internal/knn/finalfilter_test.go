@@ -13,9 +13,9 @@ import (
 	"hyperdom/internal/dataset"
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
+	"hyperdom/internal/obs"
 	"hyperdom/internal/packed"
 	"hyperdom/internal/sstree"
-	"hyperdom/internal/tree"
 )
 
 // kthOf returns the item of items with the k-th smallest (MaxDist, ID) to
@@ -143,20 +143,29 @@ func (c orMinMax) Dominates(sa, sb, sq geom.Sphere) bool {
 }
 
 // TestDifferentialMatrix is the answer lock of the criterion-free
-// traversal: every criterion × substrate (pointer; the SS-tree also frozen
-// and mmap-loaded) × strategy × quant tier × k against BruteForce — ids AND order — on a
-// random fixture and on one full of MaxDist ties.
+// traversal: every criterion × substrate (pointer walk; the SS-tree's
+// snapshot also in memory and mmap-loaded) × strategy × quant tier × k
+// against BruteForce — ids AND order — on a random fixture and on one full
+// of MaxDist ties.
 //
 // BruteForce asks the criterion about every item; a search drops Case 3
-// items unasked, and which items those are depends on the visiting order.
-// So the answer is pinned between BruteForce over the criterion and
-// BruteForce over "MinMax or criterion". For a criterion that subsumes
-// MinMax (Hyperbola, Exact, MinMax) the two coincide and the answer must
-// equal them exactly; for one that does not (MBR, GP) it must be an ordered
-// superset of the one and an ordered subset of the other, and identical
-// across everything that shares a visiting order (pointer, frozen, loaded,
-// every tier).
+// items unasked, and which items those are depends on the visiting order
+// and on the bound the walk prunes with. So the answer is pinned between
+// BruteForce over the criterion and BruteForce over "MinMax or criterion".
+// For a criterion that subsumes MinMax (Hyperbola, Exact, MinMax) the two
+// coincide and every target must equal them exactly; for one that does not
+// (MBR, GP) every answer must be an ordered superset of the one and an
+// ordered subset of the other, and the packed targets (in memory, loaded,
+// every tier), which share one walk, must agree exactly. The pointer walk's
+// answer may differ from theirs there: the packed walk's box bound discards
+// Case-3 items the pointer walk met early and handed to the final filter,
+// and the tighter bound changes the visiting order (DESIGN.md §11).
+//
+// Each target is the walk it wraps: a pointer target's search moves
+// knn.searches.packed by 0, a packed target's by exactly 1.
 func TestDifferentialMatrix(t *testing.T) {
+	defer obs.SetEnabled(true)
+	obs.SetEnabled(true)
 	prev := SetQuantMode(QuantNone)
 	defer SetQuantMode(prev)
 	rng := rand.New(rand.NewSource(1313))
@@ -202,20 +211,32 @@ func TestDifferentialMatrix(t *testing.T) {
 							t.Fatalf("%s subsumes MinMax, yet BruteForce differs with and without it:\n%v\n%v", crit.Name(), lo, hi)
 						}
 						for _, algo := range []Algorithm{DF, HS} {
-							var first []int
+							var firstPacked []int
 							for _, tg := range targets {
 								for _, qm := range tg.tiers {
 									SetQuantMode(qm)
+									before := obsSearchPacked.Load()
 									got := Search(tg.idx, sq, k, crit, algo).IDs()
 									ctx := fmt.Sprintf("%s/%s/%s/%s/%v/%v q%d k=%d", fx.name, substrate, tg.name, crit.Name(), algo, qm, qi, k)
+									packedWalk := tg.idx.p != nil
+									want := uint64(0)
+									if packedWalk {
+										want = 1
+									}
+									if moved := obsSearchPacked.Load() - before; moved != want {
+										t.Fatalf("%s: knn.searches.packed moved by %d, want %d", ctx, moved, want)
+									}
 									if !subsequence(lo, got) || !subsequence(got, hi) {
 										t.Fatalf("%s:\n got %v\nwant between %v\n and %v", ctx, got, lo, hi)
 									}
-									if first == nil {
-										first = got
+									if !packedWalk {
+										continue
 									}
-									if !equalIDs(got, first) {
-										t.Fatalf("%s:\n got %v\nwant %v (the pointer path's answer)", ctx, got, first)
+									if firstPacked == nil {
+										firstPacked = got
+									}
+									if !equalIDs(got, firstPacked) {
+										t.Fatalf("%s:\n got %v\nwant %v (the in-memory snapshot's answer)", ctx, got, firstPacked)
 									}
 								}
 							}
@@ -241,8 +262,7 @@ func TestAnchoredMatchesHyperbolaOnFatCandidates(t *testing.T) {
 	items := dataset.Spheres(dataset.SyntheticCenters(n, d, dataset.Gaussian, 17), dataset.GaussianRadii(10), 18)
 	tree := sstree.New(d)
 	tree.BulkLoad(items)
-	tree.Freeze()
-	idx := WrapSSTree(tree)
+	idx := WrapPacked(tree.Freeze())
 	rng := rand.New(rand.NewSource(19))
 	var an dominance.Anchored
 	triples, dominated := 0, 0
@@ -388,7 +408,7 @@ func TestPutScratchHoldsNoCandidate(t *testing.T) {
 func TestWholeCollectionScratchNotPooled(t *testing.T) {
 	const d, n = 2, maxPooledCandidates + 4000
 	rng := rand.New(rand.NewSource(4245))
-	forest := []*packed.Tree{tree.Freeze(index(randItems(rng, d, n, 1), d).t)}
+	forest := []*packed.Tree{ssTree(randItems(rng, d, n, 1), d).Freeze()}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 

@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"fmt"
 	"time"
 
 	"hyperdom/internal/dominance"
@@ -34,6 +35,35 @@ func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, crit dominance.Cr
 	defer putScratch(sc)
 	res.K = k
 	l, start := sc.begin(sq, k, crit, &res.Stats)
+	if visited = sc.walkForest(trees, sq, algo, l, ex); visited == 0 {
+		return res, 0
+	}
+
+	var t0 time.Time
+	if ex != nil {
+		ex.Merge.Candidates = l.held()
+		t0 = time.Now()
+	}
+	res.Items = l.finish()
+	if ex != nil {
+		ex.Merge.LatencyNs = max(time.Since(t0).Nanoseconds(), 1)
+		ex.Merge.Results = len(res.Items)
+		ex.Merge.Pruned = ex.Merge.Candidates - ex.Merge.Results
+	}
+	if obs.On() {
+		sc.flushObs(tree.SSTree, algo, start, &res.Stats)
+	}
+	return res, visited
+}
+
+// walkForest is the one packed traversal: it walks the trees nearest root
+// first into l, which begin armed, skipping every tree whose root bound is
+// beyond the running distK, and returns the number of trees it opened — 0
+// when every tree is empty, and l then holds nothing. Search walks a bare
+// snapshot as a forest of one; for a single tree the root key is the root's
+// MinDist, so the walk is the plain DF or HS traversal of Section 6. ex is
+// SearchForest's: nil, or the explain the per-tree spans go into.
+func (sc *scratch) walkForest(trees []*packed.Tree, sq geom.Sphere, algo Algorithm, l *bestList, ex *obs.Forest) (visited int) {
 	sc.stashQuant(sq)
 	if ex != nil {
 		ex.Shards = make([]obs.ShardSpan, len(trees))
@@ -66,44 +96,35 @@ func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, crit dominance.Cr
 		sc.packedHeap.es = sc.packedHeap.es[:0] // a best-first search that ended early leaves its frontier behind
 		var sp *obs.ShardSpan
 		var t0 time.Time
-		held, coarse, before := l.held(), sc.qItemPrunes, res.Stats
+		held, coarse, before := l.held(), sc.qItemPrunes, *l.stats
 		if ex != nil {
 			sp = &ex.Shards[i]
 			sp.Order, sp.Skipped = visited, false
 			sp.BoundObserved = obs.BoundValue(l.distK())
 			t0 = time.Now()
 		}
-		sc.searchPacked(trees[i], rootDist, sq, algo, l)
+		switch t := trees[i]; algo {
+		case DF:
+			sc.searchDFPacked(t, t.Root(), rootDist, sq, l)
+		case HS:
+			sc.searchHSPacked(t, rootDist, sq, l)
+		default:
+			panic(fmt.Sprintf("knn: unknown algorithm %d", int(algo)))
+		}
 		visited++
 		if sp != nil {
 			sp.LatencyNs = max(time.Since(t0).Nanoseconds(), 1)
 			sp.Candidates = l.held() - held
-			sp.NodesVisited = res.Stats.NodesVisited - before.NodesVisited
-			sp.ItemsScanned = res.Stats.Items - before.Items
+			sp.NodesVisited = l.stats.NodesVisited - before.NodesVisited
+			sp.ItemsScanned = l.stats.Items - before.Items
 			sp.CoarsePrunes = sc.qItemPrunes - coarse
 			sp.BoundPublished = obs.BoundValue(l.distK())
 		}
 	}
-	if visited == 0 {
-		return res, 0
-	}
-
-	var t0 time.Time
-	if ex != nil {
-		ex.Merge.Candidates = l.held()
-		t0 = time.Now()
-	}
-	res.Items = l.finish()
-	if ex != nil {
-		ex.Merge.LatencyNs = max(time.Since(t0).Nanoseconds(), 1)
-		ex.Merge.Results = len(res.Items)
-		ex.Merge.Pruned = ex.Merge.Candidates - ex.Merge.Results
-	}
-	if obs.On() {
+	if visited > 0 && obs.On() {
 		obsSearchPacked.Inc()
-		sc.flushObs(tree.SSTree, algo, start, &res.Stats)
 	}
-	return res, visited
+	return visited
 }
 
 // held is the number of candidates the list holds for the final filter.

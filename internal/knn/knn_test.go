@@ -31,12 +31,14 @@ func randQuery(rng *rand.Rand, d int, maxR float64) geom.Sphere {
 	return geom.NewSphere(c, rng.Float64()*maxR)
 }
 
-func index(items []Item, d int) Index {
+func index(items []Item, d int) Index { return WrapSSTree(ssTree(items, d)) }
+
+func ssTree(items []Item, d int) *sstree.Tree {
 	t := sstree.New(d, tree.WithMaxFill(16))
 	for _, it := range items {
 		t.Insert(it)
 	}
-	return WrapSSTree(t)
+	return t
 }
 
 func sortedIDs(items []Item) []int {

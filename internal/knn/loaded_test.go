@@ -76,7 +76,8 @@ func TestLoadedSnapshotBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1010))
 	const d, n = 4, 3000
 	t.Run("sstree", func(t *testing.T) {
-		orig, pt := buildIndex(t, "sstree", randItems(rng, d, n, 2), d)
+		_, pt := buildIndex(t, "sstree", randItems(rng, d, n, 2), d)
+		orig := WrapPacked(pt)
 		path := filepath.Join(t.TempDir(), "sstree.hds")
 		if err := pt.Save(path); err != nil {
 			t.Fatalf("Save: %v", err)
@@ -150,8 +151,8 @@ func TestSearchAllocsLoaded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
-	idx, queries := allocFixture(10000)
-	pt := tree.Freeze(idx.t)
+	ss, queries := allocFixture(10000)
+	pt := ss.Freeze()
 	path := filepath.Join(t.TempDir(), "alloc.hds")
 	if err := pt.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)

@@ -14,15 +14,16 @@ import (
 )
 
 // substrateTrees inserts the same n random items into a pointer tree of
-// each substrate, in tree.Substrate order.
-func substrateTrees(rng *rand.Rand, d, n int) []*tree.Tree {
-	trees := []*tree.Tree{&sstree.New(d).Tree, &mtree.New(d).Tree, &rtree.New(d).Tree}
+// each substrate, in tree.Substrate order; ss is the first, the SS-tree.
+func substrateTrees(rng *rand.Rand, d, n int) (ss *sstree.Tree, trees []*tree.Tree) {
+	ss = sstree.New(d)
+	trees = []*tree.Tree{&ss.Tree, &mtree.New(d).Tree, &rtree.New(d).Tree}
 	for _, it := range randItems(rng, d, n, 5) {
 		for _, tr := range trees {
 			tr.Insert(it)
 		}
 	}
-	return trees
+	return ss, trees
 }
 
 // TestObsSearchCounters verifies the traversal accounting: a tree search
@@ -78,27 +79,26 @@ func TestObsSearchCounters(t *testing.T) {
 
 // TestObsBoxPrunes: knn.box_prunes counts the children a sphere bound
 // admitted and the box bound rejected, so it moves only where there is a
-// box — the packed walk of a frozen SS-tree, not any pointer walk — and
-// /metrics shows whether the second bound is doing anything.
+// box — the packed walk of an SS-tree's snapshot, not any pointer walk —
+// and /metrics shows whether the second bound is doing anything.
 func TestObsBoxPrunes(t *testing.T) {
 	defer obs.SetEnabled(true)
 	obs.SetEnabled(true)
 	rng := rand.New(rand.NewSource(2402))
 	const d = 5
-	trees := substrateTrees(rng, d, 2000)
+	ss, trees := substrateTrees(rng, d, 2000)
 	q := randQuery(rng, d, 5)
-	for _, frozen := range []bool{false, true} {
-		if frozen {
-			tree.Freeze(trees[tree.SSTree])
-		}
-		for _, tr := range trees {
-			for _, algo := range []Algorithm{DF, HS} {
-				obs.ResetForTest()
-				Search(Index{t: tr}, q, 10, dominance.Hyperbola{}, algo)
-				got := obs.Snapshot().Get("knn.box_prunes")
-				if want := frozen && tr.Substrate() == tree.SSTree; (got > 0) != want {
-					t.Errorf("%v frozen=%v %v: knn.box_prunes = %d, want moved=%v", tr.Substrate(), frozen, algo, got, want)
-				}
+	idxs := []Index{WrapPacked(ss.Freeze())}
+	for _, tr := range trees {
+		idxs = append(idxs, Index{t: tr})
+	}
+	for _, idx := range idxs {
+		for _, algo := range []Algorithm{DF, HS} {
+			obs.ResetForTest()
+			Search(idx, q, 10, dominance.Hyperbola{}, algo)
+			got := obs.Snapshot().Get("knn.box_prunes")
+			if packedWalk := idx.p != nil; (got > 0) != packedWalk {
+				t.Errorf("%v packed=%v %v: knn.box_prunes = %d, want moved=%v", idx.substrate(), packedWalk, algo, got, packedWalk)
 			}
 		}
 	}
@@ -192,7 +192,7 @@ func TestCountersMatchStats(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(4242))
 	const d = 4
-	trees := substrateTrees(rng, d, 900)
+	_, trees := substrateTrees(rng, d, 900)
 	q := randQuery(rng, d, 1)
 	for _, tr := range trees {
 		for _, algo := range []Algorithm{DF, HS} {
@@ -296,7 +296,8 @@ func TestSearchObsOverhead(t *testing.T) {
 		t.Skip("race instrumentation distorts the timing comparison")
 	}
 	defer obs.SetEnabled(true)
-	idx, queries := allocFixture(4000)
+	ss, queries := allocFixture(4000)
+	idx := WrapSSTree(ss)
 
 	round := func(enabled bool) time.Duration {
 		obs.SetEnabled(enabled)

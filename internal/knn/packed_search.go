@@ -91,7 +91,7 @@ func (sc *scratch) offerLeafPacked(t *packed.Tree, n int32, sq geom.Sphere, l *b
 // ChildMinDists' — over a sphere-bounded tree max(sphere, box), taken
 // against distk as n is entered; distk only shrinks, so a child put beyond
 // it stays there. nd is n's own key, known from the parent's pass
-// (RootMinDist at the root).
+// (walkForest's root MinDist at the root).
 func (sc *scratch) searchDFPacked(t *packed.Tree, n int32, nd float64, sq geom.Sphere, l *bestList) {
 	l.stats.NodesVisited++
 	if t.IsLeaf(n) {

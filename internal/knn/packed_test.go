@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -25,9 +26,9 @@ func buildFixture(rng *rand.Rand, d, n int) ([]Item, *sstree.Tree) {
 
 // TestPackedMatchesPointer is the differential lock of the packed layout,
 // widened over the quantization modes and restated for the child boxes: on
-// both traversal strategies and every quant tier (none, f32, i8), a frozen
-// SS-tree must return the exact result list (items AND order) the pointer
-// path returns. The packed walk prunes on max(sphere, box) where the pointer
+// both traversal strategies and every quant tier (none, f32, i8), an
+// SS-tree's snapshot must return the exact result list (items AND order) the
+// pointer path returns. The packed walk prunes on max(sphere, box) where the pointer
 // path has the sphere alone, so on every query it may visit no more nodes
 // and scan no more items (DomChecks and Pruned follow the candidates it met
 // and may move either way) — and over each fixture of four or more
@@ -45,8 +46,7 @@ func TestPackedMatchesPointer(t *testing.T) {
 	rng := rand.New(rand.NewSource(501))
 	for _, d := range []int{2, 5, 8} {
 		_, ss := buildFixture(rng, d, 2500)
-		idx := WrapSSTree(ss)
-		extra := Item{ID: 2501, Sphere: geom.Sphere{Center: make([]float64, d), Radius: 0.5}}
+		idx, pk := WrapSSTree(ss), WrapPacked(ss.Freeze())
 		queries := make([]geom.Sphere, 25)
 		ks := make([]int, len(queries))
 		for i := range queries {
@@ -55,10 +55,7 @@ func TestPackedMatchesPointer(t *testing.T) {
 		}
 		var pointerWork, packedWork Stats // totals at QuantNone
 		for _, crit := range []dominance.Criterion{dominance.Hyperbola{}, dominance.MinMax{}} {
-			// Pointer answers first, then freeze and re-ask per tier.
-			if idx.frozen() != nil {
-				t.Fatal("fixture is frozen, the reference pass would take the packed walk")
-			}
+			// Pointer answers first, then the snapshot's per tier.
 			type ans struct{ res [2]Result }
 			pointer := make([]ans, len(queries))
 			for i, sq := range queries {
@@ -66,13 +63,12 @@ func TestPackedMatchesPointer(t *testing.T) {
 					pointer[i].res[algo] = Search(idx, sq, ks[i], crit, algo)
 				}
 			}
-			ss.Freeze()
 			exact := make([]ans, len(queries)) // the packed walk at QuantNone
 			for _, qm := range quants {
 				SetQuantMode(qm)
 				for i, sq := range queries {
 					for _, algo := range []Algorithm{DF, HS} {
-						got := Search(idx, sq, ks[i], crit, algo)
+						got := Search(pk, sq, ks[i], crit, algo)
 						want := pointer[i].res[algo]
 						ctx := fmt.Sprintf("d=%d crit=%s algo=%v quant=%s q=%d", d, crit.Name(), algo, qm, i)
 						if !reflect.DeepEqual(got.Items, want.Items) {
@@ -97,7 +93,6 @@ func TestPackedMatchesPointer(t *testing.T) {
 				}
 			}
 			SetQuantMode(QuantNone)
-			ss.Insert(extra) // thaw: the next criterion's reference pass needs the pointer tree
 		}
 		if d >= 4 && (packedWork.NodesVisited >= pointerWork.NodesVisited || packedWork.Items >= pointerWork.Items) {
 			t.Fatalf("d=%d: the box bound pruned nothing: packed %d nodes / %d items, pointer %d / %d",
@@ -112,13 +107,13 @@ func TestPackedMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(502))
 	d := 4
 	items, ss := buildFixture(rng, d, 2000)
-	ss.Freeze()
+	pk := WrapPacked(ss.Freeze())
 	for trial := 0; trial < 20; trial++ {
 		sq := randQuery(rng, d, 5)
 		k := 1 + rng.Intn(12)
 		want := BruteForce(items, sq, k, dominance.Hyperbola{})
 		for _, algo := range []Algorithm{DF, HS} {
-			got := Search(WrapSSTree(ss), sq, k, dominance.Hyperbola{}, algo)
+			got := Search(pk, sq, k, dominance.Hyperbola{}, algo)
 			if !equalIDs(sortedIDs(got.Items), sortedIDs(want.Items)) {
 				t.Fatalf("trial=%d algo=%v: frozen answer differs from brute force", trial, algo)
 			}
@@ -145,7 +140,7 @@ func TestQuantModeFlipDuringSearches(t *testing.T) {
 		queries[i] = randQuery(rng, d, 5)
 		want[i] = Search(idx, queries[i], 8, dominance.Hyperbola{}, HS)
 	}
-	ss.Freeze()
+	pk := WrapPacked(ss.Freeze())
 
 	stop := make(chan struct{})
 	flipDone := make(chan struct{})
@@ -168,7 +163,7 @@ func TestQuantModeFlipDuringSearches(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
 				for i, sq := range queries {
-					got := Search(idx, sq, 8, dominance.Hyperbola{}, HS)
+					got := Search(pk, sq, 8, dominance.Hyperbola{}, HS)
 					if !reflect.DeepEqual(got.Items, want[i].Items) {
 						t.Errorf("q=%d round=%d: items diverged under mode flips", i, round)
 						return
@@ -182,63 +177,54 @@ func TestQuantModeFlipDuringSearches(t *testing.T) {
 	<-flipDone
 }
 
-// TestAutoThaw locks the mutation half of the freeze/thaw contract: any
-// mutation drops the snapshot, searches keep answering correctly off the
-// pointer path, and a re-freeze picks up the mutated contents.
-func TestAutoThaw(t *testing.T) {
+// TestFreezeIsAValue: Freeze builds a snapshot and the tree keeps nothing,
+// so a snapshot taken before a mutation keeps its length and its answers,
+// and only a new Freeze contains the mutation.
+func TestFreezeIsAValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(503))
 	d := 3
-	items := randItems(rng, d, 500, 3)
-
-	ss := sstree.New(d)
-	for _, it := range items {
-		ss.Insert(it)
+	items, ss := buildFixture(rng, d, 500)
+	sq := randQuery(rng, d, 3)
+	const k = 5
+	before := ss.Freeze()
+	want := make([]Result, 2)
+	for _, algo := range []Algorithm{DF, HS} {
+		want[algo] = Search(WrapPacked(before), sq, k, dominance.Hyperbola{}, algo)
 	}
-	checkFrozen := func(name string, frozen func() bool, want bool) {
-		t.Helper()
-		if got := frozen(); got != want {
-			t.Fatalf("%s: Frozen() = %v, want %v", name, got, want)
+	if truth := BruteForce(items, sq, k, dominance.Hyperbola{}); !equalIDs(sortedIDs(want[HS].Items), sortedIDs(truth.Items)) {
+		t.Fatal("snapshot answer differs from brute force")
+	}
+
+	// An item at the query's centre is among the nearest: every answer that
+	// sees it holds it.
+	newIt := Item{ID: 9001, Sphere: geom.Sphere{Center: append([]float64(nil), sq.Center...), Radius: 0.25}}
+	ss.Insert(newIt)
+	if before.Len() != len(items) {
+		t.Fatalf("earlier snapshot holds %d items after an Insert, want %d", before.Len(), len(items))
+	}
+	for _, algo := range []Algorithm{DF, HS} {
+		if got := Search(WrapPacked(before), sq, k, dominance.Hyperbola{}, algo); !reflect.DeepEqual(got, want[algo]) {
+			t.Fatalf("%v: earlier snapshot's answer changed after an Insert\n got %v\nwant %v", algo, got.IDs(), want[algo].IDs())
 		}
 	}
 
-	// Freeze → mutation thaws → re-freeze sees the change.
-	newIt := Item{ID: 9001, Sphere: geom.Sphere{Center: make([]float64, d), Radius: 0.25}}
-
-	ss.Freeze()
-	checkFrozen("sstree", func() bool { _, ok := ss.Frozen(); return ok }, true)
-	ss.Insert(newIt)
-	checkFrozen("sstree after Insert", func() bool { _, ok := ss.Frozen(); return ok }, false)
-	if pt := ss.Freeze(); pt.Len() != len(items)+1 {
-		t.Fatalf("sstree refreeze: %d items, want %d", pt.Len(), len(items)+1)
+	after := ss.Freeze()
+	if after.Len() != len(items)+1 {
+		t.Fatalf("new snapshot holds %d items, want %d", after.Len(), len(items)+1)
 	}
-	ss.Delete(newIt)
-	checkFrozen("sstree after Delete", func() bool { _, ok := ss.Frozen(); return ok }, false)
-
-	// BulkLoad thaws too (fresh tree: freeze empty, then load).
-	ss2 := sstree.New(d)
-	ss2.Freeze()
-	checkFrozen("empty sstree", func() bool { _, ok := ss2.Frozen(); return ok }, true)
-	ss2.BulkLoad(items)
-	checkFrozen("sstree after BulkLoad", func() bool { _, ok := ss2.Frozen(); return ok }, false)
-	if pt := ss2.Freeze(); pt.Len() != len(items) {
-		t.Fatalf("bulk-loaded freeze: %d items, want %d", pt.Len(), len(items))
-	}
-
-	// A search against the thawed-and-refrozen tree answers correctly.
-	sq := randQuery(rng, d, 3)
-	want := BruteForce(items, sq, 5, dominance.Hyperbola{})
-	got := Search(WrapSSTree(ss2), sq, 5, dominance.Hyperbola{}, HS)
-	if !equalIDs(sortedIDs(got.Items), sortedIDs(want.Items)) {
-		t.Fatal("search after thaw+refreeze differs from brute force")
+	truth := BruteForce(append(items, newIt), sq, k, dominance.Hyperbola{})
+	for _, algo := range []Algorithm{DF, HS} {
+		got := Search(WrapPacked(after), sq, k, dominance.Hyperbola{}, algo)
+		if !slices.Contains(got.IDs(), newIt.ID) || !equalIDs(sortedIDs(got.Items), sortedIDs(truth.Items)) {
+			t.Fatalf("%v: new snapshot answers %v, want %v", algo, got.IDs(), truth.IDs())
+		}
 	}
 }
 
-// TestPackedEmptyTree: searching a frozen empty SS-tree returns the empty
-// result, as the pointer path does.
+// TestPackedEmptyTree: searching the snapshot of an empty SS-tree returns
+// the empty result, as the pointer path does.
 func TestPackedEmptyTree(t *testing.T) {
-	ss := sstree.New(3)
-	ss.Freeze()
-	res := Search(WrapSSTree(ss), geom.Sphere{Center: []float64{0, 0, 0}, Radius: 1}, 3, dominance.MinMax{}, DF)
+	res := Search(WrapPacked(sstree.New(3).Freeze()), geom.Sphere{Center: []float64{0, 0, 0}, Radius: 1}, 3, dominance.MinMax{}, DF)
 	if len(res.Items) != 0 {
 		t.Fatalf("empty frozen tree returned %d items", len(res.Items))
 	}

@@ -37,23 +37,14 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// Index is what the searches traverse: a pointer tree of any substrate
-// (WrapSSTree, WrapMTree, WrapRTree) or a bare packed snapshot of an SS-tree
-// (WrapPacked). Exactly one of t and p is set.
+// Index is what the searches traverse, and exactly what it wraps: a
+// pointer tree of any substrate (WrapSSTree, WrapMTree, WrapRTree), whose
+// cursors the Section 6 reference walk follows, or a packed snapshot of an
+// SS-tree (WrapPacked), which the serving kernel streams over. Exactly one
+// of t and p is set.
 type Index struct {
 	t *tree.Tree
 	p *packed.Tree
-}
-
-// frozen returns the packed snapshot to search instead of the pointer
-// tree: the bare snapshot itself, or the tree's cached Freeze (nil when it
-// was never frozen, or was mutated since — the trees auto-thaw).
-func (idx Index) frozen() *packed.Tree {
-	if idx.p != nil {
-		return idx.p
-	}
-	pt, _ := idx.t.Frozen()
-	return pt
 }
 
 // substrate attributes the index's searches in the telemetry. A bare
@@ -66,13 +57,13 @@ func (idx Index) substrate() tree.Substrate {
 }
 
 // Search answers the kNN query of Definition 2 over an index using the
-// given traversal strategy and dominance criterion. A frozen index is
-// searched off its packed snapshot (searchDFPacked/searchHSPacked, the
-// serving kernel); any other walks the pointer tree's cursors
-// (searchDF/searchHS, the Section 6 reference the packed kernel's answers
-// are bit-compared against). Either way the traversal runs out of a pooled
-// scratch arena and performs no steady-state heap allocation beyond the
-// returned answer slice.
+// given traversal strategy and dominance criterion. A packed snapshot is
+// walked by walkForest as a forest of one (searchDFPacked/searchHSPacked,
+// the serving kernel); a pointer tree by its cursors (searchDF/searchHS,
+// the Section 6 reference the packed kernel's answers are compared
+// against). Either way the traversal runs out of a pooled scratch arena and
+// performs no steady-state heap allocation beyond the returned answer
+// slice.
 func Search(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm) Result {
 	sc := getScratch()
 	defer putScratch(sc)
@@ -133,19 +124,6 @@ func (sc *scratch) begin(sq geom.Sphere, k int, crit dominance.Criterion, stats 
 	return l, start
 }
 
-// searchPacked runs one traversal of a non-empty frozen snapshot into l.
-// rootDist is the root's MinDist to the query.
-func (sc *scratch) searchPacked(t *packed.Tree, rootDist float64, sq geom.Sphere, algo Algorithm, l *bestList) {
-	switch algo {
-	case DF:
-		sc.searchDFPacked(t, t.Root(), rootDist, sq, l)
-	case HS:
-		sc.searchHSPacked(t, rootDist, sq, l)
-	default:
-		panic(fmt.Sprintf("knn: unknown algorithm %d", int(algo)))
-	}
-}
-
 // stashQuant fixes the quantized tier the packed traversals of this search
 // consult: the process-wide mode, read once so a concurrent SetQuantMode
 // cannot split one traversal across tiers. A degenerate query radius
@@ -160,25 +138,16 @@ func (sc *scratch) stashQuant(sq geom.Sphere) {
 }
 
 // traverse runs the index traversal shared by Search (finish() filter) and
-// SearchCandidates (raw candidate stream): dispatch to the packed or the
-// pointer path, with the best-known list filled in and the per-search
-// instrumentation armed. ok=false means the index was empty: the list holds
-// nothing, and callers skip both the answer pass and the obs flush.
+// SearchCandidates (raw candidate stream): the packed or the pointer walk,
+// whichever the index wraps, with the best-known list filled in and the
+// per-search instrumentation armed. ok=false means the index was empty: the
+// list holds nothing, and callers skip both the answer pass and the obs
+// flush.
 func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm, stats *Stats) (l *bestList, start time.Time, ok bool) {
 	l, start = sc.begin(sq, k, crit, stats)
-	// A frozen SS-tree routes to the packed traversal: the same result
-	// set off contiguous SoA blocks, from no more nodes and items than the
-	// pointer path visits (DESIGN.md §11).
-	if pt := idx.frozen(); pt != nil {
-		if pt.Empty() {
-			return nil, start, false
-		}
-		sc.stashQuant(sq)
-		sc.searchPacked(pt, pt.RootMinDist(sq), sq, algo, l)
-		if obs.On() {
-			obsSearchPacked.Inc()
-		}
-		return l, start, true
+	if idx.p != nil {
+		forest := [1]*packed.Tree{idx.p}
+		return l, start, sc.walkForest(forest[:], sq, algo, l, nil) > 0
 	}
 	root, rok := idx.t.Root()
 	if !rok {
@@ -282,9 +251,9 @@ func WrapMTree(t *mtree.Tree) Index { return Index{t: &t.Tree} }
 // for the sphere-vs-rectangle index comparison.
 func WrapRTree(t *rtree.Tree) Index { return Index{t: &t.Tree} }
 
-// WrapPacked adapts a frozen snapshot for Search — typically one loaded
-// from a snapshot file (packed.Open), which has no pointer tree behind it.
-// There is nothing to thaw: the snapshot is immutable, and searches are
-// bit-identical to searches over the (frozen) tree that built it — the
-// traversal dispatches on the snapshot, never on its origin.
+// WrapPacked adapts a packed snapshot for Search: an SS-tree's Freeze, or
+// one loaded from a snapshot file (packed.Open), which has no pointer tree
+// behind it. Its searches return the answers a search of the pointer tree
+// it was frozen from returns under Hyperbola, Exact and MinMax, off fewer
+// nodes and items (DESIGN.md §11).
 func WrapPacked(t *packed.Tree) Index { return Index{p: t} }

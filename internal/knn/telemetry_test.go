@@ -11,7 +11,7 @@ import (
 
 // TestCandidateSetTelemetry pins the telemetry scalars a candidate search
 // returns beside its candidates when there is nothing to report — no coarse
-// prunes off an unfrozen index — and the local Sk where the sorted prefix
+// prunes off a pointer tree — and the local Sk where the sorted prefix
 // says it is.
 func TestCandidateSetTelemetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
@@ -21,7 +21,7 @@ func TestCandidateSetTelemetry(t *testing.T) {
 	crit := dominance.Hyperbola{}
 	cs := SearchCandidates(index(items, 3), sq, k, crit, HS, nil)
 	if cs.CoarsePrunes != 0 {
-		t.Fatalf("unfrozen index reported %d coarse prunes", cs.CoarsePrunes)
+		t.Fatalf("pointer tree reported %d coarse prunes", cs.CoarsePrunes)
 	}
 	if want := BruteForce(items, sq, k, crit); cs.Candidates[k-1].Item.ID != want.Items[k-1].ID {
 		t.Fatalf("Candidates[k-1] is item %d, Sk is %d", cs.Candidates[k-1].Item.ID, want.Items[k-1].ID)
@@ -39,8 +39,7 @@ func TestCandidateSetCoarsePrunes(t *testing.T) {
 	for _, it := range items {
 		tr.Insert(it)
 	}
-	tr.Freeze()
-	idx := WrapSSTree(tr)
+	idx := WrapPacked(tr.Freeze())
 
 	total := uint64(0)
 	for q := 0; q < 10; q++ {

@@ -14,7 +14,7 @@ import "math"
 // The box is derived here, bottom-up from the frozen arrays, and never
 // maintained by the pointer tree: insertion, splits and the shape of the
 // tree are what they were, so is every byte of the other sections, and a
-// mutation thaws the snapshot anyway. Builder ids are bottom-up (child <
+// snapshot never changes once built. Builder ids are bottom-up (child <
 // parent), so one pass in id order sees every child's box before its
 // parent's.
 //

@@ -73,7 +73,7 @@ func FuzzSnapshotOpen(f *testing.F) {
 		// Whatever decoded must be safe to walk: visit every reachable
 		// node, stream every accessor the traversals use.
 		q := geom.Sphere{Center: make([]float64, tr.Dim()), Radius: 1}
-		_ = tr.RootMinDist(q)
+		_ = tr.RootOrder(q)
 		stack := []int32{tr.Root()}
 		var dst []float64
 		var sel []int32

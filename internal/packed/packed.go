@@ -8,21 +8,21 @@
 // memory (vec.MinDistSphereBlock and friends) instead of a pointer chase
 // through per-node heap objects.
 //
-// A frozen tree is an immutable snapshot. The SS-tree builds one through
-// its Freeze method and caches it; mutating the source tree (Insert,
-// Delete, BulkLoad) auto-thaws — the cached snapshot is dropped and
-// searches fall back to the pointer path until the next Freeze. See
-// DESIGN.md §11 for the freeze/thaw contract. The M-tree and R-tree have
-// no frozen form: they are pointer-walk baselines only.
+// A frozen tree is an immutable value. The SS-tree's Freeze method builds a
+// fresh one on every call and keeps nothing, so a snapshot never changes
+// and does not follow later mutations of its source; a search walks one
+// only when it is wrapped as such (knn.WrapPacked). See DESIGN.md §11. The
+// M-tree and R-tree have no frozen form: they are pointer-walk baselines
+// only.
 //
 // Bit-exactness: the block kernels preserve the scalar accumulation order
 // (package vec) and the entry order preserves the child/item order of the
 // source nodes, so every distance the packed traversal (package knn) reads
-// is the pointer path's, and its result sets — items and order — are
-// identical. Each child entry carries a second bound, the axis-aligned box
-// of everything below it (box.go), and the packed walk prunes on the larger
-// of the two: it visits a subset of the nodes and items the pointer path
-// does.
+// is the pointer path's. Each child entry carries a second bound, the
+// axis-aligned box of everything below it (box.go), and the packed walk
+// prunes on the larger of the two: it visits a subset of the nodes and
+// items the pointer path does, and under every criterion that subsumes
+// MinMax its result sets — items and order — are identical.
 package packed
 
 import (
@@ -40,21 +40,13 @@ type Kind uint8
 // KindSphere: children are bounded by hyperspheres (SS-tree centroids).
 const KindSphere Kind = 0
 
-// Freeze/thaw observability: how many snapshots were built and how much
-// they hold. Thaws are counted by the tree through NoteThaw.
+// Freeze observability: how many snapshots were built and how much they
+// hold.
 var (
 	obsFreezes = obs.New("packed.freezes")
-	obsThaws   = obs.New("packed.thaws")
 	obsNodes   = obs.New("packed.nodes_frozen")
 	obsItems   = obs.New("packed.items_frozen")
 )
-
-// NoteThaw records one auto-thaw (a mutation dropping a cached snapshot).
-func NoteThaw() {
-	if obs.On() {
-		obsThaws.Inc()
-	}
-}
 
 // Tree is the frozen SoA snapshot of one index. All fields are built once
 // by a Builder and never mutated afterwards, so a Tree is safe for
@@ -123,14 +115,14 @@ func (t *Tree) LeafItems(n int32) []geom.Item {
 	return t.items[t.itemStart[n]:t.itemStart[n+1]]
 }
 
-// RootMinDist returns the minimum distance between the query sphere and
+// rootMinDist returns the minimum distance between the query sphere and
 // the root's bound — the same value the pointer path computes from the
 // root cursor.
-func (t *Tree) RootMinDist(q geom.Sphere) float64 {
+func (t *Tree) rootMinDist(q geom.Sphere) float64 {
 	return geom.MinDist(geom.Sphere{Center: t.rootCenter, Radius: t.rootRadius}, q)
 }
 
-// RootOrder keys a nearest-first walk over several trees. It is RootMinDist
+// RootOrder keys a nearest-first walk over several trees. It is rootMinDist
 // while the root's bound is clear of the query sphere; when the bound
 // touches it — MinDist 0, which is where the trees of one partitioned
 // dataset tie — it is a negative number that grows with the distance from
@@ -138,7 +130,7 @@ func (t *Tree) RootMinDist(q geom.Sphere) float64 {
 // therefore come in root-MinDist order, the ones already touching the query
 // first and nearest-centred first among themselves.
 func (t *Tree) RootOrder(q geom.Sphere) float64 {
-	if md := t.RootMinDist(q); md > 0 {
+	if md := t.rootMinDist(q); md > 0 {
 		return md
 	}
 	return -1 / (1 + vec.Dist2(t.rootCenter, q.Center))

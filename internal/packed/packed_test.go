@@ -54,14 +54,14 @@ func TestBuilderStructure(t *testing.T) {
 }
 
 // TestAccessorsMatchScalar checks that ChildMinDists / LeafDists /
-// RootMinDist agree bit-for-bit with the scalar geom helpers the pointer
+// rootMinDist agree bit-for-bit with the scalar geom helpers the pointer
 // traversal uses.
 func TestAccessorsMatchScalar(t *testing.T) {
 	pt := buildTwoLevel(t)
 	q := geom.Sphere{Center: []float64{0.25, 3}, Radius: 0.75}
 
-	if got, want := pt.RootMinDist(q), geom.MinDist(geom.Sphere{Center: []float64{2, 2}, Radius: 4}, q); got != want {
-		t.Fatalf("RootMinDist = %v, want %v", got, want)
+	if got, want := pt.rootMinDist(q), geom.MinDist(geom.Sphere{Center: []float64{2, 2}, Radius: 4}, q); got != want {
+		t.Fatalf("rootMinDist = %v, want %v", got, want)
 	}
 
 	// A negative dk is outside the box pass's domain: the sphere bound alone.
@@ -127,8 +127,8 @@ func TestChildMinDistsBox(t *testing.T) {
 func TestRootOrder(t *testing.T) {
 	pt := buildTwoLevel(t) // root bound: center (2,2), radius 4
 	far := geom.Sphere{Center: []float64{20, 2}, Radius: 1}
-	if got, want := pt.RootOrder(far), pt.RootMinDist(far); got != want || got <= 0 {
-		t.Errorf("clear of the bound, RootOrder = %v, RootMinDist = %v", got, want)
+	if got, want := pt.RootOrder(far), pt.rootMinDist(far); got != want || got <= 0 {
+		t.Errorf("clear of the bound, RootOrder = %v, rootMinDist = %v", got, want)
 	}
 	centred := pt.RootOrder(geom.Sphere{Center: []float64{2, 2}, Radius: 0.5})
 	off := pt.RootOrder(geom.Sphere{Center: []float64{3, 3}, Radius: 0.5})

@@ -38,17 +38,14 @@ func randQuery(rng *rand.Rand, d int, maxR float64) geom.Sphere {
 	return geom.NewSphere(c, rng.Float64()*maxR)
 }
 
-// singleIndex builds one frozen SS-tree over all items — the oracle every
-// sharded answer must match bit for bit.
+// singleIndex builds one SS-tree over all items and wraps its snapshot —
+// the oracle every sharded answer must match bit for bit.
 func singleIndex(items []geom.Item, d int) knn.Index {
 	t := sstree.New(d, tree.WithMaxFill(16))
 	for _, it := range items {
 		t.Insert(it)
 	}
-	if len(items) > 0 {
-		t.Freeze()
-	}
-	return knn.WrapSSTree(t)
+	return knn.WrapPacked(t.Freeze())
 }
 
 func sameItems(t *testing.T, ctx string, got, want []geom.Item) {

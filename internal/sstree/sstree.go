@@ -5,15 +5,16 @@
 // search strategies over it; this package provides the index, and package
 // knn provides the searches.
 //
-// The tree itself — insert descent, delete, freeze, cursor — is package
-// tree's skeleton; what is here is the SS-tree's policy. Each node
-// maintains the centroid of the sphere centers stored beneath it and a
+// The tree itself — insert descent, delete, cursor — is package tree's
+// skeleton; what is here is the SS-tree's policy and its frozen form. Each
+// node maintains the centroid of the sphere centers stored beneath it and a
 // covering radius, so the bounding sphere of a node is directly comparable
 // against a query hypersphere with geom.MinDist/MaxDist. Insertion descends
 // to the child with the nearest centroid and splits overflowing nodes along
 // the coordinate of highest centroid variance, the two defining heuristics
-// of the SS-tree. BulkLoad wraps the skeleton's tree.Load; a tree is
-// persisted only in its frozen form, as a package packed snapshot.
+// of the SS-tree. BulkLoad wraps the skeleton's tree.Load. Freeze returns
+// the tree's frozen form, an independent package packed snapshot: the form
+// a tree is served and persisted in.
 package sstree
 
 import (
@@ -40,9 +41,39 @@ func New(dim int, opts ...tree.Option) *Tree {
 	return &Tree{*tree.New(policy{dim}, dim, opts...)}
 }
 
-// Freeze builds — or returns the cached — packed snapshot of the tree, the
-// form every served shard is searched in; see tree.Freeze.
-func (t *Tree) Freeze() *packed.Tree { return tree.Freeze(&t.Tree) }
+// Freeze builds a packed snapshot of the tree, the form every served shard
+// is searched in: every node's child spheres flattened into contiguous SoA
+// blocks that the kNN traversal streams over instead of chasing node
+// pointers. Each call builds a fresh snapshot and the tree keeps nothing:
+// the snapshot is an immutable value, safe for concurrent readers, and it
+// does not see later mutations of the tree — freeze again for that. Search
+// it through knn.WrapPacked; knn.WrapSSTree walks the pointer tree.
+func (t *Tree) Freeze() *packed.Tree {
+	b := packed.NewBuilder(packed.KindSphere, t.Dim())
+	root, ok := t.Root()
+	if !ok {
+		return b.FinishEmpty()
+	}
+	var build func(c tree.Cursor) int32
+	build = func(c tree.Cursor) int32 {
+		if c.IsLeaf() {
+			return b.Leaf(c.Items())
+		}
+		nc := c.NumChildren()
+		ids := make([]int32, nc)
+		centers := make([][]float64, nc)
+		radii := make([]float64, nc)
+		for i := range nc {
+			ch := c.Child(i)
+			ids[i] = build(ch)
+			s := ch.Sphere()
+			centers[i], radii[i] = s.Center, s.Radius
+		}
+		return b.InternalSphere(ids, centers, radii)
+	}
+	s := root.Sphere()
+	return b.FinishSphere(build(root), s.Center, s.Radius)
+}
 
 // policy is the SS-tree's half of the tree.Policy contract: centroid
 // spheres, nearest-centroid descent, maximum-variance split.

@@ -260,13 +260,11 @@ func TestCentroidIsMeanOfCenters(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	tr, items := buildTree(t, rng, 3, 500)
 	root, _ := tr.Root()
-	var mean []float64
-	pts := make([][]float64, len(items))
-	for i, it := range items {
-		pts[i] = it.Sphere.Center
+	mean := make([]float64, 3)
+	for _, it := range items {
+		vec.Axpy(mean, 1/float64(len(items)), it.Sphere.Center, mean)
 	}
-	mean = vec.Mean(pts)
-	if !vec.ApproxEqual(root.Sphere().Center, mean, 1e-6) {
+	if vec.Dist(root.Sphere().Center, mean) > 1e-6 {
 		t.Errorf("root centroid %v, want mean of centers %v", root.Sphere().Center, mean)
 	}
 }

@@ -14,7 +14,6 @@ func (t *Tree) Delete(it Item) bool {
 	if t.root == nil {
 		return false
 	}
-	t.thaw()
 	var orphans []Item
 	if !t.delete(t.root, it, &orphans) {
 		return false

@@ -2,8 +2,8 @@
 // substrates share: node and tree types, Insert with its validation, root
 // split and counters, the recursive descent, Delete with
 // condense-and-reinsert, the bulk loader Load and the balanced Cut it shares
-// with the shard partition, the SS-tree's Freeze/thaw, the read-only cursor,
-// RangeSearch, Visit and CheckInvariants. Everything the literature says
+// with the shard partition, the read-only cursor, RangeSearch, Visit and
+// CheckInvariants. Everything the literature says
 // differs between an SS-tree, an M-tree and an R-tree — which subtree takes
 // a new item, how an overflowing node is split, and how a bound follows its
 // entries — is a Policy, implemented by packages sstree, mtree and rtree;
@@ -25,7 +25,6 @@ import (
 
 	"hyperdom/internal/geom"
 	"hyperdom/internal/obs"
-	"hyperdom/internal/packed"
 )
 
 // Item is one indexed hypersphere together with its caller-assigned ID.
@@ -139,7 +138,6 @@ type Tree struct {
 	maxFill int
 	root    *Node
 	size    int
-	frozen  *packed.Tree // cached Freeze snapshot of an SS-tree; nil when thawed
 }
 
 // Option configures a Tree.
@@ -177,9 +175,6 @@ func (t *Tree) Dim() int { return t.dim }
 // Len returns the number of indexed spheres.
 func (t *Tree) Len() int { return t.size }
 
-// Fill returns the minimum and maximum node fill.
-func (t *Tree) Fill() (minFill, maxFill int) { return t.minFill, t.maxFill }
-
 // Substrate names the tree's policy.
 func (t *Tree) Substrate() Substrate { return t.pol.Substrate() }
 
@@ -213,7 +208,6 @@ func (t *Tree) Insert(it Item) {
 	if err := CheckItem(t.dim, it); err != nil {
 		panic(fmt.Sprintf("%v: Insert: %v", t.pol.Substrate(), err))
 	}
-	t.thaw()
 	t.place(it)
 	t.size++
 	if obs.On() {
@@ -263,6 +257,5 @@ func (t *Tree) insert(n *Node, it Item) (*Node, *Node) {
 // counts the policy's Refit would give them. A function, so that it is not
 // promoted into the substrates' method sets.
 func Install(t *Tree, root *Node, size int) {
-	t.thaw()
 	t.root, t.size = root, size
 }

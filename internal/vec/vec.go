@@ -57,18 +57,6 @@ func Sub(a, b []float64) []float64 {
 	return out
 }
 
-// Add returns a+b as a new slice.
-func Add(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(dimMismatch("Add", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i, ai := range a {
-		out[i] = ai + b[i]
-	}
-	return out
-}
-
 // Scale returns s·a as a new slice.
 func Scale(s float64, a []float64) []float64 {
 	out := make([]float64, len(a))
@@ -76,17 +64,6 @@ func Scale(s float64, a []float64) []float64 {
 		out[i] = s * ai
 	}
 	return out
-}
-
-// ScaleTo stores s·a into dst and returns dst.
-func ScaleTo(dst []float64, s float64, a []float64) []float64 {
-	if len(dst) != len(a) {
-		panic(dimMismatch("ScaleTo", len(dst), len(a)))
-	}
-	for i, ai := range a {
-		dst[i] = s * ai
-	}
-	return dst
 }
 
 // Axpy stores y + s·x into dst and returns dst (dst may alias x or y).
@@ -120,20 +97,6 @@ func Equal(a, b []float64) bool {
 	return true
 }
 
-// ApproxEqual reports whether a and b agree element-wise within tol
-// (absolute).
-func ApproxEqual(a, b []float64, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, ai := range a {
-		if math.Abs(ai-b[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // Unit returns a/‖a‖ as a new slice, and the norm. If a is the zero vector
 // it returns a copy of a and 0.
 func Unit(a []float64) ([]float64, float64) {
@@ -152,29 +115,6 @@ func IsFinite(a []float64) bool {
 		}
 	}
 	return true
-}
-
-// Mean returns the component-wise mean of the points in pts. It panics if
-// pts is empty or the points have differing dimensionalities.
-func Mean(pts [][]float64) []float64 {
-	if len(pts) == 0 {
-		panic("vec: Mean of empty point set")
-	}
-	d := len(pts[0])
-	out := make([]float64, d)
-	for _, p := range pts {
-		if len(p) != d {
-			panic(dimMismatch("Mean", d, len(p)))
-		}
-		for i, pi := range p {
-			out[i] += pi
-		}
-	}
-	inv := 1 / float64(len(pts))
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
 }
 
 func dimMismatch(op string, a, b int) string {

@@ -37,8 +37,7 @@ func TestMetricsExposition(t *testing.T) {
 	for _, it := range items {
 		ss.Insert(it)
 	}
-	ss.Freeze()
-	idx := knn.WrapSSTree(ss)
+	idx := knn.WrapPacked(ss.Freeze())
 	queries := KNNQueries(items, 20, 5)
 
 	pair := dominance.PreparePair(items[0].Sphere, items[1].Sphere)

@@ -26,8 +26,7 @@ func TestKNNBatchMatchesSerial(t *testing.T) {
 	for _, it := range items {
 		ss.Insert(it)
 	}
-	ss.Freeze()
-	idx := knn.WrapSSTree(ss)
+	idx := knn.WrapPacked(ss.Freeze())
 	queries := KNNQueries(items, 30, 7)
 	got := KNNBatch(idx, queries, 6, 3, dominance.Hyperbola{}, knn.HS)
 	for i, sq := range queries {

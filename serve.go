@@ -16,7 +16,9 @@ type ShardedIndex = shard.Index
 type ShardOptions = shard.Options
 
 // BuildSharded partitions items into opts.Shards space-partitioned shards
-// (sample-based balanced splits over item centers) and freezes each. Close
+// (sample-based balanced splits over item centers) and freezes each: it is
+// the facade's packed, served form of a dataset, searched by the kernel
+// hyperdomd runs, where KNN and KNNBatch walk an SSTree's pointers. Close
 // the returned index when done with it.
 func BuildSharded(items []Item, dim int, opts ShardOptions) (*ShardedIndex, error) {
 	return shard.Build(items, dim, opts)
