@@ -71,6 +71,7 @@ FUZZ_TARGETS = \
 	internal/poly:FuzzQuartic \
 	internal/dominance:FuzzHyperbolaVsExact2D \
 	internal/dominance:FuzzPreparedPairAgree \
+	internal/dominance:FuzzCertificateVsQuartic \
 	internal/tree:FuzzTreeOps \
 	internal/packed:FuzzPackedMinDist \
 	internal/packed:FuzzQuantizedLowerBound \

@@ -15,7 +15,7 @@
 //   - the kNN final filter alone at the paper's Table 2 defaults (d = 10,
 //     radius μ = 10): SearchCandidates' output replayed through
 //     dominance.Anchored, as nanoseconds per candidate and the share of
-//     criterion calls that reach the quartic (gated at 0.2);
+//     criterion calls that reach the quartic (gated at 0.03);
 //   - batch-query throughput through the batch engine at 1/2/4/8
 //     workers, with the scaling ratio relative to one worker;
 //   - a metrics block captured from the obs registry: prune rates,
@@ -158,7 +158,7 @@ type finalFilterBlock struct {
 }
 
 // maxQuarticShare is the final_filter gate's ceiling.
-const maxQuarticShare = 0.2
+const maxQuarticShare = 0.03
 
 // scalingPoint is one engine throughput measurement: a fixed query batch
 // answered on Workers workers, as queries per second and as a ratio over

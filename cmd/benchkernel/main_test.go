@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hyperdom/internal/dominance"
+	"hyperdom/internal/geom"
 	"hyperdom/internal/knn"
 	"hyperdom/internal/obs"
 )
@@ -224,7 +225,10 @@ func TestGateReport(t *testing.T) {
 
 // TestQuarticShare replays a scaled-down final-filter fixture: the share is
 // a proper fraction, under the gate's ceiling, and the counter gate is left
-// off for the timing sections that follow.
+// off for the timing sections that follow. The certificates in
+// PreparedPair leave the solver almost nothing on a fixture this small, so
+// one more input is a check that still reaches it: a query radius within
+// the certificates' margin of dmin.
 func TestQuarticShare(t *testing.T) {
 	defer obs.SetEnabled(true)
 	obs.SetEnabled(false)
@@ -232,6 +236,10 @@ func TestQuarticShare(t *testing.T) {
 	if len(inputs) != 4 || candidates < 4*10 {
 		t.Fatalf("%d inputs holding %d candidates", len(inputs), candidates)
 	}
+	sk, sb := geom.NewSphere([]float64{0, 0, 0}, 1), geom.NewSphere([]float64{20, 0, 0}, 1)
+	sq := geom.NewSphere([]float64{-5, 0.25, 0}, 0)
+	sq.Radius = dominance.HyperbolaDmin(sk, sb, sq) * (1 - 1e-12)
+	inputs = append(inputs, filterInput{sk: sk, sq: sq, cands: []geom.Sphere{sb}})
 	if share := quarticShare(inputs); !(share > 0 && share <= maxQuarticShare) {
 		t.Errorf("quartic share %v outside (0, %v]", share, maxQuarticShare)
 	}

@@ -188,6 +188,17 @@ func hyperbolaDmin(red reduced) float64 {
 		}
 	}
 
+	// The foot level with cq, polished by Newton (footDist): an on-curve
+	// candidate the quartic below can lose. Near the vertex with cq close
+	// to the axis (p2 ≪ B), or far along a nearly straight branch, the
+	// Ferrari roots come back with the minimiser missing or misplaced, and
+	// the minimum over the remaining candidates could clear the radius when the
+	// true dmin does not — a "dominated" that a Monte-Carlo witness refutes
+	// (TestFootCandidateCorrectsQuarticMiss; DESIGN.md §4 item 4).
+	if dd := footDist(hA, b2, p1, p2); dd < dmin {
+		dmin = dd
+	}
+
 	// The generic case: the quartic of Eq. (14), solved after the Möbius
 	// change of variable of Eq. (13), y = p2/(1 + 4r²λ) — the ordinate of
 	// the critical point itself. The transformed quartic
@@ -217,6 +228,45 @@ func hyperbolaDmin(red reduced) float64 {
 	roots, n := poly.Quartic4(q4, q3, q2, q1, q0)
 	for _, y := range roots[:n] {
 		if dd := distToY(alpha * y); dd < dmin {
+			dmin = dd
+		}
+	}
+	return dmin
+}
+
+// footSteps is how many Newton steps footDist takes at most.
+const footSteps = 3
+
+// footDist returns the least distance from cq = (p1, p2) to the branch
+// points x(y) = −hA·√(1 + y²/b2) visited by Newton's method on
+// h(y) = |cq − (x(y), y)|²/2 from y = p2 (the point level with cq), up to
+// footSteps steps, with the analytic
+//
+//	x′ = −hA·y/(b2·s),  x″ = −hA/(b2·s³),  s = √(1 + y²/b2),
+//	h′ = (x − p1)·x′ + (y − p2),  h″ = x′² + (x − p1)·x″ + 1.
+//
+// Every point visited lies on the branch, so the result is an upper bound
+// on dmin like any other candidate of hyperbolaDmin. The iteration stops
+// where h″ ≤ 0 (cq beyond the centre of curvature, where the λ = −1/a4
+// candidate covers the minimiser). PreparedPair's witness reject uses this
+// very candidate, which is what makes its verdict identical to the
+// reference's by construction.
+func footDist(hA, b2, p1, p2 float64) float64 {
+	y := p2
+	s := math.Sqrt(1 + y*y/b2)
+	x := -hA * s
+	dmin := math.Abs(p1 - x)
+	for i := 0; i < footSteps; i++ {
+		x1 := -hA * y / (b2 * s)
+		x2 := -hA / (b2 * s * s * s)
+		h2 := x1*x1 + (x-p1)*x2 + 1
+		if !(h2 > 0) {
+			break
+		}
+		y -= ((x-p1)*x1 + (y - p2)) / h2
+		s = math.Sqrt(1 + y*y/b2)
+		x = -hA * s
+		if dd := math.Hypot(p1-x, p2-y); dd < dmin {
 			dmin = dd
 		}
 	}

@@ -22,11 +22,12 @@ var (
 	obsPrepOverlap = obs.New("dominance.prepared.overlap_shortcircuit")
 	obsPrepReuse   = obs.New("dominance.prepared.reuse_hits")
 
-	// Coarse-filter outcomes: fat-sphere queries settled without the curve
-	// search + quartic solve — accepts by the two lower bounds on dmin (the
-	// focal one and the local-Lipschitz one), rejects by dmin's first
-	// on-curve candidate. The verdicts are identical either way; these
-	// counters say how often the expensive tail was skipped.
+	// Coarse-filter outcomes: fat-sphere queries settled without the quartic
+	// solve — accepts by the two lower bounds on dmin (the focal one and the
+	// local-Lipschitz one) and by the chord certificate, rejects by dmin's
+	// first on-curve candidate and by the witness certificate. The verdicts
+	// are identical either way; these counters say how often the expensive
+	// tail was skipped.
 	obsPrepCoarseAccept = obs.New("dominance.prepared.coarse_accepts")
 	obsPrepCoarseReject = obs.New("dominance.prepared.coarse_rejects")
 )

@@ -138,20 +138,26 @@ func TestObsPairCounters(t *testing.T) {
 		t.Fatalf("verdict partition broken: %d+%d != %d", trues, falses, len(queries))
 	}
 
-	// Where a dominated fat query is settled. Both fixtures have the foci at
+	// Where a dominated fat query is settled. All fixtures have the foci at
 	// distance 20, rab = 2 and the query behind ca on the focal axis's side,
 	// too fat for the focal accept ((db−da−rab)/2 ≈ 9 < r). With ca well
-	// outside Sq the local-Lipschitz bound certifies the verdict and the
-	// quartic is never reached; with ca inside Sq (da ≤ r) the bound does not
-	// apply and only the quartic can prove dmin ≈ 14 > r.
-	pair := PreparePair(geom.NewSphere([]float64{0, 0, 0}, 1), geom.NewSphere([]float64{20, 0, 0}, 1))
+	// outside Sq the local-Lipschitz bound certifies the verdict; with ca
+	// inside Sq (da ≤ r) the bound does not apply, and the chord certificate
+	// proves dmin ≈ 14 > r instead. Neither reaches the quartic. A radius
+	// within the certificate's margin of dmin leaves only the quartic to
+	// decide.
+	fa, fb := geom.NewSphere([]float64{0, 0, 0}, 1), geom.NewSphere([]float64{20, 0, 0}, 1)
+	pair := PreparePair(fa, fb)
+	inside := geom.NewSphere([]float64{-5, 0.25, 0}, 10)
+	inside.Radius = HyperbolaDmin(fa, fb, inside) * (1 - 1e-12)
 	for _, fx := range []struct {
 		name            string
 		sq              geom.Sphere
 		coarse, quartic uint64
 	}{
 		{"bound settles", geom.NewSphere([]float64{-30, 2, 0}, 10), 1, 0},
-		{"bound cannot apply", geom.NewSphere([]float64{-5, 0.25, 0}, 10), 0, 1},
+		{"bound cannot apply: the certificate settles", geom.NewSphere([]float64{-5, 0.25, 0}, 10), 1, 0},
+		{"inside the certificate's margin", inside, 0, 1},
 	} {
 		obs.ResetForTest()
 		if !pair.Dominates(fx.sq) {

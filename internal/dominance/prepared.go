@@ -16,7 +16,8 @@ import (
 // of the Eq. (14) quartic — is computed once by PreparePair. Dominates then
 // needs only the two query-dependent dot products da² = Dist²(cq,ca) and
 // db² = Dist²(cq,cb), the MDD inside test, and (when Sq is fat and cq is
-// inside Ra) the closed-form quartic.
+// inside Ra) the closed-form candidates, the chord and witness certificates
+// and, for what those leave undecided, the quartic.
 //
 // Verdicts are bit-identical to Hyperbola{}.Dominates(sa, sb, sq): the
 // per-query arithmetic mirrors reduce/hyperbolaDmin expression by
@@ -164,9 +165,9 @@ func (p *PreparedPair) DominatesBatch(qs []geom.Sphere, out []bool) {
 // Dominates reports whether Sa dominates Sb with respect to sq, with a
 // verdict bit-identical to Hyperbola{}.Dominates(sa, sb, sq). Cost per call:
 // one pass over cq accumulating da² and db², two square roots, and — only
-// when cq lies inside Ra and Sq has positive radius — the closed-form
-// quartic of Eq. (14). It panics if sq's dimensionality differs from the
-// pair's.
+// when cq lies inside Ra and Sq has positive radius — O(1) bounds,
+// certificates and, rarely, the closed-form quartic of Eq. (14). It panics
+// if sq's dimensionality differs from the pair's.
 func (p *PreparedPair) Dominates(sq geom.Sphere) bool {
 	if sq.Dim() != p.dim {
 		panic("dominance: spheres with mixed dimensionality")
@@ -320,9 +321,11 @@ func (p *PreparedPair) dmin(p1 float64) float64 {
 // caller has already computed. The minimum only shrinks along the sequence,
 // so the moment a running prefix of it fails to clear r the final value
 // fails too and the verdict is settled false. A NaN prefix settles false
-// exactly as hyperbolaDmin's NaN would. Only checks that still clear r after the closed-form candidates
-// reach the quartic, which is what keeps the quartic_solves counter an
-// honest count of solves actually performed.
+// exactly as hyperbolaDmin's NaN would. Checks that still clear r after the
+// closed-form candidates go to the chord and witness certificates
+// (certify); only those it leaves undecided reach the quartic, which is
+// what keeps the quartic_solves counter an honest count of solves actually
+// performed.
 func (p *PreparedPair) dminBeats(d0, p1, p2, r float64) bool {
 	hA, b2 := p.hA, p.b2
 
@@ -349,6 +352,21 @@ func (p *PreparedPair) dminBeats(d0, p1, p2, r float64) bool {
 	}
 	if !(dmin > r) {
 		return false
+	}
+
+	v, ok, foot := p.certify(p1, p2, r)
+	if ok {
+		if p.obsOn {
+			if v {
+				p.tally.coarseAccepts++
+			} else {
+				p.tally.coarseRejects++
+			}
+		}
+		return v
+	}
+	if foot < dmin {
+		dmin = foot
 	}
 
 	if p.obsOn {

@@ -105,7 +105,7 @@ func (sc *scratch) walkForest(trees []*packed.Tree, sq geom.Sphere, algo Algorit
 		}
 		switch t := trees[i]; algo {
 		case DF:
-			sc.searchDFPacked(t, t.Root(), rootDist, sq, l)
+			sc.searchDFPacked(t, t.Root(), sq, l)
 		case HS:
 			sc.searchHSPacked(t, rootDist, sq, l)
 		default:

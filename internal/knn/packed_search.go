@@ -90,9 +90,8 @@ func (sc *scratch) offerLeafPacked(t *packed.Tree, n int32, sq geom.Sphere, l *b
 // call over the node's packed bounds. The keys it sorts and prunes on are
 // ChildMinDists' — over a sphere-bounded tree max(sphere, box), taken
 // against distk as n is entered; distk only shrinks, so a child put beyond
-// it stays there. nd is n's own key, known from the parent's pass
-// (walkForest's root MinDist at the root).
-func (sc *scratch) searchDFPacked(t *packed.Tree, n int32, nd float64, sq geom.Sphere, l *bestList) {
+// it stays there.
+func (sc *scratch) searchDFPacked(t *packed.Tree, n int32, sq geom.Sphere, l *bestList) {
 	l.stats.NodesVisited++
 	if t.IsLeaf(n) {
 		sc.offerLeafPacked(t, n, sq, l)
@@ -110,7 +109,7 @@ func (sc *scratch) searchDFPacked(t *packed.Tree, n int32, nd float64, sq geom.S
 		if sc.pDists[base+i] > l.distK() {
 			break
 		}
-		sc.searchDFPacked(t, sc.pStack[base+i], sc.pDists[base+i], sq, l)
+		sc.searchDFPacked(t, sc.pStack[base+i], sq, l)
 	}
 	sc.pStack = sc.pStack[:base]
 	sc.pDists = sc.pDists[:base]
@@ -120,8 +119,8 @@ func (sc *scratch) searchDFPacked(t *packed.Tree, n int32, nd float64, sq geom.S
 // one kernel pass per expanded node and pushed under the hoisted distk
 // bound. The keys are max(sphere, box) where the pointer path has the
 // sphere alone, so fewer children are pushed and the frontier is ordered by
-// the tighter bound. rootDist is the root's MinDist to the query, as for
-// searchDFPacked.
+// the tighter bound. rootDist is the root's MinDist to the query, the key
+// walkForest ordered the trees by.
 func (sc *scratch) searchHSPacked(t *packed.Tree, rootDist float64, sq geom.Sphere, l *bestList) {
 	h := &sc.packedHeap
 	h.push(t.Root(), rootDist)
