@@ -98,7 +98,6 @@ type metricsBlock struct {
 	ItemsPerQuery      float64           `json:"items_scanned_per_query"`
 	PruneRate          float64           `json:"prune_rate"`
 	HeapPushesPerQuery float64           `json:"heap_pushes_per_query"`
-	PreparedReuseRate  float64           `json:"prepared_reuse_rate"`
 	SearchLatencyP50Ns float64           `json:"search_latency_p50_ns"`
 	SearchLatencyP99Ns float64           `json:"search_latency_p99_ns"`
 	// ChecksPerCandidate is criterion calls per candidate the traversal
@@ -588,7 +587,7 @@ func replayFinalFilter(an *dominance.Anchored, inputs []filterInput) {
 }
 
 // quarticShare replays the inputs once with the counters on and returns
-// quartic solves per criterion call.
+// quartic solves per criterion call replayed.
 func quarticShare(inputs []filterInput) float64 {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
@@ -596,8 +595,11 @@ func quarticShare(inputs []filterInput) float64 {
 	var an dominance.Anchored
 	replayFinalFilter(&an, inputs)
 	an.FlushObs()
-	snap := obs.Snapshot()
-	return float64(snap.Get("dominance.quartic_solves")) / float64(snap.Get("dominance.prepared.queries"))
+	calls := 0
+	for _, in := range inputs {
+		calls += len(in.cands)
+	}
+	return float64(obs.Snapshot().Get("dominance.quartic_solves")) / float64(calls)
 }
 
 // measureFinalFilter times the replay with the counters off, then counts.
@@ -751,14 +753,12 @@ func captureMetrics(idx knn.Index, queries []geom.Sphere, k int, sa, sb geom.Sph
 	// searches below. The batch answers are bit-identical to the serial
 	// searches above, so the per-query ratios stay meaningful over the sum.
 	workload.KNNBatch(idx, queries, k, 2, dominance.Hyperbola{}, knn.HS)
-	// Snapshot between the traversal rounds and the point sweep: the kNN
-	// path legitimately re-prepares on every check (the pair changes each
-	// time), so the reuse rate is only meaningful over the sweep, where
-	// one pair serves the whole query batch.
-	preSweep := obs.Snapshot()
+	// One prepared pair over the point queries, so the kernel's own
+	// counters carry a pair that serves many queries.
 	pp := dominance.PreparePair(sa, sb)
-	verdicts := make([]bool, len(points))
-	pp.DominatesBatch(points, verdicts)
+	for _, q := range points {
+		sink(pp.Dominates(q))
+	}
 	pp.FlushObs()
 
 	// One serial workload batch over the same fixture, so the workload
@@ -770,7 +770,6 @@ func captureMetrics(idx knn.Index, queries []geom.Sphere, k int, sa, sb geom.Sph
 	workload.Verdicts(dominance.Hyperbola{}, triples)
 
 	diff := obs.Snapshot()
-	sweep := diff.Diff(preSweep)
 
 	searches := (rounds + 1) * len(queries)
 	m := metricsBlock{Searches: searches, Counters: diff.Diff(obs.Snap{})}
@@ -785,9 +784,6 @@ func captureMetrics(idx knn.Index, queries []geom.Sphere, k int, sa, sb geom.Sph
 	// Prune events per scanned item: each item is pruned at most once.
 	if scanned := diff.Get("knn.items_scanned"); scanned > 0 {
 		m.PruneRate = float64(diff.Get("knn.pruned")) / float64(scanned)
-	}
-	if q := sweep.Get("dominance.prepared.queries"); q > 0 {
-		m.PreparedReuseRate = float64(sweep.Get("dominance.prepared.reuse_hits")) / float64(q)
 	}
 	// Coarse-filter effectiveness: leaf items settled by the narrow bounds
 	// over all items the quantized pass looked at.

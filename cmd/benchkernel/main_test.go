@@ -103,7 +103,6 @@ func TestReportRoundTrip(t *testing.T) {
 			ItemsPerQuery:      500,
 			PruneRate:          0.93,
 			HeapPushesPerQuery: 70,
-			PreparedReuseRate:  0.99,
 		},
 		Throughput: throughputBlock{
 			GoMaxProcs: 2, CoresDetected: 4, Gated: true, BatchQueries: 128, K: 10,
@@ -275,9 +274,6 @@ func TestCaptureMetrics(t *testing.T) {
 	}
 	if m.ChecksPerCandidate <= 0 || m.ChecksPerCandidate > 1 {
 		t.Errorf("ChecksPerCandidate = %v outside (0,1]", m.ChecksPerCandidate)
-	}
-	if m.PreparedReuseRate <= 0 || m.PreparedReuseRate > 1 {
-		t.Errorf("PreparedReuseRate = %v outside (0,1]", m.PreparedReuseRate)
 	}
 	if obs.On() {
 		t.Error("captureMetrics left the counter gate enabled")

@@ -60,9 +60,6 @@ func (a *Anchored) Dominates(sb geom.Sphere) bool {
 		db2 += eb * eb
 	}
 	a.p.frame(len(ca), dcc2, a.sa.Radius+sb.Radius)
-	if a.p.obsOn && a.p.tallyQuery() {
-		a.p.flushObs()
-	}
 	return a.p.verdict(a.da2, db2, a.sq.Radius)
 }
 

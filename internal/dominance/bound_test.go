@@ -21,8 +21,9 @@ func (e triple) spheres(d int) (sa, sb, sq geom.Sphere) {
 	return sa, sb, sq
 }
 
-// coarseAcceptEdge returns the largest query radius at which one of
-// verdict()'s O(1) accepts still settles the triple, found by bisection down
+// coarseAcceptEdge returns the largest query radius at which one of the
+// kernel's accepts (the local-Lipschitz bound, the chord certificate) still
+// settles the triple, found by bisection down
 // to adjacent floats on the kernel's own coarse_accepts tally — so the test
 // follows whatever the kernel's bound is without restating its formula. ok
 // is false when no accept fires even for a near-point query.
@@ -39,7 +40,7 @@ func coarseAcceptEdge(e triple, d int) (r float64, ok bool) {
 	da := vec.Dist(sq.Center, sa.Center)
 	lo, hi := 1e-9*da, 4*da
 	for fires(hi) && !math.IsInf(hi, 1) {
-		hi *= 2 // the focal accept reaches past da when cb is far away
+		hi *= 2 // the chord accept reaches past da, where the bound stops
 	}
 	if !fires(lo) || fires(hi) {
 		return 0, false
@@ -64,14 +65,14 @@ func coarseAcceptEdge(e triple, d int) (r float64, ok bool) {
 // as seeds, by FuzzPreparedPairAgree.
 func boundEdgeTriples() []triple {
 	geometries := []triple{
-		{0, 0, 0, 1, 20, 0, 0, 1, -30, 2, 0, 10},                                 // generic: cq behind ca, focal accept fails, bound holds
+		{0, 0, 0, 1, 20, 0, 0, 1, -30, 2, 0, 10},                                 // generic: cq behind ca, (db−da−rab)/2 < r, bound holds
 		{0, 0, 0, 0, 20, 0, 0, 0, -30, 2, 1, 10},                                 // rab = 0: the boundary is the bisector hyperplane
 		{0, 0, 0, 1, 20, 0, 0, 1, -30, 1e-9, 0, 10},                              // ∠(ca,cq,cb) → 0: L² = dcc² − (db−da)² cancels
 		{0, 0, 0, 1, 20, 0, 0, 1, -30, 0, 0, 10},                                 // ∠ = 0 exactly (and the d = 1 shape)
 		{0, 0, 0, 1, 20, 0, 0, 1, 3, 1e-9, 0, 1},                                 // ∠ → π: cq between the foci, L → 2
 		{0, 0, 0, 1, 20, 0, 0, 1, 3, 0, 0, 1},                                    // ∠ = π exactly
 		{0, 0, 0, 1, 1e9, 0, 0, 1, -30, 2, 0, 10},                                // db ≫ da
-		{0, 0, 0, 1, 1e6, 0, 0, 1e6 - 21, -30, 2, 0, 10},                         // db ≫ da with Sb huge, so the bound outlasts the focal accept
+		{0, 0, 0, 1, 1e6, 0, 0, 1e6 - 21, -30, 2, 0, 10},                         // db ≫ da with Sb huge: (db−da−rab)/2 is small, the bound is not
 		{100, 100, 100, 7, 130, 95, 110, 9, 80, 104, 92, 10},                     // fat_d10-like magnitudes, off-axis
 		{0, 0, 0, 2, 9, 0, 0, 2, -40, 30, 0, 10},                                 // strongly off-axis: the r·L term dominates
 		{0, 0, 0, 4.9, 10, 0, 0, 5, -30, 2, 0, 10},                               // Sa, Sb almost tangent: Ra is a thin cone
@@ -142,8 +143,9 @@ func TestAcceptBoundEdges(t *testing.T) {
 }
 
 // TestAcceptBoundFires keeps the edge table honest: the bisection must find
-// an edge on the geometries built for it, and beyond the focal accept's own
-// — otherwise the table stopped testing the bound it is named after.
+// an edge on the geometries built for it, and beyond the global-Lipschitz
+// bound dmin ≥ (db−da−rab)/2 — otherwise the table stopped testing the
+// local bound it is named after.
 func TestAcceptBoundFires(t *testing.T) {
 	g := triple{0, 0, 0, 1, 20, 0, 0, 1, -30, 2, 0, 10}
 	edge, ok := coarseAcceptEdge(g, 3)
@@ -151,9 +153,9 @@ func TestAcceptBoundFires(t *testing.T) {
 		t.Fatal("no coarse accept fires on the generic geometry")
 	}
 	sa, sb, sq := g.spheres(3)
-	focal := (geom.MinDist(geom.Point(sq.Center), geom.Point(sb.Center)) - geom.MinDist(geom.Point(sq.Center), geom.Point(sa.Center)) - sa.Radius - sb.Radius) / 2
-	if !(edge > 1.5*focal) {
-		t.Errorf("accept edge at r = %v, focal accept alone reaches %v", edge, focal)
+	global := (geom.MinDist(geom.Point(sq.Center), geom.Point(sb.Center)) - geom.MinDist(geom.Point(sq.Center), geom.Point(sa.Center)) - sa.Radius - sb.Radius) / 2
+	if !(edge > 1.5*global) {
+		t.Errorf("accept edge at r = %v, the global bound alone reaches %v", edge, global)
 	}
 	sq.Radius = edge
 	if dmin := Dmin(sa, sb, sq); !(dmin > edge) {

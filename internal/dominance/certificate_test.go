@@ -290,9 +290,8 @@ func FuzzCertificateVsQuartic(f *testing.F) {
 		if !(-p.hA*math.Sqrt(1+p2*p2/p.b2) > p1) {
 			t.Skip() // cq not inside Ra: verdict settles it before the quartic
 		}
-		d0 := math.Hypot(p1+p.hA, p2)
-		if !(d0 > r) {
-			t.Skip() // the coarse reject settles it
+		if !(math.Hypot(p1+p.hA, p2) > r) {
+			t.Skip() // the vertex candidate settles it before certify runs
 		}
 		dmin := hyperbolaDmin(reduced{alpha: p.alpha, rab: p.rab, p1: p1, p2: p2})
 		want := dmin > r
@@ -300,7 +299,7 @@ func FuzzCertificateVsQuartic(f *testing.F) {
 			t.Fatalf("certified %v, quartic path dmin = %v against r = %v (Exact dmin %v)\nA=%v B²=%v α=%v p1=%v p2=%v",
 				v, dmin, r, exactDmin(reduced{alpha: p.alpha, rab: p.rab, p1: p1, p2: p2}), p.hA, p.b2, p.alpha, p1, p2)
 		}
-		if got := p.dminBeats(d0, p1, p2, r); got != want {
+		if got := p.dminBeats(p1, p2, r); got != want {
 			t.Fatalf("dminBeats = %v, quartic path dmin = %v against r = %v\nA=%v B²=%v α=%v p1=%v p2=%v", got, dmin, r, p.hA, p.b2, p.alpha, p1, p2)
 		}
 	})

@@ -35,39 +35,16 @@ func (Hyperbola) Sound() bool { return true }
 // Dominates implements Criterion in O(d) time (Theorem 2).
 func (Hyperbola) Dominates(sa, sb, sq geom.Sphere) bool {
 	checkDims(sa, sb, sq)
-	on := obs.On()
-	if on {
-		obsHypInvocations.Inc()
-	}
 	red, ok := reduce(sa, sb, sq)
-	if !ok { // Sa and Sb overlap: Dom is false (Lemma 1).
-		if on {
-			obsHypOverlap.Inc()
-			obsHypFalse.Inc()
-		}
-		return false
-	}
-	if !red.inside { // cq ∈ Sq itself violates the MDD condition.
-		if on {
-			obsHypFalse.Inc()
-		}
+	// Sa and Sb overlap (Dom is false by Lemma 1), or cq ∈ Sq itself
+	// violates the MDD condition.
+	if !ok || !red.inside {
 		return false
 	}
 	if sq.Radius == 0 { // cq strictly inside Ra and Sq = {cq}.
-		if on {
-			obsHypTrue.Inc()
-		}
 		return true
 	}
-	v := hyperbolaDmin(red) > sq.Radius
-	if on {
-		if v {
-			obsHypTrue.Inc()
-		} else {
-			obsHypFalse.Inc()
-		}
-	}
-	return v
+	return hyperbolaDmin(red) > sq.Radius
 }
 
 // reduced is the canonical 2-D form of a dominance instance: coordinates are

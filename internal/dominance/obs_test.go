@@ -2,6 +2,7 @@ package dominance
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -43,8 +44,8 @@ var obsSink bool
 // TestObsOverhead is the instrumentation cost gate of ISSUE 2: running the
 // dominance kernel with the obs layer enabled must cost less than 5% over
 // running it disabled. The kernel tallies into plain struct-locals and
-// flushes atomically only every obsFlushEvery queries, so the enabled path
-// adds a handful of register adds per call.
+// flushes atomically only every obsFlushEvery events, so the enabled path
+// adds a byte load per exit and a register add per counted event.
 func TestObsOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing measurement")
@@ -55,16 +56,21 @@ func TestObsOverhead(t *testing.T) {
 	sa, sb, queries := obsWorkload(512)
 	defer obs.SetEnabled(true)
 
-	// One measured round: the whole query batch, repeated a few times so a
-	// round lasts long enough for the monotonic clock to resolve it.
-	round := func(pp *PreparedPair) time.Duration {
+	// One measured round: the whole query batch, repeated reps times.
+	round := func(pp *PreparedPair, reps int) time.Duration {
 		start := time.Now()
-		for rep := 0; rep < 8; rep++ {
+		for rep := 0; rep < reps; rep++ {
 			for _, q := range queries {
 				obsSink = obsSink != pp.Dominates(q)
 			}
 		}
 		return time.Since(start)
+	}
+	// Rounds of at least a millisecond, so one preemption or timer tick
+	// cannot decide the comparison on its own.
+	obs.SetEnabled(false)
+	reps := 8
+	for pp := PreparePair(sa, sb); round(&pp, reps) < time.Millisecond; reps *= 2 {
 	}
 
 	// Alternate enabled/disabled rounds and keep the minimum of each, so
@@ -77,12 +83,12 @@ func TestObsOverhead(t *testing.T) {
 		for r := 0; r < rounds; r++ {
 			obs.SetEnabled(false)
 			ppOff := PreparePair(sa, sb)
-			if d := round(&ppOff); d < minOff {
+			if d := round(&ppOff, reps); d < minOff {
 				minOff = d
 			}
 			obs.SetEnabled(true)
 			ppOn := PreparePair(sa, sb)
-			if d := round(&ppOn); d < minOn {
+			if d := round(&ppOn, reps); d < minOn {
 				minOn = d
 			}
 			ppOn.FlushObs()
@@ -92,99 +98,82 @@ func TestObsOverhead(t *testing.T) {
 			return
 		}
 	}
-	t.Errorf("obs-enabled kernel %.1f%% slower than disabled (on=%v off=%v), budget 5%%",
-		100*(float64(lastOn)/float64(lastOff)-1), lastOn, lastOff)
+	t.Errorf("obs-enabled kernel %.1f%% slower than disabled (on=%v off=%v, %d reps a round), budget 5%%",
+		100*(float64(lastOn)/float64(lastOff)-1), lastOn, lastOff, reps)
 }
 
-// TestObsPairCounters pins the prepared-pair event accounting: queries,
-// reuse hits, resets, verdicts and quartic solves must land in the
-// registry after a flush, and must not move while the gate is off. The
-// registry is zeroed up front (obs.ResetForTest) so every assertion reads
-// an absolute counter value rather than diffing snapshots.
+// TestObsPairCounters pins the prepared-pair event accounting: every stage
+// of PreparedPair.verdict that settles a check moves exactly its own
+// counter by one after a flush — none for the exits that mirror
+// Hyperbola's own (MDD, point query) or that settle on a closed-form
+// candidate — and returns Hyperbola's verdict; with the gate off nothing
+// moves. The registry is zeroed per fixture (obs.ResetForTest), so every
+// assertion reads an absolute counter value.
 func TestObsPairCounters(t *testing.T) {
-	sa, sb, queries := obsWorkload(64)
 	defer obs.SetEnabled(true)
-
 	obs.SetEnabled(true)
-	obs.ResetForTest()
-	pp := PreparePair(sa, sb)
-	trues, falses := 0, 0
-	for _, q := range queries {
-		if pp.Dominates(q) {
-			trues++
-		} else {
-			falses++
-		}
-	}
-	pp.FlushObs()
-	got := obs.Snapshot()
 
-	if got := got.Get("dominance.prepared.queries"); got != uint64(len(queries)) {
-		t.Errorf("prepared.queries = %d, want %d", got, len(queries))
-	}
-	if got := got.Get("dominance.prepared.resets"); got != 1 {
-		t.Errorf("prepared.resets = %d, want 1", got)
-	}
-	if got := got.Get("dominance.prepared.reuse_hits"); got != uint64(len(queries)-1) {
-		t.Errorf("prepared.reuse_hits = %d, want %d", got, len(queries)-1)
-	}
-	if got := got.Get("dominance.prepared.verdict_true"); got != uint64(trues) {
-		t.Errorf("prepared.verdict_true = %d, want %d", got, trues)
-	}
-	if got := got.Get("dominance.prepared.verdict_false"); got != uint64(falses) {
-		t.Errorf("prepared.verdict_false = %d, want %d", got, falses)
-	}
-	if trues+falses != len(queries) {
-		t.Fatalf("verdict partition broken: %d+%d != %d", trues, falses, len(queries))
-	}
-
-	// Where a dominated fat query is settled. All fixtures have the foci at
-	// distance 20, rab = 2 and the query behind ca on the focal axis's side,
-	// too fat for the focal accept ((db−da−rab)/2 ≈ 9 < r). With ca well
-	// outside Sq the local-Lipschitz bound certifies the verdict; with ca
-	// inside Sq (da ≤ r) the bound does not apply, and the chord certificate
-	// proves dmin ≈ 14 > r instead. Neither reaches the quartic. A radius
-	// within the certificate's margin of dmin leaves only the quartic to
-	// decide.
+	// One pair for every fixture: the foci at distance 20, rab = 2, so the
+	// branch's vertex is at x = 9 and cq = (-5, 0.25, 0) is about 14 from it.
+	// With ca well outside Sq the local-Lipschitz bound certifies a
+	// dominated fat query; with ca inside Sq (da ≤ r) the bound does not
+	// apply, and the chord certificate proves dmin > r instead, or, for Sq
+	// past the vertex, the closed-form candidates disprove it. Far off the
+	// axis the witness certificate finds a branch point nearer than r. A
+	// radius within the certificate's margin of dmin leaves only the
+	// quartic to decide.
 	fa, fb := geom.NewSphere([]float64{0, 0, 0}, 1), geom.NewSphere([]float64{20, 0, 0}, 1)
-	pair := PreparePair(fa, fb)
 	inside := geom.NewSphere([]float64{-5, 0.25, 0}, 10)
 	inside.Radius = HyperbolaDmin(fa, fb, inside) * (1 - 1e-12)
 	for _, fx := range []struct {
-		name            string
-		sq              geom.Sphere
-		coarse, quartic uint64
+		name    string
+		sb, sq  geom.Sphere
+		counter string // "" when the exit is not counted
+		want    bool
 	}{
-		{"bound settles", geom.NewSphere([]float64{-30, 2, 0}, 10), 1, 0},
-		{"bound cannot apply: the certificate settles", geom.NewSphere([]float64{-5, 0.25, 0}, 10), 1, 0},
-		{"inside the certificate's margin", inside, 0, 1},
+		{"overlap", fa, geom.NewSphere([]float64{-5, 0, 0}, 1), "dominance.prepared.overlap_shortcircuit", false},
+		{"outside the MDD band", fb, geom.NewSphere([]float64{12, 0, 0}, 1), "", false},
+		{"point query", fb, geom.Point([]float64{-5, 0.25, 0}), "", true},
+		{"Lipschitz accept", fb, geom.NewSphere([]float64{-30, 2, 0}, 10), "dominance.prepared.coarse_accepts", true},
+		{"closed-form reject", fb, geom.NewSphere([]float64{-5, 0.25, 0}, 20), "", false},
+		{"chord accept", fb, geom.NewSphere([]float64{-5, 0.25, 0}, 10), "dominance.prepared.coarse_accepts", true},
+		{"witness reject", fb, geom.NewSphere([]float64{-20, 10, 0}, 28.53), "dominance.prepared.coarse_rejects", false},
+		{"quartic", fb, inside, "dominance.quartic_solves", true},
 	} {
+		ref := (Hyperbola{}).Dominates(fa, fx.sb, fx.sq)
 		obs.ResetForTest()
-		if !pair.Dominates(fx.sq) {
-			t.Errorf("%s: fixture is not dominated", fx.name)
+		pair := PreparePair(fa, fx.sb)
+		got := pair.Dominates(fx.sq)
+		if got != ref || got != fx.want {
+			t.Errorf("%s: PreparedPair = %v, Hyperbola = %v, fixture built for %v", fx.name, got, ref, fx.want)
 		}
 		pair.FlushObs()
-		got := obs.Snapshot()
-		if c, q := got.Get("dominance.prepared.coarse_accepts"), got.Get("dominance.quartic_solves"); c != fx.coarse || q != fx.quartic {
-			t.Errorf("%s: coarse_accepts = %d, quartic_solves = %d, want %d and %d", fx.name, c, q, fx.coarse, fx.quartic)
+		want := obs.Snap{}
+		if fx.counter != "" {
+			want[fx.counter] = 1
+		}
+		if moved := obs.Snapshot().Diff(obs.Snap{}); !reflect.DeepEqual(moved, want) {
+			t.Errorf("%s: counters moved %v, want %v", fx.name, moved, want)
 		}
 	}
 
 	// With the gate off, nothing may move.
+	sa, sb, queries := obsWorkload(64)
 	obs.SetEnabled(false)
 	obs.ResetForTest()
-	pp2 := PreparePair(sa, sb)
+	pp := PreparePair(sa, sb)
 	for _, q := range queries {
-		obsSink = obsSink != pp2.Dominates(q)
+		obsSink = obsSink != pp.Dominates(q)
 	}
-	pp2.FlushObs()
+	pp.FlushObs()
 	if moved := obs.Snapshot().Diff(obs.Snap{}); len(moved) != 0 {
 		t.Errorf("counters moved while disabled: %v", moved)
 	}
 }
 
-// TestObsHyperbolaCounters pins the stateless-path accounting, including
-// the overlap short-circuit.
+// TestObsHyperbolaCounters pins the stateless-path accounting: one quartic
+// solve per fat query whose center lies inside Ra, and nothing else — not
+// even for the overlap short-circuit.
 func TestObsHyperbolaCounters(t *testing.T) {
 	defer obs.SetEnabled(true)
 	obs.SetEnabled(true)
@@ -192,85 +181,42 @@ func TestObsHyperbolaCounters(t *testing.T) {
 
 	obs.ResetForTest()
 	crit := Hyperbola{}
+	var solves uint64
 	for _, q := range queries {
 		obsSink = obsSink != crit.Dominates(sa, sb, q)
+		if red, _ := reduce(sa, sb, q); red.inside && q.Radius > 0 {
+			solves++
+		}
 	}
-	// An overlapping pair must take the short-circuit.
-	crit.Dominates(sa, sa, queries[0])
-	got := obs.Snapshot()
-
-	if got := got.Get("dominance.hyperbola.invocations"); got != uint64(len(queries)+1) {
-		t.Errorf("hyperbola.invocations = %d, want %d", got, len(queries)+1)
+	crit.Dominates(sa, sa, queries[1]) // an overlapping pair
+	if solves == 0 {
+		t.Fatal("no query of the workload reaches the quartic")
 	}
-	if got := got.Get("dominance.hyperbola.overlap_shortcircuit"); got != 1 {
-		t.Errorf("hyperbola.overlap_shortcircuit = %d, want 1", got)
-	}
-	wantVerdicts := uint64(len(queries) + 1)
-	if got := got.Get("dominance.hyperbola.verdict_true") + got.Get("dominance.hyperbola.verdict_false"); got != wantVerdicts {
-		t.Errorf("hyperbola verdict counters sum to %d, want %d", got, wantVerdicts)
+	want := obs.Snap{"dominance.quartic_solves": solves}
+	if moved := obs.Snapshot().Diff(obs.Snap{}); !reflect.DeepEqual(moved, want) {
+		t.Errorf("counters moved %v, want %v", moved, want)
 	}
 }
 
-// TestObsAutoFlush verifies the threshold drain: a pair that serves more
-// than obsFlushEvery queries publishes without an explicit FlushObs.
+// TestObsAutoFlush verifies the threshold drain: a pair that tallies more
+// than obsFlushEvery events publishes without an explicit FlushObs.
 func TestObsAutoFlush(t *testing.T) {
 	defer obs.SetEnabled(true)
 	obs.SetEnabled(true)
-	sa, sb, queries := obsWorkload(16)
+	sa, _, queries := obsWorkload(16)
 
 	obs.ResetForTest()
-	pp := PreparePair(sa, sb)
+	pp := PreparePair(sa, sa) // overlapping: every check is one tallied event
 	n := obsFlushEvery + 5
 	for i := 0; i < n; i++ {
 		obsSink = obsSink != pp.Dominates(queries[i%len(queries)])
 	}
-	if got := obs.Snapshot().Get("dominance.prepared.queries"); got < obsFlushEvery {
-		t.Errorf("prepared.queries = %d before explicit flush, want >= %d (auto-flush)", got, obsFlushEvery)
+	const name = "dominance.prepared.overlap_shortcircuit"
+	if got := obs.Snapshot().Get(name); got < obsFlushEvery {
+		t.Errorf("%s = %d before explicit flush, want >= %d (auto-flush)", name, got, obsFlushEvery)
 	}
 	pp.FlushObs()
-	if got := obs.Snapshot().Get("dominance.prepared.queries"); got != uint64(n) {
-		t.Errorf("prepared.queries = %d after flush, want %d", got, n)
+	if got := obs.Snapshot().Get(name); got != uint64(n) {
+		t.Errorf("%s = %d after flush, want %d", name, got, n)
 	}
-}
-
-// TestDominatesBatch checks the batch sweep returns verdicts bit-identical
-// to the one-at-a-time path and records exactly one sample into the
-// batch-latency histogram per call (and none with the gate off).
-func TestDominatesBatch(t *testing.T) {
-	defer obs.SetEnabled(true)
-	sa, sb, queries := obsWorkload(128)
-
-	obs.SetEnabled(true)
-	obs.ResetForTest()
-	pp := PreparePair(sa, sb)
-	want := make([]bool, len(queries))
-	for i, q := range queries {
-		want[i] = pp.Dominates(q)
-	}
-	pp2 := PreparePair(sa, sb)
-	got := make([]bool, len(queries))
-	pp2.DominatesBatch(queries, got)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("DominatesBatch verdict %d = %v, per-query path says %v", i, got[i], want[i])
-		}
-	}
-	if n := obs.MergedHist("dominance.prepared_batch_latency").Count; n != 1 {
-		t.Errorf("prepared_batch_latency holds %d samples after one batch, want 1", n)
-	}
-
-	obs.SetEnabled(false)
-	obs.ResetForTest()
-	pp3 := PreparePair(sa, sb)
-	pp3.DominatesBatch(queries, got)
-	if n := obs.MergedHist("dominance.prepared_batch_latency").Count; n != 0 {
-		t.Errorf("prepared_batch_latency recorded %d samples with the gate off, want 0", n)
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched slice lengths did not panic")
-		}
-	}()
-	pp3.DominatesBatch(queries, got[:1])
 }

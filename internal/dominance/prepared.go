@@ -2,7 +2,6 @@ package dominance
 
 import (
 	"math"
-	"time"
 
 	"hyperdom/internal/geom"
 	"hyperdom/internal/obs"
@@ -56,11 +55,9 @@ type PreparedPair struct {
 	c0     float64 // hatB2³            (q0 = c0·P2·P2)
 
 	// Observability (see metrics.go). obsOn caches the obs gate at Reset
-	// time so the per-query check is a plain byte load; tally accumulates
-	// events locally and survives Reset; fresh marks that no query has run
-	// since the last Reset (for reuse-hit accounting).
+	// time so the per-event check is a plain byte load; tally accumulates
+	// events locally and survives Reset.
 	obsOn bool
-	fresh bool
 	tally pairTally
 }
 
@@ -101,10 +98,6 @@ func (p *PreparedPair) frame(d int, dcc2, rab float64) {
 	p.dim = d
 	p.rab = rab
 	p.obsOn = obs.On()
-	p.fresh = true
-	if p.obsOn {
-		p.tally.resets++
-	}
 	if dcc2 <= rab*rab {
 		p.overlap = true
 		p.line = false
@@ -136,44 +129,19 @@ func (p *PreparedPair) Overlaps() bool { return p.overlap }
 // QuarticSolves returns the pair's locally tallied quartic-solve count
 // since its last obs flush. A caller reading it before and after a check to
 // attribute solves to that check gets a meaningful difference only across a
-// window with no intervening flush (windows of up to obsFlushEvery
-// queries), so it must treat a decrease as zero.
+// window with no intervening flush (windows of up to obsFlushEvery tallied
+// events), so it must treat a decrease as zero.
 func (p *PreparedPair) QuarticSolves() uint64 { return p.tally.quartics }
-
-// DominatesBatch evaluates the pair's verdict for every query sphere,
-// writing out[i] = p.Dominates(qs[i]). Verdicts are bit-identical to the
-// one-at-a-time path; the whole sweep is timed with a single clock-read
-// pair into the dominance.prepared_batch_latency histogram, so batch
-// callers get latency observability without perturbing the per-query
-// kernel. It panics if the slice lengths differ.
-func (p *PreparedPair) DominatesBatch(qs []geom.Sphere, out []bool) {
-	if len(qs) != len(out) {
-		panic("dominance: DominatesBatch with mismatched slice lengths")
-	}
-	var start time.Time
-	if p.obsOn {
-		start = time.Now()
-	}
-	for i := range qs {
-		out[i] = p.Dominates(qs[i])
-	}
-	if p.obsOn {
-		histPreparedBatch.RecordDuration(time.Since(start))
-	}
-}
 
 // Dominates reports whether Sa dominates Sb with respect to sq, with a
 // verdict bit-identical to Hyperbola{}.Dominates(sa, sb, sq). Cost per call:
 // one pass over cq accumulating da² and db², two square roots, and — only
-// when cq lies inside Ra and Sq has positive radius — O(1) bounds,
+// when cq lies inside Ra and Sq has positive radius — an O(1) bound,
 // certificates and, rarely, the closed-form quartic of Eq. (14). It panics
 // if sq's dimensionality differs from the pair's.
 func (p *PreparedPair) Dominates(sq geom.Sphere) bool {
 	if sq.Dim() != p.dim {
 		panic("dominance: spheres with mixed dimensionality")
-	}
-	if p.obsOn && p.tallyQuery() {
-		p.flushObs()
 	}
 	var da2, db2 float64
 	if !p.overlap {
@@ -190,54 +158,29 @@ func (p *PreparedPair) Dominates(sq geom.Sphere) bool {
 
 // verdict is the scalar tail of Dominates: the decision for a query of
 // radius r at squared distances da², db² from the centers of Sa and Sb
-// (ignored when the pair overlaps). Anchored.Dominates shares it; the
-// caller has tallied the query.
+// (ignored when the pair overlaps). Anchored.Dominates shares it. The
+// stages run in the order of DESIGN.md §7; each one that settles a check is
+// either exact (the overlap, MDD and point-query exits mirror Hyperbola's
+// own) or leaves a margin over the full path's rounding.
 func (p *PreparedPair) verdict(da2, db2, r float64) bool {
-	on := p.obsOn
 	if p.overlap {
-		if on {
-			p.tally.overlaps++
-			p.tally.falses++
-		}
+		p.count(&p.tally.overlaps)
 		return false
 	}
 	da := math.Sqrt(da2)
 	db := math.Sqrt(db2)
 	if !(db-da > p.rab) { // cq not strictly inside Ra: MDD violated
-		if on {
-			p.tally.falses++
-		}
 		return false
 	}
 	if r == 0 { // cq strictly inside Ra and Sq = {cq}
-		if on {
-			p.tally.trues++
-		}
-		return true
-	}
-	// Coarse accept (ISSUE 6): every point Z of the dominance boundary
-	// satisfies db(Z) − da(Z) = rab, so the triangle inequality through each
-	// focus gives db − da − rab ≤ 2·dist(cq, Z), i.e. dmin ≥ (db−da−rab)/2 —
-	// a lower bound available before the canonical-frame reduction even
-	// runs. The absolute margin scales with db+da because the rounding of
-	// the two square roots (and of the frame coordinates the full path
-	// derives from them) is relative to the focal distances, not to their
-	// difference; 1e-12 clears that ~1e-15 noise by three orders, so
-	// whenever this test passes the full path's computed dmin clears the
-	// radius too, for every dmin branch (line, planar, hyperbola). A NaN or
-	// Inf−Inf operand settles the comparison false and falls through.
-	if (db-da-p.rab)*0.5-1e-12*(db+da) > r {
-		if on {
-			p.tally.coarseAccepts++
-			p.tally.trues++
-		}
 		return true
 	}
 	// Local-Lipschitz accept (ISSUE 17; derivation in DESIGN.md §7). The
-	// focal accept pays the global Lipschitz constant 2 of
-	// f(X) = |X−cb| − |X−ca|; at cq the constant is L = |v̂b − v̂a|, the unit
-	// vectors from ca and cb to cq, with L² = (dcc² − (db−da)²)/(da·db) by the
-	// law of cosines. Projecting X−cb on v̂b, and bounding |X−ca| by
+	// boundary of Ra is the level set f = rab of f(X) = |X−cb| − |X−ca|,
+	// which the triangle inequality through each focus makes 2-Lipschitz;
+	// at cq the local constant is L = |v̂b − v̂a|, the unit vectors from ca
+	// and cb to cq, with L² = (dcc² − (db−da)²)/(da·db) by the law of
+	// cosines. Projecting X−cb on v̂b, and bounding |X−ca| by
 	// √(a²+b²) ≤ a + b²/2a for da > r,
 	//
 	//	min over Sq of f ≥ (db−da) − r·L − r²/(2(da−r)),
@@ -245,23 +188,22 @@ func (p *PreparedPair) verdict(da2, db2, r float64) bool {
 	// and when that exceeds rab every point of Sq is strictly inside Ra
 	// (Lemma 7). The full path decides the same question for a planar point
 	// whose focal distances are da, db, dcc to a few ulp, and its dmin, a
-	// minimum over on-curve points, can only sit above the true one. Every
-	// 1e-12 below (three orders over that rounding, as in the focal accept)
-	// leans towards "undecided": g is capped at dcc (the triangle inequality,
-	// which rounding can break by an ulp), L² is padded where dcc² − g²
-	// cancels, da is shaved where da − r does, and f being 2-Lipschitz the
-	// last margin leaves dmin ≥ r + 1e-12·(db+da). Dimension-free, so valid
-	// on the line and for rab = 0; NaN or Inf operands compare false.
+	// minimum over on-curve points, can only sit above the true one. The
+	// rounding of the square roots is relative to the focal distances, not
+	// to their difference, so every margin scales with db+da; each 1e-12
+	// below (three orders over that ~1e-15 noise) leans towards
+	// "undecided": g is capped at dcc (the triangle inequality, which
+	// rounding can break by an ulp), L² is padded where dcc² − g² cancels,
+	// da is shaved where da − r does, and f being 2-Lipschitz the last
+	// margin leaves dmin ≥ r + 1e-12·(db+da). Dimension-free, so valid on
+	// the line and for rab = 0; NaN or Inf operands compare false.
 	if h := da - r - 1e-12*da; h > 0 {
 		dcc := 0.5 * p.twoDcc
 		g := min(db-da, dcc)
 		sum := db + da
 		l2 := ((dcc-g)*(dcc+g) + 1e-12*dcc*sum) / (da * db)
 		if g-p.rab-r*math.Sqrt(l2)-r*r/(2*h) > 2e-12*sum {
-			if on {
-				p.tally.coarseAccepts++
-				p.tally.trues++
-			}
+			p.count(&p.tally.coarseAccepts)
 			return true
 		}
 	}
@@ -272,35 +214,10 @@ func (p *PreparedPair) verdict(da2, db2, r float64) bool {
 		p22 = 0
 	}
 	p2 := math.Sqrt(p22)
-	var v bool
 	if p.line || p.rab == 0 {
-		v = p.dmin(p1) > r
-	} else {
-		// Coarse reject (ISSUE 6): d0 is hyperbolaDmin's first candidate distToY(0),
-		// inlined verbatim so it stays bit-identical even on degenerate
-		// frames (b2 = 0 makes the 0/b2 term NaN — so d0, and then the
-		// minimum, is NaN too, and the reject settles the same false verdict
-		// hyperbolaDmin would). Since the minimum only ever shrinks from d0,
-		// !(d0 > radius) settles the verdict false with zero slack.
-		x0 := -p.hA * math.Sqrt(1+0/p.b2)
-		d0 := math.Hypot(p1-x0, p2)
-		if !(d0 > r) {
-			if on {
-				p.tally.coarseRejects++
-			}
-			v = false
-		} else {
-			v = p.dminBeats(d0, p1, p2, r)
-		}
+		return p.dmin(p1) > r
 	}
-	if on {
-		if v {
-			p.tally.trues++
-		} else {
-			p.tally.falses++
-		}
-	}
-	return v
+	return p.dminBeats(p1, p2, r)
 }
 
 // dmin is hyperbolaDmin on its two closed-form frames: a 1-dimensional
@@ -317,19 +234,21 @@ func (p *PreparedPair) dmin(p1 float64) float64 {
 // always paying for the quartic. It mirrors hyperbolaDmin's candidate
 // sequence with the (Sa, Sb)-only scalars precomputed, every expression
 // keeping the association of the original so each candidate is the same
-// float64; d0 is the sequence's first candidate, distToY(0), which the
-// caller has already computed. The minimum only shrinks along the sequence,
-// so the moment a running prefix of it fails to clear r the final value
-// fails too and the verdict is settled false. A NaN prefix settles false
-// exactly as hyperbolaDmin's NaN would. Checks that still clear r after the
-// closed-form candidates go to the chord and witness certificates
-// (certify); only those it leaves undecided reach the quartic, which is
-// what keeps the quartic_solves counter an honest count of solves actually
-// performed.
-func (p *PreparedPair) dminBeats(d0, p1, p2, r float64) bool {
+// float64. The minimum only shrinks along the sequence, so the moment a
+// running prefix of it fails to clear r the final value fails too and the
+// verdict is settled false. A NaN prefix settles false exactly as
+// hyperbolaDmin's NaN would: on a degenerate frame (b2 = 0) the vertex
+// candidate's 0/b2 term is NaN, so that distance, and then the minimum, is NaN.
+// Checks that still clear r after the closed-form candidates go to the
+// chord and witness certificates (certify), which need every one of them
+// to clear r; only what certify leaves undecided reaches the quartic, which
+// is what keeps the quartic_solves counter an honest count of solves
+// actually performed.
+func (p *PreparedPair) dminBeats(p1, p2, r float64) bool {
 	hA, b2 := p.hA, p.b2
 
-	dmin := d0
+	x0 := -hA * math.Sqrt(1+0/b2) // distToY(0), the vertex
+	dmin := math.Hypot(p1-x0, p2)
 
 	if y := p2 * b2 / p.alpha2; y != 0 {
 		x := -hA * math.Sqrt(1+y*y/b2)
@@ -356,12 +275,10 @@ func (p *PreparedPair) dminBeats(d0, p1, p2, r float64) bool {
 
 	v, ok, foot := p.certify(p1, p2, r)
 	if ok {
-		if p.obsOn {
-			if v {
-				p.tally.coarseAccepts++
-			} else {
-				p.tally.coarseRejects++
-			}
+		if v {
+			p.count(&p.tally.coarseAccepts)
+		} else {
+			p.count(&p.tally.coarseRejects)
 		}
 		return v
 	}
@@ -369,9 +286,7 @@ func (p *PreparedPair) dminBeats(d0, p1, p2, r float64) bool {
 		dmin = foot
 	}
 
-	if p.obsOn {
-		p.tally.quartics++
-	}
+	p.count(&p.tally.quartics)
 	P1 := p1 / p.alpha
 	P2 := p2 / p.alpha
 	q3 := p.c3 * P2

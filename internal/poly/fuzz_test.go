@@ -14,6 +14,7 @@ func FuzzQuartic(f *testing.F) {
 	f.Add(1.0, 0.0, 0.0, 0.0, 1.0)
 	f.Add(-2.334134318587408e-06, -0.0022339859592858656, -0.6125581218717506, 0.09412998341831239, 4.190641305599159)
 	f.Add(1e-300, 1.0, 1.0, 1.0, 1.0)
+	f.Add(1.0, -4.2912082339970626e-10, 1.6043515462488586e-05, -1.2162530464695561e-12, 1.3047987719085428e-22) // two small roots
 	f.Fuzz(func(t *testing.T, a, b, c, d, e float64) {
 		for _, v := range []float64{a, b, c, d, e} {
 			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e100 {

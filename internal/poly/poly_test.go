@@ -91,6 +91,10 @@ func TestQuartic(t *testing.T) {
 		{"degenerate to cubic", 0, 1, -6, 11, -6, []float64{1, 2, 3}},
 		{"double pair", 1, -6, 13, -12, 4, []float64{1, 2}}, // (x−1)²(x−2)²
 		{"mixed scale", 1, 0, -10001, 0, 10000, []float64{-100, -1, 1, 100}},
+		// f(0) > 0, f < 0 on [2e-10, 5e-8], f > 0 from 7.58e-8 on: two roots
+		// closer than 1e-7 but a factor 700 apart in magnitude, which an
+		// absolute de-duplication floor merged.
+		{"two small roots", 1, -4.2912082339970626e-10, 1.6043515462488586e-05, -1.2162530464695561e-12, 1.3047987719085428e-22, []float64{1.0743245e-10, 7.5702202e-08}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

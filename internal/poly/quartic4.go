@@ -214,9 +214,11 @@ func fallback4(a, b, c, d, e float64) ([4]float64, int) {
 }
 
 // sortDedup sorts xs ascending (insertion sort with sort.Float64s' order,
-// NaN first: xs holds at most eight roots), merges near-duplicate
-// neighbours in place and returns how many distinct roots remain at its
-// front.
+// NaN first: xs holds at most eight roots), merges neighbours closer than
+// 1e-7 of their magnitudes in place and returns how many distinct roots
+// remain at its front. The tolerance is relative all the way down to zero:
+// an absolute floor would merge distinct roots that are small, and through
+// cubic3 the critical points scanRoots brackets roots with.
 func sortDedup(xs []float64) int {
 	if len(xs) == 0 {
 		return 0
@@ -229,7 +231,7 @@ func sortDedup(xs []float64) int {
 	m := 1
 	for _, x := range xs[1:] {
 		last := xs[m-1]
-		if x-last > 1e-7*(1+math.Abs(x)+math.Abs(last)) {
+		if x-last > 1e-7*(math.Abs(x)+math.Abs(last)) {
 			xs[m] = x
 			m++
 		}

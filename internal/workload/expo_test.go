@@ -14,10 +14,10 @@ import (
 )
 
 // TestMetricsExposition drives every instrumented layer a little — a
-// PreparedPair batch, knn.Search, a Verdicts batch, KNNBatch and a
-// shadow-audited search — and checks the Prometheus text obs.WriteMetrics
-// renders for them: # TYPE lines, a histogram family, _bucket series of the
-// dominance, knn and workload layers, and non-zero kNN-batch and
+// PreparedPair over a few queries, knn.Search, a Verdicts batch, KNNBatch
+// and a shadow-audited search — and checks the Prometheus text
+// obs.WriteMetrics renders for them: # TYPE lines, a histogram family,
+// _bucket series of the knn and workload layers, and non-zero kNN-batch and
 // shadow-audit counters.
 func TestMetricsExposition(t *testing.T) {
 	defer obs.SetEnabled(obs.On())
@@ -41,7 +41,10 @@ func TestMetricsExposition(t *testing.T) {
 	queries := KNNQueries(items, 20, 5)
 
 	pair := dominance.PreparePair(items[0].Sphere, items[1].Sphere)
-	pair.DominatesBatch(queries, make([]bool, len(queries)))
+	for _, q := range queries {
+		pair.Dominates(q)
+	}
+	pair.FlushObs()
 	knn.Search(idx, queries[0], 5, dominance.Hyperbola{}, knn.HS)
 	Verdicts(dominance.Hyperbola{}, Dominance(items, 200, 6))
 	KNNBatch(idx, queries, 5, 2, dominance.Hyperbola{}, knn.HS)
@@ -55,7 +58,6 @@ func TestMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		`(?m)^# TYPE hyperdom_`,
 		`(?m)^# TYPE hyperdom_\S+ histogram$`,
-		`(?m)^hyperdom_dominance_\S*_bucket\{`,
 		`(?m)^hyperdom_knn_\S*_bucket\{`,
 		`(?m)^hyperdom_workload_\S*_bucket\{`,
 		`(?m)^hyperdom_workload_knn_batches [1-9]`,
