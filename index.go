@@ -17,6 +17,11 @@ import (
 // the index the paper's kNN experiments run on. It has no file format of
 // its own: the one on-disk form of a tree is the packed snapshot a
 // ShardedIndex writes with SaveDir and OpenSharded serves again.
+//
+// Its Freeze method returns an internal packed snapshot that no function of
+// this package searches or accepts; KNN on an SSTree always walks the
+// pointer tree. The facade's packed, searchable form is a ShardedIndex,
+// built from items with BuildSharded.
 type SSTree = sstree.Tree
 
 // NewSSTree returns an empty SS-tree for dim-dimensional spheres. maxFill
@@ -26,8 +31,8 @@ func NewSSTree(dim, maxFill int) *SSTree {
 }
 
 // MTree is an M-tree index over hyperspheres (Ciaccia, Patella & Zezula,
-// VLDB 1997), interchangeable with the SS-tree for all searches. It is
-// searched by pointer walk only: unlike the SS-tree it has no Freeze.
+// VLDB 1997), interchangeable with the SS-tree for all searches, which walk
+// its pointer tree.
 type MTree = mtree.Tree
 
 // NewMTree returns an empty M-tree for dim-dimensional spheres. maxFill
@@ -39,7 +44,7 @@ func NewMTree(dim, maxFill int) *MTree {
 // RTree is a Guttman R-tree over hypersphere items: the rectangle-bounded
 // baseline the sphere-tree literature (and this paper's introduction)
 // compares against. It answers the same searches as the sphere trees, by
-// pointer walk only: unlike the SS-tree it has no Freeze.
+// walking its pointer tree.
 type RTree = rtree.Tree
 
 // NewRTree returns an empty R-tree for dim-dimensional sphere items.

@@ -13,12 +13,13 @@ import (
 // that the default implementation uses.
 //
 // The two are mathematically identical (y = p2/(1 + 4r²λ) is a Möbius map
-// between the roots), but the λ form is numerically brittle: when the
-// combined radius rab is small relative to the focal distance, its
-// coefficients span ten or more orders of magnitude, Ferrari's method loses
-// roots, and the solver must fall back to the slow bracketing path. The
-// ablation benchmark BenchmarkAblationQuartic quantifies the difference;
-// the agreement test in ablation_test.go confirms the verdicts match.
+// between the roots), but their numerics differ when the combined radius
+// rab is small relative to the focal distance: the λ form's coefficients
+// span ten or more orders of magnitude (its leading one can fall below the
+// solver's degree-lowering threshold), while the y form's stay within a few
+// but carry a near-double root (the feet on the two branches).
+// BenchmarkAblationQuartic times both; the agreement tests in
+// ablation_test.go confirm the verdicts match.
 type HyperbolaLambda struct{}
 
 // Name implements Criterion.

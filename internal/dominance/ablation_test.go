@@ -28,7 +28,7 @@ func TestLambdaVariantAgreesWithDefault(t *testing.T) {
 
 // TestLambdaVariantSmallRadiusRegime: the regime that motivated the
 // variable change — tiny radii against large focal distances, as in the
-// NBA dataset. Both variants must stay exact (the λ path via its fallback).
+// NBA dataset. Both variants must stay exact.
 func TestLambdaVariantSmallRadiusRegime(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for i := 0; i < 3000; i++ {

@@ -11,8 +11,6 @@ const certRel = 1e-9
 // certify tries to settle hyperbolaDmin > r on a general (hyperbola) frame
 // without the quartic, after dminBeats' closed-form candidates all cleared
 // r. ok reports that it did; v is then the verdict the full path returns.
-// Undecided, it returns foot, hyperbolaDmin's footDist candidate, for the
-// quartic tail to fold into its minimum.
 //
 // The frame is the one the full path works in: the branch is
 // x(y) = −A·√(1 + y²/B²), Ra = {x < x(y)} is convex because x(y) is
@@ -29,13 +27,13 @@ const certRel = 1e-9
 //     rounding, can only sit above that.
 //   - Witness reject. The witness is the branch point level with P and up
 //     to three Newton steps on |P − Z(y)|²/2 from it (footDist). Nearer to P
-//     than r−m, it proves the true dmin is below r; and because the full
-//     path takes the same candidate into its minimum, its dmin is below r
-//     too, whatever the quartic returns.
+//     than r−m, it proves the true dmin is below r by about m. The full
+//     path's dmin is the minimum over every real root of Eq. (14), so it is
+//     the true dmin to rounding, far inside m: below r too.
 //
 // NaN and ±Inf operands (squares next to the float64 range) make every
 // comparison false, so the check falls through to the quartic undecided.
-func (p *PreparedPair) certify(p1, p2, r float64) (v, ok bool, foot float64) {
+func (p *PreparedPair) certify(p1, p2, r float64) (v, ok bool) {
 	hA, b2 := p.hA, p.b2
 	m := certRel * (math.Abs(p1) + p2 + p.alpha + r)
 	yl, yh := p2-(r+m), p2+(r+m)
@@ -45,8 +43,7 @@ func (p *PreparedPair) certify(p1, p2, r float64) (v, ok bool, foot float64) {
 	g := xm - p1 // P's horizontal gap to the branch, > 0 inside Ra
 	dyl, dyh := p2-yl, yh-p2
 	if g*(dyl/math.Hypot(xm-xl, dyl)) > r+m && g*(dyh/math.Hypot(xh-xm, dyh)) > r+m {
-		return true, true, 0
+		return true, true
 	}
-	foot = footDist(hA, b2, p1, p2)
-	return false, foot < r-m, foot
+	return false, footDist(hA, b2, p1, p2, p2) < r-m
 }

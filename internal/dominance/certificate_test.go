@@ -1,6 +1,7 @@
 package dominance
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,7 +40,7 @@ func certFrame(sa, sb, sq geom.Sphere) (p PreparedPair, p1, p2 float64) {
 // point-like disk and one twice the horizontal gap to the branch.
 func certEdge(p *PreparedPair, p1, p2 float64, accept bool) (r float64, ok bool) {
 	fires := func(r float64) bool {
-		v, ok, _ := p.certify(p1, p2, r)
+		v, ok := p.certify(p1, p2, r)
 		return ok && v == accept
 	}
 	g := -p.hA*math.Sqrt(1+p2*p2/p.b2) - p1
@@ -162,7 +163,7 @@ func TestCertificateEdges(t *testing.T) {
 				if prep != want || anch != want {
 					t.Fatalf("trial %d: PreparedPair=%v Anchored=%v Hyperbola=%v\nsa=%v\nsb=%v\nsq=%v", trial, prep, anch, want, sa, sb, sq)
 				}
-				v, ok, _ := pp.certify(p1, pq2, r)
+				v, ok := pp.certify(p1, pq2, r)
 				if !ok {
 					continue
 				}
@@ -295,7 +296,7 @@ func FuzzCertificateVsQuartic(f *testing.F) {
 		}
 		dmin := hyperbolaDmin(reduced{alpha: p.alpha, rab: p.rab, p1: p1, p2: p2})
 		want := dmin > r
-		if v, ok, _ := p.certify(p1, p2, r); ok && v != want {
+		if v, ok := p.certify(p1, p2, r); ok && v != want {
 			t.Fatalf("certified %v, quartic path dmin = %v against r = %v (Exact dmin %v)\nA=%v B²=%v α=%v p1=%v p2=%v",
 				v, dmin, r, exactDmin(reduced{alpha: p.alpha, rab: p.rab, p1: p1, p2: p2}), p.hA, p.b2, p.alpha, p1, p2)
 		}
@@ -306,8 +307,8 @@ func FuzzCertificateVsQuartic(f *testing.F) {
 }
 
 // vertexMiss is a thin query next to the vertex of an almost tangent pair,
-// with cq 3e-10 off the focal axis: dmin ≈ 9.2e-11 < r, but the quartic's
-// roots miss the minimiser, and without the footDist candidate the
+// with cq 3e-10 off the focal axis: dmin ≈ 9.2e-11 < r. An earlier
+// closed-form quartic solver dropped the minimiser's root here, and the
 // reference's minimum was the vertex's 3.4e-10 — a "dominated" that a
 // Monte-Carlo witness refutes. TestCertificateEdges found it at its first
 // reject edges.
@@ -317,21 +318,44 @@ var vertexMiss = triple{
 	-0.0035736414666294562, -0.00024756662419082295, -0.0023719111982606995, 1.0058157135195412e-10,
 }
 
-// TestFootCandidateCorrectsQuarticMiss: on vertexMiss the reference, the
-// kernel and the numeric oracle all say "not dominated", and the falsifier
-// has the witness to show it.
-func TestFootCandidateCorrectsQuarticMiss(t *testing.T) {
-	sa, sb, sq := vertexMiss.spheres(3)
-	if (Hyperbola{}).Dominates(sa, sb, sq) {
-		t.Errorf("Hyperbola: dominated, dmin = %v against r = %v (Exact dmin %v)", HyperbolaDmin(sa, sb, sq), sq.Radius, Dmin(sa, sb, sq))
+// tangencyTriple is an almost tangent pair (A/α = 0.999957) with cq near the
+// vertex (p2/B = 0.0057) and no query radius: the branch point at
+// y ≈ 8.17e-9 is 5.0993e-9 from cq. Eq. (14) for it is the quartic
+// TestQuartic's "tangency pair" case holds, whose second root, the
+// minimiser's, the closed-form solver dropped; the reference's dmin was then
+// 5.1604e-9, and query radii between the two were called dominated.
+var tangencyTriple = triple{
+	-3.496551604102177e-07, 1.7250349495400196e-05, 7.900766996538488e-05, 7.187540365711309e-05,
+	3.496551604102177e-07, -1.7250349495400196e-05, -7.900766996538488e-05, 8.985704527468684e-05,
+	-3.53652225622905e-07, 1.7252870866150884e-05, 7.901182599491956e-05, 0,
+}
+
+// TestTangencyVerdictsAgreeWithWitness: on triples where the quartic's
+// roots once missed the minimiser, the reference, the kernel and the numeric
+// oracle all say "not dominated", and the falsifier has the witness to show
+// it.
+func TestTangencyVerdictsAgreeWithWitness(t *testing.T) {
+	cases := map[string]triple{"vertexMiss": vertexMiss}
+	for _, rq := range []float64{5.10e-9, 5.12e-9, 5.14e-9, 5.16e-9} {
+		e := tangencyTriple
+		e[11] = rq
+		cases[fmt.Sprintf("tangency/rq=%g", rq)] = e
 	}
-	if pp := PreparePair(sa, sb); pp.Dominates(sq) {
-		t.Error("PreparedPair: dominated")
-	}
-	if (Exact{}).Dominates(sa, sb, sq) {
-		t.Error("Exact: dominated")
-	}
-	if FindWitness(sa, sb, sq, 4096, rand.New(rand.NewSource(1))) == nil {
-		t.Error("no Monte-Carlo witness against dominance")
+	for name, e := range cases {
+		t.Run(name, func(t *testing.T) {
+			sa, sb, sq := e.spheres(3)
+			if (Hyperbola{}).Dominates(sa, sb, sq) {
+				t.Errorf("Hyperbola: dominated, dmin = %v against r = %v (Exact dmin %v)", HyperbolaDmin(sa, sb, sq), sq.Radius, Dmin(sa, sb, sq))
+			}
+			if pp := PreparePair(sa, sb); pp.Dominates(sq) {
+				t.Error("PreparedPair: dominated")
+			}
+			if (Exact{}).Dominates(sa, sb, sq) {
+				t.Error("Exact: dominated")
+			}
+			if FindWitness(sa, sb, sq, 1<<16, rand.New(rand.NewSource(1))) == nil {
+				t.Error("no Monte-Carlo witness against dominance")
+			}
+		})
 	}
 }

@@ -51,7 +51,7 @@ func Dmin(sa, sb, sq geom.Sphere) float64 {
 	return exactDmin(red)
 }
 
-// HyperbolaDmin is the closed-form quartic counterpart of Dmin, exposed for
+// HyperbolaDmin is the quartic counterpart of Dmin, exposed for
 // the same cross-validation tests. It panics if sa and sb overlap.
 func HyperbolaDmin(sa, sb, sq geom.Sphere) float64 {
 	red, ok := reduce(sa, sb, sq)

@@ -19,8 +19,8 @@ import (
 // lies inside Ra and the minimum distance dmin from cq to the branch exceeds
 // rq. dmin is found in O(d): the rotational symmetry about the focal axis
 // reduces the problem to two coordinates, and the Lagrange conditions of the
-// constrained minimisation reduce to the quartic of Eq. (14), solvable in
-// closed form.
+// constrained minimisation reduce to the quartic of Eq. (14), whose real
+// roots poly.Quartic4 isolates in O(1).
 type Hyperbola struct{}
 
 // Name implements Criterion.
@@ -104,8 +104,8 @@ func reduce(sa, sb, sq geom.Sphere) (reduced, bool) {
 //
 //	x²/A² − y²/B² = 1,  x ≤ −A,   A = rab/2,  B² = α² − A²
 //
-// (the boundary of Ra in the canonical frame) using the closed-form quartic
-// of Eq. (14).
+// (the boundary of Ra in the canonical frame) as the least distance over the
+// closed-form candidates and the real roots of the quartic of Eq. (14).
 //
 // Subtleties the paper glosses over (see DESIGN.md §4):
 //
@@ -165,17 +165,6 @@ func hyperbolaDmin(red reduced) float64 {
 		}
 	}
 
-	// The foot level with cq, polished by Newton (footDist): an on-curve
-	// candidate the quartic below can lose. Near the vertex with cq close
-	// to the axis (p2 ≪ B), or far along a nearly straight branch, the
-	// Ferrari roots come back with the minimiser missing or misplaced, and
-	// the minimum over the remaining candidates could clear the radius when the
-	// true dmin does not — a "dominated" that a Monte-Carlo witness refutes
-	// (TestFootCandidateCorrectsQuarticMiss; DESIGN.md §4 item 4).
-	if dd := footDist(hA, b2, p1, p2); dd < dmin {
-		dmin = dd
-	}
-
 	// The generic case: the quartic of Eq. (14), solved after the Möbius
 	// change of variable of Eq. (13), y = p2/(1 + 4r²λ) — the ordinate of
 	// the critical point itself. The transformed quartic
@@ -187,8 +176,10 @@ func hyperbolaDmin(red reduced) float64 {
 	// λ-quartic's coefficients span ten orders of magnitude. Coordinates
 	// are additionally normalised by α. Every real root is a candidate
 	// ordinate; spurious roots introduced by squaring land on the curve via
-	// the projection in distToY and can only overestimate, never
-	// underestimate, their own candidate distance.
+	// the projection onto the left branch and can only overestimate, never
+	// underestimate, their own candidate distance. Quartic4 returns every
+	// real root (it isolates them between the quartic's critical points), so
+	// the minimiser is among the candidates by construction (rootsDist).
 	if obs.On() {
 		obsQuarticSolves.Inc()
 	}
@@ -203,12 +194,29 @@ func hyperbolaDmin(red reduced) float64 {
 	q0 := hatB2 * hatB2 * hatB2 * P2 * P2
 
 	roots, n := poly.Quartic4(q4, q3, q2, q1, q0)
-	for _, y := range roots[:n] {
-		if dd := distToY(alpha * y); dd < dmin {
-			dmin = dd
+	return min(dmin, rootsDist(hA, b2, alpha, p1, p2, roots[:n]))
+}
+
+// rootsDist returns the least distance from cq = (p1, p2) to the left
+// branch over the ordinates α·y of the quartic's roots ys (+Inf if none is
+// finite), the nearest polished by Newton on the distance (footDist). Far
+// along an almost straight branch the feet on the two branches squaring
+// admits nearly coincide: the float64 quartic's near-double root is off by
+// ~1e-8 of itself, which lifts dmin by 5e-8 (TestHyperbolaDminCensus).
+// hyperbolaDmin and dminBeats share it, so both take the same candidates.
+func rootsDist(hA, b2, alpha, p1, p2 float64, ys []float64) float64 {
+	best, bestY := math.Inf(1), 0.0
+	for _, y := range ys {
+		y *= alpha
+		x := -hA * math.Sqrt(1+y*y/b2)
+		if dd := math.Hypot(p1-x, p2-y); dd < best {
+			best, bestY = dd, y
 		}
 	}
-	return dmin
+	if math.IsInf(best, 1) {
+		return best
+	}
+	return footDist(hA, b2, p1, p2, bestY)
 }
 
 // footSteps is how many Newton steps footDist takes at most.
@@ -216,23 +224,22 @@ const footSteps = 3
 
 // footDist returns the least distance from cq = (p1, p2) to the branch
 // points x(y) = −hA·√(1 + y²/b2) visited by Newton's method on
-// h(y) = |cq − (x(y), y)|²/2 from y = p2 (the point level with cq), up to
-// footSteps steps, with the analytic
+// h(y) = |cq − (x(y), y)|²/2 from ordinate y, the start included, up to
+// footSteps steps or until a step leaves y unchanged, with the analytic
 //
 //	x′ = −hA·y/(b2·s),  x″ = −hA/(b2·s³),  s = √(1 + y²/b2),
 //	h′ = (x − p1)·x′ + (y − p2),  h″ = x′² + (x − p1)·x″ + 1.
 //
 // Every point visited lies on the branch, so the result is an upper bound
-// on dmin like any other candidate of hyperbolaDmin. The iteration stops
-// where h″ ≤ 0 (cq beyond the centre of curvature, where the λ = −1/a4
-// candidate covers the minimiser). PreparedPair's witness reject uses this
-// very candidate, which is what makes its verdict identical to the
-// reference's by construction.
-func footDist(hA, b2, p1, p2 float64) float64 {
-	y := p2
+// on the true dmin. The iteration stops where h″ ≤ 0 (cq beyond the centre
+// of curvature, where the λ = −1/a4 candidate covers the minimiser).
+// rootsDist polishes the nearest root of Eq. (14) with it; started from
+// y = p2, the point level with cq, it is the witness of PreparedPair's
+// certificate reject (certify).
+func footDist(hA, b2, p1, p2, y float64) float64 {
 	s := math.Sqrt(1 + y*y/b2)
 	x := -hA * s
-	dmin := math.Abs(p1 - x)
+	dmin := math.Hypot(p1-x, p2-y)
 	for i := 0; i < footSteps; i++ {
 		x1 := -hA * y / (b2 * s)
 		x2 := -hA / (b2 * s * s * s)
@@ -240,7 +247,11 @@ func footDist(hA, b2, p1, p2 float64) float64 {
 		if !(h2 > 0) {
 			break
 		}
-		y -= ((x-p1)*x1 + (y - p2)) / h2
+		next := y - ((x-p1)*x1+(y-p2))/h2
+		if next == y {
+			break
+		}
+		y = next
 		s = math.Sqrt(1 + y*y/b2)
 		x = -hA * s
 		if dd := math.Hypot(p1-x, p2-y); dd < dmin {

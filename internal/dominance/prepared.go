@@ -137,7 +137,7 @@ func (p *PreparedPair) QuarticSolves() uint64 { return p.tally.quartics }
 // verdict bit-identical to Hyperbola{}.Dominates(sa, sb, sq). Cost per call:
 // one pass over cq accumulating da² and db², two square roots, and — only
 // when cq lies inside Ra and Sq has positive radius — an O(1) bound,
-// certificates and, rarely, the closed-form quartic of Eq. (14). It panics
+// certificates and, rarely, the quartic of Eq. (14). It panics
 // if sq's dimensionality differs from the pair's.
 func (p *PreparedPair) Dominates(sq geom.Sphere) bool {
 	if sq.Dim() != p.dim {
@@ -273,17 +273,13 @@ func (p *PreparedPair) dminBeats(p1, p2, r float64) bool {
 		return false
 	}
 
-	v, ok, foot := p.certify(p1, p2, r)
-	if ok {
+	if v, ok := p.certify(p1, p2, r); ok {
 		if v {
 			p.count(&p.tally.coarseAccepts)
 		} else {
 			p.count(&p.tally.coarseRejects)
 		}
 		return v
-	}
-	if foot < dmin {
-		dmin = foot
 	}
 
 	p.count(&p.tally.quartics)
@@ -295,11 +291,5 @@ func (p *PreparedPair) dminBeats(p1, p2, r float64) bool {
 	q0 := p.c0 * P2 * P2
 
 	roots, n := poly.Quartic4(1.0, q3, q2, q1, q0)
-	for _, y := range roots[:n] {
-		x := -hA * math.Sqrt(1+(p.alpha*y)*(p.alpha*y)/b2)
-		if dd := math.Hypot(p1-x, p2-p.alpha*y); dd < dmin {
-			dmin = dd
-		}
-	}
-	return dmin > r
+	return min(dmin, rootsDist(hA, b2, p.alpha, p1, p2, roots[:n])) > r
 }

@@ -426,3 +426,32 @@ func TestWholeCollectionScratchNotPooled(t *testing.T) {
 		}
 	}
 }
+
+// TestTangencyPairServed serves the dominance package's tangencyTriple: a
+// corpus of just its almost tangent pair, queried at radii between the true
+// dmin (5.0993e-9) and the one the quartic's dropped minimiser root once
+// gave (5.1604e-9). With k = 1 the final Sk is Sa, which does not dominate
+// Sb (a Monte-Carlo witness shows it), so the served walk must answer both.
+func TestTangencyPairServed(t *testing.T) {
+	ca := []float64{-3.496551604102177e-07, 1.7250349495400196e-05, 7.900766996538488e-05}
+	cb := []float64{-ca[0], -ca[1], -ca[2]}
+	cq := []float64{-3.53652225622905e-07, 1.7252870866150884e-05, 7.901182599491956e-05}
+	items := []Item{
+		{Sphere: geom.NewSphere(ca, 7.187540365711309e-05), ID: 0},
+		{Sphere: geom.NewSphere(cb, 8.985704527468684e-05), ID: 1},
+	}
+	forest := []*packed.Tree{ssTree(items, 3).Freeze()}
+	for _, rq := range []float64{5.10e-9, 5.12e-9, 5.14e-9, 5.16e-9} {
+		sq := geom.NewSphere(cq, rq)
+		if kthOf(items, sq, 1).ID != 0 {
+			t.Fatalf("rq=%g: Sk is not Sa", rq)
+		}
+		if dominance.FindWitness(items[0].Sphere, items[1].Sphere, sq, 1<<16, rand.New(rand.NewSource(1))) == nil {
+			t.Fatalf("rq=%g: no witness against Dom(Sa, Sb, Sq)", rq)
+		}
+		res, _ := SearchForest(forest, sq, 1, dominance.Hyperbola{}, HS, nil)
+		if got := sortedIDs(res.Items); !reflect.DeepEqual(got, []int{0, 1}) {
+			t.Errorf("rq=%g: served answer %v, want [0 1]: Sb was dropped as dominated", rq, got)
+		}
+	}
+}

@@ -24,8 +24,7 @@ func BenchmarkQuartic4(b *testing.B) {
 }
 
 // BenchmarkQuarticFromRoots measures the solver on quartics built from
-// known real roots (always four real solutions — the worst case for
-// Ferrari's factorisation work).
+// known real roots (always four real solutions: four pieces to refine).
 func BenchmarkQuarticFromRoots(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	coefs := make([][5]float64, 512)
@@ -50,8 +49,8 @@ func BenchmarkQuarticFromRoots(b *testing.B) {
 	}
 }
 
-// BenchmarkCubic3 measures the cubic core.
-func BenchmarkCubic3(b *testing.B) {
+// BenchmarkCubic measures the solver on cubics (a zero leading coefficient).
+func BenchmarkCubic(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	coefs := make([][4]float64, 512)
 	for i := range coefs {
@@ -63,6 +62,6 @@ func BenchmarkCubic3(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := coefs[i%len(coefs)]
-		cubic3(c[0], c[1], c[2], c[3])
+		Quartic4(0, c[0], c[1], c[2], c[3])
 	}
 }

@@ -1,23 +1,28 @@
-// Package poly provides Quartic4, a closed-form real-root solver for
-// polynomials of degree ≤ 4 — one solver per degree, quad2 and cubic3 below
-// it. The quartic solver is the O(1) primitive that Algorithm Hyperbola
-// (Section 4.3.2 of the paper) relies on to stay O(d) overall: Eq. (14)
-// reduces the Lagrange conditions of the minimum-distance problem to a
-// single quartic in the multiplier λ.
+// Package poly provides Quartic4, the real-root solver for polynomials of
+// degree ≤ 4 that Algorithm Hyperbola (Section 4.3.2 of the paper) relies on
+// to stay O(d) overall: Eq. (14) reduces the Lagrange conditions of the
+// minimum-distance problem to a single quartic in the multiplier λ.
 //
-// The solvers return only real roots, deduplicated, in ascending order;
-// cubic3 and Quartic4 polish each root with a few Newton iterations against
-// the original polynomial so that downstream geometric residuals stay small.
+// The solver is complete by construction, not by testing what a closed form
+// returned: the real roots of a polynomial are separated by those of its
+// derivative, found first (recursively, down to the closed-form quadratic),
+// so each monotone piece between them brackets at most one root, which a
+// safeguarded Newton/bisection iteration settles. Roots come out sorted and
+// distinct, and nothing is allocated.
 package poly
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // eps is the relative tolerance used to decide that a leading coefficient
 // has effectively vanished and the degree should be lowered.
 const eps = 1e-12
+
+// touch is the relative size, against the term majorant Σ|cᵢ|·|x|^(n−i), at
+// or below which the polynomial counts as zero at a critical point. Horner's
+// rule evaluates a degree-n polynomial to within 2n·2⁻⁵³ of the majorant
+// (≤ 8.9e-16 at n = 4); touch leaves ten times that for the rounding of the
+// coefficients and of the critical point itself.
+const touch = 1e-14
 
 // Eval evaluates the polynomial with coefficients c (c[0] is the leading
 // coefficient) at x using Horner's rule.
@@ -29,181 +34,205 @@ func Eval(c []float64, x float64) float64 {
 	return v
 }
 
-// EvalDeriv evaluates the derivative of the polynomial with coefficients c
-// (c[0] leading) at x.
-func EvalDeriv(c []float64, x float64) float64 {
-	n := len(c) - 1
-	var v float64
-	for i, ci := range c[:n] {
-		v = v*x + float64(n-i)*ci
+// EvalDeriv evaluates the polynomial with coefficients c (c[0] leading) and
+// its derivative at x, in one Horner pass.
+func EvalDeriv(c []float64, x float64) (f, df float64) {
+	f = c[0]
+	for _, ci := range c[1:] {
+		df = df*x + f
+		f = f*x + ci
 	}
-	return v
-}
-
-// residualOK reports whether x is, within floating-point backward error, a
-// root of the polynomial c. The primary test is relative to the term
-// majorant; the secondary test handles the degenerate neighbourhood of
-// x ≈ 0 with a vanishing constant term, where the majorant itself goes to
-// zero and any ratio test breaks down.
-func residualOK(c []float64, x float64) bool {
-	res := math.Abs(Eval(c, x))
-	if res <= 2e-7*majorant(c, x) {
-		return true
-	}
-	var mc float64
-	for _, ci := range c {
-		if a := math.Abs(ci); a > mc {
-			mc = a
-		}
-	}
-	scale := mc
-	if ax := math.Abs(x); ax > 1 {
-		for i := 1; i < len(c); i++ {
-			scale *= ax
-		}
-	}
-	return res <= 1e-9*scale
+	return f, df
 }
 
 // majorant returns Σ|c_i|·|x|^(n−i), an upper bound on the magnitude the
-// polynomial's terms can reach at x; residuals are judged relative to it.
+// polynomial's terms can reach at x; rounding is judged relative to it.
 func majorant(c []float64, x float64) float64 {
 	ax := math.Abs(x)
 	var m float64
 	for _, ci := range c {
 		m = m*ax + math.Abs(ci)
 	}
-	if m < 1e-300 {
-		m = 1e-300
-	}
 	return m
 }
 
-// polish refines root x of the polynomial with coefficients c (c[0]
-// leading) with up to 8 damped Newton iterations. It returns the refined
-// root, or x unchanged if Newton does not improve the residual.
-func polish(c []float64, x float64) float64 {
-	best := x
-	bestRes := math.Abs(Eval(c, x))
-	cur := x
-	for i := 0; i < 8; i++ {
-		f := Eval(c, cur)
-		df := EvalDeriv(c, cur)
-		if df == 0 || math.IsNaN(f) || math.IsInf(f, 0) {
-			break
-		}
-		next := cur - f/df
-		res := math.Abs(Eval(c, next))
-		if math.IsNaN(next) || math.IsInf(next, 0) {
-			break
-		}
-		if res < bestRes {
-			best, bestRes = next, res
-		}
-		if next == cur {
-			break
-		}
-		cur = next
-	}
-	return best
+// Quartic4 returns the real roots of a·x⁴ + b·x³ + c·x² + d·x + e = 0 in
+// ascending order, each once, without heap allocation — the solver the
+// Hyperbola criterion uses per dominance query. A leading coefficient below
+// 1e-12 of the largest other one counts as zero.
+func Quartic4(a, b, c, d, e float64) ([4]float64, int) {
+	var out [4]float64
+	coef := [5]float64{a, b, c, d, e}
+	return out, isolate(coef[:], out[:])
 }
 
-// scanRoots is a slow, provably-complete fallback used when the closed-form
-// path misbehaves on ill-conditioned coefficients. Real roots of a
-// polynomial are separated by the real roots of its derivative, so the
-// derivative's roots (degree ≤ 3, found recursively in closed form) split
-// the real line into intervals on which the polynomial is monotone; each
-// interval whose endpoint values change sign is bisected.
-func scanRoots(c []float64) []float64 {
-	// Strip a negligible leading coefficient so the derivative split works
-	// on the true degree.
-	for len(c) > 1 && degenerate(c...) {
+// isolate writes the real roots of the polynomial c (c[0] leading, degree
+// ≤ 4) to out in ascending order and returns how many it wrote. The
+// derivative's real roots and ∓ a root bound cut the line into pieces on
+// which c is monotone. Walking them left to right, a piece whose ends differ
+// strictly in sign brackets one root, and a critical point where c touches
+// zero is a root itself; its value is then taken as exactly zero, so that
+// neither neighbouring piece brackets it again.
+func isolate(c, out []float64) int {
+	for len(c) > 3 && degenerate(c...) {
 		c = c[1:]
 	}
+	if len(c) <= 3 {
+		var q [3]float64
+		copy(q[3-len(c):], c)
+		r, n := quad2(q[0], q[1], q[2])
+		return copy(out, r[:n])
+	}
 	n := len(c) - 1
-	switch n {
-	case 0:
-		return nil
-	case 1: // a zero leading coefficient makes quad2 the linear solve
-		r, m := quad2(0, c[0], c[1])
-		return r[:m]
-	case 2:
-		r, m := quad2(c[0], c[1], c[2])
-		return r[:m]
+	var dc [4]float64
+	for i, ci := range c[:n] {
+		dc[i] = float64(n-i) * ci
 	}
+	var crit [3]float64
+	m := isolate(dc[:n], crit[:])
 
-	// Critical points of the polynomial = roots of its derivative, a
-	// quadratic or (for the quartic, the highest degree scanRoots sees) a
-	// cubic.
-	var crits []float64
-	if n == 3 {
-		r, m := quad2(3*c[0], 2*c[1], c[2])
-		crits = r[:m]
-	} else {
-		r, m := cubic3(4*c[0], 3*c[1], 2*c[2], c[3])
-		crits = r[:m]
-	}
-
-	// Cauchy bound on root magnitude.
-	lead := math.Abs(c[0])
-	bound := 1.0
-	for _, ci := range c[1:] {
-		if m := math.Abs(ci)/lead + 1; m > bound {
-			bound = m
+	bound := rootBound(c)
+	lo := -bound
+	flo := Eval(c, lo)
+	k := 0
+	for i := 0; i <= m; i++ {
+		hi := bound
+		if i < m {
+			if hi = crit[i]; !(hi > lo && hi < bound) {
+				continue
+			}
 		}
-	}
-	pts := make([]float64, 0, len(crits)+2)
-	pts = append(pts, -bound)
-	for _, cr := range crits {
-		if cr > -bound && cr < bound {
-			pts = append(pts, cr)
+		fhi := Eval(c, hi)
+		if i < m && math.Abs(fhi) <= touch*majorant(c, hi) {
+			fhi = 0 // a touching root
 		}
-	}
-	pts = append(pts, bound)
-	sort.Float64s(pts)
-
-	var roots []float64
-	for i := 0; i+1 < len(pts); i++ {
-		lo, hi := pts[i], pts[i+1]
-		flo, fhi := Eval(c, lo), Eval(c, hi)
-		switch {
-		case flo == 0:
-			roots = append(roots, lo)
-		case flo*fhi < 0:
-			roots = append(roots, bisect(c, lo, hi))
+		if flo < 0 && fhi > 0 || flo > 0 && fhi < 0 {
+			x := start(c, lo, hi, flo, fhi, lo > -bound, i < m)
+			out[k] = refine(c, lo, hi, x, flo < 0)
+			k++
 		}
-	}
-	if f := Eval(c, pts[len(pts)-1]); f == 0 {
-		roots = append(roots, pts[len(pts)-1])
-	}
-	// A repeated root touches zero at a critical point without a sign
-	// change; pick those up by residual.
-	for _, cr := range crits {
-		if math.Abs(Eval(c, cr)) <= 1e-9*majorant(c, cr) {
-			roots = append(roots, cr)
+		if fhi == 0 {
+			out[k] = hi
+			k++
 		}
+		lo, flo = hi, fhi
 	}
-	for i, r := range roots {
-		roots[i] = polish(c, r)
-	}
-	return roots[:sortDedup(roots)]
+	return k
 }
 
-func bisect(c []float64, lo, hi float64) float64 {
-	flo := Eval(c, lo)
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		fm := Eval(c, mid)
-		if fm == 0 || hi-lo < 1e-15*(math.Abs(lo)+math.Abs(hi)+1) {
-			return mid
+// rootBound returns twice Fujiwara's bound 2·max|cᵢ/c₀|^(1/i) (the constant
+// term's ratio halved), so every real root of c lies strictly inside
+// (−bound, bound) and c takes the leading term's signs at its ends.
+func rootBound(c []float64) float64 {
+	n := len(c) - 1
+	var m float64
+	for i := 1; i <= n; i++ {
+		r := math.Abs(c[i] / c[0])
+		if i == n {
+			r /= 2
 		}
-		if flo*fm < 0 {
-			hi = mid
-		} else {
-			lo, flo = mid, fm
+		switch i {
+		case 2:
+			r = math.Sqrt(r)
+		case 3:
+			r = math.Cbrt(r)
+		case 4:
+			r = math.Sqrt(math.Sqrt(r))
 		}
+		m = max(m, r)
 	}
-	return (lo + hi) / 2
+	if m == 0 { // c is c₀·xⁿ: the root is 0
+		return 1
+	}
+	return 4 * m
+}
+
+// start returns where refine begins on the piece (lo, hi) whose ends, of
+// values flo and fhi, are critical points as loCrit and hiCrit report. From
+// a critical point e, the quadratic model f(e) + f″(e)·(x−e)²/2 puts the root
+// at e ± √(−2f(e)/f″(e)); the end with the smaller |f| is used. A piece with
+// no critical end, or a model that leaves it, starts at its midpoint.
+func start(c []float64, lo, hi, flo, fhi float64, loCrit, hiCrit bool) float64 {
+	mid := lo + (hi-lo)/2
+	e, fe, dir := lo, flo, 1.0
+	if hiCrit && (!loCrit || math.Abs(fhi) < math.Abs(flo)) {
+		e, fe, dir = hi, fhi, -1
+	} else if !loCrit {
+		return mid
+	}
+	f, d1, d2 := c[0], 0.0, 0.0 // d2 = f″(e)/2
+	for _, ci := range c[1:] {
+		d2 = d2*e + d1
+		d1 = d1*e + f
+		f = f*e + ci
+	}
+	if x := e + dir*math.Sqrt(-fe/d2); x > lo && x < hi {
+		return x
+	}
+	return mid
+}
+
+// refine returns the root of c inside (lo, hi), a piece on which c is
+// monotone and changes sign, starting from x; rising reports
+// c(lo) < 0 < c(hi). Each iterate shrinks the bracket to the side that holds
+// the root; the Newton step from it is taken when it stays inside, and
+// bisection otherwise. It stops when the Newton step no longer moves the
+// iterate or the bracket is two adjacent floats.
+func refine(c []float64, lo, hi, x float64, rising bool) float64 {
+	for i := 0; i < 256; i++ {
+		f, df := EvalDeriv(c, x)
+		if f == 0 {
+			break
+		}
+		if f < 0 == rising {
+			lo = x
+		} else {
+			hi = x
+		}
+		next := x - f/df
+		if next == x {
+			break
+		}
+		if !(next > lo && next < hi) {
+			if next = lo + (hi-lo)/2; next == lo || next == hi {
+				break
+			}
+		}
+		x = next
+	}
+	return x
+}
+
+// quad2 returns the real roots of a·x² + b·x + c = 0 in ascending order,
+// each once. It degrades to linear when a is negligible; a vertex where the
+// parabola touches zero to rounding is a double root.
+func quad2(a, b, c float64) ([2]float64, int) {
+	var out [2]float64
+	if degenerate(a, b, c) {
+		if b == 0 {
+			return out, 0
+		}
+		out[0] = -c / b
+		return out, 1
+	}
+	disc := b*b - 4*a*c
+	if disc <= 0 {
+		out[0] = -b / (2 * a)
+		if v := []float64{a, b, c}; disc == 0 || math.Abs(Eval(v, out[0])) <= touch*majorant(v, out[0]) {
+			return out, 1
+		}
+		return out, 0
+	}
+	q := -0.5 * (b + math.Copysign(math.Sqrt(disc), b))
+	r1, r2 := q/a, c/q
+	if r1 > r2 {
+		r1, r2 = r2, r1
+	}
+	out[0], out[1] = r1, r2
+	if r1 == r2 {
+		return out, 1
+	}
+	return out, 2
 }
 
 // degenerate reports whether the leading coefficient c[0] is negligible
@@ -215,19 +244,7 @@ func degenerate(c ...float64) bool {
 	}
 	var m float64
 	for _, ci := range c[1:] {
-		if a := math.Abs(ci); a > m {
-			m = a
-		}
+		m = max(m, math.Abs(ci))
 	}
 	return lead < eps*m
-}
-
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

@@ -20,8 +20,8 @@ func TestEval(t *testing.T) {
 
 func TestEvalDeriv(t *testing.T) {
 	// d/dx (2x³ − 3x + 1) = 6x² − 3, at x = 2 → 21
-	if got := EvalDeriv([]float64{2, 0, -3, 1}, 2); got != 21 {
-		t.Errorf("EvalDeriv = %v, want 21", got)
+	if f, df := EvalDeriv([]float64{2, 0, -3, 1}, 2); f != 11 || df != 21 {
+		t.Errorf("EvalDeriv = %v, %v, want 11, 21", f, df)
 	}
 }
 
@@ -56,6 +56,7 @@ func TestQuadratic(t *testing.T) {
 	}
 }
 
+// TestCubic: a zero leading coefficient makes Quartic4 the cubic solve.
 func TestCubic(t *testing.T) {
 	tests := []struct {
 		name       string
@@ -71,7 +72,7 @@ func TestCubic(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			r, n := cubic3(tc.a, tc.b, tc.c, tc.d)
+			r, n := Quartic4(0, tc.a, tc.b, tc.c, tc.d)
 			assertRoots(t, r[:n], tc.want, 1e-6)
 		})
 	}
@@ -95,6 +96,14 @@ func TestQuartic(t *testing.T) {
 		// closer than 1e-7 but a factor 700 apart in magnitude, which an
 		// absolute de-duplication floor merged.
 		{"two small roots", 1, -4.2912082339970626e-10, 1.6043515462488586e-05, -1.2162530464695561e-12, 1.3047987719085428e-22, []float64{1.0743245e-10, 7.5702202e-08}},
+		// Eq. (14) on an almost tangent pair (dominance's tangencyTriple):
+		// f(5e-5) = −3.9e-17 and f(1.01e-4) = +3.2e-19, so past the root at
+		// 2.3e-9 the quartic crosses zero again near 1.0e-4, the ordinate of
+		// the distance minimiser. The closed-form solver returned only the first.
+		{"tangency pair", 1, -9.100082438805893e-09, -2.4196036168098222e-09, -7.826603604072438e-13, 1.7805684503228625e-21, []float64{2.2750046e-09, 1.0088683e-04}},
+		// Four real roots from TestQuarticResidualProperty's distribution, of
+		// which the closed-form solver returned only the two largest.
+		{"four roots, two lost", -0.007911384105893926, 2.9776283916547297, -188.15575282615745, -17.71927781125026, 0.1676771871537866, []float64{-0.10268513, 0.0086656878, 80.467487, 295.99916}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -184,7 +193,7 @@ func TestCubicAlwaysHasRootProperty(t *testing.T) {
 		if a == 0 {
 			a = 1
 		}
-		_, n := cubic3(a, r.NormFloat64()*10, r.NormFloat64()*10, r.NormFloat64()*10)
+		_, n := Quartic4(0, a, r.NormFloat64()*10, r.NormFloat64()*10, r.NormFloat64()*10)
 		return n >= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -192,20 +201,27 @@ func TestCubicAlwaysHasRootProperty(t *testing.T) {
 	}
 }
 
+// TestScanRootsFallback: a biquadratic with four symmetric roots, which the
+// earlier closed-form solver handed to its bracketing fallback.
 func TestScanRootsFallback(t *testing.T) {
 	// (x−1)(x+1)(x−3)(x+3) = x⁴ −10x² + 9
-	got := scanRoots([]float64{1, 0, -10, 0, 9})
-	assertRoots(t, got, []float64{-3, -1, 1, 3}, 1e-6)
+	r, n := Quartic4(1, 0, -10, 0, 9)
+	assertRoots(t, r[:n], []float64{-3, -1, 1, 3}, 1e-6)
 }
 
-// TestSolversDoNotAllocate pins the hot path's contract: a well-conditioned
-// quartic or cubic is solved without touching the heap.
+// TestSolversDoNotAllocate pins the hot path's contract: every quartic and
+// cubic is solved without touching the heap, including the ill-conditioned
+// quartic (a small leading coefficient and four real roots) that the earlier
+// closed-form solver sent to an allocating fallback.
 func TestSolversDoNotAllocate(t *testing.T) {
-	if a := testing.AllocsPerRun(100, func() { Quartic4(1, -10, 35, -50, 24) }); a != 0 {
-		t.Errorf("Quartic4: %v allocs/op, want 0", a)
-	}
-	if a := testing.AllocsPerRun(100, func() { cubic3(1, -6, 11, -6) }); a != 0 {
-		t.Errorf("cubic3: %v allocs/op, want 0", a)
+	for _, c := range [][5]float64{
+		{1, -10, 35, -50, 24},
+		{0, 1, -6, 11, -6},
+		{0.01068958561715011, 2.6670422284876594, -163.79442654359187, -8.767063329190014, 0.27395655804242647},
+	} {
+		if a := testing.AllocsPerRun(100, func() { Quartic4(c[0], c[1], c[2], c[3], c[4]) }); a != 0 {
+			t.Errorf("Quartic4%v: %v allocs/op, want 0", c, a)
+		}
 	}
 }
 
