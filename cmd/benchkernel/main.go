@@ -19,8 +19,9 @@
 //   - batch-query throughput through the batch engine at 1/2/4/8
 //     workers, with the scaling ratio relative to one worker;
 //   - a metrics block captured from the obs registry: prune rates,
-//     dominance checks and nodes visited per query, heap traffic, and the
-//     p50/p99 per-search latency from the knn.search_latency histograms.
+//     dominance checks and nodes visited per query and heap traffic
+//     (counts only: the library searches read no clock, and the timing
+//     rows above are the tool's own).
 //
 // Timing benchmarks run with the obs counters disabled so ns/op stays
 // comparable across PRs; the metrics block comes from a separate
@@ -98,8 +99,6 @@ type metricsBlock struct {
 	ItemsPerQuery      float64           `json:"items_scanned_per_query"`
 	PruneRate          float64           `json:"prune_rate"`
 	HeapPushesPerQuery float64           `json:"heap_pushes_per_query"`
-	SearchLatencyP50Ns float64           `json:"search_latency_p50_ns"`
-	SearchLatencyP99Ns float64           `json:"search_latency_p99_ns"`
 	// ChecksPerCandidate is criterion calls per candidate the traversal
 	// kept (Search's DomChecks over SearchCandidates' stream, summed over
 	// the fixture's queries): a count, exact for the fixture seed. The
@@ -294,7 +293,7 @@ func main() {
 			maxShards(rep.ShardScaling), rep.Throughput.GoMaxProcs,
 			rep.Throughput.CoresDetected, rep.Throughput.Gated)
 	} else {
-		fmt.Printf("wrote %s (prepared point-query speedup %.2fx, sphere-query %.2fx; packed-layout speedup DF=%.2fx HS=%.2fx; quantized f32=%.2fx i8=%.2fx best=%s; coarse-prune rate %.2f; snapshot open %.2fx over rebuild (%.1f vs %.1f ns/item, mapped=%v); final filter %.0f ns/candidate, quartic share %.3f; 8-worker scaling %.2fx on %d core(s); shard scaling %.2fx; knn allocs/search DF=%d HS=%d; prune rate %.2f; search p50=%.0fns p99=%.0fns)\n",
+		fmt.Printf("wrote %s (prepared point-query speedup %.2fx, sphere-query %.2fx; packed-layout speedup DF=%.2fx HS=%.2fx; quantized f32=%.2fx i8=%.2fx best=%s; coarse-prune rate %.2f; snapshot open %.2fx over rebuild (%.1f vs %.1f ns/item, mapped=%v); final filter %.0f ns/candidate, quartic share %.3f; 8-worker scaling %.2fx on %d core(s); shard scaling %.2fx; knn allocs/search DF=%d HS=%d; prune rate %.2f)\n",
 			cfg.Out, rep.SpeedupPointQ, rep.SpeedupSphereQ, rep.SpeedupPackedDF, rep.SpeedupPackedHS,
 			rep.SpeedupQuantized.GeomeanF32, rep.SpeedupQuantized.GeomeanI8, rep.SpeedupQuantized.BestTier,
 			rep.Metrics.CoarsePruneRate,
@@ -302,7 +301,7 @@ func main() {
 			rep.FinalFilter.NsPerCandidate, rep.FinalFilter.QuarticShare,
 			rep.Throughput.ScalingAtMax, rep.Throughput.GoMaxProcs, rep.ShardScaling.ScalingAtMax,
 			rep.KnnAllocsDF, rep.KnnAllocsHS,
-			rep.Metrics.PruneRate, rep.Metrics.SearchLatencyP50Ns, rep.Metrics.SearchLatencyP99Ns)
+			rep.Metrics.PruneRate)
 	}
 	stop()
 
@@ -727,9 +726,9 @@ func maxShards(sb shardScalingBlock) int {
 }
 
 // captureMetrics runs the fixed metrics workload with counters enabled and
-// reduces the registry to the per-query ratios and latency quantiles the
-// report carries. The registry is zeroed first (obs.ResetForTest) so every
-// reading — counters and histograms alike — is absolute for this window.
+// reduces the registry to the per-query ratios the report carries. The
+// registry is zeroed first (obs.ResetForTest) so every reading is absolute
+// for this window.
 func captureMetrics(idx knn.Index, queries []geom.Sphere, k int, sa, sb geom.Sphere, points []geom.Sphere) metricsBlock {
 	// Before the registry window opens, so these searches stay out of it.
 	var checks, cands int
@@ -761,14 +760,6 @@ func captureMetrics(idx knn.Index, queries []geom.Sphere, k int, sa, sb geom.Sph
 	}
 	pp.FlushObs()
 
-	// One serial workload batch over the same fixture, so the workload
-	// layer's batch-latency histogram carries samples in the exposition too.
-	triples := make([]workload.Triple, len(points))
-	for i, q := range points {
-		triples[i] = workload.Triple{A: sa, B: sb, Q: q}
-	}
-	workload.Verdicts(dominance.Hyperbola{}, triples)
-
 	diff := obs.Snapshot()
 
 	searches := (rounds + 1) * len(queries)
@@ -791,9 +782,6 @@ func captureMetrics(idx knn.Index, queries []geom.Sphere, k int, sa, sb geom.Sph
 	if total := coarse + diff.Get("packed.quant.item_exact_fallbacks"); total > 0 {
 		m.CoarsePruneRate = float64(coarse) / float64(total)
 	}
-	lat := obs.MergedHist("knn.search_latency")
-	m.SearchLatencyP50Ns = lat.Quantile(0.5)
-	m.SearchLatencyP99Ns = lat.Quantile(0.99)
 	return m
 }
 

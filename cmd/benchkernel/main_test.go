@@ -93,9 +93,9 @@ func TestReportRoundTrip(t *testing.T) {
 		Metrics: metricsBlock{
 			Searches: 64,
 			Counters: map[string]uint64{
-				"knn.searches":      64,
-				"knn.nodes_visited": 4096,
-				"knn.dom_checks":    20000,
+				"knn.searches.packed": 64,
+				"knn.nodes_visited":   4096,
+				"knn.dom_checks":      20000,
 			},
 			DomChecksPerQuery:  312.5,
 			ChecksPerCandidate: 0.75,
@@ -261,8 +261,8 @@ func TestCaptureMetrics(t *testing.T) {
 	if want := 5 * len(queries); m.Searches != want {
 		t.Errorf("Searches = %d, want %d", m.Searches, want)
 	}
-	if got := m.Counters["knn.searches"]; got != uint64(m.Searches) {
-		t.Errorf("counters[knn.searches] = %d, want %d", got, m.Searches)
+	if got := m.Counters["knn.searches.packed"]; got != uint64(m.Searches) {
+		t.Errorf("counters[knn.searches.packed] = %d, want %d", got, m.Searches)
 	}
 	if m.NodesPerQuery <= 0 || m.DomChecksPerQuery <= 0 || m.HeapPushesPerQuery <= 0 {
 		t.Errorf("derived ratios missing: %+v", m)

@@ -210,7 +210,7 @@ func SearchCandidates(idx Index, sq geom.Sphere, k int, crit dominance.Criterion
 
 func (sc *scratch) searchCandidates(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm) CandidateSet {
 	cs := CandidateSet{K: k}
-	l, start, ok := sc.traverse(idx, sq, k, crit, algo, &cs.Stats)
+	l, ok := sc.traverse(idx, sq, k, crit, algo, &cs.Stats)
 	if !ok {
 		return cs
 	}
@@ -218,7 +218,8 @@ func (sc *scratch) searchCandidates(idx Index, sq geom.Sphere, k int, crit domin
 	cs.CoarsePrunes = sc.qItemPrunes
 	cs.Candidates = l.collect()
 	if obs.On() {
-		sc.flushObs(idx.substrate(), algo, start, &cs.Stats)
+		idx.count()
+		sc.flushObs(&cs.Stats)
 	}
 	return cs
 }

@@ -8,7 +8,6 @@ import (
 	"hyperdom/internal/geom"
 	"hyperdom/internal/obs"
 	"hyperdom/internal/packed"
-	"hyperdom/internal/tree"
 )
 
 // SearchForest answers the Definition 2 kNN query over the union of the
@@ -28,13 +27,15 @@ import (
 // visited is the number of trees opened. ex, when non-nil, asks for the
 // search's explain: it receives the per-tree spans and the filter span —
 // two clock reads per opened tree and one slice, whatever the obs gate says.
-// A search records nothing into the Slow ring; the HTTP middleware that
-// served it does (DESIGN.md §9).
+// With the gate on the search adds its work to the knn.* counters but is
+// not itself counted or timed: its caller (shard.Index.Search) records one
+// shard.search_latency sample. It records nothing into the Slow ring; the
+// HTTP middleware that served it does (DESIGN.md §8, §9).
 func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm, ex *obs.Forest) (res Result, visited int) {
 	sc := getScratch()
 	defer putScratch(sc)
 	res.K = k
-	l, start := sc.begin(sq, k, crit, &res.Stats)
+	l := sc.begin(sq, k, crit, &res.Stats)
 	if visited = sc.walkForest(trees, sq, algo, l, ex); visited == 0 {
 		return res, 0
 	}
@@ -51,7 +52,7 @@ func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, crit dominance.Cr
 		ex.Merge.Pruned = ex.Merge.Candidates - ex.Merge.Results
 	}
 	if obs.On() {
-		sc.flushObs(tree.SSTree, algo, start, &res.Stats)
+		sc.flushObs(&res.Stats)
 	}
 	return res, visited
 }
@@ -120,9 +121,6 @@ func (sc *scratch) walkForest(trees []*packed.Tree, sq geom.Sphere, algo Algorit
 			sp.CoarsePrunes = sc.qItemPrunes - coarse
 			sp.BoundPublished = obs.BoundValue(l.distK())
 		}
-	}
-	if visited > 0 && obs.On() {
-		obsSearchPacked.Inc()
 	}
 	return visited
 }

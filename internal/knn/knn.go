@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
@@ -75,17 +74,10 @@ func BruteForce(items []Item, sq geom.Sphere, k int, crit dominance.Criterion) R
 	}
 	res := Result{K: k}
 	res.Stats.Items = len(items)
-	var start time.Time
-	if obs.On() {
-		start = time.Now()
-	}
 	defer func() {
 		if obs.On() {
 			obsBruteSearches.Inc()
 			flushStats(&res.Stats)
-			if !start.IsZero() {
-				bruteLatency.Record(time.Since(start).Nanoseconds())
-			}
 		}
 	}()
 	if len(items) == 0 {

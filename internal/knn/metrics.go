@@ -1,9 +1,6 @@
 package knn
 
 import (
-	"fmt"
-	"time"
-
 	"hyperdom/internal/obs"
 	"hyperdom/internal/tree"
 )
@@ -17,7 +14,6 @@ import (
 // counters, one batch of atomic adds per search. The hot per-node
 // increments are plain field adds on scratch-owned structs.
 var (
-	obsSearches      = obs.New("knn.searches")
 	obsNodesVisited  = obs.New("knn.nodes_visited")
 	obsItemsScanned  = obs.New("knn.items_scanned")
 	obsDomChecks     = obs.New("knn.dom_checks")
@@ -39,25 +35,29 @@ var (
 	obsQuantItemExact  = obs.New("packed.quant.item_exact_fallbacks")
 )
 
-// Per-substrate search counters and per-search latency histograms, indexed
-// by the tree.Substrate of the index searched — a packed walk is an
-// SS-tree's: one counter per substrate and one histogram per (substrate,
-// strategy) pair of the "knn.search_latency" family, plus a brute-force
-// instance. Each search records exactly one sample, at the same flush point
-// as the counters.
+// Single-index search counters: one per substrate, indexed by the
+// tree.Substrate of the index searched (a packed walk is an SS-tree's), and
+// knn.searches.packed for the walks off a frozen snapshot. A forest search
+// moves neither: the served search that runs it is counted once, by
+// shard.search_latency. No search reads a clock for the registry; its
+// callers time it (DESIGN.md §8).
 var (
-	obsSearchSub  [tree.NumSubstrates]*obs.Counter // knn.searches.<substrate>
-	searchLatency [tree.NumSubstrates][2]*obs.Histogram
-	bruteLatency  = obs.NewHistogram("knn.search_latency", `substrate="brute",algo="scan"`)
+	obsSearchSub    [tree.NumSubstrates]*obs.Counter // knn.searches.<substrate>
+	obsSearchPacked = obs.New("knn.searches.packed")
 )
 
 func init() {
 	for s := range tree.Substrate(tree.NumSubstrates) {
 		obsSearchSub[s] = obs.New("knn.searches." + s.String())
-		for _, a := range []Algorithm{DF, HS} {
-			searchLatency[s][a] = obs.NewHistogram("knn.search_latency",
-				fmt.Sprintf("substrate=%q,algo=%q", s, a))
-		}
+	}
+}
+
+// count attributes one finished single-index search to its substrate and,
+// a snapshot walk, to knn.searches.packed.
+func (idx Index) count() {
+	obsSearchSub[idx.substrate()].Inc()
+	if idx.p != nil {
+		obsSearchPacked.Inc()
 	}
 }
 
@@ -69,15 +69,12 @@ func flushStats(st *Stats) {
 	obsPruned.Add(uint64(st.Pruned))
 }
 
-// flushObs drains one finished search into the global counters, records
-// its latency into the (substrate, strategy) histogram, and zeroes the
-// scratch-local tallies. Called once per search when the obs gate is on; the
-// scratch tallies still accumulate (cheaply) when it is off, so they are
-// also zeroed here to keep a later snapshot from attributing old work to a
-// new window.
-func (sc *scratch) flushObs(sub tree.Substrate, algo Algorithm, start time.Time, st *Stats) {
-	obsSearches.Inc()
-	obsSearchSub[sub].Inc()
+// flushObs drains one finished search's work into the global counters and
+// zeroes the scratch-local tallies. Called once per search when the obs
+// gate is on; the scratch tallies still accumulate (cheaply) when it is
+// off, so they are also zeroed here to keep a later snapshot from
+// attributing old work to a new window.
+func (sc *scratch) flushObs(st *Stats) {
 	flushStats(st)
 
 	if n := sc.heap.pushes + sc.packedHeap.pushes; n != 0 {
@@ -102,9 +99,6 @@ func (sc *scratch) flushObs(sub tree.Substrate, algo Algorithm, start time.Time,
 		obsBoxPrunes.Add(sc.boxPrunes)
 	}
 
-	if !start.IsZero() {
-		searchLatency[sub][algo].Record(time.Since(start).Nanoseconds())
-	}
 	sc.clearObsTallies()
 
 	// The criterion-level events the search's final filter tallied

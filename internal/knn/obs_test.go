@@ -8,6 +8,7 @@ import (
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/mtree"
 	"hyperdom/internal/obs"
+	"hyperdom/internal/packed"
 	"hyperdom/internal/rtree"
 	"hyperdom/internal/sstree"
 	"hyperdom/internal/tree"
@@ -48,9 +49,6 @@ func TestObsSearchCounters(t *testing.T) {
 	}
 	got := obs.Snapshot()
 
-	if got := got.Get("knn.searches"); got != searches {
-		t.Errorf("knn.searches = %d, want %d", got, searches)
-	}
 	if got := got.Get("knn.searches.sstree"); got != searches {
 		t.Errorf("knn.searches.sstree = %d, want %d", got, searches)
 	}
@@ -104,57 +102,42 @@ func TestObsBoxPrunes(t *testing.T) {
 	}
 }
 
-// TestObsSearchLatency verifies the per-search latency observability: each
-// search records exactly one sample into the histogram instance of its
-// (substrate, strategy) pair, and nothing into the Slow ring, which holds
-// served requests only.
-func TestObsSearchLatency(t *testing.T) {
+// TestForestSearchCountsWorkOnly: a forest search adds its work to the
+// knn.* counters but is not counted as a search — the served search that
+// runs it is counted once, by shard.search_latency — while a single-index
+// search of one of its snapshots is.
+func TestForestSearchCountsWorkOnly(t *testing.T) {
 	defer obs.SetEnabled(true)
 	obs.SetEnabled(true)
+	rng := rand.New(rand.NewSource(808))
+	const d = 3
+	items := randItems(rng, d, 600, 2)
+	forest := []*packed.Tree{ssTree(items[:300], d).Freeze(), ssTree(items[300:], d).Freeze()}
+	q := randQuery(rng, d, 1)
 
-	rng := rand.New(rand.NewSource(42))
-	items := randItems(rng, 4, 600, 2)
-	idx := index(items, 4)
-	q := randQuery(rng, 4, 1)
-
-	const searches = 7
 	obs.ResetForTest()
-	for i := 0; i < searches; i++ {
-		Search(idx, q, 10, dominance.Hyperbola{}, HS)
+	res, _ := SearchForest(forest, q, 10, dominance.Hyperbola{}, HS, nil)
+	snap := obs.Snapshot()
+	if got := snap.Get("knn.nodes_visited"); got != uint64(res.Stats.NodesVisited) {
+		t.Errorf("knn.nodes_visited = %d, Stats says %d", got, res.Stats.NodesVisited)
 	}
-	Search(idx, q, 10, dominance.Hyperbola{}, DF)
-
-	merged := obs.MergedHist("knn.search_latency")
-	if merged.Count != searches+1 {
-		t.Errorf("knn.search_latency holds %d samples, want %d", merged.Count, searches+1)
-	}
-	if merged.Quantile(0.5) <= 0 {
-		t.Error("median search latency is not positive")
-	}
-	hs := obs.GetOrNewHistogram("knn.search_latency", `substrate="sstree",algo="HS"`).Snap()
-	if hs.Count != searches {
-		t.Errorf(`sstree/HS instance holds %d samples, want %d`, hs.Count, searches)
-	}
-	df := obs.GetOrNewHistogram("knn.search_latency", `substrate="sstree",algo="DF"`).Snap()
-	if df.Count != 1 {
-		t.Errorf(`sstree/DF instance holds %d samples, want 1`, df.Count)
+	for _, name := range []string{"knn.searches.sstree", "knn.searches.packed"} {
+		if got := snap.Get(name); got != 0 {
+			t.Errorf("a forest search moved %s by %d, want 0", name, got)
+		}
 	}
 
-	if dump := obs.Slow.Dump(); len(dump) != 0 {
-		t.Errorf("library searches left %d ops in the Slow ring, want 0", len(dump))
-	}
-
-	// Gate off: no latency samples.
-	obs.SetEnabled(false)
-	obs.ResetForTest()
-	Search(idx, q, 10, dominance.Hyperbola{}, HS)
-	if n := obs.MergedHist("knn.search_latency").Count; n != 0 {
-		t.Errorf("search_latency recorded %d samples with the gate off", n)
+	Search(WrapPacked(forest[0]), q, 10, dominance.Hyperbola{}, HS)
+	snap = obs.Snapshot()
+	for _, name := range []string{"knn.searches.sstree", "knn.searches.packed"} {
+		if got := snap.Get(name); got != 1 {
+			t.Errorf("a single-index search moved %s by %d, want 1", name, got)
+		}
 	}
 }
 
-// TestObsBruteForceCounters checks the non-tree path publishes too,
-// including its latency histogram instance, and records no op.
+// TestObsBruteForceCounters checks the non-tree path publishes too and
+// records no op.
 func TestObsBruteForceCounters(t *testing.T) {
 	defer obs.SetEnabled(true)
 	obs.SetEnabled(true)
@@ -172,9 +155,6 @@ func TestObsBruteForceCounters(t *testing.T) {
 	}
 	if got := got.Get("knn.items_scanned"); got != uint64(res.Stats.Items) {
 		t.Errorf("knn.items_scanned = %d, want %d", got, res.Stats.Items)
-	}
-	if n := obs.GetOrNewHistogram("knn.search_latency", `substrate="brute",algo="scan"`).Snap().Count; n != 1 {
-		t.Errorf("brute-force latency instance holds %d samples, want 1", n)
 	}
 	if dump := obs.Slow.Dump(); len(dump) != 0 {
 		t.Errorf("BruteForce left %d ops in the Slow ring, want 0", len(dump))

@@ -4,13 +4,8 @@ import (
 	"math"
 
 	"hyperdom/internal/geom"
-	"hyperdom/internal/obs"
 	"hyperdom/internal/packed"
 )
-
-// obsSearchPacked counts searches answered off a frozen SoA snapshot
-// (ISSUE 5) rather than the pointer-chasing node path.
-var obsSearchPacked = obs.New("knn.searches.packed")
 
 // quantOn reports whether this search should run the two-phase
 // coarse-filter loop over a leaf's items (ISSUE 6): a quantized tier is

@@ -12,7 +12,7 @@ import (
 )
 
 // TestScrapeConcurrent is the registry's race gate: searches publishing
-// into the counters and latency histograms while scrapers hammer /metrics
+// into the counters while scrapers hammer /metrics
 // and /debug/requests must not race (the -race CI run covers this file),
 // and a library search leaves nothing in the Slow ring, which holds served
 // requests only. Torn ring records are TestRingNeverTears' subject.
@@ -82,8 +82,8 @@ func TestScrapeConcurrent(t *testing.T) {
 	close(stop)
 	readWG.Wait()
 
-	if got := obs.Lookup("knn.searches").Load(); got != searchers*rounds {
-		t.Errorf("knn.searches = %d, want %d", got, searchers*rounds)
+	if got := obs.Lookup("knn.searches.sstree").Load(); got != searchers*rounds {
+		t.Errorf("knn.searches.sstree = %d, want %d", got, searchers*rounds)
 	}
 	if n := len(obs.Slow.Dump()); n != 0 {
 		t.Errorf("library searches left %d ops in the Slow ring, want 0", n)

@@ -2,7 +2,6 @@ package knn
 
 import (
 	"fmt"
-	"time"
 
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
@@ -94,34 +93,28 @@ func (s *Searcher) Close() {
 
 func (sc *scratch) search(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm) Result {
 	res := Result{K: k}
-	l, start, ok := sc.traverse(idx, sq, k, crit, algo, &res.Stats)
+	l, ok := sc.traverse(idx, sq, k, crit, algo, &res.Stats)
 	if !ok {
 		return res
 	}
 	res.Items = l.finish()
 	if obs.On() {
-		sc.flushObs(idx.substrate(), algo, start, &res.Stats)
+		idx.count()
+		sc.flushObs(&res.Stats)
 	}
 	return res
 }
 
 // begin arms the scratch for one search: the best-known list reset for
-// (sq, k, crit) and, when instrumentation is on, the clock read flushObs
-// later settles.
-func (sc *scratch) begin(sq geom.Sphere, k int, crit dominance.Criterion, stats *Stats) (l *bestList, start time.Time) {
+// (sq, k, crit).
+func (sc *scratch) begin(sq geom.Sphere, k int, crit dominance.Criterion, stats *Stats) *bestList {
 	if k <= 0 {
 		panic(fmt.Sprintf("knn: k = %d", k))
 	}
-	// One clock read per search when instrumentation is on: the delta feeds
-	// the per-(substrate, strategy) latency histogram at the same flush
-	// point as the work counters.
-	if obs.On() {
-		start = time.Now()
-	}
 	sc.resetTraversal()
-	l = &sc.list
+	l := &sc.list
 	l.reset(sq, k, crit, stats)
-	return l, start
+	return l
 }
 
 // stashQuant fixes the quantized tier the packed traversals of this search
@@ -139,19 +132,18 @@ func (sc *scratch) stashQuant(sq geom.Sphere) {
 
 // traverse runs the index traversal shared by Search (finish() filter) and
 // SearchCandidates (raw candidate stream): the packed or the pointer walk,
-// whichever the index wraps, with the best-known list filled in and the
-// per-search instrumentation armed. ok=false means the index was empty: the
-// list holds nothing, and callers skip both the answer pass and the obs
-// flush.
-func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm, stats *Stats) (l *bestList, start time.Time, ok bool) {
-	l, start = sc.begin(sq, k, crit, stats)
+// whichever the index wraps, with the best-known list filled in. ok=false
+// means the index was empty: the list holds nothing, and callers skip both
+// the answer pass and the obs flush.
+func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm, stats *Stats) (l *bestList, ok bool) {
+	l = sc.begin(sq, k, crit, stats)
 	if idx.p != nil {
 		forest := [1]*packed.Tree{idx.p}
-		return l, start, sc.walkForest(forest[:], sq, algo, l, nil) > 0
+		return l, sc.walkForest(forest[:], sq, algo, l, nil) > 0
 	}
 	root, rok := idx.t.Root()
 	if !rok {
-		return nil, start, false
+		return nil, false
 	}
 	switch algo {
 	case DF:
@@ -161,7 +153,7 @@ func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Cri
 	default:
 		panic(fmt.Sprintf("knn: unknown algorithm %d", int(algo)))
 	}
-	return l, start, true
+	return l, true
 }
 
 // searchDF visits children in ascending MinDist order, pruning subtrees

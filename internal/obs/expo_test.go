@@ -12,7 +12,7 @@ import (
 
 func TestPromName(t *testing.T) {
 	cases := map[string]string{
-		"knn.search_latency":        "hyperdom_knn_search_latency",
+		"knn.nodes_visited":         "hyperdom_knn_nodes_visited",
 		"dominance.hyperbola.trues": "hyperdom_dominance_hyperbola_trues",
 		"weird-name with spaces/9":  "hyperdom_weird_name_with_spaces_9",
 		"":                          "hyperdom_",

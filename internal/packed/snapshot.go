@@ -100,9 +100,8 @@ var (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Snapshot load/store observability (ISSUE 10): exported on /metrics as
-// hyperdom_snapshot_*.
+// hyperdom_snapshot_*. The files opened are load_latency's count.
 var (
-	obsSnapOpened  = obs.New("snapshot.files_opened")
 	obsSnapWritten = obs.New("snapshot.files_written")
 	obsSnapMapped  = obs.New("snapshot.bytes_mapped")
 	obsSnapCRCFail = obs.New("snapshot.checksum_failures")

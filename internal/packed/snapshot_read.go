@@ -339,7 +339,6 @@ func noteOpen(s *Snapshot, start time.Time) {
 	if !obs.On() {
 		return
 	}
-	obsSnapOpened.Inc()
 	if s.Mapped() {
 		obsSnapMapped.Add(uint64(s.size))
 	}

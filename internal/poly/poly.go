@@ -173,11 +173,11 @@ func start(c []float64, lo, hi, flo, fhi float64, loCrit, hiCrit bool) float64 {
 }
 
 // refine returns the root of c inside (lo, hi), a piece on which c is
-// monotone and changes sign, starting from x; rising reports
-// c(lo) < 0 < c(hi). Each iterate shrinks the bracket to the side that holds
-// the root; the Newton step from it is taken when it stays inside, and
-// bisection otherwise. It stops when the Newton step no longer moves the
-// iterate or the bracket is two adjacent floats.
+// monotone and changes sign, starting from x; rising reports c(lo) < 0 <
+// c(hi). Each iterate shrinks the bracket to the side holding the root; the
+// Newton step is taken when it stays inside, bisection otherwise. It stops
+// when the step does not move the iterate or leaves the bracket from a zero
+// to rounding (touch), or when the bracket is two adjacent floats.
 func refine(c []float64, lo, hi, x float64, rising bool) float64 {
 	for i := 0; i < 256; i++ {
 		f, df := EvalDeriv(c, x)
@@ -194,7 +194,7 @@ func refine(c []float64, lo, hi, x float64, rising bool) float64 {
 			break
 		}
 		if !(next > lo && next < hi) {
-			if next = lo + (hi-lo)/2; next == lo || next == hi {
+			if next = lo + (hi-lo)/2; next == lo || next == hi || math.Abs(f) <= touch*majorant(c, x) {
 				break
 			}
 		}

@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
-	"strings"
 	"testing"
 
 	"hyperdom/internal/dominance"
@@ -175,36 +177,57 @@ func TestValidationAndRouting(t *testing.T) {
 }
 
 // TestMetricsExposition pins the serving-path metric families the CI
-// server-e2e job greps for: hyperdom_shard_* and
-// hyperdom_server_request_latency.
+// server-e2e job greps for — hyperdom_shard_* and
+// hyperdom_server_request_latency — and that a served kNN request is one
+// search sample: shard.search_latency, the layer that serves it, takes
+// exactly one per request, while the library layers below count its work
+// and time nothing. There is no knn search-latency or total-searches
+// family, no forest search counted as a single-index one, and no counter
+// that restates a histogram's count (shard queries, snapshot files opened).
 func TestMetricsExposition(t *testing.T) {
 	obs.ResetForTest()
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
-	const d = 2
-	_, ts := testServer(t, testCorpus(t, d, 120), d)
-	resp := postJSON(t, ts.URL+"/v1/collections/default/knn",
-		map[string]any{"center": []float64{100, 100}, "radius": 0.5, "k": 3})
-	resp.Body.Close()
+	const d, n = 2, 7
+	_, ts := testServer(t, testCorpus(t, d, 300), d)
+	for i := 0; i < n; i++ {
+		resp := postJSON(t, ts.URL+"/v1/collections/default/knn",
+			map[string]any{"center": []float64{90 + float64(i), 100}, "radius": 0.5, "k": 3})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(mresp.Body); err != nil {
+	body, err := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	mresp.Body.Close()
-	body := buf.String()
+	text := string(body)
 	for _, want := range []string{
-		"hyperdom_shard_queries",
-		"hyperdom_shard_search_latency_seconds",
-		`collection="default"`,
-		"hyperdom_server_request_latency_seconds",
-		`endpoint="knn"`,
+		fmt.Sprintf(`(?m)^hyperdom_shard_search_latency_seconds_count\{collection="default"\} %d$`, n),
+		`(?m)^hyperdom_shard_visited [1-9]`,
+		`(?m)^hyperdom_server_request_latency_seconds_bucket\{.*endpoint="knn"`,
+		`(?m)^hyperdom_knn_nodes_visited [1-9]`,
+		`(?m)^hyperdom_knn_searches_packed 0$`,
+		`(?m)^hyperdom_knn_searches_sstree 0$`,
 	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("metrics exposition missing %q\n%s", want, body)
+		if !regexp.MustCompile(want).MatchString(text) {
+			t.Errorf("/metrics has no line matching %s", want)
+		}
+	}
+	for _, gone := range []string{
+		`(?m)^hyperdom_knn_search_latency`,
+		`(?m)^hyperdom_knn_searches[ {]`,
+		`(?m)^hyperdom_shard_queries`,
+		`(?m)^hyperdom_snapshot_files_opened`,
+	} {
+		if line := regexp.MustCompile(gone + `.*$`).FindString(text); line != "" {
+			t.Errorf("/metrics still has %s", line)
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // TestVisitedSkippedCounters pins the walk's counters: every search adds
-// its shard count to shard.visited + shard.skipped, split the way its
-// Explain says.
+// one shard.search_latency sample — the search count — and its shard count
+// to shard.visited + shard.skipped, split the way its Explain says.
 func TestVisitedSkippedCounters(t *testing.T) {
 	was := obs.On()
 	obs.SetEnabled(true)
@@ -21,15 +21,16 @@ func TestVisitedSkippedCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer x.Close()
-	before := obs.Snapshot()
+	hist := obs.GetOrNewHistogram("shard.search_latency", `collection="default"`)
+	before, samples := obs.Snapshot(), hist.Snap().Count
 	visited := 0
 	for i := 0; i < queries; i++ {
 		_, ex := x.SearchExplain(randQuery(rng, 2, 1), 5)
 		visited += ex.Visited()
 	}
 	diff := obs.Snapshot().Diff(before)
-	if got := diff.Get("shard.queries"); got != queries {
-		t.Errorf("shard.queries += %d, want %d", got, queries)
+	if got := hist.Snap().Count - samples; got != queries {
+		t.Errorf("shard.search_latency took %d samples, want %d", got, queries)
 	}
 	if got := diff.Get("shard.visited"); got != uint64(visited) {
 		t.Errorf("shard.visited += %d, Explain says %d", got, visited)

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 
+	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
 	"hyperdom/internal/knn"
 	"hyperdom/internal/obs"
@@ -19,12 +20,13 @@ type Explain = obs.Op
 
 // Search answers the Definition 2 kNN query over all shards: one best-known
 // list walks them nearest first on the calling goroutine, skipping every
-// shard whose root bound exceeds the running distK (knn.SearchForest). The
-// result — items in ascending (MaxDist, ID) order — is bit-identical to a
-// single-index knn.Search over the same data when the criterion is sound
-// (Hyperbola, Exact), and Stats — the traversal work over the visited shards
+// shard whose root bound exceeds the running distK (knn.SearchForest) and
+// filters the candidates with Hyperbola. The result — items in ascending
+// (MaxDist, ID) order — is bit-identical to a single-index knn.Search over
+// the same data, and Stats — the traversal work over the visited shards
 // plus the final filter's DomChecks/Pruned — is the same every time the
-// query is asked.
+// query is asked. With the obs gate on it is the one layer that times the
+// search: one shard.search_latency sample, whose count is the searches.
 func (x *Index) Search(sq geom.Sphere, k int) knn.Result {
 	return x.search(sq, k, nil)
 }
@@ -56,13 +58,12 @@ func (x *Index) search(sq geom.Sphere, k int, ex *obs.Forest) knn.Result {
 	if on {
 		sw = obs.StartTimer()
 	}
-	res, visited := knn.SearchForest(x.trees, sq, k, x.opts.Criterion, x.opts.Algorithm, ex)
+	res, visited := knn.SearchForest(x.trees, sq, k, dominance.Hyperbola{}, x.opts.Algorithm, ex)
 	if on {
 		sw.Stop(x.histSearch)
 		if ex != nil {
 			x.histMerge.Record(ex.Merge.LatencyNs)
 		}
-		obsQueries.Inc()
 		obsVisited.Add(uint64(visited))
 		obsSkipped.Add(uint64(len(x.trees) - visited))
 		// The final filter saw one criterion call per candidate — or, with

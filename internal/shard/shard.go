@@ -21,7 +21,6 @@ import (
 	"slices"
 	"sync"
 
-	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
 	"hyperdom/internal/knn"
 	"hyperdom/internal/obs"
@@ -38,11 +37,6 @@ type Options struct {
 	// MaxFill is the node capacity of each shard's SS-tree; ≤ 0 selects the
 	// default.
 	MaxFill int
-	// Criterion is the dominance criterion (nil selects Hyperbola, the
-	// exact one). Bit-identity with a single-index search is guaranteed
-	// for sound criteria (Hyperbola, Exact); for heuristic criteria both
-	// layouts return supersets of the truth that may differ.
-	Criterion dominance.Criterion
 	// Algorithm is the per-shard traversal strategy. The zero value is DF;
 	// servers typically select knn.HS.
 	Algorithm knn.Algorithm
@@ -56,9 +50,6 @@ type Options struct {
 func (o *Options) fill() error {
 	if o.Shards <= 0 {
 		o.Shards = 1
-	}
-	if o.Criterion == nil {
-		o.Criterion = dominance.Hyperbola{}
 	}
 	if o.Label == "" {
 		o.Label = "default"

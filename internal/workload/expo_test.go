@@ -16,9 +16,10 @@ import (
 // TestMetricsExposition drives every instrumented layer a little — a
 // PreparedPair over a few queries, knn.Search, a Verdicts batch, KNNBatch
 // and a shadow-audited search — and checks the Prometheus text
-// obs.WriteMetrics renders for them: # TYPE lines, a histogram family,
-// _bucket series of the knn and workload layers, and non-zero kNN-batch and
-// shadow-audit counters.
+// obs.WriteMetrics renders for them: # TYPE lines, non-zero work counters
+// of the knn and workload layers, non-zero kNN-batch and shadow-audit
+// counters, and no histogram family in either layer: library entry points
+// count work and read no clock (DESIGN.md §8).
 func TestMetricsExposition(t *testing.T) {
 	defer obs.SetEnabled(obs.On())
 	obs.SetEnabled(true)
@@ -57,14 +58,16 @@ func TestMetricsExposition(t *testing.T) {
 	body := sb.String()
 	for _, want := range []string{
 		`(?m)^# TYPE hyperdom_`,
-		`(?m)^# TYPE hyperdom_\S+ histogram$`,
-		`(?m)^hyperdom_knn_\S*_bucket\{`,
-		`(?m)^hyperdom_workload_\S*_bucket\{`,
+		`(?m)^hyperdom_knn_nodes_visited [1-9]`,
+		`(?m)^hyperdom_workload_verdicts_Hyperbola [1-9]`,
 		`(?m)^hyperdom_workload_knn_batches [1-9]`,
 		`(?m)^hyperdom_dominance_shadow_checks [1-9]`,
 	} {
 		if !regexp.MustCompile(want).MatchString(body) {
 			t.Errorf("/metrics text has no line matching %s", want)
 		}
+	}
+	if hist := regexp.MustCompile(`(?m)^# TYPE hyperdom_(knn|workload)_\S+ histogram$`).FindString(body); hist != "" {
+		t.Errorf("/metrics text has a library-layer histogram: %s", hist)
 	}
 }

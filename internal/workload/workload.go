@@ -44,13 +44,11 @@ func Dominance(items []geom.Item, n int, seed int64) []Triple {
 
 // Verdicts evaluates the criterion over the whole workload.
 func Verdicts(c dominance.Criterion, w []Triple) []bool {
-	sw := obs.StartTimer()
 	out := make([]bool, len(w))
 	for i, t := range w {
 		out[i] = c.Dominates(t.A, t.B, t.Q)
 	}
 	tallyBatch(c, len(w))
-	sw.Stop(histSerialBatch)
 	return out
 }
 
@@ -116,15 +114,9 @@ func TimePerOp(c dominance.Criterion, w []Triple, minDuration time.Duration) tim
 	}
 	elapsed := time.Since(start)
 	_ = sink
-	perOp := elapsed / time.Duration(ops)
 	if obs.On() {
 		obsTimingRuns.Inc()
-		obsTriples.Add(uint64(ops))
 		obs.GetOrNew("workload.verdicts." + c.Name()).Add(uint64(ops))
-		// One sample per timing run: the measured per-query latency of the
-		// criterion, labeled so the exposition splits them apart.
-		obs.GetOrNewHistogram("workload.criterion_latency",
-			`criterion="`+c.Name()+`"`).Record(perOp.Nanoseconds())
 	}
-	return perOp
+	return elapsed / time.Duration(ops)
 }

@@ -8,8 +8,8 @@ import (
 // ShardedIndex is a space-partitioned kNN index: the dataset is carved into
 // shards, and a query walks them nearest first with one best-known list on
 // the calling goroutine, skipping every shard whose bounding region lies
-// beyond the running distK. Result sets are bit-identical to a single-index
-// search when the criterion is sound (Hyperbola, Exact). See DESIGN.md §13.
+// beyond the running distK. Candidates are filtered with Hyperbola, so
+// results are bit-identical to a single-index search. See DESIGN.md §13.
 type ShardedIndex = shard.Index
 
 // ShardOptions configures BuildSharded.
