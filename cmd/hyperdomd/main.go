@@ -45,14 +45,6 @@ import (
 	"hyperdom/internal/sstree"
 )
 
-// What a built collection is made of. Every script, document and benchmark
-// workload runs exactly this configuration, so it is not a flag: SS-tree
-// shards at the default node capacity (shard.Options' zero values), walked
-// best-first, coarse-filtered by the f32 tier (knn's default mode). A
-// snapshot directory of another substrate, which earlier builds could write,
-// is refused at open and rebuilt like any other unusable snapshot.
-const algorithm = knn.HS
-
 // Connection limits of the listener: a client gets readHeaderTimeout to
 // send its request line and headers (a slowloris otherwise holds a
 // goroutine and a descriptor for ever), and a keep-alive connection with no
@@ -196,7 +188,9 @@ func runOracle(c config, stdout *os.File) error {
 	for _, it := range items {
 		t.Insert(it)
 	}
-	res := knn.Search(knn.WrapSSTree(t), q, c.k, dominance.Hyperbola{}, algorithm)
+	// Best-first over pointers: a different walk of a different layout from
+	// the served one (depth-first over the packed snapshot), same answer.
+	res := knn.Search(knn.WrapSSTree(t), q, c.k, dominance.Hyperbola{}, knn.HS)
 	ids := make([]int, 0, len(res.Items))
 	for _, it := range res.Items {
 		ids = append(ids, it.ID)
@@ -204,11 +198,17 @@ func runOracle(c config, stdout *os.File) error {
 	return json.NewEncoder(stdout).Encode(map[string]any{"ids": ids})
 }
 
+// buildCollection builds what every collection is made of. Every script,
+// document and benchmark workload runs exactly this configuration, so it is
+// not a flag: SS-tree shards at the default node capacity (shard.Options'
+// zero values), walked depth-first (the only packed walk), coarse-filtered
+// by the f32 tier (knn's default mode). A snapshot directory of another
+// substrate, which earlier builds could write, is refused at open and
+// rebuilt like any other unusable snapshot.
 func buildCollection(c config, items []geom.Item, dim int, label string) (*shard.Index, error) {
 	return shard.Build(items, dim, shard.Options{
-		Shards:    c.shards,
-		Algorithm: algorithm,
-		Label:     label,
+		Shards: c.shards,
+		Label:  label,
 	})
 }
 
@@ -224,9 +224,8 @@ func mountCollection(c config, name string, corpus func() ([]geom.Item, int, err
 		dir := filepath.Join(c.snapshotDir, name)
 		start := time.Now()
 		x, err := shard.OpenDir(dir, shard.OpenOptions{
-			Algorithm: algorithm,
-			Label:     name,
-			Verify:    c.snapshotVerify,
+			Label:  name,
+			Verify: c.snapshotVerify,
 		})
 		if err == nil {
 			log.Printf("collection %s: loaded snapshot %s in %v (%d items, dim %d, %d shards)",

@@ -47,7 +47,8 @@ func WithCriterion(c dominance.Criterion) Option {
 	return func(e *Engine) { e.crit = c }
 }
 
-// WithAlgorithm sets the traversal strategy (default HS).
+// WithAlgorithm sets the traversal strategy of a pointer index (default
+// HS); a packed one is walked depth-first whatever it says (knn.Search).
 func WithAlgorithm(a knn.Algorithm) Option {
 	return func(e *Engine) { e.algo = a }
 }

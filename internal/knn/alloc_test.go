@@ -181,19 +181,16 @@ func BenchmarkSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchPacked is BenchmarkSearch over the frozen snapshot — the
-// single-thread packed-layout win BENCH_knn.json records as
-// speedup_packed_layout.
+// BenchmarkSearchPacked is BenchmarkSearch/SS10k/DF over the frozen
+// snapshot — the single-thread packed-layout win BENCH_knn.json records as
+// speedup_packed_layout. A snapshot has one walk, depth-first.
 func BenchmarkSearchPacked(b *testing.B) {
 	ss, queries := allocFixture(10000)
 	idx := WrapPacked(ss.Freeze())
-	for _, algo := range []Algorithm{DF, HS} {
-		algo := algo
-		b.Run(fmt.Sprintf("SS10k/%v", algo), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Search(idx, queries[i%len(queries)], 10, dominance.Hyperbola{}, algo)
-			}
-		})
-	}
+	b.Run("SS10k/DF", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Search(idx, queries[i%len(queries)], 10, dominance.Hyperbola{}, DF)
+		}
+	})
 }

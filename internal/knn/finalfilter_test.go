@@ -414,7 +414,7 @@ func TestWholeCollectionScratchNotPooled(t *testing.T) {
 
 	sq := geom.NewSphere(make([]float64, d), 1e6)
 	for _, k := range []int{10, n} {
-		res, _ := SearchForest(forest, sq, k, dominance.Hyperbola{}, HS, nil)
+		res, _ := SearchForest(forest, sq, k, nil)
 		if len(res.Items) != n {
 			t.Fatalf("k=%d: fixture answers %d items, want the whole collection of %d", k, len(res.Items), n)
 		}
@@ -449,7 +449,7 @@ func TestTangencyPairServed(t *testing.T) {
 		if dominance.FindWitness(items[0].Sphere, items[1].Sphere, sq, 1<<16, rand.New(rand.NewSource(1))) == nil {
 			t.Fatalf("rq=%g: no witness against Dom(Sa, Sb, Sq)", rq)
 		}
-		res, _ := SearchForest(forest, sq, 1, dominance.Hyperbola{}, HS, nil)
+		res, _ := SearchForest(forest, sq, 1, nil)
 		if got := sortedIDs(res.Items); !reflect.DeepEqual(got, []int{0, 1}) {
 			t.Errorf("rq=%g: served answer %v, want [0 1]: Sb was dropped as dominated", rq, got)
 		}

@@ -1,7 +1,6 @@
 package knn
 
 import (
-	"fmt"
 	"time"
 
 	"hyperdom/internal/dominance"
@@ -19,8 +18,9 @@ import (
 // so far, and a tree whose root bound exceeds the running distK is not
 // opened at all: every item below has MinDist ≥ the root's > distK ≥ the
 // final distK, which is Lemma 9's proof that the final Sk dominates it (and
-// it cannot be among the k smallest MaxDist either). The criterion then runs
-// once per surviving candidate against the final Sk, so the answer —
+// it cannot be among the k smallest MaxDist either). The criterion — the
+// paper's Hyperbola, the only one a served search uses — then runs once per
+// surviving candidate against the final Sk, so the answer —
 // ascending (MaxDist, ID) — is the one a single-index Search over the same
 // items gives, and Stats is a function of the query alone.
 //
@@ -31,12 +31,12 @@ import (
 // not itself counted or timed: its caller (shard.Index.Search) records one
 // shard.search_latency sample. It records nothing into the Slow ring; the
 // HTTP middleware that served it does (DESIGN.md §8, §9).
-func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm, ex *obs.Forest) (res Result, visited int) {
+func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, ex *obs.Forest) (res Result, visited int) {
 	sc := getScratch()
 	defer putScratch(sc)
 	res.K = k
-	l := sc.begin(sq, k, crit, &res.Stats)
-	if visited = sc.walkForest(trees, sq, algo, l, ex); visited == 0 {
+	l := sc.begin(sq, k, dominance.Hyperbola{}, &res.Stats)
+	if visited = sc.walkForest(trees, sq, l, ex); visited == 0 {
 		return res, 0
 	}
 
@@ -60,11 +60,14 @@ func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, crit dominance.Cr
 // walkForest is the one packed traversal: it walks the trees nearest root
 // first into l, which begin armed, skipping every tree whose root bound is
 // beyond the running distK, and returns the number of trees it opened — 0
-// when every tree is empty, and l then holds nothing. Search walks a bare
-// snapshot as a forest of one; for a single tree the root key is the root's
-// MinDist, so the walk is the plain DF or HS traversal of Section 6. ex is
-// SearchForest's: nil, or the explain the per-tree spans go into.
-func (sc *scratch) walkForest(trees []*packed.Tree, sq geom.Sphere, algo Algorithm, l *bestList, ex *obs.Forest) (visited int) {
+// when every tree is empty, and l then holds nothing. Each opened tree is
+// walked depth-first (searchDFPacked), whatever Algorithm a caller of Search
+// names: the best-first walk's answers are the same, and its frontier cost
+// more than the branch order it bought (DESIGN.md §11). Search walks a bare
+// snapshot as a forest of one, so for a single tree this is the plain DF
+// traversal of Section 6. ex is SearchForest's: nil, or the explain the
+// per-tree spans go into.
+func (sc *scratch) walkForest(trees []*packed.Tree, sq geom.Sphere, l *bestList, ex *obs.Forest) (visited int) {
 	sc.stashQuant(sq)
 	if ex != nil {
 		ex.Shards = make([]obs.ShardSpan, len(trees))
@@ -94,7 +97,6 @@ func (sc *scratch) walkForest(trees []*packed.Tree, sq geom.Sphere, algo Algorit
 		if rootDist > l.distK() {
 			break // and every later tree: the order is ascending, distK only shrinks
 		}
-		sc.packedHeap.es = sc.packedHeap.es[:0] // a best-first search that ended early leaves its frontier behind
 		var sp *obs.ShardSpan
 		var t0 time.Time
 		held, coarse, before := l.held(), sc.qItemPrunes, *l.stats
@@ -104,14 +106,8 @@ func (sc *scratch) walkForest(trees []*packed.Tree, sq geom.Sphere, algo Algorit
 			sp.BoundObserved = obs.BoundValue(l.distK())
 			t0 = time.Now()
 		}
-		switch t := trees[i]; algo {
-		case DF:
-			sc.searchDFPacked(t, t.Root(), sq, l)
-		case HS:
-			sc.searchHSPacked(t, rootDist, sq, l)
-		default:
-			panic(fmt.Sprintf("knn: unknown algorithm %d", int(algo)))
-		}
+		t := trees[i]
+		sc.searchDFPacked(t, t.Root(), sq, l)
 		visited++
 		if sp != nil {
 			sp.LatencyNs = max(time.Since(t0).Nanoseconds(), 1)

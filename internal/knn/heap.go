@@ -1,17 +1,14 @@
 package knn
 
-// distHeap is the best-first frontier of both traversals: a hand-rolled
-// min-heap of nodes keyed by MinDist to the query, instantiated at
-// tree.Cursor (searchHS) and at packed node ids (searchHSPacked). It
+// distHeap is the best-first frontier of the pointer HS walk (searchHS): a
+// hand-rolled min-heap of nodes keyed by MinDist to the query. The packed
+// walk has no frontier; it is depth-first (walkForest). The heap
 // deliberately does not implement container/heap: the standard interface
 // forces every pushed entry through an `any` box, which allocated on each
 // node visit.
 //
 // Each (dist, node) pair is one struct, so a sift step touches one cache
-// line per level instead of the two a parallel-slice layout costs. Both
-// instantiations run the same comparisons and swaps, so with bit-identical
-// keys they pop in the same order (the packed keys are tighter than the
-// reference's, so the two traversals' Stats differ; packed_search.go).
+// line per level instead of the two a parallel-slice layout costs.
 type distHeap[N any] struct {
 	es []distEntry[N]
 

@@ -15,10 +15,12 @@
 //   - DF: the depth-first tree traversal of Roussopoulos et al. (ref [26]).
 //   - HS: the best-first traversal of Hjaltason and Samet (ref [15]).
 //
-// DF and HS run over an index (package sstree, mtree or rtree) and prune
-// with Lemma 9 alone (Case 3 of Section 6) while tracking the k smallest
-// MaxDist; the pluggable dominance criterion runs once per surviving
-// candidate, against the final Sk — Definition 2 exactly (see bestList).
+// DF and HS run over a pointer index (package sstree, mtree or rtree); a
+// packed snapshot (WrapPacked, SearchForest) is walked depth-first only.
+// Both prune with Lemma 9 alone (Case 3 of Section 6) while tracking the k
+// smallest MaxDist; the pluggable dominance criterion runs once per
+// surviving candidate, against the final Sk — Definition 2 exactly (see
+// bestList).
 // With a correct criterion the result is a superset of the truth (recall
 // 100%); with Hyperbola it is exact.
 package knn

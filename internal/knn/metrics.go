@@ -77,13 +77,13 @@ func flushStats(st *Stats) {
 func (sc *scratch) flushObs(st *Stats) {
 	flushStats(st)
 
-	if n := sc.heap.pushes + sc.packedHeap.pushes; n != 0 {
+	if n := sc.heap.pushes; n != 0 {
 		obsHeapPushes.Add(n)
 	}
-	if n := sc.heap.pops + sc.packedHeap.pops; n != 0 {
+	if n := sc.heap.pops; n != 0 {
 		obsHeapPops.Add(n)
 	}
-	if n := sc.heap.grown + sc.packedHeap.grown; n != 0 {
+	if n := sc.heap.grown; n != 0 {
 		obsHeapGrowth.Add(n)
 	}
 	if sc.dfExpansions != 0 {
@@ -111,7 +111,6 @@ func (sc *scratch) flushObs(st *Stats) {
 // put-back with the gate off) has accounted for.
 func (sc *scratch) clearObsTallies() {
 	sc.heap.pushes, sc.heap.pops, sc.heap.grown = 0, 0, 0
-	sc.packedHeap.pushes, sc.packedHeap.pops, sc.packedHeap.grown = 0, 0, 0
 	sc.dfExpansions = 0
 	sc.qItemPrunes, sc.qItemExact, sc.boxPrunes = 0, 0, 0
 }

@@ -116,7 +116,7 @@ func TestForestSearchCountsWorkOnly(t *testing.T) {
 	q := randQuery(rng, d, 1)
 
 	obs.ResetForTest()
-	res, _ := SearchForest(forest, q, 10, dominance.Hyperbola{}, HS, nil)
+	res, _ := SearchForest(forest, q, 10, nil)
 	snap := obs.Snapshot()
 	if got := snap.Get("knn.nodes_visited"); got != uint64(res.Stats.NodesVisited) {
 		t.Errorf("knn.nodes_visited = %d, Stats says %d", got, res.Stats.NodesVisited)

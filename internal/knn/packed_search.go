@@ -109,36 +109,3 @@ func (sc *scratch) searchDFPacked(t *packed.Tree, n int32, sq geom.Sphere, l *be
 	sc.pStack = sc.pStack[:base]
 	sc.pDists = sc.pDists[:base]
 }
-
-// searchHSPacked is searchHS over a frozen snapshot. Children are scored by
-// one kernel pass per expanded node and pushed under the hoisted distk
-// bound. The keys are max(sphere, box) where the pointer path has the
-// sphere alone, so fewer children are pushed and the frontier is ordered by
-// the tighter bound. rootDist is the root's MinDist to the query, the key
-// walkForest ordered the trees by.
-func (sc *scratch) searchHSPacked(t *packed.Tree, rootDist float64, sq geom.Sphere, l *bestList) {
-	h := &sc.packedHeap
-	h.push(t.Root(), rootDist)
-	for h.len() > 0 {
-		n, dist := h.pop()
-		if dist > l.distK() {
-			return
-		}
-		l.stats.NodesVisited++
-		if t.IsLeaf(n) {
-			sc.offerLeafPacked(t, n, sq, l)
-			continue
-		}
-		// Invariant: distk cannot change inside this loop — it only shrinks
-		// when an item is offered, and this loop only pushes child nodes.
-		dk := l.distK()
-		kids := t.Children(n)
-		sc.pBuf = growTo(sc.pBuf, len(kids))
-		sc.boxPrunes += uint64(t.ChildMinDists(n, sq, dk, sc.pBuf))
-		for i, c := range kids {
-			if d := sc.pBuf[i]; d <= dk {
-				h.push(c, d)
-			}
-		}
-	}
-}

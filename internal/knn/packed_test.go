@@ -26,14 +26,16 @@ func buildFixture(rng *rand.Rand, d, n int) ([]Item, *sstree.Tree) {
 
 // TestPackedMatchesPointer is the differential lock of the packed layout,
 // widened over the quantization modes and restated for the child boxes: on
-// both traversal strategies and every quant tier (none, f32, i8), an
-// SS-tree's snapshot must return the exact result list (items AND order) the
-// pointer path returns. The packed walk prunes on max(sphere, box) where the pointer
-// path has the sphere alone, so on every query it may visit no more nodes
-// and scan no more items (DomChecks and Pruned follow the candidates it met
-// and may move either way) — and over each fixture of four or more
-// dimensions it must visit and scan strictly fewer in total, so a box that
-// silently stopped firing fails here.
+// every quant tier (none, f32, i8), an SS-tree's snapshot must return the
+// exact result list (items AND order) the pointer path returns. The packed
+// walk is depth-first whatever Algorithm it is given, so its reference is
+// the pointer DF walk for either, and the two Algorithms must give it the
+// same Stats. It prunes on max(sphere, box) where the pointer path has the
+// sphere alone, so on every query it may visit no more nodes and scan no
+// more items (DomChecks and Pruned follow the candidates it met and may
+// move either way) — and over each fixture of four or more dimensions it
+// must visit and scan strictly fewer in total, so a box that silently
+// stopped firing fails here.
 //
 // Within the packed walk the tiers keep even Stats identical: a coarse prune
 // takes exactly the branch the exact value would have taken — the narrow
@@ -55,38 +57,35 @@ func TestPackedMatchesPointer(t *testing.T) {
 		}
 		var pointerWork, packedWork Stats // totals at QuantNone
 		for _, crit := range []dominance.Criterion{dominance.Hyperbola{}, dominance.MinMax{}} {
-			// Pointer answers first, then the snapshot's per tier.
-			type ans struct{ res [2]Result }
-			pointer := make([]ans, len(queries))
+			// Pointer DF answers first, then the snapshot's per tier.
+			pointer := make([]Result, len(queries))
 			for i, sq := range queries {
-				for _, algo := range []Algorithm{DF, HS} {
-					pointer[i].res[algo] = Search(idx, sq, ks[i], crit, algo)
-				}
+				pointer[i] = Search(idx, sq, ks[i], crit, DF)
 			}
-			exact := make([]ans, len(queries)) // the packed walk at QuantNone
+			exact := make([]Result, len(queries)) // the packed walk at QuantNone under DF
 			for _, qm := range quants {
 				SetQuantMode(qm)
 				for i, sq := range queries {
 					for _, algo := range []Algorithm{DF, HS} {
 						got := Search(pk, sq, ks[i], crit, algo)
-						want := pointer[i].res[algo]
+						want := pointer[i]
 						ctx := fmt.Sprintf("d=%d crit=%s algo=%v quant=%s q=%d", d, crit.Name(), algo, qm, i)
 						if !reflect.DeepEqual(got.Items, want.Items) {
 							t.Fatalf("%s: packed items differ\n got %v\nwant %v",
 								ctx, sortedIDs(got.Items), sortedIDs(want.Items))
 						}
-						if qm == QuantNone {
-							exact[i].res[algo] = got
+						if qm == QuantNone && algo == DF {
+							exact[i] = got
 							pointerWork.NodesVisited += want.Stats.NodesVisited
 							pointerWork.Items += want.Stats.Items
 							packedWork.NodesVisited += got.Stats.NodesVisited
 							packedWork.Items += got.Stats.Items
-						} else if got.Stats != exact[i].res[algo].Stats {
-							t.Fatalf("%s: stats differ from the exact packed walk\n got %+v\nwant %+v",
-								ctx, got.Stats, exact[i].res[algo].Stats)
+						} else if got.Stats != exact[i].Stats {
+							t.Fatalf("%s: stats differ from the exact packed DF walk\n got %+v\nwant %+v",
+								ctx, got.Stats, exact[i].Stats)
 						}
 						if got.Stats.NodesVisited > want.Stats.NodesVisited || got.Stats.Items > want.Stats.Items {
-							t.Fatalf("%s: packed walk did more than the pointer walk\n got %+v\nwant at most %+v",
+							t.Fatalf("%s: packed walk did more than the pointer DF walk\n got %+v\nwant at most %+v",
 								ctx, got.Stats, want.Stats)
 						}
 					}

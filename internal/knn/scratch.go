@@ -30,13 +30,11 @@ type scratch struct {
 	heap  distHeap[tree.Cursor] // HS frontier
 
 	// Packed (frozen snapshot) traversal state: dense node ids instead of
-	// cursors, plus a staging buffer for the streaming kernel outputs
-	// (leaf item distances, HS child mindists). None of these hold
-	// references, so pooling them needs no clearing.
-	pStack     []int32
-	pDists     []float64
-	pBuf       []float64
-	packedHeap distHeap[int32]
+	// cursors, plus a staging buffer for the leaf kernel's item distances.
+	// None of these hold references, so pooling them needs no clearing.
+	pStack []int32
+	pDists []float64
+	pBuf   []float64
 
 	// Quantized coarse-filter state (ISSUE 6): the tier this search
 	// consults (stashed once at packed dispatch from the process-wide
@@ -68,7 +66,6 @@ func (sc *scratch) resetTraversal() {
 	sc.heap.es = clearLen(sc.heap.es)
 	sc.pStack = sc.pStack[:0]
 	sc.pDists = sc.pDists[:0]
-	sc.packedHeap.es = sc.packedHeap.es[:0]
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -92,7 +89,6 @@ func putScratch(sc *scratch) {
 	sc.heap.es = clearCap(sc.heap.es)
 	sc.pStack = sc.pStack[:0]
 	sc.pDists = sc.pDists[:0]
-	sc.packedHeap.es = sc.packedHeap.es[:0]
 	sc.list.release()
 	scratchPool.Put(sc)
 }

@@ -13,7 +13,8 @@ import (
 	"hyperdom/internal/tree"
 )
 
-// Algorithm selects the index traversal strategy.
+// Algorithm selects the traversal strategy of a pointer index. A packed
+// snapshot has one walk, depth-first, whichever is named.
 type Algorithm int
 
 const (
@@ -56,11 +57,12 @@ func (idx Index) substrate() tree.Substrate {
 }
 
 // Search answers the kNN query of Definition 2 over an index using the
-// given traversal strategy and dominance criterion. A packed snapshot is
-// walked by walkForest as a forest of one (searchDFPacked/searchHSPacked,
-// the serving kernel); a pointer tree by its cursors (searchDF/searchHS,
-// the Section 6 reference the packed kernel's answers are compared
-// against). Either way the traversal runs out of a pooled scratch arena and
+// given traversal strategy and dominance criterion. A pointer tree is
+// walked by its cursors, depth-first or best-first as algo says
+// (searchDF/searchHS, the Section 6 reference the packed kernel's answers
+// are compared against); a packed snapshot is walked by walkForest as a
+// forest of one, always depth-first (searchDFPacked, the serving kernel),
+// whatever algo names — both strategies give the same answer. Either way the traversal runs out of a pooled scratch arena and
 // performs no steady-state heap allocation beyond the returned answer
 // slice.
 func Search(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm) Result {
@@ -139,7 +141,7 @@ func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Cri
 	l = sc.begin(sq, k, crit, stats)
 	if idx.p != nil {
 		forest := [1]*packed.Tree{idx.p}
-		return l, sc.walkForest(forest[:], sq, algo, l, nil) > 0
+		return l, sc.walkForest(forest[:], sq, l, nil) > 0
 	}
 	root, rok := idx.t.Root()
 	if !rok {

@@ -232,6 +232,38 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestServedSearchIsDepthFirst: a served kNN request walks each shard's
+// packed snapshot depth-first, whatever Algorithm the index was built with
+// (testServer asks for knn.HS): the depth-first child expansions move and
+// no node is ever pushed onto a best-first frontier.
+func TestServedSearchIsDepthFirst(t *testing.T) {
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	const d, n = 3, 20
+	_, ts := testServer(t, testCorpus(t, d, 2000), d)
+	before := obs.Snapshot()
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < n; i++ {
+		c := make([]float64, d)
+		for j := range c {
+			c[j] = 100 + rng.NormFloat64()*25
+		}
+		resp := postJSON(t, ts.URL+"/v1/collections/default/knn",
+			map[string]any{"center": c, "radius": 0.5, "k": 5})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+	moved := obs.Snapshot().Diff(before)
+	if got := moved.Get("knn.heap_pushes"); got != 0 {
+		t.Errorf("%d served searches pushed %d nodes onto a best-first frontier, want 0", n, got)
+	}
+	if got := moved.Get("knn.df_child_expansions"); got == 0 {
+		t.Errorf("%d served searches expanded no child depth-first", n)
+	}
+}
+
 func TestDuplicateCollectionRejected(t *testing.T) {
 	const d = 2
 	items := testCorpus(t, d, 30)

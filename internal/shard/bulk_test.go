@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hyperdom/internal/dataset"
-	"hyperdom/internal/dominance"
 	"hyperdom/internal/knn"
 	"hyperdom/internal/packed"
 	"hyperdom/internal/sstree"
@@ -56,7 +55,7 @@ func TestBulkBuiltMatchesInserted(t *testing.T) {
 			for _, qi := range queries {
 				sq := items[qi].Sphere
 				got := x.Search(sq, 10)
-				want, _ := knn.SearchForest(ref, sq, 10, dominance.Hyperbola{}, knn.HS, nil)
+				want, _ := knn.SearchForest(ref, sq, 10, nil)
 				if !slices.Equal(got.IDs(), want.IDs()) {
 					t.Fatalf("%s: query %d answers %v, the inserted shards %v", ctx, qi, got.IDs(), want.IDs())
 				}

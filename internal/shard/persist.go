@@ -104,8 +104,8 @@ func removeStaleShards(dir string, n int) error {
 // opened with packed.Open, so how it is read (mapped or copied) is the
 // platform's choice, not an option.
 type OpenOptions struct {
-	// Algorithm and Label act exactly as in Options; zero values select the
-	// same defaults.
+	// Algorithm and Label act exactly as in Options (Algorithm: not at
+	// all); zero values select the same defaults.
 	Algorithm knn.Algorithm
 	Label     string
 	// Verify forces a full checksum pass over every section of every shard
@@ -125,7 +125,7 @@ type OpenOptions struct {
 // keep the index (not just its results) alive while results' Center slices
 // are in use, as those alias the mapping.
 func OpenDir(dir string, opts OpenOptions) (*Index, error) {
-	bopts := Options{Algorithm: opts.Algorithm, Label: opts.Label}
+	bopts := Options{Label: opts.Label}
 	if err := bopts.fill(); err != nil {
 		return nil, err
 	}

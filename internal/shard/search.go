@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 
-	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
 	"hyperdom/internal/knn"
 	"hyperdom/internal/obs"
@@ -58,7 +57,7 @@ func (x *Index) search(sq geom.Sphere, k int, ex *obs.Forest) knn.Result {
 	if on {
 		sw = obs.StartTimer()
 	}
-	res, visited := knn.SearchForest(x.trees, sq, k, dominance.Hyperbola{}, x.opts.Algorithm, ex)
+	res, visited := knn.SearchForest(x.trees, sq, k, ex)
 	if on {
 		sw.Stop(x.histSearch)
 		if ex != nil {

@@ -37,8 +37,10 @@ type Options struct {
 	// MaxFill is the node capacity of each shard's SS-tree; ≤ 0 selects the
 	// default.
 	MaxFill int
-	// Algorithm is the per-shard traversal strategy. The zero value is DF;
-	// servers typically select knn.HS.
+	// Algorithm is read by nothing: a sharded index is a forest of packed
+	// snapshots, and knn.SearchForest walks each depth-first. The field
+	// stays only because the frozen benchmark harness (bench/) sets it
+	// (DESIGN.md §12).
 	Algorithm knn.Algorithm
 	// Label names this index in the obs exposition: the per-collection
 	// `collection="..."` label of the hyperdom_shard_* latency families.
