@@ -9,16 +9,16 @@ import (
 )
 
 // Candidate is one surviving entry of a kNN traversal: a reference to the
-// stored item plus its cached MaxDist/MinDist to the query, in exactly the
+// stored item plus its cached MaxDist to the query, in exactly the
 // arithmetic every search path uses (so merged orderings are bit-identical).
-// It is 24 bytes — the heap sifts, the buffer appends, the final filter's
-// compaction and its sort all move candidates, never items. Item points into
-// the leaf's own item slice (packed.Tree.LeafItems, tree.Cursor.Items) and
-// is valid until that index is mutated or closed.
+// It is 16 bytes — the heap sifts, the buffer appends, the final filter's
+// compaction and its sort all move candidates, never items. Its MinDist is
+// read once, for Case 3, before it is stored (offerDist), so it is not
+// kept. Item points into the leaf's own item slice (packed.Tree.LeafItems,
+// tree.Cursor.Items) and is valid until that index is mutated or closed.
 type Candidate struct {
 	Item    *Item
 	MaxDist float64
-	MinDist float64
 }
 
 // candLess reports whether a sorts before b in ascending (MaxDist, ID) order

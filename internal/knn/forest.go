@@ -68,7 +68,7 @@ func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, ex *obs.Forest) (
 // traversal of Section 6. ex is SearchForest's: nil, or the explain the
 // per-tree spans go into.
 func (sc *scratch) walkForest(trees []*packed.Tree, sq geom.Sphere, l *bestList, ex *obs.Forest) (visited int) {
-	sc.stashQuant(sq)
+	sc.quant = QuantModeNow() // once: a concurrent SetQuantMode cannot split the walk
 	if ex != nil {
 		ex.Shards = make([]obs.ShardSpan, len(trees))
 	}

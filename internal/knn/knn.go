@@ -169,22 +169,23 @@ func (l *bestList) offer(it *Item) {
 }
 
 // offerDist is offer with the item's center-to-query distance already in
-// hand: the packed leaf pass computes it for a whole leaf in one streaming
-// kernel call, and both MaxDist and MinDist derive from it — in exactly the
-// operation order of geom.MaxDist/geom.MinDist, which keeps the pointer and
-// packed paths bit-identical — for the price of a single sqrt.
+// hand: the packed leaf pass reads it off the snapshot's packed centers,
+// and both MaxDist and MinDist derive from it — in exactly the operation
+// order of geom.MaxDist/geom.MinDist, which keeps the pointer and packed
+// paths bit-identical — for the price of a single sqrt. MinDist decides
+// Case 3 and is not stored.
 func (l *bestList) offerDist(it *Item, dist float64) {
 	l.stats.Items++
 	minDist := dist - it.Sphere.Radius - l.sq.Radius
 	if !(minDist > 0) {
 		minDist = 0
 	}
-	c := Candidate{Item: it, MaxDist: dist + it.Sphere.Radius + l.sq.Radius, MinDist: minDist}
-	if l.top.Full() && c.MinDist > l.top.Kth().MaxDist {
+	if l.top.Full() && minDist > l.top.Kth().MaxDist {
 		// Case 3: Lemma 9 — MinMax-provably dominated by the final Sk.
 		l.stats.Pruned++
 		return
 	}
+	c := Candidate{Item: it, MaxDist: dist + it.Sphere.Radius + l.sq.Radius}
 	// Cases 1 and 2 differ only in who stays among the k smallest: whichever
 	// of c and the old k-th does not waits in buf for the final filter.
 	if out, spilled := l.top.Offer(c); spilled {

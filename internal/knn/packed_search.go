@@ -1,75 +1,44 @@
 package knn
 
 import (
-	"math"
-
 	"hyperdom/internal/geom"
 	"hyperdom/internal/packed"
 )
 
-// quantOn reports whether this search should run the two-phase
-// coarse-filter loop over a leaf's items (ISSUE 6): a quantized tier is
-// selected and the best-list is full with a usable threshold (0 <= dk < +Inf: an
-// unbounded dk can prune nothing, and a negative one — possible only with
-// degenerate data spheres — would reintroduce the mixed-sign cancellation
-// the select kernels' threshold arithmetic excludes; see vec/quant.go).
-// Child bounds always take the exact streaming kernel: a node-level coarse
-// pass pruned ~20% of children where the leaf pass prunes ~99% of items, and
-// cost more than the exact kernel it replaced.
-func (sc *scratch) quantOn(dk float64) bool {
-	return sc.quant != packed.TierNone && dk >= 0 && !math.IsInf(dk, 1)
-}
-
-// offerLeafPacked streams one DistBlock pass over leaf n's packed item
-// centers and offers every item off it.
+// offerLeafPacked decides every item of leaf n: Lemma 9 drops it (Case 3,
+// MinDist > distk) or it is offered to the list.
 //
-// The pass exploits the SoA layout twice. First, one sqrt per item instead
-// of the pointer path's two (MaxDist + MinDist). Second — the big one — a
-// Case-3 item (minDist > distk, Lemma 9) is recognised from the distance
-// and radius blocks alone, so the Item struct behind it is never loaded:
-// the prune touches only two sequential float64 arrays. The condition is
-// exactly offerDist's Case 3 (minDist > dk with dk ≥ 0 implies the raw and
-// clamped minDist agree, and maxDist ≥ minDist > dk rules out Cases 1–2),
-// and a Case-3 offer changes no list state, so stats and results stay
-// bit-identical.
+// The leaf's select (packed.Tree.LeafQuantSelect) first names the items
+// left to decide, in ascending order: when the search's tier can prune
+// against the distk at leaf entry, the items whose narrow bound does not
+// certify Case 3 (the others are counted as pruned unseen: neither the
+// exact center block nor a sqrt is touched), otherwise every item. One loop
+// then replays that list. It takes one sqrt per item where the pointer path
+// takes two (MaxDist and MinDist derive from the one center distance), and
+// recognises a Case 3 item from the distance and radius alone, so the Item
+// struct behind it is never loaded. That pre-check is exactly offerDist's
+// Case 3 (minDist > dk with dk ≥ 0 implies the raw and clamped minDist
+// agree, and maxDist ≥ minDist > dk rules out Cases 1–2), and a Case 3
+// offer changes no list state. distk only shrinks as items are offered,
+// which keeps the entry-distk coarse drops valid against the live one. So
+// list state and Stats are those of offering every item in order, whatever
+// the tier.
 func (sc *scratch) offerLeafPacked(t *packed.Tree, n int32, sq geom.Sphere, l *bestList) {
 	items := t.LeafItems(n)
 	radii := t.ItemRadii(n)
 	qr := sq.Radius
 	dk := l.distK()
-	if sc.quantOn(dk) {
-		// Two-phase (ISSUE 6): one select pass over the narrow tier drops
-		// every item whose lower bound certifies Case 3 against the distk at
-		// leaf entry — same Items/Pruned accounting, and neither the exact
-		// center block nor a sqrt is ever touched. Survivors replay the
-		// exact per-item logic bit for bit (LeafDistAt == DistBlock entry)
-		// against the live distk, so list state and Stats match the exact
-		// pass: distk only shrinks as items are offered, which keeps the
-		// entry-distk coarse decisions valid (they prune a subset of what
-		// the live value would).
-		sc.qSel = growToI32(sc.qSel, len(items))
-		nsel := t.LeafQuantSelect(sc.quant, n, sq, dk, sc.qSel)
-		dropped := len(items) - nsel
-		sc.qItemPrunes += uint64(dropped)
+	sc.qSel = growTo(sc.qSel, len(items))
+	nsel, ran := t.LeafQuantSelect(sc.quant, n, sq, dk, sc.qSel)
+	dropped := len(items) - nsel
+	l.stats.Items += dropped
+	l.stats.Pruned += dropped
+	sc.qItemPrunes += uint64(dropped)
+	if ran {
 		sc.qItemExact += uint64(nsel)
-		l.stats.Items += dropped
-		l.stats.Pruned += dropped
-		for _, i := range sc.qSel[:nsel] {
-			dist := t.LeafDistAt(n, i, sq.Center)
-			if dist-radii[i]-qr > dk {
-				l.stats.Items++
-				l.stats.Pruned++
-				continue
-			}
-			l.offerDist(&items[i], dist)
-			dk = l.distK()
-		}
-		return
 	}
-	sc.pBuf = growTo(sc.pBuf, len(items))
-	t.LeafDists(n, sq.Center, sc.pBuf)
-	for i := range items {
-		dist := sc.pBuf[i]
+	for _, i := range sc.qSel[:nsel] {
+		dist := t.LeafDistAt(n, i, sq.Center)
 		if dist-radii[i]-qr > dk {
 			l.stats.Items++
 			l.stats.Pruned++

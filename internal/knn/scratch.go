@@ -30,17 +30,15 @@ type scratch struct {
 	heap  distHeap[tree.Cursor] // HS frontier
 
 	// Packed (frozen snapshot) traversal state: dense node ids instead of
-	// cursors, plus a staging buffer for the leaf kernel's item distances.
-	// None of these hold references, so pooling them needs no clearing.
+	// cursors. Neither holds references, so pooling them needs no clearing.
 	pStack []int32
 	pDists []float64
-	pBuf   []float64
 
-	// Quantized coarse-filter state (ISSUE 6): the tier this search
-	// consults (stashed once at packed dispatch from the process-wide
-	// QuantMode), the survivor-index buffer the leaf select kernels fill,
-	// and the coarse-prune / exact-fallback tallies flushObs drains. Plain
-	// values, nothing to clear on pool put-back.
+	// Leaf-pass state: the tier this search consults (read once at packed
+	// dispatch from the process-wide QuantMode), the buffer of item
+	// indices the leaf select fills, and the coarse-prune / exact-fallback
+	// tallies flushObs drains. Plain values, nothing to clear on pool
+	// put-back.
 	quant packed.Tier
 	qSel  []int32
 
@@ -93,10 +91,12 @@ func putScratch(sc *scratch) {
 	scratchPool.Put(sc)
 }
 
-// growToI32 is growTo for the survivor-index buffer.
-func growToI32(s []int32, n int) []int32 {
+// growTo extends s to length n, keeping its contents and reusing capacity.
+func growTo[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n, 2*n)
+		ns := make([]T, n, 2*n)
+		copy(ns, s)
+		return ns
 	}
 	return s[:n]
 }

@@ -119,19 +119,6 @@ func (sc *scratch) begin(sq geom.Sphere, k int, crit dominance.Criterion, stats 
 	return l
 }
 
-// stashQuant fixes the quantized tier the packed traversals of this search
-// consult: the process-wide mode, read once so a concurrent SetQuantMode
-// cannot split one traversal across tiers. A degenerate query radius
-// (negative or NaN) takes the exact path outright — the coarse kernels'
-// threshold arithmetic assumes all-non-negative terms (see vec/quant.go),
-// and such a query is never hot.
-func (sc *scratch) stashQuant(sq geom.Sphere) {
-	sc.quant = QuantModeNow().tier()
-	if !(sq.Radius >= 0) {
-		sc.quant = packed.TierNone
-	}
-}
-
 // traverse runs the index traversal shared by Search (finish() filter) and
 // SearchCandidates (raw candidate stream): the packed or the pointer walk,
 // whichever the index wraps, with the best-known list filled in. ok=false
@@ -190,16 +177,6 @@ func (sc *scratch) searchDF(n tree.Cursor, sq geom.Sphere, l *bestList) {
 	clear(sc.stack[base : base+nc]) // drop node refs before the frame pops
 	sc.stack = sc.stack[:base]
 	sc.dists = sc.dists[:base]
-}
-
-// growTo extends s to length n, reusing capacity.
-func growTo(s []float64, n int) []float64 {
-	if cap(s) < n {
-		ns := make([]float64, n, 2*n)
-		copy(ns, s)
-		return ns
-	}
-	return s[:n]
 }
 
 // searchHS pops nodes in globally ascending MinDist order; once the nearest

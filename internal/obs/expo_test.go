@@ -126,8 +126,8 @@ hyperdom_test_expo_hist_seconds_count{kind="b"} 1
 // however many label sets it has, flat and labeled gauges.
 func TestLabeledCountersAndGaugesExposition(t *testing.T) {
 	ResetForTest()
+	defer SetEnabled(On())
 	SetEnabled(true)
-	defer SetEnabled(false)
 	defer ResetForTest()
 
 	GetOrNewLabeled("test.lab.requests_total", `code="200",endpoint="knn"`).Add(3)

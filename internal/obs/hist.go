@@ -213,36 +213,6 @@ func MergedHist(name string) HistSnap {
 	return merged
 }
 
-// Stopwatch measures one latency sample from time.Now deltas. The zero
-// value is a stopped watch: StartTimer returns one when instrumentation is
-// disabled, and Stop on it records nothing, so call sites need no second
-// gate check.
-type Stopwatch struct {
-	t0 time.Time
-}
-
-// StartTimer starts a stopwatch, or returns a stopped one when the obs
-// gate is off (no clock read).
-func StartTimer() Stopwatch {
-	if !On() {
-		return Stopwatch{}
-	}
-	return Stopwatch{t0: time.Now()}
-}
-
-// Stop records the elapsed time into h (if non-nil) and returns it. On a
-// stopped watch it records nothing and returns 0.
-func (sw Stopwatch) Stop(h *Histogram) time.Duration {
-	if sw.t0.IsZero() {
-		return 0
-	}
-	d := time.Since(sw.t0)
-	if h != nil {
-		h.RecordDuration(d)
-	}
-	return d
-}
-
 // ResetForTest zeroes every registered counter and histogram and clears
 // the Slow ring, preserving all registrations — so tests (and
 // measurement harnesses like benchkernel) can assert absolute readings

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestHistBucketScheme pins the log-linear mapping: indexes are monotone,
@@ -185,36 +184,6 @@ func TestHistRegistry(t *testing.T) {
 	}
 	if MergedHist("test.hist.unknown").Quantile(0.5) != 0 {
 		t.Error("MergedHist of unknown name is not empty")
-	}
-}
-
-// TestStopwatch checks the timer helper: a running watch records one
-// sample, a stopped (gate-off) watch records nothing.
-func TestStopwatch(t *testing.T) {
-	defer SetEnabled(true)
-	h := NewHistogram("test.hist.stopwatch", "")
-
-	SetEnabled(true)
-	sw := StartTimer()
-	time.Sleep(time.Millisecond)
-	d := sw.Stop(h)
-	if d < time.Millisecond {
-		t.Errorf("Stop returned %v, want ≥ 1ms", d)
-	}
-	if got := h.Snap().Count; got != 1 {
-		t.Errorf("histogram holds %d samples after Stop, want 1", got)
-	}
-	if q := h.Snap().Quantile(0.5); q < float64(time.Millisecond)*(1-1.0/16)-1 {
-		t.Errorf("recorded latency quantile %.0fns below the slept millisecond", q)
-	}
-
-	SetEnabled(false)
-	sw = StartTimer()
-	if d := sw.Stop(h); d != 0 {
-		t.Errorf("stopped watch Stop returned %v, want 0", d)
-	}
-	if got := h.Snap().Count; got != 1 {
-		t.Errorf("stopped watch recorded a sample: count %d", got)
 	}
 }
 

@@ -68,9 +68,8 @@ func FuzzQuantizedLowerBound(f *testing.F) {
 			qc[j] = next()
 		}
 		// The select kernels' threshold arithmetic assumes a non-negative
-		// query radius and dk — exactly what the traversal guarantees
-		// (quantOn and stashQuant in package knn) — so the query runs with
-		// |radius|.
+		// query radius and dk — LeafQuantSelect replays every item without
+		// them (Tier.prunes) — so the query runs with |radius|.
 		q := geom.Sphere{Center: qc, Radius: math.Abs(next())}
 
 		sb := NewBuilder(KindSphere, dim)

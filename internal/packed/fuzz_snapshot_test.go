@@ -81,12 +81,13 @@ func FuzzSnapshotOpen(f *testing.F) {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if tr.IsLeaf(n) {
-				items := tr.LeafItems(n)
-				dst = append(dst[:0], make([]float64, len(items))...)
-				tr.LeafDists(n, q.Center, dst)
-				sel = append(sel[:0], make([]int32, len(items))...)
-				tr.LeafQuantSelect(TierF32, n, q, 1, sel)
-				tr.LeafQuantSelect(TierI8, n, q, 1, sel)
+				sel = append(sel[:0], make([]int32, len(tr.LeafItems(n)))...)
+				for _, tier := range []Tier{TierNone, TierF32, TierI8} {
+					m, _ := tr.LeafQuantSelect(tier, n, q, 1, sel)
+					for _, i := range sel[:m] {
+						tr.LeafDistAt(n, i, q.Center)
+					}
+				}
 				continue
 			}
 			kids := tr.Children(n)

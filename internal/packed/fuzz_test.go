@@ -12,7 +12,7 @@ import (
 
 // FuzzPackedMinDist locks the bit-exactness contract of the frozen layout:
 // on arbitrary nodes of 2–10 dimensions, the streaming block kernels behind
-// ChildMinDists and LeafDists must reproduce the pointer path's per-entry
+// ChildMinDists and LeafDistAt must reproduce the pointer path's per-entry
 // geom.MinDist / vec.Dist values bit for bit — including non-finite inputs,
 // where "same bits" means the same NaN propagation, so the packed traversal
 // can never diverge from the pointer traversal on any input.
@@ -85,11 +85,11 @@ func FuzzPackedMinDist(f *testing.F) {
 					i, dst[i], math.Float64bits(dst[i]), want, math.Float64bits(want), dim, n)
 			}
 		}
-		st.LeafDists(leafID, qc, dst)
-		for i := range dst {
+		for i := range items {
+			got := st.LeafDistAt(leafID, int32(i), qc)
 			want := vec.Dist(items[i].Sphere.Center, qc)
-			if math.Float64bits(dst[i]) != math.Float64bits(want) {
-				t.Fatalf("leaf dist[%d] = %v, pointer path %v, dim=%d n=%d", i, dst[i], want, dim, n)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("leaf dist[%d] = %v, pointer path %v, dim=%d n=%d", i, got, want, dim, n)
 			}
 		}
 	})

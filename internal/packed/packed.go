@@ -151,16 +151,6 @@ func (t *Tree) ChildMinDists(n int32, q geom.Sphere, dk float64, dst []float64) 
 	return vec.RaiseToBoxBlock(dst, t.cBox[2*int(lo):2*int(hi)], q.Center, q.Radius, dk)
 }
 
-// LeafDists streams one pass over leaf n's packed item centers and writes
-// the center-to-center distance from the query into dst (length
-// len(LeafItems(n))). The traversal derives the item's MaxDist and MinDist
-// from it with one addition each, saving the second sqrt the pointer path
-// historically paid; the distances are bit-identical to vec.Dist.
-func (t *Tree) LeafDists(n int32, q []float64, dst []float64) {
-	lo, hi := t.itemStart[n]*int32(t.dim), t.itemStart[n+1]*int32(t.dim)
-	vec.DistBlock(dst, t.iCenters[lo:hi], q)
-}
-
 // ItemRadii returns the packed radii of leaf n's items, parallel to
 // LeafItems. The slice aliases the snapshot.
 func (t *Tree) ItemRadii(n int32) []float64 {

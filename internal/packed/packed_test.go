@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hyperdom/internal/geom"
+	"hyperdom/internal/vec"
 )
 
 func sph(id int, center []float64, r float64) geom.Item {
@@ -53,7 +54,7 @@ func TestBuilderStructure(t *testing.T) {
 	}
 }
 
-// TestAccessorsMatchScalar checks that ChildMinDists / LeafDists /
+// TestAccessorsMatchScalar checks that ChildMinDists / LeafDistAt /
 // rootMinDist agree bit-for-bit with the scalar geom helpers the pointer
 // traversal uses.
 func TestAccessorsMatchScalar(t *testing.T) {
@@ -79,13 +80,9 @@ func TestAccessorsMatchScalar(t *testing.T) {
 	}
 
 	leaf0 := pt.Children(root)[0]
-	ld := make([]float64, 2)
-	pt.LeafDists(leaf0, q.Center, ld)
 	for i, it := range pt.LeafItems(leaf0) {
-		dx := it.Sphere.Center[0] - q.Center[0]
-		dy := it.Sphere.Center[1] - q.Center[1]
-		if want := math.Sqrt(dx*dx + dy*dy); ld[i] != want {
-			t.Fatalf("LeafDists[%d] = %v, want %v", i, ld[i], want)
+		if got, want := pt.LeafDistAt(leaf0, int32(i), q.Center), vec.Dist(it.Sphere.Center, q.Center); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("LeafDistAt(%d) = %v, want %v", i, got, want)
 		}
 	}
 }

@@ -1,21 +1,21 @@
 package packed
 
 import (
+	"fmt"
 	"math"
 
 	"hyperdom/internal/geom"
 	"hyperdom/internal/vec"
 )
 
-// Quantized coarse-filter tiers (ISSUE 6). Freeze builds, next to the exact
-// float64 blocks, two narrow parallel copies of every leaf item sphere: a
-// float32 tier and an int8 tier with per-leaf scale/offset. A traversal
-// streams the narrow copy of a leaf first (vec.SelectLeafSphereF32/I8) to
-// drop every item whose conservative mindist lower bound already exceeds
-// distk, and touches the exact float64 block only for the survivors — same
-// answers, a fraction of the bytes. Child bounds have no narrow copy: the
-// exact kernel over a node's few children is cheaper than a coarse pass
-// that prunes a fifth of them.
+// Quantized coarse-filter tiers. Freeze builds, next to the exact float64
+// blocks, two narrow parallel copies of every leaf item sphere: a float32
+// tier and an int8 tier with per-leaf scale/offset. A leaf pass streams the
+// narrow copy first (LeafQuantSelect) to drop every item whose conservative
+// mindist lower bound already exceeds distk, and takes exact distances only
+// for the survivors — same answers, a fraction of the bytes. Child bounds
+// have no narrow copy: the exact kernel over a node's few children is
+// cheaper than a coarse pass that prunes a fifth of them.
 //
 // The conservatism is bought at build time, not proven per query: every
 // quantized entry carries a float32 slack that upper-bounds how far its
@@ -30,17 +30,23 @@ import (
 // succeeds and the exact path stays authoritative.
 // FuzzQuantizedLowerBound exercises exactly these edges. See DESIGN.md §12.
 
-// Tier selects which quantized copy a traversal consults.
+// Tier selects which quantized copy a leaf pass consults (knn.QuantMode).
 type Tier uint8
 
 const (
-	// TierNone: no coarse pass — stream the exact float64 blocks directly.
-	TierNone Tier = iota
-	// TierF32: float32 item centers.
-	TierF32
-	// TierI8: int8 item-center codes with per-leaf scale/offset.
-	TierI8
+	TierNone Tier = iota // no coarse pass: every item takes the exact distance
+	TierF32              // float32 item centers
+	TierI8               // int8 item-center codes with per-leaf scale/offset
 )
+
+var tierNames = [...]string{"none", "f32", "i8"}
+
+func (tier Tier) String() string {
+	if int(tier) < len(tierNames) {
+		return tierNames[tier]
+	}
+	return fmt.Sprintf("Tier(%d)", uint8(tier))
+}
 
 // quantTiers holds both narrow copies of the leaf item spheres. Item arrays
 // parallel t.items / t.iCenters; the int8 tier's scale/offset arrays are
@@ -52,15 +58,12 @@ type quantTiers struct {
 	iScale  []float64 // per node
 	iOffset []float64 // per node
 
-	// Pivot pre-filter (the cheap first test of the fused leaf select):
-	// per leaf the mean of its item centers in float64, and per item the
-	// float32 round-up of dist(pivot, c) + rad. One exact distance to the
-	// pivot per visited leaf then settles most items on a single float32
-	// compare via the triangle inequality — see the pivot doc block in
-	// vec/quant.go. Shared by both tiers (the bound is an exact-path
-	// by-product, not quantized geometry). Degenerate coordinates poison
-	// the pivot with NaN, which fails every drop comparison and routes
-	// the whole leaf to the refine stage.
+	// Pivot pre-filter, the first test of the fused leaf select (see the
+	// pivot doc block in vec/quant.go): per leaf the mean of its item
+	// centers in float64, per item the float32 round-up of dist(pivot, c)
+	// + rad. Shared by both tiers: the bound is exact geometry, not
+	// quantized. Degenerate coordinates poison the pivot with NaN, which
+	// fails every drop comparison and sends the whole leaf to the refine.
 	leafPivot  []float64 // nodes*dim
 	iPivotHi32 []float32 // len(items)
 
@@ -105,10 +108,8 @@ func quantSphereF32(cen32, sr []float32, centers, radii []float64, dim int) ([]f
 		}
 		s := math.Sqrt(disp2)
 		if radii[e] < 0 {
-			// A negative radius would put a mixed-sign term into the select
-			// kernels' threshold sum, whose cancellation analysis assumes
-			// all-non-negative terms; infinite slack disables the entry
-			// (never prunes) and leaves the exact path authoritative.
+			// A negative radius would feed a mixed-sign threshold sum (see
+			// prunes); infinite slack disables the entry: it never drops.
 			s = math.Inf(1)
 		}
 		sr = append(sr, f32Up(float64(slackMargin(s))+float64(f32Up(radii[e]))))
@@ -223,10 +224,7 @@ func quantSphereI8(cen8 []int8, sr []float32, centers, radii []float64, dim int)
 			s = math.NaN()
 		}
 		if radii[e] < 0 {
-			// See quantSphereF32: a negative radius entry is disabled
-			// through infinite slack rather than allowed to feed a
-			// mixed-sign threshold sum.
-			s = math.Inf(1)
+			s = math.Inf(1) // as in quantSphereF32
 		}
 		sr = append(sr, f32Up(float64(slackMargin(s))+rScale*float64(code)))
 	}
@@ -280,34 +278,45 @@ func (t *Tree) buildQuant() {
 	}
 }
 
-// LeafQuantSelect writes into sel the indices (within leaf n's item block)
-// of the items whose narrow bound cannot certainly exceed dk, and returns
-// their count; sel needs room for the leaf's full item count. It is fused
-// with the pivot pre-filter: one exact distance to the leaf's pivot, then a
-// single pass in which most items settle on one float32 compare (triangle
-// inequality) and only the unsettled ones pay the per-dimension narrow
-// bound. Both tests are conservative: every dropped entry has exact mindist
-// > dk, and survivors must take the exact per-entry fallback (LeafDistAt).
-func (t *Tree) LeafQuantSelect(tier Tier, n int32, q geom.Sphere, dk float64, sel []int32) int {
+// prunes is the one gate in front of the select kernels: a narrow tier, a
+// finite dk (an unbounded one prunes nothing), and their domain, qr >= 0
+// and dk >= 0 — a negative term (a degenerate query radius, or a dk only
+// degenerate data spheres produce) brings back the mixed-sign cancellation
+// their threshold arithmetic excludes (vec/quant.go). NaN fails it.
+func (tier Tier) prunes(qr, dk float64) bool {
+	return (tier == TierF32 || tier == TierI8) && qr >= 0 && dk >= 0 && !math.IsInf(dk, 1)
+}
+
+// LeafQuantSelect writes into sel, ascending, the indices (within leaf n's
+// item block) the leaf pass must still decide exactly, returns their count,
+// and reports whether the tier ran; sel needs room for the whole leaf. A
+// tier that cannot prune (prunes) names every index. One that can names the
+// items whose narrow bound cannot certainly exceed dk: one exact distance to
+// the leaf's pivot, then one pass in which most items settle on a float32
+// compare (triangle inequality) and the rest pay the per-dimension bound.
+// Every item it drops has exact mindist > dk.
+func (t *Tree) LeafQuantSelect(tier Tier, n int32, q geom.Sphere, dk float64, sel []int32) (m int, ran bool) {
 	is, ie := t.itemStart[n], t.itemStart[n+1]
+	if !tier.prunes(q.Radius, dk) {
+		for i := range sel[:ie-is] {
+			sel[i] = int32(i)
+		}
+		return int(ie - is), false
+	}
 	lo, hi := is*int32(t.dim), ie*int32(t.dim)
 	qt := &t.quant
 	pv := qt.leafPivot[int(n)*t.dim : (int(n)+1)*t.dim]
 	dCent := vec.DistEntry(pv, q.Center)
-	switch tier {
-	case TierF32:
+	if tier == TierF32 {
 		return vec.SelectLeafSphereF32(sel, qt.iPivotHi32[is:ie], qt.iSR32[is:ie], dCent,
-			qt.iCen32[lo:hi], q.Center, q.Radius, dk)
-	case TierI8:
-		return vec.SelectLeafSphereI8(sel, qt.iPivotHi32[is:ie], qt.iSR8[is:ie], dCent,
-			qt.iCen8[lo:hi], qt.iScale[n], qt.iOffset[n], q.Center, q.Radius, dk)
-	default:
-		panic("packed: LeafQuantSelect with TierNone")
+			qt.iCen32[lo:hi], q.Center, q.Radius, dk), true
 	}
+	return vec.SelectLeafSphereI8(sel, qt.iPivotHi32[is:ie], qt.iSR8[is:ie], dCent,
+		qt.iCen8[lo:hi], qt.iScale[n], qt.iOffset[n], q.Center, q.Radius, dk), true
 }
 
 // LeafDistAt computes the exact center distance of leaf n's i-th item —
-// bit-identical to entry i of a LeafDists pass.
+// bit-identical to vec.Dist, the pointer path's.
 func (t *Tree) LeafDistAt(n int32, i int32, q []float64) float64 {
 	e := t.itemStart[n] + i
 	return vec.DistEntry(t.iCenters[e*int32(t.dim):(e+1)*int32(t.dim)], q)

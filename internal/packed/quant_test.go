@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hyperdom/internal/geom"
+	"hyperdom/internal/vec"
 )
 
 // buildQuantLeaf freezes one leaf of n random item spheres and returns the
@@ -28,9 +29,8 @@ func buildQuantLeaf(rng *rand.Rand, dim, n int, spread float64) (*Tree, int32) {
 // evaluates for leaf n: dist − radius − qr, clamped at 0.
 func leafMinDists(t *Tree, n int32, q geom.Sphere) []float64 {
 	exact := make([]float64, len(t.LeafItems(n)))
-	t.LeafDists(n, q.Center, exact)
 	for i, r := range t.ItemRadii(n) {
-		if m := exact[i] - r - q.Radius; m > 0 {
+		if m := t.LeafDistAt(n, int32(i), q.Center) - r - q.Radius; m > 0 {
 			exact[i] = m
 		} else {
 			exact[i] = 0
@@ -43,10 +43,56 @@ func leafMinDists(t *Tree, n int32, q geom.Sphere) []float64 {
 func selectKept(t *Tree, tier Tier, n int32, q geom.Sphere, dk float64) []bool {
 	sel := make([]int32, len(t.LeafItems(n)))
 	kept := make([]bool, len(sel))
-	for _, i := range sel[:t.LeafQuantSelect(tier, n, q, dk, sel)] {
+	m, _ := t.LeafQuantSelect(tier, n, q, dk, sel)
+	for _, i := range sel[:m] {
 		kept[i] = true
 	}
 	return kept
+}
+
+// TestLeafSelectTotal checks that the leaf select is the whole index
+// source of the leaf pass: wherever the tier cannot prune — no tier, an
+// unbounded or negative dk, a negative or NaN query radius — it names
+// every item of the leaf, in ascending order, and says it did not run;
+// wherever it can, it names a strictly ascending subset.
+func TestLeafSelectTotal(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	const n = 9
+	pt, leaf := buildQuantLeaf(rng, 4, n, 1)
+	center := []float64{0.5, -0.25, 1, 0}
+	sel := make([]int32, n)
+	for _, tc := range []struct {
+		tier   Tier
+		qr, dk float64
+		ran    bool
+	}{
+		{TierNone, 0.5, 1, false},
+		{Tier(7), 0.5, 1, false},
+		{TierF32, 0.5, math.Inf(1), false},
+		{TierI8, 0.5, math.Inf(1), false},
+		{TierF32, 0.5, -1, false},
+		{TierI8, 0.5, math.NaN(), false},
+		{TierF32, -0.5, 1, false},
+		{TierI8, math.NaN(), 1, false},
+		{TierF32, 0.5, 0, true},
+		{TierI8, 0.5, 0, true},
+	} {
+		for i := range sel {
+			sel[i] = -1
+		}
+		m, ran := pt.LeafQuantSelect(tc.tier, leaf, geom.Sphere{Center: center, Radius: tc.qr}, tc.dk, sel)
+		if ran != tc.ran {
+			t.Fatalf("tier=%v qr=%v dk=%v: ran = %v, want %v", tc.tier, tc.qr, tc.dk, ran, tc.ran)
+		}
+		if !ran && m != n {
+			t.Fatalf("tier=%v qr=%v dk=%v: %d of %d items replayed", tc.tier, tc.qr, tc.dk, m, n)
+		}
+		for j, i := range sel[:m] {
+			if !ran && i != int32(j) || j > 0 && i <= sel[j-1] || i < 0 || i >= n {
+				t.Fatalf("tier=%v qr=%v dk=%v: indices %v", tc.tier, tc.qr, tc.dk, sel[:m])
+			}
+		}
+	}
 }
 
 // TestQuantBoundsConservative checks, over both tiers, that every item the
@@ -117,8 +163,8 @@ func TestQuantBoundsTight(t *testing.T) {
 	}
 }
 
-// TestQuantEntryAccessors: the per-survivor exact fallback must equal the
-// streaming kernel bit for bit.
+// TestQuantEntryAccessors: the leaf pass's exact distance must equal the
+// pointer path's vec.Dist bit for bit.
 func TestQuantEntryAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	dim, n := 5, 7
@@ -127,11 +173,10 @@ func TestQuantEntryAccessors(t *testing.T) {
 	for j := range qc {
 		qc[j] = rng.NormFloat64() * 10
 	}
-	dst := make([]float64, n)
-	pt.LeafDists(leaf, qc, dst)
-	for i := 0; i < n; i++ {
-		if got := pt.LeafDistAt(leaf, int32(i), qc); math.Float64bits(got) != math.Float64bits(dst[i]) {
-			t.Fatalf("LeafDistAt(%d) = %v, block %v", i, got, dst[i])
+	for i, it := range pt.LeafItems(leaf) {
+		got, want := pt.LeafDistAt(leaf, int32(i), qc), vec.Dist(it.Sphere.Center, qc)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("LeafDistAt(%d) = %v, vec.Dist %v", i, got, want)
 		}
 	}
 }

@@ -175,11 +175,7 @@ func appendKNNResponse(b []byte, k int, res knn.Result, frags *fragCache, explai
 	b = strconv.AppendInt(b, int64(res.Stats.DomChecks), 10)
 	b = append(b, `,"Pruned":`...)
 	b = strconv.AppendInt(b, int64(res.Stats.Pruned), 10)
-	// Resurrected counted interim dominance verdicts the final filter
-	// overturned; no interim verdict is taken any more, so it is always 0 —
-	// the key stays so that clients written against the earlier response
-	// shape keep decoding.
-	b = append(b, `,"Resurrected":0}`...)
+	b = append(b, '}')
 	if explain != nil {
 		ex, err := json.Marshal(explain)
 		if err != nil {

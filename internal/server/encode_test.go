@@ -26,19 +26,14 @@ type knnResponse struct {
 	K       int         `json:"k"`
 	IDs     []int       `json:"ids"`
 	Items   []itemJSON  `json:"items"`
-	Stats   statsJSON   `json:"stats"`
+	Stats   knn.Stats   `json:"stats"`
 	Explain *obs.Forest `json:"explain,omitempty"`
-}
-
-type statsJSON struct {
-	knn.Stats
-	Resurrected int
 }
 
 // referenceEncode is the response path as it was: fill the structs, hand
 // them to json.Encoder.
 func referenceEncode(k int, res knn.Result, explain *obs.Forest) ([]byte, error) {
-	resp := knnResponse{K: k, IDs: make([]int, 0, len(res.Items)), Stats: statsJSON{Stats: res.Stats}, Explain: explain}
+	resp := knnResponse{K: k, IDs: make([]int, 0, len(res.Items)), Stats: res.Stats, Explain: explain}
 	for _, it := range res.Items {
 		resp.IDs = append(resp.IDs, it.ID)
 		resp.Items = append(resp.Items, itemJSON{ID: it.ID, Center: it.Sphere.Center, Radius: it.Sphere.Radius})

@@ -316,7 +316,7 @@ func TestCollectionNameChecked(t *testing.T) {
 // anything by it. k = 2⁴⁰ answers 200 with the whole collection — what any
 // k ≥ n answers — echoes the k that was asked, and allocates what the answer
 // needs, not what k names (a heap sized by k would ask for 16 TiB here).
-// The stats object keeps its shape, Resurrected included.
+// The stats object carries the four Stats counters and nothing else.
 func TestHostileK(t *testing.T) {
 	const d, n = 2, 300
 	_, ts := testServer(t, testCorpus(t, d, n), d)
@@ -343,12 +343,12 @@ func TestHostileK(t *testing.T) {
 	if got.K != 1<<40 || len(got.IDs) != n {
 		t.Fatalf("k = %d with %d ids, want k = %d with all %d", got.K, len(got.IDs), 1<<40, n)
 	}
-	for _, key := range []string{"NodesVisited", "Items", "DomChecks", "Pruned", "Resurrected"} {
+	for _, key := range []string{"NodesVisited", "Items", "DomChecks", "Pruned"} {
 		if _, ok := got.Stats[key]; !ok {
 			t.Fatalf("stats object lost key %q: %v", key, got.Stats)
 		}
 	}
-	if got.Stats["Resurrected"] != 0 {
-		t.Fatalf("Resurrected = %d, want 0", got.Stats["Resurrected"])
+	if len(got.Stats) != 4 {
+		t.Fatalf("stats object has keys beyond the four counters: %v", got.Stats)
 	}
 }

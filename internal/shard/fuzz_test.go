@@ -12,8 +12,8 @@ import (
 // FuzzForestVsBruteForce holds the forest walk to Definition 2 on corpora
 // nobody drew by hand: up to 200 spheres in the plane — radii mixing
 // ordinary values with 0 and 1e±150, centers on a coarse lattice so MaxDist
-// ties are common — cut into 1–5 shards and searched DF and HS. Every answer
-// must be knn.BruteForce's, ids and order.
+// ties are common — cut into 1–5 shards and searched once (a sharded index
+// has one walk). Every answer must be knn.BruteForce's, ids and order.
 func FuzzForestVsBruteForce(f *testing.F) {
 	f.Add(int64(1), uint8(50), uint8(2), uint8(5), uint8(0))
 	f.Add(int64(2), uint8(200), uint8(5), uint8(1), uint8(1))
@@ -40,13 +40,11 @@ func FuzzForestVsBruteForce(f *testing.F) {
 		sq := geom.NewSphere([]float64{rng.Float64() * 12, rng.Float64() * 12}, radius())
 		kk := 1 + int(k)
 		want := knn.BruteForce(items, sq, kk, dominance.Hyperbola{}).Items
-		for _, algo := range []knn.Algorithm{knn.DF, knn.HS} {
-			x, err := Build(items, 2, Options{Shards: 1 + int(shards)%5, MaxFill: 8, Algorithm: algo})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameItems(t, algo.String(), x.Search(sq, kk).Items, want)
-			x.Close()
+		x, err := Build(items, 2, Options{Shards: 1 + int(shards)%5, MaxFill: 8})
+		if err != nil {
+			t.Fatal(err)
 		}
+		sameItems(t, "forest", x.Search(sq, kk).Items, want)
+		x.Close()
 	})
 }

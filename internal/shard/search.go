@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"time"
 
 	"hyperdom/internal/geom"
 	"hyperdom/internal/knn"
@@ -52,14 +53,13 @@ func (x *Index) search(sq geom.Sphere, k int, ex *obs.Forest) knn.Result {
 	if x.closed {
 		panic("shard: search on a closed Index")
 	}
-	on := obs.On()
-	var sw obs.Stopwatch
-	if on {
-		sw = obs.StartTimer()
+	var t0 time.Time
+	if obs.On() {
+		t0 = time.Now()
 	}
 	res, visited := knn.SearchForest(x.trees, sq, k, ex)
-	if on {
-		sw.Stop(x.histSearch)
+	if !t0.IsZero() { // the gate was on when the search began
+		x.histSearch.Record(time.Since(t0).Nanoseconds())
 		if ex != nil {
 			x.histMerge.Record(ex.Merge.LatencyNs)
 		}

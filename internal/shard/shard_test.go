@@ -61,21 +61,21 @@ func sameItems(t *testing.T, ctx string, got, want []geom.Item) {
 }
 
 // TestShardedMatchesSingle locks the acceptance criterion of the sharded
-// index: for every traversal strategy and quantization tier, the sharded
-// result set is bit-identical (same IDs, same order) to a single-index
-// search over the same data.
+// index: for every quantization tier, the sharded result set is
+// bit-identical (same IDs, same order) to a single-index search over the
+// same data, walked by either traversal strategy of the pointer tree.
 func TestShardedMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	const d, n = 3, 900
 	items := randItems(rng, d, n, 3)
 	oracle := singleIndex(items, d)
 	defer knn.SetQuantMode(knn.SetQuantMode(knn.QuantF32)) // restore on exit
-	for _, algo := range []knn.Algorithm{knn.DF, knn.HS} {
-		for _, shards := range []int{2, 3, 5} {
-			x, err := Build(items, d, Options{Shards: shards, MaxFill: 16, Algorithm: algo})
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, shards := range []int{2, 3, 5} {
+		x, err := Build(items, d, Options{Shards: shards, MaxFill: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range []knn.Algorithm{knn.DF, knn.HS} {
 			for _, quant := range []knn.QuantMode{knn.QuantNone, knn.QuantF32, knn.QuantI8} {
 				knn.SetQuantMode(quant)
 				for q := 0; q < 20; q++ {
@@ -90,8 +90,8 @@ func TestShardedMatchesSingle(t *testing.T) {
 					}
 				}
 			}
-			x.Close()
 		}
+		x.Close()
 	}
 }
 
@@ -271,7 +271,7 @@ func TestBuildRejectsBadItems(t *testing.T) {
 }
 
 // TestShardedDifferentialMatrix is the sharded half of the answer lock (see
-// knn.TestDifferentialMatrix): every shard count × traversal × k against
+// knn.TestDifferentialMatrix): every shard count × k against
 // BruteForce under Hyperbola, the criterion a sharded index serves — ids
 // AND order — on a random fixture and on one whose lattice centers and
 // equal radii make MaxDist ties, broken by ID, common across shard
@@ -294,20 +294,18 @@ func TestShardedDifferentialMatrix(t *testing.T) {
 	}
 	for _, fx := range fixtures {
 		for _, shards := range []int{1, 2, 4, 7} {
-			for _, algo := range []knn.Algorithm{knn.DF, knn.HS} {
-				x, err := Build(fx.items, d, Options{Shards: shards, MaxFill: 16, Algorithm: algo})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for qi, sq := range fx.q {
-					for _, k := range []int{1, 10, 100, n + 5} {
-						want := knn.BruteForce(fx.items, sq, k, dominance.Hyperbola{}).Items
-						ctx := fmt.Sprintf("%s/shards=%d/%v q%d k=%d", fx.name, shards, algo, qi, k)
-						sameItems(t, ctx, x.Search(sq, k).Items, want)
-					}
-				}
-				x.Close()
+			x, err := Build(fx.items, d, Options{Shards: shards, MaxFill: 16})
+			if err != nil {
+				t.Fatal(err)
 			}
+			for qi, sq := range fx.q {
+				for _, k := range []int{1, 10, 100, n + 5} {
+					want := knn.BruteForce(fx.items, sq, k, dominance.Hyperbola{}).Items
+					ctx := fmt.Sprintf("%s/shards=%d q%d k=%d", fx.name, shards, qi, k)
+					sameItems(t, ctx, x.Search(sq, k).Items, want)
+				}
+			}
+			x.Close()
 		}
 	}
 }
@@ -341,41 +339,39 @@ func TestForestSkipsFarShards(t *testing.T) {
 	hugeID := 2*n - 1
 	huge[hugeID].Sphere = geom.NewSphere(huge[hugeID].Sphere.Center, far)
 	sq := geom.NewSphere([]float64{0.1, -0.2}, 0.05)
-	for _, algo := range []knn.Algorithm{knn.DF, knn.HS} {
-		for _, shards := range []int{2, 4} {
-			x, err := Build(plain, 2, Options{Shards: shards, Algorithm: algo})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, ex := x.SearchExplain(sq, k)
-			sameItems(t, "separated clusters", res.Items, knn.BruteForce(plain, sq, k, dominance.Hyperbola{}).Items)
-			if got := ex.Visited(); got < 1 || got > shards/2 {
-				t.Errorf("%v, %d shards: visited %d, want only the near cluster's (≤ %d)", algo, shards, got, shards/2)
-			}
-			for i, sp := range ex.Shards {
-				if i >= shards/2 && !sp.Skipped {
-					t.Errorf("%v, %d shards: far shard %d was opened", algo, shards, i)
-				}
-				if sp.Skipped && (sp.Order != -1 || sp.LatencyNs != 0 || sp.NodesVisited != 0 || sp.Candidates != 0) {
-					t.Errorf("%v, %d shards: skipped shard %d reports work: %+v", algo, shards, i, sp)
-				}
-			}
-			x.Close()
-
-			x, err = Build(huge, 2, Options{Shards: shards, Algorithm: algo})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, ex = x.SearchExplain(sq, k)
-			sameItems(t, "huge far sphere", res.Items, knn.BruteForce(huge, sq, k, dominance.Hyperbola{}).Items)
-			if !slices.Contains(res.IDs(), hugeID) {
-				t.Errorf("%v, %d shards: the far sphere that reaches the query is missing from the answer", algo, shards)
-			}
-			if !slices.ContainsFunc(ex.Shards[shards/2:], func(sp obs.ShardSpan) bool { return !sp.Skipped }) {
-				t.Errorf("%v, %d shards: the shard holding the far sphere was skipped", algo, shards)
-			}
-			x.Close()
+	for _, shards := range []int{2, 4} {
+		x, err := Build(plain, 2, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
 		}
+		res, ex := x.SearchExplain(sq, k)
+		sameItems(t, "separated clusters", res.Items, knn.BruteForce(plain, sq, k, dominance.Hyperbola{}).Items)
+		if got := ex.Visited(); got < 1 || got > shards/2 {
+			t.Errorf("%d shards: visited %d, want only the near cluster's (≤ %d)", shards, got, shards/2)
+		}
+		for i, sp := range ex.Shards {
+			if i >= shards/2 && !sp.Skipped {
+				t.Errorf("%d shards: far shard %d was opened", shards, i)
+			}
+			if sp.Skipped && (sp.Order != -1 || sp.LatencyNs != 0 || sp.NodesVisited != 0 || sp.Candidates != 0) {
+				t.Errorf("%d shards: skipped shard %d reports work: %+v", shards, i, sp)
+			}
+		}
+		x.Close()
+
+		x, err = Build(huge, 2, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, ex = x.SearchExplain(sq, k)
+		sameItems(t, "huge far sphere", res.Items, knn.BruteForce(huge, sq, k, dominance.Hyperbola{}).Items)
+		if !slices.Contains(res.IDs(), hugeID) {
+			t.Errorf("%d shards: the far sphere that reaches the query is missing from the answer", shards)
+		}
+		if !slices.ContainsFunc(ex.Shards[shards/2:], func(sp obs.ShardSpan) bool { return !sp.Skipped }) {
+			t.Errorf("%d shards: the shard holding the far sphere was skipped", shards)
+		}
+		x.Close()
 	}
 }
 
@@ -419,20 +415,18 @@ func TestForestOpensHomeShardFirst(t *testing.T) {
 func TestEmptyShardSkipped(t *testing.T) {
 	rng := rand.New(rand.NewSource(98))
 	items := randItems(rng, 2, 3, 1)
-	for _, algo := range []knn.Algorithm{knn.DF, knn.HS} {
-		x, err := Build(items, 2, Options{Shards: 5, Algorithm: algo})
-		if err != nil {
-			t.Fatal(err)
+	x, err := Build(items, 2, Options{Shards: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	sq := randQuery(rng, 2, 1)
+	res, ex := x.SearchExplain(sq, 10)
+	sameItems(t, "k ≥ n", res.Items, knn.BruteForce(items, sq, 10, dominance.Hyperbola{}).Items)
+	for i, sp := range ex.Shards {
+		if sp.Skipped != (sp.Items == 0) {
+			t.Errorf("shard %d holds %d items, skipped=%v", i, sp.Items, sp.Skipped)
 		}
-		sq := randQuery(rng, 2, 1)
-		res, ex := x.SearchExplain(sq, 10)
-		sameItems(t, "k ≥ n", res.Items, knn.BruteForce(items, sq, 10, dominance.Hyperbola{}).Items)
-		for i, sp := range ex.Shards {
-			if sp.Skipped != (sp.Items == 0) {
-				t.Errorf("%v: shard %d holds %d items, skipped=%v", algo, i, sp.Items, sp.Skipped)
-			}
-		}
-		x.Close()
 	}
 }
 

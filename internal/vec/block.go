@@ -60,8 +60,8 @@ func blockLen(name string, dst []float64, blockFloats, d int) int {
 }
 
 // DistBlock writes into dst[i] the Euclidean distance between q and the
-// i-th packed center, for every entry of the block. len(centers) must be
-// len(dst)*len(q). Bit-identical to Dist applied per entry.
+// i-th packed center (len(centers) = len(dst)*len(q)), bit-identical to
+// Dist per entry. No traversal calls it: the benchmark harness times it.
 func DistBlock(dst, centers []float64, q []float64) {
 	n := blockLen("DistBlock", dst, len(centers), len(q))
 	d := len(q)

@@ -108,9 +108,9 @@ func MinDistSphereBlockF32(dst []float64, centers, radii, slack []float32, q []f
 // is non-negative — a mixed-sign sum can cancel catastrophically, leaving
 // thr with absolute error far beyond any relative margin (a tiny slack
 // absorbed into a large ±qr pair vanishes entirely). Callers must pass
-// qr >= 0 and dk >= 0 (the traversal's quantOn and dispatch gates guarantee
-// both), and the freeze-time quantizers disable negative-radius entries by
-// giving them infinite slack.
+// qr >= 0 and dk >= 0 (package packed's one gate in front of these kernels,
+// Tier.prunes, checks both), and the freeze-time quantizers disable
+// negative-radius entries by giving them infinite slack.
 
 // selDrop is the squared-space prune decision shared by the select kernels.
 func selDrop(s, thr2 float64) bool {
