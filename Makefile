@@ -20,9 +20,14 @@ build:
 # so run once more without it — the gate a change must pass before it
 # ships. The allocation gates run five times, so a flake that trips one run
 # in thirty shows; the timing gates run once. staticcheck runs when installed (CI installs it; locally: go
-# install honnef.co/go/tools/cmd/staticcheck@latest).
+# install honnef.co/go/tools/cmd/staticcheck@latest). The two GOARCH lines
+# keep the non-amd64 build of the leaf select honest: arm64 must vet, and
+# the Go fallback must answer the kernel and search tests (386 binaries run
+# on an amd64 host).
 check:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) test -short ./internal/vec ./internal/packed ./internal/knn ./internal/shard
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; fi
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -80,6 +85,7 @@ FUZZ_TARGETS = \
 	internal/packed:FuzzQuantizedLowerBound \
 	internal/packed:FuzzBoxLowerBound \
 	internal/packed:FuzzSnapshotOpen \
+	internal/vec:FuzzSelectKernelsAgree \
 	internal/server:FuzzKNNResponseEncode \
 	internal/server:FuzzKNNRequest \
 	internal/shard:FuzzForestVsBruteForce \

@@ -67,13 +67,25 @@ func (sc *scratch) searchDFPacked(t *packed.Tree, n int32, sq geom.Sphere, l *be
 	sc.dfExpansions += uint64(nc)
 	sc.pStack = append(sc.pStack, kids...)
 	sc.pDists = growTo(sc.pDists, base+nc)
-	sc.boxPrunes += uint64(t.ChildMinDists(n, sq, l.distK(), sc.pDists[base:base+nc]))
-	sortByDist(sc.pStack[base:base+nc], sc.pDists[base:base+nc])
-	for i := 0; i < nc; i++ {
-		if sc.pDists[base+i] > l.distK() {
+	dk := l.distK()
+	sc.boxPrunes += uint64(t.ChildMinDists(n, sq, dk, sc.pDists[base:base+nc]))
+	// Only a child whose key is not beyond distk at entry can be opened:
+	// keep those, in order, and sort only them. The insertion sort every
+	// real fan-out takes is stable, so on finite keys the visit order is
+	// that of sorting every child.
+	end := base
+	for i := base; i < base+nc; i++ {
+		if !(sc.pDists[i] > dk) {
+			sc.pStack[end], sc.pDists[end] = sc.pStack[i], sc.pDists[i]
+			end++
+		}
+	}
+	sortByDist(sc.pStack[base:end], sc.pDists[base:end])
+	for i := base; i < end; i++ {
+		if sc.pDists[i] > l.distK() {
 			break
 		}
-		sc.searchDFPacked(t, sc.pStack[base+i], sq, l)
+		sc.searchDFPacked(t, sc.pStack[i], sq, l)
 	}
 	sc.pStack = sc.pStack[:base]
 	sc.pDists = sc.pDists[:base]

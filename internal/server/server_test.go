@@ -186,8 +186,9 @@ func TestValidationAndRouting(t *testing.T) {
 // that restates a histogram's count (shard queries, snapshot files opened).
 func TestMetricsExposition(t *testing.T) {
 	obs.ResetForTest()
+	prev := obs.On()
 	obs.SetEnabled(true)
-	defer obs.SetEnabled(false)
+	defer obs.SetEnabled(prev)
 	const d, n = 2, 7
 	_, ts := testServer(t, testCorpus(t, d, 300), d)
 	for i := 0; i < n; i++ {
@@ -237,8 +238,9 @@ func TestMetricsExposition(t *testing.T) {
 // (testServer asks for knn.HS): the depth-first child expansions move and
 // no node is ever pushed onto a best-first frontier.
 func TestServedSearchIsDepthFirst(t *testing.T) {
+	prev := obs.On()
 	obs.SetEnabled(true)
-	defer obs.SetEnabled(false)
+	defer obs.SetEnabled(prev)
 	const d, n = 3, 20
 	_, ts := testServer(t, testCorpus(t, d, 2000), d)
 	before := obs.Snapshot()

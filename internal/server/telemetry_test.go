@@ -243,8 +243,9 @@ func TestReadyz(t *testing.T) {
 // line carrying a request_id.
 func TestServerErrorPaths(t *testing.T) {
 	obs.ResetForTest()
+	prev := obs.On()
 	obs.SetEnabled(true)
-	defer obs.SetEnabled(false)
+	defer obs.SetEnabled(prev)
 	defer obs.ResetForTest()
 
 	const d = 2
@@ -311,8 +312,9 @@ func TestServerErrorPaths(t *testing.T) {
 // do not exist register no histogram beyond the one "_unknown" instance.
 func TestUnknownCollectionsShareOneLabel(t *testing.T) {
 	obs.ResetForTest()
+	prev := obs.On()
 	obs.SetEnabled(true)
-	defer obs.SetEnabled(false)
+	defer obs.SetEnabled(prev)
 	defer obs.ResetForTest()
 	s, _, _ := loggedServer(t, 2, 50)
 	h := s.Handler()
@@ -431,8 +433,9 @@ func TestDebugRequestsServed(t *testing.T) {
 // on using.
 func TestInflightSurvivesHandlerPanic(t *testing.T) {
 	obs.ResetForTest()
+	prev := obs.On()
 	obs.SetEnabled(true)
-	defer obs.SetEnabled(false)
+	defer obs.SetEnabled(prev)
 	defer obs.ResetForTest()
 	s, ts, logs := loggedServer(t, 2, 80)
 	s.lookup("default").x.Close()

@@ -31,8 +31,9 @@ func knnQuery(t *testing.T, ts string) {
 // request rates, /debug/health grades them ok against sane thresholds, and
 // /debug/timeline is gone.
 func TestHealthAndTimelineEndpoints(t *testing.T) {
+	prev := obs.On()
 	obs.SetEnabled(true)
-	defer obs.SetEnabled(false)
+	defer obs.SetEnabled(prev)
 	obs.ResetForTest()
 	obs.StartTimeline() // its first tick is now; the test drives the next by hand
 	t.Cleanup(obs.StopTimeline)
@@ -125,8 +126,9 @@ func TestHealthAndTimelineEndpoints(t *testing.T) {
 // health: still 200 with "ready" as the first line (orchestrators and the
 // CI gate grep for it), with the health status and reasons appended.
 func TestReadyzReportsDegraded(t *testing.T) {
+	prev := obs.On()
 	obs.SetEnabled(true)
-	defer obs.SetEnabled(false)
+	defer obs.SetEnabled(prev)
 	obs.ResetForTest()
 	obs.TimelineTick() // health grades a window; this opens one
 	t.Cleanup(obs.StopTimeline)
@@ -174,8 +176,9 @@ func TestReadyzReportsDegraded(t *testing.T) {
 // TestRequestTraceWallClock checks /debug/requests entries carry the
 // RFC3339 when field alongside when_unix_ns, to correlate with access logs.
 func TestRequestTraceWallClock(t *testing.T) {
+	prev := obs.On()
 	obs.SetEnabled(true)
-	defer obs.SetEnabled(false)
+	defer obs.SetEnabled(prev)
 	obs.ResetForTest()
 
 	items := testCorpus(t, 3, 200)
@@ -215,8 +218,9 @@ func TestRequestTraceWallClock(t *testing.T) {
 // TestInflightGauge checks the server.inflight_requests callback gauge
 // reads zero at rest (the bracket decrements on every path).
 func TestInflightGauge(t *testing.T) {
+	prev := obs.On()
 	obs.SetEnabled(true)
-	defer obs.SetEnabled(false)
+	defer obs.SetEnabled(prev)
 	items := testCorpus(t, 3, 100)
 	_, ts := testServer(t, items, 3)
 	for i := 0; i < 5; i++ {

@@ -108,8 +108,9 @@ func TestCursorTraversal(t *testing.T) {
 // to the books: the orphans go back through the internal path, so they count
 // as reinserts only, and Len drops by exactly the deleted item.
 func TestDeleteReinsertsAreNotInserts(t *testing.T) {
+	prev := obs.On()
 	obs.SetEnabled(true)
-	defer obs.SetEnabled(false)
+	defer obs.SetEnabled(prev)
 	const n = 400
 	for si, s := range substrates {
 		t.Run(s.name, func(t *testing.T) {

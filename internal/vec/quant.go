@@ -32,6 +32,22 @@ import "math"
 // narrow and the exact evaluation (true relative error is below 1e-13 for
 // any practical dimensionality; 1e-9 leaves three orders of margin and
 // costs nothing in pruning power).
+//
+// Summation order. The select kernels below may reorder their arithmetic;
+// the exact kernels may not. dist2Seq, the block kernels of block.go and
+// DistEntry add in coordinate order, because the packed and pointer walks
+// must compute the same node keys and distances bit for bit.
+// RaiseToBoxBlock keeps its order too: node keys are built from it. A
+// select only decides which items the exact loop still has to look at, and
+// it carries the lbEps shave. FMA, or summing in four lanes, moves a squared
+// sum of d non-negative terms by at most about d·2⁻⁵³ of itself (about
+// 1e-15 at d = 10), six orders of magnitude inside the shave. The one
+// exception is a sum that ends within that distance of MaxFloat64: there,
+// one order may overflow and another not. Subnormal sums come out the same
+// in every order, with or without FMA: every partial sum is an exact
+// multiple of the smallest subnormal, and no square of a float64 lies
+// exactly halfway between two subnormals.
+// refineF32AVX2 (refine_amd64.s) is the one select that uses this freedom.
 const lbEps = 1e-9
 
 // qclamp maps a raw lower bound to its final form: non-positive, +Inf and
@@ -172,6 +188,9 @@ func DistEntry(center, q []float64) float64 {
 // which keeps the per-item threshold to one load and one add; rounding the
 // precomputed sum up only raises thr, so conservatism is preserved, and
 // both addends are non-negative by the select kernel domain rules above.
+// The float32 tier's pass 2 is refineF32, chosen once per process: the
+// AVX2+FMA kernel of refine_amd64.s where the CPU has it, else
+// refineF32Go.
 
 // SelectLeafSphereF32 is the fused leaf select kernel for the float32
 // tier. Survivor indices go into sel (room for the item count required);
@@ -192,7 +211,15 @@ func SelectLeafSphereF32(sel []int32, pd, sr []float32, dCent float64, centers [
 		}
 		m += keep
 	}
-	dkqr := dk + qr
+	return refineF32(sel[:m], sr, centers, q, dk+qr)
+}
+
+// refineF32Go is pass 2 of SelectLeafSphereF32 in Go: sel holds the pivot
+// survivors, ascending; their refine survivors are compacted into its
+// front and counted. The fallback on CPUs without AVX2 and FMA, and on
+// other architectures (refineF32 picks).
+func refineF32Go(sel []int32, sr, centers []float32, q []float64, dkqr float64) int {
+	m := len(sel)
 	d := len(q)
 	cnt := 0
 	for s2 := 0; s2 < m; s2++ {
