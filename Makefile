@@ -21,9 +21,9 @@ build:
 # ships. The allocation gates run five times, so a flake that trips one run
 # in thirty shows; the timing gates run once. staticcheck runs when installed (CI installs it; locally: go
 # install honnef.co/go/tools/cmd/staticcheck@latest). The two GOARCH lines
-# keep the non-amd64 build of the leaf select honest: arm64 must vet, and
-# the Go fallback must answer the kernel and search tests (386 binaries run
-# on an amd64 host).
+# keep the non-amd64 build of the leaf select and the child keys honest:
+# arm64 must vet, and the Go fallbacks must answer the kernel and search
+# tests (386 binaries run on an amd64 host).
 check:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
@@ -47,13 +47,15 @@ orphans:
 # Non-test Go lines per package — the table simplicity PRs and ROADMAP
 # re-anchors quote (comments and blank lines included: it is `wc -l`) —
 # plus the search kernel's subtotal (knn + packed + vec), the figure
-# ROADMAP states its line-count aims in.
+# ROADMAP states its line-count aims in, and on a row of its own the
+# assembly (*.s) lines, which none of the Go rows counts.
 loc:
 	@for d in . internal/* cmd/* bench; do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 		[ $$n -gt 0 ] && printf '%6d  %s\n' $$n $$d; total=$$((total+n)); \
 		case $$d in internal/knn|internal/packed|internal/vec) kernel=$$((kernel+n));; esac; \
-	done; printf '%6d  internal/knn + internal/packed + internal/vec\n%6d  total\n' $$kernel $$total
+		asm=$$((asm+$$(find $$d -maxdepth 1 -name '*.s' -exec cat {} + | wc -l))); \
+	done; printf '%6d  internal/knn + internal/packed + internal/vec\n%6d  total\n%6d  assembly (*.s), not in the rows above\n' $$kernel $$total $$asm
 
 test:
 	$(GO) test ./...
@@ -86,6 +88,7 @@ FUZZ_TARGETS = \
 	internal/packed:FuzzBoxLowerBound \
 	internal/packed:FuzzSnapshotOpen \
 	internal/vec:FuzzSelectKernelsAgree \
+	internal/vec:FuzzChildKeysKernelsAgree \
 	internal/server:FuzzKNNResponseEncode \
 	internal/server:FuzzKNNRequest \
 	internal/shard:FuzzForestVsBruteForce \

@@ -142,13 +142,15 @@ func (t *Tree) RootOrder(q geom.Sphere) float64 {
 // child: the pointer path's geom.MinDist of the child's sphere, raised —
 // for every child that bound alone would admit under dk, the caller's
 // current k-th distance — to the MinDist of the child's box when that is
-// larger (vec.RaiseToBoxBlock). boxPrunes counts the children the sphere
-// admitted and the box put beyond dk.
+// larger. boxPrunes counts the children the sphere admitted and the box
+// put beyond dk. One call of vec.ChildKeysBlock computes both bounds, on
+// amd64 with AVX2 four children at a time; its keys are those of
+// vec.MinDistSphereBlock then vec.RaiseToBoxBlock bit for bit, so the
+// walk's order and Stats do not depend on the CPU.
 func (t *Tree) ChildMinDists(n int32, q geom.Sphere, dk float64, dst []float64) (boxPrunes int) {
 	cs, ce := t.childStart[n], t.childStart[n+1]
 	lo, hi := cs*int32(t.dim), ce*int32(t.dim)
-	vec.MinDistSphereBlock(dst, t.cCenters[lo:hi], t.cRadii[cs:ce], q.Center, q.Radius)
-	return vec.RaiseToBoxBlock(dst, t.cBox[2*int(lo):2*int(hi)], q.Center, q.Radius, dk)
+	return vec.ChildKeysBlock(dst, t.cCenters[lo:hi], t.cRadii[cs:ce], t.cBox[2*int(lo):2*int(hi)], q.Center, q.Radius, dk)
 }
 
 // ItemRadii returns the packed radii of leaf n's items, parallel to

@@ -19,6 +19,11 @@ import "math"
 // the differential tests in package knn and FuzzPackedMinDist rely on this.
 // RaiseToBoxBlock is the one kernel outside the contract: it computes a
 // second, deliberately conservative bound the pointer path does not have.
+// Its own order is fixed all the same, because node keys are built from it.
+// ChildKeysBlock, the two kernels fused, may vectorise across children —
+// one child per lane — but never within one child's sum, and never with
+// FMA: each lane must round exactly as the scalar loops do, so the keys,
+// the walk's visit order and its Stats do not depend on the CPU.
 
 // dist2Seq returns the squared distance between c and q accumulated in
 // coordinate order, 4-way unrolled. c and q must have equal length (the
@@ -141,4 +146,22 @@ func RaiseToBoxBlock(dst []float64, box []float32, q []float64, qr, dk float64) 
 		}
 	}
 	return rejected
+}
+
+// ChildKeysBlock is MinDistSphereBlock followed by RaiseToBoxBlock on the
+// same dst, bit for bit: the keys a packed walk orders and prunes a node's
+// children by, and the count of children the box put beyond dk. It runs
+// childKeys, chosen once at start: on amd64 with AVX2 the kernel of
+// childkeys_amd64.s, which takes four children per pass, one in each lane,
+// and adds each child's coordinates in the scalar order without FMA;
+// elsewhere the two scalar kernels. Both panic on the same block shapes.
+func ChildKeysBlock(dst, centers, radii []float64, box []float32, q []float64, qr, dk float64) (rejected int) {
+	return childKeys(dst, centers, radii, box, q, qr, dk)
+}
+
+// childKeysGo is ChildKeysBlock as the two scalar kernels, the reference
+// the vector kernel must match.
+func childKeysGo(dst, centers, radii []float64, box []float32, q []float64, qr, dk float64) int {
+	MinDistSphereBlock(dst, centers, radii, q, qr)
+	return RaiseToBoxBlock(dst, box, q, qr, dk)
 }

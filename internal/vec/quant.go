@@ -37,7 +37,10 @@ import "math"
 // the exact kernels may not. dist2Seq, the block kernels of block.go and
 // DistEntry add in coordinate order, because the packed and pointer walks
 // must compute the same node keys and distances bit for bit.
-// RaiseToBoxBlock keeps its order too: node keys are built from it. A
+// RaiseToBoxBlock keeps its order too: node keys are built from it, and a
+// key orders the walk. The node-key kernel (ChildKeysBlock,
+// childkeys_amd64.s) may vectorise across children, one child per lane,
+// but never within one child's sum, and never with FMA. A
 // select only decides which items the exact loop still has to look at, and
 // it carries the lbEps shave. FMA, or summing in four lanes, moves a squared
 // sum of d non-negative terms by at most about d·2⁻⁵³ of itself (about

@@ -84,7 +84,7 @@ func (l refineLeaf) exactMinDist(i int) float64 {
 // Each must return ascending survivors and drop only items the exact path
 // drops (refineLeaf.run); the two may differ only in rounding order, so
 // they are not held to equal survivors here (the recorded traffic of
-// TestSelectKernelsReplay is).
+// TestKernelsReplay is).
 func FuzzSelectKernelsAgree(f *testing.F) {
 	f.Add([]byte{9, 23, 0})
 	f.Add([]byte{32, 5, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
@@ -180,11 +180,15 @@ func TestRefineKernelsAgree(t *testing.T) {
 	}
 }
 
-// TestRefineShaveBits pins the shave refine_amd64.s loads as an immediate:
-// a change to lbEps must change it there too.
+// TestRefineShaveBits pins the shaves the assembly kernels load as
+// constants — 1−2·lbEps in refine_amd64.s and childkeys_amd64.s, 1−lbEps
+// in childkeys_amd64.s: a change to lbEps must change them there too.
 func TestRefineShaveBits(t *testing.T) {
 	if got := math.Float64bits(1 - 2*lbEps); got != 0x3feffffffeed1f41 {
-		t.Fatalf("1-2*lbEps has bits %#x; update refine_amd64.s", got)
+		t.Fatalf("1-2*lbEps has bits %#x; update refine_amd64.s and childkeys_amd64.s", got)
+	}
+	if got := math.Float64bits(1 - lbEps); got != 0x3fefffffff768fa1 {
+		t.Fatalf("1-lbEps has bits %#x; update childkeys_amd64.s", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package vec_test
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -11,13 +12,16 @@ import (
 	"hyperdom/internal/workload"
 )
 
-// TestSelectKernelsReplay serves 300 seed-1 member queries (k = 10) on
-// each of the four benchmark corpora — built as bench/ builds them, seed
-// 1 — and runs every float32 leaf select call the walks make through both
-// pass-2 kernels: their survivor lists must be identical. FMA and lane
-// order move a squared sum by about 1e-15 of itself against the select's
-// 2e-9 shave, so no real call should sit where the two round apart.
-func TestSelectKernelsReplay(t *testing.T) {
+// TestKernelsReplay serves 300 seed-1 member queries (k = 10) on each of
+// the four benchmark corpora — built as bench/ builds them, seed 1 — and
+// runs every call the walks make to the two dispatched kernels, the
+// float32 leaf select's pass 2 and ChildKeysBlock, through the Go kernel
+// and the dispatched one of each. Float32 leaf selects must keep identical
+// survivor lists: FMA and lane order move a squared sum by about 1e-15 of
+// itself against the select's 2e-9 shave, so no real call should sit
+// where the two round apart. ChildKeysBlock calls must write bit-identical
+// keys and reject counts: its kernels round alike by construction.
+func TestKernelsReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds four corpora of up to 100k items")
 	}
@@ -41,31 +45,50 @@ func TestSelectKernelsReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		var (
-			mu           sync.Mutex
-			calls, diffs int
+			mu                   sync.Mutex
+			selects, selectDiffs int
+			keys, keyDiffs       int
 		)
-		restore := vec.SetRefineF32(func(sel []int32, sr, centers []float32, q []float64, dkqr float64) int {
+		restoreSelect := vec.SetRefineF32(func(sel []int32, sr, centers []float32, q []float64, dkqr float64) int {
 			a := slices.Clone(sel)
 			na := vec.RefineF32Go(a, sr, centers, q, dkqr)
 			n := vec.RefineF32(sel, sr, centers, q, dkqr)
 			mu.Lock()
-			calls++
+			selects++
 			if !slices.Equal(a[:na], sel[:n]) {
-				if diffs++; diffs <= 3 {
+				if selectDiffs++; selectDiffs <= 3 {
 					t.Errorf("%s: Go kept %v, dispatched kept %v (dkqr %v)", c.name, a[:na], sel[:n], dkqr)
 				}
 			}
 			mu.Unlock()
 			return n
 		})
+		restoreKeys := vec.SetChildKeys(func(dst, centers, radii []float64, box []float32, q []float64, qr, dk float64) int {
+			a := slices.Clone(dst)
+			ra := vec.ChildKeysGo(a, centers, radii, box, q, qr, dk)
+			r := vec.ChildKeys(dst, centers, radii, box, q, qr, dk)
+			mu.Lock()
+			keys++
+			if ra != r || !slices.EqualFunc(a, dst, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+				if keyDiffs++; keyDiffs <= 3 {
+					t.Errorf("%s: scalar keys %v (%d rejected), dispatched %v (%d) (qr %v, dk %v)", c.name, a, ra, dst, r, qr, dk)
+				}
+			}
+			mu.Unlock()
+			return r
+		})
 		for _, q := range workload.KNNQueries(items, 300, seed+2) {
 			x.Search(q, 10)
 		}
-		restore()
+		restoreSelect()
+		restoreKeys()
 		x.Close()
-		t.Logf("%s: %d select calls, %d differ", c.name, calls, diffs)
-		if calls == 0 {
+		t.Logf("%s: %d select calls, %d differ; %d child-key calls, %d differ", c.name, selects, selectDiffs, keys, keyDiffs)
+		if selects == 0 {
 			t.Errorf("%s: no select call reached the recorder", c.name)
+		}
+		if keys == 0 {
+			t.Errorf("%s: no child-key call reached the recorder", c.name)
 		}
 	}
 }
