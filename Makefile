@@ -100,20 +100,25 @@ fuzz:
 		$(GO) test ./$${t%%:*} -run "^$${t##*:}\$$" -fuzz "^$${t##*:}\$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
 
-# The frozen benchmark harness end to end, twice and quickly: a change that
-# breaks what bench/ drives (names, flags, endpoints, answers) fails here
-# before the pipeline runs it. The two workloads whose -quick runs pass
-# their own sample-size checks; each prints one JSON line. A -quick request
-# is cheap enough that the harness's own "load generator used > 0.60 of a
-# core" abort trips about one run in ten on a 2-core box, so a failed run is
-# tried once more: a broken harness fails twice.
+# The frozen benchmark harness end to end, three times and quickly: a change
+# that breaks what bench/ drives (names, flags, endpoints, answers) fails
+# here before the pipeline runs it. Two -quick runs, on the workloads whose
+# -quick runs pass their own sample-size checks, and one short traced run
+# on thin_d4 — the traced layer pass compares the answers of every tier,
+# the flat scan, the pointer walk and BruteForce, which -quick skips, and
+# -quick cannot be traced (its samples are too few for the trace's p90
+# checks). Each prints one JSON line. A cheap request can trip the
+# harness's own "load generator used > 0.60 of a core" abort (about one
+# -quick run in ten on a 2-core box), so a failed run is tried once more: a
+# broken harness fails twice.
 bench-smoke:
-	@for w in fat_d10 mixed_snap; do \
-		echo "== bench/run.sh -quick -workload $$w"; \
+	@for args in "-quick -workload fat_d10" "-quick -workload mixed_snap" \
+		"-workload thin_d4 -seconds 3 -trace 1"; do \
+		echo "== bench/run.sh $$args"; \
 		for try in 1 2; do \
-			out=$$(bash bench/run.sh -quick -workload $$w 2>&1) && \
+			out=$$(bash bench/run.sh $$args 2>&1) && \
 				echo "$$out" | tail -n 1 | grep -q '"failed":0' && continue 2; \
-			echo "$$out"; echo "bench-smoke: $$w, try $$try: non-zero exit or no \"failed\":0"; \
+			echo "$$out"; echo "bench-smoke: $$args, try $$try: non-zero exit or no \"failed\":0"; \
 		done; exit 1; \
 	done
 

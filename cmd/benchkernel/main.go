@@ -20,9 +20,9 @@
 //   - batch-query throughput through the batch engine at 1/2/4/8
 //     workers, with the scaling ratio relative to one worker;
 //   - a metrics block captured from the obs registry: prune rates,
-//     dominance checks and nodes visited per query, and the pointer HS
-//     walk's heap traffic (counts only: the library searches read no clock,
-//     and the timing rows above are the tool's own).
+//     dominance checks and nodes visited per query (counts only: the
+//     library searches read no clock, and the timing rows above are the
+//     tool's own).
 //
 // Timing benchmarks run with the obs counters disabled so ns/op stays
 // comparable across PRs; the metrics block comes from a separate
@@ -101,10 +101,6 @@ type metricsBlock struct {
 	NodesPerQuery     float64           `json:"nodes_per_query"`
 	ItemsPerQuery     float64           `json:"items_scanned_per_query"`
 	PruneRate         float64           `json:"prune_rate"`
-	// HeapPushesPerQuery is the best-first frontier's traffic, read from
-	// its own window of pointer HS searches over the same queries: the
-	// packed walk has no frontier.
-	HeapPushesPerQuery float64 `json:"heap_pushes_per_query"`
 	// ChecksPerCandidate is criterion calls per candidate the traversal
 	// kept (Search's DomChecks over SearchCandidates' stream, summed over
 	// the fixture's queries): a count, exact for the fixture seed. The
@@ -455,7 +451,7 @@ func buildReport(cfg *config) report {
 	// The metrics pass runs under the process default, the served f32
 	// tier, so the coarse-filter counters (and the derived prune rate)
 	// describe what is served.
-	rep.Metrics = captureMetrics(idx, packedIdx, queries, rep.KnnK, sa, sb, points)
+	rep.Metrics = captureMetrics(packedIdx, queries, rep.KnnK, sa, sb, points)
 	return rep
 }
 
@@ -722,11 +718,9 @@ func maxShards(sb shardScalingBlock) int {
 
 // captureMetrics runs the fixed metrics workload with counters enabled and
 // reduces the registry to the per-query ratios the report carries: the
-// served walk over idx, a packed snapshot, and — in a window of its own,
-// for the heap traffic alone — the pointer HS walk over ptr, the one
-// search with a frontier. The registry is zeroed before each window
-// (obs.ResetForTest) so every reading is absolute for it.
-func captureMetrics(ptr, idx knn.Index, queries []geom.Sphere, k int, sa, sb geom.Sphere, points []geom.Sphere) metricsBlock {
+// served walk over idx, a packed snapshot. The registry is zeroed first
+// (obs.ResetForTest) so every reading is absolute.
+func captureMetrics(idx knn.Index, queries []geom.Sphere, k int, sa, sb geom.Sphere, points []geom.Sphere) metricsBlock {
 	// Before the registry window opens, so these searches stay out of it.
 	var checks, cands int
 	for _, q := range queries {
@@ -778,12 +772,6 @@ func captureMetrics(ptr, idx knn.Index, queries []geom.Sphere, k int, sa, sb geo
 	if total := coarse + diff.Get("packed.quant.item_exact_fallbacks"); total > 0 {
 		m.CoarsePruneRate = float64(coarse) / float64(total)
 	}
-
-	obs.ResetForTest()
-	for _, q := range queries {
-		knn.Search(ptr, q, k, dominance.Hyperbola{}, knn.HS)
-	}
-	m.HeapPushesPerQuery = float64(obs.Snapshot().Get("knn.heap_pushes")) / float64(len(queries))
 	return m
 }
 

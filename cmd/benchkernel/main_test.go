@@ -93,16 +93,14 @@ func TestReportRoundTrip(t *testing.T) {
 		Metrics: metricsBlock{
 			Searches: 64,
 			Counters: map[string]uint64{
-				"knn.searches.packed": 64,
-				"knn.nodes_visited":   4096,
-				"knn.dom_checks":      20000,
+				"knn.nodes_visited": 4096,
+				"knn.dom_checks":    20000,
 			},
 			DomChecksPerQuery:  312.5,
 			ChecksPerCandidate: 0.75,
 			NodesPerQuery:      64,
 			ItemsPerQuery:      500,
 			PruneRate:          0.93,
-			HeapPushesPerQuery: 70,
 		},
 		Throughput: throughputBlock{
 			GoMaxProcs: 2, CoresDetected: 4, Gated: true, BatchQueries: 128, K: 10,
@@ -256,21 +254,26 @@ func TestCaptureMetrics(t *testing.T) {
 	tr, _, queries := knnFixture(1500, 6)
 	idx := knn.WrapPacked(tr.Freeze())
 	sa, sb, points, _ := pairWorkload(rand.New(rand.NewSource(42)), 6, 64)
-	m := captureMetrics(knn.WrapSSTree(tr), idx, queries, 5, sa, sb, points)
+	m := captureMetrics(idx, queries, 5, sa, sb, points)
 
 	if want := 5 * len(queries); m.Searches != want {
 		t.Errorf("Searches = %d, want %d", m.Searches, want)
 	}
-	if got := m.Counters["knn.searches.packed"]; got != uint64(m.Searches) {
-		t.Errorf("counters[knn.searches.packed] = %d, want %d", got, m.Searches)
+	// Every search of the window flushed its work: the five passes over the
+	// queries visit five times the nodes one pass does.
+	var nodes int
+	for _, q := range queries {
+		nodes += knn.Search(idx, q, 5, dominance.Hyperbola{}, knn.DF).Stats.NodesVisited
 	}
-	if m.NodesPerQuery <= 0 || m.DomChecksPerQuery <= 0 || m.HeapPushesPerQuery <= 0 {
+	if want := float64(nodes) / float64(len(queries)); m.NodesPerQuery != want || want == 0 {
+		t.Errorf("NodesPerQuery = %v, one pass over the queries gives %v", m.NodesPerQuery, want)
+	}
+	if m.DomChecksPerQuery <= 0 {
 		t.Errorf("derived ratios missing: %+v", m)
 	}
-	// The heap pushes come from the pointer HS window: the packed walk the
-	// main window ran has no frontier.
-	if got := m.Counters["knn.heap_pushes"]; got != 0 {
-		t.Errorf("counters[knn.heap_pushes] = %d, want 0: the packed walk pushed onto a heap", got)
+	// The packed walk is depth-first.
+	if m.Counters["knn.df_child_expansions"] == 0 {
+		t.Error("counters[knn.df_child_expansions] = 0: the packed walk expanded no children")
 	}
 	// Each scanned item is pruned at most once, each candidate decided at
 	// most once.

@@ -261,7 +261,9 @@ func mountCollection(c config, name string, corpus func() ([]geom.Item, int, err
 	return x, nil
 }
 
-func run(c config) error {
+// run serves c on ln until ctx is done, then drains. main listens on
+// -addr first; run only accepts on ln.
+func run(ctx context.Context, c config, ln net.Listener) error {
 	// A bad collection name fails the start before anything is built or
 	// written.
 	extra, err := parseCollections(c.collections)
@@ -287,21 +289,15 @@ func run(c config) error {
 	srv := server.New(server.WithLogger(slog.New(slog.NewJSONHandler(os.Stderr, nil))))
 	defer srv.Close()
 
-	// Listen before building: liveness (/healthz) answers immediately while
+	// Serve before building: liveness (/healthz) answers immediately while
 	// the corpora load and freeze, and /readyz stays 503 until every
 	// collection is mounted — orchestrators gate traffic on readiness, not
 	// on the process existing.
-	ln, err := net.Listen("tcp", c.addr)
-	if err != nil {
-		return err
-	}
 	httpSrv := &http.Server{
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	log.Printf("hyperdomd listening on %s (not ready)", ln.Addr())
@@ -365,7 +361,13 @@ func main() {
 		}
 		return
 	}
-	if err := run(c); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	ln, err := net.Listen("tcp", c.addr)
+	if err == nil {
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		err = run(ctx, c, ln)
+		stop()
+	}
+	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "hyperdomd:", err)
 		os.Exit(1)
 	}

@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
 	"math"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -74,9 +76,14 @@ func TestBadCollectionNameWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	snaps := filepath.Join(root, "a", "b")
-	c := config{addr: "localhost:0", n: 100, d: 2, seed: 1, shards: 1,
+	c := config{n: 100, d: 2, seed: 1, shards: 1,
 		snapshotDir: snaps, collections: "../../x=" + csv + ",y=" + filepath.Join(root, "missing.csv")}
-	if err := run(c); err == nil {
+	ln, err := net.Listen("tcp", "localhost:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if err := run(context.Background(), c, ln); err == nil {
 		t.Fatal("run accepted the collection name ../../x")
 	}
 	for _, dir := range []string{snaps, filepath.Join(root, "x")} {

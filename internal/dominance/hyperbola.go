@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"hyperdom/internal/geom"
-	"hyperdom/internal/obs"
 	"hyperdom/internal/poly"
 )
 
@@ -180,9 +179,7 @@ func hyperbolaDmin(red reduced) float64 {
 	// underestimate, their own candidate distance. Quartic4 returns every
 	// real root (it isolates them between the quartic's critical points), so
 	// the minimiser is among the candidates by construction (rootsDist).
-	if obs.On() {
-		obsQuarticSolves.Inc()
-	}
+	obsQuarticSolves.Inc()
 	hatA2 := (hA / alpha) * (hA / alpha)
 	hatB2 := b2 / (alpha * alpha)
 	P1 := p1 / alpha

@@ -6,8 +6,8 @@ import "hyperdom/internal/obs"
 // this package sees: how checks were settled. How many checks ran and how
 // many pruned a candidate are the callers' own counts (knn.dom_checks,
 // shard.merge_pruned), so they are not kept twice. The stateless Hyperbola
-// path counts its quartic solves directly (one obs.On() gate load plus an
-// atomic add); the PreparedPair kernel tallies into plain struct-local
+// path counts its quartic solves directly (the gate load and an atomic
+// add); the PreparedPair kernel tallies into plain struct-local
 // fields and flushes them here at amortization points, so the per-check hot
 // path stays free of atomic traffic — see pairTally.
 var (
@@ -42,13 +42,11 @@ type pairTally struct {
 	coarseRejects uint64
 }
 
-// count tallies one event into *n when the obs gate was on at Reset,
-// draining the tally first when it already holds obsFlushEvery events, so
-// the event just counted is always still in the tally when count returns.
+// count tallies one event into *n, draining the tally first when it
+// already holds obsFlushEvery events, so the event just counted is always
+// still in the tally when count returns. The tally runs whatever the obs
+// gate says; the flush is what the gate drops.
 func (p *PreparedPair) count(n *uint64) {
-	if !p.obsOn {
-		return
-	}
 	if p.tally.events >= obsFlushEvery {
 		p.flushObs()
 	}

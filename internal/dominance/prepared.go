@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"hyperdom/internal/geom"
-	"hyperdom/internal/obs"
 	"hyperdom/internal/poly"
 )
 
@@ -54,10 +53,8 @@ type PreparedPair struct {
 	c1     float64 // −2·hatB2·hatB2    (q1 = c1·P2)
 	c0     float64 // hatB2³            (q0 = c0·P2·P2)
 
-	// Observability (see metrics.go). obsOn caches the obs gate at Reset
-	// time so the per-event check is a plain byte load; tally accumulates
-	// events locally and survives Reset.
-	obsOn bool
+	// Observability (see metrics.go): tally accumulates events locally and
+	// survives Reset.
 	tally pairTally
 }
 
@@ -97,7 +94,6 @@ func (p *PreparedPair) frame(d int, dcc2, rab float64) {
 	// ran for this pair), so skipping the zero-fill changes nothing.
 	p.dim = d
 	p.rab = rab
-	p.obsOn = obs.On()
 	if dcc2 <= rab*rab {
 		p.overlap = true
 		p.line = false
@@ -121,10 +117,6 @@ func (p *PreparedPair) frame(d int, dcc2, rab float64) {
 	p.c1 = p.c3 * p.hatB2
 	p.c0 = p.hatB2 * p.hatB2 * p.hatB2
 }
-
-// Overlaps reports whether Sa and Sb overlap, in which case Dominates is
-// constantly false and callers can skip the per-query work entirely.
-func (p *PreparedPair) Overlaps() bool { return p.overlap }
 
 // QuarticSolves returns the pair's locally tallied quartic-solve count
 // since its last obs flush. A caller reading it before and after a check to

@@ -8,6 +8,10 @@ import (
 	"hyperdom/internal/geom"
 )
 
+// Overlaps reports whether Sa and Sb overlap, in which case Dominates is
+// constantly false.
+func (p *PreparedPair) Overlaps() bool { return p.overlap }
+
 // TestPreparedPairMatchesHyperbola is the differential test behind the
 // PreparedPair contract: over random instances of every flavour —
 // overlapping, borderline, degenerate, 1-dimensional — the prepared verdict

@@ -1,6 +1,8 @@
 package dominance
 
 import (
+	"sync"
+
 	"hyperdom/internal/geom"
 	"hyperdom/internal/obs"
 )
@@ -40,44 +42,43 @@ func (s Shadowed) Dominates(sa, sb, sq geom.Sphere) bool {
 // (correct; sound only for d ≤ 2), Trigonometric (sound, not correct).
 var shadowCompetitors = []Criterion{MinMax{}, MBR{}, GP{}, Trigonometric{}}
 
-var (
-	obsShadowChecks = obs.New("dominance.shadow.checks")
-	// Indexed like shadowCompetitors: missed = Hyperbola true, competitor
-	// false; false_positive = competitor true, Hyperbola false.
-	obsShadowMissed   [4]*obs.Counter
-	obsShadowFalsePos [4]*obs.Counter
-)
-
-func init() {
-	for i, c := range shadowCompetitors {
-		obsShadowMissed[i] = obs.New("dominance.shadow.missed_prune." + c.Name())
-		obsShadowFalsePos[i] = obs.New("dominance.shadow.false_positive." + c.Name())
-	}
+// shadowCounters are the audit's counters. They register on the first
+// ShadowCompare, so only a process that runs the audit (knnbench -shadow)
+// has them. missed and falsePos are indexed like shadowCompetitors: missed =
+// Hyperbola true, competitor false; false_positive = competitor true,
+// Hyperbola false.
+type shadowCounters struct {
+	checks           *obs.Counter
+	missed, falsePos [4]*obs.Counter
 }
+
+var shadowObs = sync.OnceValue(func() *shadowCounters {
+	sc := &shadowCounters{checks: obs.New("dominance.shadow.checks")}
+	for i, c := range shadowCompetitors {
+		sc.missed[i] = obs.New("dominance.shadow.missed_prune." + c.Name())
+		sc.falsePos[i] = obs.New("dominance.shadow.false_positive." + c.Name())
+	}
+	return sc
+})
 
 // ShadowCompare evaluates Hyperbola and every competitor on one dominance
 // instance. It returns Hyperbola's verdict and a bitmask of competitors
-// that disagreed (bit i = shadowCompetitors[i]). Disagreement counters
-// move when the obs gate is on.
+// that disagreed (bit i = shadowCompetitors[i]), and counts both in the
+// audit's counters.
 func ShadowCompare(sa, sb, sq geom.Sphere) (bool, uint8) {
+	sc := shadowObs()
 	hyp := Hyperbola{}.Dominates(sa, sb, sq)
-	on := obs.On()
-	if on {
-		obsShadowChecks.Inc()
-	}
+	sc.checks.Inc()
 	var mask uint8
 	for i, c := range shadowCompetitors {
-		v := c.Dominates(sa, sb, sq)
-		if v == hyp {
+		if c.Dominates(sa, sb, sq) == hyp {
 			continue
 		}
 		mask |= 1 << i
-		if on {
-			if hyp {
-				obsShadowMissed[i].Inc()
-			} else {
-				obsShadowFalsePos[i].Inc()
-			}
+		if hyp {
+			sc.missed[i].Inc()
+		} else {
+			sc.falsePos[i].Inc()
 		}
 	}
 	return hyp, mask

@@ -117,8 +117,8 @@ func TestEngineConcurrentBatches(t *testing.T) {
 }
 
 // TestEngineObs: every query, batched or single, goes through knn.Search's
-// per-search accounting — one knn.searches.packed per query over a
-// snapshot — and nothing moves while the gate is off.
+// per-search accounting — knn.nodes_visited moves by the sum of the
+// answers' Stats — and nothing moves while the gate is off.
 func TestEngineObs(t *testing.T) {
 	defer obs.SetEnabled(true)
 	obs.SetEnabled(true)
@@ -135,14 +135,15 @@ func TestEngineObs(t *testing.T) {
 	obs.ResetForTest()
 	e := New(idx, WithWorkers(3))
 	queries := randQueries(rng, d, 37)
-	e.SearchBatch(queries, 4)
-	e.Search(queries[0], 4)
+	results := append(e.SearchBatch(queries, 4), e.Search(queries[0], 4))
 	e.Close()
 
-	snap := obs.Snapshot()
-	wantSearches := uint64(len(queries) + 1)
-	if got := snap.Get("knn.searches.packed"); got != wantSearches {
-		t.Errorf("knn.searches.packed = %d, want %d", got, wantSearches)
+	var nodes uint64
+	for _, r := range results {
+		nodes += uint64(r.Stats.NodesVisited)
+	}
+	if got := obs.Snapshot().Get("knn.nodes_visited"); got != nodes || nodes == 0 {
+		t.Errorf("knn.nodes_visited = %d, the answers' Stats sum to %d", got, nodes)
 	}
 
 	// Nothing moves while the gate is off.

@@ -5,7 +5,6 @@ import (
 
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
-	"hyperdom/internal/obs"
 )
 
 // Candidate is one surviving entry of a kNN traversal: a reference to the
@@ -29,19 +28,7 @@ func candLess(a, b *Candidate) bool {
 	return a.MaxDist < b.MaxDist || (!(a.MaxDist > b.MaxDist) && a.Item.ID < b.Item.ID)
 }
 
-// CompareCandidates orders candidates by ascending (MaxDist, ID): candLess
-// as a three-way comparison.
-func CompareCandidates(a, b Candidate) int {
-	switch {
-	case candLess(&a, &b):
-		return -1
-	case candLess(&b, &a):
-		return 1
-	}
-	return 0
-}
-
-// sortCandidates sorts es ascending by CompareCandidates, in place: a
+// sortCandidates sorts es ascending by (MaxDist, ID), in place: a
 // median-of-three quicksort that finishes short runs by insertion and falls
 // back to heapsort when the recursion budget runs out, so no input is
 // quadratic. Hand-written because slices.SortFunc calls the comparison
@@ -127,8 +114,8 @@ func heapCandidates(es []Candidate) {
 	}
 }
 
-// TopK keeps the k smallest candidates offered so far, by
-// CompareCandidates, as a max-heap: once Full, Kth is the running Sk. The
+// TopK keeps the k smallest candidates offered so far, by ascending
+// (MaxDist, ID), as a max-heap: once Full, Kth is the running Sk. The
 // zero value needs a Reset; storage grows with the candidates actually
 // held, never with k. Slots past the held candidates are always zero, so a
 // pooled TopK retains nothing once Reset.
@@ -217,10 +204,7 @@ func (sc *scratch) searchCandidates(idx Index, sq geom.Sphere, k int, crit domin
 	// Read the coarse-prune tally before flushObs zeroes it.
 	cs.CoarsePrunes = sc.qItemPrunes
 	cs.Candidates = l.collect()
-	if obs.On() {
-		idx.count()
-		sc.flushObs(&cs.Stats)
-	}
+	sc.flushObs(&cs.Stats)
 	return cs
 }
 

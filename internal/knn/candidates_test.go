@@ -9,6 +9,18 @@ import (
 	"hyperdom/internal/geom"
 )
 
+// CompareCandidates orders candidates by ascending (MaxDist, ID): candLess
+// as a three-way comparison, in the form slices.SortFunc takes.
+func CompareCandidates(a, b Candidate) int {
+	switch {
+	case candLess(&a, &b):
+		return -1
+	case candLess(&b, &a):
+		return 1
+	}
+	return 0
+}
+
 // finalFilter applies Definition 2's final filter to a candidate set from
 // the outside: Sk = k-th smallest (MaxDist, ID), keep every
 // candidate Sk does not provably dominate.

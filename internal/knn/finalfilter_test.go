@@ -161,8 +161,9 @@ func (c orMinMax) Dominates(sa, sb, sq geom.Sphere) bool {
 // Case-3 items the pointer walk met early and handed to the final filter,
 // and the tighter bound changes the visiting order (DESIGN.md §11).
 //
-// Each target is the walk it wraps: a pointer target's search moves
-// knn.searches.packed by 0, a packed target's by exactly 1.
+// Each target is the walk it wraps: a packed target walks depth-first
+// whatever the algorithm says, so its search moves knn.df_child_expansions
+// under either; a pointer target's moves it under DF only.
 func TestDifferentialMatrix(t *testing.T) {
 	defer obs.SetEnabled(true)
 	obs.SetEnabled(true)
@@ -215,16 +216,12 @@ func TestDifferentialMatrix(t *testing.T) {
 							for _, tg := range targets {
 								for _, qm := range tg.tiers {
 									SetQuantMode(qm)
-									before := obsSearchPacked.Load()
+									before := obsDFExpansions.Load()
 									got := Search(tg.idx, sq, k, crit, algo).IDs()
 									ctx := fmt.Sprintf("%s/%s/%s/%s/%v/%v q%d k=%d", fx.name, substrate, tg.name, crit.Name(), algo, qm, qi, k)
 									packedWalk := tg.idx.p != nil
-									want := uint64(0)
-									if packedWalk {
-										want = 1
-									}
-									if moved := obsSearchPacked.Load() - before; moved != want {
-										t.Fatalf("%s: knn.searches.packed moved by %d, want %d", ctx, moved, want)
+									if moved, df := obsDFExpansions.Load()-before, packedWalk || algo == DF; (moved > 0) != df {
+										t.Fatalf("%s: knn.df_child_expansions moved by %d, want moved=%v", ctx, moved, df)
 									}
 									if !subsequence(lo, got) || !subsequence(got, hi) {
 										t.Fatalf("%s:\n got %v\nwant between %v\n and %v", ctx, got, lo, hi)

@@ -27,8 +27,8 @@ import (
 // visited is the number of trees opened. ex, when non-nil, asks for the
 // search's explain: it receives the per-tree spans and the filter span —
 // two clock reads per opened tree and one slice, whatever the obs gate says.
-// With the gate on the search adds its work to the knn.* counters but is
-// not itself counted or timed: its caller (shard.Index.Search) records one
+// The search adds its work to the knn.* counters but is not itself counted
+// or timed: its caller (shard.Index.Search) records one
 // shard.search_latency sample. It records nothing into the Slow ring; the
 // HTTP middleware that served it does (DESIGN.md §8, §9).
 func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, ex *obs.Forest) (res Result, visited int) {
@@ -51,9 +51,7 @@ func SearchForest(trees []*packed.Tree, sq geom.Sphere, k int, ex *obs.Forest) (
 		ex.Merge.Results = len(res.Items)
 		ex.Merge.Pruned = ex.Merge.Candidates - ex.Merge.Results
 	}
-	if obs.On() {
-		sc.flushObs(&res.Stats)
-	}
+	sc.flushObs(&res.Stats)
 	return res, visited
 }
 

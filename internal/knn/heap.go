@@ -11,10 +11,6 @@ package knn
 // line per level instead of the two a parallel-slice layout costs.
 type distHeap[N any] struct {
 	es []distEntry[N]
-
-	// Scratch-local observability tallies (plain adds; drained per search
-	// by scratch.flushObs).
-	pushes, pops, grown uint64
 }
 
 type distEntry[N any] struct {
@@ -25,10 +21,6 @@ type distEntry[N any] struct {
 func (h *distHeap[N]) len() int { return len(h.es) }
 
 func (h *distHeap[N]) push(n N, d float64) {
-	h.pushes++
-	if len(h.es) == cap(h.es) {
-		h.grown++
-	}
 	h.es = append(h.es, distEntry[N]{d, n})
 	es := h.es
 	i := len(es) - 1
@@ -46,7 +38,6 @@ func (h *distHeap[N]) push(n N, d float64) {
 // before the slice shrinks: the backing array survives in the scratch pool,
 // and a live tree.Cursor there would retain an entire abandoned index.
 func (h *distHeap[N]) pop() (N, float64) {
-	h.pops++
 	e := h.es[0]
 	last := len(h.es) - 1
 	h.es[0] = h.es[last]

@@ -32,7 +32,6 @@ import (
 
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
-	"hyperdom/internal/obs"
 	"hyperdom/internal/vec"
 )
 
@@ -76,12 +75,7 @@ func BruteForce(items []Item, sq geom.Sphere, k int, crit dominance.Criterion) R
 	}
 	res := Result{K: k}
 	res.Stats.Items = len(items)
-	defer func() {
-		if obs.On() {
-			obsBruteSearches.Inc()
-			flushStats(&res.Stats)
-		}
-	}()
+	defer flushStats(&res.Stats)
 	if len(items) == 0 {
 		return res
 	}

@@ -1,29 +1,23 @@
 package knn
 
-import (
-	"hyperdom/internal/obs"
-	"hyperdom/internal/tree"
-)
+import "hyperdom/internal/obs"
 
 // Traversal-level observability counters (ISSUE 2). The per-query figures
-// (node visits, criterion checks, prunes) keep accumulating in the
-// per-search Stats struct exactly as before; on top of that, every search
-// drains its Stats — plus the traversal internals Stats never carried:
-// heap pushes/pops, heap backing-array growth, depth-first child
-// expansions and the children a box bound pruned — into these process-wide
-// counters, one batch of atomic adds per search. The hot per-node
-// increments are plain field adds on scratch-owned structs.
+// (node visits, criterion checks, prunes) accumulate in the per-search Stats
+// struct; every search drains its Stats — plus the traversal internals Stats
+// never carried: depth-first child expansions and the children a box bound
+// pruned — into these process-wide counters, one batch of atomic adds per
+// search. The hot per-node increments are plain field adds on scratch-owned
+// structs. A search is not itself counted: the served search that runs it
+// is, by shard.search_latency, and no search reads a clock for the registry
+// (DESIGN.md §8).
 var (
-	obsNodesVisited  = obs.New("knn.nodes_visited")
-	obsItemsScanned  = obs.New("knn.items_scanned")
-	obsDomChecks     = obs.New("knn.dom_checks")
-	obsPruned        = obs.New("knn.pruned")
-	obsHeapPushes    = obs.New("knn.heap_pushes")
-	obsHeapPops      = obs.New("knn.heap_pops")
-	obsHeapGrowth    = obs.New("knn.heap_growth")
-	obsDFExpansions  = obs.New("knn.df_child_expansions")
-	obsBruteSearches = obs.New("knn.brute_force_searches")
-	obsBoxPrunes     = obs.New("knn.box_prunes")
+	obsNodesVisited = obs.New("knn.nodes_visited")
+	obsItemsScanned = obs.New("knn.items_scanned")
+	obsDomChecks    = obs.New("knn.dom_checks")
+	obsPruned       = obs.New("knn.pruned")
+	obsDFExpansions = obs.New("knn.df_child_expansions")
+	obsBoxPrunes    = obs.New("knn.box_prunes")
 )
 
 // Quantized coarse-filter counters (ISSUE 6): how often the narrow-tier
@@ -35,32 +29,6 @@ var (
 	obsQuantItemExact  = obs.New("packed.quant.item_exact_fallbacks")
 )
 
-// Single-index search counters: one per substrate, indexed by the
-// tree.Substrate of the index searched (a packed walk is an SS-tree's), and
-// knn.searches.packed for the walks off a frozen snapshot. A forest search
-// moves neither: the served search that runs it is counted once, by
-// shard.search_latency. No search reads a clock for the registry; its
-// callers time it (DESIGN.md §8).
-var (
-	obsSearchSub    [tree.NumSubstrates]*obs.Counter // knn.searches.<substrate>
-	obsSearchPacked = obs.New("knn.searches.packed")
-)
-
-func init() {
-	for s := range tree.Substrate(tree.NumSubstrates) {
-		obsSearchSub[s] = obs.New("knn.searches." + s.String())
-	}
-}
-
-// count attributes one finished single-index search to its substrate and,
-// a snapshot walk, to knn.searches.packed.
-func (idx Index) count() {
-	obsSearchSub[idx.substrate()].Inc()
-	if idx.p != nil {
-		obsSearchPacked.Inc()
-	}
-}
-
 // flushStats adds one query's Stats to the global counters.
 func flushStats(st *Stats) {
 	obsNodesVisited.Add(uint64(st.NodesVisited))
@@ -69,23 +37,12 @@ func flushStats(st *Stats) {
 	obsPruned.Add(uint64(st.Pruned))
 }
 
-// flushObs drains one finished search's work into the global counters and
-// zeroes the scratch-local tallies. Called once per search when the obs
-// gate is on; the scratch tallies still accumulate (cheaply) when it is
-// off, so they are also zeroed here to keep a later snapshot from
-// attributing old work to a new window.
+// flushObs drains one finished search's work into the global counters —
+// which drop it while the obs gate is off — and zeroes the scratch-local
+// tallies. Every finished search calls it.
 func (sc *scratch) flushObs(st *Stats) {
 	flushStats(st)
 
-	if n := sc.heap.pushes; n != 0 {
-		obsHeapPushes.Add(n)
-	}
-	if n := sc.heap.pops; n != 0 {
-		obsHeapPops.Add(n)
-	}
-	if n := sc.heap.grown; n != 0 {
-		obsHeapGrowth.Add(n)
-	}
 	if sc.dfExpansions != 0 {
 		obsDFExpansions.Add(sc.dfExpansions)
 	}
@@ -108,9 +65,8 @@ func (sc *scratch) flushObs(st *Stats) {
 }
 
 // clearObsTallies zeroes the scratch-local counters a flush (or a pool
-// put-back with the gate off) has accounted for.
+// put-back after a search that did not finish) has accounted for.
 func (sc *scratch) clearObsTallies() {
-	sc.heap.pushes, sc.heap.pops, sc.heap.grown = 0, 0, 0
 	sc.dfExpansions = 0
 	sc.qItemPrunes, sc.qItemExact, sc.boxPrunes = 0, 0, 0
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hyperdom/internal/dominance"
@@ -32,6 +33,7 @@ func TestScrapeConcurrent(t *testing.T) {
 		rounds    = 200
 	)
 	var searchWG sync.WaitGroup
+	var nodes atomic.Uint64 // Σ Stats.NodesVisited of the searches
 	for w := 0; w < searchers; w++ {
 		searchWG.Add(1)
 		go func(seed int64) {
@@ -42,7 +44,8 @@ func TestScrapeConcurrent(t *testing.T) {
 				if i%2 == 0 {
 					algo = HS
 				}
-				Search(idx, randQuery(rng, 4, 1), 5+i%7, dominance.Hyperbola{}, algo)
+				res := Search(idx, randQuery(rng, 4, 1), 5+i%7, dominance.Hyperbola{}, algo)
+				nodes.Add(uint64(res.Stats.NodesVisited))
 			}
 		}(int64(w + 1))
 	}
@@ -82,8 +85,8 @@ func TestScrapeConcurrent(t *testing.T) {
 	close(stop)
 	readWG.Wait()
 
-	if got := obs.Lookup("knn.searches.sstree").Load(); got != searchers*rounds {
-		t.Errorf("knn.searches.sstree = %d, want %d", got, searchers*rounds)
+	if got, want := obs.Lookup("knn.nodes_visited").Load(), nodes.Load(); got != want {
+		t.Errorf("knn.nodes_visited = %d, the searches' Stats sum to %d", got, want)
 	}
 	if n := len(obs.Slow.Dump()); n != 0 {
 		t.Errorf("library searches left %d ops in the Slow ring, want 0", n)

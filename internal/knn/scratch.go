@@ -77,10 +77,9 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 // capacity; the best-known list keeps its tail zero and clears by length
 // (bestList.release).
 func putScratch(sc *scratch) {
-	// A search flushes its own tallies when the obs gate is on; this
-	// catches tallies accumulated while it was off (and the final-filter
-	// kernel's remainder) so a pooled scratch never carries stale work
-	// counts into a later measurement window.
+	// A finished search flushes its own tallies; this catches those of one
+	// that did not finish (it panicked), so a pooled scratch never carries
+	// stale work counts into a later measurement window.
 	sc.clearObsTallies()
 	sc.stack = clearCap(sc.stack)
 	sc.dists = sc.dists[:0]

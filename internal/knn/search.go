@@ -6,7 +6,6 @@ import (
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
 	"hyperdom/internal/mtree"
-	"hyperdom/internal/obs"
 	"hyperdom/internal/packed"
 	"hyperdom/internal/rtree"
 	"hyperdom/internal/sstree"
@@ -45,15 +44,6 @@ func (a Algorithm) String() string {
 type Index struct {
 	t *tree.Tree
 	p *packed.Tree
-}
-
-// substrate attributes the index's searches in the telemetry. A bare
-// snapshot is an SS-tree's, the only tree that freezes.
-func (idx Index) substrate() tree.Substrate {
-	if idx.p != nil {
-		return tree.SSTree
-	}
-	return idx.t.Substrate()
 }
 
 // Search answers the kNN query of Definition 2 over an index using the
@@ -100,10 +90,7 @@ func (sc *scratch) search(idx Index, sq geom.Sphere, k int, crit dominance.Crite
 		return res
 	}
 	res.Items = l.finish()
-	if obs.On() {
-		idx.count()
-		sc.flushObs(&res.Stats)
-	}
+	sc.flushObs(&res.Stats)
 	return res
 }
 

@@ -70,10 +70,11 @@ func (h *Histogram) Name() string { return h.name }
 // Labels returns the constant Prometheus label pairs, without braces.
 func (h *Histogram) Labels() string { return h.labels }
 
-// Record adds one sample (nanoseconds). Callers on gated hot paths check
-// On() themselves — Record does not, so batch-level instrumentation that
-// already paid for the gate is not charged twice.
+// Record adds one sample (nanoseconds) when the gate is on.
 func (h *Histogram) Record(v int64) {
+	if !On() {
+		return
+	}
 	i := histIndex(v)
 	h.counts[i].Add(1)
 	if v > 0 {

@@ -13,13 +13,15 @@
 //  2. Counters written from many goroutines must not false-share: each
 //     Counter is padded out to its own cache line.
 //  3. The whole layer must be switchable off (SetEnabled) so timing runs
-//     that want paper-comparable numbers can exclude even the atomic adds;
-//     the gate itself is a single atomic load.
+//     that want paper-comparable numbers can exclude even the atomic adds.
+//     The gate is obs's own: Counter.Inc/Add, Histogram.Record and
+//     SlowRing.Record each drop the event when it is off, at the cost of one
+//     relaxed atomic load, so no caller reads it.
 //
-// The innermost kernels (PreparedPair.Dominates, the traversal heaps) go
-// one step further and tally into plain locals owned by one goroutine,
-// flushing into the registry counters at amortization points (pool
-// put-back, batch end, every 4096th event). See DESIGN.md §8.
+// The innermost kernels (PreparedPair.Dominates, the traversal) go one
+// step further and tally into plain locals owned by one goroutine,
+// flushing into the registry counters at amortization points (search end,
+// every 4096th event). See DESIGN.md §8.
 package obs
 
 import (
@@ -35,38 +37,40 @@ import (
 const cacheLine = 64
 
 // Counter is a monotonically increasing, cache-line-padded atomic counter.
-// All methods are safe for concurrent use and never allocate. Counters are
-// created through New/GetOrNew so they appear in snapshots; the zero value
-// works but is invisible to the registry.
+// All methods are safe for concurrent use and never allocate; Inc and Add do
+// nothing while the gate is off (SetEnabled). Counters are created through
+// New/GetOrNew so they appear in snapshots; the zero value works but is
+// invisible to the registry.
 type Counter struct {
 	v atomic.Uint64
 	_ [cacheLine - 8]byte
 }
 
-// Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
+// Inc adds 1 when the gate is on.
+func (c *Counter) Inc() { c.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+// Add adds n when the gate is on.
+func (c *Counter) Add(n uint64) {
+	if On() {
+		c.v.Add(n)
+	}
+}
 
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// enabled gates every instrumentation site. Stored as int32 for a cheap
+// enabled is the gate every recorder checks. Stored as int32 for a cheap
 // relaxed-ish load on all architectures; 1 = on. On by default.
 var enabled atomic.Int32
 
 func init() { enabled.Store(1) }
 
-// On reports whether instrumentation is enabled. Hot paths check it once
-// per operation (or cache it across a batch) and skip their tallies when
-// off.
+// On reports whether instrumentation is enabled.
 func On() bool { return enabled.Load() != 0 }
 
-// SetEnabled turns instrumentation on or off process-wide. Counters keep
-// their values; disabling only stops new increments at sites that honour
-// the gate. Batched tallies already accumulated in scratch space may still
-// be flushed.
+// SetEnabled turns instrumentation on or off process-wide. Counters and
+// histograms keep their values; while it is off they, and the Slow ring,
+// take no new events — a local tally flushed then is dropped.
 func SetEnabled(on bool) {
 	if on {
 		enabled.Store(1)

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -77,17 +78,48 @@ func TestSnapshotDiff(t *testing.T) {
 	}
 }
 
+// TestEnabledGate: the gate defaults to on, and while it is off every
+// recorder — Counter.Inc and Add, Histogram.Record and RecordDuration,
+// SlowRing.Record of an op slow enough to be admitted — moves nothing and
+// allocates nothing.
 func TestEnabledGate(t *testing.T) {
 	if !On() {
 		t.Fatal("instrumentation must default to enabled")
 	}
+	c := GetOrNew("test.gate.counter")
+	h := GetOrNewHistogram("test.gate.latency", "")
+	var r SlowRing
+	record := func() {
+		c.Inc()
+		c.Add(3)
+		h.Record(12345)
+		h.RecordDuration(time.Millisecond)
+		r.Record(&Op{RequestNs: 1 << 40})
+	}
+
 	SetEnabled(false)
 	if On() {
 		t.Error("On() after SetEnabled(false)")
 	}
+	record()
+	if !raceEnabled {
+		if allocs := testing.AllocsPerRun(100, record); allocs != 0 {
+			t.Errorf("recording with the gate off allocates %.1f times per call, want 0", allocs)
+		}
+	}
+	if got, hs := c.Load(), h.Snap(); got != 0 || hs.Count != 0 || hs.Sum != 0 || len(r.Dump()) != 0 {
+		t.Errorf("gate off: counter %d, histogram %d samples (sum %d), ring %d ops; want all 0",
+			got, hs.Count, hs.Sum, len(r.Dump()))
+	}
+
 	SetEnabled(true)
 	if !On() {
 		t.Error("!On() after SetEnabled(true)")
+	}
+	record()
+	if got, hs := c.Load(), h.Snap(); got != 4 || hs.Count != 2 || len(r.Dump()) != 1 {
+		t.Errorf("gate on: counter %d, histogram %d samples, ring %d ops; want 4, 2, 1",
+			got, hs.Count, len(r.Dump()))
 	}
 }
 

@@ -148,11 +148,11 @@ func (r *SlowRing) fastest() (slot int, rank int64) {
 // Record offers one finished request to the ring. An op no slower than
 // every retained one returns after one atomic load and allocates nothing; a
 // slower one is copied to the heap and replaces the currently fastest, so
-// the caller may keep (or keep on its stack) the Op it passed. Callers gate
-// on On() themselves.
+// the caller may keep (or keep on its stack) the Op it passed. While the
+// gate is off it takes nothing.
 func (r *SlowRing) Record(op *Op) {
 	rank := op.RequestNs
-	if rank <= r.floor.Load() {
+	if !On() || rank <= r.floor.Load() {
 		return
 	}
 	slot, floor := r.fastest()

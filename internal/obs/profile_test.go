@@ -24,9 +24,7 @@ func TestFigure(t *testing.T) {
 		os.Stderr = w
 		pf.Figure(7, func() {
 			runs++
-			if On() {
-				c.Add(3)
-			}
+			c.Add(3)
 		})
 		os.Stderr = saved
 		w.Close()

@@ -97,9 +97,6 @@ func (t *Tree) Root() int32 { return t.root }
 // Len returns the number of items in the snapshot.
 func (t *Tree) Len() int { return len(t.items) }
 
-// NumNodes returns the number of nodes in the snapshot.
-func (t *Tree) NumNodes() int { return len(t.leaf) }
-
 // IsLeaf reports whether node n is a leaf.
 func (t *Tree) IsLeaf(n int32) bool { return t.leaf[n] }
 
@@ -253,10 +250,8 @@ func (b *Builder) finish(root int32) *Tree {
 	}
 	t.buildQuant()
 	t.buildBoxes()
-	if obs.On() {
-		obsFreezes.Inc()
-		obsNodes.Add(uint64(len(t.leaf)))
-		obsItems.Add(uint64(len(t.items)))
-	}
+	obsFreezes.Inc()
+	obsNodes.Add(uint64(len(t.leaf)))
+	obsItems.Add(uint64(len(t.items)))
 	return t
 }

@@ -12,6 +12,9 @@ func sph(id int, center []float64, r float64) geom.Item {
 	return geom.Item{ID: id, Sphere: geom.Sphere{Center: center, Radius: r}}
 }
 
+// NumNodes returns the number of nodes in the snapshot.
+func (t *Tree) NumNodes() int { return len(t.leaf) }
+
 // buildTwoLevel assembles a 2-level sphere tree by hand:
 // root → [leaf0{items a,b}, leaf1{items c}].
 func buildTwoLevel(t *testing.T) *Tree {

@@ -431,9 +431,7 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 			return n, err
 		}
 	}
-	if obs.On() {
-		obsSnapWritten.Inc()
-	}
+	obsSnapWritten.Inc()
 	return n, nil
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hyperdom/internal/geom"
-	"hyperdom/internal/obs"
 )
 
 // parseHeader validates everything that can be validated before touching a
@@ -46,7 +45,7 @@ func parseHeader(data []byte) (h *header, table []secEntry, err error) {
 	crc = crc32.Update(crc, castagnoli, []byte{0, 0, 0, 0})
 	crc = crc32.Update(crc, castagnoli, data[hdrCRCOff+4:hdrLen])
 	if h.CRC != crc {
-		noteChecksumFailure()
+		obsSnapCRCFail.Inc()
 		return nil, nil, fmt.Errorf("%w: header CRC %08x, computed %08x", ErrChecksum, h.CRC, crc)
 	}
 
@@ -124,7 +123,7 @@ func decodeTree(data []byte, zeroCopy, verify bool) (*Tree, error) {
 		b := data[e.Off : e.Off+e.Len]
 		if verify {
 			if got := crc32.Checksum(b, castagnoli); got != e.CRC {
-				noteChecksumFailure()
+				obsSnapCRCFail.Inc()
 				return nil, fmt.Errorf("%w: section %d CRC %08x, computed %08x", ErrChecksum, e.ID, e.CRC, got)
 			}
 		}
@@ -217,12 +216,6 @@ func (t *Tree) validateStructure(h *header) error {
 		}
 	}
 	return nil
-}
-
-func noteChecksumFailure() {
-	if obs.On() {
-		obsSnapCRCFail.Inc()
-	}
 }
 
 // Snapshot is a Tree loaded from a snapshot file together with the
@@ -336,9 +329,6 @@ func OpenBytes(data []byte) (*Tree, error) {
 }
 
 func noteOpen(s *Snapshot, start time.Time) {
-	if !obs.On() {
-		return
-	}
 	if s.Mapped() {
 		obsSnapMapped.Add(uint64(s.size))
 	}

@@ -360,24 +360,19 @@ func (s *Server) wrap(ep endpoint, h func(*reqCtx, *http.Request)) http.HandlerF
 		}
 		lat := time.Since(start)
 
-		on := obs.On()
-		if on {
-			mt := ms.get(ep, c.status)
-			mt.count.Inc()
-			mt.lat.Record(lat.Nanoseconds())
-		}
+		mt := ms.get(ep, c.status)
+		mt.count.Inc()
+		mt.lat.Record(lat.Nanoseconds())
 
 		var shards, visited int
 		if op := c.op; op != nil {
 			shards, visited = len(op.Shards), op.Visited()
-			if on {
-				// This middleware started the outermost clock, so it is the
-				// one layer that records the operation.
-				op.WhenUnixNs, op.RequestNs = start.UnixNano(), lat.Nanoseconds()
-				op.RequestID, op.Collection, op.Endpoint, op.Status = id, c.collection, name, c.status
-				op.ShardsVisited = visited
-				obs.Slow.Record(op)
-			}
+			// This middleware started the outermost clock, so it is the one
+			// layer that records the operation.
+			op.WhenUnixNs, op.RequestNs = start.UnixNano(), lat.Nanoseconds()
+			op.RequestID, op.Collection, op.Endpoint, op.Status = id, c.collection, name, c.status
+			op.ShardsVisited = visited
+			obs.Slow.Record(op)
 		}
 
 		level := slog.LevelInfo

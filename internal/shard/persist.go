@@ -187,15 +187,13 @@ func OpenDir(dir string, opts OpenOptions) (*Index, error) {
 		return fail(fmt.Errorf("shard: open %s: shards hold %d items, manifest says %d", dir, x.n, m.Items))
 	}
 
-	if obs.On() {
-		obsIndexes.Inc()
-		obsShards.Add(uint64(len(x.trees)))
-		// Every snapshot carries both narrow leaf tiers (the header's tier
-		// mask is checked at open); the info gauge makes the running format
-		// visible per collection.
-		obs.SetGauge("snapshot.info",
-			fmt.Sprintf(`collection=%q,version="%d",quant="f32+i8"`,
-				bopts.Label, packed.FormatVersion), 1)
-	}
+	obsIndexes.Inc()
+	obsShards.Add(uint64(len(x.trees)))
+	// Every snapshot carries both narrow leaf tiers (the header's tier mask
+	// is checked at open); the info gauge makes the running format visible
+	// per collection.
+	obs.SetGauge("snapshot.info",
+		fmt.Sprintf(`collection=%q,version="%d",quant="f32+i8"`,
+			bopts.Label, packed.FormatVersion), 1)
 	return x, nil
 }

@@ -25,8 +25,8 @@ type Explain = obs.Op
 // (MaxDist, ID) order — is bit-identical to a single-index knn.Search over
 // the same data, and Stats — the traversal work over the visited shards
 // plus the final filter's DomChecks/Pruned — is the same every time the
-// query is asked. With the obs gate on it is the one layer that times the
-// search: one shard.search_latency sample, whose count is the searches.
+// query is asked. It is the one layer that times the search: one
+// shard.search_latency sample, whose count is the searches.
 func (x *Index) Search(sq geom.Sphere, k int) knn.Result {
 	return x.search(sq, k, nil)
 }
@@ -53,23 +53,18 @@ func (x *Index) search(sq geom.Sphere, k int, ex *obs.Forest) knn.Result {
 	if x.closed {
 		panic("shard: search on a closed Index")
 	}
-	var t0 time.Time
-	if obs.On() {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	res, visited := knn.SearchForest(x.trees, sq, k, ex)
-	if !t0.IsZero() { // the gate was on when the search began
-		x.histSearch.Record(time.Since(t0).Nanoseconds())
-		if ex != nil {
-			x.histMerge.Record(ex.Merge.LatencyNs)
-		}
-		obsVisited.Add(uint64(visited))
-		obsSkipped.Add(uint64(len(x.trees) - visited))
-		// The final filter saw one criterion call per candidate — or, with
-		// fewer than k items in the collection, kept them all unasked.
-		cands := max(res.Stats.DomChecks, len(res.Items))
-		obsMergeCandidates.Add(uint64(cands))
-		obsMergePruned.Add(uint64(cands - len(res.Items)))
+	x.histSearch.Record(time.Since(t0).Nanoseconds())
+	if ex != nil {
+		x.histMerge.Record(ex.Merge.LatencyNs)
 	}
+	obsVisited.Add(uint64(visited))
+	obsSkipped.Add(uint64(len(x.trees) - visited))
+	// The final filter saw one criterion call per candidate — or, with
+	// fewer than k items in the collection, kept them all unasked.
+	cands := max(res.Stats.DomChecks, len(res.Items))
+	obsMergeCandidates.Add(uint64(cands))
+	obsMergePruned.Add(uint64(cands - len(res.Items)))
 	return res
 }

@@ -154,10 +154,8 @@ func Build(items []geom.Item, dim int, opts Options) (*Index, error) {
 		}()
 	}
 	wg.Wait()
-	if obs.On() {
-		obsIndexes.Inc()
-		obsShards.Add(uint64(len(parts)))
-	}
+	obsIndexes.Inc()
+	obsShards.Add(uint64(len(parts)))
 	return x, nil
 }
 

@@ -3,11 +3,8 @@ package sstree
 import (
 	"slices"
 
-	"hyperdom/internal/obs"
 	"hyperdom/internal/tree"
 )
-
-var obsBulkItems = obs.New("sstree.bulkload_items")
 
 // BulkLoad builds the tree from the whole item set at once with tree.Load,
 // the bulk loader shard.Build fills every shard with: each level is cut into
@@ -29,7 +26,4 @@ func (t *Tree) BulkLoad(items []Item) {
 		panic("sstree: BulkLoad into a non-empty tree")
 	}
 	tree.Load(&t.Tree, slices.Clone(items))
-	if obs.On() {
-		obsBulkItems.Add(uint64(len(items)))
-	}
 }

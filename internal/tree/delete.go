@@ -1,9 +1,6 @@
 package tree
 
-import (
-	"hyperdom/internal/obs"
-	"hyperdom/internal/vec"
-)
+import "hyperdom/internal/vec"
 
 // Delete removes one item with the given ID and an equal sphere from the
 // tree and reports whether such an item was found. Underflowing nodes are
@@ -26,14 +23,10 @@ func (t *Tree) Delete(it Item) bool {
 	if t.root.Leaf && len(t.root.Items) == 0 {
 		t.root = nil
 	}
-	// Orphans never left the index as far as Len and the insert counter
-	// are concerned: they go back through place, not Insert.
+	// Orphans never left the index as far as Len is concerned: they go
+	// back through place, not Insert.
 	for _, o := range orphans {
 		t.place(o)
-	}
-	if obs.On() {
-		t.obs.deletes.Inc()
-		t.obs.reinserts.Add(uint64(len(orphans)))
 	}
 	return true
 }

@@ -1,6 +1,6 @@
 // Package tree is the height-balanced tree skeleton the three index
 // substrates share: node and tree types, Insert with its validation, root
-// split and counters, the recursive descent, Delete with
+// split, the recursive descent, Delete with
 // condense-and-reinsert, the bulk loader Load and the balanced Cut it shares
 // with the shard partition, the read-only cursor, RangeSearch, Visit and
 // CheckInvariants. Everything the literature says
@@ -24,7 +24,6 @@ import (
 	"slices"
 
 	"hyperdom/internal/geom"
-	"hyperdom/internal/obs"
 )
 
 // Item is one indexed hypersphere together with its caller-assigned ID.
@@ -72,8 +71,7 @@ func (n *Node) Pick(idxs []int) *Node {
 	return nn
 }
 
-// Substrate names a policy: the prefix of its tree's counters and panic
-// messages, and the label package knn files its searches under.
+// Substrate names a policy: the prefix of its tree's panic messages.
 type Substrate uint8
 
 const (
@@ -83,9 +81,6 @@ const (
 )
 
 var substrateNames = [...]string{SSTree: "sstree", MTree: "mtree", RTree: "rtree"}
-
-// NumSubstrates sizes tables indexed by Substrate.
-const NumSubstrates = len(substrateNames)
 
 func (s Substrate) String() string { return substrateNames[s] }
 
@@ -108,31 +103,12 @@ type Policy interface {
 	Grow(n *Node, it Item)
 }
 
-// Structural observability counters (ISSUE 2): how much maintenance work a
-// substrate performs, one set per substrate under its name. All sites are
-// O(node) operations already, so a gated atomic add is free relative to
-// the work it counts; traversal-time work is counted by package knn.
-type counters struct{ inserts, deletes, splits, reinserts *obs.Counter }
-
-var obsCounters = func() (cs [NumSubstrates]counters) {
-	for s := range Substrate(NumSubstrates) {
-		cs[s] = counters{
-			inserts:   obs.New(s.String() + ".inserts"),
-			deletes:   obs.New(s.String() + ".deletes"),
-			splits:    obs.New(s.String() + ".node_splits"),
-			reinserts: obs.New(s.String() + ".reinserts"),
-		}
-	}
-	return cs
-}()
-
 // Tree is a height-balanced tree over d-dimensional hyperspheres whose
 // heuristics are its policy's. The zero value is not usable; construct with
 // New. A Tree is not safe for concurrent mutation; concurrent read-only use
 // is safe.
 type Tree struct {
 	pol     Policy
-	obs     *counters
 	dim     int
 	minFill int
 	maxFill int
@@ -161,7 +137,7 @@ func New(pol Policy, dim int, opts ...Option) *Tree {
 	if dim <= 0 {
 		panic(fmt.Sprintf("%v: New with dimensionality %d", pol.Substrate(), dim))
 	}
-	t := &Tree{pol: pol, obs: &obsCounters[pol.Substrate()], dim: dim}
+	t := &Tree{pol: pol, dim: dim}
 	WithMaxFill(0)(t)
 	for _, o := range opts {
 		o(t)
@@ -210,14 +186,10 @@ func (t *Tree) Insert(it Item) {
 	}
 	t.place(it)
 	t.size++
-	if obs.On() {
-		t.obs.inserts.Inc()
-	}
 }
 
 // place puts it into the tree, growing the tree by one level on a root
-// split. It counts nothing: Insert and Delete's reinsertion own the size
-// and the counters.
+// split. It leaves the size alone: Insert and Delete's reinsertion own it.
 func (t *Tree) place(it Item) {
 	if t.root == nil {
 		t.root = &Node{Leaf: true}
@@ -243,9 +215,6 @@ func (t *Tree) insert(n *Node, it Item) (*Node, *Node) {
 		}
 	}
 	if len(n.Items)+len(n.Children) > t.maxFill {
-		if obs.On() {
-			t.obs.splits.Inc()
-		}
 		return t.pol.Split(n, t.minFill)
 	}
 	t.pol.Grow(n, it)

@@ -6,7 +6,6 @@ import (
 
 	"hyperdom/internal/geom"
 	"hyperdom/internal/mtree"
-	"hyperdom/internal/obs"
 	"hyperdom/internal/rtree"
 	"hyperdom/internal/sstree"
 	"hyperdom/internal/tree"
@@ -105,45 +104,66 @@ func TestCursorTraversal(t *testing.T) {
 }
 
 // TestDeleteReinsertsAreNotInserts pins what a leaf-dissolving delete does
-// to the books: the orphans go back through the internal path, so they count
-// as reinserts only, and Len drops by exactly the deleted item.
+// to the books: the orphans go back through the internal path, so Len drops
+// by exactly the deleted item and every survivor is still in the tree once.
+// A delete has dissolved a leaf when some survivor sits in another leaf
+// after it: a delete that dissolves nothing moves no item.
 func TestDeleteReinsertsAreNotInserts(t *testing.T) {
-	prev := obs.On()
-	obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
 	const n = 400
 	for si, s := range substrates {
 		t.Run(s.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(91 + si)))
-			before := obs.Snapshot()
-			delta := func(name string) uint64 { return obs.Snapshot()[s.name+"."+name] - before[s.name+"."+name] }
 			tr := s.new(3, tree.WithMaxFill(6))
 			items := make([]tree.Item, n)
 			for i := range items {
 				items[i] = randItem(rng, 3, i)
 				tr.Insert(items[i])
 			}
+			leafOf := func() map[int]tree.Cursor {
+				m := make(map[int]tree.Cursor, n)
+				var walk func(c tree.Cursor)
+				walk = func(c tree.Cursor) {
+					for _, it := range c.Items() {
+						m[it.ID] = c
+					}
+					for _, ch := range c.Children() {
+						walk(ch)
+					}
+				}
+				if root, ok := tr.Root(); ok {
+					walk(root)
+				}
+				return m
+			}
 			// Delete until a leaf dissolves; with min fill 2 of 6 a handful of
 			// deletes is enough.
-			deleted := 0
-			for delta("reinserts") == 0 {
+			deleted, moved := 0, false
+			for !moved {
 				if deleted == n {
 					t.Fatal("emptied the tree without dissolving a leaf")
 				}
+				before := leafOf()
 				if !tr.Delete(items[deleted]) {
 					t.Fatalf("delete of live item %d failed", deleted)
 				}
 				deleted++
-			}
-			if got := delta("inserts"); got != n {
-				t.Errorf("inserts = %d after %d Inserts and %d reinserted orphans, want %d",
-					got, n, delta("reinserts"), n)
-			}
-			if got := delta("deletes"); got != uint64(deleted) {
-				t.Errorf("deletes = %d, want %d", got, deleted)
+				for id, c := range leafOf() {
+					moved = moved || before[id] != c
+				}
 			}
 			if tr.Len() != n-deleted {
 				t.Errorf("Len = %d, want %d", tr.Len(), n-deleted)
+			}
+			seen := make(map[int]int)
+			tr.Visit(func(it tree.Item) bool { seen[it.ID]++; return true })
+			for id := 0; id < n; id++ {
+				want := 1
+				if id < deleted {
+					want = 0
+				}
+				if seen[id] != want {
+					t.Errorf("item %d held %d times, want %d", id, seen[id], want)
+				}
 			}
 			if msg := tr.CheckInvariants(); msg != "" {
 				t.Errorf("invariants: %s", msg)

@@ -41,9 +41,7 @@ func KNNQueries(items []geom.Item, n int, seed int64) []geom.Sphere {
 func KNNBatch(idx knn.Index, queries []geom.Sphere, k, workers int, crit dominance.Criterion, algo knn.Algorithm) []knn.Result {
 	e := engine.New(idx, engine.WithWorkers(workers), engine.WithCriterion(crit), engine.WithAlgorithm(algo))
 	defer e.Close()
-	if obs.On() {
-		obsKNNBatches.Inc()
-		obsKNNQueries.Add(uint64(len(queries)))
-	}
+	obsKNNBatches.Inc()
+	obsKNNQueries.Add(uint64(len(queries)))
 	return e.SearchBatch(queries, k)
 }
