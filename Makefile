@@ -82,7 +82,9 @@ FUZZ_TARGETS = \
 	internal/dominance:FuzzHyperbolaVsExact2D \
 	internal/dominance:FuzzPreparedPairAgree \
 	internal/dominance:FuzzCertificateVsQuartic \
+	internal/dominance:FuzzAnchoredBlockAgree \
 	internal/tree:FuzzTreeOps \
+	internal/knn:FuzzSortCandidates \
 	internal/packed:FuzzPackedMinDist \
 	internal/packed:FuzzQuantizedLowerBound \
 	internal/packed:FuzzBoxLowerBound \

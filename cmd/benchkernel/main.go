@@ -15,8 +15,9 @@
 //     gated ratio);
 //   - the kNN final filter alone at the paper's Table 2 defaults (d = 10,
 //     radius μ = 10): SearchCandidates' output replayed through
-//     dominance.Anchored, as nanoseconds per candidate and the share of
-//     criterion calls that reach the quartic (gated at 0.03);
+//     dominance.Anchored.DominatesBlock, as the served final filter runs
+//     it, as nanoseconds per candidate and the share of criterion calls
+//     that reach the quartic (gated at 0.03);
 //   - batch-query throughput through the batch engine at 1/2/4/8
 //     workers, with the scaling ratio relative to one worker;
 //   - a metrics block captured from the obs registry: prune rates,
@@ -33,7 +34,7 @@
 // Usage:
 //
 //	benchkernel [-o BENCH_knn.json]
-//	benchkernel -gate BENCH_knn.json                        # CI sanity gate (ratioFloors)
+//	benchkernel -o /tmp/bench.json -gate BENCH_knn.json     # CI sanity gate (ratioFloors)
 //	benchkernel -scaling-only -o scaling.json [-gate BENCH_knn.json -require-cores 2]   # scaling tables; CI's gate
 //
 // The search is benchmarked four ways: pointer path (DF and HS), frozen
@@ -143,10 +144,10 @@ type snapshotLoadBlock struct {
 	Speedup            float64 `json:"speedup_vs_rebuild"`
 }
 
-// finalFilterBlock is the kNN final filter in isolation (ISSUE 17): the
+// finalFilterBlock is the kNN final filter in isolation: the
 // candidate sets the traversal keeps on the d = 10, μ = 10 corpus — the
 // shape where finish() is half of a request — replayed through the anchored
-// kernel against their Sk. QuarticShare is quartic solves per criterion
+// kernel's block method against their Sk, as finish() runs it. QuarticShare is quartic solves per criterion
 // call, an exact count for the fixture seed: the accept bounds in
 // PreparedPair.verdict exist to keep it low, and the gate fails above
 // maxQuarticShare.
@@ -254,27 +255,59 @@ func parseFlags(args []string) (*config, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if cfg.ScalingOnly {
-		explicitOut := false
-		fs.Visit(func(f *flag.Flag) { explicitOut = explicitOut || f.Name == "o" })
-		if !explicitOut {
-			err := fmt.Errorf("-scaling-only needs an explicit -o: its scaling-only report would overwrite %s", cfg.Out)
-			fmt.Fprintln(os.Stderr, "benchkernel:", err)
-			return nil, err
-		}
+	explicitOut := false
+	fs.Visit(func(f *flag.Flag) { explicitOut = explicitOut || f.Name == "o" })
+	var err error
+	switch {
+	case cfg.ScalingOnly && !explicitOut:
+		err = fmt.Errorf("-scaling-only needs an explicit -o: its scaling-only report would overwrite %s", cfg.Out)
+	case cfg.Gate != "" && !explicitOut:
+		err = fmt.Errorf("-gate needs an explicit -o: the fresh report would overwrite %s, the default output, before it is gated", cfg.Out)
+	case cfg.Gate != "" && samePath(cfg.Gate, cfg.Out):
+		err = fmt.Errorf("-o %s is the -gate report: the fresh report would overwrite it before it is gated", cfg.Out)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchkernel:", err)
+		return nil, err
 	}
 	return cfg, nil
 }
 
-func main() {
-	cfg, err := parseFlags(os.Args[1:])
+// samePath reports whether a and b name one file: the same cleaned
+// absolute path, or, when both exist, the same file (a link to it).
+func samePath(a, b string) bool {
+	aa, errA := filepath.Abs(a)
+	ab, errB := filepath.Abs(b)
+	if errA == nil && errB == nil && aa == ab {
+		return true
+	}
+	fa, errA := os.Stat(a)
+	fb, errB := os.Stat(b)
+	return errA == nil && errB == nil && os.SameFile(fa, fb)
+}
+
+func main() { os.Exit(runCommand(os.Args[1:])) }
+
+// runCommand is the whole command and returns its exit status: 2 for a command
+// line parseFlags refuses, before anything is measured or written. A
+// -gate report is read first, so a missing one fails fast and the report
+// this run writes can never be the one it is gated against.
+func runCommand(args []string) int {
+	cfg, err := parseFlags(args)
 	if err != nil {
-		os.Exit(2)
+		return 2
+	}
+	var committed report
+	if cfg.Gate != "" {
+		if committed, err = readReport(cfg.Gate); err != nil {
+			fmt.Fprintln(os.Stderr, "benchkernel: gate:", err)
+			return 1
+		}
 	}
 	stop, err := cfg.Profile.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchkernel:", err)
-		os.Exit(1)
+		return 1
 	}
 
 	var rep report
@@ -286,7 +319,7 @@ func main() {
 
 	if err := writeReport(cfg.Out, rep); err != nil {
 		fmt.Fprintln(os.Stderr, "benchkernel:", err)
-		os.Exit(1)
+		return 1
 	}
 	if cfg.ScalingOnly {
 		fmt.Printf("wrote %s (scaling-only: 8-worker scaling %.2fx, shard scaling %.2fx at %d shards; gomaxprocs=%d, cores_detected=%d, gated=%v)\n",
@@ -307,17 +340,13 @@ func main() {
 	stop()
 
 	if cfg.Gate != "" {
-		committed, err := readReport(cfg.Gate)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchkernel: gate:", err)
-			os.Exit(1)
-		}
 		if failures := gateReport(rep, committed, cfg); len(failures) > 0 {
 			fmt.Fprintf(os.Stderr, "benchkernel: gate FAILED:\n  %s\n", strings.Join(failures, "\n  "))
-			os.Exit(1)
+			return 1
 		}
 		fmt.Println("gate passed")
 	}
+	return 0
 }
 
 // buildReport runs all benchmarks and the metrics pass. Timing runs with
@@ -567,13 +596,29 @@ func finalFilterInputs(n, nq, k int) (inputs []filterInput, candidates int) {
 	return inputs, candidates
 }
 
-// replayFinalFilter is finish()'s criterion loop over the recorded inputs.
-func replayFinalFilter(an *dominance.Anchored, inputs []filterInput) {
+// filterReplay is finish()'s filter state, replayed outside a search: the
+// anchored kernel, its block scratch, and one query's gathered candidate
+// spheres and verdicts.
+type filterReplay struct {
+	an      dominance.Anchored
+	blk     dominance.Block
+	spheres []*geom.Sphere
+	dom     []bool
+}
+
+// replay is finish()'s filter over the recorded inputs: per query, the
+// candidates' spheres gathered and decided in one DominatesBlock.
+func (f *filterReplay) replay(inputs []filterInput) {
 	for _, in := range inputs {
-		an.Reset(dominance.Hyperbola{}, in.sk, in.sq)
-		for _, s := range in.cands {
-			sink(an.Dominates(s))
+		f.an.Reset(dominance.Hyperbola{}, in.sk, in.sq)
+		f.spheres = f.spheres[:0]
+		for i := range in.cands {
+			f.spheres = append(f.spheres, &in.cands[i])
 		}
+		if cap(f.dom) < len(in.cands) {
+			f.dom = make([]bool, len(in.cands))
+		}
+		f.an.DominatesBlock(f.spheres, f.dom, &f.blk)
 	}
 }
 
@@ -583,9 +628,9 @@ func quarticShare(inputs []filterInput) float64 {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 	obs.ResetForTest()
-	var an dominance.Anchored
-	replayFinalFilter(&an, inputs)
-	an.FlushObs()
+	var f filterReplay
+	f.replay(inputs)
+	f.an.FlushObs()
 	calls := 0
 	for _, in := range inputs {
 		calls += len(in.cands)
@@ -596,10 +641,10 @@ func quarticShare(inputs []filterInput) float64 {
 // measureFinalFilter times the replay with the counters off, then counts.
 func measureFinalFilter(rep *report) finalFilterBlock {
 	inputs, candidates := finalFilterInputs(10000, 16, rep.KnnK)
-	var an dominance.Anchored
-	row := run("FinalFilter/G10k-d10-mu10/Anchored", rep, func(b *testing.B) {
+	var f filterReplay
+	row := run("FinalFilter/G10k-d10-mu10/Block", rep, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			replayFinalFilter(&an, inputs)
+			f.replay(inputs)
 		}
 	})
 	return finalFilterBlock{

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -70,6 +72,55 @@ func TestParseFlagsBad(t *testing.T) {
 		if _, err := parseFlags(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%v: error %v, want flag provided but not defined", args, err)
 		}
+	}
+}
+
+// TestBareGateKeepsCommittedReport: a -gate run without -o used to write
+// its fresh report over the default output — the committed BENCH_knn.json
+// when run from the repository root — and then gate that file against
+// itself. Such a command line, and any -o naming the -gate report, is now
+// refused with exit 2 before anything is measured or written, so the
+// committed report is left byte for byte.
+func TestBareGateKeepsCommittedReport(t *testing.T) {
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	committed := []byte("{\"dim\": 10, \"knn_allocs_per_search_df\": 2}\n")
+	if err := os.WriteFile("BENCH_knn.json", committed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("BENCH_knn.json", "link.json"); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-gate", "BENCH_knn.json"},
+		{"-gate", filepath.Join(dir, "BENCH_knn.json")},
+		{"-o", "BENCH_knn.json", "-gate", "BENCH_knn.json"},
+		{"-o", "./BENCH_knn.json", "-gate", filepath.Join(dir, "BENCH_knn.json")},
+		{"-o", "link.json", "-gate", "BENCH_knn.json"},
+	} {
+		if _, err := parseFlags(args); err == nil {
+			t.Errorf("%v: accepted", args)
+		}
+		if code := runCommand(args); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if got, err := os.ReadFile("BENCH_knn.json"); err != nil || !bytes.Equal(got, committed) {
+			t.Fatalf("%v: the committed report now reads %q (err %v)", args, got, err)
+		}
+	}
+	// A missing -gate report fails before anything is measured.
+	if code := runCommand([]string{"-o", "fresh.json", "-gate", "missing.json"}); code != 1 {
+		t.Errorf("missing -gate report: exit %d, want 1", code)
+	}
+	if _, err := os.Stat("fresh.json"); !os.IsNotExist(err) {
+		t.Errorf("missing -gate report: fresh.json was written (stat err %v)", err)
 	}
 }
 

@@ -54,6 +54,16 @@ func (p *PreparedPair) count(n *uint64) {
 	*n++
 }
 
+// countN tallies k events into *n at once, for a caller that counted them
+// in a local: the totals a flush publishes are those of k calls of count.
+func (p *PreparedPair) countN(n *uint64, k uint64) {
+	if p.tally.events >= obsFlushEvery {
+		p.flushObs()
+	}
+	p.tally.events += k
+	*n += k
+}
+
 // flushObs drains the local tally into the global counters and zeroes it.
 // Kept out of line so that count, which calls it once per obsFlushEvery
 // events, inlines into the kernel's exits.

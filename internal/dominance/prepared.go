@@ -10,8 +10,9 @@ import (
 // PreparedPair is the pair-amortized form of the Hyperbola criterion: every
 // quantity of the canonical-frame reduction (Section 4.3.1) that depends only
 // on (Sa, Sb) — the overlap verdict, the half focal distance α, rab = ra+rb,
-// the semi-axes A = rab/2 and B² = α² − A², and the α-normalised prefactors
-// of the Eq. (14) quartic — is computed once by PreparePair. Dominates then
+// the semi-axes A = rab/2 and B² = α² − A² — is computed once by
+// PreparePair; the α-normalised prefactors of the Eq. (14) quartic follow
+// from them on the rare check that reaches the quartic. Dominates then
 // needs only the two query-dependent dot products da² = Dist²(cq,ca) and
 // db² = Dist²(cq,cb), the MDD inside test, and (when Sq is fat and cq is
 // inside Ra) the closed-form candidates, the chord and witness certificates
@@ -43,15 +44,10 @@ type PreparedPair struct {
 	twoDcc float64 // 2·Dist(ca,cb), the p1 divisor of reduce
 	hA     float64 // A = rab/2
 
-	// Quartic precomputation (valid when !overlap && rab > 0 && !line).
+	// Hyperbola frame (valid when !overlap && rab > 0 && !line).
 	b2     float64 // B² = (α−A)(α+A)
 	hA2    float64 // A²
 	alpha2 float64 // α²
-	hatA2  float64 // (A/α)²
-	hatB2  float64 // B²/α²
-	c3     float64 // −2·hatB2          (q3 = c3·P2)
-	c1     float64 // −2·hatB2·hatB2    (q1 = c1·P2)
-	c0     float64 // hatB2³            (q0 = c0·P2·P2)
 
 	// Observability (see metrics.go): tally accumulates events locally and
 	// survives Reset.
@@ -84,13 +80,13 @@ func (p *PreparedPair) Reset(sa, sb geom.Sphere) {
 }
 
 // frame is the scalar part of Reset: everything the pair contributes once
-// dcc² = Dist²(ca,cb) and rab are known. Anchored.Dominates shares it.
+// dcc² = Dist²(ca,cb) and rab are known. Anchored shares it.
 func (p *PreparedPair) frame(d int, dcc2, rab float64) {
 	// Field-by-field reinitialisation: a `*p = PreparedPair{...}` literal
 	// zero-fills and copies the whole struct (runtime.duffcopy) on every
 	// Reset, once per candidate of the kNN final filter. Every field below
 	// is either assigned on this path or only read on branches that
-	// assigned it first (the quartic block is read only when frame's tail
+	// assigned it first (the hyperbola block is read only when frame's tail
 	// ran for this pair), so skipping the zero-fill changes nothing.
 	p.dim = d
 	p.rab = rab
@@ -111,11 +107,6 @@ func (p *PreparedPair) frame(d int, dcc2, rab float64) {
 	p.b2 = (p.alpha - p.hA) * (p.alpha + p.hA)
 	p.hA2 = p.hA * p.hA
 	p.alpha2 = p.alpha * p.alpha
-	p.hatA2 = (p.hA / p.alpha) * (p.hA / p.alpha)
-	p.hatB2 = p.b2 / (p.alpha * p.alpha)
-	p.c3 = -2 * p.hatB2
-	p.c1 = p.c3 * p.hatB2
-	p.c0 = p.hatB2 * p.hatB2 * p.hatB2
 }
 
 // QuarticSolves returns the pair's locally tallied quartic-solve count
@@ -167,38 +158,52 @@ func (p *PreparedPair) verdict(da2, db2, r float64) bool {
 	if r == 0 { // cq strictly inside Ra and Sq = {cq}
 		return true
 	}
-	// Local-Lipschitz accept (ISSUE 17; derivation in DESIGN.md §7). The
-	// boundary of Ra is the level set f = rab of f(X) = |X−cb| − |X−ca|,
-	// which the triangle inequality through each focus makes 2-Lipschitz;
-	// at cq the local constant is L = |v̂b − v̂a|, the unit vectors from ca
-	// and cb to cq, with L² = (dcc² − (db−da)²)/(da·db) by the law of
-	// cosines. Projecting X−cb on v̂b, and bounding |X−ca| by
-	// √(a²+b²) ≤ a + b²/2a for da > r,
-	//
-	//	min over Sq of f ≥ (db−da) − r·L − r²/(2(da−r)),
-	//
-	// and when that exceeds rab every point of Sq is strictly inside Ra
-	// (Lemma 7). The full path decides the same question for a planar point
-	// whose focal distances are da, db, dcc to a few ulp, and its dmin, a
-	// minimum over on-curve points, can only sit above the true one. The
-	// rounding of the square roots is relative to the focal distances, not
-	// to their difference, so every margin scales with db+da; each 1e-12
-	// below (three orders over that ~1e-15 noise) leans towards
-	// "undecided": g is capped at dcc (the triangle inequality, which
-	// rounding can break by an ulp), L² is padded where dcc² − g² cancels,
-	// da is shaved where da − r does, and f being 2-Lipschitz the last
-	// margin leaves dmin ≥ r + 1e-12·(db+da). Dimension-free, so valid on
-	// the line and for rab = 0; NaN or Inf operands compare false.
-	if h := da - r - 1e-12*da; h > 0 {
-		dcc := 0.5 * p.twoDcc
-		g := min(db-da, dcc)
-		sum := db + da
-		l2 := ((dcc-g)*(dcc+g) + 1e-12*dcc*sum) / (da * db)
-		if g-p.rab-r*math.Sqrt(l2)-r*r/(2*h) > 2e-12*sum {
-			p.count(&p.tally.coarseAccepts)
-			return true
-		}
+	// Local-Lipschitz accept (lipschitzAccept).
+	if h := da - r - 1e-12*da; h > 0 && lipschitzAccept(da, db, p.twoDcc, p.rab, r, r*r/(2*h)) {
+		p.count(&p.tally.coarseAccepts)
+		return true
 	}
+	return p.settle(da2, db2, r)
+}
+
+// lipschitzAccept is stage 4, the local-Lipschitz accept (the
+// derivation in DESIGN.md §7), for a pair at 2·Dist(ca,cb) = twoDcc with
+// rab = ra+rb, a query of radius r at focal distances da, db, and
+// curv = r²/(2h), h = da − r − 1e-12·da > 0, the curvature term, which
+// depends on the query and Sa alone. verdict and Anchored.DominatesBlock
+// share it, so both decide with the same float64s. The boundary of Ra is the level
+// set f = rab of f(X) = |X−cb| − |X−ca|, which the triangle inequality
+// through each focus makes 2-Lipschitz; at cq the local constant is
+// L = |v̂b − v̂a|, the unit vectors from ca and cb to cq, with
+// L² = (dcc² − (db−da)²)/(da·db) by the law of cosines. Projecting X−cb on
+// v̂b, and bounding |X−ca| by √(a²+b²) ≤ a + b²/2a for da > r,
+//
+//	min over Sq of f ≥ (db−da) − r·L − r²/(2(da−r)),
+//
+// and when that exceeds rab every point of Sq is strictly inside Ra
+// (Lemma 7). The full path decides the same question for a planar point
+// whose focal distances are da, db, dcc to a few ulp, and its dmin, a
+// minimum over on-curve points, can only sit above the true one. The
+// rounding of the square roots is relative to the focal distances, not
+// to their difference, so every margin scales with db+da; each 1e-12
+// (three orders over that ~1e-15 noise) leans towards "undecided": g is
+// capped at dcc (the triangle inequality, which rounding can break by an
+// ulp), L² is padded where dcc² − g² cancels, da is shaved (in h) where
+// da − r does, and f being 2-Lipschitz the last margin leaves
+// dmin ≥ r + 1e-12·(db+da). Dimension-free, so valid on the line and for
+// rab = 0; NaN or Inf operands compare false.
+func lipschitzAccept(da, db, twoDcc, rab, r, curv float64) bool {
+	dcc := 0.5 * twoDcc
+	g := min(db-da, dcc)
+	sum := db + da
+	l2 := ((dcc-g)*(dcc+g) + 1e-12*dcc*sum) / (da * db)
+	return g-rab-r*math.Sqrt(l2)-curv > 2e-12*sum
+}
+
+// settle is verdict past its O(1) exits (stages 5–9 of DESIGN.md §7): the
+// pair is framed, cq lies strictly inside Ra and Sq is fat. It decides
+// from the canonical coordinates of cq.
+func (p *PreparedPair) settle(da2, db2, r float64) bool {
 	// Canonical coordinates of cq, exactly as reduce computes them.
 	p1 := (da2 - db2) / p.twoDcc
 	p22 := da2 - (p1+p.alpha)*(p1+p.alpha)
@@ -275,12 +280,20 @@ func (p *PreparedPair) dminBeats(p1, p2, r float64) bool {
 	}
 
 	p.count(&p.tally.quartics)
+	// The α-normalised prefactors of Eq. (14), formed here rather than in
+	// frame: about one check in 1,500 gets this far, and their three
+	// divisions would otherwise be paid by every framed one.
+	hatA2 := (hA / p.alpha) * (hA / p.alpha)
+	hatB2 := b2 / (p.alpha * p.alpha)
+	c3 := -2 * hatB2
+	c1 := c3 * hatB2
+	c0 := hatB2 * hatB2 * hatB2
 	P1 := p1 / p.alpha
 	P2 := p2 / p.alpha
-	q3 := p.c3 * P2
-	q2 := p.hatB2 * (1 + p.hatB2*P2*P2 - p.hatA2*P1*P1)
-	q1 := p.c1 * P2
-	q0 := p.c0 * P2 * P2
+	q3 := c3 * P2
+	q2 := hatB2 * (1 + hatB2*P2*P2 - hatA2*P1*P1)
+	q1 := c1 * P2
+	q0 := c0 * P2 * P2
 
 	roots, n := poly.Quartic4(1.0, q3, q2, q1, q0)
 	return min(dmin, rootsDist(hA, b2, p.alpha, p1, p2, roots[:n])) > r

@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"hyperdom/internal/dataset"
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
 	"hyperdom/internal/mtree"
+	"hyperdom/internal/packed"
 	"hyperdom/internal/rtree"
 	"hyperdom/internal/sstree"
 )
@@ -193,4 +195,32 @@ func BenchmarkSearchPacked(b *testing.B) {
 			Search(idx, queries[i%len(queries)], 10, dominance.Hyperbola{}, DF)
 		}
 	})
+}
+
+// TestFatSearchAllocs holds a served search whose final filter is large —
+// a fat_d10-shaped corpus (d = 10, radii μ = 10), where hundreds of
+// candidates go through the block filter and the survivors through the
+// radix sort — to the same 2 allocations as a thin one: the filter's and
+// the sort's scratch are pooled with the list.
+func TestFatSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
+	}
+	const n, d = 2000, 10
+	items := dataset.Spheres(dataset.SyntheticCenters(n, d, dataset.Gaussian, 31), dataset.GaussianRadii(10), 32)
+	forest := []*packed.Tree{ssTree(items, d).Freeze()}
+	q := 0
+	search := func() Result {
+		res, _ := SearchForest(forest, items[(q*37)%n].Sphere, 10, nil)
+		q++
+		return res
+	}
+	for i := 0; i < 4; i++ {
+		if res := search(); len(res.Items) <= radixCut {
+			t.Fatalf("fixture: %d survivors, want more than radixCut = %d", len(res.Items), radixCut)
+		}
+	}
+	if allocs := testing.AllocsPerRun(32, func() { search() }); allocs > 2 {
+		t.Errorf("%.1f allocs per fat search, want at most 2", allocs)
+	}
 }

@@ -1,7 +1,11 @@
 package knn
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -9,17 +13,9 @@ import (
 	"hyperdom/internal/geom"
 )
 
-// CompareCandidates orders candidates by ascending (MaxDist, ID): candLess
-// as a three-way comparison, in the form slices.SortFunc takes.
-func CompareCandidates(a, b Candidate) int {
-	switch {
-	case candLess(&a, &b):
-		return -1
-	case candLess(&b, &a):
-		return 1
-	}
-	return 0
-}
+// sortCandidates sorts es in place with the sort finish() and collect()
+// use, on a fresh sorter.
+func sortCandidates(es []Candidate) { new(candSorter).sort(es) }
 
 // finalFilter applies Definition 2's final filter to a candidate set from
 // the outside: Sk = k-th smallest (MaxDist, ID), keep every
@@ -110,4 +106,111 @@ func idsOf(items []Item) []int {
 	}
 	sort.Ints(ids)
 	return ids
+}
+
+// BenchmarkSortCandidates times the candidate sort on random MaxDist keys
+// at sizes around radixCut and at a fat_d10 answer's ~850, against
+// insertion alone (below the cut) — the measurement radixCut comes from.
+func BenchmarkSortCandidates(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	items := make([]Item, 1024)
+	for i := range items {
+		items[i].ID = i
+	}
+	for _, n := range []int{16, 24, 32, 48, 64, 96, 850} {
+		in := make([]Candidate, n)
+		for i := range in {
+			in[i] = Candidate{Item: &items[rng.Intn(len(items))], MaxDist: 100 + 50*rng.Float64()}
+		}
+		es := make([]Candidate, n)
+		var s candSorter
+		b.Run(fmt.Sprintf("n=%d/radix", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(es, in)
+				s.radix(es)
+			}
+		})
+		if n <= 128 {
+			b.Run(fmt.Sprintf("n=%d/insertion", n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(es, in)
+					insertionCandidates(es)
+				}
+			})
+		}
+	}
+}
+
+// FuzzSortCandidates checks the candidate sort against CompareCandidates
+// order. Each candidate takes three bytes: a key class, a value and an ID
+// (IDs repeat, so equal keys with equal IDs occur). The classes cover ±0,
+// +Inf, subnormals, one MaxDist repeated (an equal-MaxDist run), keys an
+// ulp apart, the float64 extremes and negatives; the seeds sit either side
+// of radixCut and of the second radix pass.
+func FuzzSortCandidates(f *testing.F) {
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range []int{0, 1, 2, radixCut - 1, radixCut, radixCut + 1, 3 * radixCut, 1000, 1025, 3000} {
+		data := make([]byte, 3*n)
+		rng.Read(data)
+		f.Add(data)
+	}
+	f.Add([]byte{1, 0, 3, 0, 0, 3, 1, 0, 2, 0, 0, 1}) // −0 and +0, one ID out of order
+	zeros := make([]byte, 3*(radixCut+20))            // only ±0 and subnormal keys, above the cut
+	for i := 0; i < len(zeros); i += 3 {
+		zeros[i], zeros[i+1], zeros[i+2] = []byte{0, 1, 3}[rng.Intn(3)], byte(rng.Intn(3)), byte(rng.Intn(256))
+	}
+	f.Add(zeros)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		items := make([]Item, 256)
+		for i := range items {
+			items[i].ID = i
+		}
+		in := make([]Candidate, len(data)/3)
+		for i := range in {
+			class, v, id := data[3*i], float64(data[3*i+1]), data[3*i+2]
+			var key float64
+			switch class % 10 {
+			case 0:
+				key = 0
+			case 1:
+				key = math.Copysign(0, -1)
+			case 2:
+				key = math.Inf(1)
+			case 3:
+				key = v * 5e-324 // subnormal, or 0
+			case 4:
+				key = 100 + v/256
+			case 5:
+				key = 7.5 // one long equal-MaxDist run
+			case 6:
+				key = math.Nextafter(7.5, 8) // an ulp above the run
+			case 7:
+				key = math.MaxFloat64 / (v + 1)
+			case 8:
+				key = -v
+			default:
+				key = math.Float64frombits(binary.LittleEndian.Uint64(append(data[3*i:3*i+3:3*i+3], 0, 0, 0, 0, 0)) | 0x4000000000000000)
+			}
+			in[i] = Candidate{Item: &items[id], MaxDist: key}
+		}
+		got := slices.Clone(in)
+		sortCandidates(got)
+		want := slices.Clone(in)
+		slices.SortStableFunc(want, CompareCandidates)
+		for i := range got {
+			if CompareCandidates(got[i], want[i]) != 0 {
+				t.Fatalf("n=%d: position %d holds (MaxDist %v, ID %d), want (%v, %d)", len(in), i, got[i].MaxDist, got[i].Item.ID, want[i].MaxDist, want[i].Item.ID)
+			}
+		}
+		// The sort permutes: every input candidate comes out exactly once.
+		count := map[Candidate]int{}
+		for _, c := range in {
+			count[c]++
+		}
+		for _, c := range got {
+			if count[c]--; count[c] < 0 {
+				t.Fatalf("n=%d: candidate (%v, %d) came out more often than it went in", len(in), c.MaxDist, c.Item.ID)
+			}
+		}
+	})
 }

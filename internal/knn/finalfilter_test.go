@@ -367,11 +367,16 @@ func TestPutScratchHoldsNoCandidate(t *testing.T) {
 	check := func(name string, sc *scratch) {
 		t.Helper()
 		l := &sc.list
-		for _, part := range [][]Candidate{l.top.es[:cap(l.top.es)], l.buf[:cap(l.buf)]} {
+		for _, part := range [][]Candidate{l.top.es[:cap(l.top.es)], l.buf[:cap(l.buf)], l.sorter.tmp[:cap(l.sorter.tmp)]} {
 			for i, c := range part {
 				if c != (Candidate{}) {
 					t.Fatalf("%s: pooled scratch still holds candidate %+v in slot %d of %d", name, c, i, len(part))
 				}
+			}
+		}
+		for i, p := range l.spheres[:cap(l.spheres)] {
+			if p != nil {
+				t.Fatalf("%s: pooled scratch still holds a candidate sphere in slot %d", name, i)
 			}
 		}
 		if len(l.top.es) != 0 || len(l.buf) != 0 {
@@ -416,10 +421,17 @@ func TestWholeCollectionScratchNotPooled(t *testing.T) {
 			t.Fatalf("k=%d: fixture answers %d items, want the whole collection of %d", k, len(res.Items), n)
 		}
 		sc := getScratch()
-		top, buf := cap(sc.list.top.es), cap(sc.list.buf)
+		l := &sc.list
+		top, buf := cap(l.top.es), cap(l.buf)
+		filter := map[string]int{"spheres": cap(l.spheres), "verdicts": cap(l.dom), "block rows": l.blk.Cap(), "sort buffer": cap(l.sorter.tmp)}
 		putScratch(sc)
 		if top > maxPooledCandidates || buf > maxPooledCandidates {
 			t.Errorf("k=%d: the pool kept candidate storage of %d + %d entries, cap %d each", k, top, buf, maxPooledCandidates)
+		}
+		for name, c := range filter {
+			if c > maxPooledCandidates {
+				t.Errorf("k=%d: the pool kept final-filter %s for %d entries, cap %d", k, name, c, maxPooledCandidates)
+			}
 		}
 	}
 }

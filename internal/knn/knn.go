@@ -137,6 +137,14 @@ type bestList struct {
 	top   TopK
 	buf   []Candidate
 	stats *Stats
+
+	// The final filter's pooled scratch: one part's candidate spheres
+	// (nil past the part being decided), its verdicts, the block kernel's
+	// rows, and the sort's buffer.
+	spheres []*geom.Sphere
+	dom     []bool
+	blk     dominance.Block
+	sorter  candSorter
 }
 
 // reset reinitialises the list for a new search, reusing the candidate
@@ -188,9 +196,10 @@ func (l *bestList) offerDist(it *Item, dist float64) {
 }
 
 // finish selects the final Sk, applies the Definition 2 filter — the
-// criterion's one call per candidate — and returns the survivors in
-// (MaxDist, ID) order, copied out of the index once. Fewer than k items seen
-// means the whole database qualifies (buf is empty then).
+// criterion's one call per candidate, decided a part at a time by
+// Anchored.DominatesBlock — and returns the survivors in (MaxDist, ID)
+// order, copied out of the index once. Fewer than k items seen means the
+// whole database qualifies (buf is empty then).
 func (l *bestList) finish() []Item {
 	es := l.top.es
 	if l.top.Full() {
@@ -199,14 +208,7 @@ func (l *bestList) finish() []Item {
 		held := len(l.buf)
 		es = l.buf[:0] // compact buf in place, then take top's survivors
 		for _, part := range [2][]Candidate{l.buf, l.top.es} {
-			for i := range part {
-				l.stats.DomChecks++
-				if c := &part[i]; l.anch.Dominates(c.Item.Sphere) {
-					l.stats.Pruned++
-				} else {
-					es = append(es, *c)
-				}
-			}
+			es = l.filter(part, es)
 		}
 		if len(es) < held {
 			clear(l.buf[len(es):held]) // what the compaction vacated; see release
@@ -216,12 +218,38 @@ func (l *bestList) finish() []Item {
 	if len(es) == 0 {
 		return nil
 	}
-	sortCandidates(es)
+	l.sorter.sort(es)
 	out := make([]Item, len(es))
 	for i := range es {
 		out[i] = *es[i].Item
 	}
 	return out
+}
+
+// filter decides part against the anchored Sk in one block and appends its
+// survivors to es, which may be part's own storage up to part's start:
+// each survivor is written no later than it is read.
+func (l *bestList) filter(part, es []Candidate) []Candidate {
+	spheres := l.spheres[:0]
+	for i := range part {
+		spheres = append(spheres, &part[i].Item.Sphere)
+	}
+	if cap(l.dom) < len(part) {
+		l.dom = make([]bool, len(part))
+	}
+	dom := l.dom[:len(part)]
+	l.anch.DominatesBlock(spheres, dom, &l.blk)
+	clear(spheres)
+	l.spheres = spheres
+	l.stats.DomChecks += len(part)
+	for i, d := range dom {
+		if d {
+			l.stats.Pruned++
+		} else {
+			es = append(es, part[i])
+		}
+	}
+	return es
 }
 
 // maxPooledCandidates caps the candidate storage a pooled scratch keeps. A
@@ -235,15 +263,28 @@ const maxPooledCandidates = 16 << 10
 // hold the request's query centre and the last Sk's. Clearing by length is
 // enough, and costs what the search wrote rather than the pooled capacity:
 // slots past len(top.es) and len(buf) are zero at all times — offers only
-// append, finish zeroes what its compaction vacates, reset clears by length.
+// append, finish zeroes what its compaction vacates, reset clears by length
+// — and filter and the sort clear their candidate scratch after each use.
+// The final filter's scratch is kept under the same cap.
 func (l *bestList) release() {
 	l.anch.FlushObs()
-	*l = bestList{top: TopK{es: poolCandidates(l.top.es)}, buf: poolCandidates(l.buf)}
+	blk := l.blk
+	if blk.Cap() > maxPooledCandidates {
+		blk = dominance.Block{}
+	}
+	*l = bestList{
+		top:     TopK{es: pooled(l.top.es)},
+		buf:     pooled(l.buf),
+		spheres: pooled(l.spheres),
+		dom:     pooled(l.dom),
+		blk:     blk,
+		sorter:  candSorter{tmp: pooled(l.sorter.tmp), counts: l.sorter.counts},
+	}
 }
 
-// poolCandidates returns s cleared by length for the pool, or nil when its
+// pooled returns s cleared by length for the pool, or nil when its
 // capacity is over maxPooledCandidates.
-func poolCandidates(s []Candidate) []Candidate {
+func pooled[T any](s []T) []T {
 	if cap(s) > maxPooledCandidates {
 		return nil
 	}
